@@ -415,6 +415,33 @@ def test_perf_batch_hot_path_radix64_high_load(benchmark):
     )
 
 
+def test_perf_hierarchical_radix64_high_load(benchmark):
+    """The paper's design point (radix 64, p=8) at load 0.9.
+
+    The regime the occupancy-indexed hierarchical hot path exists for:
+    every input is backlogged, yet each of the 64 subswitches sees
+    under one flit per cycle, so per-cycle work must follow the
+    resident flits rather than the k*(k/p)*v lanes.  Gated through the
+    reference-normalized baseline; the flit-counter checksum pins that
+    the run is the same simulation on every machine and round.
+    """
+    def run():
+        sim = SwitchSimulation(
+            HierarchicalCrossbarRouter(
+                RouterConfig(radix=64, subswitch_size=8, seed=5)
+            ),
+            load=0.9,
+        )
+        for _ in range(400):
+            sim.step()
+        stats = sim.router.stats
+        return (stats.flits_accepted, stats.flits_ejected,
+                sim.router.occupancy())
+
+    checksum = benchmark.pedantic(run, rounds=ROUNDS, iterations=1)
+    assert checksum == (5565, 5159, 406)
+
+
 def test_perf_active_set_clos_radix16(benchmark):
     """2-level radix-16 Clos: parked stages must pay >= 1.5x."""
     def run(active_set):

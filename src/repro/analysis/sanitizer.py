@@ -29,7 +29,11 @@ Structural invariants:
   ``free + held == capacity`` where *held* counts flits buffered
   downstream, flits in flight toward the buffer, and credits in flight
   back to the counter (through the shared credit-return bus, the
-  dedicated pipe, or the response delay line).
+  dedicated pipe, or the response delay line);
+* **occupancy indices** — every flit counter the hierarchical
+  crossbar's hot path trusts instead of walking its buffers equals the
+  walked queue lengths, and its crossing set names exactly the
+  subswitches with flits in ``crossing``.
 
 Violations raise :class:`~repro.core.errors.InvariantViolation`
 carrying the cycle, port, and VC, so a credit leak surfaces as
@@ -113,6 +117,11 @@ class SimSanitizer(CheckedRouter):
         if self._credit_probes is not None:
             self._entry_by_key = {e[0]: e for e in self._credit_probes[1]}
             self._entry_by_cid = {e[1]: e for e in self._credit_probes[1]}
+        self._lane_probes = (
+            self._build_lane_probes(inner)
+            if isinstance(inner, HierarchicalCrossbarRouter)
+            else None
+        )
 
     # -- hook handlers -------------------------------------------------
 
@@ -163,6 +172,8 @@ class SimSanitizer(CheckedRouter):
         self._check_buffer_bounds(router, cycle)
         self._check_vc_ownership(router, cycle)
         self._check_credits(router, cycle)
+        if self._lane_probes is not None:
+            self._check_occupancy_indices(router, cycle)
         self.checks_run += 1
 
     def _check_flit_conservation(self, router: Router, cycle: int) -> None:
@@ -446,6 +457,66 @@ class SimSanitizer(CheckedRouter):
             lambda i, col: f"subswitch input buffer (input {i}, "
                            f"column {col})",
         )
+
+    # -- hierarchical occupancy indices ---------------------------------
+
+    @staticmethod
+    def _build_lane_probes(router: HierarchicalCrossbarRouter):
+        """Row-major ``(sub, in_lanes, out_lanes)``; each lane is the
+        list of its per-VC deques, walked to audit the lane's counter."""
+        return [
+            (
+                sub,
+                [[q._q for q in bank.queues] for bank in sub.in_bufs],
+                [[q._q for q in bank.queues] for bank in sub.out_bufs],
+            )
+            for row in router.sub for sub in row
+        ]
+
+    def _check_occupancy_indices(
+        self, router: HierarchicalCrossbarRouter, cycle: int
+    ) -> None:
+        """The counters the hierarchical hot path trusts in place of
+        walking its buffers must equal the walked queue lengths."""
+
+        def drift(what: str, index, walked) -> InvariantViolation:
+            return InvariantViolation(
+                f"occupancy index drifted: {what} reads {index} but "
+                f"walking the subswitches finds {walked}",
+                cycle=cycle,
+                check="occupancy-index",
+                index=index,
+                walked=walked,
+            )
+
+        p = router.config.subswitch_size
+        port_flits = [0] * router.config.radix
+        crossing = set()
+        for pos, (sub, in_lanes, out_lanes) in enumerate(self._lane_probes):
+            where = f"subswitch ({sub.row},{sub.col})"
+            in_total = 0
+            for lane, deques in enumerate(in_lanes):
+                walked = sum(map(len, deques))
+                if sub.in_count[lane] != walked:
+                    raise drift(f"{where} in_count[{lane}]",
+                                sub.in_count[lane], walked)
+                in_total += walked
+            if sub.in_total != in_total:
+                raise drift(f"{where} in_total", sub.in_total, in_total)
+            first_port = sub.col * p
+            for lane, deques in enumerate(out_lanes):
+                walked = sum(map(len, deques))
+                if sub.out_count[lane] != walked:
+                    raise drift(f"{where} out_count[{lane}]",
+                                sub.out_count[lane], walked)
+                port_flits[first_port + lane] += walked
+            if sub.crossing:
+                crossing.add(pos)
+        if router._port_flits != port_flits:
+            raise drift("_port_flits", router._port_flits, port_flits)
+        if router._crossing != crossing:
+            raise drift("_crossing", sorted(router._crossing),
+                        sorted(crossing))
 
 
 class NetworkSanitizer:

@@ -27,8 +27,13 @@ from __future__ import annotations
 import pickle
 from typing import Any, Dict
 
-#: On-disk format version; bumped whenever the payload layout changes.
-CHECKPOINT_FORMAT = 1
+#: On-disk format version; bumped whenever the payload layout changes
+#: — including when a component grows derived state that restore
+#: (attribute-by-attribute) would leave at its constructor value.
+#: Format 2: the hierarchical crossbar's occupancy indices; a format-1
+#: file restored onto them would hide every buffered flit from the
+#: router's hot path.
+CHECKPOINT_FORMAT = 2
 
 
 def save_checkpoint(sim, path) -> None:

@@ -105,9 +105,8 @@ class Router(Component):
         # set on accept and cleared when the bank drains (see
         # ``_input_emptied``).  Skipping is behavior-neutral because an
         # empty bank yields no candidates and the arbiters never advance
-        # their pointers on an empty request set.
-        # Per-input activity flags: scan loops skip inputs that are
-        # provably empty.  Replaced by AlwaysActive in exhaustive mode.
+        # their pointers on an empty request set.  Replaced by
+        # AlwaysActive in exhaustive mode.
         self._in_active: Union[List[bool], AlwaysActive] = [False] * k
         self._staged_ejects: Sequence[Tuple[Flit, int]] = ()
         self._staged_releases: Sequence[Tuple[int, int, int]] = ()

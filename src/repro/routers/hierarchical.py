@@ -32,7 +32,7 @@ subswitch input buffers return to the input over a fixed-latency pipe.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.arbiter import RoundRobinArbiter
 from ..core.buffers import VcBufferBank
@@ -63,18 +63,52 @@ class _Subswitch:
         self.writer: Dict[Tuple[int, int], int] = {}
         # Flits traversing the subswitch toward an output buffer.
         self.crossing: DelayLine[Tuple[Flit, int]] = DelayLine(config.flit_cycles)
-        # Count of flits resident in this subswitch's boundary buffers,
-        # maintained by the router so idle subswitches can be skipped.
-        self.resident = 0
+        # Occupancy indices, maintained by the router at every push and
+        # pop (see HierarchicalCrossbarRouter): flits buffered per input
+        # lane, per output lane, and over all input lanes together.
+        self.in_count = [0] * p
+        self.out_count = [0] * p
+        self.in_total = 0
 
     def occupancy(self) -> int:
+        """Flits inside the subswitch, counted by walking the queues.
+
+        Deliberately ignores the occupancy indices: the sanitizer and
+        the tests use this walk as their independent oracle.
+        """
         buffered = sum(b.occupancy() for b in self.in_bufs)
         buffered += sum(b.occupancy() for b in self.out_bufs)
         return buffered + len(self.crossing)
 
 
 class HierarchicalCrossbarRouter(Router):
-    """k×k crossbar built from (k/p)^2 buffered p×p subswitches."""
+    """k×k crossbar built from (k/p)^2 buffered p×p subswitches.
+
+    Hot path.  On uniform traffic each subswitch sees only load·p/k, so
+    most boundary buffers are empty most of the time; the four commit
+    stages therefore walk *occupancy indices* instead of the buffers:
+
+    * ``sub.in_count[li]`` / ``sub.out_count[lo]`` — flits in one
+      subswitch input / output lane (all VCs);
+    * ``sub.in_total`` — flits in all input lanes of one subswitch;
+    * ``_port_flits[j]`` — flits waiting for output ``j`` in the output
+      lanes of its column;
+    * ``_crossing`` — row-major positions of the subswitches whose
+      ``crossing`` delay line is non-empty.
+
+    Each is updated at the single push or pop that changes it
+    (:meth:`_land_flits`, :meth:`_sub_transmit`, :meth:`_port_transmit`)
+    and is checked against the walked queues every cycle by
+    :class:`~repro.analysis.sanitizer.SimSanitizer`.
+
+    Skip rule: a probe is skipped only when its index is zero — when
+    the structure holds no flit, so probing it would have yielded no
+    candidate, advanced no arbiter pointer, bumped no ``stats`` counter
+    and emitted no hook event.  Every probe of a non-empty structure
+    still runs, in row-major subswitch, then lane, then VC order, which
+    keeps results, ``stats.*`` extras and trace bytes independent of
+    the indices.
+    """
 
     # "ROW" fires when the flit launches across the input row bus
     # toward its subswitch, "SUB" when it crosses the p×p subswitch
@@ -83,7 +117,7 @@ class HierarchicalCrossbarRouter(Router):
 
     def __init__(self, config: RouterConfig) -> None:
         super().__init__(config)
-        k, v, p = config.radix, config.num_vcs, config.subswitch_size
+        k, v = config.radix, config.num_vcs
         s = config.num_subswitches_per_side
         self.num_sub = s
         self.sub: List[List[_Subswitch]] = [
@@ -106,10 +140,9 @@ class HierarchicalCrossbarRouter(Router):
             for _ in range(k)
         ]
         self._credit_pipe = DelayedCreditPipe(config.credit_latency)
-        # Flits resident in the subswitch boundary buffers of each
-        # column (mirrors the per-subswitch ``resident`` counters), so
-        # the output stage can skip whole empty columns.
-        self._col_resident = [0] * s
+        # Router-level occupancy indices (see the class docstring).
+        self._port_flits = [0] * k
+        self._crossing: Set[int] = set()
         # Flits crossing the input row bus toward a subswitch input buffer.
         self._to_sub: DelayLine[Tuple[Flit, int, int]] = DelayLine(
             config.flit_cycles
@@ -132,15 +165,34 @@ class HierarchicalCrossbarRouter(Router):
 
     def _input_stage(self) -> None:
         now = self.cycle
-        p = self.config.subswitch_size
-        for i in range(self.config.radix):
-            if not self._in_active[i]:
+        config = self.config
+        p, v, fc = config.subswitch_size, config.num_vcs, config.flit_cycles
+        in_active = self._in_active
+        input_busy = self.input_busy
+        stuck = self._stuck_inputs
+        head_delay = self._head_delay
+        hooks = self.hooks
+        for i in range(config.radix):
+            if not in_active[i]:
                 continue
-            if not self.input_busy.free(i, now):
+            if not input_busy.free(i, now):
                 continue
-            sendable = [
-                self._sendable(i, vc) for vc in range(self.config.num_vcs)
-            ]
+            bank = self.inputs[i]
+            credits = self._in_credits[i]
+            # Head flit of each VC that may launch now: not wedged by a
+            # stuck-input fault, past its route-computation delay, and
+            # holding a credit for its subswitch input buffer.
+            sendable: List[Optional[Flit]] = [None] * v
+            for vc in range(v):
+                if stuck and (i, vc) in stuck:
+                    continue
+                flit = bank[vc].head()
+                if flit is None:
+                    continue
+                if flit.is_head and now - flit.injected_at < head_delay:
+                    continue
+                if credits[flit.dest // p][vc].available:
+                    sendable[vc] = flit
             vc = self._input_arb[i].arbitrate([f is not None for f in sendable])
             if vc is None:
                 continue
@@ -149,68 +201,66 @@ class HierarchicalCrossbarRouter(Router):
                       "no sendable flit", cycle=now, port=i, vc=vc,
                       check="arbitration")
             col = flit.dest // p
-            popped = self.inputs[i][vc].pop()
+            popped = bank[vc].pop()
             invariant(popped is flit, "input buffer head changed between "
                       "arbitration and pop", cycle=now, port=i, vc=vc,
                       check="buffer-integrity")
             self._input_emptied(i)
-            self._in_credits[i][col][vc].consume()
-            self.input_busy.reserve(i, now, self.config.flit_cycles)
+            credits[col][vc].consume()
+            input_busy.reserve(i, now, fc)
             self._to_sub.push(now, (flit, i, col))
             self._in_flight += 1
-            if self.hooks.stage_enter:
-                self.hooks.emit_stage_enter(flit, "ROW", i, now)
-
-    def _sendable(self, i: int, vc: int) -> Optional[Flit]:
-        if self._stuck_inputs and (i, vc) in self._stuck_inputs:
-            return None
-        flit = self.inputs[i][vc].head()
-        if flit is None:
-            return None
-        if flit.is_head and self.cycle - flit.injected_at < self._head_delay:
-            return None
-        col = flit.dest // self.config.subswitch_size
-        if not self._in_credits[i][col][vc].available:
-            return None
-        return flit
+            if hooks.stage_enter:
+                hooks.emit_stage_enter(flit, "ROW", i, now)
 
     def _land_flits(self) -> None:
+        now = self.cycle
         p = self.config.subswitch_size
-        for flit, i, col in self._to_sub.pop_ready(self.cycle):
+        for flit, i, col in self._to_sub.pop_ready(now):
             sub = self.sub[i // p][col]
-            sub.in_bufs[i % p][flit.vc].push(flit)
-            sub.resident += 1
-            self._col_resident[col] += 1
+            li = i % p
+            sub.in_bufs[li][flit.vc].push(flit)
+            sub.in_count[li] += 1
+            sub.in_total += 1
             self._in_flight -= 1
-        for r in range(self.num_sub):
-            for c in range(self.num_sub):
-                sub = self.sub[r][c]
-                if sub.crossing:
-                    for flit, lo in sub.crossing.pop_ready(self.cycle):
-                        sub.out_bufs[lo][flit.out_vc].push(flit)
-                        sub.resident += 1
-                        self._col_resident[c] += 1
+        crossing = self._crossing
+        if not crossing:
+            return
+        s = self.num_sub
+        port_flits = self._port_flits
+        # Sorted: row-major, the order of the scan this set replaces.
+        for pos in sorted(crossing):
+            sub = self.sub[pos // s][pos % s]
+            first_port = sub.col * p
+            for flit, lo in sub.crossing.pop_ready(now):
+                sub.out_bufs[lo][flit.out_vc].push(flit)
+                sub.out_count[lo] += 1
+                port_flits[first_port + lo] += 1
+            if not sub.crossing:
+                crossing.discard(pos)
 
     # ------------------------------------------------------------------
     # Stage 2: p×p subswitch traversal with local VC allocation
     # ------------------------------------------------------------------
 
     def _subswitch_stage(self) -> None:
-        for r in range(self.num_sub):
-            for c in range(self.num_sub):
-                sub = self.sub[r][c]
-                if sub.resident:
+        for row in self.sub:
+            for sub in row:
+                if sub.in_total:
                     self._run_subswitch(sub)
 
     def _run_subswitch(self, sub: _Subswitch) -> None:
         now = self.cycle
         p, v = self.config.subswitch_size, self.config.num_vcs
-        # Local input arbitration: one candidate per subswitch input lane.
+        in_count = sub.in_count
+        in_busy = sub.in_busy
+        # Local input arbitration: one candidate per subswitch input
+        # lane, grouped by requested output lane in first-request order.
         requests: Dict[int, List[Tuple[int, int, Flit]]] = {}
         for li in range(p):
-            if not sub.in_busy.free(li, now):
+            if not in_count[li]:
                 continue
-            if sub.in_bufs[li].occupancy() == 0:
+            if not in_busy.free(li, now):
                 continue
             cands = [self._sub_candidate(sub, li, vc) for vc in range(v)]
             vc = sub.in_arb[li].arbitrate([cd is not None for cd in cands])
@@ -219,23 +269,20 @@ class HierarchicalCrossbarRouter(Router):
             flit = cands[vc]
             invariant(flit is not None, "subswitch input arbiter granted "
                       "an empty VC", cycle=now, vc=vc, check="arbitration")
-            lo = flit.dest % p
-            requests.setdefault(lo, []).append((li, vc, flit))
+            requests.setdefault(flit.dest % p, []).append((li, vc, flit))
         # Local output arbitration per subswitch output lane.
         for lo, reqs in requests.items():
             if not sub.out_lane_busy.free(lo, now):
                 self.stats.switch_denials += len(reqs)
                 continue
             lines = [False] * p
-            by_lane = {}
-            for li, vc, flit in reqs:
+            for li, _, _ in reqs:
                 lines[li] = True
-                by_lane[li] = (vc, flit)
             winner = sub.out_arb[lo].arbitrate(lines)
-            if winner is None:
-                continue
-            vc, flit = by_lane[winner]
-            self._sub_transmit(sub, winner, lo, vc, flit)
+            for li, vc, flit in reqs:
+                if li == winner:
+                    self._sub_transmit(sub, li, lo, vc, flit)
+                    break
             self.stats.switch_denials += len(reqs) - 1
 
     def _sub_candidate(self, sub: _Subswitch, li: int, vc: int) -> Optional[Flit]:
@@ -243,11 +290,9 @@ class HierarchicalCrossbarRouter(Router):
         flit = sub.in_bufs[li][vc].head()
         if flit is None:
             return None
-        p = self.config.subswitch_size
-        lo = flit.dest % p
+        lo = flit.dest % self.config.subswitch_size
         out_vc = flit.vc  # identity VC mapping, as at the input stage
-        buf = sub.out_bufs[lo][out_vc]
-        if buf.full:
+        if sub.out_bufs[lo][out_vc].full:
             return None
         writer = sub.writer.get((lo, out_vc))
         if flit.is_head:
@@ -268,34 +313,35 @@ class HierarchicalCrossbarRouter(Router):
     def _sub_transmit(
         self, sub: _Subswitch, li: int, lo: int, vc: int, flit: Flit
     ) -> None:
+        now = self.cycle
+        hooks = self.hooks
         popped = sub.in_bufs[li][vc].pop()
-        sub.resident -= 1
-        self._col_resident[sub.col] -= 1
+        sub.in_count[li] -= 1
+        sub.in_total -= 1
         invariant(popped is flit, "subswitch input buffer head changed "
-                  "before pop", cycle=self.cycle, vc=vc,
+                  "before pop", cycle=now, vc=vc,
                   check="buffer-integrity")
         out_vc = flit.vc
         flit.out_vc = out_vc
         if flit.is_head:
             sub.writer[(lo, out_vc)] = flit.packet_id
-            if self.hooks.spec_outcome:
-                self.hooks.emit_spec_outcome(
-                    "subva", True, flit.dest, self.cycle
-                )
+            if hooks.spec_outcome:
+                hooks.emit_spec_outcome("subva", True, flit.dest, now)
         if flit.is_tail:
             sub.writer.pop((lo, out_vc), None)
         fc = self.config.flit_cycles
-        sub.in_busy.reserve(li, self.cycle, fc)
-        sub.out_lane_busy.reserve(lo, self.cycle, fc)
-        sub.crossing.push(self.cycle, (flit, lo))
-        if self.hooks.stage_enter:
-            self.hooks.emit_stage_enter(flit, "SUB", flit.dest, self.cycle)
+        sub.in_busy.reserve(li, now, fc)
+        sub.out_lane_busy.reserve(lo, now, fc)
+        sub.crossing.push(now, (flit, lo))
+        self._crossing.add(sub.row * self.num_sub + sub.col)
+        if hooks.stage_enter:
+            hooks.emit_stage_enter(flit, "SUB", flit.dest, now)
         # The subswitch input buffer slot is free: return the credit.
         i = sub.row * self.config.subswitch_size + li
         counter = self._in_credits[i][sub.col][vc]
-        self._credit_pipe.send(self.cycle, counter.restore)
-        if self.hooks.credit:
-            self.hooks.emit_credit(i, vc, self.cycle)
+        self._credit_pipe.send(now, counter.restore)
+        if hooks.credit:
+            hooks.emit_credit(i, vc, now)
 
     # ------------------------------------------------------------------
     # Stage 3: output port pulls from its column's output buffers
@@ -303,16 +349,23 @@ class HierarchicalCrossbarRouter(Router):
 
     def _output_stage(self) -> None:
         now = self.cycle
-        p = self.config.subswitch_size
+        p, s = self.config.subswitch_size, self.num_sub
+        port_flits = self._port_flits
+        output_busy = self.output_busy
         for j in range(self.config.radix):
-            if not self._col_resident[j // p]:
+            if not port_flits[j]:
                 continue
-            if not self.output_busy.free(j, now):
+            if not output_busy.free(j, now):
                 continue
-            c, lo = j // p, j % p
-            candidates: List[Optional[Tuple[int, Flit]]] = []
-            for r in range(self.num_sub):
-                candidates.append(self._port_candidate(j, r, c, lo))
+            c, lo = divmod(j, p)
+            # One candidate (vc, flit) per subswitch of the column.
+            candidates: List[Optional[Tuple[int, Flit]]] = [None] * s
+            for r in range(s):
+                sub = self.sub[r][c]
+                if sub.out_count[lo]:
+                    candidates[r] = self._port_candidate(
+                        j, r, sub.out_bufs[lo]
+                    )
             winner = self._port_arb[j].arbitrate(
                 [cd is not None for cd in candidates]
             )
@@ -326,16 +379,13 @@ class HierarchicalCrossbarRouter(Router):
             self._port_transmit(j, winner, c, lo, vc, flit)
 
     def _port_candidate(
-        self, j: int, r: int, c: int, lo: int
+        self, j: int, r: int, bank: VcBufferBank
     ) -> Optional[Tuple[int, Flit]]:
-        """Pick a sendable VC from subswitch (r, c)'s output buffer lane."""
-        sub = self.sub[r][c]
-        if sub.resident == 0:
-            return None
-        bank = sub.out_bufs[lo]
+        """Pick a sendable VC from ``bank``, the output buffer lane
+        feeding output ``j`` in row ``r`` of its subswitch column."""
         ready = []
-        for vc in range(self.config.num_vcs):
-            flit = bank[vc].head()
+        for queue in bank.queues:
+            flit = queue.head()
             ready.append(flit is not None and self._global_vc_ok(j, flit))
         vc = self._port_vc_arb[j][r].arbitrate(ready)
         if vc is None:
@@ -361,9 +411,10 @@ class HierarchicalCrossbarRouter(Router):
     def _port_transmit(
         self, j: int, r: int, c: int, lo: int, vc: int, flit: Flit
     ) -> None:
-        popped = self.sub[r][c].out_bufs[lo][vc].pop()
-        self.sub[r][c].resident -= 1
-        self._col_resident[c] -= 1
+        sub = self.sub[r][c]
+        popped = sub.out_bufs[lo][vc].pop()
+        sub.out_count[lo] -= 1
+        self._port_flits[j] -= 1
         invariant(popped is flit, "subswitch output buffer head changed "
                   "before pop", cycle=self.cycle, port=j, vc=vc,
                   check="buffer-integrity")

@@ -21,7 +21,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.config import RouterConfig
 from repro.core.flit import reset_packet_ids
 from repro.faults import FaultPlan
-from repro.harness import SwitchSimulation, SweepSettings, load_checkpoint
+from repro.harness import (
+    CHECKPOINT_FORMAT,
+    SwitchSimulation,
+    SweepSettings,
+    load_checkpoint,
+)
 from repro.network.netsim import NetworkConfig, NetworkSimulation
 from repro.routers import (
     BaselineRouter,
@@ -130,6 +135,28 @@ class TestSwitchRoundTrip:
         )
         assert got == expect
         assert got.extra == expect.extra
+
+
+class TestFormatVersion:
+    def test_previous_format_is_refused(self, tmp_path):
+        """A file written by the previous format predates the
+        hierarchical occupancy indices: restoring it would leave them
+        at zero with flits buffered, so it must be refused with the
+        typed error rather than resumed."""
+        import pickle
+
+        reset_packet_ids()
+        sim = _switch_sim(HierarchicalCrossbarRouter, 7, 0.4, "cycle", False)
+        sim.start_run(FAST)
+        assert not sim.advance_run(stop_at=100)
+        path = tmp_path / "switch.ckpt"
+        sim.save_checkpoint(path)
+        payload = pickle.loads(path.read_bytes())
+        assert payload["format"] == CHECKPOINT_FORMAT
+        payload["format"] = CHECKPOINT_FORMAT - 1
+        path.write_bytes(pickle.dumps(payload))
+        with pytest.raises(ValueError, match="unsupported checkpoint format"):
+            load_checkpoint(path)
 
 
 class TestNetworkRoundTrip:

@@ -1,12 +1,22 @@
 """Behavioral tests for the hierarchical crossbar (Section 6)."""
 
-import pytest
+import hashlib
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.analysis.sanitizer import SimSanitizer
 from repro.core.config import RouterConfig
-from repro.core.flit import make_packet
+from repro.core.flit import make_packet, reset_packet_ids
+from repro.faults import FaultPlan, StuckFault
 from repro.harness.experiment import SwitchSimulation, SweepSettings
 from repro.routers.hierarchical import HierarchicalCrossbarRouter
-from repro.traffic.patterns import UniformRandom, WorstCaseHierarchical
+from repro.trace import TraceCollector, chrome_trace_json
+from repro.traffic.patterns import (
+    Hotspot,
+    UniformRandom,
+    WorstCaseHierarchical,
+)
 
 CFG = RouterConfig(radix=8, num_vcs=2, subswitch_size=4, local_group_size=4)
 FAST = SweepSettings(warmup=400, measure=800, drain=50)
@@ -187,29 +197,177 @@ class TestCredits:
                     assert counter.free == counter.capacity
 
 
+def _assert_indices_sum_to_occupancy(router):
+    """``_Subswitch.occupancy()`` walks the queues, independently of the
+    indices the hot path trusts; the two must agree.  (The per-lane
+    audit lives in ``SimSanitizer``; tests run it via ``sanitize``.)"""
+    for row in router.sub:
+        for sub in row:
+            assert sub.occupancy() == (
+                sub.in_total + sum(sub.out_count) + len(sub.crossing)
+            )
+
+
 class TestResidentCounter:
     def test_resident_tracks_buffer_occupancy(self):
-        """The fast-path resident counter must always equal the actual
-        buffered-flit count (crossing flits are counted separately)."""
-        from repro.harness.experiment import SwitchSimulation
-
+        """The hot path trusts the occupancy indices instead of walking
+        the buffers, so after every cycle each one must equal the
+        walked queue lengths (the sanitizer's per-cycle audit)."""
         cfg = RouterConfig(radix=16, num_vcs=2, subswitch_size=4,
                            local_group_size=4)
-        router = HierarchicalCrossbarRouter(cfg)
-        sim = SwitchSimulation(router, load=0.7, packet_size=3)
-        for _ in range(400):
-            sim.step()
-            for row in router.sub:
-                for sub in row:
-                    buffered = sub.occupancy() - len(sub.crossing)
-                    assert sub.resident == buffered
+        for pattern in (UniformRandom(16), WorstCaseHierarchical(16, 4)):
+            sim = SwitchSimulation(
+                HierarchicalCrossbarRouter(cfg), load=0.7, packet_size=3,
+                pattern=pattern, sanitize=True,
+            )
+            for _ in range(300):
+                sim.step()
+                _assert_indices_sum_to_occupancy(sim.router.inner)
+            assert sim.router.checks_run == 300
 
     def test_resident_zero_after_drain(self):
         router = HierarchicalCrossbarRouter(CFG)
+        checked = SimSanitizer(router)
         for src in range(8):
             for f in make_packet(dest=(src + 3) % 8, size=2, src=src):
-                router.accept(src, f)
-        _drain(router, max_cycles=2000)
+                checked.accept(src, f)
+        _drain(checked, max_cycles=2000)
+        checked.assert_drained()
+        assert router._port_flits == [0] * 8
+        assert router._crossing == set()
         for row in router.sub:
             for sub in row:
-                assert sub.resident == 0
+                assert sub.in_total == 0
+                assert sub.in_count == [0] * 4
+                assert sub.out_count == [0] * 4
+
+
+# ----------------------------------------------------------------------
+# Occupancy-indexed hot path: generative identity + parent-commit pin
+# ----------------------------------------------------------------------
+
+PROPERTY_RUN = SweepSettings(warmup=40, measure=80, drain=400)
+
+
+@st.composite
+def _scenarios(draw):
+    radix, p = draw(st.sampled_from(
+        [(4, 2), (8, 1), (8, 2), (8, 4), (8, 8), (12, 3), (16, 4), (16, 8)]
+    ))
+    pattern = draw(st.sampled_from(["uniform", "worst-case", "hotspot"]))
+    stuck = []
+    if draw(st.booleans()):  # a wedged input read port
+        start = draw(st.integers(0, 150))
+        stuck.append(StuckFault(
+            cycle=start, where=(draw(st.integers(0, radix - 1)),),
+            kind="input", until=start + draw(st.integers(1, 120)),
+        ))
+    if draw(st.booleans()):  # a subswitch input buffer that stops accepting
+        start = draw(st.integers(0, 150))
+        stuck.append(StuckFault(
+            cycle=start,
+            where=(draw(st.integers(0, radix - 1)),
+                   draw(st.integers(0, radix // p - 1))),
+            until=start + draw(st.integers(1, 120)),
+        ))
+    return dict(
+        config=RouterConfig(
+            radix=radix, subswitch_size=p, local_group_size=p,
+            num_vcs=draw(st.sampled_from([1, 2, 4])),
+            flit_cycles=draw(st.sampled_from([1, 2, 4])),
+            seed=draw(st.integers(0, 2**16)),
+        ),
+        packet_size=draw(st.integers(1, 4)),
+        load=draw(st.sampled_from([0.1, 0.5, 0.9, 1.0])),
+        pattern={
+            "uniform": UniformRandom(radix),
+            "worst-case": WorstCaseHierarchical(radix, p),
+            "hotspot": Hotspot(radix, num_hotspots=1, hot_fraction=0.6),
+        }[pattern],
+        faults=FaultPlan(stuck=tuple(stuck)) if stuck else None,
+        restore_at=draw(st.integers(1, 300)),
+    )
+
+
+def _build(scenario, scheduler, sanitize):
+    reset_packet_ids()
+    return SwitchSimulation(
+        HierarchicalCrossbarRouter(scenario["config"]),
+        load=scenario["load"], packet_size=scenario["packet_size"],
+        pattern=scenario["pattern"], faults=scenario["faults"],
+        scheduler=scheduler, sanitize=sanitize,
+    )
+
+
+def _comparable(result):
+    """Everything but the two extras that legitimately differ between
+    the schedulers."""
+    extras = {k: v for k, v in result.extra.items()
+              if not k.startswith("stats.engine.")}
+    return repr(result.row()), result.cycles, result.saturated, extras
+
+
+class TestOccupancyIndexedHotPath:
+    @settings(max_examples=10, deadline=None)
+    @given(scenario=_scenarios())
+    def test_sanitized_run_survives_restore_under_both_schedulers(
+        self, scenario
+    ):
+        """A sanitized run (every index audited every cycle) and a twin
+        that is snapshotted mid-run and restored onto a fresh router
+        agree exactly, under the cycle and the event scheduler."""
+        outcomes = []
+        for scheduler in ("cycle", "event"):
+            checked = _build(scenario, scheduler, sanitize=True)
+            expect = checked.run(PROPERTY_RUN)
+            assert checked.router.checks_run > 0
+
+            first = _build(scenario, scheduler, sanitize=False)
+            first.start_run(PROPERTY_RUN)
+            done = first.advance_run(stop_at=scenario["restore_at"])
+            state = first.snapshot()
+            resumed = _build(scenario, scheduler, sanitize=False)
+            resumed.restore(state)
+            _assert_indices_sum_to_occupancy(resumed.router)
+            resumed.hooks.on_cycle_end(
+                lambda cycle: _assert_indices_sum_to_occupancy(
+                    resumed.router
+                )
+            )
+            if not done:
+                assert resumed.advance_run()
+            got = resumed.finish_run()
+            assert got == expect
+            assert got.extra == expect.extra
+            outcomes.append(_comparable(got))
+        assert outcomes[0] == outcomes[1]
+
+    def test_radix64_high_load_matches_parent_commit(self):
+        """Radix 64, p=8, load 0.9, 1000 cycles: result row, every
+        extra and the Chrome-trace bytes, pinned by a digest computed
+        at the commit *before* the occupancy indices replaced the
+        buffer scans — the skip rule must not move a single byte."""
+        reset_packet_ids()
+        tracer = TraceCollector()
+        sim = SwitchSimulation(
+            HierarchicalCrossbarRouter(
+                RouterConfig(radix=64, subswitch_size=8, seed=7)
+            ),
+            load=0.9, tracer=tracer,
+        )
+        result = sim.run(SweepSettings(
+            warmup=250, measure=600, drain=150, min_drain_fraction=0.99,
+        ))
+        assert result.cycles == 1000
+        row = {name: getattr(result, name) for name in (
+            "offered_load", "avg_latency", "p99_latency", "max_latency",
+            "throughput", "packets_measured", "cycles", "saturated",
+        )}
+        digest = hashlib.sha256()
+        digest.update(repr(sorted(row.items())).encode())
+        digest.update(repr(sorted(result.extra.items())).encode())
+        digest.update(chrome_trace_json(tracer).encode())
+        assert digest.hexdigest() == (
+            "c7581831708b962a1bee1979c8f0f4ec"
+            "f7e077456fb7d5dcb685fa8817984e63"
+        )

@@ -182,6 +182,51 @@ def test_detects_credit_surplus_hierarchical():
     assert "surplus" in str(exc.value)
 
 
+def _corrupt_in_count(router):
+    router.sub[1][0].in_count[2] += 1
+
+
+def _corrupt_out_count(router):
+    router.sub[0][1].out_count[3] -= 1
+
+
+def _corrupt_in_total(router):
+    router.sub[1][1].in_total += 1
+
+
+def _corrupt_port_flits(router):
+    router._port_flits[6] += 1
+
+
+def _corrupt_crossing(router):
+    # Toggle membership of subswitch (0, 0): wrong whether or not one
+    # of its flits happens to be crossing right now.
+    router._crossing ^= {0}
+
+
+@pytest.mark.parametrize("corrupt", [
+    _corrupt_in_count, _corrupt_out_count, _corrupt_in_total,
+    _corrupt_port_flits, _corrupt_crossing,
+])
+def test_detects_occupancy_index_drift(corrupt):
+    """Each counter the hierarchical hot path trusts instead of walking
+    its buffers is audited against the walked queues every cycle."""
+    sim = SwitchSimulation(
+        HierarchicalCrossbarRouter(
+            RouterConfig(radix=8, subswitch_size=4, local_group_size=4)
+        ),
+        load=0.6, sanitize=True, seed=3,
+    )
+    for _ in range(40):
+        sim.step()
+    router = sim.router.inner
+    corrupt(router)
+    with pytest.raises(InvariantViolation) as exc:
+        sim.router.check_now()
+    assert exc.value.check == "occupancy-index"
+    assert exc.value.cycle == router.cycle
+
+
 def test_detects_credit_leak_shared_buffer():
     router = SharedBufferCrossbarRouter(RouterConfig(radix=8))
     san = SimSanitizer(router)
