@@ -175,24 +175,29 @@ def test_perf_tracing_disabled_overhead(benchmark):
 FAULTS_OVERHEAD_CEILING = 0.05
 
 
-def test_perf_faults_disabled_overhead(benchmark):
+def test_perf_faults_disabled_overhead(benchmark, monkeypatch):
     """With ``faults=None``, the repro.faults guards (``self._faults is
     not None`` in the harness, the ``_stuck_inputs`` truthiness test in
     router eligibility scans, ``drop_hook is not None`` in the credit
     pipes) must cost <= 5% of the run.
 
-    Same analytic approach as the tracing bound above: an A/B
-    wall-clock comparison cannot resolve 5%, so the per-evaluation
-    cost of each disabled-guard shape is measured cold and multiplied
-    by a deliberately generous over-count of evaluations.
+    Same approach as the tracing bound above: an A/B wall-clock
+    comparison cannot resolve 5%, so the guard evaluations are counted
+    — one more run of the same body with a counting stand-in on each
+    of the three guard shapes — and multiplied by the per-evaluation
+    cost of a disabled guard, measured cold.
     """
+    from repro.core.credit import DelayedCreditPipe
+
     config = RouterConfig(radix=32)
     cycles = 400
 
-    def run():
-        sim = SwitchSimulation(
+    def run(sim_cls=SwitchSimulation, stuck=None):
+        sim = sim_cls(
             HierarchicalCrossbarRouter(config), load=0.6, faults=None,
         )
+        if stuck is not None:
+            sim.router._stuck_inputs = stuck
         for _ in range(cycles):
             sim.step()
         return sim.router.stats.flits_ejected
@@ -201,18 +206,33 @@ def test_perf_faults_disabled_overhead(benchmark):
     assert delivered > 0
     baseline, _ = _best_of(ROUNDS, run)
 
-    # Generous over-count of guard evaluations per cycle: the
-    # eligibility scan consults each (input, vc) stuck guard once per
-    # cycle (doubled for cushion), every input pays the harness
-    # injection guards, every credit delivery one drop_hook test, plus
-    # per-cycle harness checks.
-    scan_passes = 2
-    per_cycle = (
-        config.radix * config.num_vcs * scan_passes   # stuck guards
-        + config.radix * 3                            # inject + drop_hook
-        + 4                                           # step()-level
-    )
-    evals = cycles * per_cycle
+    # Every read of a guarded attribute (and every truthiness test of
+    # the stuck set) is one evaluation; each stand-in answers exactly
+    # as the disabled guard does.
+    counted = [0]
+
+    def count_none(_self):
+        counted[0] += 1
+        return None
+
+    def refuse(_self, value):
+        assert value is None
+
+    class _CountingSimulation(SwitchSimulation):
+        _faults = property(count_none, refuse)
+
+    class _CountingStuck(set):
+        def __bool__(self):
+            counted[0] += 1
+            return False
+
+    with monkeypatch.context() as patch:
+        patch.setattr(DelayedCreditPipe, "drop_hook",
+                      property(count_none, refuse))
+        counted_delivered = run(_CountingSimulation, _CountingStuck())
+    assert counted_delivered == delivered, "counting changed the simulation"
+    evals = counted[0]
+    assert evals > 0
 
     # Per-evaluation cost of the two disabled-guard shapes, measured
     # inline exactly as the hot paths spell them (the routers inline

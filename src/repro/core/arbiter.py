@@ -165,13 +165,12 @@ class BatchArbiterBank:
     order and land strictly after the unwrapped ones; only the pointer
     rotation needs the true per-row modulus.
 
-    A pure-Python backend (``force_python=True``, or automatic when
-    numpy is absent) runs the scalar scan per row, so batched callers
-    degrade gracefully instead of importing numpy unconditionally.
+    Requires numpy: routers construct a bank only behind
+    ``config.batch_hot_path and HAVE_NUMPY``.
     """
 
     __slots__ = (
-        "rows", "width", "_numpy", "_ptr", "_sizes", "_cols", "_mask", "_pad",
+        "rows", "width", "_ptr", "_sizes", "_cols", "_mask", "_pad",
     )
 
     def __init__(
@@ -179,8 +178,9 @@ class BatchArbiterBank:
         rows: int,
         width: int,
         sizes: Optional[Sequence[int]] = None,
-        force_python: bool = False,
     ) -> None:
+        if not HAVE_NUMPY:
+            raise RuntimeError("BatchArbiterBank requires numpy")
         if rows < 1:
             raise ValueError(f"rows must be >= 1, got {rows}")
         if width < 1:
@@ -195,40 +195,29 @@ class BatchArbiterBank:
                 raise ValueError(f"row size {s} out of range 1..{width}")
         self.rows = rows
         self.width = width
-        self._numpy = bool(HAVE_NUMPY and not force_python)
         # Bitwise-AND modulus for the (common) power-of-two width.
         self._mask = width - 1 if width & (width - 1) == 0 else None
         # Narrow banks use the packed-bits path: each row packs into one
         # machine word, rotation is two shifts, and the winner offset is
         # a count-trailing-zeros table lookup.
         self._pad = 8 if width <= 8 else (16 if width <= 16 else None)
-        if self._numpy:
-            self._ptr = _np.zeros(rows, dtype=_np.int64)
-            self._sizes = _np.asarray(size_list, dtype=_np.int64)
-            self._cols = _np.arange(width, dtype=_np.int64)
-            if self._pad is not None:
-                _ctz_table(self._pad)
-        else:
-            self._ptr = [0] * rows
-            self._sizes = size_list
-            self._cols = None
+        self._ptr = _np.zeros(rows, dtype=_np.int64)
+        self._sizes = _np.asarray(size_list, dtype=_np.int64)
+        self._cols = _np.arange(width, dtype=_np.int64)
+        if self._pad is not None:
+            _ctz_table(self._pad)
 
     @property
     def pointers(self) -> List[int]:
         """Current priority pointer of every row (scalar-arbiter view)."""
-        if self._numpy:
-            return [int(p) for p in self._ptr]
-        return list(self._ptr)
+        return [int(p) for p in self._ptr]
 
     def arbitrate_all(self, requests: Any, advance: bool = True) -> Any:
         """Grant one requester per row of a (rows, width) boolean matrix.
 
-        Returns a length-``rows`` integer vector (numpy array on the
-        numpy backend, list on the pure-Python one) holding the granted
+        Returns a length-``rows`` integer array holding the granted
         column per row, or -1 for rows with no asserted request.
         """
-        if not self._numpy:
-            return self._arbitrate_all_python(requests, advance)
         winners, granted = self._arbitrate_numpy(requests, self._ptr)
         if advance:
             self._ptr = _np.where(
@@ -237,27 +226,13 @@ class BatchArbiterBank:
         return winners
 
     def arbitrate_rows(self, rows: Any, requests: Any, advance: bool = True) -> Any:
-        """Arbitrate only the given row indices (numpy backend).
+        """Arbitrate only the given row indices.
 
         ``requests`` is (len(rows), width); rows not listed behave like
         all-False rows — no grant, no pointer motion — so sparse callers
         can skip provably empty rows without changing semantics.  Each
         row may appear at most once.
         """
-        if not self._numpy:
-            winners = []
-            for r, row in zip(rows, requests):
-                ptr, size = self._ptr[r], self._sizes[r]
-                win = -1
-                for offset in range(size):
-                    idx = (ptr + offset) % size
-                    if row[idx]:
-                        win = idx
-                        break
-                winners.append(win)
-                if advance and win >= 0:
-                    self._ptr[r] = (win + 1) % size
-            return winners
         winners, granted = self._arbitrate_numpy(requests, self._ptr[rows])
         if advance:
             hit = _np.nonzero(granted)[0]
@@ -303,23 +278,6 @@ class BatchArbiterBank:
         winners = _np.where(granted, raw, -1)
         return winners, granted
 
-    def _arbitrate_all_python(self, requests: Any, advance: bool) -> List[int]:
-        winners = []
-        for r in range(self.rows):
-            row = requests[r]
-            ptr = self._ptr[r]
-            size = self._sizes[r]
-            win = -1
-            for offset in range(size):
-                idx = (ptr + offset) % size
-                if row[idx]:
-                    win = idx
-                    break
-            winners.append(win)
-            if advance and win >= 0:
-                self._ptr[r] = (win + 1) % size
-        return winners
-
     def commit(self, row: int, winner: int) -> None:
         """Deferred pointer rotation for one row (scalar ``commit``)."""
         if not 0 <= winner < self._sizes[row]:
@@ -330,11 +288,7 @@ class BatchArbiterBank:
 
     def commit_rows(self, rows: Any, winners: Any) -> None:
         """Vectorized deferred pointer rotation for many rows."""
-        if self._numpy:
-            self._ptr[rows] = (winners + 1) % self._sizes[rows]
-        else:
-            for row, winner in zip(rows, winners):
-                self._ptr[row] = (winner + 1) % self._sizes[row]
+        self._ptr[rows] = (winners + 1) % self._sizes[rows]
 
 
 class BatchHierarchicalArbiterBank:
@@ -349,16 +303,10 @@ class BatchHierarchicalArbiterBank:
 
     __slots__ = (
         "count", "size", "group_size", "_ngroups", "_padded",
-        "_numpy", "_locals", "_global", "_padbuf",
+        "_locals", "_global", "_padbuf",
     )
 
-    def __init__(
-        self,
-        count: int,
-        size: int,
-        group_size: int,
-        force_python: bool = False,
-    ) -> None:
+    def __init__(self, count: int, size: int, group_size: int) -> None:
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
         if size < 1:
@@ -375,14 +323,10 @@ class BatchHierarchicalArbiterBank:
             min(gs, size - g * gs) for g in range(self._ngroups)
         ] * count
         self._locals = BatchArbiterBank(
-            count * self._ngroups, gs, sizes=local_sizes,
-            force_python=force_python,
+            count * self._ngroups, gs, sizes=local_sizes
         )
-        self._global = BatchArbiterBank(
-            count, self._ngroups, force_python=force_python
-        )
-        self._numpy = self._locals._numpy
-        if self._numpy and self._padded != size:
+        self._global = BatchArbiterBank(count, self._ngroups)
+        if self._padded != size:
             # Persistent padded staging buffer; the pad columns stay
             # False because only [:, :size] is ever written.
             self._padbuf = _np.zeros((count, self._padded), dtype=bool)
@@ -400,8 +344,6 @@ class BatchHierarchicalArbiterBank:
         Returns a length-``count`` integer vector: winning request line
         per row, -1 where no line is asserted.
         """
-        if not self._numpy:
-            return self._grant_all_python(requests)
         if self._padbuf is not None:
             self._padbuf[:, : self.size] = requests
             req = self._padbuf
@@ -417,42 +359,6 @@ class BatchHierarchicalArbiterBank:
             lrows = rows * self._ngroups + gwin[rows]
             self._locals.commit_rows(lrows, local_w[lrows])
             winners[rows] = gwin[rows] * self.group_size + local_w[lrows]
-        return winners
-
-    def _grant_all_python(self, requests: Any) -> List[int]:
-        gs = self.group_size
-        winners = []
-        for c in range(self.count):
-            row = requests[c]
-            local_winners: List[int] = []
-            group_req = []
-            for g in range(self._ngroups):
-                lrow = c * self._ngroups + g
-                base = g * gs
-                span = self._locals._sizes[lrow]
-                ptr = self._locals._ptr[lrow]
-                win = -1
-                for offset in range(span):
-                    idx = (ptr + offset) % span
-                    if row[base + idx]:
-                        win = idx
-                        break
-                local_winners.append(win)
-                group_req.append(win >= 0)
-            gptr = self._global._ptr[c]
-            gwin = -1
-            for offset in range(self._ngroups):
-                g = (gptr + offset) % self._ngroups
-                if group_req[g]:
-                    gwin = g
-                    break
-            if gwin < 0:
-                winners.append(-1)
-                continue
-            self._global.commit(c, gwin)
-            lrow = c * self._ngroups + gwin
-            self._locals.commit(lrow, local_winners[gwin])
-            winners.append(gwin * gs + local_winners[gwin])
         return winners
 
 

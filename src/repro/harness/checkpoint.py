@@ -25,15 +25,19 @@ the sanitizer after restoring instead.
 from __future__ import annotations
 
 import pickle
-from typing import Any, Dict
+import pickletools
+from itertools import islice
+from typing import Any, Dict, Optional
 
 #: On-disk format version; bumped whenever the payload layout changes
 #: — including when a component grows derived state that restore
 #: (attribute-by-attribute) would leave at its constructor value.
 #: Format 2: the hierarchical crossbar's occupancy indices; a format-1
 #: file restored onto them would hide every buffered flit from the
-#: router's hot path.
-CHECKPOINT_FORMAT = 2
+#: router's hot path.  Format 3: ``MirroredFlitQueue`` and
+#: ``BatchArbiterBank``, pickled by format-2 files written under
+#: ``batch_hot_path``, lost slots along with the Clos and VOQ twins.
+CHECKPOINT_FORMAT = 3
 
 
 def save_checkpoint(sim, path) -> None:
@@ -48,6 +52,20 @@ def save_checkpoint(sim, path) -> None:
         pickle.dump(payload, fh)
 
 
+def _peek_format(fh) -> Optional[int]:
+    """The payload's ``format``, read off the opcode stream without
+    constructing anything: a file whose pickled classes have since
+    changed shape fails *inside* ``pickle.load``, before the loaded
+    payload's version could be looked at.  ``format`` is the first key
+    written, so it sits in the first few opcodes (None if absent)."""
+    seen_key = False
+    for op, arg, _pos in islice(pickletools.genops(fh), 12):
+        if seen_key and op.name != "MEMOIZE":
+            return arg if isinstance(arg, int) else None
+        seen_key = seen_key or arg == "format"
+    return None
+
+
 def load_checkpoint(path):
     """Rebuild the simulation saved at ``path`` and restore its state.
 
@@ -57,13 +75,14 @@ def load_checkpoint(path):
     (or plain stepping when no run program was active).
     """
     with open(path, "rb") as fh:
+        fmt = _peek_format(fh)
+        if fmt != CHECKPOINT_FORMAT:
+            raise ValueError(
+                f"unsupported checkpoint format {fmt!r} "
+                f"(this build reads format {CHECKPOINT_FORMAT})"
+            )
+        fh.seek(0)
         payload = pickle.load(fh)
-    fmt = payload.get("format") if isinstance(payload, dict) else None
-    if fmt != CHECKPOINT_FORMAT:
-        raise ValueError(
-            f"unsupported checkpoint format {fmt!r} "
-            f"(this build reads format {CHECKPOINT_FORMAT})"
-        )
     kind = payload["kind"]
     if kind == "switch":
         sim = _build_switch(payload["spec"])

@@ -46,9 +46,6 @@ class NetworkConfig:
     packet_size: int = 1
     pipeline_delay: Optional[int] = None  # default: scale with log2(radix)
     seed: int = 1
-    #: Vectorized candidate scans in every router (repro.core.batch);
-    #: byte-identical results, ignored when numpy is unavailable.
-    batch_hot_path: bool = False
 
     def router_config(self, num_ports: int) -> NetworkRouterConfig:
         depth = (
@@ -64,7 +61,6 @@ class NetworkConfig:
             pipeline_delay=depth,
             channel_latency=self.channel_latency,
             credit_latency=self.credit_latency,
-            batch_hot_path=self.batch_hot_path,
         )
 
 

@@ -31,15 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from ..core.arbiter import BatchArbiterBank, RoundRobinArbiter, _np
-from ..core.batch import (
-    HAVE_NUMPY,
-    ArrayBusyTracker,
-    MirroredOutputVcState,
-    QueueArrays,
-    mirror_credit_array,
-    mirror_vc_bank,
-)
+from ..core.arbiter import RoundRobinArbiter
 from ..core.errors import invariant
 from ..core.buffers import VcBufferBank
 from ..core.credit import CreditCounter
@@ -61,10 +53,6 @@ class NetworkRouterConfig:
     pipeline_delay: int = 3
     channel_latency: int = 1
     credit_latency: int = 1
-    #: Vectorize the per-cycle candidate scan over struct-of-arrays
-    #: mirrors (see repro.core.batch).  Byte-identical to the scalar
-    #: path; silently ignored when numpy is unavailable.
-    batch_hot_path: bool = False
 
     def __post_init__(self) -> None:
         if self.num_ports < 2:
@@ -170,33 +158,6 @@ class NetworkRouter(Component):
         # deliveries.  Inert (one None/empty-set test) without a plan.
         self._stuck_inputs: set = set()
         self.fault_injector = None
-        self._batch = bool(config.batch_hot_path) and HAVE_NUMPY
-        if self._batch:
-            self._init_batch()
-
-    def _init_batch(self) -> None:
-        """Struct-of-arrays mirrors for the batched candidate scan.
-
-        Input banks are mirrored on the flit's *next route hop*
-        (``route_key=True``); link flow-control state is mirrored as
-        each link attaches.  Host links have no credit counters, so
-        their ``_b_cred_ok`` lanes stay permanently True — matching
-        ``OutputLink.credit_available``.  Only the candidate gather is
-        batched; output arbitration and transmits keep their scalar
-        form.
-        """
-        n, v = self.config.num_ports, self.config.num_vcs
-        self._b_in = QueueArrays(n * v)
-        for i, bank in enumerate(self.inputs):
-            mirror_vc_bank(bank, self._b_in, i * v, route_key=True)
-        self._b_cred_ok = _np.ones(n * v, dtype=bool)
-        self._b_vc_owner = _np.full(n * v, -1, dtype=_np.int64)
-        # Ports still awaiting attach(); while nonzero, the batched scan
-        # replicates the scalar "output not attached" error check.
-        self._b_unattached = n
-        self.input_busy = ArrayBusyTracker(n)
-        self.output_busy = ArrayBusyTracker(n)
-        self._input_arb_b = BatchArbiterBank(n, v)
 
     # ------------------------------------------------------------------
 
@@ -205,20 +166,6 @@ class NetworkRouter(Component):
         if self.links[port] is not None:
             raise RuntimeError(f"{self.name}: port {port} already attached")
         self.links[port] = link
-        if self._batch:
-            v = self.config.num_vcs
-            base = port * v
-            invariant(all(o is None for o in link.vc_state.owners),
-                      "cannot mirror an owned VC ledger",
-                      check="batch-mirror")
-            link.vc_state = MirroredOutputVcState(
-                v, base, self._b_vc_owner
-            )
-            if link.credits is not None:
-                link.credits = mirror_credit_array(
-                    link.credits, self._b_cred_ok, base
-                )
-            self._b_unattached -= 1
 
     def accept(self, port: int, flit: Flit) -> None:
         self.inputs[port][flit.vc].push(flit)
@@ -312,19 +259,7 @@ class NetworkRouter(Component):
             for port, sink in enumerate(self.credit_sinks)
             if sink is not None
         }
-        batch: Dict[str, Any] = {}
-        if self._batch:
-            # The flat base arrays and the batch arbiter travel in the
-            # same capture as the mirrored objects referencing them, so
-            # the one-pass deepcopy memo preserves the aliasing.
-            batch = {
-                "_b_in": self._b_in,
-                "_b_cred_ok": self._b_cred_ok,
-                "_b_vc_owner": self._b_vc_owner,
-                "_input_arb_b": self._input_arb_b,
-            }
         return {
-            **batch,
             "cycle": self.cycle,
             "inputs": self.inputs,
             "_input_arb": self._input_arb,
@@ -353,11 +288,6 @@ class NetworkRouter(Component):
         (their delivery callbacks are live wiring) and only their
         flow-control state is replaced."""
         self.cycle = state["cycle"]
-        if self._batch:
-            self._b_in = state["_b_in"]
-            self._b_cred_ok = state["_b_cred_ok"]
-            self._b_vc_owner = state["_b_vc_owner"]
-            self._input_arb_b = state["_input_arb_b"]
         self.inputs = state["inputs"]
         self._input_arb = state["_input_arb"]
         self._output_arb = state["_output_arb"]
@@ -383,30 +313,8 @@ class NetworkRouter(Component):
     def _allocate(self) -> None:
         now = self.cycle
         n = self.config.num_ports
-        if self._batch:
-            requests = self._gather_candidates_batched()
-        else:
-            requests = self._gather_candidates()
-        for out, reqs in requests.items():
-            if not self.output_busy.free(out, now):
-                continue
-            lines = [False] * n
-            by_input = {}
-            for i, vc, flit in reqs:
-                lines[i] = True
-                by_input[i] = (vc, flit)
-            winner = self._output_arb[out].arbitrate(lines)
-            if winner is None:
-                continue
-            vc, flit = by_input[winner]
-            self._transmit(winner, vc, flit, out)
-
-    def _gather_candidates(self) -> dict:
-        """Input arbitration: one (input, vc, flit) candidate per free
-        input, keyed by the candidate's next-hop output port."""
-        now = self.cycle
         requests: dict = {}
-        for i in range(self.config.num_ports):
+        for i in range(n):
             if not self._in_active[i]:
                 continue
             if not self.input_busy.free(i, now):
@@ -423,83 +331,19 @@ class NetworkRouter(Component):
                       check="arbitration")
             out = flit.route[flit.hops]
             requests.setdefault(out, []).append((i, vc, flit))
-        return requests
-
-    def _gather_candidates_batched(self) -> dict:
-        """Whole-matrix equivalent of :meth:`_gather_candidates`.
-
-        The scalar gather is a pure read apart from input-arbiter
-        pointer motion, so one eligibility matrix over the free inputs
-        reproduces the ascending-i scan exactly; rows not passed to the
-        arbiter bank behave as all-False rows (no grant, no pointer
-        motion — same as the scalar skip).  The route-exhaustion and
-        unattached-output errors of :meth:`_candidate` are replicated in
-        the scalar scan order before any gather indexes by route key.
-        """
-        now = self.cycle
-        n, v = self.config.num_ports, self.config.num_vcs
-        a = self._b_in
-        requests: dict = {}
-        free = _np.nonzero(self.input_busy.array <= now)[0]
-        if not free.size:
-            return requests
-        occm = a.occ.reshape(n, v)[free] > 0
-        if self._stuck_inputs:
-            for (i, vc) in sorted(self._stuck_inputs):
-                pos = int(_np.searchsorted(free, i))
-                if pos < free.size and free[pos] == i:
-                    occm[pos, vc] = False
-        if not occm.any():
-            return requests
-        key2 = a.key.reshape(n, v)[free]
-        if (occm & (key2 < 0)).any() or self._b_unattached:
-            self._raise_bad_route(free, occm, key2)
-        keyc = _np.where(occm, key2, 0)
-        alive = _np.fromiter(
-            (link is not None and link.alive for link in self.links),
-            dtype=bool, count=n,
-        )
-        flat = keyc * v + _np.arange(v)[None, :]
-        own = self._b_vc_owner[flat]
-        cand = (
-            occm
-            & alive[keyc]
-            & self._b_cred_ok[flat]
-            & ((a.pid.reshape(n, v)[free] == own)
-               | (a.head.reshape(n, v)[free] & (own < 0)))
-        )
-        winners = self._input_arb_b.arbitrate_rows(free, cand)
-        for pos in _np.nonzero(winners >= 0)[0].tolist():
-            i = int(free[pos])
-            vc = int(winners[pos])
-            flit = self.inputs[i][vc].head()
-            invariant(flit is not None, "batched input arbitration granted "
-                      "a VC with no candidate flit", cycle=now, port=i,
-                      vc=vc, check="arbitration")
-            out = flit.route[flit.hops]
-            requests.setdefault(out, []).append((i, vc, flit))
-        return requests
-
-    def _raise_bad_route(self, free, occm, key2) -> None:
-        """Raise :meth:`_candidate`'s routing errors in scan order.
-
-        Called when a scanned head flit's route key is -1 (exhausted
-        route) or while any port lacks a link; walks the scanned lanes
-        row-major — the scalar scan order — and raises for the first
-        offender, if any.
-        """
-        v = self.config.num_vcs
-        for pos, vc in zip(*_np.nonzero(occm)):
-            key = int(key2[pos, vc])
-            if key < 0:
-                pid = int(self._b_in.pid[int(free[pos]) * v + int(vc)])
-                raise RuntimeError(
-                    f"{self.name}: flit {pid} has exhausted its route"
-                )
-            if self.links[key] is None:
-                raise RuntimeError(
-                    f"{self.name}: output {key} not attached"
-                )
+        for out, reqs in requests.items():
+            if not self.output_busy.free(out, now):
+                continue
+            lines = [False] * n
+            by_input = {}
+            for i, vc, flit in reqs:
+                lines[i] = True
+                by_input[i] = (vc, flit)
+            winner = self._output_arb[out].arbitrate(lines)
+            if winner is None:
+                continue
+            vc, flit = by_input[winner]
+            self._transmit(winner, vc, flit, out)
 
     def _candidate(self, i: int, vc: int) -> Optional[Flit]:
         if self._stuck_inputs and (i, vc) in self._stuck_inputs:

@@ -27,14 +27,7 @@ from __future__ import annotations
 from typing import List, Optional, Set
 
 from ..allocation.islip import IslipAllocator
-from ..core.arbiter import RoundRobinArbiter, _np
-from ..core.batch import (
-    HAVE_NUMPY,
-    ArrayBusyTracker,
-    QueueArrays,
-    mirror_output_vcs,
-    mirror_vc_bank,
-)
+from ..core.arbiter import RoundRobinArbiter
 from ..core.errors import invariant
 from ..core.buffers import VcBufferBank
 from ..core.config import RouterConfig
@@ -63,26 +56,6 @@ class VoqRouter(Router):
         # Per input: destinations with at least one buffered flit.
         self._occupied: List[set] = [set() for _ in range(k)]
         self._head_delay = config.route_latency
-        self._batch = bool(config.batch_hot_path) and HAVE_NUMPY
-        if self._batch:
-            self._init_batch()
-
-    def _init_batch(self) -> None:
-        """Struct-of-arrays mirrors for the batched request gather.
-
-        Only the iSLIP request scan is batched; VOQ sorting, the
-        allocator itself, and the transmits keep their scalar form.  See
-        ``repro.core.batch`` for the mirroring contract.
-        """
-        k, v = self.config.radix, self.config.num_vcs
-        self._b_voq = QueueArrays(k * k * v)
-        for i in range(k):
-            for j in range(k):
-                mirror_vc_bank(self.voqs[i][j], self._b_voq, (i * k + j) * v)
-        self._b_vc_owner = _np.full(k * v, -1, dtype=_np.int64)
-        self.output_vcs = mirror_output_vcs(self.output_vcs, self._b_vc_owner)
-        self.input_busy = ArrayBusyTracker(k)
-        self.output_busy = ArrayBusyTracker(k)
 
     # ------------------------------------------------------------------
 
@@ -114,23 +87,6 @@ class VoqRouter(Router):
             self._input_emptied(i)
 
     def _allocate(self) -> None:
-        if self._batch:
-            requests = self._gather_wants_batched()
-        else:
-            requests = self._gather_wants()
-        if requests is None:
-            # iSLIP over an all-empty request set grants nothing and
-            # moves no pointers; skip the allocator entirely.
-            return
-        matching = self._islip.allocate(requests)
-        for i, j in matching.items():
-            self._transmit(i, j)
-
-    def _gather_wants(self) -> "Optional[List[Set[int]]]":
-        """iSLIP request sets: outputs each free input has a ready VC for.
-
-        Returns None when no input wants anything this cycle.
-        """
         now = self.cycle
         requests: List[Set[int]] = []
         any_wants = False
@@ -147,35 +103,13 @@ class VoqRouter(Router):
             requests.append(wants)
             if wants:
                 any_wants = True
-        return requests if any_wants else None
-
-    def _gather_wants_batched(self) -> "Optional[List[Set[int]]]":
-        """Whole-matrix equivalent of :meth:`_gather_wants`.
-
-        The scalar gather is a pure read — ``_ready_vc(peek=True)``
-        never moves arbiter pointers — so one (k, k, v) readiness tensor
-        over the mirrored VOQ arrays reproduces it exactly.  A VC is
-        ready when its VOQ head exists and either continues the packet
-        owning its output VC class or is a head flit of a free class
-        (:meth:`_flit_ready`).
-        """
-        now = self.cycle
-        k, v = self.config.radix, self.config.num_vcs
-        a = self._b_voq
-        occ3 = a.occ.reshape(k, k, v)
-        if not occ3.any():
-            return None
-        own3 = self._b_vc_owner.reshape(1, k, v)
-        ready = (occ3 > 0) & (
-            (a.pid.reshape(k, k, v) == own3)
-            | (a.head.reshape(k, k, v) & (own3 < 0))
-        )
-        wants2 = ready.any(axis=2)
-        wants2 &= (self.input_busy.array <= now)[:, None]
-        wants2 &= (self.output_busy.array <= now)[None, :]
-        if not wants2.any():
-            return None
-        return [set(_np.nonzero(row)[0].tolist()) for row in wants2]
+        if not any_wants:
+            # iSLIP over an all-empty request set grants nothing and
+            # moves no pointers; skip the allocator entirely.
+            return
+        matching = self._islip.allocate(requests)
+        for i, j in matching.items():
+            self._transmit(i, j)
 
     def _ready_vc(self, i: int, j: int, peek: bool = False) -> Optional[int]:
         """A VC at VOQ (i, j) whose head flit may proceed, or None."""

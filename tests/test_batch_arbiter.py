@@ -7,29 +7,38 @@ instances, grant for grant and pointer for pointer, including the
 deferred ``commit`` protocol and the all-False-row-is-a-skipped-call
 equivalence.  These tests drive both implementations through identical
 random request/commit sequences and compare every observable after
-every step, on the numpy backend and the pure-Python fallback alike.
+every step.  The banks are numpy-only; without numpy they refuse to
+construct and every other test here skips.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import arbiter
 from repro.core.arbiter import (
     HAVE_NUMPY,
+    _np as np,
     BatchArbiterBank,
     BatchHierarchicalArbiterBank,
     HierarchicalArbiter,
     RoundRobinArbiter,
 )
 
-BACKENDS = [True] + ([False] if HAVE_NUMPY else [])
+needs_numpy = pytest.mark.skipif(
+    not HAVE_NUMPY, reason="batched arbiter banks require numpy"
+)
 
 
-def _np_or_list(matrix, numpy_backend):
-    if numpy_backend and HAVE_NUMPY:
-        import numpy as np
+def _matrix(rows):
+    return np.asarray(rows, dtype=bool)
 
-        return np.asarray(matrix, dtype=bool)
-    return matrix
+
+def test_bank_requires_numpy(monkeypatch):
+    monkeypatch.setattr(arbiter, "HAVE_NUMPY", False)
+    with pytest.raises(RuntimeError, match="BatchArbiterBank requires numpy"):
+        BatchArbiterBank(2, 4)
+    with pytest.raises(RuntimeError, match="BatchArbiterBank requires numpy"):
+        BatchHierarchicalArbiterBank(2, 8, 4)
 
 
 # One scripted episode: bank shape plus a sequence of request matrices
@@ -67,20 +76,18 @@ episodes = st.integers(1, 6).flatmap(
 )
 
 
+@needs_numpy
 class TestBatchArbiterBank:
     @settings(max_examples=120, deadline=None)
-    @given(episodes, st.sampled_from([0, 1]))
-    def test_matches_scalar_bank(self, episode, backend_idx):
+    @given(episodes)
+    def test_matches_scalar_bank(self, episode):
         """Identical grants and pointers through any request/commit
-        sequence, on every available backend."""
-        force_python = BACKENDS[backend_idx % len(BACKENDS)]
+        sequence."""
         rows, width = episode["rows"], episode["width"]
-        bank = BatchArbiterBank(rows, width, force_python=force_python)
+        bank = BatchArbiterBank(rows, width)
         scalars = [RoundRobinArbiter(width) for _ in range(rows)]
         for requests, advance, commit in episode["steps"]:
-            got = bank.arbitrate_all(
-                _np_or_list(requests, not force_python), advance=advance
-            )
+            got = bank.arbitrate_all(_matrix(requests), advance=advance)
             want = [
                 s.arbitrate(row, advance=advance)
                 for s, row in zip(scalars, requests)
@@ -113,15 +120,10 @@ class TestBatchArbiterBank:
             if not subset:
                 continue
             sub_req = [requests[r] for r in subset]
-            if HAVE_NUMPY:
-                import numpy as np
-
-                got = bank.arbitrate_rows(
-                    np.asarray(subset), np.asarray(sub_req, dtype=bool),
-                    advance=advance,
-                )
-            else:
-                got = bank.arbitrate_rows(subset, sub_req, advance=advance)
+            got = bank.arbitrate_rows(
+                np.asarray(subset), _matrix(sub_req),
+                advance=advance,
+            )
             want = [
                 scalars[r].arbitrate(row, advance=advance)
                 for r, row in zip(subset, sub_req)
@@ -133,7 +135,7 @@ class TestBatchArbiterBank:
 
     def test_all_false_row_moves_no_pointer(self):
         bank = BatchArbiterBank(2, 4)
-        out = bank.arbitrate_all(_np_or_list([[False] * 4] * 2, True))
+        out = bank.arbitrate_all(_matrix([[False] * 4] * 2))
         assert [int(w) for w in out] == [-1, -1]
         assert bank.pointers == [0, 0]
 
@@ -150,6 +152,7 @@ class TestBatchArbiterBank:
             BatchArbiterBank(2, 4).commit(0, 7)
 
 
+@needs_numpy
 class TestBatchHierarchicalArbiterBank:
     @settings(max_examples=80, deadline=None)
     @given(
@@ -160,30 +163,22 @@ class TestBatchHierarchicalArbiterBank:
     )
     def test_matches_scalar_hierarchical(self, count, size, group_size,
                                          data):
-        for force_python in BACKENDS:
-            bank = BatchHierarchicalArbiterBank(
-                count, size, group_size, force_python=force_python
-            )
-            scalars = [
-                HierarchicalArbiter(size, group_size) for _ in range(count)
-            ]
-            steps = data.draw(
+        bank = BatchHierarchicalArbiterBank(count, size, group_size)
+        scalars = [
+            HierarchicalArbiter(size, group_size) for _ in range(count)
+        ]
+        steps = data.draw(
+            st.lists(
                 st.lists(
-                    st.lists(
-                        st.lists(st.booleans(), min_size=size,
-                                 max_size=size),
-                        min_size=count, max_size=count,
-                    ),
-                    min_size=1, max_size=6,
-                )
+                    st.lists(st.booleans(), min_size=size, max_size=size),
+                    min_size=count, max_size=count,
+                ),
+                min_size=1, max_size=6,
             )
-            for requests in steps:
-                got = bank.grant_all(
-                    _np_or_list(requests, not force_python)
-                )
-                want = [
-                    s.arbitrate(row) for s, row in zip(scalars, requests)
-                ]
-                assert [int(w) for w in got] == [
-                    -1 if w is None else w for w in want
-                ]
+        )
+        for requests in steps:
+            got = bank.grant_all(_matrix(requests))
+            want = [s.arbitrate(row) for s, row in zip(scalars, requests)]
+            assert [int(w) for w in got] == [
+                -1 if w is None else w for w in want
+            ]

@@ -8,17 +8,15 @@ with the stage order), and checkpoint round-trips taken mid-run with
 the batched path enabled.
 """
 
-import dataclasses
-
 import pytest
 
-from repro.core.batch import HAVE_NUMPY
+from repro.core.batch import HAVE_NUMPY, ArrayBusyTracker
 from repro.core.config import RouterConfig
 from repro.core.flit import reset_packet_ids
-from repro.faults import FaultPlan, StuckFault, sample_link_faults
+from repro.faults import FaultPlan, StuckFault
 from repro.harness.experiment import SwitchSimulation, SweepSettings
 from repro.harness.checkpoint import load_checkpoint
-from repro.network.netsim import ClosNetworkSimulation, NetworkConfig
+from repro.network.netsim import NetworkConfig
 from repro.routers.baseline import BaselineRouter
 from repro.routers.buffered import BufferedCrossbarRouter
 from repro.routers.voq import VoqRouter
@@ -30,9 +28,8 @@ pytestmark = pytest.mark.skipif(
 
 CFG = RouterConfig(radix=8, num_vcs=2, subswitch_size=4,
                    local_group_size=4, seed=13)
-NET = NetworkConfig(radix=8, levels=2, packet_size=2, seed=13)
 FAST = SweepSettings(warmup=100, measure=200, drain=2000)
-ROUTERS = [BaselineRouter, BufferedCrossbarRouter, VoqRouter]
+ROUTERS = [BaselineRouter, BufferedCrossbarRouter]
 
 
 def _pair(cfg):
@@ -76,18 +73,21 @@ class TestFaultRuns:
         assert results[0].extra["stats.faults.corrupt"] > 0
         assert results[0].__dict__ == results[1].__dict__
 
-    def test_network_link_faults_identical(self):
-        topo = ClosNetworkSimulation(NET, 0.3).topology
-        links = sample_link_faults(topo, seed=7, count=2, cycle=100,
-                                   until=500)
-        plan = FaultPlan(credit_loss_rate=0.002, links=links)
-        results = []
-        for cfg in (NET, dataclasses.replace(NET, batch_hot_path=True)):
-            reset_packet_ids()
-            sim = ClosNetworkSimulation(cfg, 0.3, faults=plan)
-            results.append(sim.run(warmup=200, measure=300, drain=3000))
-        assert results[0].extra["stats.faults.link_down"] == 2
-        assert results[0].__dict__ == results[1].__dict__
+
+class TestDeletedTwins:
+    """The Clos and VOQ array twins measured behind or tied everywhere
+    and were deleted, not defaulted off."""
+
+    def test_network_option_is_gone(self):
+        with pytest.raises(TypeError):
+            NetworkConfig(batch_hot_path=True)
+
+    def test_voq_ignores_the_flag(self):
+        router = VoqRouter(CFG.with_(batch_hot_path=True))
+        assert not hasattr(router, "_b_voq") and not any(
+            isinstance(tracker, ArrayBusyTracker)
+            for tracker in (router.input_busy, router.output_busy)
+        )
 
 
 class TestCheckpointInterop:

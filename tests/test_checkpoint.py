@@ -137,12 +137,22 @@ class TestSwitchRoundTrip:
         assert got.extra == expect.extra
 
 
+class _GoneSlot:
+    """Unpickles the way a format-2 ``MirroredFlitQueue`` does now that
+    its ``_route_key`` slot is gone: with an AttributeError."""
+
+    def __reduce__(self):
+        return getattr, (0, "_route_key")
+
+
 class TestFormatVersion:
     def test_previous_format_is_refused(self, tmp_path):
-        """A file written by the previous format predates the
-        hierarchical occupancy indices: restoring it would leave them
-        at zero with flits buffered, so it must be refused with the
-        typed error rather than resumed."""
+        """Older files are refused with the typed error, never resumed:
+        format 1 predates the hierarchical occupancy indices (restoring
+        it would leave them at zero with flits buffered), and a
+        format-2 file written under ``batch_hot_path`` pickles slots
+        that no longer exist — so the version must be read before
+        ``pickle`` constructs anything."""
         import pickle
 
         reset_packet_ids()
@@ -152,10 +162,15 @@ class TestFormatVersion:
         path = tmp_path / "switch.ckpt"
         sim.save_checkpoint(path)
         payload = pickle.loads(path.read_bytes())
-        assert payload["format"] == CHECKPOINT_FORMAT
-        payload["format"] = CHECKPOINT_FORMAT - 1
+        assert payload["format"] == CHECKPOINT_FORMAT == 3
+        payload["format"] = 1
         path.write_bytes(pickle.dumps(payload))
-        with pytest.raises(ValueError, match="unsupported checkpoint format"):
+        with pytest.raises(ValueError, match="unsupported checkpoint format 1"):
+            load_checkpoint(path)
+        payload["format"] = 2
+        payload["state"] = [payload["state"], _GoneSlot()]
+        path.write_bytes(pickle.dumps(payload))
+        with pytest.raises(ValueError, match="unsupported checkpoint format 2"):
             load_checkpoint(path)
 
 

@@ -58,10 +58,10 @@ def _canon_faults(tracer):
     )
 
 
-def _run(shards, scheduler, workload=False, faults=True, batch=False):
+def _run(shards, scheduler, workload=False, faults=True):
     """One full observation: result, fault log, chrome bytes, tracer."""
     reset_packet_ids()
-    config = NetworkConfig(batch_hot_path=batch, **CFG)
+    config = NetworkConfig(**CFG)
     switches = _switches()
     tracer = TraceCollector(capacity=100000)
     kw = dict(
@@ -102,18 +102,6 @@ class TestByteIdentity:
             assert got_faults == ref_faults
             assert got_tr.cycles == ref_tr.cycles
             assert got_chrome == ref_chrome
-
-    @pytest.mark.parametrize("scheduler", ["cycle", "event"])
-    def test_batched_shards_match_scalar_serial(self, scheduler):
-        """batch_hot_path rides the config into worker processes; a
-        sharded batched run must match the serial scalar reference —
-        results, fault log, and trace bytes."""
-        ref, ref_faults, ref_chrome, _ = _run(0, scheduler)
-        got, got_faults, got_chrome, _ = _run(2, scheduler, batch=True)
-        assert got == ref
-        assert got.extra == ref.extra
-        assert got_faults == ref_faults
-        assert got_chrome == ref_chrome
 
     def test_heavy_credit_loss_counters_match(self):
         """The cross-shard credit drop/resync path, non-vacuously: the
