@@ -332,7 +332,7 @@ def test_perf_event_ff_clos_radix64(benchmark):
         elapsed = time.perf_counter() - start  # lint: disable=R002
         resident = sum(r.occupancy() for r in sim.routers.values())
         checksum = (len(sim._inflight), resident,
-                    sim._scheduler.component_steps)
+                    sim._sched.component_steps)
         return elapsed, checksum
 
     def best_of(scheduler):

@@ -159,31 +159,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     cls = ARCHITECTURES[args.arch]
     loads = [float(x) for x in args.loads.split(",")]
-    # partial() of the module-level _make_pattern stays picklable, so
-    # the same factory works for both the serial and the process-pool
-    # path (lambdas would break --jobs under the spawn start method).
-    pattern_factory = functools.partial(_make_pattern, args.pattern)
-    if args.jobs > 1:
-        from .harness.parallel import run_load_sweep_parallel
-
-        sweep = run_load_sweep_parallel(
-            cls, config, loads, label=args.arch,
-            packet_size=args.packet_size,
-            pattern_factory=pattern_factory,
-            injection=args.injection,
-            settings=_settings(args),
-            processes=args.jobs,
-            scheduler=args.scheduler,
-        )
-    else:
-        sweep = run_load_sweep(
-            cls, config, loads, label=args.arch,
-            packet_size=args.packet_size,
-            pattern_factory=pattern_factory,
-            injection=args.injection,
-            settings=_settings(args),
-            scheduler=args.scheduler,
-        )
+    # partial() of the module-level _make_pattern stays picklable
+    # (lambdas would break --jobs under the spawn start method).
+    sweep = run_load_sweep(
+        cls, config, loads, label=args.arch,
+        packet_size=args.packet_size,
+        pattern_factory=functools.partial(_make_pattern, args.pattern),
+        injection=args.injection,
+        settings=_settings(args),
+        scheduler=args.scheduler,
+        processes=max(1, args.jobs),
+    )
     print(format_sweeps(
         [sweep],
         title=f"{args.arch} @ radix {config.radix}, pattern {args.pattern}",
@@ -235,6 +221,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.resume and args.sanitize:
         print("run: --resume and --sanitize cannot be combined (the "
               "checkpoint spec carries its own settings)", file=sys.stderr)
+        return 2
+    if args.checkpoint_every < 0:
+        print(f"run: --checkpoint-every must be >= 0 (0 = off), got "
+              f"{args.checkpoint_every}", file=sys.stderr)
         return 2
     if args.resume:
         sim = load_checkpoint(args.resume)

@@ -12,10 +12,10 @@ cells at clock boundaries.
 
 Workers start under the ``spawn`` method, so the factory and every
 payload must be module-level picklable objects (the same constraint
-:func:`repro.harness.parallel.run_load_sweep_parallel` already
-imposes) and no parent state leaks into a child except what the
-payload carries — which is what makes the per-shard RNG streams
-provably identical to the serial run's.
+:func:`repro.harness.experiment.map_points` imposes on a sweep
+fanned over a process pool) and no parent state leaks into a child
+except what the payload carries — which is what makes the per-shard
+RNG streams provably identical to the serial run's.
 
 Failure model: a worker that raises ships its formatted traceback
 back over the pipe; the parent wraps it in :class:`ShardWorkerError`

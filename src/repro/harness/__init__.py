@@ -10,7 +10,6 @@ from .experiment import (
     saturation_throughput,
 )
 from .metrics import Histogram, MetricsCollector
-from .parallel import run_load_sweep_parallel, run_network_sweep_parallel
 from .persistence import load_metadata, load_sweeps, save_sweeps
 from .plot import ascii_plot, plot_sweeps
 from .report import format_saturation, format_sweeps, format_table
@@ -25,8 +24,6 @@ __all__ = [
     "SweepSettings",
     "SweepResult",
     "run_load_sweep",
-    "run_load_sweep_parallel",
-    "run_network_sweep_parallel",
     "saturation_throughput",
     "find_saturation_load",
     "LatencySample",

@@ -37,7 +37,11 @@ from typing import Any, Dict, Optional
 #: router's hot path.  Format 3: ``MirroredFlitQueue`` and
 #: ``BatchArbiterBank``, pickled by format-2 files written under
 #: ``batch_hot_path``, lost slots along with the Clos and VOQ twins.
-CHECKPOINT_FORMAT = 3
+#: Format 4: the run state both stacks share (measurement flags and
+#: counters, latency sample) moved from the per-stack ``harness`` dict
+#: to the bundle's top level, and a network measure program carries
+#: ``min_drain_fraction`` like a switch one.
+CHECKPOINT_FORMAT = 4
 
 
 def save_checkpoint(sim, path) -> None:
@@ -179,8 +183,8 @@ def _network_spec(sim) -> Dict[str, Any]:
         "load": sim.load,
         "topology": sim.topology,
         "host_pattern": sim._host_pattern,
-        "active_set": sim._scheduler.active_set,
-        "scheduler": _scheduler_mode(sim._scheduler),
+        "active_set": sim._sched.active_set,
+        "scheduler": _scheduler_mode(sim._sched),
         "faults": None if sim._faults is None else sim._faults.plan,
         "workload": sim._workload,
         "tracer": _tracer_spec(sim._tracer),

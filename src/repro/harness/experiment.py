@@ -12,12 +12,13 @@ generation (so source queueing counts) to tail-flit ejection.
 from __future__ import annotations
 
 import copy
+import functools
+import multiprocessing
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from ..core.config import RouterConfig
 from ..core.errors import invariant
-from ..core.flit import packet_id_state, set_packet_id_state
 from ..engine import make_scheduler
 from ..routers.base import Router
 from ..traffic.injection import Bernoulli, InjectionProcess, MarkovOnOff
@@ -25,7 +26,8 @@ from ..traffic.patterns import TrafficPattern, UniformRandom
 from ..traffic.source import TrafficSource
 from ..workloads.base import Workload
 from ..workloads.source import WorkloadSource
-from .stats import LatencySample, RunResult, summarize
+from .program import StagedRun
+from .stats import LatencySample, RunResult
 
 RouterFactory = Callable[[RouterConfig], Router]
 PatternFactory = Callable[[RouterConfig], TrafficPattern]
@@ -56,7 +58,7 @@ class SweepSettings:
         )
 
 
-class SwitchSimulation:
+class SwitchSimulation(StagedRun):
     """Drives one router instance with per-input traffic sources."""
 
     #: Attributes :meth:`snapshot` deliberately omits (lint rule R010):
@@ -202,7 +204,7 @@ class SwitchSimulation:
         self._vc_rr = [0] * k
         self._measuring = False
         self._generating = True
-        self._labeled_outstanding = 0
+        self._outstanding = 0
         self._labeled_total = 0
         self.sample = LatencySample()
         self.measured_flits = 0
@@ -217,11 +219,6 @@ class SwitchSimulation:
         self._program: Optional[Dict[str, Any]] = None
 
     # ------------------------------------------------------------------
-
-    @property
-    def cycle(self) -> int:
-        """Current simulation cycle (owned by the drive loop)."""
-        return self._sched.now
 
     def step(self) -> None:
         """Advance exactly one simulation cycle."""
@@ -248,12 +245,12 @@ class SwitchSimulation:
                     if nxt is not None and nxt > now:
                         continue
                     if src.generate(now, measuring) is not None and measuring:
-                        self._labeled_outstanding += 1
+                        self._outstanding += 1
                         self._labeled_total += 1
             else:
                 for src in self.sources:
                     if src.generate(now, measuring) is not None and measuring:
-                        self._labeled_outstanding += 1
+                        self._outstanding += 1
                         self._labeled_total += 1
         self._inject(now)
 
@@ -266,7 +263,7 @@ class SwitchSimulation:
                 self.measured_flits += 1
             if flit.is_tail and flit.measured:
                 self.sample.add(eject_cycle - flit.created_at)
-                self._labeled_outstanding -= 1
+                self._outstanding -= 1
             if flit.is_tail and self._workload is not None:
                 # Delivery unlocks the DAG successors; their ranks
                 # become eligible on a later cycle (the event
@@ -400,168 +397,21 @@ class SwitchSimulation:
     # ------------------------------------------------------------------
 
     def start_run(self, settings: Optional[SweepSettings] = None) -> None:
-        """Begin the warm-up/measure/drain program without running it.
-
-        The program is plain data (absolute stage boundaries plus
-        bookkeeping), so a snapshot taken between :meth:`advance_run`
-        calls resumes mid-run byte-identically.
-        """
-        if self._program is not None:
-            raise RuntimeError("a run is already in progress")
+        """Begin the warm-up/measure/drain program without running it
+        (see :mod:`repro.harness.program`)."""
         settings = settings or SweepSettings()
-        start = self.cycle
-        warm_end = start + settings.warmup
-        measure_end = warm_end + settings.measure
-        self._program = {
-            "kind": "measure",
-            "stage": 0,
-            "final": 3,
-            "bounds": [warm_end, measure_end, measure_end + settings.drain],
-            "measure_start": 0,
-            "measured_cycles": 0,
-            "min_drain_fraction": settings.min_drain_fraction,
-        }
-
-    def start_workload_run(self, max_cycles: int = 1_000_000) -> None:
-        """Begin the workload-DAG program without running it."""
-        if self._program is not None:
-            raise RuntimeError("a run is already in progress")
-        if self._workload is None:
-            raise ValueError(
-                "run_workload() needs a SwitchSimulation(workload=...)"
-            )
-        if max_cycles < 1:
-            raise ValueError(f"max_cycles must be >= 1, got {max_cycles}")
-        self._count_flits = True
-        self._program = {
-            "kind": "workload",
-            "stage": 0,
-            "final": 1,
-            "bounds": [self.cycle + max_cycles],
-            "run_start": self.cycle,
-        }
-
-    def advance_run(self, stop_at: Optional[int] = None) -> bool:
-        """Advance the active program; True once it has completed.
-
-        With ``stop_at`` set, pauses at the first *executed* cycle at
-        or beyond it (fast-forward jumps land on their natural targets
-        first, so pausing never perturbs the jump structure and the
-        resumed run stays byte-identical to an uninterrupted one).
-        """
-        program = self._program
-        if program is None:
-            raise RuntimeError("no run in progress; call start_run() first")
-        paused = (
-            None if stop_at is None
-            else (lambda: self._sched.now >= stop_at)
+        self._start_measure_run(
+            settings.warmup, settings.measure, settings.drain,
+            settings.min_drain_fraction,
         )
-        while program["stage"] < program["final"]:
-            stage = program["stage"]
-            end = program["bounds"][stage]
-            stop = self._stage_stop(program, stage, paused)
-            self._sched.run_until(end, stop=stop)
-            if self._stage_done(program, stage, end):
-                self._finish_stage(program, stage)
-            else:
-                return False  # paused mid-stage
-        return True
-
-    def _stage_stop(
-        self,
-        program: Dict[str, Any],
-        stage: int,
-        paused: Optional[Callable[[], bool]],
-    ) -> Optional[Callable[[], bool]]:
-        """Combined stop predicate for one program stage."""
-        inner = self._stage_predicate(program, stage)
-        if inner is None:
-            return paused
-        if paused is None:
-            return inner
-        return lambda: paused() or inner()
-
-    def _stage_predicate(
-        self, program: Dict[str, Any], stage: int
-    ) -> Optional[Callable[[], bool]]:
-        if program["kind"] == "workload":
-            return self._workload.done
-        if stage == 2:  # drain
-            return lambda: self._labeled_outstanding <= 0
-        return None
-
-    def _stage_done(
-        self, program: Dict[str, Any], stage: int, end: int
-    ) -> bool:
-        """Did the stage complete (vs. pausing for a checkpoint)?"""
-        if self._sched.now >= end:
-            return True
-        inner = self._stage_predicate(program, stage)
-        return inner is not None and inner()
-
-    def _finish_stage(self, program: Dict[str, Any], stage: int) -> None:
-        """Apply the flag flips at a completed stage boundary."""
-        program["stage"] = stage + 1
-        if program["kind"] != "measure":
-            return
-        if stage == 0:  # warm-up done: start labeling
-            self._measuring = True
-            self._count_flits = True
-            program["measure_start"] = self.cycle
-        elif stage == 1:  # measurement window closed
-            self._measuring = False
-            self._count_flits = False
-            program["measured_cycles"] = (
-                self.cycle - program["measure_start"]
-            )
 
     def finish_run(self) -> RunResult:
         """Summarize a completed program into a :class:`RunResult`."""
-        program = self._program
-        if program is None:
-            raise RuntimeError("no run in progress")
-        if program["stage"] < program["final"]:
-            raise RuntimeError("run has not completed; advance_run() first")
-        self._program = None
-        if program["kind"] == "workload":
-            return self._finish_workload(program)
-        undelivered = self._labeled_outstanding
-        delivered_fraction = (
-            1.0
-            if self._labeled_total == 0
-            else 1.0 - undelivered / self._labeled_total
+        result, workload_run = self._summarize_run(
+            self.config.radix, self.config.capacity_flits_per_cycle
         )
-        saturated = delivered_fraction < program["min_drain_fraction"]
-        result = summarize(
-            offered_load=self.load,
-            sample=self.sample,
-            measured_flits=self.measured_flits,
-            measured_cycles=program["measured_cycles"],
-            num_ports=self.config.radix,
-            capacity=self.config.capacity_flits_per_cycle,
-            saturated=saturated,
-            cycles=self.cycle,
-        )
-        result.extra["undelivered"] = float(undelivered)
-        self._fold_extras(result)
-        return result
-
-    def _finish_workload(self, program: Dict[str, Any]) -> RunResult:
-        workload = self._workload
-        self._count_flits = False
-        for latency in workload.message_latencies():
-            self.sample.add(latency)
-        result = summarize(
-            offered_load=0.0,
-            sample=self.sample,
-            measured_flits=self.measured_flits,
-            measured_cycles=max(1, self.cycle - program["run_start"]),
-            num_ports=self.config.radix,
-            capacity=self.config.capacity_flits_per_cycle,
-            saturated=not workload.done(),
-            cycles=self.cycle,
-        )
-        result.extra["undelivered"] = float(workload.remaining)
+        if not workload_run:
+            result.extra["undelivered"] = float(self._outstanding)
         self._fold_extras(result)
         return result
 
@@ -637,33 +487,18 @@ class SwitchSimulation:
             # simulation, into the copied graph).
             faults.detach_credit_hooks()
         try:
-            bundle = {
+            return copy.deepcopy({
+                **self._capture_run(),
                 "engine": self._engine._snapshot_state(),
-                "sched": self._sched.snapshot(),
-                "packet_ids": packet_id_state(),
-                "program": self._program,
-                "workload": self._workload,
                 "sources": [vars(src) for src in self.sources],
                 "harness": {
                     "next_inject": self._next_inject,
                     "packet_vc": self._packet_vc,
                     "vc_rr": self._vc_rr,
-                    "measuring": self._measuring,
                     "generating": self._generating,
-                    "labeled_outstanding": self._labeled_outstanding,
-                    "labeled_total": self._labeled_total,
-                    "sample": self.sample,
-                    "measured_flits": self.measured_flits,
-                    "count_flits": self._count_flits,
                     "delivered": self.delivered,
                 },
-                "faults": None if faults is None else faults.snapshot(),
-                "tracer": (
-                    None if self._tracer is None
-                    else dict(vars(self._tracer))
-                ),
-            }
-            return copy.deepcopy(bundle)
+            })
         finally:
             if faults is not None:
                 faults.attach_credit_hooks()
@@ -679,14 +514,7 @@ class SwitchSimulation:
         """
         if self.router is not self._engine:
             raise ValueError("cannot restore onto a sanitized simulation")
-        if (state["faults"] is None) != (self._faults is None):
-            raise ValueError(
-                "fault plan mismatch between snapshot and simulation"
-            )
-        if (state["tracer"] is None) != (self._tracer is None):
-            raise ValueError(
-                "tracer mismatch between snapshot and simulation"
-            )
+        self._check_run(state)
         if len(state["sources"]) != len(self.sources):
             raise ValueError(
                 f"snapshot captured {len(state['sources'])} sources, "
@@ -694,38 +522,15 @@ class SwitchSimulation:
             )
         state = copy.deepcopy(state)
         self._engine._restore_state(state["engine"])
-        self._sched.restore(state["sched"])
-        set_packet_id_state(state["packet_ids"])
-        self._program = state["program"]
-        self._workload = state["workload"]
         for src, src_state in zip(self.sources, state["sources"]):
             vars(src).update(src_state)
         harness = state["harness"]
         self._next_inject = harness["next_inject"]
         self._packet_vc = harness["packet_vc"]
         self._vc_rr = harness["vc_rr"]
-        self._measuring = harness["measuring"]
         self._generating = harness["generating"]
-        self._labeled_outstanding = harness["labeled_outstanding"]
-        self._labeled_total = harness["labeled_total"]
-        self.sample = harness["sample"]
-        self.measured_flits = harness["measured_flits"]
-        self._count_flits = harness["count_flits"]
         self.delivered = harness["delivered"]
-        if self._faults is not None:
-            self._faults.restore(state["faults"])
-        if self._tracer is not None:
-            vars(self._tracer).clear()
-            vars(self._tracer).update(state["tracer"])
-
-    def save_checkpoint(self, path) -> None:
-        """Persist this simulation (state plus rebuild spec) to disk.
-
-        Resume with :func:`repro.harness.checkpoint.load_checkpoint`.
-        """
-        from .checkpoint import save_checkpoint
-
-        save_checkpoint(self, path)
+        self._apply_run(state)
 
 
 # ----------------------------------------------------------------------
@@ -763,6 +568,60 @@ class SweepResult:
         return min(self.results, key=lambda r: r.offered_load).avg_latency
 
 
+def _run_point(
+    make_router: RouterFactory,
+    config: RouterConfig,
+    packet_size: int,
+    pattern_factory: PatternFactory,
+    injection: str,
+    avg_burst: float,
+    settings: Optional[SweepSettings],
+    seed: Optional[int],
+    sanitize: bool,
+    scheduler: str,
+    load: float,
+) -> RunResult:
+    """Build one simulation at ``load`` and run it.
+
+    ``load`` comes last so a :func:`functools.partial` over the rest is
+    the per-point callable; module-level so that partial pickles.
+    """
+    sim = SwitchSimulation(
+        make_router(config),
+        load=load,
+        packet_size=packet_size,
+        pattern=pattern_factory(config),
+        injection=injection,
+        avg_burst=avg_burst,
+        seed=seed,
+        sanitize=sanitize,
+        scheduler=scheduler,
+    )
+    return sim.run(settings)
+
+
+def map_points(
+    point: Callable[[float], RunResult],
+    loads: Sequence[float],
+    processes: Optional[int],
+) -> List[RunResult]:
+    """``point(load)`` for each load, optionally over a process pool.
+
+    Each point re-derives its RNG streams from the seed, so the results
+    do not depend on ``processes``: 1 runs inline (as does a single
+    point), None sizes the pool as ``min(len(loads), cpu_count)``.
+    ``point`` and its results must then be picklable — router and
+    pattern factories should be classes or module-level functions.
+    """
+    if processes is not None and processes < 1:
+        raise ValueError(f"processes must be >= 1, got {processes}")
+    if processes == 1 or len(loads) <= 1:
+        return [point(load) for load in loads]
+    workers = processes or min(len(loads), multiprocessing.cpu_count())
+    with multiprocessing.Pool(workers) as pool:
+        return pool.map(point, loads)
+
+
 def run_load_sweep(
     make_router: RouterFactory,
     config: RouterConfig,
@@ -776,24 +635,20 @@ def run_load_sweep(
     seed: Optional[int] = None,
     sanitize: bool = False,
     scheduler: str = "cycle",
+    processes: Optional[int] = 1,
 ) -> SweepResult:
-    """Simulate one router at each offered load; returns the curve."""
-    sweep = SweepResult(label=label or type(make_router(config)).__name__)
-    for load in loads:
-        router = make_router(config)
-        sim = SwitchSimulation(
-            router,
-            load=load,
-            packet_size=packet_size,
-            pattern=pattern_factory(config),
-            injection=injection,
-            avg_burst=avg_burst,
-            seed=seed,
-            sanitize=sanitize,
-            scheduler=scheduler,
-        )
-        sweep.results.append(sim.run(settings))
-    return sweep
+    """Simulate one router at each offered load; returns the curve.
+
+    ``processes`` fans the points out as :func:`map_points` describes.
+    """
+    point = functools.partial(
+        _run_point, make_router, config, packet_size, pattern_factory,
+        injection, avg_burst, settings, seed, sanitize, scheduler,
+    )
+    results = map_points(point, loads, processes)
+    return SweepResult(
+        label=label or type(make_router(config)).__name__, results=results
+    )
 
 
 def saturation_throughput(
@@ -810,19 +665,10 @@ def saturation_throughput(
     scheduler: str = "cycle",
 ) -> float:
     """Accepted throughput at (near-)unit offered load."""
-    router = make_router(config)
-    sim = SwitchSimulation(
-        router,
-        load=load,
-        packet_size=packet_size,
-        pattern=pattern_factory(config),
-        injection=injection,
-        avg_burst=avg_burst,
-        seed=seed,
-        sanitize=sanitize,
-        scheduler=scheduler,
-    )
-    return sim.run(settings).throughput
+    return _run_point(
+        make_router, config, packet_size, pattern_factory, injection,
+        avg_burst, settings, seed, sanitize, scheduler, load,
+    ).throughput
 
 
 def find_saturation_load(
@@ -858,19 +704,10 @@ def find_saturation_load(
     slack = max(0.03, tolerance)
 
     def saturated_at(load: float) -> bool:
-        router = make_router(config)
-        sim = SwitchSimulation(
-            router,
-            load=load,
-            packet_size=packet_size,
-            pattern=pattern_factory(config),
-            injection=injection,
-            avg_burst=avg_burst,
-            seed=seed,
-            sanitize=sanitize,
-            scheduler=scheduler,
+        result = _run_point(
+            make_router, config, packet_size, pattern_factory, injection,
+            avg_burst, settings, seed, sanitize, scheduler, load,
         )
-        result = sim.run(settings)
         return result.saturated or result.throughput < load - slack
 
     lo, hi = 0.0, 1.0

@@ -12,16 +12,19 @@ warm-up / label / drain methodology as the switch-level harness.
 from __future__ import annotations
 
 import copy
+import functools
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.errors import invariant
-from ..core.flit import Flit, make_packet, packet_id_state, set_packet_id_state
+from ..core.flit import Flit, make_packet
 from ..core.rng import derive_rng
 from ..engine import EngineHooks, make_scheduler
-from ..harness.stats import LatencySample, RunResult, summarize
+from ..harness.experiment import SweepResult, SweepSettings, map_points
+from ..harness.program import StagedRun
+from ..harness.stats import LatencySample, RunResult
 from ..workloads.base import Message, Workload
 from .router import NetworkRouter, NetworkRouterConfig, OutputLink, pipeline_depth_for_radix
 from .topology import FoldedClos, SwitchId, Topology
@@ -117,7 +120,7 @@ class _CreditSink:
         self.link.restore_credit(vc)
 
 
-class NetworkSimulation:
+class NetworkSimulation(StagedRun):
     """End-to-end simulation of a network of routers on any topology."""
 
     #: Attributes :meth:`snapshot` deliberately omits (lint rule R010):
@@ -217,7 +220,7 @@ class NetworkSimulation:
         #: span the whole router set.  Instrumentation (sanitizer,
         #: metrics, tracing) attaches here.
         self.hooks = EngineHooks()
-        self._scheduler = make_scheduler(
+        self._sched = make_scheduler(
             scheduler,
             self.routers.values(),
             hooks=self.hooks,
@@ -227,8 +230,8 @@ class NetworkSimulation:
         # Inverted drive loop: the scheduler owns the per-cycle phase
         # sequence; this harness contributes its pre-engine work and
         # (in event mode) its wake horizons.
-        self._scheduler.add_pre_cycle(self._pre_cycle)
-        self._scheduler.add_wake_source(self._next_work)
+        self._sched.add_pre_cycle(self._pre_cycle)
+        self._sched.add_wake_source(self._next_work)
         self._tracer = tracer
         self._trace_switch: Optional[SwitchId] = None
         if tracer is not None:
@@ -349,19 +352,14 @@ class NetworkSimulation:
     # Simulation loop
     # ------------------------------------------------------------------
 
-    @property
-    def cycle(self) -> int:
-        """Current simulation cycle (owned by the drive loop)."""
-        return self._scheduler.now
-
     def step(self) -> None:
         """Advance exactly one simulation cycle."""
-        self.run_until(self._scheduler.now + 1)
+        self.run_until(self._sched.now + 1)
 
     def run_until(self, end: int) -> int:
         """Advance the simulation through cycles ``[cycle, end)``."""
         self._extend_draws(end)
-        return self._scheduler.run_until(end)
+        return self._sched.run_until(end)
 
     def _extend_draws(self, end: int) -> None:
         """Grow the arrival pre-draw window to cover ``[0, end)``.
@@ -447,7 +445,7 @@ class NetworkSimulation:
             _, _, flit, target = heapq.heappop(self._inflight)
             if isinstance(target, tuple):
                 router, port = target
-                self._scheduler.wake(router, now)
+                self._sched.wake(router, now)
                 router.accept(port, flit)
             else:
                 # Host ejection.
@@ -702,7 +700,7 @@ class NetworkSimulation:
         self._source_q[host].pop(0)
         if not self._source_q[host]:
             self._backlog_hosts.discard(host)
-        self._scheduler.wake(router, now)
+        self._sched.wake(router, now)
         router.accept(attach.port, flit)
         self._next_inject[host] = now + self.config.flit_cycles
         if flit.is_tail:
@@ -746,166 +744,22 @@ class NetworkSimulation:
     def start_run(
         self, warmup: int = 2000, measure: int = 2000, drain: int = 30000
     ) -> None:
-        """Begin the warm-up/measure/drain program without running it.
-
-        The program is plain data (absolute stage boundaries plus
-        bookkeeping), so a snapshot taken between :meth:`advance_run`
-        calls resumes mid-run byte-identically.
-        """
-        if self._program is not None:
-            raise RuntimeError("a run is already in progress")
-        start = self.cycle
-        warm_end = start + warmup
-        measure_end = warm_end + measure
-        self._program = {
-            "kind": "measure",
-            "stage": 0,
-            "final": 3,
-            "bounds": [warm_end, measure_end, measure_end + drain],
-            "measure_start": 0,
-            "measured_cycles": 0,
-        }
-
-    def start_workload_run(self, max_cycles: int = 1_000_000) -> None:
-        """Begin the workload-DAG program without running it."""
-        if self._program is not None:
-            raise RuntimeError("a run is already in progress")
-        if self._workload is None:
-            raise ValueError(
-                "run_workload() needs a NetworkSimulation(workload=...)"
-            )
-        if max_cycles < 1:
-            raise ValueError(f"max_cycles must be >= 1, got {max_cycles}")
-        self._count_flits = True
-        self._program = {
-            "kind": "workload",
-            "stage": 0,
-            "final": 1,
-            "bounds": [self.cycle + max_cycles],
-            "run_start": self.cycle,
-        }
-
-    def advance_run(self, stop_at: Optional[int] = None) -> bool:
-        """Advance the active program; True once it has completed.
-
-        With ``stop_at`` set, pauses at the first *executed* cycle at
-        or beyond it (fast-forward jumps land on their natural targets
-        first, so pausing never perturbs the jump structure and the
-        resumed run stays byte-identical to an uninterrupted one).
-        """
-        program = self._program
-        if program is None:
-            raise RuntimeError("no run in progress; call start_run() first")
-        paused = (
-            None if stop_at is None
-            else (lambda: self._scheduler.now >= stop_at)
+        """Begin the warm-up/measure/drain program without running it
+        (see :mod:`repro.harness.program`)."""
+        self._start_measure_run(
+            warmup, measure, drain, SweepSettings.min_drain_fraction
         )
-        while program["stage"] < program["final"]:
-            stage = program["stage"]
-            end = program["bounds"][stage]
-            stop = self._stage_stop(program, stage, paused)
-            self._extend_draws(end)
-            self._scheduler.run_until(end, stop=stop)
-            if self._stage_done(program, stage, end):
-                self._finish_stage(program, stage)
-            else:
-                return False  # paused mid-stage
-        return True
-
-    def _stage_stop(
-        self,
-        program: Dict[str, Any],
-        stage: int,
-        paused: Optional[Callable[[], bool]],
-    ) -> Optional[Callable[[], bool]]:
-        """Combined stop predicate for one program stage."""
-        inner = self._stage_predicate(program, stage)
-        if inner is None:
-            return paused
-        if paused is None:
-            return inner
-        return lambda: paused() or inner()
-
-    def _stage_predicate(
-        self, program: Dict[str, Any], stage: int
-    ) -> Optional[Callable[[], bool]]:
-        if program["kind"] == "workload":
-            return self._workload.done
-        if stage == 2:  # drain
-            return lambda: self._outstanding <= 0
-        return None
-
-    def _stage_done(
-        self, program: Dict[str, Any], stage: int, end: int
-    ) -> bool:
-        """Did the stage complete (vs. pausing for a checkpoint)?"""
-        if self._scheduler.now >= end:
-            return True
-        inner = self._stage_predicate(program, stage)
-        return inner is not None and inner()
-
-    def _finish_stage(self, program: Dict[str, Any], stage: int) -> None:
-        """Apply the flag flips at a completed stage boundary."""
-        program["stage"] = stage + 1
-        if program["kind"] != "measure":
-            return
-        if stage == 0:  # warm-up done: start labeling
-            self._measuring = True
-            self._count_flits = True
-            program["measure_start"] = self.cycle
-        elif stage == 1:  # measurement done
-            self._measuring = False
-            self._count_flits = False
-            program["measured_cycles"] = self.cycle - program["measure_start"]
 
     def finish_run(self) -> RunResult:
         """Summarize a completed program into a :class:`RunResult`."""
-        program = self._program
-        if program is None:
-            raise RuntimeError("no run in progress")
-        if program["stage"] < program["final"]:
-            raise RuntimeError("run has not completed; advance_run() first")
-        self._program = None
-        if program["kind"] == "workload":
-            return self._finish_workload(program)
-        frac = (
-            1.0
-            if self._labeled_total == 0
-            else 1.0 - self._outstanding / self._labeled_total
+        result, workload_run = self._summarize_run(
+            self.topology.num_hosts, 1.0 / self.config.flit_cycles
         )
-        result = summarize(
-            offered_load=self.load,
-            sample=self.sample,
-            measured_flits=self.measured_flits,
-            measured_cycles=program["measured_cycles"],
-            num_ports=self.topology.num_hosts,
-            capacity=1.0 / self.config.flit_cycles,
-            saturated=frac < 0.999,
-            cycles=self.cycle,
-        )
-        self._fold_extras(result)
-        return result
-
-    def _finish_workload(self, program: Dict[str, Any]) -> RunResult:
-        workload = self._workload
-        self._count_flits = False
-        for latency in workload.message_latencies():
-            self.sample.add(latency)
-        result = summarize(
-            offered_load=0.0,
-            sample=self.sample,
-            measured_flits=self.measured_flits,
-            measured_cycles=max(1, self.cycle - program["run_start"]),
-            num_ports=self.topology.num_hosts,
-            capacity=1.0 / self.config.flit_cycles,
-            saturated=not workload.done(),
-            cycles=self.cycle,
-        )
-        result.extra["undelivered"] = float(workload.remaining)
-        result.extra["source_backlog"] = float(
-            sum(len(q) for q in self._source_q)
-        )
-        self._fold_extras(result, workload_stats=True)
+        if workload_run:
+            result.extra["source_backlog"] = float(
+                sum(len(q) for q in self._source_q)
+            )
+        self._fold_extras(result, workload_stats=workload_run)
         return result
 
     def _fold_extras(
@@ -939,7 +793,7 @@ class NetworkSimulation:
 
     def _engine_skips(self) -> Tuple[int, int]:
         """(cycles_skipped, ff_jumps) of the drive loop (overridable)."""
-        return (self._scheduler.cycles_skipped, self._scheduler.ff_jumps)
+        return (self._sched.cycles_skipped, self._sched.ff_jumps)
 
     def _fault_extra(self) -> List[Tuple[str, object]]:
         """Sorted fault-counter items; the sharded front-end overrides
@@ -978,12 +832,11 @@ class NetworkSimulation:
             else:
                 encoded = ("h", target)
             inflight.append((arrival, seq, flit, encoded))
-        bundle: Dict[str, Any] = {
+        return copy.deepcopy({
+            **self._capture_run(),
             "routers": [
                 router._snapshot_state() for router in self.routers.values()
             ],
-            "sched": self._scheduler.snapshot(),
-            "packet_ids": packet_id_state(),
             "seq": next(copy.copy(self._seq)),
             "inflight": inflight,
             "harness": {
@@ -992,13 +845,7 @@ class NetworkSimulation:
                 "next_inject": self._next_inject,
                 "packet_vc": self._packet_vc,
                 "vc_rr": self._vc_rr,
-                "measuring": self._measuring,
-                "count_flits": self._count_flits,
-                "outstanding": self._outstanding,
-                "labeled_total": self._labeled_total,
                 "peak_source_q": self._peak_source_q,
-                "sample": self.sample,
-                "measured_flits": self.measured_flits,
             },
             "rngs": [rng.getstate() for rng in self._rngs],
             "route_rng": self._route_rng.getstate(),
@@ -1013,16 +860,7 @@ class NetworkSimulation:
                 "undrawn": sorted(self._undrawn),
                 "sync_cursor": self._sync_cursor,
             },
-            "program": self._program,
-            "workload": self._workload,
-            "faults": (
-                None if self._faults is None else self._faults.snapshot()
-            ),
-            "tracer": (
-                None if self._tracer is None else dict(vars(self._tracer))
-            ),
-        }
-        return copy.deepcopy(bundle)
+        })
 
     def restore(self, state: Dict[str, Any]) -> None:
         """Apply a :meth:`snapshot` onto this simulation in place.
@@ -1033,26 +871,11 @@ class NetworkSimulation:
         """
         if self._sanitizer is not None:
             raise ValueError("cannot restore onto a sanitized simulation")
+        self._check_run(state)
         if len(state["routers"]) != len(self.routers):
             raise ValueError(
                 f"snapshot captured {len(state['routers'])} routers, "
                 f"simulation has {len(self.routers)}"
-            )
-        if ("wheel" in state["sched"]) != self._event_mode:
-            raise ValueError(
-                "scheduler mode mismatch between snapshot and simulation"
-            )
-        if (state["faults"] is None) != (self._faults is None):
-            raise ValueError(
-                "fault plan mismatch between snapshot and simulation"
-            )
-        if (state["workload"] is None) != (self._workload is None):
-            raise ValueError(
-                "workload mismatch between snapshot and simulation"
-            )
-        if (state["tracer"] is None) != (self._tracer is None):
-            raise ValueError(
-                "tracer mismatch between snapshot and simulation"
             )
         if len(state["rngs"]) != len(self._rngs):
             raise ValueError(
@@ -1062,8 +885,6 @@ class NetworkSimulation:
         state = copy.deepcopy(state)
         for router, captured in zip(self.routers.values(), state["routers"]):
             router._restore_state(captured)
-        self._scheduler.restore(state["sched"])
-        set_packet_id_state(state["packet_ids"])
         self._seq = itertools.count(state["seq"])
         inflight: List[Tuple[int, int, Flit, object]] = []
         for arrival, seq, flit, encoded in state["inflight"]:
@@ -1080,13 +901,7 @@ class NetworkSimulation:
         self._next_inject = harness["next_inject"]
         self._packet_vc = harness["packet_vc"]
         self._vc_rr = harness["vc_rr"]
-        self._measuring = harness["measuring"]
-        self._count_flits = harness["count_flits"]
-        self._outstanding = harness["outstanding"]
-        self._labeled_total = harness["labeled_total"]
         self._peak_source_q = harness["peak_source_q"]
-        self.sample = harness["sample"]
-        self.measured_flits = harness["measured_flits"]
         for rng, captured in zip(self._rngs, state["rngs"]):
             rng.setstate(captured)
         self._route_rng.setstate(state["route_rng"])
@@ -1108,24 +923,9 @@ class NetworkSimulation:
                 if gap:
                     stream.random_sample(gap)
                 self._np_streams[host] = stream
-        self._program = state["program"]
-        self._workload = state["workload"]
-        if self._faults is not None:
-            # After the routers: lost-credit sinks resolve through the
-            # (identity-preserved) credit_sinks wiring.
-            self._faults.restore(state["faults"])
-        if self._tracer is not None:
-            vars(self._tracer).clear()
-            vars(self._tracer).update(state["tracer"])
-
-    def save_checkpoint(self, path) -> None:
-        """Persist this simulation (state plus rebuild spec) to disk.
-
-        Resume with :func:`repro.harness.checkpoint.load_checkpoint`.
-        """
-        from ..harness.checkpoint import save_checkpoint
-
-        save_checkpoint(self, path)
+        # After the routers: lost-credit sinks resolve through the
+        # (identity-preserved) credit_sinks wiring.
+        self._apply_run(state)
 
 
 class ClosNetworkSimulation(NetworkSimulation):
@@ -1149,28 +949,61 @@ class ClosNetworkSimulation(NetworkSimulation):
                          tracer=tracer, trace_switch=trace_switch)
 
 
+def _run_network_point(
+    config: NetworkConfig,
+    topology: Optional[Topology],
+    warmup: int,
+    measure: int,
+    drain: int,
+    scheduler: str,
+    shards: Optional[int],
+    load: float,
+) -> RunResult:
+    """Build one network simulation at ``load`` and run it (``load``
+    last and module-level, for a picklable :func:`functools.partial`)."""
+    if shards is None:
+        sim = NetworkSimulation(config, load, topology=topology,
+                                scheduler=scheduler)
+        return sim.run(warmup=warmup, measure=measure, drain=drain)
+    from .sharded import ShardedNetworkSimulation
+
+    sim = ShardedNetworkSimulation(config, load, shards=shards,
+                                   topology=topology, scheduler=scheduler)
+    try:
+        return sim.run(warmup=warmup, measure=measure, drain=drain)
+    finally:
+        sim.close()
+
+
 def run_network_sweep(
     config: NetworkConfig,
-    loads,
+    loads: Sequence[float],
     label: str = "",
-    topology=None,
+    topology: Optional[Topology] = None,
     warmup: int = 2000,
     measure: int = 2000,
     drain: int = 30000,
     scheduler: str = "cycle",
-):
+    processes: Optional[int] = 1,
+    shards: Optional[int] = None,
+) -> SweepResult:
     """Load-latency curve over a network (the Figure 19 sweep).
 
     Returns a :class:`~repro.harness.experiment.SweepResult`, so the
     same reporting and plotting helpers apply to network curves as to
     single-router curves.
-    """
-    from ..harness.experiment import SweepResult
 
-    sweep = SweepResult(label=label or "network")
-    for load in loads:
-        sim = NetworkSimulation(config, load, topology=topology,
-                                scheduler=scheduler)
-        sweep.results.append(sim.run(warmup=warmup, measure=measure,
-                                     drain=drain))
-    return sweep
+    Two orthogonal levers, both byte-identical to the serial sweep:
+    ``processes`` fans independent load points over a process pool (see
+    :func:`~repro.harness.experiment.map_points`); ``shards`` runs each
+    point as a :class:`~repro.network.sharded.ShardedNetworkSimulation`
+    over that many worker processes (cycle-level parallelism for big
+    networks).  Combining them multiplies process counts; prefer one.
+    """
+    point = functools.partial(
+        _run_network_point, config, topology, warmup, measure, drain,
+        scheduler, shards,
+    )
+    return SweepResult(
+        label=label or "network", results=map_points(point, loads, processes)
+    )

@@ -752,21 +752,13 @@ class ShardedNetworkSimulation(NetworkSimulation):
 
     # -- lifecycle ------------------------------------------------------
 
-    def start_run(self, warmup: int = 2000, measure: int = 2000,
-                  drain: int = 30000) -> None:
-        self._check_reusable()
-        super().start_run(warmup=warmup, measure=measure, drain=drain)
-
-    def start_workload_run(self, max_cycles: int = 1_000_000) -> None:
-        self._check_reusable()
-        super().start_workload_run(max_cycles)
-
-    def _check_reusable(self) -> None:
+    def _check_startable(self) -> None:
         if self._finished_workers:
             raise RuntimeError(
                 "sharded workers were already reaped; build a new "
                 "ShardedNetworkSimulation for another run"
             )
+        super()._check_startable()
 
     def snapshot(self) -> Dict[str, Any]:
         raise ValueError(

@@ -152,7 +152,8 @@ class TestFormatVersion:
         it would leave them at zero with flits buffered), and a
         format-2 file written under ``batch_hot_path`` pickles slots
         that no longer exist — so the version must be read before
-        ``pickle`` constructs anything."""
+        ``pickle`` constructs anything; format 3 kept the measurement
+        counters in the per-stack ``harness`` dict."""
         import pickle
 
         reset_packet_ids()
@@ -162,7 +163,7 @@ class TestFormatVersion:
         path = tmp_path / "switch.ckpt"
         sim.save_checkpoint(path)
         payload = pickle.loads(path.read_bytes())
-        assert payload["format"] == CHECKPOINT_FORMAT == 3
+        assert payload["format"] == CHECKPOINT_FORMAT == 4
         payload["format"] = 1
         path.write_bytes(pickle.dumps(payload))
         with pytest.raises(ValueError, match="unsupported checkpoint format 1"):
@@ -172,6 +173,67 @@ class TestFormatVersion:
         path.write_bytes(pickle.dumps(payload))
         with pytest.raises(ValueError, match="unsupported checkpoint format 2"):
             load_checkpoint(path)
+        payload["format"] = 3
+        path.write_bytes(pickle.dumps(payload))
+        with pytest.raises(ValueError, match="unsupported checkpoint format 3"):
+            load_checkpoint(path)
+
+
+def _start(sim):
+    reset_packet_ids()
+    if sim._workload is not None:
+        sim.start_workload_run(max_cycles=20000)
+    elif isinstance(sim, SwitchSimulation):
+        sim.start_run(SweepSettings(50, 50, 200))
+    else:
+        sim.start_run(50, 50, 200)
+    return sim
+
+
+def _build_switch(scheduler="cycle", workload=False):
+    return SwitchSimulation(
+        HierarchicalCrossbarRouter(RouterConfig(
+            radix=8, num_vcs=2, subswitch_size=4, local_group_size=4)),
+        load=0.0 if workload else 0.4, scheduler=scheduler,
+        workload=all_reduce(8, size=2) if workload else None,
+    )
+
+
+def _build_network(scheduler="cycle", workload=False):
+    return NetworkSimulation(
+        NetworkConfig(radix=8, levels=2), load=0.0 if workload else 0.3,
+        scheduler=scheduler,
+        workload=all_reduce(16, size=2) if workload else None,
+    )
+
+
+class TestRestoreRefusesMismatch:
+    """A capture restores only onto a twin built the same way; both
+    stacks refuse the rest with one typed error, before touching any
+    state (not a bare ``KeyError('wheel')``, and never by writing
+    ``WorkloadSource`` state over a ``TrafficSource``)."""
+
+    @pytest.mark.parametrize("build", [_build_switch, _build_network])
+    @pytest.mark.parametrize("captured, target, message", [
+        ({"scheduler": "event"}, {"scheduler": "cycle"},
+         "scheduler mode mismatch"),
+        ({"scheduler": "cycle"}, {"scheduler": "event"},
+         "scheduler mode mismatch"),
+        ({"workload": True}, {"workload": False}, "workload mismatch"),
+    ])
+    def test_typed_error_and_untouched_target(
+        self, build, captured, target, message
+    ):
+        source = _start(build(**captured))
+        assert not source.advance_run(stop_at=40)
+        twin = build(**target)
+        with pytest.raises(ValueError, match=message):
+            twin.restore(source.snapshot())
+        fresh = _start(build(**target))
+        assert fresh.advance_run()
+        assert _start(twin).advance_run()
+        got, expect = twin.finish_run(), fresh.finish_run()
+        assert (got, got.extra) == (expect, expect.extra)
 
 
 class TestNetworkRoundTrip:

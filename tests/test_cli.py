@@ -106,6 +106,19 @@ class TestCommands:
         ])
         assert rc == 0
 
+    def test_run_rejects_negative_checkpoint_interval(self, capsys, tmp_path):
+        """Regression: a negative interval made every ``stop_at``
+        already past, so the loop rewrote the cycle-0 checkpoint
+        forever."""
+        path = tmp_path / "run.ckpt"
+        rc = main([
+            "run", "--arch", "buffered", "--radix", "8", "--subswitch", "4",
+            "--checkpoint-every", "-5", "--checkpoint", str(path),
+        ])
+        assert rc == 2
+        assert "--checkpoint-every" in capsys.readouterr().err
+        assert not path.exists()
+
 
 class TestTraceCommand:
     def test_trace_writes_chrome_json(self, capsys, tmp_path):

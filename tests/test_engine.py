@@ -226,7 +226,7 @@ class TestActiveSetEquivalence:
         cfg = NetworkConfig(radix=4, levels=2, num_vcs=2)
         sim = ClosNetworkSimulation(cfg, load=0.02)
         sim.run(warmup=150, measure=250, drain=3000)
-        sched = sim._scheduler
+        sched = sim._sched
         assert sched.component_steps < sched.cycles_run * len(sim.routers)
 
 

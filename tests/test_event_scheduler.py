@@ -168,7 +168,7 @@ class TestNetworkEquivalence:
         cfg = NetworkConfig(radix=4, levels=2, num_vcs=2)
         sim = ClosNetworkSimulation(cfg, 0.02, scheduler="event")
         sim.run(warmup=150, measure=250, drain=3000)
-        assert sim._scheduler.cycles_skipped > 0
+        assert sim._sched.cycles_skipped > 0
 
     def test_scalar_fallback_matches_bulk_draws(self, monkeypatch):
         # Arrival pre-drawing has two implementations: vectorized

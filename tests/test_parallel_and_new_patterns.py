@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.config import RouterConfig
 from repro.harness.experiment import SweepSettings, run_load_sweep
-from repro.harness.parallel import run_load_sweep_parallel
 from repro.routers.buffered import BufferedCrossbarRouter
 from repro.traffic.patterns import NeighborExchange, Shuffle, Tornado
 
@@ -27,7 +26,7 @@ class TestParallelSweep:
         serial = run_load_sweep(
             BufferedCrossbarRouter, CFG, LOADS, settings=SETTINGS
         )
-        parallel = run_load_sweep_parallel(
+        parallel = run_load_sweep(
             BufferedCrossbarRouter, CFG, LOADS, settings=SETTINGS,
             processes=2,
         )
@@ -36,23 +35,40 @@ class TestParallelSweep:
             assert a.throughput == b.throughput
             assert a.packets_measured == b.packets_measured
 
+    def test_sanitized_sweep_matches_serial(self):
+        """The process pool forwards ``sanitize`` like every other
+        per-point argument."""
+        serial = run_load_sweep(
+            BufferedCrossbarRouter, CFG, LOADS, settings=SETTINGS,
+            sanitize=True,
+        )
+        parallel = run_load_sweep(
+            BufferedCrossbarRouter, CFG, LOADS, settings=SETTINGS,
+            sanitize=True, processes=2,
+        )
+        assert parallel.results == serial.results
+        assert [r.extra for r in parallel.results] == [
+            r.extra for r in serial.results
+        ]
+
     def test_single_process_shortcut(self):
-        sweep = run_load_sweep_parallel(
+        sweep = run_load_sweep(
             BufferedCrossbarRouter, CFG, LOADS, settings=SETTINGS,
             processes=1,
         )
         assert len(sweep.results) == 2
 
     def test_default_label(self):
-        sweep = run_load_sweep_parallel(
+        sweep = run_load_sweep(
             BufferedCrossbarRouter, CFG, [0.2], settings=SETTINGS,
             processes=1,
         )
         assert sweep.label == "BufferedCrossbarRouter"
 
     def test_single_point_runs_inline(self):
-        sweep = run_load_sweep_parallel(
+        sweep = run_load_sweep(
             BufferedCrossbarRouter, CFG, [0.3], settings=SETTINGS,
+            processes=None,
         )
         assert len(sweep.results) == 1
 
@@ -61,12 +77,12 @@ class TestParallelSweep:
         min(...)`` to the default pool size, silently masking a caller
         bug.  It must raise instead."""
         with pytest.raises(ValueError, match="processes"):
-            run_load_sweep_parallel(
+            run_load_sweep(
                 BufferedCrossbarRouter, CFG, LOADS, settings=SETTINGS,
                 processes=0,
             )
         with pytest.raises(ValueError, match="processes"):
-            run_load_sweep_parallel(
+            run_load_sweep(
                 BufferedCrossbarRouter, CFG, LOADS, settings=SETTINGS,
                 processes=-2,
             )
@@ -75,7 +91,7 @@ class TestParallelSweep:
         """An exception inside a worker must surface in the parent
         (with the pool torn down cleanly), not hang or be swallowed."""
         with pytest.raises(RuntimeError, match="boom in worker"):
-            run_load_sweep_parallel(
+            run_load_sweep(
                 _exploding_router, CFG, LOADS, settings=SETTINGS,
                 processes=2,
             )
@@ -83,7 +99,7 @@ class TestParallelSweep:
     def test_worker_exception_propagates_inline(self):
         """Same contract on the processes=1 (no-pool) shortcut."""
         with pytest.raises(RuntimeError, match="boom in worker"):
-            run_load_sweep_parallel(
+            run_load_sweep(
                 _exploding_router, CFG, [0.3], settings=SETTINGS,
                 processes=1,
             )

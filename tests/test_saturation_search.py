@@ -121,6 +121,19 @@ class TestNetworkSweep:
         assert len(sweep.results) == 2
         assert sweep.results[1].avg_latency > sweep.results[0].avg_latency
 
+    @pytest.mark.parametrize("lever", [{"processes": 2}, {"shards": 2}])
+    def test_process_pool_and_shards_match_serial(self, lever):
+        """Point-level and cycle-level parallelism are both invisible
+        in the rows (extras included)."""
+        kwargs = dict(loads=[0.1, 0.4], warmup=200, measure=300, drain=2000)
+        cfg = NetworkConfig(radix=8, levels=2)
+        serial = run_network_sweep(cfg, **kwargs)
+        parallel = run_network_sweep(cfg, **kwargs, **lever)
+        assert parallel.results == serial.results
+        assert [r.extra for r in parallel.results] == [
+            r.extra for r in serial.results
+        ]
+
     def test_default_label(self):
         sweep = run_network_sweep(
             NetworkConfig(radix=8, levels=2), loads=[0.1],
