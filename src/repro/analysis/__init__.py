@@ -14,26 +14,23 @@ ordinary tests don't enforce:
 This package supplies one tool per family:
 
 * :mod:`repro.analysis.lint` — an AST lint pass with simulator-specific
-  rules (R001-R005), run as ``python -m repro.cli lint src``;
+  rules (R001-R014), run as ``python -m repro.cli lint src``;
 * :mod:`repro.analysis.sanitizer` — :class:`SimSanitizer`, a
   per-cycle runtime checker wrapping any router (``--sanitize`` on the
   CLI), plus :class:`NetworkSanitizer` for network simulations.
+
+Simulations only ever need the sanitizers, so those are what this
+package re-exports; the lint pass (:mod:`.lint`, :mod:`.rules`,
+:mod:`.flow`) is imported by ``repro.cli lint`` or by naming its
+modules, never by ``import repro``.
 
 See ``docs/static_analysis.md`` for the rule catalogue and invariants.
 """
 
 from ..core.errors import InvariantViolation, SimulationError, invariant
-from .lint import Finding, LintRule, format_findings, lint_paths, run_lint
-from .rules import all_rules
 from .sanitizer import NetworkSanitizer, SimSanitizer
 
 __all__ = [
-    "Finding",
-    "LintRule",
-    "all_rules",
-    "lint_paths",
-    "format_findings",
-    "run_lint",
     "SimSanitizer",
     "NetworkSanitizer",
     "InvariantViolation",

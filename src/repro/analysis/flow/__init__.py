@@ -4,7 +4,7 @@ The per-file rules (R001-R004) see one module at a time; everything the
 simulator's *contracts* promise — compute-phase purity across helper
 calls, globally unique RNG streams, serializable component state,
 hook-payload shapes — is a property of the whole program.  This
-subpackage provides the machinery the project rules (R005-R012) run on:
+subpackage provides the machinery the project rules (R005-R014) run on:
 
 :mod:`~repro.analysis.flow.summary`
     One pass over a parsed module producing a :class:`FileSummary`:
@@ -27,8 +27,7 @@ subpackage provides the machinery the project rules (R005-R012) run on:
     tree costs file hashing plus dictionary walks.
 
 :mod:`~repro.analysis.flow.output`
-    Deterministic JSON and SARIF 2.1.0 renderings of findings, and the
-    baseline (grandfathered-findings) filter.
+    Deterministic JSON and SARIF 2.1.0 renderings of findings.
 """
 
 from __future__ import annotations

@@ -176,22 +176,16 @@ class ProjectIndex:
         """True when the class descends from the Router contract.
 
         Internal descent means the MRO reaches a class named ``Router``
-        inside the index; external descent means some unresolved base
-        is named (or dotted-ends in) ``Router``.
+        inside the index; external descent means some unresolved base's
+        name ends in ``Router`` (``Router`` itself, or an organization
+        such as ``BaselineRouter`` imported from outside the linted
+        tree — all the index can go on when the base is out of view).
         """
         chain, external = self.mro(qualname)
         for qual in chain[1:]:
             if qual.rsplit(".", 1)[-1] == "Router":
                 return True
-        return any(b.rsplit(".", 1)[-1] == "Router" for b in external)
-
-    def router_root(self, qualname: str) -> Optional[str]:
-        """The qualname of the ``Router`` ancestor, if internal."""
-        chain, _ = self.mro(qualname)
-        for qual in chain[1:]:
-            if qual.rsplit(".", 1)[-1] == "Router":
-                return qual
-        return None
+        return any(b.endswith("Router") for b in external)
 
     def is_two_phase(self, qualname: str) -> bool:
         """True when the class participates in the compute/commit
@@ -204,19 +198,6 @@ class ProjectIndex:
             return True
         _, external = self.mro(qualname)
         return any(b.rsplit(".", 1)[-1] == "Component" for b in external)
-
-    def concrete_two_phase_classes(self) -> List[str]:
-        """Two-phase classes that are not extended further inside the
-        index — the classes that actually get instantiated and run."""
-        extended: Set[str] = set()
-        for qual in self.classes:
-            chain, _ = self.mro(qual)
-            extended.update(chain[1:])
-        return [
-            qual
-            for qual, _, _ in self.iter_classes()
-            if self.is_two_phase(qual) and qual not in extended
-        ]
 
     # ------------------------------------------------------------------
     # EngineHooks registry (R011)

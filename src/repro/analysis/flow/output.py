@@ -1,4 +1,4 @@
-"""Finding renderers and the baseline filter.
+"""Finding renderers.
 
 Findings are duck-typed here (anything with ``path``, ``line``,
 ``column``, ``code``, ``message``) so this module stays importable
@@ -15,7 +15,7 @@ physical location using repo-relative forward-slash URIs.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Protocol, Sequence, Set, Tuple
+from typing import Any, Dict, List, Protocol, Sequence, Tuple
 
 
 class FindingLike(Protocol):
@@ -127,52 +127,3 @@ def findings_to_sarif(
         }],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-# ----------------------------------------------------------------------
-# Baseline (grandfathered findings)
-# ----------------------------------------------------------------------
-
-Fingerprint = Tuple[str, str, str]
-
-
-def fingerprint(finding: FindingLike) -> Fingerprint:
-    """Line-number-free identity: survives unrelated edits above."""
-    return (_uri(finding.path), finding.code, finding.message)
-
-
-def load_baseline(path: str) -> Set[Fingerprint]:
-    """The grandfathered set, empty when absent or unreadable."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, ValueError):
-        return set()
-    out: Set[Fingerprint] = set()
-    for entry in data.get("findings", []):
-        try:
-            out.add((entry["path"], entry["code"], entry["message"]))
-        except (KeyError, TypeError):
-            continue
-    return out
-
-
-def apply_baseline(
-    findings: Iterable[FindingLike], baseline: Set[Fingerprint]
-) -> List[FindingLike]:
-    return [f for f in findings if fingerprint(f) not in baseline]
-
-
-def write_baseline(path: str, findings: Sequence[FindingLike]) -> None:
-    entries = sorted(
-        {fingerprint(f) for f in findings}
-    )
-    payload = {
-        "version": 1,
-        "findings": [
-            {"path": p, "code": c, "message": m} for p, c, m in entries
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

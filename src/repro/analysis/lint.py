@@ -1,19 +1,20 @@
 """AST lint framework for simulator-specific rules.
 
-Two kinds of rule share one catalogue:
+Two kinds of rule share one catalogue, and every rule has exactly one
+form:
 
-* **Per-file rules** (R001-R004) implement ``check(tree, ctx)`` — a
-  generator over one parsed module.  Their findings are a pure function
-  of the file's bytes, so they are cached by content hash (see
-  :mod:`repro.analysis.flow.cache`).
-* **Project rules** (R005-R012) additionally implement
+* **File rules** (R001-R004, :class:`LintRule`) implement
+  ``check(tree, ctx)`` — a generator over one parsed module.  Their
+  findings are a pure function of the file's bytes, so they are cached
+  by content hash (see :mod:`repro.analysis.flow.cache`).
+* **Project rules** (R005-R014, :class:`ProjectRule`) implement
   ``check_project(index)`` against the whole-program
   :class:`~repro.analysis.flow.index.ProjectIndex` — cross-module class
   hierarchies, interprocedural purity, global RNG-stream uniqueness.
-  Rules that implement both (R005-R007) run per-file under
-  :func:`lint_file` and whole-program under :func:`lint_paths`; the
-  per-file form is the degraded single-module view, kept for editor
-  integration and unit tests.
+
+:func:`lint_file` is :func:`lint_paths` over a one-file index: a
+project rule sees whatever the indexed files show it, so the
+single-module view needs no second implementation.
 
 Findings are reported as ``path:line: code message`` — one per line,
 sorted by ``(path, line, code)`` — or as deterministic JSON / SARIF
@@ -81,7 +82,7 @@ class Finding:
 
 @dataclass
 class FileContext:
-    """Per-file information shared by all rules."""
+    """Per-file information shared by the file rules."""
 
     path: Path
     display_path: str
@@ -103,21 +104,17 @@ class FileContext:
 
 
 class LintRule:
-    """Base class for lint rules.
+    """Base class for lint rules, and the file-rule form.
 
-    Subclasses set ``code`` (``"R00x"``), ``name``, and ``description``
-    and implement :meth:`check`.  Rules that can exploit the
-    whole-program index additionally implement ``check_project(index)``
-    (see :class:`ProjectRule`); :func:`lint_paths` prefers that form.
+    Subclasses set ``code`` (``"R00x"``), ``name``, and ``description``.
+    A file rule implements :meth:`check` over one parsed module; a rule
+    that needs the whole-program index subclasses :class:`ProjectRule`
+    and implements ``check_project(index)`` instead.
     """
 
     code: str = "R000"
     name: str = "abstract-rule"
     description: str = ""
-    #: Final-phase project rules (R012) run after every other rule and
-    #: see the accumulated rule-hit map; their findings bypass pragma
-    #: suppression (they reason about the pragmas themselves).
-    runs_last: bool = False
 
     def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Finding]:
         raise NotImplementedError
@@ -130,26 +127,21 @@ class LintRule:
             message=message,
         )
 
-    def project_finding(self, path: str, line: int, message: str) -> Finding:
-        return Finding(path=path, line=line, code=self.code, message=message)
-
 
 class ProjectRule(LintRule):
-    """A rule that only exists at whole-program scope (R008-R012).
+    """A rule over the whole-program index (R005-R014); it is never
+    handed a single module, so it does not implement ``check``."""
 
-    ``check`` is a no-op so the catalogue stays safe to hand to
-    :func:`lint_file`; the real work happens in :meth:`check_project`.
-    """
-
-    def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Finding]:
-        return iter(())
+    #: Final-phase rules (R012) run after every other rule and see the
+    #: accumulated rule-hit map; their findings bypass pragma
+    #: suppression (they reason about the pragmas themselves).
+    runs_last: bool = False
 
     def check_project(self, index: "ProjectIndex") -> Iterator[Finding]:
         raise NotImplementedError
 
-
-def _has_project_check(rule: LintRule) -> bool:
-    return callable(getattr(rule, "check_project", None))
+    def project_finding(self, path: str, line: int, message: str) -> Finding:
+        return Finding(path=path, line=line, code=self.code, message=message)
 
 
 def _parse_pragmas(source: str) -> Dict[int, Set[str]]:
@@ -183,12 +175,6 @@ def _parse_pragmas(source: str) -> Dict[int, Set[str]]:
     return pragmas
 
 
-def iter_python_files(paths: Sequence[str]) -> Iterator[Path]:
-    """Yield every ``.py`` file under ``paths`` (files or directories)."""
-    for root, candidate in _iter_with_roots(paths):
-        yield candidate
-
-
 def _iter_with_roots(paths: Sequence[str]) -> Iterator[Tuple[Path, Path]]:
     """``(lint_root, file)`` pairs; exclusions apply below the root."""
     for raw in paths:
@@ -209,33 +195,15 @@ def _iter_with_roots(paths: Sequence[str]) -> Iterator[Tuple[Path, Path]]:
 
 
 def lint_file(
-    path: Path,
-    rules: Sequence[LintRule],
-    display_path: Optional[str] = None,
+    path: Path, rules: Optional[Sequence[LintRule]] = None
 ) -> List[Finding]:
-    """Apply ``rules`` to one file; returns unsuppressed findings.
+    """Lint one file alone: :func:`lint_paths` over a one-file index.
 
-    This is the degraded per-file view: rules that need the project
-    index contribute only their syntactic ``check`` here (which is
-    empty for R008-R012).
+    Project rules see only this module, so a contract whose other half
+    lives elsewhere (a base class, an inherited ``commit``) is out of
+    view — that is a property of the index, not a second rule form.
     """
-    source = path.read_text(encoding="utf-8")
-    try:
-        tree = ast.parse(source, filename=str(path))
-    except SyntaxError as exc:
-        return [_syntax_finding(display_path or str(path), exc)]
-    ctx = FileContext(
-        path=path,
-        display_path=display_path or str(path),
-        source=source,
-        pragmas=_parse_pragmas(source),
-    )
-    findings: List[Finding] = []
-    for rule in rules:
-        for finding in rule.check(tree, ctx):
-            if not ctx.suppressed(finding.line, finding.code):
-                findings.append(finding)
-    return findings
+    return lint_paths([str(path)], rules)
 
 
 def _syntax_finding(display_path: str, exc: SyntaxError) -> Finding:
@@ -272,11 +240,13 @@ def lint_paths(
         from .rules import all_rules
 
         rules = all_rules()
-    file_rules = [r for r in rules if not _has_project_check(r)]
+    file_rules = [r for r in rules if not isinstance(r, ProjectRule)]
     project_rules = [
-        r for r in rules if _has_project_check(r) and not r.runs_last
+        r for r in rules if isinstance(r, ProjectRule) and not r.runs_last
     ]
-    final_rules = [r for r in rules if _has_project_check(r) and r.runs_last]
+    final_rules = [
+        r for r in rules if isinstance(r, ProjectRule) and r.runs_last
+    ]
 
     findings: List[Finding] = []
     summaries: List[FileSummary] = []
@@ -403,8 +373,6 @@ def run_lint(
     output_format: str = "text",
     output_path: Optional[str] = None,
     cache_path: Optional[str] = None,
-    baseline_path: Optional[str] = None,
-    write_baseline: bool = False,
 ) -> int:
     """Lint ``paths``; return a process exit code.
 
@@ -440,19 +408,6 @@ def run_lint(
     if select:
         wanted = set(select)
         findings = [f for f in findings if f.code in wanted]
-
-    if write_baseline and baseline_path:
-        out_mod.write_baseline(baseline_path, findings)
-        if print_findings:
-            print(
-                f"lint: wrote baseline with {len(findings)} "
-                f"finding{'s' if len(findings) != 1 else ''} to {baseline_path}"
-            )
-        return 0
-    if baseline_path:
-        findings = out_mod.apply_baseline(
-            findings, out_mod.load_baseline(baseline_path)
-        )
 
     if output_format == "json":
         document = out_mod.findings_to_json(findings)

@@ -48,10 +48,10 @@ R014  pattern-purity              ``TrafficPattern.dest`` and
                                   how often the harness asked
 ===== ==========================  ====================================
 
-R001-R004 are per-file (and cached by content hash); R005-R014 run
-against the whole-program :class:`~repro.analysis.flow.index.
-ProjectIndex`.  R005-R007 keep a degraded per-file form for editor
-integration and :func:`~repro.analysis.lint.lint_file`.
+R001-R004 are file rules (cached by content hash); R005-R014 are
+project rules over the whole-program :class:`~repro.analysis.flow.index.
+ProjectIndex`.  R006, R007, the call-chain half of R008, R013 and R014
+are rows of one purity-contract table in :mod:`.flow_rules`.
 """
 
 from __future__ import annotations
@@ -61,9 +61,10 @@ from typing import List
 from ..lint import LintRule
 from .config_rules import ConfigMutationRule, MutableDefaultRule
 from .determinism import DirectRandomRule, NondeterminismRule
-from .engine_rules import ComputePhasePurityRule, HookEmissionPhaseRule
 from .flow_rules import (
+    ComputePhasePurityRule,
     HookContractRule,
+    HookEmissionPhaseRule,
     ObserverPurityRule,
     PatternPurityRule,
     PhaseRaceRule,

@@ -31,13 +31,6 @@ _FORBIDDEN_CALLS = {
 }
 
 
-def _attr_root(node: ast.expr) -> str:
-    """Leftmost name of an attribute chain (``a.b.c`` -> ``"a"``)."""
-    while isinstance(node, ast.Attribute):
-        node = node.value
-    return node.id if isinstance(node, ast.Name) else ""
-
-
 class DirectRandomRule(LintRule):
     """R001: all randomness must come from ``repro.core.rng.derive_rng``.
 

@@ -1,16 +1,30 @@
-"""Whole-program rules R008-R014.
+"""Whole-program rules R006-R014.
 
-These rules only exist at project scope: they consume the
+These rules consume the
 :class:`~repro.analysis.flow.index.ProjectIndex` — cross-module MRO,
 per-method flow summaries, the recovered ``EngineHooks`` registry, and
 the runner's pragma-hit ledger — rather than a single parsed module.
 
-* **R008** closes the helper-method hole left by the syntactic R006/
-  R007: purity is propagated interprocedurally through ``self.*()``
-  call chains rooted at ``compute``, and ``commit`` is checked for
-  writes into *other* components' state that some ``compute`` reads
-  the same cycle (an evaluation-order race the two-phase split exists
-  to prevent).
+* **R006/R007/R008/R013/R014** are one contract, stated once in
+  :data:`PURITY_CONTRACTS`: *method M of class family F, and everything
+  reachable from it through ``self.*()`` calls, may write only W and
+  may not emit hook events.*  The :class:`repro.engine.Component`
+  protocol splits each cycle into ``compute`` (read state, stage
+  intents in ``self._staged*``) and ``commit`` (apply them), which is
+  what frees the scheduler to evaluate components in any order — but
+  only if ``compute`` really is write-free and silent: a hook event
+  fired from it leaks a speculative intent to trace consumers.  A
+  direct write in ``compute`` is R006, a direct emission R007, either
+  one reached through a helper R008.  The scheduler probes
+  (``busy``/``next_event``, R013) and the traffic probes
+  (``TrafficPattern.dest``, pre-drawn and cached by the sources, and
+  ``Workload.eligible``, polled by fast-forward wake horizons; R014)
+  run any number of times per cycle, so they may write nothing at all:
+  a mutating probe makes results depend on how often the harness
+  asked, which breaks the cycle/event byte-identity contract.
+* **R008** also checks ``commit`` for writes into *other* components'
+  state that some ``compute`` reads the same cycle (an
+  evaluation-order race the two-phase split exists to prevent).
 * **R009** audits ``derive_rng``/``derive_seed`` streams globally:
   duplicate constant keys collapse two logically distinct streams into
   one; keys built from ``id()``/``hash()``/set iteration are not
@@ -27,20 +41,21 @@ the runner's pragma-hit ledger — rather than a single parsed module.
   subscription for a handler whose signature can accept the payload.
 * **R012** reports ``lint: disable`` pragmas that suppress nothing —
   stale suppressions hide future regressions at their line.
-* **R013** holds the scheduler probes (``busy``/``next_event``) and
-  their self-call chains observably pure: the engine may call them any
-  number of times per cycle, so a mutating probe breaks the
-  cycle/event byte-identity contract.
-* **R014** applies the same purity bar to the traffic probes:
-  ``TrafficPattern.dest`` (pre-drawn and cached by the sources) and
-  ``Workload.eligible`` (polled by fast-forward wake horizons) must
-  not mutate state, or generated traffic depends on how often the
-  harness asked.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set, Tuple
+from fnmatch import fnmatchcase
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from ..lint import Finding, ProjectRule
 from ..flow.summary import (
@@ -60,20 +75,255 @@ def _class_path(index: "ProjectIndex", qual: str) -> str:
     return index.classes[qual][0].path
 
 
-def _method_impurity(method: MethodSummary) -> Optional[str]:
-    """Why a method is unsafe to run during ``compute``, or ``None``."""
+class _Contract(NamedTuple):
+    """One row of the purity policy: the ``methods`` of class family
+    ``family``, and everything reachable from them through ``self.*()``
+    calls, may write only ``writable`` and may not emit hook events.
+
+    ``family`` is a base-class simple name, or ``""`` for the two-phase
+    (compute/commit) classes.  ``writable`` holds ``fnmatch`` patterns
+    for the ``self`` attributes the chain may assign.  ``direct`` maps
+    each kind of impurity in the method's own body — ``"write"`` (to
+    ``self``), ``"cross"`` (to another object), ``"emit"`` — to the
+    ``(code, message)`` reporting it; a kind it omits is not reported
+    there.  ``chain`` is the ``(code, message)`` for an impurity of any
+    kind reached through a helper, reported at the method's call site.
+    Messages are ``str.format`` templates over ``who`` (the
+    ``Class.method`` bound), ``what`` (e.g. "writes `self.x`"),
+    ``subject`` (the attribute or event alone), ``probe`` (the row's
+    ``Family.method``), ``call`` and ``via``.
+    """
+
+    family: str
+    methods: Tuple[str, ...]
+    writable: Tuple[str, ...]
+    direct: Dict[str, Tuple[str, str]]
+    chain: Tuple[str, str]
+
+
+_VIA_HELPER = "{who} calls `self.{call}()`, which {what}{via}; "
+
+_R013_DIRECT = (
+    "R013",
+    "{who} {what}; scheduler probes run outside the compute/commit "
+    "phases and may be called any number of times per cycle, so they "
+    "must be side-effect free",
+)
+_R014_DIRECT = (
+    "R014",
+    "{who} {what}; {probe} implementations may be probed any number of "
+    "times per cycle (pre-draw caching, fast-forward horizons), so they "
+    "must be side-effect free",
+)
+_R014_CHAIN = (
+    "R014",
+    _VIA_HELPER + "{probe} must stay pure through its whole call chain",
+)
+_ANY_KIND = ("write", "cross", "emit")
+
+#: The purity policy, one row per probed method family.  ``compute``
+#: may stamp ``self.cycle`` and stage intents; the scheduler probes
+#: (called zero, one, or many times per cycle by the engine: parking,
+#: fast-forward horizon computation) and the traffic probes may write
+#: nothing — drawing from a *passed-in* RNG is not a write to ``self``,
+#: which is what keeps ``TrafficPattern.dest`` implementable.
+PURITY_CONTRACTS: Tuple[_Contract, ...] = (
+    _Contract(
+        family="",
+        methods=("compute",),
+        writable=("cycle", STAGED_PREFIX + "*"),
+        direct={
+            "write": (
+                "R006",
+                "{who} {what}; the compute phase only reads state and "
+                "stages intents (`self._staged*`) — apply mutations in "
+                "`commit`",
+            ),
+            "emit": (
+                "R007",
+                "{who} calls `{subject}`; hook events describe committed "
+                "state and must be emitted from `commit` (or an "
+                "externally driven entry point), never during the "
+                "speculative compute phase",
+            ),
+        },
+        chain=(
+            "R008",
+            _VIA_HELPER + "the compute phase must stay pure through its "
+            "whole call chain — stage the intent and apply it in `commit`",
+        ),
+    ),
+    _Contract(
+        family="",
+        methods=("busy", "next_event"),
+        writable=(),
+        direct=dict.fromkeys(_ANY_KIND, _R013_DIRECT),
+        chain=(
+            "R013",
+            _VIA_HELPER + "scheduler probes must stay pure through their "
+            "whole call chain",
+        ),
+    ),
+    _Contract(
+        family="TrafficPattern",
+        methods=("dest",),
+        writable=(),
+        direct=dict.fromkeys(_ANY_KIND, _R014_DIRECT),
+        chain=_R014_CHAIN,
+    ),
+    _Contract(
+        family="Workload",
+        methods=("eligible",),
+        writable=(),
+        direct=dict.fromkeys(_ANY_KIND, _R014_DIRECT),
+        chain=_R014_CHAIN,
+    ),
+)
+
+
+def _impurities(
+    method: MethodSummary, writable: Tuple[str, ...]
+) -> Iterator[Tuple[str, str, int]]:
+    """``(kind, subject, line)`` for every state write or hook emission
+    in one method body that ``writable`` does not sanction."""
     for w in method.self_writes:
-        if w.attr != "cycle" and not w.attr.startswith(STAGED_PREFIX):
-            return f"writes `self.{w.attr}`"
+        if not any(fnmatchcase(w.attr, ok) for ok in writable):
+            yield "write", f"self.{w.attr}", w.line
     for w in method.cross_writes:
         if w.root:
-            return f"writes `{w.root}.{w.attr}`"
-    if method.emits:
-        return f"emits `{method.emits[0].event}`"
+            yield "cross", f"{w.root}.{w.attr}", w.line
+    for e in method.emits:
+        yield "emit", e.event, e.line
+
+
+def _what(kind: str, subject: str) -> str:
+    return f"{'emits' if kind == 'emit' else 'writes'} `{subject}`"
+
+
+def _impure_chain(
+    index: "ProjectIndex",
+    qual: str,
+    name: str,
+    writable: Tuple[str, ...],
+    visited: Set[str],
+) -> Optional[Tuple[str, List[str]]]:
+    """First impurity reachable from ``self.<name>()``, as ``(what,
+    call chain)`` — interprocedural, helpers resolved along the MRO of
+    the concrete class ``qual``, cycle-safe through ``visited``."""
+    if name in visited:
+        return None
+    visited.add(name)
+    resolved = index.resolve_method(qual, name)
+    if resolved is None:
+        return None
+    method = resolved[1]
+    for kind, subject, _ in _impurities(method, writable):
+        return _what(kind, subject), [name]
+    for call in method.self_calls:
+        deeper = _impure_chain(index, qual, call.name, writable, visited)
+        if deeper is not None:
+            return deeper[0], [name] + deeper[1]
     return None
 
 
-class PhaseRaceRule(ProjectRule):
+def _in_family(index: "ProjectIndex", qual: str, family: str) -> bool:
+    """True when ``qual`` (or an ancestor, internal or external) is
+    named ``family``; the empty family is the two-phase classes."""
+    if not family:
+        return index.is_two_phase(qual)
+    chain, external = index.mro(qual)
+    return any(q.rsplit(".", 1)[-1] == family for q in chain + external)
+
+
+class _PurityRule(ProjectRule):
+    """Reports the :data:`PURITY_CONTRACTS` violations carrying its code.
+
+    Every class a row binds is walked with the method resolved along
+    its MRO — a subclass overriding only ``compute`` is bound by the
+    ``commit`` it inherits from another module, and a helper is judged
+    by the override the concrete class actually runs — and a finding
+    is reported once, at the class that defines the method.
+    """
+
+    def check_project(self, index: "ProjectIndex") -> Iterator[Finding]:
+        emitted: Set[Tuple[str, int, str]] = set()
+        for contract in PURITY_CONTRACTS:
+            for path, line, message in self._violations(index, contract):
+                if (path, line, message) not in emitted:
+                    emitted.add((path, line, message))
+                    yield self.project_finding(path, line, message)
+
+    def _violations(
+        self, index: "ProjectIndex", contract: _Contract
+    ) -> Iterator[Tuple[str, int, str]]:
+        direct = {
+            kind: message
+            for kind, (code, message) in contract.direct.items()
+            if code == self.code
+        }
+        chain_code, chain_message = contract.chain
+        if not direct and chain_code != self.code:
+            return
+        for qual, _, _ in index.iter_classes():
+            if not _in_family(index, qual, contract.family):
+                continue
+            for name in contract.methods:
+                resolved = index.resolve_method(qual, name)
+                if resolved is None:
+                    continue
+                owner, method = resolved
+                path = _class_path(index, owner)
+                who = f"`{owner.rsplit('.', 1)[-1]}.{name}`"
+                probe = f"`{contract.family}.{name}`"
+                for kind, subject, line in _impurities(
+                    method, contract.writable
+                ):
+                    if kind in direct:
+                        yield path, line, direct[kind].format(
+                            who=who, what=_what(kind, subject),
+                            subject=subject, probe=probe,
+                        )
+                if chain_code != self.code:
+                    continue
+                for call in method.self_calls:
+                    found = _impure_chain(
+                        index, qual, call.name, contract.writable, {name}
+                    )
+                    if found is None:
+                        continue
+                    what, chain = found
+                    via = ""
+                    if len(chain) > 1:
+                        via = " (via `" + "` -> `".join(chain) + "`)"
+                    yield path, call.line, chain_message.format(
+                        who=who, what=what, call=call.name, via=via,
+                        probe=probe,
+                    )
+
+
+class ComputePhasePurityRule(_PurityRule):
+    """R006: ``compute`` stages intents; it never mutates committed state."""
+
+    code = "R006"
+    name = "compute-phase-purity"
+    description = (
+        "Component.compute must not assign committed state; stage "
+        "intents in _staged* attributes and apply them in commit"
+    )
+
+
+class HookEmissionPhaseRule(_PurityRule):
+    """R007: hook events fire from ``commit``, never from ``compute``."""
+
+    code = "R007"
+    name = "hook-emission-phase"
+    description = (
+        "Component.compute must not emit hook events (*.emit_* calls); "
+        "observability fires from commit, where state is final"
+    )
+
+
+class PhaseRaceRule(_PurityRule):
     """R008: no mutation or emission reachable from ``compute``, and no
     ``commit`` writes into another component's compute-read state."""
 
@@ -86,16 +336,12 @@ class PhaseRaceRule(ProjectRule):
     )
 
     def check_project(self, index: "ProjectIndex") -> Iterator[Finding]:
+        yield from super().check_project(index)
         emitted: Set[Tuple[str, int, str]] = set()
         compute_reads = self._compute_read_attrs(index)
         for qual, _, _ in index.iter_classes():
             if not index.is_two_phase(qual):
                 continue
-            for finding in self._check_compute_chains(index, qual):
-                key = (finding.path, finding.line, finding.message)
-                if key not in emitted:
-                    emitted.add(key)
-                    yield finding
             for finding in self._check_commit_writes(
                 index, qual, compute_reads
             ):
@@ -103,55 +349,6 @@ class PhaseRaceRule(ProjectRule):
                 if key not in emitted:
                     emitted.add(key)
                     yield finding
-
-    # -- compute-chain purity ------------------------------------------
-
-    def _check_compute_chains(
-        self, index: "ProjectIndex", qual: str
-    ) -> Iterator[Finding]:
-        resolved = index.resolve_method(qual, "compute")
-        if resolved is None:
-            return
-        owner, compute = resolved
-        path = _class_path(index, owner)
-        cls_name = owner.rsplit(".", 1)[-1]
-        for call in compute.self_calls:
-            reason, chain = self._find_impure(index, qual, call.name, set())
-            if reason is None:
-                continue
-            via = ""
-            if len(chain) > 1:
-                via = " (via `" + "` -> `".join(chain) + "`)"
-            yield self.project_finding(
-                path, call.line,
-                f"`{cls_name}.compute` calls `self.{call.name}()`, which "
-                f"{reason}{via}; the compute phase must stay pure through "
-                "its whole call chain — stage the intent and apply it in "
-                "`commit`",
-            )
-
-    def _find_impure(
-        self,
-        index: "ProjectIndex",
-        qual: str,
-        name: str,
-        visited: Set[str],
-    ) -> Tuple[Optional[str], List[str]]:
-        if name in visited or name == "compute":
-            return None, []
-        visited.add(name)
-        resolved = index.resolve_method(qual, name)
-        if resolved is None:
-            return None, []
-        _, method = resolved
-        reason = _method_impurity(method)
-        if reason is not None:
-            return reason, [name]
-        for call in method.self_calls:
-            deeper, chain = self._find_impure(index, qual, call.name, visited)
-            if deeper is not None:
-                return deeper, [name] + chain
-        return None, []
 
     # -- commit cross-writes -------------------------------------------
 
@@ -587,33 +784,7 @@ class StalePragmaRule(ProjectRule):
                     )
 
 
-#: Scheduler probe methods on two-phase components: called zero, one,
-#: or many times per cycle by the engine (parking, fast-forward horizon
-#: computation), so they must be observably side-effect free.
-OBSERVER_METHODS = ("busy", "next_event")
-
-
-def _observer_impurity(
-    method: MethodSummary,
-) -> Optional[Tuple[str, int]]:
-    """Why a method is unsafe as a scheduler probe, with the offending
-    line — or ``None``.
-
-    Stricter than :func:`_method_impurity`: probes run outside both
-    phases, so even the writes ``compute`` is allowed (``self.cycle``,
-    ``self._staged*``) are forbidden here.
-    """
-    for w in method.self_writes:
-        return f"writes `self.{w.attr}`", w.line
-    for w in method.cross_writes:
-        if w.root:
-            return f"writes `{w.root}.{w.attr}`", w.line
-    if method.emits:
-        return f"emits `{method.emits[0].event}`", method.emits[0].line
-    return None
-
-
-class ObserverPurityRule(ProjectRule):
+class ObserverPurityRule(_PurityRule):
     """R013: ``busy``/``next_event`` and their call chains stay pure.
 
     The scheduler calls these probes between cycles — to park idle
@@ -632,91 +803,8 @@ class ObserverPurityRule(ProjectRule):
         "write state or emit hook events"
     )
 
-    def check_project(self, index: "ProjectIndex") -> Iterator[Finding]:
-        emitted: Set[Tuple[str, int, str]] = set()
-        for qual, _, _ in index.iter_classes():
-            if not index.is_two_phase(qual):
-                continue
-            for probe in OBSERVER_METHODS:
-                for finding in self._check_probe(index, qual, probe):
-                    key = (finding.path, finding.line, finding.message)
-                    if key not in emitted:
-                        emitted.add(key)
-                        yield finding
 
-    def _check_probe(
-        self, index: "ProjectIndex", qual: str, probe: str
-    ) -> Iterator[Finding]:
-        resolved = index.resolve_method(qual, probe)
-        if resolved is None:
-            return
-        owner, method = resolved
-        path = _class_path(index, owner)
-        cls_name = owner.rsplit(".", 1)[-1]
-        direct = _observer_impurity(method)
-        if direct is not None:
-            reason, line = direct
-            yield self.project_finding(
-                path, line,
-                f"`{cls_name}.{probe}` {reason}; scheduler probes run "
-                "outside the compute/commit phases and may be called "
-                "any number of times per cycle, so they must be "
-                "side-effect free",
-            )
-        visited: Set[str] = set()
-        for call in method.self_calls:
-            reason, chain = _find_impure_chain(
-                index, qual, call.name, visited
-            )
-            if reason is None:
-                continue
-            via = ""
-            if len(chain) > 1:
-                via = " (via `" + "` -> `".join(chain) + "`)"
-            yield self.project_finding(
-                path, call.line,
-                f"`{cls_name}.{probe}` calls `self.{call.name}()`, "
-                f"which {reason}{via}; scheduler probes must stay pure "
-                "through their whole call chain",
-            )
-
-
-def _find_impure_chain(
-    index: "ProjectIndex",
-    qual: str,
-    name: str,
-    visited: Set[str],
-) -> Tuple[Optional[str], List[str]]:
-    """First impurity reachable from ``self.<name>()``, with the call
-    chain that reaches it — interprocedural, cycle-safe, and stopping
-    at the phase methods (they are allowed their own writes and are
-    never part of a probe's contract)."""
-    if name in visited or name in ("compute", "commit"):
-        return None, []
-    visited.add(name)
-    resolved = index.resolve_method(qual, name)
-    if resolved is None:
-        return None, []
-    _, method = resolved
-    direct = _observer_impurity(method)
-    if direct is not None:
-        return direct[0], [name]
-    for call in method.self_calls:
-        deeper, chain = _find_impure_chain(index, qual, call.name, visited)
-        if deeper is not None:
-            return deeper, [name] + chain
-    return None, []
-
-
-#: (family base-class simple name, probe method): implementations of
-#: the probe anywhere in the family must be observably pure.
-PROBE_FAMILIES: Tuple[Tuple[str, str], ...] = (
-    ("TrafficPattern", "dest"),
-    ("Workload", "eligible"),
-)
-
-
-class PatternPurityRule(ProjectRule):
+class PatternPurityRule(_PurityRule):
     """R014: ``TrafficPattern.dest`` / ``Workload.eligible`` stay pure.
 
     Both are *probe* contracts the harness may invoke a varying number
@@ -739,75 +827,10 @@ class PatternPurityRule(ProjectRule):
         "their self-call chains must not mutate state or emit events"
     )
 
-    def check_project(self, index: "ProjectIndex") -> Iterator[Finding]:
-        emitted: Set[Tuple[str, int, str]] = set()
-        for qual, summary, cls in index.iter_classes():
-            for family, probe in PROBE_FAMILIES:
-                method = cls.methods.get(probe)
-                if method is None:
-                    # Only the class that defines the probe is checked:
-                    # inheriting subclasses would re-report the same
-                    # method body once per descendant.
-                    continue
-                if not _in_family(index, qual, family):
-                    continue
-                for finding in self._check_probe(
-                    index, qual, summary.path, probe, method, family
-                ):
-                    key = (finding.path, finding.line, finding.message)
-                    if key not in emitted:
-                        emitted.add(key)
-                        yield finding
-
-    def _check_probe(
-        self,
-        index: "ProjectIndex",
-        qual: str,
-        path: str,
-        probe: str,
-        method: MethodSummary,
-        family: str,
-    ) -> Iterator[Finding]:
-        cls_name = qual.rsplit(".", 1)[-1]
-        direct = _observer_impurity(method)
-        if direct is not None:
-            reason, line = direct
-            yield self.project_finding(
-                path, line,
-                f"`{cls_name}.{probe}` {reason}; `{family}.{probe}` "
-                "implementations may be probed any number of times per "
-                "cycle (pre-draw caching, fast-forward horizons), so "
-                "they must be side-effect free",
-            )
-        visited: Set[str] = set()
-        for call in method.self_calls:
-            reason, chain = _find_impure_chain(
-                index, qual, call.name, visited
-            )
-            if reason is None:
-                continue
-            via = ""
-            if len(chain) > 1:
-                via = " (via `" + "` -> `".join(chain) + "`)"
-            yield self.project_finding(
-                path, call.line,
-                f"`{cls_name}.{probe}` calls `self.{call.name}()`, "
-                f"which {reason}{via}; `{family}.{probe}` must stay "
-                "pure through its whole call chain",
-            )
-
-
-def _in_family(index: "ProjectIndex", qual: str, family: str) -> bool:
-    """True when ``qual`` (or an ancestor, internal or external) is
-    named ``family`` — the same simple-name family test
-    :meth:`ProjectIndex.is_router_family` uses for Router."""
-    chain, external = index.mro(qual)
-    if any(q.rsplit(".", 1)[-1] == family for q in chain):
-        return True
-    return any(b.rsplit(".", 1)[-1] == family for b in external)
-
 
 __all__ = [
+    "ComputePhasePurityRule",
+    "HookEmissionPhaseRule",
     "ObserverPurityRule",
     "PatternPurityRule",
     "PhaseRaceRule",

@@ -14,10 +14,9 @@ ownership table.  Two obligations keep that machinery sound:
 
 from __future__ import annotations
 
-import ast
 from typing import TYPE_CHECKING, Iterator
 
-from ..lint import FileContext, Finding, LintRule
+from ..lint import Finding, ProjectRule
 
 if TYPE_CHECKING:
     from ..flow.index import ProjectIndex
@@ -26,41 +25,14 @@ if TYPE_CHECKING:
 _STEP_HOOKS = {"step", "_advance"}
 
 
-def _base_name(node: ast.expr) -> str:
-    """Textual name of a base-class expression (``Router``,
-    ``base.Router`` -> ``"Router"``; subscripts/calls -> ``""``)."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return ""
+class RouterSubclassRule(ProjectRule):
+    """R005: Router subclasses implement the step hook and chain init.
 
-
-def _calls_super_init(func: ast.FunctionDef) -> bool:
-    for node in ast.walk(func):
-        if not isinstance(node, ast.Call):
-            continue
-        callee = node.func
-        if (
-            isinstance(callee, ast.Attribute)
-            and callee.attr == "__init__"
-            and isinstance(callee.value, ast.Call)
-            and isinstance(callee.value.func, ast.Name)
-            and callee.value.func.id == "super"
-        ):
-            return True
-        # Explicit form: Router.__init__(self, ...)
-        if (
-            isinstance(callee, ast.Attribute)
-            and callee.attr == "__init__"
-            and _base_name(callee.value).endswith("Router")
-        ):
-            return True
-    return False
-
-
-class RouterSubclassRule(LintRule):
-    """R005: Router subclasses implement the step hook and chain init."""
+    Family membership comes from the resolved MRO, so a subclass two
+    modules and one rename away from ``Router`` is still bound by the
+    contract; a base outside the linted tree counts when its name ends
+    in ``Router`` (see :meth:`ProjectIndex.is_router_family`).
+    """
 
     code = "R005"
     name = "router-subclass-contract"
@@ -69,50 +41,7 @@ class RouterSubclassRule(LintRule):
         "super().__init__()"
     )
 
-    def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            base_names = [_base_name(b) for b in node.bases]
-            direct_router_child = "Router" in base_names
-            in_router_family = any(
-                name == "Router" or name.endswith("Router")
-                for name in base_names
-            )
-            if not in_router_family:
-                continue
-
-            methods = {
-                stmt.name: stmt
-                for stmt in node.body
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-            }
-            if direct_router_child and not (_STEP_HOOKS & methods.keys()):
-                yield self.finding(
-                    ctx, node,
-                    f"Router subclass `{node.name}` defines neither "
-                    "`step` nor `_advance`; the organization would "
-                    "inherit a cycle loop that moves nothing",
-                )
-            init = methods.get("__init__")
-            if (
-                isinstance(init, ast.FunctionDef)
-                and not _calls_super_init(init)
-            ):
-                yield self.finding(
-                    ctx, init,
-                    f"`{node.name}.__init__` never calls "
-                    "`super().__init__()`; input banks, stats, and the "
-                    "VC ledger would be left unconstructed",
-                )
-
-    # -- whole-program form --------------------------------------------
-
     def check_project(self, index: "ProjectIndex") -> Iterator[Finding]:
-        """Index-based form: family membership comes from the resolved
-        MRO, so a subclass two modules and one rename away from
-        ``Router`` (the per-file rule's blind spot) is still bound by
-        the contract."""
         for qual, summary, cls in index.iter_classes():
             if not index.is_router_family(qual):
                 continue

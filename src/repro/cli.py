@@ -22,8 +22,7 @@ Gives the library's main experiments a shell entry point:
   size / window / layer count on a switch or a Clos network;
 * ``lint`` — the repository's whole-program AST lint pass (rules
   R001-R014, with ``--select``/``--ignore`` filters, ``--format
-  {text,json,sarif}``, a content-hash summary cache, and a baseline
-  file for grandfathered findings).
+  {text,json,sarif}`` and a content-hash summary cache).
 
 Examples::
 
@@ -575,10 +574,6 @@ def cmd_workload(args: argparse.Namespace) -> int:
 def cmd_lint(args: argparse.Namespace) -> int:
     from .analysis.lint import run_lint
 
-    if args.write_baseline and not args.baseline:
-        print("lint: --write-baseline requires --baseline FILE",
-              file=sys.stderr)
-        return 2
     try:
         return run_lint(
             args.paths,
@@ -587,8 +582,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
             output_format=args.format,
             output_path=args.output,
             cache_path=None if args.no_cache else args.cache,
-            baseline_path=args.baseline,
-            write_baseline=args.write_baseline,
         )
     except FileNotFoundError as exc:
         print(f"lint: {exc}", file=sys.stderr)
@@ -875,11 +868,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "(default: .lint-cache.json)")
     lint.add_argument("--no-cache", action="store_true",
                       help="disable the summary cache for this run")
-    lint.add_argument("--baseline", default=None, metavar="FILE",
-                      help="suppress findings recorded in this baseline "
-                           "file")
-    lint.add_argument("--write-baseline", action="store_true",
-                      help="write current findings to --baseline and exit 0")
     lint.set_defaults(func=cmd_lint)
 
     radix = subs.add_parser("radix", help="Section 2 optimal radix")

@@ -172,26 +172,6 @@ class FaultPlan:
         )
         return min(self.retransmit_cap, int(delay))
 
-    def next_scheduled_cycle(self, now: int = 0) -> Optional[int]:
-        """Earliest scheduled fault transition at or after ``now``.
-
-        Covers both edges of every scheduled fault — injection
-        (``cycle``) and recovery (``until``) — over the stuck-buffer
-        and dead-link schedules.  This is the plan-level horizon for
-        event-driven scheduling; the live injectors answer the same
-        question in O(1) from their sorted schedules, but the plan can
-        answer it without a simulation attached (rate-based transient
-        faults have no schedule: they ride on transmission attempts
-        and credit deliveries, which only happen on executed cycles).
-        """
-        edges = [
-            edge
-            for fault in self.stuck + self.links
-            for edge in (fault.cycle, fault.until)
-            if edge is not None and edge >= now
-        ]
-        return min(edges, default=None)
-
 
 # ----------------------------------------------------------------------
 # CRC-8 (the modeled link-level detection code)

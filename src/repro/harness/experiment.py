@@ -553,10 +553,6 @@ class SweepResult:
     def latencies(self) -> List[float]:
         return [r.avg_latency for r in self.results]
 
-    @property
-    def throughputs(self) -> List[float]:
-        return [r.throughput for r in self.results]
-
     def saturation_throughput(self) -> float:
         """Largest accepted throughput observed on the curve."""
         return max((r.throughput for r in self.results), default=0.0)

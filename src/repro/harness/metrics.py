@@ -188,21 +188,6 @@ class MetricsCollector:
             return 1.0
         return max(self.output_flits) / mean
 
-    def output_utilization(self, flit_cycles: int = 1) -> List[float]:
-        """Per-output delivered-bandwidth fraction over observed cycles.
-
-        Each delivered flit occupied its output channel for
-        ``flit_cycles`` cycles; pair with
-        :meth:`repro.trace.TraceCollector.channel_utilization` for the
-        grant-side (offered) view of the same channels.
-        """
-        if self._cycles == 0:
-            return [0.0] * self.num_ports
-        return [
-            min(1.0, n * flit_cycles / self._cycles)
-            for n in self.output_flits
-        ]
-
     def mean_backlog(self) -> float:
         if not self.backlog_samples:
             return 0.0

@@ -402,10 +402,7 @@ class NetworkSimulation(StagedRun):
             self._generate_event(now)
         else:
             self._generate(now)
-        if self._event_mode:
-            self._inject_event(now)
-        else:
-            self._inject(now)
+        self._inject(now)
 
     def _next_work(self, now: int) -> Optional[int]:
         """Wake horizon: earliest cycle >= ``now`` with harness work.
@@ -651,16 +648,9 @@ class NetworkSimulation(StagedRun):
             self._labeled_total += 1
 
     def _inject(self, now: int) -> None:
-        """Cycle-mode injection: scan every host in index order."""
-        for host in range(self.topology.num_hosts):
-            self._try_inject(host, now)
-
-    def _inject_event(self, now: int) -> None:
-        """Event-mode injection: only hosts with queued flits.
-
-        Sorted so the effective order matches the cycle-mode scan
-        (hosts without backlog are no-ops there).
-        """
+        """Offer one flit from every host with queued flits, in
+        ascending host order (a host without backlog has nothing to
+        offer, so the walk equals a scan of every host)."""
         for host in sorted(self._backlog_hosts):
             self._try_inject(host, now)
 

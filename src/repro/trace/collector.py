@@ -348,16 +348,6 @@ class TraceCollector:
             for port, count in sorted(self.grants_by_output.items())
         }
 
-    def crosspoint_utilization(self) -> Dict[Tuple[int, int], float]:
-        """Per-(input, output) crosspoint busy fraction."""
-        if self.cycles == 0:
-            return {}
-        fc = self._flit_cycles
-        return {
-            xpt: min(1.0, count * fc / self.cycles)
-            for xpt, count in sorted(self.crosspoint_grants.items())
-        }
-
     def fold_stats(self, stats) -> None:
         """Fold aggregate trace counters into ``RouterStats.extra``.
 

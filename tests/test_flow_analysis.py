@@ -2,9 +2,9 @@
 
 Covers the per-file summarizer (:mod:`repro.analysis.flow.summary`),
 the cross-module index (:mod:`repro.analysis.flow.index`), and the
-project rules R008-R012 (:mod:`repro.analysis.rules.flow_rules`),
-plus the cross-module regression cases for R005-R007 that the
-per-file forms are blind to.
+project rules R006-R014 (:mod:`repro.analysis.rules.flow_rules`),
+plus the cross-module regression cases for R005-R007 that a one-file
+index is blind to.
 """
 
 import ast
@@ -16,12 +16,12 @@ from repro.analysis.flow.index import ProjectIndex
 from repro.analysis.flow.summary import FileSummary, summarize_module
 from repro.analysis.lint import _parse_pragmas, lint_file, lint_paths
 from repro.analysis.rules import all_rules
-from repro.analysis.rules.engine_rules import (
-    ComputePhasePurityRule,
-    HookEmissionPhaseRule,
-)
 from repro.analysis.rules.flow_rules import (
+    ComputePhasePurityRule,
     HookContractRule,
+    HookEmissionPhaseRule,
+    ObserverPurityRule,
+    PatternPurityRule,
     PhaseRaceRule,
     RngStreamRule,
     SerializationReadinessRule,
@@ -411,6 +411,109 @@ class TestPhaseRace:
         findings = run_rule(PhaseRaceRule(), index)
         assert len(findings) == 1
         assert "writes `self.log`" in findings[0].message
+
+
+# ----------------------------------------------------------------------
+# The purity contract table (R006, R007, R008 chains, R013, R014)
+# ----------------------------------------------------------------------
+
+PURITY_RULES = [
+    ComputePhasePurityRule(),
+    HookEmissionPhaseRule(),
+    PhaseRaceRule(),
+    ObserverPurityRule(),
+    PatternPurityRule(),
+]
+
+#: (family, method, code of a direct write, of a direct emission, of
+#: either one reached through helpers, sanctioned body)
+CONTRACT_ROWS = [
+    ("", "compute", "R006", "R007", "R008",
+     "self.cycle = arg; self._staged_x = 1; self._stage(rng)"),
+    ("", "busy", "R013", "R013", "R013", "return self._draw(rng)"),
+    ("", "next_event", "R013", "R013", "R013", "return self._draw(rng)"),
+    ("TrafficPattern", "dest", "R014", "R014", "R014",
+     "return (arg + rng.randrange(4) + self._draw(rng)) % 8"),
+    ("Workload", "eligible", "R014", "R014", "R014",
+     "return self._draw(rng)"),
+]
+
+
+def _contract_findings(family, method, body):
+    """Purity findings for a class of ``family`` whose ``method`` runs
+    ``body``; ``_a`` -> ``_b`` is an impure two-hop helper chain,
+    ``_stage`` / ``_draw`` are the sanctioned effects."""
+    if family:
+        head = f"class {family}:\n    pass\n\nclass C({family}):\n"
+    else:
+        head = "class C:\n    def commit(self, cycle):\n        pass\n"
+        if method != "compute":
+            head += "    def compute(self, cycle):\n        pass\n"
+    src = head + (
+        f"    def {method}(self, arg, rng):\n"
+        f"        {body}\n"
+        "    def _a(self):\n"
+        "        self._b()\n"
+        "    def _b(self):\n"
+        "        self.seen = 1\n"
+        "    def _stage(self, rng):\n"
+        "        self._staged_y = rng.randrange(4)\n"
+        "    def _draw(self, rng):\n"
+        "        return rng.randrange(4)\n"
+    )
+    index = index_of(mod=src)
+    return [
+        (f.code, f.message)
+        for rule in PURITY_RULES
+        for f in run_rule(rule, index)
+    ]
+
+
+@pytest.mark.parametrize(
+    "family,method,write_code,emit_code,chain_code,sanctioned",
+    CONTRACT_ROWS,
+    ids=[row[1] for row in CONTRACT_ROWS],
+)
+class TestPurityContract:
+    def test_direct_write(self, family, method, write_code, emit_code,
+                          chain_code, sanctioned):
+        [(code, message)] = _contract_findings(family, method, "self.seen = 1")
+        assert code == write_code
+        assert f"`C.{method}` writes `self.seen`" in message
+
+    def test_direct_emission(self, family, method, write_code, emit_code,
+                             chain_code, sanctioned):
+        [(code, message)] = _contract_findings(
+            family, method, "self.hooks.emit_grant(None, 0, 0)"
+        )
+        assert code == emit_code
+        assert f"`C.{method}`" in message and "`emit_grant`" in message
+
+    def test_two_helper_hops_spell_out_the_chain(
+        self, family, method, write_code, emit_code, chain_code, sanctioned
+    ):
+        [(code, message)] = _contract_findings(family, method, "self._a()")
+        assert code == chain_code
+        assert (
+            f"`C.{method}` calls `self._a()`, which writes `self.seen` "
+            "(via `_a` -> `_b`)"
+        ) in message
+
+    def test_sanctioned_effects_stay_quiet(
+        self, family, method, write_code, emit_code, chain_code, sanctioned
+    ):
+        assert _contract_findings(family, method, sanctioned) == []
+
+    def test_only_compute_may_stamp_the_cycle_and_stage(
+        self, family, method, write_code, emit_code, chain_code, sanctioned
+    ):
+        findings = _contract_findings(
+            family, method, "self.cycle = arg; self._stage(rng)"
+        )
+        if method == "compute":
+            assert findings == []
+        else:
+            assert [code for code, _ in findings] == [write_code, chain_code]
 
 
 # ----------------------------------------------------------------------

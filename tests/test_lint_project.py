@@ -1,8 +1,8 @@
 """Integration tests for the whole-program lint driver.
 
 Covers the fixture corpus (golden findings), the content-hash cache,
-the JSON/SARIF renderers, the baseline filter, the CLI flags, and the
-self-check that the simulator tree lints clean under R001-R012.
+the JSON/SARIF renderers, the CLI flags, and the self-check that the
+simulator tree lints clean under R001-R014.
 """
 
 import json
@@ -17,15 +17,14 @@ import pytest
 from repro.analysis.flow.cache import SummaryCache, content_hash
 from repro.analysis.flow.output import (
     SARIF_VERSION,
-    apply_baseline,
     findings_to_json,
     findings_to_sarif,
-    load_baseline,
-    write_baseline,
 )
 from repro.analysis.lint import (
-    Finding,
+    LintRule,
+    ProjectRule,
     filter_rules,
+    lint_file,
     lint_paths,
     rules_signature,
 )
@@ -95,6 +94,61 @@ class TestCorpusGolden:
         # ...while naming the corpus directly lints it.
         direct = lint_paths([str(CORPUS)])
         assert direct
+
+
+class TestOneForm:
+    """Every rule has one form, and the one-file view is the
+    whole-program pass over a one-file index."""
+
+    @pytest.mark.parametrize(
+        "fixture", sorted(CORPUS.glob("*.py")), ids=lambda p: p.name
+    )
+    def test_lint_file_is_lint_paths_over_one_file(self, fixture):
+        assert lint_file(fixture) == lint_paths([str(fixture)])
+
+    def test_each_rule_is_a_file_rule_or_a_project_rule(self):
+        for rule in all_rules():
+            is_project = isinstance(rule, ProjectRule)
+            assert is_project == (rule.code >= "R005"), rule.code
+            has_check = type(rule).check is not LintRule.check
+            has_check_project = (
+                is_project
+                and type(rule).check_project is not ProjectRule.check_project
+            )
+            assert has_check != has_check_project, rule.code
+
+
+class TestLazyLintImport:
+    LINT_MODULES = (
+        "repro.analysis.lint", "repro.analysis.rules", "repro.analysis.flow"
+    )
+
+    def _loaded_after(self, statement):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO_ROOT / "src")
+        code = (
+            "import sys\n" + statement + "\n"
+            "print(sorted(m for m in sys.modules"
+            " if m.startswith(%r)))" % (self.LINT_MODULES,)
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], cwd=str(REPO_ROOT), env=env,
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip().splitlines()[-1]
+
+    def test_import_repro_leaves_the_lint_pass_unloaded(self):
+        assert self._loaded_after("import repro, repro.analysis") == "[]"
+
+    def test_cli_lint_loads_it(self):
+        loaded = self._loaded_after(
+            "from repro.cli import main\n"
+            "main(['lint', 'tests/fixtures/lint/r001_direct_random.py',"
+            " '--no-cache'])"
+        )
+        for module in self.LINT_MODULES:
+            assert repr(module) in loaded
 
 
 class TestSourceTreeClean:
@@ -312,38 +366,6 @@ class TestOutputFormats:
 
 
 # ----------------------------------------------------------------------
-# Baseline
-# ----------------------------------------------------------------------
-
-
-class TestBaseline:
-    def test_roundtrip_and_filter(self, tmp_path):
-        old = Finding("src/a.py", 3, "R001", "import of random")
-        new = Finding("src/b.py", 9, "R002", "time.time()")
-        path = tmp_path / "baseline.json"
-        write_baseline(str(path), [old])
-        baseline = load_baseline(str(path))
-        assert apply_baseline([old, new], baseline) == [new]
-
-    def test_baseline_survives_line_moves(self, tmp_path):
-        old = Finding("src/a.py", 3, "R001", "import of random")
-        path = tmp_path / "baseline.json"
-        write_baseline(str(path), [old])
-        moved = Finding("src/a.py", 42, "R001", "import of random")
-        assert apply_baseline([moved], load_baseline(str(path))) == []
-
-    def test_missing_baseline_is_empty(self, tmp_path):
-        assert load_baseline(str(tmp_path / "nope.json")) == set()
-
-    def test_checked_in_baseline_is_empty(self):
-        # The repo baseline grandfathers nothing: src lints clean.
-        baseline = json.loads(
-            (REPO_ROOT / ".lint-baseline.json").read_text(encoding="utf-8")
-        )
-        assert baseline["findings"] == []
-
-
-# ----------------------------------------------------------------------
 # Rule catalogue and CLI
 # ----------------------------------------------------------------------
 
@@ -404,20 +426,3 @@ class TestLintCli:
         )
         assert proc.returncode == 1
         assert json.loads(out.read_text(encoding="utf-8"))["count"] > 0
-
-    def test_write_baseline_then_clean(self, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        wrote = run_cli(
-            "lint", "tests/fixtures/lint", "--no-cache",
-            "--baseline", str(baseline), "--write-baseline",
-        )
-        assert wrote.returncode == 0
-        relint = run_cli(
-            "lint", "tests/fixtures/lint", "--no-cache",
-            "--baseline", str(baseline),
-        )
-        assert relint.returncode == 0
-
-    def test_write_baseline_requires_baseline_path(self):
-        proc = run_cli("lint", "src", "--write-baseline")
-        assert proc.returncode == 2

@@ -25,7 +25,7 @@ from repro.analysis.rules.determinism import (
     DirectRandomRule,
     NondeterminismRule,
 )
-from repro.analysis.rules.engine_rules import (
+from repro.analysis.rules.flow_rules import (
     ComputePhasePurityRule,
     HookEmissionPhaseRule,
 )
