@@ -14,15 +14,41 @@ two-class (nonspeculative over speculative) arbitration of Figure 10(b).
 
 from __future__ import annotations
 
+import importlib.util
 from typing import Any, List, Optional, Sequence
 from .errors import invariant
 
-try:  # Optional: the struct-of-arrays batched hot path (PR 10).
-    import numpy as _np
-except ImportError:  # pragma: no cover - baked into the dev image
-    _np = None  # type: ignore[assignment]
 
-HAVE_NUMPY = _np is not None
+def _numpy_importable() -> bool:
+    """Whether ``import numpy`` would find a module, importing nothing.
+
+    False when numpy is not installed, when it is masked with
+    ``sys.modules["numpy"] = None``, and when an import hook refuses it.
+    """
+    try:
+        return importlib.util.find_spec("numpy") is not None
+    except (ImportError, ValueError):  # a refusing hook / a spec-less stand-in
+        return False
+
+
+#: numpy is optional (the struct-of-arrays batched hot path and the
+#: event scheduler's bulk arrival pre-draw use it) and costs 0.13 s to
+#: import, so nothing imports it until :func:`require_numpy` is called.
+HAVE_NUMPY = _numpy_importable()
+
+#: The numpy module once a batched bank has been built, else None.
+_np: Any = None
+
+
+def require_numpy() -> Any:
+    """Import numpy on first use; callers bind the result once, at
+    construction, never per call in a stage loop."""
+    global _np
+    if _np is None:
+        import numpy
+
+        _np = numpy
+    return _np
 
 #: Count-trailing-zeros tables for the packed-bits arbitration path:
 #: ``_CTZ[pad][m]`` is the lowest set bit of ``m`` (0 for m == 0,
@@ -181,6 +207,7 @@ class BatchArbiterBank:
     ) -> None:
         if not HAVE_NUMPY:
             raise RuntimeError("BatchArbiterBank requires numpy")
+        require_numpy()
         if rows < 1:
             raise ValueError(f"rows must be >= 1, got {rows}")
         if width < 1:

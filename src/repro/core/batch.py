@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from .arbiter import HAVE_NUMPY, _np
+from .arbiter import HAVE_NUMPY, require_numpy
 from .buffers import FlitQueue, VcBufferBank
 from .credit import CreditCounter
 from .errors import invariant
@@ -66,6 +66,7 @@ class QueueArrays:
     __slots__ = ("occ", "head", "key", "inj", "pid")
 
     def __init__(self, count: int) -> None:
+        _np = require_numpy()
         self.occ = _np.zeros(count, dtype=_np.int64)
         self.head = _np.zeros(count, dtype=bool)
         self.key = _np.full(count, -1, dtype=_np.int64)
@@ -189,6 +190,7 @@ class ArrayBusyTracker(BusyTracker):
 
     def __init__(self, count: int) -> None:
         super().__init__(count)
+        _np = require_numpy()
         self._busy_until = _np.zeros(count, dtype=_np.int64)
 
     @property

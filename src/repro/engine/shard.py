@@ -5,10 +5,15 @@ or topologies.  A :class:`ShardPool` owns N worker processes, each
 built in the child from a picklable ``factory(payload)`` call and then
 driven by a request/reply protocol: the parent sends one message per
 worker per step (:meth:`ShardPool.send`), the workers reply in shard
-order (:meth:`ShardPool.gather`).  The network layer
-(:mod:`repro.network.sharded`) supplies the factory and the message
-vocabulary; the equivalent of the Tiny Tera chip slices exchanging
-cells at clock boundaries.
+order (:meth:`ShardPool.gather`).  ``send`` returns at once, so the two
+halves need not be adjacent: whatever the parent does between them
+overlaps the workers' step, and a step must be gathered before the next
+is sent.  The network layer (:mod:`repro.network.sharded`) supplies the
+factory, the message vocabulary and the assignment of work to workers
+(:func:`partition` is the default one); the equivalent of the Tiny Tera
+chip slices exchanging cells at every cell time — which works there
+because the central scheduler is kept off the data path, the rule the
+network layer's exchange follows too.
 
 Workers start under the ``spawn`` method, so the factory and every
 payload must be module-level picklable objects (the same constraint
@@ -18,9 +23,12 @@ except what the payload carries — which is what makes the per-shard
 RNG streams provably identical to the serial run's.
 
 Failure model: a worker that raises ships its formatted traceback
-back over the pipe; the parent wraps it in :class:`ShardWorkerError`
-(original traceback embedded), terminates the remaining workers, and
-re-raises — a crashed shard can never hang the parent on a ``recv``.
+back over the pipe; at its next ``gather`` the parent wraps it in
+:class:`ShardWorkerError` (original traceback embedded), terminates the
+remaining workers, and re-raises — a crashed shard can never hang the
+parent on a ``recv``.  :meth:`ShardPool.close` does not wait for
+replies it never gathered: a worker that finds the pipe gone exits
+quietly.
 """
 
 from __future__ import annotations
@@ -130,6 +138,11 @@ class ShardPool:
 
     def __len__(self) -> int:
         return len(self._procs)
+
+    @property
+    def closed(self) -> bool:
+        """True once the workers were stopped, terminated, or lost."""
+        return self._closed
 
     def send(self, shard: int, message: Tuple) -> None:
         """Ship one message to one worker (does not wait for a reply)."""

@@ -18,6 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
+from ..core.arbiter import HAVE_NUMPY, require_numpy
 from ..core.errors import invariant
 from ..core.flit import Flit, make_packet
 from ..core.rng import derive_rng
@@ -29,10 +30,9 @@ from ..workloads.base import Message, Workload
 from .router import NetworkRouter, NetworkRouterConfig, OutputLink, pipeline_depth_for_radix
 from .topology import FoldedClos, SwitchId, Topology
 
-try:  # Optional: bulk arrival pre-drawing (event mode fast path).
-    import numpy as _np
-except ImportError:  # pragma: no cover - baked into the dev image
-    _np = None  # type: ignore[assignment]
+#: numpy (optional: bulk arrival pre-drawing, the event-mode fast
+#: path), bound by the first simulation that mirrors its host streams.
+_np = None
 
 
 @dataclass(frozen=True)
@@ -311,7 +311,9 @@ class NetworkSimulation(StagedRun):
         self._sync_cursor = [0] * n
         if self._event_mode and self._packet_rate > 0.0:
             self._undrawn.update(range(n))
-            if _np is not None:
+            if HAVE_NUMPY:
+                global _np
+                _np = require_numpy()
                 self._np_streams = [self._mirror_stream(h) for h in range(n)]
 
     # ------------------------------------------------------------------
@@ -524,7 +526,6 @@ class NetworkSimulation(StagedRun):
 
     def _mirror_stream(self, host: int) -> "object":
         """Build a numpy RandomState mirroring ``host``'s Mersenne state."""
-        assert _np is not None
         _, state, _ = self._rngs[host].getstate()
         stream = _np.random.RandomState()
         stream.set_state(

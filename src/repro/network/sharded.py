@@ -1,16 +1,19 @@
 """Sharded multi-process Clos simulation, byte-identical to serial.
 
-:class:`ShardedNetworkSimulation` partitions the routers of a network
-simulation across N worker processes (contiguous blocks of the
-topology's ``switch_ids()`` order, via
-:func:`repro.engine.shard.partition`) and drives them in lock-step: the
-parent process keeps everything host-side — packet generation, the
-traffic pattern and per-host RNG streams, injection flow control, host
-ejections, latency measurement, the workload DAG, and dead-link-aware
-routing — while each worker owns its block's routers and executes the
-two-phase engine cycle for them.  Boundary flits and credits cross
-shards through the parent at phase boundaries over pipes
-(:class:`repro.engine.shard.ShardPool`).
+:class:`ShardedNetworkSimulation` deals the routers of a network
+simulation to N worker processes — the blocks the topology proposes
+(:meth:`~repro.network.topology.FoldedClos.shard_blocks` splits every
+level evenly, so half the links of a two-level Clos stay inside a
+worker), or contiguous blocks of ``switch_ids()``
+(:func:`repro.engine.shard.partition`) for a topology that proposes
+none — and drives them in lock-step: the parent process keeps
+everything host-side — packet generation, the traffic pattern and
+per-host RNG streams, injection flow control, host ejections, latency
+measurement, the workload DAG, and dead-link-aware routing — while each
+worker owns its block's routers and executes the two-phase engine cycle
+for them.  Boundary flits and credits cross shards through the parent
+over pipes (:class:`repro.engine.shard.ShardPool`), one exchange per
+simulated cycle.
 
 Determinism: the per-shard RNG streams are *unchanged from serial* —
 host traffic and route draws stay in the parent (same streams, same
@@ -20,7 +23,11 @@ pre-draw protocol of
 :class:`~repro.faults.shard.ShardFaultInjector`).  The run result, the
 ``stats.*`` extras, the fault counters, the Chrome trace bytes, and the
 fast-forward jump structure are byte-identical to the single-process
-run; ``tests/test_sharding.py`` pins this differentially.
+run for *any* assignment of switches to workers: everything that means
+"serial order" is stated per router against ``switch_ids()`` (the
+same-arrival sort key of :class:`_LocalFlitSink`, the leading/trailing
+credit rule of :meth:`ShardedNetworkSimulation._collect`), never per
+block.  ``tests/test_sharding.py`` pins this differentially.
 
 Why lock-step works without a global clock fabric: within a cycle, the
 only cross-router visibility the serial engine allows is credit
@@ -32,6 +39,22 @@ cycle T+1.  A router with undelivered credits never parks
 (``NetworkRouter.busy`` covers ``_credit_out``), so the end-of-T
 ``pending(T+1)`` walk in each worker announces every cross-shard credit
 exactly one cycle before it applies.
+
+What the barrier carries, and who waits at it (the Tiny Tera rule: the
+central scheduler stays off the data path).  The parent sends the
+workers into cycle T (:meth:`~ShardedNetworkSimulation._dispatch`) and
+returns; it gathers their reports
+(:meth:`~ShardedNetworkSimulation._collect`) only at the first phase of
+cycle T+1 that reads one — injection, as a rule — so its fault advance,
+host ejections and packet generation run while the workers compute.
+Flits cross a pipe as field tuples (``Flit.to_wire``), which the parent
+relays between workers without rebuilding, and host-port space is
+reported as a delta against the mirror the parent already holds.
+Deliberately not built: multi-cycle windows (a cross-shard credit is
+known only ``credit_latency`` = 1 cycle ahead, so the conservative
+window is one cycle) and worker-to-worker pipes (the parent's relay
+measured ~0.04 s of a 732-cycle run with every link cut, and half of
+them are cut now); see ``docs/checkpoint_sharding.md``.
 
 Sharded runs cannot checkpoint: :meth:`ShardedNetworkSimulation.snapshot`
 raises.  Checkpoint serially, then resume with any shard count (the
@@ -45,6 +68,7 @@ import itertools
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.errors import invariant
+from ..core.flit import Flit
 from ..engine import EngineHooks, make_scheduler
 from ..engine.shard import ShardPool, partition
 from .netsim import NetworkConfig, NetworkSimulation, _CreditSink
@@ -73,13 +97,23 @@ class _RemoteCreditSink:
 
 
 class _LocalFlitSink:
-    """Delivery callable for a router-to-router channel within a shard."""
+    """Delivery callable for a router-to-router channel within a shard.
 
-    __slots__ = ("worker", "target", "port")
+    ``sender`` is the sending router's position in the serial order.
+    Same-arrival deliveries always share a creation cycle (uniform
+    channel latency), and within a cycle the serial engine numbers
+    them in commit order — router by router in ``switch_ids()`` order,
+    transmit by transmit within a router — so ``(sender, worker
+    counter)`` sorts exactly like the serial global sequence counter,
+    whichever worker each sender lives on.
+    """
 
-    def __init__(self, worker: "_ShardWorker", target: NetworkRouter,
-                 port: int) -> None:
+    __slots__ = ("worker", "sender", "target", "port")
+
+    def __init__(self, worker: "_ShardWorker", sender: int,
+                 target: NetworkRouter, port: int) -> None:
         self.worker = worker
+        self.sender = sender
         self.target = target
         self.port = port
 
@@ -87,7 +121,8 @@ class _LocalFlitSink:
         worker = self.worker
         heapq.heappush(
             worker._inflight,
-            (arrival, worker._next_key(), flit, (self.target, self.port)),
+            (arrival, (self.sender, next(worker._key_counter)), flit,
+             (self.target, self.port)),
         )
 
 
@@ -95,19 +130,24 @@ class _RemoteFlitSink:
     """Delivery callable exporting a flit to the parent exchange.
 
     ``target`` is ``("r", switch, port)`` for a router on another shard
-    or ``("h", host)`` for a host ejection (always parent-side).
+    or ``("h", host)`` for a host ejection (always parent-side).  The
+    flit leaves as its field tuple (:meth:`~repro.core.flit.Flit.to_wire`);
+    the sort key is :class:`_LocalFlitSink`'s.
     """
 
-    __slots__ = ("worker", "target")
+    __slots__ = ("worker", "sender", "target")
 
-    def __init__(self, worker: "_ShardWorker", target: Tuple) -> None:
+    def __init__(self, worker: "_ShardWorker", sender: int,
+                 target: Tuple) -> None:
         self.worker = worker
+        self.sender = sender
         self.target = target
 
     def __call__(self, flit, arrival: int) -> None:
         worker = self.worker
         worker._out_flits.append(
-            (arrival, worker._next_key(), flit, self.target)
+            (arrival, (self.sender, next(worker._key_counter)),
+             flit.to_wire(), self.target)
         )
 
 
@@ -158,21 +198,21 @@ class _ShardWorker:
     """
 
     def __init__(self, payload: Dict[str, Any]) -> None:
-        self.shard: int = payload["shard"]
         self.config: NetworkConfig = payload["config"]
         self.topology = payload["topology"]
-        blocks: List[List[SwitchId]] = payload["blocks"]
         self.hooks = EngineHooks()
-        order = [sid for block in blocks for sid in block]
-        self._serial_index = {sid: idx for idx, sid in enumerate(order)}
-        self._block = list(blocks[self.shard])
+        self._serial_index = {
+            sid: idx for idx, sid in enumerate(self.topology.switch_ids())
+        }
+        #: This worker's switches, in serial order.
+        self._block: List[SwitchId] = payload["block"]
         local = set(self._block)
         self._key_counter = itertools.count()
         #: Local in-flight deliveries: (arrival, key, flit, (router, port)).
         self._inflight: List[Tuple] = []
         #: Cross-shard resyncs awaiting their due cycle: (due, sid, port, vc).
         self._resync_in: List[Tuple[int, SwitchId, int, int]] = []
-        #: Flits leaving the shard this cycle: (arrival, key, flit, target).
+        #: Flits leaving the shard this cycle: (arrival, key, wire, target).
         self._out_flits: List[Tuple] = []
         self.routers: Dict[SwitchId, NetworkRouter] = {}
         for sid in self._block:
@@ -220,17 +260,26 @@ class _ShardWorker:
                 collector.attach(router)
                 collector.label = f"{type(router).__name__}[{switch}]"
                 self._collector = collector
-        #: Host injection ports this shard hosts: (host, router, port).
-        self._host_ports: List[Tuple[int, NetworkRouter, int]] = []
+        #: Host injection ports this shard hosts: host -> (router, port).
+        self._host_ports: Dict[int, Tuple[NetworkRouter, int]] = {}
         for host in range(self.topology.num_hosts):
             attach = self.topology.host_attachment(host)
             if attach.switch in local:
-                self._host_ports.append(
-                    (host, self.routers[attach.switch], attach.port)
+                self._host_ports[host] = (
+                    self.routers[attach.switch], attach.port
                 )
+        #: Free slots per VC at each host port as the parent's mirror
+        #: holds them (its own decrement per accept included).
+        self._host_space: Dict[int, List[int]] = {
+            host: [self.config.buffer_depth] * self.config.num_vcs
+            for host in self._host_ports
+        }
+        #: Hosts whose port took an accept since the last report or
+        #: still holds flits: the only ports whose space can have moved.
+        self._live_hosts: Dict[int, None] = {}
         self._crash_at: Optional[int] = payload["crash_at"]
         self._cmd_cycle: Optional[int] = None
-        self._accepts: List[Tuple[SwitchId, int, Any]] = []
+        self._accepts: List[Tuple[int, tuple]] = []
 
     def _wire(self, local: set) -> None:
         """Serial wiring restricted to the local block.
@@ -245,19 +294,20 @@ class _ShardWorker:
         depth = self.config.buffer_depth
         for sid in self._block:
             router = self.routers[sid]
+            sender = self._serial_index[sid]
             for port in self.topology.wired_ports(sid):
                 ref = self.topology.neighbor(sid, port)
                 if ref.switch is None:
                     link = OutputLink(
                         num_vcs,
-                        _RemoteFlitSink(self, ("h", ref.host)),
+                        _RemoteFlitSink(self, sender, ("h", ref.host)),
                         downstream_depth=None,
                     )
                 elif ref.switch in local:
                     target = self.routers[ref.switch]
                     link = OutputLink(
                         num_vcs,
-                        _LocalFlitSink(self, target, ref.port),
+                        _LocalFlitSink(self, sender, target, ref.port),
                         downstream_depth=depth,
                     )
                     target.credit_sinks[ref.port] = _CreditSink(link)
@@ -272,23 +322,15 @@ class _ShardWorker:
                         )
                     link = OutputLink(
                         num_vcs,
-                        _RemoteFlitSink(self, ("r", ref.switch, ref.port)),
+                        _RemoteFlitSink(
+                            self, sender, ("r", ref.switch, ref.port)
+                        ),
                         downstream_depth=depth,
                     )
                     router.credit_sinks[port] = _RemoteCreditSink(
                         ref.switch, ref.port
                     )
                 router.attach(port, link)
-
-    def _next_key(self) -> Tuple[int, int]:
-        """Tiebreak key ordering same-arrival deliveries as serial.
-
-        Blocks are contiguous serial-index ranges and same-arrival
-        entries always share a creation cycle (uniform channel
-        latency), so (shard, local counter) sorts exactly like the
-        serial global sequence counter: by source-router commit order.
-        """
-        return (self.shard, next(self._key_counter))
 
     # -- command protocol ----------------------------------------------
 
@@ -305,10 +347,11 @@ class _ShardWorker:
             raise RuntimeError(
                 f"injected shard crash at cycle {now}"
             )
-        for arrival, key, flit, sid, port in flits:
+        for arrival, key, wire, sid, port in flits:
             heapq.heappush(
                 self._inflight,
-                (arrival, key, flit, (self.routers[sid], port)),
+                (arrival, key, Flit.from_wire(wire),
+                 (self.routers[sid], port)),
             )
         for entry in resyncs:
             heapq.heappush(self._resync_in, tuple(entry))
@@ -336,10 +379,13 @@ class _ShardWorker:
             self._sched.wake(router, now)
             router.accept(port, flit)
         if now == self._cmd_cycle and self._accepts:
-            for sid, port, flit in self._accepts:
-                router = self.routers[sid]
+            for host, wire in self._accepts:
+                flit = Flit.from_wire(wire)
+                router, port = self._host_ports[host]
                 self._sched.wake(router, now)
                 router.accept(port, flit)
+                self._host_space[host][flit.vc] -= 1
+                self._live_hosts[host] = None
             self._accepts = []
 
     def _next_work(self, now: int) -> Optional[int]:
@@ -368,7 +414,9 @@ class _ShardWorker:
         exact order the next commit will pop — pre-drawing the loss
         verdict for every maturing credit (preserving the serial
         per-router stream order) and announcing the survivors whose
-        restore belongs to another shard.
+        restore belongs to another shard.  Host-port space is reported
+        as a delta: only the hosts whose free-slot vector differs from
+        what the parent's mirror already holds.
         """
         nxt = now + 1
         credits: List[Tuple[int, SwitchId, int, int]] = []
@@ -390,13 +438,15 @@ class _ShardWorker:
             self._injector.drain_resyncs()
             if self._injector is not None else []
         )
-        hosts = {
-            host: [
-                router.input_space(port, vc)
-                for vc in range(self.config.num_vcs)
-            ]
-            for host, router, port in self._host_ports
-        }
+        hosts: Dict[int, List[int]] = {}
+        for host in list(self._live_hosts):
+            router, port = self._host_ports[host]
+            bank = router.inputs[port]
+            spaces = [queue.free_slots for queue in bank.queues]
+            if spaces != self._host_space[host]:
+                hosts[host] = self._host_space[host] = spaces
+            if not bank:
+                del self._live_hosts[host]
         if self._sched.active_count() > 0:
             horizon: Optional[int] = nxt
         else:
@@ -461,17 +511,9 @@ class ShardedNetworkSimulation(NetworkSimulation):
             active_set=active_set, faults=None, scheduler=scheduler,
             workload=workload, tracer=None, trace_switch=None,
         )
-        order = [sid for block in self._blocks for sid in block]
-        self._owner: Dict[SwitchId, int] = {}
-        self._lo: List[int] = []
-        self._hi: List[int] = []
-        idx = 0
-        for w, block in enumerate(self._blocks):
-            self._lo.append(idx)
-            for sid in block:
-                self._owner[sid] = w
-            idx += len(block)
-            self._hi.append(idx)
+        self._owner: Dict[SwitchId, int] = {
+            sid: w for w, block in enumerate(self._blocks) for sid in block
+        }
         # Tracing: validated here (the base saw tracer=None because it
         # has no routers to attach to); merged from the owning worker
         # at finalization.
@@ -480,7 +522,7 @@ class ShardedNetworkSimulation(NetworkSimulation):
         self._parent_recorder: Optional[_FaultRecorder] = None
         if tracer is not None:
             if trace_switch is None:
-                trace_switch = order[0]
+                trace_switch = next(iter(self._serial_index))
             if trace_switch not in self._owner:
                 raise ValueError(
                     f"trace_switch {trace_switch!r} is not a switch of "
@@ -500,9 +542,10 @@ class ShardedNetworkSimulation(NetworkSimulation):
             else {"capacity": tracer.capacity, "filter": tracer.filter}
         )
         # Host-side flow-control mirror: per-host free input slots at
-        # the attach port, refreshed from the owning worker's report
-        # after every cycle and decremented by this cycle's accepts —
-        # exactly the value serial ``input_space`` reads pre-cycle.
+        # the attach port, decremented by this cycle's accepts and
+        # corrected by the owning worker's report wherever a transmit
+        # freed a slot — exactly the value serial ``input_space`` reads
+        # pre-cycle.
         self._free: List[List[int]] = [
             [config.buffer_depth] * config.num_vcs
             for _ in range(self.topology.num_hosts)
@@ -515,23 +558,26 @@ class ShardedNetworkSimulation(NetworkSimulation):
         for h in range(self.topology.num_hosts):
             attach = self.topology.host_attachment(h)
             self._host_port.append((attach.switch, attach.port))
-        self._accept_out: List[List[Tuple]] = [[] for _ in range(shards)]
-        self._stash_flits: List[List[Tuple]] = [[] for _ in range(shards)]
-        self._lead: List[List[Tuple]] = [[] for _ in range(shards)]
-        self._trail: List[List[Tuple]] = [[] for _ in range(shards)]
-        self._stash_resyncs: List[List[Tuple]] = [[] for _ in range(shards)]
-        self._stash_dues: List[int] = []
+        # Cycles from a router's transmit to the arrival downstream
+        # (what ``NetworkRouter._transmit`` adds; the same on every
+        # link).  Below 2, a flit sent in cycle T can eject in T+1.
+        router = config.router_config(num_ports=2)
+        self._link_latency = (
+            router.flit_cycles + router.pipeline_delay
+            + router.channel_latency
+        )
+        self._reset_stashes()
+        #: Cycle the workers were last sent and have not been heard
+        #: back from (None: every report is filed).
+        self._awaited: Optional[int] = None
         self._credit_cycle: Optional[int] = None
         self._worker_horizons: List[Optional[int]] = [0] * shards
         self._worker_counters: List[Dict[str, int]] = []
-        self._worker_events: List[Tuple] = []
-        self._finished_workers = False
         payloads = [
             {
-                "shard": w,
                 "config": config,
                 "topology": self.topology,
-                "blocks": self._blocks,
+                "block": self._blocks[w],
                 "scheduler": scheduler,
                 "active_set": active_set,
                 "plan": plan,
@@ -551,10 +597,49 @@ class ShardedNetworkSimulation(NetworkSimulation):
     # -- construction---------------------------------------------------
 
     def _build_network(self) -> None:
-        """No local routers: the workers build the partitioned network."""
+        """No local routers: the workers build the partitioned network.
+
+        The topology's own ``shard_blocks`` if it has one, contiguous
+        blocks of ``switch_ids()`` otherwise.  Any split of the
+        switches is byte-identical to serial, provided each worker
+        steps its routers in serial order — so blocks are sorted here.
+        """
         order = list(self.topology.switch_ids())
-        self._blocks = partition(order, self._shards)
+        self._serial_index: Dict[SwitchId, int] = {
+            sid: idx for idx, sid in enumerate(order)
+        }
+        blocks_of = getattr(self.topology, "shard_blocks", None)
+        blocks = (
+            partition(order, self._shards) if blocks_of is None
+            else blocks_of(self._shards)
+        )
+        dealt = [sid for block in blocks for sid in block]
+        if (
+            len(blocks) != self._shards or len(dealt) != len(order)
+            or set(dealt) != set(order)
+        ):
+            raise ValueError(
+                f"shard_blocks({self._shards}) of "
+                f"{type(self.topology).__name__} must return "
+                f"{self._shards} blocks holding every switch exactly once"
+            )
+        self._blocks = [
+            sorted(block, key=self._serial_index.__getitem__)
+            for block in blocks
+        ]
         self.routers = {}
+
+    def _reset_stashes(self) -> None:
+        """Empty the per-worker outboxes (at construction and after
+        every dispatch, which ships all of them)."""
+        shards = self._shards
+        self._accept_out: List[List[Tuple]] = [[] for _ in range(shards)]
+        self._stash_flits: List[List[Tuple]] = [[] for _ in range(shards)]
+        self._lead: List[List[Tuple]] = [[] for _ in range(shards)]
+        self._trail: List[List[Tuple]] = [[] for _ in range(shards)]
+        self._stash_resyncs: List[List[Tuple]] = [[] for _ in range(shards)]
+        #: Earliest cycle a stashed event must have reached its worker.
+        self._stash_due: Optional[int] = None
 
     def _count_cycle(self, cycle: int) -> None:
         self._cycle_count += 1
@@ -562,9 +647,24 @@ class ShardedNetworkSimulation(NetworkSimulation):
     # -- drive loop -----------------------------------------------------
 
     def _pre_cycle(self, now: int) -> None:
-        """Serial host-side phases, then the shard boundary exchange."""
+        """Serial host-side phases, then send the workers into ``now``.
+
+        The reports of cycle ``now - 1`` are collected by the first
+        phase that reads one — :meth:`_inject`, as a rule — so the
+        fault advance, host ejections and packet generation before it
+        overlap the workers' cycle.
+        """
         super()._pre_cycle(now)
-        self._exchange(now)
+        self._dispatch(now)
+
+    def _deliver_arrivals(self, now: int) -> None:
+        if self._link_latency < 2:
+            self._collect()  # a flit sent last cycle may eject now
+        super()._deliver_arrivals(now)
+
+    def _inject(self, now: int) -> None:
+        self._collect()  # injection reads the host-space mirror
+        super()._inject(now)
 
     def _try_inject(self, host: int, now: int) -> None:
         """Serial injection against the mirrored flow-control state.
@@ -605,7 +705,7 @@ class ShardedNetworkSimulation(NetworkSimulation):
             self._backlog_hosts.discard(host)
         free[vc] -= 1
         self._accept_out[self._host_worker[host]].append(
-            (switch, port, flit)
+            (host, flit.to_wire())
         )
         self._next_inject[host] = now + self.config.flit_cycles
         if flit.is_tail:
@@ -621,14 +721,18 @@ class ShardedNetworkSimulation(NetworkSimulation):
                 return vc
         return None
 
-    def _exchange(self, now: int) -> None:
-        """Command every worker to run cycle ``now``; route the reports.
+    def _dispatch(self, now: int) -> None:
+        """Command every worker to run cycle ``now``, and return.
 
         Sends this cycle's host accepts plus everything stashed from
         earlier reports (cross-shard flits, leading/trailing credits,
-        resyncs), then files each report's boundary events for the
-        cycle they become visible.
+        resyncs); :meth:`_collect` picks the reports up.
         """
+        invariant(
+            self._awaited is None,
+            "dispatched a cycle before collecting the previous one",
+            cycle=now, check="shard-exchange",
+        )
         invariant(
             self._credit_cycle is None or self._credit_cycle == now,
             "stashed boundary credits missed their delivery cycle",
@@ -636,56 +740,69 @@ class ShardedNetworkSimulation(NetworkSimulation):
         )
         self._credit_cycle = None
         pool = self._pool
-        shards = self._shards
-        for w in range(shards):
+        for w in range(self._shards):
             pool.send(w, (
                 "cycle", now, self._accept_out[w], self._stash_flits[w],
                 self._lead[w], self._trail[w], self._stash_resyncs[w],
             ))
-        self._accept_out = [[] for _ in range(shards)]
-        self._stash_flits = [[] for _ in range(shards)]
-        self._lead = [[] for _ in range(shards)]
-        self._trail = [[] for _ in range(shards)]
-        self._stash_resyncs = [[] for _ in range(shards)]
-        self._stash_dues = []
-        reports = pool.gather()
-        for w, report in enumerate(reports):
+        self._reset_stashes()
+        self._awaited = now
+
+    def _collect(self) -> None:
+        """Gather the reports of the cycle in flight, if one is, and
+        file each boundary event for the cycle it becomes visible.
+
+        A cross-shard credit restores its target link's counter during
+        the *sending* router's commit of the next cycle: if that router
+        commits before the target in serial order the target sees the
+        credit that same cycle (leading: applied before the worker runs
+        it), otherwise one cycle later (trailing: applied after).
+        """
+        now = self._awaited
+        if now is None:
+            return
+        self._awaited = None
+        serial_index = self._serial_index
+        due: Optional[int] = None
+        for w, report in enumerate(self._pool.gather()):
             self._worker_horizons[w] = report["horizon"]
             for host, spaces in report["hosts"].items():
                 self._free[host] = spaces
-            for arrival, key, flit, target in report["flits"]:
+            for arrival, key, wire, target in report["flits"]:
                 if target[0] == "h":
                     heapq.heappush(
-                        self._inflight, (arrival, key, flit, target[1])
+                        self._inflight,
+                        (arrival, key, Flit.from_wire(wire), target[1]),
                     )
-                else:
-                    owner = self._owner[target[1]]
-                    self._stash_flits[owner].append(
-                        (arrival, key, flit, target[1], target[2])
-                    )
-                    heapq.heappush(self._stash_dues, arrival)
+                    continue
+                self._stash_flits[self._owner[target[1]]].append(
+                    (arrival, key, wire, target[1], target[2])
+                )
+                if due is None or arrival < due:
+                    due = arrival
             for src_idx, sid, port, vc in report["credits"]:
                 owner = self._owner[sid]
-                if src_idx < self._lo[owner]:
+                if src_idx < serial_index[sid]:
                     self._lead[owner].append((sid, port, vc))
                 else:
                     self._trail[owner].append((sid, port, vc))
-                heapq.heappush(self._stash_dues, now + 1)
                 self._credit_cycle = now + 1
-            for due, sid, port, vc in report["resyncs"]:
-                owner = self._owner[sid]
-                self._stash_resyncs[owner].append((due, sid, port, vc))
-                heapq.heappush(self._stash_dues, due)
+            for resync in report["resyncs"]:
+                self._stash_resyncs[self._owner[resync[1]]].append(resync)
+                if due is None or resync[0] < due:
+                    due = resync[0]
+        if self._credit_cycle is not None and (
+            due is None or now + 1 < due
+        ):
+            due = now + 1
+        self._stash_due = due
 
     def _next_work(self, now: int) -> Optional[int]:
         """Serial host-side horizon merged with the shard horizons."""
+        self._collect()  # the horizons are the workers' to report
         horizon = super()._next_work(now)
-        for due in self._worker_horizons:
+        for due in (*self._worker_horizons, self._stash_due):
             if due is not None and (horizon is None or due < horizon):
-                horizon = due
-        if self._stash_dues:
-            due = self._stash_dues[0]
-            if horizon is None or due < horizon:
                 horizon = due
         return horizon
 
@@ -708,16 +825,15 @@ class ShardedNetworkSimulation(NetworkSimulation):
         return sorted(merged.items())
 
     def _finalize_workers(self) -> None:
-        """Collect final worker payloads and reap the pool (idempotent).
+        """Collect final worker payloads and reap the pool.
 
         Merges the per-worker fault counters, replays the merged fault
         event log through the user's trace collector (whose contents
         are taken wholesale from the worker that traced the target
         switch), and stamps the network-wide cycle count.
         """
-        if self._finished_workers:
-            return
-        self._finished_workers = True
+        self._check_workers()
+        self._collect()
         for w in range(self._shards):
             self._pool.send(w, ("finish",))
         finals = self._pool.gather()
@@ -752,12 +868,15 @@ class ShardedNetworkSimulation(NetworkSimulation):
 
     # -- lifecycle ------------------------------------------------------
 
-    def _check_startable(self) -> None:
-        if self._finished_workers:
+    def _check_workers(self) -> None:
+        if self._pool.closed:
             raise RuntimeError(
                 "sharded workers were already reaped; build a new "
                 "ShardedNetworkSimulation for another run"
             )
+
+    def _check_startable(self) -> None:
+        self._check_workers()
         super()._check_startable()
 
     def snapshot(self) -> Dict[str, Any]:

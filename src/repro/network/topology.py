@@ -27,6 +27,7 @@ from typing import List, Optional, Tuple
 
 from ..core.rng import Rng
 from ..core.errors import invariant
+from ..engine.shard import partition
 
 #: A switch address: (level, subtree, position).
 SwitchId = Tuple[int, int, int]
@@ -81,6 +82,31 @@ class FoldedClos:
                 for pos in range(m ** level):
                     ids.append((level, subtree, pos))
         return ids
+
+    def shard_blocks(self, shards: int) -> List[List[SwitchId]]:
+        """Cut-aware split of the switches over ``shards`` workers.
+
+        ``switch_ids()`` is level-major, so contiguous blocks of it put
+        whole levels on different workers and cut every link between
+        them.  Splitting each level evenly instead — its ids run
+        subtree by subtree, so a slice of a level is a run of whole
+        subtrees and slice ``w`` of one level sits under slice ``w`` of
+        the next — keeps a subtree's internal links on one worker and
+        spreads leaves (hence hosts) and spines alike: at two shards a
+        two-level Clos has half its links cut instead of all of them.
+        Falls back to the contiguous :func:`partition` when a level is
+        narrower than ``shards``.
+        """
+        ids = self.switch_ids()
+        width = self.switches_per_level
+        if not 1 <= shards <= width:
+            return partition(ids, shards)
+        blocks: List[List[SwitchId]] = [[] for _ in range(shards)]
+        for start in range(0, len(ids), width):
+            level = partition(ids[start:start + width], shards)
+            for block, part in zip(blocks, level):
+                block.extend(part)
+        return blocks
 
     def ports_used(self, switch: SwitchId) -> int:
         """Ports in use: k below the top level, m at the top."""
@@ -287,7 +313,10 @@ class Topology:
     path using only links the ``link_ok(switch, port)`` predicate
     approves (or None) — the fault injector
     (:mod:`repro.faults`) uses it to reroute around dead links and
-    falls back to re-rolling ``route`` when it is absent.
+    falls back to re-rolling ``route`` when it is absent.  Likewise
+    optional, ``shard_blocks(shards)`` returns the switches as one list
+    per worker of a sharded run (every switch exactly once); a topology
+    without it is split into contiguous blocks of ``switch_ids()``.
 
     :class:`FoldedClos` and :class:`~repro.network.mesh.Mesh` both
     satisfy this protocol (duck-typed; this class exists for

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..core.arbiter import BatchArbiterBank, RoundRobinArbiter, _np
+from ..core.arbiter import BatchArbiterBank, RoundRobinArbiter, require_numpy
 from ..core.batch import (
     HAVE_NUMPY,
     ArrayBusyTracker,
@@ -36,6 +36,10 @@ from ..core.config import RouterConfig
 from ..core.errors import invariant
 from ..core.flit import Flit
 from .base import Router
+
+
+#: numpy, bound by the first router built with ``batch_hot_path``.
+_np = None
 
 
 class BaselineRouter(Router):
@@ -68,6 +72,8 @@ class BaselineRouter(Router):
         stats and delay-line insertion order are untouched.  See
         ``repro.core.batch`` for the mirroring contract.
         """
+        global _np
+        _np = require_numpy()
         k, v = self.config.radix, self.config.num_vcs
         self._b_in = QueueArrays(k * v)
         for i, bank in enumerate(self.inputs):

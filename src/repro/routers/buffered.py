@@ -44,7 +44,7 @@ from ..core.arbiter import (
     BatchArbiterBank,
     BatchHierarchicalArbiterBank,
     RoundRobinArbiter,
-    _np,
+    require_numpy,
 )
 from ..core.batch import (
     HAVE_NUMPY,
@@ -61,6 +61,9 @@ from ..core.credit import CreditCounter, CreditReturnBus, DelayedCreditPipe
 from ..core.flit import Flit
 from ..core.pipeline import DelayLine
 from .base import Router
+
+#: numpy, bound by the first router built with ``batch_hot_path``.
+_np = None
 
 
 class BufferedCrossbarRouter(Router):
@@ -126,6 +129,8 @@ class BufferedCrossbarRouter(Router):
         scalar arbiters stay allocated but idle — the batched banks
         below hold the pointer state of record in this mode.
         """
+        global _np
+        _np = require_numpy()
         k, v = self.config.radix, self.config.num_vcs
         self._b_in = QueueArrays(k * v)
         for i, bank in enumerate(self.inputs):

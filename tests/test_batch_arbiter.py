@@ -11,22 +11,29 @@ every step.  The banks are numpy-only; without numpy they refuse to
 construct and every other test here skips.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import arbiter
 from repro.core.arbiter import (
     HAVE_NUMPY,
-    _np as np,
     BatchArbiterBank,
     BatchHierarchicalArbiterBank,
     HierarchicalArbiter,
     RoundRobinArbiter,
 )
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
 needs_numpy = pytest.mark.skipif(
     not HAVE_NUMPY, reason="batched arbiter banks require numpy"
 )
+np = arbiter.require_numpy() if HAVE_NUMPY else None
 
 
 def _matrix(rows):
@@ -39,6 +46,53 @@ def test_bank_requires_numpy(monkeypatch):
         BatchArbiterBank(2, 4)
     with pytest.raises(RuntimeError, match="BatchArbiterBank requires numpy"):
         BatchHierarchicalArbiterBank(2, 8, 4)
+
+
+def _child(code):
+    """Run ``code`` in a fresh interpreter; its last stdout line."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
+
+
+class TestNumpyIsImportedOnFirstUse:
+    """0.13 s of every cold start, so only the array paths pay it."""
+
+    SCALAR_RUN = (
+        "import sys, repro.cli\n"
+        "from repro import (HierarchicalCrossbarRouter, RouterConfig,\n"
+        "                   SweepSettings, SwitchSimulation)\n"
+        "router = HierarchicalCrossbarRouter(\n"
+        "    RouterConfig(radix=8, subswitch_size=4))\n"
+        "SwitchSimulation(router, load=0.5).run(\n"
+        "    SweepSettings(warmup=20, measure=40, drain=400))\n"
+    )
+
+    @needs_numpy
+    def test_cli_import_and_a_scalar_run_leave_it_out(self):
+        assert _child(
+            self.SCALAR_RUN + "print('numpy' in sys.modules)"
+        ) == "False"
+
+    @needs_numpy
+    def test_a_batched_router_brings_it_in(self):
+        assert _child(
+            "import sys\n"
+            "from repro import BufferedCrossbarRouter, RouterConfig\n"
+            "BufferedCrossbarRouter(RouterConfig(radix=8, batch_hot_path=True))\n"
+            "print('numpy' in sys.modules)"
+        ) == "True"
+
+    def test_masked_numpy_reads_as_absent(self):
+        assert _child(
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from repro.core.arbiter import HAVE_NUMPY\n"
+            "print(HAVE_NUMPY)"
+        ) == "False"
 
 
 # One scripted episode: bank shape plus a sequence of request matrices

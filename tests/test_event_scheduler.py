@@ -177,10 +177,10 @@ class TestNetworkEquivalence:
         # streams identically.
         import repro.network.netsim as netsim
 
-        if netsim._np is None:
+        if not netsim.HAVE_NUMPY:
             pytest.skip("numpy unavailable; the fallback is the only path")
         bulk = _network_snapshot("event")
-        monkeypatch.setattr(netsim, "_np", None)
+        monkeypatch.setattr(netsim, "HAVE_NUMPY", False)
         scalar = _network_snapshot("event")
         assert scalar == bulk
 

@@ -81,3 +81,15 @@ class TestFlit:
         c.vc = 3
         assert f.route == [4, 5]
         assert f.vc == 1
+
+    def test_wire_form_carries_every_field(self):
+        import dataclasses
+
+        f = Flit(
+            packet_id=9, flit_index=1, is_head=False, is_tail=True,
+            src=2, dest=3, vc=1, out_vc=2, created_at=40, injected_at=44,
+            measured=True, hops=2, route=[4, 5, 1],
+        )
+        wire = f.to_wire()
+        assert len(wire) == len(dataclasses.fields(Flit))
+        assert Flit.from_wire(wire) == f
