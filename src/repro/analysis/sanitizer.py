@@ -525,8 +525,10 @@ class NetworkSanitizer:
     Verifies, for every inter-router link, that the upstream credit
     counters, the downstream input-buffer occupancy, the flits in
     flight on the channel, and the credits in flight on the return path
-    always sum to the buffer capacity — and that no input buffer ever
-    exceeds its depth.  Subscribes to the simulation's scheduler-level
+    always sum to the buffer capacity — that no input buffer ever
+    exceeds its depth, and that every router's occupancy indices
+    (``_in_flits``, ``_occupied``, ``_resident``) equal a walk of its
+    input banks.  Subscribes to the simulation's scheduler-level
     ``cycle_end`` hook, so checks run once per simulated cycle without
     the simulation loop knowing about the sanitizer.  Constructed by
     ``NetworkSimulation(..., sanitize=True)``.
@@ -567,17 +569,42 @@ class NetworkSanitizer:
     def check_now(self, cycle: int) -> None:
         sim = self.sim
         for sid, router in sim.routers.items():
+            in_flits = []
             for port, bank in enumerate(router.inputs):
+                held = 0
                 for vc, queue in enumerate(bank.queues):
-                    if queue.maxlen is not None and len(queue) > queue.maxlen:
+                    depth = len(queue)
+                    if queue.maxlen is not None and depth > queue.maxlen:
                         raise InvariantViolation(
                             f"input buffer of router {sid} exceeded its "
-                            f"depth: {len(queue)} > {queue.maxlen}",
+                            f"depth: {depth} > {queue.maxlen}",
                             cycle=cycle,
                             port=port,
                             vc=vc,
                             check="buffer-bounds",
                         )
+                    held += depth
+                in_flits.append(held)
+            # The indices the router's hot path trusts in place of
+            # walking its banks (allocation visits ``_occupied``,
+            # parking reads ``_resident``) must equal the walk.
+            for name, walked in (
+                ("_in_flits", in_flits),
+                ("_occupied", {p for p, held in enumerate(in_flits) if held}),
+                ("_resident", sum(in_flits)),
+            ):
+                index = getattr(router, name)
+                if index != walked:
+                    raise InvariantViolation(
+                        f"occupancy index drifted: router {sid} {name} "
+                        f"reads {index} but walking its input banks "
+                        f"finds {walked}",
+                        cycle=cycle,
+                        check="occupancy-index",
+                        router=str(sid),
+                        index=index,
+                        walked=walked,
+                    )
         # Flits in flight on channels: (downstream, port, vc) -> count.
         inflight: Dict[Tuple[int, int, int], int] = {}
         for _arrival, _seq, flit, target in sim._inflight:

@@ -15,7 +15,7 @@ two-class (nonspeculative over speculative) arbitration of Figure 10(b).
 from __future__ import annotations
 
 import importlib.util
-from typing import Any, List, Optional, Sequence
+from typing import Any, Collection, List, Optional, Sequence
 from .errors import invariant
 
 
@@ -109,6 +109,29 @@ class RoundRobinArbiter:
                     self._ptr = (idx + 1) % self.size
                 return idx
         return None
+
+    def grant(self, lines: Collection[int]) -> Optional[int]:
+        """:meth:`arbitrate` for a caller that knows which lines are up.
+
+        ``lines`` holds the indices of the asserted request lines, in
+        any order.  Same winner and same pointer afterwards as
+        ``arbitrate`` on the dense vector (an empty ``lines`` grants
+        nothing and leaves the pointer alone), in O(len(lines)) instead
+        of a scan of all ``size`` lines.
+        """
+        size, ptr = self.size, self._ptr
+        winner, best = None, size
+        for idx in lines:
+            if not 0 <= idx < size:
+                raise ValueError(
+                    f"request line {idx} out of range 0..{size - 1}"
+                )
+            rank = idx - ptr if idx >= ptr else idx - ptr + size
+            if rank < best:
+                winner, best = idx, rank
+        if winner is not None:
+            self._ptr = (winner + 1) % size
+        return winner
 
     def commit(self, winner: int) -> None:
         """Rotate the pointer past ``winner`` (deferred pointer update)."""

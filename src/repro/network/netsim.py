@@ -15,11 +15,12 @@ import copy
 import functools
 import heapq
 import itertools
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.arbiter import HAVE_NUMPY, require_numpy
-from ..core.errors import invariant
+from ..core.errors import InvariantViolation, invariant
 from ..core.flit import Flit, make_packet
 from ..core.rng import derive_rng
 from ..engine import EngineHooks, make_scheduler
@@ -33,6 +34,11 @@ from .topology import FoldedClos, SwitchId, Topology
 #: numpy (optional: bulk arrival pre-drawing, the event-mode fast
 #: path), bound by the first simulation that mirrors its host streams.
 _np = None
+
+#: Polls one vectorized step of the arrival pre-draw samples: a hit
+#: overshoots by less than this, and no temporary outgrows it (8192
+#: doubles stay cache-resident, which halves the cost per element).
+_DRAW_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -126,12 +132,14 @@ class NetworkSimulation(StagedRun):
     #: Attributes :meth:`snapshot` deliberately omits (lint rule R010):
     #: construction parameters (``config``/``load``/``topology``/
     #: ``_host_pattern``/``_event_mode``/``_trace_switch``), the hook
-    #: bus, ``_packet_rate`` (a pure function of config and load), and
-    #: the numpy arrival mirrors, which restore re-derives from the
-    #: restored Python RNG streams (see :meth:`snapshot`).
+    #: bus, ``_packet_rate`` (a pure function of config and load),
+    #: ``_host_port`` (a pure function of the topology), and the numpy
+    #: arrival mirrors, which restore re-derives from the restored
+    #: Python RNG streams (see :meth:`snapshot`).
     SNAPSHOT_WIRING = (
         "config", "load", "topology", "_host_pattern", "hooks",
-        "_event_mode", "_trace_switch", "_packet_rate", "_np_streams",
+        "_event_mode", "_trace_switch", "_packet_rate", "_host_port",
+        "_np_streams",
     )
 
     def __init__(
@@ -249,7 +257,16 @@ class NetworkSimulation(StagedRun):
         self._packet_rate = load * cap / config.packet_size
         self._rngs = [derive_rng(config.seed, "net", h) for h in range(n)]
         self._route_rng = derive_rng(config.seed, "route")
-        self._source_q: List[List[Flit]] = [[] for _ in range(n)]
+        self._source_q: List[Deque[Flit]] = [deque() for _ in range(n)]
+        #: Where each host injects: (edge router, input port), resolved
+        #: once.  A sharded front-end owns no router, so its entries
+        #: keep the switch id.
+        self._host_port: List[Tuple[Any, int]] = []
+        for host in range(n):
+            attach = self.topology.host_attachment(host)
+            self._host_port.append(
+                (self.routers.get(attach.switch, attach.switch), attach.port)
+            )
         #: Hosts with a non-empty source queue (superset is harmless).
         #: Event mode injects over this set instead of scanning all
         #: hosts; cycle mode maintains it too so the bookkeeping is
@@ -304,9 +321,9 @@ class NetworkSimulation(StagedRun):
         self._undrawn: Set[int] = set()
         # numpy mirrors of the per-host Mersenne streams: MT19937
         # produces bit-identical 53-bit doubles in both libraries, so
-        # the mirror lets event mode search a whole run window for the
-        # next Bernoulli hit in one vectorized pass instead of one
-        # Python-level draw per host per cycle.
+        # the mirror lets event mode search the run window for the
+        # next Bernoulli hit ``_DRAW_CHUNK`` polls per vectorized step
+        # instead of one Python-level draw per host per cycle.
         self._np_streams: Optional[list] = None
         self._sync_cursor = [0] * n
         if self._event_mode and self._packet_rate > 0.0:
@@ -314,7 +331,14 @@ class NetworkSimulation(StagedRun):
             if HAVE_NUMPY:
                 global _np
                 _np = require_numpy()
-                self._np_streams = [self._mirror_stream(h) for h in range(n)]
+                # A seeded bit generator: RandomState() and
+                # RandomState(seed) both draw OS entropy first.
+                self._np_streams = [
+                    _np.random.RandomState(_np.random.MT19937(0))
+                    for _ in range(n)
+                ]
+                for host in range(n):
+                    self._load_mirror(host)
 
     # ------------------------------------------------------------------
     # Construction
@@ -496,42 +520,43 @@ class NetworkSimulation(StagedRun):
     def _draw_arrival_bulk(
         self, host: int, cycle: int, limit: int
     ) -> Optional[int]:
-        """Vectorized Bernoulli search on the host's mirrored stream.
+        """Vectorized Bernoulli search on the host's mirrored stream,
+        ``_DRAW_CHUNK`` polls at a time.
 
-        Samples the whole remaining window at once.  A miss consumes
-        exactly the polls cycle mode would, so nothing to undo; a hit
-        overshoots, and the mirror is rewound by rebuilding it from the
-        Python-side state — which still sits at the last sync point,
-        separated from the hit only by polls (every hit forces a sync,
-        so no destination draws lie in between) — and re-consuming that
-        exact count.  This keeps the costly state export off the
-        per-window path entirely.
+        A chunk without a hit consumes exactly the polls cycle mode
+        would, so there is nothing to undo; the chunk holding the hit
+        overshoots it, and the mirror is rewound by reloading it from
+        the Python-side state — which still sits at the last sync
+        point, separated from the hit only by polls (every hit forces
+        a sync, so no destination draws lie in between) — and
+        re-consuming that exact count.
         """
         assert self._np_streams is not None
         stream = self._np_streams[host]
-        draws = stream.random_sample(limit - cycle)
-        hit = draws < self._packet_rate
-        first = int(hit.argmax())
-        if not hit[first]:
-            self._arrival_cursor[host] = limit
-            return None
-        polls = cycle - self._sync_cursor[host] + first + 1
-        _, state, _ = self._rngs[host].getstate()
-        stream.set_state(
-            ("MT19937", _np.asarray(state[:-1], dtype=_np.uint32), state[-1])
-        )
-        stream.random_sample(polls)
-        self._arrival_cursor[host] = cycle + first + 1
-        return cycle + first
+        rate = self._packet_rate
+        while cycle < limit:
+            draws = stream.random_sample(min(_DRAW_CHUNK, limit - cycle))
+            if draws.min() < rate:
+                cycle += int((draws < rate).argmax())
+                self._load_mirror(host, cycle + 1 - self._sync_cursor[host])
+                self._arrival_cursor[host] = cycle + 1
+                return cycle
+            cycle += len(draws)
+        self._arrival_cursor[host] = limit
+        return None
 
-    def _mirror_stream(self, host: int) -> "object":
-        """Build a numpy RandomState mirroring ``host``'s Mersenne state."""
+    def _load_mirror(self, host: int, polls: int = 0) -> None:
+        """Set ``host``'s numpy mirror to its Python stream's state,
+        then advance it ``polls`` draws (a chunk at a time)."""
+        assert self._np_streams is not None
+        stream = self._np_streams[host]
         _, state, _ = self._rngs[host].getstate()
-        stream = _np.random.RandomState()
         stream.set_state(
             ("MT19937", _np.asarray(state[:-1], dtype=_np.uint32), state[-1])
         )
-        return stream
+        while polls > 0:
+            stream.random_sample(min(polls, _DRAW_CHUNK))
+            polls -= _DRAW_CHUNK
 
     def _pull_host_rng(self, host: int) -> None:
         """Copy the numpy mirror's state back into the Python RNG.
@@ -547,11 +572,7 @@ class NetworkSimulation(StagedRun):
 
     def _push_host_rng(self, host: int) -> None:
         """Copy the Python RNG's state back into the numpy mirror."""
-        assert self._np_streams is not None
-        _, state, _ = self._rngs[host].getstate()
-        self._np_streams[host].set_state(
-            ("MT19937", _np.asarray(state[:-1], dtype=_np.uint32), state[-1])
-        )
+        self._load_mirror(host)
         self._sync_cursor[host] = self._arrival_cursor[host]
 
     def _generate_event(self, now: int) -> None:
@@ -649,35 +670,43 @@ class NetworkSimulation(StagedRun):
             self._labeled_total += 1
 
     def _inject(self, now: int) -> None:
-        """Offer one flit from every host with queued flits, in
-        ascending host order (a host without backlog has nothing to
-        offer, so the walk equals a scan of every host)."""
+        """Offer one flit from every host with queued flits whose
+        channel is past its ``flit_cycles`` throttle, in ascending host
+        order (a host without backlog, or still serializing its last
+        flit, has nothing to offer, so the walk equals a scan of every
+        host)."""
+        next_inject = self._next_inject
         for host in sorted(self._backlog_hosts):
-            self._try_inject(host, now)
+            if next_inject[host] <= now:
+                self._try_inject(host, now)
 
     def _try_inject(self, host: int, now: int) -> None:
-        """Move one flit from ``host``'s queue into its edge router."""
-        topo = self.topology
+        """Move one flit from ``host``'s queue into its edge router
+        (:meth:`_inject` has checked the channel throttle)."""
         faults = self._faults
-        if now < self._next_inject[host] or not self._source_q[host]:
+        queue = self._source_q[host]
+        if not queue:
             return
         if faults is not None and not faults.channel_ready(host, now):
             return
-        flit = self._source_q[host][0]
-        attach = topo.host_attachment(host)
-        invariant(attach.switch is not None,
-                  "host attaches to no switch", cycle=now,
-                  check="topology")
-        router = self.routers[attach.switch]
+        flit = queue[0]
+        router, port = self._host_port[host]
+        if router is None:
+            raise InvariantViolation(
+                "host attaches to no switch", cycle=now, check="topology"
+            )
         vc = self._packet_vc[host]
         if flit.is_head and vc is None:
-            vc = self._pick_vc(router, attach.port, host)
+            vc = self._pick_vc(router, port, host)
             if vc is None:
                 return
             self._packet_vc[host] = vc
-        invariant(vc is not None, "packet VC lost mid-packet",
-                  cycle=now, port=attach.port, check="injection")
-        if router.input_space(attach.port, vc) < 1:
+        if vc is None:
+            raise InvariantViolation(
+                "packet VC lost mid-packet", cycle=now, port=port,
+                check="injection",
+            )
+        if router.input_space(port, vc) < 1:
             return
         flit.vc = vc
         if faults is not None and not faults.attempt_transmit(
@@ -688,11 +717,11 @@ class NetworkSimulation(StagedRun):
             # The corrupted transmission still occupied the channel.
             self._next_inject[host] = now + self.config.flit_cycles
             return
-        self._source_q[host].pop(0)
-        if not self._source_q[host]:
+        queue.popleft()
+        if not queue:
             self._backlog_hosts.discard(host)
         self._sched.wake(router, now)
-        router.accept(attach.port, flit)
+        router.accept(port, flit)
         self._next_inject[host] = now + self.config.flit_cycles
         if flit.is_tail:
             self._packet_vc[host] = None
@@ -831,7 +860,7 @@ class NetworkSimulation(StagedRun):
             "seq": next(copy.copy(self._seq)),
             "inflight": inflight,
             "harness": {
-                "source_q": self._source_q,
+                "source_q": [list(queue) for queue in self._source_q],
                 "backlog_hosts": sorted(self._backlog_hosts),
                 "next_inject": self._next_inject,
                 "packet_vc": self._packet_vc,
@@ -887,7 +916,7 @@ class NetworkSimulation(StagedRun):
         # Captured sorted; a sorted list is a valid binary heap.
         self._inflight = inflight
         harness = state["harness"]
-        self._source_q = harness["source_q"]
+        self._source_q = [deque(queue) for queue in harness["source_q"]]
         self._backlog_hosts = set(harness["backlog_hosts"])
         self._next_inject = harness["next_inject"]
         self._packet_vc = harness["packet_vc"]
@@ -903,17 +932,15 @@ class NetworkSimulation(StagedRun):
         self._undrawn = set(arrivals["undrawn"])
         self._sync_cursor = arrivals["sync_cursor"]
         if self._np_streams is not None:
-            # Rebuild each mirror from the restored Python state (the
+            # Reload each mirror from the restored Python state (the
             # last sync point) and replay the poll draws separating it
             # from the pre-draw cursor; snapshots are taken at cycle
             # boundaries, where that gap is pure polls (every hit and
             # every destination draw forces a sync).
             for host in range(len(self._rngs)):
-                stream = self._mirror_stream(host)
-                gap = self._arrival_cursor[host] - self._sync_cursor[host]
-                if gap:
-                    stream.random_sample(gap)
-                self._np_streams[host] = stream
+                self._load_mirror(
+                    host, self._arrival_cursor[host] - self._sync_cursor[host]
+                )
         # After the routers: lost-credit sinks resolve through the
         # (identity-preserved) credit_sinks wiring.
         self._apply_run(state)

@@ -29,16 +29,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..core.arbiter import RoundRobinArbiter
-from ..core.errors import invariant
+from ..core.errors import InvariantViolation, invariant
 from ..core.buffers import VcBufferBank
 from ..core.credit import CreditCounter
 from ..core.flit import Flit
 from ..core.pipeline import BusyTracker, DelayLine
 from ..core.vcstate import OutputVcState
-from ..engine.component import AlwaysActive, Component
+from ..engine.component import Component
 from ..engine.hooks import EngineHooks
 
 
@@ -145,12 +145,17 @@ class NetworkRouter(Component):
         self._vc_release: DelayLine[Tuple[int, int, int]] = DelayLine(
             config.flit_cycles
         )
-        # Per-input activity flags (see routers.base.Router): allocation
-        # skips inputs whose banks are known-empty.
-        self._in_active: Union[List[bool], AlwaysActive] = [False] * n
-        # Buffered flits, by conservation (accepts minus transmits):
-        # O(1) where occupancy() scans every bank.
+        # Occupancy indices (docs/architecture.md, "NetworkRouter hot
+        # path"): flits buffered at each input, the inputs whose count
+        # is non-zero, and the total.  Allocation visits ``_occupied``
+        # and parking reads ``_resident``, so a cycle costs what is
+        # resident, not ports x VCs.  All three move only at the one
+        # push in accept() and the one pop in _transmit().
+        self._in_flits = [0] * n
+        self._occupied: Set[int] = set()
         self._resident = 0
+        # Reference schedule (set_exhaustive): scan every input.
+        self._scan_all = False
         self._staged_credits: tuple = ()
         self._staged_releases: tuple = ()
         # Fault machinery (repro.faults): wedged input read ports and
@@ -168,8 +173,9 @@ class NetworkRouter(Component):
         self.links[port] = link
 
     def accept(self, port: int, flit: Flit) -> None:
-        self.inputs[port][flit.vc].push(flit)
-        self._in_active[port] = True
+        self.inputs[port].queues[flit.vc].push(flit)
+        self._in_flits[port] += 1
+        self._occupied.add(port)
         self._resident += 1
         if self.hooks.flit_move:
             self.hooks.emit_flit_move("accept", flit, port, self.cycle)
@@ -177,7 +183,7 @@ class NetworkRouter(Component):
             self.hooks.emit_stage_enter(flit, "RC", port, self.cycle)
 
     def input_space(self, port: int, vc: int) -> int:
-        return self.inputs[port][vc].free_slots
+        return self.inputs[port].queues[vc].free_slots
 
     def occupancy(self) -> int:
         return sum(b.occupancy() for b in self.inputs)
@@ -229,8 +235,9 @@ class NetworkRouter(Component):
         return horizon
 
     def set_exhaustive(self) -> None:
-        """Reference schedule: disable the per-input activity flags."""
-        self._in_active = AlwaysActive()
+        """Reference schedule: allocation probes every input and VC,
+        whatever the occupancy index says."""
+        self._scan_all = True
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -240,10 +247,15 @@ class NetworkRouter(Component):
     #: hold delivery callbacks into the owning simulation (their
     #: flow-control *state* is captured explicitly below), ``config``/
     #: ``name`` are construction parameters, and the fault injector is
-    #: shared across routers and checkpointed by the simulation.
+    #: shared across routers and checkpointed by the simulation.  The
+    #: occupancy indices are derived: restore recounts them from the
+    #: restored banks, so a capture written before they existed still
+    #: applies.  ``_scan_all`` is the scheduler's registration-time
+    #: choice.
     SNAPSHOT_WIRING = (
         "hooks", "config", "name", "links", "credit_sinks",
-        "fault_injector",
+        "fault_injector", "_in_flits", "_occupied", "_resident",
+        "_scan_all",
     )
 
     def _snapshot_state(self) -> Dict[str, Any]:
@@ -270,8 +282,6 @@ class NetworkRouter(Component):
                 lambda item: (sink_port[id(item[0])], item[1])
             ),
             "_vc_release": self._vc_release,
-            "_in_active": self._in_active,
-            "_resident": self._resident,
             "_stuck_inputs": self._stuck_inputs,
             "links": [
                 None if link is None else {
@@ -298,8 +308,11 @@ class NetworkRouter(Component):
             lambda item: (self.credit_sinks[item[0]], item[1]),
         )
         self._vc_release = state["_vc_release"]
-        self._in_active = state["_in_active"]
-        self._resident = state["_resident"]
+        self._in_flits = [len(bank) for bank in self.inputs]
+        self._occupied = {
+            port for port, count in enumerate(self._in_flits) if count
+        }
+        self._resident = sum(self._in_flits)
         self._stuck_inputs = state["_stuck_inputs"]
         self._staged_credits = ()
         self._staged_releases = ()
@@ -311,46 +324,60 @@ class NetworkRouter(Component):
             link.credits = captured["credits"]
 
     def _allocate(self) -> None:
+        """Separable allocation: a v:1 grant per ready input, then a
+        grant per requested output among the inputs that want it.
+
+        Skip rule: an input outside ``_occupied`` holds no head flit,
+        so probing it would yield no candidate and ask no arbiter —
+        nothing moves, nothing raises.  Every VC head of a visited
+        input is still probed, in VC order, and inputs are visited in
+        ascending order (as the exhaustive ``_scan_all`` walk does),
+        which fixes the order outputs resolve and flits deliver in.
+        """
         now = self.cycle
-        n = self.config.num_ports
-        requests: dict = {}
-        for i in range(n):
-            if not self._in_active[i]:
+        inputs = self.inputs
+        stuck = self._stuck_inputs
+        input_busy = self.input_busy
+        # output port -> {requesting input: (vc, flit)}
+        requests: Dict[int, Dict[int, Tuple[int, Flit]]] = {}
+        for i in (
+            range(len(inputs)) if self._scan_all else sorted(self._occupied)
+        ):
+            if not input_busy.free(i, now):
                 continue
-            if not self.input_busy.free(i, now):
-                continue
-            cands = [
-                self._candidate(i, vc) for vc in range(self.config.num_vcs)
-            ]
-            vc = self._input_arb[i].arbitrate([c is not None for c in cands])
+            cands: Dict[int, Flit] = {}
+            for vc, queue in enumerate(inputs[i].queues):
+                flit = queue.head()
+                if flit is None or (stuck and (i, vc) in stuck):
+                    continue
+                if self._sendable(flit):
+                    cands[vc] = flit
+            vc = self._input_arb[i].grant(cands)
             if vc is None:
                 continue
-            flit = cands[vc]
-            invariant(flit is not None, "input arbiter granted a VC with "
-                      "no candidate flit", cycle=self.cycle, port=i, vc=vc,
-                      check="arbitration")
+            flit = cands.get(vc)
+            if flit is None:
+                raise InvariantViolation(
+                    "input arbiter granted a VC with no candidate flit",
+                    cycle=now, port=i, vc=vc, check="arbitration",
+                )
             out = flit.route[flit.hops]
-            requests.setdefault(out, []).append((i, vc, flit))
-        for out, reqs in requests.items():
+            wanted = requests.get(out)
+            if wanted is None:
+                requests[out] = {i: (vc, flit)}
+            else:
+                wanted[i] = (vc, flit)
+        for out, wanted in requests.items():
             if not self.output_busy.free(out, now):
                 continue
-            lines = [False] * n
-            by_input = {}
-            for i, vc, flit in reqs:
-                lines[i] = True
-                by_input[i] = (vc, flit)
-            winner = self._output_arb[out].arbitrate(lines)
-            if winner is None:
-                continue
-            vc, flit = by_input[winner]
+            winner = self._output_arb[out].grant(wanted)
+            vc, flit = wanted[winner]
             self._transmit(winner, vc, flit, out)
 
-    def _candidate(self, i: int, vc: int) -> Optional[Flit]:
-        if self._stuck_inputs and (i, vc) in self._stuck_inputs:
-            return None
-        flit = self.inputs[i][vc].head()
-        if flit is None:
-            return None
+    def _sendable(self, flit: Flit) -> bool:
+        """Whether head-of-queue ``flit`` may leave this cycle: its
+        output link is up, holds a credit for the flit's VC, and that
+        VC is owned by (or, for a head flit, free for) its packet."""
         if flit.hops >= len(flit.route):
             raise RuntimeError(
                 f"{self.name}: flit {flit.packet_id} has exhausted its route"
@@ -359,52 +386,48 @@ class NetworkRouter(Component):
         link = self.links[out]
         if link is None:
             raise RuntimeError(f"{self.name}: output {out} not attached")
-        if not link.alive:
-            return None
-        if not link.credit_available(flit.vc):
-            return None
-        state = link.vc_state
-        if flit.is_head:
-            if not (
-                state.is_free(flit.vc)
-                or state.owner(flit.vc) == flit.packet_id
-            ):
-                return None
-        else:
-            if state.owner(flit.vc) != flit.packet_id:
-                return None
-        return flit
+        if not link.alive or not link.credit_available(flit.vc):
+            return False
+        owner = link.vc_state.owners[flit.vc]
+        return owner == flit.packet_id or (flit.is_head and owner is None)
 
     def _transmit(self, i: int, vc: int, flit: Flit, out: int) -> None:
+        now = self.cycle
+        config, hooks = self.config, self.hooks
         link = self.links[out]
-        invariant(link is not None, "transmit toward a detached output "
-                  "port", cycle=self.cycle, port=out, check="topology")
-        popped = self.inputs[i][vc].pop()
-        invariant(popped is flit, "input buffer head changed between "
-                  "grant and pop", cycle=self.cycle, port=i, vc=vc,
-                  check="buffer-integrity")
-        if not self.inputs[i]:
-            self._in_active[i] = False
+        if link is None:
+            raise InvariantViolation(
+                "transmit toward a detached output port",
+                cycle=now, port=out, check="topology",
+            )
+        popped = self.inputs[i].queues[vc].pop()
+        if popped is not flit:
+            raise InvariantViolation(
+                "input buffer head changed between grant and pop",
+                cycle=now, port=i, vc=vc, check="buffer-integrity",
+            )
+        self._in_flits[i] -= 1
+        if not self._in_flits[i]:
+            self._occupied.discard(i)
         self._resident -= 1
-        fc = self.config.flit_cycles
-        self.input_busy.reserve(i, self.cycle, fc)
-        self.output_busy.reserve(out, self.cycle, fc)
+        fc = config.flit_cycles
+        self.input_busy.reserve(i, now, fc)
+        self.output_busy.reserve(out, now, fc)
         if flit.is_head:
             link.vc_state.allocate(flit.vc, flit.packet_id)
         flit.out_vc = flit.vc
         flit.hops += 1
         link.consume_credit(flit.vc)
-        latency = (
-            fc + self.config.pipeline_delay + self.config.channel_latency
+        link.deliver(
+            flit, now + fc + config.pipeline_delay + config.channel_latency
         )
-        link.deliver(flit, self.cycle + latency)
-        if self.hooks.grant:
-            self.hooks.emit_grant(flit, out, self.cycle)
-        if self.hooks.stage_enter:
-            self.hooks.emit_stage_enter(flit, "ST", out, self.cycle)
+        if hooks.grant:
+            hooks.emit_grant(flit, out, now)
+        if hooks.stage_enter:
+            hooks.emit_stage_enter(flit, "ST", out, now)
         if flit.is_tail:
-            self._vc_release.push(self.cycle, (out, flit.vc, flit.packet_id))
+            self._vc_release.push(now, (out, flit.vc, flit.packet_id))
         # Return a credit upstream for the freed input buffer slot.
         sink = self.credit_sinks[i]
         if sink is not None:
-            self._credit_out.push(self.cycle, (sink, vc))
+            self._credit_out.push(now, (sink, vc))

@@ -551,13 +551,8 @@ class ShardedNetworkSimulation(NetworkSimulation):
             for _ in range(self.topology.num_hosts)
         ]
         self._host_worker: List[int] = [
-            self._owner[self.topology.host_attachment(h).switch]
-            for h in range(self.topology.num_hosts)
+            self._owner[switch] for switch, _ in self._host_port
         ]
-        self._host_port: List[Tuple[SwitchId, int]] = []
-        for h in range(self.topology.num_hosts):
-            attach = self.topology.host_attachment(h)
-            self._host_port.append((attach.switch, attach.port))
         # Cycles from a router's transmit to the arrival downstream
         # (what ``NetworkRouter._transmit`` adds; the same on every
         # link).  Below 2, a flit sent in cycle T can eject in T+1.
@@ -654,6 +649,7 @@ class ShardedNetworkSimulation(NetworkSimulation):
         fault advance, host ejections and packet generation before it
         overlap the workers' cycle.
         """
+        self._check_workers()
         super()._pre_cycle(now)
         self._dispatch(now)
 
@@ -675,11 +671,12 @@ class ShardedNetworkSimulation(NetworkSimulation):
         command) instead of landing on a local router.
         """
         faults = self._faults
-        if now < self._next_inject[host] or not self._source_q[host]:
+        queue = self._source_q[host]
+        if not queue:
             return
         if faults is not None and not faults.channel_ready(host, now):
             return
-        flit = self._source_q[host][0]
+        flit = queue[0]
         switch, port = self._host_port[host]
         invariant(switch is not None, "host attaches to no switch",
                   cycle=now, check="topology")
@@ -700,8 +697,8 @@ class ShardedNetworkSimulation(NetworkSimulation):
         ):
             self._next_inject[host] = now + self.config.flit_cycles
             return
-        self._source_q[host].pop(0)
-        if not self._source_q[host]:
+        queue.popleft()
+        if not queue:
             self._backlog_hosts.discard(host)
         free[vc] -= 1
         self._accept_out[self._host_worker[host]].append(
@@ -761,6 +758,7 @@ class ShardedNetworkSimulation(NetworkSimulation):
         now = self._awaited
         if now is None:
             return
+        self._check_workers()
         self._awaited = None
         serial_index = self._serial_index
         due: Optional[int] = None

@@ -71,6 +71,40 @@ class TestRoundRobinArbiter:
         else:
             assert winner is None
 
+    @given(st.data())
+    def test_sparse_grant_equals_dense_arbitrate(self, data):
+        """``grant(asserted indices)`` is ``arbitrate(dense vector)``:
+        same winner, same pointer afterwards, for any size, pointer
+        and request set — the empty set included, which moves
+        nothing — whatever order the indices arrive in."""
+        size = data.draw(st.integers(1, 64))
+        pointer = data.draw(st.integers(0, size - 1))
+        lines = data.draw(st.permutations(
+            sorted(data.draw(st.sets(st.integers(0, size - 1))))
+        ))
+        dense, sparse = RoundRobinArbiter(size), RoundRobinArbiter(size)
+        dense.commit((pointer - 1) % size)
+        sparse.commit((pointer - 1) % size)
+        assert dense.pointer == sparse.pointer == pointer
+        expected = dense.arbitrate([i in lines for i in range(size)])
+        assert sparse.grant(lines) == expected
+        assert sparse.pointer == dense.pointer
+        if not lines:
+            assert expected is None and sparse.pointer == pointer
+
+    def test_sparse_grant_takes_any_collection_of_lines(self):
+        arb = RoundRobinArbiter(8)
+        assert arb.grant({5: "a", 2: "b"}) == 2  # a dict's keys
+        assert arb.grant((1, 6)) == 6 and arb.pointer == 7
+        assert arb.grant(set()) is None and arb.pointer == 7
+
+    def test_sparse_grant_rejects_a_line_out_of_range(self):
+        arb = RoundRobinArbiter(4)
+        for bad in (4, -1):
+            with pytest.raises(ValueError, match="out of range"):
+                arb.grant([1, bad])
+        assert arb.pointer == 0
+
 
 class TestHierarchicalArbiter:
     def test_group_structure(self):

@@ -245,3 +245,110 @@ class TestPropertyEquivalence:
     def test_network_stats_identical(self, seed, load):
         assert (_network_snapshot("cycle", load=load, seed=seed)
                 == _network_snapshot("event", load=load, seed=seed))
+
+
+class _CountingStream:
+    """A host's numpy mirror, tallying the doubles it is asked for."""
+
+    def __init__(self, inner, tally):
+        self.inner, self.tally = inner, tally
+
+    def random_sample(self, count):
+        self.tally[0] += count
+        return self.inner.random_sample(count)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+class TestArrivalPreDraw:
+    """The bulk pre-draw searches ``_DRAW_CHUNK`` polls per numpy call
+    and must consume each host stream exactly as the scalar fallback's
+    one-poll-at-a-time loop does, wherever a hit falls relative to a
+    chunk or to the edge of a staged ``_extend_draws`` window."""
+
+    CFG = dict(radix=4, levels=2, num_vcs=2, seed=13)
+    LOAD = 0.02  # one poll in 200 hits
+
+    def _arrivals(self, monkeypatch, numpy, chunk, stages):
+        """Every generated packet as (cycle, host, dest), plus the
+        pre-draw bookkeeping after each staged ``run_until``."""
+        import repro.network.netsim as netsim
+
+        monkeypatch.setattr(netsim, "HAVE_NUMPY", numpy)
+        monkeypatch.setattr(netsim, "_DRAW_CHUNK", chunk)
+        reset_packet_ids()
+        sim = netsim.NetworkSimulation(
+            NetworkConfig(**self.CFG), self.LOAD, scheduler="event"
+        )
+        assert (sim._np_streams is not None) == numpy
+        packets, books = [], []
+        generate = sim._generate_packet
+
+        def logged(host, now, message=None):
+            generate(host, now, message)
+            packets.append((now, host, sim._source_q[host][-1].dest))
+
+        sim._generate_packet = logged
+        for end in stages:
+            sim.run_until(end)
+            books.append((
+                list(sim._arrival_cursor), sorted(sim._host_arrivals),
+                sorted(sim._undrawn),
+            ))
+        return packets, books
+
+    def test_hits_on_chunk_and_window_edges(self, monkeypatch):
+        import repro.network.netsim as netsim
+
+        if not netsim.HAVE_NUMPY:
+            pytest.skip("numpy unavailable; the fallback is the only path")
+        stages = (2000,)
+        scalar, _ = self._arrivals(monkeypatch, False, 8192, stages)
+        hit = min(cycle for cycle, host, _ in scalar if host == 0)
+        assert 8 < hit < 1000 and len(scalar) > 20
+        cases = [
+            (hit + 1, stages),        # the last poll of the first chunk
+            (hit, stages),            # the first poll of the second chunk
+            (7, stages),              # many chunks per gap
+            (8192, (hit + 1, 2000)),  # at limit - 1 of the first window
+            (8192, (hit, hit + 1, 2000)),  # first poll of the next window
+            (hit, (hit, 2 * hit, 2000)),   # chunk edge on window edge
+        ]
+        for chunk, windows in cases:
+            expect = self._arrivals(monkeypatch, False, chunk, windows)
+            got = self._arrivals(monkeypatch, True, chunk, windows)
+            assert got == expect, (chunk, windows)
+            assert got[0] == scalar
+
+    def _doubles_drawn(self, measure):
+        reset_packet_ids()
+        sim = ClosNetworkSimulation(
+            NetworkConfig(radix=16, levels=2, num_vcs=2, packet_size=2,
+                          seed=7),
+            1e-4, scheduler="event",
+        )
+        tally = [0]
+        sim._np_streams = [
+            _CountingStream(stream, tally) for stream in sim._np_streams
+        ]
+        result = sim.run(warmup=1000, measure=measure, drain=5000)
+        assert result.packets_measured > 40
+        return tally[0], sim.topology.num_hosts * result.cycles
+
+    def test_doubles_drawn_track_polls(self):
+        """Cycle mode polls every host every cycle; byte-identity makes
+        hosts x cycles the floor.  On top of it a hit re-consumes the
+        polls since the host's last sync and overshoots by under one
+        chunk — so the total stays below 1.8x the floor and, when the
+        window doubles, grows 2.25x, not with the window's square (the
+        whole-window search read 1.88x and grew 2.64x here)."""
+        import repro.network.netsim as netsim
+
+        if not netsim.HAVE_NUMPY:
+            pytest.skip("numpy unavailable; nothing is drawn in bulk")
+        drawn, polls = self._doubles_drawn(62500)
+        assert polls <= drawn <= 1.8 * polls
+        doubled, polls2 = self._doubles_drawn(125000)
+        assert polls2 > 1.9 * polls
+        assert doubled <= 2.3 * drawn

@@ -294,3 +294,39 @@ def test_network_sanitizer_detects_buffer_overflow():
     with pytest.raises(InvariantViolation) as exc:
         sim._sanitizer.check_now(sim.cycle)
     assert exc.value.check == "buffer-bounds"
+
+
+def _drift_in_flits(router):
+    router._in_flits[1] += 1
+
+
+def _drift_occupied(router):
+    # Toggle membership of input 0: wrong whether or not it holds a
+    # flit right now.
+    router._occupied ^= {0}
+
+
+def _drift_resident(router):
+    router._resident -= 1
+
+
+@pytest.mark.parametrize("drift", [
+    _drift_in_flits, _drift_occupied, _drift_resident,
+])
+def test_network_sanitizer_detects_occupancy_index_drift(drift):
+    """``NetworkRouter`` allocates over ``_occupied``, decides an input
+    emptied from ``_in_flits`` and parks on ``_resident``; each is
+    audited against a walk of the input banks every check, and a
+    drifted one is reported at the cycle it drifts."""
+    sim = NetworkSimulation(
+        NetworkConfig(radix=4, levels=2, seed=3), load=0.6, sanitize=True
+    )
+    for _ in range(50):
+        sim.step()
+    router = list(sim.routers.values())[1]
+    drift(router)
+    with pytest.raises(InvariantViolation) as exc:
+        sim.step()
+    assert exc.value.check == "occupancy-index"
+    assert exc.value.cycle == 51
+    assert exc.value.context["router"] == router.name

@@ -315,6 +315,30 @@ class TestFailureModes:
         with pytest.raises(RuntimeError, match="already reaped"):
             sim.start_run(warmup=40, measure=60, drain=300)
 
+    @pytest.mark.parametrize("scheduler", ["cycle", "event"])
+    @pytest.mark.parametrize("in_flight", [False, True])
+    def test_driving_after_close_is_a_typed_error(self, scheduler, in_flight):
+        """``advance_run``, ``step`` and ``run_until`` on reaped workers
+        raise the same ``RuntimeError`` ``start_run`` does, without
+        running a cycle, instead of dying in ``conn.send``/``recv``
+        with ``OSError: handle is closed`` — whether or not a cycle was
+        dispatched and never collected."""
+        config = NetworkConfig(**CFG)
+        sim = ShardedNetworkSimulation(
+            config, load=0.3, shards=2, scheduler=scheduler
+        )
+        sim.start_run(warmup=80, measure=150, drain=400)
+        if in_flight:
+            assert not sim.advance_run(stop_at=60)
+        sim.close()
+        cycle = sim.cycle
+        for drive in (
+            sim.advance_run, sim.step, lambda: sim.run_until(cycle + 5),
+        ):
+            with pytest.raises(RuntimeError, match="already reaped"):
+                drive()
+        assert sim.cycle == cycle
+
     def test_close_with_a_reply_in_flight_is_clean(self):
         """A paused run has dispatched a cycle it never collected;
         closing must neither wait for that reply nor trip over it."""
