@@ -312,11 +312,12 @@ def test_perf_event_ff_clos_radix64(benchmark):
     """Radix-64 Clos at very low load: fast-forward must pay >= 5x.
 
     The ratio compares the drive loops only — each round constructs a
-    fresh simulation outside its clock, because event mode pays a
-    one-time cost mirroring the host RNG streams into numpy that
-    amortizes over windows far longer than this one, while the
-    contract under test is the per-cycle loop inversion.  10x is the
-    working target on this configuration; 5x is the asserted floor.
+    fresh simulation outside its clock: the contract under test is
+    the per-cycle loop inversion, not construction (event mode's share
+    of which, filling one state row per host for the bulk arrival
+    pre-draw, is covered by the end-to-end benchmark's ``setup_s``).
+    10x is the working target on this configuration; 5x is the
+    asserted floor.
     """
     load = 5e-5
     cycles = 2500
@@ -358,6 +359,58 @@ def test_perf_event_ff_clos_radix64(benchmark):
     assert speedup >= EVENT_FF_FLOOR, (
         f"fast-forward speedup {speedup:.2f}x below {EVENT_FF_FLOOR}x "
         f"(cycle {cycle_time:.3f}s, event {event_time:.3f}s)"
+    )
+
+
+#: Event mode's arrival pre-draw picks the bulk search or the scalar
+#: loop from the packet rate.  Against the same run with numpy refused
+#: (the scalar loop everywhere) it may cost at most this much more
+#: where it chooses scalar too (it was 6.7x while bulk ran at every
+#: rate) ...
+PREDRAW_HIGH_RATE_CEILING = 1.25
+#: ... and must be at least this much faster where it chooses bulk
+#: (working ~2.5x).
+PREDRAW_LOW_RATE_FLOOR = 1.3
+
+
+@pytest.mark.parametrize("radix, load, cycles, bulk, ceiling", [
+    (16, 0.05, 3000, False, PREDRAW_HIGH_RATE_CEILING),
+    (64, 1e-4, 20000, True, 1.0 / PREDRAW_LOW_RATE_FLOOR),
+])
+def test_perf_event_predraw_vs_no_numpy(monkeypatch, radix, load, cycles,
+                                        bulk, ceiling):
+    """Both legs run in this process, build included, alternating, so
+    host speed cancels out of the ratio."""
+    import repro.network.netsim as netsim
+
+    if not netsim.HAVE_NUMPY:
+        pytest.skip("numpy unavailable; there is one leg only")
+
+    def run(numpy):
+        monkeypatch.setattr(netsim, "HAVE_NUMPY", numpy)
+        start = time.perf_counter()  # lint: disable=R002
+        sim = ClosNetworkSimulation(
+            NetworkConfig(radix=radix, levels=2, num_vcs=2, seed=5),
+            load, scheduler="event",
+        )
+        sim.run_until(cycles)
+        elapsed = time.perf_counter() - start  # lint: disable=R002
+        assert (sim._rows is not None) == (numpy and bulk)
+        return elapsed, (sim._arrival_cursor, sim._sched.component_steps)
+
+    best = {True: float("inf"), False: float("inf")}
+    checksum = None
+    for round_ in range(ROUNDS):
+        for numpy in ((True, False), (False, True))[round_ % 2]:
+            elapsed, value = run(numpy)
+            best[numpy] = min(best[numpy], elapsed)
+            assert checksum in (None, value), "numpy changed the simulation"
+            checksum = value
+    ratio = best[True] / best[False]
+    assert ratio <= ceiling, (
+        f"event mode takes {ratio:.2f}x its no-numpy build at load {load} "
+        f"(ceiling {ceiling:.2f}x; numpy {best[True]:.3f}s, refused "
+        f"{best[False]:.3f}s)"
     )
 
 

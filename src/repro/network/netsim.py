@@ -19,10 +19,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..core.arbiter import HAVE_NUMPY, require_numpy
+from ..core.arbiter import HAVE_NUMPY
 from ..core.errors import InvariantViolation, invariant
 from ..core.flit import Flit, make_packet
-from ..core.rng import derive_rng
+from ..core.rng import StreamRows, derive_rng
 from ..engine import EngineHooks, make_scheduler
 from ..harness.experiment import SweepResult, SweepSettings, map_points
 from ..harness.program import StagedRun
@@ -31,14 +31,19 @@ from ..workloads.base import Message, Workload
 from .router import NetworkRouter, NetworkRouterConfig, OutputLink, pipeline_depth_for_radix
 from .topology import FoldedClos, SwitchId, Topology
 
-#: numpy (optional: bulk arrival pre-drawing, the event-mode fast
-#: path), bound by the first simulation that mirrors its host streams.
-_np = None
-
 #: Polls one vectorized step of the arrival pre-draw samples: a hit
-#: overshoots by less than this, and no temporary outgrows it (8192
+#: re-draws less than this, and no temporary outgrows it (8192
 #: doubles stay cache-resident, which halves the cost per element).
 _DRAW_CHUNK = 8192
+
+#: Packet rate (arrivals per host per cycle) below which event mode
+#: searches for arrivals in bulk.  Each arrival costs the bulk path a
+#: fixed hand-over (row to Python for the destination draw and back,
+#: one chunk drawn twice) that the scalar loop does not pay; measured
+#: on radix-16 and radix-64 Clos networks, build + run, bulk is 0.86x
+#: / 0.95x scalar at 2.5e-4 and 1.09x / 1.11x at 3.5e-4
+#: (docs/architecture.md, "Pre-draw cost model").
+_BULK_MAX_RATE = 3e-4
 
 
 @dataclass(frozen=True)
@@ -133,13 +138,13 @@ class NetworkSimulation(StagedRun):
     #: construction parameters (``config``/``load``/``topology``/
     #: ``_host_pattern``/``_event_mode``/``_trace_switch``), the hook
     #: bus, ``_packet_rate`` (a pure function of config and load),
-    #: ``_host_port`` (a pure function of the topology), and the numpy
-    #: arrival mirrors, which restore re-derives from the restored
-    #: Python RNG streams (see :meth:`snapshot`).
+    #: ``_host_port`` (a pure function of the topology), and the bulk
+    #: pre-draw's state rows, which restore re-derives from the
+    #: restored Python RNG streams (see :meth:`snapshot`).
     SNAPSHOT_WIRING = (
         "config", "load", "topology", "_host_pattern", "hooks",
         "_event_mode", "_trace_switch", "_packet_rate", "_host_port",
-        "_np_streams",
+        "_rows",
     )
 
     def __init__(
@@ -221,7 +226,7 @@ class NetworkSimulation(StagedRun):
                 )
             # The injection process is replaced by DAG eligibility;
             # zeroing the rate also bypasses the arrival pre-draw
-            # machinery (heap, numpy mirrors) in event mode.
+            # machinery (heap, state rows) in event mode.
             load = 0.0
         self._build_network()
         #: Simulation-level event bus; ``cycle_start``/``cycle_end``
@@ -319,26 +324,22 @@ class NetworkSimulation(StagedRun):
         self._arrival_cursor = [0] * n
         self._draw_limit = 0
         self._undrawn: Set[int] = set()
-        # numpy mirrors of the per-host Mersenne streams: MT19937
-        # produces bit-identical 53-bit doubles in both libraries, so
-        # the mirror lets event mode search the run window for the
-        # next Bernoulli hit ``_DRAW_CHUNK`` polls per vectorized step
-        # instead of one Python-level draw per host per cycle.
-        self._np_streams: Optional[list] = None
+        # Where it is measured ahead (numpy present, rate below
+        # ``_BULK_MAX_RATE``) the polls come off ``_rows`` — one numpy
+        # Mersenne generator over a row of state per host, searched
+        # ``_DRAW_CHUNK`` polls per vectorized step — instead of one
+        # Python-level draw per host per cycle.  Between arrivals a
+        # host's row runs ahead of its Python stream, which stays at
+        # ``_sync_cursor`` until the arrival hands the row across for
+        # the destination draw and takes it back.
+        self._rows: Optional[StreamRows] = None
         self._sync_cursor = [0] * n
         if self._event_mode and self._packet_rate > 0.0:
             self._undrawn.update(range(n))
-            if HAVE_NUMPY:
-                global _np
-                _np = require_numpy()
-                # A seeded bit generator: RandomState() and
-                # RandomState(seed) both draw OS entropy first.
-                self._np_streams = [
-                    _np.random.RandomState(_np.random.MT19937(0))
-                    for _ in range(n)
-                ]
-                for host in range(n):
-                    self._load_mirror(host)
+            if HAVE_NUMPY and self._packet_rate < _BULK_MAX_RATE:
+                rows = StreamRows(self._rngs, _DRAW_CHUNK)
+                if rows.usable:
+                    self._rows = rows
 
     # ------------------------------------------------------------------
     # Construction
@@ -493,12 +494,13 @@ class NetworkSimulation(StagedRun):
         """Pre-draw ``host``'s next arrival cycle before ``limit``.
 
         Consumes exactly the per-cycle polls :meth:`_generate` would
-        make from the host's private RNG stream, so batching them is
-        byte-equivalent.  Draws stop at the window edge: a host with no
-        hit keeps its cursor at ``limit`` and resumes the same stream
-        when the window grows, so the chunked draws consume the
-        identical stream prefix a cycle-by-cycle poll would.  A zero
-        rate never fires: return None without drawing.
+        make from the host's private RNG stream — off its state row
+        (:meth:`~repro.core.rng.StreamRows.search`) when the bulk path
+        is on, else off the Python stream one ``random()`` at a time —
+        so batching them is byte-equivalent.  Draws stop at the window
+        edge: a host with no hit keeps its cursor at ``limit`` and
+        resumes the same stream when the window grows.  A zero rate
+        never fires: return None without drawing.
         """
         rate = self._packet_rate
         if rate <= 0.0:
@@ -506,74 +508,20 @@ class NetworkSimulation(StagedRun):
         cycle = self._arrival_cursor[host]
         if cycle >= limit:
             return None
-        if self._np_streams is not None:
-            return self._draw_arrival_bulk(host, cycle, limit)
-        rnd = self._rngs[host].random
-        while cycle < limit:
-            if rnd() < rate:
-                self._arrival_cursor[host] = cycle + 1
-                return cycle
-            cycle += 1
-        self._arrival_cursor[host] = limit
-        return None
-
-    def _draw_arrival_bulk(
-        self, host: int, cycle: int, limit: int
-    ) -> Optional[int]:
-        """Vectorized Bernoulli search on the host's mirrored stream,
-        ``_DRAW_CHUNK`` polls at a time.
-
-        A chunk without a hit consumes exactly the polls cycle mode
-        would, so there is nothing to undo; the chunk holding the hit
-        overshoots it, and the mirror is rewound by reloading it from
-        the Python-side state — which still sits at the last sync
-        point, separated from the hit only by polls (every hit forces
-        a sync, so no destination draws lie in between) — and
-        re-consuming that exact count.
-        """
-        assert self._np_streams is not None
-        stream = self._np_streams[host]
-        rate = self._packet_rate
-        while cycle < limit:
-            draws = stream.random_sample(min(_DRAW_CHUNK, limit - cycle))
-            if draws.min() < rate:
-                cycle += int((draws < rate).argmax())
-                self._load_mirror(host, cycle + 1 - self._sync_cursor[host])
-                self._arrival_cursor[host] = cycle + 1
-                return cycle
-            cycle += len(draws)
-        self._arrival_cursor[host] = limit
-        return None
-
-    def _load_mirror(self, host: int, polls: int = 0) -> None:
-        """Set ``host``'s numpy mirror to its Python stream's state,
-        then advance it ``polls`` draws (a chunk at a time)."""
-        assert self._np_streams is not None
-        stream = self._np_streams[host]
-        _, state, _ = self._rngs[host].getstate()
-        stream.set_state(
-            ("MT19937", _np.asarray(state[:-1], dtype=_np.uint32), state[-1])
-        )
-        while polls > 0:
-            stream.random_sample(min(polls, _DRAW_CHUNK))
-            polls -= _DRAW_CHUNK
-
-    def _pull_host_rng(self, host: int) -> None:
-        """Copy the numpy mirror's state back into the Python RNG.
-
-        Called before :meth:`_generate_packet` draws a destination, so
-        the Python stream resumes exactly where the bulk polls stopped.
-        """
-        assert self._np_streams is not None
-        _, keys, pos, _, _ = self._np_streams[host].get_state()
-        self._rngs[host].setstate(
-            (3, tuple(keys.tolist()) + (int(pos),), None)
-        )
-
-    def _push_host_rng(self, host: int) -> None:
-        """Copy the Python RNG's state back into the numpy mirror."""
-        self._load_mirror(host)
-        self._sync_cursor[host] = self._arrival_cursor[host]
+        if self._rows is not None:
+            hit = self._rows.search(host, rate, limit - cycle)
+        else:
+            rnd = self._rngs[host].random
+            hit = None
+            for poll in range(limit - cycle):
+                if rnd() < rate:
+                    hit = poll
+                    break
+        if hit is None:
+            self._arrival_cursor[host] = limit
+            return None
+        self._arrival_cursor[host] = cycle + hit + 1
+        return cycle + hit
 
     def _generate_event(self, now: int) -> None:
         """Event-mode generation: only hosts whose arrival is due.
@@ -589,13 +537,16 @@ class NetworkSimulation(StagedRun):
             invariant(due == now, "fast-forward skipped a host arrival",
                       cycle=now, check="event-schedule", host=host,
                       arrival=due)
-            if self._np_streams is not None:
-                # Destination draws happen on the Python stream; hand
-                # the mirrored state across and back so both sides see
-                # one contiguous per-host stream.
-                self._pull_host_rng(host)
+            rows = self._rows
+            if rows is not None:
+                # Destination draws happen on the Python stream: hand
+                # it the row (which stopped right after the hit) and
+                # take the state back, so both see one contiguous
+                # per-host stream.
+                rows.pull(host, self._rngs[host])
                 self._generate_packet(host, now)
-                self._push_host_rng(host)
+                rows.push(host, self._rngs[host])
+                self._sync_cursor[host] = self._arrival_cursor[host]
             else:
                 self._generate_packet(host, now)
             nxt = self._draw_arrival(host, self._draw_limit)
@@ -869,16 +820,20 @@ class NetworkSimulation(StagedRun):
             },
             "rngs": [rng.getstate() for rng in self._rngs],
             "route_rng": self._route_rng.getstate(),
-            # The numpy mirrors are deliberately not captured: at a
-            # cycle boundary each mirror equals the Python stream plus
-            # (arrival_cursor - sync_cursor) poll draws, so restore
+            # The state rows are deliberately not captured: each row
+            # equals the Python stream (captured at ``sync_cursor``)
+            # plus (cursor - sync_cursor) poll draws, so restore
             # rebuilds them from the restored Python state instead.
+            # Without rows the Python stream itself is at the cursor.
             "arrivals": {
                 "heap": sorted(self._host_arrivals),
                 "cursor": self._arrival_cursor,
                 "draw_limit": self._draw_limit,
                 "undrawn": sorted(self._undrawn),
-                "sync_cursor": self._sync_cursor,
+                "sync_cursor": (
+                    list(self._arrival_cursor) if self._rows is None
+                    else self._sync_cursor
+                ),
             },
         })
 
@@ -931,16 +886,20 @@ class NetworkSimulation(StagedRun):
         self._draw_limit = arrivals["draw_limit"]
         self._undrawn = set(arrivals["undrawn"])
         self._sync_cursor = arrivals["sync_cursor"]
-        if self._np_streams is not None:
-            # Reload each mirror from the restored Python state (the
-            # last sync point) and replay the poll draws separating it
-            # from the pre-draw cursor; snapshots are taken at cycle
-            # boundaries, where that gap is pure polls (every hit and
-            # every destination draw forces a sync).
-            for host in range(len(self._rngs)):
-                self._load_mirror(
-                    host, self._arrival_cursor[host] - self._sync_cursor[host]
-                )
+        # The restored Python streams sit at ``sync_cursor``; replay
+        # the poll draws separating each from its pre-draw cursor —
+        # into the host's row, or, with no rows (the capture may come
+        # from a run that had them), on the Python stream itself.
+        # Snapshots are taken at cycle boundaries, where that gap is
+        # pure polls (every destination draw forces a sync).
+        for host, rng in enumerate(self._rngs):
+            polls = self._arrival_cursor[host] - self._sync_cursor[host]
+            if self._rows is not None:
+                self._rows.push(host, rng)
+                self._rows.skip(host, polls)
+            else:
+                for _ in range(polls):
+                    rng.random()
         # After the routers: lost-credit sinks resolve through the
         # (identity-preserved) credit_sinks wiring.
         self._apply_run(state)

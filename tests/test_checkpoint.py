@@ -275,6 +275,56 @@ class TestNetworkRoundTrip:
         assert got == expect
         assert got.extra == expect.extra
 
+    @pytest.mark.parametrize("written_with, restored_with", [
+        (True, True), (False, False), (True, False), (False, True),
+    ])
+    def test_event_run_paused_mid_gap(
+        self, tmp_path, monkeypatch, written_with, restored_with
+    ):
+        """A low-rate event run pauses with most hosts between
+        arrivals: the pre-draw cursor is past the captured Python
+        stream (by the polls its state row has made) when the bulk
+        path is on, level with it when the scalar loop runs.  The
+        capture means the same either way, so it resumes — identically
+        to the uninterrupted run — with or without numpy, whichever
+        wrote it."""
+        import repro.network.netsim as netsim
+
+        if (written_with or restored_with) and not netsim.HAVE_NUMPY:
+            pytest.skip("numpy unavailable; the fallback is the only path")
+        cfg = NetworkConfig(radix=16, levels=2, num_vcs=2, seed=11)
+        path = tmp_path / "net.ckpt"
+
+        def build():
+            reset_packet_ids()
+            sim = NetworkSimulation(cfg, load=1e-3, scheduler="event")
+            sim.start_run(warmup=500, measure=6000, drain=2000)
+            return sim
+
+        ref = build()
+        assert (ref._rows is not None) == netsim.HAVE_NUMPY
+        assert ref.advance_run()
+        expect = ref.finish_run()
+        assert expect.packets_measured > 60
+
+        monkeypatch.setattr(netsim, "HAVE_NUMPY", written_with)
+        twin = build()
+        assert (twin._rows is not None) == written_with
+        assert not twin.advance_run(stop_at=3000)
+        arrivals = twin.snapshot()["arrivals"]
+        ahead = [
+            c - s for c, s in zip(arrivals["cursor"], arrivals["sync_cursor"])
+        ]
+        assert min(ahead) >= 0 and (max(ahead) > 0) == written_with
+        twin.save_checkpoint(path)
+
+        monkeypatch.setattr(netsim, "HAVE_NUMPY", restored_with)
+        resumed = load_checkpoint(path)
+        assert (resumed._rows is not None) == restored_with
+        assert resumed.advance_run()
+        got = resumed.finish_run()
+        assert (got, got.extra) == (expect, expect.extra)
+
     def test_checkpoint_is_a_plain_file(self, tmp_path):
         """The capture is a self-contained on-disk artifact: reloading
         it twice yields two independent simulations with equal

@@ -330,3 +330,39 @@ def test_network_sanitizer_detects_occupancy_index_drift(drift):
     assert exc.value.check == "occupancy-index"
     assert exc.value.cycle == 51
     assert exc.value.context["router"] == router.name
+
+
+def test_network_sanitizer_detects_arrival_stream_drift():
+    """Event mode's bulk pre-draw keeps each host's stream in a state
+    row that runs ahead of the Python stream between arrivals; the
+    snapshot relies on the two differing by polls alone.  A hand-back
+    that leaves one row word wrong is reported at the cycle it
+    happens, for the host it happened to."""
+    import repro.network.netsim as netsim
+
+    if not netsim.HAVE_NUMPY:
+        pytest.skip("numpy unavailable; there are no state rows")
+    sim = NetworkSimulation(
+        NetworkConfig(radix=4, levels=2, seed=3), load=1e-3,
+        scheduler="event", sanitize=True,
+    )
+    rows = sim._rows
+    assert rows is not None
+    sim.run_until(8000)
+    assert sum(sim._sync_cursor) > 0  # arrivals were audited, cleanly
+    corrupted = []
+    real_push = rows.push
+
+    def push(host, stream):
+        real_push(host, stream)
+        if not corrupted:
+            rows.rows[host, 17] ^= 1
+            corrupted.append((host, sim.cycle))
+
+    rows.push = push
+    with pytest.raises(InvariantViolation) as exc:
+        sim.run_until(16000)
+    (host, cycle), = corrupted
+    assert exc.value.check == "arrival-stream"
+    assert exc.value.cycle == cycle + 1
+    assert exc.value.context["host"] == host
