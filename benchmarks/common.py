@@ -17,6 +17,7 @@ result.
 from __future__ import annotations
 
 import os
+import time
 from pathlib import Path
 
 from repro.core.config import RouterConfig
@@ -58,6 +59,29 @@ def save_table(name: str, text: str) -> None:
     print(text)
 
 
-def once(benchmark, fn):
-    """Run ``fn`` exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(fn, rounds=1, iterations=1)
+def paired_best(leg_a, leg_b, rounds=3, clock=time.perf_counter):
+    """Best wall time of two legs run interleaved: a, b, a, b, ...
+
+    This host flips between speed states ~2.4x apart, so a ratio of
+    two timings means something only if both legs met the same state:
+    every round runs both back to back, and the two minima come from
+    the fastest state either saw.  A leg is a zero-argument callable,
+    timed whole, or a ``(setup, body)`` pair whose ``setup()`` runs off
+    the clock each round and whose ``body(setup())`` is timed.  What a
+    leg returns is its checksum and must not change between rounds.
+    Returns ``(best_a, checksum_a), (best_b, checksum_b)``.
+    """
+    best = [float("inf"), float("inf")]
+    checksums = [None, None]
+    for round_ in range(rounds):
+        for k, leg in enumerate((leg_a, leg_b)):
+            setup, body = leg if isinstance(leg, tuple) else (None, leg)
+            args = () if setup is None else (setup(),)
+            start = clock()
+            value = body(*args)
+            best[k] = min(best[k], clock() - start)
+            if round_ == 0:
+                checksums[k] = value
+            else:
+                assert value == checksums[k], "run is not deterministic"
+    return (best[0], checksums[0]), (best[1], checksums[1])

@@ -10,40 +10,36 @@ retry because each flit occupies the row for four cycles.
 This ablation regenerates that comparison.
 """
 
-from common import BASE_CONFIG, SAT_SETTINGS, once, save_table
+from common import BASE_CONFIG, SAT_SETTINGS, save_table
 
 from repro.harness.experiment import saturation_throughput
 from repro.harness.report import format_table
 from repro.routers.buffered import BufferedCrossbarRouter
 
 
-def test_ablation_credit_return_bus(benchmark):
-    def run():
-        shared = saturation_throughput(
-            BufferedCrossbarRouter, BASE_CONFIG, settings=SAT_SETTINGS
-        )
-        ideal = saturation_throughput(
-            BufferedCrossbarRouter,
-            BASE_CONFIG.with_(ideal_credit_return=True),
-            settings=SAT_SETTINGS,
-        )
-        # The shared bus matters most when buffers are shallow: with a
-        # single-flit crosspoint buffer every credit is on the critical
-        # path.
-        shared_shallow = saturation_throughput(
-            BufferedCrossbarRouter,
-            BASE_CONFIG.with_(crosspoint_buffer_depth=1),
-            settings=SAT_SETTINGS,
-        )
-        ideal_shallow = saturation_throughput(
-            BufferedCrossbarRouter,
-            BASE_CONFIG.with_(crosspoint_buffer_depth=1,
-                              ideal_credit_return=True),
-            settings=SAT_SETTINGS,
-        )
-        return shared, ideal, shared_shallow, ideal_shallow
-
-    shared, ideal, shared_shallow, ideal_shallow = once(benchmark, run)
+def test_ablation_credit_return_bus():
+    shared = saturation_throughput(
+        BufferedCrossbarRouter, BASE_CONFIG, settings=SAT_SETTINGS
+    )
+    ideal = saturation_throughput(
+        BufferedCrossbarRouter,
+        BASE_CONFIG.with_(ideal_credit_return=True),
+        settings=SAT_SETTINGS,
+    )
+    # The shared bus matters most when buffers are shallow: with a
+    # single-flit crosspoint buffer every credit is on the critical
+    # path.
+    shared_shallow = saturation_throughput(
+        BufferedCrossbarRouter,
+        BASE_CONFIG.with_(crosspoint_buffer_depth=1),
+        settings=SAT_SETTINGS,
+    )
+    ideal_shallow = saturation_throughput(
+        BufferedCrossbarRouter,
+        BASE_CONFIG.with_(crosspoint_buffer_depth=1,
+                          ideal_credit_return=True),
+        settings=SAT_SETTINGS,
+    )
 
     table = format_table(
         ["crosspoint depth", "shared bus", "ideal credits"],

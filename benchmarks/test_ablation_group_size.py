@@ -8,7 +8,7 @@ ablation shows throughput is robust across group sizes — the reason the
 paper can pick m for circuit-level convenience.
 """
 
-from common import BASE_CONFIG, SAT_SETTINGS, once, save_table
+from common import BASE_CONFIG, SAT_SETTINGS, save_table
 
 from repro.harness.experiment import saturation_throughput
 from repro.harness.report import format_table
@@ -17,18 +17,15 @@ from repro.routers.distributed import DistributedRouter
 GROUP_SIZES = (2, 4, 8, 16)
 
 
-def test_ablation_local_group_size(benchmark):
-    def run():
-        return {
-            m: saturation_throughput(
-                DistributedRouter,
-                BASE_CONFIG.with_(local_group_size=m),
-                settings=SAT_SETTINGS,
-            )
-            for m in GROUP_SIZES
-        }
-
-    sats = once(benchmark, run)
+def test_ablation_local_group_size():
+    sats = {
+        m: saturation_throughput(
+            DistributedRouter,
+            BASE_CONFIG.with_(local_group_size=m),
+            settings=SAT_SETTINGS,
+        )
+        for m in GROUP_SIZES
+    }
 
     table = format_table(
         ["local group size m", "saturation throughput"],

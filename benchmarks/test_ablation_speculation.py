@@ -15,7 +15,7 @@ switch:
   NACK protocol is yet another answer to the same problem.
 """
 
-from common import BASE_CONFIG, SAT_SETTINGS, SETTINGS, once, save_table
+from common import BASE_CONFIG, SAT_SETTINGS, SETTINGS, save_table
 
 from repro.harness.experiment import run_load_sweep, saturation_throughput
 from repro.harness.report import format_table
@@ -26,32 +26,26 @@ SPEC = BASE_CONFIG
 NONSPEC = BASE_CONFIG.with_(speculative=False)
 
 
-def test_ablation_speculation(benchmark):
-    def run():
-        spec_sweep = run_load_sweep(
-            DistributedRouter, SPEC, [0.1], label="speculative",
-            packet_size=4, settings=SETTINGS)
-        nonspec_sweep = run_load_sweep(
-            DistributedRouter, NONSPEC, [0.1], label="non-speculative",
-            packet_size=4, settings=SETTINGS)
-        sats = {
-            "speculative (CVA)": saturation_throughput(
-                DistributedRouter, SPEC, packet_size=4,
-                settings=SAT_SETTINGS),
-            "non-speculative": saturation_throughput(
-                DistributedRouter, NONSPEC, packet_size=4,
-                settings=SAT_SETTINGS),
-            "shared-buffer NACK": saturation_throughput(
-                SharedBufferCrossbarRouter, BASE_CONFIG, packet_size=4,
-                settings=SAT_SETTINGS),
-        }
-        return (
-            spec_sweep.zero_load_latency(),
-            nonspec_sweep.zero_load_latency(),
-            sats,
-        )
-
-    spec_zero, nonspec_zero, sats = once(benchmark, run)
+def test_ablation_speculation():
+    spec_sweep = run_load_sweep(
+        DistributedRouter, SPEC, [0.1], label="speculative",
+        packet_size=4, settings=SETTINGS)
+    nonspec_sweep = run_load_sweep(
+        DistributedRouter, NONSPEC, [0.1], label="non-speculative",
+        packet_size=4, settings=SETTINGS)
+    sats = {
+        "speculative (CVA)": saturation_throughput(
+            DistributedRouter, SPEC, packet_size=4,
+            settings=SAT_SETTINGS),
+        "non-speculative": saturation_throughput(
+            DistributedRouter, NONSPEC, packet_size=4,
+            settings=SAT_SETTINGS),
+        "shared-buffer NACK": saturation_throughput(
+            SharedBufferCrossbarRouter, BASE_CONFIG, packet_size=4,
+            settings=SAT_SETTINGS),
+    }
+    spec_zero = spec_sweep.zero_load_latency()
+    nonspec_zero = nonspec_sweep.zero_load_latency()
 
     table = format_table(
         ["scheme", "zero-load latency", "saturation throughput"],

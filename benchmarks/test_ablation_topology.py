@@ -9,7 +9,7 @@ hop count translates into lower latency at every load, at the price of
 more switch hardware.
 """
 
-from common import once, save_table
+from common import save_table
 
 from repro.harness.report import format_table
 from repro.network import FoldedClos, Mesh, NetworkConfig, NetworkSimulation
@@ -17,24 +17,20 @@ from repro.network import FoldedClos, Mesh, NetworkConfig, NetworkSimulation
 LOADS = (0.1, 0.3, 0.5)
 
 
-def test_ablation_clos_vs_mesh(benchmark):
+def test_ablation_clos_vs_mesh():
     clos = FoldedClos(radix=8, levels=2)
     mesh = Mesh(dims=(4, 4), concentration=1)
     assert clos.num_hosts == mesh.num_hosts == 16
 
-    def run():
-        curves = {}
-        for name, topo, radix in (("clos", clos, 8), ("mesh", mesh, 5)):
-            rows = []
-            for load in LOADS:
-                cfg = NetworkConfig(radix=radix, num_vcs=2)
-                sim = NetworkSimulation(cfg, load, topology=topo)
-                r = sim.run(warmup=600, measure=800, drain=6000)
-                rows.append((load, r.avg_latency, r.throughput))
-            curves[name] = rows
-        return curves
-
-    curves = once(benchmark, run)
+    curves = {}
+    for name, topo, radix in (("clos", clos, 8), ("mesh", mesh, 5)):
+        rows = []
+        for load in LOADS:
+            cfg = NetworkConfig(radix=radix, num_vcs=2)
+            sim = NetworkSimulation(cfg, load, topology=topo)
+            r = sim.run(warmup=600, measure=800, drain=6000)
+            rows.append((load, r.avg_latency, r.throughput))
+        curves[name] = rows
 
     table_rows = []
     for idx, load in enumerate(LOADS):

@@ -10,7 +10,7 @@ iSLIP iterations) against the fully buffered and hierarchical
 crossbars, along with each design's storage bill.
 """
 
-from common import BASE_CONFIG, SAT_SETTINGS, once, save_table
+from common import BASE_CONFIG, SAT_SETTINGS, save_table
 
 from repro.harness.experiment import saturation_throughput
 from repro.harness.report import format_table
@@ -24,32 +24,28 @@ from repro.routers.hierarchical import HierarchicalCrossbarRouter
 from repro.routers.voq import VoqRouter
 
 
-def test_ablation_voq_vs_buffered(benchmark):
-    def run():
-        sats = {
-            "VOQ iSLIP-1": saturation_throughput(
-                lambda c: VoqRouter(c, iterations=1), BASE_CONFIG,
-                settings=SAT_SETTINGS),
-            "VOQ iSLIP-2": saturation_throughput(
-                lambda c: VoqRouter(c, iterations=2), BASE_CONFIG,
-                settings=SAT_SETTINGS),
-            "fully buffered": saturation_throughput(
-                BufferedCrossbarRouter, BASE_CONFIG, settings=SAT_SETTINGS),
-            "hierarchical p=8": saturation_throughput(
-                HierarchicalCrossbarRouter,
-                BASE_CONFIG.with_(subswitch_size=8),
-                settings=SAT_SETTINGS),
-        }
-        bits = {
-            "VOQ iSLIP-1": voq_storage_bits(BASE_CONFIG),
-            "VOQ iSLIP-2": voq_storage_bits(BASE_CONFIG),
-            "fully buffered": fully_buffered_storage_bits(BASE_CONFIG),
-            "hierarchical p=8": hierarchical_storage_bits(
-                BASE_CONFIG.with_(subswitch_size=8)),
-        }
-        return sats, bits
-
-    sats, bits = once(benchmark, run)
+def test_ablation_voq_vs_buffered():
+    sats = {
+        "VOQ iSLIP-1": saturation_throughput(
+            lambda c: VoqRouter(c, iterations=1), BASE_CONFIG,
+            settings=SAT_SETTINGS),
+        "VOQ iSLIP-2": saturation_throughput(
+            lambda c: VoqRouter(c, iterations=2), BASE_CONFIG,
+            settings=SAT_SETTINGS),
+        "fully buffered": saturation_throughput(
+            BufferedCrossbarRouter, BASE_CONFIG, settings=SAT_SETTINGS),
+        "hierarchical p=8": saturation_throughput(
+            HierarchicalCrossbarRouter,
+            BASE_CONFIG.with_(subswitch_size=8),
+            settings=SAT_SETTINGS),
+    }
+    bits = {
+        "VOQ iSLIP-1": voq_storage_bits(BASE_CONFIG),
+        "VOQ iSLIP-2": voq_storage_bits(BASE_CONFIG),
+        "fully buffered": fully_buffered_storage_bits(BASE_CONFIG),
+        "hierarchical p=8": hierarchical_storage_bits(
+            BASE_CONFIG.with_(subswitch_size=8)),
+    }
 
     table = format_table(
         ["architecture", "saturation throughput", "storage (bits)",

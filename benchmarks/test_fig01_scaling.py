@@ -5,7 +5,7 @@ paper's observation of roughly an order-of-magnitude bandwidth increase
 every five years.
 """
 
-from common import once, save_table
+from common import save_table
 
 from repro.harness.report import format_table
 from repro.models.scaling import (
@@ -17,19 +17,15 @@ from repro.models.scaling import (
 )
 
 
-def test_fig01_router_scaling(benchmark):
-    def run():
-        rows = [
-            (d.year, d.name, d.bandwidth_gbps,
-             "frontier" if d.highest_of_era else "")
-            for d in sorted(ROUTER_SCALING_DATA, key=lambda d: d.year)
-        ]
-        a, b = fit_exponential()
-        growth_all = growth_per_five_years()
-        growth_frontier = growth_per_five_years(frontier())
-        return rows, growth_all, growth_frontier
-
-    rows, growth_all, growth_frontier = once(benchmark, run)
+def test_fig01_router_scaling():
+    rows = [
+        (d.year, d.name, d.bandwidth_gbps,
+         "frontier" if d.highest_of_era else "")
+        for d in sorted(ROUTER_SCALING_DATA, key=lambda d: d.year)
+    ]
+    a, b = fit_exponential()
+    growth_all = growth_per_five_years()
+    growth_frontier = growth_per_five_years(frontier())
 
     table = format_table(
         ["year", "router", "bandwidth (Gb/s)", ""],

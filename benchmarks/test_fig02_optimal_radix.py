@@ -6,27 +6,23 @@ technology (A ~ 554) optimizes at radix ~40 and the 2010 technology
 (A ~ 2978) at radix ~127.
 """
 
-from common import once, save_table
+from common import save_table
 
 from repro.harness.report import format_table
 from repro.models.latency import optimal_radix, optimal_radix_continuous
 from repro.models.technology import ALL_TECHNOLOGIES
 
 
-def test_fig02_optimal_radix_vs_aspect_ratio(benchmark):
-    def run():
-        curve = []
-        aspect = 10.0
-        while aspect <= 20000.0:
-            curve.append((aspect, optimal_radix_continuous(aspect)))
-            aspect *= 1.5
-        points = [
-            (t.name, t.aspect_ratio, optimal_radix(t))
-            for t in ALL_TECHNOLOGIES
-        ]
-        return curve, points
-
-    curve, points = once(benchmark, run)
+def test_fig02_optimal_radix_vs_aspect_ratio():
+    curve = []
+    aspect = 10.0
+    while aspect <= 20000.0:
+        curve.append((aspect, optimal_radix_continuous(aspect)))
+        aspect *= 1.5
+    points = [
+        (t.name, t.aspect_ratio, optimal_radix(t))
+        for t in ALL_TECHNOLOGIES
+    ]
 
     table = format_table(
         ["aspect ratio", "optimal radix"],

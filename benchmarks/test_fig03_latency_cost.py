@@ -7,7 +7,7 @@ radix; and the 2010 network costs more than the 2003 one because it has
 more nodes (footnote 4).
 """
 
-from common import once, save_table
+from common import save_table
 
 from repro.harness.report import format_table
 from repro.models.cost import network_cost
@@ -17,20 +17,16 @@ from repro.models.technology import TECH_2003, TECH_2010
 RADICES = list(range(8, 260, 8))
 
 
-def test_fig03_latency_and_cost_vs_radix(benchmark):
-    def run():
-        rows = []
-        for k in RADICES:
-            rows.append((
-                k,
-                packet_latency(k, TECH_2003) * 1e9,
-                packet_latency(k, TECH_2010) * 1e9,
-                network_cost(k, TECH_2003, unit_cost=1000.0),
-                network_cost(k, TECH_2010, unit_cost=1000.0),
-            ))
-        return rows
-
-    rows = once(benchmark, run)
+def test_fig03_latency_and_cost_vs_radix():
+    rows = []
+    for k in RADICES:
+        rows.append((
+            k,
+            packet_latency(k, TECH_2003) * 1e9,
+            packet_latency(k, TECH_2010) * 1e9,
+            network_cost(k, TECH_2003, unit_cost=1000.0),
+            network_cost(k, TECH_2010, unit_cost=1000.0),
+        ))
 
     table = format_table(
         ["radix", "latency 2003 (ns)", "latency 2010 (ns)",

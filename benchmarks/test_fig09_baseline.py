@@ -14,7 +14,7 @@ Paper claims checked:
 * OVA saturates below CVA ("about 45%").
 """
 
-from common import BASE_CONFIG, LOADS, LOW_RADIX, SAT_SETTINGS, SETTINGS, once, save_table
+from common import BASE_CONFIG, LOADS, LOW_RADIX, SAT_SETTINGS, SETTINGS, save_table
 
 from repro.harness.experiment import run_load_sweep, saturation_throughput
 from repro.harness.report import format_saturation, format_sweeps
@@ -28,27 +28,23 @@ CVA = BASE_CONFIG
 OVA = BASE_CONFIG.with_(vc_allocator="ova")
 
 
-def test_fig09_baseline_architecture(benchmark):
-    def run():
-        sweeps = [
-            run_load_sweep(BaselineRouter, LOW_CONFIG, LOADS,
-                           label="low-radix", settings=SETTINGS),
-            run_load_sweep(DistributedRouter, CVA, LOADS,
-                           label="high-radix CVA", settings=SETTINGS),
-            run_load_sweep(DistributedRouter, OVA, LOADS,
-                           label="high-radix OVA", settings=SETTINGS),
-        ]
-        sats = {
-            "low-radix": saturation_throughput(
-                BaselineRouter, LOW_CONFIG, settings=SAT_SETTINGS),
-            "high-radix CVA": saturation_throughput(
-                DistributedRouter, CVA, settings=SAT_SETTINGS),
-            "high-radix OVA": saturation_throughput(
-                DistributedRouter, OVA, settings=SAT_SETTINGS),
-        }
-        return sweeps, sats
-
-    sweeps, sats = once(benchmark, run)
+def test_fig09_baseline_architecture():
+    sweeps = [
+        run_load_sweep(BaselineRouter, LOW_CONFIG, LOADS,
+                       label="low-radix", settings=SETTINGS),
+        run_load_sweep(DistributedRouter, CVA, LOADS,
+                       label="high-radix CVA", settings=SETTINGS),
+        run_load_sweep(DistributedRouter, OVA, LOADS,
+                       label="high-radix OVA", settings=SETTINGS),
+    ]
+    sats = {
+        "low-radix": saturation_throughput(
+            BaselineRouter, LOW_CONFIG, settings=SAT_SETTINGS),
+        "high-radix CVA": saturation_throughput(
+            DistributedRouter, CVA, settings=SAT_SETTINGS),
+        "high-radix OVA": saturation_throughput(
+            DistributedRouter, OVA, settings=SAT_SETTINGS),
+    }
 
     table = format_sweeps(
         sweeps,

@@ -12,7 +12,7 @@ Paper claims checked:
   already prevent most of the speculative bandwidth loss.
 """
 
-from common import BASE_CONFIG, SAT_SETTINGS, SETTINGS, once, save_table
+from common import BASE_CONFIG, SAT_SETTINGS, SETTINGS, save_table
 
 from repro.harness.experiment import run_load_sweep, saturation_throughput
 from repro.harness.report import format_sweeps
@@ -27,32 +27,28 @@ V4 = BASE_CONFIG.with_(num_vcs=4, input_buffer_depth=32)
 V4P = V4.with_(prioritize_nonspeculative=True)
 
 
-def test_fig11_prioritized_allocation(benchmark):
-    def run():
-        sweeps = {
-            "1VC one-arb": run_load_sweep(
-                DistributedRouter, V1, LOADS, label="1VC one-arb",
-                packet_size=PACKET, settings=SETTINGS),
-            "1VC two-arb": run_load_sweep(
-                DistributedRouter, V1P, LOADS, label="1VC two-arb",
-                packet_size=PACKET, settings=SETTINGS),
-            "4VC one-arb": run_load_sweep(
-                DistributedRouter, V4, LOADS, label="4VC one-arb",
-                packet_size=PACKET, settings=SETTINGS),
-            "4VC two-arb": run_load_sweep(
-                DistributedRouter, V4P, LOADS, label="4VC two-arb",
-                packet_size=PACKET, settings=SETTINGS),
-        }
-        sats = {
-            name: saturation_throughput(
-                DistributedRouter, cfg, packet_size=PACKET,
-                settings=SAT_SETTINGS)
-            for name, cfg in [("1VC one-arb", V1), ("1VC two-arb", V1P),
-                              ("4VC one-arb", V4), ("4VC two-arb", V4P)]
-        }
-        return sweeps, sats
-
-    sweeps, sats = once(benchmark, run)
+def test_fig11_prioritized_allocation():
+    sweeps = {
+        "1VC one-arb": run_load_sweep(
+            DistributedRouter, V1, LOADS, label="1VC one-arb",
+            packet_size=PACKET, settings=SETTINGS),
+        "1VC two-arb": run_load_sweep(
+            DistributedRouter, V1P, LOADS, label="1VC two-arb",
+            packet_size=PACKET, settings=SETTINGS),
+        "4VC one-arb": run_load_sweep(
+            DistributedRouter, V4, LOADS, label="4VC one-arb",
+            packet_size=PACKET, settings=SETTINGS),
+        "4VC two-arb": run_load_sweep(
+            DistributedRouter, V4P, LOADS, label="4VC two-arb",
+            packet_size=PACKET, settings=SETTINGS),
+    }
+    sats = {
+        name: saturation_throughput(
+            DistributedRouter, cfg, packet_size=PACKET,
+            settings=SAT_SETTINGS)
+        for name, cfg in [("1VC one-arb", V1), ("1VC two-arb", V1P),
+                          ("4VC one-arb", V4), ("4VC two-arb", V4P)]
+    }
 
     table = format_sweeps(
         [sweeps["1VC one-arb"], sweeps["1VC two-arb"]],

@@ -17,7 +17,6 @@ from common import (
     LOW_RADIX,
     SAT_SETTINGS,
     SETTINGS,
-    once,
     save_table,
 )
 
@@ -32,25 +31,21 @@ LOW_CONFIG = BASE_CONFIG.with_(
 )
 
 
-def test_fig13_fully_buffered(benchmark):
-    def run():
-        sweeps = [
-            run_load_sweep(BaselineRouter, LOW_CONFIG, LOADS,
-                           label="low-radix", settings=SETTINGS),
-            run_load_sweep(DistributedRouter, BASE_CONFIG, LOADS,
-                           label="baseline", settings=SETTINGS),
-            run_load_sweep(BufferedCrossbarRouter, BASE_CONFIG, LOADS,
-                           label="fully-buffered", settings=SETTINGS),
-        ]
-        sats = {
-            "baseline": saturation_throughput(
-                DistributedRouter, BASE_CONFIG, settings=SAT_SETTINGS),
-            "fully-buffered": saturation_throughput(
-                BufferedCrossbarRouter, BASE_CONFIG, settings=SAT_SETTINGS),
-        }
-        return sweeps, sats
-
-    sweeps, sats = once(benchmark, run)
+def test_fig13_fully_buffered():
+    sweeps = [
+        run_load_sweep(BaselineRouter, LOW_CONFIG, LOADS,
+                       label="low-radix", settings=SETTINGS),
+        run_load_sweep(DistributedRouter, BASE_CONFIG, LOADS,
+                       label="baseline", settings=SETTINGS),
+        run_load_sweep(BufferedCrossbarRouter, BASE_CONFIG, LOADS,
+                       label="fully-buffered", settings=SETTINGS),
+    ]
+    sats = {
+        "baseline": saturation_throughput(
+            DistributedRouter, BASE_CONFIG, settings=SAT_SETTINGS),
+        "fully-buffered": saturation_throughput(
+            BufferedCrossbarRouter, BASE_CONFIG, settings=SAT_SETTINGS),
+    }
 
     table = format_sweeps(
         sweeps,

@@ -11,7 +11,7 @@ Paper claims checked:
   crosspoint buffers are required.
 """
 
-from common import BASE_CONFIG, SAT_SETTINGS, once, save_table
+from common import BASE_CONFIG, SAT_SETTINGS, save_table
 
 from repro.harness.experiment import saturation_throughput
 from repro.harness.report import format_table
@@ -21,26 +21,22 @@ SHORT_DEPTHS = (1, 2, 4, 16)
 LONG_DEPTHS = (4, 16, 64)
 
 
-def test_fig14_crosspoint_buffer_size(benchmark):
-    def run():
-        short = {}
-        for depth in SHORT_DEPTHS:
-            cfg = BASE_CONFIG.with_(crosspoint_buffer_depth=depth)
-            short[depth] = saturation_throughput(
-                BufferedCrossbarRouter, cfg, settings=SAT_SETTINGS
-            )
-        long_ = {}
-        for depth in LONG_DEPTHS:
-            cfg = BASE_CONFIG.with_(
-                crosspoint_buffer_depth=depth, input_buffer_depth=32
-            )
-            long_[depth] = saturation_throughput(
-                BufferedCrossbarRouter, cfg, packet_size=10,
-                settings=SAT_SETTINGS,
-            )
-        return short, long_
-
-    short, long_ = once(benchmark, run)
+def test_fig14_crosspoint_buffer_size():
+    short = {}
+    for depth in SHORT_DEPTHS:
+        cfg = BASE_CONFIG.with_(crosspoint_buffer_depth=depth)
+        short[depth] = saturation_throughput(
+            BufferedCrossbarRouter, cfg, settings=SAT_SETTINGS
+        )
+    long_ = {}
+    for depth in LONG_DEPTHS:
+        cfg = BASE_CONFIG.with_(
+            crosspoint_buffer_depth=depth, input_buffer_depth=32
+        )
+        long_[depth] = saturation_throughput(
+            BufferedCrossbarRouter, cfg, packet_size=10,
+            settings=SAT_SETTINGS,
+        )
 
     table = format_table(
         ["crosspoint depth (flits)", "saturation throughput"],

@@ -5,7 +5,7 @@ and checks the paper's anchor: wire area dominates at low radix, but
 storage grows quadratically and overtakes it at radix ~50.
 """
 
-from common import once, save_table
+from common import save_table
 
 from repro.core.config import RouterConfig
 from repro.harness.report import format_table
@@ -15,13 +15,9 @@ RADICES = (8, 16, 32, 48, 64, 96, 128, 192, 256)
 CFG = RouterConfig(radix=8, num_vcs=4, subswitch_size=1)
 
 
-def test_fig15_storage_vs_wire_area(benchmark):
-    def run():
-        rows = area_sweep("buffered", RADICES, CFG)
-        crossover = storage_crossover_radix("buffered", CFG)
-        return rows, crossover
-
-    rows, crossover = once(benchmark, run)
+def test_fig15_storage_vs_wire_area():
+    rows = area_sweep("buffered", RADICES, CFG)
+    crossover = storage_crossover_radix("buffered", CFG)
 
     table = format_table(
         ["radix", "storage area (mm^2)", "wire area (mm^2)"],

@@ -14,7 +14,7 @@ Regenerates all four panels:
   O(k^2/p) for hierarchical.
 """
 
-from common import BASE_CONFIG, SAT_SETTINGS, once, save_table
+from common import BASE_CONFIG, SAT_SETTINGS, save_table
 
 from repro.harness.experiment import saturation_throughput
 from repro.harness.report import format_table
@@ -35,57 +35,53 @@ def _hier(p, **kw):
     return BASE_CONFIG.with_(subswitch_size=p, **kw)
 
 
-def test_fig17_hierarchical_crossbar(benchmark):
-    def run():
-        uniform = {"baseline": saturation_throughput(
-            DistributedRouter, BASE_CONFIG, settings=SAT_SETTINGS)}
-        uniform["fully-buffered"] = saturation_throughput(
-            BufferedCrossbarRouter, BASE_CONFIG, settings=SAT_SETTINGS)
-        for p in SUBSWITCH_SIZES:
-            uniform[f"subswitch {p}"] = saturation_throughput(
-                HierarchicalCrossbarRouter, _hier(p), settings=SAT_SETTINGS)
+def test_fig17_hierarchical_crossbar():
+    uniform = {"baseline": saturation_throughput(
+        DistributedRouter, BASE_CONFIG, settings=SAT_SETTINGS)}
+    uniform["fully-buffered"] = saturation_throughput(
+        BufferedCrossbarRouter, BASE_CONFIG, settings=SAT_SETTINGS)
+    for p in SUBSWITCH_SIZES:
+        uniform[f"subswitch {p}"] = saturation_throughput(
+            HierarchicalCrossbarRouter, _hier(p), settings=SAT_SETTINGS)
 
-        worst = {}
-        k = BASE_CONFIG.radix
-        worst["baseline"] = saturation_throughput(
-            DistributedRouter, BASE_CONFIG, settings=SAT_SETTINGS,
-            pattern_factory=lambda c: WorstCaseHierarchical(k, 8))
-        worst["fully-buffered"] = saturation_throughput(
-            BufferedCrossbarRouter, BASE_CONFIG, settings=SAT_SETTINGS,
-            pattern_factory=lambda c: WorstCaseHierarchical(k, 8))
-        for p in SUBSWITCH_SIZES:
-            worst[f"subswitch {p}"] = saturation_throughput(
-                HierarchicalCrossbarRouter, _hier(p),
-                settings=SAT_SETTINGS,
-                pattern_factory=lambda c, p=p: WorstCaseHierarchical(k, p))
+    worst = {}
+    k = BASE_CONFIG.radix
+    worst["baseline"] = saturation_throughput(
+        DistributedRouter, BASE_CONFIG, settings=SAT_SETTINGS,
+        pattern_factory=lambda c: WorstCaseHierarchical(k, 8))
+    worst["fully-buffered"] = saturation_throughput(
+        BufferedCrossbarRouter, BASE_CONFIG, settings=SAT_SETTINGS,
+        pattern_factory=lambda c: WorstCaseHierarchical(k, 8))
+    for p in SUBSWITCH_SIZES:
+        worst[f"subswitch {p}"] = saturation_throughput(
+            HierarchicalCrossbarRouter, _hier(p),
+            settings=SAT_SETTINGS,
+            pattern_factory=lambda c, p=p: WorstCaseHierarchical(k, p))
 
-        # (c) equal total buffering, 10-flit packets: the hierarchical
-        # crossbar's boundary buffers hold p/2 times a crosspoint
-        # buffer's storage (paper footnote 5).
-        p = 8
-        equal_depth = BASE_CONFIG.crosspoint_buffer_depth * p // 2
-        long_fb = saturation_throughput(
-            BufferedCrossbarRouter,
-            BASE_CONFIG.with_(input_buffer_depth=32),
-            packet_size=10, settings=SAT_SETTINGS)
-        long_hier = saturation_throughput(
-            HierarchicalCrossbarRouter,
-            _hier(p, subswitch_input_depth=equal_depth,
-                  subswitch_output_depth=equal_depth,
-                  input_buffer_depth=32),
-            packet_size=10, settings=SAT_SETTINGS)
+    # (c) equal total buffering, 10-flit packets: the hierarchical
+    # crossbar's boundary buffers hold p/2 times a crosspoint
+    # buffer's storage (paper footnote 5).
+    p = 8
+    equal_depth = BASE_CONFIG.crosspoint_buffer_depth * p // 2
+    long_fb = saturation_throughput(
+        BufferedCrossbarRouter,
+        BASE_CONFIG.with_(input_buffer_depth=32),
+        packet_size=10, settings=SAT_SETTINGS)
+    long_hier = saturation_throughput(
+        HierarchicalCrossbarRouter,
+        _hier(p, subswitch_input_depth=equal_depth,
+              subswitch_output_depth=equal_depth,
+              input_buffer_depth=32),
+        packet_size=10, settings=SAT_SETTINGS)
 
-        area_rows = []
-        for radix in AREA_RADICES:
-            row = [radix, fully_buffered_storage_bits(
-                BASE_CONFIG.with_(radix=radix, subswitch_size=1))]
-            for p2 in (4, 8, 16):
-                row.append(hierarchical_storage_bits(
-                    BASE_CONFIG.with_(radix=radix, subswitch_size=p2)))
-            area_rows.append(tuple(row))
-        return uniform, worst, long_fb, long_hier, area_rows
-
-    uniform, worst, long_fb, long_hier, area_rows = once(benchmark, run)
+    area_rows = []
+    for radix in AREA_RADICES:
+        row = [radix, fully_buffered_storage_bits(
+            BASE_CONFIG.with_(radix=radix, subswitch_size=1))]
+        for p2 in (4, 8, 16):
+            row.append(hierarchical_storage_bits(
+                BASE_CONFIG.with_(radix=radix, subswitch_size=p2)))
+        area_rows.append(tuple(row))
 
     table = format_table(
         ["architecture", "saturation throughput"],

@@ -15,7 +15,7 @@ Paper claims checked:
   let it match or beat the fully buffered crossbar.
 """
 
-from common import BASE_CONFIG, SAT_SETTINGS, once, save_table
+from common import BASE_CONFIG, SAT_SETTINGS, save_table
 
 from repro.harness.experiment import saturation_throughput
 from repro.harness.report import format_table
@@ -32,25 +32,21 @@ ARCHS = (
 )
 
 
-def test_fig18_nonuniform_traffic(benchmark):
-    def run():
-        k = BASE_CONFIG.radix
-        results = {}
-        for name, cls, cfg in ARCHS:
-            results[("diagonal", name)] = saturation_throughput(
-                cls, cfg, settings=SAT_SETTINGS,
-                pattern_factory=lambda c: Diagonal(k))
-            results[("hotspot", name)] = saturation_throughput(
-                cls, cfg, settings=SAT_SETTINGS,
-                pattern_factory=lambda c: Hotspot(k, num_hotspots=8,
-                                                  hot_fraction=0.5))
-            results[("bursty", name)] = saturation_throughput(
-                cls, cfg, settings=SAT_SETTINGS,
-                pattern_factory=lambda c: UniformRandom(k),
-                injection="onoff", avg_burst=8.0)
-        return results
-
-    results = once(benchmark, run)
+def test_fig18_nonuniform_traffic():
+    k = BASE_CONFIG.radix
+    results = {}
+    for name, cls, cfg in ARCHS:
+        results[("diagonal", name)] = saturation_throughput(
+            cls, cfg, settings=SAT_SETTINGS,
+            pattern_factory=lambda c: Diagonal(k))
+        results[("hotspot", name)] = saturation_throughput(
+            cls, cfg, settings=SAT_SETTINGS,
+            pattern_factory=lambda c: Hotspot(k, num_hotspots=8,
+                                              hot_fraction=0.5))
+        results[("bursty", name)] = saturation_throughput(
+            cls, cfg, settings=SAT_SETTINGS,
+            pattern_factory=lambda c: UniformRandom(k),
+            injection="onoff", avg_burst=8.0)
 
     rows = []
     for pattern in ("diagonal", "hotspot", "bursty"):

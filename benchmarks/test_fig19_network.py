@@ -13,7 +13,7 @@ Paper claims checked:
 * both networks sustain comparable saturation load.
 """
 
-from common import NETWORK_SCALE, once, save_table
+from common import NETWORK_SCALE, save_table
 
 from repro.harness.report import format_table
 from repro.network.netsim import ClosNetworkSimulation, NetworkConfig
@@ -28,19 +28,15 @@ LOW = NetworkConfig(
 )
 
 
-def test_fig19_network_comparison(benchmark):
-    def run():
-        curves = {}
-        for name, cfg in (("high-radix", HIGH), ("low-radix", LOW)):
-            rows = []
-            for load in LOADS:
-                sim = ClosNetworkSimulation(cfg, load)
-                r = sim.run(warmup=800, measure=1000, drain=8000)
-                rows.append((load, r.avg_latency, r.throughput, r.saturated))
-            curves[name] = rows
-        return curves
-
-    curves = once(benchmark, run)
+def test_fig19_network_comparison():
+    curves = {}
+    for name, cfg in (("high-radix", HIGH), ("low-radix", LOW)):
+        rows = []
+        for load in LOADS:
+            sim = ClosNetworkSimulation(cfg, load)
+            r = sim.run(warmup=800, measure=1000, drain=8000)
+            rows.append((load, r.avg_latency, r.throughput, r.saturated))
+        curves[name] = rows
 
     high_hosts = HIGH.radix // 2
     table_rows = []

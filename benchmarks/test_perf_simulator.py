@@ -1,10 +1,10 @@
-"""Simulator performance: cycles per second for each router model.
+"""Simulator performance: speedup floors and overhead ceilings.
 
-Not a paper figure — this benchmark tracks the cost of the simulation
-substrate itself, which determines how close to the paper's radix-64 /
-long-window configuration a given machine can run.  pytest-benchmark's
-statistics across rounds make regressions in the hot per-cycle loops
-visible.
+Not a paper figure — every test here asserts a *ratio* of two timings
+taken in this process, interleaved (``common.paired_best``) so that
+host speed cancels; each also asserts that its two legs are the same
+simulation.  Absolute cycles per second, and their trajectory from PR
+to PR, are the end-to-end benchmark's job (``benchmarks/e2e``).
 
 The active-set tests compare the engine's two schedules: active-set
 (idle routers parked, known-empty input ports skipped) against the
@@ -13,48 +13,15 @@ produce byte-identical results; the active-set schedule must be at
 least 1.5x faster on the low-load configurations where parking pays.
 """
 
-import time
-
 import pytest
 
-from common import BASE_CONFIG
+from common import paired_best
 
 from repro.core.config import RouterConfig
 from repro.harness.experiment import SwitchSimulation
 from repro.network.netsim import ClosNetworkSimulation, NetworkConfig
-from repro.routers.baseline import BaselineRouter
 from repro.routers.buffered import BufferedCrossbarRouter
-from repro.routers.distributed import DistributedRouter
 from repro.routers.hierarchical import HierarchicalCrossbarRouter
-from repro.routers.shared_buffer import SharedBufferCrossbarRouter
-from repro.routers.voq import VoqRouter
-
-CYCLES = 300
-
-ROUTERS = {
-    "baseline": BaselineRouter,
-    "distributed": DistributedRouter,
-    "buffered": BufferedCrossbarRouter,
-    "shared_buffer": SharedBufferCrossbarRouter,
-    "hierarchical": HierarchicalCrossbarRouter,
-    "voq": VoqRouter,
-}
-
-
-@pytest.mark.parametrize("name", sorted(ROUTERS))
-def test_perf_router_step(benchmark, name):
-    cls = ROUTERS[name]
-
-    def run():
-        sim = SwitchSimulation(cls(BASE_CONFIG), load=0.6)
-        for _ in range(CYCLES):
-            sim.step()
-        return sim.router.stats.flits_ejected
-
-    delivered = benchmark.pedantic(run, rounds=3, iterations=1)
-    # Sanity: the simulated router actually moved traffic.
-    assert delivered > 0
-
 
 # ----------------------------------------------------------------------
 # Active-set scheduling speedup (and its results-identical contract)
@@ -63,25 +30,8 @@ def test_perf_router_step(benchmark, name):
 SPEEDUP_FLOOR = 1.5
 
 #: The event scheduler must beat the cycle stepper by this much on the
-#: radix-64 low-load Clos drive loop (the working target is 10x).
+#: radix-64 low-load Clos drive loop.
 EVENT_FF_FLOOR = 5.0
-
-ROUNDS = 3
-
-
-def _best_of(rounds, fn):
-    """Minimum wall time over ``rounds`` runs (noise-robust ratio)."""
-    times = []
-    checksum = None
-    for _ in range(rounds):
-        start = time.perf_counter()  # lint: disable=R002
-        value = fn()
-        times.append(time.perf_counter() - start)  # lint: disable=R002
-        if checksum is None:
-            checksum = value
-        else:
-            assert value == checksum, "run is not deterministic"
-    return min(times), checksum
 
 
 # ----------------------------------------------------------------------
@@ -92,16 +42,16 @@ def _best_of(rounds, fn):
 TRACE_OVERHEAD_CEILING = 0.05
 
 
-def test_perf_tracing_disabled_overhead(benchmark):
+def test_perf_tracing_disabled_overhead():
     """With no collector attached, the ``if hooks.stage_enter:``-style
     guards added for repro.trace must cost <= 5% of the run.
 
     A/B wall-time comparison of two full runs is hopeless at the 5%
-    level (scheduler noise alone swings pedantic means by more), so the
-    bound is measured directly: count how often the emission guards
-    fire in a representative run (by subscribing counters to every
-    hook event — one callback per would-be guard evaluation), measure
-    the per-evaluation cost of a cold guard on the same bus type, and
+    level (scheduler noise alone swings it by more), so the bound is
+    measured directly: count how often the emission guards fire in a
+    representative run (by subscribing counters to every hook event —
+    one callback per would-be guard evaluation), measure the
+    per-evaluation cost of a cold guard on the same bus type, and
     compare the product against the untraced wall time.
     """
     from repro.engine.hooks import EngineHooks
@@ -117,9 +67,18 @@ def test_perf_tracing_disabled_overhead(benchmark):
             sim.step()
         return sim.router.stats.flits_ejected
 
-    delivered = benchmark.pedantic(run, rounds=ROUNDS, iterations=1)
+    # A disabled guard is an attribute load + empty-list truthiness.
+    idle = EngineHooks()
+    reps = 100_000
+
+    def guards():
+        for _ in range(reps):
+            if idle.stage_enter:
+                pass  # pragma: no cover - the list is empty
+
+    (untraced, delivered), (guard_time, _) = paired_best(run, guards)
     assert delivered > 0
-    untraced, _ = _best_of(ROUNDS, run)
+    per_eval = guard_time / reps
 
     # Attaching a collector must not change the simulation (passivity).
     traced_delivered = run(TraceCollector(trace_filter=COUNT_ONLY))
@@ -143,27 +102,11 @@ def test_perf_tracing_disabled_overhead(benchmark):
         counting.step()
     assert events[0] > 0
 
-    # Per-evaluation cost of a disabled guard (attribute load + empty
-    # list truthiness), min over rounds like the wall times above.
-    idle = EngineHooks()
-    reps = 100_000
-    per_eval_times = []
-    for _ in range(ROUNDS):
-        start = time.perf_counter()  # lint: disable=R002
-        for _ in range(reps):
-            if idle.stage_enter:
-                pass  # pragma: no cover - the list is empty
-        per_eval_times.append(
-            (time.perf_counter() - start) / reps  # lint: disable=R002
-        )
-    guard_cost = min(per_eval_times) * events[0]
-
-    overhead = guard_cost / untraced
+    overhead = per_eval * events[0] / untraced
     assert overhead <= TRACE_OVERHEAD_CEILING, (
         f"disabled-tracing guards cost {overhead:.1%} of the run "
-        f"({events[0]} guard evaluations x "
-        f"{min(per_eval_times) * 1e9:.0f}ns vs {untraced:.3f}s; "
-        f"ceiling {TRACE_OVERHEAD_CEILING:.0%})"
+        f"({events[0]} guard evaluations x {per_eval * 1e9:.0f}ns vs "
+        f"{untraced:.3f}s; ceiling {TRACE_OVERHEAD_CEILING:.0%})"
     )
 
 
@@ -175,7 +118,7 @@ def test_perf_tracing_disabled_overhead(benchmark):
 FAULTS_OVERHEAD_CEILING = 0.05
 
 
-def test_perf_faults_disabled_overhead(benchmark, monkeypatch):
+def test_perf_faults_disabled_overhead(monkeypatch):
     """With ``faults=None``, the repro.faults guards (``self._faults is
     not None`` in the harness, the ``_stuck_inputs`` truthiness test in
     router eligibility scans, ``drop_hook is not None`` in the credit
@@ -202,10 +145,6 @@ def test_perf_faults_disabled_overhead(benchmark, monkeypatch):
             sim.step()
         return sim.router.stats.flits_ejected
 
-    delivered = benchmark.pedantic(run, rounds=ROUNDS, iterations=1)
-    assert delivered > 0
-    baseline, _ = _best_of(ROUNDS, run)
-
     # Every read of a guarded attribute (and every truthiness test of
     # the stuck set) is one evaluation; each stand-in answers exactly
     # as the disabled guard does.
@@ -230,7 +169,6 @@ def test_perf_faults_disabled_overhead(benchmark, monkeypatch):
         patch.setattr(DelayedCreditPipe, "drop_hook",
                       property(count_none, refuse))
         counted_delivered = run(_CountingSimulation, _CountingStuck())
-    assert counted_delivered == delivered, "counting changed the simulation"
     evals = counted[0]
     assert evals > 0
 
@@ -246,41 +184,34 @@ def test_perf_faults_disabled_overhead(benchmark, monkeypatch):
 
     host = _Host()
     reps = 300_000
-    shape_costs = []
 
-    times = []
-    for _ in range(ROUNDS):
-        start = time.perf_counter()  # lint: disable=R002
+    def injector_guards():
         for _ in range(reps):
             if host.fault_injector is not None:
                 pass  # pragma: no cover - guards are disabled
-        times.append(
-            (time.perf_counter() - start) / reps  # lint: disable=R002
-        )
-    shape_costs.append(min(times))
 
-    times = []
-    for _ in range(ROUNDS):
-        start = time.perf_counter()  # lint: disable=R002
+    def stuck_guards():
         for _ in range(reps):
             if host.stuck and (0, 0) in host.stuck:
                 pass  # pragma: no cover - guards are disabled
-        times.append(
-            (time.perf_counter() - start) / reps  # lint: disable=R002
+
+    worst = (0.0, 0.0, 0.0)
+    for guards in (injector_guards, stuck_guards):
+        (baseline, delivered), (guard_time, _) = paired_best(run, guards)
+        assert delivered == counted_delivered > 0, (
+            "counting changed the simulation"
         )
-    shape_costs.append(min(times))
-
-    guard_cost = max(shape_costs) * evals
-
-    overhead = guard_cost / baseline
+        per_eval = guard_time / reps
+        worst = max(worst, (per_eval * evals / baseline, per_eval, baseline))
+    overhead, per_eval, baseline = worst
     assert overhead <= FAULTS_OVERHEAD_CEILING, (
         f"disabled-faults guards cost {overhead:.1%} of the run "
-        f"({evals} guard evaluations x {max(shape_costs) * 1e9:.0f}ns "
+        f"({evals} guard evaluations x {per_eval * 1e9:.0f}ns "
         f"vs {baseline:.3f}s; ceiling {FAULTS_OVERHEAD_CEILING:.0%})"
     )
 
 
-def test_perf_active_set_radix64_low_load(benchmark):
+def test_perf_active_set_radix64_low_load():
     """Radix-64 switch at low load: parking must pay >= 1.5x."""
     def run(active_set):
         sim = SwitchSimulation(
@@ -291,14 +222,8 @@ def test_perf_active_set_radix64_low_load(benchmark):
             sim.step()
         return sim.router.stats.flits_ejected
 
-    exhaustive, ref = _best_of(ROUNDS, lambda: run(False))
-
-    def timed_active():
-        return run(True)
-
-    delivered = benchmark.pedantic(timed_active, rounds=ROUNDS,
-                                   iterations=1)
-    active, _ = _best_of(ROUNDS, timed_active)
+    (exhaustive, ref), (active, delivered) = paired_best(
+        lambda: run(False), lambda: run(True))
     assert delivered == ref, "active-set changed the simulation"
     assert delivered > 0
     speedup = exhaustive / active
@@ -308,7 +233,7 @@ def test_perf_active_set_radix64_low_load(benchmark):
     )
 
 
-def test_perf_event_ff_clos_radix64(benchmark):
+def test_perf_event_ff_clos_radix64():
     """Radix-64 Clos at very low load: fast-forward must pay >= 5x.
 
     The ratio compares the drive loops only — each round constructs a
@@ -316,45 +241,25 @@ def test_perf_event_ff_clos_radix64(benchmark):
     the per-cycle loop inversion, not construction (event mode's share
     of which, filling one state row per host for the bulk arrival
     pre-draw, is covered by the end-to-end benchmark's ``setup_s``).
-    10x is the working target on this configuration; 5x is the
-    asserted floor.
     """
     load = 5e-5
     cycles = 2500
 
-    def run(scheduler):
-        sim = ClosNetworkSimulation(
+    def build(scheduler):
+        return ClosNetworkSimulation(
             NetworkConfig(radix=64, levels=2, num_vcs=2, packet_size=2,
                           seed=5),
             load, scheduler=scheduler,
         )
-        start = time.perf_counter()  # lint: disable=R002
+
+    def drive(sim):
         sim.run_until(cycles)
-        elapsed = time.perf_counter() - start  # lint: disable=R002
         resident = sum(r.occupancy() for r in sim.routers.values())
-        checksum = (len(sim._inflight), resident,
-                    sim._sched.component_steps)
-        return elapsed, checksum
+        return (len(sim._inflight), resident, sim._sched.component_steps)
 
-    def best_of(scheduler):
-        best, checksum = None, None
-        for _ in range(ROUNDS):
-            elapsed, value = run(scheduler)
-            best = elapsed if best is None else min(best, elapsed)
-            if checksum is None:
-                checksum = value
-            else:
-                assert value == checksum, "run is not deterministic"
-        return best, checksum
-
-    def timed_event():
-        _, checksum = run("event")
-        return checksum
-
-    recorded = benchmark.pedantic(timed_event, rounds=ROUNDS, iterations=1)
-    cycle_time, ref = best_of("cycle")
-    event_time, checksum = best_of("event")
-    assert recorded == checksum == ref, "scheduler changed the simulation"
+    (cycle_time, ref), (event_time, checksum) = paired_best(
+        (lambda: build("cycle"), drive), (lambda: build("event"), drive))
+    assert checksum == ref, "scheduler changed the simulation"
     speedup = cycle_time / event_time
     assert speedup >= EVENT_FF_FLOOR, (
         f"fast-forward speedup {speedup:.2f}x below {EVENT_FF_FLOOR}x "
@@ -379,8 +284,8 @@ PREDRAW_LOW_RATE_FLOOR = 1.3
 ])
 def test_perf_event_predraw_vs_no_numpy(monkeypatch, radix, load, cycles,
                                         bulk, ceiling):
-    """Both legs run in this process, build included, alternating, so
-    host speed cancels out of the ratio."""
+    """Event mode against its own no-numpy build, construction
+    included (the pre-draw fills its state rows there)."""
     import repro.network.netsim as netsim
 
     if not netsim.HAVE_NUMPY:
@@ -388,29 +293,22 @@ def test_perf_event_predraw_vs_no_numpy(monkeypatch, radix, load, cycles,
 
     def run(numpy):
         monkeypatch.setattr(netsim, "HAVE_NUMPY", numpy)
-        start = time.perf_counter()  # lint: disable=R002
         sim = ClosNetworkSimulation(
             NetworkConfig(radix=radix, levels=2, num_vcs=2, seed=5),
             load, scheduler="event",
         )
         sim.run_until(cycles)
-        elapsed = time.perf_counter() - start  # lint: disable=R002
         assert (sim._rows is not None) == (numpy and bulk)
-        return elapsed, (sim._arrival_cursor, sim._sched.component_steps)
+        return (sim._arrival_cursor, sim._sched.component_steps)
 
-    best = {True: float("inf"), False: float("inf")}
-    checksum = None
-    for round_ in range(ROUNDS):
-        for numpy in ((True, False), (False, True))[round_ % 2]:
-            elapsed, value = run(numpy)
-            best[numpy] = min(best[numpy], elapsed)
-            assert checksum in (None, value), "numpy changed the simulation"
-            checksum = value
-    ratio = best[True] / best[False]
+    (with_numpy, checksum), (refused, ref) = paired_best(
+        lambda: run(True), lambda: run(False))
+    assert checksum == ref, "numpy changed the simulation"
+    ratio = with_numpy / refused
     assert ratio <= ceiling, (
         f"event mode takes {ratio:.2f}x its no-numpy build at load {load} "
-        f"(ceiling {ceiling:.2f}x; numpy {best[True]:.3f}s, refused "
-        f"{best[False]:.3f}s)"
+        f"(ceiling {ceiling:.2f}x; numpy {with_numpy:.3f}s, refused "
+        f"{refused:.3f}s)"
     )
 
 
@@ -419,7 +317,7 @@ def test_perf_event_predraw_vs_no_numpy(monkeypatch, radix, load, cycles,
 BATCH_SPEEDUP_FLOOR = 3.0
 
 
-def test_perf_batch_hot_path_radix64_high_load(benchmark):
+def test_perf_batch_hot_path_radix64_high_load():
     """Radix-64 buffered crossbar in deep hotspot saturation: the
     struct-of-arrays batched path must pay >= 3x on the steady state.
 
@@ -431,16 +329,15 @@ def test_perf_batch_hot_path_radix64_high_load(benchmark):
     O(k*v) eligibility scans per cycle while only ~1 flit/cycle of
     shared per-flit harness work dilutes the ratio.  The warmup runs
     the switch to saturation outside the clock; the timed window
-    compares the drive loops on the steady state, best-of-N against
-    scheduler noise.  The checksum doubles as a scalar-vs-batched
-    identity assertion.
+    compares the drive loops on the steady state.  The checksum
+    doubles as a scalar-vs-batched identity assertion.
     """
     pytest.importorskip("numpy")
     from repro.traffic.patterns import Hotspot
 
     warmup, cycles = 1500, 400
 
-    def run(batch):
+    def saturate(batch):
         config = RouterConfig(radix=64, num_vcs=8, seed=5,
                               batch_hot_path=batch)
         sim = SwitchSimulation(
@@ -449,36 +346,18 @@ def test_perf_batch_hot_path_radix64_high_load(benchmark):
         )
         for _ in range(warmup):
             sim.step()
-        start = time.perf_counter()  # lint: disable=R002
+        return sim
+
+    def drive(sim):
         for _ in range(cycles):
             sim.step()
-        elapsed = time.perf_counter() - start  # lint: disable=R002
         stats = sim.router.stats
-        return elapsed, (stats.flits_accepted, stats.flits_ejected,
-                         sim.router.occupancy())
+        return (stats.flits_accepted, stats.flits_ejected,
+                sim.router.occupancy())
 
-    def best_of(batch):
-        best, checksum = None, None
-        for _ in range(ROUNDS):
-            elapsed, value = run(batch)
-            best = elapsed if best is None else min(best, elapsed)
-            if checksum is None:
-                checksum = value
-            else:
-                assert value == checksum, "run is not deterministic"
-        return best, checksum
-
-    def timed_batched():
-        _, checksum = run(True)
-        return checksum
-
-    recorded = benchmark.pedantic(timed_batched, rounds=ROUNDS,
-                                  iterations=1)
-    scalar_time, ref = best_of(False)
-    batch_time, checksum = best_of(True)
-    assert recorded == checksum == ref, (
-        "batched path changed the simulation"
-    )
+    (scalar_time, ref), (batch_time, checksum) = paired_best(
+        (lambda: saturate(False), drive), (lambda: saturate(True), drive))
+    assert checksum == ref, "batched path changed the simulation"
     assert ref[1] > 0
     speedup = scalar_time / batch_time
     assert speedup >= BATCH_SPEEDUP_FLOOR, (
@@ -488,34 +367,7 @@ def test_perf_batch_hot_path_radix64_high_load(benchmark):
     )
 
 
-def test_perf_hierarchical_radix64_high_load(benchmark):
-    """The paper's design point (radix 64, p=8) at load 0.9.
-
-    The regime the occupancy-indexed hierarchical hot path exists for:
-    every input is backlogged, yet each of the 64 subswitches sees
-    under one flit per cycle, so per-cycle work must follow the
-    resident flits rather than the k*(k/p)*v lanes.  Gated through the
-    reference-normalized baseline; the flit-counter checksum pins that
-    the run is the same simulation on every machine and round.
-    """
-    def run():
-        sim = SwitchSimulation(
-            HierarchicalCrossbarRouter(
-                RouterConfig(radix=64, subswitch_size=8, seed=5)
-            ),
-            load=0.9,
-        )
-        for _ in range(400):
-            sim.step()
-        stats = sim.router.stats
-        return (stats.flits_accepted, stats.flits_ejected,
-                sim.router.occupancy())
-
-    checksum = benchmark.pedantic(run, rounds=ROUNDS, iterations=1)
-    assert checksum == (5565, 5159, 406)
-
-
-def test_perf_active_set_clos_radix16(benchmark):
+def test_perf_active_set_clos_radix16():
     """2-level radix-16 Clos: parked stages must pay >= 1.5x."""
     def run(active_set):
         sim = ClosNetworkSimulation(
@@ -527,14 +379,8 @@ def test_perf_active_set_clos_radix16(benchmark):
         resident = sum(r.occupancy() for r in sim.routers.values())
         return (len(sim._inflight), resident)
 
-    exhaustive, ref = _best_of(ROUNDS, lambda: run(False))
-
-    def timed_active():
-        return run(True)
-
-    checksum = benchmark.pedantic(timed_active, rounds=ROUNDS,
-                                  iterations=1)
-    active, _ = _best_of(ROUNDS, timed_active)
+    (exhaustive, ref), (active, checksum) = paired_best(
+        lambda: run(False), lambda: run(True))
     assert checksum == ref, "active-set changed the simulation"
     speedup = exhaustive / active
     assert speedup >= SPEEDUP_FLOOR, (

@@ -11,8 +11,7 @@ subpackage provides the machinery the project rules (R005-R014) run on:
     imports resolved to dotted targets, the class table with base-class
     references, and per-method records of attribute reads/writes,
     ``self`` method calls, hook emissions/subscriptions, and
-    ``derive_rng`` call sites.  Summaries are plain data and round-trip
-    through JSON, which is what makes them cacheable.
+    ``derive_rng`` call sites.  Summaries are plain data.
 
 :mod:`~repro.analysis.flow.index`
     The :class:`ProjectIndex`: summaries keyed by module, a cross-module
@@ -20,25 +19,17 @@ subpackage provides the machinery the project rules (R005-R014) run on:
     MRO, and the :class:`EngineHooks` event registry recovered from the
     indexed source itself.
 
-:mod:`~repro.analysis.flow.cache`
-    A content-hash summary store: unchanged files are neither re-parsed
-    nor re-checked by the per-file rules; the project rules always run,
-    but against cached summaries, so a warm re-lint of an unchanged
-    tree costs file hashing plus dictionary walks.
-
 :mod:`~repro.analysis.flow.output`
     Deterministic JSON and SARIF 2.1.0 renderings of findings.
 """
 
 from __future__ import annotations
 
-from .cache import SummaryCache
 from .index import ProjectIndex
 from .summary import FileSummary, summarize_module
 
 __all__ = [
     "FileSummary",
     "ProjectIndex",
-    "SummaryCache",
     "summarize_module",
 ]

@@ -2,8 +2,7 @@
 
 A :class:`FileSummary` is everything the project rules need to know
 about one module, extracted in a single AST pass and expressed as plain
-data: no AST nodes survive, so summaries serialize to JSON and can be
-cached by content hash (see :mod:`~repro.analysis.flow.cache`).
+data: no AST nodes survive, so the project rules never walk a tree.
 
 The summarizer resolves imports to dotted targets (``from
 repro.routers.base import Router`` binds the local name ``Router`` to
@@ -14,8 +13,8 @@ hierarchies across modules without ever importing simulator code.
 from __future__ import annotations
 
 import ast
-from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
 
 #: Attribute prefix marking staged-intent storage (writable in compute).
 STAGED_PREFIX = "_staged"
@@ -136,47 +135,6 @@ class FileSummary:
     emit_sites: List[EmitSite] = field(default_factory=list)
     sub_sites: List[SubSite] = field(default_factory=list)
     pragmas: Dict[int, List[str]] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict[str, Any]:
-        data = asdict(self)
-        # JSON object keys are strings; pragma lines are ints.
-        data["pragmas"] = {str(k): v for k, v in self.pragmas.items()}
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FileSummary":
-        def method(m: Dict[str, Any]) -> MethodSummary:
-            return MethodSummary(
-                name=m["name"], line=m["line"], params=m["params"],
-                n_defaults=m["n_defaults"], has_vararg=m["has_vararg"],
-                self_writes=[WriteSite(**w) for w in m["self_writes"]],
-                cross_writes=[WriteSite(**w) for w in m["cross_writes"]],
-                self_reads=m["self_reads"],
-                self_calls=[CallSite(**c) for c in m["self_calls"]],
-                emits=[EmitSite(**e) for e in m["emits"]],
-                calls_super_init=m["calls_super_init"],
-                explicit_init_bases=m["explicit_init_bases"],
-                returns_closure=m["returns_closure"],
-                raises_only=m["raises_only"],
-            )
-
-        return cls(
-            path=data["path"],
-            module=data["module"],
-            classes=[
-                ClassSummary(
-                    name=c["name"], line=c["line"], bases=c["bases"],
-                    methods={k: method(v) for k, v in c["methods"].items()},
-                    snapshot_wiring=c["snapshot_wiring"],
-                )
-                for c in data["classes"]
-            ],
-            functions={k: method(v) for k, v in data["functions"].items()},
-            rng_sites=[RngSite(**r) for r in data["rng_sites"]],
-            emit_sites=[EmitSite(**e) for e in data["emit_sites"]],
-            sub_sites=[SubSite(**s) for s in data["sub_sites"]],
-            pragmas={int(k): v for k, v in data["pragmas"].items()},
-        )
 
 
 # ----------------------------------------------------------------------

@@ -4,9 +4,7 @@ Two kinds of rule share one catalogue, and every rule has exactly one
 form:
 
 * **File rules** (R001-R004, :class:`LintRule`) implement
-  ``check(tree, ctx)`` — a generator over one parsed module.  Their
-  findings are a pure function of the file's bytes, so they are cached
-  by content hash (see :mod:`repro.analysis.flow.cache`).
+  ``check(tree, ctx)`` — a generator over one parsed module.
 * **Project rules** (R005-R014, :class:`ProjectRule`) implement
   ``check_project(index)`` against the whole-program
   :class:`~repro.analysis.flow.index.ProjectIndex` — cross-module class
@@ -53,7 +51,6 @@ from typing import (
 )
 
 if TYPE_CHECKING:
-    from .flow.cache import SummaryCache
     from .flow.index import ProjectIndex
 
 #: Directories never linted when *recursed into* (build products,
@@ -223,16 +220,13 @@ def _sort_key(f: Finding) -> Tuple[str, int, str, int, str]:
 def lint_paths(
     paths: Sequence[str],
     rules: Optional[Sequence[LintRule]] = None,
-    cache: Optional["SummaryCache"] = None,
 ) -> List[Finding]:
     """Whole-program lint of every Python file under ``paths``.
 
-    Per-file rules run on each module (from ``cache`` when the content
-    hash matches); project rules run once against the
-    :class:`~repro.analysis.flow.index.ProjectIndex` built from the
+    Per-file rules run on each module; project rules run once against
+    the :class:`~repro.analysis.flow.index.ProjectIndex` built from the
     per-file summaries.  Returns findings sorted by (path, line, code).
     """
-    from .flow.cache import content_hash
     from .flow.index import ProjectIndex
     from .flow.summary import FileSummary, summarize_module
 
@@ -253,93 +247,55 @@ def lint_paths(
     #: display path -> every (line, code) any rule fired pre-suppression;
     #: the stale-pragma rule consumes this.
     rule_hits: Dict[str, Set[Tuple[int, str]]] = {}
+    contexts: Dict[str, FileContext] = {}
 
     for root, path in _iter_with_roots(paths):
         display = str(path)
-        raw = path.read_bytes()
-        digest = content_hash(raw)
-        if cache is not None:
-            entry = cache.lookup(display, digest)
-            if entry is not None:
-                findings.extend(Finding(**f) for f in entry["findings"])
-                rule_hits[display] = {
-                    (line, code) for line, code in entry["used_pragmas"]
-                }
-                if entry["summary"] is not None:
-                    summaries.append(FileSummary.from_dict(entry["summary"]))
-                continue
-        source = raw.decode("utf-8")
+        source = path.read_bytes().decode("utf-8")
         hits: Set[Tuple[int, str]] = set()
         rule_hits[display] = hits
         try:
             tree = ast.parse(source, filename=display)
         except SyntaxError as exc:
-            bad = _syntax_finding(display, exc)
-            findings.append(bad)
-            if cache is not None:
-                cache.store(display, digest, None, [vars(bad).copy()], [])
+            findings.append(_syntax_finding(display, exc))
             continue
         pragmas = _parse_pragmas(source)
-        ctx = FileContext(
+        ctx = contexts[display] = FileContext(
             path=path, display_path=display, source=source, pragmas=pragmas
         )
-        kept: List[Finding] = []
         for rule in file_rules:
             for finding in rule.check(tree, ctx):
                 hits.add((finding.line, finding.code))
                 if not ctx.suppressed(finding.line, finding.code):
-                    kept.append(finding)
-        findings.extend(kept)
-        summary = summarize_module(
+                    findings.append(finding)
+        summaries.append(summarize_module(
             tree,
             display,
             pragmas={ln: sorted(codes) for ln, codes in pragmas.items()},
             root=str(root),
-        )
-        summaries.append(summary)
-        if cache is not None:
-            cache.store(
-                display,
-                digest,
-                summary.to_dict(),
-                [vars(f).copy() for f in kept],
-                sorted(hits),
-            )
+        ))
 
     index = ProjectIndex(summaries)
     index.rule_hits = rule_hits
-    pragma_maps: Dict[str, Dict[int, Set[str]]] = {
-        s.path: {ln: set(codes) for ln, codes in s.pragmas.items()}
-        for s in summaries
-    }
 
     for rule in project_rules:
         for finding in rule.check_project(index):
             rule_hits.setdefault(finding.path, set()).add(
                 (finding.line, finding.code)
             )
-            disabled = pragma_maps.get(finding.path, {}).get(finding.line)
-            if disabled and ("*" in disabled or finding.code in disabled):
+            owner = contexts.get(finding.path)
+            if owner and owner.suppressed(finding.line, finding.code):
                 continue
             findings.append(finding)
     for rule in final_rules:
         findings.extend(rule.check_project(index))
 
-    if cache is not None:
-        cache.save()
     findings.sort(key=_sort_key)
     return findings
 
 
 def format_findings(findings: Iterable[Finding]) -> str:
     return "\n".join(f.format() for f in findings)
-
-
-def rules_signature(rules: Sequence[LintRule]) -> str:
-    """Cache-invalidation key: the catalogue in force."""
-    from .flow.output import TOOL_VERSION
-
-    return TOOL_VERSION + ":" + ",".join(sorted(r.code for r in rules))
 
 
 def filter_rules(
@@ -372,7 +328,6 @@ def run_lint(
     ignore: Optional[Sequence[str]] = None,
     output_format: str = "text",
     output_path: Optional[str] = None,
-    cache_path: Optional[str] = None,
 ) -> int:
     """Lint ``paths``; return a process exit code.
 
@@ -396,12 +351,7 @@ def run_lint(
         print(f"lint: unknown format: {output_format}")
         return 2
 
-    cache = None
-    if cache_path is not None:
-        from .flow.cache import SummaryCache
-
-        cache = SummaryCache(cache_path, signature=rules_signature(active))
-    findings = lint_paths(paths, active, cache=cache)
+    findings = lint_paths(paths, active)
     dropped = set(ignore or ())
     if dropped:
         findings = [f for f in findings if f.code not in dropped]

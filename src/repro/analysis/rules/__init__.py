@@ -48,10 +48,10 @@ R014  pattern-purity              ``TrafficPattern.dest`` and
                                   how often the harness asked
 ===== ==========================  ====================================
 
-R001-R004 are file rules (cached by content hash); R005-R014 are
-project rules over the whole-program :class:`~repro.analysis.flow.index.
-ProjectIndex`.  R006, R007, the call-chain half of R008, R013 and R014
-are rows of one purity-contract table in :mod:`.flow_rules`.
+R001-R004 are file rules; R005-R014 are project rules over the
+whole-program :class:`~repro.analysis.flow.index.ProjectIndex`.  R006,
+R007, the call-chain half of R008, R013 and R014 are rows of one
+purity-contract table in :mod:`.flow_rules`.
 """
 
 from __future__ import annotations
@@ -79,8 +79,7 @@ def all_rules() -> List[LintRule]:
     """Instantiate the full rule catalogue, ordered by code.
 
     The order is deterministic by construction and verified here so a
-    future edit cannot silently perturb output ordering or the cache
-    signature.
+    future edit cannot silently perturb output ordering.
     """
     rules: List[LintRule] = [
         DirectRandomRule(),

@@ -21,8 +21,8 @@ Gives the library's main experiments a shell entry point:
   transformer-decode sequences), and trace replay, swept over message
   size / window / layer count on a switch or a Clos network;
 * ``lint`` — the repository's whole-program AST lint pass (rules
-  R001-R014, with ``--select``/``--ignore`` filters, ``--format
-  {text,json,sarif}`` and a content-hash summary cache).
+  R001-R014, with ``--select``/``--ignore`` filters and ``--format
+  {text,json,sarif}``).
 
 Examples::
 
@@ -581,7 +581,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
             ignore=args.ignore,
             output_format=args.format,
             output_path=args.output,
-            cache_path=None if args.no_cache else args.cache,
         )
     except FileNotFoundError as exc:
         print(f"lint: {exc}", file=sys.stderr)
@@ -863,11 +862,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="output format (json/sarif are deterministic)")
     lint.add_argument("--output", default=None, metavar="FILE",
                       help="write the report to FILE instead of stdout")
-    lint.add_argument("--cache", default=".lint-cache.json", metavar="FILE",
-                      help="summary-cache store keyed on content hashes "
-                           "(default: .lint-cache.json)")
-    lint.add_argument("--no-cache", action="store_true",
-                      help="disable the summary cache for this run")
     lint.set_defaults(func=cmd_lint)
 
     radix = subs.add_parser("radix", help="Section 2 optimal radix")

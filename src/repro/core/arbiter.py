@@ -455,7 +455,7 @@ class PriorityArbiter:
         return winner, winner is not None
 
 
-class MultiStageArbiter:
+class MultiStageArbiter(HierarchicalArbiter):
     """Arbiter tree with an arbitrary number of local stages.
 
     Section 4.1: "for very high-radix routers, the two-stage output
@@ -464,60 +464,27 @@ class MultiStageArbiter:
     fan-in of each local stage from the leaves up; a final global
     arbiter covers whatever remains.  ``MultiStageArbiter(64, [8])``
     is exactly the two-stage :class:`HierarchicalArbiter` of Figure 6;
-    ``MultiStageArbiter(512, [8, 8])`` adds a third stage.
+    ``MultiStageArbiter(512, [8, 8])`` adds a third stage by making
+    the global arbiter itself a tree.
 
     As in the two-stage arbiter, only the arbiters on the winning path
     rotate their pointers.
     """
 
     def __init__(self, size: int, group_sizes: Sequence[int]) -> None:
-        if size < 1:
-            raise ValueError(f"size must be >= 1, got {size}")
         if not group_sizes:
             raise ValueError("group_sizes must be non-empty")
         for g in group_sizes:
             if g < 1:
                 raise ValueError(f"group sizes must be >= 1, got {g}")
-        self.size = size
+        super().__init__(size, group_sizes[0])
         self.group_sizes = tuple(group_sizes)
-        first = min(group_sizes[0], size)
-        num_groups = (size + first - 1) // first
-        self._locals = [
-            RoundRobinArbiter(min(first, size - g * first))
-            for g in range(num_groups)
-        ]
-        self._first = first
-        if len(group_sizes) == 1 or num_groups == 1:
-            self._upper: "MultiStageArbiter | RoundRobinArbiter" = (
-                RoundRobinArbiter(num_groups)
-            )
-        else:
-            self._upper = MultiStageArbiter(num_groups, group_sizes[1:])
+        if len(group_sizes) > 1 and self.num_groups > 1:
+            self._global = MultiStageArbiter(self.num_groups, group_sizes[1:])
 
     @property
     def num_stages(self) -> int:
         """Arbitration stages including the final global one."""
-        if isinstance(self._upper, RoundRobinArbiter):
-            return 2
-        return 1 + self._upper.num_stages
-
-    def arbitrate(self, requests: Sequence[bool]) -> Optional[int]:
-        """Grant one requester through every stage of the tree."""
-        if len(requests) != self.size:
-            raise ValueError(
-                f"expected {self.size} request lines, got {len(requests)}"
-            )
-        local_winners: List[Optional[int]] = []
-        for g, local in enumerate(self._locals):
-            base = g * self._first
-            group_reqs = requests[base : base + local.size]
-            local_winners.append(local.arbitrate(group_reqs, advance=False))
-        group_requests = [w is not None for w in local_winners]
-        winning_group = self._upper.arbitrate(group_requests)
-        if winning_group is None:
-            return None
-        local_idx = local_winners[winning_group]
-        invariant(local_idx is not None, "global arbiter granted a group "
-                  "with no local winner", check="arbitration")
-        self._locals[winning_group].commit(local_idx)
-        return winning_group * self._first + local_idx
+        if isinstance(self._global, MultiStageArbiter):
+            return 1 + self._global.num_stages
+        return 2

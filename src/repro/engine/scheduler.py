@@ -33,17 +33,17 @@ Two drive modes share the :meth:`Scheduler.run_until` interface:
     still walked.
 :class:`EventScheduler`
     The fast-forward mode: when every component is parked, it jumps
-    straight to the earliest *horizon* — the minimum over (a) a binary
-    heap of one-shot wakes posted via :meth:`EventScheduler.post_wake`,
-    (b) the registered wake-source callables (arrival predictors,
-    in-flight delivery heaps, fault schedules), and (c) the parked
-    components' own :meth:`~repro.engine.component.Component.next_event`
-    declarations.  A cycle that executes runs exactly the same code as
-    cycle mode, so the two modes are byte-identical; a skipped span is
-    provably state-invariant, and its ``cycle_start``/``cycle_end``
-    hook events are replayed in order when anything subscribes (so
-    per-cycle instrumentation — trace cycle counters, sampled metrics,
-    sanitizer checks — observes an identical event stream).
+    straight to the earliest *horizon* — the minimum over (a) the
+    registered wake-source callables (arrival predictors, in-flight
+    delivery heaps, fault schedules) and (b) the parked components' own
+    :meth:`~repro.engine.component.Component.next_event` declarations,
+    polled once as each parks and kept in a binary heap.  A cycle that
+    executes runs exactly the same code as cycle mode, so the two modes
+    are byte-identical; a skipped span is provably state-invariant, and
+    its ``cycle_start``/``cycle_end`` hook events are replayed in order
+    when anything subscribes (so per-cycle instrumentation — trace
+    cycle counters, sampled metrics, sanitizer checks — observes an
+    identical event stream).
 
 Horizon safety rule: a wake source may report a cycle *earlier* than
 work actually exists (the cycle executes as a no-op) but never later —
@@ -299,14 +299,13 @@ class Scheduler:
 class EventScheduler(Scheduler):
     """Event-driven drive mode: fast-forward over provably-idle spans.
 
-    Maintains a binary-heap time wheel of posted one-shot wake cycles
-    (:meth:`post_wake`) with lazy expiry, merged at each jump decision
-    with the dynamic horizons of the registered wake sources and of the
-    parked components themselves.  Most producers of future work keep
-    their own priority structure (the network's in-flight flit heap,
-    per-source arrival predictions, sorted fault schedules), so their
-    wake source just reports the head; the wheel serves producers with
-    fire-and-forget timers (e.g. injection-throttle retries).
+    Maintains a binary-heap time wheel, with lazy expiry, of the
+    horizons components declared as they parked (:meth:`_on_park`),
+    merged at each jump decision with the dynamic horizons of the
+    registered wake sources.  Producers of future work keep their own
+    priority structure (the network's in-flight flit heap, per-source
+    arrival predictions, sorted fault schedules), so their wake source
+    just reports the head.
 
     When at least one component is busy the engine runs every cycle,
     exactly as the cycle stepper does — fast-forward only engages when
@@ -323,15 +322,6 @@ class EventScheduler(Scheduler):
     ) -> None:
         super().__init__(components, hooks=hooks, active_set=active_set)
         self._wheel: List[int] = []
-
-    def post_wake(self, cycle: int) -> None:
-        """Post a one-shot wake: cycle ``cycle`` will not be skipped.
-
-        Stale or duplicate posts are harmless — a posted cycle with no
-        actual work executes as a no-op; they only cost speed, never
-        correctness (horizon safety rule).
-        """
-        heapq.heappush(self._wheel, cycle)
 
     def _on_park(self, comp: Component, now: int) -> None:
         """Snapshot the parking component's horizon into the wheel.

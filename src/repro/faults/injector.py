@@ -140,6 +140,84 @@ class _ChannelFaults:
         return True
 
 
+class _FaultInjector:
+    """What the two injectors share: the disabled-plan refusal and the
+    fault-seed rule, the host-channel corruption delegates, and the
+    cursor over the event schedule plus the lost-credit resync FIFO
+    with their common horizon.
+
+    A subclass supplies ``_build_schedule`` (sorted ``(cycle, idx,
+    action, fault)`` events), ``_apply_event`` (what one of them does),
+    ``_resync`` (how a ``_lost`` entry is re-delivered) and its own
+    snapshot encoding; whatever those read must be set before
+    ``super().__init__`` runs.
+    """
+
+    def __init__(self, plan: FaultPlan, hooks, seed: int, num_channels: int,
+                 bump: Callable[[str], None]) -> None:
+        if not plan.enabled:
+            raise ValueError("refusing to attach a disabled FaultPlan")
+        self.plan = plan
+        self.hooks = hooks
+        self._fault_seed = plan.seed if plan.seed is not None else seed
+        self._channels: Optional[_ChannelFaults] = None
+        if plan.corrupt_rate > 0.0:
+            self._channels = _ChannelFaults(
+                plan, self._fault_seed, num_channels, hooks, bump,
+            )
+        #: Lost credits awaiting resync: FIFO of ``(due_cycle, sink)``
+        #: (switch) or ``(due_cycle, sink, vc)`` (network) entries; due
+        #: cycles are monotonic because the timeout is fixed.
+        self._lost: Deque[Tuple[Any, ...]] = deque()
+        self._schedule = self._build_schedule()
+        self._next_event = 0
+
+    def advance(self, now: int) -> None:
+        """Per-cycle driver, called at the top of the owning ``step``."""
+        while (
+            self._next_event < len(self._schedule)
+            and self._schedule[self._next_event][0] <= now
+        ):
+            _, _, action, fault = self._schedule[self._next_event]
+            self._apply_event(action, fault, now)
+            self._next_event += 1
+        while self._lost and self._lost[0][0] <= now:
+            self._resync(self._lost.popleft(), now)
+
+    def next_event(self, now: int) -> Optional[int]:
+        """Horizon: the next scheduled event or due credit resync.
+
+        Pure read over the pre-sorted schedule (``_next_event`` cursor)
+        and the resync FIFO, so event-driven fast-forward never jumps
+        over a fault injection or a recovery.
+        """
+        horizon: Optional[int] = None
+        if self._next_event < len(self._schedule):
+            horizon = self._schedule[self._next_event][0]
+        if self._lost and (horizon is None or self._lost[0][0] < horizon):
+            horizon = self._lost[0][0]
+        return horizon
+
+    # Corruption, consulted by the owner's injection loop; ``channel``
+    # is a switch port or a network host.
+
+    def channel_ready(self, channel: int, now: int) -> bool:
+        if self._channels is None:
+            return True
+        return self._channels.channel_ready(channel, now)
+
+    def channel_retry_at(self, channel: int) -> int:
+        """Back-off expiry cycle for ``channel`` (0 when never corrupted)."""
+        if self._channels is None:
+            return 0
+        return self._channels.retry_at(channel)
+
+    def attempt_transmit(self, channel: int, flit, now: int) -> bool:
+        if self._channels is None:
+            return True
+        return self._channels.attempt_transmit(channel, flit, now)
+
+
 class _DropHook:
     """Credit-loss tap installed on credit pipes/buses.
 
@@ -156,7 +234,7 @@ class _DropHook:
         return self.injector.maybe_drop(sink)
 
 
-class SwitchFaultInjector:
+class SwitchFaultInjector(_FaultInjector):
     """Applies a FaultPlan to one standalone switch simulation.
 
     Owns three mechanisms:
@@ -185,30 +263,14 @@ class SwitchFaultInjector:
                        "_counter_where", "_schedule")
 
     def __init__(self, plan: FaultPlan, router, seed: int) -> None:
-        if not plan.enabled:
-            raise ValueError("refusing to attach a disabled FaultPlan")
-        self.plan = plan
         self.router = router
-        self.hooks = router.hooks
         self._now = 0
-        fault_seed = plan.seed if plan.seed is not None else seed
-        self._channels: Optional[_ChannelFaults] = None
-        if plan.corrupt_rate > 0.0:
-            self._channels = _ChannelFaults(
-                plan, fault_seed, router.config.radix, self.hooks,
-                router.stats.bump,
-            )
-        # --- credit loss -------------------------------------------------
-        #: Lost credits awaiting resync: (due_cycle, sink) FIFO (the due
-        #: cycles are monotonic because the timeout is fixed).
-        self._lost: Deque[Tuple[int, Callable[[], None]]] = deque()
-        self._credit_rng = derive_rng(fault_seed, "fault", "credit")
+        super().__init__(plan, router.hooks, seed, router.config.radix,
+                         router.stats.bump)
+        self._credit_rng = derive_rng(self._fault_seed, "fault", "credit")
         self._counter_where: Dict[int, Tuple[int, ...]] = {}
         if plan.credit_loss_rate > 0.0:
             self._install_credit_hooks()
-        # --- stuck schedule ----------------------------------------------
-        self._schedule = self._build_schedule()
-        self._next_event = 0
 
     # ------------------------------------------------------------------
     # Wiring
@@ -292,55 +354,15 @@ class SwitchFaultInjector:
 
     def advance(self, now: int) -> None:
         self._now = now
-        while (
-            self._next_event < len(self._schedule)
-            and self._schedule[self._next_event][0] <= now
-        ):
-            _, _, action, fault = self._schedule[self._next_event]
-            self._apply_stuck(fault, action == "stick", now)
-            self._next_event += 1
-        while self._lost and self._lost[0][0] <= now:
-            _, sink = self._lost.popleft()
-            sink()
-            self.router.stats.bump("faults.credit_resyncs")
-            if self.hooks.fault_recover:
-                where = self._counter_where.get(id(sink.__self__), ())
-                self.hooks.emit_fault_recover(CREDIT_RESYNC, where, now)
+        super().advance(now)
 
-    # ------------------------------------------------------------------
-    # Corruption (delegated to the harness injection loop)
-    # ------------------------------------------------------------------
-
-    def channel_ready(self, port: int, now: int) -> bool:
-        if self._channels is None:
-            return True
-        return self._channels.channel_ready(port, now)
-
-    def channel_retry_at(self, port: int) -> int:
-        """Back-off expiry cycle for ``port`` (0 when never corrupted)."""
-        if self._channels is None:
-            return 0
-        return self._channels.retry_at(port)
-
-    def attempt_transmit(self, port: int, flit, now: int) -> bool:
-        if self._channels is None:
-            return True
-        return self._channels.attempt_transmit(port, flit, now)
-
-    def next_event(self, now: int) -> Optional[int]:
-        """Horizon: the next scheduled stuck event or due credit resync.
-
-        Pure read over the pre-sorted schedule (``_next_event`` cursor)
-        and the resync FIFO (due cycles are monotonic: the timeout is
-        fixed), so event-driven fast-forward never jumps over a fault
-        injection or a recovery.
-        """
-        horizon: Optional[int] = None
-        if self._next_event < len(self._schedule):
-            horizon = self._schedule[self._next_event][0]
-        if self._lost and (horizon is None or self._lost[0][0] < horizon):
-            horizon = self._lost[0][0]
-        return horizon
+    def _resync(self, entry: Tuple[Any, ...], now: int) -> None:
+        _, sink = entry
+        sink()
+        self.router.stats.bump("faults.credit_resyncs")
+        if self.hooks.fault_recover:
+            where = self._counter_where.get(id(sink.__self__), ())
+            self.hooks.emit_fault_recover(CREDIT_RESYNC, where, now)
 
     # ------------------------------------------------------------------
     # Credit loss
@@ -420,7 +442,8 @@ class SwitchFaultInjector:
     # Stuck buffers
     # ------------------------------------------------------------------
 
-    def _apply_stuck(self, fault, stick: bool, now: int) -> None:
+    def _apply_event(self, action: str, fault, now: int) -> None:
+        stick = action == "stick"
         if fault.kind == "crosspoint":
             for counter in self._resolve_crosspoint(fault.where):
                 counter.stuck = stick
@@ -458,7 +481,7 @@ class SwitchFaultInjector:
         return counters
 
 
-class NetworkFaultInjector:
+class NetworkFaultInjector(_FaultInjector):
     """Applies a FaultPlan to a multi-router network simulation.
 
     Host-channel corruption mirrors the switch injector.  Credit loss
@@ -477,32 +500,18 @@ class NetworkFaultInjector:
     SNAPSHOT_WIRING = ("plan", "sim", "hooks", "_schedule")
 
     def __init__(self, plan: FaultPlan, sim, seed: int) -> None:
-        if not plan.enabled:
-            raise ValueError("refusing to attach a disabled FaultPlan")
-        self.plan = plan
         self.sim = sim
-        self.hooks = sim.hooks
         self.counters: Dict[str, int] = {}
-        fault_seed = plan.seed if plan.seed is not None else seed
-        self._channels: Optional[_ChannelFaults] = None
-        if plan.corrupt_rate > 0.0:
-            self._channels = _ChannelFaults(
-                plan, fault_seed, sim.topology.num_hosts, self.hooks,
-                self._bump,
-            )
-        # --- credit loss -------------------------------------------------
-        self._lost: Deque[Tuple[int, Callable[[int], None], int]] = deque()
+        self.dead_links: set = set()
+        super().__init__(plan, sim.hooks, seed, sim.topology.num_hosts,
+                         self._bump)
         self._credit_rngs: Dict[str, object] = {}
         if plan.credit_loss_rate > 0.0:
             for sid, router in sim.routers.items():
                 router.fault_injector = self
                 self._credit_rngs[router.name] = derive_rng(
-                    fault_seed, "fault", "credit", router.name
+                    self._fault_seed, "fault", "credit", router.name
                 )
-        # --- link schedule -----------------------------------------------
-        self.dead_links: set = set()
-        self._schedule = self._build_schedule()
-        self._next_event = 0
 
     def _bump(self, name: str, amount: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + amount
@@ -529,22 +538,15 @@ class NetworkFaultInjector:
     # Per-cycle driver (called at the top of NetworkSimulation.step)
     # ------------------------------------------------------------------
 
-    def advance(self, now: int) -> None:
-        while (
-            self._next_event < len(self._schedule)
-            and self._schedule[self._next_event][0] <= now
-        ):
-            _, _, action, fault = self._schedule[self._next_event]
-            self._apply_link(fault, action == "down", now)
-            self._next_event += 1
-        while self._lost and self._lost[0][0] <= now:
-            _, sink, vc = self._lost.popleft()
-            sink(vc)
-            self._bump("faults.credit_resyncs")
-            if self.hooks.fault_recover:
-                self.hooks.emit_fault_recover(CREDIT_RESYNC, (vc,), now)
+    def _resync(self, entry: Tuple[Any, ...], now: int) -> None:
+        _, sink, vc = entry
+        sink(vc)
+        self._bump("faults.credit_resyncs")
+        if self.hooks.fault_recover:
+            self.hooks.emit_fault_recover(CREDIT_RESYNC, (vc,), now)
 
-    def _apply_link(self, fault, down: bool, now: int) -> None:
+    def _apply_event(self, action: str, fault, now: int) -> None:
+        down = action == "down"
         router = self.sim.routers[fault.switch]
         link = router.links[fault.port]
         link.alive = not down
@@ -560,38 +562,6 @@ class NetworkFaultInjector:
             self._bump("faults.link_up")
             if self.hooks.fault_recover:
                 self.hooks.emit_fault_recover(LINK_UP, where, now)
-
-    # ------------------------------------------------------------------
-    # Corruption (delegated to the netsim host-injection loop)
-    # ------------------------------------------------------------------
-
-    def channel_ready(self, host: int, now: int) -> bool:
-        if self._channels is None:
-            return True
-        return self._channels.channel_ready(host, now)
-
-    def channel_retry_at(self, host: int) -> int:
-        """Back-off expiry cycle for ``host`` (0 when never corrupted)."""
-        if self._channels is None:
-            return 0
-        return self._channels.retry_at(host)
-
-    def attempt_transmit(self, host: int, flit, now: int) -> bool:
-        if self._channels is None:
-            return True
-        return self._channels.attempt_transmit(host, flit, now)
-
-    def next_event(self, now: int) -> Optional[int]:
-        """Horizon: the next scheduled link event or due credit resync.
-
-        Mirrors :meth:`SwitchFaultInjector.next_event`; pure read.
-        """
-        horizon: Optional[int] = None
-        if self._next_event < len(self._schedule):
-            horizon = self._schedule[self._next_event][0]
-        if self._lost and (horizon is None or self._lost[0][0] < horizon):
-            horizon = self._lost[0][0]
-        return horizon
 
     # ------------------------------------------------------------------
     # Credit loss (consulted from NetworkRouter.commit)

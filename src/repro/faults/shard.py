@@ -92,11 +92,11 @@ class MirrorFaultInjector(NetworkFaultInjector):
         events.sort(key=lambda e: (e[0], e[1]))
         return events
 
-    def _apply_link(self, fault, down: bool, now: int) -> None:
+    def _apply_event(self, action: str, fault, now: int) -> None:
         """Track ``dead_links`` only; the owning worker flips the live
         link, bumps the counters, and emits the hook events."""
         key = (fault.switch, fault.port)
-        if down:
+        if action == "down":
             self.dead_links.add(key)
         else:
             self.dead_links.discard(key)

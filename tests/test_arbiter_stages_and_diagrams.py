@@ -77,6 +77,23 @@ class TestMultiStageArbiter:
         else:
             assert winner is None
 
+    @given(st.integers(1, 70), st.integers(1, 12), st.data())
+    def test_one_group_size_is_the_two_stage_arbiter(self, size, group, data):
+        """Same grant and same pointers after every step of a random
+        request sequence."""
+        multi = MultiStageArbiter(size, [group])
+        hier = HierarchicalArbiter(size, group)
+
+        def pointers(arb):
+            return ([a.pointer for a in arb._locals], arb._global.pointer)
+
+        rows = data.draw(st.lists(
+            st.lists(st.booleans(), min_size=size, max_size=size),
+            min_size=1, max_size=12))
+        for reqs in rows:
+            assert multi.arbitrate(reqs) == hier.arbitrate(reqs)
+            assert pointers(multi) == pointers(hier)
+
 
 class TestPipelineDiagrams:
     def test_baseline_stage_names(self):

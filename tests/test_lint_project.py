@@ -1,20 +1,18 @@
 """Integration tests for the whole-program lint driver.
 
-Covers the fixture corpus (golden findings), the content-hash cache,
-the JSON/SARIF renderers, the CLI flags, and the self-check that the
-simulator tree lints clean under R001-R014.
+Covers the fixture corpus (golden findings), the JSON/SARIF renderers,
+the CLI flags, and the self-check that the simulator tree lints clean
+under R001-R014.
 """
 
 import json
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.flow.cache import SummaryCache, content_hash
 from repro.analysis.flow.output import (
     SARIF_VERSION,
     findings_to_json,
@@ -26,7 +24,6 @@ from repro.analysis.lint import (
     filter_rules,
     lint_file,
     lint_paths,
-    rules_signature,
 )
 from repro.analysis.rules import all_rules
 
@@ -68,7 +65,7 @@ def normalize_e999(document):
 class TestCorpusGolden:
     def test_corpus_reproduces_golden_findings(self):
         proc = run_cli(
-            "lint", "tests/fixtures/lint", "--no-cache", "--format", "json"
+            "lint", "tests/fixtures/lint", "--format", "json"
         )
         assert proc.returncode == 1, proc.stderr
         got = normalize_e999(json.loads(proc.stdout))
@@ -144,8 +141,7 @@ class TestLazyLintImport:
     def test_cli_lint_loads_it(self):
         loaded = self._loaded_after(
             "from repro.cli import main\n"
-            "main(['lint', 'tests/fixtures/lint/r001_direct_random.py',"
-            " '--no-cache'])"
+            "main(['lint', 'tests/fixtures/lint/r001_direct_random.py'])"
         )
         for module in self.LINT_MODULES:
             assert repr(module) in loaded
@@ -155,91 +151,6 @@ class TestSourceTreeClean:
     def test_lint_src_is_clean(self):
         findings = lint_paths([str(REPO_ROOT / "src")])
         assert findings == [], "\n".join(f.format() for f in findings)
-
-
-# ----------------------------------------------------------------------
-# Cache
-# ----------------------------------------------------------------------
-
-
-class TestSummaryCache:
-    def _lint(self, cache_path):
-        rules = all_rules()
-        cache = SummaryCache(
-            str(cache_path), signature=rules_signature(rules)
-        )
-        findings = lint_paths([str(REPO_ROOT / "src" / "repro")], rules, cache)
-        return findings, cache
-
-    def test_warm_cache_identical_findings_and_speedup(self, tmp_path):
-        cache_path = tmp_path / "cache.json"
-        t0 = time.perf_counter()  # lint: disable=R002
-        cold, cold_cache = self._lint(cache_path)
-        t1 = time.perf_counter()  # lint: disable=R002
-        warm, warm_cache = self._lint(cache_path)
-        t2 = time.perf_counter()  # lint: disable=R002
-        assert warm == cold
-        assert cold_cache.hits == 0
-        assert warm_cache.misses == 0
-        assert warm_cache.hits == cold_cache.misses > 0
-        cold_s, warm_s = t1 - t0, t2 - t1
-        assert cold_s >= 5 * warm_s, (
-            f"warm re-lint not >=5x faster: cold={cold_s:.3f}s "
-            f"warm={warm_s:.3f}s"
-        )
-
-    def test_edited_file_invalidates_only_itself(self, tmp_path):
-        a = tmp_path / "a.py"
-        b = tmp_path / "b.py"
-        a.write_text("import random\n", encoding="utf-8")
-        b.write_text("x = 1\n", encoding="utf-8")
-        cache_path = tmp_path / "cache.json"
-        rules = all_rules()
-        sig = rules_signature(rules)
-
-        cache = SummaryCache(str(cache_path), signature=sig)
-        first = lint_paths([str(tmp_path)], rules, cache)
-        assert [f.code for f in first] == ["R001"]
-
-        a.write_text("import random\nimport random\n", encoding="utf-8")
-        cache = SummaryCache(str(cache_path), signature=sig)
-        second = lint_paths([str(tmp_path)], rules, cache)
-        assert [f.code for f in second] == ["R001", "R001"]
-        assert cache.hits == 1 and cache.misses == 1
-
-    def test_signature_change_invalidates_store(self, tmp_path):
-        a = tmp_path / "a.py"
-        a.write_text("import random\n", encoding="utf-8")
-        cache_path = tmp_path / "cache.json"
-        rules = all_rules()
-        cache = SummaryCache(str(cache_path), signature=rules_signature(rules))
-        lint_paths([str(tmp_path)], rules, cache)
-
-        stale = SummaryCache(str(cache_path), signature="other-signature")
-        lint_paths([str(tmp_path)], rules, stale)
-        assert stale.hits == 0
-
-    def test_syntax_error_files_are_cached(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text("def broken(:\n", encoding="utf-8")
-        cache_path = tmp_path / "cache.json"
-        rules = all_rules()
-        sig = rules_signature(rules)
-        cold = lint_paths(
-            [str(tmp_path)], rules, SummaryCache(str(cache_path), signature=sig)
-        )
-        warm_cache = SummaryCache(str(cache_path), signature=sig)
-        warm = lint_paths([str(tmp_path)], rules, warm_cache)
-        assert warm == cold
-        assert [f.code for f in warm] == ["E999"]
-        assert warm[0].line == 1 and warm[0].column > 0
-        assert warm_cache.hits == 1
-
-    def test_content_hash_is_sha256(self):
-        assert content_hash(b"") == (
-            "e3b0c44298fc1c149afbf4c8996fb924"
-            "27ae41e4649b934ca495991b7852b855"
-        )
 
 
 # ----------------------------------------------------------------------
@@ -355,7 +266,7 @@ class TestOutputFormats:
     def test_sarif_uris_are_relative_forward_slash(self):
         meta = {r.code: (r.name, r.description) for r in all_rules()}
         proc = run_cli(
-            "lint", "tests/fixtures/lint", "--no-cache", "--format", "sarif"
+            "lint", "tests/fixtures/lint", "--format", "sarif"
         )
         doc = json.loads(proc.stdout)
         for result in doc["runs"][0]["results"]:
@@ -396,7 +307,7 @@ class TestRuleCatalogue:
 class TestLintCli:
     def test_select_limits_codes(self):
         proc = run_cli(
-            "lint", "tests/fixtures/lint", "--no-cache",
+            "lint", "tests/fixtures/lint",
             "--select", "R009", "--format", "json",
         )
         doc = json.loads(proc.stdout)
@@ -405,7 +316,7 @@ class TestLintCli:
 
     def test_ignore_drops_codes(self):
         proc = run_cli(
-            "lint", "tests/fixtures/lint", "--no-cache",
+            "lint", "tests/fixtures/lint",
             "--ignore", "R009,R010", "--format", "json",
         )
         codes = {
@@ -421,8 +332,23 @@ class TestLintCli:
     def test_output_file_and_exit_code(self, tmp_path):
         out = tmp_path / "findings.json"
         proc = run_cli(
-            "lint", "tests/fixtures/lint", "--no-cache",
+            "lint", "tests/fixtures/lint",
             "--format", "json", "--output", str(out),
         )
         assert proc.returncode == 1
         assert json.loads(out.read_text(encoding="utf-8"))["count"] > 0
+
+    def test_lint_writes_nothing_to_the_working_directory(self, tmp_path):
+        tree = tmp_path / "tree"
+        tree.mkdir()
+        (tree / "a.py").write_text("import random\n", encoding="utf-8")
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        proc = run_cli("lint", str(tree), cwd=cwd)
+        assert proc.returncode == 1, proc.stderr
+        assert list(cwd.iterdir()) == []
+
+    def test_cache_flag_is_a_usage_error(self):
+        proc = run_cli("lint", "--cache", "x")
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --cache" in proc.stderr
