@@ -16,7 +16,7 @@ Paper claims checked:
 from common import NETWORK_SCALE, save_table
 
 from repro.harness.report import format_table
-from repro.network.netsim import ClosNetworkSimulation, NetworkConfig
+from repro.network.netsim import NetworkConfig, NetworkSimulation
 
 LOADS = (0.1, 0.3, 0.5, 0.7)
 
@@ -33,7 +33,7 @@ def test_fig19_network_comparison():
     for name, cfg in (("high-radix", HIGH), ("low-radix", LOW)):
         rows = []
         for load in LOADS:
-            sim = ClosNetworkSimulation(cfg, load)
+            sim = NetworkSimulation(cfg, load)
             r = sim.run(warmup=800, measure=1000, drain=8000)
             rows.append((load, r.avg_latency, r.throughput, r.saturated))
         curves[name] = rows

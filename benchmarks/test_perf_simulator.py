@@ -19,7 +19,7 @@ from common import paired_best
 
 from repro.core.config import RouterConfig
 from repro.harness.experiment import SwitchSimulation
-from repro.network.netsim import ClosNetworkSimulation, NetworkConfig
+from repro.network.netsim import NetworkConfig, NetworkSimulation
 from repro.routers.buffered import BufferedCrossbarRouter
 from repro.routers.hierarchical import HierarchicalCrossbarRouter
 
@@ -246,7 +246,7 @@ def test_perf_event_ff_clos_radix64():
     cycles = 2500
 
     def build(scheduler):
-        return ClosNetworkSimulation(
+        return NetworkSimulation(
             NetworkConfig(radix=64, levels=2, num_vcs=2, packet_size=2,
                           seed=5),
             load, scheduler=scheduler,
@@ -286,20 +286,21 @@ def test_perf_event_predraw_vs_no_numpy(monkeypatch, radix, load, cycles,
                                         bulk, ceiling):
     """Event mode against its own no-numpy build, construction
     included (the pre-draw fills its state rows there)."""
-    import repro.network.netsim as netsim
+    import repro.network.arrivals as arrivals
 
-    if not netsim.HAVE_NUMPY:
+    if not arrivals.HAVE_NUMPY:
         pytest.skip("numpy unavailable; there is one leg only")
 
     def run(numpy):
-        monkeypatch.setattr(netsim, "HAVE_NUMPY", numpy)
-        sim = ClosNetworkSimulation(
+        monkeypatch.setattr(arrivals, "HAVE_NUMPY", numpy)
+        sim = NetworkSimulation(
             NetworkConfig(radix=radix, levels=2, num_vcs=2, seed=5),
             load, scheduler="event",
         )
         sim.run_until(cycles)
-        assert (sim._rows is not None) == (numpy and bulk)
-        return (sim._arrival_cursor, sim._sched.component_steps)
+        assert sim.arrivals.bulk == (numpy and bulk)
+        return (sim.arrivals.snapshot()["arrivals"]["cursor"],
+                sim._sched.component_steps)
 
     (with_numpy, checksum), (refused, ref) = paired_best(
         lambda: run(True), lambda: run(False))
@@ -370,7 +371,7 @@ def test_perf_batch_hot_path_radix64_high_load():
 def test_perf_active_set_clos_radix16():
     """2-level radix-16 Clos: parked stages must pay >= 1.5x."""
     def run(active_set):
-        sim = ClosNetworkSimulation(
+        sim = NetworkSimulation(
             NetworkConfig(radix=16, levels=2), load=0.02,
             active_set=active_set,
         )

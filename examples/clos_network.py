@@ -12,7 +12,7 @@ Run:
     python examples/clos_network.py
 """
 
-from repro import ClosNetworkSimulation, FoldedClos, NetworkConfig
+from repro import FoldedClos, NetworkConfig, NetworkSimulation
 from repro.harness.report import format_table
 
 
@@ -30,7 +30,7 @@ def main() -> None:
     for load in (0.1, 0.3, 0.5, 0.7):
         row = [f"{load:.1f}"]
         for cfg in (high, low):
-            sim = ClosNetworkSimulation(cfg, load)
+            sim = NetworkSimulation(cfg, load)
             r = sim.run(warmup=600, measure=800, drain=6000)
             row.append(
                 f"{r.avg_latency:.1f}" + ("*" if r.saturated else "")

@@ -31,18 +31,14 @@ def main() -> None:
 
     config = RouterConfig(radix=16, subswitch_size=4, local_group_size=4)
     router = CheckedRouter(HierarchicalCrossbarRouter(config))
-    sim = SwitchSimulation(router, load=args.load, record_delivered=True)
-    metrics = MetricsCollector(config.radix, sample_every=8)
-
-    for _ in range(args.cycles):
-        sim.step()
-        metrics.observe_cycle(sim)
+    sim = SwitchSimulation(router, load=args.load)
+    metrics = MetricsCollector(config.radix, sample_every=8).attach(sim)
+    sim.run_until(args.cycles)
 
     # Drain so the conservation check can complete.
     sim.stop_sources()
     for _ in range(20000):
         sim.step()
-        metrics.observe_cycle(sim)
         if router.idle() and all(not s.backlog() for s in sim.sources):
             break
     router.assert_drained()

@@ -18,7 +18,7 @@ Run:
 
 import sys
 
-from repro import ClosNetworkSimulation, FoldedClos, NetworkConfig
+from repro import FoldedClos, NetworkConfig, NetworkSimulation
 from repro.core.flit import reset_packet_ids
 from repro.harness.experiment import SweepResult
 from repro.harness.persistence import load_sweeps, save_sweeps
@@ -45,7 +45,7 @@ def main() -> None:
     for size in SIZES:
         reset_packet_ids()
         cfg = NetworkConfig(radix=RADIX, levels=LEVELS, num_vcs=2, seed=7)
-        sim = ClosNetworkSimulation(
+        sim = NetworkSimulation(
             cfg,
             workload=transformer_decode(
                 ranks, layers=LAYERS, steps=STEPS, size=size, gap=GAP,

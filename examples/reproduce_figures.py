@@ -4,7 +4,10 @@
 Runs the same experiments as ``benchmarks/`` but as one plain script —
 useful when you want the figure tables (and ASCII plots) without the
 benchmark harness, or want to pass a different scale on the command
-line.
+line.  ``benchmarks/test_fig*.py`` (with ``benchmarks/common.py``) is
+the definition of each figure: the low-radix reference router, the
+load points and the saturation drain below are its values, and
+``tests/test_examples.py`` holds them equal.
 
 Run:
     python examples/reproduce_figures.py --figures 9,13
@@ -29,6 +32,17 @@ from repro.routers.baseline import BaselineRouter
 from repro.routers.buffered import BufferedCrossbarRouter
 from repro.routers.distributed import DistributedRouter
 from repro.routers.hierarchical import HierarchicalCrossbarRouter
+
+#: The paper's low-radix reference router, whatever ``--radix`` is.
+LOW_RADIX = 16
+#: Offered-load points of the latency-load curves.
+LOADS = (0.1, 0.3, 0.5, 0.7, 0.9)
+#: Drain budget of a saturation-throughput run.
+SAT_DRAIN = 100
+
+
+def low_radix_config(cfg: RouterConfig) -> RouterConfig:
+    return cfg.with_(radix=LOW_RADIX, subswitch_size=4, local_group_size=4)
 
 
 def fig2() -> None:
@@ -59,27 +73,25 @@ def fig3() -> None:
 
 def fig9(cfg: RouterConfig, settings: SweepSettings) -> None:
     print("== Figure 9: baseline architectures ==")
-    loads = [0.1, 0.3, 0.5, 0.7, 0.9]
-    low = cfg.with_(radix=max(4, cfg.radix // 2), subswitch_size=4,
-                    local_group_size=4)
     sweeps = [
-        run_load_sweep(BaselineRouter, low, loads, label="low-radix",
-                       settings=settings),
-        run_load_sweep(DistributedRouter, cfg, loads, label="CVA",
+        run_load_sweep(BaselineRouter, low_radix_config(cfg), LOADS,
+                       label="low-radix", settings=settings),
+        run_load_sweep(DistributedRouter, cfg, LOADS, label="CVA",
                        settings=settings),
         run_load_sweep(DistributedRouter, cfg.with_(vc_allocator="ova"),
-                       loads, label="OVA", settings=settings),
+                       LOADS, label="OVA", settings=settings),
     ]
     print(plot_sweeps(sweeps, title="latency vs offered load"))
 
 
 def fig13(cfg: RouterConfig, settings: SweepSettings) -> None:
     print("== Figure 13: fully buffered crossbar ==")
-    loads = [0.1, 0.3, 0.5, 0.7, 0.9]
     sweeps = [
-        run_load_sweep(DistributedRouter, cfg, loads, label="baseline",
+        run_load_sweep(BaselineRouter, low_radix_config(cfg), LOADS,
+                       label="low-radix", settings=settings),
+        run_load_sweep(DistributedRouter, cfg, LOADS, label="baseline",
                        settings=settings),
-        run_load_sweep(BufferedCrossbarRouter, cfg, loads,
+        run_load_sweep(BufferedCrossbarRouter, cfg, LOADS,
                        label="fully-buffered", settings=settings),
     ]
     print(plot_sweeps(sweeps, title="latency vs offered load"))
@@ -87,8 +99,9 @@ def fig13(cfg: RouterConfig, settings: SweepSettings) -> None:
 
 def fig17(cfg: RouterConfig, settings: SweepSettings) -> None:
     print("== Figure 17(a): hierarchical crossbar, uniform traffic ==")
-    sat = SweepSettings(settings.warmup, settings.measure, 100)
-    rows = [("fully-buffered", f"{saturation_throughput(BufferedCrossbarRouter, cfg, settings=sat):.3f}")]
+    sat = SweepSettings(settings.warmup, settings.measure, SAT_DRAIN)
+    thpt = saturation_throughput(BufferedCrossbarRouter, cfg, settings=sat)
+    rows = [("fully-buffered", f"{thpt:.3f}")]
     for p in (4, 8, 16):
         if cfg.radix % p:
             continue

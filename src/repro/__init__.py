@@ -45,7 +45,7 @@ from .harness.experiment import (
     saturation_throughput,
 )
 from .harness.stats import LatencySample, RunResult
-from .network.netsim import ClosNetworkSimulation, NetworkConfig
+from .network.netsim import NetworkConfig, NetworkSimulation
 from .network.topology import FoldedClos
 from .routers.base import Router, RouterStats
 from .routers.baseline import BaselineRouter
@@ -98,7 +98,7 @@ __all__ = [
     "RunResult",
     "FoldedClos",
     "NetworkConfig",
-    "ClosNetworkSimulation",
+    "NetworkSimulation",
     "SimSanitizer",
     "NetworkSanitizer",
     "InvariantViolation",

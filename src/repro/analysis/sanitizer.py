@@ -52,7 +52,6 @@ it subscribes to the simulation's scheduler-level ``cycle_end`` hook
 
 from __future__ import annotations
 
-import copy
 from typing import Dict, Iterator, List, Tuple
 
 from ..core.buffers import FlitQueue
@@ -651,44 +650,10 @@ class NetworkSanitizer:
                         held=held,
                         capacity=counter.capacity,
                     )
-        if getattr(sim, "_rows", None) is not None:
-            self._check_arrival_streams(cycle)
+        # The snapshot's arrival-stream sync invariant (event mode's
+        # bulk pre-draw), for the hosts that generated this cycle.
+        sim.arrivals.audit(cycle)
         self.checks_run += 1
-
-    def _check_arrival_streams(self, cycle: int) -> None:
-        """The sync invariant :meth:`NetworkSimulation.snapshot` relies
-        on: a host's Python stream sits at its ``_sync_cursor``, its
-        state row at its ``_arrival_cursor``, and only polls separate
-        them — all misses but the last, which is the host's queued
-        arrival if it has one.  Audited for the hosts that generated in
-        the cycle just ended (their sync cursor is this clock) by
-        making those polls on a copy of the Python stream."""
-        sim = self.sim
-        for host, sync in enumerate(sim._sync_cursor):
-            if sync != cycle:
-                continue
-            cursor = sim._arrival_cursor[host]
-            oracle = copy.copy(sim._rngs[host])
-            hits = [
-                poll for poll in range(sync, cursor)
-                if oracle.random() < sim._packet_rate
-            ]
-            row = sim._rows.rows[host].tolist()
-            if (
-                row != list(oracle.getstate()[1])
-                or hits != ([] if host in sim._undrawn else [cursor - 1])
-            ):
-                raise InvariantViolation(
-                    f"host {host}'s state row is not its Python stream "
-                    f"plus the {cursor - sync} polls pre-drawn since "
-                    f"their last sync",
-                    cycle=cycle,
-                    check="arrival-stream",
-                    host=host,
-                    sync_cursor=sync,
-                    arrival_cursor=cursor,
-                    hits=hits,
-                )
 
 
 __all__ = ["SimSanitizer", "NetworkSanitizer"]

@@ -60,7 +60,7 @@ from .harness.report import format_sweeps, format_table
 from .models.area import AreaModel, storage_bits
 from .models.latency import optimal_radix, packet_latency
 from .models.technology import Technology
-from .network.netsim import ClosNetworkSimulation, NetworkConfig
+from .network.netsim import NetworkConfig, NetworkSimulation
 from .routers.baseline import BaselineRouter
 from .routers.buffered import BufferedCrossbarRouter
 from .routers.distributed import DistributedRouter
@@ -507,20 +507,16 @@ def cmd_workload(args: argparse.Namespace) -> int:
     for size in sizes:
         for window in windows:
             for layers in layer_counts:
-                try:
-                    workload = _build_workload(
-                        args, ranks, size, window, layers
-                    )
-                except ValueError as exc:
-                    print(f"workload: {exc}", file=sys.stderr)
-                    return 2
+                workload = _build_workload(
+                    args, ranks, size, window, layers
+                )
                 reset_packet_ids()
                 if args.target == "network":
                     cfg = NetworkConfig(
                         radix=args.radix, levels=args.levels,
                         num_vcs=args.vcs, seed=args.seed,
                     )
-                    sim = ClosNetworkSimulation(
+                    sim = NetworkSimulation(
                         cfg, workload=workload, sanitize=args.sanitize,
                         faults=faults, scheduler=args.scheduler,
                     )
@@ -639,7 +635,7 @@ def cmd_network(args: argparse.Namespace) -> int:
             finally:
                 sim.close()
         else:
-            sim = ClosNetworkSimulation(
+            sim = NetworkSimulation(
                 cfg, args.load, sanitize=args.sanitize,
                 faults=plan if plan.enabled else None,
                 scheduler=args.scheduler,
@@ -915,7 +911,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        # The library validates its own inputs (loads, rates, radix /
+        # subswitch divisibility, ...): a rejected argument is a usage
+        # error, not a crash.
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -168,7 +168,6 @@ def _build_switch(spec: Dict[str, Any]):
         injection=spec["injection"],
         avg_burst=spec["avg_burst"],
         seed=spec["seed"],
-        record_delivered=spec["record_delivered"],
         active_set=spec["active_set"],
         tracer=_build_tracer(spec["tracer"]),
         faults=spec["faults"],

@@ -21,7 +21,7 @@ from ..core.config import RouterConfig
 from ..core.errors import invariant
 from ..engine import make_scheduler
 from ..routers.base import Router
-from ..traffic.injection import Bernoulli, InjectionProcess, MarkovOnOff
+from ..traffic.injection import make_injection
 from ..traffic.patterns import TrafficPattern, UniformRandom
 from ..traffic.source import TrafficSource
 from ..workloads.base import Workload
@@ -31,10 +31,6 @@ from .stats import LatencySample, RunResult
 
 RouterFactory = Callable[[RouterConfig], Router]
 PatternFactory = Callable[[RouterConfig], TrafficPattern]
-
-
-def _default_pattern(config: RouterConfig) -> TrafficPattern:
-    return UniformRandom(config.radix)
 
 
 @dataclass
@@ -64,12 +60,12 @@ class SwitchSimulation(StagedRun):
     #: Attributes :meth:`snapshot` deliberately omits (lint rule R010):
     #: construction parameters (``config``/``load``/``packet_size`` and
     #: the build spec, which the checkpoint file header carries
-    #: instead), live wiring (``hooks``, the engine's injector handle),
-    #: and the ``record_delivered`` flag, all of which a restored twin
-    #: gets from its own constructor.
+    #: instead) and live wiring (``hooks``, the engine's injector
+    #: handle), all of which a restored twin gets from its own
+    #: constructor.
     SNAPSHOT_WIRING = (
         "_build_spec", "hooks", "config", "load", "packet_size",
-        "fault_injector", "record_delivered",
+        "fault_injector",
     )
 
     def __init__(
@@ -81,7 +77,6 @@ class SwitchSimulation(StagedRun):
         injection: str = "bernoulli",
         avg_burst: float = 8.0,
         seed: Optional[int] = None,
-        record_delivered: bool = False,
         sanitize: bool = False,
         active_set: bool = True,
         tracer=None,
@@ -121,7 +116,6 @@ class SwitchSimulation(StagedRun):
             "injection": injection,
             "avg_burst": avg_burst,
             "seed": seed,
-            "record_delivered": record_delivered,
         }
         if sanitize:
             # Imported lazily: the analysis layer sits above the harness.
@@ -176,13 +170,9 @@ class SwitchSimulation(StagedRun):
                 self.sources.append(WorkloadSource(i, workload))
         else:
             for i in range(self.config.radix):
-                proc: InjectionProcess
-                if injection == "bernoulli":
-                    proc = Bernoulli(packet_rate)
-                elif injection == "onoff":
-                    proc = MarkovOnOff(packet_rate, peak_rate, avg_burst)
-                else:
-                    raise ValueError(f"unknown injection kind {injection!r}")
+                proc = make_injection(
+                    injection, packet_rate, peak_rate, avg_burst
+                )
                 self.sources.append(
                     TrafficSource(i, pattern, proc, packet_size, seed)
                 )
@@ -209,10 +199,6 @@ class SwitchSimulation(StagedRun):
         self.sample = LatencySample()
         self.measured_flits = 0
         self._count_flits = False
-        #: When record_delivered is set, every (flit, eject_cycle) pair
-        #: is retained here for inspection (costs memory on long runs).
-        self.record_delivered = record_delivered
-        self.delivered: List[tuple] = []
         #: In-progress measurement program (see :meth:`start_run`), or
         #: None when no staged run is active.  Plain picklable data so
         #: a checkpoint taken mid-run resumes at the same stage.
@@ -257,8 +243,6 @@ class SwitchSimulation(StagedRun):
     def _collect_ejected(self, now: int) -> None:
         """Harness work after the engine cycle: delivery accounting."""
         for flit, eject_cycle in self.router.drain_ejected():
-            if self.record_delivered:
-                self.delivered.append((flit, eject_cycle))
             if self._count_flits:
                 self.measured_flits += 1
             if flit.is_tail and flit.measured:
@@ -496,7 +480,6 @@ class SwitchSimulation(StagedRun):
                     "packet_vc": self._packet_vc,
                     "vc_rr": self._vc_rr,
                     "generating": self._generating,
-                    "delivered": self.delivered,
                 },
             })
         finally:
@@ -529,7 +512,6 @@ class SwitchSimulation(StagedRun):
         self._packet_vc = harness["packet_vc"]
         self._vc_rr = harness["vc_rr"]
         self._generating = harness["generating"]
-        self.delivered = harness["delivered"]
         self._apply_run(state)
 
 
@@ -567,31 +549,16 @@ class SweepResult:
 def _run_point(
     make_router: RouterFactory,
     config: RouterConfig,
-    packet_size: int,
-    pattern_factory: PatternFactory,
-    injection: str,
-    avg_burst: float,
+    pattern_factory: Optional[PatternFactory],
     settings: Optional[SweepSettings],
-    seed: Optional[int],
-    sanitize: bool,
-    scheduler: str,
+    sim_options: Dict[str, Any],
     load: float,
 ) -> RunResult:
-    """Build one simulation at ``load`` and run it.
-
-    ``load`` comes last so a :func:`functools.partial` over the rest is
-    the per-point callable; module-level so that partial pickles.
-    """
+    """Build one simulation at ``load`` and run it (``load`` last and
+    module-level, for a picklable :func:`functools.partial`)."""
+    pattern = pattern_factory(config) if pattern_factory else None
     sim = SwitchSimulation(
-        make_router(config),
-        load=load,
-        packet_size=packet_size,
-        pattern=pattern_factory(config),
-        injection=injection,
-        avg_burst=avg_burst,
-        seed=seed,
-        sanitize=sanitize,
-        scheduler=scheduler,
+        make_router(config), load=load, pattern=pattern, **sim_options
     )
     return sim.run(settings)
 
@@ -623,23 +590,21 @@ def run_load_sweep(
     config: RouterConfig,
     loads: Sequence[float],
     label: str = "",
-    packet_size: int = 1,
-    pattern_factory: PatternFactory = _default_pattern,
-    injection: str = "bernoulli",
-    avg_burst: float = 8.0,
+    pattern_factory: Optional[PatternFactory] = None,
     settings: Optional[SweepSettings] = None,
-    seed: Optional[int] = None,
-    sanitize: bool = False,
-    scheduler: str = "cycle",
     processes: Optional[int] = 1,
+    **sim_options: Any,
 ) -> SweepResult:
     """Simulate one router at each offered load; returns the curve.
 
-    ``processes`` fans the points out as :func:`map_points` describes.
+    Here and in the two saturation helpers below, ``sim_options``
+    (``packet_size``, ``injection``, ``seed``, ``scheduler``, ...) reach
+    every point's :class:`SwitchSimulation` unchanged.  ``processes``
+    fans the points out as :func:`map_points` describes.
     """
     point = functools.partial(
-        _run_point, make_router, config, packet_size, pattern_factory,
-        injection, avg_burst, settings, seed, sanitize, scheduler,
+        _run_point, make_router, config, pattern_factory, settings,
+        sim_options,
     )
     results = map_points(point, loads, processes)
     return SweepResult(
@@ -650,35 +615,24 @@ def run_load_sweep(
 def saturation_throughput(
     make_router: RouterFactory,
     config: RouterConfig,
-    packet_size: int = 1,
-    pattern_factory: PatternFactory = _default_pattern,
-    injection: str = "bernoulli",
-    avg_burst: float = 8.0,
+    pattern_factory: Optional[PatternFactory] = None,
     settings: Optional[SweepSettings] = None,
     load: float = 1.0,
-    seed: Optional[int] = None,
-    sanitize: bool = False,
-    scheduler: str = "cycle",
+    **sim_options: Any,
 ) -> float:
     """Accepted throughput at (near-)unit offered load."""
     return _run_point(
-        make_router, config, packet_size, pattern_factory, injection,
-        avg_burst, settings, seed, sanitize, scheduler, load,
+        make_router, config, pattern_factory, settings, sim_options, load
     ).throughput
 
 
 def find_saturation_load(
     make_router: RouterFactory,
     config: RouterConfig,
-    packet_size: int = 1,
-    pattern_factory: PatternFactory = _default_pattern,
-    injection: str = "bernoulli",
-    avg_burst: float = 8.0,
+    pattern_factory: Optional[PatternFactory] = None,
     settings: Optional[SweepSettings] = None,
     tolerance: float = 0.02,
-    seed: Optional[int] = None,
-    sanitize: bool = False,
-    scheduler: str = "cycle",
+    **sim_options: Any,
 ) -> float:
     """Binary-search the saturation load of a router configuration.
 
@@ -696,13 +650,11 @@ def find_saturation_load(
     """
     if not 0.0 < tolerance < 1.0:
         raise ValueError(f"tolerance must be in (0, 1), got {tolerance}")
-    settings = settings or SweepSettings()
     slack = max(0.03, tolerance)
 
     def saturated_at(load: float) -> bool:
         result = _run_point(
-            make_router, config, packet_size, pattern_factory, injection,
-            avg_burst, settings, seed, sanitize, scheduler, load,
+            make_router, config, pattern_factory, settings, sim_options, load
         )
         return result.saturated or result.throughput < load - slack
 

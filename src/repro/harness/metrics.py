@@ -4,7 +4,7 @@ The paper's figures report aggregate latency and throughput; debugging
 and extending a router microarchitecture needs more: latency
 *distributions*, per-port utilization, and buffer-occupancy behaviour
 over time.  ``MetricsCollector`` attaches to a
-:class:`~repro.harness.experiment.SwitchSimulation` loop and gathers:
+:class:`~repro.harness.experiment.SwitchSimulation` and gathers:
 
 * a latency histogram (log-spaced bins, since saturated tails are
   heavy);
@@ -12,10 +12,7 @@ over time.  ``MetricsCollector`` attaches to a
 * per-input source backlog samples (who is starved/congested);
 * total router occupancy samples (aggregate buffer pressure).
 
-There are two ways to feed it.  The original pull style calls
-:meth:`MetricsCollector.observe_cycle` after each ``sim.step()`` and
-needs ``record_delivered=True``.  The push style,
-:meth:`MetricsCollector.attach`, subscribes to the simulation's
+:meth:`MetricsCollector.attach` subscribes to the simulation's
 :class:`~repro.engine.EngineHooks` bus — deliveries arrive through
 ``flit_move`` eject events and sampling rides ``cycle_end``, so
 nothing is buffered and no per-cycle call is needed.
@@ -79,10 +76,8 @@ class MetricsCollector:
     Usage::
 
         sim = SwitchSimulation(router, load=0.7)
-        metrics = MetricsCollector(router.config.radix)
-        for _ in range(cycles):
-            sim.step()
-            metrics.observe_cycle(sim)
+        metrics = MetricsCollector(router.config.radix).attach(sim)
+        sim.run_until(cycles)
         print(metrics.summary())
     """
 
@@ -103,11 +98,7 @@ class MetricsCollector:
         self.fault_injects: Dict[str, int] = {}
         self.fault_recovers: Dict[str, int] = {}
         self._cycles = 0
-        self._seen = 0
         self._sim = None  # set by attach()
-
-    # ------------------------------------------------------------------
-    # Push-style feeding: subscribe to a simulation's engine hooks.
 
     def attach(self, sim) -> "MetricsCollector":
         """Subscribe to ``sim.hooks`` so metrics accumulate as the
@@ -115,9 +106,8 @@ class MetricsCollector:
 
         Works with any simulation exposing an
         :class:`~repro.engine.EngineHooks` bus plus ``sources`` and
-        ``router`` attributes (``SwitchSimulation`` does).  Unlike
-        :meth:`observe_cycle`, no ``record_delivered=True`` buffer is
-        required.  Returns ``self`` for chaining.
+        ``router`` attributes (``SwitchSimulation`` does).  Returns
+        ``self`` for chaining.
         """
         sim.hooks.on_flit_move(self._on_flit_move)
         self._sim = sim
@@ -153,29 +143,6 @@ class MetricsCollector:
         self.output_flits[flit.dest] += 1
         if flit.is_tail:
             self.latency.add(cycle - flit.created_at)
-
-    def observe_cycle(self, sim) -> None:
-        """Record state after one ``sim.step()`` call.
-
-        The simulation must have been built with
-        ``record_delivered=True`` so delivered flits are retained.
-        """
-        if not sim.record_delivered:
-            raise ValueError(
-                "MetricsCollector needs a SwitchSimulation constructed "
-                "with record_delivered=True"
-            )
-        for flit, cycle in sim.delivered[self._seen:]:
-            self.observe_delivery(flit, cycle)
-        self._seen = len(sim.delivered)
-        self._cycles += 1
-        if self._cycles % self.sample_every == 0:
-            self.backlog_samples.append(
-                sum(s.backlog() for s in sim.sources)
-            )
-            self.occupancy_samples.append(sim.router.occupancy())
-
-    # ------------------------------------------------------------------
 
     @property
     def delivered_flits(self) -> int:

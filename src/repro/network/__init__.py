@@ -1,9 +1,9 @@
 """Network-level simulation: topologies, oblivious/deterministic
 routing, reduced-detail routers, and the Figure 19 experiment harness."""
 
+from .arrivals import HostArrivals
 from .mesh import Mesh
 from .netsim import (
-    ClosNetworkSimulation,
     NetworkConfig,
     NetworkSimulation,
     run_network_sweep,
@@ -28,7 +28,7 @@ __all__ = [
     "pipeline_depth_for_radix",
     "NetworkConfig",
     "NetworkSimulation",
-    "ClosNetworkSimulation",
+    "HostArrivals",
     "ShardedNetworkSimulation",
     "run_network_sweep",
 ]

@@ -17,33 +17,19 @@ import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
-from ..core.arbiter import HAVE_NUMPY
 from ..core.errors import InvariantViolation, invariant
 from ..core.flit import Flit, make_packet
-from ..core.rng import StreamRows, derive_rng
+from ..core.rng import derive_rng
 from ..engine import EngineHooks, make_scheduler
 from ..harness.experiment import SweepResult, SweepSettings, map_points
 from ..harness.program import StagedRun
 from ..harness.stats import LatencySample, RunResult
 from ..workloads.base import Message, Workload
+from .arrivals import HostArrivals
 from .router import NetworkRouter, NetworkRouterConfig, OutputLink, pipeline_depth_for_radix
 from .topology import FoldedClos, SwitchId, Topology
-
-#: Polls one vectorized step of the arrival pre-draw samples: a hit
-#: re-draws less than this, and no temporary outgrows it (8192
-#: doubles stay cache-resident, which halves the cost per element).
-_DRAW_CHUNK = 8192
-
-#: Packet rate (arrivals per host per cycle) below which event mode
-#: searches for arrivals in bulk.  Each arrival costs the bulk path a
-#: fixed hand-over (row to Python for the destination draw and back,
-#: one chunk drawn twice) that the scalar loop does not pay; measured
-#: on radix-16 and radix-64 Clos networks, build + run, bulk is 0.86x
-#: / 0.95x scalar at 2.5e-4 and 1.09x / 1.11x at 3.5e-4
-#: (docs/architecture.md, "Pre-draw cost model").
-_BULK_MAX_RATE = 3e-4
 
 
 @dataclass(frozen=True)
@@ -136,15 +122,11 @@ class NetworkSimulation(StagedRun):
 
     #: Attributes :meth:`snapshot` deliberately omits (lint rule R010):
     #: construction parameters (``config``/``load``/``topology``/
-    #: ``_host_pattern``/``_event_mode``/``_trace_switch``), the hook
-    #: bus, ``_packet_rate`` (a pure function of config and load),
-    #: ``_host_port`` (a pure function of the topology), and the bulk
-    #: pre-draw's state rows, which restore re-derives from the
-    #: restored Python RNG streams (see :meth:`snapshot`).
+    #: ``_host_pattern``/``_trace_switch``), the hook bus, and
+    #: ``_host_port`` (a pure function of the topology).
     SNAPSHOT_WIRING = (
         "config", "load", "topology", "_host_pattern", "hooks",
-        "_event_mode", "_trace_switch", "_packet_rate", "_host_port",
-        "_rows",
+        "_trace_switch", "_host_port",
     )
 
     def __init__(
@@ -225,8 +207,8 @@ class NetworkSimulation(StagedRun):
                     "replay switch traces on --target switch"
                 )
             # The injection process is replaced by DAG eligibility;
-            # zeroing the rate also bypasses the arrival pre-draw
-            # machinery (heap, state rows) in event mode.
+            # a zero rate also keeps the arrival pre-draw (heap, state
+            # rows) out of event mode.
             load = 0.0
         self._build_network()
         #: Simulation-level event bus; ``cycle_start``/``cycle_end``
@@ -239,7 +221,6 @@ class NetworkSimulation(StagedRun):
             hooks=self.hooks,
             active_set=active_set,
         )
-        self._event_mode = scheduler == "event"
         # Inverted drive loop: the scheduler owns the per-cycle phase
         # sequence; this harness contributes its pre-engine work and
         # (in event mode) its wake horizons.
@@ -259,8 +240,12 @@ class NetworkSimulation(StagedRun):
             tracer.attach_network(self, trace_switch)
         n = self.topology.num_hosts
         cap = 1.0 / config.flit_cycles
-        self._packet_rate = load * cap / config.packet_size
-        self._rngs = [derive_rng(config.seed, "net", h) for h in range(n)]
+        #: The hosts' arrival process: polled per cycle, or — event
+        #: mode — pre-drawn so the scheduler can fast-forward to it.
+        self.arrivals = HostArrivals(
+            config.seed, n, load * cap / config.packet_size,
+            predraw=scheduler == "event",
+        )
         self._route_rng = derive_rng(config.seed, "route")
         self._source_q: List[Deque[Flit]] = [deque() for _ in range(n)]
         #: Where each host injects: (edge router, input port), resolved
@@ -310,36 +295,6 @@ class NetworkSimulation(StagedRun):
             self._sanitizer: Optional[NetworkSanitizer] = NetworkSanitizer(self)
         else:
             self._sanitizer = None
-        # Event mode pre-draws each host's next arrival into a binary
-        # heap of (cycle, host) — the per-host draws are exactly the
-        # ones cycle-by-cycle polling would make (each host owns a
-        # private RNG stream), so prediction is byte-equivalent to the
-        # lazy path; heap order reproduces the host-order iteration of
-        # the per-cycle generate loop.  After the first arrival,
-        # redraws are bounded by the run window (``_draw_limit``) so a
-        # very low rate never forces draws far past the simulated
-        # horizon; hosts with no arrival inside the window park in
-        # ``_undrawn`` and resume their stream when the window grows.
-        self._host_arrivals: List[Tuple[int, int]] = []
-        self._arrival_cursor = [0] * n
-        self._draw_limit = 0
-        self._undrawn: Set[int] = set()
-        # Where it is measured ahead (numpy present, rate below
-        # ``_BULK_MAX_RATE``) the polls come off ``_rows`` — one numpy
-        # Mersenne generator over a row of state per host, searched
-        # ``_DRAW_CHUNK`` polls per vectorized step — instead of one
-        # Python-level draw per host per cycle.  Between arrivals a
-        # host's row runs ahead of its Python stream, which stays at
-        # ``_sync_cursor`` until the arrival hands the row across for
-        # the destination draw and takes it back.
-        self._rows: Optional[StreamRows] = None
-        self._sync_cursor = [0] * n
-        if self._event_mode and self._packet_rate > 0.0:
-            self._undrawn.update(range(n))
-            if HAVE_NUMPY and self._packet_rate < _BULK_MAX_RATE:
-                rows = StreamRows(self._rngs, _DRAW_CHUNK)
-                if rows.usable:
-                    self._rows = rows
 
     # ------------------------------------------------------------------
     # Construction
@@ -389,24 +344,7 @@ class NetworkSimulation(StagedRun):
         return self._sched.run_until(end)
 
     def _extend_draws(self, end: int) -> None:
-        """Grow the arrival pre-draw window to cover ``[0, end)``.
-
-        Hosts parked in ``_undrawn`` (no arrival inside the previous
-        window) resume their private streams from where they stopped;
-        any hit inside the new window enters the arrival heap.
-        """
-        if not self._event_mode or end <= self._draw_limit:
-            return
-        self._draw_limit = end
-        if not self._undrawn:
-            return
-        resolved = []
-        for host in sorted(self._undrawn):
-            arrival = self._draw_arrival(host, end)
-            if arrival is not None:
-                heapq.heappush(self._host_arrivals, (arrival, host))
-                resolved.append(host)
-        self._undrawn.difference_update(resolved)
+        self.arrivals.extend(end)
 
     def _pre_cycle(self, now: int) -> None:
         """Harness work before the two-phase engine cycle.
@@ -425,10 +363,14 @@ class NetworkSimulation(StagedRun):
             # modes pop the same ready messages in ascending host
             # order, so the shared route RNG stream stays identical.
             self._generate_workload(now)
-        elif self._event_mode:
-            self._generate_event(now)
         else:
-            self._generate(now)
+            # Same-cycle arrivals come in ascending host order in both
+            # modes, which keeps the shared route RNG stream and
+            # packet-id allocation identical between them.
+            arrivals = self.arrivals
+            hosts = arrivals.due if arrivals.predraw else arrivals.poll
+            for host in hosts(now):
+                self._generate_packet(host, now)
         self._inject(now)
 
     def _next_work(self, now: int) -> Optional[int]:
@@ -439,9 +381,7 @@ class NetworkSimulation(StagedRun):
         backlogged host — the earliest injection retry (channel
         throttle or fault back-off).  Early is safe, late is not.
         """
-        horizon: Optional[int] = None
-        if self._host_arrivals:
-            horizon = self._host_arrivals[0][0]
+        horizon = self.arrivals.next_due()
         if self._inflight:
             due = self._inflight[0][0]
             if horizon is None or due < horizon:
@@ -483,78 +423,6 @@ class NetworkSimulation(StagedRun):
                     # wake via the next_ready() horizon.
                     self._workload.deliver(flit.packet_id, now)
 
-    def _generate(self, now: int) -> None:
-        """Cycle-mode generation: poll every host's process this cycle."""
-        for host in range(self.topology.num_hosts):
-            if self._rngs[host].random() >= self._packet_rate:
-                continue
-            self._generate_packet(host, now)
-
-    def _draw_arrival(self, host: int, limit: int) -> Optional[int]:
-        """Pre-draw ``host``'s next arrival cycle before ``limit``.
-
-        Consumes exactly the per-cycle polls :meth:`_generate` would
-        make from the host's private RNG stream — off its state row
-        (:meth:`~repro.core.rng.StreamRows.search`) when the bulk path
-        is on, else off the Python stream one ``random()`` at a time —
-        so batching them is byte-equivalent.  Draws stop at the window
-        edge: a host with no hit keeps its cursor at ``limit`` and
-        resumes the same stream when the window grows.  A zero rate
-        never fires: return None without drawing.
-        """
-        rate = self._packet_rate
-        if rate <= 0.0:
-            return None
-        cycle = self._arrival_cursor[host]
-        if cycle >= limit:
-            return None
-        if self._rows is not None:
-            hit = self._rows.search(host, rate, limit - cycle)
-        else:
-            rnd = self._rngs[host].random
-            hit = None
-            for poll in range(limit - cycle):
-                if rnd() < rate:
-                    hit = poll
-                    break
-        if hit is None:
-            self._arrival_cursor[host] = limit
-            return None
-        self._arrival_cursor[host] = cycle + hit + 1
-        return cycle + hit
-
-    def _generate_event(self, now: int) -> None:
-        """Event-mode generation: only hosts whose arrival is due.
-
-        Heap order is (cycle, host), so same-cycle arrivals generate in
-        ascending host order — the iteration order of the cycle-mode
-        loop — which keeps the shared route RNG stream and packet-id
-        allocation identical between modes.
-        """
-        heap = self._host_arrivals
-        while heap and heap[0][0] <= now:
-            due, host = heapq.heappop(heap)
-            invariant(due == now, "fast-forward skipped a host arrival",
-                      cycle=now, check="event-schedule", host=host,
-                      arrival=due)
-            rows = self._rows
-            if rows is not None:
-                # Destination draws happen on the Python stream: hand
-                # it the row (which stopped right after the hit) and
-                # take the state back, so both see one contiguous
-                # per-host stream.
-                rows.pull(host, self._rngs[host])
-                self._generate_packet(host, now)
-                rows.push(host, self._rngs[host])
-                self._sync_cursor[host] = self._arrival_cursor[host]
-            else:
-                self._generate_packet(host, now)
-            nxt = self._draw_arrival(host, self._draw_limit)
-            if nxt is not None:
-                heapq.heappush(heap, (nxt, host))
-            else:
-                self._undrawn.add(host)
-
     def _generate_workload(self, now: int) -> None:
         """Queue every workload message that became eligible by ``now``.
 
@@ -584,11 +452,11 @@ class NetworkSimulation(StagedRun):
         measurement-labeled — the workload keeps its own send/delivery
         records; only the route draw touches shared RNG state.
         """
-        rng = self._rngs[host]
         if message is not None:
             dest = message.dest
             size = message.size
         else:
+            rng = self.arrivals.streams[host]
             if self._host_pattern is None:
                 dest = rng.randrange(self.topology.num_hosts)
             else:
@@ -792,6 +660,7 @@ class NetworkSimulation(StagedRun):
                 "cannot checkpoint a sanitized simulation; rerun the "
                 "sanitizer after restore instead"
             )
+        arrivals = self.arrivals.snapshot()
         switch_of = {id(r): sid for sid, r in self.routers.items()}
         inflight = []
         for arrival, seq, flit, target in sorted(
@@ -818,23 +687,9 @@ class NetworkSimulation(StagedRun):
                 "vc_rr": self._vc_rr,
                 "peak_source_q": self._peak_source_q,
             },
-            "rngs": [rng.getstate() for rng in self._rngs],
+            "rngs": arrivals["rngs"],
             "route_rng": self._route_rng.getstate(),
-            # The state rows are deliberately not captured: each row
-            # equals the Python stream (captured at ``sync_cursor``)
-            # plus (cursor - sync_cursor) poll draws, so restore
-            # rebuilds them from the restored Python state instead.
-            # Without rows the Python stream itself is at the cursor.
-            "arrivals": {
-                "heap": sorted(self._host_arrivals),
-                "cursor": self._arrival_cursor,
-                "draw_limit": self._draw_limit,
-                "undrawn": sorted(self._undrawn),
-                "sync_cursor": (
-                    list(self._arrival_cursor) if self._rows is None
-                    else self._sync_cursor
-                ),
-            },
+            "arrivals": arrivals["arrivals"],
         })
 
     def restore(self, state: Dict[str, Any]) -> None:
@@ -852,10 +707,10 @@ class NetworkSimulation(StagedRun):
                 f"snapshot captured {len(state['routers'])} routers, "
                 f"simulation has {len(self.routers)}"
             )
-        if len(state["rngs"]) != len(self._rngs):
+        if len(state["rngs"]) != len(self.arrivals.streams):
             raise ValueError(
                 f"snapshot captured {len(state['rngs'])} hosts, "
-                f"simulation has {len(self._rngs)}"
+                f"simulation has {len(self.arrivals.streams)}"
             )
         state = copy.deepcopy(state)
         for router, captured in zip(self.routers.values(), state["routers"]):
@@ -877,75 +732,30 @@ class NetworkSimulation(StagedRun):
         self._packet_vc = harness["packet_vc"]
         self._vc_rr = harness["vc_rr"]
         self._peak_source_q = harness["peak_source_q"]
-        for rng, captured in zip(self._rngs, state["rngs"]):
-            rng.setstate(captured)
+        self.arrivals.restore(state)
         self._route_rng.setstate(state["route_rng"])
-        arrivals = state["arrivals"]
-        self._host_arrivals = list(arrivals["heap"])
-        self._arrival_cursor = arrivals["cursor"]
-        self._draw_limit = arrivals["draw_limit"]
-        self._undrawn = set(arrivals["undrawn"])
-        self._sync_cursor = arrivals["sync_cursor"]
-        # The restored Python streams sit at ``sync_cursor``; replay
-        # the poll draws separating each from its pre-draw cursor —
-        # into the host's row, or, with no rows (the capture may come
-        # from a run that had them), on the Python stream itself.
-        # Snapshots are taken at cycle boundaries, where that gap is
-        # pure polls (every destination draw forces a sync).
-        for host, rng in enumerate(self._rngs):
-            polls = self._arrival_cursor[host] - self._sync_cursor[host]
-            if self._rows is not None:
-                self._rows.push(host, rng)
-                self._rows.skip(host, polls)
-            else:
-                for _ in range(polls):
-                    rng.random()
         # After the routers: lost-credit sinks resolve through the
         # (identity-preserved) credit_sinks wiring.
         self._apply_run(state)
 
 
-class ClosNetworkSimulation(NetworkSimulation):
-    """Figure 19's configuration: a folded Clos built from ``config``."""
-
-    def __init__(
-        self,
-        config: NetworkConfig,
-        load: float = 0.0,
-        sanitize: bool = False,
-        active_set: bool = True,
-        faults: Optional[object] = None,
-        scheduler: str = "cycle",
-        workload: Optional[Workload] = None,
-        tracer=None,
-        trace_switch: Optional[SwitchId] = None,
-    ) -> None:
-        super().__init__(config, load, sanitize=sanitize,
-                         active_set=active_set, faults=faults,
-                         scheduler=scheduler, workload=workload,
-                         tracer=tracer, trace_switch=trace_switch)
-
-
 def _run_network_point(
     config: NetworkConfig,
-    topology: Optional[Topology],
     warmup: int,
     measure: int,
     drain: int,
-    scheduler: str,
     shards: Optional[int],
+    sim_options: Dict[str, Any],
     load: float,
 ) -> RunResult:
     """Build one network simulation at ``load`` and run it (``load``
     last and module-level, for a picklable :func:`functools.partial`)."""
     if shards is None:
-        sim = NetworkSimulation(config, load, topology=topology,
-                                scheduler=scheduler)
+        sim = NetworkSimulation(config, load, **sim_options)
         return sim.run(warmup=warmup, measure=measure, drain=drain)
     from .sharded import ShardedNetworkSimulation
 
-    sim = ShardedNetworkSimulation(config, load, shards=shards,
-                                   topology=topology, scheduler=scheduler)
+    sim = ShardedNetworkSimulation(config, load, shards=shards, **sim_options)
     try:
         return sim.run(warmup=warmup, measure=measure, drain=drain)
     finally:
@@ -956,19 +766,20 @@ def run_network_sweep(
     config: NetworkConfig,
     loads: Sequence[float],
     label: str = "",
-    topology: Optional[Topology] = None,
     warmup: int = 2000,
     measure: int = 2000,
     drain: int = 30000,
-    scheduler: str = "cycle",
     processes: Optional[int] = 1,
     shards: Optional[int] = None,
+    **sim_options: Any,
 ) -> SweepResult:
     """Load-latency curve over a network (the Figure 19 sweep).
 
     Returns a :class:`~repro.harness.experiment.SweepResult`, so the
     same reporting and plotting helpers apply to network curves as to
-    single-router curves.
+    single-router curves.  ``sim_options`` (``topology``,
+    ``scheduler``, ``host_pattern``, ``faults``, ...) go to every
+    point's :class:`NetworkSimulation` unchanged.
 
     Two orthogonal levers, both byte-identical to the serial sweep:
     ``processes`` fans independent load points over a process pool (see
@@ -978,8 +789,8 @@ def run_network_sweep(
     networks).  Combining them multiplies process counts; prefer one.
     """
     point = functools.partial(
-        _run_network_point, config, topology, warmup, measure, drain,
-        scheduler, shards,
+        _run_network_point, config, warmup, measure, drain, shards,
+        sim_options,
     )
     return SweepResult(
         label=label or "network", results=map_points(point, loads, processes)

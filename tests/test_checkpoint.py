@@ -288,9 +288,9 @@ class TestNetworkRoundTrip:
         capture means the same either way, so it resumes — identically
         to the uninterrupted run — with or without numpy, whichever
         wrote it."""
-        import repro.network.netsim as netsim
+        import repro.network.arrivals as arrivals
 
-        if (written_with or restored_with) and not netsim.HAVE_NUMPY:
+        if (written_with or restored_with) and not arrivals.HAVE_NUMPY:
             pytest.skip("numpy unavailable; the fallback is the only path")
         cfg = NetworkConfig(radix=16, levels=2, num_vcs=2, seed=11)
         path = tmp_path / "net.ckpt"
@@ -302,25 +302,23 @@ class TestNetworkRoundTrip:
             return sim
 
         ref = build()
-        assert (ref._rows is not None) == netsim.HAVE_NUMPY
+        assert ref.arrivals.bulk == arrivals.HAVE_NUMPY
         assert ref.advance_run()
         expect = ref.finish_run()
         assert expect.packets_measured > 60
 
-        monkeypatch.setattr(netsim, "HAVE_NUMPY", written_with)
+        monkeypatch.setattr(arrivals, "HAVE_NUMPY", written_with)
         twin = build()
-        assert (twin._rows is not None) == written_with
+        assert twin.arrivals.bulk == written_with
         assert not twin.advance_run(stop_at=3000)
-        arrivals = twin.snapshot()["arrivals"]
-        ahead = [
-            c - s for c, s in zip(arrivals["cursor"], arrivals["sync_cursor"])
-        ]
+        book = twin.snapshot()["arrivals"]
+        ahead = [c - s for c, s in zip(book["cursor"], book["sync_cursor"])]
         assert min(ahead) >= 0 and (max(ahead) > 0) == written_with
         twin.save_checkpoint(path)
 
-        monkeypatch.setattr(netsim, "HAVE_NUMPY", restored_with)
+        monkeypatch.setattr(arrivals, "HAVE_NUMPY", restored_with)
         resumed = load_checkpoint(path)
-        assert (resumed._rows is not None) == restored_with
+        assert resumed.arrivals.bulk == restored_with
         assert resumed.advance_run()
         got = resumed.finish_run()
         assert (got, got.extra) == (expect, expect.extra)

@@ -119,6 +119,23 @@ class TestCommands:
         assert "--checkpoint-every" in capsys.readouterr().err
         assert not path.exists()
 
+    @pytest.mark.parametrize("argv, told", [
+        ("workload --radix 4 --corrupt-rate 2", "corrupt_rate"),
+        ("faults --radix 8 --rates 0.01 --credit-loss 3", "credit_loss_rate"),
+        ("sweep --radix 8 --loads 1.5", "load must be in [0, 1]"),
+        ("sweep --radix 8 --loads 0.1,abc", "'abc'"),
+        ("run --radix 10", "must divide radix 10"),
+    ])
+    def test_rejected_input_is_a_usage_error(self, capsys, argv, told):
+        """Regression: input the library's own validation refuses
+        ended these three commands in a ``ValueError`` traceback while
+        ``network`` and ``faults --rates`` printed a message and
+        returned 2."""
+        assert main(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"repro {argv.split()[0]}: ")
+        assert told in captured.err and "Traceback" not in captured.err
+
 
 class TestTraceCommand:
     def test_trace_writes_chrome_json(self, capsys, tmp_path):

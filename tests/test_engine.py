@@ -15,8 +15,7 @@ import pytest
 from repro.core.config import RouterConfig
 from repro.engine import Component, EngineHooks, Scheduler
 from repro.harness.experiment import SweepSettings, SwitchSimulation
-from repro.harness.metrics import MetricsCollector
-from repro.network.netsim import ClosNetworkSimulation, NetworkConfig
+from repro.network.netsim import NetworkConfig, NetworkSimulation
 from repro.routers.hierarchical import HierarchicalCrossbarRouter
 
 SMALL = RouterConfig(radix=8, num_vcs=2, subswitch_size=4,
@@ -212,7 +211,7 @@ class TestActiveSetEquivalence:
         cfg = NetworkConfig(radix=4, levels=2, num_vcs=2, packet_size=1)
         results = []
         for active_set in (True, False):
-            sim = ClosNetworkSimulation(cfg, load=0.2,
+            sim = NetworkSimulation(cfg, load=0.2,
                                         active_set=active_set)
             results.append(
                 sim.run(warmup=150, measure=250, drain=3000)
@@ -224,7 +223,7 @@ class TestActiveSetEquivalence:
 
     def test_low_load_network_actually_parks(self):
         cfg = NetworkConfig(radix=4, levels=2, num_vcs=2)
-        sim = ClosNetworkSimulation(cfg, load=0.02)
+        sim = NetworkSimulation(cfg, load=0.02)
         sim.run(warmup=150, measure=250, drain=3000)
         sched = sim._sched
         assert sched.component_steps < sched.cycles_run * len(sim.routers)
@@ -281,25 +280,3 @@ class TestStatsExtraSurviveAggregation:
         assert "stats.speculative_misses" in table
         assert "7" in table
         assert "undelivered" in table
-
-
-class TestMetricsAttach:
-    def test_hook_fed_metrics_match_pull_style(self):
-        pull_sim = SwitchSimulation(
-            HierarchicalCrossbarRouter(SMALL), load=0.4,
-            record_delivered=True,
-        )
-        pull = MetricsCollector(SMALL.radix)
-        push_sim = SwitchSimulation(
-            HierarchicalCrossbarRouter(SMALL), load=0.4,
-        )
-        push = MetricsCollector(SMALL.radix).attach(push_sim)
-        for _ in range(400):
-            pull_sim.step()
-            pull.observe_cycle(pull_sim)
-            push_sim.step()
-        assert push.delivered_flits == pull.delivered_flits > 0
-        assert push.latency.counts == pull.latency.counts
-        assert push.output_flits == pull.output_flits
-        assert push.backlog_samples == pull.backlog_samples
-        assert push.occupancy_samples == pull.occupancy_samples

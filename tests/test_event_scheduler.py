@@ -18,7 +18,7 @@ from repro.core.flit import reset_packet_ids
 from repro.engine import EventScheduler, Scheduler, make_scheduler
 from repro.faults import FaultPlan
 from repro.harness.experiment import SweepSettings, SwitchSimulation
-from repro.network.netsim import ClosNetworkSimulation, NetworkConfig
+from repro.network.netsim import NetworkConfig, NetworkSimulation
 from repro.routers.baseline import BaselineRouter
 from repro.routers.buffered import BufferedCrossbarRouter
 from repro.routers.distributed import DistributedRouter
@@ -81,7 +81,7 @@ def _network_snapshot(scheduler: str, load: float = 0.2,
     reset_packet_ids()
     cfg = NetworkConfig(radix=4, levels=2, num_vcs=2, packet_size=2,
                         seed=seed)
-    sim = ClosNetworkSimulation(cfg, load, faults=faults,
+    sim = NetworkSimulation(cfg, load, faults=faults,
                                 scheduler=scheduler)
     result = sim.run(warmup=150, measure=250, drain=3000)
     snap = {
@@ -166,7 +166,7 @@ class TestNetworkEquivalence:
     def test_low_load_actually_fast_forwards(self):
         reset_packet_ids()
         cfg = NetworkConfig(radix=4, levels=2, num_vcs=2)
-        sim = ClosNetworkSimulation(cfg, 0.02, scheduler="event")
+        sim = NetworkSimulation(cfg, 0.02, scheduler="event")
         sim.run(warmup=150, measure=250, drain=3000)
         assert sim._sched.cycles_skipped > 0
 
@@ -175,13 +175,13 @@ class TestNetworkEquivalence:
         # search over numpy state rows (low rates, numpy present) and
         # a pure-Python bounded loop.  Both must consume the host RNG
         # streams identically.
-        import repro.network.netsim as netsim
+        import repro.network.arrivals as arrivals
 
-        if not netsim.HAVE_NUMPY:
+        if not arrivals.HAVE_NUMPY:
             pytest.skip("numpy unavailable; the fallback is the only path")
-        monkeypatch.setattr(netsim, "_BULK_MAX_RATE", 1.0)
+        monkeypatch.setattr(arrivals, "BULK_MAX_RATE", 1.0)
         bulk = _network_snapshot("event")
-        monkeypatch.setattr(netsim, "HAVE_NUMPY", False)
+        monkeypatch.setattr(arrivals, "HAVE_NUMPY", False)
         scalar = _network_snapshot("event")
         assert scalar == bulk
 
@@ -249,10 +249,10 @@ class TestPropertyEquivalence:
 
 
 class TestArrivalPreDraw:
-    """The bulk pre-draw searches ``_DRAW_CHUNK`` polls per numpy call
+    """The bulk pre-draw searches ``DRAW_CHUNK`` polls per numpy call
     and must consume each host stream exactly as the scalar loop's
     one-poll-at-a-time search does, wherever a hit falls relative to a
-    chunk or to the edge of a staged ``_extend_draws`` window."""
+    chunk or to the edge of a staged ``HostArrivals.extend`` window."""
 
     CFG = dict(radix=4, levels=2, num_vcs=2, seed=13)
     LOAD = 0.02  # one poll in 200 hits: above the real crossover
@@ -260,16 +260,16 @@ class TestArrivalPreDraw:
     def _arrivals(self, monkeypatch, numpy, chunk, stages, rows=None):
         """Every generated packet as (cycle, host, dest), plus the
         pre-draw bookkeeping after each staged ``run_until``."""
-        import repro.network.netsim as netsim
+        import repro.network.arrivals as arrivals
 
-        monkeypatch.setattr(netsim, "HAVE_NUMPY", numpy)
-        monkeypatch.setattr(netsim, "_DRAW_CHUNK", chunk)
-        monkeypatch.setattr(netsim, "_BULK_MAX_RATE", 1.0)
+        monkeypatch.setattr(arrivals, "HAVE_NUMPY", numpy)
+        monkeypatch.setattr(arrivals, "DRAW_CHUNK", chunk)
+        monkeypatch.setattr(arrivals, "BULK_MAX_RATE", 1.0)
         reset_packet_ids()
-        sim = netsim.NetworkSimulation(
+        sim = NetworkSimulation(
             NetworkConfig(**self.CFG), self.LOAD, scheduler="event"
         )
-        assert (sim._rows is not None) == (numpy if rows is None else rows)
+        assert sim.arrivals.bulk == (numpy if rows is None else rows)
         packets, books = [], []
         generate = sim._generate_packet
 
@@ -280,16 +280,14 @@ class TestArrivalPreDraw:
         sim._generate_packet = logged
         for end in stages:
             sim.run_until(end)
-            books.append((
-                list(sim._arrival_cursor), sorted(sim._host_arrivals),
-                sorted(sim._undrawn),
-            ))
+            book = sim.arrivals.snapshot()["arrivals"]
+            books.append((book["cursor"], book["heap"], book["undrawn"]))
         return packets, books
 
     def test_hits_on_chunk_and_window_edges(self, monkeypatch):
-        import repro.network.netsim as netsim
+        import repro.network.arrivals as arrivals
 
-        if not netsim.HAVE_NUMPY:
+        if not arrivals.HAVE_NUMPY:
             pytest.skip("numpy unavailable; the fallback is the only path")
         stages = (2000,)
         scalar, _ = self._arrivals(monkeypatch, False, 8192, stages)
@@ -313,15 +311,15 @@ class TestArrivalPreDraw:
         """numpy's state struct is not ours: when the construction-time
         check of the view fails, event mode polls the Python streams
         as if numpy were absent — same arrivals, same bookkeeping."""
-        import repro.network.netsim as netsim
+        import repro.network.arrivals as arrivals
 
-        if not netsim.HAVE_NUMPY:
+        if not arrivals.HAVE_NUMPY:
             pytest.skip("numpy unavailable; the fallback is the only path")
         stages = (700, 2000)
         bulk = self._arrivals(monkeypatch, True, 64, stages)
         assert len(bulk[0]) > 20
         monkeypatch.setattr(
-            netsim.StreamRows, "_view_is_faithful", lambda self: False
+            arrivals.StreamRows, "_view_is_faithful", lambda self: False
         )
         refused = self._arrivals(monkeypatch, True, 64, stages, rows=False)
         assert refused == bulk
@@ -329,96 +327,109 @@ class TestArrivalPreDraw:
 
     @pytest.mark.parametrize("side", [0.9, 1.1])
     def test_three_ways_agree_across_the_crossover(self, monkeypatch, side):
-        """Either side of the real ``_BULK_MAX_RATE``: the cycle
+        """Either side of the real ``BULK_MAX_RATE``: the cycle
         stepper, event mode as built (rows below the constant, the
         scalar loop above it) and event mode without numpy produce the
         same result and extras, and leave every host stream in the
         same state once each is brought to the pre-draw cursor."""
         import copy
 
-        import repro.network.netsim as netsim
+        import repro.network.arrivals as arrivals
 
         cfg = NetworkConfig(radix=8, levels=2, num_vcs=2, packet_size=2,
                             seed=5)
-        load = side * netsim._BULK_MAX_RATE * cfg.flit_cycles * cfg.packet_size
+        load = side * arrivals.BULK_MAX_RATE * cfg.flit_cycles * cfg.packet_size
 
         def run(scheduler, numpy):
-            monkeypatch.setattr(netsim, "HAVE_NUMPY", numpy)
+            monkeypatch.setattr(arrivals, "HAVE_NUMPY", numpy)
             reset_packet_ids()
-            sim = netsim.NetworkSimulation(cfg, load, scheduler=scheduler)
+            sim = NetworkSimulation(cfg, load, scheduler=scheduler)
             result = sim.run(warmup=2000, measure=20000, drain=3000)
             assert result.packets_measured > 60
-            return sim, result
+            return sim.arrivals, result
 
-        have = netsim.HAVE_NUMPY
+        have = arrivals.HAVE_NUMPY
         cycle, expect = run("cycle", have)
         built, result = run("event", have)
         scalar, result2 = run("event", False)
-        assert (built._rows is not None) == (have and side < 1)
-        assert scalar._rows is None
+        assert built.bulk == (have and side < 1)
+        assert not scalar.bulk
         assert result == result2 and result.extra == result2.extra
         assert result.extra["stats.engine.cycles_skipped"] > 10000
         for extra in (expect.extra, result.extra):
             for name in [n for n in extra if n.startswith("stats.engine.")]:
                 del extra[name]
         assert result == expect and result.extra == expect.extra
-        assert built._arrival_cursor == scalar._arrival_cursor
-        for host, polled in enumerate(cycle._rngs):
+        book = built.snapshot()["arrivals"]
+        assert book["cursor"] == scalar.snapshot()["arrivals"]["cursor"]
+        for host, polled in enumerate(cycle.streams):
             polled = copy.copy(polled)
-            for _ in range(built._arrival_cursor[host] - expect.cycles):
+            for _ in range(book["cursor"][host] - expect.cycles):
                 polled.random()
-            stream = built._rngs[host]
-            if built._rows is not None:
-                built._rows.pull(host, stream)
+            # With rows the Python stream waits at the host's last
+            # sync; the polls since are what its row is ahead by.
+            stream = copy.copy(built.streams[host])
+            for _ in range(book["cursor"][host] - book["sync_cursor"][host]):
+                stream.random()
             assert (polled.getstate() == stream.getstate()
-                    == scalar._rngs[host].getstate()), host
+                    == scalar.streams[host].getstate()), host
 
-    def _doubles_drawn(self, measure):
+    def _doubles_drawn(self, monkeypatch, measure):
         """(doubles drawn on the one shared generator, polls cycle mode
         would make, the most the design may draw)."""
-        import repro.network.netsim as netsim
+        import repro.network.arrivals as arrivals
 
+        drawn, generated = [0], [0]
+
+        class CountingRows(arrivals.StreamRows):
+            def __init__(self, streams, chunk):
+                super().__init__(streams, chunk)
+                draw = self._draw
+
+                def counted_draw(count):
+                    drawn[0] += count
+                    return draw(count)
+
+                self._draw = counted_draw
+
+        monkeypatch.setattr(arrivals, "StreamRows", CountingRows)
         reset_packet_ids()
-        sim = ClosNetworkSimulation(
+        sim = NetworkSimulation(
             NetworkConfig(radix=16, levels=2, num_vcs=2, packet_size=2,
                           seed=7),
             1e-4, scheduler="event",
         )
-        drawn, arrivals = [0], [0]
-        draw, generate = sim._rows._draw, sim._generate_packet
-
-        def counted_draw(count):
-            drawn[0] += count
-            return draw(count)
+        assert sim.arrivals.bulk and drawn == [0]
+        generate = sim._generate_packet
 
         def counted_generate(host, now, message=None):
-            arrivals[0] += 1
+            generated[0] += 1
             generate(host, now, message)
 
-        sim._rows._draw = counted_draw
         sim._generate_packet = counted_generate
         result = sim.run(warmup=1000, measure=measure, drain=5000)
         assert result.packets_measured > 40
         hosts = sim.topology.num_hosts
-        hits = arrivals[0] + len(sim._host_arrivals)  # some not yet due
-        ceiling = hosts * sim._draw_limit + hits * netsim._DRAW_CHUNK
+        book = sim.arrivals.snapshot()["arrivals"]
+        hits = generated[0] + len(book["heap"])  # some not yet due
+        ceiling = hosts * book["draw_limit"] + hits * arrivals.DRAW_CHUNK
         return drawn[0], hosts * result.cycles, ceiling
 
-    def test_doubles_drawn_track_polls(self):
+    def test_doubles_drawn_track_polls(self, monkeypatch):
         """Cycle mode polls every host every cycle; byte-identity makes
         hosts x cycles the floor.  On top of it the search draws the
         chunk holding each hit twice — once whole, once up to the hit —
         and nothing else, so the total stays under polls + arrivals x
-        ``_DRAW_CHUNK`` and at most doubles (2.1x) when the window does
+        ``DRAW_CHUNK`` and at most doubles (2.1x) when the window does
         (re-consuming the gap since each host's last arrival read 1.5x
         the floor and grew 2.25x here)."""
-        import repro.network.netsim as netsim
+        import repro.network.arrivals as arrivals
 
-        if not netsim.HAVE_NUMPY:
+        if not arrivals.HAVE_NUMPY:
             pytest.skip("numpy unavailable; nothing is drawn in bulk")
-        drawn, polls, ceiling = self._doubles_drawn(62500)
+        drawn, polls, ceiling = self._doubles_drawn(monkeypatch, 62500)
         assert polls <= drawn <= ceiling
-        doubled, polls2, ceiling2 = self._doubles_drawn(125000)
+        doubled, polls2, ceiling2 = self._doubles_drawn(monkeypatch, 125000)
         assert polls2 > 1.9 * polls
         assert polls2 <= doubled <= ceiling2
         assert doubled <= 2.1 * drawn

@@ -5,6 +5,7 @@ arguments, so broken imports or API drift in `examples/` fail the test
 suite rather than the first user who tries them.
 """
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -82,6 +83,34 @@ def test_mesh_vs_clos_runs():
 def test_debug_with_metrics_runs():
     out = _run("debug_with_metrics.py", "--cycles", "400", "--load", "0.5")
     assert "invariants held" in out
+
+
+def _load(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_reproduce_figures_uses_the_benchmarks_definition(monkeypatch):
+    """``--radix 64 --figures 9`` compared against a radix-32
+    "low-radix" router (``radix // 2``) where the paper and
+    ``benchmarks/test_fig09_baseline.py`` use radix 16."""
+    from repro import RouterConfig
+
+    monkeypatch.delenv("REPRO_SCALE", raising=False)
+    figures = _load(EXAMPLES / "reproduce_figures.py")
+    common = _load(EXAMPLES.parent / "benchmarks" / "common.py")
+    assert figures.LOW_RADIX == common.LOW_RADIX == 16
+    assert figures.LOADS == common.LOADS
+    assert figures.SAT_DRAIN == common.SAT_SETTINGS.drain
+    for radix in (32, 64):
+        low = figures.low_radix_config(
+            RouterConfig(radix=radix, subswitch_size=8)
+        )
+        assert (low.radix, low.subswitch_size, low.local_group_size) == (
+            16, 4, 4
+        )
 
 
 @pytest.mark.slow

@@ -16,6 +16,15 @@ from repro.traffic.patterns import Diagonal
 CFG = RouterConfig(radix=8, num_vcs=2, subswitch_size=4, local_group_size=4)
 
 
+def _ejected(sim):
+    """The flits ``sim`` ejects from here on, as they leave."""
+    flits = []
+    sim.hooks.on_flit_move(
+        lambda kind, flit, port, cycle: kind == "eject" and flits.append(flit)
+    )
+    return flits
+
+
 class TestSwitchSimulation:
     def test_invalid_load(self):
         with pytest.raises(ValueError):
@@ -47,12 +56,10 @@ class TestSwitchSimulation:
         assert r.avg_latency >= min_pipeline
 
     def test_vc_assignment_round_robins(self):
-        sim = SwitchSimulation(BufferedCrossbarRouter(CFG), load=0.8,
-                               record_delivered=True)
-        for _ in range(400):
-            sim.step()
-        vcs = {f.vc for f, _ in sim.delivered}
-        assert vcs == {0, 1}
+        sim = SwitchSimulation(BufferedCrossbarRouter(CFG), load=0.8)
+        delivered = _ejected(sim)
+        sim.run_until(400)
+        assert {f.vc for f in delivered} == {0, 1}
 
     def test_onoff_injection_runs(self):
         sim = SwitchSimulation(BufferedCrossbarRouter(CFG), load=0.5,
@@ -63,11 +70,11 @@ class TestSwitchSimulation:
     def test_custom_pattern(self):
         sim = SwitchSimulation(
             BufferedCrossbarRouter(CFG), load=0.5, pattern=Diagonal(8),
-            record_delivered=True,
         )
-        for _ in range(300):
-            sim.step()
-        for f, _ in sim.delivered:
+        delivered = _ejected(sim)
+        sim.run_until(300)
+        assert delivered
+        for f in delivered:
             assert f.dest in (f.src, (f.src + 1) % 8)
 
     def test_stop_sources(self):

@@ -24,7 +24,7 @@ from repro.faults import (
 )
 from repro.harness.experiment import SweepSettings, SwitchSimulation
 from repro.network.mesh import Mesh
-from repro.network.netsim import ClosNetworkSimulation, NetworkConfig
+from repro.network.netsim import NetworkConfig, NetworkSimulation
 from repro.network.topology import FoldedClos
 from repro.routers.baseline import BaselineRouter
 from repro.routers.buffered import BufferedCrossbarRouter
@@ -403,16 +403,16 @@ class TestStuckFaults:
 class TestNetworkInjector:
     def test_zero_fault_run_identical_to_plain(self):
         kw = dict(warmup=200, measure=300, drain=3000)
-        plain = ClosNetworkSimulation(NET, 0.3).run(**kw)
-        disabled = ClosNetworkSimulation(NET, 0.3, faults=FaultPlan()).run(**kw)
+        plain = NetworkSimulation(NET, 0.3).run(**kw)
+        disabled = NetworkSimulation(NET, 0.3, faults=FaultPlan()).run(**kw)
         assert plain == disabled
 
     def test_dead_link_reroutes_sanitized(self):
-        topo = ClosNetworkSimulation(NET, 0.3).topology
+        topo = NetworkSimulation(NET, 0.3).topology
         links = sample_link_faults(topo, seed=7, count=2, cycle=100,
                                    until=700)
         plan = FaultPlan(credit_loss_rate=0.002, links=links)
-        sim = ClosNetworkSimulation(NET, 0.3, sanitize=True, faults=plan)
+        sim = NetworkSimulation(NET, 0.3, sanitize=True, faults=plan)
         r = sim.run(warmup=300, measure=400, drain=4000)
         assert r.extra["stats.faults.link_down"] == 2
         assert r.extra["stats.faults.link_up"] == 2
@@ -420,43 +420,43 @@ class TestNetworkInjector:
         assert r.throughput > 0.15  # degraded, not dead
 
     def test_network_determinism(self):
-        topo = ClosNetworkSimulation(NET, 0.3).topology
+        topo = NetworkSimulation(NET, 0.3).topology
         links = sample_link_faults(topo, seed=5, count=1, cycle=50)
         plan = FaultPlan(corrupt_rate=0.02, credit_loss_rate=0.005,
                          links=links)
         kw = dict(warmup=200, measure=300, drain=3000)
-        a = ClosNetworkSimulation(NET, 0.3, faults=plan).run(**kw)
-        b = ClosNetworkSimulation(NET, 0.3, faults=plan).run(**kw)
+        a = NetworkSimulation(NET, 0.3, faults=plan).run(**kw)
+        b = NetworkSimulation(NET, 0.3, faults=plan).run(**kw)
         assert a == b
 
     def test_network_active_set_equivalence(self):
         plan = FaultPlan(corrupt_rate=0.02, credit_loss_rate=0.005)
         kw = dict(warmup=200, measure=300, drain=3000)
-        on = ClosNetworkSimulation(NET, 0.2, faults=plan,
+        on = NetworkSimulation(NET, 0.2, faults=plan,
                                    active_set=True).run(**kw)
-        off = ClosNetworkSimulation(NET, 0.2, faults=plan,
+        off = NetworkSimulation(NET, 0.2, faults=plan,
                                     active_set=False).run(**kw)
         assert on == off
 
     def test_unknown_switch_rejected(self):
         plan = FaultPlan(links=(LinkFault(0, ("no", "such"), 0),))
         with pytest.raises(ValueError, match="unknown switch"):
-            ClosNetworkSimulation(NET, 0.2, faults=plan)
+            NetworkSimulation(NET, 0.2, faults=plan)
 
     def test_port_out_of_range_rejected(self):
         plan = FaultPlan(links=(LinkFault(0, (1, 0, 0), 99),))
         with pytest.raises(ValueError, match="out of range"):
-            ClosNetworkSimulation(NET, 0.2, faults=plan)
+            NetworkSimulation(NET, 0.2, faults=plan)
 
     def test_refuses_disabled_plan(self):
-        sim = ClosNetworkSimulation(NET, 0.2)
+        sim = NetworkSimulation(NET, 0.2)
         with pytest.raises(ValueError):
             NetworkFaultInjector(FaultPlan(), sim, 1)
 
     def test_stuck_network_input_blocks_candidates(self):
         """NetworkRouter honors _stuck_inputs in candidate selection
         (the switch-level stuck-fault hook, exposed for extensions)."""
-        sim = ClosNetworkSimulation(NET, 0.4)
+        sim = NetworkSimulation(NET, 0.4)
         router = next(iter(sim.routers.values()))
         for port in range(router.config.num_ports):
             for vc in range(router.config.num_vcs):
@@ -478,11 +478,11 @@ class TestNetworkInjector:
         """Credit-loss and link events reach the shared hook bus."""
         from repro.faults import CREDIT_RESYNC, LINK_DOWN, LINK_UP
 
-        topo = ClosNetworkSimulation(NET, 0.3).topology
+        topo = NetworkSimulation(NET, 0.3).topology
         links = sample_link_faults(topo, seed=9, count=1, cycle=50,
                                    until=300)
         plan = FaultPlan(credit_loss_rate=0.02, links=links)
-        sim = ClosNetworkSimulation(NET, 0.3, faults=plan)
+        sim = NetworkSimulation(NET, 0.3, faults=plan)
         injected, recovered = [], []
         sim.hooks.on_fault_inject(
             lambda kind, where, cycle: injected.append(kind)
@@ -523,7 +523,7 @@ class _ParallelPairTopo:
 
 class TestRerollFallback:
     def _injector(self):
-        sim = ClosNetworkSimulation(NET, 0.2)
+        sim = NetworkSimulation(NET, 0.2)
         sid = next(iter(sim.routers))
         plan = FaultPlan(links=(LinkFault(cycle=10 ** 9, switch=sid,
                                           port=0),))

@@ -22,7 +22,7 @@ import pytest
 
 from repro.core.config import RouterConfig
 from repro.harness.experiment import SweepSettings, SwitchSimulation
-from repro.network.netsim import ClosNetworkSimulation, NetworkConfig
+from repro.network.netsim import NetworkConfig, NetworkSimulation
 from repro.routers.baseline import BaselineRouter
 from repro.routers.buffered import BufferedCrossbarRouter
 from repro.routers.distributed import DistributedRouter
@@ -87,7 +87,7 @@ def _run_switch(name: str, scheduler: str = "cycle",
 
 
 def _run_network(scheduler: str = "cycle") -> dict:
-    sim = ClosNetworkSimulation(NETWORK_CONFIG, NETWORK_LOAD,
+    sim = NetworkSimulation(NETWORK_CONFIG, NETWORK_LOAD,
                                 scheduler=scheduler)
     result = sim.run(**NETWORK_WINDOWS)
     return {f: getattr(result, f) for f in FIELDS}

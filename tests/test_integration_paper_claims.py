@@ -17,7 +17,7 @@ from repro.harness.experiment import (
 from repro.models.area import AreaModel
 from repro.models.latency import optimal_radix
 from repro.models.technology import TECH_2003, TECH_2010
-from repro.network.netsim import ClosNetworkSimulation, NetworkConfig
+from repro.network.netsim import NetworkConfig, NetworkSimulation
 from repro.routers.baseline import BaselineRouter
 from repro.routers.buffered import BufferedCrossbarRouter
 from repro.routers.distributed import DistributedRouter
@@ -114,10 +114,10 @@ class TestLatencyStory:
     def test_network_reverses_the_ordering(self):
         """Figure 19: at the *network* level the high-radix router wins
         despite its deeper pipeline."""
-        high = ClosNetworkSimulation(
+        high = NetworkSimulation(
             NetworkConfig(radix=16, levels=2), load=0.1
         ).run(warmup=300, measure=400, drain=3000)
-        low = ClosNetworkSimulation(
+        low = NetworkSimulation(
             NetworkConfig(radix=8, levels=3), load=0.1
         ).run(warmup=300, measure=400, drain=3000)
         assert high.avg_latency < low.avg_latency

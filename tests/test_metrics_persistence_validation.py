@@ -68,34 +68,19 @@ class TestHistogram:
 
 class TestMetricsCollector:
     def test_collects_during_simulation(self):
-        sim = SwitchSimulation(
-            BufferedCrossbarRouter(CFG), load=0.5, record_delivered=True
-        )
-        metrics = MetricsCollector(CFG.radix, sample_every=4)
-        for _ in range(400):
-            sim.step()
-            metrics.observe_cycle(sim)
+        sim = SwitchSimulation(BufferedCrossbarRouter(CFG), load=0.5)
+        metrics = MetricsCollector(CFG.radix, sample_every=4).attach(sim)
+        sim.run_until(400)
         assert metrics.delivered_flits > 0
         assert metrics.latency.total > 0
         assert metrics.occupancy_samples
         assert metrics.backlog_samples
         assert metrics.load_imbalance() >= 1.0
 
-    def test_requires_recording(self):
-        sim = SwitchSimulation(BufferedCrossbarRouter(CFG), load=0.5)
-        metrics = MetricsCollector(CFG.radix)
-        sim.step()
-        with pytest.raises(ValueError):
-            metrics.observe_cycle(sim)
-
     def test_summary_renders(self):
-        sim = SwitchSimulation(
-            HierarchicalCrossbarRouter(CFG), load=0.4, record_delivered=True
-        )
-        metrics = MetricsCollector(CFG.radix)
-        for _ in range(300):
-            sim.step()
-            metrics.observe_cycle(sim)
+        sim = SwitchSimulation(HierarchicalCrossbarRouter(CFG), load=0.4)
+        metrics = MetricsCollector(CFG.radix).attach(sim)
+        sim.run_until(300)
         text = metrics.summary()
         assert "latency histogram" in text
         assert "load imbalance" in text

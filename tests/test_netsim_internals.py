@@ -3,7 +3,6 @@
 import pytest
 
 from repro.network.netsim import (
-    ClosNetworkSimulation,
     NetworkConfig,
     NetworkSimulation,
 )
@@ -16,11 +15,11 @@ class TestFlowControlIntegrity:
         """After traffic stops and drains, every inter-router credit
         counter must be back at capacity and every VC free."""
         cfg = NetworkConfig(radix=8, levels=2, num_vcs=2, buffer_depth=4)
-        sim = ClosNetworkSimulation(cfg, load=0.5)
+        sim = NetworkSimulation(cfg, load=0.5)
         for _ in range(600):
             sim.step()
         # Stop generation by zeroing the packet rate, then drain.
-        sim._packet_rate = 0.0
+        sim.arrivals.rate = 0.0
         for _ in range(6000):
             sim.step()
             if (
@@ -42,7 +41,7 @@ class TestFlowControlIntegrity:
     def test_no_flit_left_behind(self):
         """Labeled packet conservation: measured packets all arrive."""
         cfg = NetworkConfig(radix=8, levels=2, num_vcs=2)
-        sim = ClosNetworkSimulation(cfg, load=0.4)
+        sim = NetworkSimulation(cfg, load=0.4)
         r = sim.run(warmup=300, measure=400, drain=8000)
         assert not r.saturated
         assert sim._outstanding == 0
@@ -78,7 +77,7 @@ class TestChannelTiming:
         """A packet pays at least hops * (flit + pipeline + channel)."""
         cfg = NetworkConfig(radix=8, levels=2, num_vcs=2,
                             pipeline_delay=3, channel_latency=1)
-        sim = ClosNetworkSimulation(cfg, load=0.02)
+        sim = NetworkSimulation(cfg, load=0.02)
         r = sim.run(warmup=100, measure=500, drain=4000)
         per_hop = cfg.flit_cycles + 3 + cfg.channel_latency
         assert r.avg_latency >= per_hop  # at least one router hop
@@ -86,14 +85,14 @@ class TestChannelTiming:
     def test_channel_latency_adds_up(self):
         slow = NetworkConfig(radix=8, levels=2, channel_latency=10)
         fast = NetworkConfig(radix=8, levels=2, channel_latency=1)
-        r_slow = ClosNetworkSimulation(slow, 0.05).run(100, 400, 4000)
-        r_fast = ClosNetworkSimulation(fast, 0.05).run(100, 400, 4000)
+        r_slow = NetworkSimulation(slow, 0.05).run(100, 400, 4000)
+        r_fast = NetworkSimulation(fast, 0.05).run(100, 400, 4000)
         # Average ~2.5 hops: expect roughly 9 * 2.5 extra cycles.
         assert r_slow.avg_latency - r_fast.avg_latency > 10
 
     def test_pipeline_depth_increases_latency(self):
         shallow = NetworkConfig(radix=8, levels=2, pipeline_delay=1)
         deep = NetworkConfig(radix=8, levels=2, pipeline_delay=8)
-        r_sh = ClosNetworkSimulation(shallow, 0.05).run(100, 400, 4000)
-        r_dp = ClosNetworkSimulation(deep, 0.05).run(100, 400, 4000)
+        r_sh = NetworkSimulation(shallow, 0.05).run(100, 400, 4000)
+        r_dp = NetworkSimulation(deep, 0.05).run(100, 400, 4000)
         assert r_dp.avg_latency > r_sh.avg_latency + 5

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.flit import make_packet
-from repro.network.netsim import ClosNetworkSimulation, NetworkConfig
+from repro.network.netsim import NetworkConfig, NetworkSimulation
 from repro.network.router import (
     NetworkRouter,
     NetworkRouterConfig,
@@ -110,43 +110,43 @@ class TestClosNetworkSimulation:
     CFG = NetworkConfig(radix=8, levels=2, num_vcs=2, buffer_depth=4)
 
     def test_packets_delivered(self):
-        sim = ClosNetworkSimulation(self.CFG, load=0.3)
+        sim = NetworkSimulation(self.CFG, load=0.3)
         r = sim.run(warmup=200, measure=300, drain=2000)
         assert r.packets_measured > 0
         assert not r.saturated
 
     def test_throughput_tracks_offered_load(self):
-        sim = ClosNetworkSimulation(self.CFG, load=0.4)
+        sim = NetworkSimulation(self.CFG, load=0.4)
         r = sim.run(warmup=300, measure=500, drain=2000)
         assert r.throughput == pytest.approx(0.4, abs=0.08)
 
     def test_latency_grows_with_load(self):
-        lo = ClosNetworkSimulation(self.CFG, load=0.1).run(200, 300, 2000)
-        hi = ClosNetworkSimulation(self.CFG, load=0.7).run(300, 500, 4000)
+        lo = NetworkSimulation(self.CFG, load=0.1).run(200, 300, 2000)
+        hi = NetworkSimulation(self.CFG, load=0.7).run(300, 500, 4000)
         assert hi.avg_latency > lo.avg_latency
 
     def test_high_radix_lower_zero_load_latency(self):
         """Figure 19: the high-radix network wins at zero load."""
-        high = ClosNetworkSimulation(
+        high = NetworkSimulation(
             NetworkConfig(radix=16, levels=2), load=0.05
         ).run(200, 400, 2000)
-        low = ClosNetworkSimulation(
+        low = NetworkSimulation(
             NetworkConfig(radix=8, levels=3), load=0.05
         ).run(200, 400, 2000)
         assert high.avg_latency < low.avg_latency
 
     def test_deterministic(self):
-        a = ClosNetworkSimulation(self.CFG, load=0.3).run(200, 300, 2000)
-        b = ClosNetworkSimulation(self.CFG, load=0.3).run(200, 300, 2000)
+        a = NetworkSimulation(self.CFG, load=0.3).run(200, 300, 2000)
+        b = NetworkSimulation(self.CFG, load=0.3).run(200, 300, 2000)
         assert a.avg_latency == b.avg_latency
         assert a.throughput == b.throughput
 
     def test_invalid_load(self):
         with pytest.raises(ValueError):
-            ClosNetworkSimulation(self.CFG, load=1.5)
+            NetworkSimulation(self.CFG, load=1.5)
 
     def test_multi_flit_packets(self):
         cfg = NetworkConfig(radix=8, levels=2, packet_size=4)
-        sim = ClosNetworkSimulation(cfg, load=0.3)
+        sim = NetworkSimulation(cfg, load=0.3)
         r = sim.run(warmup=300, measure=400, drain=3000)
         assert r.packets_measured > 0

@@ -114,8 +114,11 @@ class TestLoadedInvariants:
     def _run(self, router_cls, load=0.5, packet_size=1, cycles=600):
         reset_packet_ids()
         router = router_cls(CFG)
-        sim = SwitchSimulation(
-            router, load=load, packet_size=packet_size, record_delivered=True
+        sim = SwitchSimulation(router, load=load, packet_size=packet_size)
+        delivered = []
+        sim.hooks.on_flit_move(
+            lambda kind, flit, port, cycle:
+            kind == "eject" and delivered.append((flit, cycle))
         )
         for _ in range(cycles):
             sim.step()
@@ -125,7 +128,7 @@ class TestLoadedInvariants:
             sim.step()
             if router.idle() and all(not s.backlog() for s in sim.sources):
                 break
-        return router, sim, sim.delivered
+        return router, sim, delivered
 
     def test_flit_conservation(self, router_cls):
         router, sim, ejected = self._run(router_cls)

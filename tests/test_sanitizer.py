@@ -332,34 +332,35 @@ def test_network_sanitizer_detects_occupancy_index_drift(drift):
     assert exc.value.context["router"] == router.name
 
 
-def test_network_sanitizer_detects_arrival_stream_drift():
+def test_network_sanitizer_detects_arrival_stream_drift(monkeypatch):
     """Event mode's bulk pre-draw keeps each host's stream in a state
     row that runs ahead of the Python stream between arrivals; the
     snapshot relies on the two differing by polls alone.  A hand-back
     that leaves one row word wrong is reported at the cycle it
     happens, for the host it happened to."""
-    import repro.network.netsim as netsim
+    from repro.core.rng import StreamRows
+    from repro.network.arrivals import HAVE_NUMPY
 
-    if not netsim.HAVE_NUMPY:
+    if not HAVE_NUMPY:
         pytest.skip("numpy unavailable; there are no state rows")
     sim = NetworkSimulation(
         NetworkConfig(radix=4, levels=2, seed=3), load=1e-3,
         scheduler="event", sanitize=True,
     )
-    rows = sim._rows
-    assert rows is not None
+    assert sim.arrivals.bulk
     sim.run_until(8000)
-    assert sum(sim._sync_cursor) > 0  # arrivals were audited, cleanly
+    book = sim.arrivals.snapshot()["arrivals"]
+    assert sum(book["sync_cursor"]) > 0  # arrivals were audited, cleanly
     corrupted = []
-    real_push = rows.push
+    real_push = StreamRows.push
 
-    def push(host, stream):
-        real_push(host, stream)
+    def push(rows, host, stream):
+        real_push(rows, host, stream)
         if not corrupted:
             rows.rows[host, 17] ^= 1
             corrupted.append((host, sim.cycle))
 
-    rows.push = push
+    monkeypatch.setattr(StreamRows, "push", push)
     with pytest.raises(InvariantViolation) as exc:
         sim.run_until(16000)
     (host, cycle), = corrupted

@@ -20,7 +20,7 @@ from repro.core.config import RouterConfig
 from repro.core.flit import reset_packet_ids
 from repro.faults import FaultPlan, sample_link_faults
 from repro.harness.experiment import SwitchSimulation
-from repro.network.netsim import ClosNetworkSimulation, NetworkConfig
+from repro.network.netsim import NetworkConfig, NetworkSimulation
 from repro.network.topology import FoldedClos
 from repro.routers.baseline import BaselineRouter
 from repro.workloads import (
@@ -97,7 +97,7 @@ def _network_snapshot(factory, scheduler: str, radix: int = 4,
     reset_packet_ids()
     cfg = NetworkConfig(radix=radix, levels=2, num_vcs=2, packet_size=2,
                         seed=seed)
-    sim = ClosNetworkSimulation(cfg, workload=factory(), faults=faults,
+    sim = NetworkSimulation(cfg, workload=factory(), faults=faults,
                                 scheduler=scheduler)
     return _snap(sim.run_workload(max_cycles=100_000))
 
@@ -359,7 +359,7 @@ class TestReplayParsing:
         wl = from_csv(["0,3,3,1"], num_ranks=4)
         cfg = NetworkConfig(radix=4, levels=2, num_vcs=2)
         with pytest.raises(ValueError, match="self-send"):
-            ClosNetworkSimulation(cfg, workload=wl)
+            NetworkSimulation(cfg, workload=wl)
 
     def test_load_trace_sniffs_format(self):
         import json
