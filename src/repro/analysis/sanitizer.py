@@ -172,6 +172,7 @@ class SimSanitizer(CheckedRouter):
         self._check_buffer_bounds(router, cycle)
         self._check_vc_ownership(router, cycle)
         self._check_credits(router, cycle)
+        self._check_input_counts(router, cycle)
         if self._lane_probes is not None:
             self._check_occupancy_indices(router, cycle)
         self.checks_run += 1
@@ -457,6 +458,22 @@ class SimSanitizer(CheckedRouter):
             lambda i, col: f"subswitch input buffer (input {i}, "
                            f"column {col})",
         )
+
+    # -- per-input flit counts ------------------------------------------
+
+    def _check_input_counts(self, router: Router, cycle: int) -> None:
+        """``_in_flits``, which the input stages and the harness trust
+        in place of walking the banks, must equal the walk (exhaustive
+        mode keeps no counts: nothing to audit)."""
+        index = router._in_flits
+        walked = [len(bank) for bank in router.inputs]
+        if isinstance(index, list) and index != walked:
+            raise InvariantViolation(
+                f"occupancy index drifted: _in_flits reads {index} but "
+                f"walking the input banks finds {walked}",
+                cycle=cycle, check="occupancy-index",
+                index=index, walked=walked,
+            )
 
     # -- hierarchical occupancy indices ---------------------------------
 

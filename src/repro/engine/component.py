@@ -26,20 +26,21 @@ from .hooks import EngineHooks
 
 
 class AlwaysActive:
-    """Stand-in for per-input activity flags in exhaustive mode.
+    """Stand-in for per-input flit counts in exhaustive mode.
 
-    Reads as True for every index and swallows writes, so a component
-    switched to the reference schedule keeps its flag-maintenance code
-    unchanged while its scan loops degrade to checking every input —
-    the pre-active-set behaviour.
+    Reads as -1 for every index — truthy, and equal to no real count —
+    and swallows writes, so a component switched to the reference
+    schedule keeps its count-maintenance code unchanged while its scan
+    loops degrade to checking every input — the pre-active-set
+    behaviour.
     """
 
     __slots__ = ()
 
-    def __getitem__(self, index: int) -> bool:
-        return True
+    def __getitem__(self, index: int) -> int:
+        return -1
 
-    def __setitem__(self, index: int, value: bool) -> None:
+    def __setitem__(self, index: int, value: int) -> None:
         return None
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from ..core.config import RouterConfig
-from ..core.errors import invariant
+from ..core.errors import InvariantViolation
 from ..engine import make_scheduler
 from ..routers.base import Router
 from ..traffic.injection import make_injection
@@ -295,11 +295,18 @@ class SwitchSimulation(StagedRun):
         bandwidth); each packet is assigned an input VC round-robin
         among VCs with free buffer space when its head flit enters.
         """
-        fc = self.config.flit_cycles
+        config = self.config
+        fc = config.flit_cycles
         faults = self._faults
         next_inject = self._next_inject
         packet_vc = self._packet_vc
-        banks = self._engine.inputs
+        engine = self._engine
+        banks = engine.inputs
+        # Blocked-port skip: a count equal to the bank's capacity means
+        # every VC queue is full, so _pick_vc would scan all v of them
+        # and return None — nothing moves, nothing raises.
+        in_flits = engine._in_flits
+        bank_capacity = config.num_vcs * config.input_buffer_depth
         for i, src in enumerate(self.sources):
             if now < next_inject[i]:
                 continue
@@ -311,8 +318,11 @@ class SwitchSimulation(StagedRun):
             flit = queue[0]
             vc = packet_vc[i]
             if vc is None:
-                invariant(flit.is_head, "packet VC lost mid-packet",
-                          cycle=now, port=i, check="injection")
+                if not flit.is_head:
+                    raise InvariantViolation("packet VC lost mid-packet", cycle=now,
+                                             port=i, check="injection")
+                if in_flits[i] == bank_capacity:
+                    continue
                 vc = self._pick_vc(i)
                 if vc is None:
                     continue
@@ -330,16 +340,16 @@ class SwitchSimulation(StagedRun):
                 # Corrupted on the wire: the receiver's CRC check drops
                 # it, the sender keeps it queued for retransmission.
                 # The corrupted transmission still occupied the channel.
-                self._next_inject[i] = now + fc
+                next_inject[i] = now + fc
                 continue
             src.pop()
             # Wake a parked router *before* accept so the flit's
             # injection timestamp uses the current cycle.
-            self._sched.wake(self._engine, now)
+            self._sched.wake(engine, now)
             self.router.accept(i, flit)
-            self._next_inject[i] = now + fc
+            next_inject[i] = now + fc
             if flit.is_tail:
-                self._packet_vc[i] = None
+                packet_vc[i] = None
 
     def stop_sources(self) -> None:
         """Stop generating new packets (used to drain the system)."""
@@ -347,9 +357,9 @@ class SwitchSimulation(StagedRun):
 
     def _pick_vc(self, i: int) -> Optional[int]:
         v = self.config.num_vcs
-        # Direct buffer reads (== input_space >= 1): a head flit stuck
-        # behind full buffers rescans every VC every cycle, making this
-        # the harness's hottest loop at saturation.
+        # Direct buffer reads (== input_space >= 1).  _inject skips a
+        # port whose whole bank is full, so outside exhaustive mode some
+        # VC here has room.
         queues = self._engine.inputs[i].queues
         rr = self._vc_rr[i]
         for offset in range(v):

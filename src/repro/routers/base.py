@@ -33,7 +33,7 @@ the tail flit ... the virtual channel is freed").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.buffers import VcBufferBank
 from ..core.config import RouterConfig
@@ -77,8 +77,9 @@ class Router(Component):
 
     #: Construction-time wiring excluded from the generic snapshot (the
     #: frozen config and the fault-injector handle are re-established by
-    #: whoever rebuilds the simulation, not deserialized with it).
-    SNAPSHOT_WIRING = ("config", "fault_injector")
+    #: whoever rebuilds the simulation, not deserialized with it) and
+    #: the derived per-input counts, which restore recounts.
+    SNAPSHOT_WIRING = ("config", "fault_injector", "_in_flits")
 
     def __init__(self, config: RouterConfig) -> None:
         self.config = config
@@ -100,14 +101,15 @@ class Router(Component):
         self._vc_release: DelayLine[Tuple[int, int, int]] = DelayLine(
             config.flit_cycles
         )
-        # Per-input activity flags: True while input bank ``i`` may hold
-        # flits.  Arbitration loops skip inactive inputs; the flag is
-        # set on accept and cleared when the bank drains (see
-        # ``_input_emptied``).  Skipping is behavior-neutral because an
-        # empty bank yields no candidates and the arbiters never advance
-        # their pointers on an empty request set.  Replaced by
-        # AlwaysActive in exhaustive mode.
-        self._in_active: Union[List[bool], AlwaysActive] = [False] * k
+        # Flits buffered per input bank: +1 in ``accept``, -1 at each
+        # organization's one input pop.  Arbitration loops skip inputs
+        # whose count is zero — behavior-neutral because an empty bank
+        # yields no candidates and the arbiters never advance their
+        # pointers on an empty request set — and the harness reads a
+        # count equal to the bank's capacity as "no VC has room".
+        # Derived state: recounted from the banks on restore.  Replaced
+        # by AlwaysActive in exhaustive mode.
+        self._in_flits: Union[List[int], AlwaysActive] = [0] * k
         self._staged_ejects: Sequence[Tuple[Flit, int]] = ()
         self._staged_releases: Sequence[Tuple[int, int, int]] = ()
         # Fault machinery (repro.faults): wedged input read ports, and
@@ -131,9 +133,9 @@ class Router(Component):
         raises (credit protocol violation).
         """
         flit.injected_at = self.cycle
-        self.inputs[port][flit.vc].push(flit)
+        self.inputs[port].queues[flit.vc].push(flit)
         self.stats.flits_accepted += 1
-        self._in_active[port] = True
+        self._in_flits[port] += 1
         if self.hooks.flit_move:
             self.hooks.emit_flit_move("accept", flit, port, self.cycle)
         if self.hooks.stage_enter:
@@ -194,8 +196,15 @@ class Router(Component):
         return horizon
 
     def set_exhaustive(self) -> None:
-        """Reference schedule: disable the per-input activity flags."""
-        self._in_active = AlwaysActive()
+        """Reference schedule: disable the per-input flit counts."""
+        self._in_flits = AlwaysActive()
+
+    def _restore_state(self, state: Dict[str, Any]) -> None:
+        """The per-input counts are derived: recounted, not captured; a
+        key this build does not carry (an older capture's index) is dropped."""
+        super()._restore_state({k: v for k, v in state.items() if k in self.__dict__})
+        if isinstance(self._in_flits, list):
+            self._in_flits = [len(bank) for bank in self.inputs]
 
     def drain_ejected(self) -> List[Tuple[Flit, int]]:
         """Return and clear the flits delivered since the last drain."""
@@ -211,15 +220,6 @@ class Router(Component):
     def idle(self) -> bool:
         """True when no flit is buffered or in flight inside the router."""
         return self.occupancy() == 0
-
-    # ------------------------------------------------------------------
-    # Shared mechanics for subclasses
-    # ------------------------------------------------------------------
-
-    def _input_emptied(self, port: int) -> None:
-        """Clear the activity flag if input bank ``port`` just drained."""
-        if not self.inputs[port]:
-            self._in_active[port] = False
 
     # ------------------------------------------------------------------
     # Fault support (repro.faults)
@@ -246,6 +246,10 @@ class Router(Component):
         keep the fault-free cost at one set-truthiness check; the
         method form exists for injectors and tests."""
         return bool(self._stuck_inputs) and (port, vc) in self._stuck_inputs
+
+    # ------------------------------------------------------------------
+    # Shared mechanics for subclasses
+    # ------------------------------------------------------------------
 
     def _start_traversal(
         self, flit: Flit, out_port: int, start: Optional[int] = None

@@ -104,7 +104,7 @@ class BaselineRouter(Router):
         requests: Dict[int, List[Tuple[int, int, Flit]]] = {}
         now = self.cycle
         for i in range(self.config.radix):
-            if not self._in_active[i]:
+            if not self._in_flits[i]:
                 continue
             if not self.input_busy.free(i, now):
                 continue
@@ -218,7 +218,7 @@ class BaselineRouter(Router):
         invariant(popped is flit, "input buffer head changed between "
                   "grant and pop", cycle=self.cycle, port=i, vc=vc,
                   check="buffer-integrity")
-        self._input_emptied(i)
+        self._in_flits[i] -= 1
         self.input_busy.reserve(i, self.cycle, self.config.flit_cycles)
         self._start_traversal(flit, out)
 

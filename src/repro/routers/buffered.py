@@ -212,7 +212,7 @@ class BufferedCrossbarRouter(Router):
     def _input_stage(self) -> None:
         now = self.cycle
         for i in range(self.config.radix):
-            if not self._in_active[i]:
+            if not self._in_flits[i]:
                 continue
             if not self.input_busy.free(i, now):
                 continue
@@ -230,7 +230,7 @@ class BufferedCrossbarRouter(Router):
             invariant(popped is flit, "input buffer head changed between "
                       "arbitration and pop", cycle=now, port=i, vc=vc,
                       check="buffer-integrity")
-            self._input_emptied(i)
+            self._in_flits[i] -= 1
             self._credits[i][flit.dest][vc].consume()
             self.input_busy.reserve(i, now, self.config.flit_cycles)
             self._to_crosspoint.push(now, (flit, i, flit.dest))
@@ -419,6 +419,7 @@ class BufferedCrossbarRouter(Router):
             i = int(free[pos])
             vc = int(winners[pos])
             flit = self.inputs[i].queues[vc].pop()
+            self._in_flits[i] -= 1
             self._credits[i][flit.dest][vc].consume()
             self.input_busy.reserve(i, now, fc)
             self._to_crosspoint.push(now, (flit, i, flit.dest))

@@ -126,7 +126,7 @@ class DistributedRouter(Router):
         for i in range(self.config.radix):
             if self._pending[i] is not None:
                 continue
-            if not self._in_active[i]:
+            if not self._in_flits[i]:
                 continue
             if self.input_busy.busy_until(i) > horizon:
                 continue
@@ -329,7 +329,7 @@ class DistributedRouter(Router):
         invariant(popped is flit, "input buffer head changed between "
                   "grant and pop", cycle=self.cycle, port=i, vc=vc,
                   check="buffer-integrity")
-        self._input_emptied(i)
+        self._in_flits[i] -= 1
         start = self.cycle + extra_delay
         self.input_busy.extend(i, start + self.config.flit_cycles)
         self._start_traversal(flit, out, start=start)

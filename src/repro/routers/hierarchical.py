@@ -38,7 +38,7 @@ from ..core.arbiter import RoundRobinArbiter
 from ..core.buffers import VcBufferBank
 from ..core.config import RouterConfig
 from ..core.credit import CreditCounter, DelayedCreditPipe
-from ..core.errors import invariant
+from ..core.errors import InvariantViolation
 from ..core.flit import Flit
 from ..core.pipeline import BusyTracker, DelayLine
 from .base import Router
@@ -107,7 +107,10 @@ class HierarchicalCrossbarRouter(Router):
     and emitted no hook event.  Every probe of a non-empty structure
     still runs, in row-major subswitch, then lane, then VC order, which
     keeps results, ``stats.*`` extras and trace bytes independent of
-    the indices.
+    the indices.  Each probe reads the deque head directly and the
+    heads that pass go to ``RoundRobinArbiter.grant`` as a ``{line:
+    candidate}`` dict: a visit costs the requesters it finds, not the
+    arbiter's width (only the contested output-port pick stays dense).
     """
 
     # "ROW" fires when the flit launches across the input row bus
@@ -166,46 +169,46 @@ class HierarchicalCrossbarRouter(Router):
     def _input_stage(self) -> None:
         now = self.cycle
         config = self.config
-        p, v, fc = config.subswitch_size, config.num_vcs, config.flit_cycles
-        in_active = self._in_active
+        p, fc = config.subswitch_size, config.flit_cycles
+        in_flits = self._in_flits
         input_busy = self.input_busy
         stuck = self._stuck_inputs
         head_delay = self._head_delay
         hooks = self.hooks
         for i in range(config.radix):
-            if not in_active[i]:
+            if not in_flits[i] or not input_busy.free(i, now):
                 continue
-            if not input_busy.free(i, now):
-                continue
-            bank = self.inputs[i]
+            queues = self.inputs[i].queues
             credits = self._in_credits[i]
             # Head flit of each VC that may launch now: not wedged by a
             # stuck-input fault, past its route-computation delay, and
             # holding a credit for its subswitch input buffer.
-            sendable: List[Optional[Flit]] = [None] * v
-            for vc in range(v):
-                if stuck and (i, vc) in stuck:
+            sendable: Dict[int, Flit] = {}
+            for vc, queue in enumerate(queues):
+                q = queue._q
+                if not q or (stuck and (i, vc) in stuck):
                     continue
-                flit = bank[vc].head()
-                if flit is None:
-                    continue
+                flit = q[0]
                 if flit.is_head and now - flit.injected_at < head_delay:
                     continue
                 if credits[flit.dest // p][vc].available:
                     sendable[vc] = flit
-            vc = self._input_arb[i].arbitrate([f is not None for f in sendable])
-            if vc is None:
+            if not sendable:
                 continue
-            flit = sendable[vc]
-            invariant(flit is not None, "input arbiter granted a VC with "
-                      "no sendable flit", cycle=now, port=i, vc=vc,
-                      check="arbitration")
+            vc = self._input_arb[i].grant(sendable)
+            flit = sendable.get(vc)
+            if flit is None:
+                raise InvariantViolation(
+                    "input arbiter granted a VC with no sendable flit",
+                    cycle=now, port=i, vc=vc, check="arbitration",
+                )
             col = flit.dest // p
-            popped = bank[vc].pop()
-            invariant(popped is flit, "input buffer head changed between "
-                      "arbitration and pop", cycle=now, port=i, vc=vc,
-                      check="buffer-integrity")
-            self._input_emptied(i)
+            if queues[vc].pop() is not flit:
+                raise InvariantViolation(
+                    "input buffer head changed between arbitration and pop",
+                    cycle=now, port=i, vc=vc, check="buffer-integrity",
+                )
+            in_flits[i] -= 1
             credits[col][vc].consume()
             input_busy.reserve(i, now, fc)
             self._to_sub.push(now, (flit, i, col))
@@ -251,76 +254,77 @@ class HierarchicalCrossbarRouter(Router):
 
     def _run_subswitch(self, sub: _Subswitch) -> None:
         now = self.cycle
-        p, v = self.config.subswitch_size, self.config.num_vcs
+        p = self.config.subswitch_size
         in_count = sub.in_count
         in_busy = sub.in_busy
+        out_bufs = sub.out_bufs
+        writers = sub.writer
+        stats, hooks = self.stats, self.hooks
         # Local input arbitration: one candidate per subswitch input
         # lane, grouped by requested output lane in first-request order.
-        requests: Dict[int, List[Tuple[int, int, Flit]]] = {}
+        requests: Dict[int, Dict[int, Tuple[int, Flit]]] = {}
         for li in range(p):
-            if not in_count[li]:
+            if not in_count[li] or not in_busy.free(li, now):
                 continue
-            if not in_busy.free(li, now):
+            # Head flit of each VC that can cross now.
+            cands: Dict[int, Flit] = {}
+            for vc, queue in enumerate(sub.in_bufs[li].queues):
+                q = queue._q
+                if not q:
+                    continue
+                flit = q[0]
+                lo = flit.dest % p
+                out_vc = flit.vc  # identity VC mapping, as at the input stage
+                out_queue = out_bufs[lo].queues[out_vc]
+                if len(out_queue._q) >= out_queue.maxlen:
+                    continue
+                writer = writers.get((lo, out_vc))
+                if flit.is_head:
+                    # Local VC allocation: the output buffer must not be
+                    # held open by another packet.
+                    if writer is not None and writer != flit.packet_id:
+                        stats.spec_vc_failures += 1
+                        if hooks.spec_outcome:
+                            hooks.emit_spec_outcome(
+                                "subva", False, flit.dest, now
+                            )
+                        continue
+                elif writer != flit.packet_id:
+                    continue
+                cands[vc] = flit
+            if not cands:
                 continue
-            cands = [self._sub_candidate(sub, li, vc) for vc in range(v)]
-            vc = sub.in_arb[li].arbitrate([cd is not None for cd in cands])
-            if vc is None:
-                continue
-            flit = cands[vc]
-            invariant(flit is not None, "subswitch input arbiter granted "
-                      "an empty VC", cycle=now, vc=vc, check="arbitration")
-            requests.setdefault(flit.dest % p, []).append((li, vc, flit))
+            vc = sub.in_arb[li].grant(cands)
+            flit = cands.get(vc)
+            if flit is None:
+                raise InvariantViolation(
+                    "subswitch input arbiter granted an empty VC",
+                    cycle=now, vc=vc, check="arbitration",
+                )
+            requests.setdefault(flit.dest % p, {})[li] = (vc, flit)
         # Local output arbitration per subswitch output lane.
-        for lo, reqs in requests.items():
+        for lo, wanted in requests.items():
             if not sub.out_lane_busy.free(lo, now):
-                self.stats.switch_denials += len(reqs)
+                stats.switch_denials += len(wanted)
                 continue
-            lines = [False] * p
-            for li, _, _ in reqs:
-                lines[li] = True
-            winner = sub.out_arb[lo].arbitrate(lines)
-            for li, vc, flit in reqs:
-                if li == winner:
-                    self._sub_transmit(sub, li, lo, vc, flit)
-                    break
-            self.stats.switch_denials += len(reqs) - 1
-
-    def _sub_candidate(self, sub: _Subswitch, li: int, vc: int) -> Optional[Flit]:
-        """Head flit of subswitch input (li, vc) if it can cross now."""
-        flit = sub.in_bufs[li][vc].head()
-        if flit is None:
-            return None
-        lo = flit.dest % self.config.subswitch_size
-        out_vc = flit.vc  # identity VC mapping, as at the input stage
-        if sub.out_bufs[lo][out_vc].full:
-            return None
-        writer = sub.writer.get((lo, out_vc))
-        if flit.is_head:
-            # Local VC allocation: the output buffer must not be held
-            # open by another packet.
-            if writer is not None and writer != flit.packet_id:
-                self.stats.spec_vc_failures += 1
-                if self.hooks.spec_outcome:
-                    self.hooks.emit_spec_outcome(
-                        "subva", False, flit.dest, self.cycle
-                    )
-                return None
-        else:
-            if writer != flit.packet_id:
-                return None
-        return flit
+            li = sub.out_arb[lo].grant(wanted)
+            vc, flit = wanted[li]
+            self._sub_transmit(sub, li, lo, vc, flit)
+            stats.switch_denials += len(wanted) - 1
 
     def _sub_transmit(
         self, sub: _Subswitch, li: int, lo: int, vc: int, flit: Flit
     ) -> None:
         now = self.cycle
         hooks = self.hooks
-        popped = sub.in_bufs[li][vc].pop()
+        popped = sub.in_bufs[li].queues[vc].pop()
         sub.in_count[li] -= 1
         sub.in_total -= 1
-        invariant(popped is flit, "subswitch input buffer head changed "
-                  "before pop", cycle=now, vc=vc,
-                  check="buffer-integrity")
+        if popped is not flit:
+            raise InvariantViolation(
+                "subswitch input buffer head changed before pop",
+                cycle=now, vc=vc, check="buffer-integrity",
+            )
         out_vc = flit.vc
         flit.out_vc = out_vc
         if flit.is_head:
@@ -353,71 +357,72 @@ class HierarchicalCrossbarRouter(Router):
         port_flits = self._port_flits
         output_busy = self.output_busy
         for j in range(self.config.radix):
-            if not port_flits[j]:
-                continue
-            if not output_busy.free(j, now):
+            if not port_flits[j] or not output_busy.free(j, now):
                 continue
             c, lo = divmod(j, p)
-            # One candidate (vc, flit) per subswitch of the column.
-            candidates: List[Optional[Tuple[int, Flit]]] = [None] * s
+            owners = self.output_vcs[j].owners
+            # One candidate (vc, flit) per subswitch of the column whose
+            # output lane holds a head that passes the global VC
+            # allocation check at output j (among subswitches).
+            cands: Dict[int, Tuple[int, Flit]] = {}
+            requests = [False] * s
             for r in range(s):
                 sub = self.sub[r][c]
-                if sub.out_count[lo]:
-                    candidates[r] = self._port_candidate(
-                        j, r, sub.out_bufs[lo]
+                if not sub.out_count[lo]:
+                    continue
+                ready: Dict[int, Flit] = {}
+                for vc, queue in enumerate(sub.out_bufs[lo].queues):
+                    q = queue._q
+                    if not q:
+                        continue
+                    flit = q[0]
+                    out_vc = flit.out_vc
+                    if out_vc is None:
+                        raise InvariantViolation(
+                            "flit reached global VC check without a "
+                            "local VC assignment",
+                            port=j, check="vc-ownership",
+                        )
+                    owner = owners[out_vc]
+                    if owner == flit.packet_id or (
+                        flit.is_head and owner is None
+                    ):
+                        ready[vc] = flit
+                if not ready:
+                    continue
+                vc = self._port_vc_arb[j][r].grant(ready)
+                flit = ready.get(vc)
+                if flit is None:
+                    raise InvariantViolation(
+                        "port VC arbiter granted an empty VC",
+                        port=j, vc=vc, check="arbitration",
                     )
-            winner = self._port_arb[j].arbitrate(
-                [cd is not None for cd in candidates]
-            )
-            if winner is None:
+                cands[r] = (vc, flit)
+                requests[r] = True
+            if not cands:
                 continue
-            cand = candidates[winner]
-            invariant(cand is not None, "output port arbiter granted an "
-                      "empty candidate slot", cycle=now, port=j,
-                      check="arbitration")
+            winner = self._port_arb[j].arbitrate(requests)  # dense: ~3 of s up
+            cand = cands.get(winner)
+            if cand is None:
+                raise InvariantViolation(
+                    "output port arbiter granted an empty candidate slot",
+                    cycle=now, port=j, check="arbitration",
+                )
             vc, flit = cand
             self._port_transmit(j, winner, c, lo, vc, flit)
-
-    def _port_candidate(
-        self, j: int, r: int, bank: VcBufferBank
-    ) -> Optional[Tuple[int, Flit]]:
-        """Pick a sendable VC from ``bank``, the output buffer lane
-        feeding output ``j`` in row ``r`` of its subswitch column."""
-        ready = []
-        for queue in bank.queues:
-            flit = queue.head()
-            ready.append(flit is not None and self._global_vc_ok(j, flit))
-        vc = self._port_vc_arb[j][r].arbitrate(ready)
-        if vc is None:
-            return None
-        flit = bank[vc].head()
-        invariant(flit is not None, "port VC arbiter granted an empty VC",
-                  port=j, vc=vc, check="arbitration")
-        return vc, flit
-
-    def _global_vc_ok(self, j: int, flit: Flit) -> bool:
-        """Global VC allocation check at output j (among subswitches)."""
-        state = self.output_vcs[j]
-        invariant(flit.out_vc is not None, "flit reached global VC check "
-                  "without a local VC assignment", port=j,
-                  check="vc-ownership")
-        if flit.is_head:
-            return (
-                state.is_free(flit.out_vc)
-                or state.owner(flit.out_vc) == flit.packet_id
-            )
-        return state.owner(flit.out_vc) == flit.packet_id
 
     def _port_transmit(
         self, j: int, r: int, c: int, lo: int, vc: int, flit: Flit
     ) -> None:
         sub = self.sub[r][c]
-        popped = sub.out_bufs[lo][vc].pop()
+        popped = sub.out_bufs[lo].queues[vc].pop()
         sub.out_count[lo] -= 1
         self._port_flits[j] -= 1
-        invariant(popped is flit, "subswitch output buffer head changed "
-                  "before pop", cycle=self.cycle, port=j, vc=vc,
-                  check="buffer-integrity")
+        if popped is not flit:
+            raise InvariantViolation(
+                "subswitch output buffer head changed before pop",
+                cycle=self.cycle, port=j, vc=vc, check="buffer-integrity",
+            )
         if flit.is_head:
             self.output_vcs[j].allocate(flit.out_vc, flit.packet_id)
         self._start_traversal(flit, j)

@@ -100,7 +100,7 @@ class SharedBufferCrossbarRouter(Router):
     def _input_stage(self) -> None:
         now = self.cycle
         for i in range(self.config.radix):
-            if not self._in_active[i]:
+            if not self._in_flits[i]:
                 continue
             if not self.input_busy.free(i, now):
                 continue
@@ -169,7 +169,7 @@ class SharedBufferCrossbarRouter(Router):
             if ack:
                 # Retire the original copy held at the input.
                 self.inputs[i][vc].pop()
-                self._input_emptied(i)
+                self._in_flits[i] -= 1
 
     # ------------------------------------------------------------------
 

@@ -66,7 +66,7 @@ class VoqRouter(Router):
     def _sort_arrivals(self) -> None:
         """Move flits from the per-VC input buffers into their VOQs."""
         for i in range(self.config.radix):
-            if not self._in_active[i]:
+            if not self._in_flits[i]:
                 continue
             for vc in range(self.config.num_vcs):
                 if self._stuck_inputs and (i, vc) in self._stuck_inputs:
@@ -83,8 +83,8 @@ class VoqRouter(Router):
                     ):
                         break
                     self.voqs[i][flit.dest][flit.vc].push(queue.pop())
+                    self._in_flits[i] -= 1
                     self._occupied[i].add(flit.dest)
-            self._input_emptied(i)
 
     def _allocate(self) -> None:
         now = self.cycle

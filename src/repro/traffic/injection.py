@@ -28,6 +28,18 @@ class InjectionProcess:
     def should_inject(self, rng: Rng) -> bool:
         raise NotImplementedError
 
+    def misses_before_hit(self, rng: Rng) -> int:
+        """Poll until the process fires; return how many polls missed.
+
+        Exactly the draws (and state changes) of :meth:`should_inject`
+        once per cycle up to and including the hit, in one call per
+        arrival.  Never returns at rate 0: callers test ``rate`` first.
+        """
+        misses = 0
+        while not self.should_inject(rng):
+            misses += 1
+        return misses
+
     def reset(self) -> None:
         """Discard internal state so the process can be reused.
 
@@ -43,7 +55,14 @@ class Bernoulli(InjectionProcess):
     """Independent Bernoulli trial each cycle (Section 4.3)."""
 
     def should_inject(self, rng: Rng) -> bool:
-        return rng.random() < self.rate
+        return rng.random() < self.rate  # twin loop: misses_before_hit
+
+    def misses_before_hit(self, rng: Rng) -> int:
+        random, rate = rng.random, self.rate
+        misses = 0
+        while not random() < rate:
+            misses += 1
+        return misses
 
 
 class MarkovOnOff(InjectionProcess):

@@ -69,9 +69,8 @@ class TrafficSource:
         """
         if self.injection.rate == 0.0:
             return None
-        cycle = max(self._cursor, start)
-        while not self.injection.should_inject(self._rng):
-            cycle += 1
+        misses = self.injection.misses_before_hit(self._rng)
+        cycle = max(self._cursor, start) + misses
         self._cursor = cycle + 1
         return cycle
 
@@ -97,7 +96,10 @@ class TrafficSource:
         arrival is a no-op here, so both drive modes see identical
         generation times and RNG streams.
         """
-        if self.peek_arrival(now) != now:
+        arrival = self._next_arrival
+        if arrival is None or arrival < now:
+            arrival = self._next_arrival = self._draw_next(now)
+        if arrival != now:
             return None
         self._next_arrival = None
         dest = self.pattern.dest(self.input_id, self._rng)
@@ -111,8 +113,9 @@ class TrafficSource:
         self.queue.extend(flits)
         self.packets_generated += 1
         self.flits_generated += len(flits)
-        if len(self.queue) > self.peak_backlog:
-            self.peak_backlog = len(self.queue)
+        backlog = len(self.queue)
+        if backlog > self.peak_backlog:
+            self.peak_backlog = backlog
         return flits[0].packet_id
 
     def head(self) -> Optional[Flit]:

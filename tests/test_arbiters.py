@@ -76,21 +76,31 @@ class TestRoundRobinArbiter:
         """``grant(asserted indices)`` is ``arbitrate(dense vector)``:
         same winner, same pointer afterwards, for any size, pointer
         and request set — the empty set included, which moves
-        nothing — whatever order the indices arrive in."""
+        nothing — whatever order the indices arrive in.  Handed a
+        ``{line: candidate}`` dict (the hierarchical crossbar's stages)
+        the winner is one of its keys, so ``cands[winner]`` cannot
+        miss, and an empty dict moves no pointer, so a stage may skip
+        the call."""
         size = data.draw(st.integers(1, 64))
         pointer = data.draw(st.integers(0, size - 1))
         lines = data.draw(st.permutations(
             sorted(data.draw(st.sets(st.integers(0, size - 1))))
         ))
-        dense, sparse = RoundRobinArbiter(size), RoundRobinArbiter(size)
-        dense.commit((pointer - 1) % size)
-        sparse.commit((pointer - 1) % size)
-        assert dense.pointer == sparse.pointer == pointer
+        dense, sparse, keyed = (RoundRobinArbiter(size) for _ in range(3))
+        for arb in (dense, sparse, keyed):
+            arb.commit((pointer - 1) % size)
+            assert arb.pointer == pointer
         expected = dense.arbitrate([i in lines for i in range(size)])
         assert sparse.grant(lines) == expected
         assert sparse.pointer == dense.pointer
-        if not lines:
-            assert expected is None and sparse.pointer == pointer
+        cands = {line: object() for line in lines}
+        assert keyed.grant(cands) == expected
+        assert keyed.pointer == dense.pointer
+        if lines:
+            assert expected in cands
+        else:
+            assert expected is None
+            assert sparse.pointer == keyed.pointer == pointer
 
     def test_sparse_grant_takes_any_collection_of_lines(self):
         arb = RoundRobinArbiter(8)

@@ -141,6 +141,34 @@ class TestMarkovOnOff:
         assert not proc._on
 
 
+class TestMissesBeforeHit:
+    """One call per arrival is the per-cycle poll, draw for draw."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: Bernoulli(0.225),
+        lambda: Bernoulli(1.0),
+        lambda: MarkovOnOff(rate=0.2, peak_rate=1.0, avg_burst=8.0),
+        lambda: MarkovOnOff(rate=0.1, peak_rate=0.5, avg_burst=3.0),
+        lambda: MarkovOnOff(rate=1.0, peak_rate=1.0, avg_burst=2.0),
+    ], ids=["bernoulli", "bernoulli-rate-1", "onoff", "onoff-peak-half",
+            "onoff-rate-1"])
+    def test_same_gaps_same_stream_same_state(self, make):
+        polled, asked = make(), make()
+        poll_rng, ask_rng = random.Random(11), random.Random(11)
+        for _ in range(300):
+            misses = 0
+            while not polled.should_inject(poll_rng):
+                misses += 1
+            assert asked.misses_before_hit(ask_rng) == misses
+            assert ask_rng.getstate() == poll_rng.getstate()
+            assert vars(asked) == vars(polled)
+
+    def test_rate_one_never_misses(self):
+        rng = random.Random(12)
+        assert [Bernoulli(1.0).misses_before_hit(rng) for _ in range(50)] \
+            == [0] * 50
+
+
 class TestFactory:
     def test_bernoulli(self):
         assert isinstance(make_injection("bernoulli", 0.1), Bernoulli)

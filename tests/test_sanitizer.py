@@ -227,6 +227,30 @@ def test_detects_occupancy_index_drift(corrupt):
     assert exc.value.cycle == router.cycle
 
 
+@pytest.mark.parametrize("router_cls", ALL_ROUTERS)
+def test_detects_input_count_drift(router_cls):
+    """``Router._in_flits`` — what every input stage and the harness's
+    blocked-port skip trust instead of walking the banks — is recounted
+    each checked cycle; a drift is reported at the cycle it happens."""
+    sim = SwitchSimulation(
+        router_cls(
+            RouterConfig(radix=8, subswitch_size=4, local_group_size=4)
+        ),
+        load=0.6, sanitize=True, seed=3,
+    )
+    for _ in range(40):
+        sim.step()
+    router = sim.router.inner
+    assert router._in_flits == [len(bank) for bank in router.inputs]
+    router._in_flits[5] += 1
+    drifted_at = router.cycle
+    with pytest.raises(InvariantViolation) as exc:
+        sim.step()
+    assert exc.value.check == "occupancy-index"
+    assert exc.value.cycle == drifted_at + 1
+    assert "_in_flits" in str(exc.value)
+
+
 def test_detects_credit_leak_shared_buffer():
     router = SharedBufferCrossbarRouter(RouterConfig(radix=8))
     san = SimSanitizer(router)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.traffic.injection import Bernoulli
+from repro.traffic.injection import Bernoulli, MarkovOnOff
 from repro.traffic.patterns import UniformRandom
 from repro.traffic.source import TrafficSource
 
@@ -79,3 +79,49 @@ class TestTrafficSource:
     def test_invalid_packet_size(self):
         with pytest.raises(ValueError):
             _source(packet_size=0)
+
+
+class _PerPollSource(TrafficSource):
+    """The pre-draw as it was: one ``should_inject`` per polled cycle.
+    The oracle for asking the process once per arrival."""
+
+    def _draw_next(self, start):
+        if self.injection.rate == 0.0:
+            return None
+        cycle = max(self._cursor, start)
+        while not self.injection.should_inject(self._rng):
+            cycle += 1
+        self._cursor = cycle + 1
+        return cycle
+
+
+class TestPerArrivalPreDraw:
+    @pytest.mark.parametrize("make", [
+        lambda: Bernoulli(0.0),
+        lambda: Bernoulli(0.225),
+        lambda: Bernoulli(1.0),
+        lambda: MarkovOnOff(rate=0.0, peak_rate=1.0),
+        lambda: MarkovOnOff(rate=0.2, peak_rate=1.0, avg_burst=8.0),
+        lambda: MarkovOnOff(rate=1.0, peak_rate=1.0, avg_burst=2.0),
+    ], ids=["bernoulli-0", "bernoulli", "bernoulli-1", "onoff-0", "onoff",
+            "onoff-1"])
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_stream_and_cursor_where_per_poll_leaves_them(self, make, stride):
+        """Driven every cycle or only every third (event mode skips
+        cycles; ``peek_arrival`` is its horizon), the source generates
+        on the same cycles with the same destinations, and after every
+        call its stream, ``_cursor`` and cached arrival are exactly the
+        per-poll oracle's."""
+        fast = TrafficSource(3, UniformRandom(8), make(), 2, seed=9)
+        oracle = _PerPollSource(3, UniformRandom(8), make(), 2, seed=9)
+        for now in range(0, 400, stride):
+            assert fast.peek_arrival(now) == oracle.peek_arrival(now)
+            got = fast.generate(now, False) is not None
+            assert got == (oracle.generate(now, False) is not None)
+            assert fast._rng.getstate() == oracle._rng.getstate()
+            assert fast._cursor == oracle._cursor
+            assert fast._next_arrival == oracle._next_arrival
+            assert vars(fast.injection) == vars(oracle.injection)
+        assert [f.dest for f in fast.queue] == [f.dest for f in oracle.queue]
+        assert fast.peak_backlog == oracle.peak_backlog == len(fast.queue)
+        assert fast.flits_generated == 2 * fast.packets_generated
