@@ -23,8 +23,11 @@ CYCLES = 400
 CONFIG = RouterConfig(radix=16)
 
 #: Maximum tolerated slowdown of a fully-checked run (interval=1);
-#: ten interleaved readings on the reference host: buffered 2.32-2.55x.
-MAX_OVERHEAD = 3.2
+#: ten interleaved readings on the reference host: baseline 1.92-2.02x,
+#: buffered 3.44-3.96x (the plain run got faster once the scalar
+#: stages probed only what they hold; the checks still walk all k*k*v
+#: crosspoint queues, and now each column and credit bus as well).
+MAX_OVERHEAD = 5.0
 
 ROUTERS = {
     "baseline": BaselineRouter,

@@ -314,20 +314,22 @@ def test_perf_event_predraw_vs_no_numpy(monkeypatch, radix, load, cycles,
 
 
 #: The batched hot path must beat the scalar stages by this much on
-#: the radix-64 deep-saturation buffered crossbar (working ~4.5x).
-BATCH_SPEEDUP_FLOOR = 3.0
+#: the radix-64 deep-saturation buffered crossbar (working ~1.4-1.55x
+#: since the scalar stages probe only what they hold).
+BATCH_SPEEDUP_FLOOR = 1.2
 
 
 def test_perf_batch_hot_path_radix64_high_load():
     """Radix-64 buffered crossbar in deep hotspot saturation: the
-    struct-of-arrays batched path must pay >= 3x on the steady state.
+    struct-of-arrays batched path must pay >= 1.2x on the steady state.
 
     This is the regime the batched path exists for — and the one
     event-driven fast-forward cannot help with (it measures ~1x here:
     every router is busy every cycle, so there is nothing to skip).
     Four fully-hot outputs with eight VCs keep every input backlogged
-    behind heads that lack credits, so the scalar path pays its full
-    O(k*v) eligibility scans per cycle while only ~1 flit/cycle of
+    behind heads that lack credits, so the scalar path probes every
+    head of every free input and every occupied crosspoint of the hot
+    columns each cycle while only ~1 flit/cycle of
     shared per-flit harness work dilutes the ratio.  The warmup runs
     the switch to saturation outside the clock; the timed window
     compares the drive loops on the steady state.  The checksum

@@ -33,7 +33,11 @@ Structural invariants:
 * **occupancy indices** — every flit counter the hierarchical
   crossbar's hot path trusts instead of walking its buffers equals the
   walked queue lengths, and its crossing set names exactly the
-  subswitches with flits in ``crossing``.
+  subswitches with flits in ``crossing``; the crosspoint crossbars'
+  ``_occupied[j]`` sets name exactly the non-empty crosspoints of
+  column j, each credit-return bus's waiting-source set names exactly
+  its non-empty queues, and ``_bus_live`` exactly the buses holding a
+  waiting or in-flight credit.
 
 Violations raise :class:`~repro.core.errors.InvariantViolation`
 carrying the cycle, port, and VC, so a credit leak surfaces as
@@ -52,6 +56,7 @@ it subscribes to the simulation's scheduler-level ``cycle_end`` hook
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Dict, Iterator, List, Tuple
 
 from ..core.buffers import FlitQueue
@@ -65,6 +70,15 @@ from ..routers.shared_buffer import SharedBufferCrossbarRouter
 
 def _bucket(counts: Dict, key) -> None:
     counts[key] = counts.get(key, 0) + 1
+
+
+def _drift(what: str, index, walked, walk: str, cycle: int) -> InvariantViolation:
+    """An index a hot path trusts in place of ``walk`` disagrees with it."""
+    return InvariantViolation(
+        f"occupancy index drifted: {what} reads {index} but walking "
+        f"{walk} finds {walked}",
+        cycle=cycle, check="occupancy-index", index=index, walked=walked,
+    )
 
 
 class SimSanitizer(CheckedRouter):
@@ -122,6 +136,7 @@ class SimSanitizer(CheckedRouter):
             if isinstance(inner, HierarchicalCrossbarRouter)
             else None
         )
+        self._xp_probes = self._build_crosspoint_probes(inner)
 
     # -- hook handlers -------------------------------------------------
 
@@ -175,6 +190,8 @@ class SimSanitizer(CheckedRouter):
         self._check_input_counts(router, cycle)
         if self._lane_probes is not None:
             self._check_occupancy_indices(router, cycle)
+        if self._xp_probes is not None:
+            self._check_crosspoint_indices(router, cycle)
         self.checks_run += 1
 
     def _check_flit_conservation(self, router: Router, cycle: int) -> None:
@@ -468,12 +485,47 @@ class SimSanitizer(CheckedRouter):
         index = router._in_flits
         walked = [len(bank) for bank in router.inputs]
         if isinstance(index, list) and index != walked:
-            raise InvariantViolation(
-                f"occupancy index drifted: _in_flits reads {index} but "
-                f"walking the input banks finds {walked}",
-                cycle=cycle, check="occupancy-index",
-                index=index, walked=walked,
-            )
+            raise _drift("_in_flits", index, walked, "the input banks", cycle)
+
+    # -- crosspoint and credit-bus indices ------------------------------
+
+    @staticmethod
+    def _build_crosspoint_probes(router: Router):
+        """Per output j, per input i, the deques of crosspoint (i, j);
+        None for an organization without crosspoints, no columns for the
+        buffered crossbar's array twin (it counts per crosspoint in an
+        array, not in ``_occupied``)."""
+        xps = getattr(router, "crosspoints", None)
+        if xps is None:
+            return None
+        if getattr(router, "_batch", False):
+            return []
+        if isinstance(router, BufferedCrossbarRouter):
+            return [[[q._q for q in row[j].queues] for row in xps]
+                    for j in range(len(xps))]
+        return [[[row[j]._q] for row in xps] for j in range(len(xps))]
+
+    def _check_crosspoint_indices(self, router, cycle: int) -> None:
+        """``_occupied[j]`` must name exactly the non-empty crosspoints of
+        column j; each credit bus's ``_waiting`` exactly its non-empty
+        queues, and ``_bus_live`` exactly the buses holding a waiting or
+        in-flight credit."""
+        for j, column in enumerate(self._xp_probes):
+            walked = set(compress(range(len(column)), map(any, column)))
+            if router._occupied[j] != walked:
+                raise _drift(f"_occupied[{j}]", sorted(router._occupied[j]),
+                             sorted(walked), f"column {j}", cycle)
+        live = set()
+        for i, bus in enumerate(getattr(router, "_credit_buses", None) or ()):
+            waiting = set(compress(range(bus.num_sources), bus._pending))
+            if bus._waiting != waiting:
+                raise _drift(f"credit bus {i} _waiting", sorted(bus._waiting),
+                             sorted(waiting), "its queues", cycle)
+            if waiting or bus._pipe.pending():
+                live.add(i)
+        if live != getattr(router, "_bus_live", live):
+            raise _drift("_bus_live", sorted(router._bus_live), sorted(live),
+                         "the credit buses", cycle)
 
     # -- hierarchical occupancy indices ---------------------------------
 
@@ -497,15 +549,7 @@ class SimSanitizer(CheckedRouter):
         walking its buffers must equal the walked queue lengths."""
 
         def drift(what: str, index, walked) -> InvariantViolation:
-            return InvariantViolation(
-                f"occupancy index drifted: {what} reads {index} but "
-                f"walking the subswitches finds {walked}",
-                cycle=cycle,
-                check="occupancy-index",
-                index=index,
-                walked=walked,
-            )
-
+            return _drift(what, index, walked, "the subswitches", cycle)
         p = router.config.subswitch_size
         port_flits = [0] * router.config.radix
         crossing = set()

@@ -203,7 +203,7 @@ class BatchArbiterBank:
     rotate-and-argmin pass over struct-of-arrays pointer state instead
     of ``rows`` Python-level scans.  Pointer semantics are bit-identical
     to the scalar arbiter: the pointer rotates to one past the winner on
-    a grant (or via the deferred :meth:`commit`), and an all-False row
+    a grant (or via the deferred :meth:`commit_rows`), and an all-False row
     leaves its pointer untouched — which is also why skipping a scalar
     arbiter call is equivalent to batching an all-False row.
 
@@ -214,7 +214,7 @@ class BatchArbiterBank:
     order and land strictly after the unwrapped ones; only the pointer
     rotation needs the true per-row modulus.
 
-    Requires numpy: routers construct a bank only behind
+    Requires numpy: the buffered crossbar constructs banks only behind
     ``config.batch_hot_path and HAVE_NUMPY``.
     """
 
@@ -327,14 +327,6 @@ class BatchArbiterBank:
             raw %= self.width
         winners = _np.where(granted, raw, -1)
         return winners, granted
-
-    def commit(self, row: int, winner: int) -> None:
-        """Deferred pointer rotation for one row (scalar ``commit``)."""
-        if not 0 <= winner < self._sizes[row]:
-            raise ValueError(
-                f"winner {winner} out of range 0..{int(self._sizes[row]) - 1}"
-            )
-        self._ptr[row] = (winner + 1) % self._sizes[row]
 
     def commit_rows(self, rows: Any, winners: Any) -> None:
         """Vectorized deferred pointer rotation for many rows."""

@@ -65,12 +65,11 @@ class RouterConfig:
             provided for ablation.
         batch_hot_path: Run the arbitration/eligibility hot loops as
             struct-of-arrays numpy batches (see docs/architecture.md,
-            "Batched hot path").  Honoured by ``BaselineRouter`` and
-            ``BufferedCrossbarRouter``, whose array twins measure ahead
-            of the scalar path on some regime; a no-op on the other
-            organizations.  Byte-identical to the scalar path by
-            contract; silently falls back to the scalar path when numpy
-            is unavailable.
+            "Batched hot path").  Honoured by ``BufferedCrossbarRouter``
+            only, the one organization that still has an array twin; a
+            no-op on the other five.  Byte-identical to the scalar path
+            by contract; silently falls back to the scalar path when
+            numpy is unavailable.
         seed: Seed for all randomized tie-breaking and traffic.
     """
 

@@ -17,7 +17,7 @@ ideal (dedicated-wire) comparison.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, List, Tuple
+from typing import Callable, Deque, List, Set, Tuple
 
 
 class CreditCounter:
@@ -122,9 +122,14 @@ class CreditReturnBus:
     loses simply retries — the paper notes that because each flit takes
     four cycles to traverse the input row, a loser has three spare
     cycles to re-arbitrate without hurting throughput.
+
+    ``_waiting``, the sources with a non-empty queue, is what a step
+    arbitrates among: it costs the crosspoints holding a credit, not
+    the row's width.  Derived state; :meth:`reindex` rebuilds it.
     """
 
-    __slots__ = ("num_sources", "latency", "_pending", "_rr", "_pipe")
+    __slots__ = ("num_sources", "latency", "_pending", "_waiting", "_rr",
+                 "_pipe")
 
     def __init__(self, num_sources: int, latency: int = 1) -> None:
         if num_sources < 1:
@@ -142,12 +147,18 @@ class CreditReturnBus:
         self._pending: List[Deque[Callable[[], None]]] = [
             deque() for _ in range(num_sources)
         ]
+        self._waiting: Set[int] = set()
         self._rr = 0
         self._pipe = DelayedCreditPipe(latency)
 
     def post(self, source: int, sink: Callable[[], None]) -> None:
         """Queue a credit at crosspoint ``source`` for bus arbitration."""
         self._pending[source].append(sink)
+        self._waiting.add(source)
+
+    def reindex(self) -> None:
+        """Rebuild ``_waiting`` from the queues (after a restore)."""
+        self._waiting = {s for s, queue in enumerate(self._pending) if queue}
 
     @property
     def drop_hook(self):
@@ -160,41 +171,26 @@ class CreditReturnBus:
 
     def step(self, now: int) -> None:
         """One cycle: grant the bus to one source, deliver due credits."""
-        winner = self._arbitrate()
-        if winner is not None:
-            sink = self._pending[winner].popleft()
-            self._pipe.send(now, sink)
-            self._rr = (winner + 1) % self.num_sources
+        waiting = self._waiting
+        if waiting:
+            rr, n = self._rr, self.num_sources
+            self.grant_to(min(waiting, key=lambda s: (s - rr) % n), now)
         self._pipe.step(now)
 
-    def _arbitrate(self) -> "int | None":
-        for offset in range(self.num_sources):
-            s = (self._rr + offset) % self.num_sources
-            if self._pending[s]:
-                return s
-        return None
-
     def grant_to(self, source: int, now: int) -> None:
-        """Externally arbitrated bus grant: ``source`` wins this cycle.
-
-        The batched hot path arbitrates every row bus in one matrix
-        pass and then applies each winner here; the state updates are
-        exactly those of the winning branch of :meth:`step`, so the
-        round-robin position stays in lockstep with the external
-        arbiter.
-        """
-        sink = self._pending[source].popleft()
+        """Bus grant: ``source`` wins this cycle (the batched hot path
+        arbitrates every row bus in one pass, then applies each winner
+        here, keeping ``_rr`` in lockstep with its arbiter)."""
+        queue = self._pending[source]
+        sink = queue.popleft()
+        if not queue:
+            self._waiting.discard(source)
         self._pipe.send(now, sink)
         self._rr = (source + 1) % self.num_sources
 
     def deliver(self, now: int) -> None:
         """Deliver due credits without arbitrating (batched step tail)."""
         self._pipe.step(now)
-
-    @property
-    def wire_busy(self) -> bool:
-        """Credits still in flight on the wire (batched-step liveness)."""
-        return len(self._pipe._inflight) > 0
 
     def backlog(self) -> int:
         """Credits still waiting for the bus (excludes in-flight ones)."""
@@ -212,9 +208,9 @@ class CreditReturnBus:
         (one crosses per cycle); otherwise the in-flight wire head is
         the horizon.  Pure read.
         """
-        if self.backlog():
+        if self._waiting:
             return now + 1
         return self._pipe.next_due()
 
     def idle(self) -> bool:
-        return self.backlog() == 0 and self._pipe.pending() == 0
+        return not self._waiting and self._pipe.pending() == 0

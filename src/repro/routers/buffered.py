@@ -37,7 +37,7 @@ blocking is eliminated; its cost is O(v·k²) buffer storage (Figure 15).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..allocation.switch_alloc import OutputArbiterBank
 from ..core.arbiter import (
@@ -56,7 +56,7 @@ from ..core.batch import (
 )
 from ..core.buffers import VcBufferBank
 from ..core.config import RouterConfig
-from ..core.errors import invariant
+from ..core.errors import InvariantViolation, invariant
 from ..core.credit import CreditCounter, CreditReturnBus, DelayedCreditPipe
 from ..core.flit import Flit
 from ..core.pipeline import DelayLine
@@ -67,7 +67,15 @@ _np = None
 
 
 class BufferedCrossbarRouter(Router):
-    """Crossbar with per-VC buffers at each crosspoint (Figure 12(b))."""
+    """Crossbar with per-VC buffers at each crosspoint (Figure 12(b)).
+
+    The scalar stages visit only inputs, crosspoints and credit buses
+    that hold something (see "Crosspoint and baseline hot path" in
+    docs/architecture.md).
+    """
+
+    #: Derived from the credit buses; :meth:`_restore_state` recounts it.
+    SNAPSHOT_WIRING = ("_bus_live",)
 
     # "XB" fires when the flit launches across its input row toward the
     # crosspoint buffer; "ST" fires when the output column grants it.
@@ -114,6 +122,10 @@ class BufferedCrossbarRouter(Router):
             self._credit_buses = [
                 CreditReturnBus(k, config.credit_latency) for _ in range(k)
             ]
+        # Rows whose bus holds a credit waiting for it or on its wire:
+        # the only buses a step, busy() or next_event() need to visit.
+        # Added at the post, dropped when a step leaves the bus idle.
+        self._bus_live: Set[int] = set()
         self._head_delay = config.route_latency
         self._batch = bool(config.batch_hot_path) and HAVE_NUMPY
         if self._batch:
@@ -179,19 +191,9 @@ class BufferedCrossbarRouter(Router):
         # Persistent (output, input) request scratch for the k-to-1
         # arbitration; set/cleared around each grant_all call.
         self._b_req = _np.zeros((k, k), dtype=bool)
-        if self._credit_buses is not None:
-            # Pending-credit counts per (input row, crosspoint), kept in
-            # sync with the buses at the single post site below, plus a
-            # per-row total so the step visits only buses with backlog.
-            self._bus_counts = _np.zeros(k * k, dtype=_np.int64)
-            self._b_bus_row_cnt = _np.zeros(k, dtype=_np.int64)
-            self._b_bus_live: set = set()
-            self._bus_arb_b = BatchArbiterBank(k, k)
-        else:
-            self._bus_counts = None
-            self._b_bus_row_cnt = None
-            self._b_bus_live = set()
-            self._bus_arb_b = None
+        # Every row bus arbitrated in one pass; its request lines are
+        # the bus's waiting sources.
+        self._bus_arb_b = BatchArbiterBank(k, k)
 
     # ------------------------------------------------------------------
 
@@ -211,61 +213,61 @@ class BufferedCrossbarRouter(Router):
 
     def _input_stage(self) -> None:
         now = self.cycle
+        in_flits = self._in_flits
+        input_free = self.input_busy.free
+        stuck = self._stuck_inputs
+        head_delay = self._head_delay
         for i in range(self.config.radix):
-            if not self._in_flits[i]:
+            if not in_flits[i] or not input_free(i, now):
                 continue
-            if not self.input_busy.free(i, now):
+            queues = self.inputs[i].queues
+            credits = self._credits[i]
+            # Head flit of each VC that may launch now: not wedged by a
+            # stuck-input fault, past its route-computation delay, and
+            # holding a credit for its crosspoint buffer.
+            sendable: Dict[int, Flit] = {}
+            for vc, queue in enumerate(queues):
+                q = queue._q
+                if not q or (stuck and (i, vc) in stuck):
+                    continue
+                flit = q[0]
+                if flit.is_head and now - flit.injected_at < head_delay:
+                    continue
+                if credits[flit.dest][vc].available:
+                    sendable[vc] = flit
+            if not sendable:
                 continue
-            sendable = [
-                self._sendable(i, vc) for vc in range(self.config.num_vcs)
-            ]
-            vc = self._input_arb[i].arbitrate([f is not None for f in sendable])
-            if vc is None:
-                continue
+            vc = self._input_arb[i].grant(sendable)
             flit = sendable[vc]
-            invariant(flit is not None, "input arbiter granted a VC with "
-                      "no sendable flit", cycle=now, port=i, vc=vc,
-                      check="arbitration")
-            popped = self.inputs[i][vc].pop()
-            invariant(popped is flit, "input buffer head changed between "
-                      "arbitration and pop", cycle=now, port=i, vc=vc,
-                      check="buffer-integrity")
-            self._in_flits[i] -= 1
-            self._credits[i][flit.dest][vc].consume()
-            self.input_busy.reserve(i, now, self.config.flit_cycles)
-            self._to_crosspoint.push(now, (flit, i, flit.dest))
-            self._in_flight_to_xp += 1
-            if self.hooks.stage_enter:
-                self.hooks.emit_stage_enter(flit, "XB", flit.dest, now)
+            if queues[vc].pop() is not flit:
+                raise InvariantViolation(
+                    "input buffer head changed between arbitration and pop",
+                    cycle=now, port=i, vc=vc, check="buffer-integrity",
+                )
+            self._launch(i, vc, flit, now)
 
-    def _sendable(self, i: int, vc: int) -> Optional[Flit]:
-        """Head-of-queue flit of (i, vc) if a crosspoint credit exists."""
-        if self._stuck_inputs and (i, vc) in self._stuck_inputs:
-            return None
-        flit = self.inputs[i][vc].head()
-        if flit is None:
-            return None
-        if flit.is_head and self.cycle - flit.injected_at < self._head_delay:
-            return None
-        if not self._credits[i][flit.dest][vc].available:
-            return None
-        return flit
+    def _launch(self, i: int, vc: int, flit: Flit, now: int) -> None:
+        """Send a flit popped from input (i, vc) toward its crosspoint."""
+        self._in_flits[i] -= 1
+        self._credits[i][flit.dest][vc].consume()
+        self.input_busy.reserve(i, now, self.config.flit_cycles)
+        self._to_crosspoint.push(now, (flit, i, flit.dest))
+        self._in_flight_to_xp += 1
+        if self.hooks.stage_enter:
+            self.hooks.emit_stage_enter(flit, "XB", flit.dest, now)
 
     def _land_crosspoint_flits(self) -> None:
         # The batched path tracks crosspoint occupancy in _b_xp_cnt and
         # never reads the scalar _occupied sets (and vice versa), so
         # each mode maintains only its own structure.
-        if self._batch:
-            k = self.config.radix
-            for flit, i, j in self._to_crosspoint.pop_ready(self.cycle):
-                self.crosspoints[i][j][flit.vc].push(flit)
-                self._in_flight_to_xp -= 1
-                self._b_xp_cnt[i * k + j] += 1
-            return
+        k = self.config.radix
         for flit, i, j in self._to_crosspoint.pop_ready(self.cycle):
             self.crosspoints[i][j][flit.vc].push(flit)
-            self._occupied[j].add(i)
             self._in_flight_to_xp -= 1
+            if self._batch:
+                self._b_xp_cnt[i * k + j] += 1
+            else:
+                self._occupied[j].add(i)
 
     # ------------------------------------------------------------------
     # Output column: two-stage output VC allocation + switch arbitration
@@ -273,16 +275,36 @@ class BufferedCrossbarRouter(Router):
 
     def _output_stage(self) -> None:
         now = self.cycle
-        for j in range(self.config.radix):
-            if not self.output_busy.free(j, now) or not self._occupied[j]:
+        output_busy = self.output_busy
+        crosspoints = self.crosspoints
+        xp_vc_arb = self._xp_vc_arb
+        for j, occupied in enumerate(self._occupied):
+            if not occupied or not output_busy.free(j, now):
                 continue
-            candidates: dict = {}
+            owners = self.output_vcs[j].owners
+            candidates: Dict[int, Tuple[int, Flit]] = {}
             # Sorted so candidate order (which feeds the output arbiter)
             # never depends on set iteration order.
-            for i in sorted(self._occupied[j]):
-                cand = self._crosspoint_candidate(i, j)
-                if cand is not None:
-                    candidates[i] = cand
+            for i in sorted(occupied):
+                # v-to-1 crosspoint arbitration among the VCs whose head
+                # may proceed to output j: a body/tail flit iff its
+                # packet owns the output VC, a head flit iff that VC is
+                # free or already its own (crosspoint VC allocation).
+                ready: Dict[int, Flit] = {}
+                for vc, queue in enumerate(crosspoints[i][j].queues):
+                    q = queue._q
+                    if not q:
+                        continue
+                    flit = q[0]
+                    owner = owners[flit.vc]
+                    if owner == flit.packet_id or (
+                        flit.is_head and owner is None
+                    ):
+                        ready[vc] = flit
+                if not ready:
+                    continue
+                vc = xp_vc_arb[i][j].grant(ready)
+                candidates[i] = (vc, ready[vc])
             if not candidates:
                 continue
             winner = self._output_arb.grant(
@@ -292,38 +314,6 @@ class BufferedCrossbarRouter(Router):
                 continue
             vc, flit = candidates[winner]
             self._transmit(winner, j, vc, flit)
-
-    def _crosspoint_candidate(
-        self, i: int, j: int
-    ) -> Optional[Tuple[int, Flit]]:
-        """v-to-1 crosspoint arbitration: pick a sendable VC at (i, j)."""
-        bank = self.crosspoints[i][j]
-        ready = [
-            self._xp_flit_ready(j, bank[vc].head())
-            for vc in range(self.config.num_vcs)
-        ]
-        vc = self._xp_vc_arb[i][j].arbitrate(ready)
-        if vc is None:
-            return None
-        flit = bank[vc].head()
-        invariant(flit is not None, "crosspoint VC arbiter granted an "
-                  "empty VC", cycle=self.cycle, port=i, vc=vc,
-                  check="arbitration")
-        return vc, flit
-
-    def _xp_flit_ready(self, j: int, flit: Optional[Flit]) -> bool:
-        """Can this crosspoint flit proceed to output j?
-
-        Body/tail flits proceed iff their packet owns the output VC;
-        head flits claim their input-VC class and proceed iff that
-        output VC is free (crosspoint VC allocation).
-        """
-        if flit is None:
-            return False
-        state = self.output_vcs[j]
-        if flit.is_head:
-            return state.is_free(flit.vc) or state.owner(flit.vc) == flit.packet_id
-        return state.owner(flit.vc) == flit.packet_id
 
     def _transmit(self, i: int, j: int, vc: int, flit: Flit) -> None:
         popped = self.crosspoints[i][j][vc].pop()
@@ -351,13 +341,8 @@ class BufferedCrossbarRouter(Router):
         if self._credit_pipes is not None:
             self._credit_pipes[i].send(self.cycle, counter.restore)
         else:
-            invariant(self._credit_buses is not None, "credit return "
-                      "misconfigured: neither pipes nor buses present",
-                      cycle=self.cycle, port=i, check="credit-return")
             self._credit_buses[i].post(j, counter.restore)
-            if self._batch:
-                self._bus_counts[i * self.config.radix + j] += 1
-                self._b_bus_row_cnt[i] += 1
+            self._bus_live.add(i)
 
     def _step_credit_return(self) -> None:
         if self._credit_pipes is not None:
@@ -366,11 +351,15 @@ class BufferedCrossbarRouter(Router):
         elif self._batch:
             self._step_credit_return_batched()
         else:
-            invariant(self._credit_buses is not None, "credit return "
-                      "misconfigured: neither pipes nor buses present",
-                      cycle=self.cycle, check="credit-return")
-            for bus in self._credit_buses:
+            buses = self._credit_buses
+            live = self._bus_live
+            # Ascending bus order (delivery order is observable through
+            # fault drop hooks); an idle bus's step is a no-op.
+            for i in sorted(live):
+                bus = buses[i]
                 bus.step(self.cycle)
+                if bus.idle():
+                    live.discard(i)
 
     # ------------------------------------------------------------------
     # Batched hot path (config.batch_hot_path)
@@ -413,19 +402,10 @@ class BufferedCrossbarRouter(Router):
                 if pos < free.size and free[pos] == i:
                     sendable[pos, vc] = False
         winners = self._input_arb_b.arbitrate_rows(free, sendable)
-        hit = _np.nonzero(winners >= 0)[0]
-        fc = self.config.flit_cycles
-        for pos in hit.tolist():
+        for pos in _np.nonzero(winners >= 0)[0].tolist():
             i = int(free[pos])
             vc = int(winners[pos])
-            flit = self.inputs[i].queues[vc].pop()
-            self._in_flits[i] -= 1
-            self._credits[i][flit.dest][vc].consume()
-            self.input_busy.reserve(i, now, fc)
-            self._to_crosspoint.push(now, (flit, i, flit.dest))
-            self._in_flight_to_xp += 1
-            if self.hooks.stage_enter:
-                self.hooks.emit_stage_enter(flit, "XB", flit.dest, now)
+            self._launch(i, vc, self.inputs[i].queues[vc].pop(), now)
 
     def _output_stage_batched(self) -> None:
         now = self.cycle
@@ -448,8 +428,8 @@ class BufferedCrossbarRouter(Router):
         head2 = a.head.reshape(k * k, v)
         pid2 = a.pid.reshape(k * k, v)
         own_s = self._b_vc_owner.reshape(k, v)[j_rows]
-        # _xp_flit_ready per (row, vc): body/tail flits need ownership,
-        # head flits ownership or a free output VC.
+        # The scalar ready test per (row, vc): body/tail flits need
+        # ownership, head flits ownership or a free output VC.
         ready = (occ2[rows] > 0) & (
             (pid2[rows] == own_s) | (head2[rows] & (own_s < 0))
         )
@@ -476,38 +456,30 @@ class BufferedCrossbarRouter(Router):
 
     def _step_credit_return_batched(self) -> None:
         now = self.cycle
-        k = self.config.radix
-        counts = self._bus_counts
         buses = self._credit_buses
-        # A bus with neither backlog (a grant to hand out) nor credits
-        # in flight on the wire is a no-op in the scalar per-bus step,
-        # so the batched step only visits buses with work: rows with a
-        # nonzero pending count, plus the live set of buses whose wire
-        # still carries credits from earlier grants.
-        busy = _np.nonzero(self._b_bus_row_cnt)[0]
-        win = {}
-        if busy.size:
-            granted = self._bus_arb_b.arbitrate_rows(
-                busy, counts.reshape(k, k)[busy] > 0
-            )
-            for pos, i in enumerate(busy.tolist()):
-                win[i] = int(granted[pos])
-        live = self._b_bus_live
-        todo = set(win)
-        todo.update(live)
+        live = self._bus_live
         # Ascending bus order matches the scalar loop (delivery order
-        # is observable through fault drop hooks).
-        for i in sorted(todo):
+        # is observable through fault drop hooks); only live buses have
+        # anything to grant or deliver, and only those with a waiting
+        # credit a grant to hand out.
+        order = sorted(live)
+        rows = [i for i in order if buses[i]._waiting]
+        win = {}
+        if rows:
+            k = self.config.radix
+            requests = _np.zeros((len(rows), k), dtype=bool)
+            requests.flat[[
+                r * k + s for r, i in enumerate(rows)
+                for s in sorted(buses[i]._waiting)
+            ]] = True
+            granted = self._bus_arb_b.arbitrate_rows(_np.array(rows), requests)
+            win = dict(zip(rows, granted.tolist()))
+        for i in order:
             bus = buses[i]
-            w = win.get(i, -1)
-            if w >= 0:
-                bus.grant_to(w, now)
-                counts[i * k + w] -= 1
-                self._b_bus_row_cnt[i] -= 1
+            if i in win:
+                bus.grant_to(win[i], now)
             bus.deliver(now)
-            if bus.wire_busy:
-                live.add(i)
-            else:
+            if bus.idle():
                 live.discard(i)
 
     # ------------------------------------------------------------------
@@ -519,8 +491,7 @@ class BufferedCrossbarRouter(Router):
         # no flit is resident, or the restore callbacks never mature.
         if self._credit_pipes is not None:
             return any(pipe.pending() for pipe in self._credit_pipes)
-        buses = self._credit_buses
-        return buses is not None and not all(bus.idle() for bus in buses)
+        return bool(self._bus_live)
 
     def next_event(self, now: int) -> Optional[int]:
         horizon = super().next_event(now)
@@ -530,11 +501,23 @@ class BufferedCrossbarRouter(Router):
                 if due is not None and (horizon is None or due < horizon):
                     horizon = due
         elif self._credit_buses is not None:
-            for bus in self._credit_buses:
-                due = bus.next_due(now)
+            for i in sorted(self._bus_live):
+                due = self._credit_buses[i].next_due(now)
                 if due is not None and (horizon is None or due < horizon):
                     horizon = due
         return horizon
+
+    def _restore_state(self, state: Dict[str, Any]) -> None:
+        """The bus indices are derived: recounted from the restored
+        queues and wires, never captured."""
+        super()._restore_state(state)
+        buses = self._credit_buses
+        if buses is not None:
+            for bus in buses:
+                bus.reindex()
+            self._bus_live = {
+                i for i, bus in enumerate(buses) if not bus.idle()
+            }
 
     def _extra_occupancy(self) -> int:
         return sum(map(len, self._xp_flat)) + self._in_flight_to_xp

@@ -196,12 +196,7 @@ class HierarchicalCrossbarRouter(Router):
             if not sendable:
                 continue
             vc = self._input_arb[i].grant(sendable)
-            flit = sendable.get(vc)
-            if flit is None:
-                raise InvariantViolation(
-                    "input arbiter granted a VC with no sendable flit",
-                    cycle=now, port=i, vc=vc, check="arbitration",
-                )
+            flit = sendable[vc]
             col = flit.dest // p
             if queues[vc].pop() is not flit:
                 raise InvariantViolation(
@@ -295,12 +290,7 @@ class HierarchicalCrossbarRouter(Router):
             if not cands:
                 continue
             vc = sub.in_arb[li].grant(cands)
-            flit = cands.get(vc)
-            if flit is None:
-                raise InvariantViolation(
-                    "subswitch input arbiter granted an empty VC",
-                    cycle=now, vc=vc, check="arbitration",
-                )
+            flit = cands[vc]
             requests.setdefault(flit.dest % p, {})[li] = (vc, flit)
         # Local output arbitration per subswitch output lane.
         for lo, wanted in requests.items():
@@ -391,24 +381,12 @@ class HierarchicalCrossbarRouter(Router):
                 if not ready:
                     continue
                 vc = self._port_vc_arb[j][r].grant(ready)
-                flit = ready.get(vc)
-                if flit is None:
-                    raise InvariantViolation(
-                        "port VC arbiter granted an empty VC",
-                        port=j, vc=vc, check="arbitration",
-                    )
-                cands[r] = (vc, flit)
+                cands[r] = (vc, ready[vc])
                 requests[r] = True
             if not cands:
                 continue
             winner = self._port_arb[j].arbitrate(requests)  # dense: ~3 of s up
-            cand = cands.get(winner)
-            if cand is None:
-                raise InvariantViolation(
-                    "output port arbiter granted an empty candidate slot",
-                    cycle=now, port=j, check="arbitration",
-                )
-            vc, flit = cand
+            vc, flit = cands[winner]
             self._port_transmit(j, winner, c, lo, vc, flit)
 
     def _port_transmit(

@@ -31,13 +31,12 @@ costs the paper cites for this organization.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..allocation.switch_alloc import OutputArbiterBank
 from ..core.arbiter import RoundRobinArbiter
 from ..core.buffers import FlitQueue
 from ..core.config import RouterConfig
-from ..core.errors import invariant
 from ..core.credit import CreditCounter
 from ..core.flit import Flit
 from ..core.pipeline import DelayLine
@@ -99,42 +98,43 @@ class SharedBufferCrossbarRouter(Router):
 
     def _input_stage(self) -> None:
         now = self.cycle
-        for i in range(self.config.radix):
-            if not self._in_flits[i]:
+        config = self.config
+        fc = config.flit_cycles
+        in_flits = self._in_flits
+        input_busy = self.input_busy
+        stuck = self._stuck_inputs
+        head_delay = self._head_delay
+        hooks = self.hooks
+        for i in range(config.radix):
+            if not in_flits[i] or not input_busy.free(i, now):
                 continue
-            if not self.input_busy.free(i, now):
+            awaiting = self._awaiting[i]
+            credits = self._credits[i]
+            # Head flit of each VC that may launch a copy now: not
+            # wedged by a stuck-input fault, not awaiting the ACK/NACK
+            # of its last copy, past its route-computation delay, and
+            # holding a credit for its shared crosspoint buffer.
+            sendable: Dict[int, Flit] = {}
+            for vc, queue in enumerate(self.inputs[i].queues):
+                q = queue._q
+                if not q or awaiting[vc] or (stuck and (i, vc) in stuck):
+                    continue
+                flit = q[0]
+                if flit.is_head and now - flit.injected_at < head_delay:
+                    continue
+                if credits[flit.dest].available:
+                    sendable[vc] = flit
+            if not sendable:
                 continue
-            sendable = [
-                self._sendable(i, vc) for vc in range(self.config.num_vcs)
-            ]
-            vc = self._input_arb[i].arbitrate([f is not None for f in sendable])
-            if vc is None:
-                continue
+            vc = self._input_arb[i].grant(sendable)
             flit = sendable[vc]
-            invariant(flit is not None, "input arbiter granted a VC with "
-                      "no sendable flit", cycle=self.cycle, port=i, vc=vc,
-                      check="arbitration")
-            self._credits[i][flit.dest].consume()
-            self._awaiting[i][vc] = True
-            self.input_busy.reserve(i, now, self.config.flit_cycles)
+            credits[flit.dest].consume()
+            awaiting[vc] = True
+            input_busy.reserve(i, now, fc)
             self._to_crosspoint.push(now, (flit, i, flit.dest))
             self._in_flight += 1
-            if self.hooks.stage_enter:
-                self.hooks.emit_stage_enter(flit, "XB", flit.dest, now)
-
-    def _sendable(self, i: int, vc: int) -> Optional[Flit]:
-        if self._stuck_inputs and (i, vc) in self._stuck_inputs:
-            return None
-        if self._awaiting[i][vc]:
-            return None
-        flit = self.inputs[i][vc].head()
-        if flit is None:
-            return None
-        if flit.is_head and self.cycle - flit.injected_at < self._head_delay:
-            return None
-        if not self._credits[i][flit.dest].available:
-            return None
-        return flit
+            if hooks.stage_enter:
+                hooks.emit_stage_enter(flit, "XB", flit.dest, now)
 
     def _land_crosspoint_flits(self) -> None:
         for flit, i, j in self._to_crosspoint.pop_ready(self.cycle):

@@ -4,7 +4,7 @@ The batched hot path (``config.batch_hot_path``) rests on one claim:
 :class:`~repro.core.arbiter.BatchArbiterBank` behaves exactly like a
 list of independent :class:`~repro.core.arbiter.RoundRobinArbiter`
 instances, grant for grant and pointer for pointer, including the
-deferred ``commit`` protocol and the all-False-row-is-a-skipped-call
+deferred ``commit_rows`` protocol and the all-False-row-is-a-skipped-call
 equivalence.  These tests drive both implementations through identical
 random request/commit sequences and compare every observable after
 every step.  The banks are numpy-only; without numpy they refuse to
@@ -152,7 +152,7 @@ class TestBatchArbiterBank:
             assert bank.pointers == [s.pointer for s in scalars]
             if commit is not None:
                 row, winner = commit
-                bank.commit(row, winner)
+                bank.commit_rows(np.asarray([row]), np.asarray([winner]))
                 scalars[row].commit(winner)
                 assert bank.pointers == [s.pointer for s in scalars]
 
@@ -202,8 +202,9 @@ class TestBatchArbiterBank:
             BatchArbiterBank(2, 4, sizes=[4])
         with pytest.raises(ValueError):
             BatchArbiterBank(2, 4, sizes=[4, 5])
-        with pytest.raises(ValueError):
-            BatchArbiterBank(2, 4).commit(0, 7)
+        # Deferred rotation is commit_rows only; the scalar-style
+        # single-row commit was a test-only API.
+        assert not hasattr(BatchArbiterBank(2, 4), "commit")
 
 
 @needs_numpy

@@ -2,10 +2,10 @@
 
 The goldens (tests/test_golden_results.py) pin results and extras for
 ``batch_hot_path`` on and off.  These tests pin the remaining
-observable surfaces the ISSUE's acceptance criteria call out: Chrome
-trace bytes, fault-injection runs (whose injector draws interleave
-with the stage order), and checkpoint round-trips taken mid-run with
-the batched path enabled.
+observable surfaces for the one organization that still has an array
+twin, the buffered crossbar: Chrome trace bytes, fault-injection runs
+(whose injector draws interleave with the stage order), and checkpoint
+round-trips taken mid-run with the batched path enabled.
 """
 
 import pytest
@@ -29,7 +29,7 @@ pytestmark = pytest.mark.skipif(
 CFG = RouterConfig(radix=8, num_vcs=2, subswitch_size=4,
                    local_group_size=4, seed=13)
 FAST = SweepSettings(warmup=100, measure=200, drain=2000)
-ROUTERS = [BaselineRouter, BufferedCrossbarRouter]
+ROUTERS = [BufferedCrossbarRouter]
 
 
 def _pair(cfg):
@@ -58,13 +58,10 @@ class TestTraceBytes:
 class TestFaultRuns:
     @pytest.mark.parametrize("router_cls", ROUTERS)
     def test_injected_run_identical(self, router_cls):
-        stuck_kind = (
-            "crosspoint" if router_cls is BufferedCrossbarRouter else "input"
-        )
         plan = FaultPlan(
             corrupt_rate=0.02,
             credit_loss_rate=0.01,
-            stuck=(StuckFault(cycle=120, where=(1, 0), kind=stuck_kind,
+            stuck=(StuckFault(cycle=120, where=(1, 0), kind="crosspoint",
                               until=260),),
         )
         results = [
@@ -75,8 +72,8 @@ class TestFaultRuns:
 
 
 class TestDeletedTwins:
-    """The Clos and VOQ array twins measured behind or tied everywhere
-    and were deleted, not defaulted off."""
+    """The Clos, VOQ and baseline array twins measured behind or tied
+    everywhere and were deleted, not defaulted off."""
 
     def test_network_option_is_gone(self):
         with pytest.raises(TypeError):
@@ -85,6 +82,13 @@ class TestDeletedTwins:
     def test_voq_ignores_the_flag(self):
         router = VoqRouter(CFG.with_(batch_hot_path=True))
         assert not hasattr(router, "_b_voq") and not any(
+            isinstance(tracker, ArrayBusyTracker)
+            for tracker in (router.input_busy, router.output_busy)
+        )
+
+    def test_baseline_ignores_the_flag(self):
+        router = BaselineRouter(CFG.with_(batch_hot_path=True))
+        assert not hasattr(router, "_b_in") and not any(
             isinstance(tracker, ArrayBusyTracker)
             for tracker in (router.input_busy, router.output_busy)
         )

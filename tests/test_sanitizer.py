@@ -227,6 +227,47 @@ def test_detects_occupancy_index_drift(corrupt):
     assert exc.value.cycle == router.cycle
 
 
+def _corrupt_occupied(router):
+    # Toggle crosspoint (6, 3): wrong whether or not it holds a flit.
+    router._occupied[3] ^= {6}
+
+
+def _corrupt_bus_waiting(router):
+    router._credit_buses[2]._waiting ^= {5}
+
+
+def _corrupt_bus_live(router):
+    router._bus_live ^= {0}
+
+
+@pytest.mark.parametrize("router_cls, corrupt, config", [
+    (BufferedCrossbarRouter, _corrupt_occupied, RouterConfig(radix=8)),
+    (SharedBufferCrossbarRouter, _corrupt_occupied, RouterConfig(radix=8)),
+    (BufferedCrossbarRouter, _corrupt_bus_waiting, RouterConfig(radix=8)),
+    (BufferedCrossbarRouter, _corrupt_bus_live, RouterConfig(radix=8)),
+    # The array twin shares the buses and their live set.
+    (BufferedCrossbarRouter, _corrupt_bus_live,
+     RouterConfig(radix=8, batch_hot_path=True)),
+])
+def test_detects_crosspoint_index_drift(router_cls, corrupt, config):
+    """The crosspoint crossbars' output stages walk ``_occupied[j]``
+    instead of column j, each credit bus arbitrates among its
+    ``_waiting`` sources instead of scanning its row, and the router
+    steps only ``_bus_live`` buses; each index is audited against a
+    walk every cycle."""
+    sim = SwitchSimulation(
+        router_cls(config), load=0.6, sanitize=True, seed=3,
+    )
+    for _ in range(40):
+        sim.step()
+    router = sim.router.inner
+    corrupt(router)
+    with pytest.raises(InvariantViolation) as exc:
+        sim.router.check_now()
+    assert exc.value.check == "occupancy-index"
+    assert exc.value.cycle == router.cycle
+
+
 @pytest.mark.parametrize("router_cls", ALL_ROUTERS)
 def test_detects_input_count_drift(router_cls):
     """``Router._in_flits`` — what every input stage and the harness's
