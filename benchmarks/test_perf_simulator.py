@@ -6,16 +6,18 @@ host speed cancels; each also asserts that its two legs are the same
 simulation.  Absolute cycles per second, and their trajectory from PR
 to PR, are the end-to-end benchmark's job (``benchmarks/e2e``).
 
-The active-set tests compare the engine's two schedules: active-set
-(idle routers parked, known-empty input ports skipped) against the
-exhaustive reference (everything scanned every cycle).  Both must
-produce byte-identical results; the active-set schedule must be at
-least 1.5x faster on the low-load configurations where parking pays.
+The active-set tests compare the engine's one schedule (idle routers
+parked, known-empty input ports skipped) against the test suite's
+exhaustive oracle (``tests/exhaustive.py``: everything stepped and
+scanned every cycle) applied to the same simulation.  Both must produce
+the same simulation; the engine must be at least 1.5x faster on the
+low-load configurations where parking pays.
 """
 
 import pytest
 
 from common import paired_best
+from tests.exhaustive import exhaustive
 
 from repro.core.config import RouterConfig
 from repro.harness.experiment import SwitchSimulation
@@ -213,23 +215,24 @@ def test_perf_faults_disabled_overhead(monkeypatch):
 
 def test_perf_active_set_radix64_low_load():
     """Radix-64 switch at low load: parking must pay >= 1.5x."""
-    def run(active_set):
+    def run(oracle):
         sim = SwitchSimulation(
-            HierarchicalCrossbarRouter(RouterConfig(radix=64)),
-            load=0.005, active_set=active_set,
+            HierarchicalCrossbarRouter(RouterConfig(radix=64)), load=0.005,
         )
+        if oracle:
+            exhaustive(sim)
         for _ in range(2000):
             sim.step()
         return sim.router.stats.flits_ejected
 
-    (exhaustive, ref), (active, delivered) = paired_best(
-        lambda: run(False), lambda: run(True))
+    (oracle_s, ref), (active_s, delivered) = paired_best(
+        lambda: run(True), lambda: run(False))
     assert delivered == ref, "active-set changed the simulation"
     assert delivered > 0
-    speedup = exhaustive / active
+    speedup = oracle_s / active_s
     assert speedup >= SPEEDUP_FLOOR, (
         f"active-set speedup {speedup:.2f}x below {SPEEDUP_FLOOR}x "
-        f"(exhaustive {exhaustive:.3f}s, active {active:.3f}s)"
+        f"(exhaustive {oracle_s:.3f}s, active {active_s:.3f}s)"
     )
 
 
@@ -372,21 +375,20 @@ def test_perf_batch_hot_path_radix64_high_load():
 
 def test_perf_active_set_clos_radix16():
     """2-level radix-16 Clos: parked stages must pay >= 1.5x."""
-    def run(active_set):
-        sim = NetworkSimulation(
-            NetworkConfig(radix=16, levels=2), load=0.02,
-            active_set=active_set,
-        )
+    def run(oracle):
+        sim = NetworkSimulation(NetworkConfig(radix=16, levels=2), load=0.02)
+        if oracle:
+            exhaustive(sim)
         for _ in range(1500):
             sim.step()
         resident = sum(r.occupancy() for r in sim.routers.values())
         return (len(sim._inflight), resident)
 
-    (exhaustive, ref), (active, checksum) = paired_best(
-        lambda: run(False), lambda: run(True))
+    (oracle_s, ref), (active_s, checksum) = paired_best(
+        lambda: run(True), lambda: run(False))
     assert checksum == ref, "active-set changed the simulation"
-    speedup = exhaustive / active
+    speedup = oracle_s / active_s
     assert speedup >= SPEEDUP_FLOOR, (
         f"active-set speedup {speedup:.2f}x below {SPEEDUP_FLOOR}x "
-        f"(exhaustive {exhaustive:.3f}s, active {active:.3f}s)"
+        f"(exhaustive {oracle_s:.3f}s, active {active_s:.3f}s)"
     )

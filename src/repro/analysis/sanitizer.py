@@ -480,11 +480,10 @@ class SimSanitizer(CheckedRouter):
 
     def _check_input_counts(self, router: Router, cycle: int) -> None:
         """``_in_flits``, which the input stages and the harness trust
-        in place of walking the banks, must equal the walk (exhaustive
-        mode keeps no counts: nothing to audit)."""
+        in place of walking the banks, must equal the walk."""
         index = router._in_flits
         walked = [len(bank) for bank in router.inputs]
-        if isinstance(index, list) and index != walked:
+        if index != walked:
             raise _drift("_in_flits", index, walked, "the input banks", cycle)
 
     # -- crosspoint and credit-bus indices ------------------------------

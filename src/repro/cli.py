@@ -167,7 +167,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         injection=args.injection,
         settings=_settings(args),
         scheduler=args.scheduler,
-        processes=max(1, args.jobs),
+        processes=args.jobs,
     )
     print(format_sweeps(
         [sweep],

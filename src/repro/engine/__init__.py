@@ -28,13 +28,12 @@ cycle loops:
 """
 
 from ..core.errors import UnregisteredComponentError
-from .component import AlwaysActive, Component
+from .component import Component
 from .hooks import EngineHooks
 from .scheduler import EventScheduler, Scheduler, make_scheduler
 from .shard import ShardPool, ShardWorkerError, partition
 
 __all__ = [
-    "AlwaysActive",
     "Component",
     "EngineHooks",
     "EventScheduler",

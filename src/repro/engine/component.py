@@ -25,25 +25,6 @@ from typing import Any, ClassVar, Dict, Optional, Tuple
 from .hooks import EngineHooks
 
 
-class AlwaysActive:
-    """Stand-in for per-input flit counts in exhaustive mode.
-
-    Reads as -1 for every index — truthy, and equal to no real count —
-    and swallows writes, so a component switched to the reference
-    schedule keeps its count-maintenance code unchanged while its scan
-    loops degrade to checking every input — the pre-active-set
-    behaviour.
-    """
-
-    __slots__ = ()
-
-    def __getitem__(self, index: int) -> int:
-        return -1
-
-    def __setitem__(self, index: int, value: int) -> None:
-        return None
-
-
 class Component:
     """Base class for objects driven by the engine scheduler.
 
@@ -108,16 +89,6 @@ class Component:
         the scheduler may call them any number of times per cycle.
         """
         return None
-
-    def set_exhaustive(self) -> None:
-        """Switch to the reference schedule: scan everything, always.
-
-        Called by a ``Scheduler(active_set=False)`` at registration.
-        Components that keep internal activity tracking (per-input
-        flags) disable it here so "active-set off" really measures the
-        exhaustive baseline.  Results must be identical either way —
-        only the amount of provably-idle work differs.
-        """
 
     def on_wake(self, cycle: int) -> None:
         """Re-activation callback: fast-forward the local clock.

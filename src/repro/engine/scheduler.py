@@ -19,7 +19,8 @@ when running its phases would not change its state or statistics.  The
 routers guarantee this structurally — an empty router's arbitration
 loops are mutation-free (round-robin pointers do not advance on empty
 request sets) — which is what makes active-set scheduling byte-exact
-versus stepping everything (the golden tests pin this).
+versus stepping everything.  That reference schedule is a test oracle
+(``tests/exhaustive.py``), not a mode of this module.
 
 Components are registered in a fixed order and both phases always run
 in that order, so scheduling is deterministic regardless of wake
@@ -72,20 +73,15 @@ class Scheduler:
         components: Components in deterministic phase order.
         hooks: Optional scheduler-level bus for ``cycle_start`` /
             ``cycle_end`` events spanning the whole component set.
-        active_set: When False, every component runs every cycle
-            (reference mode for benchmarking the parking win and for
-            bisecting suspected parking bugs).
     """
 
     def __init__(
         self,
         components: Iterable[Component] = (),
         hooks: Optional[EngineHooks] = None,
-        active_set: bool = True,
     ) -> None:
         self.components: List[Component] = []
         self.hooks = hooks if hooks is not None else EngineHooks()
-        self.active_set = active_set
         self._index: Dict[int, int] = {}
         self._active: List[bool] = []
         #: Sorted slot indices of active components — run_cycle iterates
@@ -126,8 +122,6 @@ class Scheduler:
         self._active.append(True)
         self._active_slots.append(slot)  # ascending by construction
         self._n_active += 1
-        if not self.active_set:
-            comp.set_exhaustive()
 
     def add_pre_cycle(self, fn: Callable[[int], None]) -> None:
         """Run ``fn(now)`` before each executed engine cycle."""
@@ -180,28 +174,21 @@ class Scheduler:
             hooks.emit_cycle_start(now)
         components = self.components
         active = self._active
-        if self.active_set:
-            slots = self._active_slots
-            for slot in slots:
-                components[slot].compute(now)
-            parked = False
-            for slot in slots:
-                comp = components[slot]
-                comp.commit(now)
-                if not comp.busy():
-                    active[slot] = False
-                    self._n_active -= 1
-                    parked = True
-                    self._on_park(comp, now + 1)
-            self.component_steps += len(slots)
-            if parked:
-                self._active_slots = [s for s in slots if active[s]]
-        else:
-            for comp in components:
-                comp.compute(now)
-            for comp in components:
-                comp.commit(now)
-            self.component_steps += len(components)
+        slots = self._active_slots
+        for slot in slots:
+            components[slot].compute(now)
+        parked = False
+        for slot in slots:
+            comp = components[slot]
+            comp.commit(now)
+            if not comp.busy():
+                active[slot] = False
+                self._n_active -= 1
+                parked = True
+                self._on_park(comp, now + 1)
+        self.component_steps += len(slots)
+        if parked:
+            self._active_slots = [s for s in slots if active[s]]
         self.cycles_run += 1
         if hooks.cycle_end:
             hooks.emit_cycle_end(now + 1)
@@ -242,7 +229,7 @@ class Scheduler:
     #: ``_active_slots``/``_n_active``/``_index`` are rebuilt from the
     #: ``active`` flags on restore.
     SNAPSHOT_WIRING = (
-        "components", "hooks", "active_set", "_index", "_active",
+        "components", "hooks", "_index", "_active",
         "_active_slots", "_n_active", "_pre_cycle", "_post_cycle",
         "_wake_sources",
     )
@@ -318,9 +305,8 @@ class EventScheduler(Scheduler):
         self,
         components: Iterable[Component] = (),
         hooks: Optional[EngineHooks] = None,
-        active_set: bool = True,
     ) -> None:
-        super().__init__(components, hooks=hooks, active_set=active_set)
+        super().__init__(components, hooks=hooks)
         self._wheel: List[int] = []
 
     def _on_park(self, comp: Component, now: int) -> None:
@@ -423,11 +409,10 @@ def make_scheduler(
     mode: str,
     components: Iterable[Component] = (),
     hooks: Optional[EngineHooks] = None,
-    active_set: bool = True,
 ) -> Scheduler:
     """Build the drive loop for ``mode``: "cycle" or "event"."""
     if mode == "cycle":
-        return Scheduler(components, hooks=hooks, active_set=active_set)
+        return Scheduler(components, hooks=hooks)
     if mode == "event":
-        return EventScheduler(components, hooks=hooks, active_set=active_set)
+        return EventScheduler(components, hooks=hooks)
     raise ValueError(f"unknown scheduler mode {mode!r}; use 'cycle' or 'event'")

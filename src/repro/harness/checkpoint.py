@@ -40,7 +40,10 @@ from typing import Any, Dict, Optional
 #: Format 4: the run state both stacks share (measurement flags and
 #: counters, latency sample) moved from the per-stack ``harness`` dict
 #: to the bundle's top level, and a network measure program carries
-#: ``min_drain_fraction`` like a switch one.
+#: ``min_drain_fraction`` like a switch one.  Older format-4 specs carry
+#: a key for the retired step-everything schedule; rebuild ignores it
+#: (that schedule is byte-identical, and its all-active scheduler
+#: snapshot only lets components park at their next commit).
 CHECKPOINT_FORMAT = 4
 
 
@@ -147,7 +150,6 @@ def _switch_spec(sim) -> Dict[str, Any]:
     spec.update(
         router_cls=type(sim._engine),
         router_config=sim._engine.config,
-        active_set=sim._sched.active_set,
         scheduler=_scheduler_mode(sim._sched),
         faults=None if sim._faults is None else sim._faults.plan,
         workload=sim._workload,
@@ -168,7 +170,6 @@ def _build_switch(spec: Dict[str, Any]):
         injection=spec["injection"],
         avg_burst=spec["avg_burst"],
         seed=spec["seed"],
-        active_set=spec["active_set"],
         tracer=_build_tracer(spec["tracer"]),
         faults=spec["faults"],
         scheduler=spec["scheduler"],
@@ -182,7 +183,6 @@ def _network_spec(sim) -> Dict[str, Any]:
         "load": sim.load,
         "topology": sim.topology,
         "host_pattern": sim._host_pattern,
-        "active_set": sim._sched.active_set,
         "scheduler": _scheduler_mode(sim._sched),
         "faults": None if sim._faults is None else sim._faults.plan,
         "workload": sim._workload,
@@ -199,7 +199,6 @@ def _build_network(spec: Dict[str, Any]):
         spec["load"],
         topology=spec["topology"],
         host_pattern=spec["host_pattern"],
-        active_set=spec["active_set"],
         faults=spec["faults"],
         scheduler=spec["scheduler"],
         workload=spec["workload"],

@@ -78,7 +78,6 @@ class SwitchSimulation(StagedRun):
         avg_burst: float = 8.0,
         seed: Optional[int] = None,
         sanitize: bool = False,
-        active_set: bool = True,
         tracer=None,
         faults=None,
         scheduler: str = "cycle",
@@ -131,10 +130,7 @@ class SwitchSimulation(StagedRun):
         #: The router's event bus (metrics/tracing attach here).
         self.hooks = self._engine.hooks
         self._sched = make_scheduler(
-            scheduler,
-            [self._engine],
-            hooks=self._engine.hooks,
-            active_set=active_set,
+            scheduler, [self._engine], hooks=self._engine.hooks
         )
         # The drive loop is inverted: the scheduler owns the per-cycle
         # sequence (faults -> generate -> inject -> engine -> collect)
@@ -358,8 +354,7 @@ class SwitchSimulation(StagedRun):
     def _pick_vc(self, i: int) -> Optional[int]:
         v = self.config.num_vcs
         # Direct buffer reads (== input_space >= 1).  _inject skips a
-        # port whose whole bank is full, so outside exhaustive mode some
-        # VC here has room.
+        # port whose whole bank is full, so some VC here has room.
         queues = self._engine.inputs[i].queues
         rr = self._vc_rr[i]
         for offset in range(v):

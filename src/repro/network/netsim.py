@@ -118,7 +118,12 @@ class _CreditSink:
 
 
 class NetworkSimulation(StagedRun):
-    """End-to-end simulation of a network of routers on any topology."""
+    """End-to-end simulation of a network of routers on any topology.
+
+    Idle routers (no buffered flits, credits or VC releases pending)
+    are parked until a flit arrival wakes them — byte-identical to
+    stepping every router, which ``tests/exhaustive.py`` checks.
+    """
 
     #: Attributes :meth:`snapshot` deliberately omits (lint rule R010):
     #: construction parameters (``config``/``load``/``topology``/
@@ -136,7 +141,6 @@ class NetworkSimulation(StagedRun):
         topology: Optional[Topology] = None,
         host_pattern: Optional[object] = None,
         sanitize: bool = False,
-        active_set: bool = True,
         faults: Optional[object] = None,
         scheduler: str = "cycle",
         workload: Optional[Workload] = None,
@@ -156,10 +160,6 @@ class NetworkSimulation(StagedRun):
             sanitize: Run a :class:`~repro.analysis.NetworkSanitizer`
                 check (link credit conservation, buffer bounds) after
                 every cycle; it attaches through the engine hooks.
-            active_set: Park idle routers (no buffered flits, no
-                pending credits) and skip them until a flit arrival
-                wakes them.  Byte-identical to stepping everything;
-                False forces the exhaustive reference schedule.
             faults: Optional :class:`~repro.faults.FaultPlan`.  When
                 set (and enabled), a
                 :class:`~repro.faults.NetworkFaultInjector` drives
@@ -216,10 +216,7 @@ class NetworkSimulation(StagedRun):
         #: metrics, tracing) attaches here.
         self.hooks = EngineHooks()
         self._sched = make_scheduler(
-            scheduler,
-            self.routers.values(),
-            hooks=self.hooks,
-            active_set=active_set,
+            scheduler, self.routers.values(), hooks=self.hooks
         )
         # Inverted drive loop: the scheduler owns the per-cycle phase
         # sequence; this harness contributes its pre-engine work and

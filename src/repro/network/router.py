@@ -154,8 +154,6 @@ class NetworkRouter(Component):
         self._in_flits = [0] * n
         self._occupied: Set[int] = set()
         self._resident = 0
-        # Reference schedule (set_exhaustive): scan every input.
-        self._scan_all = False
         self._staged_credits: tuple = ()
         self._staged_releases: tuple = ()
         # Fault machinery (repro.faults): wedged input read ports and
@@ -234,11 +232,6 @@ class NetworkRouter(Component):
                 horizon = due
         return horizon
 
-    def set_exhaustive(self) -> None:
-        """Reference schedule: allocation probes every input and VC,
-        whatever the occupancy index says."""
-        self._scan_all = True
-
     # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------
@@ -250,12 +243,10 @@ class NetworkRouter(Component):
     #: shared across routers and checkpointed by the simulation.  The
     #: occupancy indices are derived: restore recounts them from the
     #: restored banks, so a capture written before they existed still
-    #: applies.  ``_scan_all`` is the scheduler's registration-time
-    #: choice.
+    #: applies.
     SNAPSHOT_WIRING = (
         "hooks", "config", "name", "links", "credit_sinks",
         "fault_injector", "_in_flits", "_occupied", "_resident",
-        "_scan_all",
     )
 
     def _snapshot_state(self) -> Dict[str, Any]:
@@ -331,8 +322,8 @@ class NetworkRouter(Component):
         so probing it would yield no candidate and ask no arbiter —
         nothing moves, nothing raises.  Every VC head of a visited
         input is still probed, in VC order, and inputs are visited in
-        ascending order (as the exhaustive ``_scan_all`` walk does),
-        which fixes the order outputs resolve and flits deliver in.
+        ascending order (as a walk of every input does), which fixes the
+        order outputs resolve and flits deliver in.
         """
         now = self.cycle
         inputs = self.inputs
@@ -340,9 +331,7 @@ class NetworkRouter(Component):
         input_busy = self.input_busy
         # output port -> {requesting input: (vc, flit)}
         requests: Dict[int, Dict[int, Tuple[int, Flit]]] = {}
-        for i in (
-            range(len(inputs)) if self._scan_all else sorted(self._occupied)
-        ):
+        for i in sorted(self._occupied):
             if not input_busy.free(i, now):
                 continue
             cands: Dict[int, Flit] = {}

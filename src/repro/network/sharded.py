@@ -222,10 +222,7 @@ class _ShardWorker:
             )
         self._wire(local)
         self._sched = make_scheduler(
-            payload["scheduler"],
-            self.routers.values(),
-            hooks=self.hooks,
-            active_set=payload["active_set"],
+            payload["scheduler"], self.routers.values(), hooks=self.hooks
         )
         self._sched.add_pre_cycle(self._pre_cycle)
         self._sched.add_wake_source(self._next_work)
@@ -492,7 +489,6 @@ class ShardedNetworkSimulation(NetworkSimulation):
         topology=None,
         host_pattern=None,
         sanitize: bool = False,
-        active_set: bool = True,
         faults=None,
         scheduler: str = "cycle",
         workload=None,
@@ -508,7 +504,7 @@ class ShardedNetworkSimulation(NetworkSimulation):
         self._shards = shards
         super().__init__(
             config, load, topology=topology, host_pattern=host_pattern,
-            active_set=active_set, faults=None, scheduler=scheduler,
+            faults=None, scheduler=scheduler,
             workload=workload, tracer=None, trace_switch=None,
         )
         self._owner: Dict[SwitchId, int] = {
@@ -574,7 +570,6 @@ class ShardedNetworkSimulation(NetworkSimulation):
                 "topology": self.topology,
                 "block": self._blocks[w],
                 "scheduler": scheduler,
-                "active_set": active_set,
                 "plan": plan,
                 "seed": config.seed,
                 "tracer": tracer_spec,

@@ -33,14 +33,14 @@ the tail flit ... the virtual channel is freed").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.buffers import VcBufferBank
 from ..core.config import RouterConfig
 from ..core.flit import Flit
 from ..core.pipeline import BusyTracker, DelayLine
 from ..core.vcstate import OutputVcState
-from ..engine.component import AlwaysActive, Component
+from ..engine.component import Component
 from ..engine.hooks import EngineHooks
 
 
@@ -107,9 +107,8 @@ class Router(Component):
         # yields no candidates and the arbiters never advance their
         # pointers on an empty request set — and the harness reads a
         # count equal to the bank's capacity as "no VC has room".
-        # Derived state: recounted from the banks on restore.  Replaced
-        # by AlwaysActive in exhaustive mode.
-        self._in_flits: Union[List[int], AlwaysActive] = [0] * k
+        # Derived state: recounted from the banks on restore.
+        self._in_flits: List[int] = [0] * k
         self._staged_ejects: Sequence[Tuple[Flit, int]] = ()
         self._staged_releases: Sequence[Tuple[int, int, int]] = ()
         # Fault machinery (repro.faults): wedged input read ports, and
@@ -195,16 +194,11 @@ class Router(Component):
                 horizon = due
         return horizon
 
-    def set_exhaustive(self) -> None:
-        """Reference schedule: disable the per-input flit counts."""
-        self._in_flits = AlwaysActive()
-
     def _restore_state(self, state: Dict[str, Any]) -> None:
         """The per-input counts are derived: recounted, not captured; a
         key this build does not carry (an older capture's index) is dropped."""
         super()._restore_state({k: v for k, v in state.items() if k in self.__dict__})
-        if isinstance(self._in_flits, list):
-            self._in_flits = [len(bank) for bank in self.inputs]
+        self._in_flits = [len(bank) for bank in self.inputs]
 
     def drain_ejected(self) -> List[Tuple[Flit, int]]:
         """Return and clear the flits delivered since the last drain."""

@@ -68,6 +68,19 @@ class TestCommands:
         parallel = capsys.readouterr().out
         assert parallel == serial
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_sweep_rejects_non_positive_jobs(self, capsys, jobs):
+        """Regression: ``--jobs`` was clamped to 1, so ``--jobs 0``
+        silently ran serial and printed a table."""
+        assert main([
+            "sweep", "--radix", "8", "--loads", "0.2", "--jobs", jobs,
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"repro sweep: processes must be >= 1, got {jobs}\n"
+        )
+
     def test_sweep_with_plot(self, capsys):
         rc = main([
             "sweep", "--arch", "baseline", "--radix", "8",

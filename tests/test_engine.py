@@ -5,7 +5,8 @@ Covers the three pieces every simulation layer now shares:
 * :class:`~repro.engine.Component` — compute/commit phase ordering and
   the standalone ``step()`` compatibility path;
 * :class:`~repro.engine.Scheduler` — active-set parking, wake-up, and
-  the guarantee that parking never changes simulation results;
+  the guarantee that parking never changes simulation results (checked
+  against the step-everything oracle of ``tests/exhaustive.py``);
 * :class:`~repro.engine.EngineHooks` — the event bus instrumentation
   attaches through.
 """
@@ -17,6 +18,7 @@ from repro.engine import Component, EngineHooks, Scheduler
 from repro.harness.experiment import SweepSettings, SwitchSimulation
 from repro.network.netsim import NetworkConfig, NetworkSimulation
 from repro.routers.hierarchical import HierarchicalCrossbarRouter
+from tests.exhaustive import exhaustive
 
 SMALL = RouterConfig(radix=8, num_vcs=2, subswitch_size=4,
                      local_group_size=4)
@@ -130,13 +132,25 @@ class TestScheduler:
         sched.wake(t, 3)
         assert t.wakes == []
 
-    def test_active_set_false_steps_everything(self):
-        a, b = Ticker(work=0), Ticker(work=0)
-        sched = Scheduler([a, b], active_set=False)
-        for now in range(4):
-            sched.run_cycle(now)
-        assert sched.component_steps == 8
-        assert len(a.journal) == 8  # 4 computes + 4 commits
+    def test_exhaustive_oracle_steps_everything(self):
+        """The tests-side oracle never parks (so never fast-forwards)
+        at a load where the engine parks nearly everything."""
+        cfg = NetworkConfig(radix=4, levels=2, num_vcs=2)
+        for scheduler in ("cycle", "event"):
+            self._assert_never_parks(SwitchSimulation(
+                HierarchicalCrossbarRouter(SMALL), load=0.02,
+                scheduler=scheduler,
+            ))
+            self._assert_never_parks(
+                NetworkSimulation(cfg, load=0.02, scheduler=scheduler)
+            )
+
+    @staticmethod
+    def _assert_never_parks(sim):
+        sched = exhaustive(sim)._sched
+        sim.run_until(400)
+        assert sched.cycles_run == 400 and sched.cycles_skipped == 0
+        assert sched.component_steps == 400 * len(sched.components)
 
     def test_register_after_construction(self):
         sched = Scheduler()
@@ -188,11 +202,10 @@ class TestActiveSetEquivalence:
     @pytest.mark.parametrize("load", [0.05, 0.6])
     def test_switch_results_identical(self, load):
         results = []
-        for active_set in (True, False):
-            sim = SwitchSimulation(
-                HierarchicalCrossbarRouter(SMALL), load=load,
-                active_set=active_set,
-            )
+        for oracle in (False, True):
+            sim = SwitchSimulation(HierarchicalCrossbarRouter(SMALL), load=load)
+            if oracle:
+                exhaustive(sim)
             results.append(sim.run(SETTINGS))
         on, off = results
         assert on.avg_latency == off.avg_latency
@@ -210,12 +223,11 @@ class TestActiveSetEquivalence:
     def test_network_results_identical(self):
         cfg = NetworkConfig(radix=4, levels=2, num_vcs=2, packet_size=1)
         results = []
-        for active_set in (True, False):
-            sim = NetworkSimulation(cfg, load=0.2,
-                                        active_set=active_set)
-            results.append(
-                sim.run(warmup=150, measure=250, drain=3000)
-            )
+        for oracle in (False, True):
+            sim = NetworkSimulation(cfg, load=0.2)
+            if oracle:
+                exhaustive(sim)
+            results.append(sim.run(warmup=150, measure=250, drain=3000))
         on, off = results
         assert on.avg_latency == off.avg_latency
         assert on.throughput == off.throughput
@@ -232,7 +244,7 @@ class TestActiveSetEquivalence:
 class TestTraceDeterminism:
     """The exported trace is a function of (config, seed) alone."""
 
-    def _chrome_bytes(self, active_set=True, seed=9):
+    def _chrome_bytes(self, oracle=False, seed=9):
         from repro.core.flit import reset_packet_ids
         from repro.trace import TraceCollector, chrome_trace_json
 
@@ -240,8 +252,10 @@ class TestTraceDeterminism:
         collector = TraceCollector()
         sim = SwitchSimulation(
             HierarchicalCrossbarRouter(SMALL), load=0.35, seed=seed,
-            active_set=active_set, tracer=collector,
+            tracer=collector,
         )
+        if oracle:
+            exhaustive(sim)
         sim.run(SETTINGS)
         return chrome_trace_json(collector)
 
@@ -250,9 +264,7 @@ class TestTraceDeterminism:
 
     def test_active_set_invisible_in_trace(self):
         """Scheduler parking must not perturb one traced timestamp."""
-        parked = self._chrome_bytes(active_set=True)
-        exhaustive = self._chrome_bytes(active_set=False)
-        assert parked == exhaustive
+        assert self._chrome_bytes() == self._chrome_bytes(oracle=True)
 
     def test_different_seeds_diverge(self):
         assert self._chrome_bytes(seed=9) != self._chrome_bytes(seed=10)

@@ -30,6 +30,7 @@ from repro.routers.baseline import BaselineRouter
 from repro.routers.buffered import BufferedCrossbarRouter
 from repro.routers.hierarchical import HierarchicalCrossbarRouter
 from repro.routers.voq import VoqRouter
+from tests.exhaustive import exhaustive
 
 CFG = RouterConfig(radix=8, num_vcs=2, subswitch_size=4, local_group_size=4)
 FAST = SweepSettings(warmup=150, measure=300, drain=3000)
@@ -189,8 +190,10 @@ class TestDropHook:
 # ----------------------------------------------------------------------
 
 
-def _run(router_cls, plan, load=0.5, cfg=CFG, **kw):
+def _run(router_cls, plan, load=0.5, cfg=CFG, oracle=False, **kw):
     sim = SwitchSimulation(router_cls(cfg), load=load, faults=plan, **kw)
+    if oracle:
+        exhaustive(sim)
     return sim.run(FAST)
 
 
@@ -229,9 +232,9 @@ class TestSwitchInjector:
 
     def test_active_set_equivalence_under_faults(self):
         plan = FaultPlan(corrupt_rate=0.03, credit_loss_rate=0.01)
-        on = _run(BufferedCrossbarRouter, plan, load=0.3, active_set=True)
-        off = _run(BufferedCrossbarRouter, plan, load=0.3, active_set=False)
-        assert on == off
+        parked = _run(BufferedCrossbarRouter, plan, load=0.3)
+        assert parked == _run(BufferedCrossbarRouter, plan, load=0.3,
+                              oracle=True)
 
     def test_plan_seed_decouples_fault_stream(self):
         """plan.seed overrides the sim seed for fault draws only."""
@@ -432,11 +435,9 @@ class TestNetworkInjector:
     def test_network_active_set_equivalence(self):
         plan = FaultPlan(corrupt_rate=0.02, credit_loss_rate=0.005)
         kw = dict(warmup=200, measure=300, drain=3000)
-        on = NetworkSimulation(NET, 0.2, faults=plan,
-                                   active_set=True).run(**kw)
-        off = NetworkSimulation(NET, 0.2, faults=plan,
-                                    active_set=False).run(**kw)
-        assert on == off
+        parked = NetworkSimulation(NET, 0.2, faults=plan).run(**kw)
+        oracle = exhaustive(NetworkSimulation(NET, 0.2, faults=plan))
+        assert parked == oracle.run(**kw)
 
     def test_unknown_switch_rejected(self):
         plan = FaultPlan(links=(LinkFault(0, ("no", "such"), 0),))

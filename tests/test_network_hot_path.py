@@ -4,12 +4,13 @@
 resolves each requested output through the sparse
 :meth:`~repro.core.arbiter.RoundRobinArbiter.grant`; these tests pin
 that against the commit before the index existed (a digest), against
-the exhaustive ``active_set=False`` schedule that ignores the index
-(differentials under faults and tracing), and across a checkpoint
-written before the index existed (restore rebuilds it).
+the exhaustive oracle (``tests/exhaustive.py``) that ignores the index
+(differentials under faults and tracing), and across checkpoints
+written by earlier commits (restore rebuilds the index).
 """
 
 import hashlib
+import pickle
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,9 @@ from repro.core.flit import reset_packet_ids
 from repro.faults import FaultPlan, LinkFault
 from repro.harness.checkpoint import CHECKPOINT_FORMAT, load_checkpoint
 from repro.network.netsim import NetworkConfig, NetworkSimulation
+from repro.network.router import NetworkRouter
 from repro.trace import TraceCollector, chrome_trace_json
+from tests.exhaustive import exhaustive
 
 FIXTURES = Path(__file__).parent / "fixtures" / "checkpoints"
 
@@ -60,7 +63,7 @@ class TestParentPinnedDigest:
         )
 
 
-def _observe(radix, num_vcs, scheduler, load, active_set):
+def _observe(radix, num_vcs, scheduler, load, oracle):
     """One faulted, traced run: two dead links, credit loss,
     host-channel corruption, and two input VCs of the traced leaf
     wedged from cycle 0 until a pause at cycle 100."""
@@ -79,8 +82,10 @@ def _observe(radix, num_vcs, scheduler, load, active_set):
     tracer = TraceCollector(capacity=100000)
     sim = NetworkSimulation(
         config, load=load, faults=plan, scheduler=scheduler,
-        active_set=active_set, tracer=tracer, trace_switch=leaf,
+        tracer=tracer, trace_switch=leaf,
     )
+    if oracle:
+        exhaustive(sim)
     wedged = sim.routers[leaf]
     wedged._stuck_inputs.update({(0, 0), (m + 2, num_vcs - 1)})
     sim.start_run(warmup=40, measure=80, drain=400)
@@ -99,7 +104,7 @@ def _observe(radix, num_vcs, scheduler, load, active_set):
 
 
 class TestIndexedEqualsExhaustive:
-    """``active_set=False`` walks every input of every router every
+    """The exhaustive oracle walks every input of every router every
     cycle and never consults ``_occupied``: the oracle for the skip
     rule, under the faults that hold flits in place."""
 
@@ -111,8 +116,8 @@ class TestIndexedEqualsExhaustive:
         (16, 2, "cycle", 0.3), (16, 2, "event", 0.3),
     ])
     def test_faulted_traced_run(self, radix, num_vcs, scheduler, load):
-        indexed = _observe(radix, num_vcs, scheduler, load, active_set=True)
-        oracle = _observe(radix, num_vcs, scheduler, load, active_set=False)
+        indexed = _observe(radix, num_vcs, scheduler, load, oracle=False)
+        oracle = _observe(radix, num_vcs, scheduler, load, oracle=True)
         result, extra, paused, faults, chrome, records = indexed
         assert paused == oracle[2] == 100
         assert result == oracle[0]
@@ -121,6 +126,22 @@ class TestIndexedEqualsExhaustive:
         assert chrome == oracle[4]
         assert records == oracle[5]
         assert extra["stats.faults.credit_lost"] > 0
+
+    def test_oracle_catches_an_unindexed_port(self, monkeypatch):
+        """Port 1 never enters ``_occupied``, so allocation skips it
+        while it holds flits.  The oracle ignores the index and runs as
+        before; the indexed run must differ from it."""
+        oracle = _observe(16, 2, "cycle", 0.3, oracle=True)
+        accept = NetworkRouter.accept
+
+        def unindexed(self, port, flit):
+            accept(self, port, flit)
+            if port == 1:
+                self._occupied.discard(1)
+
+        monkeypatch.setattr(NetworkRouter, "accept", unindexed)
+        assert _observe(16, 2, "cycle", 0.3, oracle=True) == oracle
+        assert _observe(16, 2, "cycle", 0.3, oracle=False) != oracle
 
 
 class TestParentWrittenCheckpoint:
@@ -164,3 +185,44 @@ class TestParentWrittenCheckpoint:
             "stats.engine.ff_jumps": jumps,
             "stats.traffic.max_source_queue": 19.0,
         }
+
+
+class TestParentWrittenExhaustiveCheckpoint:
+    """``tests/fixtures/checkpoints/net_format4_exhaustive.ckpt`` was
+    written on the exhaustive schedule, when that was still a
+    constructor option: a radix-4 Clos in event mode at load 0.8,
+    paused mid-drain at cycle 260 with 35 flits buffered in two routers.
+    Its spec carries the retired option's key and its scheduler snapshot
+    marks every router active; restore ignores the key, the routers
+    park at their next idle commit, and the run continues to the row
+    (and every extra but the engine's) that the parent commit reached
+    uninterrupted."""
+
+    def test_restores_and_continues(self):
+        if CHECKPOINT_FORMAT != 4:
+            pytest.skip("the fixture is a format-4 file")
+        path = FIXTURES / "net_format4_exhaustive.ckpt"
+        with open(path, "rb") as fh:
+            payload = pickle.load(fh)
+        assert payload["spec"]["active_set"] is False
+        assert payload["spec"]["scheduler"] == "event"
+        sim = load_checkpoint(path)
+        assert sim.cycle == 260
+        assert sim._program["stage"] == 2  # draining
+        assert sim._sched.active_count() == len(sim.routers)
+        assert [r._resident for r in sim.routers.values()] == [12, 23, 0, 0]
+        for router in sim.routers.values():
+            assert router._in_flits == [len(b) for b in router.inputs]
+        assert [len(q) for q in sim._source_q] == [1, 1, 1, 1]
+        assert sim.advance_run()
+        result = sim.finish_run()
+        assert _row(result) == {
+            "offered_load": 0.8, "avg_latency": 45.68852459016394,
+            "p99_latency": 96.78999999999999, "max_latency": 108.0,
+            "throughput": 0.6666666666666666, "packets_measured": 122,
+            "cycles": 351, "saturated": False,
+        }
+        assert {
+            k: v for k, v in result.extra.items()
+            if not k.startswith("stats.engine.")
+        } == {"stats.traffic.max_source_queue": 5.0}

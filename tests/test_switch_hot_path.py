@@ -8,13 +8,14 @@ direct deque heads to ``RoundRobinArbiter.grant``; the harness skips a
 port whose bank is full and asks the injection process once per
 arrival.  None of it may move a result, an extra, a fault event, a
 trace byte or an arbiter pointer — pinned here against the exhaustive
-schedule (which consults no count) and against a checkpoint written by
-the commit before the count existed.  The radix-64 digest of
-``tests/test_hierarchical_router.py`` and the goldens pin the same
-thing at the parent's own bytes.
+oracle (``tests/exhaustive.py``, which consults no count) and against
+checkpoints written by earlier commits (restore recounts).  The
+radix-64 digest of ``tests/test_hierarchical_router.py`` and the
+goldens pin the same thing at the parent's own bytes.
 """
 
 import math
+import pickle
 from collections import deque
 from pathlib import Path
 
@@ -35,7 +36,9 @@ from repro.routers import (
     SharedBufferCrossbarRouter,
     VoqRouter,
 )
+from repro.routers.base import Router
 from repro.trace import TraceCollector, chrome_trace_json
+from tests.exhaustive import exhaustive
 
 FIXTURES = Path(__file__).parent / "fixtures" / "checkpoints"
 
@@ -140,17 +143,19 @@ def _scenarios(draw):
     )
 
 
-def _observe(router_cls, scenario, scheduler, active_set):
+def _observe(router_cls, scenario, scheduler, oracle):
     reset_packet_ids()
     tracer = TraceCollector()
     sim = SwitchSimulation(
         router_cls(scenario["config"]), load=scenario["load"],
         packet_size=scenario["packet_size"], faults=scenario["faults"],
         injection=scenario["injection"], scheduler=scheduler,
-        active_set=active_set, tracer=tracer,
+        tracer=tracer,
     )
     router = sim.router
-    if active_set:
+    if oracle:
+        exhaustive(sim)
+    else:
         _audit_counts_every_cycle(sim, router)
     result = sim.run(PROPERTY_RUN)
     extras = {k: v for k, v in result.extra.items()
@@ -162,9 +167,9 @@ def _observe(router_cls, scenario, scheduler, active_set):
 
 
 class TestCountedEqualsExhaustive:
-    """``active_set=False`` swaps the counts for ``AlwaysActive``:
-    every input of every stage is probed every cycle and the harness
-    never skips a port — the oracle for both skip rules."""
+    """The exhaustive oracle swaps the counts for ``AlwaysActive`` and
+    parks nothing: every input of every stage is probed every cycle and
+    the harness never skips a port — the oracle for both skip rules."""
 
     @pytest.mark.parametrize("router_cls", ALL_ROUTERS)
     @settings(max_examples=6, deadline=None)
@@ -186,13 +191,41 @@ class TestCountedEqualsExhaustive:
         ),
     ))
     def test_faulted_traced_run(self, router_cls, scenario):
-        first = _observe(router_cls, scenario, "cycle", True)
-        for scheduler, active_set in (
-            ("cycle", False), ("event", True), ("event", False),
+        first = _observe(router_cls, scenario, "cycle", oracle=False)
+        for scheduler, oracle in (
+            ("cycle", True), ("event", False), ("event", True),
         ):
-            assert _observe(
-                router_cls, scenario, scheduler, active_set
-            ) == first
+            assert _observe(router_cls, scenario, scheduler, oracle) == first
+
+
+class TestOracleCatchesABrokenCount:
+    @pytest.mark.parametrize("router_cls", ALL_ROUTERS)
+    def test_uncounted_port_differs_from_the_oracle(
+        self, monkeypatch, router_cls
+    ):
+        """Port 3's accepts go uncounted, so every input stage skips a
+        port that holds flits.  The oracle consults no count and runs
+        as before; the differential above must tell the two apart once
+        the per-cycle audit, which would fail first, is switched off."""
+        scenario = dict(
+            config=RouterConfig(radix=8, subswitch_size=4,
+                                local_group_size=4, num_vcs=2, seed=5),
+            packet_size=2, load=0.6, injection="bernoulli", faults=None,
+        )
+        oracle = _observe(router_cls, scenario, "cycle", oracle=True)
+        assert _observe(router_cls, scenario, "cycle", oracle=False) == oracle
+        accept = Router.accept
+
+        def uncounted(self, port, flit):
+            accept(self, port, flit)
+            if port == 3:
+                self._in_flits[3] -= 1
+
+        monkeypatch.setattr(Router, "accept", uncounted)
+        monkeypatch.setattr(f"{__name__}._audit_counts_every_cycle",
+                            lambda sim, router: None)
+        assert _observe(router_cls, scenario, "cycle", oracle=True) == oracle
+        assert _observe(router_cls, scenario, "cycle", oracle=False) != oracle
 
 
 class TestBlockedPortSkip:
@@ -376,4 +409,47 @@ class TestParentWrittenCrosspointCheckpoints:
             "stats.traffic.max_source_queue": 16.0,
             "stats.engine.cycles_skipped": 0.0,
             "stats.engine.ff_jumps": 0.0,
+        }
+
+
+class TestParentWrittenExhaustiveCheckpoint:
+    """``tests/fixtures/checkpoints/switch_format4_exhaustive.ckpt`` was
+    written on the exhaustive schedule, when that was still a
+    constructor option: a radix-8 buffered crossbar at load 0.9, paused
+    mid-measure at cycle 170 with 19 flits inside.  Its spec carries the
+    retired option's key and its scheduler snapshot marks the router
+    active; restore ignores the key and recounts ``_in_flits`` from the
+    banks, and the run continues to the row (and every extra but the
+    engine's) that the parent commit reached uninterrupted."""
+
+    def test_restores_and_continues(self):
+        if CHECKPOINT_FORMAT != 4:
+            pytest.skip("the fixture is a format-4 file")
+        path = FIXTURES / "switch_format4_exhaustive.ckpt"
+        with open(path, "rb") as fh:
+            assert pickle.load(fh)["spec"]["active_set"] is False
+        sim = load_checkpoint(path)
+        router = sim.router
+        assert isinstance(router, BufferedCrossbarRouter)
+        assert sim.cycle == 170
+        assert router.occupancy() == 19
+        assert router._in_flits == _walked(router)
+        assert [len(src.queue) for src in sim.sources] == [
+            3, 1, 4, 0, 0, 0, 0, 0,
+        ]
+        _audit_counts_every_cycle(sim, router)
+        assert sim.advance_run()
+        result = sim.finish_run()
+        assert _row(result) == {
+            "offered_load": 0.9, "avg_latency": 20.59259259259259,
+            "p99_latency": 63.76999999999998, "max_latency": 114.0,
+            "throughput": 0.8125, "packets_measured": 324, "cycles": 374,
+            "saturated": False,
+        }
+        assert {
+            k: v for k, v in result.extra.items()
+            if not k.startswith("stats.engine.")
+        } == {
+            "undelivered": 0.0, "source_backlog": 11.0,
+            "stats.traffic.max_source_queue": 8.0,
         }
