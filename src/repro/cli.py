@@ -7,6 +7,8 @@ Gives the library's main experiments a shell entry point:
 * ``radix`` — the Section 2 analytical optimum for a technology point;
 * ``network`` — the Figure 19 Clos-network comparison;
 * ``area`` — storage/area comparison between organizations;
+* ``pipeline`` — the Figure 5/7 pipeline diagrams of the distributed
+  and hierarchical organizations;
 * ``run`` — a single measured run, optionally under the runtime
   sanitizer (``--sanitize``);
 * ``trace`` — a traced run: measured per-stage pipeline breakdown and
@@ -28,10 +30,11 @@ Examples::
 
     python -m repro sweep --arch hierarchical --radix 32 --plot
     python -m repro sweep --arch voq --radix 64 --jobs 4
-    python -m repro saturate --arch all --pattern bursty
+    python -m repro saturate --arch all --injection onoff
     python -m repro radix --bandwidth 20e12 --delay 5e-9 --nodes 2048 --packet 256
     python -m repro network --load 0.5
     python -m repro area --radix 64
+    python -m repro pipeline --radix 64
     python -m repro run --arch buffered --radix 16 --load 0.8 --sanitize
     python -m repro trace --arch hierarchical --radix 8 --subswitch 4 --chrome out.json
     python -m repro faults --arch buffered --radix 8 --rates 0,0.01,0.05 --sanitize
@@ -49,9 +52,12 @@ import sys
 from typing import Callable, Dict, Optional, Sequence
 
 from .core.config import RouterConfig
+from .core.errors import InvariantViolation
 from .core.pipeline_diagram import compare as compare_pipelines
+from .harness import load_checkpoint
 from .harness.experiment import (
     SweepSettings,
+    SwitchSimulation,
     run_load_sweep,
     saturation_throughput,
 )
@@ -60,7 +66,12 @@ from .harness.report import format_sweeps, format_table
 from .models.area import AreaModel, storage_bits
 from .models.latency import optimal_radix, packet_latency
 from .models.technology import Technology
-from .network.netsim import NetworkConfig, NetworkSimulation
+from .network.netsim import (
+    NetworkConfig,
+    NetworkSimulation,
+    run_network_sweep,
+)
+from .network.topology import FoldedClos
 from .routers.baseline import BaselineRouter
 from .routers.buffered import BufferedCrossbarRouter
 from .routers.distributed import DistributedRouter
@@ -82,16 +93,6 @@ ARCHITECTURES: Dict[str, Callable] = {
     "shared-buffer": SharedBufferCrossbarRouter,
     "hierarchical": HierarchicalCrossbarRouter,
     "voq": VoqRouter,
-}
-
-#: Architecture key used by the area model for each CLI name.
-AREA_KEYS = {
-    "baseline": "baseline",
-    "distributed": "distributed",
-    "buffered": "buffered",
-    "shared-buffer": "shared_buffer",
-    "hierarchical": "hierarchical",
-    "voq": "voq",
 }
 
 
@@ -126,6 +127,25 @@ def _settings(args: argparse.Namespace) -> SweepSettings:
     )
 
 
+def _switch_sim(args: argparse.Namespace, config: RouterConfig,
+                **options) -> SwitchSimulation:
+    """The ``--arch`` router at ``--load`` with the traffic flags;
+    ``options`` go to :class:`SwitchSimulation` unchanged."""
+    return SwitchSimulation(
+        ARCHITECTURES[args.arch](config),
+        load=args.load,
+        packet_size=args.packet_size,
+        pattern=_make_pattern(args.pattern, config),
+        injection=args.injection,
+        **options,
+    )
+
+
+def _sanitized(args: argparse.Namespace) -> str:
+    """Table-title suffix marking a sanitized run."""
+    return " [sanitized]" if args.sanitize else ""
+
+
 def _add_router_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--radix", type=int, default=32)
     sub.add_argument("--vcs", type=int, default=4)
@@ -154,14 +174,31 @@ def _add_scheduler_arg(sub: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_sanitize_arg(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--sanitize", action="store_true",
+                     help="verify conservation invariants every cycle")
+
+
+def _add_fault_args(sub: argparse.ArgumentParser,
+                    sweep: bool = False) -> None:
+    """Corruption rate (``--rates`` list with ``sweep``), credit loss."""
+    if sweep:
+        sub.add_argument("--rates", default="0.0,0.01,0.05,0.1",
+                         help="comma-separated flit corruption rates")
+    else:
+        sub.add_argument("--corrupt-rate", type=float, default=0.0,
+                         help="host-channel flit corruption probability")
+    sub.add_argument("--credit-loss", type=float, default=0.0,
+                     help="credit-loss probability per delivery")
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    cls = ARCHITECTURES[args.arch]
     loads = [float(x) for x in args.loads.split(",")]
     # partial() of the module-level _make_pattern stays picklable
     # (lambdas would break --jobs under the spawn start method).
     sweep = run_load_sweep(
-        cls, config, loads, label=args.arch,
+        ARCHITECTURES[args.arch], config, loads, label=args.arch,
         packet_size=args.packet_size,
         pattern_factory=functools.partial(_make_pattern, args.pattern),
         injection=args.injection,
@@ -192,7 +229,7 @@ def cmd_saturate(args: argparse.Namespace) -> int:
         thpt = saturation_throughput(
             ARCHITECTURES[name], config,
             packet_size=args.packet_size,
-            pattern_factory=lambda c: _make_pattern(args.pattern, c),
+            pattern_factory=functools.partial(_make_pattern, args.pattern),
             injection=args.injection,
             settings=settings,
         )
@@ -209,67 +246,48 @@ def cmd_run(args: argparse.Namespace) -> int:
     """One measured run of one organization at one load point.
 
     With ``--sanitize`` the router is wrapped in a
-    :class:`~repro.analysis.SimSanitizer`; an invariant violation
-    aborts the run with exit status 2 and the violation's location.
+    :class:`~repro.analysis.SimSanitizer` and drained to empty after
+    the measurement, so the final accounting is exact.
     """
-    from .analysis.sanitizer import SimSanitizer
-    from .core.errors import InvariantViolation
-    from .harness import load_checkpoint
-    from .harness.experiment import SwitchSimulation
-
     if args.resume and args.sanitize:
-        print("run: --resume and --sanitize cannot be combined (the "
-              "checkpoint spec carries its own settings)", file=sys.stderr)
-        return 2
+        raise ValueError("--resume and --sanitize cannot be combined (the "
+                         "checkpoint spec carries its own settings)")
     if args.checkpoint_every < 0:
-        print(f"run: --checkpoint-every must be >= 0 (0 = off), got "
-              f"{args.checkpoint_every}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--checkpoint-every must be >= 0 (0 = off), "
+                         f"got {args.checkpoint_every}")
     if args.resume:
         sim = load_checkpoint(args.resume)
         config = sim.router.config
         arch_label = f"resumed {type(sim.router).__name__}"
     else:
         config = _config_from_args(args)
-        router = ARCHITECTURES[args.arch](config)
-        sim = SwitchSimulation(
-            router,
-            load=args.load,
-            packet_size=args.packet_size,
-            pattern=_make_pattern(args.pattern, config),
-            injection=args.injection,
-            sanitize=args.sanitize,
-            scheduler=args.scheduler,
-        )
+        sim = _switch_sim(args, config, sanitize=args.sanitize,
+                          scheduler=args.scheduler)
         sim.start_run(_settings(args))
         arch_label = args.arch
-    try:
-        if args.checkpoint_every:
-            # Pause every N cycles to persist a resumable snapshot;
-            # pausing never perturbs the run (see advance_run).
-            while not sim.advance_run(
-                stop_at=sim.cycle + args.checkpoint_every
-            ):
-                sim.save_checkpoint(args.checkpoint)
-                print(f"run: checkpoint at cycle {sim.cycle} -> "
-                      f"{args.checkpoint}", file=sys.stderr)
-        else:
-            sim.advance_run()
-        result = sim.finish_run()
-        if args.sanitize:
-            # Drain to empty so the final accounting can be exact.
-            sim.stop_sources()
-            budget = 200000
-            while budget > 0 and (
-                any(s.backlog() for s in sim.sources)
-                or not sim.router.idle()
-            ):
-                sim.step()
-                budget -= 1
-            sim.router.assert_drained()
-    except InvariantViolation as exc:
-        print(f"sanitizer: invariant violation: {exc}", file=sys.stderr)
-        return 2
+    if args.checkpoint_every:
+        # Pause every N cycles to persist a resumable snapshot;
+        # pausing never perturbs the run (see advance_run).
+        while not sim.advance_run(
+            stop_at=sim.cycle + args.checkpoint_every
+        ):
+            sim.save_checkpoint(args.checkpoint)
+            print(f"run: checkpoint at cycle {sim.cycle} -> "
+                  f"{args.checkpoint}", file=sys.stderr)
+    else:
+        sim.advance_run()
+    result = sim.finish_run()
+    if args.sanitize:
+        # Drain to empty so the final accounting can be exact.
+        sim.stop_sources()
+        budget = 200000
+        while budget > 0 and (
+            any(s.backlog() for s in sim.sources)
+            or not sim.router.idle()
+        ):
+            sim.step()
+            budget -= 1
+        sim.router.assert_drained()
     print(format_table(
         ["metric", "value"],
         [
@@ -279,18 +297,12 @@ def cmd_run(args: argparse.Namespace) -> int:
             ("saturated", str(result.saturated)),
         ],
         title=f"{arch_label} @ radix {config.radix}, load "
-              f"{result.offered_load:.2f}"
-              + (" [sanitized]" if args.sanitize else ""),
+              f"{result.offered_load:.2f}" + _sanitized(args),
     ))
     if args.sanitize:
         checks = sim.router.checks_run
         print(f"sanitizer: {checks} structural checks, 0 violations")
     return 0
-
-
-def _measured_arch_key(arch: str, vc_alloc: str) -> str:
-    """CLI architecture name -> ``measured_pipeline`` table key."""
-    return vc_alloc if arch == "distributed" else arch
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -302,12 +314,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
     zero-load expectation, and with ``--chrome PATH`` writes the
     Perfetto-loadable trace-event JSON.
     """
-    from .harness.experiment import SwitchSimulation
     from .trace import TraceCollector, TraceFilter, dump_chrome_trace
     from .trace.breakdown import format_stage_breakdown
 
     config = _config_from_args(args)
-    router = ARCHITECTURES[args.arch](config)
     trace_filter = TraceFilter(
         every_nth=args.every_nth,
         ports=(
@@ -322,18 +332,11 @@ def cmd_trace(args: argparse.Namespace) -> int:
     collector = TraceCollector(
         capacity=args.capacity, trace_filter=trace_filter
     )
-    sim = SwitchSimulation(
-        router,
-        load=args.load,
-        packet_size=args.packet_size,
-        pattern=_make_pattern(args.pattern, config),
-        injection=args.injection,
-        tracer=collector,
-    )
-    result = sim.run(_settings(args))
-    arch_key = _measured_arch_key(args.arch, args.vc_alloc)
+    result = _switch_sim(args, config, tracer=collector).run(_settings(args))
     print(format_stage_breakdown(
-        collector, config=config, architecture=arch_key,
+        collector, config=config,
+        # measured_pipeline keys the distributed router by VC allocator.
+        architecture=args.vc_alloc if args.arch == "distributed" else args.arch,
         title=f"{args.arch} @ radix {config.radix}, load {args.load} "
               f"({collector.completed} traced flits, "
               f"{collector.evicted} evicted)",
@@ -367,43 +370,23 @@ def cmd_faults(args: argparse.Namespace) -> int:
     (injected losses are accounted for, so a clean run prints no
     violations).
     """
-    from .core.errors import InvariantViolation
     from .faults import FaultPlan
-    from .harness.experiment import SwitchSimulation
 
     config = _config_from_args(args)
-    rates = [float(x) for x in args.rates.split(",")]
-    for rate in rates:
-        if not 0.0 <= rate < 1.0:
-            print(f"faults: corrupt rate {rate} outside [0, 1)",
-                  file=sys.stderr)
-            return 2
+    # Every plan (and so every rate) is checked before any point runs.
+    plans = [
+        FaultPlan(corrupt_rate=float(x), credit_loss_rate=args.credit_loss)
+        for x in args.rates.split(",")
+    ]
     rows = []
-    for rate in rates:
-        plan = FaultPlan(
-            corrupt_rate=rate,
-            credit_loss_rate=args.credit_loss,
-        )
-        router = ARCHITECTURES[args.arch](config)
-        sim = SwitchSimulation(
-            router,
-            load=args.load,
-            packet_size=args.packet_size,
-            pattern=_make_pattern(args.pattern, config),
-            injection=args.injection,
-            sanitize=args.sanitize,
-            faults=plan if plan.enabled else None,
+    for plan in plans:
+        result = _switch_sim(
+            args, config, sanitize=args.sanitize, faults=plan,
             scheduler=args.scheduler,
-        )
-        try:
-            result = sim.run(_settings(args))
-        except InvariantViolation as exc:
-            print(f"sanitizer: invariant violation: {exc}",
-                  file=sys.stderr)
-            return 2
+        ).run(_settings(args))
         extra = result.extra
         rows.append((
-            f"{rate:.3f}",
+            f"{plan.corrupt_rate:.3f}",
             f"{result.throughput:.3f}",
             f"{result.avg_latency:.1f}",
             str(int(extra.get("stats.faults.retransmits", 0))),
@@ -415,8 +398,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
          "credit resyncs", "saturated"],
         rows,
         title=f"{args.arch} @ radix {config.radix}, load {args.load}, "
-              f"credit-loss {args.credit_loss}"
-              + (" [sanitized]" if args.sanitize else ""),
+              f"credit-loss {args.credit_loss}" + _sanitized(args),
     ))
     return 0
 
@@ -467,11 +449,8 @@ def cmd_workload(args: argparse.Namespace) -> int:
     ``--kill-links`` schedules dead-link faults (network target) to
     measure degraded collective completion.
     """
-    from .core.errors import InvariantViolation
     from .core.flit import reset_packet_ids
     from .faults import FaultPlan, sample_link_faults
-    from .harness.experiment import SwitchSimulation
-    from .network.topology import FoldedClos
 
     sizes = [int(x) for x in args.sizes.split(",")]
     windows = [int(x) for x in args.windows.split(",")]
@@ -484,25 +463,21 @@ def cmd_workload(args: argparse.Namespace) -> int:
         default_ranks = args.radix
     ranks = args.ranks or default_ranks
     if ranks > default_ranks:
-        print(f"workload: {ranks} ranks exceed the "
-              f"{default_ranks} available endpoints", file=sys.stderr)
-        return 2
+        raise ValueError(f"{ranks} ranks exceed the {default_ranks} "
+                         f"available endpoints")
     link_faults = ()
     if args.kill_links:
         if topology is None:
-            print("workload: --kill-links needs --target network",
-                  file=sys.stderr)
-            return 2
+            raise ValueError("--kill-links needs --target network")
         link_faults = sample_link_faults(
             topology, seed=args.seed, count=args.kill_links,
             cycle=args.kill_at, until=args.heal_at,
         )
-    plan = FaultPlan(
+    faults = FaultPlan(
         corrupt_rate=args.corrupt_rate,
         credit_loss_rate=args.credit_loss,
         links=link_faults,
     )
-    faults = plan if plan.enabled else None
     rows = []
     for size in sizes:
         for window in windows:
@@ -532,12 +507,7 @@ def cmd_workload(args: argparse.Namespace) -> int:
                         workload=workload, sanitize=args.sanitize,
                         faults=faults, scheduler=args.scheduler,
                     )
-                try:
-                    result = sim.run_workload(max_cycles=args.max_cycles)
-                except InvariantViolation as exc:
-                    print(f"sanitizer: invariant violation: {exc}",
-                          file=sys.stderr)
-                    return 2
+                result = sim.run_workload(max_cycles=args.max_cycles)
                 extra = result.extra
                 rows.append((
                     str(size), str(window), str(layers),
@@ -560,7 +530,7 @@ def cmd_workload(args: argparse.Namespace) -> int:
          "flow p99", "step max", "skew max", "throughput", "stuck"],
         rows,
         title=f"{args.family} on {target}, scheduler {args.scheduler}"
-              + (" [sanitized]" if args.sanitize else "")
+              + _sanitized(args)
               + (f", {args.kill_links} dead link(s)"
                  if args.kill_links else ""),
     ))
@@ -601,16 +571,6 @@ def cmd_radix(args: argparse.Namespace) -> int:
 def cmd_network(args: argparse.Namespace) -> int:
     from .faults import FaultPlan
 
-    for name in ("corrupt_rate", "credit_loss"):
-        rate = getattr(args, name)
-        if not 0.0 <= rate < 1.0:
-            print(f"network: {name.replace('_', '-')} {rate} "
-                  f"outside [0, 1)", file=sys.stderr)
-            return 2
-    if args.shards and args.sanitize:
-        print("network: --shards and --sanitize cannot be combined",
-              file=sys.stderr)
-        return 2
     plan = FaultPlan(
         corrupt_rate=args.corrupt_rate,
         credit_loss_rate=args.credit_loss,
@@ -620,30 +580,16 @@ def cmd_network(args: argparse.Namespace) -> int:
         ("high-radix", args.high_radix, args.high_levels),
         ("low-radix", args.low_radix, args.low_levels),
     ):
-        cfg = NetworkConfig(radix=radix, levels=levels)
-        if args.shards:
-            from .network import ShardedNetworkSimulation
-
-            sim = ShardedNetworkSimulation(
-                cfg, args.load, shards=args.shards,
-                faults=plan if plan.enabled else None,
-                scheduler=args.scheduler,
-            )
-            try:
-                r = sim.run(warmup=args.warmup, measure=args.measure,
-                            drain=args.drain)
-            finally:
-                sim.close()
-        else:
-            sim = NetworkSimulation(
-                cfg, args.load, sanitize=args.sanitize,
-                faults=plan if plan.enabled else None,
-                scheduler=args.scheduler,
-            )
-            r = sim.run(warmup=args.warmup, measure=args.measure,
-                        drain=args.drain)
+        topology = FoldedClos(radix, levels)
+        r = run_network_sweep(
+            NetworkConfig(radix=radix, levels=levels), [args.load],
+            warmup=args.warmup, measure=args.measure, drain=args.drain,
+            shards=args.shards or None, topology=topology,
+            sanitize=args.sanitize, faults=plan,
+            scheduler=args.scheduler,
+        ).results[0]
         rows.append((
-            name, radix, 2 * levels - 1, sim.topology.num_hosts,
+            name, radix, 2 * levels - 1, topology.num_hosts,
             f"{r.avg_latency:.1f}", f"{r.throughput:.3f}",
         ))
     print(format_table(
@@ -672,7 +618,8 @@ def cmd_area(args: argparse.Namespace) -> int:
     )
     model = AreaModel()
     rows = []
-    for name, key in AREA_KEYS.items():
+    for name in ARCHITECTURES:
+        key = name.replace("-", "_")
         bits = storage_bits(key, config)
         rows.append((
             name, f"{bits:,}", f"{model.storage_area(bits):.1f}",
@@ -728,8 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="resume a run from a checkpoint file instead of "
                           "starting fresh (byte-identical to the "
                           "uninterrupted run)")
-    run.add_argument("--sanitize", action="store_true",
-                     help="verify conservation invariants every cycle")
+    _add_sanitize_arg(run)
     _add_router_args(run)
     _add_scheduler_arg(run)
     run.set_defaults(func=cmd_run)
@@ -761,13 +707,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     faults.add_argument("--arch", choices=ARCHITECTURES, default="buffered")
     faults.add_argument("--load", type=float, default=0.5)
-    faults.add_argument("--rates", default="0.0,0.01,0.05,0.1",
-                        help="comma-separated flit corruption rates")
-    faults.add_argument("--credit-loss", type=float, default=0.0,
-                        help="credit-loss probability per delivery")
-    faults.add_argument("--sanitize", action="store_true",
-                        help="verify conservation invariants every cycle "
-                             "(injected losses are accounted for)")
+    _add_fault_args(faults, sweep=True)
+    _add_sanitize_arg(faults)
     _add_router_args(faults)
     _add_scheduler_arg(faults)
     faults.set_defaults(func=cmd_faults)
@@ -824,8 +765,7 @@ def build_parser() -> argparse.ArgumentParser:
     wl.add_argument("--seed", type=int, default=1)
     wl.add_argument("--max-cycles", type=int, default=1_000_000,
                     help="abort a combination after this many cycles")
-    wl.add_argument("--sanitize", action="store_true",
-                    help="verify conservation invariants every cycle")
+    _add_sanitize_arg(wl)
     wl.add_argument("--kill-links", type=int, default=0,
                     help="schedule N dead inter-router links "
                          "(network target)")
@@ -834,10 +774,7 @@ def build_parser() -> argparse.ArgumentParser:
     wl.add_argument("--heal-at", type=int, default=None,
                     help="cycle the scheduled links come back "
                          "(default: never)")
-    wl.add_argument("--corrupt-rate", type=float, default=0.0,
-                    help="host-channel flit corruption probability")
-    wl.add_argument("--credit-loss", type=float, default=0.0,
-                    help="credit-loss probability per delivery")
+    _add_fault_args(wl)
     _add_scheduler_arg(wl)
     wl.set_defaults(func=cmd_workload)
 
@@ -879,16 +816,11 @@ def build_parser() -> argparse.ArgumentParser:
     net.add_argument("--warmup", type=int, default=600)
     net.add_argument("--measure", type=int, default=800)
     net.add_argument("--drain", type=int, default=8000)
-    net.add_argument("--sanitize", action="store_true",
-                     help="check link credit conservation every cycle")
+    _add_sanitize_arg(net)
     net.add_argument("--shards", type=int, default=0, metavar="N",
                      help="partition each Clos across N worker processes "
                           "(byte-identical to the serial run)")
-    net.add_argument("--corrupt-rate", type=float, default=0.0,
-                     help="host-channel flit corruption probability "
-                          "(builds a fault plan when nonzero)")
-    net.add_argument("--credit-loss", type=float, default=0.0,
-                     help="credit-loss probability per delivery")
+    _add_fault_args(net)
     _add_scheduler_arg(net)
     net.set_defaults(func=cmd_network)
 
@@ -913,10 +845,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except InvariantViolation as exc:
+        print(f"sanitizer: invariant violation: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
-        # The library validates its own inputs (loads, rates, radix /
-        # subswitch divisibility, ...): a rejected argument is a usage
-        # error, not a crash.
+        # The library and the commands validate their inputs (loads,
+        # rates, radix / subswitch divisibility, ...): a rejected
+        # argument is a usage error, not a crash.
         print(f"repro {args.command}: {exc}", file=sys.stderr)
         return 2
 

@@ -104,7 +104,10 @@ class FaultPlan:
     """What to break, how often, and how recovery is parameterized.
 
     Rates are per-event probabilities: ``corrupt_rate`` per host-channel
-    transmission attempt, ``credit_loss_rate`` per delivered credit.
+    transmission attempt, in [0, 1) — a channel that corrupts every
+    attempt never delivers, and a dead channel is what ``links``
+    models — and ``credit_loss_rate`` per delivered credit, in [0, 1]
+    (resync recovers every lost credit).
     ``seed`` keys the fault streams; None inherits the simulation seed,
     so one seed reproduces traffic *and* faults together.
     """
@@ -125,10 +128,14 @@ class FaultPlan:
     seed: Optional[int] = None
 
     def __post_init__(self) -> None:
-        for name in ("corrupt_rate", "credit_loss_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {rate}")
+        if not 0.0 <= self.corrupt_rate < 1.0:
+            raise ValueError(
+                f"corrupt_rate {self.corrupt_rate} outside [0, 1)"
+            )
+        if not 0.0 <= self.credit_loss_rate <= 1.0:
+            raise ValueError(
+                f"credit_loss_rate {self.credit_loss_rate} outside [0, 1]"
+            )
         if self.retransmit_timeout < 1:
             raise ValueError(
                 f"retransmit_timeout must be >= 1, "
@@ -167,10 +174,15 @@ class FaultPlan:
 
     def retry_delay(self, attempts: int) -> int:
         """Sender back-off after ``attempts`` consecutive corruptions."""
-        delay = self.retransmit_timeout * (
-            self.retransmit_backoff ** max(0, attempts - 1)
-        )
-        return min(self.retransmit_cap, int(delay))
+        try:
+            delay = int(self.retransmit_timeout * (
+                self.retransmit_backoff ** max(0, attempts - 1)
+            ))
+        except OverflowError:
+            # The float left its range (about 1,024 doublings) long
+            # after the delay reached the cap.
+            return self.retransmit_cap
+        return min(self.retransmit_cap, delay)
 
 
 # ----------------------------------------------------------------------

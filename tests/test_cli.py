@@ -1,8 +1,39 @@
 """Tests for the command-line interface."""
 
+import re
+import shlex
+from pathlib import Path
+
 import pytest
 
+import repro.cli
+from repro import InvariantViolation, NetworkSanitizer, SimSanitizer
 from repro.cli import ARCHITECTURES, build_parser, main
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _documented_commands():
+    """Every ``python -m repro[.cli] ...`` line in README.md, docs/*.md
+    and the CLI module docstring, with continuation lines joined and
+    trailing comments / closing inline-code backticks cut; lines with
+    ``<...>`` or ``$VAR`` placeholders are skipped."""
+    sources = [(p.relative_to(ROOT).as_posix(), p.read_text())
+               for p in [ROOT / "README.md", *sorted(ROOT.glob("docs/*.md"))]]
+    sources.append(("repro/cli.py", repro.cli.__doc__))
+    for name, text in sources:
+        lines = text.splitlines()
+        for lineno, line in enumerate(lines, 1):
+            match = re.search(r"python -m repro(?:\.cli)?\s+(.*)", line)
+            if not match:
+                continue
+            command, follow = match.group(1), lineno
+            while command.endswith("\\"):
+                command = command[:-1] + " " + lines[follow].strip()
+                follow += 1
+            command = command.split("`")[0].split("#")[0]
+            if "<" not in command and "$" not in command:
+                yield f"{name}:{lineno}", command
 
 
 class TestParser:
@@ -25,6 +56,19 @@ class TestParser:
     def test_unknown_arch_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "--arch", "crossbar9000"])
+
+    def test_documented_commands_parse(self):
+        """Regression: README.md and the CLI docstring showed
+        ``saturate --pattern bursty``, which argparse refuses."""
+        commands = list(_documented_commands())
+        assert len(commands) > 30
+        refused = []
+        for where, command in commands:
+            try:
+                build_parser().parse_args(shlex.split(command))
+            except SystemExit:
+                refused.append(f"{where}: {command}")
+        assert refused == []
 
 
 class TestCommands:
@@ -138,6 +182,12 @@ class TestCommands:
         ("sweep --radix 8 --loads 1.5", "load must be in [0, 1]"),
         ("sweep --radix 8 --loads 0.1,abc", "'abc'"),
         ("run --radix 10", "must divide radix 10"),
+        # Every attempt corrupted never delivers; this used to run into
+        # an OverflowError in the retransmit back-off.
+        ("workload --radix 4 --corrupt-rate 1.0",
+         "corrupt_rate 1.0 outside [0, 1)"),
+        ("network --shards 2 --sanitize",
+         "cannot sanitize a sharded simulation"),
     ])
     def test_rejected_input_is_a_usage_error(self, capsys, argv, told):
         """Regression: input the library's own validation refuses
@@ -148,6 +198,43 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"repro {argv.split()[0]}: ")
         assert told in captured.err and "Traceback" not in captured.err
+
+    def test_network_runs_with_certain_credit_loss(self, capsys):
+        """Credit resync recovers every lost credit, so a credit-loss
+        rate of 1.0 is a (slow) valid network; it used to be refused."""
+        assert main([
+            "network", "--load", "0.1", "--high-radix", "4",
+            "--low-radix", "4", "--warmup", "50", "--measure", "50",
+            "--drain", "1000", "--credit-loss", "1.0",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "high-radix" in out and "low-radix" in out
+
+    @pytest.mark.parametrize("argv", [
+        "run --arch buffered --radix 8 --subswitch 4 --warmup 20 "
+        "--measure 20 --drain 200",
+        "faults --arch buffered --radix 8 --subswitch 4 --rates 0.0,0.05 "
+        "--warmup 20 --measure 20 --drain 200",
+        "workload --family allreduce --target switch --arch baseline "
+        "--radix 8",
+        "network --load 0.1 --high-radix 4 --low-radix 4 --warmup 20 "
+        "--measure 20 --drain 200",
+    ])
+    def test_invariant_violation_is_reported_by_main(
+        self, monkeypatch, capsys, argv
+    ):
+        """Every sanitizable command reports a violation the same way;
+        ``network --sanitize`` used to end in a traceback."""
+        def violate(self, *args):
+            raise InvariantViolation("injected", cycle=3, check="probe")
+
+        monkeypatch.setattr(SimSanitizer, "check_now", violate)
+        monkeypatch.setattr(NetworkSanitizer, "check_now", violate)
+        assert main(argv.split() + ["--sanitize"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("sanitizer: invariant violation: ")
+        assert "Traceback" not in captured.err
 
 
 class TestTraceCommand:

@@ -57,6 +57,12 @@ class TestFaultPlan:
             FaultPlan(corrupt_rate=1.5)
         with pytest.raises(ValueError):
             FaultPlan(credit_loss_rate=-0.1)
+        # A channel that corrupts every attempt never delivers; resync
+        # recovers every lost credit, so credit loss may be certain.
+        with pytest.raises(ValueError,
+                           match=r"corrupt_rate 1\.0 outside \[0, 1\)"):
+            FaultPlan(corrupt_rate=1.0)
+        assert FaultPlan(credit_loss_rate=1.0).enabled
 
     def test_timeout_validation(self):
         with pytest.raises(ValueError):
@@ -76,6 +82,10 @@ class TestFaultPlan:
         assert plan.retry_delay(3) == 16
         assert plan.retry_delay(4) == 20  # capped
         assert plan.retry_delay(10) == 20
+        # Regression: past ~1,024 consecutive corruptions the float
+        # back-off overflowed and int() raised instead of capping.
+        assert plan.retry_delay(1025) == 20
+        assert plan.retry_delay(10**6) == 20
 
     def test_stuck_fault_validation(self):
         with pytest.raises(ValueError):
