@@ -3,9 +3,10 @@
 
 Shows the developer-facing tooling around the simulator:
 
-* ``CheckedRouter`` wraps any switch model and raises at the exact
-  cycle an invariant breaks (conservation, packet order, VC
-  discipline, output bandwidth) — the first thing to reach for when
+* ``sanitize=True`` attaches a ``SimSanitizer`` that observes any
+  switch model and raises at the exact cycle an invariant breaks
+  (conservation, packet order, VC discipline, output bandwidth,
+  credits, buffer bounds) — the first thing to reach for when
   developing a new router microarchitecture;
 * ``MetricsCollector`` gathers latency histograms, per-output load
   balance, and buffer-occupancy behaviour that the headline
@@ -19,7 +20,6 @@ import argparse
 
 from repro import RouterConfig, SwitchSimulation
 from repro.harness.metrics import MetricsCollector
-from repro.harness.validation import CheckedRouter
 from repro.routers.hierarchical import HierarchicalCrossbarRouter
 
 
@@ -30,8 +30,8 @@ def main() -> None:
     args = parser.parse_args()
 
     config = RouterConfig(radix=16, subswitch_size=4, local_group_size=4)
-    router = CheckedRouter(HierarchicalCrossbarRouter(config))
-    sim = SwitchSimulation(router, load=args.load)
+    sim = SwitchSimulation(HierarchicalCrossbarRouter(config),
+                           load=args.load, sanitize=True)
     metrics = MetricsCollector(config.radix, sample_every=8).attach(sim)
     sim.run_until(args.cycles)
 
@@ -39,13 +39,13 @@ def main() -> None:
     sim.stop_sources()
     for _ in range(20000):
         sim.step()
-        if router.idle() and all(not s.backlog() for s in sim.sources):
+        if sim.router.idle() and all(not s.backlog() for s in sim.sources):
             break
-    router.assert_drained()
+    sim.sanitizer.assert_drained()
 
     print(f"hierarchical crossbar, radix {config.radix}, "
           f"load {args.load}: all invariants held over "
-          f"{router.violations_checked} checked deliveries\n")
+          f"{sim.sanitizer.violations_checked} checked deliveries\n")
     print(metrics.summary())
 
 

@@ -16,7 +16,7 @@ This package supplies one tool per family:
 * :mod:`repro.analysis.lint` — an AST lint pass with simulator-specific
   rules (R001-R014), run as ``python -m repro.cli lint src``;
 * :mod:`repro.analysis.sanitizer` — :class:`SimSanitizer`, a
-  per-cycle runtime checker wrapping any router (``--sanitize`` on the
+  per-cycle runtime checker observing any router (``--sanitize`` on the
   CLI), plus :class:`NetworkSanitizer` for network simulations.
 
 Simulations only ever need the sanitizers, so those are what this

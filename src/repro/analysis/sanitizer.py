@@ -1,17 +1,13 @@
 """Runtime simulation sanitizer: per-cycle conservation checking.
 
-``SimSanitizer`` attaches to any :class:`~repro.routers.base.Router`
-through its :class:`~repro.engine.hooks.EngineHooks` bus — flit
-accept/eject events drive the stream-level contracts checked by
-:class:`~repro.harness.validation.CheckedRouter` (conservation by flit
-identity, per-packet order, output-VC discipline, output bandwidth),
-and the ``cycle_end`` event triggers *structural* invariant checks
-against the router's internal state after every cycle.  (The class
-still presents the familiar router-wrapper facade, but its ``accept``
-/ ``step`` / ``drain_ejected`` are plain delegates: all checking rides
-on the hook events, so it works identically whether the router is
-stepped standalone or driven — possibly parked — by a
-:class:`~repro.engine.scheduler.Scheduler`.)
+``SimSanitizer(router)`` observes any :class:`~repro.routers.base.Router`
+through its :class:`~repro.engine.hooks.EngineHooks` bus, however the
+router is driven.  Flit accept/eject events drive the *stream*
+contracts (check ``stream-conservation``: accepted once, ejected once;
+``stream-destination``; ``stream-order`` within a packet;
+``stream-vc-discipline`` from head to tail; ``stream-bandwidth``, one
+flit per ``flit_cycles`` per output), and the ``cycle_end`` event the
+*structural* checks against the router's internal state.
 
 Structural invariants:
 
@@ -42,11 +38,9 @@ Structural invariants:
 Violations raise :class:`~repro.core.errors.InvariantViolation`
 carrying the cycle, port, and VC, so a credit leak surfaces as
 ``cycle 812, port 3, VC 1: [credit-conservation] ...`` instead of a
-quietly wrong latency curve.
-
-``check_interval`` trades coverage for speed: structural checks run
-every N cycles (stream-level checks always run).  See
-``benchmarks/test_perf_sanitizer.py`` for the measured overhead.
+quietly wrong latency curve.  See ``benchmarks/test_perf_sanitizer.py``
+for the measured overhead.  ``SwitchSimulation(..., sanitize=True)``
+attaches one as ``sim.sanitizer``.
 
 ``NetworkSanitizer`` applies the buffer-bound and link-credit
 conservation checks to a whole :class:`~repro.network.netsim.NetworkSimulation`;
@@ -57,11 +51,10 @@ it subscribes to the simulation's scheduler-level ``cycle_end`` hook
 from __future__ import annotations
 
 from itertools import compress
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..core.buffers import FlitQueue
 from ..core.errors import InvariantViolation
-from ..harness.validation import CheckedRouter
 from ..routers.base import Router
 from ..routers.buffered import BufferedCrossbarRouter
 from ..routers.hierarchical import HierarchicalCrossbarRouter
@@ -81,24 +74,35 @@ def _drift(what: str, index, walked, walk: str, cycle: int) -> InvariantViolatio
     )
 
 
-class SimSanitizer(CheckedRouter):
-    """Hook-attached invariant checker with a router-wrapper facade."""
+def _stream(check: str, flit, port: int, cycle: int,
+            message: str) -> InvariantViolation:
+    """A stream contract broke as ``flit`` moved through ``port``."""
+    return InvariantViolation(message, cycle=cycle, port=port,
+                              vc=flit.out_vc, check=f"stream-{check}")
 
-    def __init__(self, inner: Router, check_interval: int = 1) -> None:
-        if check_interval < 1:
-            raise ValueError(
-                f"check_interval must be >= 1, got {check_interval}"
-            )
-        super().__init__(inner)
-        self.check_interval = check_interval
-        self._since_check = 0
+
+class SimSanitizer:
+    """Invariant checker observing one router through its hook bus."""
+
+    def __init__(self, router: Router) -> None:
+        self.router = router
         self.checks_run = 0
-        # All interception happens on the router's event bus: stream
-        # checks on flit movement, structural checks on cycle end.  The
-        # scheduler fires cycle_end even for parked routers, so the
-        # check cadence is unchanged by active-set scheduling.
-        inner.hooks.on_flit_move(self._on_flit_move)
-        inner.hooks.on_cycle_end(self._on_cycle_end)
+        #: Ejections run through the stream contracts so far.
+        self.violations_checked = 0
+        # Stream state: flit id -> requested output; packet id -> next
+        # flit index; (output, output VC) -> owning packet; output ->
+        # cycle of its last ejection.
+        self._accepted: Dict[int, int] = {}
+        self._next_index: Dict[int, int] = {}
+        self._open_vc: Dict[Tuple[int, Optional[int]], int] = {}
+        self._last_eject: Dict[int, int] = {}
+        self._flit_cycles = router.config.flit_cycles
+        # Stream checks ride on flit movement, structural checks on
+        # cycle end.  The scheduler fires cycle_end even for parked
+        # routers, so the check cadence is unchanged by active-set
+        # scheduling.
+        router.hooks.on_flit_move(self._on_flit_move)
+        router.hooks.on_cycle_end(self._on_cycle_end)
         # Packet id -> number of accepted flits not yet delivered,
         # backing the stale-ownership check.
         self._live_packets: Dict[int, int] = {}
@@ -106,14 +110,14 @@ class SimSanitizer(CheckedRouter):
         # held at the input while copies are in flight), so conservation
         # is an inequality there and an equality everywhere else.
         self._exact_occupancy = not isinstance(
-            inner, SharedBufferCrossbarRouter
+            router, SharedBufferCrossbarRouter
         )
         # The buffer/counter structure is static, so the addressed lists
         # are built once; per-cycle checks only read occupancies.  The
         # probes hold the underlying deques so the hot loops pay one C
         # len() per queue instead of a Python __len__ dispatch.
-        self._queues = list(self._iter_queues(inner))
-        self._credit_probes = self._build_credit_probes(inner)
+        self._queues = list(self._iter_queues(router))
+        self._credit_probes = self._build_credit_probes(router)
         # Credited queues need no separate depth scan: their counter has
         # capacity == depth and free >= 0, so an overfull queue already
         # fails the credit equality (free + held == capacity).
@@ -132,56 +136,88 @@ class SimSanitizer(CheckedRouter):
             self._entry_by_key = {e[0]: e for e in self._credit_probes[1]}
             self._entry_by_cid = {e[1]: e for e in self._credit_probes[1]}
         self._lane_probes = (
-            self._build_lane_probes(inner)
-            if isinstance(inner, HierarchicalCrossbarRouter)
+            self._build_lane_probes(router)
+            if isinstance(router, HierarchicalCrossbarRouter)
             else None
         )
-        self._xp_probes = self._build_crosspoint_probes(inner)
+        self._xp_probes = self._build_crosspoint_probes(router)
 
     # -- hook handlers -------------------------------------------------
 
     def _on_flit_move(self, kind: str, flit, port: int, cycle: int) -> None:
         if kind == "accept":
-            self.record_accept(flit)
+            if id(flit) in self._accepted:
+                raise _stream("conservation", flit, port, cycle, f"flit "
+                              f"{flit.packet_id}:{flit.flit_index} accepted twice")
+            self._accepted[id(flit)] = flit.dest
             _bucket(self._live_packets, flit.packet_id)
         elif kind == "eject":
-            self._check_ejection(flit, cycle)
+            self._check_ejection(flit, port, cycle)
 
     def _on_cycle_end(self, cycle: int) -> None:
-        self._since_check += 1
-        if self._since_check >= self.check_interval:
-            self._since_check = 0
-            self.check_now()
+        self.check_now()
 
-    # -- delegated operations ------------------------------------------
-    # The facade forwards untouched; the hooks above do the checking.
+    # -- stream contracts ------------------------------------------------
 
-    def accept(self, port: int, flit) -> None:
-        self.inner.accept(port, flit)
-
-    def step(self) -> None:
-        self.inner.step()
-
-    def drain_ejected(self):
-        return self.inner.drain_ejected()
-
-    def _check_ejection(self, flit, cycle: int) -> None:
-        super()._check_ejection(flit, cycle)
-        remaining = self._live_packets.get(flit.packet_id, 0) - 1
-        if remaining <= 0:
-            self._live_packets.pop(flit.packet_id, None)
+    def _check_ejection(self, flit, port: int, cycle: int) -> None:
+        self.violations_checked += 1
+        pid = flit.packet_id
+        dest = self._accepted.pop(id(flit), None)
+        if dest is None:
+            raise _stream("conservation", flit, port, cycle, f"flit {pid}:"
+                          f"{flit.flit_index} ejected but never accepted "
+                          "(or ejected twice)")
+        if port != dest:
+            raise _stream("destination", flit, port, cycle, f"flit {pid} "
+                          f"requested output {dest} but left on {port}")
+        expected = self._next_index.get(pid, 0)
+        if flit.flit_index != expected:
+            raise _stream("order", flit, port, cycle, f"packet {pid} "
+                          f"delivered flit {flit.flit_index}, expected {expected}")
+        key = (port, flit.out_vc)
+        owner = self._open_vc.get(key)
+        if flit.is_head and owner is not None:
+            raise _stream("vc-discipline", flit, port, cycle, f"packet {pid} "
+                          f"head while packet {owner} is still open")
+        if not flit.is_head and owner != pid:
+            raise _stream("vc-discipline", flit, port, cycle, f"flit of "
+                          f"packet {pid} on a VC owned by {owner}")
+        last = self._last_eject.get(port)
+        if last is not None and cycle - last < self._flit_cycles:
+            raise _stream("bandwidth", flit, port, cycle, f"output ejected "
+                          f"flits {cycle - last} cycles apart (minimum "
+                          f"{self._flit_cycles})")
+        self._last_eject[port] = cycle
+        if flit.is_tail:
+            self._next_index.pop(pid, None)
+            self._open_vc.pop(key, None)
         else:
-            self._live_packets[flit.packet_id] = remaining
+            self._next_index[pid] = expected + 1
+            self._open_vc[key] = pid
+        remaining = self._live_packets.pop(pid) - 1
+        if remaining:
+            self._live_packets[pid] = remaining
+
+    def pending_flits(self) -> int:
+        """Accepted flits not yet ejected (should reach 0 at drain)."""
+        return len(self._accepted)
 
     def assert_drained(self) -> None:
-        super().assert_drained()
+        """Raise unless every accepted flit was delivered and every
+        output VC closed; then run the structural checks once more."""
+        if self._accepted or self._open_vc:
+            raise InvariantViolation(
+                f"{len(self._accepted)} flits accepted but never delivered, "
+                f"output VCs still open: {self._open_vc}",
+                cycle=self.router.cycle, check="drain",
+            )
         self.check_now()
 
     # -- structural invariants -----------------------------------------
 
     def check_now(self) -> None:
         """Run every structural check against the current router state."""
-        router = self.inner
+        router = self.router
         cycle = router.cycle
         self._check_flit_conservation(router, cycle)
         self._check_buffer_bounds(router, cycle)
@@ -596,18 +632,10 @@ class NetworkSanitizer:
     ``NetworkSimulation(..., sanitize=True)``.
     """
 
-    def __init__(self, sim, check_interval: int = 1) -> None:
-        if check_interval < 1:
-            raise ValueError(
-                f"check_interval must be >= 1, got {check_interval}"
-            )
+    def __init__(self, sim) -> None:
         self.sim = sim
-        self.check_interval = check_interval
-        self._since_check = 0
         self.checks_run = 0
-        hooks = getattr(sim, "hooks", None)
-        if hooks is not None:
-            hooks.on_cycle_end(self.check)
+        sim.hooks.on_cycle_end(self.check_now)
         # (name, out port, link, downstream router, downstream port)
         # for every credited (router-to-router) link.
         self._links: List[Tuple[str, int, object, object, int]] = []
@@ -621,14 +649,8 @@ class NetworkSanitizer:
                     continue
                 self._links.append((str(sid), port, link, target, tport))
 
-    def check(self, cycle: int) -> None:
-        """Called once per simulated cycle; honours ``check_interval``."""
-        self._since_check += 1
-        if self._since_check >= self.check_interval:
-            self._since_check = 0
-            self.check_now(cycle)
-
     def check_now(self, cycle: int) -> None:
+        """Run every check against the simulation state at ``cycle``."""
         sim = self.sim
         for sid, router in sim.routers.items():
             in_flits = []

@@ -245,13 +245,17 @@ def cmd_saturate(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     """One measured run of one organization at one load point.
 
-    With ``--sanitize`` the router is wrapped in a
-    :class:`~repro.analysis.SimSanitizer` and drained to empty after
-    the measurement, so the final accounting is exact.
+    With ``--sanitize`` a :class:`~repro.analysis.SimSanitizer`
+    observes the router and the run is drained to empty after the
+    measurement, so the final accounting is exact.
     """
     if args.resume and args.sanitize:
         raise ValueError("--resume and --sanitize cannot be combined (the "
                          "checkpoint spec carries its own settings)")
+    if args.checkpoint_every and args.sanitize:
+        raise ValueError("--checkpoint-every and --sanitize cannot be "
+                         "combined (a sanitized simulation cannot be "
+                         "checkpointed)")
     if args.checkpoint_every < 0:
         raise ValueError(f"--checkpoint-every must be >= 0 (0 = off), "
                          f"got {args.checkpoint_every}")
@@ -287,7 +291,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         ):
             sim.step()
             budget -= 1
-        sim.router.assert_drained()
+        sim.sanitizer.assert_drained()
     print(format_table(
         ["metric", "value"],
         [
@@ -300,7 +304,7 @@ def cmd_run(args: argparse.Namespace) -> int:
               f"{result.offered_load:.2f}" + _sanitized(args),
     ))
     if args.sanitize:
-        checks = sim.router.checks_run
+        checks = sim.sanitizer.checks_run
         print(f"sanitizer: {checks} structural checks, 0 violations")
     return 0
 

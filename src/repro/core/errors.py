@@ -9,11 +9,10 @@ violated" instead of a latency number that is quietly wrong.
 
 These classes deliberately live in :mod:`repro.core`, below both the
 router models and the :mod:`repro.analysis` sanitizer, so every layer
-can raise them without import cycles.  ``InvariantViolation`` remains a
-subclass of :class:`AssertionError` for backward compatibility with the
-original ``repro.harness.validation`` checker, but it is raised with an
-explicit ``raise`` — unlike a bare ``assert``, the checks survive
-``python -O``.
+can raise them without import cycles.  ``InvariantViolation`` is a
+subclass of :class:`AssertionError`, so ``pytest.raises(AssertionError)``
+catches it, but it is raised with an explicit ``raise`` — unlike a bare
+``assert``, the checks survive ``python -O``.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Measurement harness: Section 4.3 methodology, sweeps, reporting."""
 
+from ..core.errors import InvariantViolation
 from .checkpoint import CHECKPOINT_FORMAT, load_checkpoint, save_checkpoint
 from .experiment import (
     SweepResult,
@@ -14,7 +15,6 @@ from .persistence import load_metadata, load_sweeps, save_sweeps
 from .plot import ascii_plot, plot_sweeps
 from .report import format_saturation, format_sweeps, format_table
 from .stats import LatencySample, RunResult, summarize
-from .validation import CheckedRouter, InvariantViolation
 
 __all__ = [
     "CHECKPOINT_FORMAT",
@@ -39,6 +39,5 @@ __all__ = [
     "save_sweeps",
     "load_sweeps",
     "load_metadata",
-    "CheckedRouter",
     "InvariantViolation",
 ]

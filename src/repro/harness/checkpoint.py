@@ -18,12 +18,14 @@ A checkpoint is one pickle holding four keys:
 applies ``state``; the resumed run is byte-identical to one that never
 stopped (the differential tests in ``tests/test_checkpoint.py`` pin
 this for every router organization, both schedulers, and the Clos
-network).  Sanitized simulations refuse to checkpoint — re-wrap with
-the sanitizer after restoring instead.
+network).  Sanitized simulations refuse to checkpoint or restore —
+rerun the simulation with ``sanitize=True`` instead.  A file cut short
+(a truncated body) fails to load with a one-line ``ValueError``.
 """
 
 from __future__ import annotations
 
+import os
 import pickle
 import pickletools
 from itertools import islice
@@ -48,15 +50,29 @@ CHECKPOINT_FORMAT = 4
 
 
 def save_checkpoint(sim, path) -> None:
-    """Write ``sim``'s full state (and rebuild spec) to ``path``."""
+    """Write ``sim``'s full state (and rebuild spec) to ``path``.
+
+    The pickle is written to ``<path>.tmp``, synced to disk, and only
+    then renamed onto ``path``: a failure or a kill mid-write leaves the
+    previous checkpoint at ``path`` intact.
+    """
     payload = {
         "format": CHECKPOINT_FORMAT,
         "kind": _kind(sim),
         "spec": _spec(sim),
         "state": sim.snapshot(),
     }
-    with open(path, "wb") as fh:
-        pickle.dump(payload, fh)
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            pickle.dump(payload, fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _peek_format(fh) -> Optional[int]:
@@ -89,7 +105,12 @@ def load_checkpoint(path):
                 f"(this build reads format {CHECKPOINT_FORMAT})"
             )
         fh.seek(0)
-        payload = pickle.load(fh)
+        try:
+            payload = pickle.load(fh)
+        except (EOFError, pickle.UnpicklingError) as exc:
+            raise ValueError(
+                f"checkpoint {path} is truncated or corrupt: {exc}"
+            ) from exc
     kind = payload["kind"]
     if kind == "switch":
         sim = _build_switch(payload["spec"])
@@ -148,8 +169,8 @@ def _build_tracer(spec):
 def _switch_spec(sim) -> Dict[str, Any]:
     spec = dict(sim._build_spec)
     spec.update(
-        router_cls=type(sim._engine),
-        router_config=sim._engine.config,
+        router_cls=type(sim.router),
+        router_config=sim.router.config,
         scheduler=_scheduler_mode(sim._sched),
         faults=None if sim._faults is None else sim._faults.plan,
         workload=sim._workload,

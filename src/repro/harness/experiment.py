@@ -60,7 +60,7 @@ class SwitchSimulation(StagedRun):
     #: Attributes :meth:`snapshot` deliberately omits (lint rule R010):
     #: construction parameters (``config``/``load``/``packet_size`` and
     #: the build spec, which the checkpoint file header carries
-    #: instead) and live wiring (``hooks``, the engine's injector
+    #: instead) and live wiring (``hooks``, the router's injector
     #: handle), all of which a restored twin gets from its own
     #: constructor.
     SNAPSHOT_WIRING = (
@@ -116,22 +116,19 @@ class SwitchSimulation(StagedRun):
             "avg_burst": avg_burst,
             "seed": seed,
         }
+        self.router = router
+        #: The router's event bus (metrics/tracing attach here).
+        self.hooks = router.hooks
+        # The runtime invariant checker observes ``router`` on its hook
+        # bus; nothing else about the simulation changes.
         if sanitize:
             # Imported lazily: the analysis layer sits above the harness.
             from ..analysis.sanitizer import SimSanitizer
 
-            if not isinstance(router, SimSanitizer):
-                router = SimSanitizer(router)
-        self.router = router
-        # The engine drives the raw Router; checking wrappers
-        # (SimSanitizer, CheckedRouter) expose it as ``.inner`` and
-        # observe it through its hooks, not by intercepting step().
-        self._engine: Router = getattr(router, "inner", router)
-        #: The router's event bus (metrics/tracing attach here).
-        self.hooks = self._engine.hooks
-        self._sched = make_scheduler(
-            scheduler, [self._engine], hooks=self._engine.hooks
-        )
+            self.sanitizer: Optional[SimSanitizer] = SimSanitizer(router)
+        else:
+            self.sanitizer = None
+        self._sched = make_scheduler(scheduler, [router], hooks=router.hooks)
         # The drive loop is inverted: the scheduler owns the per-cycle
         # sequence (faults -> generate -> inject -> engine -> collect)
         # and this harness contributes its phases and, for event mode,
@@ -177,11 +174,11 @@ class SwitchSimulation(StagedRun):
             from ..faults import SwitchFaultInjector
 
             self._faults: Optional[SwitchFaultInjector] = (
-                SwitchFaultInjector(faults, self._engine, seed)
+                SwitchFaultInjector(faults, router, seed)
             )
             # The sanitizer reads the injector's lost-credit ledger
             # through this handle when balancing the credit books.
-            self._engine.fault_injector = self._faults
+            router.fault_injector = self._faults
         else:
             self._faults = None
         k = self.config.radix
@@ -296,12 +293,12 @@ class SwitchSimulation(StagedRun):
         faults = self._faults
         next_inject = self._next_inject
         packet_vc = self._packet_vc
-        engine = self._engine
-        banks = engine.inputs
+        router = self.router
+        banks = router.inputs
         # Blocked-port skip: a count equal to the bank's capacity means
         # every VC queue is full, so _pick_vc would scan all v of them
         # and return None — nothing moves, nothing raises.
-        in_flits = engine._in_flits
+        in_flits = router._in_flits
         bank_capacity = config.num_vcs * config.input_buffer_depth
         for i, src in enumerate(self.sources):
             if now < next_inject[i]:
@@ -341,8 +338,8 @@ class SwitchSimulation(StagedRun):
             src.pop()
             # Wake a parked router *before* accept so the flit's
             # injection timestamp uses the current cycle.
-            self._sched.wake(engine, now)
-            self.router.accept(i, flit)
+            self._sched.wake(router, now)
+            router.accept(i, flit)
             next_inject[i] = now + fc
             if flit.is_tail:
                 packet_vc[i] = None
@@ -355,7 +352,7 @@ class SwitchSimulation(StagedRun):
         v = self.config.num_vcs
         # Direct buffer reads (== input_space >= 1).  _inject skips a
         # port whose whole bank is full, so some VC here has room.
-        queues = self._engine.inputs[i].queues
+        queues = self.router.inputs[i].queues
         rr = self._vc_rr[i]
         for offset in range(v):
             vc = rr + offset
@@ -464,7 +461,7 @@ class SwitchSimulation(StagedRun):
         by every source) survives into the capture.  Restore onto a
         simulation constructed with identical parameters.
         """
-        if self.router is not self._engine:
+        if self.sanitizer is not None:
             raise ValueError(
                 "cannot checkpoint a sanitized simulation; rerun the "
                 "sanitizer after restore instead"
@@ -478,7 +475,7 @@ class SwitchSimulation(StagedRun):
         try:
             return copy.deepcopy({
                 **self._capture_run(),
-                "engine": self._engine._snapshot_state(),
+                "engine": self.router._snapshot_state(),
                 "sources": [vars(src) for src in self.sources],
                 "harness": {
                     "next_inject": self._next_inject,
@@ -500,7 +497,7 @@ class SwitchSimulation(StagedRun):
         mutable state is replaced, in place, so scheduler registration
         and hook subscriptions stay wired.
         """
-        if self.router is not self._engine:
+        if self.sanitizer is not None:
             raise ValueError("cannot restore onto a sanitized simulation")
         self._check_run(state)
         if len(state["sources"]) != len(self.sources):
@@ -509,7 +506,7 @@ class SwitchSimulation(StagedRun):
                 f"simulation has {len(self.sources)}"
             )
         state = copy.deepcopy(state)
-        self._engine._restore_state(state["engine"])
+        self.router._restore_state(state["engine"])
         for src, src_state in zip(self.sources, state["sources"]):
             vars(src).update(src_state)
         harness = state["harness"]

@@ -289,9 +289,9 @@ class NetworkSimulation(StagedRun):
             # Imported lazily: analysis sits above the network layer.
             from ..analysis.sanitizer import NetworkSanitizer
 
-            self._sanitizer: Optional[NetworkSanitizer] = NetworkSanitizer(self)
+            self.sanitizer: Optional[NetworkSanitizer] = NetworkSanitizer(self)
         else:
-            self._sanitizer = None
+            self.sanitizer = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -652,7 +652,7 @@ class NetworkSimulation(StagedRun):
         twin (same constructor arguments) resumes byte-identically;
         see :mod:`repro.harness.checkpoint` for the on-disk format.
         """
-        if self._sanitizer is not None:
+        if self.sanitizer is not None:
             raise ValueError(
                 "cannot checkpoint a sanitized simulation; rerun the "
                 "sanitizer after restore instead"
@@ -696,7 +696,7 @@ class NetworkSimulation(StagedRun):
         arguments as the one the snapshot came from (same topology,
         scheduler mode, fault plan, workload and tracer presence).
         """
-        if self._sanitizer is not None:
+        if self.sanitizer is not None:
             raise ValueError("cannot restore onto a sanitized simulation")
         self._check_run(state)
         if len(state["routers"]) != len(self.routers):

@@ -188,8 +188,6 @@ class TraceCollector:
         unique per hop.
         """
         router = getattr(target, "router", target)
-        # Unwrap checking wrappers (SimSanitizer) to reach the model.
-        router = getattr(router, "inner", router)
         config = getattr(router, "config", None)
         if config is not None:
             self._flit_cycles = getattr(config, "flit_cycles", 1)

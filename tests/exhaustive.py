@@ -77,5 +77,5 @@ def exhaustive(sim):
         for router in sim.routers.values():
             router._occupied = AllPorts(len(router.inputs))
     else:
-        sim._engine._in_flits = AlwaysActive()
+        sim.router._in_flits = AlwaysActive()
     return sim

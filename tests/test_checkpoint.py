@@ -179,6 +179,50 @@ class TestFormatVersion:
             load_checkpoint(path)
 
 
+class TestFileSafety:
+    """A checkpoint on disk is either the last complete save or refused
+    with one typed error — never a half-written file, never a bare
+    unpickling traceback."""
+
+    @staticmethod
+    def _paused(path):
+        reset_packet_ids()
+        sim = _switch_sim(BaselineRouter, 7, 0.4, "cycle", False)
+        sim.start_run(FAST)
+        assert not sim.advance_run(stop_at=100)
+        sim.save_checkpoint(path)
+        return sim
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path,
+                                                   monkeypatch):
+        import pickle
+
+        path = tmp_path / "switch.ckpt"
+        sim = self._paused(path)
+        good = path.read_bytes()
+        assert not sim.advance_run(stop_at=150)
+
+        def dump(obj, fh):
+            fh.write(pickle.dumps(obj)[:100])
+            raise RuntimeError("killed mid-save")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pickle, "dump", dump)
+            with pytest.raises(RuntimeError, match="mid-save"):
+                sim.save_checkpoint(path)
+        assert path.read_bytes() == good
+        assert [p.name for p in tmp_path.iterdir()] == ["switch.ckpt"]
+        assert load_checkpoint(path).cycle == 100
+
+    def test_truncated_file_is_refused(self, tmp_path):
+        path = tmp_path / "switch.ckpt"
+        self._paused(path)
+        body = path.read_bytes()
+        path.write_bytes(body[:len(body) // 2])
+        with pytest.raises(ValueError, match="truncated or corrupt"):
+            load_checkpoint(path)
+
+
 def _start(sim):
     reset_packet_ids()
     if sim._workload is not None:

@@ -7,7 +7,12 @@ from pathlib import Path
 import pytest
 
 import repro.cli
-from repro import InvariantViolation, NetworkSanitizer, SimSanitizer
+from repro import (
+    InvariantViolation,
+    NetworkSanitizer,
+    SimSanitizer,
+    SwitchSimulation,
+)
 from repro.cli import ARCHITECTURES, build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -175,6 +180,48 @@ class TestCommands:
         assert rc == 2
         assert "--checkpoint-every" in capsys.readouterr().err
         assert not path.exists()
+
+    def test_run_refuses_sanitized_checkpoints_before_running(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        """Regression: ``--sanitize --checkpoint-every N`` simulated N
+        cycles and only then failed, at its first save."""
+        def never(self, *args, **kwargs):
+            raise RuntimeError("the run must not start")
+
+        monkeypatch.setattr(SwitchSimulation, "advance_run", never)
+        path = tmp_path / "run.ckpt"
+        rc = main([
+            "run", "--arch", "buffered", "--radix", "8", "--load", "0.6",
+            "--sanitize", "--checkpoint-every", "500",
+            "--checkpoint", str(path),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro run: ") and err.count("\n") == 1
+        assert "--checkpoint-every" in err and "--sanitize" in err
+        assert not path.exists()
+
+    def test_resume_from_truncated_checkpoint_is_a_usage_error(
+        self, capsys, tmp_path
+    ):
+        """Regression: a checkpoint cut short ended ``run --resume`` in
+        an unpickling traceback."""
+        path = tmp_path / "run.ckpt"
+        assert main([
+            "run", "--arch", "buffered", "--radix", "8", "--subswitch", "4",
+            "--warmup", "100", "--measure", "100", "--drain", "500",
+            "--checkpoint-every", "150", "--checkpoint", str(path),
+        ]) == 0
+        body = path.read_bytes()
+        path.write_bytes(body[:len(body) // 2])
+        capsys.readouterr()
+        assert main(["run", "--resume", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"repro run: checkpoint {path} ")
+        assert "truncated or corrupt" in captured.err
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("argv, told", [
         ("workload --radix 4 --corrupt-rate 2", "corrupt_rate"),

@@ -343,7 +343,7 @@ class TestStuckFaults:
         assert sim.router.stats.flits_ejected > 0
         # Input 0 accepted a few flits into its buffers, but none of
         # them ever won switch allocation.
-        assert (0, 0) in sim._engine._stuck_inputs
+        assert (0, 0) in sim.router._stuck_inputs
 
     def test_crosspoint_fault_rejected_without_crosspoints(self):
         """The schedule fires at the stuck cycle; a router with no
@@ -364,11 +364,11 @@ class TestStuckFaults:
         )
         for _ in range(3):
             sim.step()
-        assert sim._engine._input_stuck(1, 0)
-        assert not sim._engine._input_stuck(1, 1)
+        assert sim.router._input_stuck(1, 0)
+        assert not sim.router._input_stuck(1, 1)
         for _ in range(10):
             sim.step()
-        assert not sim._engine._stuck_inputs
+        assert not sim.router._stuck_inputs
 
     def test_credit_loss_inert_without_credit_hardware(self):
         """Baseline has no internal credit pipes to tap; a credit-loss

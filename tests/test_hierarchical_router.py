@@ -222,17 +222,17 @@ class TestResidentCounter:
             )
             for _ in range(300):
                 sim.step()
-                _assert_indices_sum_to_occupancy(sim.router.inner)
-            assert sim.router.checks_run == 300
+                _assert_indices_sum_to_occupancy(sim.router)
+            assert sim.sanitizer.checks_run == 300
 
     def test_resident_zero_after_drain(self):
         router = HierarchicalCrossbarRouter(CFG)
-        checked = SimSanitizer(router)
+        sanitizer = SimSanitizer(router)
         for src in range(8):
             for f in make_packet(dest=(src + 3) % 8, size=2, src=src):
-                checked.accept(src, f)
-        _drain(checked, max_cycles=2000)
-        checked.assert_drained()
+                router.accept(src, f)
+        _drain(router, max_cycles=2000)
+        sanitizer.assert_drained()
         assert router._port_flits == [0] * 8
         assert router._crossing == set()
         for row in router.sub:
@@ -320,7 +320,7 @@ class TestOccupancyIndexedHotPath:
         for scheduler in ("cycle", "event"):
             checked = _build(scenario, scheduler, sanitize=True)
             expect = checked.run(PROPERTY_RUN)
-            assert checked.router.checks_run > 0
+            assert checked.sanitizer.checks_run > 0
 
             first = _build(scenario, scheduler, sanitize=False)
             first.start_run(PROPERTY_RUN)

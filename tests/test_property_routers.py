@@ -48,16 +48,17 @@ packets_strategy = st.lists(
 def _drive(router_cls, packets, num_vcs=2):
     """Inject the packets (respecting buffer space) and drain fully.
 
-    The router runs under :class:`SimSanitizer`, so every randomized
+    A :class:`SimSanitizer` observes the router, so every randomized
     workload doubles as a structural fuzz test: flit/credit
     conservation, buffer bounds, and VC ownership are verified as the
-    simulation advances (the returned router is the unwrapped model).
+    simulation advances.
     """
     cfg = RouterConfig(
         radix=8, num_vcs=num_vcs, subswitch_size=4, local_group_size=4,
         input_buffer_depth=8,
     )
-    router = SimSanitizer(router_cls(cfg), check_interval=4)
+    router = router_cls(cfg)
+    sanitizer = SimSanitizer(router)
     # Pending flits per (input, vc) in packet order.
     pending = defaultdict(list)
     for src, dest, size, vc in packets:
@@ -74,8 +75,8 @@ def _drive(router_cls, packets, num_vcs=2):
         if router.idle() and not any(pending.values()):
             break
     if router.idle() and not any(pending.values()):
-        router.assert_drained()
-    return router.inner, delivered
+        sanitizer.assert_drained()
+    return router, delivered
 
 
 @pytest.mark.parametrize("router_cls", ALL_ROUTERS)

@@ -57,10 +57,8 @@ def _single_flit(dest=1, src=0, vc=0, packet_id_offset=0):
 @pytest.mark.parametrize("router_cls", ALL_ROUTERS)
 def test_sanitized_radix16_run_completes_clean(router_cls):
     """Every organization sustains per-cycle structural checks at k=16."""
-    router = SimSanitizer(router_cls(_config(16)), check_interval=2)
-    sim = SwitchSimulation(router, load=0.6, seed=7, sanitize=True)
-    # sanitize=True must not re-wrap an existing sanitizer.
-    assert sim.router is router
+    sim = SwitchSimulation(router_cls(_config(16)), load=0.6, seed=7,
+                           sanitize=True)
     sim.run(SHORT)
     sim.stop_sources()
     budget = 20000
@@ -69,32 +67,20 @@ def test_sanitized_radix16_run_completes_clean(router_cls):
     ):
         sim.step()
         budget -= 1
-    sim.router.assert_drained()
-    assert router.checks_run > 0
-    assert router.violations_checked > 0
+    sim.sanitizer.assert_drained()
+    assert sim.sanitizer.checks_run > 0
+    assert sim.sanitizer.violations_checked > 0
 
 
 def test_switch_simulation_sanitize_flag_wraps_router():
-    sim = SwitchSimulation(BaselineRouter(_config(8)), load=0.3,
-                           sanitize=True)
-    assert isinstance(sim.router, SimSanitizer)
-
-
-def test_check_interval_throttles_structural_checks():
-    router = SimSanitizer(_small_router(), check_interval=5)
-    for _ in range(10):
-        router.step()
-    assert router.checks_run == 2
-
-
-def test_check_interval_validated():
-    with pytest.raises(ValueError):
-        SimSanitizer(_small_router(), check_interval=0)
-    with pytest.raises(ValueError):
-        NetworkSanitizer(
-            NetworkSimulation(NetworkConfig(radix=4, levels=2), load=0.1),
-            check_interval=0,
-        )
+    """``sanitize=True`` attaches an observer; the simulation still
+    drives the very router it was given."""
+    router = BaselineRouter(_config(8))
+    sim = SwitchSimulation(router, load=0.3, sanitize=True)
+    assert sim.router is router
+    assert isinstance(sim.sanitizer, SimSanitizer)
+    assert sim.sanitizer.router is router
+    assert SwitchSimulation(BaselineRouter(_config(8))).sanitizer is None
 
 
 # ----------------------------------------------------------------------
@@ -103,26 +89,27 @@ def test_check_interval_validated():
 
 
 def test_detects_flit_conservation_break():
-    san = SimSanitizer(_small_router())
-    san.accept(0, _single_flit())
+    router = _small_router()
+    san = SimSanitizer(router)
+    router.accept(0, _single_flit())
     # Vanish the flit behind the sanitizer's back.
-    san.inner.inputs[0][0].pop()
+    router.inputs[0][0].pop()
     with pytest.raises(InvariantViolation) as exc:
         san.check_now()
     assert exc.value.check == "flit-conservation"
 
 
 def test_detects_buffer_overflow():
-    san = SimSanitizer(_small_router())
-    inner = san.inner
-    depth = inner.config.input_buffer_depth
+    router = _small_router()
+    san = SimSanitizer(router)
+    depth = router.config.input_buffer_depth
     for _ in range(depth):
-        san.accept(0, _single_flit())
+        router.accept(0, _single_flit())
     # Bypass the push() guard: stuff one flit past the depth limit
     # (keeping the accounting consistent so only the bound trips).
     extra = _single_flit()
-    inner.inputs[0][0]._q.append(extra)
-    inner.stats.flits_accepted += 1
+    router.inputs[0][0]._q.append(extra)
+    router.stats.flits_accepted += 1
     with pytest.raises(InvariantViolation) as exc:
         san.check_now()
     assert exc.value.check == "buffer-bounds"
@@ -131,9 +118,10 @@ def test_detects_buffer_overflow():
 
 
 def test_detects_stale_vc_ownership():
-    san = SimSanitizer(_small_router())
+    router = _small_router()
+    san = SimSanitizer(router)
     # Grant an output VC to a packet the router has never seen.
-    san.inner.output_vcs[2].allocate(1, 999_999)
+    router.output_vcs[2].allocate(1, 999_999)
     with pytest.raises(InvariantViolation) as exc:
         san.check_now()
     assert exc.value.check == "vc-ownership"
@@ -142,12 +130,13 @@ def test_detects_stale_vc_ownership():
 
 
 def test_detects_double_vc_grant():
-    san = SimSanitizer(_small_router())
+    router = _small_router()
+    san = SimSanitizer(router)
     flit = _single_flit()
-    san.accept(0, flit)
+    router.accept(0, flit)
     # One live packet granted two output VCs at once.
-    san.inner.output_vcs[0].allocate(0, flit.packet_id)
-    san.inner.output_vcs[1].allocate(0, flit.packet_id)
+    router.output_vcs[0].allocate(0, flit.packet_id)
+    router.output_vcs[1].allocate(0, flit.packet_id)
     with pytest.raises(InvariantViolation) as exc:
         san.check_now()
     assert exc.value.check == "vc-ownership"
@@ -219,10 +208,10 @@ def test_detects_occupancy_index_drift(corrupt):
     )
     for _ in range(40):
         sim.step()
-    router = sim.router.inner
+    router = sim.router
     corrupt(router)
     with pytest.raises(InvariantViolation) as exc:
-        sim.router.check_now()
+        sim.sanitizer.check_now()
     assert exc.value.check == "occupancy-index"
     assert exc.value.cycle == router.cycle
 
@@ -260,10 +249,10 @@ def test_detects_crosspoint_index_drift(router_cls, corrupt, config):
     )
     for _ in range(40):
         sim.step()
-    router = sim.router.inner
+    router = sim.router
     corrupt(router)
     with pytest.raises(InvariantViolation) as exc:
-        sim.router.check_now()
+        sim.sanitizer.check_now()
     assert exc.value.check == "occupancy-index"
     assert exc.value.cycle == router.cycle
 
@@ -281,7 +270,7 @@ def test_detects_input_count_drift(router_cls):
     )
     for _ in range(40):
         sim.step()
-    router = sim.router.inner
+    router = sim.router
     assert router._in_flits == [len(bank) for bank in router.inputs]
     router._in_flits[5] += 1
     drifted_at = router.cycle
@@ -303,12 +292,12 @@ def test_detects_credit_leak_shared_buffer():
 
 def test_violation_carries_cycle_context():
     router = BufferedCrossbarRouter(RouterConfig(radix=8))
-    san = SimSanitizer(router)
+    SimSanitizer(router)
     for _ in range(17):
-        san.step()
+        router.step()
     router._credits[0][0][0].consume()
     with pytest.raises(InvariantViolation) as exc:
-        san.step()
+        router.step()
     err = exc.value
     assert err.cycle == 18
     assert f"cycle {err.cycle}" in str(err)
@@ -322,6 +311,117 @@ def test_violation_is_assertion_error():
 
 
 # ----------------------------------------------------------------------
+# Stream contracts: each names its law and its cycle
+# ----------------------------------------------------------------------
+
+
+def _accept(router, *flits):
+    for flit in flits:
+        router.hooks.emit_flit_move("accept", flit, flit.src, 4)
+
+
+def _eject(router, flit, port, cycle):
+    router.hooks.emit_flit_move("eject", flit, port, cycle)
+
+
+def _double_accept(router, san):
+    (flit,) = make_packet(dest=1, size=1, src=0)
+    _accept(router, flit)
+    router.hooks.emit_flit_move("accept", flit, 2, 9)
+
+
+def _phantom_eject(router, san):
+    (flit,) = make_packet(dest=1, size=1, src=0)
+    _eject(router, flit, 1, 9)
+
+
+def _wrong_output(router, san):
+    (flit,) = make_packet(dest=1, size=1, src=0)
+    _accept(router, flit)
+    _eject(router, flit, 2, 9)
+
+
+def _out_of_order(router, san):
+    head, tail = make_packet(dest=1, size=2, src=0)
+    _accept(router, head, tail)
+    _eject(router, tail, 1, 9)
+
+
+def _interleaved_vc(router, san):
+    first = make_packet(dest=1, size=2, src=0)
+    second = make_packet(dest=1, size=2, src=2)
+    _accept(router, *first, *second)
+    _eject(router, first[0], 1, 5)
+    _eject(router, second[0], 1, 9)
+
+
+def _over_bandwidth(router, san):
+    (first,) = make_packet(dest=1, size=1, src=0)
+    (second,) = make_packet(dest=1, size=1, src=2)
+    _accept(router, first, second)
+    _eject(router, first, 1, 8)
+    _eject(router, second, 1, 9)  # flit_cycles is 2
+
+
+def _undrained(router, san):
+    router.cycle = 9
+    _accept(router, *make_packet(dest=1, size=1, src=0))
+    san.assert_drained()
+
+
+@pytest.mark.parametrize("provoke, check, port", [
+    (_double_accept, "stream-conservation", 2),
+    (_phantom_eject, "stream-conservation", 1),
+    (_wrong_output, "stream-destination", 2),
+    (_out_of_order, "stream-order", 1),
+    (_interleaved_vc, "stream-vc-discipline", 1),
+    (_over_bandwidth, "stream-bandwidth", 1),
+    (_undrained, "drain", None),
+])
+def test_stream_violation_is_located(provoke, check, port):
+    """Every stream contract raises with its ``check`` name, the cycle
+    of the offending event, and the port it moved through."""
+    router = BaselineRouter(RouterConfig(radix=8, flit_cycles=2))
+    san = SimSanitizer(router)
+    with pytest.raises(InvariantViolation) as exc:
+        provoke(router, san)
+    assert exc.value.check == check
+    assert exc.value.cycle == 9
+    assert exc.value.port == port
+    assert f"[{check}]" in str(exc.value)
+
+
+@pytest.mark.parametrize("scheduler", ["cycle", "event"])
+def test_sanitizer_composes_with_tracing(scheduler):
+    """The sanitizer and a trace collector share the router's hook bus
+    without perturbing each other: a traced run is the same with and
+    without the sanitizer, and the collector names the model."""
+    from repro.core.flit import reset_packet_ids
+    from repro.trace import TraceCollector, chrome_trace_json
+
+    def traced(sanitize):
+        reset_packet_ids()
+        collector = TraceCollector()
+        sim = SwitchSimulation(
+            HierarchicalCrossbarRouter(
+                RouterConfig(radix=8, subswitch_size=4, local_group_size=4)
+            ),
+            load=0.5, seed=5, sanitize=sanitize, tracer=collector,
+            scheduler=scheduler,
+        )
+        result = sim.run(SHORT)
+        assert collector.label == "HierarchicalCrossbarRouter"
+        assert collector.declared_stages == (
+            HierarchicalCrossbarRouter.TRACE_STAGES
+        )
+        if sanitize:
+            assert sim.sanitizer.checks_run > 0
+        return repr(result.row()), result.extra, chrome_trace_json(collector)
+
+    assert traced(sanitize=True) == traced(sanitize=False)
+
+
+# ----------------------------------------------------------------------
 # Network-level sanitizer
 # ----------------------------------------------------------------------
 
@@ -330,9 +430,9 @@ def test_sanitized_network_run_completes_clean():
     sim = NetworkSimulation(
         NetworkConfig(radix=4, levels=2, seed=3), load=0.4, sanitize=True
     )
-    assert sim._sanitizer is not None
+    assert isinstance(sim.sanitizer, NetworkSanitizer)
     sim.run(warmup=100, measure=100, drain=5000)
-    assert sim._sanitizer.checks_run > 0
+    assert sim.sanitizer.checks_run > 0
 
 
 def test_network_sanitizer_detects_link_credit_leak():
@@ -341,7 +441,7 @@ def test_network_sanitizer_detects_link_credit_leak():
     )
     for _ in range(50):
         sim.step()
-    _name, _port, link, _target, _tport = sim._sanitizer._links[0]
+    _name, _port, link, _target, _tport = sim.sanitizer._links[0]
     link.credits[0].consume()
     with pytest.raises(InvariantViolation) as exc:
         sim.step()
@@ -357,7 +457,7 @@ def test_network_sanitizer_detects_buffer_overflow():
     for _ in range((queue.maxlen or 0) + 1):
         queue._q.append(_single_flit())
     with pytest.raises(InvariantViolation) as exc:
-        sim._sanitizer.check_now(sim.cycle)
+        sim.sanitizer.check_now(sim.cycle)
     assert exc.value.check == "buffer-bounds"
 
 

@@ -269,7 +269,7 @@ class TestTwinsKeepTheSameCount:
                 BufferedCrossbarRouter(config), load=0.3, sanitize=True
             )
             sim.run(SweepSettings(warmup=100, measure=200, drain=2000))
-            router = sim.router.inner
+            router = sim.router
             assert router._in_flits == _walked(router)
             counts.append(router._in_flits)
         assert counts[0] == counts[1]
