@@ -14,7 +14,9 @@ ordinary tests don't enforce:
 This package supplies one tool per family:
 
 * :mod:`repro.analysis.lint` — an AST lint pass with simulator-specific
-  rules (R001-R014), run as ``python -m repro.cli lint src``;
+  rules that neither the interpreter nor ruff checks (R001-R014, less
+  the retired R003-R005 and R011), run as ``python -m repro.cli lint
+  src``;
 * :mod:`repro.analysis.sanitizer` — :class:`SimSanitizer`, a
   per-cycle runtime checker observing any router (``--sanitize`` on the
   CLI), plus :class:`NetworkSanitizer` for network simulations.

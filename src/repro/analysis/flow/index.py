@@ -7,11 +7,6 @@ linearization (depth-first, left-to-right, first occurrence wins — the
 paper-repro codebase uses single inheritance plus mixins, where this
 coincides with Python's MRO) lets the rules ask "which ``compute`` does
 this class actually run?" without importing simulator code.
-
-The index also recovers the :class:`~repro.engine.hooks.EngineHooks`
-event registry *from the indexed source itself* — the hook-contract
-rule (R011) checks ``emit_*`` call sites against whatever the linted
-tree defines, so the rule stays correct if the event set evolves.
 """
 
 from __future__ import annotations
@@ -19,27 +14,6 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .summary import ClassSummary, FileSummary, MethodSummary
-
-
-class EventSpec:
-    """Signature of one ``EngineHooks`` event (an ``emit_*`` method)."""
-
-    __slots__ = ("name", "params", "n_defaults", "has_vararg")
-
-    def __init__(self, name: str, params: List[str], n_defaults: int,
-                 has_vararg: bool) -> None:
-        self.name = name  #: event name without the ``emit_`` prefix
-        self.params = params  #: payload parameter names, in order
-        self.n_defaults = n_defaults
-        self.has_vararg = has_vararg
-
-    @property
-    def min_args(self) -> int:
-        return len(self.params) - self.n_defaults
-
-    @property
-    def max_args(self) -> int:
-        return len(self.params)
 
 
 class ProjectIndex:
@@ -57,11 +31,12 @@ class ProjectIndex:
         for s in summaries:
             self.add(s)
         self._mro_cache: Dict[str, Tuple[List[str], List[str]]] = {}
-        self._hooks_registry: Optional[Dict[str, EventSpec]] = None
         #: display path -> every ``(line, code)`` any rule fired on that
-        #: file pre-suppression; populated by the lint runner, consumed
-        #: by the stale-pragma rule (R012).
+        #: file pre-suppression, and the catalogue codes whose rule was
+        #: filtered out of the run; populated by the lint runner,
+        #: consumed by the stale-pragma rule (R012).
         self.rule_hits: Dict[str, Set[Tuple[int, str]]] = {}
+        self.unrun_codes: Set[str] = set()
 
     def add(self, summary: FileSummary) -> None:
         self.files[summary.path] = summary
@@ -198,42 +173,3 @@ class ProjectIndex:
             return True
         _, external = self.mro(qualname)
         return any(b.rsplit(".", 1)[-1] == "Component" for b in external)
-
-    # ------------------------------------------------------------------
-    # EngineHooks registry (R011)
-    # ------------------------------------------------------------------
-
-    def hooks_registry(self) -> Dict[str, EventSpec]:
-        """Event registry recovered from the indexed ``EngineHooks``.
-
-        Each ``emit_<event>`` method contributes one :class:`EventSpec`
-        whose params are the payload signature.  Prefers the class
-        defined in ``repro.engine.hooks``; falls back to any class named
-        ``EngineHooks``.  Empty when no registry is in view (e.g. when
-        linting a test tree alone) — R011 goes silent rather than
-        guessing.
-        """
-        if self._hooks_registry is not None:
-            return self._hooks_registry
-        registry: Dict[str, EventSpec] = {}
-        hooks_cls = self._find_hooks_class()
-        if hooks_cls is not None:
-            for name, method in hooks_cls.methods.items():
-                if not name.startswith("emit_"):
-                    continue
-                registry[name[len("emit_"):]] = EventSpec(
-                    name=name[len("emit_"):],
-                    params=list(method.params),
-                    n_defaults=method.n_defaults,
-                    has_vararg=method.has_vararg,
-                )
-        self._hooks_registry = registry
-        return registry
-
-    def _find_hooks_class(self) -> Optional[ClassSummary]:
-        preferred = self.classes.get("repro.engine.hooks.EngineHooks")
-        if preferred is not None:
-            return preferred[1]
-        for qual in self.by_name.get("EngineHooks", []):
-            return self.classes[qual][1]
-        return None

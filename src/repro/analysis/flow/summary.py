@@ -47,30 +47,10 @@ class CallSite:
 
 @dataclass
 class EmitSite:
-    """A ``<receiver>.emit_*(...)`` call anywhere in the file."""
+    """A ``<receiver>.emit_*(...)`` call inside a method body."""
 
     event: str  #: full method name, e.g. "emit_flit_move"
     line: int
-    nargs: int  #: positional arguments (no star-args counted)
-    kwnames: List[str]
-    has_star: bool  #: ``*args``/``**kwargs`` present — arity unknowable
-    receiver: str  #: source text of the receiver expression
-    cls: str  #: enclosing class name ("" at module level)
-    method: str  #: enclosing function name ("" at module level)
-
-
-@dataclass
-class SubSite:
-    """A ``<receiver>.on_*(handler)`` hook subscription."""
-
-    event: str  #: full method name, e.g. "on_cycle_end"
-    line: int
-    receiver: str
-    handler_kind: str  #: "self_method", "name", "lambda", or "opaque"
-    handler_name: str  #: method/function name for the first two kinds
-    handler_nargs: int  #: parameter count for "lambda"
-    handler_vararg: bool
-    cls: str  #: enclosing class name ("" at module level)
 
 
 @dataclass
@@ -95,16 +75,11 @@ class MethodSummary:
 
     name: str
     line: int
-    params: List[str]  #: parameter names, ``self`` excluded for methods
-    n_defaults: int
-    has_vararg: bool
     self_writes: List[WriteSite] = field(default_factory=list)
     cross_writes: List[WriteSite] = field(default_factory=list)
     self_reads: List[str] = field(default_factory=list)
     self_calls: List[CallSite] = field(default_factory=list)
     emits: List[EmitSite] = field(default_factory=list)
-    calls_super_init: bool = False
-    explicit_init_bases: List[str] = field(default_factory=list)
     returns_closure: bool = False
     raises_only: bool = False  #: body is nothing but ``raise`` (a stub)
 
@@ -132,8 +107,6 @@ class FileSummary:
     classes: List[ClassSummary] = field(default_factory=list)
     functions: Dict[str, MethodSummary] = field(default_factory=dict)
     rng_sites: List[RngSite] = field(default_factory=list)
-    emit_sites: List[EmitSite] = field(default_factory=list)
-    sub_sites: List[SubSite] = field(default_factory=list)
     pragmas: Dict[int, List[str]] = field(default_factory=dict)
 
 
@@ -322,22 +295,6 @@ class _Summarizer(ast.NodeVisitor):
     def _enter_function(
         self, node: "ast.FunctionDef | ast.AsyncFunctionDef"
     ) -> None:
-        in_class = bool(self._class_stack) and not self._method_stack
-        args = node.args
-        params = [a.arg for a in args.posonlyargs + args.args]
-        if in_class and params and params[0] in ("self", "cls"):
-            params = params[1:]
-        params += [a.arg for a in args.kwonlyargs]
-        n_defaults = len(args.defaults) + sum(
-            1 for d in args.kw_defaults if d is not None
-        )
-        method = MethodSummary(
-            name=node.name,
-            line=node.lineno,
-            params=params,
-            n_defaults=n_defaults,
-            has_vararg=args.vararg is not None or args.kwarg is not None,
-        )
         if self._method_stack:
             # Nested function: its body is attributed to the enclosing
             # method (it captures self), but it is not itself resolvable.
@@ -347,14 +304,18 @@ class _Summarizer(ast.NodeVisitor):
                 self.visit(stmt)
             self._method_stack.pop()
             return
-        method.raises_only = _raises_only(node.body)
+        method = MethodSummary(
+            name=node.name,
+            line=node.lineno,
+            raises_only=_raises_only(node.body),
+        )
         self._method_stack.append(method)
         for stmt in node.body:
             self.visit(stmt)
         self._method_stack.pop()
-        if in_class:
+        if self._class_stack:
             self._class_stack[-1].methods.setdefault(node.name, method)
-        elif not self._class_stack:
+        else:
             self.s.functions.setdefault(node.name, method)
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
@@ -445,83 +406,16 @@ class _Summarizer(ast.NodeVisitor):
             self._visit_name_call(node, func)
         self.generic_visit(node)
 
-    def _enclosing(self) -> Tuple[str, str]:
-        cls = self._class_stack[-1].name if self._class_stack else ""
-        method = self._method_stack[-1].name if self._method_stack else ""
-        return cls, method
-
     def _visit_attribute_call(self, node: ast.Call, func: ast.Attribute) -> None:
-        cls, method_name = self._enclosing()
-        if isinstance(func.value, ast.Name) and func.value.id == "self":
-            if self._method_stack:
-                self._method_stack[-1].self_calls.append(
+        if self._method_stack:
+            method = self._method_stack[-1]
+            if isinstance(func.value, ast.Name) and func.value.id == "self":
+                method.self_calls.append(
                     CallSite(name=func.attr, line=node.lineno)
                 )
-        if func.attr.startswith("emit_"):
-            has_star = any(isinstance(a, ast.Starred) for a in node.args) or any(
-                kw.arg is None for kw in node.keywords
-            )
-            site = EmitSite(
-                event=func.attr,
-                line=node.lineno,
-                nargs=sum(1 for a in node.args
-                          if not isinstance(a, ast.Starred)),
-                kwnames=sorted(kw.arg for kw in node.keywords
-                               if kw.arg is not None),
-                has_star=has_star,
-                receiver=_expr_text(func.value),
-                cls=cls,
-                method=method_name,
-            )
-            self.s.emit_sites.append(site)
-            if self._method_stack:
-                self._method_stack[-1].emits.append(site)
-        elif func.attr.startswith("on_") and len(node.args) == 1:
-            self._record_subscription(node, func)
-        elif func.attr == "__init__":
-            self._record_explicit_init(func)
+            if func.attr.startswith("emit_"):
+                method.emits.append(EmitSite(event=func.attr, line=node.lineno))
         self._maybe_rng_call(node, _expr_text(func))
-
-    def _record_subscription(self, node: ast.Call, func: ast.Attribute) -> None:
-        handler = node.args[0]
-        kind, name, nargs, vararg = "opaque", "", 0, False
-        if (
-            isinstance(handler, ast.Attribute)
-            and isinstance(handler.value, ast.Name)
-            and handler.value.id == "self"
-        ):
-            kind, name = "self_method", handler.attr
-        elif isinstance(handler, ast.Name):
-            kind, name = "name", handler.id
-        elif isinstance(handler, ast.Lambda):
-            kind = "lambda"
-            nargs = len(handler.args.posonlyargs) + len(handler.args.args)
-            vararg = handler.args.vararg is not None
-        cls, _ = self._enclosing()
-        self.s.sub_sites.append(SubSite(
-            event=func.attr,
-            line=node.lineno,
-            receiver=_expr_text(func.value),
-            handler_kind=kind,
-            handler_name=name,
-            handler_nargs=nargs,
-            handler_vararg=vararg,
-            cls=cls,
-        ))
-
-    def _record_explicit_init(self, func: ast.Attribute) -> None:
-        if not self._method_stack:
-            return
-        method = self._method_stack[-1]
-        callee = func.value
-        if (
-            isinstance(callee, ast.Call)
-            and isinstance(callee.func, ast.Name)
-            and callee.func.id == "super"
-        ):
-            method.calls_super_init = True
-        elif isinstance(callee, (ast.Name, ast.Attribute)):
-            method.explicit_init_bases.append(_expr_text(callee))
 
     def _visit_name_call(self, node: ast.Call, func: ast.Name) -> None:
         self._maybe_rng_call(node, func.id)

@@ -3,9 +3,9 @@
 Two kinds of rule share one catalogue, and every rule has exactly one
 form:
 
-* **File rules** (R001-R004, :class:`LintRule`) implement
+* **File rules** (R001, R002, :class:`LintRule`) implement
   ``check(tree, ctx)`` — a generator over one parsed module.
-* **Project rules** (R005-R014, :class:`ProjectRule`) implement
+* **Project rules** (R006-R014, :class:`ProjectRule`) implement
   ``check_project(index)`` against the whole-program
   :class:`~repro.analysis.flow.index.ProjectIndex` — cross-module class
   hierarchies, interprocedural purity, global RNG-stream uniqueness.
@@ -126,7 +126,7 @@ class LintRule:
 
 
 class ProjectRule(LintRule):
-    """A rule over the whole-program index (R005-R014); it is never
+    """A rule over the whole-program index (R006-R014); it is never
     handed a single module, so it does not implement ``check``."""
 
     #: Final-phase rules (R012) run after every other rule and see the
@@ -229,11 +229,11 @@ def lint_paths(
     """
     from .flow.index import ProjectIndex
     from .flow.summary import FileSummary, summarize_module
+    from .rules import all_rules
 
+    catalogue = all_rules()
     if rules is None:
-        from .rules import all_rules
-
-        rules = all_rules()
+        rules = catalogue
     file_rules = [r for r in rules if not isinstance(r, ProjectRule)]
     project_rules = [
         r for r in rules if isinstance(r, ProjectRule) and not r.runs_last
@@ -277,6 +277,7 @@ def lint_paths(
 
     index = ProjectIndex(summaries)
     index.rule_hits = rule_hits
+    index.unrun_codes = {r.code for r in catalogue} - {r.code for r in rules}
 
     for rule in project_rules:
         for finding in rule.check_project(index):
@@ -322,8 +323,6 @@ def filter_rules(
 
 def run_lint(
     paths: Sequence[str],
-    rules: Optional[Sequence[LintRule]] = None,
-    print_findings: bool = True,
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
     output_format: str = "text",
@@ -337,13 +336,10 @@ def run_lint(
     still reflects the findings so CI fails on regressions.
     """
     from .flow import output as out_mod
+    from .rules import all_rules
 
-    if rules is None:
-        from .rules import all_rules
-
-        rules = all_rules()
     try:
-        active = filter_rules(rules, select, ignore)
+        active = filter_rules(all_rules(), select, ignore)
     except ValueError as exc:
         print(f"lint: {exc}")
         return 2
@@ -371,15 +367,12 @@ def run_lint(
         if output_path:
             with open(output_path, "w", encoding="utf-8") as fh:
                 fh.write(document)
-        elif print_findings:
+        else:
             print(document, end="")
     else:
-        if findings and print_findings:
+        if findings:
             print(format_findings(findings))
-        if print_findings:
-            n = len(findings)
-            summary = (
-                "clean" if n == 0 else f"{n} finding{'s' if n != 1 else ''}"
-            )
-            print(f"lint: {summary} ({', '.join(paths)})")
+        n = len(findings)
+        summary = "clean" if n == 0 else f"{n} finding{'s' if n != 1 else ''}"
+        print(f"lint: {summary} ({', '.join(paths)})")
     return 1 if findings else 0

@@ -8,13 +8,6 @@ R001  no-direct-random            All randomness flows through
 R002  no-nondeterminism           No wall clock, salted ``hash()``, or
                                   unordered-set iteration in the
                                   simulation
-R003  no-config-mutation          Frozen ``RouterConfig`` objects are
-                                  never assigned to (use
-                                  ``dataclasses.replace`` / ``with_``)
-R004  no-mutable-default          No mutable default arguments
-R005  router-subclass-contract    ``Router`` subclasses implement the
-                                  step hook and chain ``__init__``
-                                  (cross-module via the project index)
 R006  compute-phase-purity        ``Component.compute`` only stages
                                   intents (``self._staged*``); all
                                   mutation happens in ``commit``
@@ -31,10 +24,6 @@ R010  serialization-readiness     Component state stays picklable: no
                                   lambdas, generators, open handles,
                                   locks, or bound-method/closure
                                   captures
-R011  hook-contract               ``emit_*`` sites match the
-                                  ``EngineHooks`` registry (event,
-                                  arity, keywords); ``on_*`` handlers
-                                  accept the payload
 R012  stale-pragma                Every ``# lint: disable`` pragma
                                   suppresses at least one finding
 R013  observer-purity             Scheduler probes (``busy``,
@@ -48,10 +37,14 @@ R014  pattern-purity              ``TrafficPattern.dest`` and
                                   how often the harness asked
 ===== ==========================  ====================================
 
-R001-R004 are file rules; R005-R014 are project rules over the
+R001 and R002 are file rules; R006-R014 are project rules over the
 whole-program :class:`~repro.analysis.flow.index.ProjectIndex`.  R006,
 R007, the call-chain half of R008, R013 and R014 are rows of one
 purity-contract table in :mod:`.flow_rules`.
+
+Retired codes stay unused (a pragma naming one is an R012 finding):
+R003 and R005 are enforced by the interpreter, R004 by ruff ``B006``,
+R011 by ``tests/test_hook_contract.py``.
 """
 
 from __future__ import annotations
@@ -59,11 +52,9 @@ from __future__ import annotations
 from typing import List
 
 from ..lint import LintRule
-from .config_rules import ConfigMutationRule, MutableDefaultRule
 from .determinism import DirectRandomRule, NondeterminismRule
 from .flow_rules import (
     ComputePhasePurityRule,
-    HookContractRule,
     HookEmissionPhaseRule,
     ObserverPurityRule,
     PatternPurityRule,
@@ -72,7 +63,6 @@ from .flow_rules import (
     SerializationReadinessRule,
     StalePragmaRule,
 )
-from .structure import RouterSubclassRule
 
 
 def all_rules() -> List[LintRule]:
@@ -84,15 +74,11 @@ def all_rules() -> List[LintRule]:
     rules: List[LintRule] = [
         DirectRandomRule(),
         NondeterminismRule(),
-        ConfigMutationRule(),
-        MutableDefaultRule(),
-        RouterSubclassRule(),
         ComputePhasePurityRule(),
         HookEmissionPhaseRule(),
         PhaseRaceRule(),
         RngStreamRule(),
         SerializationReadinessRule(),
-        HookContractRule(),
         StalePragmaRule(),
         ObserverPurityRule(),
         PatternPurityRule(),
@@ -105,15 +91,11 @@ __all__ = [
     "all_rules",
     "DirectRandomRule",
     "NondeterminismRule",
-    "ConfigMutationRule",
-    "MutableDefaultRule",
-    "RouterSubclassRule",
     "ComputePhasePurityRule",
     "HookEmissionPhaseRule",
     "PhaseRaceRule",
     "RngStreamRule",
     "SerializationReadinessRule",
-    "HookContractRule",
     "StalePragmaRule",
     "ObserverPurityRule",
     "PatternPurityRule",

@@ -2,8 +2,8 @@
 
 These rules consume the
 :class:`~repro.analysis.flow.index.ProjectIndex` — cross-module MRO,
-per-method flow summaries, the recovered ``EngineHooks`` registry, and
-the runner's pragma-hit ledger — rather than a single parsed module.
+per-method flow summaries, and the runner's pragma-hit ledger —
+rather than a single parsed module.
 
 * **R006/R007/R008/R013/R014** are one contract, stated once in
   :data:`PURITY_CONTRACTS`: *method M of class family F, and everything
@@ -35,10 +35,6 @@ the runner's pragma-hit ledger — rather than a single parsed module.
   component state must be picklable, so lambdas, generators, open
   handles, locks, and bound-method/closure captures stored on (or
   into) component state are flagged at the assignment site.
-* **R011** checks every ``emit_*`` call site against the
-  ``EngineHooks`` registry recovered from the indexed source (event
-  exists, payload arity and keyword names match), and every ``on_*``
-  subscription for a handler whose signature can accept the payload.
 * **R012** reports ``lint: disable`` pragmas that suppress nothing —
   stale suppressions hide future regressions at their line.
 """
@@ -58,17 +54,10 @@ from typing import (
 )
 
 from ..lint import Finding, ProjectRule
-from ..flow.summary import (
-    STAGED_PREFIX,
-    EmitSite,
-    FileSummary,
-    MethodSummary,
-    RngSite,
-    SubSite,
-)
+from ..flow.summary import STAGED_PREFIX, MethodSummary, RngSite
 
 if TYPE_CHECKING:
-    from ..flow.index import EventSpec, ProjectIndex
+    from ..flow.index import ProjectIndex
 
 
 def _class_path(index: "ProjectIndex", qual: str) -> str:
@@ -607,140 +596,6 @@ class SerializationReadinessRule(ProjectRule):
         return None
 
 
-class HookContractRule(ProjectRule):
-    """R011: ``emit_*``/``on_*`` sites match the EngineHooks registry."""
-
-    code = "R011"
-    name = "hook-contract"
-    description = (
-        "emit_* call sites must name a registered EngineHooks event "
-        "with matching payload arity/keywords; on_* handlers must "
-        "accept the event payload"
-    )
-
-    @staticmethod
-    def _hooksish(receiver: str) -> bool:
-        return "hook" in receiver.lower()
-
-    def check_project(self, index: "ProjectIndex") -> Iterator[Finding]:
-        registry = index.hooks_registry()
-        if not registry:
-            return
-        for summary in index.files.values():
-            for site in summary.emit_sites:
-                if site.cls == "EngineHooks":
-                    continue
-                event = site.event[len("emit_"):]
-                spec = registry.get(event)
-                if spec is None:
-                    if self._hooksish(site.receiver):
-                        known = ", ".join(sorted(registry))
-                        yield self.project_finding(
-                            summary.path, site.line,
-                            f"`{site.event}` names no EngineHooks event "
-                            f"(registry: {known})",
-                        )
-                    continue
-                if site.has_star:
-                    continue
-                yield from self._check_arity(summary.path, site, spec)
-            for site in summary.sub_sites:
-                if site.cls == "EngineHooks":
-                    continue
-                event = site.event[len("on_"):]
-                spec = registry.get(event)
-                if spec is None:
-                    if self._hooksish(site.receiver):
-                        yield self.project_finding(
-                            summary.path, site.line,
-                            f"`{site.event}` subscribes to no EngineHooks "
-                            "event",
-                        )
-                    continue
-                yield from self._check_handler(index, summary, site, spec)
-
-    def _check_arity(
-        self, path: str, site: EmitSite, spec: "EventSpec"
-    ) -> Iterator[Finding]:
-        nargs = site.nargs
-        kwnames = site.kwnames
-        params = spec.params
-        if nargs > spec.max_args:
-            yield self.project_finding(
-                path, site.line,
-                f"`{site.event}` takes at most {spec.max_args} "
-                f"argument{'s' if spec.max_args != 1 else ''} "
-                f"({', '.join(params)}); this call passes {nargs}",
-            )
-            return
-        unknown = [kw for kw in kwnames if kw not in params]
-        if unknown:
-            yield self.project_finding(
-                path, site.line,
-                f"`{site.event}` has no keyword "
-                f"`{unknown[0]}` (payload: {', '.join(params)})",
-            )
-            return
-        filled = set(params[:nargs]) | set(kwnames)
-        missing = [
-            p for p in params[: spec.min_args] if p not in filled
-        ]
-        if missing:
-            yield self.project_finding(
-                path, site.line,
-                f"`{site.event}` is missing required payload "
-                f"argument{'s' if len(missing) != 1 else ''} "
-                f"{', '.join(f'`{m}`' for m in missing)}",
-            )
-
-    def _check_handler(
-        self,
-        index: "ProjectIndex",
-        summary: FileSummary,
-        site: SubSite,
-        spec: "EventSpec",
-    ) -> Iterator[Finding]:
-        want = len(spec.params)
-        got: Optional[int] = None
-        label = ""
-        if site.handler_kind == "lambda":
-            if site.handler_vararg:
-                return
-            got = site.handler_nargs
-            label = "lambda handler"
-        elif site.handler_kind == "self_method" and site.cls:
-            qual = (
-                f"{summary.module}.{site.cls}" if summary.module else site.cls
-            )
-            resolved = index.resolve_method(qual, site.handler_name)
-            if resolved is None or resolved[1].has_vararg:
-                return
-            got = len(resolved[1].params) - resolved[1].n_defaults
-            if got <= want <= len(resolved[1].params):
-                return
-            got = len(resolved[1].params)
-            label = f"handler `{site.handler_name}`"
-        elif site.handler_kind == "name":
-            fn = summary.functions.get(site.handler_name)
-            if fn is None or fn.has_vararg:
-                return
-            got = len(fn.params) - fn.n_defaults
-            if got <= want <= len(fn.params):
-                return
-            got = len(fn.params)
-            label = f"handler `{site.handler_name}`"
-        else:
-            return
-        if got == want:
-            return
-        yield self.project_finding(
-            summary.path, site.line,
-            f"`{site.event}` delivers {want} "
-            f"argument{'s' if want != 1 else ''} "
-            f"({', '.join(spec.params)}) but the {label} accepts {got}",
-        )
-
-
 class StalePragmaRule(ProjectRule):
     """R012: a ``lint: disable`` pragma that suppresses nothing."""
 
@@ -760,13 +615,14 @@ class StalePragmaRule(ProjectRule):
                 by_line.setdefault(line, set()).add(code)
             for line in sorted(summary.pragmas):
                 codes = set(summary.pragmas[line])
-                if "R012" in codes:
+                if "R012" in codes or codes & index.unrun_codes:
                     # A pragma explicitly acknowledging this rule is the
                     # sanctioned opt-out; reporting it would be circular.
+                    # A rule filtered out of this run might have fired.
                     continue
                 fired = by_line.get(line, set())
                 if "*" in codes:
-                    if fired:
+                    if fired or index.unrun_codes:
                         continue
                     yield self.project_finding(
                         summary.path, line,
@@ -836,6 +692,5 @@ __all__ = [
     "PhaseRaceRule",
     "RngStreamRule",
     "SerializationReadinessRule",
-    "HookContractRule",
     "StalePragmaRule",
 ]

@@ -22,9 +22,9 @@ Gives the library's main experiments a shell entry point:
   (ring / recursive-doubling all-reduce, all-to-all, broadcast,
   transformer-decode sequences), and trace replay, swept over message
   size / window / layer count on a switch or a Clos network;
-* ``lint`` — the repository's whole-program AST lint pass (rules
-  R001-R014, with ``--select``/``--ignore`` filters and ``--format
-  {text,json,sarif}``).
+* ``lint`` — the repository's whole-program AST lint pass (R001-R014,
+  less the retired R003-R005 and R011, with ``--select``/``--ignore``
+  filters and ``--format {text,json,sarif}``).
 
 Examples::
 
@@ -783,7 +783,7 @@ def build_parser() -> argparse.ArgumentParser:
     wl.set_defaults(func=cmd_workload)
 
     lint = subs.add_parser(
-        "lint", help="whole-program AST lint pass (R001-R014)"
+        "lint", help="whole-program AST lint pass (R001, R002, R006-R014)"
     )
     lint.add_argument("paths", nargs="*", default=["src"],
                       help="files or directories to lint (default: src)")

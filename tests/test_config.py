@@ -1,5 +1,7 @@
 """Tests for RouterConfig validation and derived properties."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import FAST_CONFIG, PAPER_CONFIG, RouterConfig
@@ -76,6 +78,17 @@ class TestWith:
             RouterConfig().with_(radix=63)  # subswitch 8 does not divide
 
     def test_frozen(self):
+        # Assignment, setattr and del all raise: the interpreter, not a
+        # lint rule, keeps shared configurations immutable.
         cfg = RouterConfig()
-        with pytest.raises(Exception):
-            cfg.radix = 16  # type: ignore[misc]  # lint: disable=R003
+
+        def assign():
+            cfg.radix = 16  # type: ignore[misc]
+
+        def delete():
+            del cfg.radix  # type: ignore[misc]
+
+        for write in (assign, lambda: setattr(cfg, "radix", 16), delete):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                write()
+        assert cfg.radix == 64

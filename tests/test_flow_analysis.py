@@ -3,7 +3,7 @@
 Covers the per-file summarizer (:mod:`repro.analysis.flow.summary`),
 the cross-module index (:mod:`repro.analysis.flow.index`), and the
 project rules R006-R014 (:mod:`repro.analysis.rules.flow_rules`),
-plus the cross-module regression cases for R005-R007 that a one-file
+plus the cross-module regression cases for R006-R007 that a one-file
 index is blind to.
 """
 
@@ -16,11 +16,10 @@ import pytest
 
 from repro.analysis.flow.index import ProjectIndex
 from repro.analysis.flow.summary import summarize_module
-from repro.analysis.lint import _parse_pragmas, lint_file, lint_paths
+from repro.analysis.lint import _parse_pragmas, lint_file, lint_paths, run_lint
 from repro.analysis.rules import all_rules
 from repro.analysis.rules.flow_rules import (
     ComputePhasePurityRule,
-    HookContractRule,
     HookEmissionPhaseRule,
     ObserverPurityRule,
     PatternPurityRule,
@@ -29,7 +28,6 @@ from repro.analysis.rules.flow_rules import (
     SerializationReadinessRule,
     StalePragmaRule,
 )
-from repro.analysis.rules.structure import RouterSubclassRule
 
 
 def summarize(src, path="mod.py"):
@@ -49,25 +47,6 @@ def index_of(**sources):
 
 def run_rule(rule, index):
     return list(rule.check_project(index))
-
-
-HOOKS_SRC = """
-    class EngineHooks:
-        def emit_cycle_start(self, cycle):
-            pass
-
-        def emit_flit_move(self, kind, flit, port, cycle):
-            pass
-
-        def emit_spec(self, flit, outcome=None):
-            pass
-
-        def on_cycle_start(self, fn):
-            pass
-
-        def on_flit_move(self, fn):
-            pass
-"""
 
 
 # ----------------------------------------------------------------------
@@ -291,18 +270,6 @@ class TestProjectIndex:
         resolved = index.resolve_method("sub.Sub", "commit")
         assert resolved is not None
         assert resolved[0] == "base.Base"
-
-    def test_hooks_registry_from_source(self):
-        index = index_of(hooks=HOOKS_SRC)
-        registry = index.hooks_registry()
-        assert set(registry) == {"cycle_start", "flit_move", "spec"}
-        assert registry["flit_move"].params == ["kind", "flit", "port", "cycle"]
-        assert registry["spec"].min_args == 1
-        assert registry["spec"].max_args == 2
-
-    def test_empty_registry_without_hooks_class(self):
-        index = index_of(plain="x = 1")
-        assert index.hooks_registry() == {}
 
 
 # ----------------------------------------------------------------------
@@ -664,107 +631,6 @@ class TestSerializationReadiness:
 
 
 # ----------------------------------------------------------------------
-# R011 hook contract
-# ----------------------------------------------------------------------
-
-
-class TestHookContract:
-    def _index(self, body):
-        return index_of(hooks=HOOKS_SRC, site=body)
-
-    def test_silent_without_registry(self):
-        index = index_of(
-            site="""
-            hooks.emit_whatever(1, 2, 3)
-            """
-        )
-        assert run_rule(HookContractRule(), index) == []
-
-    def test_valid_emit_is_clean(self):
-        index = self._index(
-            """
-            hooks.emit_flit_move("accept", None, 0, 7)
-            hooks.emit_spec(None)
-            hooks.emit_spec(None, outcome="taken")
-            """
-        )
-        assert run_rule(HookContractRule(), index) == []
-
-    def test_unknown_event_on_hooksish_receiver(self):
-        index = self._index("hooks.emit_flit_moved(1)")
-        findings = run_rule(HookContractRule(), index)
-        assert len(findings) == 1
-        assert "names no EngineHooks event" in findings[0].message
-
-    def test_unknown_event_on_other_receiver_is_ignored(self):
-        # `emit_` on a non-hooks object (e.g. a signal bus) is out of
-        # scope; only hook-shaped receivers are held to the registry.
-        index = self._index("radio.emit_beacon(1)")
-        assert run_rule(HookContractRule(), index) == []
-
-    def test_too_many_args(self):
-        index = self._index("hooks.emit_cycle_start(1, 2)")
-        findings = run_rule(HookContractRule(), index)
-        assert len(findings) == 1
-        assert "at most 1 argument" in findings[0].message
-
-    def test_unknown_keyword(self):
-        index = self._index("hooks.emit_spec(None, verdict=1)")
-        findings = run_rule(HookContractRule(), index)
-        assert len(findings) == 1
-        assert "no keyword `verdict`" in findings[0].message
-
-    def test_missing_required_argument(self):
-        index = self._index("hooks.emit_flit_move('accept', None, 0)")
-        findings = run_rule(HookContractRule(), index)
-        assert len(findings) == 1
-        assert "missing required payload argument `cycle`" in findings[0].message
-
-    def test_star_args_are_not_checked(self):
-        index = self._index("hooks.emit_flit_move(*payload)")
-        assert run_rule(HookContractRule(), index) == []
-
-    def test_handler_arity_mismatch(self):
-        index = self._index(
-            """
-            def log_move(kind):
-                return kind
-
-
-            hooks.on_flit_move(log_move)
-            """
-        )
-        findings = run_rule(HookContractRule(), index)
-        assert len(findings) == 1
-        assert "delivers 4 arguments" in findings[0].message
-        assert "accepts 1" in findings[0].message
-
-    def test_handler_with_defaults_and_varargs_accepted(self):
-        index = self._index(
-            """
-            def flexible(*payload):
-                return payload
-
-
-            def defaulted(kind, flit, port=0, cycle=0):
-                return kind
-
-
-            hooks.on_flit_move(flexible)
-            hooks.on_flit_move(defaulted)
-            hooks.on_cycle_start(lambda cycle: cycle)
-            """
-        )
-        assert run_rule(HookContractRule(), index) == []
-
-    def test_lambda_handler_arity(self):
-        index = self._index("hooks.on_flit_move(lambda kind: kind)")
-        findings = run_rule(HookContractRule(), index)
-        assert len(findings) == 1
-        assert "lambda handler accepts 1" in findings[0].message
-
-
-# ----------------------------------------------------------------------
 # R012 stale pragmas
 # ----------------------------------------------------------------------
 
@@ -799,9 +665,30 @@ class TestStalePragma:
         src = "x = 1  # lint: disable=R012\n"
         assert self._findings(src, hits=[]) == []
 
+    @pytest.mark.parametrize(
+        "line,options,stale",
+        [
+            ("import random  # lint: disable=R001", {"ignore": ["R001"]}, False),
+            ("import random  # lint: disable=R001", {"select": ["R012"]}, False),
+            ("x = 1  # lint: disable", {"ignore": ["R009"]}, False),
+            ("x = 1  # lint: disable=R003", {}, True),
+        ],
+        ids=["rule-ignored", "rule-not-selected", "blanket-partial-run",
+             "retired-code"],
+    )
+    def test_only_rules_that_ran_are_judged(
+        self, tmp_path, capsys, line, options, stale
+    ):
+        # A rule filtered out of the run might have fired, so its
+        # pragma is not stale; a code outside the catalogue never fires.
+        path = tmp_path / "mod.py"
+        path.write_text(line + "\n", encoding="utf-8")
+        assert run_lint([str(path)], **options) == int(stale)
+        assert ("R012 stale pragma" in capsys.readouterr().out) == stale
+
 
 # ----------------------------------------------------------------------
-# Cross-module regressions for R005/R006/R007
+# Cross-module regressions for R006/R007
 # ----------------------------------------------------------------------
 
 
@@ -813,43 +700,6 @@ def _write_tree(tmp_path, files):
 class TestCrossModuleBlindness:
     """Two-file cases where per-file linting is provably blind and the
     whole-program pass is not."""
-
-    BASE = """
-        class Router:
-            def __init__(self, config):
-                self.config = config
-
-            def step(self, cycle):
-                pass
-
-
-        class MeshSwitch(Router):
-            def _advance(self, cycle):
-                pass
-    """
-
-    SUB_R005 = """
-        from base import MeshSwitch
-
-
-        class BadSwitch(MeshSwitch):
-            def __init__(self, config):
-                self.config = config
-    """
-
-    def test_r005_subclass_init_chain(self, tmp_path):
-        _write_tree(tmp_path, {"base.py": self.BASE, "sub.py": self.SUB_R005})
-        rule = RouterSubclassRule()
-        per_file = lint_file(tmp_path / "sub.py", [rule])
-        assert per_file == []  # the Router ancestry is in the other file
-        project = [
-            f
-            for f in lint_paths([str(tmp_path)], all_rules())
-            if f.code == "R005"
-        ]
-        assert len(project) == 1
-        assert project[0].path.endswith("sub.py")
-        assert "never calls `super().__init__()`" in project[0].message
 
     TWO_PHASE_BASE = """
         class Pipeline:

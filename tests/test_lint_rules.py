@@ -1,4 +1,4 @@
-"""Unit tests for the repro.analysis lint pass (rules R001-R007).
+"""Unit tests for the repro.analysis lint pass (rules R001-R002, R006-R007).
 
 Each rule gets a positive fixture (the violation is found, with the
 right code and line), a negative fixture (idiomatic code stays clean),
@@ -17,10 +17,6 @@ from repro.analysis.lint import (
     run_lint,
 )
 from repro.analysis.rules import all_rules
-from repro.analysis.rules.config_rules import (
-    ConfigMutationRule,
-    MutableDefaultRule,
-)
 from repro.analysis.rules.determinism import (
     DirectRandomRule,
     NondeterminismRule,
@@ -29,7 +25,6 @@ from repro.analysis.rules.flow_rules import (
     ComputePhasePurityRule,
     HookEmissionPhaseRule,
 )
-from repro.analysis.rules.structure import RouterSubclassRule
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -151,171 +146,6 @@ class TestNondeterminism:
 
     def test_pragma_suppresses(self, tmp_path):
         src = "seen = {1, 2}\nfor x in seen:  # lint: disable=R002\n    pass\n"
-        assert _lint(tmp_path, src, self.RULES) == []
-
-
-# ----------------------------------------------------------------------
-# R003: no frozen-config mutation
-# ----------------------------------------------------------------------
-
-
-class TestConfigMutation:
-    RULES = [ConfigMutationRule()]
-
-    def test_attribute_assignment_flagged(self, tmp_path):
-        src = "def f(config):\n    config.radix = 32\n"
-        findings = _lint(tmp_path, src, self.RULES)
-        assert _codes(findings) == ["R003"]
-        assert findings[0].line == 2
-
-    def test_self_config_attribute_flagged(self, tmp_path):
-        src = "def f(self):\n    self.config.num_vcs = 8\n"
-        assert _codes(_lint(tmp_path, src, self.RULES)) == ["R003"]
-
-    def test_augmented_assignment_flagged(self, tmp_path):
-        src = "def f(cfg):\n    cfg.radix += 1\n"
-        assert _codes(_lint(tmp_path, src, self.RULES)) == ["R003"]
-
-    def test_setattr_flagged(self, tmp_path):
-        src = "def f(config):\n    setattr(config, 'radix', 8)\n"
-        assert _codes(_lint(tmp_path, src, self.RULES)) == ["R003"]
-
-    def test_object_setattr_flagged(self, tmp_path):
-        src = "def f(cfg):\n    object.__setattr__(cfg, 'radix', 8)\n"
-        assert _codes(_lint(tmp_path, src, self.RULES)) == ["R003"]
-
-    def test_dataclasses_replace_clean(self, tmp_path):
-        src = (
-            "from dataclasses import replace\n"
-            "\n"
-            "def f(config):\n"
-            "    return replace(config, radix=32)\n"
-        )
-        assert _lint(tmp_path, src, self.RULES) == []
-
-    def test_binding_config_attribute_on_self_clean(self, tmp_path):
-        src = "def __init__(self, config):\n    self.config = config\n"
-        assert _lint(tmp_path, src, self.RULES) == []
-
-    def test_pragma_suppresses(self, tmp_path):
-        src = "def f(cfg):\n    cfg.radix = 16  # lint: disable=R003\n"
-        assert _lint(tmp_path, src, self.RULES) == []
-
-
-# ----------------------------------------------------------------------
-# R004: no mutable defaults
-# ----------------------------------------------------------------------
-
-
-class TestMutableDefault:
-    RULES = [MutableDefaultRule()]
-
-    def test_list_default_flagged(self, tmp_path):
-        src = "def f(xs=[]):\n    return xs\n"
-        findings = _lint(tmp_path, src, self.RULES)
-        assert _codes(findings) == ["R004"]
-        assert "f" in findings[0].message
-
-    def test_dict_and_set_defaults_flagged(self, tmp_path):
-        src = "def f(a={}, b=set()):\n    return a, b\n"
-        assert _codes(_lint(tmp_path, src, self.RULES)) == ["R004", "R004"]
-
-    def test_factory_call_default_flagged(self, tmp_path):
-        src = (
-            "from collections import deque\n"
-            "\n"
-            "def f(q=deque()):\n"
-            "    return q\n"
-        )
-        assert _codes(_lint(tmp_path, src, self.RULES)) == ["R004"]
-
-    def test_kwonly_default_flagged(self, tmp_path):
-        src = "def f(*, xs=[]):\n    return xs\n"
-        assert _codes(_lint(tmp_path, src, self.RULES)) == ["R004"]
-
-    def test_none_and_tuple_defaults_clean(self, tmp_path):
-        src = "def f(a=None, b=(), c=3, d='x'):\n    return a, b, c, d\n"
-        assert _lint(tmp_path, src, self.RULES) == []
-
-    def test_pragma_suppresses(self, tmp_path):
-        src = "def f(xs=[]):  # lint: disable=R004\n    return xs\n"
-        assert _lint(tmp_path, src, self.RULES) == []
-
-
-# ----------------------------------------------------------------------
-# R005: Router subclass contract
-# ----------------------------------------------------------------------
-
-_ROUTER_NO_STEP = """\
-from repro.routers.base import Router
-
-class BrokenRouter(Router):
-    def __init__(self, config):
-        super().__init__(config)
-"""
-
-_ROUTER_NO_CHAIN = """\
-from repro.routers.baseline import BaselineRouter
-
-class TweakedRouter(BaselineRouter):
-    def __init__(self, config):
-        self.config = config
-"""
-
-_ROUTER_OK = """\
-from repro.routers.base import Router
-
-class FineRouter(Router):
-    def __init__(self, config):
-        super().__init__(config)
-
-    def step(self):
-        pass
-"""
-
-_ROUTER_ADVANCE_OK = """\
-from repro.routers.base import Router
-
-class TemplatedRouter(Router):
-    def _advance(self):
-        pass
-"""
-
-
-class TestRouterSubclass:
-    RULES = [RouterSubclassRule()]
-
-    def test_missing_step_hook_flagged(self, tmp_path):
-        findings = _lint(tmp_path, _ROUTER_NO_STEP, self.RULES)
-        assert _codes(findings) == ["R005"]
-        assert "BrokenRouter" in findings[0].message
-
-    def test_init_without_super_flagged(self, tmp_path):
-        findings = _lint(tmp_path, _ROUTER_NO_CHAIN, self.RULES)
-        assert _codes(findings) == ["R005"]
-        assert "__init__" in findings[0].message
-
-    def test_step_and_chain_clean(self, tmp_path):
-        assert _lint(tmp_path, _ROUTER_OK, self.RULES) == []
-
-    def test_advance_hook_satisfies_contract(self, tmp_path):
-        assert _lint(tmp_path, _ROUTER_ADVANCE_OK, self.RULES) == []
-
-    def test_unrelated_class_ignored(self, tmp_path):
-        src = "class Helper:\n    def __init__(self):\n        self.x = 1\n"
-        assert _lint(tmp_path, src, self.RULES) == []
-
-    def test_explicit_base_init_call_accepted(self, tmp_path):
-        src = (
-            "from repro.routers.base import Router\n"
-            "\n"
-            "class OldStyleRouter(Router):\n"
-            "    def __init__(self, config):\n"
-            "        Router.__init__(self, config)\n"
-            "\n"
-            "    def step(self):\n"
-            "        pass\n"
-        )
         assert _lint(tmp_path, src, self.RULES) == []
 
 
