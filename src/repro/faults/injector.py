@@ -240,7 +240,7 @@ class SwitchFaultInjector(_FaultInjector):
     Owns three mechanisms:
 
     * host-channel corruption (via :class:`_ChannelFaults`), consulted
-      by ``SwitchSimulation._inject`` at each transmission attempt;
+      by ``StagedRun._try_inject`` at each transmission attempt;
     * credit loss: a ``drop_hook`` installed on the router's
       credit-return pipes/buses claims delivered credits with
       probability ``credit_loss_rate`` and re-delivers them

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from ..core.config import RouterConfig
-from ..core.errors import InvariantViolation
+from ..core.flit import Flit
 from ..engine import make_scheduler
 from ..routers.base import Router
 from ..traffic.injection import make_injection
@@ -199,14 +199,6 @@ class SwitchSimulation(StagedRun):
 
     # ------------------------------------------------------------------
 
-    def step(self) -> None:
-        """Advance exactly one simulation cycle."""
-        self._sched.run_until(self._sched.now + 1)
-
-    def run_until(self, end: int) -> int:
-        """Advance the simulation through cycles ``[cycle, end)``."""
-        return self._sched.run_until(end)
-
     def _pre_cycle(self, now: int) -> None:
         """Harness work before the engine cycle: faults, traffic."""
         if self._faults is not None:
@@ -236,16 +228,7 @@ class SwitchSimulation(StagedRun):
     def _collect_ejected(self, now: int) -> None:
         """Harness work after the engine cycle: delivery accounting."""
         for flit, eject_cycle in self.router.drain_ejected():
-            if self._count_flits:
-                self.measured_flits += 1
-            if flit.is_tail and flit.measured:
-                self.sample.add(eject_cycle - flit.created_at)
-                self._outstanding -= 1
-            if flit.is_tail and self._workload is not None:
-                # Delivery unlocks the DAG successors; their ranks
-                # become eligible on a later cycle (the event
-                # scheduler's wake horizon sees this via eligible()).
-                self._workload.deliver(flit.packet_id, eject_cycle)
+            self._delivered(flit, eject_cycle)
 
     def _next_work(self, now: int) -> Optional[int]:
         """Wake horizon: earliest cycle >= ``now`` with harness work.
@@ -257,112 +240,47 @@ class SwitchSimulation(StagedRun):
         injector's schedule.  Horizons may be conservative (early) but
         never late — see the engine module docstring.
         """
-        horizon: Optional[int] = None
+        dues: List[Optional[int]] = [
+            self._retry_at(i, now) for i, src in enumerate(self.sources) if src.queue
+        ]
         if self._generating:
-            for src in self.sources:
-                arrival = src.peek_arrival(now)
-                if arrival is not None and (
-                    horizon is None or arrival < horizon
-                ):
-                    horizon = arrival
-        faults = self._faults
-        for i, src in enumerate(self.sources):
-            if not src.queue:
-                continue
-            retry = self._next_inject[i]
-            if faults is not None:
-                retry = max(retry, faults.channel_retry_at(i))
-            retry = max(retry, now)
-            if horizon is None or retry < horizon:
-                horizon = retry
-        if faults is not None:
-            due = faults.next_event(now)
-            if due is not None and (horizon is None or due < horizon):
-                horizon = due
-        return horizon
+            dues += [src.peek_arrival(now) for src in self.sources]
+        if self._faults is not None:
+            dues.append(self._faults.next_event(now))
+        return min((due for due in dues if due is not None), default=None)
 
     def _inject(self, now: int) -> None:
-        """Move flits from source queues into input buffers.
-
-        One flit per ``flit_cycles`` cycles per input (channel
-        bandwidth); each packet is assigned an input VC round-robin
-        among VCs with free buffer space when its head flit enters.
-        """
-        config = self.config
-        fc = config.flit_cycles
-        faults = self._faults
+        """Offer one flit from every backlogged input whose channel is
+        past its ``flit_cycles`` throttle, in port order."""
         next_inject = self._next_inject
         packet_vc = self._packet_vc
-        router = self.router
-        banks = router.inputs
         # Blocked-port skip: a count equal to the bank's capacity means
         # every VC queue is full, so _pick_vc would scan all v of them
         # and return None — nothing moves, nothing raises.
-        in_flits = router._in_flits
-        bank_capacity = config.num_vcs * config.input_buffer_depth
+        in_flits = self.router._in_flits
+        bank_capacity = self.config.num_vcs * self.config.input_buffer_depth
         for i, src in enumerate(self.sources):
             if now < next_inject[i]:
                 continue
-            if faults is not None and not faults.channel_ready(i, now):
-                continue
             queue = src.queue
-            if not queue:
-                continue
-            flit = queue[0]
-            vc = packet_vc[i]
-            if vc is None:
-                if not flit.is_head:
-                    raise InvariantViolation("packet VC lost mid-packet", cycle=now,
-                                             port=i, check="injection")
-                if in_flits[i] == bank_capacity:
-                    continue
-                vc = self._pick_vc(i)
-                if vc is None:
-                    continue
-                packet_vc[i] = vc
-            # Inlined input_space(i, vc) >= 1: this backpressure check
-            # runs for every backlogged port every cycle, so it reads
-            # the buffer directly instead of going through two calls.
-            q = banks[i].queues[vc]
-            if len(q._q) >= q.maxlen:
-                continue
-            flit.vc = vc
-            if faults is not None and not faults.attempt_transmit(
-                i, flit, now
-            ):
-                # Corrupted on the wire: the receiver's CRC check drops
-                # it, the sender keeps it queued for retransmission.
-                # The corrupted transmission still occupied the channel.
-                next_inject[i] = now + fc
-                continue
-            src.pop()
-            # Wake a parked router *before* accept so the flit's
-            # injection timestamp uses the current cycle.
-            self._sched.wake(router, now)
-            router.accept(i, flit)
-            next_inject[i] = now + fc
-            if flit.is_tail:
-                packet_vc[i] = None
+            if queue and (packet_vc[i] is not None or in_flits[i] != bank_capacity):
+                self._try_inject(i, queue, now)
+
+    def _input_space(self, channel: int, vc: int) -> int:
+        # Direct buffer read (== router.input_space): probed for every
+        # backlogged port every cycle, so it skips two calls.
+        q = self.router.inputs[channel].queues[vc]
+        return q.maxlen - len(q._q)
+
+    def _hand_over(self, channel: int, flit: Flit, now: int) -> None:
+        # Wake a parked router *before* accept so the flit's injection
+        # timestamp uses the current cycle.
+        self._sched.wake(self.router, now)
+        self.router.accept(channel, flit)
 
     def stop_sources(self) -> None:
         """Stop generating new packets (used to drain the system)."""
         self._generating = False
-
-    def _pick_vc(self, i: int) -> Optional[int]:
-        v = self.config.num_vcs
-        # Direct buffer reads (== input_space >= 1).  _inject skips a
-        # port whose whole bank is full, so some VC here has room.
-        queues = self.router.inputs[i].queues
-        rr = self._vc_rr[i]
-        for offset in range(v):
-            vc = rr + offset
-            if vc >= v:
-                vc -= v
-            q = queues[vc]
-            if len(q._q) < q.maxlen:
-                self._vc_rr[i] = (vc + 1) % v
-                return vc
-        return None
 
     # ------------------------------------------------------------------
 
@@ -461,11 +379,7 @@ class SwitchSimulation(StagedRun):
         by every source) survives into the capture.  Restore onto a
         simulation constructed with identical parameters.
         """
-        if self.sanitizer is not None:
-            raise ValueError(
-                "cannot checkpoint a sanitized simulation; rerun the "
-                "sanitizer after restore instead"
-            )
+        run = self._capture_run()
         faults = self._faults
         if faults is not None:
             # Keep the captured credit pipes free of injector taps (the
@@ -474,7 +388,7 @@ class SwitchSimulation(StagedRun):
             faults.detach_credit_hooks()
         try:
             return copy.deepcopy({
-                **self._capture_run(),
+                **run,
                 "engine": self.router._snapshot_state(),
                 "sources": [vars(src) for src in self.sources],
                 "harness": {
@@ -497,8 +411,6 @@ class SwitchSimulation(StagedRun):
         mutable state is replaced, in place, so scheduler registration
         and hook subscriptions stay wired.
         """
-        if self.sanitizer is not None:
-            raise ValueError("cannot restore onto a sanitized simulation")
         self._check_run(state)
         if len(state["sources"]) != len(self.sources):
             raise ValueError(

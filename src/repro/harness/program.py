@@ -28,13 +28,19 @@ The program itself is plain data (absolute bounds plus bookkeeping) and
 is captured with the rest of the run state by :meth:`_capture_run`, so
 a checkpoint taken between :meth:`advance_run` calls resumes mid-stage
 byte-identically.
+
+So does the host-channel protocol: a head flit takes an input VC
+round-robin among those with room and holds it to the tail, one flit
+crosses a channel per ``flit_cycles`` cycles (a corrupted attempt
+too), and a tail ejection closes the packet's latency sample.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
-from ..core.flit import packet_id_state, set_packet_id_state
+from ..core.errors import InvariantViolation
+from ..core.flit import Flit, packet_id_state, set_packet_id_state
 from ..engine import EventScheduler, Scheduler
 from ..workloads.base import Workload
 from . import checkpoint
@@ -53,17 +59,21 @@ def _either(a: Predicate, b: Predicate) -> Predicate:
 
 
 class StagedRun:
-    """Base of the simulations: the staged run and its checkpoint glue.
+    """Base of the simulations: the staged run, the host channels and
+    the checkpoint glue.
 
     A stack plugs in by owning the attributes below — plain attributes
-    because its per-cycle generate/inject/eject code reads and bumps
-    them directly — by overriding :meth:`_extend_draws` if it
-    pre-draws traffic, and by finishing :meth:`_summarize_run`'s
-    result with its own extras (their key order is part of the
-    byte-identity contract, so it is not shared).
+    because its per-cycle generate/eject code reads and bumps them
+    directly — by supplying :meth:`_input_space` and
+    :meth:`_hand_over` for its channels, by overriding
+    :meth:`_extend_draws` if it pre-draws traffic, and by finishing
+    :meth:`_summarize_run`'s result with its own extras (the two
+    stacks' rows carry different keys, so that step is not shared).
     """
 
+    config: Any
     load: float
+    sanitizer: Any
     sample: LatencySample
     measured_flits: int
     _sched: Scheduler
@@ -77,14 +87,109 @@ class StagedRun:
     _labeled_total: int
     _faults: Any
     _tracer: Any
+    #: Per host channel: earliest cycle of its next send attempt, the
+    #: input VC its packet in flight holds, its round-robin VC pointer.
+    _next_inject: List[int]
+    _packet_vc: List[Optional[int]]
+    _vc_rr: List[int]
 
     @property
     def cycle(self) -> int:
         """Current simulation cycle (owned by the drive loop)."""
         return self._sched.now
 
+    def step(self) -> None:
+        """Advance exactly one simulation cycle."""
+        self.run_until(self._sched.now + 1)
+
+    def run_until(self, end: int) -> int:
+        """Advance the simulation through cycles ``[cycle, end)``."""
+        self._extend_draws(end)
+        return self._sched.run_until(end)
+
     def _extend_draws(self, end: int) -> None:
         """Before-stage step: make pre-drawn traffic cover ``[0, end)``."""
+
+    # ------------------------------------------------------------------
+    # Host channels
+    # ------------------------------------------------------------------
+
+    def _input_space(self, channel: int, vc: int) -> int:
+        """Free slots of input VC ``vc`` at the router end of ``channel``."""
+        raise NotImplementedError
+
+    def _hand_over(self, channel: int, flit: Flit, now: int) -> None:
+        """Deliver ``flit`` (dequeued, its VC set) into the router end
+        of ``channel`` at cycle ``now``."""
+        raise NotImplementedError
+
+    def _try_inject(self, channel: int, queue: Deque[Flit], now: int) -> None:
+        """One send attempt from ``channel``'s non-empty source ``queue``
+        (the caller has checked the ``flit_cycles`` throttle)."""
+        faults = self._faults
+        if faults is not None and not faults.channel_ready(channel, now):
+            return
+        flit = queue[0]
+        packet_vc = self._packet_vc
+        vc = packet_vc[channel]
+        if vc is None:
+            if not flit.is_head:
+                raise InvariantViolation("packet VC lost mid-packet", cycle=now,
+                                         port=channel, check="injection")
+            vc = self._pick_vc(channel)
+            if vc is None:
+                return
+            packet_vc[channel] = vc
+        elif self._input_space(channel, vc) < 1:
+            return
+        flit.vc = vc
+        next_attempt = now + self.config.flit_cycles
+        if faults is not None and not faults.attempt_transmit(channel, flit, now):
+            # Corrupted on the wire: the receiver's CRC check drops it,
+            # the sender keeps it queued for retransmission.  The
+            # corrupted transmission still occupied the channel.
+            self._next_inject[channel] = next_attempt
+            return
+        queue.popleft()
+        self._hand_over(channel, flit, now)
+        self._next_inject[channel] = next_attempt
+        if flit.is_tail:
+            packet_vc[channel] = None
+
+    def _pick_vc(self, channel: int) -> Optional[int]:
+        """Round-robin among ``channel``'s input VCs with room: the VC
+        a head flit takes (None: every VC is full)."""
+        v = self.config.num_vcs
+        start = self._vc_rr[channel]
+        for offset in range(v):
+            vc = start + offset
+            if vc >= v:
+                vc -= v
+            if self._input_space(channel, vc) >= 1:
+                self._vc_rr[channel] = (vc + 1) % v
+                return vc
+        return None
+
+    def _retry_at(self, channel: int, now: int) -> int:
+        """Wake horizon of a backlogged channel: the earliest cycle
+        ``>= now`` past both its throttle and any fault back-off."""
+        retry = self._next_inject[channel]
+        if self._faults is not None:
+            retry = max(retry, self._faults.channel_retry_at(channel))
+        return max(retry, now)
+
+    def _delivered(self, flit: Flit, cycle: int) -> None:
+        """Account one flit ejected to its host at ``cycle``."""
+        if self._count_flits:
+            self.measured_flits += 1
+        if flit.is_tail:
+            if flit.measured:
+                self.sample.add(cycle - flit.created_at)
+                self._outstanding -= 1
+            if self._workload is not None:
+                # Delivery unlocks the DAG successors; their sources
+                # wake through the workload's eligibility horizon.
+                self._workload.deliver(flit.packet_id, cycle)
 
     # ------------------------------------------------------------------
     # Program
@@ -100,6 +205,13 @@ class StagedRun:
     ) -> None:
         """Begin the warm-up/measure/drain program without running it."""
         self._check_startable()
+        for name, value, least in (
+            ("warmup", warmup, 0), ("measure", measure, 1), ("drain", drain, 0)
+        ):
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
+        if not 0.0 <= min_drain_fraction <= 1.0:
+            raise ValueError(f"min_drain_fraction must be in [0, 1], got {min_drain_fraction}")
         warm_end = self.cycle + warmup
         measure_end = warm_end + measure
         self._program = {
@@ -238,8 +350,14 @@ class StagedRun:
         The stack merges its own state into the returned bundle and
         deep-copies the whole in one pass, so aliasing (the workload
         shared by every source, a flit in a buffer and the in-flight
-        heap) survives into the capture.
+        heap) survives into the capture.  Call before anything else
+        is touched: a sanitized simulation is refused here.
         """
+        if self.sanitizer is not None:
+            raise ValueError(
+                "cannot checkpoint a sanitized simulation; rerun the "
+                "sanitizer after restore instead"
+            )
         return {
             "sched": self._sched.snapshot(),
             "packet_ids": packet_id_state(),
@@ -264,6 +382,8 @@ class StagedRun:
 
         Called before any state is touched.
         """
+        if self.sanitizer is not None:
+            raise ValueError("cannot restore onto a sanitized simulation")
         if ("wheel" in state["sched"]) != isinstance(
             self._sched, EventScheduler
         ):

@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
-from ..core.errors import InvariantViolation, invariant
+from ..core.errors import invariant
 from ..core.flit import Flit, make_packet
 from ..core.rng import derive_rng
 from ..engine import EngineHooks, make_scheduler
@@ -46,6 +46,13 @@ class NetworkConfig:
     packet_size: int = 1
     pipeline_delay: Optional[int] = None  # default: scale with log2(radix)
     seed: int = 1
+
+    def __post_init__(self) -> None:
+        # The router fields are checked by NetworkRouterConfig.
+        if self.packet_size < 1:
+            raise ValueError(f"packet_size must be >= 1, got {self.packet_size}")
+        if self.pipeline_delay is not None and self.pipeline_delay < 0:
+            raise ValueError(f"pipeline_delay must be >= 0, got {self.pipeline_delay}")
 
     def router_config(self, num_ports: int) -> NetworkRouterConfig:
         depth = (
@@ -251,13 +258,13 @@ class NetworkSimulation(StagedRun):
         self._host_port: List[Tuple[Any, int]] = []
         for host in range(n):
             attach = self.topology.host_attachment(host)
+            if attach.switch is None:
+                raise ValueError(f"host {host} attaches to no switch")
             self._host_port.append(
                 (self.routers.get(attach.switch, attach.switch), attach.port)
             )
-        #: Hosts with a non-empty source queue (superset is harmless).
-        #: Event mode injects over this set instead of scanning all
-        #: hosts; cycle mode maintains it too so the bookkeeping is
-        #: exercised identically.
+        #: Exactly the hosts with a non-empty source queue.  Both modes
+        #: inject over this set instead of scanning all hosts.
         self._backlog_hosts: set = set()
         self._next_inject = [0] * n
         self._packet_vc: List[Optional[int]] = [None] * n
@@ -331,15 +338,6 @@ class NetworkSimulation(StagedRun):
     # Simulation loop
     # ------------------------------------------------------------------
 
-    def step(self) -> None:
-        """Advance exactly one simulation cycle."""
-        self.run_until(self._sched.now + 1)
-
-    def run_until(self, end: int) -> int:
-        """Advance the simulation through cycles ``[cycle, end)``."""
-        self._extend_draws(end)
-        return self._sched.run_until(end)
-
     def _extend_draws(self, end: int) -> None:
         self.arrivals.extend(end)
 
@@ -389,10 +387,7 @@ class NetworkSimulation(StagedRun):
             if due is not None and (horizon is None or due < horizon):
                 horizon = due
         for host in self._backlog_hosts:
-            retry = self._next_inject[host]
-            if faults is not None:
-                retry = max(retry, faults.channel_retry_at(host))
-            retry = max(retry, now)
+            retry = self._retry_at(host, now)
             if horizon is None or retry < horizon:
                 horizon = retry
         if self._workload is not None:
@@ -409,16 +404,7 @@ class NetworkSimulation(StagedRun):
                 self._sched.wake(router, now)
                 router.accept(port, flit)
             else:
-                # Host ejection.
-                if self._count_flits:
-                    self.measured_flits += 1
-                if flit.is_tail and flit.measured:
-                    self.sample.add(now - flit.created_at)
-                    self._outstanding -= 1
-                if flit.is_tail and self._workload is not None:
-                    # Delivery unlocks the DAG successors; their hosts
-                    # wake via the next_ready() horizon.
-                    self._workload.deliver(flit.packet_id, now)
+                self._delivered(flit, now)
 
     def _generate_workload(self, now: int) -> None:
         """Queue every workload message that became eligible by ``now``.
@@ -486,70 +472,28 @@ class NetworkSimulation(StagedRun):
             self._labeled_total += 1
 
     def _inject(self, now: int) -> None:
-        """Offer one flit from every host with queued flits whose
-        channel is past its ``flit_cycles`` throttle, in ascending host
-        order (a host without backlog, or still serializing its last
-        flit, has nothing to offer, so the walk equals a scan of every
-        host)."""
+        """Offer one flit from every backlogged host whose channel is
+        past its ``flit_cycles`` throttle, in ascending host order (a
+        host without backlog, or still serializing its last flit, has
+        nothing to offer, so the walk equals a scan of every host)."""
         next_inject = self._next_inject
-        for host in sorted(self._backlog_hosts):
+        source_q = self._source_q
+        backlog = self._backlog_hosts
+        for host in sorted(backlog):
             if next_inject[host] <= now:
-                self._try_inject(host, now)
+                queue = source_q[host]
+                self._try_inject(host, queue, now)
+                if not queue:
+                    backlog.discard(host)
 
-    def _try_inject(self, host: int, now: int) -> None:
-        """Move one flit from ``host``'s queue into its edge router
-        (:meth:`_inject` has checked the channel throttle)."""
-        faults = self._faults
-        queue = self._source_q[host]
-        if not queue:
-            return
-        if faults is not None and not faults.channel_ready(host, now):
-            return
-        flit = queue[0]
-        router, port = self._host_port[host]
-        if router is None:
-            raise InvariantViolation(
-                "host attaches to no switch", cycle=now, check="topology"
-            )
-        vc = self._packet_vc[host]
-        if flit.is_head and vc is None:
-            vc = self._pick_vc(router, port, host)
-            if vc is None:
-                return
-            self._packet_vc[host] = vc
-        if vc is None:
-            raise InvariantViolation(
-                "packet VC lost mid-packet", cycle=now, port=port,
-                check="injection",
-            )
-        if router.input_space(port, vc) < 1:
-            return
-        flit.vc = vc
-        if faults is not None and not faults.attempt_transmit(
-            host, flit, now
-        ):
-            # Corrupted on the wire: the receiver's CRC check drops
-            # it, the sender keeps it queued for retransmission.
-            # The corrupted transmission still occupied the channel.
-            self._next_inject[host] = now + self.config.flit_cycles
-            return
-        queue.popleft()
-        if not queue:
-            self._backlog_hosts.discard(host)
+    def _input_space(self, channel: int, vc: int) -> int:
+        router, port = self._host_port[channel]
+        return router.inputs[port].queues[vc].free_slots  # input_space, inlined
+
+    def _hand_over(self, channel: int, flit: Flit, now: int) -> None:
+        router, port = self._host_port[channel]
         self._sched.wake(router, now)
         router.accept(port, flit)
-        self._next_inject[host] = now + self.config.flit_cycles
-        if flit.is_tail:
-            self._packet_vc[host] = None
-
-    def _pick_vc(self, router: NetworkRouter, port: int, host: int) -> Optional[int]:
-        v = self.config.num_vcs
-        for offset in range(v):
-            vc = (self._vc_rr[host] + offset) % v
-            if router.input_space(port, vc) >= 1:
-                self._vc_rr[host] = (vc + 1) % v
-                return vc
-        return None
 
     # ------------------------------------------------------------------
     # Measurement
@@ -652,11 +596,7 @@ class NetworkSimulation(StagedRun):
         twin (same constructor arguments) resumes byte-identically;
         see :mod:`repro.harness.checkpoint` for the on-disk format.
         """
-        if self.sanitizer is not None:
-            raise ValueError(
-                "cannot checkpoint a sanitized simulation; rerun the "
-                "sanitizer after restore instead"
-            )
+        run = self._capture_run()
         arrivals = self.arrivals.snapshot()
         switch_of = {id(r): sid for sid, r in self.routers.items()}
         inflight = []
@@ -670,7 +610,7 @@ class NetworkSimulation(StagedRun):
                 encoded = ("h", target)
             inflight.append((arrival, seq, flit, encoded))
         return copy.deepcopy({
-            **self._capture_run(),
+            **run,
             "routers": [
                 router._snapshot_state() for router in self.routers.values()
             ],
@@ -696,8 +636,6 @@ class NetworkSimulation(StagedRun):
         arguments as the one the snapshot came from (same topology,
         scheduler mode, fault plan, workload and tracer presence).
         """
-        if self.sanitizer is not None:
-            raise ValueError("cannot restore onto a sanitized simulation")
         self._check_run(state)
         if len(state["routers"]) != len(self.routers):
             raise ValueError(

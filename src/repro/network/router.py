@@ -67,6 +67,14 @@ class NetworkRouterConfig:
             raise ValueError(
                 f"flit_cycles must be >= 1, got {self.flit_cycles}"
             )
+        if self.pipeline_delay < 0:
+            raise ValueError(
+                f"pipeline_delay must be >= 0, got {self.pipeline_delay}"
+            )
+        if self.channel_latency < 0:
+            raise ValueError(
+                f"channel_latency must be >= 0, got {self.channel_latency}"
+            )
 
 
 def pipeline_depth_for_radix(radix: int, base: int = 2) -> int:

@@ -387,21 +387,14 @@ class _ShardWorker:
 
     def _next_work(self, now: int) -> Optional[int]:
         """Wake horizon over the shard-local work queues."""
-        horizon: Optional[int] = None
+        dues = [self._cmd_cycle if self._accepts else None]
         if self._inflight:
-            horizon = self._inflight[0][0]
+            dues.append(self._inflight[0][0])
         if self._resync_in:
-            due = self._resync_in[0][0]
-            if horizon is None or due < horizon:
-                horizon = due
+            dues.append(self._resync_in[0][0])
         if self._injector is not None:
-            due = self._injector.next_event(now)
-            if due is not None and (horizon is None or due < horizon):
-                horizon = due
-        if self._accepts and self._cmd_cycle is not None:
-            if horizon is None or self._cmd_cycle < horizon:
-                horizon = self._cmd_cycle
-        return horizon
+            dues.append(self._injector.next_event(now))
+        return min((due for due in dues if due is not None), default=None)
 
     def _report(self, now: int) -> Dict[str, Any]:
         """End-of-cycle boundary report for the parent exchange.
@@ -657,61 +650,16 @@ class ShardedNetworkSimulation(NetworkSimulation):
         self._collect()  # injection reads the host-space mirror
         super()._inject(now)
 
-    def _try_inject(self, host: int, now: int) -> None:
-        """Serial injection against the mirrored flow-control state.
+    def _input_space(self, channel: int, vc: int) -> int:
+        return self._free[channel][vc]
 
-        Guard order, RNG draw points, and round-robin updates replicate
-        ``NetworkSimulation._try_inject`` exactly; the only change is
-        that the accept ships to the owning worker (inside this cycle's
-        command) instead of landing on a local router.
-        """
-        faults = self._faults
-        queue = self._source_q[host]
-        if not queue:
-            return
-        if faults is not None and not faults.channel_ready(host, now):
-            return
-        flit = queue[0]
-        switch, port = self._host_port[host]
-        invariant(switch is not None, "host attaches to no switch",
-                  cycle=now, check="topology")
-        free = self._free[host]
-        vc = self._packet_vc[host]
-        if flit.is_head and vc is None:
-            vc = self._pick_free_vc(free, host)
-            if vc is None:
-                return
-            self._packet_vc[host] = vc
-        invariant(vc is not None, "packet VC lost mid-packet",
-                  cycle=now, port=port, check="injection")
-        if free[vc] < 1:
-            return
-        flit.vc = vc
-        if faults is not None and not faults.attempt_transmit(
-            host, flit, now
-        ):
-            self._next_inject[host] = now + self.config.flit_cycles
-            return
-        queue.popleft()
-        if not queue:
-            self._backlog_hosts.discard(host)
-        free[vc] -= 1
-        self._accept_out[self._host_worker[host]].append(
-            (host, flit.to_wire())
+    def _hand_over(self, channel: int, flit: Flit, now: int) -> None:
+        """Ship the accept to the owning worker (inside this cycle's
+        command) instead of landing it on a local router."""
+        self._free[channel][flit.vc] -= 1
+        self._accept_out[self._host_worker[channel]].append(
+            (channel, flit.to_wire())
         )
-        self._next_inject[host] = now + self.config.flit_cycles
-        if flit.is_tail:
-            self._packet_vc[host] = None
-
-    def _pick_free_vc(self, free: List[int], host: int) -> Optional[int]:
-        """``_pick_vc`` against the mirror: same round-robin pointer."""
-        v = self.config.num_vcs
-        for offset in range(v):
-            vc = (self._vc_rr[host] + offset) % v
-            if free[vc] >= 1:
-                self._vc_rr[host] = (vc + 1) % v
-                return vc
-        return None
 
     def _dispatch(self, now: int) -> None:
         """Command every worker to run cycle ``now``, and return.
@@ -793,11 +741,8 @@ class ShardedNetworkSimulation(NetworkSimulation):
     def _next_work(self, now: int) -> Optional[int]:
         """Serial host-side horizon merged with the shard horizons."""
         self._collect()  # the horizons are the workers' to report
-        horizon = super()._next_work(now)
-        for due in (*self._worker_horizons, self._stash_due):
-            if due is not None and (horizon is None or due < horizon):
-                horizon = due
-        return horizon
+        dues = [super()._next_work(now), *self._worker_horizons, self._stash_due]
+        return min((due for due in dues if due is not None), default=None)
 
     # -- results --------------------------------------------------------
 

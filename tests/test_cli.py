@@ -246,6 +246,22 @@ class TestCommands:
         assert captured.err.startswith(f"repro {argv.split()[0]}: ")
         assert told in captured.err and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("argv, told", [
+        ("run --arch baseline --radix 8 --measure 0",
+         "measure must be >= 1, got 0"),
+        ("network --warmup -1", "warmup must be >= 0, got -1"),
+    ])
+    def test_empty_or_negative_window_is_a_usage_error(
+        self, capsys, argv, told
+    ):
+        """Regression: these windows exited 0 with throughput 0.000 and
+        latency nan."""
+        assert main(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        command = argv.split()[0]
+        assert captured.err == f"repro {command}: {told}\n"
+
     def test_network_runs_with_certain_credit_loss(self, capsys):
         """Credit resync recovers every lost credit, so a credit-loss
         rate of 1.0 is a (slow) valid network; it used to be refused."""

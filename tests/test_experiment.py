@@ -9,6 +9,7 @@ from repro.harness.experiment import (
     run_load_sweep,
     saturation_throughput,
 )
+from repro.network.netsim import NetworkConfig, NetworkSimulation
 from repro.routers.buffered import BufferedCrossbarRouter
 from repro.routers.distributed import DistributedRouter
 from repro.traffic.patterns import Diagonal
@@ -87,6 +88,43 @@ class TestSwitchSimulation:
             sim.step()
         after = sum(s.packets_generated for s in sim.sources)
         assert before == after
+
+
+def _measure_run(stack, warmup=20, measure=20, drain=20, **extra):
+    """Start (and finish) a small measurement run on ``stack``."""
+    if stack == "switch":
+        sim = SwitchSimulation(BufferedCrossbarRouter(CFG), load=0.3)
+        sim.start_run(SweepSettings(warmup, measure, drain, **extra))
+    else:
+        sim = NetworkSimulation(NetworkConfig(radix=4, levels=2), 0.3)
+        sim.start_run(warmup=warmup, measure=measure, drain=drain)
+    sim.advance_run()
+    return sim, sim.finish_run()
+
+
+class TestRunWindows:
+    @pytest.mark.parametrize("stack", ["switch", "network"])
+    @pytest.mark.parametrize("window, told", [
+        ({"warmup": -10}, "warmup must be >= 0, got -10"),
+        ({"measure": 0}, "measure must be >= 1, got 0"),
+        ({"measure": -5}, "measure must be >= 1, got -5"),
+        ({"drain": -1}, "drain must be >= 0, got -1"),
+    ])
+    def test_negative_or_empty_window_is_refused(self, stack, window, told):
+        """Regression: these windows ran and reported throughput 0 with
+        latency nan, or (negative warm-up) measured from cycle 0."""
+        with pytest.raises(ValueError, match=told):
+            _measure_run(stack, **window)
+
+    @pytest.mark.parametrize("fraction", [-0.1, 1.5])
+    def test_drain_fraction_outside_unit_interval_is_refused(self, fraction):
+        with pytest.raises(ValueError, match="min_drain_fraction"):
+            _measure_run("switch", min_drain_fraction=fraction)
+
+    @pytest.mark.parametrize("stack", ["switch", "network"])
+    def test_smallest_windows_still_run(self, stack):
+        sim, result = _measure_run(stack, warmup=0, measure=1, drain=0)
+        assert sim.cycle == 1 and result.cycles == 1
 
 
 class TestSweepSettings:

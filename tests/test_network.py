@@ -10,6 +10,7 @@ from repro.network.router import (
     OutputLink,
     pipeline_depth_for_radix,
 )
+from repro.network.topology import FoldedClos, PortRef
 
 
 class TestNetworkRouterConfig:
@@ -20,6 +21,27 @@ class TestNetworkRouterConfig:
             NetworkRouterConfig(num_ports=4, num_vcs=0)
         with pytest.raises(ValueError):
             NetworkRouterConfig(num_ports=4, buffer_depth=0)
+
+    @pytest.mark.parametrize("field, value, told", [
+        ("packet_size", 0, "packet_size must be >= 1, got 0"),
+        ("packet_size", -1, "packet_size must be >= 1, got -1"),
+        ("pipeline_delay", -10, "pipeline_delay must be >= 0, got -10"),
+        ("channel_latency", -6, "channel_latency must be >= 0, got -6"),
+    ])
+    def test_network_config_fields_are_validated(self, field, value, told):
+        """Regression: packet_size 0 raised ZeroDivisionError, -1 ran
+        with throughput 0, and a negative delay delivered flits "sent
+        into the past" (2.96-cycle Clos latency at flit_cycles 4)."""
+        with pytest.raises(ValueError, match=told):
+            NetworkSimulation(
+                NetworkConfig(radix=4, levels=2, **{field: value}), 0.3
+            )
+
+    @pytest.mark.parametrize("field", ["pipeline_delay", "channel_latency"])
+    def test_router_delays_are_validated(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 0"):
+            NetworkRouterConfig(num_ports=4, **{field: -1})
+        NetworkRouterConfig(num_ports=4, **{field: 0})
 
     def test_pipeline_depth_scales_with_radix(self):
         assert pipeline_depth_for_radix(64) > pipeline_depth_for_radix(8)
@@ -144,6 +166,16 @@ class TestClosNetworkSimulation:
     def test_invalid_load(self):
         with pytest.raises(ValueError):
             NetworkSimulation(self.CFG, load=1.5)
+
+    def test_unattached_host_is_refused_at_construction(self):
+        class Detached(FoldedClos):
+            def host_attachment(self, host):
+                if host == 3:
+                    return PortRef(switch=None, port=0)
+                return super().host_attachment(host)
+
+        with pytest.raises(ValueError, match="host 3 attaches to no switch"):
+            NetworkSimulation(self.CFG, 0.3, topology=Detached(8, 2))
 
     def test_multi_flit_packets(self):
         cfg = NetworkConfig(radix=8, levels=2, packet_size=4)
