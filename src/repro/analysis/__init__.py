@@ -19,7 +19,8 @@ This package supplies one tool per family:
   src``;
 * :mod:`repro.analysis.sanitizer` — :class:`SimSanitizer`, a
   per-cycle runtime checker observing any router (``--sanitize`` on the
-  CLI), plus :class:`NetworkSanitizer` for network simulations.
+  CLI) that runs the router's own ``audit`` of its storage, plus
+  :class:`NetworkSanitizer` for network simulations.
 
 Simulations only ever need the sanitizers, so those are what this
 package re-exports; the lint pass (:mod:`.lint`, :mod:`.rules`,

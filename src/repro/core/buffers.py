@@ -13,8 +13,9 @@ Two building blocks recur throughout the router models:
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterator, List, Optional
+from typing import Callable, Deque, Iterable, Iterator, List, Optional, Tuple
 
+from .errors import InvariantViolation
 from .flit import Flit
 
 
@@ -115,3 +116,35 @@ class VcBufferBank:
     def nonempty_vcs(self) -> List[int]:
         """Indices of VCs that currently hold at least one flit."""
         return [vc for vc, q in enumerate(self.queues) if q]
+
+
+def bank_lengths(banks: Iterable[VcBufferBank]) -> List[int]:
+    """The length of every queue of ``banks``, bank-major, then by VC:
+    one walk for an audit, reading the deques directly."""
+    return [len(q._q) for bank in banks for q in bank.queues]
+
+
+def audit_bounds(
+    lengths: List[int],
+    depth: int,
+    cycle: int,
+    where: Callable[[int], Tuple[str, int, Optional[int]]],
+) -> None:
+    """Audit the ``push`` guard over a walk's queue ``lengths``: a queue
+    holding more than ``depth`` flits, however they got there, raises
+    ``buffer-bounds``, located by ``where(n)`` as ``(label, port, vc)``.
+    (A credited queue needs no bound of its own: its counter's books
+    cannot balance with more flits than the buffer holds.)"""
+    if lengths and max(lengths) > depth:
+        n = next(n for n, held in enumerate(lengths) if held > depth)
+        label, port, vc = where(n)
+        raise InvariantViolation(
+            f"buffer depth exceeded in {label}: {lengths[n]} flits in a "
+            f"{depth}-deep queue",
+            cycle=cycle, port=port, vc=vc, check="buffer-bounds",
+        )
+
+
+def per_bank(lengths: List[int], num_vcs: int) -> List[int]:
+    """Flits per bank, from the bank-major queue ``lengths``."""
+    return list(map(sum, zip(*[iter(lengths)] * num_vcs)))

@@ -17,7 +17,9 @@ ideal (dedicated-wire) comparison.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, List, Set, Tuple
+from typing import Any, Callable, Deque, Dict, Iterable, List, Set, Tuple
+
+from .errors import InvariantViolation
 
 
 class CreditCounter:
@@ -214,3 +216,50 @@ class CreditReturnBus:
 
     def idle(self) -> bool:
         return not self._waiting and self._pipe.pending() == 0
+
+
+def audit_credit_books(
+    counters: List[CreditCounter],
+    held: List[int],
+    owed: Iterable[CreditCounter],
+    cycle: int,
+    where: Callable[[int], Tuple[str, Dict[str, Any]]],
+) -> None:
+    """Check ``free + held == capacity`` for every counter of one book.
+
+    ``held[n]`` counts the flits buffered at, or travelling toward, the
+    buffer ``counters[n]`` guards, and ``owed`` names a counter once
+    for each credit travelling back to it, as a router's audit found
+    them.  A mismatch raises ``credit-conservation``, located by
+    ``where(n)`` as ``(label, context)``.  Only the counters that do not
+    balance on ``held`` alone look up the credits owed (those with a
+    credit on the wing, and real violations); a counter owed credits it
+    balances without is a surplus, found after.
+    """
+    pending: Dict[int, int] = {}
+    for counter in owed:
+        pending[id(counter)] = pending.get(id(counter), 0) + 1
+    for counter, flits in [
+        (c, h) for c, h in zip(counters, held) if c._free + h != c.capacity
+    ]:
+        flits += pending.pop(id(counter), 0)
+        if counter._free + flits != counter.capacity:
+            raise _unbalanced(counters.index(counter), counter, flits,
+                              cycle, where)
+    if pending:
+        for n, counter in enumerate(counters):
+            if id(counter) in pending:
+                raise _unbalanced(n, counter, held[n] + pending[id(counter)],
+                                  cycle, where)
+
+
+def _unbalanced(n, counter, held, cycle, where) -> InvariantViolation:
+    label, context = where(n)
+    free, capacity = counter.free, counter.capacity
+    return InvariantViolation(
+        f"credit conservation violated at {label}: {free} free + {held} "
+        f"held != {capacity} capacity "
+        f"({'leak' if free + held < capacity else 'surplus'})",
+        cycle=cycle, check="credit-conservation", free=free, held=held,
+        capacity=capacity, **context,
+    )

@@ -94,6 +94,17 @@ class InvariantViolation(AssertionError, SimulationError):
         return f"{prefix}: {body}" if prefix else body
 
 
+def drift(what: str, index: Any, walked: Any, walk: str, cycle: int,
+          **context: Any) -> InvariantViolation:
+    """An index a hot path trusts in place of ``walk`` disagrees with it."""
+    return InvariantViolation(
+        f"occupancy index drifted: {what} reads {index} but walking "
+        f"{walk} finds {walked}",
+        cycle=cycle, check="occupancy-index", index=index, walked=walked,
+        **context,
+    )
+
+
 def invariant(
     condition: bool,
     message: str,

@@ -176,8 +176,8 @@ class SwitchSimulation(StagedRun):
             self._faults: Optional[SwitchFaultInjector] = (
                 SwitchFaultInjector(faults, router, seed)
             )
-            # The sanitizer reads the injector's lost-credit ledger
-            # through this handle when balancing the credit books.
+            # The router's audit reads the injector's lost-credit
+            # ledger through this handle when balancing the credit books.
             router.fault_injector = self._faults
         else:
             self._faults = None

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..core.arbiter import RoundRobinArbiter
-from ..core.errors import InvariantViolation, invariant
-from ..core.buffers import VcBufferBank
+from ..core.errors import InvariantViolation, drift, invariant
+from ..core.buffers import VcBufferBank, audit_bounds, bank_lengths, per_bank
 from ..core.credit import CreditCounter
 from ..core.flit import Flit
 from ..core.pipeline import BusyTracker, DelayLine
@@ -193,6 +193,28 @@ class NetworkRouter(Component):
 
     def occupancy(self) -> int:
         return sum(b.occupancy() for b in self.inputs)
+
+    def audit(self, cycle: int) -> None:
+        """One walk of the input banks checks their depth and the
+        occupancy indices the hot path trusts in place of walking them
+        (allocation visits ``_occupied``, parking reads ``_resident``).
+        Reads only; :class:`~repro.analysis.sanitizer.NetworkSanitizer`
+        runs it every cycle."""
+        v = self.config.num_vcs
+        lengths = bank_lengths(self.inputs)
+        audit_bounds(lengths, self.config.buffer_depth, cycle,
+                     lambda n: (f"input buffer [{n // v}] of router "
+                                f"{self.name}", n // v, n % v))
+        in_flits = per_bank(lengths, v)
+        for name, walked in (
+            ("_in_flits", in_flits),
+            ("_occupied", {port for port, held in enumerate(in_flits) if held}),
+            ("_resident", sum(in_flits)),
+        ):
+            index = getattr(self, name)
+            if index != walked:
+                raise drift(f"router {self.name} {name}", index, walked,
+                            "its input banks", cycle, router=self.name)
 
     # ------------------------------------------------------------------
 

@@ -33,10 +33,11 @@ the tail flit ... the virtual channel is freed").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..core.buffers import VcBufferBank
+from ..core.buffers import VcBufferBank, audit_bounds, bank_lengths, per_bank
 from ..core.config import RouterConfig
+from ..core.errors import InvariantViolation, drift
 from ..core.flit import Flit
 from ..core.pipeline import BusyTracker, DelayLine
 from ..core.vcstate import OutputVcState
@@ -62,6 +63,20 @@ class RouterStats:
     def bump(self, name: str, amount: int = 1) -> None:
         """Increment a named ad-hoc counter."""
         self.extra[name] = self.extra.get(name, 0) + amount
+
+
+def audit_occupied(occupied: List[Set[int]], cells: Iterable[Tuple[int, int]],
+                   walk: str, cycle: int) -> None:
+    """``occupied[a]``, which a stage visits instead of walking ``walk``
+    ``a``, must name exactly the ``b`` of every non-empty cell ``(a, b)``
+    the audit's walk found."""
+    walked: List[Set[int]] = [set() for _ in occupied]
+    for a, b in cells:
+        walked[a].add(b)
+    if occupied != walked:
+        a = next(a for a, found in enumerate(walked) if occupied[a] != found)
+        raise drift(f"_occupied[{a}]", sorted(occupied[a]), sorted(walked[a]),
+                    f"{walk} {a}", cycle)
 
 
 class Router(Component):
@@ -112,7 +127,7 @@ class Router(Component):
         self._staged_ejects: Sequence[Tuple[Flit, int]] = ()
         self._staged_releases: Sequence[Tuple[int, int, int]] = ()
         # Fault machinery (repro.faults): wedged input read ports, and
-        # the injector handle the sanitizer consults for lost-credit
+        # the injector handle the credit audits consult for lost-credit
         # accounting.  Both stay inert unless a FaultPlan is attached.
         self._stuck_inputs: set = set()
         self.fault_injector = None
@@ -214,6 +229,59 @@ class Router(Component):
     def idle(self) -> bool:
         """True when no flit is buffered or in flight inside the router."""
         return self.occupancy() == 0
+
+    # ------------------------------------------------------------------
+    # Audit (run every cycle by repro.analysis.SimSanitizer)
+    # ------------------------------------------------------------------
+
+    def audit(self, cycle: int, held: int = 0) -> None:
+        """Check the router's books against one walk of its buffers.
+
+        Raises :class:`~repro.core.errors.InvariantViolation` when an
+        input queue holds more than its depth (``buffer-bounds``), when
+        the flits accepted and not yet ejected are not the flits
+        resident (``flit-conservation``: the input banks, the switch
+        traversal, and ``held``) or when ``_in_flits`` drifts from the
+        walk (``occupancy-index``).  Reads only.
+
+        An organization with storage or an index of its own overrides
+        this beside them: one walk of its storage checks their bounds,
+        credits and indices, then ``super().audit`` gets the flits found
+        added to ``held``.
+        """
+        v = self.config.num_vcs
+        lengths = bank_lengths(self.inputs)
+        audit_bounds(lengths, self.config.input_buffer_depth, cycle,
+                     lambda n: (f"input buffer [{n // v}]", n // v, n % v))
+        in_flits = per_bank(lengths, v)
+        stats = self.stats
+        live = stats.flits_accepted - stats.flits_ejected
+        resident = sum(in_flits) + len(self._ejecting) + held
+        if not self._conserves(resident, live):
+            raise InvariantViolation(
+                f"flit conservation violated: {live} flits accepted and "
+                f"not ejected, {resident} resident in the router",
+                cycle=cycle, check="flit-conservation",
+                accepted=stats.flits_accepted, ejected=stats.flits_ejected,
+                occupancy=resident,
+            )
+        if self._in_flits != in_flits:
+            raise drift("_in_flits", self._in_flits, in_flits,
+                        "the input banks", cycle)
+
+    def _conserves(self, resident: int, live: int) -> bool:
+        """Flit conservation: each live flit is resident exactly once."""
+        return resident == live
+
+    def _injected_credits(self) -> List:
+        """Counters owed a credit a fault injector holds for resync: an
+        injected loss leaves the counter short while the flit is long
+        gone, so the credit audits count the injector's ledger as in
+        flight (a real leak still trips them)."""
+        if self.fault_injector is None:
+            return []
+        return [sink.__self__
+                for sink in self.fault_injector.pending_credit_sinks()]
 
     # ------------------------------------------------------------------
     # Fault support (repro.faults)

@@ -37,6 +37,7 @@ blocking is eliminated; its cost is O(v·k²) buffer storage (Figure 15).
 
 from __future__ import annotations
 
+from itertools import chain, compress
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..allocation.switch_alloc import OutputArbiterBank
@@ -56,11 +57,16 @@ from ..core.batch import (
 )
 from ..core.buffers import VcBufferBank
 from ..core.config import RouterConfig
-from ..core.errors import InvariantViolation, invariant
-from ..core.credit import CreditCounter, CreditReturnBus, DelayedCreditPipe
+from ..core.errors import InvariantViolation, drift, invariant
+from ..core.credit import (
+    CreditCounter,
+    CreditReturnBus,
+    DelayedCreditPipe,
+    audit_credit_books,
+)
 from ..core.flit import Flit
 from ..core.pipeline import DelayLine
-from .base import Router
+from .base import Router, audit_occupied
 
 #: numpy, bound by the first router built with ``batch_hot_path``.
 _np = None
@@ -92,9 +98,9 @@ class BufferedCrossbarRouter(Router):
             [[CreditCounter(depth) for _ in range(v)] for _ in range(k)]
             for _ in range(k)
         ]
-        # Flat view of every crosspoint queue's deque: the occupancy
-        # scan over k*k*v queues runs every cycle under the sanitizer,
-        # so it must stay a single C-level sum(map(len, ...)).
+        # Flat view of every crosspoint queue's deque, (i, j, vc)-major:
+        # the audit walks all k*k*v of them every sanitized cycle, so
+        # the walk must stay a single C-level map(len, ...).
         self._xp_flat = [
             q._q for row in self.crosspoints for bank in row
             for q in bank.queues
@@ -518,6 +524,51 @@ class BufferedCrossbarRouter(Router):
             self._bus_live = {
                 i for i, bus in enumerate(buses) if not bus.idle()
             }
+
+    def audit(self, cycle: int, held: int = 0) -> None:
+        """One walk of the k*k*v crosspoint queues checks
+        ``_occupied[j]`` (the array twin counts in ``_b_xp_cnt``
+        instead) and the credit books, which bound each queue's depth:
+        each counter's free credits plus the flits buffered at or
+        crossing toward its buffer, plus the credits on their way back,
+        make the buffer's depth.  The buses' own queues check each
+        ``_waiting`` and ``_bus_live``."""
+        k, v = self.config.radix, self.config.num_vcs
+        lengths = list(map(len, self._xp_flat))
+        buffered = sum(lengths)
+        if not self._batch:
+            audit_occupied(self._occupied, (
+                (n // v % k, n // v // k)
+                for n in compress(range(len(lengths)), lengths)
+            ), "column", cycle)
+        for flit, i, j in self._to_crosspoint.items():
+            lengths[(i * k + j) * v + flit.vc] += 1
+        owed = self._injected_credits()
+        if self._credit_pipes is not None:
+            for pipe in self._credit_pipes:
+                owed.extend(sink.__self__ for sink in pipe.pending_sinks())
+        else:
+            live = set()
+            for i, bus in enumerate(self._credit_buses):
+                waiting = set(compress(range(k), bus._pending))
+                if bus._waiting != waiting:
+                    raise drift(f"credit bus {i} _waiting",
+                                sorted(bus._waiting), sorted(waiting),
+                                "its queues", cycle)
+                if waiting or bus._pipe.pending():
+                    live.add(i)
+                    owed.extend(sink.__self__ for sink in bus.pending_sinks())
+            if self._bus_live != live:
+                raise drift("_bus_live", sorted(self._bus_live),
+                            sorted(live), "the credit buses", cycle)
+        audit_credit_books(
+            list(chain.from_iterable(chain.from_iterable(self._credits))),
+            lengths, owed, cycle,
+            lambda n: (f"crosspoint ({n // v // k},{n // v % k})",
+                       {"port": n // v // k, "output": n // v % k,
+                        "vc": n % v}),
+        )
+        super().audit(cycle, held + buffered + self._in_flight_to_xp)
 
     def _extra_occupancy(self) -> int:
         return sum(map(len, self._xp_flat)) + self._in_flight_to_xp

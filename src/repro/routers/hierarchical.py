@@ -32,13 +32,18 @@ subswitch input buffers return to the input over a fixed-latency pipe.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.arbiter import RoundRobinArbiter
-from ..core.buffers import VcBufferBank
+from ..core.buffers import VcBufferBank, audit_bounds, bank_lengths, per_bank
 from ..core.config import RouterConfig
-from ..core.credit import CreditCounter, DelayedCreditPipe
-from ..core.errors import InvariantViolation
+from ..core.credit import (
+    CreditCounter,
+    DelayedCreditPipe,
+    audit_credit_books,
+)
+from ..core.errors import InvariantViolation, drift
 from ..core.flit import Flit
 from ..core.pipeline import BusyTracker, DelayLine
 from .base import Router
@@ -73,8 +78,9 @@ class _Subswitch:
     def occupancy(self) -> int:
         """Flits inside the subswitch, counted by walking the queues.
 
-        Deliberately ignores the occupancy indices: the sanitizer and
-        the tests use this walk as their independent oracle.
+        Deliberately ignores the occupancy indices: the tests use this
+        walk as their independent oracle (the router's ``audit`` makes
+        its own, one walk of every subswitch at once).
         """
         buffered = sum(b.occupancy() for b in self.in_bufs)
         buffered += sum(b.occupancy() for b in self.out_bufs)
@@ -98,8 +104,8 @@ class HierarchicalCrossbarRouter(Router):
 
     Each is updated at the single push or pop that changes it
     (:meth:`_land_flits`, :meth:`_sub_transmit`, :meth:`_port_transmit`)
-    and is checked against the walked queues every cycle by
-    :class:`~repro.analysis.sanitizer.SimSanitizer`.
+    and is checked against the walked queues by :meth:`audit`, which
+    :class:`~repro.analysis.sanitizer.SimSanitizer` runs every cycle.
 
     Skip rule: a probe is skipped only when its index is zero — when
     the structure holds no flit, so probing it would have yielded no
@@ -420,6 +426,73 @@ class HierarchicalCrossbarRouter(Router):
         if due is not None and (horizon is None or due < horizon):
             horizon = due
         return horizon
+
+    def audit(self, cycle: int, held: int = 0) -> None:
+        """One walk of every subswitch lane checks its depth, the
+        occupancy indices above and the credit books of the subswitch
+        input buffers: each counter's free credits plus the flits
+        buffered at or crossing the row toward its buffer, plus the
+        credits on the return pipe, make the buffer's depth."""
+        config = self.config
+        k, p, s, v = config.radix, config.subswitch_size, self.num_sub, config.num_vcs
+        subs = list(chain.from_iterable(self.sub))
+
+        def agree(what: str, index, walked) -> None:
+            if index != walked:
+                n = next(n for n, found in enumerate(walked) if index[n] != found)
+                raise drift(f"{what}[{n}]", index[n], walked[n],
+                            "the subswitches", cycle)
+
+        # Queue n is (subswitch position, lane, VC)-major on both sides;
+        # the input lanes are credited, so their books bound them.
+        in_lengths = bank_lengths(
+            chain.from_iterable(sub.in_bufs for sub in subs))
+        out_lengths = bank_lengths(
+            chain.from_iterable(sub.out_bufs for sub in subs))
+        audit_bounds(out_lengths, config.subswitch_out_depth, cycle, lambda n: (
+            f"subswitch ({n // v // p // s},{n // v // p % s}) out lane "
+            f"{n // v % p}", n // v % p, n % v))
+        in_lanes = per_bank(in_lengths, v)
+        out_lanes = per_bank(out_lengths, v)
+        crossing = set()
+        for pos, sub in enumerate(subs):
+            where = f"subswitch ({sub.row},{sub.col})"
+            lanes = in_lanes[pos * p:(pos + 1) * p]
+            agree(f"{where} in_count", sub.in_count, lanes)
+            if sub.in_total != sum(lanes):
+                raise drift(f"{where} in_total", sub.in_total, sum(lanes),
+                            "the subswitches", cycle)
+            agree(f"{where} out_count", sub.out_count,
+                  out_lanes[pos * p:(pos + 1) * p])
+            if sub.crossing:
+                crossing.add(pos)
+                held += len(sub.crossing)
+        # Out lane (row r, column c, lane lo) feeds output c*p + lo, so
+        # row r of the lanes lines up with the outputs.
+        port_flits = list(map(sum, zip(*(
+            out_lanes[r * k:(r + 1) * k] for r in range(s)))))
+        if self._port_flits != port_flits:
+            raise drift("_port_flits", self._port_flits, port_flits,
+                        "the subswitches", cycle)
+        if self._crossing != crossing:
+            raise drift("_crossing", sorted(self._crossing), sorted(crossing),
+                        "the subswitches", cycle)
+        for flit, i, col in self._to_sub.items():
+            in_lengths[((i // p * s + col) * p + i % p) * v + flit.vc] += 1
+        owed = self._injected_credits()
+        owed.extend(sink.__self__ for sink in self._credit_pipe.pending_sinks())
+
+        def book(n: int):
+            i, col = n // v // p // s * p + n // v % p, n // v // p % s
+            return (f"subswitch input buffer (input {i}, column {col})",
+                    {"port": i, "output": col, "vc": n % v})
+        audit_credit_books(
+            list(chain.from_iterable(
+                self._in_credits[sub.row * p + li][sub.col]
+                for sub in subs for li in range(p))),
+            in_lengths, owed, cycle, book)
+        super().audit(cycle, held + sum(in_lanes) + sum(out_lanes)
+                      + self._in_flight)
 
     def _extra_occupancy(self) -> int:
         inside = sum(

@@ -31,16 +31,17 @@ costs the paper cites for this organization.
 
 from __future__ import annotations
 
+from itertools import chain, compress
 from typing import Dict, List, Optional, Tuple
 
 from ..allocation.switch_alloc import OutputArbiterBank
 from ..core.arbiter import RoundRobinArbiter
 from ..core.buffers import FlitQueue
 from ..core.config import RouterConfig
-from ..core.credit import CreditCounter
+from ..core.credit import CreditCounter, audit_credit_books
 from ..core.flit import Flit
 from ..core.pipeline import DelayLine
-from .base import Router
+from .base import Router, audit_occupied
 
 _ACK = True
 _NACK = False
@@ -211,6 +212,35 @@ class SharedBufferCrossbarRouter(Router):
         if due is not None and (horizon is None or due < horizon):
             horizon = due
         return horizon
+
+    def audit(self, cycle: int, held: int = 0) -> None:
+        """One walk of the k*k shared crosspoint buffers checks
+        ``_occupied[j]`` and the credit books, which bound each buffer's
+        depth: each counter's free credits plus the copies buffered at
+        or crossing toward its buffer, plus the restores on the return
+        delay line, make the buffer's depth."""
+        k = self.config.radix
+        lengths = [len(q._q) for row in self.crosspoints for q in row]
+        buffered = sum(lengths)
+        audit_occupied(self._occupied, (
+            (n % k, n // k) for n in compress(range(len(lengths)), lengths)
+        ), "column", cycle)
+        for _flit, i, j in self._to_crosspoint.items():
+            lengths[i * k + j] += 1
+        audit_credit_books(
+            list(chain.from_iterable(self._credits)), lengths,
+            self._credit_return.items(), cycle,
+            lambda n: (f"shared crosspoint ({n // k},{n % k})",
+                       {"port": n // k, "output": n % k}),
+        )
+        super().audit(cycle, held + buffered + self._in_flight
+                      + len(self._responses))
+
+    def _conserves(self, resident: int, live: int) -> bool:
+        """An original stays at its input until the ACK for its copy
+        returns, so the walk counts it twice meanwhile: conservation is
+        a lower bound here."""
+        return resident >= live
 
     def _extra_occupancy(self) -> int:
         buffered = sum(len(q) for row in self.crosspoints for q in row)

@@ -24,15 +24,16 @@ VC class exactly as in the other models.
 
 from __future__ import annotations
 
+from itertools import chain, compress
 from typing import List, Optional, Set
 
 from ..allocation.islip import IslipAllocator
 from ..core.arbiter import RoundRobinArbiter
 from ..core.errors import invariant
-from ..core.buffers import VcBufferBank
+from ..core.buffers import VcBufferBank, bank_lengths
 from ..core.config import RouterConfig
 from ..core.flit import Flit
-from .base import Router
+from .base import Router, audit_occupied
 
 
 class VoqRouter(Router):
@@ -141,9 +142,20 @@ class VoqRouter(Router):
 
     # ------------------------------------------------------------------
 
+    def audit(self, cycle: int, held: int = 0) -> None:
+        """One walk of the k*k VOQ banks counts their flits and checks
+        ``_occupied[i]``, the destinations ``_allocate`` visits instead
+        of walking row i."""
+        k, v = self.config.radix, self.config.num_vcs
+        lengths = bank_lengths(chain.from_iterable(self.voqs))
+        audit_occupied(self._occupied, (
+            divmod(n // v, k) for n in compress(range(len(lengths)), lengths)
+        ), "row", cycle)
+        super().audit(cycle, held + sum(lengths))
+
     def _extra_occupancy(self) -> int:
         return self.voq_occupancy()
 
     def voq_occupancy(self) -> int:
         """Flits currently held in virtual output queues."""
-        return sum(bank.occupancy() for row in self.voqs for bank in row)
+        return sum(bank_lengths(chain.from_iterable(self.voqs)))

@@ -171,6 +171,37 @@ def test_detects_credit_surplus_hierarchical():
     assert "surplus" in str(exc.value)
 
 
+def _owed_counter_buffered(router):
+    return next(sink for bus in router._credit_buses
+                for sink in bus.pending_sinks()).__self__
+
+
+def _owed_counter_hierarchical(router):
+    return router._credit_pipe.pending_sinks()[0].__self__
+
+
+@pytest.mark.parametrize("router_cls, owed_counter", [
+    (BufferedCrossbarRouter, _owed_counter_buffered),
+    (HierarchicalCrossbarRouter, _owed_counter_hierarchical),
+])
+def test_detects_credit_surplus_on_a_counter_owed_credits(router_cls,
+                                                          owed_counter):
+    """A counter with a credit on its way back balances without it once
+    a credit is conjured into it; the books still count what it is owed
+    and name the surplus."""
+    sim = SwitchSimulation(
+        router_cls(RouterConfig(radix=8, subswitch_size=4, local_group_size=4)),
+        load=0.6, sanitize=True, seed=3,
+    )
+    for _ in range(40):
+        sim.step()
+    owed_counter(sim.router)._free += 1
+    with pytest.raises(InvariantViolation) as exc:
+        sim.sanitizer.check_now()
+    assert exc.value.check == "credit-conservation"
+    assert "surplus" in str(exc.value)
+
+
 def _corrupt_in_count(router):
     router.sub[1][0].in_count[2] += 1
 
@@ -229,6 +260,18 @@ def _corrupt_bus_live(router):
     router._bus_live ^= {0}
 
 
+def _forget_voq_row(router):
+    # An occupied input forgets its destinations: its flits strand.
+    i = next(i for i, dests in enumerate(router._occupied) if dests)
+    router._occupied[i].clear()
+
+
+def _phantom_voq_dest(router):
+    # Input 0 claims a destination whose VOQ is empty.
+    j = next(j for j, bank in enumerate(router.voqs[0]) if not len(bank))
+    router._occupied[0].add(j)
+
+
 @pytest.mark.parametrize("router_cls, corrupt, config", [
     (BufferedCrossbarRouter, _corrupt_occupied, RouterConfig(radix=8)),
     (SharedBufferCrossbarRouter, _corrupt_occupied, RouterConfig(radix=8)),
@@ -237,6 +280,9 @@ def _corrupt_bus_live(router):
     # The array twin shares the buses and their live set.
     (BufferedCrossbarRouter, _corrupt_bus_live,
      RouterConfig(radix=8, batch_hot_path=True)),
+    # The VOQ allocator visits _occupied[i] instead of walking row i.
+    (VoqRouter, _forget_voq_row, RouterConfig(radix=8)),
+    (VoqRouter, _phantom_voq_dest, RouterConfig(radix=8)),
 ])
 def test_detects_crosspoint_index_drift(router_cls, corrupt, config):
     """The crosspoint crossbars' output stages walk ``_occupied[j]``
@@ -436,16 +482,21 @@ def test_sanitized_network_run_completes_clean():
 
 
 def test_network_sanitizer_detects_link_credit_leak():
-    sim = NetworkSimulation(
-        NetworkConfig(radix=4, levels=2, seed=3), load=0.4, sanitize=True
-    )
-    for _ in range(50):
-        sim.step()
-    _name, _port, link, _target, _tport = sim.sanitizer._links[0]
-    link.credits[0].consume()
-    with pytest.raises(InvariantViolation) as exc:
-        sim.step()
-    assert exc.value.check == "credit-conservation"
+    """A leak is caught, and located, on the first and on the last
+    credited link the sanitizer wired."""
+    for which in (0, -1):
+        sim = NetworkSimulation(
+            NetworkConfig(radix=4, levels=2, seed=3), load=0.4, sanitize=True
+        )
+        for _ in range(50):
+            sim.step()
+        name, port, link, _target, _tport = sim.sanitizer._links[which]
+        link.credits[0].consume()
+        with pytest.raises(InvariantViolation) as exc:
+            sim.step()
+        assert exc.value.check == "credit-conservation"
+        assert exc.value.context["router"] == name
+        assert exc.value.port == port
 
 
 def test_network_sanitizer_detects_buffer_overflow():
