@@ -14,8 +14,8 @@ ordinary tests don't enforce:
 This package supplies one tool per family:
 
 * :mod:`repro.analysis.lint` — an AST lint pass with simulator-specific
-  rules that neither the interpreter nor ruff checks (R001-R014, less
-  the retired R003-R005 and R011), run as ``python -m repro.cli lint
+  rules that neither the interpreter, ruff nor the test oracles check
+  (R001, R002, R009, R010, R012), run as ``python -m repro.cli lint
   src``;
 * :mod:`repro.analysis.sanitizer` — :class:`SimSanitizer`, a
   per-cycle runtime checker observing any router (``--sanitize`` on the

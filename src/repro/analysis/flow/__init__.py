@@ -1,17 +1,15 @@
 """Whole-program analysis index for the lint pass.
 
-The per-file rules (R001, R002) see one module at a time; everything
-the simulator's *contracts* promise — compute-phase purity across
-helper calls, globally unique RNG streams, serializable component
-state — is a property of the whole program.  This subpackage provides
-the machinery the project rules (R006-R014) run on:
+The per-file rules (R001, R002) see one module at a time; globally
+unique RNG streams and serializable component state are properties of
+the whole program.  This subpackage provides the machinery the project
+rules (R009, R010, R012) run on:
 
 :mod:`~repro.analysis.flow.summary`
     One pass over a parsed module producing a :class:`FileSummary`:
     imports resolved to dotted targets, the class table with base-class
     references, and per-method records of attribute reads/writes,
-    ``self`` method calls, hook emissions, and
-    ``derive_rng`` call sites.  Summaries are plain data.
+    ``self`` method calls, and ``derive_rng`` call sites.  Summaries are plain data.
 
 :mod:`~repro.analysis.flow.index`
     The :class:`ProjectIndex`: summaries keyed by module, a cross-module

@@ -5,8 +5,9 @@ classes are keyed by qualified name (``module.Class``), base-class
 references are resolved across module boundaries, and a C3-free MRO
 linearization (depth-first, left-to-right, first occurrence wins — the
 paper-repro codebase uses single inheritance plus mixins, where this
-coincides with Python's MRO) lets the rules ask "which ``compute`` does
-this class actually run?" without importing simulator code.
+coincides with Python's MRO) lets the rules ask "which ``snapshot``
+helper does this class actually run?" without importing simulator
+code.
 """
 
 from __future__ import annotations

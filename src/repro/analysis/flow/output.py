@@ -35,7 +35,7 @@ SARIF_VERSION = "2.1.0"
 
 #: Reported in ``tool.driver``; version-bumped with the rule catalogue.
 TOOL_NAME = "repro-lint"
-TOOL_VERSION = "3.0.0"
+TOOL_VERSION = "4.0.0"
 
 
 def _uri(path: str) -> str:

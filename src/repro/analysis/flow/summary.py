@@ -16,9 +16,6 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-#: Attribute prefix marking staged-intent storage (writable in compute).
-STAGED_PREFIX = "_staged"
-
 #: Constructor names whose instances can never be pickled (R010).
 _LOCK_FACTORIES = {
     "Lock", "RLock", "Condition", "Event", "Semaphore", "BoundedSemaphore",
@@ -42,14 +39,6 @@ class CallSite:
     """A ``self.<name>(...)`` call inside a method body."""
 
     name: str
-    line: int
-
-
-@dataclass
-class EmitSite:
-    """A ``<receiver>.emit_*(...)`` call inside a method body."""
-
-    event: str  #: full method name, e.g. "emit_flit_move"
     line: int
 
 
@@ -79,7 +68,6 @@ class MethodSummary:
     cross_writes: List[WriteSite] = field(default_factory=list)
     self_reads: List[str] = field(default_factory=list)
     self_calls: List[CallSite] = field(default_factory=list)
-    emits: List[EmitSite] = field(default_factory=list)
     returns_closure: bool = False
     raises_only: bool = False  #: body is nothing but ``raise`` (a stub)
 
@@ -407,14 +395,14 @@ class _Summarizer(ast.NodeVisitor):
         self.generic_visit(node)
 
     def _visit_attribute_call(self, node: ast.Call, func: ast.Attribute) -> None:
-        if self._method_stack:
-            method = self._method_stack[-1]
-            if isinstance(func.value, ast.Name) and func.value.id == "self":
-                method.self_calls.append(
-                    CallSite(name=func.attr, line=node.lineno)
-                )
-            if func.attr.startswith("emit_"):
-                method.emits.append(EmitSite(event=func.attr, line=node.lineno))
+        if (
+            self._method_stack
+            and isinstance(func.value, ast.Name)
+            and func.value.id == "self"
+        ):
+            self._method_stack[-1].self_calls.append(
+                CallSite(name=func.attr, line=node.lineno)
+            )
         self._maybe_rng_call(node, _expr_text(func))
 
     def _visit_name_call(self, node: ast.Call, func: ast.Name) -> None:

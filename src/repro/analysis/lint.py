@@ -5,10 +5,10 @@ form:
 
 * **File rules** (R001, R002, :class:`LintRule`) implement
   ``check(tree, ctx)`` — a generator over one parsed module.
-* **Project rules** (R006-R014, :class:`ProjectRule`) implement
+* **Project rules** (R009, R010, R012, :class:`ProjectRule`) implement
   ``check_project(index)`` against the whole-program
   :class:`~repro.analysis.flow.index.ProjectIndex` — cross-module class
-  hierarchies, interprocedural purity, global RNG-stream uniqueness.
+  hierarchies, global RNG-stream uniqueness, snapshot completeness.
 
 :func:`lint_file` is :func:`lint_paths` over a one-file index: a
 project rule sees whatever the indexed files show it, so the
@@ -126,7 +126,7 @@ class LintRule:
 
 
 class ProjectRule(LintRule):
-    """A rule over the whole-program index (R006-R014); it is never
+    """A rule over the whole-program index (R009, R010, R012); it is never
     handed a single module, so it does not implement ``check``."""
 
     #: Final-phase rules (R012) run after every other rule and see the

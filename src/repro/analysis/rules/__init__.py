@@ -8,15 +8,6 @@ R001  no-direct-random            All randomness flows through
 R002  no-nondeterminism           No wall clock, salted ``hash()``, or
                                   unordered-set iteration in the
                                   simulation
-R006  compute-phase-purity        ``Component.compute`` only stages
-                                  intents (``self._staged*``); all
-                                  mutation happens in ``commit``
-R007  hook-emission-phase         Hook events (``*.emit_*``) fire from
-                                  ``commit``, never from the
-                                  speculative ``compute`` phase
-R008  phase-race                  Compute-phase *call chains* stay
-                                  pure; ``commit`` never writes another
-                                  component's compute-read state
 R009  rng-stream-audit            ``derive_rng`` keys are stable and
                                   globally unique; no module-level
                                   streams
@@ -26,25 +17,16 @@ R010  serialization-readiness     Component state stays picklable: no
                                   captures
 R012  stale-pragma                Every ``# lint: disable`` pragma
                                   suppresses at least one finding
-R013  observer-purity             Scheduler probes (``busy``,
-                                  ``next_event``) and their call
-                                  chains never mutate state or emit
-                                  hook events
-R014  pattern-purity              ``TrafficPattern.dest`` and
-                                  ``Workload.eligible`` probes (and
-                                  their call chains) never mutate
-                                  state — traffic must not depend on
-                                  how often the harness asked
 ===== ==========================  ====================================
 
-R001 and R002 are file rules; R006-R014 are project rules over the
-whole-program :class:`~repro.analysis.flow.index.ProjectIndex`.  R006,
-R007, the call-chain half of R008, R013 and R014 are rows of one
-purity-contract table in :mod:`.flow_rules`.
+R001 and R002 are file rules; R009, R010 and R012 are project rules
+over the whole-program :class:`~repro.analysis.flow.index.ProjectIndex`.
 
 Retired codes stay unused (a pragma naming one is an R012 finding):
 R003 and R005 are enforced by the interpreter, R004 by ruff ``B006``,
-R011 by ``tests/test_hook_contract.py``.
+R011 by ``tests/test_hook_contract.py``, and R006, R007, R008, R013
+and R014 (the purity rules) by the order-independence oracle
+``tests/perturb.py``.
 """
 
 from __future__ import annotations
@@ -54,11 +36,6 @@ from typing import List
 from ..lint import LintRule
 from .determinism import DirectRandomRule, NondeterminismRule
 from .flow_rules import (
-    ComputePhasePurityRule,
-    HookEmissionPhaseRule,
-    ObserverPurityRule,
-    PatternPurityRule,
-    PhaseRaceRule,
     RngStreamRule,
     SerializationReadinessRule,
     StalePragmaRule,
@@ -74,14 +51,9 @@ def all_rules() -> List[LintRule]:
     rules: List[LintRule] = [
         DirectRandomRule(),
         NondeterminismRule(),
-        ComputePhasePurityRule(),
-        HookEmissionPhaseRule(),
-        PhaseRaceRule(),
         RngStreamRule(),
         SerializationReadinessRule(),
         StalePragmaRule(),
-        ObserverPurityRule(),
-        PatternPurityRule(),
     ]
     assert [r.code for r in rules] == sorted(r.code for r in rules)
     return rules
@@ -91,12 +63,7 @@ __all__ = [
     "all_rules",
     "DirectRandomRule",
     "NondeterminismRule",
-    "ComputePhasePurityRule",
-    "HookEmissionPhaseRule",
-    "PhaseRaceRule",
     "RngStreamRule",
     "SerializationReadinessRule",
     "StalePragmaRule",
-    "ObserverPurityRule",
-    "PatternPurityRule",
 ]

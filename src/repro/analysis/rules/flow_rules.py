@@ -1,30 +1,10 @@
-"""Whole-program rules R006-R014.
+"""Whole-program rules R009, R010 and R012.
 
 These rules consume the
 :class:`~repro.analysis.flow.index.ProjectIndex` — cross-module MRO,
 per-method flow summaries, and the runner's pragma-hit ledger —
 rather than a single parsed module.
 
-* **R006/R007/R008/R013/R014** are one contract, stated once in
-  :data:`PURITY_CONTRACTS`: *method M of class family F, and everything
-  reachable from it through ``self.*()`` calls, may write only W and
-  may not emit hook events.*  The :class:`repro.engine.Component`
-  protocol splits each cycle into ``compute`` (read state, stage
-  intents in ``self._staged*``) and ``commit`` (apply them), which is
-  what frees the scheduler to evaluate components in any order — but
-  only if ``compute`` really is write-free and silent: a hook event
-  fired from it leaks a speculative intent to trace consumers.  A
-  direct write in ``compute`` is R006, a direct emission R007, either
-  one reached through a helper R008.  The scheduler probes
-  (``busy``/``next_event``, R013) and the traffic probes
-  (``TrafficPattern.dest``, pre-drawn and cached by the sources, and
-  ``Workload.eligible``, polled by fast-forward wake horizons; R014)
-  run any number of times per cycle, so they may write nothing at all:
-  a mutating probe makes results depend on how often the harness
-  asked, which breaks the cycle/event byte-identity contract.
-* **R008** also checks ``commit`` for writes into *other* components'
-  state that some ``compute`` reads the same cycle (an
-  evaluation-order race the two-phase split exists to prevent).
 * **R009** audits ``derive_rng``/``derive_seed`` streams globally:
   duplicate constant keys collapse two logically distinct streams into
   one; keys built from ``id()``/``hash()``/set iteration are not
@@ -41,340 +21,13 @@ rather than a single parsed module.
 
 from __future__ import annotations
 
-from fnmatch import fnmatchcase
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    Iterator,
-    List,
-    NamedTuple,
-    Optional,
-    Set,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set, Tuple
 
 from ..lint import Finding, ProjectRule
-from ..flow.summary import STAGED_PREFIX, MethodSummary, RngSite
+from ..flow.summary import MethodSummary, RngSite
 
 if TYPE_CHECKING:
     from ..flow.index import ProjectIndex
-
-
-def _class_path(index: "ProjectIndex", qual: str) -> str:
-    return index.classes[qual][0].path
-
-
-class _Contract(NamedTuple):
-    """One row of the purity policy: the ``methods`` of class family
-    ``family``, and everything reachable from them through ``self.*()``
-    calls, may write only ``writable`` and may not emit hook events.
-
-    ``family`` is a base-class simple name, or ``""`` for the two-phase
-    (compute/commit) classes.  ``writable`` holds ``fnmatch`` patterns
-    for the ``self`` attributes the chain may assign.  ``direct`` maps
-    each kind of impurity in the method's own body — ``"write"`` (to
-    ``self``), ``"cross"`` (to another object), ``"emit"`` — to the
-    ``(code, message)`` reporting it; a kind it omits is not reported
-    there.  ``chain`` is the ``(code, message)`` for an impurity of any
-    kind reached through a helper, reported at the method's call site.
-    Messages are ``str.format`` templates over ``who`` (the
-    ``Class.method`` bound), ``what`` (e.g. "writes `self.x`"),
-    ``subject`` (the attribute or event alone), ``probe`` (the row's
-    ``Family.method``), ``call`` and ``via``.
-    """
-
-    family: str
-    methods: Tuple[str, ...]
-    writable: Tuple[str, ...]
-    direct: Dict[str, Tuple[str, str]]
-    chain: Tuple[str, str]
-
-
-_VIA_HELPER = "{who} calls `self.{call}()`, which {what}{via}; "
-
-_R013_DIRECT = (
-    "R013",
-    "{who} {what}; scheduler probes run outside the compute/commit "
-    "phases and may be called any number of times per cycle, so they "
-    "must be side-effect free",
-)
-_R014_DIRECT = (
-    "R014",
-    "{who} {what}; {probe} implementations may be probed any number of "
-    "times per cycle (pre-draw caching, fast-forward horizons), so they "
-    "must be side-effect free",
-)
-_R014_CHAIN = (
-    "R014",
-    _VIA_HELPER + "{probe} must stay pure through its whole call chain",
-)
-_ANY_KIND = ("write", "cross", "emit")
-
-#: The purity policy, one row per probed method family.  ``compute``
-#: may stamp ``self.cycle`` and stage intents; the scheduler probes
-#: (called zero, one, or many times per cycle by the engine: parking,
-#: fast-forward horizon computation) and the traffic probes may write
-#: nothing — drawing from a *passed-in* RNG is not a write to ``self``,
-#: which is what keeps ``TrafficPattern.dest`` implementable.
-PURITY_CONTRACTS: Tuple[_Contract, ...] = (
-    _Contract(
-        family="",
-        methods=("compute",),
-        writable=("cycle", STAGED_PREFIX + "*"),
-        direct={
-            "write": (
-                "R006",
-                "{who} {what}; the compute phase only reads state and "
-                "stages intents (`self._staged*`) — apply mutations in "
-                "`commit`",
-            ),
-            "emit": (
-                "R007",
-                "{who} calls `{subject}`; hook events describe committed "
-                "state and must be emitted from `commit` (or an "
-                "externally driven entry point), never during the "
-                "speculative compute phase",
-            ),
-        },
-        chain=(
-            "R008",
-            _VIA_HELPER + "the compute phase must stay pure through its "
-            "whole call chain — stage the intent and apply it in `commit`",
-        ),
-    ),
-    _Contract(
-        family="",
-        methods=("busy", "next_event"),
-        writable=(),
-        direct=dict.fromkeys(_ANY_KIND, _R013_DIRECT),
-        chain=(
-            "R013",
-            _VIA_HELPER + "scheduler probes must stay pure through their "
-            "whole call chain",
-        ),
-    ),
-    _Contract(
-        family="TrafficPattern",
-        methods=("dest",),
-        writable=(),
-        direct=dict.fromkeys(_ANY_KIND, _R014_DIRECT),
-        chain=_R014_CHAIN,
-    ),
-    _Contract(
-        family="Workload",
-        methods=("eligible",),
-        writable=(),
-        direct=dict.fromkeys(_ANY_KIND, _R014_DIRECT),
-        chain=_R014_CHAIN,
-    ),
-)
-
-
-def _impurities(
-    method: MethodSummary, writable: Tuple[str, ...]
-) -> Iterator[Tuple[str, str, int]]:
-    """``(kind, subject, line)`` for every state write or hook emission
-    in one method body that ``writable`` does not sanction."""
-    for w in method.self_writes:
-        if not any(fnmatchcase(w.attr, ok) for ok in writable):
-            yield "write", f"self.{w.attr}", w.line
-    for w in method.cross_writes:
-        if w.root:
-            yield "cross", f"{w.root}.{w.attr}", w.line
-    for e in method.emits:
-        yield "emit", e.event, e.line
-
-
-def _what(kind: str, subject: str) -> str:
-    return f"{'emits' if kind == 'emit' else 'writes'} `{subject}`"
-
-
-def _impure_chain(
-    index: "ProjectIndex",
-    qual: str,
-    name: str,
-    writable: Tuple[str, ...],
-    visited: Set[str],
-) -> Optional[Tuple[str, List[str]]]:
-    """First impurity reachable from ``self.<name>()``, as ``(what,
-    call chain)`` — interprocedural, helpers resolved along the MRO of
-    the concrete class ``qual``, cycle-safe through ``visited``."""
-    if name in visited:
-        return None
-    visited.add(name)
-    resolved = index.resolve_method(qual, name)
-    if resolved is None:
-        return None
-    method = resolved[1]
-    for kind, subject, _ in _impurities(method, writable):
-        return _what(kind, subject), [name]
-    for call in method.self_calls:
-        deeper = _impure_chain(index, qual, call.name, writable, visited)
-        if deeper is not None:
-            return deeper[0], [name] + deeper[1]
-    return None
-
-
-def _in_family(index: "ProjectIndex", qual: str, family: str) -> bool:
-    """True when ``qual`` (or an ancestor, internal or external) is
-    named ``family``; the empty family is the two-phase classes."""
-    if not family:
-        return index.is_two_phase(qual)
-    chain, external = index.mro(qual)
-    return any(q.rsplit(".", 1)[-1] == family for q in chain + external)
-
-
-class _PurityRule(ProjectRule):
-    """Reports the :data:`PURITY_CONTRACTS` violations carrying its code.
-
-    Every class a row binds is walked with the method resolved along
-    its MRO — a subclass overriding only ``compute`` is bound by the
-    ``commit`` it inherits from another module, and a helper is judged
-    by the override the concrete class actually runs — and a finding
-    is reported once, at the class that defines the method.
-    """
-
-    def check_project(self, index: "ProjectIndex") -> Iterator[Finding]:
-        emitted: Set[Tuple[str, int, str]] = set()
-        for contract in PURITY_CONTRACTS:
-            for path, line, message in self._violations(index, contract):
-                if (path, line, message) not in emitted:
-                    emitted.add((path, line, message))
-                    yield self.project_finding(path, line, message)
-
-    def _violations(
-        self, index: "ProjectIndex", contract: _Contract
-    ) -> Iterator[Tuple[str, int, str]]:
-        direct = {
-            kind: message
-            for kind, (code, message) in contract.direct.items()
-            if code == self.code
-        }
-        chain_code, chain_message = contract.chain
-        if not direct and chain_code != self.code:
-            return
-        for qual, _, _ in index.iter_classes():
-            if not _in_family(index, qual, contract.family):
-                continue
-            for name in contract.methods:
-                resolved = index.resolve_method(qual, name)
-                if resolved is None:
-                    continue
-                owner, method = resolved
-                path = _class_path(index, owner)
-                who = f"`{owner.rsplit('.', 1)[-1]}.{name}`"
-                probe = f"`{contract.family}.{name}`"
-                for kind, subject, line in _impurities(
-                    method, contract.writable
-                ):
-                    if kind in direct:
-                        yield path, line, direct[kind].format(
-                            who=who, what=_what(kind, subject),
-                            subject=subject, probe=probe,
-                        )
-                if chain_code != self.code:
-                    continue
-                for call in method.self_calls:
-                    found = _impure_chain(
-                        index, qual, call.name, contract.writable, {name}
-                    )
-                    if found is None:
-                        continue
-                    what, chain = found
-                    via = ""
-                    if len(chain) > 1:
-                        via = " (via `" + "` -> `".join(chain) + "`)"
-                    yield path, call.line, chain_message.format(
-                        who=who, what=what, call=call.name, via=via,
-                        probe=probe,
-                    )
-
-
-class ComputePhasePurityRule(_PurityRule):
-    """R006: ``compute`` stages intents; it never mutates committed state."""
-
-    code = "R006"
-    name = "compute-phase-purity"
-    description = (
-        "Component.compute must not assign committed state; stage "
-        "intents in _staged* attributes and apply them in commit"
-    )
-
-
-class HookEmissionPhaseRule(_PurityRule):
-    """R007: hook events fire from ``commit``, never from ``compute``."""
-
-    code = "R007"
-    name = "hook-emission-phase"
-    description = (
-        "Component.compute must not emit hook events (*.emit_* calls); "
-        "observability fires from commit, where state is final"
-    )
-
-
-class PhaseRaceRule(_PurityRule):
-    """R008: no mutation or emission reachable from ``compute``, and no
-    ``commit`` writes into another component's compute-read state."""
-
-    code = "R008"
-    name = "phase-race"
-    description = (
-        "compute-phase call chains must stay pure (no state writes or "
-        "hook emissions through helpers), and commit must not write "
-        "another component's compute-read attributes"
-    )
-
-    def check_project(self, index: "ProjectIndex") -> Iterator[Finding]:
-        yield from super().check_project(index)
-        emitted: Set[Tuple[str, int, str]] = set()
-        compute_reads = self._compute_read_attrs(index)
-        for qual, _, _ in index.iter_classes():
-            if not index.is_two_phase(qual):
-                continue
-            for finding in self._check_commit_writes(
-                index, qual, compute_reads
-            ):
-                key = (finding.path, finding.line, finding.message)
-                if key not in emitted:
-                    emitted.add(key)
-                    yield finding
-
-    # -- commit cross-writes -------------------------------------------
-
-    @staticmethod
-    def _compute_read_attrs(index: "ProjectIndex") -> Set[str]:
-        """Attributes any resolved ``compute`` reads off ``self``."""
-        reads: Set[str] = set()
-        for qual, _, _ in index.iter_classes():
-            if not index.is_two_phase(qual):
-                continue
-            resolved = index.resolve_method(qual, "compute")
-            if resolved is not None:
-                reads.update(resolved[1].self_reads)
-        return reads
-
-    def _check_commit_writes(
-        self,
-        index: "ProjectIndex",
-        qual: str,
-        compute_reads: Set[str],
-    ) -> Iterator[Finding]:
-        resolved = index.resolve_method(qual, "commit")
-        if resolved is None:
-            return
-        owner, commit = resolved
-        path = _class_path(index, owner)
-        cls_name = owner.rsplit(".", 1)[-1]
-        for w in commit.cross_writes:
-            if not w.root or w.attr not in compute_reads:
-                continue
-            yield self.project_finding(
-                path, w.line,
-                f"`{cls_name}.commit` writes `{w.root}.{w.attr}`, an "
-                "attribute some `compute` reads the same cycle; commits "
-                "racing against other components' reads reintroduce the "
-                "evaluation-order coupling the two-phase split removes",
-            )
 
 
 class RngStreamRule(ProjectRule):
@@ -640,56 +293,7 @@ class StalePragmaRule(ProjectRule):
                     )
 
 
-class ObserverPurityRule(_PurityRule):
-    """R013: ``busy``/``next_event`` and their call chains stay pure.
-
-    The scheduler calls these probes between cycles — to park idle
-    components and to compute the fast-forward horizon — any number of
-    times (including zero: the cycle stepper never calls
-    ``next_event``).  A probe that mutates state or emits hook events
-    makes simulation results depend on *how often the scheduler asked*,
-    which breaks the cycle/event byte-identity contract.
-    """
-
-    code = "R013"
-    name = "observer-purity"
-    description = (
-        "busy/next_event are scheduler probes called zero or more "
-        "times per cycle; they and their self-call chains must not "
-        "write state or emit hook events"
-    )
-
-
-class PatternPurityRule(_PurityRule):
-    """R014: ``TrafficPattern.dest`` / ``Workload.eligible`` stay pure.
-
-    Both are *probe* contracts the harness may invoke a varying number
-    of times per simulated cycle: destination draws are pre-drawn and
-    cached by the traffic sources (and replayed under both drive
-    loops), and workload eligibility feeds the event scheduler's wake
-    horizons, which poll it zero or more times per cycle.  An
-    implementation that mutates its own state (or emits hook events)
-    makes traffic — and therefore results — depend on how often the
-    harness asked, breaking seed determinism and the cycle/event
-    byte-identity contract.  Drawing from the *passed-in* RNG is the
-    sanctioned effect; writing ``self`` is not.
-    """
-
-    code = "R014"
-    name = "pattern-purity"
-    description = (
-        "TrafficPattern.dest and Workload.eligible are probes the "
-        "harness may call any number of times per cycle; they and "
-        "their self-call chains must not mutate state or emit events"
-    )
-
-
 __all__ = [
-    "ComputePhasePurityRule",
-    "HookEmissionPhaseRule",
-    "ObserverPurityRule",
-    "PatternPurityRule",
-    "PhaseRaceRule",
     "RngStreamRule",
     "SerializationReadinessRule",
     "StalePragmaRule",

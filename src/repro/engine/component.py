@@ -6,7 +6,8 @@ A cycle splits into two explicit phases:
     Read committed state and *stage* intents.  Implementations may only
     write ``self.cycle`` and staged-intent attributes (conventionally
     prefixed ``_staged``); everything else is committed state and must
-    not change.  Lint rule R006 enforces this statically.
+    not change.  The order-independence oracle (``tests/perturb.py``)
+    tests this by running a cycle's computes in shuffled orders.
 ``commit(cycle)``
     Apply the staged intents, run the component's internal datapath for
     the cycle, and advance ``self.cycle`` to ``cycle + 1``.
@@ -14,7 +15,10 @@ A cycle splits into two explicit phases:
 The split makes the simulation order-insensitive across components:
 when a :class:`~repro.engine.scheduler.Scheduler` runs compute for
 every live component before any commit, no component can observe
-another's same-cycle output a phase early.
+another's same-cycle output a phase early.  Commit order is fixed (the
+scheduler runs registration order) because it is not free: a commit
+that returns a credit to another component is seen by that component
+in the same cycle only if it commits later.
 """
 
 from __future__ import annotations
@@ -84,9 +88,10 @@ class Component:
         executes as a no-op); reporting later than the real horizon
         skips live work and corrupts the run.
 
-        Purity contract (lint rule R013): implementations — like
-        :meth:`busy` — must not mutate any state or emit hook events;
-        the scheduler may call them any number of times per cycle.
+        Purity contract: implementations — like :meth:`busy` — must
+        not mutate any state or emit hook events; the scheduler may
+        call them any number of times per cycle.  ``tests/perturb.py``
+        tests this by calling every probe extra times.
         """
         return None
 

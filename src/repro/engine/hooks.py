@@ -50,7 +50,8 @@ Event signatures:
 
 All emissions happen during the commit phase (or in externally driven
 entry points such as ``accept``) — never during ``compute``, which must
-stay pure.  Lint rule R007 enforces this.
+stay pure.  The order-independence oracle (``tests/perturb.py``) tests
+this: shuffling the computes must not move any event in the stream.
 """
 
 from __future__ import annotations

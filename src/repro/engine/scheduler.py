@@ -312,8 +312,9 @@ class EventScheduler(Scheduler):
     def _on_park(self, comp: Component, now: int) -> None:
         """Snapshot the parking component's horizon into the wheel.
 
-        A parked component's state is frozen until it is woken (R013
-        pins ``next_event`` purity, and the active-set contract pins
+        A parked component's state is frozen until it is woken
+        (``next_event`` is pure, which ``tests/perturb.py`` tests by
+        over-polling it, and the active-set contract pins
         that parked components are not stepped), so one poll at park
         time captures every event it can produce.  If it is woken and
         re-parks, it posts a fresh horizon; the stale earlier post

@@ -253,7 +253,8 @@ class NetworkRouter(Component):
 
     def next_event(self, now: int) -> Optional[int]:
         """Horizon: resident flits need the next cycle; otherwise the
-        earliest pending credit or VC release.  Pure read (R013)."""
+        earliest pending credit or VC release.  Pure read
+        (``tests/perturb.py`` over-polls it)."""
         if self._resident:
             return now + 1
         horizon: Optional[int] = None

@@ -198,7 +198,8 @@ class Router(Component):
 
         Resident flits need the very next cycle (arbitration runs every
         cycle while flits are buffered); otherwise the earliest delay
-        line head is the horizon.  Pure read (lint rule R013); see
+        line head is the horizon.  Pure read (``tests/perturb.py``
+        over-polls it); see
         :meth:`repro.engine.Component.next_event`.
         """
         if self.stats.flits_accepted > self.stats.flits_ejected:

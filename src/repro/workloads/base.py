@@ -11,7 +11,8 @@ the closed-loop behavior that open-loop sweeps cannot show.
 The runtime contract mirrors the traffic layer's pre-drawn arrival
 model so both drive loops work unchanged:
 
-* :meth:`Workload.eligible` is a **pure** probe (rule R014 pins this):
+* :meth:`Workload.eligible` is a **pure** probe (``tests/perturb.py``
+  over-polls it):
   it reports the earliest cycle >= ``now`` at which a rank has a
   message ready, and is consulted by the harness's ``_next_work`` wake
   source, so :class:`~repro.engine.EventScheduler` fast-forward never
@@ -188,7 +189,7 @@ class Workload:
                 )
 
     # ------------------------------------------------------------------
-    # Pure probes (wake horizons; R014 pins their purity)
+    # Pure probes (wake horizons; tests/perturb.py over-polls them)
     # ------------------------------------------------------------------
 
     def eligible(self, rank: int, now: int) -> Optional[int]:

@@ -2,9 +2,9 @@
 
 Covers the per-file summarizer (:mod:`repro.analysis.flow.summary`),
 the cross-module index (:mod:`repro.analysis.flow.index`), and the
-project rules R006-R014 (:mod:`repro.analysis.rules.flow_rules`),
-plus the cross-module regression cases for R006-R007 that a one-file
-index is blind to.
+project rules R009, R010 and R012
+(:mod:`repro.analysis.rules.flow_rules`), plus the cross-module
+regression cases for R010 that a one-file index is blind to.
 """
 
 import ast
@@ -19,11 +19,6 @@ from repro.analysis.flow.summary import summarize_module
 from repro.analysis.lint import _parse_pragmas, lint_file, lint_paths, run_lint
 from repro.analysis.rules import all_rules
 from repro.analysis.rules.flow_rules import (
-    ComputePhasePurityRule,
-    HookEmissionPhaseRule,
-    ObserverPurityRule,
-    PatternPurityRule,
-    PhaseRaceRule,
     RngStreamRule,
     SerializationReadinessRule,
     StalePragmaRule,
@@ -102,7 +97,7 @@ class TestSummarizer:
             "g": "plain",
         }
 
-    def test_self_reads_calls_and_emits(self):
+    def test_self_reads_and_calls(self):
         s = summarize(
             """
             class C:
@@ -114,8 +109,9 @@ class TestSummarizer:
         )
         compute = s.classes[0].methods["compute"]
         assert "queue" in compute.self_reads
+        # A call through an attribute (`self.hooks.emit_grant`) is not
+        # a call of this object's own method.
         assert [c.name for c in compute.self_calls] == ["_scan"]
-        assert [e.event for e in compute.emits] == ["emit_grant"]
 
     def test_rng_site_keys_and_instability(self):
         s = summarize(
@@ -241,16 +237,20 @@ class TestProjectIndex:
         assert index.is_router_family("sub.B")
 
     def test_two_phase_via_external_component_base(self):
+        # An external ``Component`` base alone puts a class in the
+        # component family R010 checks, with no phase defined locally.
         index = index_of(
             comp="""
             from repro.engine import Component
 
             class Stage(Component):
-                def compute(self, cycle):
-                    pass
+                def __init__(self):
+                    self.cb = lambda v: v
             """
         )
         assert index.is_two_phase("comp.Stage")
+        [finding] = run_rule(SerializationReadinessRule(), index)
+        assert "`Stage.__init__` stores a lambda" in finding.message
 
     def test_resolve_method_walks_mro(self):
         index = index_of(
@@ -270,224 +270,6 @@ class TestProjectIndex:
         resolved = index.resolve_method("sub.Sub", "commit")
         assert resolved is not None
         assert resolved[0] == "base.Base"
-
-
-# ----------------------------------------------------------------------
-# R008 phase-race
-# ----------------------------------------------------------------------
-
-
-class TestPhaseRace:
-    def test_impure_helper_reached_from_compute(self):
-        index = index_of(
-            comp="""
-            class C:
-                def compute(self, cycle):
-                    self._scan()
-
-                def _scan(self):
-                    self.seen = 1
-
-                def commit(self, cycle):
-                    pass
-            """
-        )
-        findings = run_rule(PhaseRaceRule(), index)
-        assert len(findings) == 1
-        assert "writes `self.seen`" in findings[0].message
-
-    def test_chain_through_two_helpers_reports_via(self):
-        index = index_of(
-            comp="""
-            class C:
-                def compute(self, cycle):
-                    self._a()
-
-                def _a(self):
-                    self._b()
-
-                def _b(self):
-                    self.hooks.emit_grant(None, 0, 0)
-
-                def commit(self, cycle):
-                    pass
-            """
-        )
-        findings = run_rule(PhaseRaceRule(), index)
-        assert len(findings) == 1
-        assert "via `_a` -> `_b`" in findings[0].message
-
-    def test_staged_writes_through_helpers_are_pure(self):
-        index = index_of(
-            comp="""
-            class C:
-                def compute(self, cycle):
-                    self.cycle = cycle
-                    self._stage()
-
-                def _stage(self):
-                    self._staged_grant = 1
-
-                def commit(self, cycle):
-                    self.granted = self._staged_grant
-            """
-        )
-        assert run_rule(PhaseRaceRule(), index) == []
-
-    def test_commit_writing_compute_read_attr_of_peer(self):
-        index = index_of(
-            reader="""
-            class Reader:
-                def compute(self, cycle):
-                    self._staged = self.queue
-
-                def commit(self, cycle):
-                    pass
-            """,
-            writer="""
-            class Writer:
-                def compute(self, cycle):
-                    pass
-
-                def commit(self, cycle):
-                    peer = self.peer
-                    peer.queue = ()
-                    peer.unrelated = 1
-            """,
-        )
-        findings = run_rule(PhaseRaceRule(), index)
-        assert len(findings) == 1
-        assert "writes `peer.queue`" in findings[0].message
-
-    def test_helper_resolution_is_per_subclass(self):
-        # The same inherited compute is dangerous or safe depending on
-        # which override of the helper the concrete class binds.
-        index = index_of(
-            base="""
-            class Base:
-                def compute(self, cycle):
-                    self._step()
-
-                def _step(self):
-                    pass
-
-                def commit(self, cycle):
-                    pass
-            """,
-            sub="""
-            from base import Base
-
-            class Dirty(Base):
-                def _step(self):
-                    self.log = 1
-            """,
-        )
-        findings = run_rule(PhaseRaceRule(), index)
-        assert len(findings) == 1
-        assert "writes `self.log`" in findings[0].message
-
-
-# ----------------------------------------------------------------------
-# The purity contract table (R006, R007, R008 chains, R013, R014)
-# ----------------------------------------------------------------------
-
-PURITY_RULES = [
-    ComputePhasePurityRule(),
-    HookEmissionPhaseRule(),
-    PhaseRaceRule(),
-    ObserverPurityRule(),
-    PatternPurityRule(),
-]
-
-#: (family, method, code of a direct write, of a direct emission, of
-#: either one reached through helpers, sanctioned body)
-CONTRACT_ROWS = [
-    ("", "compute", "R006", "R007", "R008",
-     "self.cycle = arg; self._staged_x = 1; self._stage(rng)"),
-    ("", "busy", "R013", "R013", "R013", "return self._draw(rng)"),
-    ("", "next_event", "R013", "R013", "R013", "return self._draw(rng)"),
-    ("TrafficPattern", "dest", "R014", "R014", "R014",
-     "return (arg + rng.randrange(4) + self._draw(rng)) % 8"),
-    ("Workload", "eligible", "R014", "R014", "R014",
-     "return self._draw(rng)"),
-]
-
-
-def _contract_findings(family, method, body):
-    """Purity findings for a class of ``family`` whose ``method`` runs
-    ``body``; ``_a`` -> ``_b`` is an impure two-hop helper chain,
-    ``_stage`` / ``_draw`` are the sanctioned effects."""
-    if family:
-        head = f"class {family}:\n    pass\n\nclass C({family}):\n"
-    else:
-        head = "class C:\n    def commit(self, cycle):\n        pass\n"
-        if method != "compute":
-            head += "    def compute(self, cycle):\n        pass\n"
-    src = head + (
-        f"    def {method}(self, arg, rng):\n"
-        f"        {body}\n"
-        "    def _a(self):\n"
-        "        self._b()\n"
-        "    def _b(self):\n"
-        "        self.seen = 1\n"
-        "    def _stage(self, rng):\n"
-        "        self._staged_y = rng.randrange(4)\n"
-        "    def _draw(self, rng):\n"
-        "        return rng.randrange(4)\n"
-    )
-    index = index_of(mod=src)
-    return [
-        (f.code, f.message)
-        for rule in PURITY_RULES
-        for f in run_rule(rule, index)
-    ]
-
-
-@pytest.mark.parametrize(
-    "family,method,write_code,emit_code,chain_code,sanctioned",
-    CONTRACT_ROWS,
-    ids=[row[1] for row in CONTRACT_ROWS],
-)
-class TestPurityContract:
-    def test_direct_write(self, family, method, write_code, emit_code,
-                          chain_code, sanctioned):
-        [(code, message)] = _contract_findings(family, method, "self.seen = 1")
-        assert code == write_code
-        assert f"`C.{method}` writes `self.seen`" in message
-
-    def test_direct_emission(self, family, method, write_code, emit_code,
-                             chain_code, sanctioned):
-        [(code, message)] = _contract_findings(
-            family, method, "self.hooks.emit_grant(None, 0, 0)"
-        )
-        assert code == emit_code
-        assert f"`C.{method}`" in message and "`emit_grant`" in message
-
-    def test_two_helper_hops_spell_out_the_chain(
-        self, family, method, write_code, emit_code, chain_code, sanctioned
-    ):
-        [(code, message)] = _contract_findings(family, method, "self._a()")
-        assert code == chain_code
-        assert (
-            f"`C.{method}` calls `self._a()`, which writes `self.seen` "
-            "(via `_a` -> `_b`)"
-        ) in message
-
-    def test_sanctioned_effects_stay_quiet(
-        self, family, method, write_code, emit_code, chain_code, sanctioned
-    ):
-        assert _contract_findings(family, method, sanctioned) == []
-
-    def test_only_compute_may_stamp_the_cycle_and_stage(
-        self, family, method, write_code, emit_code, chain_code, sanctioned
-    ):
-        findings = _contract_findings(
-            family, method, "self.cycle = arg; self._stage(rng)"
-        )
-        if method == "compute":
-            assert findings == []
-        else:
-            assert [code for code, _ in findings] == [write_code, chain_code]
 
 
 # ----------------------------------------------------------------------
@@ -688,7 +470,7 @@ class TestStalePragma:
 
 
 # ----------------------------------------------------------------------
-# Cross-module regressions for R006/R007
+# Cross-module regressions for R010
 # ----------------------------------------------------------------------
 
 
@@ -699,7 +481,8 @@ def _write_tree(tmp_path, files):
 
 class TestCrossModuleBlindness:
     """Two-file cases where per-file linting is provably blind and the
-    whole-program pass is not."""
+    whole-program pass is not: R010 needs the MRO to know a class is a
+    component and which methods it binds."""
 
     TWO_PHASE_BASE = """
         class Pipeline:
@@ -710,65 +493,60 @@ class TestCrossModuleBlindness:
                 self.value = self._staged
     """
 
-    SUB_R006 = """
+    SUB_LAMBDA = """
         from base import Pipeline
 
 
         class LeakyPipeline(Pipeline):
-            def compute(self, cycle):
-                self.value = cycle
+            def __init__(self):
+                self.on_flit = lambda flit: flit
     """
 
-    def test_r006_subclass_overriding_only_compute(self, tmp_path):
-        _write_tree(
-            tmp_path, {"base.py": self.TWO_PHASE_BASE, "sub.py": self.SUB_R006}
-        )
-        rule = ComputePhasePurityRule()
-        per_file = lint_file(tmp_path / "sub.py", [rule])
-        assert per_file == []  # no `commit` in this file: per-file blind
+    def _project(self, tmp_path, sub):
+        _write_tree(tmp_path, {"base.py": self.TWO_PHASE_BASE, "sub.py": sub})
+        per_file = lint_file(tmp_path / "sub.py", [SerializationReadinessRule()])
         project = [
             f
             for f in lint_paths([str(tmp_path)], all_rules())
-            if f.code == "R006"
+            if f.code == "R010"
         ]
+        return per_file, project
+
+    def test_r010_subclass_inheriting_both_phases(self, tmp_path):
+        per_file, project = self._project(tmp_path, self.SUB_LAMBDA)
+        assert per_file == []  # no phase in this file: per-file blind
         assert len(project) == 1
         assert project[0].path.endswith("sub.py")
-        assert "`LeakyPipeline.compute` writes `self.value`" in project[0].message
+        assert "`LeakyPipeline.__init__` stores a lambda" in project[0].message
 
-    SUB_R007 = """
+    SUB_BOUND = """
         from base import Pipeline
 
 
-        class ChattyPipeline(Pipeline):
-            def compute(self, cycle):
-                self.hooks.emit_grant(None, 0, cycle)
+        class HookedPipeline(Pipeline):
+            def __init__(self):
+                self.on_flit = self.commit
     """
 
-    def test_r007_subclass_emitting_in_compute(self, tmp_path):
-        _write_tree(
-            tmp_path, {"base.py": self.TWO_PHASE_BASE, "sub.py": self.SUB_R007}
-        )
-        rule = HookEmissionPhaseRule()
-        per_file = lint_file(tmp_path / "sub.py", [rule])
-        assert per_file == []
-        project = [
-            f
-            for f in lint_paths([str(tmp_path)], all_rules())
-            if f.code == "R007"
-        ]
+    def test_r010_bound_method_resolved_in_base(self, tmp_path):
+        per_file, project = self._project(tmp_path, self.SUB_BOUND)
+        assert per_file == []  # `commit` is not defined in this file
         assert len(project) == 1
-        assert "`ChattyPipeline.compute` calls `emit_grant`" in project[0].message
+        assert "a bound method (`self.commit`)" in project[0].message
 
     def test_shared_base_reports_once(self, tmp_path):
-        # Many subclasses inheriting one bad compute: one finding, at
+        # Many subclasses inheriting one bad __init__: one finding, at
         # the defining class, not one per subclass.
         _write_tree(
             tmp_path,
             {
                 "base.py": """
                 class Leaky:
+                    def __init__(self):
+                        self.cb = lambda v: v
+
                     def compute(self, cycle):
-                        self.value = cycle
+                        pass
 
                     def commit(self, cycle):
                         pass
@@ -789,7 +567,7 @@ class TestCrossModuleBlindness:
         project = [
             f
             for f in lint_paths([str(tmp_path)], all_rules())
-            if f.code == "R006"
+            if f.code == "R010"
         ]
         assert len(project) == 1
         assert project[0].path.endswith("base.py")

@@ -1,4 +1,4 @@
-"""Unit tests for the repro.analysis lint pass (rules R001-R002, R006-R007).
+"""Unit tests for the repro.analysis lint pass (file rules R001-R002).
 
 Each rule gets a positive fixture (the violation is found, with the
 right code and line), a negative fixture (idiomatic code stays clean),
@@ -20,10 +20,6 @@ from repro.analysis.rules import all_rules
 from repro.analysis.rules.determinism import (
     DirectRandomRule,
     NondeterminismRule,
-)
-from repro.analysis.rules.flow_rules import (
-    ComputePhasePurityRule,
-    HookEmissionPhaseRule,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -146,196 +142,6 @@ class TestNondeterminism:
 
     def test_pragma_suppresses(self, tmp_path):
         src = "seen = {1, 2}\nfor x in seen:  # lint: disable=R002\n    pass\n"
-        assert _lint(tmp_path, src, self.RULES) == []
-
-
-# ----------------------------------------------------------------------
-# R006: compute-phase purity
-# ----------------------------------------------------------------------
-
-_COMPUTE_MUTATES = """\
-class LeakyComponent:
-    def compute(self, cycle):
-        self.cycle = cycle
-        self.occupancy = self.occupancy + 1
-
-    def commit(self, cycle):
-        pass
-"""
-
-_COMPUTE_STAGES = """\
-class CleanComponent:
-    def compute(self, cycle):
-        self.cycle = cycle
-        self._staged_ejects = self._pipe.pop_ready(cycle)
-        self._staged_credits = ()
-
-    def commit(self, cycle):
-        self.total += len(self._staged_ejects)
-        self._staged_ejects = ()
-"""
-
-
-class TestComputePhasePurity:
-    RULES = [ComputePhasePurityRule()]
-
-    def test_committed_state_write_flagged(self, tmp_path):
-        findings = _lint(tmp_path, _COMPUTE_MUTATES, self.RULES)
-        assert _codes(findings) == ["R006"]
-        assert "self.occupancy" in findings[0].message
-        assert findings[0].line == 4
-
-    def test_cycle_and_staged_writes_clean(self, tmp_path):
-        assert _lint(tmp_path, _COMPUTE_STAGES, self.RULES) == []
-
-    def test_augassign_and_subscript_writes_flagged(self, tmp_path):
-        src = (
-            "class C:\n"
-            "    def compute(self, cycle):\n"
-            "        self.count += 1\n"
-            "        self.slots[0] = None\n"
-            "    def commit(self, cycle):\n"
-            "        pass\n"
-        )
-        findings = _lint(tmp_path, src, self.RULES)
-        assert _codes(findings) == ["R006", "R006"]
-        assert [f.line for f in findings] == [3, 4]
-
-    def test_tuple_unpack_write_flagged(self, tmp_path):
-        src = (
-            "class C:\n"
-            "    def compute(self, cycle):\n"
-            "        self._staged_a, self.b = 1, 2\n"
-            "    def commit(self, cycle):\n"
-            "        pass\n"
-        )
-        findings = _lint(tmp_path, src, self.RULES)
-        assert _codes(findings) == ["R006"]
-        assert "self.b" in findings[0].message
-
-    def test_class_without_commit_ignored(self, tmp_path):
-        src = (
-            "class NotAComponent:\n"
-            "    def compute(self, cycle):\n"
-            "        self.cache = cycle\n"
-        )
-        assert _lint(tmp_path, src, self.RULES) == []
-
-    def test_local_and_non_self_writes_clean(self, tmp_path):
-        src = (
-            "class C:\n"
-            "    def compute(self, cycle):\n"
-            "        total = 0\n"
-            "        other.attr = 1\n"
-            "    def commit(self, cycle):\n"
-            "        pass\n"
-        )
-        assert _lint(tmp_path, src, self.RULES) == []
-
-    def test_pragma_suppresses(self, tmp_path):
-        src = (
-            "class C:\n"
-            "    def compute(self, cycle):\n"
-            "        self.scratch = 1  # lint: disable=R006\n"
-            "    def commit(self, cycle):\n"
-            "        pass\n"
-        )
-        assert _lint(tmp_path, src, self.RULES) == []
-
-
-# ----------------------------------------------------------------------
-# R007: hook emission phase
-# ----------------------------------------------------------------------
-
-_EMIT_IN_COMPUTE = """\
-class ChattyComponent:
-    def compute(self, cycle):
-        self.cycle = cycle
-        self.hooks.emit_stage_enter(None, "RC", 0, cycle)
-
-    def commit(self, cycle):
-        pass
-"""
-
-_EMIT_IN_COMMIT = """\
-class QuietComponent:
-    def compute(self, cycle):
-        self.cycle = cycle
-        self._staged_ejects = ()
-
-    def commit(self, cycle):
-        for flit in self._staged_ejects:
-            self.hooks.emit_flit_move("eject", flit, 0, cycle)
-"""
-
-
-class TestHookEmissionPhase:
-    RULES = [HookEmissionPhaseRule()]
-
-    def test_emit_in_compute_flagged(self, tmp_path):
-        findings = _lint(tmp_path, _EMIT_IN_COMPUTE, self.RULES)
-        assert _codes(findings) == ["R007"]
-        assert "emit_stage_enter" in findings[0].message
-        assert findings[0].line == 4
-
-    def test_emit_in_commit_clean(self, tmp_path):
-        assert _lint(tmp_path, _EMIT_IN_COMMIT, self.RULES) == []
-
-    def test_aliased_bus_still_flagged(self, tmp_path):
-        src = (
-            "class C:\n"
-            "    def compute(self, cycle):\n"
-            "        hooks = self.hooks\n"
-            "        hooks.emit_grant(None, 0, cycle)\n"
-            "    def commit(self, cycle):\n"
-            "        pass\n"
-        )
-        findings = _lint(tmp_path, src, self.RULES)
-        assert _codes(findings) == ["R007"]
-        assert "emit_grant" in findings[0].message
-
-    def test_emit_in_compute_helper_not_flagged(self, tmp_path):
-        # R007 is syntactic, like R006: only the compute body is
-        # scanned, not helpers it calls (the runtime sanitizer covers
-        # dynamic escape hatches).
-        src = (
-            "class C:\n"
-            "    def compute(self, cycle):\n"
-            "        self._scan(cycle)\n"
-            "    def _scan(self, cycle):\n"
-            "        self.hooks.emit_credit(0, 0, cycle)\n"
-            "    def commit(self, cycle):\n"
-            "        pass\n"
-        )
-        assert _lint(tmp_path, src, self.RULES) == []
-
-    def test_class_without_commit_ignored(self, tmp_path):
-        src = (
-            "class NotAComponent:\n"
-            "    def compute(self, cycle):\n"
-            "        self.hooks.emit_cycle_start(cycle)\n"
-        )
-        assert _lint(tmp_path, src, self.RULES) == []
-
-    def test_non_emit_calls_clean(self, tmp_path):
-        src = (
-            "class C:\n"
-            "    def compute(self, cycle):\n"
-            "        self._staged = self.pipe.pop_ready(cycle)\n"
-            "    def commit(self, cycle):\n"
-            "        pass\n"
-        )
-        assert _lint(tmp_path, src, self.RULES) == []
-
-    def test_pragma_suppresses(self, tmp_path):
-        src = (
-            "class C:\n"
-            "    def compute(self, cycle):\n"
-            "        self.hooks.emit_cycle_start(cycle)  "
-            "# lint: disable=R007\n"
-            "    def commit(self, cycle):\n"
-            "        pass\n"
-        )
         assert _lint(tmp_path, src, self.RULES) == []
 
 
