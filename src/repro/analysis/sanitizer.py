@@ -86,9 +86,9 @@ class SimSanitizer:
         self._live_packets: Dict[int, int] = {}
         self._flit_cycles = router.config.flit_cycles
         # Stream checks ride on flit movement, structural checks on
-        # cycle end.  The scheduler fires cycle_end even for parked
-        # routers, so the check cadence is unchanged by active-set
-        # scheduling.
+        # cycle end.  The scheduler fires cycle_end even for parked or
+        # asleep routers, so the check cadence is unchanged by
+        # active-set scheduling.
         router.hooks.on_flit_move(self._on_flit_move)
         router.hooks.on_cycle_end(self._on_cycle_end)
 

@@ -206,12 +206,12 @@ class CreditReturnBus:
     def next_due(self, now: int) -> "int | None":
         """Earliest cycle at which the bus has deliverable work.
 
-        Credits waiting for bus arbitration need the very next cycle
-        (one crosses per cycle); otherwise the in-flight wire head is
-        the horizon.  Pure read.
+        Credits waiting for bus arbitration need cycle ``now`` (one
+        crosses per cycle); otherwise the in-flight wire head is the
+        horizon.  Pure read.
         """
         if self._waiting:
-            return now + 1
+            return now
         return self._pipe.next_due()
 
     def idle(self) -> bool:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import copy
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 _packet_ids = itertools.count()
@@ -44,7 +44,7 @@ def set_packet_id_state(next_id: int) -> None:
     _packet_ids = itertools.count(next_id)
 
 
-@dataclass
+@dataclass(init=False)
 class Flit:
     """One flow-control digit.
 
@@ -67,7 +67,17 @@ class Flit:
         hops: Number of routers traversed so far (network simulations).
         route: Remaining output ports to take, head first (network
             simulations with source routing).
+
+    Slotted, since every hop reads several fields: the fields are
+    declared without defaults (a slot cannot carry a class-level
+    default), and ``__init__`` supplies them.
     """
+
+    __slots__ = (
+        "packet_id", "flit_index", "is_head", "is_tail", "src", "dest",
+        "vc", "out_vc", "created_at", "injected_at", "measured", "hops",
+        "route",
+    )
 
     packet_id: int
     flit_index: int
@@ -75,13 +85,51 @@ class Flit:
     is_tail: bool
     src: int
     dest: int
-    vc: int = 0
-    out_vc: Optional[int] = None
-    created_at: int = 0
-    injected_at: int = 0
-    measured: bool = False
-    hops: int = 0
-    route: List[int] = field(default_factory=list)
+    vc: int
+    out_vc: Optional[int]
+    created_at: int
+    injected_at: int
+    measured: bool
+    hops: int
+    route: List[int]
+
+    def __init__(
+        self,
+        packet_id: int,
+        flit_index: int,
+        is_head: bool,
+        is_tail: bool,
+        src: int,
+        dest: int,
+        vc: int = 0,
+        out_vc: Optional[int] = None,
+        created_at: int = 0,
+        injected_at: int = 0,
+        measured: bool = False,
+        hops: int = 0,
+        route: Optional[List[int]] = None,
+    ) -> None:
+        self.packet_id = packet_id
+        self.flit_index = flit_index
+        self.is_head = is_head
+        self.is_tail = is_tail
+        self.src = src
+        self.dest = dest
+        self.vc = vc
+        self.out_vc = out_vc
+        self.created_at = created_at
+        self.injected_at = injected_at
+        self.measured = measured
+        self.hops = hops
+        self.route = [] if route is None else route
+
+    def __setstate__(self, state) -> None:
+        """Unpickle.  A flit pickled before the class had slots carries
+        a plain attribute dict rather than ``(None, slots)``."""
+        if isinstance(state, tuple):
+            state = state[1]
+        for name, value in state.items():
+            setattr(self, name, value)
 
     @property
     def is_body(self) -> bool:
@@ -153,19 +201,9 @@ def make_packet(
     if size < 1:
         raise ValueError(f"packet size must be >= 1, got {size}")
     pid = next(_packet_ids) if packet_id is None else packet_id
-    flits = []
-    for i in range(size):
-        flits.append(
-            Flit(
-                packet_id=pid,
-                flit_index=i,
-                is_head=(i == 0),
-                is_tail=(i == size - 1),
-                src=src,
-                dest=dest,
-                created_at=created_at,
-                measured=measured,
-                route=list(route) if route else [],
-            )
-        )
-    return flits
+    last = size - 1
+    return [
+        Flit(pid, i, i == 0, i == last, src, dest, 0, None, created_at, 0,
+             measured, 0, list(route) if route else [])
+        for i in range(size)
+    ]

@@ -9,9 +9,10 @@ items inserted at cycle ``t`` become visible at cycle ``t + latency``.
 from __future__ import annotations
 
 import copy
-import heapq
 import itertools
-from typing import Any, Callable, Dict, Generic, List, Optional, Tuple, TypeVar
+from bisect import insort
+from collections import deque
+from typing import Any, Callable, Deque, Dict, Generic, List, Optional, Tuple, TypeVar
 
 T = TypeVar("T")
 
@@ -19,71 +20,82 @@ T = TypeVar("T")
 class DelayLine(Generic[T]):
     """Queue whose items mature after a fixed (or explicit) delay.
 
-    Implemented as a priority queue on maturity cycle with a tiebreak
-    counter, so same-cycle items drain in insertion order and items may
-    be scheduled out of order (e.g. OVA grants that carry an extra
-    cycle of VC-check latency alongside ordinary grants).
+    Entries ``(due, counter, item)`` are kept in ``(due, counter)``
+    order in a FIFO, so same-cycle items drain in insertion order.  A
+    fixed latency makes due cycles monotonic in push order, so a push
+    appends; an item due before the tail (an explicit :meth:`push_at`,
+    e.g. an OVA grant that carries an extra cycle of VC-check latency
+    alongside ordinary grants) is inserted in order instead.  The
+    counter is unique, so an insertion never compares two items.
     """
 
-    __slots__ = ("latency", "_heap", "_counter")
+    __slots__ = ("latency", "_queue", "_counter")
 
     def __init__(self, latency: int) -> None:
         if latency < 0:
             raise ValueError(f"latency must be >= 0, got {latency}")
         self.latency = latency
-        self._heap: List[Tuple[int, int, T]] = []
+        self._queue: Deque[Tuple[int, int, T]] = deque()
         self._counter = itertools.count()
 
     def push(self, now: int, item: T) -> None:
         """Insert ``item`` at cycle ``now``; it matures at ``now + latency``."""
-        heapq.heappush(self._heap, (now + self.latency, next(self._counter), item))
+        # push_at's body, inlined: a router pushes here on every hop.
+        due = now + self.latency
+        queue = self._queue
+        if queue and due < queue[-1][0]:
+            insort(queue, (due, next(self._counter), item))
+        else:
+            queue.append((due, next(self._counter), item))
 
     def push_at(self, due: int, item: T) -> None:
         """Insert ``item`` maturing at an explicit cycle."""
-        heapq.heappush(self._heap, (due, next(self._counter), item))
+        queue = self._queue
+        if queue and due < queue[-1][0]:
+            insort(queue, (due, next(self._counter), item))
+        else:
+            queue.append((due, next(self._counter), item))
 
     def pop_ready(self, now: int) -> List[T]:
         """Remove and return every item that has matured by cycle ``now``."""
+        queue = self._queue
         ready: List[T] = []
-        while self._heap and self._heap[0][0] <= now:
-            ready.append(heapq.heappop(self._heap)[2])
+        while queue and queue[0][0] <= now:
+            ready.append(queue.popleft()[2])
         return ready
 
     def peek_ready(self, now: int) -> List[T]:
-        """Return matured items without removing them."""
-        return [item for due, _, item in self._heap if due <= now]
+        """Return matured items without removing them, in pop order."""
+        return [item for _, item in self.pending(now)]
 
     def pending(self, now: int) -> List[Tuple[int, T]]:
         """``(due, item)`` pairs maturing by ``now``, in pop order.
 
-        Unlike :meth:`peek_ready` (heap-array order, sufficient for
-        membership probes) this sorts on ``(due, insertion counter)``,
-        so the returned sequence matches exactly what successive
-        :meth:`pop_ready` calls will deliver — the sharded engine
-        pre-draws per-credit fault decisions against this order.
-        Pure read.
+        The sequence matches exactly what successive :meth:`pop_ready`
+        calls will deliver — the sharded engine pre-draws per-credit
+        fault decisions against this order.  Pure read.
         """
-        return [
-            (due, item)
-            for due, _, item in sorted(
-                entry for entry in self._heap if entry[0] <= now
-            )
-        ]
+        ready: List[Tuple[int, T]] = []
+        for due, _, item in self._queue:
+            if due > now:
+                break
+            ready.append((due, item))
+        return ready
 
     def next_due(self) -> "int | None":
         """Maturity cycle of the earliest queued item, or None.
 
-        The delivery-time horizon consumed by event-driven scheduling
-        (:class:`repro.engine.EventScheduler`): a parked component whose
+        The delay line's contribution to its component's
+        :meth:`~repro.engine.Component.next_event`: a component whose
         only pending work sits in delay lines must next run at the
-        earliest ``next_due`` among them.  Pure read — the heap head is
-        the minimum by construction.
+        earliest ``next_due`` among them.  Pure read — the FIFO head
+        is the minimum by construction.
         """
-        return self._heap[0][0] if self._heap else None
+        return self._queue[0][0] if self._queue else None
 
     def items(self) -> List[T]:
         """Every queued item, matured or not (for invariant probes)."""
-        return [item for _, _, item in self._heap]
+        return [item for _, _, item in self._queue]
 
     def dump(
         self, encode: Optional[Callable[[T], Any]] = None
@@ -100,7 +112,7 @@ class DelayLine(Generic[T]):
             "counter": next(copy.copy(self._counter)),
             "entries": [
                 (due, cnt, item if encode is None else encode(item))
-                for due, cnt, item in sorted(self._heap)
+                for due, cnt, item in self._queue
             ],
         }
 
@@ -112,19 +124,29 @@ class DelayLine(Generic[T]):
     ) -> "DelayLine[T]":
         """Rebuild a delay line from a :meth:`dump` capture."""
         line: "DelayLine[T]" = cls(state["latency"])
-        line._heap = [
+        line._queue = deque(sorted(
             (due, cnt, item if decode is None else decode(item))
             for due, cnt, item in state["entries"]
-        ]
-        heapq.heapify(line._heap)
+        ))
         line._counter = itertools.count(state["counter"])
         return line
 
+    def __setstate__(self, state: Tuple[None, Dict[str, Any]]) -> None:
+        """Unpickle.  A capture written while the queue was a binary
+        heap carries it as ``_heap``, in heap order; it is sorted into
+        the FIFO."""
+        slots = dict(state[1])
+        heap = slots.pop("_heap", None)
+        if heap is not None:
+            slots["_queue"] = deque(sorted(heap))
+        for name, value in slots.items():
+            setattr(self, name, value)
+
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self._queue)
 
     def __bool__(self) -> bool:
-        return bool(self._heap)
+        return bool(self._queue)
 
 
 class BusyTracker:

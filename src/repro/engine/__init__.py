@@ -10,16 +10,16 @@ cycle loops:
     ``compute`` phase (read committed state, stage intents) and a
     ``commit`` phase (apply staged intents, advance).
 ``Scheduler``
-    Drives a set of components with *active-set scheduling*: components
-    that report themselves idle via :meth:`Component.busy` are parked
-    and skipped until an external event (flit or credit arrival) wakes
-    them.
+    Drives a set of components with *active-set scheduling*: after each
+    commit, :meth:`Component.next_event` keeps a component awake, puts
+    it to sleep until a later cycle, or parks it until an external
+    event (flit or credit arrival) wakes it.
 ``EventScheduler``
     The event-driven drive mode: behind the same ``run_until(cycle)``
     interface, fast-forwards over cycle spans in which every component
     is parked and no wake source (arrival predictor, in-flight
-    delivery, fault schedule) or component ``next_event`` horizon has
-    work due.  Byte-identical to the cycle stepper by construction.
+    delivery, fault schedule) has work due.  Byte-identical to the
+    cycle stepper by construction.
 ``EngineHooks``
     A per-component event bus (cycle start/end, flit movement, switch
     grants, credit returns) that instrumentation — sanitizers, metrics,

@@ -33,9 +33,10 @@ class Component:
     """Base class for objects driven by the engine scheduler.
 
     Subclasses own a ``hooks`` bus, a ``cycle`` counter, and implement
-    the two phases.  ``busy()`` is the parking predicate for active-set
-    scheduling; ``on_wake()`` re-synchronizes a parked component's
-    local clock when an external event re-activates it.
+    the two phases.  ``next_event()`` is the one probe active-set
+    scheduling asks (keep stepping, sleep until a cycle, or park);
+    ``on_wake()`` re-synchronizes a skipped component's local clock
+    when an external event or its timer re-activates it.
 
     Components are also the unit of *checkpointing*: :meth:`snapshot`
     captures every attribute except the entries of
@@ -67,42 +68,36 @@ class Component:
         """Phase 2: apply staged intents and advance to ``cycle + 1``."""
         raise NotImplementedError
 
-    def busy(self) -> bool:
-        """True while the component has work that needs cycles.
-
-        A component returning False may be parked by the scheduler: it
-        must be a no-op to skip its phases until an external arrival
-        (delivered via :meth:`on_wake`) makes it busy again.
-        """
-        return True
-
     def next_event(self, now: int) -> Optional[int]:
-        """Horizon: earliest future cycle this component must next run.
+        """The parking probe: the earliest cycle ``>= now`` this
+        component must next run, or None.
 
-        Consulted by :class:`~repro.engine.scheduler.EventScheduler`
-        when the component is parked, to decide how far the simulation
-        may fast-forward.  Return the earliest cycle ``> now`` at which
-        the component has self-scheduled work (e.g. a delay-line
-        maturity), or None when only an external wake can make it busy
-        again.  Reporting *earlier* than necessary is safe (the cycle
-        executes as a no-op); reporting later than the real horizon
-        skips live work and corrupts the run.
+        The scheduler asks it after every commit, with ``now`` the next
+        cycle to run, and files the component by the answer: ``now``
+        (or earlier) keeps it awake; a later cycle puts it to sleep
+        until that cycle or an earlier external wake; None parks it
+        until an external arrival (delivered via :meth:`on_wake`).
+        Reporting *earlier* than necessary is safe (the cycle executes
+        as a no-op); reporting later than the real horizon skips live
+        work and corrupts the run.  The default keeps the component
+        awake.
 
-        Purity contract: implementations — like :meth:`busy` — must
-        not mutate any state or emit hook events; the scheduler may
-        call them any number of times per cycle.  ``tests/perturb.py``
-        tests this by calling every probe extra times.
+        Purity contract: implementations must not mutate any state or
+        emit hook events; they may be called any number of times per
+        cycle.  ``tests/perturb.py`` tests this by calling every probe
+        extra times.
         """
-        return None
+        return now
 
     def on_wake(self, cycle: int) -> None:
         """Re-activation callback: fast-forward the local clock.
 
         Called by the scheduler when an external event (flit or credit
-        arrival) targets a parked component, *before* that event is
-        applied, so state stamped with ``self.cycle`` (e.g. flit
-        arrival times) uses the current cycle rather than the cycle the
-        component was parked on.
+        arrival) targets an asleep or parked component, *before* that
+        event is applied, and when an asleep component's timer rings,
+        so state stamped with ``self.cycle`` (e.g. flit arrival times)
+        uses the current cycle rather than the cycle the component
+        stopped on.
         """
         self.cycle = cycle
 

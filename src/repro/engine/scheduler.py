@@ -1,26 +1,42 @@
 """Active-set component scheduler and event-driven fast-forward.
 
 The scheduler advances a fixed set of components one cycle at a time.
-Each cycle it runs the compute phase for every *active* component, then
-the commit phase for every active component (two-phase barrier), then
-parks components whose :meth:`~repro.engine.component.Component.busy`
-predicate went False.
+Each cycle it runs the compute phase for every *awake* component, then
+the commit phase for every awake component (two-phase barrier).  After
+each commit it asks the component one question,
+:meth:`~repro.engine.component.Component.next_event` of the next
+cycle, and files it by the answer:
 
-Parked components are skipped entirely — at low offered load or in a
-large multi-stage network most routers are empty most cycles, and
-skipping them removes the O(routers x ports) per-cycle floor.  A parked
-component is re-activated by :meth:`Scheduler.wake`, which the harness
-calls at every external arrival site (flit injection, link delivery)
-*before* handing the component the event, so the component can
-fast-forward its local clock via ``on_wake``.
+awake
+    The answer is that cycle (or earlier): the component runs next
+    cycle.
+asleep
+    The answer is a later cycle: the component is skipped until that
+    cycle rings on the scheduler's timer heap, or until an earlier
+    :meth:`Scheduler.wake`, whichever comes first.
+parked
+    The answer is None: the component is skipped until a
+    :meth:`Scheduler.wake`.
 
-Correctness contract: a component may only report ``busy() == False``
-when running its phases would not change its state or statistics.  The
-routers guarantee this structurally — an empty router's arbitration
-loops are mutation-free (round-robin pointers do not advance on empty
-request sets) — which is what makes active-set scheduling byte-exact
-versus stepping everything.  That reference schedule is a test oracle
-(``tests/exhaustive.py``), not a mode of this module.
+At low offered load, or in a large multi-stage network, most routers
+are empty most cycles, and a router whose occupied inputs are all
+still serializing a flit cannot move anything until the first of them
+frees; skipping both removes the O(routers x ports) per-cycle floor.
+A component that is asleep or parked is re-activated by
+:meth:`Scheduler.wake`, which the harness calls at every external
+arrival site (flit injection, link delivery) *before* handing the
+component the event, so the component can fast-forward its local
+clock via ``on_wake``.  A ringing timer calls ``on_wake`` too.
+
+Correctness contract: a component may skip exactly the cycles its
+``next_event`` answer skips only when running its phases on them would
+not change its state or statistics.  The routers guarantee this
+structurally — an empty router's arbitration loops are mutation-free
+(round-robin pointers do not advance on empty request sets), and an
+input that is still serializing asks no arbiter — which is what makes
+the schedule byte-exact versus stepping everything.  That reference
+schedule is a test oracle (``tests/exhaustive.py``), not a mode of this
+module.
 
 Components are registered in a fixed order and both phases always run
 in that order, so scheduling is deterministic regardless of wake
@@ -30,32 +46,31 @@ Two drive modes share the :meth:`Scheduler.run_until` interface:
 
 :class:`Scheduler`
     The cycle stepper: executes every cycle in ``[now, end)`` one by
-    one.  Parked components are skipped, but empty cycle *spans* are
-    still walked.
+    one.  Asleep and parked components are skipped, but empty cycle
+    *spans* are still walked.
 :class:`EventScheduler`
-    The fast-forward mode: when every component is parked, it jumps
-    straight to the earliest *horizon* — the minimum over (a) the
-    registered wake-source callables (arrival predictors, in-flight
-    delivery heaps, fault schedules) and (b) the parked components' own
-    :meth:`~repro.engine.component.Component.next_event` declarations,
-    polled once as each parks and kept in a binary heap.  A cycle that
-    executes runs exactly the same code as cycle mode, so the two modes
-    are byte-identical; a skipped span is provably state-invariant, and
-    its ``cycle_start``/``cycle_end`` hook events are replayed in order
-    when anything subscribes (so per-cycle instrumentation — trace
-    cycle counters, sampled metrics, sanitizer checks — observes an
-    identical event stream).
+    The fast-forward mode: when every component is parked — none awake
+    and none asleep — it jumps straight to the earliest *horizon*
+    over the registered wake-source callables (arrival predictors,
+    in-flight delivery queues, fault schedules).  A cycle that
+    executes runs exactly the same code as cycle mode, so the two
+    modes are byte-identical; a skipped span is provably
+    state-invariant, and its ``cycle_start``/``cycle_end`` hook events
+    are replayed in order when anything subscribes (so per-cycle
+    instrumentation — trace cycle counters, sampled metrics, sanitizer
+    checks — observes an identical event stream).
 
-Horizon safety rule: a wake source may report a cycle *earlier* than
-work actually exists (the cycle executes as a no-op) but never later —
-skipping a cycle with live work is a correctness bug, not a slowdown.
+Horizon safety rule: a wake source or a ``next_event`` answer may
+report a cycle *earlier* than work actually exists (the cycle executes
+as a no-op) but never later — skipping a cycle with live work is a
+correctness bug, not a slowdown.
 """
 
 from __future__ import annotations
 
-import heapq
 from bisect import insort
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from heapq import heappop, heappush
+from typing import Any, Callable, ClassVar, Dict, Iterable, List, Optional, Tuple
 
 from ..core.errors import UnregisteredComponentError
 from .component import Component
@@ -75,6 +90,10 @@ class Scheduler:
             ``cycle_end`` events spanning the whole component set.
     """
 
+    #: The drive mode's name, as :func:`make_scheduler` takes it and a
+    #: snapshot records it.
+    mode: ClassVar[str] = "cycle"
+
     def __init__(
         self,
         components: Iterable[Component] = (),
@@ -83,20 +102,32 @@ class Scheduler:
         self.components: List[Component] = []
         self.hooks = hooks if hooks is not None else EngineHooks()
         self._index: Dict[int, int] = {}
+        #: Per slot: True while the component is awake (stepped).
         self._active: List[bool] = []
-        #: Sorted slot indices of active components — run_cycle iterates
-        #: this, so a mostly-parked population costs O(active), not
+        #: Per slot: the cycle an asleep component's timer rings, None
+        #: while it is awake or parked.
+        self._alarm: List[Optional[int]] = []
+        #: ``(cycle, slot)`` timers of asleep components, a binary heap
+        #: expired lazily: an entry whose slot no longer sleeps until
+        #: that cycle (woken early, or asleep again until another) is
+        #: dropped when it surfaces.
+        self._timers: List[Tuple[int, int]] = []
+        #: Sorted slot indices of awake components — run_cycle iterates
+        #: this, so a mostly-idle population costs O(awake), not
         #: O(registered).  Kept consistent with ``_active`` by
-        #: register/wake/park.
+        #: register/wake/the timers/run_cycle.
         self._active_slots: List[int] = []
+        #: Components awake or asleep: the live count fast-forward and
+        #: the sharded workers' horizon reports read.
         self._n_active = 0
         #: Current cycle of :meth:`run_until` (the next cycle to run).
         self.now = 0
         #: Cycles advanced via :meth:`run_cycle`.
         self.cycles_run = 0
         #: Total component-cycles actually executed (compute+commit
-        #: pairs).  With parking this lags ``cycles_run * len(components)``;
-        #: the gap is the work active-set scheduling skipped.
+        #: pairs).  With parking and sleep this lags
+        #: ``cycles_run * len(components)``; the gap is the work
+        #: active-set scheduling skipped.
         self.component_steps = 0
         #: Cycles fast-forwarded over without executing (event mode;
         #: always 0 for the cycle stepper).
@@ -120,6 +151,7 @@ class Scheduler:
         self._index[id(comp)] = slot
         self.components.append(comp)
         self._active.append(True)
+        self._alarm.append(None)
         self._active_slots.append(slot)  # ascending by construction
         self._n_active += 1
 
@@ -140,11 +172,12 @@ class Scheduler:
         self._wake_sources.append(source)
 
     def wake(self, comp: Component, now: int) -> None:
-        """Re-activate ``comp`` for cycle ``now`` if it is parked.
+        """Re-activate ``comp`` for cycle ``now`` if it is asleep or
+        parked.
 
         Must be called before delivering the waking event (the
         component stamps arrivals with its local clock).  No-op for
-        components that are already active.
+        components that are already awake.
         """
         slot = self._index.get(id(comp))
         if slot is None:
@@ -152,23 +185,32 @@ class Scheduler:
         if not self._active[slot]:
             self._active[slot] = True
             insort(self._active_slots, slot)
-            self._n_active += 1
+            if self._alarm[slot] is None:
+                self._n_active += 1
+            else:
+                self._alarm[slot] = None
             comp.on_wake(now)
 
     def active_count(self) -> int:
+        """Components awake or asleep (everything not parked)."""
         return self._n_active
 
-    def _on_park(self, comp: Component, now: int) -> None:
-        """A component just parked; ``now`` is the next cycle to run.
-
-        The cycle stepper ignores parking beyond the active-set skip;
-        :class:`EventScheduler` snapshots the component's ``next_event``
-        horizon here, so jump decisions never need to re-poll the
-        parked population.
-        """
+    def _ring(self, now: int) -> None:
+        """Wake every sleeper whose timer is due by ``now``."""
+        timers, alarm, active = self._timers, self._alarm, self._active
+        while timers and timers[0][0] <= now:
+            due, slot = heappop(timers)
+            if alarm[slot] == due:
+                alarm[slot] = None
+                active[slot] = True
+                insort(self._active_slots, slot)
+                self.components[slot].on_wake(now)
 
     def run_cycle(self, now: int) -> None:
-        """Advance every active component through one two-phase cycle."""
+        """Advance every awake component through one two-phase cycle."""
+        timers = self._timers
+        if timers and timers[0][0] <= now:
+            self._ring(now)
         hooks = self.hooks
         if hooks.cycle_start:
             hooks.emit_cycle_start(now)
@@ -177,21 +219,27 @@ class Scheduler:
         slots = self._active_slots
         for slot in slots:
             components[slot].compute(now)
-        parked = False
+        left = False
+        nxt = now + 1
         for slot in slots:
             comp = components[slot]
             comp.commit(now)
-            if not comp.busy():
-                active[slot] = False
+            due = comp.next_event(nxt)
+            if due is not None and due <= nxt:
+                continue
+            active[slot] = False
+            left = True
+            if due is None:
                 self._n_active -= 1
-                parked = True
-                self._on_park(comp, now + 1)
+            else:
+                self._alarm[slot] = due
+                heappush(timers, (due, slot))
         self.component_steps += len(slots)
-        if parked:
+        if left:
             self._active_slots = [s for s in slots if active[s]]
         self.cycles_run += 1
         if hooks.cycle_end:
-            hooks.emit_cycle_end(now + 1)
+            hooks.emit_cycle_end(nxt)
 
     def _tick(self) -> None:
         """Execute one full cycle: harness pre-phases, engine, post."""
@@ -227,30 +275,48 @@ class Scheduler:
     #: registered components checkpoint themselves, callbacks and wake
     #: sources are re-wired by the owning harness at construction, and
     #: ``_active_slots``/``_n_active``/``_index`` are rebuilt from the
-    #: ``active`` flags on restore.
+    #: ``active`` flags on restore.  A sleeper is captured as active
+    #: (its timers are not captured): waking it early only runs cycles
+    #: on which it would have done nothing.
     SNAPSHOT_WIRING = (
-        "components", "hooks", "_index", "_active",
+        "components", "hooks", "_index", "_active", "_alarm", "_timers",
         "_active_slots", "_n_active", "_pre_cycle", "_post_cycle",
         "_wake_sources",
     )
 
     def snapshot(self) -> Dict[str, Any]:
-        """Picklable scheduler state: clock, counters, active flags."""
+        """Picklable scheduler state: mode, clock, counters, and which
+        components are live (awake or asleep)."""
         return {
+            "mode": self.mode,
             "now": self.now,
             "cycles_run": self.cycles_run,
             "component_steps": self.component_steps,
             "cycles_skipped": self.cycles_skipped,
             "ff_jumps": self.ff_jumps,
-            "active": list(self._active),
+            "active": [
+                on or due is not None
+                for on, due in zip(self._active, self._alarm)
+            ],
         }
+
+    @staticmethod
+    def captured_mode(state: Dict[str, Any]) -> str:
+        """The drive mode a :meth:`snapshot` capture came from.  A
+        capture that predates the ``mode`` key is an event-mode one
+        exactly when it carries the (always empty) ``wheel`` key that
+        mode used to write."""
+        return state.get("mode", "event" if "wheel" in state else "cycle")
 
     def restore(self, state: Dict[str, Any]) -> None:
         """Apply a :meth:`snapshot` onto this scheduler in place.
 
         The registered component set must match the snapshotted one
         (same count, same order); the components themselves are
-        restored separately by the owning harness.
+        restored separately by the owning harness, before this.  Every
+        live component is woken at the captured clock, which
+        re-synchronizes a captured sleeper's lagging local clock and
+        leaves an awake one's as it is.
         """
         active = state["active"]
         if len(active) != len(self.components):
@@ -264,16 +330,19 @@ class Scheduler:
         self.cycles_skipped = state["cycles_skipped"]
         self.ff_jumps = state["ff_jumps"]
         self._active = list(active)
+        self._alarm = [None] * len(active)
+        self._timers = []
         self._active_slots = [s for s, on in enumerate(active) if on]
         self._n_active = len(self._active_slots)
+        for slot in self._active_slots:
+            self.components[slot].on_wake(self.now)
 
     def next_horizon(self, now: int) -> Optional[int]:
         """Earliest upcoming cycle with possible work, or None.
 
-        Pure read over the wake sources (and, in event mode, the time
-        wheel's live head); the cycle stepper never jumps, but exposes
-        the same probe so sharded workers can report a horizon in
-        either mode.
+        Pure read over the wake sources; the cycle stepper never jumps,
+        but exposes the same probe so sharded workers can report a
+        horizon in either mode.
         """
         horizon: Optional[int] = None
         for source in self._wake_sources:
@@ -286,60 +355,18 @@ class Scheduler:
 class EventScheduler(Scheduler):
     """Event-driven drive mode: fast-forward over provably-idle spans.
 
-    Maintains a binary-heap time wheel, with lazy expiry, of the
-    horizons components declared as they parked (:meth:`_on_park`),
-    merged at each jump decision with the dynamic horizons of the
-    registered wake sources.  Producers of future work keep their own
-    priority structure (the network's in-flight flit heap, per-source
+    When at least one component is awake or asleep the engine runs
+    every cycle, exactly as the cycle stepper does — fast-forward only
+    engages when *all* components are parked, so arbitration,
+    round-robin pointers, and every other piece of committed state
+    evolve identically in the two modes (the golden and property tests
+    pin this byte-for-byte).  Producers of future work keep their own
+    ordered structure (the network's in-flight flit queue, per-source
     arrival predictions, sorted fault schedules), so their wake source
     just reports the head.
-
-    When at least one component is busy the engine runs every cycle,
-    exactly as the cycle stepper does — fast-forward only engages when
-    *all* components are parked, so arbitration, round-robin pointers,
-    and every other piece of committed state evolve identically in the
-    two modes (the golden and property tests pin this byte-for-byte).
     """
 
-    def __init__(
-        self,
-        components: Iterable[Component] = (),
-        hooks: Optional[EngineHooks] = None,
-    ) -> None:
-        super().__init__(components, hooks=hooks)
-        self._wheel: List[int] = []
-
-    def _on_park(self, comp: Component, now: int) -> None:
-        """Snapshot the parking component's horizon into the wheel.
-
-        A parked component's state is frozen until it is woken
-        (``next_event`` is pure, which ``tests/perturb.py`` tests by
-        over-polling it, and the active-set contract pins
-        that parked components are not stepped), so one poll at park
-        time captures every event it can produce.  If it is woken and
-        re-parks, it posts a fresh horizon; the stale earlier post
-        then executes one harmless no-op cycle.  This keeps jump
-        decisions O(wake sources + log wheel) instead of O(components).
-        """
-        horizon = comp.next_event(now)
-        if horizon is not None:
-            heapq.heappush(self._wheel, horizon)
-
-    def _next_horizon(self, now: int) -> Optional[int]:
-        """Earliest upcoming cycle with (possible) work, or None.
-
-        May return ``now`` itself, meaning work is due this cycle and
-        no jump is possible.
-        """
-        wheel = self._wheel
-        while wheel and wheel[0] < now:
-            heapq.heappop(wheel)
-        horizon: Optional[int] = wheel[0] if wheel else None
-        for source in self._wake_sources:
-            h = source(now)
-            if h is not None and (horizon is None or h < horizon):
-                horizon = h
-        return horizon
+    mode: ClassVar[str] = "event"
 
     def _skip_span(self, start: int, end: int) -> None:
         """Fast-forward over ``[start, end)`` without executing.
@@ -381,7 +408,7 @@ class EventScheduler(Scheduler):
                 break
             now = self.now
             if self.active_count() == 0:
-                horizon = self._next_horizon(now)
+                horizon = self.next_horizon(now)
                 target = end if horizon is None else min(horizon, end)
                 if target > now:
                     self._skip_span(now, target)
@@ -390,21 +417,6 @@ class EventScheduler(Scheduler):
             self._tick()
         return self.now
 
-    def snapshot(self) -> Dict[str, Any]:
-        state = super().snapshot()
-        state["wheel"] = sorted(self._wheel)
-        return state
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        super().restore(state)
-        wheel = list(state["wheel"])
-        heapq.heapify(wheel)
-        self._wheel = wheel
-
-    def next_horizon(self, now: int) -> Optional[int]:
-        """Wheel head merged with the wake sources (see base class)."""
-        return self._next_horizon(now)
-
 
 def make_scheduler(
     mode: str,
@@ -412,8 +424,7 @@ def make_scheduler(
     hooks: Optional[EngineHooks] = None,
 ) -> Scheduler:
     """Build the drive loop for ``mode``: "cycle" or "event"."""
-    if mode == "cycle":
-        return Scheduler(components, hooks=hooks)
-    if mode == "event":
-        return EventScheduler(components, hooks=hooks)
+    for cls in (Scheduler, EventScheduler):
+        if cls.mode == mode:
+            return cls(components, hooks=hooks)
     raise ValueError(f"unknown scheduler mode {mode!r}; use 'cycle' or 'event'")

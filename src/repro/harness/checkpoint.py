@@ -144,12 +144,6 @@ def _spec(sim) -> Dict[str, Any]:
     return _switch_spec(sim)
 
 
-def _scheduler_mode(sched) -> str:
-    from ..engine.scheduler import EventScheduler
-
-    return "event" if isinstance(sched, EventScheduler) else "cycle"
-
-
 def _tracer_spec(tracer):
     if tracer is None:
         return None
@@ -171,7 +165,7 @@ def _switch_spec(sim) -> Dict[str, Any]:
     spec.update(
         router_cls=type(sim.router),
         router_config=sim.router.config,
-        scheduler=_scheduler_mode(sim._sched),
+        scheduler=sim._sched.mode,
         faults=None if sim._faults is None else sim._faults.plan,
         workload=sim._workload,
         tracer=_tracer_spec(sim._tracer),
@@ -204,7 +198,7 @@ def _network_spec(sim) -> Dict[str, Any]:
         "load": sim.load,
         "topology": sim.topology,
         "host_pattern": sim._host_pattern,
-        "scheduler": _scheduler_mode(sim._sched),
+        "scheduler": sim._sched.mode,
         "faults": None if sim._faults is None else sim._faults.plan,
         "workload": sim._workload,
         "tracer": _tracer_spec(sim._tracer),

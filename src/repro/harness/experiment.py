@@ -273,8 +273,8 @@ class SwitchSimulation(StagedRun):
         return q.maxlen - len(q._q)
 
     def _hand_over(self, channel: int, flit: Flit, now: int) -> None:
-        # Wake a parked router *before* accept so the flit's injection
-        # timestamp uses the current cycle.
+        # Wake a parked or asleep router *before* accept so the flit's
+        # injection timestamp uses the current cycle.
         self._sched.wake(self.router, now)
         self.router.accept(channel, flit)
 

@@ -41,7 +41,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..core.errors import InvariantViolation
 from ..core.flit import Flit, packet_id_state, set_packet_id_state
-from ..engine import EventScheduler, Scheduler
+from ..engine import Scheduler
 from ..workloads.base import Workload
 from . import checkpoint
 from .stats import LatencySample, RunResult, summarize
@@ -384,9 +384,7 @@ class StagedRun:
         """
         if self.sanitizer is not None:
             raise ValueError("cannot restore onto a sanitized simulation")
-        if ("wheel" in state["sched"]) != isinstance(
-            self._sched, EventScheduler
-        ):
+        if Scheduler.captured_mode(state["sched"]) != self._sched.mode:
             raise ValueError(
                 "scheduler mode mismatch between snapshot and simulation"
             )

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import copy
 import functools
-import heapq
 import itertools
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
@@ -71,6 +71,18 @@ class NetworkConfig:
         )
 
 
+def enqueue_in_order(queue: Deque[tuple], entry: tuple) -> None:
+    """File ``entry`` in the in-flight ``queue``, kept in
+    ``(arrival, sequence key)`` order.  A uniform channel latency makes
+    arrivals monotonic in send order, so appending is the rule; an
+    entry that sorts before the tail is inserted in order instead.
+    Sequence keys are unique, so an insertion never compares flits."""
+    if queue and entry < queue[-1]:
+        insort(queue, entry)
+    else:
+        queue.append(entry)
+
+
 class _RouterSink:
     """Delivery callable for a router-to-router channel.
 
@@ -90,7 +102,7 @@ class _RouterSink:
 
     def __call__(self, flit: Flit, arrival: int) -> None:
         sim = self.sim
-        heapq.heappush(
+        enqueue_in_order(
             sim._inflight,
             (arrival, next(sim._seq), flit, (self.target, self.port)),
         )
@@ -107,7 +119,7 @@ class _HostSink:
 
     def __call__(self, flit: Flit, arrival: int) -> None:
         sim = self.sim
-        heapq.heappush(
+        enqueue_in_order(
             sim._inflight, (arrival, next(sim._seq), flit, self.host)
         )
 
@@ -128,8 +140,9 @@ class NetworkSimulation(StagedRun):
     """End-to-end simulation of a network of routers on any topology.
 
     Idle routers (no buffered flits, credits or VC releases pending)
-    are parked until a flit arrival wakes them — byte-identical to
-    stepping every router, which ``tests/exhaustive.py`` checks.
+    are parked until a flit arrival wakes them, and routers that cannot
+    move a flit before a known cycle sleep until then — byte-identical
+    to stepping every router, which ``tests/exhaustive.py`` checks.
     """
 
     #: Attributes :meth:`snapshot` deliberately omits (lint rule R010):
@@ -175,8 +188,8 @@ class NetworkSimulation(StagedRun):
                 avoids dead links.  None (or a disabled plan) keeps
                 the simulation byte-identical to a plain run.
             scheduler: Drive loop: ``"cycle"`` executes every cycle;
-                ``"event"`` fast-forwards over spans with no busy
-                router, no due flit delivery, no pre-drawn host
+                ``"event"`` fast-forwards over spans with no awake or
+                asleep router, no due flit delivery, no pre-drawn host
                 arrival, no injectable backlog, and no scheduled fault
                 event.  Byte-identical results either way; only the
                 ``stats.engine.*`` counters and wall-clock differ.
@@ -280,8 +293,9 @@ class NetworkSimulation(StagedRun):
         #: Active staged run program (see :meth:`start_run`): plain
         #: data, so a snapshot taken mid-run carries it along.
         self._program: Optional[Dict[str, Any]] = None
-        # Global in-flight flit event queue: (arrival, seq, flit, target).
-        self._inflight: List[Tuple[int, int, Flit, object]] = []
+        # Global in-flight flit event queue, a FIFO in (arrival, seq)
+        # order: (arrival, seq, flit, target).
+        self._inflight: Deque[Tuple[int, int, Flit, object]] = deque()
         self._seq = itertools.count()
         if faults is not None and faults.enabled:
             # Imported lazily: faults sits above the network layer.
@@ -397,8 +411,9 @@ class NetworkSimulation(StagedRun):
         return horizon
 
     def _deliver_arrivals(self, now: int) -> None:
-        while self._inflight and self._inflight[0][0] <= now:
-            _, _, flit, target = heapq.heappop(self._inflight)
+        inflight = self._inflight
+        while inflight and inflight[0][0] <= now:
+            _, _, flit, target = inflight.popleft()
             if isinstance(target, tuple):
                 router, port = target
                 self._sched.wake(router, now)
@@ -600,9 +615,7 @@ class NetworkSimulation(StagedRun):
         arrivals = self.arrivals.snapshot()
         switch_of = {id(r): sid for sid, r in self.routers.items()}
         inflight = []
-        for arrival, seq, flit, target in sorted(
-            self._inflight, key=lambda entry: entry[:2]
-        ):
+        for arrival, seq, flit, target in self._inflight:
             if isinstance(target, tuple):
                 router, port = target
                 encoded: Tuple = ("r", switch_of[id(router)], port)
@@ -651,14 +664,14 @@ class NetworkSimulation(StagedRun):
         for router, captured in zip(self.routers.values(), state["routers"]):
             router._restore_state(captured)
         self._seq = itertools.count(state["seq"])
-        inflight: List[Tuple[int, int, Flit, object]] = []
+        inflight: Deque[Tuple[int, int, Flit, object]] = deque()
         for arrival, seq, flit, encoded in state["inflight"]:
             if encoded[0] == "r":
                 target: object = (self.routers[encoded[1]], encoded[2])
             else:
                 target = encoded[1]
             inflight.append((arrival, seq, flit, target))
-        # Captured sorted; a sorted list is a valid binary heap.
+        # Captured sorted, which is the queue's order.
         self._inflight = inflight
         harness = state["harness"]
         self._source_q = [deque(queue) for queue in harness["source_q"]]

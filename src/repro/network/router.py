@@ -75,6 +75,12 @@ class NetworkRouterConfig:
             raise ValueError(
                 f"channel_latency must be >= 0, got {self.channel_latency}"
             )
+        # A credit pushed during a commit is popped by the next cycle's
+        # compute at the earliest, so 0 would silently run as 1.
+        if self.credit_latency < 1:
+            raise ValueError(
+                f"credit_latency must be >= 1, got {self.credit_latency}"
+            )
 
 
 def pipeline_depth_for_radix(radix: int, base: int = 2) -> int:
@@ -109,13 +115,6 @@ class OutputLink:
             self.credits = [
                 CreditCounter(downstream_depth) for _ in range(num_vcs)
             ]
-
-    def credit_available(self, vc: int) -> bool:
-        return self.credits is None or self.credits[vc].available
-
-    def consume_credit(self, vc: int) -> None:
-        if self.credits is not None:
-            self.credits[vc].consume()
 
     def restore_credit(self, vc: int) -> None:
         if self.credits is not None:
@@ -156,9 +155,9 @@ class NetworkRouter(Component):
         # Occupancy indices (docs/architecture.md, "NetworkRouter hot
         # path"): flits buffered at each input, the inputs whose count
         # is non-zero, and the total.  Allocation visits ``_occupied``
-        # and parking reads ``_resident``, so a cycle costs what is
-        # resident, not ports x VCs.  All three move only at the one
-        # push in accept() and the one pop in _transmit().
+        # and parking reads ``_resident`` and ``_occupied``, so a cycle
+        # costs what is resident, not ports x VCs.  All three move only
+        # at the one push in accept() and the one pop in _transmit().
         self._in_flits = [0] * n
         self._occupied: Set[int] = set()
         self._resident = 0
@@ -197,7 +196,8 @@ class NetworkRouter(Component):
     def audit(self, cycle: int) -> None:
         """One walk of the input banks checks their depth and the
         occupancy indices the hot path trusts in place of walking them
-        (allocation visits ``_occupied``, parking reads ``_resident``).
+        (allocation visits ``_occupied``, parking reads ``_resident`` and
+        ``_occupied``).
         Reads only; :class:`~repro.analysis.sanitizer.NetworkSanitizer`
         runs it every cycle."""
         v = self.config.num_vcs
@@ -245,19 +245,30 @@ class NetworkRouter(Component):
         self._allocate()
         self.cycle = cycle + 1
 
-    def busy(self) -> bool:
-        """Parking predicate: pending flits, credits, or VC releases."""
-        if self._resident:
-            return True
-        return bool(self._credit_out or self._vc_release)
-
     def next_event(self, now: int) -> Optional[int]:
-        """Horizon: resident flits need the next cycle; otherwise the
-        earliest pending credit or VC release.  Pure read
-        (``tests/perturb.py`` over-polls it)."""
-        if self._resident:
-            return now + 1
+        """The parking probe: ``now`` while an occupied input is free to
+        send; otherwise the earliest cycle at which an occupied input
+        stops serializing, or a credit or VC release falls due (None
+        with nothing pending).
+
+        Until then nothing can move: every buffered flit sits behind an
+        input still serializing its last flit, so allocation would ask
+        no arbiter.  A flit arriving at a free input comes through the
+        scheduler's wake first.  Resident flits with no indexed input
+        (a broken index, which the audit reports) keep the router
+        awake.  Pure read (``tests/perturb.py`` over-polls it).
+        """
         horizon: Optional[int] = None
+        if self._resident:
+            busy_until = self.input_busy._busy_until
+            for i in self._occupied:
+                free_at = busy_until[i]
+                if free_at <= now:
+                    return now
+                if horizon is None or free_at < horizon:
+                    horizon = free_at
+            if horizon is None:
+                return now
         for due in (self._credit_out.next_due(), self._vc_release.next_due()):
             if due is not None and (horizon is None or due < horizon):
                 horizon = due
@@ -355,22 +366,48 @@ class NetworkRouter(Component):
         input is still probed, in VC order, and inputs are visited in
         ascending order (as a walk of every input does), which fixes the
         order outputs resolve and flits deliver in.
+
+        A head may leave when its output link is up, holds a credit for
+        the flit's VC, and that VC is owned by (or, for a head flit,
+        free for) its packet; busy times, credits and VC owners are
+        read inline.
         """
         now = self.cycle
         inputs = self.inputs
+        links = self.links
         stuck = self._stuck_inputs
-        input_busy = self.input_busy
+        in_busy = self.input_busy._busy_until
         # output port -> {requesting input: (vc, flit)}
         requests: Dict[int, Dict[int, Tuple[int, Flit]]] = {}
         for i in sorted(self._occupied):
-            if not input_busy.free(i, now):
+            if in_busy[i] > now:
                 continue
             cands: Dict[int, Flit] = {}
             for vc, queue in enumerate(inputs[i].queues):
                 flit = queue.head()
                 if flit is None or (stuck and (i, vc) in stuck):
                     continue
-                if self._sendable(flit):
+                route = flit.route
+                if flit.hops >= len(route):
+                    raise RuntimeError(
+                        f"{self.name}: flit {flit.packet_id} has exhausted "
+                        "its route"
+                    )
+                link = links[route[flit.hops]]
+                if link is None:
+                    raise RuntimeError(
+                        f"{self.name}: output {route[flit.hops]} not attached"
+                    )
+                if not link.alive:
+                    continue
+                fvc = flit.vc
+                credits = link.credits
+                if credits is not None:
+                    counter = credits[fvc]
+                    if counter._free <= 0 or counter.stuck:
+                        continue
+                owner = link.vc_state.owners[fvc]
+                if owner == flit.packet_id or (flit.is_head and owner is None):
                     cands[vc] = flit
             vc = self._input_arb[i].grant(cands)
             if vc is None:
@@ -387,31 +424,18 @@ class NetworkRouter(Component):
                 requests[out] = {i: (vc, flit)}
             else:
                 wanted[i] = (vc, flit)
+        out_busy = self.output_busy._busy_until
         for out, wanted in requests.items():
-            if not self.output_busy.free(out, now):
+            if out_busy[out] > now:
                 continue
             winner = self._output_arb[out].grant(wanted)
             vc, flit = wanted[winner]
             self._transmit(winner, vc, flit, out)
 
-    def _sendable(self, flit: Flit) -> bool:
-        """Whether head-of-queue ``flit`` may leave this cycle: its
-        output link is up, holds a credit for the flit's VC, and that
-        VC is owned by (or, for a head flit, free for) its packet."""
-        if flit.hops >= len(flit.route):
-            raise RuntimeError(
-                f"{self.name}: flit {flit.packet_id} has exhausted its route"
-            )
-        out = flit.route[flit.hops]
-        link = self.links[out]
-        if link is None:
-            raise RuntimeError(f"{self.name}: output {out} not attached")
-        if not link.alive or not link.credit_available(flit.vc):
-            return False
-        owner = link.vc_state.owners[flit.vc]
-        return owner == flit.packet_id or (flit.is_head and owner is None)
-
     def _transmit(self, i: int, vc: int, flit: Flit, out: int) -> None:
+        """Move ``flit`` from input ``i`` onto output ``out``: both are
+        free (``_allocate`` just read their busy times), so each is held
+        for ``flit_cycles`` by a plain write."""
         now = self.cycle
         config, hooks = self.config, self.hooks
         link = self.links[out]
@@ -431,13 +455,14 @@ class NetworkRouter(Component):
             self._occupied.discard(i)
         self._resident -= 1
         fc = config.flit_cycles
-        self.input_busy.reserve(i, now, fc)
-        self.output_busy.reserve(out, now, fc)
+        self.input_busy._busy_until[i] = now + fc
+        self.output_busy._busy_until[out] = now + fc
         if flit.is_head:
             link.vc_state.allocate(flit.vc, flit.packet_id)
         flit.out_vc = flit.vc
         flit.hops += 1
-        link.consume_credit(flit.vc)
+        if link.credits is not None:
+            link.credits[flit.vc].consume()
         link.deliver(
             flit, now + fc + config.pipeline_delay + config.channel_latency
         )

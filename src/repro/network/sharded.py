@@ -35,10 +35,11 @@ restores applied during registration-order commits.  Flit delivery is
 always cross-cycle (uniform positive channel latency), so the parent
 can collect every boundary event at the end of cycle T and deliver it
 before (or, for commit-order "trailing" credits, after) the workers run
-cycle T+1.  A router with undelivered credits never parks
-(``NetworkRouter.busy`` covers ``_credit_out``), so the end-of-T
-``pending(T+1)`` walk in each worker announces every cross-shard credit
-exactly one cycle before it applies.
+cycle T+1.  A router with undelivered credits never parks (its
+``NetworkRouter.next_event`` names the first credit's due cycle at the
+latest), and the end-of-T ``pending(T+1)`` walk in each worker visits
+every router of the block, awake or not, so it announces every
+cross-shard credit exactly one cycle before it applies.
 
 What the barrier carries, and who waits at it (the Tiny Tera rule: the
 central scheduler stays off the data path).  The parent sends the
@@ -71,7 +72,7 @@ from ..core.errors import invariant
 from ..core.flit import Flit
 from ..engine import EngineHooks, make_scheduler
 from ..engine.shard import ShardPool, partition
-from .netsim import NetworkConfig, NetworkSimulation, _CreditSink
+from .netsim import NetworkConfig, NetworkSimulation, _CreditSink, enqueue_in_order
 from .router import NetworkRouter, OutputLink
 from .topology import SwitchId
 
@@ -399,7 +400,7 @@ class _ShardWorker:
     def _report(self, now: int) -> Dict[str, Any]:
         """End-of-cycle boundary report for the parent exchange.
 
-        The credit walk visits each busy router's delay line in
+        The credit walk visits each router's pending credit line in
         :meth:`~repro.core.pipeline.DelayLine.pending` order — the
         exact order the next commit will pop — pre-drawing the loss
         verdict for every maturing credit (preserving the serial
@@ -711,7 +712,7 @@ class ShardedNetworkSimulation(NetworkSimulation):
                 self._free[host] = spaces
             for arrival, key, wire, target in report["flits"]:
                 if target[0] == "h":
-                    heapq.heappush(
+                    enqueue_in_order(
                         self._inflight,
                         (arrival, key, Flit.from_wire(wire), target[1]),
                     )

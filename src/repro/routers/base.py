@@ -18,8 +18,8 @@ nothing) followed by a ``commit`` phase (apply the staged ejections and
 VC releases, then run the organization-specific datapath via
 ``_advance``).  :meth:`Router.step` composes the two phases for
 standalone use; the harness drives routers through a
-:class:`repro.engine.Scheduler` instead, which parks empty routers
-(see :meth:`Router.busy`).
+:class:`repro.engine.Scheduler` instead, which sleeps or parks empty
+routers (see :meth:`Router.next_event`).
 
 Timing convention: a grant at cycle ``t`` occupies the granted input
 and output resources for ``config.flit_cycles`` cycles (the paper's
@@ -178,32 +178,23 @@ class Router(Component):
         self._advance()
         self.cycle = cycle + 1
 
-    def busy(self) -> bool:
-        """Parking predicate: False only when stepping would be a no-op.
+    def next_event(self, now: int) -> Optional[int]:
+        """The parking probe: ``now`` while flits are resident, else the
+        earliest cycle a delayed mechanism matures (None with nothing
+        pending).
 
         Resident flits are counted in O(1) by conservation — every
         flit enters through :meth:`accept` and leaves the datapath
         when its ejection commits — rather than via the O(buffers)
-        :meth:`occupancy` scan, since this runs every commit.
-        Organizations with extra delayed machinery (credit pipes, ...)
-        extend this.
+        :meth:`occupancy` scan, since this runs every commit.  An empty
+        router's datapath is a no-op, so it sleeps until its next VC
+        release.  Organizations with extra delayed machinery (credit
+        pipes, ...) extend this.  Pure read (``tests/perturb.py``
+        over-polls it); see :meth:`repro.engine.Component.next_event`.
         """
         stats = self.stats
         if stats.flits_accepted > stats.flits_ejected:
-            return True
-        return bool(self._ejecting or self._vc_release)
-
-    def next_event(self, now: int) -> Optional[int]:
-        """Horizon: earliest cycle a delayed mechanism matures.
-
-        Resident flits need the very next cycle (arbitration runs every
-        cycle while flits are buffered); otherwise the earliest delay
-        line head is the horizon.  Pure read (``tests/perturb.py``
-        over-polls it); see
-        :meth:`repro.engine.Component.next_event`.
-        """
-        if self.stats.flits_accepted > self.stats.flits_ejected:
-            return now + 1
+            return now
         horizon: Optional[int] = None
         for due in (self._ejecting.next_due(), self._vc_release.next_due()):
             if due is not None and (horizon is None or due < horizon):

@@ -129,7 +129,7 @@ class BufferedCrossbarRouter(Router):
                 CreditReturnBus(k, config.credit_latency) for _ in range(k)
             ]
         # Rows whose bus holds a credit waiting for it or on its wire:
-        # the only buses a step, busy() or next_event() need to visit.
+        # the only buses a step or next_event() need to visit.
         # Added at the post, dropped when a step leaves the bus idle.
         self._bus_live: Set[int] = set()
         self._head_delay = config.route_latency
@@ -490,17 +490,12 @@ class BufferedCrossbarRouter(Router):
 
     # ------------------------------------------------------------------
 
-    def busy(self) -> bool:
-        if super().busy():
-            return True
+    def next_event(self, now: int) -> Optional[int]:
         # Delayed credit returns must keep the clock running even when
         # no flit is resident, or the restore callbacks never mature.
-        if self._credit_pipes is not None:
-            return any(pipe.pending() for pipe in self._credit_pipes)
-        return bool(self._bus_live)
-
-    def next_event(self, now: int) -> Optional[int]:
         horizon = super().next_event(now)
+        if horizon == now:
+            return now
         if self._credit_pipes is not None:
             for pipe in self._credit_pipes:
                 due = pipe.next_due()

@@ -413,15 +413,12 @@ class HierarchicalCrossbarRouter(Router):
 
     # ------------------------------------------------------------------
 
-    def busy(self) -> bool:
-        if super().busy():
-            return True
-        # Keep the clock running while subswitch-input credits are
-        # still in the return pipe.
-        return self._credit_pipe.pending() > 0
-
     def next_event(self, now: int) -> Optional[int]:
+        # Subswitch-input credits still in the return pipe keep the
+        # clock running.
         horizon = super().next_event(now)
+        if horizon == now:
+            return now
         due = self._credit_pipe.next_due()
         if due is not None and (horizon is None or due < horizon):
             horizon = due

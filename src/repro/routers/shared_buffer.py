@@ -200,14 +200,11 @@ class SharedBufferCrossbarRouter(Router):
 
     # ------------------------------------------------------------------
 
-    def busy(self) -> bool:
-        if super().busy():
-            return True
-        # Credit restores still travelling back to the inputs.
-        return bool(self._credit_return)
-
     def next_event(self, now: int) -> Optional[int]:
+        # Credit restores still travelling back to the inputs.
         horizon = super().next_event(now)
+        if horizon == now:
+            return now
         due = self._credit_return.next_due()
         if due is not None and (horizon is None or due < horizon):
             horizon = due

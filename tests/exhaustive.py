@@ -1,18 +1,20 @@
 """The exhaustive reference schedule: the oracle for every skip rule.
 
-The engine has one schedule.  It parks a component whose ``busy()``
-goes False, the switch stack skips an input whose ``Router._in_flits``
-count is zero (and the harness a port whose count says the bank is
-full), and ``NetworkRouter._allocate`` visits only the inputs in
-``_occupied``.  Each skip claims to be invisible: the schedule that
-steps every component every cycle and probes every input must produce
-the same rows, extras, trace bytes and arbiter pointers.
+The engine has one schedule.  It puts a component to sleep or parks
+it when its ``next_event`` names a later cycle or None, the switch
+stack skips an input whose ``Router._in_flits`` count is zero (and the
+harness a port whose count says the bank is full), and
+``NetworkRouter._allocate`` visits only the inputs in ``_occupied``.
+Each skip claims to be invisible: the schedule that steps every
+component every cycle and probes every input must produce the same
+rows, extras, trace bytes and arbiter pointers.
 
 :func:`exhaustive` builds that reference from outside, on an already
 constructed simulation, with no hook in ``src/``:
 
-* every scheduled component's ``busy`` is pinned to True, so nothing
-  parks and the event scheduler never fast-forwards;
+* every scheduled component's ``next_event`` is pinned to the cycle it
+  is asked about, so nothing sleeps or parks and the event scheduler
+  never fast-forwards;
 * a switch's ``Router._in_flits`` becomes :class:`AlwaysActive`;
 * every Clos router's ``_occupied`` becomes :class:`AllPorts`.
 
@@ -63,8 +65,8 @@ class AllPorts:
         return None
 
 
-def _always_busy():
-    return True
+def _always_now(now):
+    return now
 
 
 def exhaustive(sim):
@@ -72,7 +74,7 @@ def exhaustive(sim):
     serial ``NetworkSimulation``) on the step-everything schedule;
     returns ``sim``."""
     for component in sim._sched.components:
-        component.busy = _always_busy
+        component.next_event = _always_now
     if isinstance(sim, NetworkSimulation):
         for router in sim.routers.values():
             router._occupied = AllPorts(len(router.inputs))

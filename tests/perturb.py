@@ -3,8 +3,8 @@
 The two-phase split (``repro.engine.component``) claims that a cycle's
 outcome does not depend on the order in which the scheduler evaluates
 components; the probes claim that asking them more often changes
-nothing.  The probes are the parking predicate ``busy``, the horizon
-``next_event``, the scheduler's wake sources, and
+nothing.  The probes are the parking probe ``next_event``, the
+scheduler's wake sources, and
 ``Workload.eligible``/``next_ready``/``ready_ranks``.  This module
 perturbs an already constructed simulation from outside, with no hook
 in ``src/``, so a test can compare its rows, extras, trace bytes and
@@ -13,8 +13,10 @@ hook-event stream against an unperturbed twin:
 * :func:`shuffle_compute` defers every ``compute`` of a cycle and runs
   the deferred calls in a seeded order at the cycle's first ``commit``
   (every compute precedes every commit, so nothing else moves);
-* :func:`shuffle_commit` permutes the scheduler's active slots from a
-  ``cycle_start`` subscriber, so both phases run in a seeded order;
+* :func:`shuffle_commit` permutes the scheduler's awake slots from a
+  ``cycle_start`` subscriber, so both phases run in a seeded order —
+  drawn over every registered slot, so which components happen to be
+  awake does not change the orders it samples;
 * :func:`over_poll` makes every probe run three extra times per call;
 * :class:`EventRecord` digests every event on the simulation's bus
   and on each router's bus, in emission order.
@@ -74,9 +76,10 @@ def shuffle_commit(sim, seed):
     sched = sim._sched
 
     def permute(cycle):
-        slots = sorted(sched._active_slots)
+        slots = list(range(len(sched.components)))
         rng.shuffle(slots)
-        sched._active_slots = slots
+        awake = sched._active
+        sched._active_slots = [slot for slot in slots if awake[slot]]
 
     sched.hooks.on_cycle_start(permute)
     return sim
@@ -91,12 +94,11 @@ def _polled(probe):
 
 
 def over_poll(sim):
-    """Call every component's ``busy``/``next_event``, every wake
-    source and the workload's probes ``EXTRA_POLLS`` extra times per
-    call; returns ``sim``."""
+    """Call every component's ``next_event``, every wake source and
+    the workload's probes ``EXTRA_POLLS`` extra times per call; returns
+    ``sim``."""
     sched = sim._sched
     for component in sched.components:
-        component.busy = _polled(component.busy)
         component.next_event = _polled(component.next_event)
     sched._wake_sources[:] = [_polled(s) for s in sched._wake_sources]
     workload = getattr(sim, "_workload", None)

@@ -54,6 +54,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             RouterConfig(**{field: value})
 
+    def test_zero_credit_latency_stays_legal(self):
+        """On the switch a zero-latency credit return is a real
+        configuration (it runs differently from 1), unlike the network
+        router's."""
+        assert RouterConfig(credit_latency=0).credit_latency == 0
+
     def test_subswitch_must_divide_radix(self):
         with pytest.raises(ValueError):
             RouterConfig(radix=64, subswitch_size=6)

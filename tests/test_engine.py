@@ -14,7 +14,7 @@ Covers the three pieces every simulation layer now shares:
 import pytest
 
 from repro.core.config import RouterConfig
-from repro.engine import Component, EngineHooks, Scheduler
+from repro.engine import Component, EngineHooks, EventScheduler, Scheduler
 from repro.harness.experiment import SweepSettings, SwitchSimulation
 from repro.network.netsim import NetworkConfig, NetworkSimulation
 from repro.routers.hierarchical import HierarchicalCrossbarRouter
@@ -44,8 +44,8 @@ class Ticker(Component):
             self.work -= 1
         self.cycle = cycle + 1
 
-    def busy(self):
-        return self.work > 0
+    def next_event(self, now):
+        return now if self.work > 0 else None
 
     def on_wake(self, cycle):
         self.wakes.append(cycle)
@@ -77,7 +77,7 @@ class TestComponent:
             c.compute(0)
         with pytest.raises(NotImplementedError):
             c.commit(0)
-        assert c.busy() is True
+        assert c.next_event(5) == 5
 
 
 class TestScheduler:
@@ -173,6 +173,86 @@ class TestScheduler:
         assert "'stray'" in str(exc.value)
         assert "register()" in str(exc.value)
         assert exc.value.component is stray
+
+
+class Sleeper(Ticker):
+    """Has work at the cycles in ``due`` and at no other."""
+
+    def __init__(self, due, **kwargs):
+        super().__init__(**kwargs)
+        self.due = sorted(due)
+
+    def next_event(self, now):
+        return next((cycle for cycle in self.due if cycle >= now), None)
+
+
+def _computed(component):
+    return [cycle for phase, _, cycle in component.journal
+            if phase == "compute"]
+
+
+class TestSleep:
+    """A later ``next_event`` answer sleeps the component on the timer
+    heap: skipped until that cycle, or an earlier wake."""
+
+    @pytest.mark.parametrize("cls", [Scheduler, EventScheduler])
+    def test_stepped_only_at_the_cycles_it_names(self, cls):
+        s = Sleeper([0, 3, 7])
+        sched = cls([s])
+        sched.run_until(10)
+        assert _computed(s) == [0, 3, 7]
+        # Each ring re-synchronizes the clock, as a wake does.
+        assert s.wakes == [3, 7]
+        assert sched.component_steps == 3
+        assert sched.active_count() == 0
+
+    def test_a_sleeper_counts_as_live_so_nothing_is_skipped(self):
+        """Fast-forward jumps only when nothing is awake or asleep: the
+        sleep costs the engine no skipped cycle it would not skip with
+        the component stepped every cycle."""
+        s = Sleeper([0, 50])
+        sched = EventScheduler([s])
+        sched.run_until(60)
+        assert _computed(s) == [0, 50]
+        assert sched.cycles_run == 51
+        assert (sched.cycles_skipped, sched.ff_jumps) == (9, 1)
+
+    def test_a_wake_cuts_the_sleep_short_and_the_old_timer_expires(self):
+        s = Sleeper([0, 7])
+        sched = Scheduler([s])
+        for now in range(4):
+            sched.run_cycle(now)
+        sched.wake(s, 4)
+        assert s.wakes == [4] and s.cycle == 4
+        for now in range(4, 10):
+            sched.run_cycle(now)
+        # Stepped at 4 (the wake), then asleep again until 7: the
+        # first timer for 7 rings once, its duplicate is dropped.
+        assert _computed(s) == [0, 4, 7]
+        assert s.wakes == [4, 7]
+
+    def test_a_sleeper_is_captured_live_and_restored_awake(self):
+        s = Sleeper([0, 9])
+        sched = Scheduler([s])
+        sched.run_until(3)
+        state = sched.snapshot()
+        assert state["active"] == [True] and state["mode"] == "cycle"
+        twin = Sleeper([0, 9])
+        restored = Scheduler([twin])
+        restored.restore(state)
+        assert twin.wakes == [3] and restored.active_count() == 1
+        restored.run_until(10)
+        # Woken early: cycle 3 runs as a no-op, then it sleeps to 9.
+        assert _computed(twin) == [3, 9]
+
+    @pytest.mark.parametrize("captured, mode", [
+        ({"now": 0}, "cycle"), ({"now": 0, "wheel": []}, "event"),
+        ({"now": 0, "mode": "event"}, "event"),
+    ])
+    def test_the_captured_mode_of_old_and_new_snapshots(self, captured, mode):
+        """Captures written before the ``mode`` key name event mode by
+        the (always empty) ``wheel`` key it used to write."""
+        assert Scheduler.captured_mode(captured) == mode
 
 
 class TestEngineHooks:

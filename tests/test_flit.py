@@ -1,5 +1,10 @@
 """Tests for flit and packet construction."""
 
+import copyreg
+import dataclasses
+import io
+import pickle
+
 import pytest
 
 from repro.core.flit import Flit, make_packet, reset_packet_ids
@@ -83,8 +88,6 @@ class TestFlit:
         assert f.vc == 1
 
     def test_wire_form_carries_every_field(self):
-        import dataclasses
-
         f = Flit(
             packet_id=9, flit_index=1, is_head=False, is_tail=True,
             src=2, dest=3, vc=1, out_vc=2, created_at=40, injected_at=44,
@@ -93,3 +96,32 @@ class TestFlit:
         wire = f.to_wire()
         assert len(wire) == len(dataclasses.fields(Flit))
         assert Flit.from_wire(wire) == f
+
+    def test_is_slotted_and_keeps_its_dataclass_surface(self):
+        (flit,) = make_packet(dest=2, size=1, route=[1, 0])
+        assert not hasattr(flit, "__dict__")
+        with pytest.raises(AttributeError):
+            flit.stray = 1
+        assert [f.name for f in dataclasses.fields(Flit)] == list(
+            Flit.__slots__)
+        assert flit == Flit(*flit.to_wire())
+        assert repr(flit).startswith("Flit(packet_id=")
+
+    def test_unpickles_the_dict_state_of_an_unslotted_flit(self):
+        """Checkpoints written before the class had slots pickle each
+        flit with its attribute dict as the state."""
+        (flit,) = make_packet(dest=2, size=1, src=1, route=[3])
+
+        class LegacyPickler(pickle.Pickler):
+            def reducer_override(self, obj):
+                if type(obj) is Flit:
+                    return (copyreg.__newobj__, (Flit,), {
+                        f.name: getattr(obj, f.name)
+                        for f in dataclasses.fields(Flit)
+                    })
+                return NotImplemented
+
+        buffer = io.BytesIO()
+        LegacyPickler(buffer, protocol=4).dump(flit)
+        assert pickle.loads(buffer.getvalue()) == flit
+        assert pickle.loads(pickle.dumps(flit)) == flit

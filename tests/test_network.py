@@ -43,6 +43,21 @@ class TestNetworkRouterConfig:
             NetworkRouterConfig(num_ports=4, **{field: -1})
         NetworkRouterConfig(num_ports=4, **{field: 0})
 
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_credit_latency_below_one_is_refused_by_name(self, value):
+        """Regression: a credit pushed during a commit is first popped
+        by the next cycle's compute, so 0 ran exactly as 1 (same row at
+        load 0.8 on two-deep single-VC buffers), and -1 surfaced as the
+        delay line's unnamed "latency must be >= 0"."""
+        told = f"credit_latency must be >= 1, got {value}"
+        with pytest.raises(ValueError, match=told):
+            NetworkRouterConfig(num_ports=4, credit_latency=value)
+        with pytest.raises(ValueError, match=told):
+            NetworkSimulation(
+                NetworkConfig(radix=4, levels=2, credit_latency=value), 0.3
+            )
+        NetworkRouterConfig(num_ports=4, credit_latency=1)
+
     def test_pipeline_depth_scales_with_radix(self):
         assert pipeline_depth_for_radix(64) > pipeline_depth_for_radix(8)
 

@@ -2,8 +2,8 @@
 
 The two-phase split lets the scheduler evaluate components in any
 order, and the engine, the harness and the wake horizons probe
-``busy``, ``next_event``, the wake sources and the workload as often as
-they like.  Both claims are checked here from outside, through the
+``next_event``, the wake sources and the workload as often as they
+like.  Both claims are checked here from outside, through the
 oracle in ``tests/perturb.py``.  A perturbed run must reproduce the
 plain run's row, extras, Chrome-trace bytes and hook-event stream
 byte for byte.
@@ -262,15 +262,15 @@ class TestOracleSees:
         assert shuffled[3] != plain[3]
 
     def test_over_poll_sees_a_counting_probe(self, monkeypatch):
-        """A ``busy`` that counts its calls makes extras depend on how
-        often the scheduler asked."""
-        busy = Router.busy
+        """A ``next_event`` that counts its calls makes extras depend on
+        how often the scheduler asked."""
+        next_event = Router.next_event
 
-        def counting(self):
-            self.stats.bump("busy_polls")
-            return busy(self)
+        def counting(self, now):
+            self.stats.bump("next_event_polls")
+            return next_event(self, now)
 
-        monkeypatch.setattr(Router, "busy", counting)
+        monkeypatch.setattr(Router, "next_event", counting)
         plain = _switch(BaselineRouter, "cycle")
         polled = _switch(BaselineRouter, "cycle", over_poll)
         assert polled[0] == plain[0]

@@ -1,9 +1,23 @@
 """Tests for DelayLine and BusyTracker."""
 
+import copyreg
+import heapq
+import io
+import itertools
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.pipeline import BusyTracker, DelayLine
+
+#: One delay-line operation: a push at a cycle, a push maturing at an
+#: explicit cycle, or a pop of everything due by a cycle.
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("push"), st.integers(0, 30)),
+    st.tuples(st.just("push_at"), st.integers(0, 40)),
+    st.tuples(st.just("pop"), st.integers(0, 40)),
+), max_size=60)
 
 
 class TestDelayLine:
@@ -55,6 +69,62 @@ class TestDelayLine:
     def test_negative_latency_rejected(self):
         with pytest.raises(ValueError):
             DelayLine(-1)
+
+    @given(latency=st.integers(0, 6), ops=_OPS)
+    def test_pops_what_a_due_counter_heap_pops(self, latency, ops):
+        """The FIFO with ordered-insert fallback replaced a binary heap
+        on ``(due, counter)``: for any mix of operations it pops the
+        same items in the same order, and a :meth:`dump`/:meth:`load`
+        twin taken at any point behaves the same from there on."""
+        line = DelayLine(latency)
+        heap, counter = [], itertools.count()
+        for n, (op, cycle) in enumerate(ops):
+            if op == "pop":
+                expect = []
+                while heap and heap[0][0] <= cycle:
+                    expect.append(heapq.heappop(heap)[2])
+                assert line.pop_ready(cycle) == expect
+            else:
+                due = cycle + latency if op == "push" else cycle
+                heapq.heappush(heap, (due, next(counter), n))
+                if op == "push":
+                    line.push(cycle, n)
+                else:
+                    line.push_at(cycle, n)
+            assert line.next_due() == (heap[0][0] if heap else None)
+            assert len(line) == len(heap)
+        twin = DelayLine.load(line.dump())
+        assert twin.dump() == line.dump()
+        for each in (line, twin):
+            each.push(0, "after")
+        assert twin.pending(10**6) == line.pending(10**6)
+        assert twin.pop_ready(10**6) == line.pop_ready(10**6)
+
+    def test_unpickles_a_capture_of_the_heap_it_replaced(self):
+        """Checkpoints written while the queue was a binary heap pickle
+        it as ``_heap`` in heap order (not sorted); it loads as the
+        FIFO and pops in due order."""
+        heap = []
+        for cnt, due in enumerate((3, 1, 2)):
+            heapq.heappush(heap, (due, cnt, f"item{due}"))
+        assert heap != sorted(heap)
+
+        class LegacyPickler(pickle.Pickler):
+            def reducer_override(self, obj):
+                if type(obj) is DelayLine:
+                    return (copyreg.__newobj__, (DelayLine,), (None, {
+                        "latency": 2, "_heap": heap,
+                        "_counter": itertools.count(3),
+                    }))
+                return NotImplemented
+
+        buffer = io.BytesIO()
+        LegacyPickler(buffer, protocol=4).dump(DelayLine(2))
+        line = pickle.loads(buffer.getvalue())
+        assert line.next_due() == 1
+        line.push(0, "item2b")
+        assert line.pop_ready(2) == ["item1", "item2", "item2b"]
+        assert line.pop_ready(3) == ["item3"]
 
     @given(st.lists(st.tuples(st.integers(0, 50), st.integers(0, 100)), max_size=40))
     def test_everything_matures_exactly_once(self, items):
