@@ -261,10 +261,15 @@ class StagedRun:
             stage = program["stage"]
             end = program["bounds"][stage]
             finished = self._stage_finished(program, stage)
-            self._extend_draws(end)
-            sched.run_until(end, stop=_either(paused, finished))
-            if sched.now < end and not (finished is not None and finished()):
-                return False  # paused mid-stage
+            if finished is None or not finished():
+                # A stage already over on entry would stop at run_until's
+                # first check: it is closed without pre-drawing its window.
+                self._extend_draws(end)
+                sched.run_until(end, stop=_either(paused, finished))
+                if sched.now < end and not (
+                    finished is not None and finished()
+                ):
+                    return False  # paused mid-stage
             self._close_stage(program, stage)
         return True
 

@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
-from ..core.errors import invariant
+from ..core.errors import InvariantViolation, invariant
 from ..core.flit import Flit, make_packet
 from ..core.rng import derive_rng
 from ..engine import EngineHooks, make_scheduler
@@ -396,12 +396,19 @@ class NetworkSimulation(StagedRun):
             if horizon is None or due < horizon:
                 horizon = due
         faults = self._faults
+        backlog = self._backlog_hosts
         if faults is not None:
             due = faults.next_event(now)
             if due is not None and (horizon is None or due < horizon):
                 horizon = due
-        for host in self._backlog_hosts:
-            retry = self._retry_at(host, now)
+            for host in backlog:
+                retry = self._retry_at(host, now)
+                if horizon is None or retry < horizon:
+                    horizon = retry
+        elif backlog:
+            # Without a fault back-off a host's retry is its throttle.
+            next_inject = self._next_inject
+            retry = max(min(next_inject[host] for host in backlog), now)
             if horizon is None or retry < horizon:
                 horizon = retry
         if self._workload is not None:
@@ -419,6 +426,13 @@ class NetworkSimulation(StagedRun):
                 self._sched.wake(router, now)
                 router.accept(port, flit)
             else:
+                if flit.dest != target:
+                    raise InvariantViolation(
+                        f"flit of packet {flit.packet_id} for host "
+                        f"{flit.dest} ejected at host {target}",
+                        cycle=now, check="routing", dest=flit.dest,
+                        host=target,
+                    )
                 self._delivered(flit, now)
 
     def _generate_workload(self, now: int) -> None:

@@ -178,7 +178,14 @@ class NetworkRouter(Component):
         self.links[port] = link
 
     def accept(self, port: int, flit: Flit) -> None:
-        self.inputs[port].queues[flit.vc].push(flit)
+        # Each hop reads the deque behind the FlitQueue directly (here,
+        # in _allocate and in _transmit); a full queue still goes
+        # through push(), which raises the credit-protocol overflow.
+        queue = self.inputs[port].queues[flit.vc]
+        if len(queue._q) < queue.maxlen:
+            queue._q.append(flit)
+        else:
+            queue.push(flit)
         self._in_flits[port] += 1
         self._occupied.add(port)
         self._resident += 1
@@ -384,9 +391,10 @@ class NetworkRouter(Component):
                 continue
             cands: Dict[int, Flit] = {}
             for vc, queue in enumerate(inputs[i].queues):
-                flit = queue.head()
-                if flit is None or (stuck and (i, vc) in stuck):
+                q = queue._q
+                if not q or (stuck and (i, vc) in stuck):
                     continue
+                flit = q[0]
                 route = flit.route
                 if flit.hops >= len(route):
                     raise RuntimeError(
@@ -444,7 +452,7 @@ class NetworkRouter(Component):
                 "transmit toward a detached output port",
                 cycle=now, port=out, check="topology",
             )
-        popped = self.inputs[i].queues[vc].pop()
+        popped = self.inputs[i].queues[vc]._q.popleft()
         if popped is not flit:
             raise InvariantViolation(
                 "input buffer head changed between grant and pop",

@@ -17,7 +17,14 @@ s levels, so we build folded Clos networks directly:
 ``levels = 2`` is the paper's "three-stage" network and ``levels = 3``
 the "five-stage" one.  Routing goes up to the lowest common ancestor
 level — choosing an *arbitrary* up port at each step, which is where
-the oblivious randomization lives — then deterministically down.
+the oblivious randomization lives — then deterministically down.  A
+route is therefore one random draw per level plus integer arithmetic:
+:meth:`FoldedClos.route` computes the ports without visiting the
+switches on the path.  The switch-by-switch walk over
+:meth:`FoldedClos.neighbor` stays where switch ids are read — the
+wiring, :meth:`FoldedClos.route_avoiding` and the fault injector's
+dead-link check — and the test suite keeps it as the oracle ``route``
+must agree with.
 """
 
 from __future__ import annotations
@@ -188,12 +195,27 @@ class FoldedClos:
     # ------------------------------------------------------------------
 
     def lca_level(self, src_host: int, dst_host: int) -> int:
-        """Lowest level whose subtrees contain both hosts."""
+        """Lowest level whose subtrees contain both hosts.
+
+        Raises ``ValueError`` naming whichever host is out of range, so
+        :meth:`hop_count`, :meth:`route` and :meth:`route_avoiding`
+        validate their endpoints here.
+        """
+        n = self.num_hosts
+        if not (0 <= src_host < n and 0 <= dst_host < n):
+            name, host = (
+                ("src_host", src_host) if not 0 <= src_host < n
+                else ("dst_host", dst_host)
+            )
+            raise ValueError(f"{name} {host} out of range 0..{n - 1}")
         m = self.m
-        for level in range(self.levels):
-            if src_host // (m ** (level + 1)) == dst_host // (m ** (level + 1)):
-                return level
-        raise AssertionError("hosts share the root subtree by construction")
+        src, dst = src_host // m, dst_host // m
+        level = 0
+        while src != dst:
+            src //= m
+            dst //= m
+            level += 1
+        return level
 
     def hop_count(self, src_host: int, dst_host: int) -> int:
         """Routers traversed on a minimal up*/down* path."""
@@ -205,29 +227,20 @@ class FoldedClos:
         """Oblivious source route: output port at each router on the path.
 
         Up ports are chosen uniformly at random (random middle-stage
-        selection); the descent is the unique deterministic path.
+        selection), one draw per level below the LCA; the descent is
+        the unique deterministic path, whose port at level ``l`` is
+        digit ``l`` of ``dst_host`` in base m.  Both are computed
+        directly: ``tests/test_topology.py`` holds the :meth:`neighbor`
+        walk this must agree with, and the simulation checks every
+        ejected flit against its sink's host.
         """
-        if not 0 <= dst_host < self.num_hosts:
-            raise ValueError(f"dst_host {dst_host} out of range")
         lca = self.lca_level(src_host, dst_host)
         m = self.m
         ports: List[int] = []
-        switch = self.host_attachment(src_host).switch
-        invariant(switch is not None, "host attaches to no switch",
-                  check="topology")
-        # Ascend: random up port at each level below the LCA.
         for _ in range(lca):
-            port = m + rng.randrange(m)
-            ports.append(port)
-            switch = self.up_neighbor(switch, port).switch
-            invariant(switch is not None, "up port leads outside the "
-                      "switch fabric", port=port, check="topology")
-        # Descend: pick the down port toward dst at each level.
+            ports.append(m + rng.randrange(m))
         for level in range(lca, -1, -1):
-            port = (dst_host // (m ** level)) % m
-            ports.append(port)
-            nxt = self.down_neighbor(switch, port)
-            switch = nxt.switch
+            ports.append(dst_host // m ** level % m)
         return ports
 
     def route_avoiding(

@@ -298,100 +298,93 @@ class Workload:
             default=0,
         )
 
-    def flow_latencies(self) -> Dict[str, int]:
-        """Per-flow first-send to last-delivery span (completed flows)."""
-        first: Dict[str, int] = {}
-        last: Dict[str, int] = {}
-        complete: Dict[str, bool] = {}
-        for n in self._nodes:
-            if not n.flow:
-                continue
-            if n.delivered_at < 0:
-                complete[n.flow] = False
-                continue
-            complete.setdefault(n.flow, True)
-            prev = first.get(n.flow)
-            first[n.flow] = (
-                n.sent_at if prev is None else min(prev, n.sent_at)
-            )
-            last[n.flow] = max(last.get(n.flow, -1), n.delivered_at)
-        return {
-            flow: last[flow] - first[flow]
-            for flow in sorted(first)
-            if complete.get(flow)
-        }
-
-    def phase_spans(self) -> Dict[str, Tuple[int, int]]:
-        """Per-phase (first send, last delivery), completed phases only."""
-        spans: Dict[str, List[int]] = {}
-        complete: Dict[str, bool] = {}
-        for n in self._nodes:
-            if not n.phase:
-                continue
-            entry = spans.setdefault(n.phase, [2 ** 62, -1])
-            if n.sent_at >= 0:
-                entry[0] = min(entry[0], n.sent_at)
-            entry[1] = max(entry[1], n.delivered_at)
-            if n.delivered_at < 0:
-                complete[n.phase] = False
-            else:
-                complete.setdefault(n.phase, True)
-        return {
-            phase: (first, last)
-            for phase, (first, last) in sorted(spans.items())
-            if complete.get(phase) and first < 2 ** 62
-        }
-
-    def phase_skews(self) -> Dict[str, int]:
-        """Per-phase completion skew: spread of each rank's last delivery.
-
-        The collective-skew metric: within one completed phase, the
-        difference between the earliest and latest per-destination-rank
-        final delivery cycle.
-        """
-        last_by_rank: Dict[str, Dict[int, int]] = {}
-        complete: Dict[str, bool] = {}
-        for n in self._nodes:
-            if not n.phase:
-                continue
-            if n.delivered_at < 0:
-                complete[n.phase] = False
-                continue
-            complete.setdefault(n.phase, True)
-            ranks = last_by_rank.setdefault(n.phase, {})
-            ranks[n.dest] = max(ranks.get(n.dest, -1), n.delivered_at)
-        return {
-            phase: max(ranks.values()) - min(ranks.values())
-            for phase, ranks in sorted(last_by_rank.items())
-            if complete.get(phase) and ranks
-        }
-
     def stats(self) -> Dict[str, int]:
         """Aggregate ``workload.*`` counters (integer-valued, for the
-        :class:`~repro.routers.base.RouterStats` extra convention)."""
+        :class:`~repro.routers.base.RouterStats` extra convention).
+
+        One pass over the nodes collects the message latencies, the
+        makespan, each flow's first-send to last-delivery span, each
+        phase's span and its completion skew (the spread of the
+        per-destination-rank final deliveries).  A flow or phase with
+        an undelivered node is left out, and a phase's first send
+        ignores unsent nodes.
+        """
+        unsent = 2 ** 62
+        latencies: List[int] = []
+        makespan = 0
+        flows: Dict[str, List[int]] = {}  # flow -> [first send, last delivery]
+        open_flows = set()
+        # phase -> [first send, last delivery, {dest rank: last delivery}]
+        phases: Dict[str, list] = {}
+        open_phases = set()
+        for n in self._nodes:
+            done = n.delivered_at
+            if done >= 0:
+                latencies.append(done - n.sent_at)
+                if done > makespan:
+                    makespan = done
+            flow = n.flow
+            if flow:
+                if done < 0:
+                    open_flows.add(flow)
+                else:
+                    span = flows.get(flow)
+                    if span is None:
+                        flows[flow] = [n.sent_at, done]
+                    else:
+                        if n.sent_at < span[0]:
+                            span[0] = n.sent_at
+                        if done > span[1]:
+                            span[1] = done
+            phase = n.phase
+            if phase:
+                if done < 0:
+                    open_phases.add(phase)
+                else:
+                    entry = phases.get(phase)
+                    if entry is None:
+                        entry = phases[phase] = [unsent, -1, {}]
+                    if 0 <= n.sent_at < entry[0]:
+                        entry[0] = n.sent_at
+                    if done > entry[1]:
+                        entry[1] = done
+                    ranks = entry[2]
+                    if done > ranks.get(n.dest, -1):
+                        ranks[n.dest] = done
         out: Dict[str, int] = {
             "workload.messages": len(self._nodes),
             "workload.flits": self.flits_total,
             "workload.delivered": self._delivered,
-            "workload.makespan": self.makespan(),
+            "workload.makespan": makespan,
         }
-        latencies = sorted(self.message_latencies())
         if latencies:
+            latencies.sort()
             out["workload.msg_p50"] = _percentile(latencies, 50.0)
             out["workload.msg_p99"] = _percentile(latencies, 99.0)
             out["workload.msg_max"] = latencies[-1]
-        flows = sorted(self.flow_latencies().values())
-        if flows:
-            out["workload.flows"] = len(flows)
-            out["workload.flow_p50"] = _percentile(flows, 50.0)
-            out["workload.flow_p99"] = _percentile(flows, 99.0)
-        phases = self.phase_spans()
-        if phases:
-            steps = sorted(last - first for first, last in phases.values())
-            out["workload.phases"] = len(phases)
+        spans = sorted(
+            last - first for flow, (first, last) in flows.items()
+            if flow not in open_flows
+        )
+        if spans:
+            out["workload.flows"] = len(spans)
+            out["workload.flow_p50"] = _percentile(spans, 50.0)
+            out["workload.flow_p99"] = _percentile(spans, 99.0)
+        complete = [
+            entry for phase, entry in phases.items()
+            if phase not in open_phases
+        ]
+        steps = sorted(
+            last - first for first, last, _ in complete if first < unsent
+        )
+        if steps:
+            out["workload.phases"] = len(steps)
             out["workload.step_mean"] = round(sum(steps) / len(steps))
             out["workload.step_max"] = steps[-1]
-        skews = sorted(self.phase_skews().values())
+        skews = sorted(
+            max(ranks.values()) - min(ranks.values())
+            for _, _, ranks in complete
+        )
         if skews:
             out["workload.skew_mean"] = round(sum(skews) / len(skews))
             out["workload.skew_max"] = skews[-1]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.errors import InvariantViolation
 from repro.core.flit import make_packet
 from repro.network.netsim import NetworkConfig, NetworkSimulation
 from repro.network.router import (
@@ -191,6 +192,28 @@ class TestClosNetworkSimulation:
 
         with pytest.raises(ValueError, match="host 3 attaches to no switch"):
             NetworkSimulation(self.CFG, 0.3, topology=Detached(8, 2))
+
+    @pytest.mark.parametrize("sanitize", [False, True])
+    def test_wrong_host_ejection_is_a_routing_violation(self, sanitize):
+        """Regression: a flit ejected at the host beside its destination
+        was counted as delivered, sanitizer or not (a radix-8 Clos with
+        every last hop shifted by one ran to throughput 0.255)."""
+
+        class Misrouted(FoldedClos):
+            def route(self, src_host, dst_host, rng):
+                ports = super().route(src_host, dst_host, rng)
+                ports[-1] = (ports[-1] + 1) % self.m
+                return ports
+
+        sim = NetworkSimulation(self.CFG, 0.3, topology=Misrouted(8, 2),
+                                sanitize=sanitize)
+        with pytest.raises(InvariantViolation) as err:
+            sim.run(warmup=200, measure=300, drain=2000)
+        violation = err.value
+        assert violation.check == "routing"
+        dest, host = violation.context["dest"], violation.context["host"]
+        assert host == dest - dest % 4 + (dest + 1) % 4
+        assert f"for host {dest} ejected at host {host}" in str(violation)
 
     def test_multi_flit_packets(self):
         cfg = NetworkConfig(radix=8, levels=2, packet_size=4)

@@ -8,6 +8,38 @@ from hypothesis import given, settings, strategies as st
 from repro.network.topology import FoldedClos
 
 
+def walk_route(t, src_host, dst_host, rng):
+    """Route oracle: the switch-by-switch walk ``FoldedClos.route`` must
+    agree with, port for port and draw for draw.
+
+    Climbs from the source's leaf through a random up port per level
+    below the lowest common ancestor, then descends through the down
+    port toward ``dst_host`` at each level, reading every hop's switch
+    off ``up_neighbor``/``down_neighbor``.  Returns the ports and checks
+    that the walk ends at ``dst_host``.
+    """
+    m = t.m
+    lca = next(
+        level for level in range(t.levels)
+        if src_host // m ** (level + 1) == dst_host // m ** (level + 1)
+    )
+    switch = t.host_attachment(src_host).switch
+    ports = []
+    for _ in range(lca):
+        port = m + rng.randrange(m)
+        ports.append(port)
+        switch = t.up_neighbor(switch, port).switch
+        assert switch is not None
+    end = None
+    for level in range(lca, -1, -1):
+        port = (dst_host // m ** level) % m
+        ports.append(port)
+        end = t.down_neighbor(switch, port)
+        switch = end.switch
+    assert end.switch is None and end.host == dst_host
+    return ports
+
+
 class TestConstruction:
     def test_host_and_switch_counts(self):
         t = FoldedClos(radix=16, levels=2)
@@ -93,8 +125,50 @@ class TestWiring:
         with pytest.raises(ValueError):
             t.host_attachment(t.num_hosts)
 
+    @pytest.mark.parametrize("side", ["src_host", "dst_host"])
+    def test_routing_names_an_out_of_range_host(self, side):
+        t = FoldedClos(8, 2)
+        for bad in (-1, t.num_hosts):
+            hosts = (bad, 5) if side == "src_host" else (5, bad)
+            calls = (
+                lambda: t.lca_level(*hosts),
+                lambda: t.hop_count(*hosts),
+                lambda: t.route(*hosts, random.Random(0)),
+                lambda: t.route_avoiding(
+                    *hosts, random.Random(0), lambda sw, p: True),
+            )
+            for call in calls:
+                with pytest.raises(ValueError,
+                                   match=rf"^{side} {bad} out of range"):
+                    call()
+
 
 class TestRouting:
+    @staticmethod
+    def _assert_matches_walk(t, pairs, seed):
+        ours, oracle = random.Random(seed), random.Random(seed)
+        for s, d in pairs:
+            assert t.route(s, d, ours) == walk_route(t, s, d, oracle), (s, d)
+            # Same draws on the same stream: the two generators agree.
+            assert ours.getstate() == oracle.getstate(), (s, d)
+
+    @pytest.mark.parametrize("radix,levels", [(4, 2), (8, 2), (8, 3), (4, 4)])
+    def test_route_matches_walk_on_every_pair(self, radix, levels):
+        t = FoldedClos(radix, levels)
+        n = t.num_hosts
+        pairs = [(s, d) for s in range(n) for d in range(n)]
+        self._assert_matches_walk(t, pairs, seed=radix * levels)
+
+    @pytest.mark.parametrize("radix,levels", [(16, 2), (16, 3), (64, 2)])
+    def test_route_matches_walk_on_sampled_pairs(self, radix, levels):
+        t = FoldedClos(radix, levels)
+        pick = random.Random(radix + levels)
+        pairs = [
+            (pick.randrange(t.num_hosts), pick.randrange(t.num_hosts))
+            for _ in range(2000)
+        ]
+        self._assert_matches_walk(t, pairs, seed=radix * levels)
+
     @pytest.mark.parametrize("radix,levels", [(4, 2), (8, 2), (8, 3), (4, 4)])
     def test_routes_deliver(self, radix, levels):
         t = FoldedClos(radix, levels)

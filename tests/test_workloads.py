@@ -23,6 +23,7 @@ from repro.harness.experiment import SwitchSimulation
 from repro.network.netsim import NetworkConfig, NetworkSimulation
 from repro.network.topology import FoldedClos
 from repro.routers.baseline import BaselineRouter
+from repro.workloads.base import _percentile
 from repro.workloads import (
     WorkloadBuilder,
     all_reduce,
@@ -205,6 +206,156 @@ class TestDagSemantics:
         assert stats["workload.delivered"] == 3
         assert stats["workload.makespan"] == 20
         assert stats["workload.msg_max"] == 11
+
+
+def _flow_latencies(nodes) -> dict:
+    """Per-flow first-send to last-delivery span (completed flows)."""
+    first, last, complete = {}, {}, {}
+    for n in nodes:
+        if not n.flow:
+            continue
+        if n.delivered_at < 0:
+            complete[n.flow] = False
+            continue
+        complete.setdefault(n.flow, True)
+        prev = first.get(n.flow)
+        first[n.flow] = n.sent_at if prev is None else min(prev, n.sent_at)
+        last[n.flow] = max(last.get(n.flow, -1), n.delivered_at)
+    return {f: last[f] - first[f] for f in sorted(first) if complete.get(f)}
+
+
+def _phase_spans(nodes) -> dict:
+    """Per-phase (first send, last delivery), completed phases only."""
+    spans, complete = {}, {}
+    for n in nodes:
+        if not n.phase:
+            continue
+        entry = spans.setdefault(n.phase, [2 ** 62, -1])
+        if n.sent_at >= 0:
+            entry[0] = min(entry[0], n.sent_at)
+        entry[1] = max(entry[1], n.delivered_at)
+        if n.delivered_at < 0:
+            complete[n.phase] = False
+        else:
+            complete.setdefault(n.phase, True)
+    return {
+        phase: (first, last)
+        for phase, (first, last) in sorted(spans.items())
+        if complete.get(phase) and first < 2 ** 62
+    }
+
+
+def _phase_skews(nodes) -> dict:
+    """Per-phase spread of each destination rank's last delivery."""
+    last_by_rank, complete = {}, {}
+    for n in nodes:
+        if not n.phase:
+            continue
+        if n.delivered_at < 0:
+            complete[n.phase] = False
+            continue
+        complete.setdefault(n.phase, True)
+        ranks = last_by_rank.setdefault(n.phase, {})
+        ranks[n.dest] = max(ranks.get(n.dest, -1), n.delivered_at)
+    return {
+        phase: max(ranks.values()) - min(ranks.values())
+        for phase, ranks in sorted(last_by_rank.items())
+        if complete.get(phase) and ranks
+    }
+
+
+def stats_oracle(wl) -> dict:
+    """``Workload.stats`` as five separate walks of the nodes."""
+    nodes = wl._nodes
+    out = {
+        "workload.messages": len(nodes),
+        "workload.flits": wl.flits_total,
+        "workload.delivered": wl._delivered,
+        "workload.makespan": wl.makespan(),
+    }
+    latencies = sorted(wl.message_latencies())
+    if latencies:
+        out["workload.msg_p50"] = _percentile(latencies, 50.0)
+        out["workload.msg_p99"] = _percentile(latencies, 99.0)
+        out["workload.msg_max"] = latencies[-1]
+    flows = sorted(_flow_latencies(nodes).values())
+    if flows:
+        out["workload.flows"] = len(flows)
+        out["workload.flow_p50"] = _percentile(flows, 50.0)
+        out["workload.flow_p99"] = _percentile(flows, 99.0)
+    phases = _phase_spans(nodes)
+    if phases:
+        steps = sorted(last - first for first, last in phases.values())
+        out["workload.phases"] = len(phases)
+        out["workload.step_mean"] = round(sum(steps) / len(steps))
+        out["workload.step_max"] = steps[-1]
+    skews = sorted(_phase_skews(nodes).values())
+    if skews:
+        out["workload.skew_mean"] = round(sum(skews) / len(skews))
+        out["workload.skew_max"] = skews[-1]
+    return out
+
+
+class TestStatsOracle:
+    """The one-pass ``Workload.stats`` equals the five-walk oracle."""
+
+    FAMILIES = {
+        "decode": lambda: transformer_decode(
+            8, layers=2, steps=2, size=2, gap=4),
+        "alltoall": lambda: all_to_all(8, size=2),
+        "rd-allreduce": lambda: all_reduce(
+            8, size=2, algorithm="recursive-doubling"),
+        # Flow-labeled, phase-unlabeled.
+        "request-reply": lambda: request_reply(
+            8, requests=3, window=2, think=5, service=2),
+    }
+
+    @staticmethod
+    def _run(target: str, wl, max_cycles: int):
+        reset_packet_ids()
+        if target == "switch":
+            sim = SwitchSimulation(BaselineRouter(_config()), workload=wl)
+        else:
+            cfg = NetworkConfig(radix=8, levels=2, num_vcs=2, packet_size=2,
+                                seed=7)
+            sim = NetworkSimulation(cfg, workload=wl)
+        sim.run_workload(max_cycles=max_cycles)
+        return wl
+
+    @pytest.mark.parametrize("target", ["switch", "network"])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_complete_and_cut_short_runs(self, family, target):
+        factory = self.FAMILIES[family]
+        full = self._run(target, factory(), 100_000)
+        assert full.done()
+        assert full.stats() == stats_oracle(full)
+        cut = self._run(target, factory(), max(1, full.makespan() // 2))
+        assert not cut.done()
+        assert cut.stats() == stats_oracle(cut)
+
+    def test_phase_with_an_unsent_node(self):
+        b = WorkloadBuilder(4)
+        a = b.add(src=0, dest=1, size=2, flow="f", phase="p")
+        b.add(src=1, dest=2, deps=(a,), flow="f", phase="p")  # never sent
+        c = b.add(src=2, dest=3, flow="g", phase="q")
+        d = b.add(src=3, dest=0, flow="g", phase="q")
+        e = b.add(src=1, dest=3, phase="q")
+        b.add(src=0, dest=2, at=5, phase="r")  # sent, never delivered
+        wl = b.build()
+        for node, rank, sent, delivered in (
+            (a, 0, 0, 6), (c, 2, 1, 4), (d, 3, 2, 9), (e, 1, 3, 5),
+            (5, 0, 5, None),
+        ):
+            assert wl.next_message(rank, sent).node == node
+            wl.sent(node, node + 100, sent)
+            if delivered is not None:
+                wl.deliver(node + 100, delivered)
+        stats = wl.stats()
+        assert stats == stats_oracle(wl)
+        assert stats["workload.phases"] == 1  # only "q" completed
+        assert stats["workload.step_max"] == 9 - 1
+        assert stats["workload.skew_max"] == 9 - 5  # rank 0 vs rank 3
+        assert stats["workload.flows"] == 1  # only "g" completed
 
 
 class TestRequestReply:
