@@ -19,7 +19,6 @@ Run:
 import sys
 
 from repro import FoldedClos, NetworkConfig, NetworkSimulation
-from repro.core.flit import reset_packet_ids
 from repro.harness.experiment import SweepResult
 from repro.harness.persistence import load_sweeps, save_sweeps
 from repro.harness.report import format_table
@@ -43,7 +42,6 @@ def main() -> None:
 
     sweep = SweepResult(label=f"decode-clos{RADIX}x{LEVELS}")
     for size in SIZES:
-        reset_packet_ids()
         cfg = NetworkConfig(radix=RADIX, levels=LEVELS, num_vcs=2, seed=7)
         sim = NetworkSimulation(
             cfg,

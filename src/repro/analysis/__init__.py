@@ -15,8 +15,7 @@ This package supplies one tool per family:
 
 * :mod:`repro.analysis.lint` — an AST lint pass with simulator-specific
   rules that neither the interpreter, ruff nor the test oracles check
-  (R001, R002, R009, R010, R012), run as ``python -m repro.cli lint
-  src``;
+  (R001, R002, R012), run as ``python -m repro.cli lint src``;
 * :mod:`repro.analysis.sanitizer` — :class:`SimSanitizer`, a
   per-cycle runtime checker observing any router (``--sanitize`` on the
   CLI) that runs the router's own ``audit`` of its storage, plus
@@ -24,7 +23,7 @@ This package supplies one tool per family:
 
 Simulations only ever need the sanitizers, so those are what this
 package re-exports; the lint pass (:mod:`.lint`, :mod:`.rules`,
-:mod:`.flow`) is imported by ``repro.cli lint`` or by naming its
+:mod:`.output`) is imported by ``repro.cli lint`` or by naming its
 modules, never by ``import repro``.
 
 See ``docs/static_analysis.md`` for the rule catalogue and invariants.

@@ -1,22 +1,13 @@
 """AST lint framework for simulator-specific rules.
 
-Two kinds of rule share one catalogue, and every rule has exactly one
-form:
-
-* **File rules** (R001, R002, :class:`LintRule`) implement
-  ``check(tree, ctx)`` — a generator over one parsed module.
-* **Project rules** (R009, R010, R012, :class:`ProjectRule`) implement
-  ``check_project(index)`` against the whole-program
-  :class:`~repro.analysis.flow.index.ProjectIndex` — cross-module class
-  hierarchies, global RNG-stream uniqueness, snapshot completeness.
-
-:func:`lint_file` is :func:`lint_paths` over a one-file index: a
-project rule sees whatever the indexed files show it, so the
-single-module view needs no second implementation.
+Every rule (:class:`LintRule`) implements ``check(tree, ctx)``, a
+generator over one parsed module; no rule needs more than the file it
+is handed.  The rules run on a file in code order, so the stale-pragma
+rule (R012), the last code, sees what the others fired there.
 
 Findings are reported as ``path:line: code message`` — one per line,
 sorted by ``(path, line, code)`` — or as deterministic JSON / SARIF
-2.1.0 via ``--format`` (see :mod:`repro.analysis.flow.output`).
+2.1.0 via ``--format`` (see :mod:`repro.analysis.output`).
 
 Pragmas::
 
@@ -40,18 +31,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
     Dict,
+    FrozenSet,
     Iterable,
     Iterator,
     List,
     Optional,
     Sequence,
     Set,
-    TYPE_CHECKING,
     Tuple,
 )
-
-if TYPE_CHECKING:
-    from .flow.index import ProjectIndex
 
 #: Directories never linted when *recursed into* (build products,
 #: caches, intentionally-broken fixture corpora).  The exclusion is
@@ -79,13 +67,18 @@ class Finding:
 
 @dataclass
 class FileContext:
-    """Per-file information shared by the file rules."""
+    """Per-file information shared by the rules."""
 
     path: Path
     display_path: str
     source: str
     #: Line number -> set of disabled codes ("*" disables everything).
     pragmas: Dict[int, Set[str]] = field(default_factory=dict)
+    #: Every (line, code) a rule fired on this file so far, before
+    #: suppression; the stale-pragma rule reads it.
+    fired: Set[Tuple[int, str]] = field(default_factory=set)
+    #: Catalogue codes filtered out of this run.
+    unrun_codes: FrozenSet[str] = frozenset()
 
     @property
     def is_rng_module(self) -> bool:
@@ -101,17 +94,17 @@ class FileContext:
 
 
 class LintRule:
-    """Base class for lint rules, and the file-rule form.
+    """Base class for lint rules.
 
-    Subclasses set ``code`` (``"R00x"``), ``name``, and ``description``.
-    A file rule implements :meth:`check` over one parsed module; a rule
-    that needs the whole-program index subclasses :class:`ProjectRule`
-    and implements ``check_project(index)`` instead.
+    Subclasses set ``code`` (``"R00x"``), ``name``, and ``description``,
+    and implement :meth:`check` over one parsed module.
     """
 
     code: str = "R000"
     name: str = "abstract-rule"
     description: str = ""
+    #: Whether a ``lint: disable`` pragma hides this rule's findings.
+    suppressible: bool = True
 
     def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Finding]:
         raise NotImplementedError
@@ -123,22 +116,6 @@ class LintRule:
             code=self.code,
             message=message,
         )
-
-
-class ProjectRule(LintRule):
-    """A rule over the whole-program index (R009, R010, R012); it is never
-    handed a single module, so it does not implement ``check``."""
-
-    #: Final-phase rules (R012) run after every other rule and see the
-    #: accumulated rule-hit map; their findings bypass pragma
-    #: suppression (they reason about the pragmas themselves).
-    runs_last: bool = False
-
-    def check_project(self, index: "ProjectIndex") -> Iterator[Finding]:
-        raise NotImplementedError
-
-    def project_finding(self, path: str, line: int, message: str) -> Finding:
-        return Finding(path=path, line=line, code=self.code, message=message)
 
 
 def _parse_pragmas(source: str) -> Dict[int, Set[str]]:
@@ -172,13 +149,14 @@ def _parse_pragmas(source: str) -> Dict[int, Set[str]]:
     return pragmas
 
 
-def _iter_with_roots(paths: Sequence[str]) -> Iterator[Tuple[Path, Path]]:
-    """``(lint_root, file)`` pairs; exclusions apply below the root."""
+def _iter_files(paths: Sequence[str]) -> Iterator[Path]:
+    """The Python files under ``paths``; exclusions apply below each
+    named root."""
     for raw in paths:
         root = Path(raw)
         if root.is_file():
             if root.suffix == ".py":
-                yield root.parent, root
+                yield root
             continue
         if not root.exists():
             raise FileNotFoundError(f"lint path does not exist: {raw}")
@@ -188,18 +166,13 @@ def _iter_with_roots(paths: Sequence[str]) -> Iterator[Tuple[Path, Path]]:
                 continue
             if any(part.endswith(EXCLUDED_SUFFIXES) for part in rel_parts):
                 continue
-            yield root, candidate
+            yield candidate
 
 
 def lint_file(
     path: Path, rules: Optional[Sequence[LintRule]] = None
 ) -> List[Finding]:
-    """Lint one file alone: :func:`lint_paths` over a one-file index.
-
-    Project rules see only this module, so a contract whose other half
-    lives elsewhere (a base class, an inherited ``commit``) is out of
-    view — that is a property of the index, not a second rule form.
-    """
+    """Lint one file: :func:`lint_paths` over that file alone."""
     return lint_paths([str(path)], rules)
 
 
@@ -221,75 +194,38 @@ def lint_paths(
     paths: Sequence[str],
     rules: Optional[Sequence[LintRule]] = None,
 ) -> List[Finding]:
-    """Whole-program lint of every Python file under ``paths``.
+    """Lint every Python file under ``paths`` with ``rules`` (default:
+    the whole catalogue), run on each file in code order.
 
-    Per-file rules run on each module; project rules run once against
-    the :class:`~repro.analysis.flow.index.ProjectIndex` built from the
-    per-file summaries.  Returns findings sorted by (path, line, code).
+    Returns findings sorted by (path, line, code).
     """
-    from .flow.index import ProjectIndex
-    from .flow.summary import FileSummary, summarize_module
     from .rules import all_rules
 
     catalogue = all_rules()
     if rules is None:
         rules = catalogue
-    file_rules = [r for r in rules if not isinstance(r, ProjectRule)]
-    project_rules = [
-        r for r in rules if isinstance(r, ProjectRule) and not r.runs_last
-    ]
-    final_rules = [
-        r for r in rules if isinstance(r, ProjectRule) and r.runs_last
-    ]
+    rules = sorted(rules, key=lambda r: r.code)
+    unrun = frozenset(r.code for r in catalogue) - {r.code for r in rules}
 
     findings: List[Finding] = []
-    summaries: List[FileSummary] = []
-    #: display path -> every (line, code) any rule fired pre-suppression;
-    #: the stale-pragma rule consumes this.
-    rule_hits: Dict[str, Set[Tuple[int, str]]] = {}
-    contexts: Dict[str, FileContext] = {}
-
-    for root, path in _iter_with_roots(paths):
+    for path in _iter_files(paths):
         display = str(path)
         source = path.read_bytes().decode("utf-8")
-        hits: Set[Tuple[int, str]] = set()
-        rule_hits[display] = hits
         try:
             tree = ast.parse(source, filename=display)
         except SyntaxError as exc:
             findings.append(_syntax_finding(display, exc))
             continue
-        pragmas = _parse_pragmas(source)
-        ctx = contexts[display] = FileContext(
-            path=path, display_path=display, source=source, pragmas=pragmas
+        ctx = FileContext(
+            path=path, display_path=display, source=source,
+            pragmas=_parse_pragmas(source), unrun_codes=unrun,
         )
-        for rule in file_rules:
+        for rule in rules:
             for finding in rule.check(tree, ctx):
-                hits.add((finding.line, finding.code))
-                if not ctx.suppressed(finding.line, finding.code):
+                ctx.fired.add((finding.line, finding.code))
+                if not (rule.suppressible
+                        and ctx.suppressed(finding.line, finding.code)):
                     findings.append(finding)
-        summaries.append(summarize_module(
-            tree,
-            display,
-            pragmas={ln: sorted(codes) for ln, codes in pragmas.items()},
-            root=str(root),
-        ))
-
-    index = ProjectIndex(summaries)
-    index.rule_hits = rule_hits
-    index.unrun_codes = {r.code for r in catalogue} - {r.code for r in rules}
-
-    for rule in project_rules:
-        for finding in rule.check_project(index):
-            rule_hits.setdefault(finding.path, set()).add(
-                (finding.line, finding.code)
-            )
-            owner = contexts.get(finding.path)
-            if owner and owner.suppressed(finding.line, finding.code):
-                continue
-            findings.append(finding)
-    for rule in final_rules:
-        findings.extend(rule.check_project(index))
 
     findings.sort(key=_sort_key)
     return findings
@@ -335,7 +271,7 @@ def run_lint(
     document to ``output_path`` (stdout when unset); the exit code
     still reflects the findings so CI fails on regressions.
     """
-    from .flow import output as out_mod
+    from . import output as out_mod
     from .rules import all_rules
 
     try:

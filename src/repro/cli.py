@@ -22,9 +22,8 @@ Gives the library's main experiments a shell entry point:
   (ring / recursive-doubling all-reduce, all-to-all, broadcast,
   transformer-decode sequences), and trace replay, swept over message
   size / window / layer count on a switch or a Clos network;
-* ``lint`` — the repository's whole-program AST lint pass (R001, R002,
-  R009, R010, R012, with ``--select``/``--ignore`` filters and
-  ``--format {text,json,sarif}``).
+* ``lint`` — the repository's AST lint pass (R001, R002, R012, with
+  ``--select``/``--ignore`` filters and ``--format {text,json,sarif}``).
 
 Examples::
 
@@ -453,7 +452,6 @@ def cmd_workload(args: argparse.Namespace) -> int:
     ``--kill-links`` schedules dead-link faults (network target) to
     measure degraded collective completion.
     """
-    from .core.flit import reset_packet_ids
     from .faults import FaultPlan, sample_link_faults
 
     sizes = [int(x) for x in args.sizes.split(",")]
@@ -489,7 +487,6 @@ def cmd_workload(args: argparse.Namespace) -> int:
                 workload = _build_workload(
                     args, ranks, size, window, layers
                 )
-                reset_packet_ids()
                 if args.target == "network":
                     cfg = NetworkConfig(
                         radix=args.radix, levels=args.levels,
@@ -783,14 +780,14 @@ def build_parser() -> argparse.ArgumentParser:
     wl.set_defaults(func=cmd_workload)
 
     lint = subs.add_parser(
-        "lint", help="whole-program AST lint pass (R001, R002, R009, R010, R012)"
+        "lint", help="AST lint pass (R001, R002, R012)"
     )
     lint.add_argument("paths", nargs="*", default=["src"],
                       help="files or directories to lint (default: src)")
     lint.add_argument("--select", type=_codes_arg, default=None,
                       metavar="CODES",
                       help="comma-separated rule codes to run exclusively "
-                           "(e.g. R009,R010)")
+                           "(e.g. R001,R002)")
     lint.add_argument("--ignore", type=_codes_arg, default=None,
                       metavar="CODES",
                       help="comma-separated rule codes to skip")

@@ -14,34 +14,21 @@ timestamps) rather than re-wrapping it at each stage.
 
 from __future__ import annotations
 
-import copy
 import itertools
 from dataclasses import dataclass
 from typing import List, Optional
 
+#: Ids for packets made without an explicit ``packet_id`` (tests and
+#: standalone use).  Simulations number their own packets.
 _packet_ids = itertools.count()
 
 
 def reset_packet_ids() -> None:
-    """Reset the global packet-id counter (useful for reproducible tests)."""
+    """Restart the ids :func:`make_packet` hands out when called
+    without ``packet_id``.  A simulation's packets are numbered from 0
+    by the simulation itself, whatever ran before it."""
     global _packet_ids
     _packet_ids = itertools.count()
-
-
-def packet_id_state() -> int:
-    """The next packet id the global counter will hand out.
-
-    Peeked via a copy so the counter itself never advances; paired
-    with :func:`set_packet_id_state` to checkpoint/restore the global
-    allocation stream.
-    """
-    return next(copy.copy(_packet_ids))
-
-
-def set_packet_id_state(next_id: int) -> None:
-    """Restart the global packet-id counter at ``next_id``."""
-    global _packet_ids
-    _packet_ids = itertools.count(next_id)
 
 
 @dataclass(init=False)
@@ -190,8 +177,8 @@ def make_packet(
         src: Source input port (or node).
         created_at: Generation timestamp recorded on every flit.
         measured: Whether the packet is part of the measurement sample.
-        packet_id: Explicit packet id; allocated from a global counter
-            when omitted.
+        packet_id: Explicit packet id; drawn from a module-level
+            counter when omitted.
         route: Optional source route (list of output ports), copied onto
             every flit.
 

@@ -47,9 +47,9 @@ class Component:
     identity in schedulers and sinks.  The default implementation
     copies ``self.__dict__`` wholesale; components holding references
     to objects outside themselves (shared sinks, simulations) override
-    ``_snapshot_state``/``_restore_state`` with an explicit encoding —
-    lint rule R010 checks such explicit snapshots for completeness
-    against what ``__init__`` assigns.
+    ``_snapshot_state``/``_restore_state`` with an explicit encoding.
+    ``tests/test_state_contracts.py`` checks that a resumed twin
+    carries everything but the wiring.
     """
 
     #: Attribute names excluded from :meth:`snapshot` because they are

@@ -258,7 +258,8 @@ class SwitchFaultInjector(_FaultInjector):
     """
 
     #: Wiring and derived indexes rebuilt by :meth:`restore` rather than
-    #: captured in :meth:`snapshot` (see lint rule R010).
+    #: captured in :meth:`snapshot` (``tests/test_state_contracts.py``
+    #: checks that a restore leaves nothing else behind).
     SNAPSHOT_WIRING = ("plan", "router", "hooks", "credit_capable",
                        "_counter_where", "_schedule")
 

@@ -57,7 +57,8 @@ class SweepSettings:
 class SwitchSimulation(StagedRun):
     """Drives one router instance with per-input traffic sources."""
 
-    #: Attributes :meth:`snapshot` deliberately omits (lint rule R010):
+    #: Attributes :meth:`snapshot` deliberately omits (the restore
+    #: check in ``tests/test_state_contracts.py`` skips them):
     #: construction parameters (``config``/``load``/``packet_size`` and
     #: the build spec, which the checkpoint file header carries
     #: instead) and live wiring (``hooks``, the router's injector
@@ -185,6 +186,7 @@ class SwitchSimulation(StagedRun):
         self._next_inject = [0] * k
         self._packet_vc: List[Optional[int]] = [None] * k
         self._vc_rr = [0] * k
+        self._next_packet_id = 0
         self._measuring = False
         self._generating = True
         self._outstanding = 0
@@ -207,6 +209,7 @@ class SwitchSimulation(StagedRun):
             self._faults.advance(now)
         if self._generating:
             measuring = self._measuring
+            new_id = self._new_packet_id
             if self._workload is None:
                 for src in self.sources:
                     # Pre-drawn arrival still ahead: generate() would be
@@ -215,12 +218,14 @@ class SwitchSimulation(StagedRun):
                     nxt = src._next_arrival
                     if nxt is not None and nxt > now:
                         continue
-                    if src.generate(now, measuring) is not None and measuring:
+                    if (src.generate(now, measuring, new_id) is not None
+                            and measuring):
                         self._outstanding += 1
                         self._labeled_total += 1
             else:
                 for src in self.sources:
-                    if src.generate(now, measuring) is not None and measuring:
+                    if (src.generate(now, measuring, new_id) is not None
+                            and measuring):
                         self._outstanding += 1
                         self._labeled_total += 1
         self._inject(now)
@@ -373,8 +378,8 @@ class SwitchSimulation(StagedRun):
         """Picklable capture of the whole simulation at a cycle boundary.
 
         Every coupled piece — router, scheduler, sources, sample,
-        injector, tracer, the staged-run program, and the global
-        packet-id stream — is collected as live references and
+        injector, tracer, the staged-run program, and the packet-id
+        counter — is collected as live references and
         deep-copied in one pass, so aliasing (e.g. the workload shared
         by every source) survives into the capture.  Restore onto a
         simulation constructed with identical parameters.

@@ -40,7 +40,7 @@ from __future__ import annotations
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..core.errors import InvariantViolation
-from ..core.flit import Flit, packet_id_state, set_packet_id_state
+from ..core.flit import Flit
 from ..engine import Scheduler
 from ..workloads.base import Workload
 from . import checkpoint
@@ -92,6 +92,10 @@ class StagedRun:
     _next_inject: List[int]
     _packet_vc: List[Optional[int]]
     _vc_rr: List[int]
+    #: The id the next generated packet gets: each simulation numbers
+    #: its own packets from 0, so what samples ids (a tracer's
+    #: ``every_nth``) does not depend on what ran before it.
+    _next_packet_id: int
 
     @property
     def cycle(self) -> int:
@@ -109,6 +113,12 @@ class StagedRun:
 
     def _extend_draws(self, end: int) -> None:
         """Before-stage step: make pre-drawn traffic cover ``[0, end)``."""
+
+    def _new_packet_id(self) -> int:
+        """Hand out the next packet id."""
+        pid = self._next_packet_id
+        self._next_packet_id = pid + 1
+        return pid
 
     # ------------------------------------------------------------------
     # Host channels
@@ -365,7 +375,7 @@ class StagedRun:
             )
         return {
             "sched": self._sched.snapshot(),
-            "packet_ids": packet_id_state(),
+            "packet_ids": self._next_packet_id,
             "program": self._program,
             "workload": self._workload,
             "measuring": self._measuring,
@@ -410,7 +420,7 @@ class StagedRun:
         resolves its lost-credit sinks against the live counters.
         """
         self._sched.restore(state["sched"])
-        set_packet_id_state(state["packet_ids"])
+        self._next_packet_id = state["packet_ids"]
         self._program = state["program"]
         self._workload = state["workload"]
         self._measuring = state["measuring"]

@@ -59,7 +59,8 @@ class HostArrivals:
     right after the poll that hit.
     """
 
-    #: Attributes :meth:`snapshot` deliberately omits (lint rule R010):
+    #: Attributes :meth:`snapshot` deliberately omits (the restore
+    #: check in ``tests/test_state_contracts.py`` skips them):
     #: both are construction parameters.
     SNAPSHOT_WIRING = ("rate", "predraw")
 

@@ -145,7 +145,8 @@ class NetworkSimulation(StagedRun):
     to stepping every router, which ``tests/exhaustive.py`` checks.
     """
 
-    #: Attributes :meth:`snapshot` deliberately omits (lint rule R010):
+    #: Attributes :meth:`snapshot` deliberately omits (the restore
+    #: check in ``tests/test_state_contracts.py`` skips them):
     #: construction parameters (``config``/``load``/``topology``/
     #: ``_host_pattern``/``_trace_switch``), the hook bus, and
     #: ``_host_port`` (a pure function of the topology).
@@ -282,6 +283,7 @@ class NetworkSimulation(StagedRun):
         self._next_inject = [0] * n
         self._packet_vc: List[Optional[int]] = [None] * n
         self._vc_rr = [0] * n
+        self._next_packet_id = 0
         self._measuring = False
         self._count_flits = False
         self._outstanding = 0
@@ -486,6 +488,7 @@ class NetworkSimulation(StagedRun):
             src=host,
             created_at=now,
             measured=self._measuring if message is None else False,
+            packet_id=self._new_packet_id(),
             route=route,
         )
         if message is not None:

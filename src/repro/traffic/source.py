@@ -14,7 +14,7 @@ tail-flit ejection, so source queueing counts).
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional
+from typing import Callable, Deque, Optional
 
 from ..core.flit import Flit, make_packet
 from ..core.rng import derive_rng
@@ -86,10 +86,13 @@ class TrafficSource:
             self._next_arrival = self._draw_next(now)
         return self._next_arrival
 
-    def generate(self, now: int, measured: bool) -> Optional[int]:
+    def generate(
+        self, now: int, measured: bool, new_id: Callable[[], int]
+    ) -> Optional[int]:
         """Generate one packet at cycle ``now`` if the process fires.
 
-        Returns the packet id if a packet was generated, else None.
+        Returns the packet id (taken from ``new_id``) if a packet was
+        generated, else None.
         ``measured`` marks the packet as part of the measurement sample.
         Driven either every cycle (cycle stepper) or only on executed
         cycles (event mode) — skipping cycles before the pre-drawn
@@ -109,6 +112,7 @@ class TrafficSource:
             src=self.input_id,
             created_at=now,
             measured=measured,
+            packet_id=new_id(),
         )
         self.queue.extend(flits)
         self.packets_generated += 1

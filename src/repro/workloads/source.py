@@ -13,7 +13,7 @@ as the fast-forward wake horizon.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional
+from typing import Callable, Deque, Optional
 
 from ..core.flit import Flit, make_packet
 from .base import Workload
@@ -50,8 +50,11 @@ class WorkloadSource:
             return None
         return self.workload.eligible(self.input_id, now)
 
-    def generate(self, now: int, measured: bool) -> Optional[int]:
-        """Queue every message that became eligible by ``now``.
+    def generate(
+        self, now: int, measured: bool, new_id: Callable[[], int]
+    ) -> Optional[int]:
+        """Queue every message that became eligible by ``now``, each
+        packet numbered by ``new_id``.
 
         Returns the first packet id generated this cycle (or None),
         mirroring the TrafficSource signature.  Workload packets are
@@ -72,6 +75,7 @@ class WorkloadSource:
                 src=self.input_id,
                 created_at=now,
                 measured=False,
+                packet_id=new_id(),
             )
             self.workload.sent(message.node, flits[0].packet_id, now)
             self.queue.extend(flits)

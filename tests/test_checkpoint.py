@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.config import RouterConfig
 from repro.core.flit import reset_packet_ids
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, StuckFault, sample_link_faults
 from repro.harness import (
     CHECKPOINT_FORMAT,
     SwitchSimulation,
@@ -28,6 +28,7 @@ from repro.harness import (
     load_checkpoint,
 )
 from repro.network.netsim import NetworkConfig, NetworkSimulation
+from repro.network.topology import FoldedClos
 from repro.routers import (
     BaselineRouter,
     BufferedCrossbarRouter,
@@ -36,6 +37,7 @@ from repro.routers import (
     SharedBufferCrossbarRouter,
     VoqRouter,
 )
+from repro.trace import TraceCollector, chrome_trace_json
 from repro.workloads import all_reduce
 
 ALL_ROUTERS = [
@@ -53,6 +55,28 @@ FAST = SweepSettings(warmup=60, measure=120, drain=800)
 
 FAULTS = FaultPlan(corrupt_rate=0.02, credit_loss_rate=0.01)
 
+#: A crosspoint stuck through the measurement window, and an input read
+#: port wedged inside it.
+STUCK = FaultPlan(
+    corrupt_rate=0.02,
+    stuck=(
+        StuckFault(cycle=50, where=(1, 0), kind="crosspoint", until=200),
+        StuckFault(cycle=80, where=(2,), kind="input", until=150),
+    ),
+)
+
+#: Switch round trips beyond the six plain organizations: a traced run
+#: and a stuck-fault run.  The plain cases keep the organization's name
+#: as their id.
+SWITCH_CASES = [
+    pytest.param(cls, FAULTS, False, id=cls.__name__) for cls in ALL_ROUTERS
+] + [
+    pytest.param(HierarchicalCrossbarRouter, FAULTS, True,
+                 id="HierarchicalCrossbarRouter-traced"),
+    pytest.param(BufferedCrossbarRouter, STUCK, True,
+                 id="BufferedCrossbarRouter-stuck-traced"),
+]
+
 relaxed = settings(
     max_examples=12,
     deadline=None,
@@ -60,22 +84,32 @@ relaxed = settings(
 )
 
 
-def _switch_sim(router_cls, seed, load, scheduler, faults, workload=None):
+def _switch_sim(router_cls, seed, load, scheduler, plan, workload=None,
+                traced=False):
     cfg = RouterConfig(radix=8, num_vcs=2, subswitch_size=4,
                        local_group_size=4, seed=seed)
     return SwitchSimulation(
         router_cls(cfg), load=load, seed=seed, scheduler=scheduler,
-        faults=FAULTS if faults else None, workload=workload,
+        faults=plan, workload=workload,
+        tracer=TraceCollector() if traced else None,
     )
 
 
+def _outcome(sim, result):
+    """What a finished run produced: the row, its extras and, when
+    traced, the Chrome-trace bytes."""
+    tracer = sim._tracer
+    chrome = None if tracer is None else chrome_trace_json(tracer)
+    return result, result.extra, chrome
+
+
 def _roundtrip(build, start, k, path):
-    """Reference result vs. save-at-``K``-reload-finish result."""
+    """Reference outcome vs. save-at-``K``-reload-finish outcome."""
     reset_packet_ids()
     ref = build()
     start(ref)
     assert ref.advance_run()
-    expect = ref.finish_run()
+    expect = _outcome(ref, ref.finish_run())
 
     reset_packet_ids()
     twin = build()
@@ -85,7 +119,7 @@ def _roundtrip(build, start, k, path):
     resumed = load_checkpoint(path)
     if not done:
         assert resumed.advance_run()
-    return expect, resumed.finish_run()
+    return expect, _outcome(resumed, resumed.finish_run())
 
 
 class TestSwitchRoundTrip:
@@ -103,38 +137,38 @@ class TestSwitchRoundTrip:
     ):
         path = tmp_path / "switch.ckpt"
         expect, got = _roundtrip(
-            lambda: _switch_sim(router_cls, seed, load, scheduler, faults),
+            lambda: _switch_sim(router_cls, seed, load, scheduler,
+                                FAULTS if faults else None),
             lambda sim: sim.start_run(FAST),
             k, path,
         )
         assert got == expect
-        assert got.extra == expect.extra
 
-    @pytest.mark.parametrize("router_cls", ALL_ROUTERS)
+    @pytest.mark.parametrize("router_cls, plan, traced", SWITCH_CASES)
     @pytest.mark.parametrize("scheduler", ["cycle", "event"])
-    def test_every_organization(self, tmp_path, router_cls, scheduler):
+    def test_every_organization(self, tmp_path, router_cls, plan, traced,
+                                scheduler):
         path = tmp_path / "switch.ckpt"
         expect, got = _roundtrip(
-            lambda: _switch_sim(router_cls, 7, 0.4, scheduler, True),
+            lambda: _switch_sim(router_cls, 7, 0.4, scheduler, plan,
+                                traced=traced),
             lambda sim: sim.start_run(FAST),
             111, path,
         )
         assert got == expect
-        assert got.extra == expect.extra
 
     @pytest.mark.parametrize("scheduler", ["cycle", "event"])
     def test_workload_run(self, tmp_path, scheduler):
         path = tmp_path / "switch.ckpt"
         expect, got = _roundtrip(
             lambda: _switch_sim(
-                BaselineRouter, 3, 0.0, scheduler, False,
+                BaselineRouter, 3, 0.0, scheduler, None,
                 workload=all_reduce(8, size=2),
             ),
             lambda sim: sim.start_workload_run(max_cycles=20000),
             60, path,
         )
         assert got == expect
-        assert got.extra == expect.extra
 
 
 class _GoneSlot:
@@ -157,7 +191,7 @@ class TestFormatVersion:
         import pickle
 
         reset_packet_ids()
-        sim = _switch_sim(HierarchicalCrossbarRouter, 7, 0.4, "cycle", False)
+        sim = _switch_sim(HierarchicalCrossbarRouter, 7, 0.4, "cycle", None)
         sim.start_run(FAST)
         assert not sim.advance_run(stop_at=100)
         path = tmp_path / "switch.ckpt"
@@ -187,7 +221,7 @@ class TestFileSafety:
     @staticmethod
     def _paused(path):
         reset_packet_ids()
-        sim = _switch_sim(BaselineRouter, 7, 0.4, "cycle", False)
+        sim = _switch_sim(BaselineRouter, 7, 0.4, "cycle", None)
         sim.start_run(FAST)
         assert not sim.advance_run(stop_at=100)
         sim.save_checkpoint(path)
@@ -303,21 +337,41 @@ class TestNetworkRoundTrip:
             k, path,
         )
         assert got == expect
-        assert got.extra == expect.extra
 
+    @pytest.mark.parametrize("case", ["workload", "traced-dead-links"])
     @pytest.mark.parametrize("scheduler", ["cycle", "event"])
-    def test_workload_run(self, tmp_path, scheduler):
+    def test_fixed_split(self, tmp_path, case, scheduler):
+        """A workload run, and a traced run across two dead links (one
+        dies before the cut and heals after it) with corruption and
+        credit loss."""
         cfg = NetworkConfig(radix=8, levels=2, seed=5)
         path = tmp_path / "net.ckpt"
-        expect, got = _roundtrip(
-            lambda: NetworkSimulation(
-                cfg, workload=all_reduce(16, size=2), scheduler=scheduler,
-            ),
-            lambda sim: sim.start_workload_run(max_cycles=20000),
-            90, path,
-        )
+        if case == "workload":
+            def build():
+                return NetworkSimulation(
+                    cfg, workload=all_reduce(16, size=2),
+                    scheduler=scheduler,
+                )
+
+            def start(sim):
+                sim.start_workload_run(max_cycles=20000)
+        else:
+            plan = FaultPlan(
+                corrupt_rate=0.02, credit_loss_rate=0.01,
+                links=sample_link_faults(FoldedClos(8, 2), seed=5, count=2,
+                                         cycle=40, until=160),
+            )
+
+            def build():
+                return NetworkSimulation(
+                    cfg, load=0.3, faults=plan, scheduler=scheduler,
+                    tracer=TraceCollector(), trace_switch=(0, 0, 0),
+                )
+
+            def start(sim):
+                sim.start_run(warmup=60, measure=120, drain=500)
+        expect, got = _roundtrip(build, start, 90, path)
         assert got == expect
-        assert got.extra == expect.extra
 
     @pytest.mark.parametrize("written_with, restored_with", [
         (True, True), (False, False), (True, False), (False, True),

@@ -178,7 +178,7 @@ class TestDropHook:
         hits = []
         claimed = []
         # Test-only tap; real injectors install a picklable _DropHook.
-        pipe.drop_hook = lambda sink: claimed.append(sink) or True  # lint: disable=R010
+        pipe.drop_hook = lambda sink: claimed.append(sink) or True
         pipe.send(0, lambda: hits.append(1))
         assert pipe.step(1) == 0
         assert hits == []
@@ -189,7 +189,7 @@ class TestDropHook:
     def test_drop_hook_pass_through(self):
         pipe = DelayedCreditPipe(1)
         hits = []
-        pipe.drop_hook = lambda sink: False  # lint: disable=R010
+        pipe.drop_hook = lambda sink: False
         pipe.send(0, lambda: hits.append(1))
         assert pipe.step(1) == 1
         assert hits == [1]

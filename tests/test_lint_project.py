@@ -1,4 +1,4 @@
-"""Integration tests for the whole-program lint driver.
+"""Integration tests for the lint driver.
 
 Covers the fixture corpus (golden findings), the JSON/SARIF renderers,
 the CLI flags, and the self-check that the simulator tree lints clean
@@ -13,17 +13,16 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.flow.output import (
-    SARIF_VERSION,
-    findings_to_json,
-    findings_to_sarif,
-)
 from repro.analysis.lint import (
     LintRule,
-    ProjectRule,
     filter_rules,
     lint_file,
     lint_paths,
+)
+from repro.analysis.output import (
+    SARIF_VERSION,
+    findings_to_json,
+    findings_to_sarif,
 )
 from repro.analysis.rules import all_rules
 
@@ -94,8 +93,8 @@ class TestCorpusGolden:
 
 
 class TestOneForm:
-    """Every rule has one form, and the one-file view is the
-    whole-program pass over a one-file index."""
+    """Every rule has one form, and the one-file view is the pass over
+    that file alone."""
 
     @pytest.mark.parametrize(
         "fixture", sorted(CORPUS.glob("*.py")), ids=lambda p: p.name
@@ -103,21 +102,14 @@ class TestOneForm:
     def test_lint_file_is_lint_paths_over_one_file(self, fixture):
         assert lint_file(fixture) == lint_paths([str(fixture)])
 
-    def test_each_rule_is_a_file_rule_or_a_project_rule(self):
+    def test_every_rule_is_a_file_rule(self):
         for rule in all_rules():
-            is_project = isinstance(rule, ProjectRule)
-            assert is_project == (rule.code >= "R009"), rule.code
-            has_check = type(rule).check is not LintRule.check
-            has_check_project = (
-                is_project
-                and type(rule).check_project is not ProjectRule.check_project
-            )
-            assert has_check != has_check_project, rule.code
+            assert type(rule).check is not LintRule.check, rule.code
 
 
 class TestLazyLintImport:
     LINT_MODULES = (
-        "repro.analysis.lint", "repro.analysis.rules", "repro.analysis.flow"
+        "repro.analysis.lint", "repro.analysis.rules", "repro.analysis.output"
     )
 
     def _loaded_after(self, statement):
@@ -286,13 +278,13 @@ class TestRuleCatalogue:
         codes = [r.code for r in all_rules()]
         assert codes == sorted(codes)
         assert codes == [r.code for r in all_rules()]
-        assert codes == ["R001", "R002", "R009", "R010", "R012"]
+        assert codes == ["R001", "R002", "R012"]
 
     def test_filter_rules_select_and_ignore(self):
         rules = all_rules()
         assert [r.code for r in filter_rules(rules, select=["R001"])] == ["R001"]
-        assert "R009" not in {
-            r.code for r in filter_rules(rules, ignore=["R009"])
+        assert "R002" not in {
+            r.code for r in filter_rules(rules, ignore=["R002"])
         }
         # E999 is filterable output, not a rule.
         assert filter_rules(rules, select=["E999"]) == []
@@ -304,21 +296,21 @@ class TestLintCli:
     def test_select_limits_codes(self):
         proc = run_cli(
             "lint", "tests/fixtures/lint",
-            "--select", "R009", "--format", "json",
+            "--select", "R002", "--format", "json",
         )
         doc = json.loads(proc.stdout)
         assert doc["count"] > 0
-        assert {f["code"] for f in doc["findings"]} == {"R009"}
+        assert {f["code"] for f in doc["findings"]} == {"R002"}
 
     def test_ignore_drops_codes(self):
         proc = run_cli(
             "lint", "tests/fixtures/lint",
-            "--ignore", "R009,R010", "--format", "json",
+            "--ignore", "R001,R002", "--format", "json",
         )
         codes = {
             f["code"] for f in json.loads(proc.stdout)["findings"]
         }
-        assert codes and not codes & {"R009", "R010"}
+        assert codes and not codes & {"R001", "R002"}
 
     def test_unknown_code_is_usage_error(self):
         proc = run_cli("lint", "src", "--select", "R999")

@@ -287,7 +287,7 @@ class TestFailureModes:
 
     def test_sharded_simulation_refuses_snapshot(self):
         """Checkpointing goes through the serial front-end; the sharded
-        engine opts out of the protocol explicitly (R010 raise-only)."""
+        engine opts out of the protocol explicitly (a raising snapshot)."""
         config = NetworkConfig(**CFG)
         sim = ShardedNetworkSimulation(config, load=0.3, shards=2)
         try:
