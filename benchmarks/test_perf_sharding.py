@@ -21,7 +21,6 @@ import pytest
 
 from common import paired_best
 
-from repro.core.flit import reset_packet_ids
 from repro.harness import load_checkpoint
 from repro.network.netsim import NetworkConfig, NetworkSimulation
 from repro.network.sharded import ShardedNetworkSimulation
@@ -47,12 +46,10 @@ def test_perf_sharded_clos_speedup():
     config = NetworkConfig(radix=32, levels=2, seed=3)
 
     def serial():
-        reset_packet_ids()
         sim = NetworkSimulation(config, load=0.7)
         return sim.run(**WINDOWS)
 
     def sharded():
-        reset_packet_ids()
         sim = ShardedNetworkSimulation(config, load=0.7, shards=4)
         try:
             return sim.run(**WINDOWS)
@@ -82,11 +79,9 @@ def test_perf_checkpoint_overhead(tmp_path):
     path = tmp_path / "perf.ckpt"
 
     def full_run():
-        reset_packet_ids()
         sim = NetworkSimulation(config, load=0.6)
         return sim.run(**windows)
 
-    reset_packet_ids()
     sim = NetworkSimulation(config, load=0.6)
     sim.start_run(**windows)
     assert not sim.advance_run(stop_at=3000)

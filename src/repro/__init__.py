@@ -17,8 +17,8 @@ This package implements, from scratch in pure Python:
 * folded-Clos network simulation for Figure 19 (:mod:`repro.network`);
 * the warm-up / sample / drain measurement harness of Section 4.3
   (:mod:`repro.harness`);
-* determinism/conservation tooling (:mod:`repro.analysis`): an AST
-  lint pass and the :class:`SimSanitizer` runtime invariant checker;
+* conservation tooling (:mod:`repro.analysis`): the
+  :class:`SimSanitizer` runtime invariant checker;
 * flit-lifecycle tracing (:mod:`repro.trace`): the
   :class:`TraceCollector` hook-bus subscriber with per-stage latency
   breakdowns and Chrome trace-event export.

@@ -21,9 +21,7 @@ Gives the library's main experiments a shell entry point:
   :mod:`repro.workloads`): closed-loop request/reply, collectives
   (ring / recursive-doubling all-reduce, all-to-all, broadcast,
   transformer-decode sequences), and trace replay, swept over message
-  size / window / layer count on a switch or a Clos network;
-* ``lint`` — the repository's AST lint pass (R001, R002, R012, with
-  ``--select``/``--ignore`` filters and ``--format {text,json,sarif}``).
+  size / window / layer count on a switch or a Clos network.
 
 Examples::
 
@@ -40,7 +38,6 @@ Examples::
     python -m repro workload --family allreduce --ranks 16 --sizes 1,4,16
     python -m repro workload --family decode --layer-counts 2,4 --gap 16
     python -m repro workload --family replay --replay out.json --target switch
-    python -m repro lint src
 """
 
 from __future__ import annotations
@@ -538,26 +535,6 @@ def cmd_workload(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_lint(args: argparse.Namespace) -> int:
-    from .analysis.lint import run_lint
-
-    try:
-        return run_lint(
-            args.paths,
-            select=args.select,
-            ignore=args.ignore,
-            output_format=args.format,
-            output_path=args.output,
-        )
-    except FileNotFoundError as exc:
-        print(f"lint: {exc}", file=sys.stderr)
-        return 2
-
-
-def _codes_arg(value: str) -> Sequence[str]:
-    return [c.strip() for c in value.split(",") if c.strip()]
-
-
 def cmd_radix(args: argparse.Namespace) -> int:
     tech = Technology(
         "cli", args.bandwidth, args.delay, args.nodes, args.packet, 0
@@ -778,25 +755,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fault_args(wl)
     _add_scheduler_arg(wl)
     wl.set_defaults(func=cmd_workload)
-
-    lint = subs.add_parser(
-        "lint", help="AST lint pass (R001, R002, R012)"
-    )
-    lint.add_argument("paths", nargs="*", default=["src"],
-                      help="files or directories to lint (default: src)")
-    lint.add_argument("--select", type=_codes_arg, default=None,
-                      metavar="CODES",
-                      help="comma-separated rule codes to run exclusively "
-                           "(e.g. R001,R002)")
-    lint.add_argument("--ignore", type=_codes_arg, default=None,
-                      metavar="CODES",
-                      help="comma-separated rule codes to skip")
-    lint.add_argument("--format", choices=("text", "json", "sarif"),
-                      default="text",
-                      help="output format (json/sarif are deterministic)")
-    lint.add_argument("--output", default=None, metavar="FILE",
-                      help="write the report to FILE instead of stdout")
-    lint.set_defaults(func=cmd_lint)
 
     radix = subs.add_parser("radix", help="Section 2 optimal radix")
     radix.add_argument("--bandwidth", type=float, required=True,

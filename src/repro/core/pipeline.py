@@ -8,8 +8,6 @@ items inserted at cycle ``t`` become visible at cycle ``t + latency``.
 
 from __future__ import annotations
 
-import copy
-import itertools
 from bisect import insort
 from collections import deque
 from typing import Any, Callable, Deque, Dict, Generic, List, Optional, Tuple, TypeVar
@@ -26,7 +24,8 @@ class DelayLine(Generic[T]):
     appends; an item due before the tail (an explicit :meth:`push_at`,
     e.g. an OVA grant that carries an extra cycle of VC-check latency
     alongside ordinary grants) is inserted in order instead.  The
-    counter is unique, so an insertion never compares two items.
+    counter is unique, so an insertion never compares two items;
+    ``_counter`` holds the next one.
     """
 
     __slots__ = ("latency", "_queue", "_counter")
@@ -36,25 +35,29 @@ class DelayLine(Generic[T]):
             raise ValueError(f"latency must be >= 0, got {latency}")
         self.latency = latency
         self._queue: Deque[Tuple[int, int, T]] = deque()
-        self._counter = itertools.count()
+        self._counter = 0
 
     def push(self, now: int, item: T) -> None:
         """Insert ``item`` at cycle ``now``; it matures at ``now + latency``."""
         # push_at's body, inlined: a router pushes here on every hop.
         due = now + self.latency
         queue = self._queue
+        counter = self._counter
+        self._counter = counter + 1
         if queue and due < queue[-1][0]:
-            insort(queue, (due, next(self._counter), item))
+            insort(queue, (due, counter, item))
         else:
-            queue.append((due, next(self._counter), item))
+            queue.append((due, counter, item))
 
     def push_at(self, due: int, item: T) -> None:
         """Insert ``item`` maturing at an explicit cycle."""
         queue = self._queue
+        counter = self._counter
+        self._counter = counter + 1
         if queue and due < queue[-1][0]:
-            insort(queue, (due, next(self._counter), item))
+            insort(queue, (due, counter, item))
         else:
-            queue.append((due, next(self._counter), item))
+            queue.append((due, counter, item))
 
     def pop_ready(self, now: int) -> List[T]:
         """Remove and return every item that has matured by cycle ``now``."""
@@ -109,7 +112,7 @@ class DelayLine(Generic[T]):
         """
         return {
             "latency": self.latency,
-            "counter": next(copy.copy(self._counter)),
+            "counter": self._counter,
             "entries": [
                 (due, cnt, item if encode is None else encode(item))
                 for due, cnt, item in self._queue
@@ -128,17 +131,20 @@ class DelayLine(Generic[T]):
             (due, cnt, item if decode is None else decode(item))
             for due, cnt, item in state["entries"]
         ))
-        line._counter = itertools.count(state["counter"])
+        line._counter = state["counter"]
         return line
 
     def __setstate__(self, state: Tuple[None, Dict[str, Any]]) -> None:
         """Unpickle.  A capture written while the queue was a binary
         heap carries it as ``_heap``, in heap order; it is sorted into
-        the FIFO."""
+        the FIFO.  One written while the counter was an
+        ``itertools.count`` carries that; its next value is the int."""
         slots = dict(state[1])
         heap = slots.pop("_heap", None)
         if heap is not None:
             slots["_queue"] = deque(sorted(heap))
+        if not isinstance(slots["_counter"], int):
+            slots["_counter"] = next(slots["_counter"])
         for name, value in slots.items():
             setattr(self, name, value)
 

@@ -10,14 +10,14 @@ process, so a stable digest is used instead).
 from __future__ import annotations
 
 import hashlib
-import random  # this module is R001's one sanctioned user (rule-exempt)
+import random  # no other module under repro/ may import it
 from typing import List, Optional, Sequence
 
 #: The RNG stream type handed out by :func:`derive_rng`.  Modules that
 #: only *consume* randomness annotate their parameters with this alias
-#: instead of importing :mod:`random` themselves — the R001 lint rule
-#: (see :mod:`repro.analysis`) forbids direct ``random`` usage outside
-#: this module so every stream is seed-derived and reproducible.
+#: instead of importing :mod:`random` themselves: the source scan in
+#: ``tests/test_state_contracts.py`` fails on any other module that
+#: does, so every stream is seed-derived and reproducible.
 Rng = random.Random
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import copy
 import functools
-import itertools
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass
@@ -102,9 +101,10 @@ class _RouterSink:
 
     def __call__(self, flit: Flit, arrival: int) -> None:
         sim = self.sim
+        seq = sim._seq
+        sim._seq = seq + 1
         enqueue_in_order(
-            sim._inflight,
-            (arrival, next(sim._seq), flit, (self.target, self.port)),
+            sim._inflight, (arrival, seq, flit, (self.target, self.port))
         )
 
 
@@ -119,9 +119,9 @@ class _HostSink:
 
     def __call__(self, flit: Flit, arrival: int) -> None:
         sim = self.sim
-        enqueue_in_order(
-            sim._inflight, (arrival, next(sim._seq), flit, self.host)
-        )
+        seq = sim._seq
+        sim._seq = seq + 1
+        enqueue_in_order(sim._inflight, (arrival, seq, flit, self.host))
 
 
 class _CreditSink:
@@ -296,9 +296,9 @@ class NetworkSimulation(StagedRun):
         #: data, so a snapshot taken mid-run carries it along.
         self._program: Optional[Dict[str, Any]] = None
         # Global in-flight flit event queue, a FIFO in (arrival, seq)
-        # order: (arrival, seq, flit, target).
+        # order: (arrival, seq, flit, target); ``_seq`` is the next seq.
         self._inflight: Deque[Tuple[int, int, Flit, object]] = deque()
-        self._seq = itertools.count()
+        self._seq = 0
         if faults is not None and faults.enabled:
             # Imported lazily: faults sits above the network layer.
             from ..faults import NetworkFaultInjector
@@ -644,7 +644,7 @@ class NetworkSimulation(StagedRun):
             "routers": [
                 router._snapshot_state() for router in self.routers.values()
             ],
-            "seq": next(copy.copy(self._seq)),
+            "seq": self._seq,
             "inflight": inflight,
             "harness": {
                 "source_q": [list(queue) for queue in self._source_q],
@@ -680,7 +680,7 @@ class NetworkSimulation(StagedRun):
         state = copy.deepcopy(state)
         for router, captured in zip(self.routers.values(), state["routers"]):
             router._restore_state(captured)
-        self._seq = itertools.count(state["seq"])
+        self._seq = state["seq"]
         inflight: Deque[Tuple[int, int, Flit, object]] = deque()
         for arrival, seq, flit, encoded in state["inflight"]:
             if encoded[0] == "r":

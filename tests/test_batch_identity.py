@@ -12,7 +12,6 @@ import pytest
 
 from repro.core.batch import HAVE_NUMPY, ArrayBusyTracker
 from repro.core.config import RouterConfig
-from repro.core.flit import reset_packet_ids
 from repro.faults import FaultPlan, StuckFault
 from repro.harness.experiment import SwitchSimulation, SweepSettings
 from repro.harness.checkpoint import load_checkpoint
@@ -37,7 +36,6 @@ def _pair(cfg):
 
 
 def _run(router_cls, cfg, **kw):
-    reset_packet_ids()
     sim = SwitchSimulation(router_cls(cfg), load=0.5, packet_size=2, **kw)
     return sim.run(FAST)
 
@@ -47,7 +45,6 @@ class TestTraceBytes:
     def test_chrome_trace_identical(self, router_cls):
         blobs = []
         for cfg in _pair(CFG):
-            reset_packet_ids()
             sim = SwitchSimulation(router_cls(cfg), load=0.5, packet_size=2)
             collector = TraceCollector().attach(sim)
             sim.run(FAST)
@@ -102,14 +99,12 @@ class TestCheckpointInterop:
     ):
         cfg = CFG.with_(batch_hot_path=True)
 
-        reset_packet_ids()
         ref = SwitchSimulation(router_cls(cfg), load=0.5, packet_size=2,
                                scheduler=scheduler)
         ref.start_run(FAST)
         assert ref.advance_run()
         expect = ref.finish_run()
 
-        reset_packet_ids()
         twin = SwitchSimulation(router_cls(cfg), load=0.5, packet_size=2,
                                 scheduler=scheduler)
         twin.start_run(FAST)

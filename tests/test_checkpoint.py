@@ -19,7 +19,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.config import RouterConfig
-from repro.core.flit import reset_packet_ids
 from repro.faults import FaultPlan, StuckFault, sample_link_faults
 from repro.harness import (
     CHECKPOINT_FORMAT,
@@ -105,13 +104,11 @@ def _outcome(sim, result):
 
 def _roundtrip(build, start, k, path):
     """Reference outcome vs. save-at-``K``-reload-finish outcome."""
-    reset_packet_ids()
     ref = build()
     start(ref)
     assert ref.advance_run()
     expect = _outcome(ref, ref.finish_run())
 
-    reset_packet_ids()
     twin = build()
     start(twin)
     done = twin.advance_run(stop_at=k)
@@ -190,7 +187,6 @@ class TestFormatVersion:
         counters in the per-stack ``harness`` dict."""
         import pickle
 
-        reset_packet_ids()
         sim = _switch_sim(HierarchicalCrossbarRouter, 7, 0.4, "cycle", None)
         sim.start_run(FAST)
         assert not sim.advance_run(stop_at=100)
@@ -220,7 +216,6 @@ class TestFileSafety:
 
     @staticmethod
     def _paused(path):
-        reset_packet_ids()
         sim = _switch_sim(BaselineRouter, 7, 0.4, "cycle", None)
         sim.start_run(FAST)
         assert not sim.advance_run(stop_at=100)
@@ -258,7 +253,6 @@ class TestFileSafety:
 
 
 def _start(sim):
-    reset_packet_ids()
     if sim._workload is not None:
         sim.start_workload_run(max_cycles=20000)
     elif isinstance(sim, SwitchSimulation):
@@ -394,7 +388,6 @@ class TestNetworkRoundTrip:
         path = tmp_path / "net.ckpt"
 
         def build():
-            reset_packet_ids()
             sim = NetworkSimulation(cfg, load=1e-3, scheduler="event")
             sim.start_run(warmup=500, measure=6000, drain=2000)
             return sim
@@ -426,7 +419,6 @@ class TestNetworkRoundTrip:
         it twice yields two independent simulations with equal
         results."""
         cfg = NetworkConfig(radix=8, levels=2, seed=2)
-        reset_packet_ids()
         sim = NetworkSimulation(cfg, load=0.3)
         sim.start_run(warmup=60, measure=120, drain=500)
         assert not sim.advance_run(stop_at=100)

@@ -325,10 +325,8 @@ class TestTraceDeterminism:
     """The exported trace is a function of (config, seed) alone."""
 
     def _chrome_bytes(self, oracle=False, seed=9):
-        from repro.core.flit import reset_packet_ids
         from repro.trace import TraceCollector, chrome_trace_json
 
-        reset_packet_ids()
         collector = TraceCollector()
         sim = SwitchSimulation(
             HierarchicalCrossbarRouter(SMALL), load=0.35, seed=seed,

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import RouterConfig
-from repro.core.flit import reset_packet_ids
 from repro.engine import EventScheduler, Scheduler, make_scheduler
 from repro.faults import FaultPlan
 from repro.harness.experiment import SweepSettings, SwitchSimulation
@@ -57,7 +56,6 @@ def _normalize(snap: dict) -> dict:
 
 def _switch_snapshot(arch: str, scheduler: str, load: float = 0.2,
                      seed: int = 7, faults=None) -> dict:
-    reset_packet_ids()
     sim = SwitchSimulation(
         ROUTERS[arch](_config(seed)), load=load, packet_size=2,
         faults=faults, scheduler=scheduler,
@@ -78,7 +76,6 @@ def _switch_snapshot(arch: str, scheduler: str, load: float = 0.2,
 
 def _network_snapshot(scheduler: str, load: float = 0.2,
                       seed: int = 7, faults=None) -> dict:
-    reset_packet_ids()
     cfg = NetworkConfig(radix=4, levels=2, num_vcs=2, packet_size=2,
                         seed=seed)
     sim = NetworkSimulation(cfg, load, faults=faults,
@@ -116,7 +113,6 @@ class TestSwitchEquivalence:
                 == _switch_snapshot(arch, "event"))
 
     def test_low_load_actually_fast_forwards(self):
-        reset_packet_ids()
         sim = SwitchSimulation(
             HierarchicalCrossbarRouter(_config()), load=0.02,
             scheduler="event",
@@ -126,7 +122,6 @@ class TestSwitchEquivalence:
         assert sim._sched.ff_jumps > 0
 
     def test_cycle_mode_never_skips(self):
-        reset_packet_ids()
         sim = SwitchSimulation(
             HierarchicalCrossbarRouter(_config()), load=0.02,
         )
@@ -135,7 +130,6 @@ class TestSwitchEquivalence:
         assert result.extra["stats.engine.cycles_skipped"] == 0.0
 
     def test_skip_counters_land_in_extras(self):
-        reset_packet_ids()
         sim = SwitchSimulation(
             HierarchicalCrossbarRouter(_config()), load=0.02,
             scheduler="event",
@@ -164,7 +158,6 @@ class TestNetworkEquivalence:
                 == _network_snapshot("event", load=0.1, faults=plan))
 
     def test_low_load_actually_fast_forwards(self):
-        reset_packet_ids()
         cfg = NetworkConfig(radix=4, levels=2, num_vcs=2)
         sim = NetworkSimulation(cfg, 0.02, scheduler="event")
         sim.run(warmup=150, measure=250, drain=3000)
@@ -192,7 +185,6 @@ class TestTraceEquivalence:
     def _chrome_bytes(self, scheduler, load=0.1, seed=9):
         from repro.trace import TraceCollector, chrome_trace_json
 
-        reset_packet_ids()
         collector = TraceCollector()
         sim = SwitchSimulation(
             HierarchicalCrossbarRouter(_config(seed)), load=load,
@@ -265,7 +257,6 @@ class TestArrivalPreDraw:
         monkeypatch.setattr(arrivals, "HAVE_NUMPY", numpy)
         monkeypatch.setattr(arrivals, "DRAW_CHUNK", chunk)
         monkeypatch.setattr(arrivals, "BULK_MAX_RATE", 1.0)
-        reset_packet_ids()
         sim = NetworkSimulation(
             NetworkConfig(**self.CFG), self.LOAD, scheduler="event"
         )
@@ -342,7 +333,6 @@ class TestArrivalPreDraw:
 
         def run(scheduler, numpy):
             monkeypatch.setattr(arrivals, "HAVE_NUMPY", numpy)
-            reset_packet_ids()
             sim = NetworkSimulation(cfg, load, scheduler=scheduler)
             result = sim.run(warmup=2000, measure=20000, drain=3000)
             assert result.packets_measured > 60
@@ -393,7 +383,6 @@ class TestArrivalPreDraw:
                 self._draw = counted_draw
 
         monkeypatch.setattr(arrivals, "StreamRows", CountingRows)
-        reset_packet_ids()
         sim = NetworkSimulation(
             NetworkConfig(radix=16, levels=2, num_vcs=2, packet_size=2,
                           seed=7),

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.sanitizer import SimSanitizer
 from repro.core.config import RouterConfig
-from repro.core.flit import make_packet, reset_packet_ids
+from repro.core.flit import make_packet
 from repro.faults import FaultPlan, StuckFault
 from repro.harness.experiment import SwitchSimulation, SweepSettings
 from repro.routers.hierarchical import HierarchicalCrossbarRouter
@@ -290,7 +290,6 @@ def _scenarios(draw):
 
 
 def _build(scenario, scheduler, sanitize):
-    reset_packet_ids()
     return SwitchSimulation(
         HierarchicalCrossbarRouter(scenario["config"]),
         load=scenario["load"], packet_size=scenario["packet_size"],
@@ -347,7 +346,6 @@ class TestOccupancyIndexedHotPath:
         extra and the Chrome-trace bytes, pinned by a digest computed
         at the commit *before* the occupancy indices replaced the
         buffer scans — the skip rule must not move a single byte."""
-        reset_packet_ids()
         tracer = TraceCollector()
         sim = SwitchSimulation(
             HierarchicalCrossbarRouter(

@@ -17,7 +17,6 @@ from collections import defaultdict
 import pytest
 
 from repro.core.config import RouterConfig
-from repro.core.flit import reset_packet_ids
 from repro.faults import CORRUPT, FaultPlan
 from repro.harness.experiment import SwitchSimulation
 from repro.network.netsim import NetworkConfig, NetworkSimulation
@@ -48,7 +47,6 @@ class _ChannelLog:
 
 
 def _switch_log(scheduler):
-    reset_packet_ids()
     config = RouterConfig(radix=8, num_vcs=2, seed=3)
     sim = SwitchSimulation(
         BaselineRouter(config), load=0.7, packet_size=3, faults=PLAN,
@@ -68,7 +66,6 @@ def _switch_log(scheduler):
 
 
 def _network_log(scheduler):
-    reset_packet_ids()
     config = NetworkConfig(radix=4, levels=2, num_vcs=2, packet_size=3, seed=3)
     sim = NetworkSimulation(config, 0.6, faults=PLAN, scheduler=scheduler)
     log = _ChannelLog()

@@ -1,6 +1,6 @@
 """Tests for Bernoulli and Markov ON/OFF injection processes."""
 
-import random  # lint: disable=R001 (tests build local seeded streams)
+import random
 
 import pytest
 

@@ -16,7 +16,6 @@ from pathlib import Path
 import pytest
 
 from repro.core.arbiter import HAVE_NUMPY
-from repro.core.flit import reset_packet_ids
 from repro.faults import FaultPlan, LinkFault
 from repro.harness.checkpoint import CHECKPOINT_FORMAT, load_checkpoint
 from repro.network.netsim import NetworkConfig, NetworkSimulation
@@ -43,7 +42,6 @@ class TestParentPinnedDigest:
         RC/ST records, pinned by a digest computed at the commit
         *before* the occupancy index and the sparse grant replaced the
         port x VC scan."""
-        reset_packet_ids()
         tracer = TraceCollector(capacity=100000)
         sim = NetworkSimulation(
             NetworkConfig(radix=64, levels=2, seed=7), load=0.3,
@@ -67,7 +65,6 @@ def _observe(radix, num_vcs, scheduler, load, oracle):
     """One faulted, traced run: two dead links, credit loss,
     host-channel corruption, and two input VCs of the traced leaf
     wedged from cycle 0 until a pause at cycle 100."""
-    reset_packet_ids()
     config = NetworkConfig(radix=radix, levels=2, num_vcs=num_vcs, seed=11)
     m = radix // 2
     leaf, other = (0, 0, 0), (0, 1, 0)

@@ -16,7 +16,7 @@ releases are still in flight.
 import pytest
 
 from repro.core.config import RouterConfig
-from repro.core.flit import make_packet, reset_packet_ids
+from repro.core.flit import make_packet
 from repro.engine import Scheduler
 from repro.faults import FaultPlan, LinkFault
 from repro.harness.experiment import SwitchSimulation, SweepSettings
@@ -75,7 +75,6 @@ def _switch(router_cls, scheduler, oracle):
     credit return slow enough to outlast the flits that sent it, and
     credit loss: a dropped credit's fault event and resync carry the
     cycle it was due on."""
-    reset_packet_ids()
     tracer = TraceCollector()
     sim = SwitchSimulation(
         router_cls(RouterConfig(radix=8, num_vcs=2, subswitch_size=4,
@@ -134,7 +133,6 @@ def _router_state(router):
 def _clos(scheduler, oracle):
     """Radix-8 Clos with a stuck input VC (wedged until cycle 150), a
     dead link, credit loss and a three-cycle credit return."""
-    reset_packet_ids()
     config = NetworkConfig(radix=8, levels=2, num_vcs=2, credit_latency=3,
                            packet_size=2, seed=13)
     plan = FaultPlan(

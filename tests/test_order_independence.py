@@ -21,7 +21,6 @@ import math
 import pytest
 
 from repro.core.config import RouterConfig
-from repro.core.flit import reset_packet_ids
 from repro.faults import FaultPlan, LinkFault
 from repro.harness.experiment import SwitchSimulation, SweepSettings
 from repro.network.netsim import NetworkConfig, NetworkSimulation
@@ -85,7 +84,6 @@ def _observe(sim, tracer, run):
 
 
 def _clos(name, scheduler, perturb=_unperturbed):
-    reset_packet_ids()
     config, load = CLOS[name]
     tracer = TraceCollector(capacity=100000)
     sim = NetworkSimulation(NetworkConfig(**config), load=load,
@@ -97,7 +95,6 @@ def _clos(name, scheduler, perturb=_unperturbed):
 def _faulted_clos(scheduler, perturb=_unperturbed):
     """Radix 16 with host-channel corruption, credit loss and two dead
     links, traced at a leaf."""
-    reset_packet_ids()
     plan = FaultPlan(
         corrupt_rate=0.01,
         credit_loss_rate=0.02,
@@ -117,7 +114,6 @@ def _faulted_clos(scheduler, perturb=_unperturbed):
 
 
 def _switch(router_cls, scheduler, perturb=_unperturbed):
-    reset_packet_ids()
     tracer = TraceCollector()
     sim = SwitchSimulation(router_cls(RouterConfig(radix=16, seed=5)),
                            load=0.7, scheduler=scheduler, tracer=tracer)
@@ -126,7 +122,6 @@ def _switch(router_cls, scheduler, perturb=_unperturbed):
 
 
 def _switch_workload(scheduler, perturb=_unperturbed):
-    reset_packet_ids()
     tracer = TraceCollector()
     sim = SwitchSimulation(
         BaselineRouter(RouterConfig(radix=8, seed=7)),
@@ -137,7 +132,6 @@ def _switch_workload(scheduler, perturb=_unperturbed):
 
 
 def _clos_workload(scheduler, perturb=_unperturbed):
-    reset_packet_ids()
     tracer = TraceCollector()
     sim = NetworkSimulation(
         NetworkConfig(radix=8, levels=2, num_vcs=2, packet_size=2, seed=7),

@@ -1,6 +1,6 @@
 """Tests for the parallel sweep runner and the extension patterns."""
 
-import random  # lint: disable=R001 (tests build local seeded streams)
+import random
 
 import pytest
 

@@ -1,6 +1,6 @@
 """Tests for the traffic patterns of Table 1."""
 
-import random  # lint: disable=R001 (tests build local seeded streams)
+import random
 from collections import Counter
 
 import pytest

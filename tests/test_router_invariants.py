@@ -12,7 +12,7 @@ from collections import defaultdict
 import pytest
 
 from repro.core.config import RouterConfig
-from repro.core.flit import make_packet, reset_packet_ids
+from repro.core.flit import make_packet
 from repro.harness.experiment import SwitchSimulation, SweepSettings
 from repro.routers import (
     BaselineRouter,
@@ -112,7 +112,6 @@ class TestMultiFlitPacket:
 @pytest.mark.parametrize("router_cls", ALL_ROUTERS)
 class TestLoadedInvariants:
     def _run(self, router_cls, load=0.5, packet_size=1, cycles=600):
-        reset_packet_ids()
         router = router_cls(CFG)
         sim = SwitchSimulation(router, load=load, packet_size=packet_size)
         delivered = []

@@ -442,11 +442,9 @@ def test_sanitizer_composes_with_tracing(scheduler):
     """The sanitizer and a trace collector share the router's hook bus
     without perturbing each other: a traced run is the same with and
     without the sanitizer, and the collector names the model."""
-    from repro.core.flit import reset_packet_ids
     from repro.trace import TraceCollector, chrome_trace_json
 
     def traced(sanitize):
-        reset_packet_ids()
         collector = TraceCollector()
         sim = SwitchSimulation(
             HierarchicalCrossbarRouter(

@@ -21,7 +21,6 @@ counts must be rejected at construction.
 
 import pytest
 
-from repro.core.flit import reset_packet_ids
 from repro.engine.shard import ShardWorkerError, partition
 from repro.faults import FaultPlan, LinkFault
 from repro.network.netsim import NetworkConfig, NetworkSimulation
@@ -75,7 +74,6 @@ class InterleavedClos(FoldedClos):
 def _run(shards, scheduler, workload=False, faults=True, topology=None,
          **cfg):
     """One full observation: result, fault log, chrome bytes, tracer."""
-    reset_packet_ids()
     config = NetworkConfig(**{**CFG, **cfg})
     switches = _switches()
     tracer = TraceCollector(capacity=100000)
@@ -127,7 +125,6 @@ class TestByteIdentity:
         plan = FaultPlan(corrupt_rate=0.03, credit_loss_rate=0.08)
         ref = None
         for shards in (0, 2, 4):
-            reset_packet_ids()
             config = NetworkConfig(radix=8, levels=2, seed=11)
             if shards == 0:
                 sim = NetworkSimulation(
@@ -193,11 +190,9 @@ class TestAnyPartition:
     def test_pause_and_resume_matches_uninterrupted(self):
         """A pause leaves a dispatched cycle uncollected; resuming must
         pick it up where an uninterrupted run would have."""
-        reset_packet_ids()
         config = NetworkConfig(**CFG)
         windows = dict(warmup=80, measure=150, drain=400)
         ref = NetworkSimulation(config, load=0.3).run(**windows)
-        reset_packet_ids()
         sim = ShardedNetworkSimulation(config, load=0.3, shards=2)
         try:
             sim.start_run(**windows)

@@ -21,13 +21,21 @@ another process under another ``PYTHONHASHSEED`` and for a second
 build in the same process (no key from ``id()``, ``hash()`` or set
 order).  No module or class holds a stream of its own.
 
+**Determinism.**  A source scan refuses what can only make a run
+differ between processes: importing ``random`` outside
+``repro/core/rng.py``, importing ``time``, ``datetime``, ``uuid`` or
+``secrets`` anywhere, and calling ``os.urandom``, ``os.getpid`` or the
+builtin ``hash``.  What the scan cannot see, a ``hash()`` or set order
+reached some other way, shows as rows, extras or Chrome bytes that
+differ between two processes with different ``PYTHONHASHSEED``.
+
 **Back to back.**  Building, running and exporting a traced simulation
 twice in one process gives the same rows, extras and Chrome bytes: a
 simulation numbers its own packets.
 """
 
+import ast
 import importlib
-import itertools
 import json
 import math
 import os
@@ -254,9 +262,6 @@ def restore_differences(original, twin):
         if isinstance(a, Rng):
             if a.getstate() != b.getstate():
                 found.append(f"{path}: Random state")
-        elif isinstance(a, itertools.count):
-            if repr(a) != repr(b):
-                found.append(f"{path}: {a!r} vs {b!r}")
         elif isinstance(a, (list, tuple, deque)):
             if len(a) != len(b):
                 found.append(f"{path}: length {len(a)} vs {len(b)}")
@@ -419,10 +424,28 @@ def test_stream_keys_repeat_in_a_second_build():
         assert first == second, name
 
 
+#: Traced, faulted builds whose row, extras and Chrome bytes must be the
+#: same in every process: a radix-8 event-mode Clos and a radix-8
+#: buffered switch.
+PROCESS_RUNS = ("clos-faulted-event", "switch-BufferedCrossbarRouter")
+
+
+def process_runs():
+    """``repr`` of each :data:`PROCESS_RUNS` result and its Chrome JSON."""
+    runs = {}
+    for name in PROCESS_RUNS:
+        sim = _start(STREAM_BUILDS[name]())
+        assert sim.advance_run()
+        runs[name] = [repr(sim.finish_run()), chrome_trace_json(sim._tracer)]
+    return runs
+
+
 def test_stream_keys_do_not_depend_on_the_process():
+    """Stream keys, and the rows, extras and Chrome bytes of
+    :data:`PROCESS_RUNS`, are the same under two ``PYTHONHASHSEED``s."""
     code = (
         "import json, tests.test_state_contracts as c\n"
-        "print(json.dumps(c.all_stream_keys()))\n"
+        "print(json.dumps([c.all_stream_keys(), c.process_runs()]))\n"
     )
     outputs = []
     for hash_seed in ("1", "2"):
@@ -438,7 +461,9 @@ def test_stream_keys_do_not_depend_on_the_process():
         assert proc.returncode == 0, proc.stderr
         outputs.append(json.loads(proc.stdout))
     assert outputs[0] == outputs[1]
-    assert outputs[0] == json.loads(json.dumps(all_stream_keys()))
+    assert outputs[0] == json.loads(
+        json.dumps([all_stream_keys(), process_runs()])
+    )
 
 
 def _repro_modules():
@@ -510,3 +535,82 @@ def test_back_to_back_runs_are_identical(run):
     assert first[3] == second[3]
     assert first[2] == second[2]
     assert (first[0], first[1]) == (second[0], second[1])
+
+
+# ----------------------------------------------------------------------
+# Determinism
+# ----------------------------------------------------------------------
+
+
+#: (module under ``repro/``, imported module) -> why it is allowed.
+SCAN_ALLOWED = {
+    ("core/rng.py", "random"): "the one home of every stream",
+}
+BANNED_MODULES = {"random", "time", "datetime", "uuid", "secrets"}
+BANNED_NAMES = {"os.urandom", "os.getpid", "builtins.hash"}
+
+
+def _refused(name, rel):
+    top = name.split(".")[0]
+    return ((top in BANNED_MODULES or name in BANNED_NAMES)
+            and (rel, top) not in SCAN_ALLOWED)
+
+
+def _scan(source, rel):
+    """``line: name`` for each import or call in ``source`` (module
+    ``rel`` under ``repro/``) that the determinism contract refuses."""
+    nodes = list(ast.walk(ast.parse(source)))
+    os_names = {a.asname or "os" for node in nodes
+                if isinstance(node, ast.Import)
+                for a in node.names if a.name == "os"}
+    found = []
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module] + [f"{node.module}.{a.name}"
+                                     for a in node.names]
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "hash":
+                names = ["builtins.hash"]
+            elif (isinstance(func, ast.Attribute)
+                  and isinstance(func.value, ast.Name)
+                  and func.value.id in os_names):
+                names = [f"os.{func.attr}"]
+            else:
+                continue
+        else:
+            continue
+        found += [f"{node.lineno}: {name}" for name in names
+                  if _refused(name, rel)]
+    return found
+
+
+def test_sources_read_no_clock_entropy_or_salted_hash():
+    root = REPO_ROOT / "src" / "repro"
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        found += [f"{rel}:{hit}" for hit in _scan(path.read_text(), rel)]
+    assert found == []
+
+
+def test_source_scan_sees_every_refused_form():
+    source = (
+        "import random\n"
+        "from time import perf_counter\n"
+        "import time as t\n"
+        "import datetime, uuid, secrets\n"
+        "import os as o\n"
+        "from os import getpid, path\n"
+        "o.urandom(8)\n"
+        "o.path.join('a', 'b')\n"
+        "hash('name')\n"
+    )
+    assert sorted(_scan(source, "routers/base.py")) == sorted([
+        "1: random", "2: time", "2: time.perf_counter", "3: time",
+        "4: datetime", "4: uuid", "4: secrets", "6: os.getpid",
+        "7: os.urandom", "9: builtins.hash",
+    ])
+    assert "1: random" not in _scan(source, "core/rng.py")

@@ -24,7 +24,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.core.arbiter import HAVE_NUMPY, RoundRobinArbiter
 from repro.core.config import RouterConfig
-from repro.core.flit import Flit, reset_packet_ids
+from repro.core.flit import Flit
 from repro.faults import FaultPlan, StuckFault
 from repro.harness.checkpoint import CHECKPOINT_FORMAT, load_checkpoint
 from repro.harness.experiment import SwitchSimulation, SweepSettings
@@ -144,7 +144,6 @@ def _scenarios(draw):
 
 
 def _observe(router_cls, scenario, scheduler, oracle):
-    reset_packet_ids()
     tracer = TraceCollector()
     sim = SwitchSimulation(
         router_cls(scenario["config"]), load=scenario["load"],
@@ -233,7 +232,6 @@ class TestBlockedPortSkip:
         """At saturation with one-deep input buffers the skip fires
         constantly; ``_pick_vc`` is then only ever called for a port
         with room, i.e. it never again returns None."""
-        reset_packet_ids()
         config = RouterConfig(radix=8, num_vcs=2, input_buffer_depth=1, seed=4)
         sim = SwitchSimulation(BaselineRouter(config), load=1.0)
         picked = []
@@ -263,7 +261,6 @@ class TestTwinsKeepTheSameCount:
         the scalar router read what its banks held."""
         counts = []
         for batch in (False, True):
-            reset_packet_ids()
             config = RouterConfig(radix=8, seed=13, batch_hot_path=batch)
             sim = SwitchSimulation(
                 BufferedCrossbarRouter(config), load=0.3, sanitize=True
@@ -278,7 +275,6 @@ class TestTwinsKeepTheSameCount:
         """``_sort_arrivals`` moves every flit a released input read
         port had been holding in one cycle; each pop is counted, not
         one signal per input after the loop."""
-        reset_packet_ids()
         config = RouterConfig(radix=8, num_vcs=2, seed=2)
         sim = SwitchSimulation(VoqRouter(config), load=1.0, packet_size=3)
         router = sim.router

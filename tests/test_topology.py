@@ -1,6 +1,6 @@
 """Tests for the folded-Clos topology builder."""
 
-import random  # lint: disable=R001 (tests build local seeded streams)
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st

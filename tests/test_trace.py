@@ -21,13 +21,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.config import RouterConfig
-from repro.core.flit import make_packet, reset_packet_ids
+from repro.core.flit import make_packet
 from repro.core.pipeline_diagram import (
     head_flit_latency,
     measured_pipeline,
     pipeline_for,
 )
 from repro.harness.experiment import SwitchSimulation, SweepSettings
+from repro.network.netsim import NetworkConfig, NetworkSimulation
 from repro.routers import (
     BaselineRouter,
     BufferedCrossbarRouter,
@@ -330,7 +331,6 @@ def test_measured_pipeline_rejects_unknown_architecture():
 
 
 def _traced_run(seed=7, load=0.3):
-    reset_packet_ids()  # packet ids are part of the exported bytes
     collector = TraceCollector()
     sim = SwitchSimulation(
         HierarchicalCrossbarRouter(_config()), load=load, seed=seed,
@@ -417,3 +417,18 @@ class TestStageBreakdown:
     def test_empty_collector_formats(self):
         text = format_stage_breakdown(TraceCollector())
         assert "stage" in text
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "NetworkRouter emits flit_move('accept') but never 'eject', so no "
+    "record on a traced Clos router completes (FOUND in CHANGES.md)"
+))
+def test_traced_clos_router_completes_records():
+    tracer = TraceCollector()
+    sim = NetworkSimulation(
+        NetworkConfig(radix=8, levels=2, seed=3), load=0.3, tracer=tracer,
+        trace_switch=(0, 0, 0),
+    )
+    result = sim.run(warmup=40, measure=120, drain=400)
+    assert tracer.records(completed_only=False)
+    assert result.extra["stats.trace.records"] > 0

@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import RouterConfig
-from repro.core.flit import reset_packet_ids
 from repro.faults import FaultPlan, sample_link_faults
 from repro.harness.experiment import SwitchSimulation
 from repro.network.netsim import NetworkConfig, NetworkSimulation
@@ -85,7 +84,6 @@ def _snap(result) -> dict:
 
 
 def _switch_snapshot(factory, scheduler: str, seed: int = 7) -> dict:
-    reset_packet_ids()
     sim = SwitchSimulation(
         BaselineRouter(_config(seed)), workload=factory(),
         scheduler=scheduler,
@@ -95,7 +93,6 @@ def _switch_snapshot(factory, scheduler: str, seed: int = 7) -> dict:
 
 def _network_snapshot(factory, scheduler: str, radix: int = 4,
                       seed: int = 7, faults=None) -> dict:
-    reset_packet_ids()
     cfg = NetworkConfig(radix=radix, levels=2, num_vcs=2, packet_size=2,
                         seed=seed)
     sim = NetworkSimulation(cfg, workload=factory(), faults=faults,
@@ -312,7 +309,6 @@ class TestStatsOracle:
 
     @staticmethod
     def _run(target: str, wl, max_cycles: int):
-        reset_packet_ids()
         if target == "switch":
             sim = SwitchSimulation(BaselineRouter(_config()), workload=wl)
         else:
@@ -501,7 +497,6 @@ class TestReplayParsing:
         # leaving the same port number; replay must accept it.
         wl = from_csv(["0,3,3,1", "2,0,1,1"], num_ranks=4)
         assert wl.messages == 2 and wl.has_self_sends
-        reset_packet_ids()
         sim = SwitchSimulation(BaselineRouter(_config()), workload=wl)
         result = sim.run_workload(max_cycles=10_000)
         assert result.extra["undelivered"] == 0.0
@@ -566,7 +561,6 @@ class TestCrossSchedulerEquivalence:
 
     def test_event_mode_actually_fast_forwards(self):
         # Sparse replay schedule: long idle gaps between releases.
-        reset_packet_ids()
         rows = ["0,0,5,1", "400,3,6,1", "800,1,4,1"]
         sim = SwitchSimulation(
             BaselineRouter(_config()), workload=from_csv(rows, num_ranks=8),
@@ -580,7 +574,6 @@ class TestTraceAndReplayRoundTrip:
     def _traced_run(self, scheduler: str):
         from repro.trace import TraceCollector, chrome_trace_json
 
-        reset_packet_ids()
         collector = TraceCollector()
         sim = SwitchSimulation(
             BaselineRouter(_config()), workload=all_reduce(8, size=2),
@@ -609,7 +602,6 @@ class TestTraceAndReplayRoundTrip:
         replayed = from_chrome_trace([text])
         assert replayed.messages == 2 * 7 * 8  # ring all-reduce on 8
         assert replayed.flits_total == 2 * replayed.messages
-        reset_packet_ids()
         sim = SwitchSimulation(
             BaselineRouter(_config()), workload=replayed,
             scheduler="event",
@@ -661,7 +653,6 @@ class TestSourceQueueObservability:
     def test_synthetic_run_reports_peak_queue(self):
         from repro.harness.experiment import SweepSettings
 
-        reset_packet_ids()
         sim = SwitchSimulation(BaselineRouter(_config()), load=0.3,
                                packet_size=2)
         result = sim.run(SweepSettings(warmup=50, measure=100, drain=1000))
