@@ -28,8 +28,11 @@ from repro.network.sharded import ShardedNetworkSimulation
 #: Wall-clock floor for the 4-shard radix-32 Clos run vs. serial.
 SPEEDUP_FLOOR = 1.8
 
-#: Max fraction of a run's wall time one save+load cycle may cost
-#: (ten interleaved readings on the reference host: 3.7-4.7%).
+#: Max fraction of a run's wall time one save+load cycle may cost.
+#: With a checkpoint being the pickled simulation, eight readings on a
+#: 2-core host: 1.0, 1.3, 1.1, 1.3, 1.2, 1.3, 1.2, 1.2% (23-35 ms
+#: against 2.2-2.9 s).  The hand-written capture it replaced read
+#: 5.9-6.9% on the same host.
 CKPT_OVERHEAD_CEILING = 0.059
 
 #: Measurement program shared by the speedup comparison (short enough

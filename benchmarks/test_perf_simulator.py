@@ -302,8 +302,7 @@ def test_perf_event_predraw_vs_no_numpy(monkeypatch, radix, load, cycles,
         )
         sim.run_until(cycles)
         assert sim.arrivals.bulk == (numpy and bulk)
-        return (sim.arrivals.snapshot()["arrivals"]["cursor"],
-                sim._sched.component_steps)
+        return (list(sim.arrivals._cursor), sim._sched.component_steps)
 
     (with_numpy, checksum), (refused, ref) = paired_best(
         lambda: run(True), lambda: run(False))

@@ -268,8 +268,8 @@ class NetworkSanitizer:
             return (f"router {name} port {port}",
                     {"port": port, "vc": n % v, "router": name})
         audit_credit_books(counters, held, owed, cycle, where)
-        # The snapshot's arrival-stream sync invariant (event mode's
-        # bulk pre-draw), for the hosts that generated this cycle.
+        # The arrival-stream sync invariant (event mode's bulk
+        # pre-draw), for the hosts that generated this cycle.
         sim.arrivals.audit(cycle)
         self.checks_run += 1
 

@@ -247,7 +247,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     """
     if args.resume and args.sanitize:
         raise ValueError("--resume and --sanitize cannot be combined (the "
-                         "checkpoint spec carries its own settings)")
+                         "checkpoint carries its own settings)")
     if args.checkpoint_every and args.sanitize:
         raise ValueError("--checkpoint-every and --sanitize cannot be "
                          "combined (a sanitized simulation cannot be "
@@ -266,7 +266,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         sim.start_run(_settings(args))
         arch_label = args.arch
     if args.checkpoint_every:
-        # Pause every N cycles to persist a resumable snapshot;
+        # Pause every N cycles to persist a resumable checkpoint;
         # pausing never perturbs the run (see advance_run).
         while not sim.advance_run(
             stop_at=sim.cycle + args.checkpoint_every

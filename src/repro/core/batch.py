@@ -18,15 +18,14 @@ with the router.  Scalar semantics are inherited wholesale — each
 override calls ``super()`` first and then updates its slot — so the
 mirrored objects are byte-identical stand-ins on the scalar path too.
 
-Snapshot interop: the arrays live both on the router (for the stage
+Checkpoint interop: the arrays live both on the router (for the stage
 math) and inside the mirrored objects (for the incremental writes), as
-the *same* array objects.  ``Component.snapshot`` deep-copies the whole
-state dict in one pass, so the deepcopy memo preserves that aliasing
-and a restored router keeps writing through to the arrays it reads.
-Persistent references must therefore always be to the flat base arrays
-— numpy's ``__deepcopy__`` does not preserve base/view relationships,
-so reshaped views are created fresh inside each stage instead of being
-stored.
+the *same* array objects.  A checkpoint pickles the whole simulation,
+so pickle's memo preserves that aliasing and a loaded router keeps
+writing through to the arrays it reads.  Persistent references must
+therefore always be to the flat base arrays — pickle does not preserve
+numpy base/view relationships, so reshaped views are created fresh
+inside each stage instead of being stored.
 """
 
 from __future__ import annotations

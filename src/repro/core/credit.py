@@ -127,7 +127,7 @@ class CreditReturnBus:
 
     ``_waiting``, the sources with a non-empty queue, is what a step
     arbitrates among: it costs the crosspoints holding a credit, not
-    the row's width.  Derived state; :meth:`reindex` rebuilds it.
+    the row's width.
     """
 
     __slots__ = ("num_sources", "latency", "_pending", "_waiting", "_rr",
@@ -157,10 +157,6 @@ class CreditReturnBus:
         """Queue a credit at crosspoint ``source`` for bus arbitration."""
         self._pending[source].append(sink)
         self._waiting.add(source)
-
-    def reindex(self) -> None:
-        """Rebuild ``_waiting`` from the queues (after a restore)."""
-        self._waiting = {s for s, queue in enumerate(self._pending) if queue}
 
     @property
     def drop_hook(self):

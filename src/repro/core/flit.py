@@ -110,14 +110,6 @@ class Flit:
         self.hops = hops
         self.route = [] if route is None else route
 
-    def __setstate__(self, state) -> None:
-        """Unpickle.  A flit pickled before the class had slots carries
-        a plain attribute dict rather than ``(None, slots)``."""
-        if isinstance(state, tuple):
-            state = state[1]
-        for name, value in state.items():
-            setattr(self, name, value)
-
     @property
     def is_body(self) -> bool:
         """True if the flit is neither head nor tail (middle of a packet)."""

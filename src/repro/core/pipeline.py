@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import deque
-from typing import Any, Callable, Deque, Dict, Generic, List, Optional, Tuple, TypeVar
+from typing import Deque, Generic, List, Tuple, TypeVar
 
 T = TypeVar("T")
 
@@ -99,54 +99,6 @@ class DelayLine(Generic[T]):
     def items(self) -> List[T]:
         """Every queued item, matured or not (for invariant probes)."""
         return [item for _, _, item in self._queue]
-
-    def dump(
-        self, encode: Optional[Callable[[T], Any]] = None
-    ) -> Dict[str, Any]:
-        """Serializable capture: entries (sorted), counter position.
-
-        ``encode`` maps each item to a picklable stand-in (e.g. a sink
-        callback to its port index); identity when omitted.  The
-        insertion counters are kept verbatim so a :meth:`load` twin
-        pops in exactly the original order.
-        """
-        return {
-            "latency": self.latency,
-            "counter": self._counter,
-            "entries": [
-                (due, cnt, item if encode is None else encode(item))
-                for due, cnt, item in self._queue
-            ],
-        }
-
-    @classmethod
-    def load(
-        cls,
-        state: Dict[str, Any],
-        decode: Optional[Callable[[Any], T]] = None,
-    ) -> "DelayLine[T]":
-        """Rebuild a delay line from a :meth:`dump` capture."""
-        line: "DelayLine[T]" = cls(state["latency"])
-        line._queue = deque(sorted(
-            (due, cnt, item if decode is None else decode(item))
-            for due, cnt, item in state["entries"]
-        ))
-        line._counter = state["counter"]
-        return line
-
-    def __setstate__(self, state: Tuple[None, Dict[str, Any]]) -> None:
-        """Unpickle.  A capture written while the queue was a binary
-        heap carries it as ``_heap``, in heap order; it is sorted into
-        the FIFO.  One written while the counter was an
-        ``itertools.count`` carries that; its next value is the int."""
-        slots = dict(state[1])
-        heap = slots.pop("_heap", None)
-        if heap is not None:
-            slots["_queue"] = deque(sorted(heap))
-        if not isinstance(slots["_counter"], int):
-            slots["_counter"] = next(slots["_counter"])
-        for name, value in slots.items():
-            setattr(self, name, value)
 
     def __len__(self) -> int:
         return len(self._queue)

@@ -62,6 +62,15 @@ class StreamRows:
     """
 
     def __init__(self, streams: Sequence[random.Random], chunk: int) -> None:
+        np = self._open(chunk)
+        self.rows = np.empty((len(streams), 625), dtype=np.uint32)
+        for i, stream in enumerate(streams):
+            self.push(i, stream)
+        self.usable = self._view_is_faithful()
+
+    def _open(self, chunk: int):
+        """Build the generator and the view over its state; returns
+        numpy."""
         # Imported here, like numpy: 0.5 MB and a few ms that only a
         # simulation building rows should pay.
         import ctypes
@@ -80,14 +89,18 @@ class StreamRows:
                 self._bits.ctypes.state_address
             )
         )
-        self.rows = np.empty((len(streams), 625), dtype=np.uint32)
-        for i, stream in enumerate(streams):
-            self.push(i, stream)
-        self.usable = self._view_is_faithful()
+        return np
 
-    def __reduce__(self) -> str:
-        # A copy's view would no longer alias its generator's state.
-        raise TypeError("StreamRows is derived state: rebuild it, don't copy it")
+    def __getstate__(self) -> dict:
+        # Only the rows are state: a copied view would no longer alias
+        # its generator's, so both are rebuilt on load (every search
+        # loads its row into the view first).
+        return {"rows": self.rows, "chunk": self._chunk, "usable": self.usable}
+
+    def __setstate__(self, state: dict) -> None:
+        self._open(state["chunk"])
+        self.rows = state["rows"]
+        self.usable = state["usable"]
 
     def _view_is_faithful(self) -> bool:
         """The view reads the generator's key and position, a state

@@ -23,8 +23,7 @@ in the same cycle only if it commits later.
 
 from __future__ import annotations
 
-import copy
-from typing import Any, ClassVar, Dict, Optional, Tuple
+from typing import Optional
 
 from .hooks import EngineHooks
 
@@ -38,23 +37,13 @@ class Component:
     ``on_wake()`` re-synchronizes a skipped component's local clock
     when an external event or its timer re-activates it.
 
-    Components are also the unit of *checkpointing*: :meth:`snapshot`
-    captures every attribute except the entries of
-    :attr:`SNAPSHOT_WIRING` (live wiring — hook buses, injector
-    handles — that a restored simulation reconstructs rather than
-    deserializes), and :meth:`restore` applies such a capture back onto
-    a freshly constructed twin *in place*, preserving the object's
-    identity in schedulers and sinks.  The default implementation
-    copies ``self.__dict__`` wholesale; components holding references
-    to objects outside themselves (shared sinks, simulations) override
-    ``_snapshot_state``/``_restore_state`` with an explicit encoding.
-    ``tests/test_state_contracts.py`` checks that a resumed twin
-    carries everything but the wiring.
+    A component has no checkpoint code of its own: a checkpoint
+    pickles the whole simulation, so every attribute — hook
+    subscriptions and wiring included — must pickle, and the loaded
+    object is the one that was saved (see
+    :mod:`repro.harness.checkpoint`).  ``tests/test_state_contracts.py``
+    checks that a loaded twin equals its original everywhere.
     """
-
-    #: Attribute names excluded from :meth:`snapshot` because they are
-    #: wiring or derived state that restore must *not* replace.
-    SNAPSHOT_WIRING: ClassVar[Tuple[str, ...]] = ("hooks",)
 
     def __init__(self) -> None:
         self.cycle = 0
@@ -100,51 +89,6 @@ class Component:
         stopped on.
         """
         self.cycle = cycle
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-
-    def _snapshot_state(self) -> Dict[str, Any]:
-        """Reference dict of the attributes a snapshot must capture.
-
-        Values are *live* references, not copies: callers that snapshot
-        several coupled objects (a network of routers plus the harness
-        heaps threading flits between them) collect every component's
-        reference dict first and deep-copy the whole bundle in one
-        pass, so aliasing across components survives the capture.
-        """
-        wiring = self._snapshot_wiring()
-        return {
-            name: value
-            for name, value in self.__dict__.items()
-            if name not in wiring
-        }
-
-    def _restore_state(self, state: Dict[str, Any]) -> None:
-        """Apply an already-copied state dict onto ``self`` in place."""
-        for name, value in state.items():
-            setattr(self, name, value)
-
-    @classmethod
-    def _snapshot_wiring(cls) -> frozenset:
-        """Union of ``SNAPSHOT_WIRING`` along the class's MRO."""
-        names = set()
-        for klass in cls.__mro__:
-            names.update(getattr(klass, "SNAPSHOT_WIRING", ()))
-        return frozenset(names)
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Independent, picklable capture of this component's state."""
-        return copy.deepcopy(self._snapshot_state())
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        """Apply a :meth:`snapshot` capture in place (wiring untouched).
-
-        ``state`` is deep-copied first so one capture can seed any
-        number of restores without sharing mutable structures.
-        """
-        self._restore_state(copy.deepcopy(state))
 
     def step(self) -> None:
         """Run one full cycle standalone (compute + commit + hooks).

@@ -70,7 +70,7 @@ from __future__ import annotations
 
 from bisect import insort
 from heapq import heappop, heappush
-from typing import Any, Callable, ClassVar, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, ClassVar, Dict, Iterable, List, Optional, Tuple
 
 from ..core.errors import UnregisteredComponentError
 from .component import Component
@@ -90,8 +90,7 @@ class Scheduler:
             ``cycle_end`` events spanning the whole component set.
     """
 
-    #: The drive mode's name, as :func:`make_scheduler` takes it and a
-    #: snapshot records it.
+    #: The drive mode's name, as :func:`make_scheduler` takes it.
     mode: ClassVar[str] = "cycle"
 
     def __init__(
@@ -101,7 +100,9 @@ class Scheduler:
     ) -> None:
         self.components: List[Component] = []
         self.hooks = hooks if hooks is not None else EngineHooks()
-        self._index: Dict[int, int] = {}
+        #: Component -> slot, keyed by the component itself (not its
+        #: ``id()``, which a pickled scheduler would not carry over).
+        self._index: Dict[Component, int] = {}
         #: Per slot: True while the component is awake (stepped).
         self._active: List[bool] = []
         #: Per slot: the cycle an asleep component's timer rings, None
@@ -148,7 +149,7 @@ class Scheduler:
     def register(self, comp: Component) -> None:
         """Append a component; phase order is registration order."""
         slot = len(self.components)
-        self._index[id(comp)] = slot
+        self._index[comp] = slot
         self.components.append(comp)
         self._active.append(True)
         self._alarm.append(None)
@@ -179,7 +180,7 @@ class Scheduler:
         component stamps arrivals with its local clock).  No-op for
         components that are already awake.
         """
-        slot = self._index.get(id(comp))
+        slot = self._index.get(comp)
         if slot is None:
             raise UnregisteredComponentError(comp)
         if not self._active[slot]:
@@ -266,76 +267,6 @@ class Scheduler:
                 break
             self._tick()
         return self.now
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-
-    #: Wiring and derived attributes a snapshot must not capture: the
-    #: registered components checkpoint themselves, callbacks and wake
-    #: sources are re-wired by the owning harness at construction, and
-    #: ``_active_slots``/``_n_active``/``_index`` are rebuilt from the
-    #: ``active`` flags on restore.  A sleeper is captured as active
-    #: (its timers are not captured): waking it early only runs cycles
-    #: on which it would have done nothing.
-    SNAPSHOT_WIRING = (
-        "components", "hooks", "_index", "_active", "_alarm", "_timers",
-        "_active_slots", "_n_active", "_pre_cycle", "_post_cycle",
-        "_wake_sources",
-    )
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Picklable scheduler state: mode, clock, counters, and which
-        components are live (awake or asleep)."""
-        return {
-            "mode": self.mode,
-            "now": self.now,
-            "cycles_run": self.cycles_run,
-            "component_steps": self.component_steps,
-            "cycles_skipped": self.cycles_skipped,
-            "ff_jumps": self.ff_jumps,
-            "active": [
-                on or due is not None
-                for on, due in zip(self._active, self._alarm)
-            ],
-        }
-
-    @staticmethod
-    def captured_mode(state: Dict[str, Any]) -> str:
-        """The drive mode a :meth:`snapshot` capture came from.  A
-        capture that predates the ``mode`` key is an event-mode one
-        exactly when it carries the (always empty) ``wheel`` key that
-        mode used to write."""
-        return state.get("mode", "event" if "wheel" in state else "cycle")
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        """Apply a :meth:`snapshot` onto this scheduler in place.
-
-        The registered component set must match the snapshotted one
-        (same count, same order); the components themselves are
-        restored separately by the owning harness, before this.  Every
-        live component is woken at the captured clock, which
-        re-synchronizes a captured sleeper's lagging local clock and
-        leaves an awake one's as it is.
-        """
-        active = state["active"]
-        if len(active) != len(self.components):
-            raise ValueError(
-                f"snapshot captured {len(active)} components, scheduler "
-                f"has {len(self.components)}"
-            )
-        self.now = state["now"]
-        self.cycles_run = state["cycles_run"]
-        self.component_steps = state["component_steps"]
-        self.cycles_skipped = state["cycles_skipped"]
-        self.ff_jumps = state["ff_jumps"]
-        self._active = list(active)
-        self._alarm = [None] * len(active)
-        self._timers = []
-        self._active_slots = [s for s, on in enumerate(active) if on]
-        self._n_active = len(self._active_slots)
-        for slot in self._active_slots:
-            self.components[slot].on_wake(self.now)
 
     def next_horizon(self, now: int) -> Optional[int]:
         """Earliest upcoming cycle with possible work, or None.

@@ -66,9 +66,6 @@ class _ChannelFaults:
     after one or more corruptions is the retransmission recovery.
     """
 
-    #: Construction-time wiring, reattached (not serialized) on restore.
-    SNAPSHOT_WIRING = ("plan", "hooks", "_bump")
-
     def __init__(self, plan: FaultPlan, seed: int, num_channels: int,
                  hooks, bump: Callable[[str], None]) -> None:
         self.plan = plan
@@ -80,25 +77,6 @@ class _ChannelFaults:
         ]
         self._attempts = [0] * num_channels
         self._retry_at = [0] * num_channels
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Picklable capture: per-channel RNG states and back-off state."""
-        return {
-            "rngs": [rng.getstate() for rng in self._rngs],
-            "attempts": list(self._attempts),
-            "retry_at": list(self._retry_at),
-        }
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        for rng, rng_state in zip(self._rngs, state["rngs"]):
-            rng.setstate(rng_state)
-        self._attempts = list(state["attempts"])
-        self._retry_at = list(state["retry_at"])
-
-    def rebind_bump(self, bump: Callable[[str], None]) -> None:
-        """Repoint the counter sink (the owner's stats object may have
-        been replaced by a restore)."""
-        self._bump = bump
 
     def channel_ready(self, channel: int, now: int) -> bool:
         """False while ``channel`` is backing off after a corruption."""
@@ -148,9 +126,8 @@ class _FaultInjector:
 
     A subclass supplies ``_build_schedule`` (sorted ``(cycle, idx,
     action, fault)`` events), ``_apply_event`` (what one of them does),
-    ``_resync`` (how a ``_lost`` entry is re-delivered) and its own
-    snapshot encoding; whatever those read must be set before
-    ``super().__init__`` runs.
+    and ``_resync`` (how a ``_lost`` entry is re-delivered); whatever
+    those read must be set before ``super().__init__`` runs.
     """
 
     def __init__(self, plan: FaultPlan, hooks, seed: int, num_channels: int,
@@ -221,8 +198,7 @@ class _FaultInjector:
 class _DropHook:
     """Credit-loss tap installed on credit pipes/buses.
 
-    A module-level callable class rather than a bound method so the
-    router object graph stays picklable for checkpoint/restore.
+    A module-level callable class, so it pickles with the router.
     """
 
     __slots__ = ("injector",)
@@ -257,19 +233,13 @@ class SwitchFaultInjector(_FaultInjector):
     folded into run results as ``stats.faults.*``.
     """
 
-    #: Wiring and derived indexes rebuilt by :meth:`restore` rather than
-    #: captured in :meth:`snapshot` (``tests/test_state_contracts.py``
-    #: checks that a restore leaves nothing else behind).
-    SNAPSHOT_WIRING = ("plan", "router", "hooks", "credit_capable",
-                       "_counter_where", "_schedule")
-
     def __init__(self, plan: FaultPlan, router, seed: int) -> None:
         self.router = router
         self._now = 0
         super().__init__(plan, router.hooks, seed, router.config.radix,
                          router.stats.bump)
         self._credit_rng = derive_rng(self._fault_seed, "fault", "credit")
-        self._counter_where: Dict[int, Tuple[int, ...]] = {}
+        self._counter_where: Dict[CreditCounter, Tuple[int, ...]] = {}
         if plan.credit_loss_rate > 0.0:
             self._install_credit_hooks()
 
@@ -292,53 +262,24 @@ class SwitchFaultInjector(_FaultInjector):
         self.credit_capable = bool(taps)
         self._map_counters()
 
-    def detach_credit_hooks(self) -> None:
-        """Remove the drop taps (pipes revert to the zero-cost path).
-
-        The checkpoint layer detaches around a router snapshot so the
-        captured pipes don't drag the injector (and through its hook
-        bus, the whole simulation) into the copied object graph;
-        :meth:`attach_credit_hooks` re-installs the taps.
-        """
-        for tap in self._credit_taps():
-            tap.drop_hook = None
-
-    def attach_credit_hooks(self) -> None:
-        """Re-install the taps removed by :meth:`detach_credit_hooks`."""
-        if self.plan.credit_loss_rate > 0.0:
-            self._install_credit_hooks()
-
-    def _walk_counters(self) -> List[Tuple[Tuple[int, ...], CreditCounter]]:
-        """(address, counter) pairs over the router's credit tree.
-
-        Addresses are the stable (i, j[, vc]) coordinates; the tree is
-        walked in deterministic index order, so the same address names
-        the same logical buffer before and after a restore replaces the
-        counter objects.
-        """
+    def _map_counters(self) -> None:
+        """Label each credit counter with its (i, j[, vc]) address in
+        the router's credit tree, so dropped-credit events can name a
+        location.  Keyed by the counter itself, which a pickled
+        injector carries over with its router."""
         root = getattr(self.router, "_credits", None)
         if root is None:
             root = getattr(self.router, "_in_credits", None)
-        found: List[Tuple[Tuple[int, ...], CreditCounter]] = []
 
         def walk(node, prefix: Tuple[int, ...]) -> None:
             if isinstance(node, CreditCounter):
-                found.append((prefix, node))
+                self._counter_where[node] = prefix
                 return
             for idx, child in enumerate(node):
                 walk(child, prefix + (idx,))
 
         if root is not None:
             walk(root, ())
-        return found
-
-    def _map_counters(self) -> None:
-        """Label credit counters by their stable (i, j[, vc]) address,
-        so dropped-credit events can name a location (the runtime keys
-        are object ids, but the emitted labels are the addresses)."""
-        self._counter_where = {
-            id(counter): where for where, counter in self._walk_counters()
-        }
 
     def _build_schedule(self) -> List[Tuple[int, int, str, object]]:
         events: List[Tuple[int, int, str, object]] = []
@@ -362,7 +303,7 @@ class SwitchFaultInjector(_FaultInjector):
         sink()
         self.router.stats.bump("faults.credit_resyncs")
         if self.hooks.fault_recover:
-            where = self._counter_where.get(id(sink.__self__), ())
+            where = self._counter_where.get(sink.__self__, ())
             self.hooks.emit_fault_recover(CREDIT_RESYNC, where, now)
 
     # ------------------------------------------------------------------
@@ -378,66 +319,13 @@ class SwitchFaultInjector(_FaultInjector):
         )
         self.router.stats.bump("faults.credit_lost")
         if self.hooks.fault_inject:
-            where = self._counter_where.get(id(sink.__self__), ())
+            where = self._counter_where.get(sink.__self__, ())
             self.hooks.emit_fault_inject(CREDIT_LOSS, where, self._now)
         return True
 
     def pending_credit_sinks(self) -> List[Callable[[], None]]:
         """Sinks held for resync (credit-conservation accounting)."""
         return [sink for _, sink in self._lost]
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Picklable capture of the injector's mutable state.
-
-        Held resync sinks (bound counter methods) are encoded by the
-        owning counter's stable address plus the method name, so the
-        capture carries no live object references; :meth:`restore`
-        re-resolves them against the (by then restored) router.
-        """
-        lost = []
-        for due, sink in self._lost:
-            where = self._counter_where.get(id(sink.__self__))
-            if where is None:
-                raise RuntimeError(
-                    "cannot checkpoint a resync sink whose counter has "
-                    "no stable address"
-                )
-            lost.append((due, where, sink.__func__.__name__))
-        return {
-            "now": self._now,
-            "next_event": self._next_event,
-            "credit_rng": self._credit_rng.getstate(),
-            "lost": lost,
-            "channels": (
-                None if self._channels is None else self._channels.snapshot()
-            ),
-        }
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        """Apply a :meth:`snapshot` capture; call *after* the router's
-        own state has been restored (sink resolution and hook taps run
-        against the live counter tree)."""
-        self._now = state["now"]
-        self._next_event = state["next_event"]
-        self._credit_rng.setstate(state["credit_rng"])
-        if self._channels is not None:
-            self._channels.restore(state["channels"])
-            # The router restore replaced its stats object; counters
-            # must land on the live one.
-            self._channels.rebind_bump(self.router.stats.bump)
-        if self.plan.credit_loss_rate > 0.0:
-            # The restore may have replaced pipes and counters: re-tap
-            # the credit wires and re-index the counter addresses.
-            self._install_credit_hooks()
-        by_address = dict(self._walk_counters())
-        self._lost = deque(
-            (due, getattr(by_address[tuple(where)], method))
-            for due, where, method in state["lost"]
-        )
 
     # ------------------------------------------------------------------
     # Stuck buffers
@@ -495,10 +383,6 @@ class NetworkFaultInjector(_FaultInjector):
     re-rolls of the oblivious route otherwise), counting reroutes and
     give-ups.  Counters land in the run result as ``stats.faults.*``.
     """
-
-    #: Wiring and the pre-validated link schedule, rebuilt from the plan
-    #: at construction rather than captured by :meth:`snapshot`.
-    SNAPSHOT_WIRING = ("plan", "sim", "hooks", "_schedule")
 
     def __init__(self, plan: FaultPlan, sim, seed: int) -> None:
         self.sim = sim
@@ -601,67 +485,6 @@ class NetworkFaultInjector(_FaultInjector):
     def pending_credits(self) -> List[Tuple[Callable[[int], None], int]]:
         """(sink, vc) pairs held for resync (conservation accounting)."""
         return [(sink, vc) for _, sink, vc in self._lost]
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-
-    def _sink_addresses(self) -> Dict[int, Tuple[object, int]]:
-        """id(credit sink) -> (switch id, port) over the live network."""
-        where: Dict[int, Tuple[object, int]] = {}
-        for sid, router in self.sim.routers.items():
-            for port, sink in enumerate(router.credit_sinks):
-                if sink is not None:
-                    where[id(sink)] = (sid, port)
-        return where
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Picklable capture of the injector's mutable state.
-
-        Held resync sinks are encoded as the (switch, port) coordinates
-        of the credit-sink slot they occupy; :meth:`restore` resolves
-        the coordinates back to the live sink objects.
-        """
-        where = self._sink_addresses()
-        lost = []
-        for due, sink, vc in self._lost:
-            address = where.get(id(sink))
-            if address is None:
-                raise RuntimeError(
-                    "cannot checkpoint a resync sink that is not a "
-                    "registered credit sink"
-                )
-            lost.append((due, address, vc))
-        return {
-            "counters": dict(self.counters),
-            "dead_links": sorted(self.dead_links),
-            "next_event": self._next_event,
-            "lost": lost,
-            "credit_rngs": {
-                name: rng.getstate()
-                for name, rng in sorted(self._credit_rngs.items())
-            },
-            "channels": (
-                None if self._channels is None else self._channels.snapshot()
-            ),
-        }
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        """Apply a :meth:`snapshot` capture (routers restored first)."""
-        self.counters = dict(state["counters"])
-        self.dead_links = {
-            (sid, port) for sid, port in state["dead_links"]
-        }
-        self._next_event = state["next_event"]
-        for name, rng_state in state["credit_rngs"].items():
-            self._credit_rngs[name].setstate(rng_state)
-        if self._channels is not None:
-            self._channels.restore(state["channels"])
-        routers = self.sim.routers
-        self._lost = deque(
-            (due, routers[sid].credit_sinks[port], vc)
-            for due, (sid, port), vc in state["lost"]
-        )
 
     # ------------------------------------------------------------------
     # Dead-link-aware routing

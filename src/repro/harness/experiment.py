@@ -11,7 +11,6 @@ generation (so source queueing counts) to tail-flit ejection.
 
 from __future__ import annotations
 
-import copy
 import functools
 import multiprocessing
 from dataclasses import dataclass, field
@@ -57,18 +56,6 @@ class SweepSettings:
 class SwitchSimulation(StagedRun):
     """Drives one router instance with per-input traffic sources."""
 
-    #: Attributes :meth:`snapshot` deliberately omits (the restore
-    #: check in ``tests/test_state_contracts.py`` skips them):
-    #: construction parameters (``config``/``load``/``packet_size`` and
-    #: the build spec, which the checkpoint file header carries
-    #: instead) and live wiring (``hooks``, the router's injector
-    #: handle), all of which a restored twin gets from its own
-    #: constructor.
-    SNAPSHOT_WIRING = (
-        "_build_spec", "hooks", "config", "load", "packet_size",
-        "fault_injector",
-    )
-
     def __init__(
         self,
         router: Router,
@@ -106,17 +93,6 @@ class SwitchSimulation(StagedRun):
         :meth:`run_workload` instead of :meth:`run`."""
         if not 0.0 <= load <= 1.0:
             raise ValueError(f"load must be in [0, 1], got {load}")
-        #: Constructor arguments a checkpoint file needs to rebuild an
-        #: equivalent simulation (see :mod:`repro.harness.checkpoint`);
-        #: everything else is recoverable from the built object.
-        self._build_spec: Dict[str, Any] = {
-            "load": load,
-            "packet_size": packet_size,
-            "pattern": pattern,
-            "injection": injection,
-            "avg_burst": avg_burst,
-            "seed": seed,
-        }
         self.router = router
         #: The router's event bus (metrics/tracing attach here).
         self.hooks = router.hooks
@@ -195,8 +171,7 @@ class SwitchSimulation(StagedRun):
         self.measured_flits = 0
         self._count_flits = False
         #: In-progress measurement program (see :meth:`start_run`), or
-        #: None when no staged run is active.  Plain picklable data so
-        #: a checkpoint taken mid-run resumes at the same stage.
+        #: None when no staged run is active.
         self._program: Optional[Dict[str, Any]] = None
 
     # ------------------------------------------------------------------
@@ -369,69 +344,6 @@ class SwitchSimulation(StagedRun):
         self.start_workload_run(max_cycles)
         self.advance_run()
         return self.finish_run()
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Picklable capture of the whole simulation at a cycle boundary.
-
-        Every coupled piece — router, scheduler, sources, sample,
-        injector, tracer, the staged-run program, and the packet-id
-        counter — is collected as live references and
-        deep-copied in one pass, so aliasing (e.g. the workload shared
-        by every source) survives into the capture.  Restore onto a
-        simulation constructed with identical parameters.
-        """
-        run = self._capture_run()
-        faults = self._faults
-        if faults is not None:
-            # Keep the captured credit pipes free of injector taps (the
-            # tap would drag the hook bus, and through it the whole
-            # simulation, into the copied graph).
-            faults.detach_credit_hooks()
-        try:
-            return copy.deepcopy({
-                **run,
-                "engine": self.router._snapshot_state(),
-                "sources": [vars(src) for src in self.sources],
-                "harness": {
-                    "next_inject": self._next_inject,
-                    "packet_vc": self._packet_vc,
-                    "vc_rr": self._vc_rr,
-                    "generating": self._generating,
-                },
-            })
-        finally:
-            if faults is not None:
-                faults.attach_credit_hooks()
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        """Apply a :meth:`snapshot` capture onto this simulation.
-
-        The simulation must have been constructed with the same
-        parameters as the one captured (router organization, load,
-        pattern, seed, fault plan, tracer, scheduler mode); only
-        mutable state is replaced, in place, so scheduler registration
-        and hook subscriptions stay wired.
-        """
-        self._check_run(state)
-        if len(state["sources"]) != len(self.sources):
-            raise ValueError(
-                f"snapshot captured {len(state['sources'])} sources, "
-                f"simulation has {len(self.sources)}"
-            )
-        state = copy.deepcopy(state)
-        self.router._restore_state(state["engine"])
-        for src, src_state in zip(self.sources, state["sources"]):
-            vars(src).update(src_state)
-        harness = state["harness"]
-        self._next_inject = harness["next_inject"]
-        self._packet_vc = harness["packet_vc"]
-        self._vc_rr = harness["vc_rr"]
-        self._generating = harness["generating"]
-        self._apply_run(state)
 
 
 # ----------------------------------------------------------------------

@@ -24,10 +24,9 @@ drain       bound, or no labeled        —
 workload    bound, or the DAG done      —
 ==========  ==========================  ===============================
 
-The program itself is plain data (absolute bounds plus bookkeeping) and
-is captured with the rest of the run state by :meth:`_capture_run`, so
-a checkpoint taken between :meth:`advance_run` calls resumes mid-stage
-byte-identically.
+The program itself is plain data (absolute bounds plus bookkeeping)
+held on the simulation, so a checkpoint taken between
+:meth:`advance_run` calls resumes mid-stage byte-identically.
 
 So does the host-channel protocol: a head flit takes an input VC
 round-robin among those with room and holds it to the tail, one flit
@@ -60,7 +59,7 @@ def _either(a: Predicate, b: Predicate) -> Predicate:
 
 class StagedRun:
     """Base of the simulations: the staged run, the host channels and
-    the checkpoint glue.
+    the checkpoint entry point.
 
     A stack plugs in by owning the attributes below — plain attributes
     because its per-cycle generate/eject code reads and bumps them
@@ -356,87 +355,11 @@ class StagedRun:
         return result, workload_run
 
     # ------------------------------------------------------------------
-    # Checkpoint glue
+    # Checkpoint
     # ------------------------------------------------------------------
 
-    def _capture_run(self) -> Dict[str, Any]:
-        """Live references to the run state every stack shares.
-
-        The stack merges its own state into the returned bundle and
-        deep-copies the whole in one pass, so aliasing (the workload
-        shared by every source, a flit in a buffer and the in-flight
-        heap) survives into the capture.  Call before anything else
-        is touched: a sanitized simulation is refused here.
-        """
-        if self.sanitizer is not None:
-            raise ValueError(
-                "cannot checkpoint a sanitized simulation; rerun the "
-                "sanitizer after restore instead"
-            )
-        return {
-            "sched": self._sched.snapshot(),
-            "packet_ids": self._next_packet_id,
-            "program": self._program,
-            "workload": self._workload,
-            "measuring": self._measuring,
-            "count_flits": self._count_flits,
-            "outstanding": self._outstanding,
-            "labeled_total": self._labeled_total,
-            "sample": self.sample,
-            "measured_flits": self.measured_flits,
-            "faults": (
-                None if self._faults is None else self._faults.snapshot()
-            ),
-            "tracer": (
-                None if self._tracer is None else dict(vars(self._tracer))
-            ),
-        }
-
-    def _check_run(self, state: Dict[str, Any]) -> None:
-        """Refuse a capture this simulation was not built to resume.
-
-        Called before any state is touched.
-        """
-        if self.sanitizer is not None:
-            raise ValueError("cannot restore onto a sanitized simulation")
-        if Scheduler.captured_mode(state["sched"]) != self._sched.mode:
-            raise ValueError(
-                "scheduler mode mismatch between snapshot and simulation"
-            )
-        for key, what, mine in (
-            ("faults", "fault plan", self._faults),
-            ("workload", "workload", self._workload),
-            ("tracer", "tracer", self._tracer),
-        ):
-            if (state[key] is None) != (mine is None):
-                raise ValueError(
-                    f"{what} mismatch between snapshot and simulation"
-                )
-
-    def _apply_run(self, state: Dict[str, Any]) -> None:
-        """Apply :meth:`_capture_run`'s part of a (copied) capture.
-
-        Call after the routers are restored: the fault injector
-        resolves its lost-credit sinks against the live counters.
-        """
-        self._sched.restore(state["sched"])
-        self._next_packet_id = state["packet_ids"]
-        self._program = state["program"]
-        self._workload = state["workload"]
-        self._measuring = state["measuring"]
-        self._count_flits = state["count_flits"]
-        self._outstanding = state["outstanding"]
-        self._labeled_total = state["labeled_total"]
-        self.sample = state["sample"]
-        self.measured_flits = state["measured_flits"]
-        if self._faults is not None:
-            self._faults.restore(state["faults"])
-        if self._tracer is not None:
-            vars(self._tracer).clear()
-            vars(self._tracer).update(state["tracer"])
-
     def save_checkpoint(self, path) -> None:
-        """Persist this simulation (state plus rebuild spec) to disk.
+        """Pickle this simulation to ``path``.
 
         Resume with :func:`repro.harness.checkpoint.load_checkpoint`.
         """

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import copy
 import heapq
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Set, Tuple
 
 from ..core.arbiter import HAVE_NUMPY
 from ..core.errors import InvariantViolation, invariant
@@ -58,11 +58,6 @@ class HostArrivals:
     back in ascending order with :attr:`streams` ``[host]`` positioned
     right after the poll that hit.
     """
-
-    #: Attributes :meth:`snapshot` deliberately omits (the restore
-    #: check in ``tests/test_state_contracts.py`` skips them):
-    #: both are construction parameters.
-    SNAPSHOT_WIRING = ("rate", "predraw")
 
     def __init__(
         self, seed: int, hosts: int, rate: float, predraw: bool
@@ -164,52 +159,6 @@ class HostArrivals:
         else:
             self._undrawn.discard(host)
             heapq.heappush(self._heap, (cycle + hit, host))
-
-    def snapshot(self) -> Dict[str, Any]:
-        """The ``rngs`` and ``arrivals`` entries of a network snapshot.
-
-        State rows are not captured: each equals the Python stream
-        (captured at its sync cycle) plus ``cursor - sync`` polls, so
-        :meth:`restore` rebuilds them instead.
-        """
-        sync = self._cursor if self._rows is None else self._sync_cursor
-        return {
-            "rngs": [stream.getstate() for stream in self.streams],
-            "arrivals": {
-                "heap": sorted(self._heap),
-                "cursor": list(self._cursor),
-                "draw_limit": self._draw_limit,
-                "undrawn": sorted(self._undrawn),
-                "sync_cursor": list(sync),
-            },
-        }
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        """Apply a :meth:`snapshot`, taken with or without state rows.
-
-        The captured Python streams sit at ``sync_cursor``; the polls
-        separating each from its cursor are replayed into the host's
-        row, or, with no rows, on the Python stream itself.  Captures
-        are taken at cycle boundaries, where that gap is pure polls
-        (every destination draw forces a sync).
-        """
-        for stream, captured in zip(self.streams, state["rngs"]):
-            stream.setstate(captured)
-        arrivals = state["arrivals"]
-        # A sorted list is a valid binary heap.
-        self._heap = list(arrivals["heap"])
-        self._cursor = list(arrivals["cursor"])
-        self._draw_limit = arrivals["draw_limit"]
-        self._undrawn = set(arrivals["undrawn"])
-        self._sync_cursor = list(arrivals["sync_cursor"])
-        for host, stream in enumerate(self.streams):
-            polls = self._cursor[host] - self._sync_cursor[host]
-            if self._rows is not None:
-                self._rows.push(host, stream)
-                self._rows.skip(host, polls)
-            else:
-                for _ in range(polls):
-                    stream.random()
 
     def audit(self, cycle: int) -> None:
         """Check the sync invariant for the hosts that generated in the

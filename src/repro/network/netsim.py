@@ -11,7 +11,6 @@ warm-up / label / drain methodology as the switch-level harness.
 
 from __future__ import annotations
 
-import copy
 import functools
 from bisect import insort
 from collections import deque
@@ -86,8 +85,8 @@ class _RouterSink:
     """Delivery callable for a router-to-router channel.
 
     A module-level class rather than a closure so the wired network
-    stays picklable for checkpoint/restore; the sanitizer reads the
-    wiring off :attr:`target`/:attr:`port`.
+    pickles into a checkpoint; the sanitizer reads the wiring off
+    :attr:`target`/:attr:`port`.
     """
 
     __slots__ = ("sim", "target", "port")
@@ -144,16 +143,6 @@ class NetworkSimulation(StagedRun):
     move a flit before a known cycle sleep until then — byte-identical
     to stepping every router, which ``tests/exhaustive.py`` checks.
     """
-
-    #: Attributes :meth:`snapshot` deliberately omits (the restore
-    #: check in ``tests/test_state_contracts.py`` skips them):
-    #: construction parameters (``config``/``load``/``topology``/
-    #: ``_host_pattern``/``_trace_switch``), the hook bus, and
-    #: ``_host_port`` (a pure function of the topology).
-    SNAPSHOT_WIRING = (
-        "config", "load", "topology", "_host_pattern", "hooks",
-        "_trace_switch", "_host_port",
-    )
 
     def __init__(
         self,
@@ -292,8 +281,7 @@ class NetworkSimulation(StagedRun):
         self._peak_source_q = 0
         self.sample = LatencySample()
         self.measured_flits = 0
-        #: Active staged run program (see :meth:`start_run`): plain
-        #: data, so a snapshot taken mid-run carries it along.
+        #: Active staged run program (see :meth:`start_run`), or None.
         self._program: Optional[Dict[str, Any]] = None
         # Global in-flight flit event queue, a FIFO in (arrival, seq)
         # order: (arrival, seq, flit, target); ``_seq`` is the next seq.
@@ -615,93 +603,31 @@ class NetworkSimulation(StagedRun):
         return sorted(self._faults.counters.items())
 
     # ------------------------------------------------------------------
-    # Checkpoint / restore
+    # Pickling (checkpoints)
     # ------------------------------------------------------------------
 
-    def snapshot(self) -> Dict[str, Any]:
-        """Deep-copied picklable capture of the full simulation state.
+    def __getstate__(self) -> Tuple[Dict[str, Any], List[Tuple[list, list]]]:
+        """The attributes, then every router's ``links`` and
+        ``credit_sinks``, which :class:`NetworkRouter` leaves out of its
+        own state: each link's sink holds its downstream router, so
+        pickling links with their routers would nest one router inside
+        the next across the whole network, deeper than the recursion
+        limit on a large one.  After every router, a link's target is
+        a memo reference."""
+        wiring = [
+            (router.links, router.credit_sinks)
+            for router in self.routers.values()
+        ]
+        return self.__dict__, wiring
 
-        Captures the routers, the drive loop, every RNG stream, the
-        in-flight flit queue, the host-side injection machinery, the
-        staged run program, the workload, the fault injector, and the
-        trace collector.  Restoring the capture onto a freshly built
-        twin (same constructor arguments) resumes byte-identically;
-        see :mod:`repro.harness.checkpoint` for the on-disk format.
-        """
-        run = self._capture_run()
-        arrivals = self.arrivals.snapshot()
-        switch_of = {id(r): sid for sid, r in self.routers.items()}
-        inflight = []
-        for arrival, seq, flit, target in self._inflight:
-            if isinstance(target, tuple):
-                router, port = target
-                encoded: Tuple = ("r", switch_of[id(router)], port)
-            else:
-                encoded = ("h", target)
-            inflight.append((arrival, seq, flit, encoded))
-        return copy.deepcopy({
-            **run,
-            "routers": [
-                router._snapshot_state() for router in self.routers.values()
-            ],
-            "seq": self._seq,
-            "inflight": inflight,
-            "harness": {
-                "source_q": [list(queue) for queue in self._source_q],
-                "backlog_hosts": sorted(self._backlog_hosts),
-                "next_inject": self._next_inject,
-                "packet_vc": self._packet_vc,
-                "vc_rr": self._vc_rr,
-                "peak_source_q": self._peak_source_q,
-            },
-            "rngs": arrivals["rngs"],
-            "route_rng": self._route_rng.getstate(),
-            "arrivals": arrivals["arrivals"],
-        })
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        """Apply a :meth:`snapshot` onto this simulation in place.
-
-        The simulation must have been built with the same constructor
-        arguments as the one the snapshot came from (same topology,
-        scheduler mode, fault plan, workload and tracer presence).
-        """
-        self._check_run(state)
-        if len(state["routers"]) != len(self.routers):
-            raise ValueError(
-                f"snapshot captured {len(state['routers'])} routers, "
-                f"simulation has {len(self.routers)}"
-            )
-        if len(state["rngs"]) != len(self.arrivals.streams):
-            raise ValueError(
-                f"snapshot captured {len(state['rngs'])} hosts, "
-                f"simulation has {len(self.arrivals.streams)}"
-            )
-        state = copy.deepcopy(state)
-        for router, captured in zip(self.routers.values(), state["routers"]):
-            router._restore_state(captured)
-        self._seq = state["seq"]
-        inflight: Deque[Tuple[int, int, Flit, object]] = deque()
-        for arrival, seq, flit, encoded in state["inflight"]:
-            if encoded[0] == "r":
-                target: object = (self.routers[encoded[1]], encoded[2])
-            else:
-                target = encoded[1]
-            inflight.append((arrival, seq, flit, target))
-        # Captured sorted, which is the queue's order.
-        self._inflight = inflight
-        harness = state["harness"]
-        self._source_q = [deque(queue) for queue in harness["source_q"]]
-        self._backlog_hosts = set(harness["backlog_hosts"])
-        self._next_inject = harness["next_inject"]
-        self._packet_vc = harness["packet_vc"]
-        self._vc_rr = harness["vc_rr"]
-        self._peak_source_q = harness["peak_source_q"]
-        self.arrivals.restore(state)
-        self._route_rng.setstate(state["route_rng"])
-        # After the routers: lost-credit sinks resolve through the
-        # (identity-preserved) credit_sinks wiring.
-        self._apply_run(state)
+    def __setstate__(
+        self, state: Tuple[Dict[str, Any], List[Tuple[list, list]]]
+    ) -> None:
+        attrs, wiring = state
+        self.__dict__.update(attrs)
+        for router, (links, sinks) in zip(self.routers.values(), wiring):
+            router.links = links
+            router.credit_sinks = sinks
 
 
 def _run_network_point(

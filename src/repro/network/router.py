@@ -281,87 +281,13 @@ class NetworkRouter(Component):
                 horizon = due
         return horizon
 
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-
-    #: Wiring/spec excluded from snapshots: ``links``/``credit_sinks``
-    #: hold delivery callbacks into the owning simulation (their
-    #: flow-control *state* is captured explicitly below), ``config``/
-    #: ``name`` are construction parameters, and the fault injector is
-    #: shared across routers and checkpointed by the simulation.  The
-    #: occupancy indices are derived: restore recounts them from the
-    #: restored banks, so a capture written before they existed still
-    #: applies.
-    SNAPSHOT_WIRING = (
-        "hooks", "config", "name", "links", "credit_sinks",
-        "fault_injector", "_in_flits", "_occupied", "_resident",
-    )
-
-    def _snapshot_state(self) -> Dict[str, Any]:
-        """Explicit capture: every ``__init__`` attribute that is not
-        wiring, with delayed credits encoded as (input port, vc)."""
-        if self._staged_credits or self._staged_releases:
-            raise RuntimeError(
-                f"{self.name}: snapshot between compute and commit "
-                "(staged intents pending)"
-            )
-        sink_port = {
-            id(sink): port
-            for port, sink in enumerate(self.credit_sinks)
-            if sink is not None
-        }
-        return {
-            "cycle": self.cycle,
-            "inputs": self.inputs,
-            "_input_arb": self._input_arb,
-            "_output_arb": self._output_arb,
-            "input_busy": self.input_busy,
-            "output_busy": self.output_busy,
-            "_credit_out": self._credit_out.dump(
-                lambda item: (sink_port[id(item[0])], item[1])
-            ),
-            "_vc_release": self._vc_release,
-            "_stuck_inputs": self._stuck_inputs,
-            "links": [
-                None if link is None else {
-                    "alive": link.alive,
-                    "vc_state": link.vc_state,
-                    "credits": link.credits,
-                }
-                for link in self.links
-            ],
-        }
-
-    def _restore_state(self, state: Dict[str, Any]) -> None:
-        """Apply a capture in place; link objects keep their identity
-        (their delivery callbacks are live wiring) and only their
-        flow-control state is replaced."""
-        self.cycle = state["cycle"]
-        self.inputs = state["inputs"]
-        self._input_arb = state["_input_arb"]
-        self._output_arb = state["_output_arb"]
-        self.input_busy = state["input_busy"]
-        self.output_busy = state["output_busy"]
-        self._credit_out = DelayLine.load(
-            state["_credit_out"],
-            lambda item: (self.credit_sinks[item[0]], item[1]),
-        )
-        self._vc_release = state["_vc_release"]
-        self._in_flits = [len(bank) for bank in self.inputs]
-        self._occupied = {
-            port for port, count in enumerate(self._in_flits) if count
-        }
-        self._resident = sum(self._in_flits)
-        self._stuck_inputs = state["_stuck_inputs"]
-        self._staged_credits = ()
-        self._staged_releases = ()
-        for link, captured in zip(self.links, state["links"]):
-            if link is None or captured is None:
-                continue
-            link.alive = captured["alive"]
-            link.vc_state = captured["vc_state"]
-            link.credits = captured["credits"]
+    def __getstate__(self) -> Dict[str, Any]:
+        """Everything but ``links`` and ``credit_sinks``, which the
+        owning :class:`~repro.network.netsim.NetworkSimulation` pickles
+        after all of its routers (their sinks lead to other routers)."""
+        state = dict(self.__dict__)
+        del state["links"], state["credit_sinks"]
+        return state
 
     def _allocate(self) -> None:
         """Separable allocation: a v:1 grant per ready input, then a

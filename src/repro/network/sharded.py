@@ -57,9 +57,9 @@ window is one cycle) and worker-to-worker pipes (the parent's relay
 measured ~0.04 s of a 732-cycle run with every link cut, and half of
 them are cut now); see ``docs/checkpoint_sharding.md``.
 
-Sharded runs cannot checkpoint: :meth:`ShardedNetworkSimulation.snapshot`
-raises.  Checkpoint serially, then resume with any shard count (the
-state protocol is process-count-free).
+Sharded runs cannot checkpoint:
+:meth:`ShardedNetworkSimulation.save_checkpoint` raises before writing
+anything.  Checkpoint a serial run instead; it produces the same bytes.
 """
 
 from __future__ import annotations
@@ -818,16 +818,12 @@ class ShardedNetworkSimulation(NetworkSimulation):
         self._check_workers()
         super()._check_startable()
 
-    def snapshot(self) -> Dict[str, Any]:
+    def save_checkpoint(self, path) -> None:
+        """Refused before anything is written: the state lives in the
+        worker processes."""
         raise ValueError(
             "a sharded simulation cannot checkpoint; checkpoint a "
-            "serial run and resume it with any shard count"
-        )
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        raise ValueError(
-            "a sharded simulation cannot restore; load the checkpoint "
-            "into a serial simulation instead"
+            "serial run instead"
         )
 
     def close(self) -> None:

@@ -33,7 +33,7 @@ the tail flit ... the virtual channel is freed").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.buffers import VcBufferBank, audit_bounds, bank_lengths, per_bank
 from ..core.config import RouterConfig
@@ -90,12 +90,6 @@ class Router(Component):
     #: points of their own.
     TRACE_STAGES: Tuple[str, ...] = ("RC", "ST")
 
-    #: Construction-time wiring excluded from the generic snapshot (the
-    #: frozen config and the fault-injector handle are re-established by
-    #: whoever rebuilds the simulation, not deserialized with it) and
-    #: the derived per-input counts, which restore recounts.
-    SNAPSHOT_WIRING = ("config", "fault_injector", "_in_flits")
-
     def __init__(self, config: RouterConfig) -> None:
         self.config = config
         self.cycle = 0
@@ -122,7 +116,6 @@ class Router(Component):
         # yields no candidates and the arbiters never advance their
         # pointers on an empty request set — and the harness reads a
         # count equal to the bank's capacity as "no VC has room".
-        # Derived state: recounted from the banks on restore.
         self._in_flits: List[int] = [0] * k
         self._staged_ejects: Sequence[Tuple[Flit, int]] = ()
         self._staged_releases: Sequence[Tuple[int, int, int]] = ()
@@ -200,12 +193,6 @@ class Router(Component):
             if due is not None and (horizon is None or due < horizon):
                 horizon = due
         return horizon
-
-    def _restore_state(self, state: Dict[str, Any]) -> None:
-        """The per-input counts are derived: recounted, not captured; a
-        key this build does not carry (an older capture's index) is dropped."""
-        super()._restore_state({k: v for k, v in state.items() if k in self.__dict__})
-        self._in_flits = [len(bank) for bank in self.inputs]
 
     def drain_ejected(self) -> List[Tuple[Flit, int]]:
         """Return and clear the flits delivered since the last drain."""

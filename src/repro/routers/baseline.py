@@ -22,7 +22,7 @@ Figure 9 reproduces.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
+from typing import Dict, Tuple
 
 from ..core.arbiter import RoundRobinArbiter
 from ..core.config import RouterConfig
@@ -54,16 +54,6 @@ class BaselineRouter(Router):
         self._alloc: Dict[Tuple[int, int], int] = {}
         # Head flits become eligible after the RC and VA pipe stages.
         self._head_delay = config.route_latency + 1
-
-    def _restore_state(self, state: Dict[str, Any]) -> None:
-        """A capture written by the retired array twin holds the input
-        arbiters' pointers in its ``_input_arb_b`` bank (its scalar
-        arbiters sat idle); they move back to the scalar arbiters."""
-        bank = state.get("_input_arb_b")
-        super()._restore_state(state)
-        if bank is not None:
-            for arb, pointer in zip(self._input_arb, bank.pointers):
-                arb._ptr = pointer
 
     # ------------------------------------------------------------------
 

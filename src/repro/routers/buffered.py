@@ -38,7 +38,7 @@ blocking is eliminated; its cost is O(v·k²) buffer storage (Figure 15).
 from __future__ import annotations
 
 from itertools import chain, compress
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..allocation.switch_alloc import OutputArbiterBank
 from ..core.arbiter import (
@@ -79,9 +79,6 @@ class BufferedCrossbarRouter(Router):
     that hold something (see "Crosspoint and baseline hot path" in
     docs/architecture.md).
     """
-
-    #: Derived from the credit buses; :meth:`_restore_state` recounts it.
-    SNAPSHOT_WIRING = ("_bus_live",)
 
     # "XB" fires when the flit launches across its input row toward the
     # crosspoint buffer; "ST" fires when the output column grants it.
@@ -507,18 +504,6 @@ class BufferedCrossbarRouter(Router):
                 if due is not None and (horizon is None or due < horizon):
                     horizon = due
         return horizon
-
-    def _restore_state(self, state: Dict[str, Any]) -> None:
-        """The bus indices are derived: recounted from the restored
-        queues and wires, never captured."""
-        super()._restore_state(state)
-        buses = self._credit_buses
-        if buses is not None:
-            for bus in buses:
-                bus.reindex()
-            self._bus_live = {
-                i for i, bus in enumerate(buses) if not bus.idle()
-            }
 
     def audit(self, cycle: int, held: int = 0) -> None:
         """One walk of the k*k*v crosspoint queues checks

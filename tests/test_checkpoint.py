@@ -1,8 +1,8 @@
 """Checkpoint/restore round-trip properties.
 
 Every test runs a reference simulation to completion, then a twin that
-stops at a mid-run cycle ``K``, saves a checkpoint file, reloads it
-into a freshly built simulation, and finishes from there.  The resumed
+stops at a mid-run cycle ``K``, saves a checkpoint file, loads it back
+and finishes the loaded simulation.  The resumed
 result must equal the straight-through result *exactly* — same
 :class:`~repro.harness.stats.RunResult` (tuple equality covers every
 metric) and same ``stats.*`` extras — for random seeds, loads, and
@@ -14,6 +14,10 @@ Hypothesis supplies the randomized coordinates; the deterministic
 parametrized tests pin every organization so a regression names the
 culprit directly.
 """
+
+import pickle
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -168,45 +172,84 @@ class TestSwitchRoundTrip:
         assert got == expect
 
 
+    def test_fault_labels_survive_a_resume(self, tmp_path):
+        """A faulted buffered crossbar names each lost and resynced
+        credit by its ``(i, j, vc)`` crosspoint after a resume as it
+        does uninterrupted: the label index is keyed by counter, which
+        the pickle carries over, not by an ``id()`` it does not."""
+        plan = FaultPlan(credit_loss_rate=0.05)
+
+        def build():
+            sim = _switch_sim(BufferedCrossbarRouter, 7, 0.5, "cycle", plan,
+                              traced=True)
+            sim.start_run(FAST)
+            return sim
+
+        ref = build()
+        assert ref.advance_run()
+        twin = build()
+        assert not twin.advance_run(stop_at=111)
+        path = tmp_path / "switch.ckpt"
+        twin.save_checkpoint(path)
+        resumed = load_checkpoint(path)
+        assert resumed.advance_run()
+
+        def credit_events(sim):
+            return [event for event in sim._tracer.fault_events
+                    if event[1] in ("credit_loss", "credit_resync")
+                    and event[3] > 111]
+
+        after = credit_events(resumed)
+        assert {kind for _, kind, _, _ in after} == {
+            "credit_loss", "credit_resync"}
+        assert all(len(where) == 3 for _, _, where, _ in after)
+        assert after == credit_events(ref)
+
+
 class _GoneSlot:
-    """Unpickles the way a format-2 ``MirroredFlitQueue`` does now that
-    its ``_route_key`` slot is gone: with an AttributeError."""
+    """Unpickles the way an object of a since-removed attribute does:
+    with an AttributeError."""
 
     def __reduce__(self):
         return getattr, (0, "_route_key")
 
 
+FORMAT4_FIXTURE = (
+    Path(__file__).parent / "fixtures" / "checkpoints"
+    / "switch_format4_hier.ckpt"
+)
+
+
 class TestFormatVersion:
     def test_previous_format_is_refused(self, tmp_path):
         """Older files are refused with the typed error, never resumed:
-        format 1 predates the hierarchical occupancy indices (restoring
-        it would leave them at zero with flits buffered), and a
-        format-2 file written under ``batch_hot_path`` pickles slots
-        that no longer exist — so the version must be read before
-        ``pickle`` constructs anything; format 3 kept the measurement
-        counters in the per-stack ``harness`` dict."""
-        import pickle
-
+        formats 1-4 held a hand-written capture and a constructor spec,
+        and pickle classes that have since changed shape, so the
+        version must be read before ``pickle`` constructs anything."""
         sim = _switch_sim(HierarchicalCrossbarRouter, 7, 0.4, "cycle", None)
         sim.start_run(FAST)
         assert not sim.advance_run(stop_at=100)
         path = tmp_path / "switch.ckpt"
         sim.save_checkpoint(path)
         payload = pickle.loads(path.read_bytes())
-        assert payload["format"] == CHECKPOINT_FORMAT == 4
-        payload["format"] = 1
-        path.write_bytes(pickle.dumps(payload))
-        with pytest.raises(ValueError, match="unsupported checkpoint format 1"):
-            load_checkpoint(path)
-        payload["format"] = 2
-        payload["state"] = [payload["state"], _GoneSlot()]
-        path.write_bytes(pickle.dumps(payload))
-        with pytest.raises(ValueError, match="unsupported checkpoint format 2"):
-            load_checkpoint(path)
-        payload["format"] = 3
-        path.write_bytes(pickle.dumps(payload))
-        with pytest.raises(ValueError, match="unsupported checkpoint format 3"):
-            load_checkpoint(path)
+        assert payload["format"] == CHECKPOINT_FORMAT == 5
+        assert set(payload) == {"format", "sim"}
+        for fmt in (1, 2, 3, 4):
+            path.write_bytes(pickle.dumps({"format": fmt,
+                                           "state": _GoneSlot()}))
+            with pytest.raises(ValueError,
+                               match=f"unsupported checkpoint format {fmt}"):
+                load_checkpoint(path)
+
+    def test_a_format4_file_is_refused_by_number(self):
+        """A file the previous layout wrote (a radix-8 hierarchical
+        crossbar paused mid-measure) is refused by its format number,
+        not by whatever its retired classes would raise."""
+        with pytest.raises(ValueError, match=(
+            "unsupported checkpoint format 4 "
+            r"\(this build reads format 5\)"
+        )):
+            load_checkpoint(FORMAT4_FIXTURE)
 
 
 class TestFileSafety:
@@ -224,8 +267,6 @@ class TestFileSafety:
 
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path,
                                                    monkeypatch):
-        import pickle
-
         path = tmp_path / "switch.ckpt"
         sim = self._paused(path)
         good = path.read_bytes()
@@ -279,33 +320,62 @@ def _build_network(scheduler="cycle", workload=False):
     )
 
 
-class TestRestoreRefusesMismatch:
-    """A capture restores only onto a twin built the same way; both
-    stacks refuse the rest with one typed error, before touching any
-    state (not a bare ``KeyError('wheel')``, and never by writing
-    ``WorkloadSource`` state over a ``TrafficSource``)."""
+class TestRefusals:
+    """What cannot be checkpointed, or resumed, is refused with one
+    typed error, and a refused save leaves the previous file as it
+    was."""
+
+    def test_a_file_from_a_build_with_other_classes_is_refused(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "switch.ckpt"
+        _start(_build_switch()).save_checkpoint(path)
+        import repro.routers.hierarchical as hierarchical
+
+        with monkeypatch.context() as patch:
+            patch.delattr(hierarchical, "HierarchicalCrossbarRouter")
+            with pytest.raises(ValueError, match="classes differ") as info:
+                load_checkpoint(path)
+        assert "\n" not in str(info.value)
+        with monkeypatch.context() as patch:
+            patch.setitem(sys.modules, "repro.routers.hierarchical", None)
+            with pytest.raises(ValueError, match="classes differ") as info:
+                load_checkpoint(path)
+        assert "\n" not in str(info.value)
+        assert load_checkpoint(path).cycle == 0
+
+    @pytest.mark.parametrize("build", [
+        lambda: SwitchSimulation(BaselineRouter(RouterConfig(radix=8)),
+                                 load=0.3, sanitize=True),
+        lambda: NetworkSimulation(NetworkConfig(radix=4, levels=2),
+                                  load=0.3, sanitize=True),
+    ], ids=["switch", "network"])
+    def test_a_sanitized_simulation_writes_nothing(self, tmp_path, build):
+        sim = build()
+        sim.step()
+        path = tmp_path / "sim.ckpt"
+        with pytest.raises(ValueError, match="sanitized simulation"):
+            sim.save_checkpoint(path)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("build", [_build_switch, _build_network])
-    @pytest.mark.parametrize("captured, target, message", [
-        ({"scheduler": "event"}, {"scheduler": "cycle"},
-         "scheduler mode mismatch"),
-        ({"scheduler": "cycle"}, {"scheduler": "event"},
-         "scheduler mode mismatch"),
-        ({"workload": True}, {"workload": False}, "workload mismatch"),
-    ])
-    def test_typed_error_and_untouched_target(
-        self, build, captured, target, message
+    def test_an_unpicklable_subscriber_keeps_the_previous_file(
+        self, tmp_path, build
     ):
-        source = _start(build(**captured))
-        assert not source.advance_run(stop_at=40)
-        twin = build(**target)
-        with pytest.raises(ValueError, match=message):
-            twin.restore(source.snapshot())
-        fresh = _start(build(**target))
-        assert fresh.advance_run()
-        assert _start(twin).advance_run()
-        got, expect = twin.finish_run(), fresh.finish_run()
-        assert (got, got.extra) == (expect, expect.extra)
+        """A lambda on a hook bus cannot be pickled: the save fails and
+        the last complete checkpoint stays."""
+        path = tmp_path / "sim.ckpt"
+        sim = _start(build())
+        assert not sim.advance_run(stop_at=30)
+        sim.save_checkpoint(path)
+        good = path.read_bytes()
+        sim.hooks.on_cycle_end(lambda cycle: None)
+        assert not sim.advance_run(stop_at=40)
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            sim.save_checkpoint(path)
+        assert path.read_bytes() == good
+        assert [p.name for p in tmp_path.iterdir()] == ["sim.ckpt"]
+        assert load_checkpoint(path).cycle == 30
 
 
 class TestNetworkRoundTrip:
@@ -374,12 +444,11 @@ class TestNetworkRoundTrip:
         self, tmp_path, monkeypatch, written_with, restored_with
     ):
         """A low-rate event run pauses with most hosts between
-        arrivals: the pre-draw cursor is past the captured Python
-        stream (by the polls its state row has made) when the bulk
-        path is on, level with it when the scalar loop runs.  The
-        capture means the same either way, so it resumes — identically
-        to the uninterrupted run — with or without numpy, whichever
-        wrote it."""
+        arrivals: with the bulk path on, the pre-draw cursor is past
+        the Python stream by the polls its state row has made.  The
+        loaded simulation keeps the path it was written on, whatever
+        the loading process's flag says, and resumes identically to
+        the uninterrupted run."""
         import repro.network.arrivals as arrivals
 
         if (written_with or restored_with) and not arrivals.HAVE_NUMPY:
@@ -402,17 +471,38 @@ class TestNetworkRoundTrip:
         twin = build()
         assert twin.arrivals.bulk == written_with
         assert not twin.advance_run(stop_at=3000)
-        book = twin.snapshot()["arrivals"]
-        ahead = [c - s for c, s in zip(book["cursor"], book["sync_cursor"])]
-        assert min(ahead) >= 0 and (max(ahead) > 0) == written_with
+        if written_with:
+            book = twin.arrivals
+            ahead = [c - s for c, s in zip(book._cursor, book._sync_cursor)]
+            assert min(ahead) >= 0 and max(ahead) > 0
         twin.save_checkpoint(path)
 
         monkeypatch.setattr(arrivals, "HAVE_NUMPY", restored_with)
         resumed = load_checkpoint(path)
-        assert resumed.arrivals.bulk == restored_with
+        assert resumed.arrivals.bulk == written_with
         assert resumed.advance_run()
         got = resumed.finish_run()
         assert (got, got.extra) == (expect, expect.extra)
+
+    def test_a_192_router_clos_resumes(self, tmp_path):
+        """A radix-16, three-level Clos (192 routers) cut mid-run
+        saves and loads at the default recursion limit: each router's
+        links are pickled after every router, so no router's pickle
+        nests its neighbours'."""
+        assert sys.getrecursionlimit() <= 1000
+        cfg = NetworkConfig(radix=16, levels=3, seed=4)
+
+        def build():
+            sim = NetworkSimulation(cfg, load=0.3)
+            assert len(sim.routers) == 192
+            return sim
+
+        expect, got = _roundtrip(
+            build,
+            lambda sim: sim.start_run(warmup=20, measure=40, drain=300),
+            30, tmp_path / "net.ckpt",
+        )
+        assert got == expect
 
     def test_checkpoint_is_a_plain_file(self, tmp_path):
         """The capture is a self-contained on-disk artifact: reloading

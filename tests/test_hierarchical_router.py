@@ -1,6 +1,7 @@
 """Behavioral tests for the hierarchical crossbar (Section 6)."""
 
 import hashlib
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -313,8 +314,8 @@ class TestOccupancyIndexedHotPath:
         self, scenario
     ):
         """A sanitized run (every index audited every cycle) and a twin
-        that is snapshotted mid-run and restored onto a fresh router
-        agree exactly, under the cycle and the event scheduler."""
+        that is pickled mid-run and loaded back agree exactly, under the
+        cycle and the event scheduler."""
         outcomes = []
         for scheduler in ("cycle", "event"):
             checked = _build(scenario, scheduler, sanitize=True)
@@ -324,9 +325,7 @@ class TestOccupancyIndexedHotPath:
             first = _build(scenario, scheduler, sanitize=False)
             first.start_run(PROPERTY_RUN)
             done = first.advance_run(stop_at=scenario["restore_at"])
-            state = first.snapshot()
-            resumed = _build(scenario, scheduler, sanitize=False)
-            resumed.restore(state)
+            resumed = pickle.loads(pickle.dumps(first))
             _assert_indices_sum_to_occupancy(resumed.router)
             resumed.hooks.on_cycle_end(
                 lambda cycle: _assert_indices_sum_to_occupancy(

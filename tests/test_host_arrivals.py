@@ -8,6 +8,7 @@ stream), over window schedules no staged run produces.
 """
 
 import copy
+import pickle
 from unittest import mock
 
 import pytest
@@ -56,15 +57,16 @@ def _drain(predrawn, before):
 
 def _states_at_cursor(predrawn):
     """Every stream's state once brought level with its cursor (with
-    rows it waits at the host's last sync)."""
-    book = predrawn.snapshot()["arrivals"]
+    rows it waits at the host's last sync; without, it is there)."""
+    cursor = predrawn._cursor
+    sync = predrawn._sync_cursor if predrawn.bulk else cursor
     states = []
     for host, stream in enumerate(predrawn.streams):
         stream = copy.copy(stream)
-        for _ in range(book["cursor"][host] - book["sync_cursor"][host]):
+        for _ in range(cursor[host] - sync[host]):
             stream.random()
         states.append(stream.getstate())
-    return book, states
+    return states
 
 
 @settings(max_examples=40, deadline=None)
@@ -91,38 +93,36 @@ def test_poll_and_predraw_are_one_process(seed, hosts, rate, steps, bulk):
         assert predrawn.next_due() is None or predrawn.next_due() < end
         generated += _drain(predrawn, end)
     assert generated == expect
-    book, states = _states_at_cursor(predrawn)
-    assert book["cursor"] == [windows[-1]] * hosts
-    assert book["heap"] == [] and book["draw_limit"] == windows[-1]
-    assert book["undrawn"] == list(range(hosts))
-    assert states == expect_states
+    assert predrawn._cursor == [windows[-1]] * hosts
+    assert predrawn._heap == [] and predrawn._draw_limit == windows[-1]
+    assert predrawn._undrawn == set(range(hosts))
+    assert _states_at_cursor(predrawn) == expect_states
 
 
 @needs_numpy
 @pytest.mark.parametrize("written_with_rows", [True, False])
 def test_restore_across_rows_mid_window(written_with_rows):
-    """A capture taken between arrivals, inside a window, means the
-    same with and without state rows: restored onto the other kind it
-    continues exactly as the polled process does."""
+    """A pickle taken between arrivals, inside a window, continues
+    exactly as the polled process does, with state rows (each row
+    ahead of its Python stream) or without."""
     seed, hosts, rate = 9, 6, 0.01
     expect, expect_states = _polled(seed, hosts, rate, 900)
     writer = _build(seed, hosts, rate, written_with_rows)
     writer.extend(600)
     generated = _drain(writer, 250)
-    captured = writer.snapshot()
-    book = captured["arrivals"]
-    assert book["heap"] and book["draw_limit"] == 600
-    ahead = [c - s for c, s in zip(book["cursor"], book["sync_cursor"])]
-    assert (max(ahead) > 0) == written_with_rows
+    assert writer._heap and writer._draw_limit == 600
+    if written_with_rows:
+        ahead = [c - s for c, s in zip(writer._cursor, writer._sync_cursor)]
+        assert max(ahead) > 0
 
-    reader = _build(seed + 1, hosts, rate, not written_with_rows)
-    reader.restore(captured)
-    assert reader.snapshot()["arrivals"]["heap"] == book["heap"]
+    reader = pickle.loads(pickle.dumps(writer))
+    assert reader.bulk == written_with_rows
+    assert reader._heap == writer._heap
     for end in (600, 900):
         reader.extend(end)
         generated += _drain(reader, end)
     assert generated == expect
-    assert _states_at_cursor(reader)[1] == expect_states
+    assert _states_at_cursor(reader) == expect_states
 
 
 @needs_numpy

@@ -3,27 +3,21 @@
 ``NetworkRouter._allocate`` visits only inputs that hold a flit and
 resolves each requested output through the sparse
 :meth:`~repro.core.arbiter.RoundRobinArbiter.grant`; these tests pin
-that against the commit before the index existed (a digest), against
+that against the commit before the index existed (a digest) and against
 the exhaustive oracle (``tests/exhaustive.py``) that ignores the index
-(differentials under faults and tracing), and across checkpoints
-written by earlier commits (restore rebuilds the index).
+(differentials under faults and tracing).
 """
 
 import hashlib
-import pickle
-from pathlib import Path
 
 import pytest
 
-from repro.core.arbiter import HAVE_NUMPY
 from repro.faults import FaultPlan, LinkFault
-from repro.harness.checkpoint import CHECKPOINT_FORMAT, load_checkpoint
 from repro.network.netsim import NetworkConfig, NetworkSimulation
 from repro.network.router import NetworkRouter
 from repro.trace import TraceCollector, chrome_trace_json
 from tests.exhaustive import exhaustive
 
-FIXTURES = Path(__file__).parent / "fixtures" / "checkpoints"
 
 ROW = (
     "offered_load", "avg_latency", "p99_latency", "max_latency",
@@ -139,87 +133,3 @@ class TestIndexedEqualsExhaustive:
         monkeypatch.setattr(NetworkRouter, "accept", unindexed)
         assert _observe(16, 2, "cycle", 0.3, oracle=True) == oracle
         assert _observe(16, 2, "cycle", 0.3, oracle=False) != oracle
-
-
-class TestParentWrittenCheckpoint:
-    """``tests/fixtures/checkpoints/net_format4_*.ckpt`` were written
-    by the commit before the index existed: a radix-4 Clos at load 0.9
-    paused at cycle 122 with 11 flits buffered in two routers and 8 in
-    the hosts' (then ``list``) source queues.  Their router captures
-    carry ``_in_active``/``_resident`` and no per-input count; restore
-    recounts the indices from the banks, so the run continues to the
-    row the parent commit itself reached, uninterrupted."""
-
-    @pytest.mark.parametrize("scheduler, skipped, jumps", [
-        ("cycle", 0.0, 0.0), ("event", 6.0, 3.0),
-    ])
-    def test_restores_and_continues(self, scheduler, skipped, jumps):
-        if CHECKPOINT_FORMAT != 4:
-            pytest.skip("the fixtures are format-4 files")
-        if scheduler == "event" and not HAVE_NUMPY:
-            # Written with numpy: the host streams sit at the mirrors'
-            # last sync, which only a build with mirrors can resume.
-            pytest.skip("an event-mode capture resumes only with numpy")
-        sim = load_checkpoint(FIXTURES / f"net_format4_{scheduler}.ckpt")
-        assert sim.cycle == 122
-        assert [r._resident for r in sim.routers.values()] == [5, 6, 0, 0]
-        for router in sim.routers.values():
-            assert router._in_flits == [len(b) for b in router.inputs]
-            assert router._occupied == {
-                port for port, bank in enumerate(router.inputs) if len(bank)
-            }
-        assert [len(q) for q in sim._source_q] == [0, 3, 5, 0]
-        assert sim.advance_run()
-        result = sim.finish_run()
-        assert _row(result) == {
-            "offered_load": 0.9, "avg_latency": 59.707317073170735,
-            "p99_latency": 150.60000000000002, "max_latency": 161.0,
-            "throughput": 0.56, "packets_measured": 41, "cycles": 330,
-            "saturated": False,
-        }
-        assert result.extra == {
-            "stats.engine.cycles_skipped": skipped,
-            "stats.engine.ff_jumps": jumps,
-            "stats.traffic.max_source_queue": 19.0,
-        }
-
-
-class TestParentWrittenExhaustiveCheckpoint:
-    """``tests/fixtures/checkpoints/net_format4_exhaustive.ckpt`` was
-    written on the exhaustive schedule, when that was still a
-    constructor option: a radix-4 Clos in event mode at load 0.8,
-    paused mid-drain at cycle 260 with 35 flits buffered in two routers.
-    Its spec carries the retired option's key and its scheduler snapshot
-    marks every router active; restore ignores the key, the routers
-    park at their next idle commit, and the run continues to the row
-    (and every extra but the engine's) that the parent commit reached
-    uninterrupted."""
-
-    def test_restores_and_continues(self):
-        if CHECKPOINT_FORMAT != 4:
-            pytest.skip("the fixture is a format-4 file")
-        path = FIXTURES / "net_format4_exhaustive.ckpt"
-        with open(path, "rb") as fh:
-            payload = pickle.load(fh)
-        assert payload["spec"]["active_set"] is False
-        assert payload["spec"]["scheduler"] == "event"
-        sim = load_checkpoint(path)
-        assert sim.cycle == 260
-        assert sim._program["stage"] == 2  # draining
-        assert sim._sched.active_count() == len(sim.routers)
-        assert [r._resident for r in sim.routers.values()] == [12, 23, 0, 0]
-        for router in sim.routers.values():
-            assert router._in_flits == [len(b) for b in router.inputs]
-        assert [len(q) for q in sim._source_q] == [1, 1, 1, 1]
-        assert sim.advance_run()
-        result = sim.finish_run()
-        assert _row(result) == {
-            "offered_load": 0.8, "avg_latency": 45.68852459016394,
-            "p99_latency": 96.78999999999999, "max_latency": 108.0,
-            "throughput": 0.6666666666666666, "packets_measured": 122,
-            "cycles": 351, "saturated": False,
-        }
-        assert {
-            k: v for k, v in result.extra.items()
-            if not k.startswith("stats.engine.")
-        } == {"stats.traffic.max_source_queue": 5.0}

@@ -1,8 +1,6 @@
 """Tests for DelayLine and BusyTracker."""
 
-import copyreg
 import heapq
-import io
 import itertools
 import pickle
 
@@ -74,8 +72,8 @@ class TestDelayLine:
     def test_pops_what_a_due_counter_heap_pops(self, latency, ops):
         """The FIFO with ordered-insert fallback replaced a binary heap
         on ``(due, counter)``: for any mix of operations it pops the
-        same items in the same order, and a :meth:`dump`/:meth:`load`
-        twin taken at any point behaves the same from there on."""
+        same items in the same order, and a pickled twin taken at any
+        point behaves the same from there on."""
         line = DelayLine(latency)
         heap, counter = [], itertools.count()
         for n, (op, cycle) in enumerate(ops):
@@ -93,38 +91,12 @@ class TestDelayLine:
                     line.push_at(cycle, n)
             assert line.next_due() == (heap[0][0] if heap else None)
             assert len(line) == len(heap)
-        twin = DelayLine.load(line.dump())
-        assert twin.dump() == line.dump()
+        twin = pickle.loads(pickle.dumps(line))
+        assert twin.pending(10**6) == line.pending(10**6)
         for each in (line, twin):
             each.push(0, "after")
         assert twin.pending(10**6) == line.pending(10**6)
         assert twin.pop_ready(10**6) == line.pop_ready(10**6)
-
-    def test_unpickles_a_capture_of_the_heap_it_replaced(self):
-        """Checkpoints written while the queue was a binary heap pickle
-        it as ``_heap`` in heap order (not sorted); it loads as the
-        FIFO and pops in due order."""
-        heap = []
-        for cnt, due in enumerate((3, 1, 2)):
-            heapq.heappush(heap, (due, cnt, f"item{due}"))
-        assert heap != sorted(heap)
-
-        class LegacyPickler(pickle.Pickler):
-            def reducer_override(self, obj):
-                if type(obj) is DelayLine:
-                    return (copyreg.__newobj__, (DelayLine,), (None, {
-                        "latency": 2, "_heap": heap,
-                        "_counter": itertools.count(3),
-                    }))
-                return NotImplemented
-
-        buffer = io.BytesIO()
-        LegacyPickler(buffer, protocol=4).dump(DelayLine(2))
-        line = pickle.loads(buffer.getvalue())
-        assert line.next_due() == 1
-        line.push(0, "item2b")
-        assert line.pop_ready(2) == ["item1", "item2", "item2b"]
-        assert line.pop_ready(3) == ["item3"]
 
     @given(st.lists(st.tuples(st.integers(0, 50), st.integers(0, 100)), max_size=40))
     def test_everything_matures_exactly_once(self, items):

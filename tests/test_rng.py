@@ -117,14 +117,18 @@ class TestStreamRows:
                 assert rows.search(0, rate, polls) == _poll(oracle, rate, polls)
                 assert self._state(rows, 0) == oracle.getstate()
 
-    def test_refuses_to_be_copied_or_pickled(self):
-        """A copied view would stop aliasing its generator: snapshots
-        must rebuild the rows, and a stray deepcopy must not pass."""
-        rows, _ = self._pair(1, 64)
-        with pytest.raises(TypeError, match="derived state"):
-            copy.deepcopy(rows)
-        with pytest.raises(TypeError, match="derived state"):
-            pickle.dumps(rows)
+    def test_pickles_its_rows_and_rebuilds_its_view(self):
+        """A copied view would stop aliasing its generator, so a pickle
+        or a deepcopy carries the rows and builds a fresh generator and
+        view; the copy then searches exactly as the original does."""
+        rows, (oracle, *_) = self._pair(1, 64)
+        for twin in (pickle.loads(pickle.dumps(rows)), copy.deepcopy(rows)):
+            assert twin.usable and twin._bits is not rows._bits
+            assert twin.rows.tolist() == rows.rows.tolist()
+            probe = copy.copy(oracle)
+            for polls in (5, 100, 300):
+                assert twin.search(0, 0.02, polls) == _poll(probe, 0.02, polls)
+                assert self._state(twin, 0) == probe.getstate()
 
     def test_self_check_refuses_a_wrong_layout(self, monkeypatch):
         """``usable`` is the construction-time verdict on numpy's state

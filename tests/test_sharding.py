@@ -280,16 +280,17 @@ class TestFailureModes:
         with pytest.raises(ValueError):
             partition([1, 2], 3)
 
-    def test_sharded_simulation_refuses_snapshot(self):
-        """Checkpointing goes through the serial front-end; the sharded
-        engine opts out of the protocol explicitly (a raising snapshot)."""
+    def test_sharded_simulation_refuses_snapshot(self, tmp_path):
+        """Checkpointing goes through the serial simulation: a sharded
+        one's state lives in its workers, so its save is refused by
+        name before anything is written."""
         config = NetworkConfig(**CFG)
         sim = ShardedNetworkSimulation(config, load=0.3, shards=2)
         try:
-            with pytest.raises(ValueError):
-                sim.snapshot()
-            with pytest.raises(ValueError):
-                sim.restore({})
+            with pytest.raises(ValueError, match="sharded simulation "
+                                                 "cannot checkpoint"):
+                sim.save_checkpoint(tmp_path / "sharded.ckpt")
+            assert list(tmp_path.iterdir()) == []
         finally:
             sim.close()
 

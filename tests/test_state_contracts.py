@@ -1,16 +1,14 @@
 """The checkpoint and stream contracts, checked on running simulations.
 
 **Restore fidelity.**  A checkpoint is cut at several cycles of a run,
-written with ``save_checkpoint`` (which pickles, so a lambda, a
-generator, a lock or a bound method left on component state fails
-here) and loaded into a twin.  The twin's object graph must then equal
-the original's, walked in the same order: ``Random`` by
-``getstate()``, deques and tuples as lists, objects by ``__dict__``
-plus ``__slots__``, less the ``SNAPSHOT_WIRING`` names declared along
-each class's MRO (live wiring a twin gets from its own constructor).
-Exactly three differences are allowed, each named in
-:func:`_allowed`.  numpy objects are not entered; the one numpy state
-that matters, a bulk pre-draw's state rows, is compared on its own.
+written with ``save_checkpoint`` (which pickles the simulation, so a
+lambda, a generator or a lock left anywhere on it fails here) and
+loaded as a twin.  The twin's object graph must then equal the
+original's, walked in the same order: ``Random`` by ``getstate()``,
+deques and tuples as lists, objects by ``__dict__`` plus
+``__slots__``, bound methods by function and receiver.  No difference
+is allowed.  numpy objects are not entered; the one numpy state that
+matters, a bulk pre-draw's state rows, is compared on its own.
 
 **Stream keys.**  Every RNG stream is ``derive_rng(seed, *names)``,
 which calls ``repro.core.rng.derive_seed`` through its module global,
@@ -52,10 +50,9 @@ import repro
 from repro.core import rng as rng_module
 from repro.core.rng import Rng
 from repro.core.config import RouterConfig
-from repro.engine.component import Component
 from repro.faults import FaultPlan, LinkFault, StuckFault, sample_link_faults
 from repro.harness import SwitchSimulation, SweepSettings, load_checkpoint
-from repro.network.arrivals import HAVE_NUMPY, HostArrivals
+from repro.network.arrivals import HAVE_NUMPY
 from repro.network.netsim import NetworkConfig, NetworkSimulation
 from repro.network.topology import FoldedClos
 from repro.routers import (
@@ -182,14 +179,6 @@ _BUILTIN_METHOD = type(len)
 _CALLABLES = (type, type(_start), type(repro))
 
 
-def _wiring(cls):
-    """``SNAPSHOT_WIRING`` unioned along ``cls``'s MRO."""
-    names = set()
-    for klass in cls.__mro__:
-        names.update(getattr(klass, "SNAPSHOT_WIRING", ()))
-    return names
-
-
 def _fields(obj):
     """``obj``'s ``__dict__`` plus its set ``__slots__``, in order."""
     fields = dict(getattr(obj, "__dict__", {}))
@@ -210,40 +199,13 @@ def _same_leaf(a, b):
     return a == b
 
 
-def _allowed(original, owner, name, a, b):
-    """The three named ways a resumed twin may differ from its original.
-
-    ``owner`` is the original's object holding ``name``; ``a`` is the
-    original's value, ``b`` the twin's.
-    """
-    # 1. A component the original scheduler has asleep or parked keeps
-    #    a lagging local clock; ``Scheduler.restore`` wakes every live
-    #    component at the captured cycle.
-    if name == "cycle" and isinstance(owner, Component):
-        sched = original._sched
-        slot = sched._index.get(id(owner))
-        return (slot is not None and not sched._active[slot]
-                and a < b == sched.now)
-    if isinstance(owner, HostArrivals):
-        # 2. The snapshot writes the arrival heap sorted (a sorted list
-        #    is a valid heap), so only its order may differ.
-        if name == "_heap":
-            return sorted(a) == sorted(b)
-        # 3. Without state rows the sync cursor is unused; the snapshot
-        #    writes the cursor in its place.
-        if name == "_sync_cursor":
-            return not owner.bulk
-    return False
-
-
 def restore_differences(original, twin):
-    """Paths at which ``twin``'s state differs from ``original``'s,
-    beyond the differences :func:`_allowed` names."""
+    """Paths at which ``twin``'s state differs from ``original``'s."""
     found = []
     seen = set()
-    stack = [("sim", None, None, original, twin)]
+    stack = [("sim", original, twin)]
     while stack:
-        path, owner, name, a, b = stack.pop()
+        path, a, b = stack.pop()
         if a is b:
             continue
         if type(a) is not type(b):
@@ -251,8 +213,7 @@ def restore_differences(original, twin):
             continue
         if isinstance(a, _LEAVES):
             if not _same_leaf(a, b):
-                if owner is None or not _allowed(original, owner, name, a, b):
-                    found.append(f"{path}: {a!r} vs {b!r}")
+                found.append(f"{path}: {a!r} vs {b!r}")
             continue
         pair = (id(a), id(b))
         if pair in seen or _is_numpy(a):
@@ -294,21 +255,13 @@ def restore_differences(original, twin):
                     found.append(f"{path}: {a!r} vs {b!r}")
                 continue
             fa, fb = _fields(a), _fields(b)
-            wiring = _wiring(type(a))
-            if set(fa) - wiring != set(fb) - wiring:
+            if set(fa) != set(fb):
                 found.append(f"{path}: fields {sorted(set(fa) ^ set(fb))}")
                 continue
-            for field, value in fa.items():
-                if field in wiring:
-                    continue
-                other = fb[field]
-                if (not isinstance(value, _LEAVES)
-                        and _allowed(original, a, field, value, other)):
-                    continue
-                stack.append((f"{path}.{field}", a, field, value, other))
-            continue
-        for child_path, x, y in reversed(children):
-            stack.append((child_path, None, None, x, y))
+            children = [(f"{path}.{field}", value, fb[field])
+                        for field, value in fa.items()]
+        for child in reversed(children):
+            stack.append(child)
     return found
 
 

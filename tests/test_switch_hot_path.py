@@ -8,16 +8,13 @@ direct deque heads to ``RoundRobinArbiter.grant``; the harness skips a
 port whose bank is full and asks the injection process once per
 arrival.  None of it may move a result, an extra, a fault event, a
 trace byte or an arbiter pointer — pinned here against the exhaustive
-oracle (``tests/exhaustive.py``, which consults no count) and against
-checkpoints written by earlier commits (restore recounts).  The
+oracle (``tests/exhaustive.py``, which consults no count).  The
 radix-64 digest of ``tests/test_hierarchical_router.py`` and the
 goldens pin the same thing at the parent's own bytes.
 """
 
 import math
-import pickle
 from collections import deque
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -26,7 +23,6 @@ from repro.core.arbiter import HAVE_NUMPY, RoundRobinArbiter
 from repro.core.config import RouterConfig
 from repro.core.flit import Flit
 from repro.faults import FaultPlan, StuckFault
-from repro.harness.checkpoint import CHECKPOINT_FORMAT, load_checkpoint
 from repro.harness.experiment import SwitchSimulation, SweepSettings
 from repro.routers import (
     BaselineRouter,
@@ -40,7 +36,6 @@ from repro.routers.base import Router
 from repro.trace import TraceCollector, chrome_trace_json
 from tests.exhaustive import exhaustive
 
-FIXTURES = Path(__file__).parent / "fixtures" / "checkpoints"
 
 ALL_ROUTERS = [
     BaselineRouter,
@@ -289,163 +284,3 @@ class TestTwinsKeepTheSameCount:
         for _ in range(100):
             assert router._in_flits == _walked(router)
             sim.step()
-
-
-class TestParentWrittenCheckpoint:
-    """``tests/fixtures/checkpoints/switch_format4_hier.ckpt`` was
-    written by the commit before the count existed: a radix-8, p=4
-    hierarchical crossbar at load 0.9, paused mid-measure at cycle 167
-    with 33 flits inside (four in the input banks) and 8 in the source
-    queues.  Its router capture carries activity flags and no count;
-    restore recounts from the banks, so the run continues to the row
-    the parent commit itself reached, uninterrupted."""
-
-    def test_restores_and_continues(self):
-        if CHECKPOINT_FORMAT != 4:
-            pytest.skip("the fixture is a format-4 file")
-        sim = load_checkpoint(FIXTURES / "switch_format4_hier.ckpt")
-        router = sim.router
-        assert isinstance(router, HierarchicalCrossbarRouter)
-        assert sim.cycle == 167
-        assert router._in_flits == _walked(router)
-        assert router._in_flits == [0, 0, 0, 0, 1, 1, 1, 1]
-        # The capture's retired flag list is dropped, not resurrected:
-        # a re-capture has exactly the keys of a freshly built twin.
-        fresh = HierarchicalCrossbarRouter(router.config)
-        assert "_in_active" not in router._snapshot_state()
-        assert set(router._snapshot_state()) == set(fresh._snapshot_state())
-        assert router.occupancy() == 33
-        assert [len(src.queue) for src in sim.sources] == [
-            2, 1, 1, 1, 1, 0, 1, 1,
-        ]
-        _audit_counts_every_cycle(sim, router)
-        assert sim.advance_run()
-        result = sim.finish_run()
-        assert _row(result) == {
-            "offered_load": 0.9, "avg_latency": 26.378612716763005,
-            "p99_latency": 79.65000000000003, "max_latency": 96.0,
-            "throughput": 0.8075, "packets_measured": 346, "cycles": 379,
-            "saturated": False,
-        }
-        assert result.extra == {
-            "undelivered": 0.0, "source_backlog": 28.0,
-            "stats.traffic.max_source_queue": 12.0,
-            "stats.engine.cycles_skipped": 0.0,
-            "stats.engine.ff_jumps": 0.0,
-        }
-
-
-class TestParentWrittenCrosspointCheckpoints:
-    """Two more format-4 files written by the commit before the credit
-    buses indexed their waiting sources and the baseline lost its array
-    twin.  Both bus indices are derived and recounted on restore; the
-    baseline's capture of its twin's arrays and arbiter bank is dropped.
-    Each run continues to the row the parent commit itself reached."""
-
-    def _resume(self, name, router_cls):
-        if CHECKPOINT_FORMAT != 4:
-            pytest.skip("the fixture is a format-4 file")
-        sim = load_checkpoint(FIXTURES / name)
-        router = sim.router
-        assert isinstance(router, router_cls)
-        assert router._in_flits == _walked(router)
-        fresh = router_cls(router.config)
-        assert set(router._snapshot_state()) == set(fresh._snapshot_state())
-        return sim, router
-
-    def test_buffered_with_credits_on_the_buses(self):
-        """Radix 8 at load 0.9, paused mid-measure at cycle 177 with a
-        credit waiting for bus 7 and credits on four bus wires."""
-        sim, router = self._resume(
-            "switch_format4_buffered.ckpt", BufferedCrossbarRouter
-        )
-        assert sim.cycle == 177
-        assert router.occupancy() == 54
-        assert router._in_flits == [0, 0, 1, 0, 0, 0, 0, 0]
-        assert [sorted(bus._waiting) for bus in router._credit_buses] == [
-            [], [], [], [], [], [], [], [1],
-        ]
-        assert router._bus_live == {3, 4, 6, 7}
-        _audit_counts_every_cycle(sim, router)
-        assert sim.advance_run()
-        result = sim.finish_run()
-        assert _row(result) == {
-            "offered_load": 0.9, "avg_latency": 59.73684210526316,
-            "p99_latency": 137.0, "max_latency": 141.0, "throughput": 0.895,
-            "packets_measured": 171, "cycles": 425, "saturated": False,
-        }
-        assert result.extra == {
-            "undelivered": 0.0, "source_backlog": 47.0,
-            "stats.traffic.max_source_queue": 21.0,
-            "stats.engine.cycles_skipped": 0.0,
-            "stats.engine.ff_jumps": 0.0,
-        }
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="the capture pickles arrays")
-    def test_baseline_written_by_its_deleted_twin(self):
-        """Radix 8 under ``batch_hot_path=True`` at load 0.7, paused
-        mid-measure at cycle 170 with 58 flits inside."""
-        sim, router = self._resume(
-            "switch_format4_baseline_batch.ckpt", BaselineRouter
-        )
-        assert router.config.batch_hot_path
-        assert sim.cycle == 170
-        assert router.occupancy() == 58
-        assert router._in_flits == [4, 11, 7, 13, 8, 1, 8, 0]
-        _audit_counts_every_cycle(sim, router)
-        assert sim.advance_run()
-        result = sim.finish_run()
-        assert _row(result) == {
-            "offered_load": 0.7, "avg_latency": 63.669117647058826,
-            "p99_latency": 202.3, "max_latency": 256.0, "throughput": 0.68,
-            "packets_measured": 136, "cycles": 544, "saturated": False,
-        }
-        assert result.extra == {
-            "undelivered": 0.0, "source_backlog": 13.0,
-            "stats.traffic.max_source_queue": 16.0,
-            "stats.engine.cycles_skipped": 0.0,
-            "stats.engine.ff_jumps": 0.0,
-        }
-
-
-class TestParentWrittenExhaustiveCheckpoint:
-    """``tests/fixtures/checkpoints/switch_format4_exhaustive.ckpt`` was
-    written on the exhaustive schedule, when that was still a
-    constructor option: a radix-8 buffered crossbar at load 0.9, paused
-    mid-measure at cycle 170 with 19 flits inside.  Its spec carries the
-    retired option's key and its scheduler snapshot marks the router
-    active; restore ignores the key and recounts ``_in_flits`` from the
-    banks, and the run continues to the row (and every extra but the
-    engine's) that the parent commit reached uninterrupted."""
-
-    def test_restores_and_continues(self):
-        if CHECKPOINT_FORMAT != 4:
-            pytest.skip("the fixture is a format-4 file")
-        path = FIXTURES / "switch_format4_exhaustive.ckpt"
-        with open(path, "rb") as fh:
-            assert pickle.load(fh)["spec"]["active_set"] is False
-        sim = load_checkpoint(path)
-        router = sim.router
-        assert isinstance(router, BufferedCrossbarRouter)
-        assert sim.cycle == 170
-        assert router.occupancy() == 19
-        assert router._in_flits == _walked(router)
-        assert [len(src.queue) for src in sim.sources] == [
-            3, 1, 4, 0, 0, 0, 0, 0,
-        ]
-        _audit_counts_every_cycle(sim, router)
-        assert sim.advance_run()
-        result = sim.finish_run()
-        assert _row(result) == {
-            "offered_load": 0.9, "avg_latency": 20.59259259259259,
-            "p99_latency": 63.76999999999998, "max_latency": 114.0,
-            "throughput": 0.8125, "packets_measured": 324, "cycles": 374,
-            "saturated": False,
-        }
-        assert {
-            k: v for k, v in result.extra.items()
-            if not k.startswith("stats.engine.")
-        } == {
-            "undelivered": 0.0, "source_backlog": 11.0,
-            "stats.traffic.max_source_queue": 8.0,
-        }
