@@ -241,9 +241,8 @@ def test_perf_event_ff_clos_radix64():
 
     The ratio compares the drive loops only — each round constructs a
     fresh simulation outside its clock: the contract under test is
-    the per-cycle loop inversion, not construction (event mode's share
-    of which, filling one state row per host for the bulk arrival
-    pre-draw, is covered by the end-to-end benchmark's ``setup_s``).
+    the per-cycle loop inversion, not construction (which the
+    end-to-end benchmark's ``setup_s`` covers).
     """
     load = 5e-5
     cycles = 2500
@@ -267,51 +266,6 @@ def test_perf_event_ff_clos_radix64():
     assert speedup >= EVENT_FF_FLOOR, (
         f"fast-forward speedup {speedup:.2f}x below {EVENT_FF_FLOOR}x "
         f"(cycle {cycle_time:.3f}s, event {event_time:.3f}s)"
-    )
-
-
-#: Event mode's arrival pre-draw picks the bulk search or the scalar
-#: loop from the packet rate.  Against the same run with numpy refused
-#: (the scalar loop everywhere) it may cost at most this much more
-#: where it chooses scalar too (it was 6.7x while bulk ran at every
-#: rate) ...
-PREDRAW_HIGH_RATE_CEILING = 1.25
-#: ... and must be at least this much faster where it chooses bulk
-#: (working ~2.5x).
-PREDRAW_LOW_RATE_FLOOR = 1.3
-
-
-@pytest.mark.parametrize("radix, load, cycles, bulk, ceiling", [
-    (16, 0.05, 3000, False, PREDRAW_HIGH_RATE_CEILING),
-    (64, 1e-4, 20000, True, 1.0 / PREDRAW_LOW_RATE_FLOOR),
-])
-def test_perf_event_predraw_vs_no_numpy(monkeypatch, radix, load, cycles,
-                                        bulk, ceiling):
-    """Event mode against its own no-numpy build, construction
-    included (the pre-draw fills its state rows there)."""
-    import repro.network.arrivals as arrivals
-
-    if not arrivals.HAVE_NUMPY:
-        pytest.skip("numpy unavailable; there is one leg only")
-
-    def run(numpy):
-        monkeypatch.setattr(arrivals, "HAVE_NUMPY", numpy)
-        sim = NetworkSimulation(
-            NetworkConfig(radix=radix, levels=2, num_vcs=2, seed=5),
-            load, scheduler="event",
-        )
-        sim.run_until(cycles)
-        assert sim.arrivals.bulk == (numpy and bulk)
-        return (list(sim.arrivals._cursor), sim._sched.component_steps)
-
-    (with_numpy, checksum), (refused, ref) = paired_best(
-        lambda: run(True), lambda: run(False))
-    assert checksum == ref, "numpy changed the simulation"
-    ratio = with_numpy / refused
-    assert ratio <= ceiling, (
-        f"event mode takes {ratio:.2f}x its no-numpy build at load {load} "
-        f"(ceiling {ceiling:.2f}x; numpy {with_numpy:.3f}s, refused "
-        f"{refused:.3f}s)"
     )
 
 

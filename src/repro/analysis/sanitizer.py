@@ -7,7 +7,8 @@ contracts (check ``stream-conservation``: accepted once, ejected once;
 ``stream-destination``; ``stream-order`` within a packet;
 ``stream-vc-discipline`` from head to tail; ``stream-bandwidth``, one
 flit per ``flit_cycles`` per output), and the ``cycle_end`` event the
-*structural* checks against the router's internal state.
+*structural* checks against the router's internal state (and, when
+the driving simulation hands it over, its arrival queue).
 
 The sanitizer keeps only what no organization owns: the stream
 contracts, and **exclusive output-VC ownership** (every owned (output,
@@ -41,7 +42,7 @@ attaches one as ``sim.sanitizer``.
 
 ``NetworkSanitizer`` runs every router's audit across a whole
 :class:`~repro.network.netsim.NetworkSimulation` and keeps the checks
-that span routers: link-credit conservation and the arrival streams.
+that span routers: link-credit conservation and the arrival queue.
 It subscribes to the simulation's scheduler-level ``cycle_end`` hook
 (enable with ``NetworkSimulation(..., sanitize=True)``).
 """
@@ -85,6 +86,9 @@ class SimSanitizer:
         # backing the stale-ownership check.
         self._live_packets: Dict[int, int] = {}
         self._flit_cycles = router.config.flit_cycles
+        #: The driving simulation's arrival queue, audited at every
+        #: cycle end when set (``SwitchSimulation`` sets it).
+        self.arrivals = None
         # Stream checks ride on flit movement, structural checks on
         # cycle end.  The scheduler fires cycle_end even for parked or
         # asleep routers, so the check cadence is unchanged by
@@ -106,6 +110,8 @@ class SimSanitizer:
 
     def _on_cycle_end(self, cycle: int) -> None:
         self.check_now()
+        if self.arrivals is not None:
+            self.arrivals.audit(cycle)
 
     # -- stream contracts ------------------------------------------------
 
@@ -213,9 +219,8 @@ class NetworkSanitizer:
     for every inter-router link, the upstream credit counters, the
     downstream input-buffer occupancy, the flits in flight on the
     channel and the credits in flight on the return path always sum to
-    the buffer capacity; and, where event mode pre-draws arrivals in
-    bulk, each host's state row is its Python stream plus the polls
-    drawn since their last sync.  Subscribes to the simulation's
+    the buffer capacity; and the host arrival queue holds one arrival
+    per host, none of them overdue.  Subscribes to the simulation's
     scheduler-level ``cycle_end`` hook, so checks run once per simulated
     cycle without the simulation loop knowing about the sanitizer.
     Constructed by ``NetworkSimulation(..., sanitize=True)``.
@@ -268,8 +273,7 @@ class NetworkSanitizer:
             return (f"router {name} port {port}",
                     {"port": port, "vc": n % v, "router": name})
         audit_credit_books(counters, held, owed, cycle, where)
-        # The arrival-stream sync invariant (event mode's bulk
-        # pre-draw), for the hosts that generated this cycle.
+        # One queued arrival per host, none of them overdue.
         sim.arrivals.audit(cycle)
         self.checks_run += 1
 

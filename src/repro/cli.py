@@ -257,6 +257,11 @@ def cmd_run(args: argparse.Namespace) -> int:
                          f"got {args.checkpoint_every}")
     if args.resume:
         sim = load_checkpoint(args.resume)
+        if not isinstance(sim, SwitchSimulation):
+            raise ValueError(
+                f"checkpoint {args.resume} holds a {type(sim).__name__}; "
+                f"run --resume continues switch runs only"
+            )
         config = sim.router.config
         arch_label = f"resumed {type(sim.router).__name__}"
     else:

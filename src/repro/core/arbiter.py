@@ -31,9 +31,9 @@ def _numpy_importable() -> bool:
         return False
 
 
-#: numpy is optional (the struct-of-arrays batched hot path and the
-#: event scheduler's bulk arrival pre-draw use it) and costs 0.13 s to
-#: import, so nothing imports it until :func:`require_numpy` is called.
+#: numpy is optional (only the struct-of-arrays batched hot path uses
+#: it) and costs 0.13 s to import, so nothing imports it until
+#: :func:`require_numpy` is called.
 HAVE_NUMPY = _numpy_importable()
 
 #: The numpy module once a batched bank has been built, else None.

@@ -292,8 +292,8 @@ class EventScheduler(Scheduler):
     round-robin pointers, and every other piece of committed state
     evolve identically in the two modes (the golden and property tests
     pin this byte-for-byte).  Producers of future work keep their own
-    ordered structure (the network's in-flight flit queue, per-source
-    arrival predictions, sorted fault schedules), so their wake source
+    ordered structure (the network's in-flight flit queue, the arrival
+    queue, sorted fault schedules), so their wake source
     just reports the head.
     """
 

@@ -109,7 +109,7 @@ class ShardFaultInjector(NetworkFaultInjector):
     facade (which exposes ``routers``/``hooks``/``topology`` like a
     simulation).  Two extensions over the base:
 
-    * **Pre-drawn credit verdicts.**  :meth:`predraw_drop` consumes the
+    * **Pre-drawn credit verdicts.**  :meth:`draw_drop_ahead` consumes the
       router's credit stream ahead of the commit that acts on it and
       queues the verdict; :meth:`_decide_drop` replays queued verdicts
       before touching the stream again.  Because pre-draws happen in
@@ -127,7 +127,7 @@ class ShardFaultInjector(NetworkFaultInjector):
     def __init__(self, plan: FaultPlan, sim, seed: int) -> None:
         from collections import deque
 
-        self._predrawn: dict = {}
+        self._drawn_ahead: dict = {}
         self._deque = deque
         #: (due, remote switch, remote port, vc) restores awaiting export.
         self._resync_out: List[Tuple[int, Any, int, int]] = []
@@ -138,17 +138,17 @@ class ShardFaultInjector(NetworkFaultInjector):
 
     # -- credit verdicts -----------------------------------------------
 
-    def predraw_drop(self, router) -> bool:
+    def draw_drop_ahead(self, router) -> bool:
         """Draw (and queue) the next loss verdict for ``router``."""
         verdict = super()._decide_drop(router)
-        queue = self._predrawn.get(router.name)
+        queue = self._drawn_ahead.get(router.name)
         if queue is None:
-            queue = self._predrawn[router.name] = self._deque()
+            queue = self._drawn_ahead[router.name] = self._deque()
         queue.append(verdict)
         return verdict
 
     def _decide_drop(self, router) -> bool:
-        queue = self._predrawn.get(router.name)
+        queue = self._drawn_ahead.get(router.name)
         if queue:
             return queue.popleft()
         return super()._decide_drop(router)

@@ -29,11 +29,14 @@ import pickletools
 from itertools import islice
 from typing import Optional
 
-#: On-disk format version, bumped whenever the payload layout changes.
-#: Format 5 pickles the simulation itself; formats 1-4 held a
-#: hand-written capture plus a constructor spec to rebuild from, and
-#: are refused.
-CHECKPOINT_FORMAT = 5
+#: On-disk format version, bumped whenever the payload layout changes
+#: or the simulation would continue a capture under different rules.
+#: Formats 5 and 6 pickle the simulation itself; format 6 draws
+#: arrivals as geometric gaps (an arrival queue), where format 5
+#: polled every source every cycle.  Formats 1-4 held a hand-written
+#: capture plus a constructor spec to rebuild from.  Every other
+#: format is refused.
+CHECKPOINT_FORMAT = 6
 
 
 def save_checkpoint(sim, path) -> None:

@@ -20,6 +20,7 @@ from ..core.config import RouterConfig
 from ..core.flit import Flit
 from ..engine import make_scheduler
 from ..routers.base import Router
+from ..traffic.arrivals import ArrivalQueue
 from ..traffic.injection import make_injection
 from ..traffic.patterns import TrafficPattern, UniformRandom
 from ..traffic.source import TrafficSource
@@ -130,6 +131,7 @@ class SwitchSimulation(StagedRun):
         peak_rate = self.config.capacity_flits_per_cycle / packet_size
         self._workload = workload
         self.sources: List[Union[TrafficSource, WorkloadSource]] = []
+        traffic: List[TrafficSource] = []
         if workload is not None:
             if workload.num_ranks > self.config.radix:
                 raise ValueError(
@@ -143,9 +145,16 @@ class SwitchSimulation(StagedRun):
                 proc = make_injection(
                     injection, packet_rate, peak_rate, avg_burst
                 )
-                self.sources.append(
+                traffic.append(
                     TrafficSource(i, pattern, proc, packet_size, seed)
                 )
+            self.sources.extend(traffic)
+        #: When each port's next packet arrives (empty for a workload).
+        self.arrivals = ArrivalQueue(
+            [src.stream for src in traffic], [src.injection for src in traffic]
+        )
+        if self.sanitizer is not None:
+            self.sanitizer.arrivals = self.arrivals
         if faults is not None and faults.enabled:
             # Imported lazily: the faults layer sits above the harness.
             from ..faults import SwitchFaultInjector
@@ -186,15 +195,10 @@ class SwitchSimulation(StagedRun):
             measuring = self._measuring
             new_id = self._new_packet_id
             if self._workload is None:
-                for src in self.sources:
-                    # Pre-drawn arrival still ahead: generate() would be
-                    # a no-op (it polls the same cached prediction), so
-                    # skip the call on this hot per-source loop.
-                    nxt = src._next_arrival
-                    if nxt is not None and nxt > now:
-                        continue
-                    if (src.generate(now, measuring, new_id) is not None
-                            and measuring):
+                sources = self.sources
+                for i in self.arrivals.due(now):
+                    sources[i].generate(now, measuring, new_id)
+                    if measuring:
                         self._outstanding += 1
                         self._labeled_total += 1
             else:
@@ -214,7 +218,8 @@ class SwitchSimulation(StagedRun):
         """Wake horizon: earliest cycle >= ``now`` with harness work.
 
         Consulted by event mode before fast-forwarding past a span in
-        which the router is parked: the next pre-drawn packet arrival,
+        which the router is parked: the next queued packet arrival (or
+        a workload source's next eligible message),
         the earliest cycle a backlogged source can retry injection
         (channel bandwidth throttle, fault back-off), and the fault
         injector's schedule.  Horizons may be conservative (early) but
@@ -224,7 +229,10 @@ class SwitchSimulation(StagedRun):
             self._retry_at(i, now) for i, src in enumerate(self.sources) if src.queue
         ]
         if self._generating:
-            dues += [src.peek_arrival(now) for src in self.sources]
+            if self._workload is None:
+                dues.append(self.arrivals.next_due())
+            else:
+                dues += [src.peek_arrival(now) for src in self.sources]
         if self._faults is not None:
             dues.append(self._faults.next_event(now))
         return min((due for due in dues if due is not None), default=None)
@@ -261,6 +269,7 @@ class SwitchSimulation(StagedRun):
     def stop_sources(self) -> None:
         """Stop generating new packets (used to drain the system)."""
         self._generating = False
+        self.arrivals.stop()
 
     # ------------------------------------------------------------------
 

@@ -64,8 +64,7 @@ class StagedRun:
     A stack plugs in by owning the attributes below — plain attributes
     because its per-cycle generate/eject code reads and bumps them
     directly — by supplying :meth:`_input_space` and
-    :meth:`_hand_over` for its channels, by overriding
-    :meth:`_extend_draws` if it pre-draws traffic, and by finishing
+    :meth:`_hand_over` for its channels, and by finishing
     :meth:`_summarize_run`'s result with its own extras (the two
     stacks' rows carry different keys, so that step is not shared).
     """
@@ -107,11 +106,7 @@ class StagedRun:
 
     def run_until(self, end: int) -> int:
         """Advance the simulation through cycles ``[cycle, end)``."""
-        self._extend_draws(end)
         return self._sched.run_until(end)
-
-    def _extend_draws(self, end: int) -> None:
-        """Before-stage step: make pre-drawn traffic cover ``[0, end)``."""
 
     def _new_packet_id(self) -> int:
         """Hand out the next packet id."""
@@ -270,15 +265,9 @@ class StagedRun:
             stage = program["stage"]
             end = program["bounds"][stage]
             finished = self._stage_finished(program, stage)
-            if finished is None or not finished():
-                # A stage already over on entry would stop at run_until's
-                # first check: it is closed without pre-drawing its window.
-                self._extend_draws(end)
-                sched.run_until(end, stop=_either(paused, finished))
-                if sched.now < end and not (
-                    finished is not None and finished()
-                ):
-                    return False  # paused mid-stage
+            sched.run_until(end, stop=_either(paused, finished))
+            if sched.now < end and not (finished is not None and finished()):
+                return False  # paused mid-stage
             self._close_stage(program, stage)
         return True
 

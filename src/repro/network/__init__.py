@@ -1,7 +1,6 @@
 """Network-level simulation: topologies, oblivious/deterministic
 routing, reduced-detail routers, and the Figure 19 experiment harness."""
 
-from .arrivals import HostArrivals
 from .mesh import Mesh
 from .netsim import (
     NetworkConfig,
@@ -28,7 +27,6 @@ __all__ = [
     "pipeline_depth_for_radix",
     "NetworkConfig",
     "NetworkSimulation",
-    "HostArrivals",
     "ShardedNetworkSimulation",
     "run_network_sweep",
 ]

@@ -24,8 +24,9 @@ from ..engine import EngineHooks, make_scheduler
 from ..harness.experiment import SweepResult, SweepSettings, map_points
 from ..harness.program import StagedRun
 from ..harness.stats import LatencySample, RunResult
+from ..traffic.arrivals import ArrivalQueue
+from ..traffic.injection import Bernoulli
 from ..workloads.base import Message, Workload
-from .arrivals import HostArrivals
 from .router import NetworkRouter, NetworkRouterConfig, OutputLink, pipeline_depth_for_radix
 from .topology import FoldedClos, SwitchId, Topology
 
@@ -179,7 +180,7 @@ class NetworkSimulation(StagedRun):
                 the simulation byte-identical to a plain run.
             scheduler: Drive loop: ``"cycle"`` executes every cycle;
                 ``"event"`` fast-forwards over spans with no awake or
-                asleep router, no due flit delivery, no pre-drawn host
+                asleep router, no due flit delivery, no queued host
                 arrival, no injectable backlog, and no scheduled fault
                 event.  Byte-identical results either way; only the
                 ``stats.engine.*`` counters and wall-clock differ.
@@ -216,9 +217,8 @@ class NetworkSimulation(StagedRun):
                     "dest), which cannot be routed between hosts; "
                     "replay switch traces on --target switch"
                 )
-            # The injection process is replaced by DAG eligibility;
-            # a zero rate also keeps the arrival pre-draw (heap, state
-            # rows) out of event mode.
+            # The injection process is replaced by DAG eligibility:
+            # at a zero rate no host has a queued arrival.
             load = 0.0
         self._build_network()
         #: Simulation-level event bus; ``cycle_start``/``cycle_end``
@@ -247,11 +247,11 @@ class NetworkSimulation(StagedRun):
             tracer.attach_network(self, trace_switch)
         n = self.topology.num_hosts
         cap = 1.0 / config.flit_cycles
-        #: The hosts' arrival process: polled per cycle, or — event
-        #: mode — pre-drawn so the scheduler can fast-forward to it.
-        self.arrivals = HostArrivals(
-            config.seed, n, load * cap / config.packet_size,
-            predraw=scheduler == "event",
+        #: When each host's next packet arrives.
+        rate = load * cap / config.packet_size
+        self.arrivals = ArrivalQueue(
+            [derive_rng(config.seed, "net", host) for host in range(n)],
+            [Bernoulli(rate)] * n,
         )
         self._route_rng = derive_rng(config.seed, "route")
         self._source_q: List[Deque[Flit]] = [deque() for _ in range(n)]
@@ -342,9 +342,6 @@ class NetworkSimulation(StagedRun):
     # Simulation loop
     # ------------------------------------------------------------------
 
-    def _extend_draws(self, end: int) -> None:
-        self.arrivals.extend(end)
-
     def _pre_cycle(self, now: int) -> None:
         """Harness work before the two-phase engine cycle.
 
@@ -366,16 +363,14 @@ class NetworkSimulation(StagedRun):
             # Same-cycle arrivals come in ascending host order in both
             # modes, which keeps the shared route RNG stream and
             # packet-id allocation identical between them.
-            arrivals = self.arrivals
-            hosts = arrivals.due if arrivals.predraw else arrivals.poll
-            for host in hosts(now):
+            for host in self.arrivals.due(now):
                 self._generate_packet(host, now)
         self._inject(now)
 
     def _next_work(self, now: int) -> Optional[int]:
         """Wake horizon: earliest cycle >= ``now`` with harness work.
 
-        The minimum over the pre-drawn host-arrival heap, the in-flight
+        The minimum over the host arrival queue, the in-flight
         flit/ejection heap, the fault injector's schedule, and — per
         backlogged host — the earliest injection retry (channel
         throttle or fault back-off).  Early is safe, late is not.

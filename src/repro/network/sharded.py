@@ -228,7 +228,7 @@ class _ShardWorker:
         self._sched.add_pre_cycle(self._pre_cycle)
         self._sched.add_wake_source(self._next_work)
         self._injector = None
-        self._predraw = False
+        self._draw_ahead = False
         plan = payload["plan"]
         if plan is not None:
             # Imported lazily: faults sits above the network layer.
@@ -239,7 +239,7 @@ class _ShardWorker:
                 self._injector = ShardFaultInjector(
                     narrowed, self, payload["seed"]
                 )
-                self._predraw = narrowed.credit_loss_rate > 0.0
+                self._draw_ahead = narrowed.credit_loss_rate > 0.0
         self._recorder = None
         self._collector = None
         tracer_spec = payload["tracer"]
@@ -418,8 +418,8 @@ class _ShardWorker:
             src_idx = self._serial_index[sid]
             for _, (sink, vc) in router._credit_out.pending(nxt):
                 drop = (
-                    self._injector.predraw_drop(router)
-                    if self._predraw else False
+                    self._injector.draw_drop_ahead(router)
+                    if self._draw_ahead else False
                 )
                 address = getattr(sink, "remote_address", None)
                 if address is not None and not drop:

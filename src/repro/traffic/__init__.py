@@ -1,5 +1,6 @@
 """Traffic generation: patterns (Table 1), injection processes, sources."""
 
+from .arrivals import ArrivalQueue
 from .injection import Bernoulli, InjectionProcess, MarkovOnOff, make_injection
 from .patterns import (
     BitComplement,
@@ -33,4 +34,5 @@ __all__ = [
     "MarkovOnOff",
     "make_injection",
     "TrafficSource",
+    "ArrivalQueue",
 ]

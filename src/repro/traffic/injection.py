@@ -5,40 +5,53 @@ results (Section 4.3), and for the bursty experiment of Table 1 uses a
 "bursty injection based on a Markov ON/OFF process" with an average
 burst length of 8 packets.
 
-An injection process answers, once per cycle, whether the source
-generates a packet this cycle.  Rates are expressed in packets per
-cycle; the harness converts an offered load (fraction of channel
-capacity) into a packet rate via
+Both are per-cycle processes: each cycle, the source generates a
+packet or it does not.  Nothing polls them per cycle, though: the
+cycles a source misses before its next packet are drawn in one go
+(:meth:`InjectionProcess.next_gap`).  The number of misses before a
+Bernoulli(p) hit is geometric, so one uniform draw inverts its CDF
+directly, and the ON/OFF chain is a sum of geometric dwells.  Rates
+are expressed in packets per cycle; the harness converts an offered
+load (fraction of channel capacity) into a packet rate via
 ``rate = load / (flit_cycles * packet_size)``.
 """
 
 from __future__ import annotations
 
+from math import log, log1p
+from typing import Optional
+
 from ..core.rng import Rng
 
 
+def _log_miss(p: float) -> Optional[float]:
+    """``log(1 - p)`` of a per-cycle hit probability ``p`` > 0; None
+    when ``p`` >= 1 (the process never misses)."""
+    return None if p >= 1.0 else log1p(-p)
+
+
+def _misses(rng: Rng, log_miss: Optional[float]) -> int:
+    """Cycles missed before the next hit, at ``log_miss`` =
+    ``log(1 - p)``: P(misses >= k) = (1 - p)**k, by inversion."""
+    if log_miss is None:
+        return 0
+    return int(log(1.0 - rng.random()) / log_miss)
+
+
 class InjectionProcess:
-    """Decides, each cycle, whether a packet is generated."""
+    """When a source generates its packets."""
 
     def __init__(self, rate: float) -> None:
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"rate must be in [0, 1] packets/cycle, got {rate}")
         self.rate = rate
 
-    def should_inject(self, rng: Rng) -> bool:
+    def next_gap(self, rng: Rng) -> Optional[int]:
+        """Cycles the process misses before its next packet, counted
+        from the cycle after its previous one (from cycle 0 for the
+        first), drawn from ``rng``; None when it never fires again.
+        Called once per packet."""
         raise NotImplementedError
-
-    def misses_before_hit(self, rng: Rng) -> int:
-        """Poll until the process fires; return how many polls missed.
-
-        Exactly the draws (and state changes) of :meth:`should_inject`
-        once per cycle up to and including the hit, in one call per
-        arrival.  Never returns at rate 0: callers test ``rate`` first.
-        """
-        misses = 0
-        while not self.should_inject(rng):
-            misses += 1
-        return misses
 
     def reset(self) -> None:
         """Discard internal state so the process can be reused.
@@ -54,27 +67,29 @@ class InjectionProcess:
 class Bernoulli(InjectionProcess):
     """Independent Bernoulli trial each cycle (Section 4.3)."""
 
-    def should_inject(self, rng: Rng) -> bool:
-        return rng.random() < self.rate  # twin loop: misses_before_hit
+    def __init__(self, rate: float) -> None:
+        super().__init__(rate)
+        self._log_miss = _log_miss(rate) if rate > 0.0 else None
 
-    def misses_before_hit(self, rng: Rng) -> int:
-        random, rate = rng.random, self.rate
-        misses = 0
-        while not random() < rate:
-            misses += 1
-        return misses
+    def next_gap(self, rng: Rng) -> Optional[int]:
+        # :func:`_misses`, inlined: one call per packet on every port.
+        log_miss = self._log_miss
+        if log_miss is None:
+            return None if self.rate == 0.0 else 0
+        return int(log(1.0 - rng.random()) / log_miss)
 
 
 class MarkovOnOff(InjectionProcess):
     """Two-state Markov ON/OFF process (Table 1, bursty traffic).
 
-    While ON, packets are generated at ``peak_rate`` (default: every
-    cycle a Bernoulli trial at the peak rate, which the harness sets to
-    the full channel capacity, so bursts arrive back-to-back).  The ON
-    state exits with probability 1/avg_burst after each generated
-    packet, giving a geometric burst length with the requested mean.
-    The OFF->ON probability is chosen so the long-run average rate
-    equals ``rate``.
+    While ON, packets are generated at ``peak_rate`` (a Bernoulli trial
+    at the peak rate each cycle, which the harness sets to the full
+    channel capacity, so bursts arrive back-to-back).  The ON state
+    exits with probability 1/avg_burst after each generated packet,
+    giving a geometric burst length with the requested mean.  The
+    OFF->ON probability is chosen so the long-run average rate equals
+    ``rate``.  An OFF cycle that turns ON makes its peak-rate trial in
+    the same cycle.
     """
 
     def __init__(
@@ -105,6 +120,10 @@ class MarkovOnOff(InjectionProcess):
             mean_on = avg_burst / peak_rate
             mean_off = mean_on * (1.0 - duty) / duty
             self._alpha = 1.0 / mean_off
+        self._log_stay_off = (
+            _log_miss(self._alpha) if self._alpha > 0.0 else None
+        )
+        self._log_peak_miss = _log_miss(peak_rate)
         self._on = False
 
     def reset(self) -> None:
@@ -112,19 +131,20 @@ class MarkovOnOff(InjectionProcess):
         into another port or run reusing this instance)."""
         self._on = False
 
-    def should_inject(self, rng: Rng) -> bool:
+    def next_gap(self, rng: Rng) -> Optional[int]:
+        """The OFF dwell (geometric at alpha) if OFF, then the misses
+        at ``peak_rate`` before the packet; one draw at 1/avg_burst
+        after it decides whether the burst ends."""
         if self.rate == 0.0:
-            return False
+            return None
+        gap = 0
         if not self._on:
-            if rng.random() < self._alpha:
-                self._on = True
-            else:
-                return False
-        if rng.random() < self.peak_rate:
-            if rng.random() < self._beta:
-                self._on = False
-            return True
-        return False
+            gap = _misses(rng, self._log_stay_off)
+            self._on = True
+        gap += _misses(rng, self._log_peak_miss)
+        if rng.random() < self._beta:
+            self._on = False
+        return gap
 
 
 def make_injection(

@@ -1,14 +1,15 @@
 """Per-input packet sources.
 
-A :class:`TrafficSource` sits in front of one router input: each cycle
-it may generate a packet (injection process), picks its destination
-(traffic pattern), splits it into flits, and queues the flits in an
-unbounded source FIFO.  The harness drains this FIFO into the router's
-input buffers at channel bandwidth (one flit per ``flit_cycles``
-cycles), assigning each packet an input VC round-robin among VCs with
-buffer space — the standard injection-queue model that matches the
-paper's latency measurement (latency runs from packet *generation* to
-tail-flit ejection, so source queueing counts).
+A :class:`TrafficSource` sits in front of one router input: on the
+cycles its injection process fires (timed by the simulation's
+:class:`~repro.traffic.arrivals.ArrivalQueue`) it generates a packet,
+picks its destination (traffic pattern), splits it into flits, and
+queues the flits in an unbounded source FIFO.  The harness drains this
+FIFO into the router's input buffers at channel bandwidth (one flit
+per ``flit_cycles`` cycles), assigning each packet an input VC
+round-robin among VCs with buffer space — the standard injection-queue
+model that matches the paper's latency measurement (latency runs from
+packet *generation* to tail-flit ejection, so source queueing counts).
 """
 
 from __future__ import annotations
@@ -43,69 +44,33 @@ class TrafficSource:
         injection.reset()
         self.packet_size = packet_size
         self.queue: Deque[Flit] = deque()
-        self._rng = derive_rng(seed, "traffic", input_id)
+        #: The private stream of this input: arrival gaps and
+        #: destinations, in that order per packet.
+        self.stream = derive_rng(seed, "traffic", input_id)
         self.packets_generated = 0
         self.flits_generated = 0
         # Peak injection-queue depth (flits); queue length only grows
         # inside generate(), so sampling here captures the true peak.
         self.peak_backlog = 0
-        # Next-arrival prediction state: the injection process is
-        # polled ahead of time along this source's private RNG stream.
-        # ``_cursor`` is the first cycle whose poll has not been drawn
-        # yet; ``_next_arrival`` caches the pre-drawn hit (None = not
-        # drawn yet, or the process never fires).
-        self._cursor = 0
-        self._next_arrival: Optional[int] = None
-
-    def _draw_next(self, start: int) -> Optional[int]:
-        """Pre-draw the injection process until its next hit >= ``start``.
-
-        Consumes exactly the draws that polling ``should_inject`` once
-        per cycle from ``start`` onward would consume — pre-drawing
-        reorders nothing within the stream, so batch prediction is
-        byte-equivalent to the lazy cycle-by-cycle polling it replaces
-        (the goldens pin this).  A zero-rate process never fires, so
-        return None without drawing rather than looping forever.
-        """
-        if self.injection.rate == 0.0:
-            return None
-        misses = self.injection.misses_before_hit(self._rng)
-        cycle = max(self._cursor, start) + misses
-        self._cursor = cycle + 1
-        return cycle
 
     def peek_arrival(self, now: int) -> Optional[int]:
-        """Cycle >= ``now`` of the next packet generation, or None.
-
-        The next-arrival horizon consumed by event-driven scheduling:
-        an :class:`~repro.engine.EventScheduler` wake source reports
-        this so fast-forward never jumps over a generation cycle.
-        Draws (and caches) the prediction on first use.
-        """
-        if self._next_arrival is None or self._next_arrival < now:
-            self._next_arrival = self._draw_next(now)
-        return self._next_arrival
+        """Not a horizon: always None.  A simulation times this source's
+        packets with its :class:`~repro.traffic.arrivals.ArrivalQueue`;
+        the method stays in the class body only for tracing that looks
+        it up there."""
+        return None
 
     def generate(
         self, now: int, measured: bool, new_id: Callable[[], int]
-    ) -> Optional[int]:
-        """Generate one packet at cycle ``now`` if the process fires.
+    ) -> int:
+        """Generate one packet at cycle ``now``; returns its id.
 
-        Returns the packet id (taken from ``new_id``) if a packet was
-        generated, else None.
-        ``measured`` marks the packet as part of the measurement sample.
-        Driven either every cycle (cycle stepper) or only on executed
-        cycles (event mode) — skipping cycles before the pre-drawn
-        arrival is a no-op here, so both drive modes see identical
-        generation times and RNG streams.
+        Called on each cycle the source's arrival falls on.  The
+        destination is drawn from :attr:`stream` (the one the arrival
+        gaps come from), the id from ``new_id``; ``measured`` marks the
+        packet as part of the measurement sample.
         """
-        arrival = self._next_arrival
-        if arrival is None or arrival < now:
-            arrival = self._next_arrival = self._draw_next(now)
-        if arrival != now:
-            return None
-        self._next_arrival = None
-        dest = self.pattern.dest(self.input_id, self._rng)
+        dest = self.pattern.dest(self.input_id, self.stream)
         flits = make_packet(
             dest=dest,
             size=self.packet_size,

@@ -8,8 +8,8 @@ ejected at the destination) plus an optional think/compute delay.
 Offered load is therefore an output of the simulation, not an input —
 the closed-loop behavior that open-loop sweeps cannot show.
 
-The runtime contract mirrors the traffic layer's pre-drawn arrival
-model so both drive loops work unchanged:
+The runtime contract mirrors the traffic layer's arrival queue, so
+both drive loops work unchanged:
 
 * :meth:`Workload.eligible` is a **pure** probe (``tests/perturb.py``
   over-polls it):

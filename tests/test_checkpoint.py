@@ -232,9 +232,9 @@ class TestFormatVersion:
         path = tmp_path / "switch.ckpt"
         sim.save_checkpoint(path)
         payload = pickle.loads(path.read_bytes())
-        assert payload["format"] == CHECKPOINT_FORMAT == 5
+        assert payload["format"] == CHECKPOINT_FORMAT == 6
         assert set(payload) == {"format", "sim"}
-        for fmt in (1, 2, 3, 4):
+        for fmt in (1, 2, 3, 4, 5):
             path.write_bytes(pickle.dumps({"format": fmt,
                                            "state": _GoneSlot()}))
             with pytest.raises(ValueError,
@@ -247,7 +247,7 @@ class TestFormatVersion:
         not by whatever its retired classes would raise."""
         with pytest.raises(ValueError, match=(
             "unsupported checkpoint format 4 "
-            r"\(this build reads format 5\)"
+            r"\(this build reads format 6\)"
         )):
             load_checkpoint(FORMAT4_FIXTURE)
 
@@ -437,49 +437,43 @@ class TestNetworkRoundTrip:
         expect, got = _roundtrip(build, start, 90, path)
         assert got == expect
 
-    @pytest.mark.parametrize("written_with, restored_with", [
+    @pytest.mark.parametrize("faults, cut_twice", [
         (True, True), (False, False), (True, False), (False, True),
     ])
-    def test_event_run_paused_mid_gap(
-        self, tmp_path, monkeypatch, written_with, restored_with
-    ):
+    def test_event_run_paused_mid_gap(self, tmp_path, faults, cut_twice):
         """A low-rate event run pauses with most hosts between
-        arrivals: with the bulk path on, the pre-draw cursor is past
-        the Python stream by the polls its state row has made.  The
-        loaded simulation keeps the path it was written on, whatever
-        the loading process's flag says, and resumes identically to
-        the uninterrupted run."""
-        import repro.network.arrivals as arrivals
-
-        if (written_with or restored_with) and not arrivals.HAVE_NUMPY:
-            pytest.skip("numpy unavailable; the fallback is the only path")
+        arrivals, their next ones queued far ahead: the loaded
+        simulation resumes identically to the uninterrupted run — with
+        corruption and credit loss drawing on their own streams across
+        the cut, and when the resumed run is itself paused mid-gap,
+        saved and loaded again."""
         cfg = NetworkConfig(radix=16, levels=2, num_vcs=2, seed=11)
         path = tmp_path / "net.ckpt"
 
         def build():
-            sim = NetworkSimulation(cfg, load=1e-3, scheduler="event")
+            sim = NetworkSimulation(cfg, load=1e-3, scheduler="event",
+                                    faults=FAULTS if faults else None)
             sim.start_run(warmup=500, measure=6000, drain=2000)
             return sim
 
+        def cut(sim, stop_at):
+            assert not sim.advance_run(stop_at=stop_at)
+            ahead = [arrival - sim.cycle
+                     for arrival, _ in sim.arrivals.queued()]
+            assert min(ahead) >= 0 and max(ahead) > 1000
+            sim.save_checkpoint(path)
+            resumed = load_checkpoint(path)
+            assert resumed.arrivals.queued() == sim.arrivals.queued()
+            return resumed
+
         ref = build()
-        assert ref.arrivals.bulk == arrivals.HAVE_NUMPY
         assert ref.advance_run()
         expect = ref.finish_run()
         assert expect.packets_measured > 60
 
-        monkeypatch.setattr(arrivals, "HAVE_NUMPY", written_with)
-        twin = build()
-        assert twin.arrivals.bulk == written_with
-        assert not twin.advance_run(stop_at=3000)
-        if written_with:
-            book = twin.arrivals
-            ahead = [c - s for c, s in zip(book._cursor, book._sync_cursor)]
-            assert min(ahead) >= 0 and max(ahead) > 0
-        twin.save_checkpoint(path)
-
-        monkeypatch.setattr(arrivals, "HAVE_NUMPY", restored_with)
-        resumed = load_checkpoint(path)
-        assert resumed.arrivals.bulk == written_with
+        resumed = cut(build(), 3000)
+        if cut_twice:
+            resumed = cut(resumed, 5000)
         assert resumed.advance_run()
         got = resumed.finish_run()
         assert (got, got.extra) == (expect, expect.extra)

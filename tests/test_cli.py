@@ -223,6 +223,27 @@ class TestCommands:
         assert "truncated or corrupt" in captured.err
         assert captured.err.count("\n") == 1
 
+    def test_resume_of_a_network_checkpoint_is_a_usage_error(
+        self, capsys, tmp_path
+    ):
+        """Regression: ``run --resume`` read ``sim.router`` off whatever
+        it loaded, so a network checkpoint ended in an AttributeError
+        traceback."""
+        from repro.network.netsim import NetworkConfig, NetworkSimulation
+
+        sim = NetworkSimulation(NetworkConfig(radix=4, levels=2), 0.3)
+        sim.start_run(warmup=50, measure=100, drain=500)
+        assert not sim.advance_run(stop_at=80)
+        path = tmp_path / "clos.ckpt"
+        sim.save_checkpoint(path)
+        assert main(["run", "--resume", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"repro run: checkpoint {path} holds a NetworkSimulation; "
+            f"run --resume continues switch runs only\n"
+        )
+
     @pytest.mark.parametrize("argv, told", [
         ("workload --radix 4 --corrupt-rate 2", "corrupt_rate"),
         ("faults --radix 8 --rates 0.01 --credit-loss 3", "credit_loss_rate"),

@@ -163,21 +163,6 @@ class TestNetworkEquivalence:
         sim.run(warmup=150, measure=250, drain=3000)
         assert sim._sched.cycles_skipped > 0
 
-    def test_scalar_fallback_matches_bulk_draws(self, monkeypatch):
-        # Arrival pre-drawing has two implementations: a vectorized
-        # search over numpy state rows (low rates, numpy present) and
-        # a pure-Python bounded loop.  Both must consume the host RNG
-        # streams identically.
-        import repro.network.arrivals as arrivals
-
-        if not arrivals.HAVE_NUMPY:
-            pytest.skip("numpy unavailable; the fallback is the only path")
-        monkeypatch.setattr(arrivals, "BULK_MAX_RATE", 1.0)
-        bulk = _network_snapshot("event")
-        monkeypatch.setattr(arrivals, "HAVE_NUMPY", False)
-        scalar = _network_snapshot("event")
-        assert scalar == bulk
-
 
 class TestTraceEquivalence:
     """Fast-forward must be invisible in the exported Chrome trace."""
@@ -240,28 +225,21 @@ class TestPropertyEquivalence:
                 == _network_snapshot("event", load=load, seed=seed))
 
 
-class TestArrivalPreDraw:
-    """The bulk pre-draw searches ``DRAW_CHUNK`` polls per numpy call
-    and must consume each host stream exactly as the scalar loop's
-    one-poll-at-a-time search does, wherever a hit falls relative to a
-    chunk or to the edge of a staged ``HostArrivals.extend`` window."""
+class TestArrivalQueue:
+    """Both schedulers read one arrival queue: the cycle stepper pops
+    it on every cycle, event mode jumps to its head.  Each arrival
+    costs its host stream one gap draw and one destination draw."""
 
     CFG = dict(radix=4, levels=2, num_vcs=2, seed=13)
-    LOAD = 0.02  # one poll in 200 hits: above the real crossover
+    LOAD = 0.02
 
-    def _arrivals(self, monkeypatch, numpy, chunk, stages, rows=None):
-        """Every generated packet as (cycle, host, dest), plus the
-        pre-draw bookkeeping after each staged ``run_until``."""
-        import repro.network.arrivals as arrivals
-
-        monkeypatch.setattr(arrivals, "HAVE_NUMPY", numpy)
-        monkeypatch.setattr(arrivals, "DRAW_CHUNK", chunk)
-        monkeypatch.setattr(arrivals, "BULK_MAX_RATE", 1.0)
+    def _packets(self, scheduler, stages):
+        """Every generated packet as (cycle, host, dest), driven
+        through ``run_until`` in the given stages."""
         sim = NetworkSimulation(
-            NetworkConfig(**self.CFG), self.LOAD, scheduler="event"
+            NetworkConfig(**self.CFG), self.LOAD, scheduler=scheduler
         )
-        assert sim.arrivals.bulk == (numpy if rows is None else rows)
-        packets, books = [], []
+        packets = []
         generate = sim._generate_packet
 
         def logged(host, now, message=None):
@@ -271,157 +249,81 @@ class TestArrivalPreDraw:
         sim._generate_packet = logged
         for end in stages:
             sim.run_until(end)
-            book = sim.arrivals
-            books.append((list(book._cursor), sorted(book._heap),
-                          sorted(book._undrawn)))
-        return packets, books
+        return packets, [s.getstate() for s in sim.arrivals.streams]
 
-    def test_hits_on_chunk_and_window_edges(self, monkeypatch):
-        import repro.network.arrivals as arrivals
+    def test_stage_edges_on_arrival_cycles(self):
+        """A stage that ends just before, on, or just after an arrival
+        cycle neither loses nor repeats it, in either mode."""
+        expect = self._packets("cycle", (2000,))
+        hit = expect[0][4][0]
+        assert 8 < hit < 1000 and len(expect[0]) > 20
+        for stages in ((hit, 2000), (hit + 1, 2000), (hit - 1, hit, 2000),
+                       (1, hit, hit + 1, 2 * hit, 2000)):
+            for scheduler in ("cycle", "event"):
+                assert self._packets(scheduler, stages) == expect, (
+                    scheduler, stages)
 
-        if not arrivals.HAVE_NUMPY:
-            pytest.skip("numpy unavailable; the fallback is the only path")
-        stages = (2000,)
-        scalar, _ = self._arrivals(monkeypatch, False, 8192, stages)
-        hit = min(cycle for cycle, host, _ in scalar if host == 0)
-        assert 8 < hit < 1000 and len(scalar) > 20
-        cases = [
-            (hit + 1, stages),        # the last poll of the first chunk
-            (hit, stages),            # the first poll of the second chunk
-            (7, stages),              # many chunks per gap
-            (8192, (hit + 1, 2000)),  # at limit - 1 of the first window
-            (8192, (hit, hit + 1, 2000)),  # first poll of the next window
-            (hit, (hit, 2 * hit, 2000)),   # chunk edge on window edge
-        ]
-        for chunk, windows in cases:
-            expect = self._arrivals(monkeypatch, False, chunk, windows)
-            got = self._arrivals(monkeypatch, True, chunk, windows)
-            assert got == expect, (chunk, windows)
-            assert got[0] == scalar
-
-    def test_failed_self_check_takes_the_scalar_loop(self, monkeypatch):
-        """numpy's state struct is not ours: when the construction-time
-        check of the view fails, event mode polls the Python streams
-        as if numpy were absent — same arrivals, same bookkeeping."""
-        import repro.network.arrivals as arrivals
-
-        if not arrivals.HAVE_NUMPY:
-            pytest.skip("numpy unavailable; the fallback is the only path")
-        stages = (700, 2000)
-        bulk = self._arrivals(monkeypatch, True, 64, stages)
-        assert len(bulk[0]) > 20
-        monkeypatch.setattr(
-            arrivals.StreamRows, "_view_is_faithful", lambda self: False
-        )
-        refused = self._arrivals(monkeypatch, True, 64, stages, rows=False)
-        assert refused == bulk
-        assert refused == self._arrivals(monkeypatch, False, 64, stages)
-
-    @pytest.mark.parametrize("side", [0.9, 1.1])
-    def test_three_ways_agree_across_the_crossover(self, monkeypatch, side):
-        """Either side of the real ``BULK_MAX_RATE``: the cycle
-        stepper, event mode as built (rows below the constant, the
-        scalar loop above it) and event mode without numpy produce the
-        same result and extras, and leave every host stream in the
-        same state once each is brought to the pre-draw cursor."""
-        import copy
-
-        import repro.network.arrivals as arrivals
-
+    @pytest.mark.parametrize("rate", [1e-4, 3e-4], ids=["1e-4", "3e-4"])
+    def test_idle_rate_is_identical_and_fast_forwarded(self, rate):
+        """At an idle rate (packets per host per cycle) the two modes
+        produce the same result and extras, leave every host stream in
+        the same state, and event mode skips most of the run."""
         cfg = NetworkConfig(radix=8, levels=2, num_vcs=2, packet_size=2,
                             seed=5)
-        load = side * arrivals.BULK_MAX_RATE * cfg.flit_cycles * cfg.packet_size
 
-        def run(scheduler, numpy):
-            monkeypatch.setattr(arrivals, "HAVE_NUMPY", numpy)
+        load = rate * cfg.flit_cycles * cfg.packet_size
+
+        def run(scheduler):
             sim = NetworkSimulation(cfg, load, scheduler=scheduler)
-            result = sim.run(warmup=2000, measure=20000, drain=3000)
-            assert result.packets_measured > 60
-            return sim.arrivals, result
+            result = sim.run(warmup=2000, measure=40000, drain=3000)
+            assert result.packets_measured > 40
+            return sim, result
 
-        have = arrivals.HAVE_NUMPY
-        cycle, expect = run("cycle", have)
-        built, result = run("event", have)
-        scalar, result2 = run("event", False)
-        assert built.bulk == (have and side < 1)
-        assert not scalar.bulk
-        assert result == result2 and result.extra == result2.extra
-        assert result.extra["stats.engine.cycles_skipped"] > 10000
+        cycle, expect = run("cycle")
+        event, result = run("event")
+        assert result.extra["stats.engine.cycles_skipped"] > 0.8 * result.cycles
         for extra in (expect.extra, result.extra):
             for name in [n for n in extra if n.startswith("stats.engine.")]:
                 del extra[name]
         assert result == expect and result.extra == expect.extra
-        cursor = built._cursor
-        assert cursor == scalar._cursor
-        # With rows the Python stream waits at the host's last sync;
-        # the polls since are what its row is ahead by.  Without rows
-        # the stream itself is at the cursor.
-        sync = built._sync_cursor if built.bulk else cursor
-        for host, polled in enumerate(cycle.streams):
-            polled = copy.copy(polled)
-            for _ in range(cursor[host] - expect.cycles):
-                polled.random()
-            stream = copy.copy(built.streams[host])
-            for _ in range(cursor[host] - sync[host]):
-                stream.random()
-            assert (polled.getstate() == stream.getstate()
-                    == scalar.streams[host].getstate()), host
+        assert ([s.getstate() for s in event.arrivals.streams]
+                == [s.getstate() for s in cycle.arrivals.streams])
+        assert event.arrivals.queued() == cycle.arrivals.queued()
 
-    def _doubles_drawn(self, monkeypatch, measure):
-        """(doubles drawn on the one shared generator, polls cycle mode
-        would make, the most the design may draw)."""
-        import repro.network.arrivals as arrivals
+    def test_draws_track_arrivals(self):
+        """Two draws per arrival once built (its destination, then the
+        next gap): what a run draws follows the packets it makes, not
+        the cycles it spans."""
+        cfg = NetworkConfig(radix=16, levels=2, num_vcs=2, packet_size=2,
+                            seed=7)
+        sim = NetworkSimulation(cfg, 1e-4, scheduler="event")
+        hosts = sim.topology.num_hosts
+        drawn = [0]
 
-        drawn, generated = [0], [0]
+        class Counted:
+            def __init__(self, stream):
+                self.stream = stream
 
-        class CountingRows(arrivals.StreamRows):
-            def __init__(self, streams, chunk):
-                super().__init__(streams, chunk)
-                draw = self._draw
+            def random(self):
+                drawn[0] += 1
+                return self.stream.random()
 
-                def counted_draw(count):
-                    drawn[0] += count
-                    return draw(count)
+            def randrange(self, n):
+                drawn[0] += 1
+                return self.stream.randrange(n)
 
-                self._draw = counted_draw
-
-        monkeypatch.setattr(arrivals, "StreamRows", CountingRows)
-        sim = NetworkSimulation(
-            NetworkConfig(radix=16, levels=2, num_vcs=2, packet_size=2,
-                          seed=7),
-            1e-4, scheduler="event",
-        )
-        assert sim.arrivals.bulk and drawn == [0]
+        arrivals = sim.arrivals
+        arrivals.streams = [Counted(s) for s in arrivals.streams]
+        generated = [0]
         generate = sim._generate_packet
 
-        def counted_generate(host, now, message=None):
+        def counted(host, now, message=None):
             generated[0] += 1
             generate(host, now, message)
 
-        sim._generate_packet = counted_generate
-        result = sim.run(warmup=1000, measure=measure, drain=5000)
+        sim._generate_packet = counted
+        result = sim.run(warmup=1000, measure=62500, drain=5000)
         assert result.packets_measured > 40
-        hosts = sim.topology.num_hosts
-        book = sim.arrivals
-        hits = generated[0] + len(book._heap)  # some not yet due
-        ceiling = hosts * book._draw_limit + hits * arrivals.DRAW_CHUNK
-        return drawn[0], hosts * result.cycles, ceiling
-
-    def test_doubles_drawn_track_polls(self, monkeypatch):
-        """Cycle mode polls every host every cycle; byte-identity makes
-        hosts x cycles the floor.  On top of it the search draws the
-        chunk holding each hit twice — once whole, once up to the hit —
-        and nothing else, so the total stays under polls + arrivals x
-        ``DRAW_CHUNK`` and at most doubles (2.1x) when the window does
-        (re-consuming the gap since each host's last arrival read 1.5x
-        the floor and grew 2.25x here)."""
-        import repro.network.arrivals as arrivals
-
-        if not arrivals.HAVE_NUMPY:
-            pytest.skip("numpy unavailable; nothing is drawn in bulk")
-        drawn, polls, ceiling = self._doubles_drawn(monkeypatch, 62500)
-        assert polls <= drawn <= ceiling
-        doubled, polls2, ceiling2 = self._doubles_drawn(monkeypatch, 125000)
-        assert polls2 > 1.9 * polls
-        assert polls2 <= doubled <= ceiling2
-        assert doubled <= 2.1 * drawn
+        assert drawn[0] == 2 * generated[0]
+        assert result.extra["stats.engine.cycles_skipped"] > 0.8 * result.cycles
+        assert generated[0] < 0.01 * hosts * result.cycles

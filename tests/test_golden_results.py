@@ -1,10 +1,12 @@
 """Seed-pinned golden results for every simulation stack.
 
 These snapshots pin the *exact* numeric output of a seeded run for all
-switch organizations and the Clos network.  They were generated on the
-pre-`repro.engine` code and must stay byte-identical across refactors
-of the simulation kernel: any drift means the refactor changed
-simulation behavior, not just structure.
+switch organizations and the Clos network.  They must stay
+byte-identical across refactors of the simulation kernel: any drift
+means the refactor changed simulation behavior, not just structure.
+They were last re-pinned when arrivals became geometric gaps drawn
+once per packet (the same Bernoulli process in distribution, not in
+bytes, as the per-cycle poll it replaced).
 
 The snapshot deliberately compares named scalar fields (and the two
 harness-owned ``extra`` entries) rather than the whole ``extra`` dict,
@@ -95,85 +97,85 @@ def _run_network(scheduler: str = "cycle") -> dict:
 
 GOLDEN: dict = {
     "baseline": {
-        "avg_latency": 16.582089552238806,
-        "cycles": 763,
-        "max_latency": 63,
+        "avg_latency": 16.246575342465754,
+        "cycles": 735,
+        "max_latency": 63.0,
         "offered_load": 0.35,
-        "p99_latency": 46.339999999999975,
-        "packets_measured": 134,
+        "p99_latency": 42.30000000000007,
+        "packets_measured": 146,
         "saturated": False,
-        "source_backlog": 1.0,
-        "throughput": 0.33625,
+        "source_backlog": 0.0,
+        "throughput": 0.36375,
         "undelivered": 0.0,
     },
     "buffered": {
-        "avg_latency": 17.48507462686567,
-        "cycles": 736,
-        "max_latency": 36,
+        "avg_latency": 17.472602739726028,
+        "cycles": 723,
+        "max_latency": 35.0,
         "offered_load": 0.35,
-        "p99_latency": 35.66999999999999,
-        "packets_measured": 134,
+        "p99_latency": 34.10000000000002,
+        "packets_measured": 146,
         "saturated": False,
-        "source_backlog": 2.0,
-        "throughput": 0.33625,
+        "source_backlog": 5.0,
+        "throughput": 0.36375,
         "undelivered": 0.0,
     },
     "clos-network": {
-        "avg_latency": 35.0507614213198,
-        "cycles": 543,
-        "max_latency": 89,
+        "avg_latency": 32.87301587301587,
+        "cycles": 553,
+        "max_latency": 61.0,
         "offered_load": 0.3,
-        "p99_latency": 72.27999999999994,
-        "packets_measured": 197,
+        "p99_latency": 57.24000000000001,
+        "packets_measured": 189,
         "saturated": False,
-        "throughput": 0.31916666666666665,
+        "throughput": 0.31833333333333336,
     },
     "distributed": {
-        "avg_latency": 18.992537313432837,
-        "cycles": 740,
-        "max_latency": 51,
+        "avg_latency": 18.698630136986303,
+        "cycles": 744,
+        "max_latency": 48.0,
         "offered_load": 0.35,
-        "p99_latency": 46.339999999999975,
-        "packets_measured": 134,
+        "p99_latency": 45.0,
+        "packets_measured": 146,
         "saturated": False,
-        "source_backlog": 4.0,
-        "throughput": 0.3375,
+        "source_backlog": 5.0,
+        "throughput": 0.365,
         "undelivered": 0.0,
     },
     "hierarchical": {
-        "avg_latency": 21.33582089552239,
-        "cycles": 736,
-        "max_latency": 40,
+        "avg_latency": 21.45205479452055,
+        "cycles": 727,
+        "max_latency": 39.0,
         "offered_load": 0.35,
-        "p99_latency": 37.339999999999975,
-        "packets_measured": 134,
+        "p99_latency": 37.55000000000001,
+        "packets_measured": 146,
         "saturated": False,
         "source_backlog": 2.0,
-        "throughput": 0.3375,
+        "throughput": 0.36375,
         "undelivered": 0.0,
     },
     "shared-buffer": {
-        "avg_latency": 20.559701492537314,
-        "cycles": 736,
-        "max_latency": 42,
+        "avg_latency": 20.993150684931507,
+        "cycles": 734,
+        "max_latency": 64.0,
         "offered_load": 0.35,
-        "p99_latency": 39.34999999999994,
-        "packets_measured": 134,
+        "p99_latency": 44.050000000000125,
+        "packets_measured": 146,
         "saturated": False,
-        "source_backlog": 2.0,
-        "throughput": 0.34,
+        "source_backlog": 1.0,
+        "throughput": 0.36375,
         "undelivered": 0.0,
     },
     "voq": {
-        "avg_latency": 14.902985074626866,
-        "cycles": 740,
-        "max_latency": 47,
+        "avg_latency": 14.76027397260274,
+        "cycles": 726,
+        "max_latency": 41.0,
         "offered_load": 0.35,
-        "p99_latency": 43.00999999999996,
-        "packets_measured": 134,
+        "p99_latency": 36.9500000000001,
+        "packets_measured": 146,
         "saturated": False,
-        "source_backlog": 4.0,
-        "throughput": 0.33625,
+        "source_backlog": 3.0,
+        "throughput": 0.36125,
         "undelivered": 0.0,
     },
 }

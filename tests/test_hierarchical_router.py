@@ -342,9 +342,10 @@ class TestOccupancyIndexedHotPath:
 
     def test_radix64_high_load_matches_parent_commit(self):
         """Radix 64, p=8, load 0.9, 1000 cycles: result row, every
-        extra and the Chrome-trace bytes, pinned by a digest computed
-        at the commit *before* the occupancy indices replaced the
-        buffer scans — the skip rule must not move a single byte."""
+        extra and the Chrome-trace bytes, pinned by a digest first
+        computed at the commit *before* the occupancy indices replaced
+        the buffer scans — the skip rule must not move a single byte —
+        and re-pinned once when arrivals became geometric gaps."""
         tracer = TraceCollector()
         sim = SwitchSimulation(
             HierarchicalCrossbarRouter(
@@ -365,6 +366,6 @@ class TestOccupancyIndexedHotPath:
         digest.update(repr(sorted(result.extra.items())).encode())
         digest.update(chrome_trace_json(tracer).encode())
         assert digest.hexdigest() == (
-            "c7581831708b962a1bee1979c8f0f4ec"
-            "f7e077456fb7d5dcb685fa8817984e63"
+            "17f8b819245b9682a24896cfcd2cbfdd"
+            "bdfef0b98f4fb5b13fd1507aebbc1e8f"
         )

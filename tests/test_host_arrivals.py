@@ -1,155 +1,168 @@
-"""``HostArrivals`` on its own: polling and pre-drawing are one process.
+"""``ArrivalQueue`` on its own: popped every cycle or jumped to, one
+process.
 
-The network-level tests (``test_event_scheduler.TestArrivalPreDraw``,
-``test_checkpoint``, ``test_sanitizer``) pin the class through
-``NetworkSimulation``; these drive it directly, with a stand-in for the
-consumer's destination draw (one ``random()`` on the yielded host's
-stream), over window schedules no staged run produces.
+The simulation-level tests (``test_event_scheduler``,
+``test_checkpoint``, ``test_sanitizer``) pin the queue through both
+stacks; these drive it directly, with a stand-in for the consumer's
+destination draw (one ``random()`` on the yielded index's stream),
+over jump schedules no staged run produces.
 """
 
 import copy
+import heapq
 import pickle
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.network.arrivals as arrivals
 from repro.core.errors import InvariantViolation
-from repro.core.rng import StreamRows
-from repro.network.arrivals import HostArrivals
-
-needs_numpy = pytest.mark.skipif(
-    not arrivals.HAVE_NUMPY, reason="numpy unavailable; there are no state rows"
-)
+from repro.core.rng import derive_rng
+from repro.traffic.arrivals import ArrivalQueue
+from repro.traffic.injection import Bernoulli, MarkovOnOff
 
 
-def _build(seed, hosts, rate, bulk, chunk=16):
-    """A pre-drawing instance on the bulk path or the scalar loop."""
-    with mock.patch.multiple(
-        arrivals, HAVE_NUMPY=bulk, BULK_MAX_RATE=2.0, DRAW_CHUNK=chunk
-    ):
-        built = HostArrivals(seed, hosts, rate, predraw=True)
-    assert built.bulk == bulk
-    return built
+def _queue(seed, hosts, make):
+    return ArrivalQueue(
+        [derive_rng(seed, "net", host) for host in range(hosts)],
+        [make() for _ in range(hosts)],
+    )
 
 
-def _polled(seed, hosts, rate, end):
-    polling = HostArrivals(seed, hosts, rate, predraw=False)
+def _polled(queue, end):
+    """Pop ``queue`` on every cycle below ``end``, as the cycle stepper
+    does."""
     generated = []
     for now in range(end):
-        for host in polling.poll(now):
-            polling.streams[host].random()
-            generated.append((now, host))
-    return generated, [stream.getstate() for stream in polling.streams]
-
-
-def _drain(predrawn, before):
-    """Generate every queued arrival earlier than cycle ``before``."""
-    generated = []
-    while predrawn.next_due() is not None and predrawn.next_due() < before:
-        now = predrawn.next_due()
-        for host in predrawn.due(now):
-            predrawn.streams[host].random()
+        for host in queue.due(now):
+            queue.streams[host].random()
             generated.append((now, host))
     return generated
 
 
-def _states_at_cursor(predrawn):
-    """Every stream's state once brought level with its cursor (with
-    rows it waits at the host's last sync; without, it is there)."""
-    cursor = predrawn._cursor
-    sync = predrawn._sync_cursor if predrawn.bulk else cursor
-    states = []
-    for host, stream in enumerate(predrawn.streams):
-        stream = copy.copy(stream)
-        for _ in range(cursor[host] - sync[host]):
-            stream.random()
-        states.append(stream.getstate())
-    return states
+def _jumped(queue, before):
+    """Pop ``queue`` only on the cycles it reports due, as event mode
+    does, up to (not including) ``before``."""
+    generated = []
+    while queue.next_due() is not None and queue.next_due() < before:
+        now = queue.next_due()
+        for host in queue.due(now):
+            queue.streams[host].random()
+            generated.append((now, host))
+    return generated
+
+
+PROCESSES = {
+    "bernoulli-0.002": lambda: Bernoulli(0.002),
+    "bernoulli-0.3": lambda: Bernoulli(0.3),
+    "bernoulli-1": lambda: Bernoulli(1.0),
+    "bernoulli-0": lambda: Bernoulli(0.0),
+    "onoff": lambda: MarkovOnOff(0.2, peak_rate=0.5, avg_burst=4.0),
+}
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**16),
     hosts=st.integers(min_value=1, max_value=8),
-    rate=st.sampled_from([0.002, 0.03, 0.3, 1.0]),
+    process=st.sampled_from(sorted(PROCESSES)),
     steps=st.lists(st.integers(min_value=1, max_value=90), min_size=1,
                    max_size=5),
-    bulk=st.booleans(),
 )
-def test_poll_and_predraw_are_one_process(seed, hosts, rate, steps, bulk):
-    """Same (cycle, host) sequence, every stream left in the same
-    state, whatever the window schedule — including windows a chunk
-    does not divide and windows with no arrival at all."""
-    if bulk and not arrivals.HAVE_NUMPY:
-        bulk = False
+def test_poll_and_predraw_are_one_process(seed, hosts, process, steps):
+    """Same (cycle, host) sequence in ascending host order per cycle,
+    every stream and process left in the same state, whatever the
+    jump schedule — including spans with no arrival at all."""
+    make = PROCESSES[process]
     windows = [sum(steps[:i + 1]) for i in range(len(steps))]
-    expect, expect_states = _polled(seed, hosts, rate, windows[-1])
-    predrawn = _build(seed, hosts, rate, bulk)
+    polled = _queue(seed, hosts, make)
+    expect = _polled(polled, windows[-1])
+    jumped = _queue(seed, hosts, make)
     generated = []
     for end in windows:
-        predrawn.extend(end)
-        assert predrawn.next_due() is None or predrawn.next_due() < end
-        generated += _drain(predrawn, end)
+        generated += _jumped(jumped, end)
+        assert jumped.next_due() is None or jumped.next_due() >= end
+        jumped.audit(end)
     assert generated == expect
-    assert predrawn._cursor == [windows[-1]] * hosts
-    assert predrawn._heap == [] and predrawn._draw_limit == windows[-1]
-    assert predrawn._undrawn == set(range(hosts))
-    assert _states_at_cursor(predrawn) == expect_states
+    assert generated == sorted(generated)
+    assert jumped.queued() == polled.queued()
+    assert ([s.getstate() for s in jumped.streams]
+            == [s.getstate() for s in polled.streams])
+    assert ([vars(p) for p in jumped.processes]
+            == [vars(p) for p in polled.processes])
 
 
-@needs_numpy
-@pytest.mark.parametrize("written_with_rows", [True, False])
-def test_restore_across_rows_mid_window(written_with_rows):
-    """A pickle taken between arrivals, inside a window, continues
-    exactly as the polled process does, with state rows (each row
-    ahead of its Python stream) or without."""
-    seed, hosts, rate = 9, 6, 0.01
-    expect, expect_states = _polled(seed, hosts, rate, 900)
-    writer = _build(seed, hosts, rate, written_with_rows)
-    writer.extend(600)
-    generated = _drain(writer, 250)
-    assert writer._heap and writer._draw_limit == 600
-    if written_with_rows:
-        ahead = [c - s for c, s in zip(writer._cursor, writer._sync_cursor)]
-        assert max(ahead) > 0
-
+@pytest.mark.parametrize("make", [
+    PROCESSES["bernoulli-0.002"],
+    lambda: MarkovOnOff(0.002, peak_rate=0.5, avg_burst=4.0),
+], ids=["bernoulli", "onoff"])
+def test_restore_mid_gap(make):
+    """A pickle taken between arrivals continues exactly as the
+    uninterrupted queue does (for ON/OFF, each process's state goes
+    with it)."""
+    expect = _polled(_queue(9, 6, make), 3000)
+    writer = _queue(9, 6, make)
+    generated = _jumped(writer, 1250)
+    assert generated and writer.next_due() > 1250
     reader = pickle.loads(pickle.dumps(writer))
-    assert reader.bulk == written_with_rows
-    assert reader._heap == writer._heap
-    for end in (600, 900):
-        reader.extend(end)
-        generated += _drain(reader, end)
+    assert reader.queued() == writer.queued()
+    generated += _jumped(reader, 3000)
     assert generated == expect
-    assert _states_at_cursor(reader) == expect_states
 
 
-@needs_numpy
-def test_audit_reports_one_flipped_row_word(monkeypatch):
-    """The sync invariant — row = Python stream + the polls since —
-    audited, at the clock a cycle ends on, for the hosts that
-    generated in it."""
-    predrawn = _build(3, 4, 0.01, True)
-    predrawn.extend(4000)
-    for _ in range(5):
-        now = predrawn.next_due()
-        _drain(predrawn, now + 1)
-        predrawn.audit(now + 1)
-    real_push = StreamRows.push
-    flipped = []
+def test_stop_drops_every_arrival():
+    queue = _queue(3, 4, PROCESSES["bernoulli-0.3"])
+    _jumped(queue, 50)
+    queue.stop()
+    assert queue.next_due() is None and list(queue.due(10**6)) == []
+    queue.audit(10**6)  # a stopped queue is a consistent one
 
-    def push(rows, host, stream):
-        real_push(rows, host, stream)
-        if not flipped:
-            rows.rows[host, 17] ^= 1
-            flipped.append(host)
 
-    monkeypatch.setattr(StreamRows, "push", push)
-    now = predrawn.next_due()
-    _drain(predrawn, now + 1)
+def _unfile(queue, cycle, index):
+    """Take ``index``'s arrival at ``cycle`` out of the queue, as a
+    lost entry would be (no bucket or heap cycle left behind)."""
+    bucket = queue._at[cycle]
+    bucket.remove(index)
+    if not bucket:
+        del queue._at[cycle]
+        queue._cycles.remove(cycle)
+        heapq.heapify(queue._cycles)
+
+
+@pytest.mark.parametrize("fault", ["lost", "duplicated", "overdue",
+                                   "unexpected"])
+def test_audit_reports_a_broken_queue(fault):
+    """One queued arrival per index whose process can fire, none for
+    the others, and none before the clock: each break is reported at
+    the clock it is audited on, with the index it happened to."""
+    queue = _queue(3, 4, PROCESSES["bernoulli-0.3"])
+    queue.processes[3] = Bernoulli(0.0)
+    _unfile(queue, *next(entry for entry in queue.queued() if entry[1] == 3))
+    _jumped(queue, 40)
+    queue.audit(40)
+    broken = copy.deepcopy(queue)
+    cycle, index = broken.queued()[0]
+    if fault == "lost":
+        _unfile(broken, cycle, index)
+    elif fault == "duplicated":
+        broken._file(cycle + 5, index)
+    elif fault == "overdue":
+        _unfile(broken, cycle, index)
+        broken._file(39, index)
+    else:
+        broken._file(45, 3)
+        index = 3
     with pytest.raises(InvariantViolation) as exc:
-        predrawn.audit(now + 1)
-    assert exc.value.check == "arrival-stream"
-    assert exc.value.cycle == now + 1
-    assert exc.value.context["host"] == flipped[0]
+        broken.audit(40)
+    assert exc.value.check == "arrival-queue"
+    assert exc.value.cycle == 40
+    assert exc.value.context["index"] == index
+
+
+def test_audit_reports_a_cycle_heap_out_of_step():
+    queue = _queue(3, 4, PROCESSES["bernoulli-0.3"])
+    _jumped(queue, 40)
+    queue._cycles.append(10**6)
+    with pytest.raises(InvariantViolation) as exc:
+        queue.audit(40)
+    assert exc.value.check == "arrival-queue"
+    assert 10**6 in exc.value.context["cycles"]

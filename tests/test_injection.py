@@ -1,4 +1,10 @@
-"""Tests for Bernoulli and Markov ON/OFF injection processes."""
+"""Tests for Bernoulli and Markov ON/OFF injection processes.
+
+The rate, burst and reset properties are read off ``next_gap`` itself:
+:func:`fired` lays its gaps out on the cycle axis.  How the gaps are
+distributed against the per-cycle definition is
+``tests/test_arrival_gaps.py``'s.
+"""
 
 import random
 
@@ -7,22 +13,31 @@ import pytest
 from repro.traffic.injection import Bernoulli, MarkovOnOff, make_injection
 
 
+def fired(proc, rng, cycles):
+    """Per cycle below ``cycles``, whether ``proc`` generates a packet,
+    with its gaps drawn by ``next_gap`` from ``rng``."""
+    hits = [False] * cycles
+    cycle = -1
+    while True:
+        gap = proc.next_gap(rng)
+        if gap is None:
+            return hits
+        cycle += 1 + gap
+        if cycle >= cycles:
+            return hits
+        hits[cycle] = True
+
+
 class TestBernoulli:
     def test_rate_zero_never_injects(self):
-        proc = Bernoulli(0.0)
-        rng = random.Random(0)
-        assert not any(proc.should_inject(rng) for _ in range(1000))
+        assert not any(fired(Bernoulli(0.0), random.Random(0), 1000))
 
     def test_rate_one_always_injects(self):
-        proc = Bernoulli(1.0)
-        rng = random.Random(0)
-        assert all(proc.should_inject(rng) for _ in range(100))
+        assert all(fired(Bernoulli(1.0), random.Random(0), 100))
 
     def test_long_run_rate(self):
-        proc = Bernoulli(0.2)
-        rng = random.Random(1)
         n = 50000
-        hits = sum(proc.should_inject(rng) for _ in range(n))
+        hits = sum(fired(Bernoulli(0.2), random.Random(1), n))
         assert abs(hits / n - 0.2) < 0.01
 
     def test_invalid_rate(self):
@@ -36,53 +51,51 @@ class TestMarkovOnOff:
     def test_long_run_rate_matches_target(self):
         """The ON/OFF duty cycle must average out to the offered rate."""
         proc = MarkovOnOff(rate=0.1, peak_rate=0.25, avg_burst=8.0)
-        rng = random.Random(2)
         n = 200000
-        hits = sum(proc.should_inject(rng) for _ in range(n))
+        hits = sum(fired(proc, random.Random(2), n))
         assert abs(hits / n - 0.1) < 0.01
 
     def test_traffic_is_bursty(self):
         """Injections cluster: the variance of per-window counts must
         exceed that of a Bernoulli process at the same rate."""
         rate, peak = 0.1, 0.25
-        rng_a, rng_b = random.Random(3), random.Random(3)
-        onoff = MarkovOnOff(rate, peak, avg_burst=8.0)
-        bern = Bernoulli(rate)
-        window = 40
+        window, windows = 40, 800
 
         def window_counts(proc, rng):
-            counts = []
-            for _ in range(800):
-                counts.append(sum(proc.should_inject(rng) for _ in range(window)))
-            return counts
+            hits = fired(proc, rng, window * windows)
+            return [sum(hits[w * window:(w + 1) * window])
+                    for w in range(windows)]
 
         def var(xs):
             m = sum(xs) / len(xs)
             return sum((x - m) ** 2 for x in xs) / len(xs)
 
-        assert var(window_counts(onoff, rng_a)) > 1.5 * var(
-            window_counts(bern, rng_b)
+        onoff = MarkovOnOff(rate, peak, avg_burst=8.0)
+        bern = Bernoulli(rate)
+        assert var(window_counts(onoff, random.Random(3))) > 1.5 * var(
+            window_counts(bern, random.Random(3))
         )
 
     def test_mean_burst_length(self):
-        """Consecutive packets within one ON period average ~avg_burst."""
+        """Consecutive packets within one ON period average ~avg_burst:
+        at ``peak_rate`` 1 a burst is a run of zero gaps."""
         proc = MarkovOnOff(rate=0.05, peak_rate=1.0, avg_burst=8.0)
         rng = random.Random(4)
         bursts = []
         current = 0
-        for _ in range(200000):
-            if proc.should_inject(rng):
+        for _ in range(20000):
+            if proc.next_gap(rng) == 0 and current:
                 current += 1
-            elif current:
+                continue
+            if current:
                 bursts.append(current)
-                current = 0
+            current = 1
         mean = sum(bursts) / len(bursts)
         assert 6.0 < mean < 10.0
 
     def test_zero_rate(self):
         proc = MarkovOnOff(rate=0.0, peak_rate=0.25)
-        rng = random.Random(0)
-        assert not any(proc.should_inject(rng) for _ in range(100))
+        assert not any(fired(proc, random.Random(0), 100))
 
     def test_rate_above_peak_rejected(self):
         with pytest.raises(ValueError):
@@ -102,9 +115,9 @@ class TestMarkovOnOff:
         mid-burst and the streams were correlated."""
         proc = MarkovOnOff(rate=0.2, peak_rate=1.0, avg_burst=50.0)
         rng = random.Random(5)
-        # Drive until the process is mid-burst.
+        # Draw packets until the process is left mid-burst.
         for _ in range(10000):
-            proc.should_inject(rng)
+            proc.next_gap(rng)
             if proc._on:
                 break
         assert proc._on
@@ -115,18 +128,15 @@ class TestMarkovOnOff:
         """Two identical RNG streams through one instance must match
         when reset() is called between uses."""
         proc = MarkovOnOff(rate=0.2, peak_rate=1.0, avg_burst=8.0)
-        rng = random.Random(7)
-        a = [proc.should_inject(rng) for _ in range(500)]
+        a = fired(proc, random.Random(7), 500)
         proc.reset()
-        rng = random.Random(7)
-        b = [proc.should_inject(rng) for _ in range(500)]
+        b = fired(proc, random.Random(7), 500)
         assert a == b
 
     def test_bernoulli_reset_is_noop(self):
         proc = Bernoulli(0.3)
         proc.reset()  # must exist and be harmless on stateless processes
-        rng = random.Random(8)
-        assert isinstance(proc.should_inject(rng), bool)
+        assert isinstance(proc.next_gap(random.Random(8)), int)
 
     def test_traffic_source_resets_shared_process(self):
         """TrafficSource construction resets its injection process, so
@@ -142,31 +152,38 @@ class TestMarkovOnOff:
 
 
 class TestMissesBeforeHit:
-    """One call per arrival is the per-cycle poll, draw for draw."""
-
-    @pytest.mark.parametrize("make", [
-        lambda: Bernoulli(0.225),
-        lambda: Bernoulli(1.0),
-        lambda: MarkovOnOff(rate=0.2, peak_rate=1.0, avg_burst=8.0),
-        lambda: MarkovOnOff(rate=0.1, peak_rate=0.5, avg_burst=3.0),
-        lambda: MarkovOnOff(rate=1.0, peak_rate=1.0, avg_burst=2.0),
-    ], ids=["bernoulli", "bernoulli-rate-1", "onoff", "onoff-peak-half",
-            "onoff-rate-1"])
-    def test_same_gaps_same_stream_same_state(self, make):
-        polled, asked = make(), make()
-        poll_rng, ask_rng = random.Random(11), random.Random(11)
-        for _ in range(300):
-            misses = 0
-            while not polled.should_inject(poll_rng):
-                misses += 1
-            assert asked.misses_before_hit(ask_rng) == misses
-            assert ask_rng.getstate() == poll_rng.getstate()
-            assert vars(asked) == vars(polled)
+    """``next_gap``: the cycles missed before the next packet, one call
+    per packet (its distribution is ``tests/test_arrival_gaps.py``'s)."""
 
     def test_rate_one_never_misses(self):
         rng = random.Random(12)
-        assert [Bernoulli(1.0).misses_before_hit(rng) for _ in range(50)] \
-            == [0] * 50
+        state = rng.getstate()
+        assert [Bernoulli(1.0).next_gap(rng) for _ in range(50)] == [0] * 50
+        assert rng.getstate() == state  # nothing to draw
+
+    def test_rate_zero_never_fires(self):
+        rng = random.Random(12)
+        assert Bernoulli(0.0).next_gap(rng) is None
+        assert MarkovOnOff(0.0, peak_rate=1.0).next_gap(rng) is None
+        assert rng.getstate() == random.Random(12).getstate()
+
+    def test_onoff_at_full_duty_and_peak_is_back_to_back(self):
+        proc = MarkovOnOff(rate=1.0, peak_rate=1.0, avg_burst=2.0)
+        rng = random.Random(13)
+        assert [proc.next_gap(rng) for _ in range(50)] == [0] * 50
+
+    def test_onoff_gap_draws_leave_the_chain_in_a_state(self):
+        """A packet leaves the chain ON or OFF by one draw at
+        1/avg_burst; ``reset`` returns it to OFF."""
+        proc = MarkovOnOff(rate=0.2, peak_rate=1.0, avg_burst=4.0)
+        rng = random.Random(14)
+        states = set()
+        for _ in range(200):
+            assert proc.next_gap(rng) >= 0
+            states.add(proc._on)
+        assert states == {True, False}
+        proc.reset()
+        assert not proc._on
 
 
 class TestFactory:

@@ -18,8 +18,8 @@ class TestFlowControlIntegrity:
         sim = NetworkSimulation(cfg, load=0.5)
         for _ in range(600):
             sim.step()
-        # Stop generation by zeroing the packet rate, then drain.
-        sim.arrivals.rate = 0.0
+        # Stop generation by dropping every queued arrival, then drain.
+        sim.arrivals.stop()
         for _ in range(6000):
             sim.step()
             if (

@@ -33,16 +33,17 @@ class TestParentPinnedDigest:
     def test_radix64_clos_matches_parent_commit(self):
         """Radix 64, v=4, load 0.3, 1,024 hosts: result row, every
         extra, the Chrome-trace bytes and the traced router's per-flit
-        RC/ST records, pinned by a digest computed at the commit
+        RC/ST records, pinned by a digest first computed at the commit
         *before* the occupancy index and the sparse grant replaced the
-        port x VC scan."""
+        port x VC scan, and re-pinned once when arrivals became
+        geometric gaps."""
         tracer = TraceCollector(capacity=100000)
         sim = NetworkSimulation(
             NetworkConfig(radix=64, levels=2, seed=7), load=0.3,
             tracer=tracer,
         )
         result = sim.run(warmup=40, measure=80, drain=400)
-        assert result.cycles == 181
+        assert result.cycles == 183
         assert tracer.grants > 700
         digest = hashlib.sha256()
         digest.update(repr(sorted(_row(result).items())).encode())
@@ -50,8 +51,8 @@ class TestParentPinnedDigest:
         digest.update(chrome_trace_json(tracer).encode())
         digest.update(repr(tracer.records(completed_only=False)).encode())
         assert digest.hexdigest() == (
-            "9330748cb21e667f12df9e49fb7c75f4"
-            "269eb1ee59d4dfb8346747168d406894"
+            "5a6ac1ddcf918d9a9c8154d235d12fb1"
+            "6c091213f4d848658e06152e6864e5f4"
         )
 
 

@@ -6,6 +6,8 @@ buffer overflows, double VC grants, conservation breaks) must each be
 detected with a located :class:`InvariantViolation`.
 """
 
+import heapq
+
 import pytest
 
 from repro.analysis.sanitizer import NetworkSanitizer, SimSanitizer
@@ -546,37 +548,52 @@ def test_network_sanitizer_detects_occupancy_index_drift(drift):
     assert exc.value.context["router"] == router.name
 
 
-def test_network_sanitizer_detects_arrival_stream_drift(monkeypatch):
-    """Event mode's bulk pre-draw keeps each host's stream in a state
-    row that runs ahead of the Python stream between arrivals; the
-    snapshot relies on the two differing by polls alone.  A hand-back
-    that leaves one row word wrong is reported at the cycle it
-    happens, for the host it happened to."""
-    from repro.core.rng import StreamRows
-    from repro.network.arrivals import HAVE_NUMPY
+def _lose_arrival(arrivals, cycle, index):
+    """Drop one queued arrival, bucket and heap cycle included."""
+    bucket = arrivals._at[cycle]
+    bucket.remove(index)
+    if not bucket:
+        del arrivals._at[cycle]
+        arrivals._cycles.remove(cycle)
+        heapq.heapify(arrivals._cycles)
 
-    if not HAVE_NUMPY:
-        pytest.skip("numpy unavailable; there are no state rows")
+
+@pytest.mark.parametrize("scheduler", ["cycle", "event"])
+def test_network_sanitizer_detects_arrival_queue_drift(scheduler):
+    """Every host with a positive rate holds one queued arrival, none
+    of them overdue: an entry lost from the queue is reported at the
+    end of the cycle it went missing in, for the host it belonged to."""
     sim = NetworkSimulation(
-        NetworkConfig(radix=4, levels=2, seed=3), load=1e-3,
-        scheduler="event", sanitize=True,
+        NetworkConfig(radix=4, levels=2, seed=3), load=1e-2,
+        scheduler=scheduler, sanitize=True,
     )
-    assert sim.arrivals.bulk
-    sim.run_until(8000)
-    assert sum(sim.arrivals._sync_cursor) > 0  # audited, cleanly
-    corrupted = []
-    real_push = StreamRows.push
-
-    def push(rows, host, stream):
-        real_push(rows, host, stream)
-        if not corrupted:
-            rows.rows[host, 17] ^= 1
-            corrupted.append((host, sim.cycle))
-
-    monkeypatch.setattr(StreamRows, "push", push)
+    sim.run_until(800)
+    cycle, host = max(sim.arrivals.queued())
+    _lose_arrival(sim.arrivals, cycle, host)
     with pytest.raises(InvariantViolation) as exc:
-        sim.run_until(16000)
-    (host, cycle), = corrupted
-    assert exc.value.check == "arrival-stream"
-    assert exc.value.cycle == cycle + 1
-    assert exc.value.context["host"] == host
+        sim.step()
+    assert exc.value.check == "arrival-queue"
+    assert exc.value.cycle == 801
+    assert exc.value.context["index"] == host
+
+
+def test_switch_sanitizer_audits_the_arrival_queue():
+    """The switch's sanitizer audits its simulation's queue too; a
+    drained run (sources stopped) stays clean."""
+    sim = SwitchSimulation(BufferedCrossbarRouter(RouterConfig(radix=8)),
+                           load=0.3, sanitize=True)
+    assert sim.sanitizer.arrivals is sim.arrivals
+    sim.run_until(50)
+    cycle, port = max(sim.arrivals.queued())
+    _lose_arrival(sim.arrivals, cycle, port)
+    with pytest.raises(InvariantViolation) as exc:
+        sim.step()
+    assert exc.value.check == "arrival-queue"
+    assert exc.value.context["index"] == port
+    clean = SwitchSimulation(BufferedCrossbarRouter(RouterConfig(radix=8)),
+                             load=0.3, sanitize=True)
+    clean.run_until(50)
+    clean.stop_sources()
+    clean.run_until(300)
+    assert clean.arrivals.next_due() is None
+

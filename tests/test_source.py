@@ -1,9 +1,11 @@
 """Tests for per-input traffic sources."""
 
+import copy
 import itertools
 
 import pytest
 
+from repro.traffic.arrivals import ArrivalQueue
 from repro.traffic.injection import Bernoulli, MarkovOnOff
 from repro.traffic.patterns import UniformRandom
 from repro.traffic.source import TrafficSource
@@ -18,6 +20,26 @@ def _source(rate=1.0, packet_size=1, seed=0, input_id=0, k=8):
     )
 
 
+def _drive(sources, cycles, queue=None):
+    """Generate what an arrival queue over ``sources`` (input ``i`` at
+    index ``i``) times, cycle by cycle, as a simulation does:
+    ``[(cycle, input, dest), ...]``."""
+    if queue is None:
+        queue = _queue(sources)
+    generated = []
+    for now in range(cycles):
+        for i in queue.due(now):
+            sources[i].generate(now, False, IDS)
+            generated.append((now, sources[i].input_id,
+                              sources[i].queue[-1].dest))
+    return generated
+
+
+def _queue(sources):
+    return ArrivalQueue([s.stream for s in sources],
+                        [s.injection for s in sources])
+
+
 class TestTrafficSource:
     def test_generate_at_rate_one(self):
         src = _source(rate=1.0)
@@ -26,8 +48,10 @@ class TestTrafficSource:
 
     def test_generate_at_rate_zero(self):
         src = _source(rate=0.0)
-        assert src.generate(0, False, IDS) is None
+        queue = _queue([src])
+        assert _drive([src], 200, queue) == []
         assert src.backlog() == 0
+        assert queue.next_due() is None
 
     def test_packet_size_flits(self):
         src = _source(rate=1.0, packet_size=5)
@@ -77,8 +101,8 @@ class TestTrafficSource:
     def test_different_inputs_get_different_streams(self):
         a = TrafficSource(0, UniformRandom(8), Bernoulli(0.5), 1, seed=7)
         b = TrafficSource(1, UniformRandom(8), Bernoulli(0.5), 1, seed=7)
-        seq_a = [a.generate(t, False, IDS) is not None for t in range(200)]
-        seq_b = [b.generate(t, False, IDS) is not None for t in range(200)]
+        seq_a = [(t, dest) for t, _, dest in _drive([a], 200)]
+        seq_b = [(t, dest) for t, _, dest in _drive([b], 200)]
         assert seq_a != seq_b
 
     def test_invalid_packet_size(self):
@@ -86,47 +110,42 @@ class TestTrafficSource:
             _source(packet_size=0)
 
 
-class _PerPollSource(TrafficSource):
-    """The pre-draw as it was: one ``should_inject`` per polled cycle.
-    The oracle for asking the process once per arrival."""
+class TestArrivalTiming:
+    """A source generates on the cycles its queue entry falls on; its
+    one stream gives the gap, then the destination, then the next gap."""
 
-    def _draw_next(self, start):
-        if self.injection.rate == 0.0:
-            return None
-        cycle = max(self._cursor, start)
-        while not self.injection.should_inject(self._rng):
-            cycle += 1
-        self._cursor = cycle + 1
-        return cycle
-
-
-class TestPerArrivalPreDraw:
     @pytest.mark.parametrize("make", [
-        lambda: Bernoulli(0.0),
         lambda: Bernoulli(0.225),
         lambda: Bernoulli(1.0),
-        lambda: MarkovOnOff(rate=0.0, peak_rate=1.0),
         lambda: MarkovOnOff(rate=0.2, peak_rate=1.0, avg_burst=8.0),
-        lambda: MarkovOnOff(rate=1.0, peak_rate=1.0, avg_burst=2.0),
-    ], ids=["bernoulli-0", "bernoulli", "bernoulli-1", "onoff-0", "onoff",
-            "onoff-1"])
-    @pytest.mark.parametrize("stride", [1, 3])
-    def test_stream_and_cursor_where_per_poll_leaves_them(self, make, stride):
-        """Driven every cycle or only every third (event mode skips
-        cycles; ``peek_arrival`` is its horizon), the source generates
-        on the same cycles with the same destinations, and after every
-        call its stream, ``_cursor`` and cached arrival are exactly the
-        per-poll oracle's."""
-        fast = TrafficSource(3, UniformRandom(8), make(), 2, seed=9)
-        oracle = _PerPollSource(3, UniformRandom(8), make(), 2, seed=9)
-        for now in range(0, 400, stride):
-            assert fast.peek_arrival(now) == oracle.peek_arrival(now)
-            got = fast.generate(now, False, IDS) is not None
-            assert got == (oracle.generate(now, False, IDS) is not None)
-            assert fast._rng.getstate() == oracle._rng.getstate()
-            assert fast._cursor == oracle._cursor
-            assert fast._next_arrival == oracle._next_arrival
-            assert vars(fast.injection) == vars(oracle.injection)
-        assert [f.dest for f in fast.queue] == [f.dest for f in oracle.queue]
-        assert fast.peak_backlog == oracle.peak_backlog == len(fast.queue)
-        assert fast.flits_generated == 2 * fast.packets_generated
+    ], ids=["bernoulli", "bernoulli-1", "onoff"])
+    @pytest.mark.parametrize("sources", [1, 3])
+    def test_stream_reads_gap_destination_gap(self, make, sources):
+        """Alone or sharing the queue with other sources, each source
+        reads only its own stream."""
+        srcs = [TrafficSource(i, UniformRandom(8), make(), 2, seed=9)
+                for i in range(sources)]
+        oracles = [copy.copy(src.stream) for src in srcs]
+        queue = _queue(srcs)
+        generated = _drive(srcs, 400, queue)
+        for src, oracle in zip(srcs, oracles):
+            process = make()
+            mine = [(now, dest) for now, i, dest in generated
+                    if i == src.input_id]
+            cycle = -1
+            for now, dest in mine:
+                cycle += 1 + process.next_gap(oracle)
+                assert now == cycle
+                assert dest == UniformRandom(8).dest(src.input_id, oracle)
+            assert ((cycle + 1 + process.next_gap(oracle), src.input_id)
+                    in queue.queued())
+            assert src.stream.getstate() == oracle.getstate()
+            assert src.flits_generated == 2 * src.packets_generated
+            assert src.peak_backlog == len(src.queue) == 2 * len(mine)
+
+    def test_same_cycle_arrivals_come_in_input_order(self):
+        sources = [_source(rate=1.0, input_id=i) for i in range(4)]
+        generated = _drive(sources, 3)
+        assert [(t, i) for t, i, _ in generated] == [
+            (t, i) for t in range(3) for i in range(4)
+        ]

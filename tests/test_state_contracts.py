@@ -7,8 +7,8 @@ loaded as a twin.  The twin's object graph must then equal the
 original's, walked in the same order: ``Random`` by ``getstate()``,
 deques and tuples as lists, objects by ``__dict__`` plus
 ``__slots__``, bound methods by function and receiver.  No difference
-is allowed.  numpy objects are not entered; the one numpy state that
-matters, a bulk pre-draw's state rows, is compared on its own.
+is allowed.  numpy objects (the buffered crossbar's batch arrays) are
+not entered.
 
 **Stream keys.**  Every RNG stream is ``derive_rng(seed, *names)``,
 which calls ``repro.core.rng.derive_seed`` through its module global,
@@ -52,7 +52,6 @@ from repro.core.rng import Rng
 from repro.core.config import RouterConfig
 from repro.faults import FaultPlan, LinkFault, StuckFault, sample_link_faults
 from repro.harness import SwitchSimulation, SweepSettings, load_checkpoint
-from repro.network.arrivals import HAVE_NUMPY
 from repro.network.netsim import NetworkConfig, NetworkSimulation
 from repro.network.topology import FoldedClos
 from repro.routers import (
@@ -150,7 +149,7 @@ def _clos_workload(scheduler="cycle"):
     )
 
 
-def _idle_bulk_clos():
+def _idle_clos():
     sim = NetworkSimulation(
         NetworkConfig(radix=16, levels=2, num_vcs=2, seed=11), load=1e-3,
         scheduler="event",
@@ -291,19 +290,17 @@ def test_restore_fidelity(tmp_path, build, scheduler):
         assert restore_differences(sim, twin) == [], f"cut at {cut}"
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="the bulk pre-draw needs numpy")
-def test_restore_fidelity_idle_bulk_clos(tmp_path):
-    sim = _idle_bulk_clos()
-    assert sim.arrivals.bulk
+def test_restore_fidelity_idle_clos(tmp_path):
+    """Cut mid-gap, with most hosts' next arrivals far ahead."""
+    sim = _idle_clos()
     path = tmp_path / "cut.ckpt"
     for cut in (200, 900):
         assert not sim.advance_run(stop_at=cut)
+        assert sim.arrivals.next_due() > cut
         sim.save_checkpoint(path)
         twin = load_checkpoint(path)
-        assert twin.arrivals.bulk
         assert restore_differences(sim, twin) == [], f"cut at {cut}"
-        assert (twin.arrivals._rows.rows.tolist()
-                == sim.arrivals._rows.rows.tolist())
+        assert twin.arrivals.queued() == sim.arrivals.queued()
 
 
 # ----------------------------------------------------------------------
