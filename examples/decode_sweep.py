@@ -7,7 +7,7 @@ rank only enters the next phase once the previous one has delivered —
 so the interesting metric is not latency at a fixed offered load but
 the *decode step time* that emerges from the fabric.  This example
 sweeps the all-reduce message size on a 2-level folded Clos, runs the
-DAG to completion under the event-driven scheduler, and persists the
+DAG to completion (idle spans fast-forwarded), and persists the
 raw results as JSON via ``repro.harness.persistence`` (then reloads
 them, proving the round trip) so the sweep can be re-plotted without
 re-simulating.
@@ -48,7 +48,6 @@ def main() -> None:
             workload=transformer_decode(
                 ranks, layers=LAYERS, steps=STEPS, size=size, gap=GAP,
             ),
-            scheduler="event",
         )
         result = sim.run_workload()
         # The sweep axis is message size, not offered load; stash it

@@ -161,15 +161,6 @@ def _add_router_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=1)
 
 
-def _add_scheduler_arg(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--scheduler", choices=("cycle", "event"), default="cycle",
-        help="drive loop: 'cycle' steps every cycle, 'event' "
-             "fast-forwards provably idle spans (byte-identical "
-             "results)",
-    )
-
-
 def _add_sanitize_arg(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--sanitize", action="store_true",
                      help="verify conservation invariants every cycle")
@@ -199,7 +190,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         pattern_factory=functools.partial(_make_pattern, args.pattern),
         injection=args.injection,
         settings=_settings(args),
-        scheduler=args.scheduler,
         processes=args.jobs,
     )
     print(format_sweeps(
@@ -266,8 +256,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         arch_label = f"resumed {type(sim.router).__name__}"
     else:
         config = _config_from_args(args)
-        sim = _switch_sim(args, config, sanitize=args.sanitize,
-                          scheduler=args.scheduler)
+        sim = _switch_sim(args, config, sanitize=args.sanitize)
         sim.start_run(_settings(args))
         arch_label = args.arch
     if args.checkpoint_every:
@@ -387,7 +376,6 @@ def cmd_faults(args: argparse.Namespace) -> int:
     for plan in plans:
         result = _switch_sim(
             args, config, sanitize=args.sanitize, faults=plan,
-            scheduler=args.scheduler,
         ).run(_settings(args))
         extra = result.extra
         rows.append((
@@ -496,7 +484,7 @@ def cmd_workload(args: argparse.Namespace) -> int:
                     )
                     sim = NetworkSimulation(
                         cfg, workload=workload, sanitize=args.sanitize,
-                        faults=faults, scheduler=args.scheduler,
+                        faults=faults,
                     )
                 else:
                     config = RouterConfig(
@@ -508,7 +496,7 @@ def cmd_workload(args: argparse.Namespace) -> int:
                     sim = SwitchSimulation(
                         ARCHITECTURES[args.arch](config),
                         workload=workload, sanitize=args.sanitize,
-                        faults=faults, scheduler=args.scheduler,
+                        faults=faults,
                     )
                 result = sim.run_workload(max_cycles=args.max_cycles)
                 extra = result.extra
@@ -532,7 +520,7 @@ def cmd_workload(args: argparse.Namespace) -> int:
         ["size", "window", "layers", "makespan", "msg p50", "msg p99",
          "flow p99", "step max", "skew max", "throughput", "stuck"],
         rows,
-        title=f"{args.family} on {target}, scheduler {args.scheduler}"
+        title=f"{args.family} on {target}"
               + _sanitized(args)
               + (f", {args.kill_links} dead link(s)"
                  if args.kill_links else ""),
@@ -569,7 +557,6 @@ def cmd_network(args: argparse.Namespace) -> int:
             warmup=args.warmup, measure=args.measure, drain=args.drain,
             shards=args.shards or None, topology=topology,
             sanitize=args.sanitize, faults=plan,
-            scheduler=args.scheduler,
         ).results[0]
         rows.append((
             name, radix, 2 * levels - 1, topology.num_hosts,
@@ -635,7 +622,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "processes (default: 1, serial; results "
                             "are identical either way)")
     _add_router_args(sweep)
-    _add_scheduler_arg(sweep)
     sweep.set_defaults(func=cmd_sweep)
 
     sat = subs.add_parser("saturate", help="saturation throughput")
@@ -660,7 +646,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "uninterrupted run)")
     _add_sanitize_arg(run)
     _add_router_args(run)
-    _add_scheduler_arg(run)
     run.set_defaults(func=cmd_run)
 
     trace = subs.add_parser(
@@ -693,7 +678,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fault_args(faults, sweep=True)
     _add_sanitize_arg(faults)
     _add_router_args(faults)
-    _add_scheduler_arg(faults)
     faults.set_defaults(func=cmd_faults)
 
     wl = subs.add_parser(
@@ -758,7 +742,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="cycle the scheduled links come back "
                          "(default: never)")
     _add_fault_args(wl)
-    _add_scheduler_arg(wl)
     wl.set_defaults(func=cmd_workload)
 
     radix = subs.add_parser("radix", help="Section 2 optimal radix")
@@ -785,7 +768,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="partition each Clos across N worker processes "
                           "(byte-identical to the serial run)")
     _add_fault_args(net)
-    _add_scheduler_arg(net)
     net.set_defaults(func=cmd_network)
 
     pipe = subs.add_parser("pipeline",

@@ -13,13 +13,11 @@ cycle loops:
     Drives a set of components with *active-set scheduling*: after each
     commit, :meth:`Component.next_event` keeps a component awake, puts
     it to sleep until a later cycle, or parks it until an external
-    event (flit or credit arrival) wakes it.
-``EventScheduler``
-    The event-driven drive mode: behind the same ``run_until(cycle)``
-    interface, fast-forwards over cycle spans in which every component
-    is parked and no wake source (arrival predictor, in-flight
-    delivery, fault schedule) has work due.  Byte-identical to the
-    cycle stepper by construction.
+    event (flit or credit arrival) wakes it.  ``run_until(cycle)``
+    fast-forwards over cycle spans in which every component is parked
+    and no wake source (arrival queue, in-flight delivery, fault
+    schedule) has work due — byte-identical to stepping every cycle by
+    construction.
 ``EngineHooks``
     A per-component event bus (cycle start/end, flit movement, switch
     grants, credit returns) that instrumentation — sanitizers, metrics,
@@ -30,17 +28,15 @@ cycle loops:
 from ..core.errors import UnregisteredComponentError
 from .component import Component
 from .hooks import EngineHooks
-from .scheduler import EventScheduler, Scheduler, make_scheduler
+from .scheduler import Scheduler
 from .shard import ShardPool, ShardWorkerError, partition
 
 __all__ = [
     "Component",
     "EngineHooks",
-    "EventScheduler",
     "Scheduler",
     "ShardPool",
     "ShardWorkerError",
     "UnregisteredComponentError",
-    "make_scheduler",
     "partition",
 ]

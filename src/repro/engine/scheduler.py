@@ -42,23 +42,17 @@ Components are registered in a fixed order and both phases always run
 in that order, so scheduling is deterministic regardless of wake
 history.
 
-Two drive modes share the :meth:`Scheduler.run_until` interface:
-
-:class:`Scheduler`
-    The cycle stepper: executes every cycle in ``[now, end)`` one by
-    one.  Asleep and parked components are skipped, but empty cycle
-    *spans* are still walked.
-:class:`EventScheduler`
-    The fast-forward mode: when every component is parked — none awake
-    and none asleep — it jumps straight to the earliest *horizon*
-    over the registered wake-source callables (arrival predictors,
-    in-flight delivery queues, fault schedules).  A cycle that
-    executes runs exactly the same code as cycle mode, so the two
-    modes are byte-identical; a skipped span is provably
-    state-invariant, and its ``cycle_start``/``cycle_end`` hook events
-    are replayed in order when anything subscribes (so per-cycle
-    instrumentation — trace cycle counters, sampled metrics, sanitizer
-    checks — observes an identical event stream).
+Fast-forward: when every component is parked — none awake and none
+asleep — :meth:`Scheduler.run_until` jumps straight to the earliest
+*horizon* over the registered wake-source callables (arrival queue,
+in-flight delivery queues, fault schedules).  Jumping is invisible:
+the cycles it lands on run exactly the code they would have run had
+the clock been stepped, a skipped span is provably state-invariant,
+and its ``cycle_start``/``cycle_end`` hook events are replayed in
+order when anything subscribes (so per-cycle instrumentation — trace
+cycle counters, sampled metrics, sanitizer checks — observes an
+identical event stream).  The never-jump schedule that steps every
+cycle is a test oracle (``tests/exhaustive.py``'s ``never_jump``).
 
 Horizon safety rule: a wake source or a ``next_event`` answer may
 report a cycle *earlier* than work actually exists (the cycle executes
@@ -70,7 +64,7 @@ from __future__ import annotations
 
 from bisect import insort
 from heapq import heappop, heappush
-from typing import Callable, ClassVar, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..core.errors import UnregisteredComponentError
 from .component import Component
@@ -82,16 +76,14 @@ WakeSource = Callable[[int], Optional[int]]
 
 
 class Scheduler:
-    """Drive a set of :class:`Component` objects with active-set parking.
+    """Drive a set of :class:`Component` objects with active-set parking
+    and fast-forward over spans in which all of them are parked.
 
     Args:
         components: Components in deterministic phase order.
         hooks: Optional scheduler-level bus for ``cycle_start`` /
             ``cycle_end`` events spanning the whole component set.
     """
-
-    #: The drive mode's name, as :func:`make_scheduler` takes it.
-    mode: ClassVar[str] = "cycle"
 
     def __init__(
         self,
@@ -130,11 +122,9 @@ class Scheduler:
         #: ``cycles_run * len(components)``; the gap is the work
         #: active-set scheduling skipped.
         self.component_steps = 0
-        #: Cycles fast-forwarded over without executing (event mode;
-        #: always 0 for the cycle stepper).
+        #: Cycles fast-forwarded over without executing.
         self.cycles_skipped = 0
-        #: Number of fast-forward jumps taken (event mode; always 0
-        #: for the cycle stepper).
+        #: Number of fast-forward jumps taken.
         self.ff_jumps = 0
         #: Harness phases hoisted into the drive loop: per-cycle work
         #: that used to live in hand-rolled ``for cycle in range(...)``
@@ -165,11 +155,7 @@ class Scheduler:
         self._post_cycle.append(fn)
 
     def add_wake_source(self, source: WakeSource) -> None:
-        """Register a horizon callable consulted before fast-forwarding.
-
-        Ignored by the cycle stepper (which never jumps), accepted on
-        both modes so harnesses can wire unconditionally.
-        """
+        """Register a horizon callable consulted before fast-forwarding."""
         self._wake_sources.append(source)
 
     def wake(self, comp: Component, now: int) -> None:
@@ -252,53 +238,6 @@ class Scheduler:
             fn(now)
         self.now = now + 1
 
-    def run_until(
-        self, end: int, stop: Optional[Callable[[], bool]] = None
-    ) -> int:
-        """Advance the simulation through cycles ``[now, end)``.
-
-        ``stop`` is checked before each cycle (drain loops terminate
-        the moment their outstanding count hits zero).  Returns the
-        cycle reached.  The cycle stepper executes every cycle;
-        :class:`EventScheduler` overrides this with fast-forward.
-        """
-        while self.now < end:
-            if stop is not None and stop():
-                break
-            self._tick()
-        return self.now
-
-    def next_horizon(self, now: int) -> Optional[int]:
-        """Earliest upcoming cycle with possible work, or None.
-
-        Pure read over the wake sources; the cycle stepper never jumps,
-        but exposes the same probe so sharded workers can report a
-        horizon in either mode.
-        """
-        horizon: Optional[int] = None
-        for source in self._wake_sources:
-            h = source(now)
-            if h is not None and (horizon is None or h < horizon):
-                horizon = h
-        return horizon
-
-
-class EventScheduler(Scheduler):
-    """Event-driven drive mode: fast-forward over provably-idle spans.
-
-    When at least one component is awake or asleep the engine runs
-    every cycle, exactly as the cycle stepper does — fast-forward only
-    engages when *all* components are parked, so arbitration,
-    round-robin pointers, and every other piece of committed state
-    evolve identically in the two modes (the golden and property tests
-    pin this byte-for-byte).  Producers of future work keep their own
-    ordered structure (the network's in-flight flit queue, the arrival
-    queue, sorted fault schedules), so their wake source
-    just reports the head.
-    """
-
-    mode: ClassVar[str] = "event"
-
     def _skip_span(self, start: int, end: int) -> None:
         """Fast-forward over ``[start, end)`` without executing.
 
@@ -306,10 +245,10 @@ class EventScheduler(Scheduler):
         wake source fires), so when per-cycle instrumentation is
         subscribed the span's ``cycle_start``/``cycle_end`` events are
         replayed in order — every observation a subscriber would have
-        made cycle-stepping an idle span is made here too, keeping
-        trace cycle counters, sampled metrics, and sanitizer streams
-        byte-identical between modes.  With no subscribers (the common
-        case) nothing is emitted and the span costs O(1).
+        made stepping an idle span is made here too, keeping trace
+        cycle counters, sampled metrics, and sanitizer streams
+        byte-identical to a never-jump run.  With no subscribers (the
+        common case) nothing is emitted and the span costs O(1).
         """
         self.cycles_skipped += end - start
         self.ff_jumps += 1
@@ -331,14 +270,14 @@ class EventScheduler(Scheduler):
         next horizon (clamped to ``end``), so no cycle with work is
         ever skipped.  ``stop`` predicates stay exact: state can only
         change on executed cycles, so checking before each executed
-        cycle (and before each jump) is equivalent to the cycle
-        stepper's per-cycle check.
+        cycle (and before each jump) is equivalent to checking before
+        every cycle.  Returns the cycle reached.
         """
         while self.now < end:
             if stop is not None and stop():
                 break
             now = self.now
-            if self.active_count() == 0:
+            if self._n_active == 0:
                 horizon = self.next_horizon(now)
                 target = end if horizon is None else min(horizon, end)
                 if target > now:
@@ -348,14 +287,20 @@ class EventScheduler(Scheduler):
             self._tick()
         return self.now
 
+    def next_horizon(self, now: int) -> Optional[int]:
+        """Earliest upcoming cycle with possible work, or None.
 
-def make_scheduler(
-    mode: str,
-    components: Iterable[Component] = (),
-    hooks: Optional[EngineHooks] = None,
-) -> Scheduler:
-    """Build the drive loop for ``mode``: "cycle" or "event"."""
-    for cls in (Scheduler, EventScheduler):
-        if cls.mode == mode:
-            return cls(components, hooks=hooks)
-    raise ValueError(f"unknown scheduler mode {mode!r}; use 'cycle' or 'event'")
+        Pure read over the wake sources, which the sharded workers also
+        report to the parent.
+        """
+        horizon: Optional[int] = None
+        for source in self._wake_sources:
+            h = source(now)
+            if h is not None and (horizon is None or h < horizon):
+                horizon = h
+        return horizon
+
+
+#: Kept because the end-to-end benchmark's tracer
+#: (``benchmarks/e2e/trace.py``) looks the scheduler up by this name.
+EventScheduler = Scheduler

@@ -7,7 +7,7 @@ every hook subscription between them.  :func:`load_checkpoint` hands
 back the object that was saved — nothing is rebuilt and nothing is
 restored in place — so a resumed run is byte-identical to one that
 never stopped (``tests/test_checkpoint.py`` pins this for every router
-organization, both schedulers and the Clos network, and
+organization and the Clos network, and
 ``tests/test_state_contracts.py`` walks a loaded twin against its
 original).
 

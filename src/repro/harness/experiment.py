@@ -18,7 +18,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from ..core.config import RouterConfig
 from ..core.flit import Flit
-from ..engine import make_scheduler
+from ..engine import Scheduler
 from ..routers.base import Router
 from ..traffic.arrivals import ArrivalQueue
 from ..traffic.injection import make_injection
@@ -69,7 +69,6 @@ class SwitchSimulation(StagedRun):
         sanitize: bool = False,
         tracer=None,
         faults=None,
-        scheduler: str = "cycle",
         workload: Optional[Workload] = None,
     ) -> None:
         """``faults`` is an optional :class:`~repro.faults.FaultPlan`:
@@ -79,13 +78,10 @@ class SwitchSimulation(StagedRun):
         the plan's stuck-buffer schedule.  None — or a disabled plan —
         leaves the simulation byte-identical to a plain run.
 
-        ``scheduler`` selects the drive loop: ``"cycle"`` executes
-        every cycle; ``"event"`` fast-forwards over spans in which the
-        router is parked and no arrival, injection retry, or fault
-        event is due.  Results are byte-identical either way (the
-        goldens and property tests pin this); only
+        The drive loop fast-forwards over spans in which the router is
+        parked and no arrival, injection retry, or fault event is due;
         ``stats.engine.cycles_skipped`` / ``stats.engine.ff_jumps``
-        and wall-clock time differ.
+        count what it skipped.
 
         ``workload`` replaces the synthetic sources with one
         :class:`~repro.workloads.WorkloadSource` per port, all sharing
@@ -106,11 +102,11 @@ class SwitchSimulation(StagedRun):
             self.sanitizer: Optional[SimSanitizer] = SimSanitizer(router)
         else:
             self.sanitizer = None
-        self._sched = make_scheduler(scheduler, [router], hooks=router.hooks)
+        self._sched = Scheduler([router], hooks=router.hooks)
         # The drive loop is inverted: the scheduler owns the per-cycle
         # sequence (faults -> generate -> inject -> engine -> collect)
-        # and this harness contributes its phases and, for event mode,
-        # its wake horizons.
+        # and this harness contributes its phases and its wake
+        # horizons.
         self._sched.add_pre_cycle(self._pre_cycle)
         self._sched.add_post_cycle(self._collect_ejected)
         self._sched.add_wake_source(self._next_work)
@@ -217,8 +213,8 @@ class SwitchSimulation(StagedRun):
     def _next_work(self, now: int) -> Optional[int]:
         """Wake horizon: earliest cycle >= ``now`` with harness work.
 
-        Consulted by event mode before fast-forwarding past a span in
-        which the router is parked: the next queued packet arrival (or
+        Consulted before fast-forwarding past a span in which the
+        router is parked: the next queued packet arrival (or
         a workload source's next eligible message),
         the earliest cycle a backlogged source can retry injection
         (channel bandwidth throttle, fault back-off), and the fault
@@ -319,9 +315,8 @@ class SwitchSimulation(StagedRun):
             max((s.peak_backlog for s in self.sources), default=0)
         )
         # Drive-loop observability: how much of the run fast-forward
-        # skipped (0 in cycle mode).  Deliberately excluded from
-        # mode-equivalence comparisons — they are the only legitimate
-        # difference between the two schedulers.
+        # skipped.  Deliberately excluded from never-jump equivalence
+        # comparisons — they are the only legitimate difference.
         result.extra["stats.engine.cycles_skipped"] = float(
             self._sched.cycles_skipped
         )
@@ -438,7 +433,7 @@ def run_load_sweep(
     """Simulate one router at each offered load; returns the curve.
 
     Here and in the two saturation helpers below, ``sim_options``
-    (``packet_size``, ``injection``, ``seed``, ``scheduler``, ...) reach
+    (``packet_size``, ``injection``, ``seed``, ``faults``, ...) reach
     every point's :class:`SwitchSimulation` unchanged.  ``processes``
     fans the points out as :func:`map_points` describes.
     """

@@ -20,7 +20,7 @@ from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 from ..core.errors import InvariantViolation, invariant
 from ..core.flit import Flit, make_packet
 from ..core.rng import derive_rng
-from ..engine import EngineHooks, make_scheduler
+from ..engine import EngineHooks, Scheduler
 from ..harness.experiment import SweepResult, SweepSettings, map_points
 from ..harness.program import StagedRun
 from ..harness.stats import LatencySample, RunResult
@@ -153,7 +153,7 @@ class NetworkSimulation(StagedRun):
         host_pattern: Optional[object] = None,
         sanitize: bool = False,
         faults: Optional[object] = None,
-        scheduler: str = "cycle",
+        scheduler: str = "event",
         workload: Optional[Workload] = None,
         tracer=None,
         trace_switch: Optional[SwitchId] = None,
@@ -178,12 +178,12 @@ class NetworkSimulation(StagedRun):
                 resync, and the scheduled dead-link faults; routing
                 avoids dead links.  None (or a disabled plan) keeps
                 the simulation byte-identical to a plain run.
-            scheduler: Drive loop: ``"cycle"`` executes every cycle;
-                ``"event"`` fast-forwards over spans with no awake or
-                asleep router, no due flit delivery, no queued host
-                arrival, no injectable backlog, and no scheduled fault
-                event.  Byte-identical results either way; only the
-                ``stats.engine.*`` counters and wall-clock differ.
+            scheduler: Accepts only ``"event"``, the one drive loop,
+                which fast-forwards over spans with no awake or asleep
+                router, no due flit delivery, no queued host arrival,
+                no injectable backlog, and no scheduled fault event.
+                The keyword stays because the end-to-end benchmark
+                (``benchmarks/e2e/workloads.py``) still passes it.
             workload: Optional dependency-driven workload (see
                 :mod:`repro.workloads`) whose ranks map to host ids.
                 Replaces the Bernoulli injection process entirely — a
@@ -200,6 +200,10 @@ class NetworkSimulation(StagedRun):
         """
         if not 0.0 <= load <= 1.0:
             raise ValueError(f"load must be in [0, 1], got {load}")
+        if scheduler != "event":
+            raise ValueError(
+                f"unknown scheduler {scheduler!r}; the only one is 'event'"
+            )
         self.config = config
         self.load = load
         self.topology = topology or FoldedClos(config.radix, config.levels)
@@ -225,12 +229,10 @@ class NetworkSimulation(StagedRun):
         #: span the whole router set.  Instrumentation (sanitizer,
         #: metrics, tracing) attaches here.
         self.hooks = EngineHooks()
-        self._sched = make_scheduler(
-            scheduler, self.routers.values(), hooks=self.hooks
-        )
+        self._sched = Scheduler(self.routers.values(), hooks=self.hooks)
         # Inverted drive loop: the scheduler owns the per-cycle phase
         # sequence; this harness contributes its pre-engine work and
-        # (in event mode) its wake horizons.
+        # its wake horizons.
         self._sched.add_pre_cycle(self._pre_cycle)
         self._sched.add_wake_source(self._next_work)
         self._tracer = tracer
@@ -266,8 +268,8 @@ class NetworkSimulation(StagedRun):
             self._host_port.append(
                 (self.routers.get(attach.switch, attach.switch), attach.port)
             )
-        #: Exactly the hosts with a non-empty source queue.  Both modes
-        #: inject over this set instead of scanning all hosts.
+        #: Exactly the hosts with a non-empty source queue: injection
+        #: walks this set instead of scanning all hosts.
         self._backlog_hosts: set = set()
         self._next_inject = [0] * n
         self._packet_vc: List[Optional[int]] = [None] * n
@@ -355,14 +357,14 @@ class NetworkSimulation(StagedRun):
             self._faults.advance(now)
         self._deliver_arrivals(now)
         if self._workload is not None:
-            # DAG eligibility replaces the injection process; both
-            # modes pop the same ready messages in ascending host
-            # order, so the shared route RNG stream stays identical.
+            # DAG eligibility replaces the injection process; ready
+            # messages pop in ascending host order, so the shared route
+            # RNG stream is consumed in a fixed order.
             self._generate_workload(now)
         else:
-            # Same-cycle arrivals come in ascending host order in both
-            # modes, which keeps the shared route RNG stream and
-            # packet-id allocation identical between them.
+            # Same-cycle arrivals come in ascending host order, which
+            # fixes the order of the shared route RNG stream and of
+            # packet-id allocation.
             for host in self.arrivals.due(now):
                 self._generate_packet(host, now)
         self._inject(now)
@@ -423,11 +425,10 @@ class NetworkSimulation(StagedRun):
     def _generate_workload(self, now: int) -> None:
         """Queue every workload message that became eligible by ``now``.
 
-        Ready hosts are visited in ascending order — the host-order
-        iteration of the cycle-mode generate loop — and both drive
-        modes execute every cycle with an eligible message (the
-        ``next_ready`` horizon pins it), so the shared route RNG
-        stream is consumed identically either way.
+        Ready hosts are visited in ascending order, and every cycle
+        with an eligible message executes (the ``next_ready`` horizon
+        pins it), so the shared route RNG stream is consumed
+        identically whether or not idle spans are jumped.
         """
         workload = self._workload
         invariant(workload is not None, "workload generation without a "
@@ -562,9 +563,9 @@ class NetworkSimulation(StagedRun):
     ) -> None:
         """Fold shared observability extras into a run result."""
         result.extra["stats.engine.cycles_skipped"] = float(
-            self._engine_skips()[0]
+            self._sched.cycles_skipped
         )
-        result.extra["stats.engine.ff_jumps"] = float(self._engine_skips()[1])
+        result.extra["stats.engine.ff_jumps"] = float(self._sched.ff_jumps)
         result.extra["stats.traffic.max_source_queue"] = float(
             self._peak_source_q
         )
@@ -585,10 +586,6 @@ class NetworkSimulation(StagedRun):
             self._tracer.fold_stats(scratch)
             for name in sorted(scratch.extra):
                 result.extra[f"stats.{name}"] = float(scratch.extra[name])
-
-    def _engine_skips(self) -> Tuple[int, int]:
-        """(cycles_skipped, ff_jumps) of the drive loop (overridable)."""
-        return (self._sched.cycles_skipped, self._sched.ff_jumps)
 
     def _fault_extra(self) -> List[Tuple[str, object]]:
         """Sorted fault-counter items; the sharded front-end overrides
@@ -664,7 +661,7 @@ def run_network_sweep(
     Returns a :class:`~repro.harness.experiment.SweepResult`, so the
     same reporting and plotting helpers apply to network curves as to
     single-router curves.  ``sim_options`` (``topology``,
-    ``scheduler``, ``host_pattern``, ``faults``, ...) go to every
+    ``host_pattern``, ``faults``, ...) go to every
     point's :class:`NetworkSimulation` unchanged.
 
     Two orthogonal levers, both byte-identical to the serial sweep:

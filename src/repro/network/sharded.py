@@ -70,7 +70,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.errors import invariant
 from ..core.flit import Flit
-from ..engine import EngineHooks, make_scheduler
+from ..engine import EngineHooks, Scheduler
 from ..engine.shard import ShardPool, partition
 from .netsim import NetworkConfig, NetworkSimulation, _CreditSink, enqueue_in_order
 from .router import NetworkRouter, OutputLink
@@ -191,9 +191,8 @@ def _build_shard_worker(payload: Dict[str, Any]) -> "_ShardWorker":
 class _ShardWorker:
     """One shard's half of the simulation, living in a child process.
 
-    Owns the block's routers, their local scheduler (same mode and
-    active-set setting as the parent's), and — when the plan calls for
-    it — a :class:`~repro.faults.shard.ShardFaultInjector` over the
+    Owns the block's routers, their local scheduler, and — when the
+    plan calls for it — a :class:`~repro.faults.shard.ShardFaultInjector` over the
     local routers.  Exposes ``routers``/``hooks``/``topology`` so the
     injector attaches exactly as it would to a simulation.
     """
@@ -222,9 +221,7 @@ class _ShardWorker:
                 self.config.router_config(ports), name=str(sid)
             )
         self._wire(local)
-        self._sched = make_scheduler(
-            payload["scheduler"], self.routers.values(), hooks=self.hooks
-        )
+        self._sched = Scheduler(self.routers.values(), hooks=self.hooks)
         self._sched.add_pre_cycle(self._pre_cycle)
         self._sched.add_wake_source(self._next_work)
         self._injector = None
@@ -484,7 +481,6 @@ class ShardedNetworkSimulation(NetworkSimulation):
         host_pattern=None,
         sanitize: bool = False,
         faults=None,
-        scheduler: str = "cycle",
         workload=None,
         tracer=None,
         trace_switch: Optional[SwitchId] = None,
@@ -498,8 +494,7 @@ class ShardedNetworkSimulation(NetworkSimulation):
         self._shards = shards
         super().__init__(
             config, load, topology=topology, host_pattern=host_pattern,
-            faults=None, scheduler=scheduler,
-            workload=workload, tracer=None, trace_switch=None,
+            faults=None, workload=workload, tracer=None, trace_switch=None,
         )
         self._owner: Dict[SwitchId, int] = {
             sid: w for w, block in enumerate(self._blocks) for sid in block
@@ -563,7 +558,6 @@ class ShardedNetworkSimulation(NetworkSimulation):
                 "config": config,
                 "topology": self.topology,
                 "block": self._blocks[w],
-                "scheduler": scheduler,
                 "plan": plan,
                 "seed": config.seed,
                 "tracer": tracer_spec,
@@ -740,7 +734,17 @@ class ShardedNetworkSimulation(NetworkSimulation):
         self._stash_due = due
 
     def _next_work(self, now: int) -> Optional[int]:
-        """Serial host-side horizon merged with the shard horizons."""
+        """Serial host-side horizon merged with the shard horizons.
+
+        The parent schedules no component, so the scheduler asks this
+        before every cycle.  When the host side has work due now, the
+        cycle runs whatever the workers report, and their reports are
+        left to the first phase that reads one (so they keep
+        overlapping the host-side phases before it).
+        """
+        own = super()._next_work(now)
+        if own is not None and own <= now:
+            return own
         self._collect()  # the horizons are the workers' to report
         dues = [super()._next_work(now), *self._worker_horizons, self._stash_due]
         return min((due for due in dues if due is not None), default=None)

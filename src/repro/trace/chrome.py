@@ -29,7 +29,7 @@ byte-identical JSON (pinned by ``tests/test_engine.py``).
 from __future__ import annotations
 
 import json
-from typing import IO, Dict, List, Optional, Tuple, Union
+from typing import IO, Dict, List, Tuple, Union
 
 from .breakdown import stage_spans
 from .collector import TraceCollector
@@ -140,27 +140,12 @@ def _stage_indexer(collector: TraceCollector) -> Dict[str, int]:
     }
 
 
-def to_chrome_trace(
-    collector: TraceCollector,
-    scheduler_stats: Optional[Dict[str, int]] = None,
-) -> dict:
-    """The full trace document (``traceEvents`` envelope).
-
-    ``scheduler_stats`` (e.g. ``{"cycles_skipped": 810, "ff_jumps": 12}``
-    from an :class:`~repro.engine.EventScheduler`) lands under
-    ``otherData["scheduler"]`` when given; omitted, the document is
-    byte-identical to what earlier versions produced, so fast-forward
-    observability never perturbs the pinned trace goldens.
-    """
-    other: dict = {"generator": "repro.trace", "timeUnit": "cycles"}
-    if scheduler_stats is not None:
-        other["scheduler"] = {
-            key: scheduler_stats[key] for key in sorted(scheduler_stats)
-        }
+def to_chrome_trace(collector: TraceCollector) -> dict:
+    """The full trace document (``traceEvents`` envelope)."""
     return {
         "traceEvents": chrome_trace_events(collector),
         "displayTimeUnit": "ms",
-        "otherData": other,
+        "otherData": {"generator": "repro.trace", "timeUnit": "cycles"},
     }
 
 
@@ -172,12 +157,10 @@ def chrome_trace_json(collector: TraceCollector) -> str:
 
 
 def dump_chrome_trace(
-    collector: TraceCollector,
-    out: Union[str, IO[str]],
-    scheduler_stats: Optional[Dict[str, int]] = None,
+    collector: TraceCollector, out: Union[str, IO[str]]
 ) -> int:
     """Write the trace JSON to a path or file object; returns #events."""
-    doc = to_chrome_trace(collector, scheduler_stats=scheduler_stats)
+    doc = to_chrome_trace(collector)
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     if hasattr(out, "write"):
         out.write(text)

@@ -17,10 +17,10 @@ any, and a heap of those cycles.  Near saturation most sources are due
 every few cycles, so a cycle's arrivals cost one heap operation
 between them instead of one each.
 
-Both schedulers read the queue the same way.  Every executed cycle
-pops what is due (:meth:`due`), in ascending index order; event mode
-also takes :meth:`next_due` as a wake horizon, so it never jumps over
-an arrival and pops exactly what the cycle stepper pops.
+Every executed cycle pops what is due (:meth:`due`), in ascending
+index order, and the scheduler takes :meth:`next_due` as a wake
+horizon, so it never jumps over an arrival and pops exactly what a
+never-jump run pops.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ broadcast, and transformer-decode sequences of them), and
 cycle-accurate trace replay (CSV or ``repro.cli trace --chrome``
 output).  :class:`WorkloadSource` adapts a workload to the
 :class:`~repro.traffic.source.TrafficSource` drain contract so the
-same harness, cycle stepper, and event scheduler drive it unchanged.
+same harness and fast-forwarding scheduler drive it unchanged.
 """
 
 from .base import Message, Workload, WorkloadBuilder

@@ -9,21 +9,21 @@ Offered load is therefore an output of the simulation, not an input —
 the closed-loop behavior that open-loop sweeps cannot show.
 
 The runtime contract mirrors the traffic layer's arrival queue, so
-both drive loops work unchanged:
+the drive loop works unchanged:
 
 * :meth:`Workload.eligible` is a **pure** probe (``tests/perturb.py``
   over-polls it):
   it reports the earliest cycle >= ``now`` at which a rank has a
   message ready, and is consulted by the harness's ``_next_work`` wake
-  source, so :class:`~repro.engine.EventScheduler` fast-forward never
+  source, so :class:`~repro.engine.Scheduler` fast-forward never
   jumps over a send cycle.
 * :meth:`Workload.next_message` pops ready messages; the harness calls
-  it only on executed cycles, which both schedulers execute
-  identically.
+  it only on executed cycles, which a jumping and a never-jump run
+  execute identically.
 * :meth:`Workload.deliver` completes a node and releases its
   successors; deliveries happen on executed cycles too (a flit in
   flight keeps its router busy), so the DAG evolves byte-identically
-  in cycle and event mode by construction.
+  whether or not idle spans are jumped, by construction.
 
 Acyclicity is guaranteed structurally: :meth:`WorkloadBuilder.add`
 only accepts dependencies on nodes that already exist, so every edge
@@ -196,7 +196,7 @@ class Workload:
         """Earliest cycle >= ``now`` at which ``rank`` can send, or None.
 
         Pure: reports the per-rank ready-heap head without popping it,
-        so the event scheduler may probe it any number of times.
+        so the scheduler may probe it any number of times.
         """
         heap = self._ready[rank]
         if not heap:

@@ -4,8 +4,7 @@ Implements the :class:`~repro.traffic.source.TrafficSource` drain
 contract (``queue``/``head``/``pop``/``backlog``/``peek_arrival``/
 ``generate``) over a shared :class:`~repro.workloads.base.Workload`,
 so :class:`~repro.harness.experiment.SwitchSimulation` drives it
-through the exact same injection path as the synthetic sources — both
-the cycle stepper and the event scheduler work unchanged, with
+through the exact same injection path as the synthetic sources, with
 ``peek_arrival`` delegating to the workload's pure eligibility probe
 as the fast-forward wake horizon.
 """
@@ -43,7 +42,7 @@ class WorkloadSource:
     def peek_arrival(self, now: int) -> Optional[int]:
         """Cycle >= ``now`` of the next eligible message, or None.
 
-        Pure (delegates to :meth:`Workload.eligible`), so the event
+        Pure (delegates to :meth:`Workload.eligible`), so the
         scheduler may poll it any number of times per cycle.
         """
         if not self._active():

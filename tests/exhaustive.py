@@ -13,12 +13,17 @@ rows, extras, trace bytes and arbiter pointers.
 constructed simulation, with no hook in ``src/``:
 
 * every scheduled component's ``next_event`` is pinned to the cycle it
-  is asked about, so nothing sleeps or parks and the event scheduler
-  never fast-forwards;
+  is asked about, so nothing sleeps or parks and the scheduler never
+  fast-forwards;
 * a switch's ``Router._in_flits`` becomes :class:`AlwaysActive`;
 * every Clos router's ``_occupied`` becomes :class:`AllPorts`.
 
-Apply it before the first cycle runs.  Oracle runs are neither
+:func:`never_jump` is the narrower oracle for the scheduler's one
+remaining skip, the fast-forward over spans in which everything is
+parked: it keeps every other skip and only makes the clock step
+through every cycle.
+
+Apply either before the first cycle runs.  Oracle runs are neither
 sanitized (the sanitizer audits the very indices this replaces) nor
 checkpointed.  The differentials in ``test_switch_hot_path.py`` and
 ``test_network_hot_path.py``, the parking-equivalence tests and the
@@ -81,3 +86,33 @@ def exhaustive(sim):
     else:
         sim.router._in_flits = AlwaysActive()
     return sim
+
+
+def never_jump(sim):
+    """Make the built simulation ``sim`` step every cycle: ``now`` is
+    registered as a wake source, so the horizon is always the current
+    cycle and the scheduler never fast-forwards.  Components still
+    sleep and park.  Returns ``sim``."""
+    sim._sched.add_wake_source(_always_now)
+    return sim
+
+
+#: The clocks a differential test runs: ``"event"`` is the simulation
+#: as built, which jumps idle spans, and ``"cycle"`` is the same
+#: simulation under :func:`never_jump`.
+CLOCKS = ("cycle", "event")
+
+
+def clocked(sim, clock):
+    """``sim`` on ``clock``, one of :data:`CLOCKS`; returns ``sim``."""
+    if clock not in CLOCKS:
+        raise ValueError(f"unknown clock {clock!r}")
+    return never_jump(sim) if clock == "cycle" else sim
+
+
+def engine_free(extra):
+    """``extra`` without the ``stats.engine.*`` counters, which count
+    what the schedule skipped and so are the one legitimate difference
+    between a run and either oracle."""
+    return {k: v for k, v in extra.items()
+            if not k.startswith("stats.engine.")}

@@ -20,6 +20,7 @@ from repro.routers.baseline import BaselineRouter
 from repro.routers.buffered import BufferedCrossbarRouter
 from repro.routers.voq import VoqRouter
 from repro.trace import TraceCollector, chrome_trace_json
+from tests.exhaustive import CLOCKS, clocked
 
 pytestmark = pytest.mark.skipif(
     not HAVE_NUMPY, reason="batched hot path requires numpy"
@@ -93,20 +94,20 @@ class TestDeletedTwins:
 
 class TestCheckpointInterop:
     @pytest.mark.parametrize("router_cls", ROUTERS)
-    @pytest.mark.parametrize("scheduler", ["cycle", "event"])
+    @pytest.mark.parametrize("clock", CLOCKS)
     def test_mid_run_checkpoint_resumes_identically(
-        self, tmp_path, router_cls, scheduler
+        self, tmp_path, router_cls, clock
     ):
         cfg = CFG.with_(batch_hot_path=True)
 
-        ref = SwitchSimulation(router_cls(cfg), load=0.5, packet_size=2,
-                               scheduler=scheduler)
+        ref = clocked(SwitchSimulation(router_cls(cfg), load=0.5,
+                                       packet_size=2), clock)
         ref.start_run(FAST)
         assert ref.advance_run()
         expect = ref.finish_run()
 
-        twin = SwitchSimulation(router_cls(cfg), load=0.5, packet_size=2,
-                                scheduler=scheduler)
+        twin = clocked(SwitchSimulation(router_cls(cfg), load=0.5,
+                                        packet_size=2), clock)
         twin.start_run(FAST)
         done = twin.advance_run(stop_at=150)
         path = tmp_path / "batch.ckpt"

@@ -7,8 +7,8 @@ result must equal the straight-through result *exactly* — same
 :class:`~repro.harness.stats.RunResult` (tuple equality covers every
 metric) and same ``stats.*`` extras — for random seeds, loads, and
 split points, across every switch organization, the Clos network,
-both scheduler modes, and with fault injection and dependency-driven
-workloads in the mix.
+jumping and never-jump clocks, and with fault injection and
+dependency-driven workloads in the mix.
 
 Hypothesis supplies the randomized coordinates; the deterministic
 parametrized tests pin every organization so a regression names the
@@ -42,6 +42,7 @@ from repro.routers import (
 )
 from repro.trace import TraceCollector, chrome_trace_json
 from repro.workloads import all_reduce
+from tests.exhaustive import CLOCKS, clocked
 
 ALL_ROUTERS = [
     BaselineRouter,
@@ -87,15 +88,15 @@ relaxed = settings(
 )
 
 
-def _switch_sim(router_cls, seed, load, scheduler, plan, workload=None,
-                traced=False):
+def _switch_sim(router_cls, seed, load, plan, workload=None,
+                traced=False, clock="event"):
     cfg = RouterConfig(radix=8, num_vcs=2, subswitch_size=4,
                        local_group_size=4, seed=seed)
-    return SwitchSimulation(
-        router_cls(cfg), load=load, seed=seed, scheduler=scheduler,
+    return clocked(SwitchSimulation(
+        router_cls(cfg), load=load, seed=seed,
         faults=plan, workload=workload,
         tracer=TraceCollector() if traced else None,
-    )
+    ), clock)
 
 
 def _outcome(sim, result):
@@ -129,16 +130,15 @@ class TestSwitchRoundTrip:
         router_cls=st.sampled_from(ALL_ROUTERS),
         seed=st.integers(0, 2**20),
         load=st.sampled_from([0.15, 0.3, 0.5]),
-        scheduler=st.sampled_from(["cycle", "event"]),
         faults=st.booleans(),
         k=st.integers(1, 900),
     )
     def test_random_split_matches_reference(
-        self, tmp_path, router_cls, seed, load, scheduler, faults, k
+        self, tmp_path, router_cls, seed, load, faults, k
     ):
         path = tmp_path / "switch.ckpt"
         expect, got = _roundtrip(
-            lambda: _switch_sim(router_cls, seed, load, scheduler,
+            lambda: _switch_sim(router_cls, seed, load,
                                 FAULTS if faults else None),
             lambda sim: sim.start_run(FAST),
             k, path,
@@ -146,25 +146,25 @@ class TestSwitchRoundTrip:
         assert got == expect
 
     @pytest.mark.parametrize("router_cls, plan, traced", SWITCH_CASES)
-    @pytest.mark.parametrize("scheduler", ["cycle", "event"])
+    @pytest.mark.parametrize("clock", CLOCKS)
     def test_every_organization(self, tmp_path, router_cls, plan, traced,
-                                scheduler):
+                                clock):
         path = tmp_path / "switch.ckpt"
         expect, got = _roundtrip(
-            lambda: _switch_sim(router_cls, 7, 0.4, scheduler, plan,
-                                traced=traced),
+            lambda: _switch_sim(router_cls, 7, 0.4, plan, traced=traced,
+                                clock=clock),
             lambda sim: sim.start_run(FAST),
             111, path,
         )
         assert got == expect
 
-    @pytest.mark.parametrize("scheduler", ["cycle", "event"])
-    def test_workload_run(self, tmp_path, scheduler):
+    @pytest.mark.parametrize("clock", CLOCKS)
+    def test_workload_run(self, tmp_path, clock):
         path = tmp_path / "switch.ckpt"
         expect, got = _roundtrip(
             lambda: _switch_sim(
-                BaselineRouter, 3, 0.0, scheduler, None,
-                workload=all_reduce(8, size=2),
+                BaselineRouter, 3, 0.0, None,
+                workload=all_reduce(8, size=2), clock=clock,
             ),
             lambda sim: sim.start_workload_run(max_cycles=20000),
             60, path,
@@ -180,7 +180,7 @@ class TestSwitchRoundTrip:
         plan = FaultPlan(credit_loss_rate=0.05)
 
         def build():
-            sim = _switch_sim(BufferedCrossbarRouter, 7, 0.5, "cycle", plan,
+            sim = _switch_sim(BufferedCrossbarRouter, 7, 0.5, plan,
                               traced=True)
             sim.start_run(FAST)
             return sim
@@ -226,7 +226,7 @@ class TestFormatVersion:
         formats 1-4 held a hand-written capture and a constructor spec,
         and pickle classes that have since changed shape, so the
         version must be read before ``pickle`` constructs anything."""
-        sim = _switch_sim(HierarchicalCrossbarRouter, 7, 0.4, "cycle", None)
+        sim = _switch_sim(HierarchicalCrossbarRouter, 7, 0.4, None)
         sim.start_run(FAST)
         assert not sim.advance_run(stop_at=100)
         path = tmp_path / "switch.ckpt"
@@ -259,7 +259,7 @@ class TestFileSafety:
 
     @staticmethod
     def _paused(path):
-        sim = _switch_sim(BaselineRouter, 7, 0.4, "cycle", None)
+        sim = _switch_sim(BaselineRouter, 7, 0.4, None)
         sim.start_run(FAST)
         assert not sim.advance_run(stop_at=100)
         sim.save_checkpoint(path)
@@ -303,19 +303,18 @@ def _start(sim):
     return sim
 
 
-def _build_switch(scheduler="cycle", workload=False):
+def _build_switch(workload=False):
     return SwitchSimulation(
         HierarchicalCrossbarRouter(RouterConfig(
             radix=8, num_vcs=2, subswitch_size=4, local_group_size=4)),
-        load=0.0 if workload else 0.4, scheduler=scheduler,
+        load=0.0 if workload else 0.4,
         workload=all_reduce(8, size=2) if workload else None,
     )
 
 
-def _build_network(scheduler="cycle", workload=False):
+def _build_network(workload=False):
     return NetworkSimulation(
         NetworkConfig(radix=8, levels=2), load=0.0 if workload else 0.3,
-        scheduler=scheduler,
         workload=all_reduce(16, size=2) if workload else None,
     )
 
@@ -383,19 +382,17 @@ class TestNetworkRoundTrip:
     @given(
         seed=st.integers(0, 2**20),
         load=st.sampled_from([0.15, 0.3, 0.45]),
-        scheduler=st.sampled_from(["cycle", "event"]),
         faults=st.booleans(),
         k=st.integers(1, 700),
     )
     def test_random_split_matches_reference(
-        self, tmp_path, seed, load, scheduler, faults, k
+        self, tmp_path, seed, load, faults, k
     ):
         cfg = NetworkConfig(radix=8, levels=2, seed=seed)
         path = tmp_path / "net.ckpt"
         expect, got = _roundtrip(
             lambda: NetworkSimulation(
-                cfg, load=load, scheduler=scheduler,
-                faults=FAULTS if faults else None,
+                cfg, load=load, faults=FAULTS if faults else None,
             ),
             lambda sim: sim.start_run(warmup=60, measure=120, drain=500),
             k, path,
@@ -403,8 +400,8 @@ class TestNetworkRoundTrip:
         assert got == expect
 
     @pytest.mark.parametrize("case", ["workload", "traced-dead-links"])
-    @pytest.mark.parametrize("scheduler", ["cycle", "event"])
-    def test_fixed_split(self, tmp_path, case, scheduler):
+    @pytest.mark.parametrize("clock", CLOCKS)
+    def test_fixed_split(self, tmp_path, case, clock):
         """A workload run, and a traced run across two dead links (one
         dies before the cut and heals after it) with corruption and
         credit loss."""
@@ -412,10 +409,9 @@ class TestNetworkRoundTrip:
         path = tmp_path / "net.ckpt"
         if case == "workload":
             def build():
-                return NetworkSimulation(
+                return clocked(NetworkSimulation(
                     cfg, workload=all_reduce(16, size=2),
-                    scheduler=scheduler,
-                )
+                ), clock)
 
             def start(sim):
                 sim.start_workload_run(max_cycles=20000)
@@ -427,10 +423,10 @@ class TestNetworkRoundTrip:
             )
 
             def build():
-                return NetworkSimulation(
-                    cfg, load=0.3, faults=plan, scheduler=scheduler,
+                return clocked(NetworkSimulation(
+                    cfg, load=0.3, faults=plan,
                     tracer=TraceCollector(), trace_switch=(0, 0, 0),
-                )
+                ), clock)
 
             def start(sim):
                 sim.start_run(warmup=60, measure=120, drain=500)
@@ -441,7 +437,7 @@ class TestNetworkRoundTrip:
         (True, True), (False, False), (True, False), (False, True),
     ])
     def test_event_run_paused_mid_gap(self, tmp_path, faults, cut_twice):
-        """A low-rate event run pauses with most hosts between
+        """A low-rate run pauses with most hosts between
         arrivals, their next ones queued far ahead: the loaded
         simulation resumes identically to the uninterrupted run — with
         corruption and credit loss drawing on their own streams across
@@ -451,7 +447,7 @@ class TestNetworkRoundTrip:
         path = tmp_path / "net.ckpt"
 
         def build():
-            sim = NetworkSimulation(cfg, load=1e-3, scheduler="event",
+            sim = NetworkSimulation(cfg, load=1e-3,
                                     faults=FAULTS if faults else None)
             sim.start_run(warmup=500, measure=6000, drain=2000)
             return sim

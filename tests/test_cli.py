@@ -419,7 +419,6 @@ class TestWorkloadCommand:
             "workload", "--family", "allreduce", "--target", "network",
             "--radix", "4", "--levels", "2", "--vcs", "2",
             "--kill-links", "1", "--kill-at", "10", "--heal-at", "200",
-            "--scheduler", "event",
         ])
         assert rc == 0
         out = capsys.readouterr().out

@@ -16,11 +16,12 @@ import pickle
 import pytest
 
 from repro.core.config import RouterConfig
-from repro.engine import Component, EngineHooks, EventScheduler, Scheduler
+from repro.engine import Component, EngineHooks, Scheduler
+from repro.engine.scheduler import EventScheduler
 from repro.harness.experiment import SweepSettings, SwitchSimulation
 from repro.network.netsim import NetworkConfig, NetworkSimulation
 from repro.routers.hierarchical import HierarchicalCrossbarRouter
-from tests.exhaustive import exhaustive
+from tests.exhaustive import engine_free, exhaustive, never_jump
 
 SMALL = RouterConfig(radix=8, num_vcs=2, subswitch_size=4,
                      local_group_size=4)
@@ -138,14 +139,10 @@ class TestScheduler:
         """The tests-side oracle never parks (so never fast-forwards)
         at a load where the engine parks nearly everything."""
         cfg = NetworkConfig(radix=4, levels=2, num_vcs=2)
-        for scheduler in ("cycle", "event"):
-            self._assert_never_parks(SwitchSimulation(
-                HierarchicalCrossbarRouter(SMALL), load=0.02,
-                scheduler=scheduler,
-            ))
-            self._assert_never_parks(
-                NetworkSimulation(cfg, load=0.02, scheduler=scheduler)
-            )
+        self._assert_never_parks(SwitchSimulation(
+            HierarchicalCrossbarRouter(SMALL), load=0.02,
+        ))
+        self._assert_never_parks(NetworkSimulation(cfg, load=0.02))
 
     @staticmethod
     def _assert_never_parks(sim):
@@ -197,7 +194,10 @@ class TestSleep:
     """A later ``next_event`` answer sleeps the component on the timer
     heap: skipped until that cycle, or an earlier wake."""
 
-    @pytest.mark.parametrize("cls", [Scheduler, EventScheduler])
+    # EventScheduler is the old name, an alias the end-to-end
+    # benchmark still looks up; both names must drive alike.
+    @pytest.mark.parametrize("cls", [Scheduler, EventScheduler],
+                             ids=["Scheduler", "EventScheduler"])
     def test_stepped_only_at_the_cycles_it_names(self, cls):
         s = Sleeper([0, 3, 7])
         sched = cls([s])
@@ -213,7 +213,7 @@ class TestSleep:
         sleep costs the engine no skipped cycle it would not skip with
         the component stepped every cycle."""
         s = Sleeper([0, 50])
-        sched = EventScheduler([s])
+        sched = Scheduler([s])
         sched.run_until(60)
         assert _computed(s) == [0, 50]
         assert sched.cycles_run == 51
@@ -284,12 +284,16 @@ class TestActiveSetEquivalence:
         assert on.avg_latency == off.avg_latency
         assert on.throughput == off.throughput
         assert on.packets_measured == off.packets_measured
-        assert on.extra == off.extra
+        # The oracle never parks, so it never jumps: the scheduler's
+        # own counters are the one legitimate difference.
+        assert engine_free(on.extra) == engine_free(off.extra)
 
     def test_low_load_switch_actually_parks(self):
-        sim = SwitchSimulation(
+        # Stepped through every cycle, so parked cycles are counted
+        # instead of jumped.
+        sim = never_jump(SwitchSimulation(
             HierarchicalCrossbarRouter(SMALL), load=0.02,
-        )
+        ))
         sim.run(SETTINGS)
         assert sim._sched.component_steps < sim._sched.cycles_run
 

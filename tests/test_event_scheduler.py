@@ -1,20 +1,23 @@
-"""Event-driven fast-forward: cycle/event byte-identity and safety.
+"""Fast-forward: jumping idle spans is invisible, and it is safe.
 
-The :class:`~repro.engine.EventScheduler` may only change *wall-clock*
-behavior, never simulation behavior: every statistic, every trace
-byte, and every fault-recovery action must be identical to the cycle
-stepper's.  These tests pin that contract deterministically for every
-switch organization and the Clos network — including under tracing and
-fault plans — and property-test it across random seeds and loads.
+The scheduler's jump over spans in which every component is parked may
+only change *wall-clock* behavior, never simulation behavior: every
+statistic other than the ``stats.engine.*`` counters, every trace
+byte, and every fault-recovery action must be identical to a run that
+steps every cycle (``tests/exhaustive.py``'s ``never_jump``).  These
+tests pin that contract deterministically for every switch
+organization and the Clos network — including under tracing and fault
+plans — and property-test it across random seeds and loads.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import RouterConfig
-from repro.engine import EventScheduler, Scheduler, make_scheduler
 from repro.faults import FaultPlan
 from repro.harness.experiment import SweepSettings, SwitchSimulation
 from repro.network.netsim import NetworkConfig, NetworkSimulation
@@ -24,6 +27,8 @@ from repro.routers.distributed import DistributedRouter
 from repro.routers.hierarchical import HierarchicalCrossbarRouter
 from repro.routers.shared_buffer import SharedBufferCrossbarRouter
 from repro.routers.voq import VoqRouter
+
+from tests.exhaustive import clocked, engine_free
 
 ROUTERS = {
     "baseline": BaselineRouter,
@@ -54,12 +59,12 @@ def _normalize(snap: dict) -> dict:
     }
 
 
-def _switch_snapshot(arch: str, scheduler: str, load: float = 0.2,
+def _switch_snapshot(arch: str, clock: str, load: float = 0.2,
                      seed: int = 7, faults=None) -> dict:
-    sim = SwitchSimulation(
+    sim = clocked(SwitchSimulation(
         ROUTERS[arch](_config(seed)), load=load, packet_size=2,
-        faults=faults, scheduler=scheduler,
-    )
+        faults=faults,
+    ), clock)
     result = sim.run(SETTINGS)
     snap = {
         f: getattr(result, f)
@@ -67,19 +72,15 @@ def _switch_snapshot(arch: str, scheduler: str, load: float = 0.2,
                   "max_latency", "throughput", "packets_measured",
                   "cycles", "saturated")
     }
-    snap.update({
-        k: v for k, v in result.extra.items()
-        if not k.startswith("stats.engine.")
-    })
+    snap.update(engine_free(result.extra))
     return _normalize(snap)
 
 
-def _network_snapshot(scheduler: str, load: float = 0.2,
+def _network_snapshot(clock: str, load: float = 0.2,
                       seed: int = 7, faults=None) -> dict:
     cfg = NetworkConfig(radix=4, levels=2, num_vcs=2, packet_size=2,
                         seed=seed)
-    sim = NetworkSimulation(cfg, load, faults=faults,
-                                scheduler=scheduler)
+    sim = clocked(NetworkSimulation(cfg, load, faults=faults), clock)
     result = sim.run(warmup=150, measure=250, drain=3000)
     snap = {
         f: getattr(result, f)
@@ -87,25 +88,12 @@ def _network_snapshot(scheduler: str, load: float = 0.2,
                   "max_latency", "throughput", "packets_measured",
                   "cycles", "saturated")
     }
-    snap.update({
-        k: v for k, v in result.extra.items()
-        if not k.startswith("stats.engine.")
-    })
+    snap.update(engine_free(result.extra))
     return _normalize(snap)
 
 
-class TestFactory:
-    def test_make_scheduler_modes(self):
-        assert type(make_scheduler("cycle")) is Scheduler
-        assert type(make_scheduler("event")) is EventScheduler
-
-    def test_make_scheduler_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown scheduler"):
-            make_scheduler("turbo")
-
-
 class TestSwitchEquivalence:
-    """Every organization: event mode == cycle mode, byte for byte."""
+    """Every organization: jumping == never jumping, byte for byte."""
 
     @pytest.mark.parametrize("arch", sorted(ROUTERS))
     def test_results_identical(self, arch):
@@ -115,24 +103,25 @@ class TestSwitchEquivalence:
     def test_low_load_actually_fast_forwards(self):
         sim = SwitchSimulation(
             HierarchicalCrossbarRouter(_config()), load=0.02,
-            scheduler="event",
         )
         sim.run(SETTINGS)
         assert sim._sched.cycles_skipped > 0
         assert sim._sched.ff_jumps > 0
 
     def test_cycle_mode_never_skips(self):
-        sim = SwitchSimulation(
+        """The "cycle" clock (``never_jump``) does what it claims: it
+        steps every cycle."""
+        sim = clocked(SwitchSimulation(
             HierarchicalCrossbarRouter(_config()), load=0.02,
-        )
+        ), "cycle")
         result = sim.run(SETTINGS)
         assert sim._sched.cycles_skipped == 0
         assert result.extra["stats.engine.cycles_skipped"] == 0.0
+        assert sim._sched.cycles_run == result.cycles
 
     def test_skip_counters_land_in_extras(self):
         sim = SwitchSimulation(
             HierarchicalCrossbarRouter(_config()), load=0.02,
-            scheduler="event",
         )
         result = sim.run(SETTINGS)
         assert result.extra["stats.engine.cycles_skipped"] == float(
@@ -159,7 +148,7 @@ class TestNetworkEquivalence:
 
     def test_low_load_actually_fast_forwards(self):
         cfg = NetworkConfig(radix=4, levels=2, num_vcs=2)
-        sim = NetworkSimulation(cfg, 0.02, scheduler="event")
+        sim = NetworkSimulation(cfg, 0.02)
         sim.run(warmup=150, measure=250, drain=3000)
         assert sim._sched.cycles_skipped > 0
 
@@ -167,14 +156,14 @@ class TestNetworkEquivalence:
 class TestTraceEquivalence:
     """Fast-forward must be invisible in the exported Chrome trace."""
 
-    def _chrome_bytes(self, scheduler, load=0.1, seed=9):
+    def _chrome_bytes(self, clock, load=0.1, seed=9):
         from repro.trace import TraceCollector, chrome_trace_json
 
         collector = TraceCollector()
-        sim = SwitchSimulation(
+        sim = clocked(SwitchSimulation(
             HierarchicalCrossbarRouter(_config(seed)), load=load,
-            tracer=collector, scheduler=scheduler,
-        )
+            tracer=collector,
+        ), clock)
         sim.run(SETTINGS)
         return chrome_trace_json(collector)
 
@@ -186,20 +175,6 @@ class TestTraceEquivalence:
         # must keep the collector's cycle accounting identical.
         assert (self._chrome_bytes("cycle", load=0.02)
                 == self._chrome_bytes("event", load=0.02))
-
-    def test_scheduler_stats_opt_in_only(self):
-        from repro.trace import TraceCollector
-        from repro.trace.chrome import to_chrome_trace
-
-        collector = TraceCollector()
-        plain = to_chrome_trace(collector)
-        assert "scheduler" not in plain["otherData"]
-        tagged = to_chrome_trace(
-            collector, scheduler_stats={"cycles_skipped": 5, "ff_jumps": 1}
-        )
-        assert tagged["otherData"]["scheduler"] == {
-            "cycles_skipped": 5, "ff_jumps": 1,
-        }
 
 
 class TestPropertyEquivalence:
@@ -226,19 +201,19 @@ class TestPropertyEquivalence:
 
 
 class TestArrivalQueue:
-    """Both schedulers read one arrival queue: the cycle stepper pops
-    it on every cycle, event mode jumps to its head.  Each arrival
-    costs its host stream one gap draw and one destination draw."""
+    """Every executed cycle pops the arrival queue, and a jump lands on
+    its head, so a jumping run and a never-jump run pop the same
+    arrivals.  Each arrival costs its host stream one gap draw and one
+    destination draw."""
 
     CFG = dict(radix=4, levels=2, num_vcs=2, seed=13)
     LOAD = 0.02
 
-    def _packets(self, scheduler, stages):
+    def _packets(self, clock, stages):
         """Every generated packet as (cycle, host, dest), driven
         through ``run_until`` in the given stages."""
-        sim = NetworkSimulation(
-            NetworkConfig(**self.CFG), self.LOAD, scheduler=scheduler
-        )
+        sim = clocked(NetworkSimulation(NetworkConfig(**self.CFG), self.LOAD),
+                      clock)
         packets = []
         generate = sim._generate_packet
 
@@ -253,28 +228,29 @@ class TestArrivalQueue:
 
     def test_stage_edges_on_arrival_cycles(self):
         """A stage that ends just before, on, or just after an arrival
-        cycle neither loses nor repeats it, in either mode."""
+        cycle neither loses nor repeats it, jumping or not."""
         expect = self._packets("cycle", (2000,))
         hit = expect[0][4][0]
         assert 8 < hit < 1000 and len(expect[0]) > 20
         for stages in ((hit, 2000), (hit + 1, 2000), (hit - 1, hit, 2000),
                        (1, hit, hit + 1, 2 * hit, 2000)):
-            for scheduler in ("cycle", "event"):
-                assert self._packets(scheduler, stages) == expect, (
-                    scheduler, stages)
+            for clock in ("cycle", "event"):
+                assert self._packets(clock, stages) == expect, (
+                    clock, stages)
 
     @pytest.mark.parametrize("rate", [1e-4, 3e-4], ids=["1e-4", "3e-4"])
     def test_idle_rate_is_identical_and_fast_forwarded(self, rate):
-        """At an idle rate (packets per host per cycle) the two modes
-        produce the same result and extras, leave every host stream in
-        the same state, and event mode skips most of the run."""
+        """At an idle rate (packets per host per cycle) jumping and
+        never jumping produce the same result and extras, leave every
+        host stream in the same state, and the jumping run skips most
+        of it."""
         cfg = NetworkConfig(radix=8, levels=2, num_vcs=2, packet_size=2,
                             seed=5)
 
         load = rate * cfg.flit_cycles * cfg.packet_size
 
-        def run(scheduler):
-            sim = NetworkSimulation(cfg, load, scheduler=scheduler)
+        def run(clock):
+            sim = clocked(NetworkSimulation(cfg, load), clock)
             result = sim.run(warmup=2000, measure=40000, drain=3000)
             assert result.packets_measured > 40
             return sim, result
@@ -282,10 +258,8 @@ class TestArrivalQueue:
         cycle, expect = run("cycle")
         event, result = run("event")
         assert result.extra["stats.engine.cycles_skipped"] > 0.8 * result.cycles
-        for extra in (expect.extra, result.extra):
-            for name in [n for n in extra if n.startswith("stats.engine.")]:
-                del extra[name]
-        assert result == expect and result.extra == expect.extra
+        assert (replace(result, extra=engine_free(result.extra))
+                == replace(expect, extra=engine_free(expect.extra)))
         assert ([s.getstate() for s in event.arrivals.streams]
                 == [s.getstate() for s in cycle.arrivals.streams])
         assert event.arrivals.queued() == cycle.arrivals.queued()
@@ -296,7 +270,7 @@ class TestArrivalQueue:
         the cycles it spans."""
         cfg = NetworkConfig(radix=16, levels=2, num_vcs=2, packet_size=2,
                             seed=7)
-        sim = NetworkSimulation(cfg, 1e-4, scheduler="event")
+        sim = NetworkSimulation(cfg, 1e-4)
         hosts = sim.topology.num_hosts
         drawn = [0]
 
@@ -327,3 +301,44 @@ class TestArrivalQueue:
         assert drawn[0] == 2 * generated[0]
         assert result.extra["stats.engine.cycles_skipped"] > 0.8 * result.cycles
         assert generated[0] < 0.01 * hosts * result.cycles
+
+
+class TestWorkloadRuns:
+    """The two sanitized workload runs CI once printed under both
+    clocks and diffed, at CI's sizes and the ``repro.cli workload``
+    defaults (4 VCs, seed 1, gap 8): the decode DAG with credit loss on
+    a radix-16 Clos, and an all-to-all over every host pair of a
+    three-level radix-8 Clos (routes climb to all three levels)."""
+
+    @staticmethod
+    def _outcome(clock, config, workload, faults=None):
+        sim = clocked(NetworkSimulation(config, workload=workload,
+                                        faults=faults), clock)
+        result = sim.run_workload(max_cycles=1_000_000)
+        assert result.extra["undelivered"] == 0.0
+        return repr(result.row()), result.cycles, engine_free(result.extra)
+
+    def test_decode_with_credit_loss(self):
+        from repro.workloads import transformer_decode
+
+        def outcome(clock):
+            return self._outcome(
+                clock, NetworkConfig(radix=16, levels=2, num_vcs=4, seed=1),
+                transformer_decode(32, layers=1, steps=1, size=4, gap=8),
+                FaultPlan(credit_loss_rate=0.01),
+            )
+
+        expect = outcome("cycle")
+        assert expect[2]["stats.faults.credit_lost"] > 0
+        assert outcome("event") == expect
+
+    def test_three_level_alltoall(self):
+        from repro.workloads import all_to_all
+
+        def outcome(clock):
+            return self._outcome(
+                clock, NetworkConfig(radix=8, levels=3, num_vcs=4, seed=1),
+                all_to_all(64, size=2),
+            )
+
+        assert outcome("event") == outcome("cycle")

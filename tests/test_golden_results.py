@@ -15,7 +15,7 @@ counters into the result — do not invalidate the goldens.
 
 Regenerate (only when an intentional behavior change is made)::
 
-    PYTHONPATH=src python tests/test_golden_results.py
+    PYTHONPATH=src python -m tests.test_golden_results
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from repro.routers.distributed import DistributedRouter
 from repro.routers.hierarchical import HierarchicalCrossbarRouter
 from repro.routers.shared_buffer import SharedBufferCrossbarRouter
 from repro.routers.voq import VoqRouter
+from tests.exhaustive import CLOCKS, clocked
 
 SWITCH_CONFIG = RouterConfig(
     radix=8,
@@ -72,15 +73,14 @@ FIELDS = (
 SWITCH_EXTRAS = ("undelivered", "source_backlog")
 
 
-def _run_switch(name: str, scheduler: str = "cycle",
+def _run_switch(name: str, clock: str = "event",
                 batch: bool = False) -> dict:
     config = SWITCH_CONFIG.with_(batch_hot_path=batch)
-    sim = SwitchSimulation(
+    sim = clocked(SwitchSimulation(
         ROUTERS[name](config),
         load=SWITCH_LOAD,
         packet_size=SWITCH_PACKET_SIZE,
-        scheduler=scheduler,
-    )
+    ), clock)
     result = sim.run(SWITCH_SETTINGS)
     snap = {f: getattr(result, f) for f in FIELDS}
     for key in SWITCH_EXTRAS:
@@ -88,9 +88,8 @@ def _run_switch(name: str, scheduler: str = "cycle",
     return snap
 
 
-def _run_network(scheduler: str = "cycle") -> dict:
-    sim = NetworkSimulation(NETWORK_CONFIG, NETWORK_LOAD,
-                                scheduler=scheduler)
+def _run_network(clock: str = "event") -> dict:
+    sim = clocked(NetworkSimulation(NETWORK_CONFIG, NETWORK_LOAD), clock)
     result = sim.run(**NETWORK_WINDOWS)
     return {f: getattr(result, f) for f in FIELDS}
 
@@ -192,23 +191,24 @@ def _assert_matches(snap: dict, golden: dict, label: str) -> None:
 
 
 @pytest.mark.parametrize("batch", [False, True], ids=["scalar", "batch"])
-@pytest.mark.parametrize("scheduler", ["cycle", "event"])
+@pytest.mark.parametrize("clock", CLOCKS)
 @pytest.mark.parametrize("name", sorted(ROUTERS))
-def test_switch_golden(name: str, scheduler: str, batch: bool) -> None:
+def test_switch_golden(name: str, clock: str, batch: bool) -> None:
     """The batched hot path must reproduce the same goldens bit for bit
     (it is a no-op on routers that have no batched stage: distributed,
-    hierarchical, shared-buffer and VOQ)."""
+    hierarchical, shared-buffer and VOQ), and so must a run that steps
+    every cycle instead of jumping idle spans."""
     _assert_matches(
-        _run_switch(name, scheduler, batch), GOLDEN[name],
-        f"{name}/{scheduler}/{'batch' if batch else 'scalar'}",
+        _run_switch(name, clock, batch), GOLDEN[name],
+        f"{name}/{clock}/{'batch' if batch else 'scalar'}",
     )
 
 
-@pytest.mark.parametrize("scheduler", ["cycle", "event"])
-def test_network_golden(scheduler: str) -> None:
+@pytest.mark.parametrize("clock", CLOCKS)
+def test_network_golden(clock: str) -> None:
     _assert_matches(
-        _run_network(scheduler), GOLDEN["clos-network"],
-        f"clos-network/{scheduler}",
+        _run_network(clock), GOLDEN["clos-network"],
+        f"clos-network/{clock}",
     )
 
 

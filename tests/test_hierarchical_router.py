@@ -12,6 +12,7 @@ from repro.core.flit import make_packet
 from repro.faults import FaultPlan, StuckFault
 from repro.harness.experiment import SwitchSimulation, SweepSettings
 from repro.routers.hierarchical import HierarchicalCrossbarRouter
+from tests.exhaustive import CLOCKS, clocked, engine_free
 from repro.trace import TraceCollector, chrome_trace_json
 from repro.traffic.patterns import (
     Hotspot,
@@ -290,21 +291,20 @@ def _scenarios(draw):
     )
 
 
-def _build(scenario, scheduler, sanitize):
-    return SwitchSimulation(
+def _build(scenario, clock, sanitize):
+    return clocked(SwitchSimulation(
         HierarchicalCrossbarRouter(scenario["config"]),
         load=scenario["load"], packet_size=scenario["packet_size"],
         pattern=scenario["pattern"], faults=scenario["faults"],
-        scheduler=scheduler, sanitize=sanitize,
-    )
+        sanitize=sanitize,
+    ), clock)
 
 
 def _comparable(result):
     """Everything but the two extras that legitimately differ between
-    the schedulers."""
-    extras = {k: v for k, v in result.extra.items()
-              if not k.startswith("stats.engine.")}
-    return repr(result.row()), result.cycles, result.saturated, extras
+    a jumping and a never-jump run."""
+    return (repr(result.row()), result.cycles, result.saturated,
+            engine_free(result.extra))
 
 
 class TestOccupancyIndexedHotPath:
@@ -314,15 +314,15 @@ class TestOccupancyIndexedHotPath:
         self, scenario
     ):
         """A sanitized run (every index audited every cycle) and a twin
-        that is pickled mid-run and loaded back agree exactly, under the
-        cycle and the event scheduler."""
+        that is pickled mid-run and loaded back agree exactly, jumping
+        idle spans and stepping every cycle."""
         outcomes = []
-        for scheduler in ("cycle", "event"):
-            checked = _build(scenario, scheduler, sanitize=True)
+        for clock in CLOCKS:
+            checked = _build(scenario, clock, sanitize=True)
             expect = checked.run(PROPERTY_RUN)
             assert checked.sanitizer.checks_run > 0
 
-            first = _build(scenario, scheduler, sanitize=False)
+            first = _build(scenario, clock, sanitize=False)
             first.start_run(PROPERTY_RUN)
             done = first.advance_run(stop_at=scenario["restore_at"])
             resumed = pickle.loads(pickle.dumps(first))

@@ -27,6 +27,7 @@ from repro.routers.distributed import DistributedRouter
 from repro.routers.hierarchical import HierarchicalCrossbarRouter
 from repro.routers.shared_buffer import SharedBufferCrossbarRouter
 from repro.routers.voq import VoqRouter
+from tests.exhaustive import CLOCKS, clocked
 
 EVENTS = sorted(
     name[len("emit_"):] for name in vars(EngineHooks)
@@ -101,8 +102,8 @@ def test_switch_fires_every_event_its_source_emits(router_cls, options):
     assert fired == _emitted_by(router_cls, scheduler, injector)
 
 
-@pytest.mark.parametrize("mode", ["cycle", "event"])
-def test_clos_fires_every_event_its_source_emits(mode):
+@pytest.mark.parametrize("clock", CLOCKS)
+def test_clos_fires_every_event_its_source_emits(clock):
     cfg = NetworkConfig(radix=4, levels=2)
     topology = NetworkSimulation(cfg).topology
     plan = FaultPlan(
@@ -110,7 +111,7 @@ def test_clos_fires_every_event_its_source_emits(mode):
         links=sample_link_faults(topology, seed=7, count=1, cycle=20,
                                  until=60),
     )
-    sim = NetworkSimulation(cfg, 0.5, faults=plan, scheduler=mode)
+    sim = clocked(NetworkSimulation(cfg, 0.5, faults=plan), clock)
     routers = list(sim.routers.values())
     fired = _subscribe([sim.hooks] + [r.hooks for r in routers])
     for _ in range(300):

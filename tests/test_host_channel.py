@@ -4,8 +4,8 @@ Every curve is measured through the same channel between a source
 queue and the router: at most one send attempt per ``flit_cycles``
 cycles (a corrupted attempt occupies the channel too), and a packet
 enters on one input VC, head flit first, which it holds to its tail.
-These tests observe a radix-8 switch and a serial radix-4 Clos under
-both schedulers through their hook buses, with a fault plan that
+These tests observe a radix-8 switch and a serial radix-4 Clos, each
+jumping idle spans and stepping every cycle, through their hook buses, with a fault plan that
 corrupts a fifth of all attempts, and check those rules per channel.
 The plan's retransmit back-off is one cycle, shorter than
 ``flit_cycles``, so only the channel throttle can hold a channel for
@@ -21,6 +21,7 @@ from repro.faults import CORRUPT, FaultPlan
 from repro.harness.experiment import SwitchSimulation
 from repro.network.netsim import NetworkConfig, NetworkSimulation
 from repro.routers.baseline import BaselineRouter
+from tests.exhaustive import CLOCKS, clocked
 
 PLAN = FaultPlan(corrupt_rate=0.2, retransmit_timeout=1, retransmit_backoff=1.0)
 CYCLES = 1500
@@ -46,12 +47,11 @@ class _ChannelLog:
             self.corrupts[where[0]].append(cycle)
 
 
-def _switch_log(scheduler):
+def _switch_log(clock):
     config = RouterConfig(radix=8, num_vcs=2, seed=3)
-    sim = SwitchSimulation(
+    sim = clocked(SwitchSimulation(
         BaselineRouter(config), load=0.7, packet_size=3, faults=PLAN,
-        scheduler=scheduler,
-    )
+    ), clock)
     log = _ChannelLog()
     hooks = sim.router.hooks
 
@@ -65,9 +65,9 @@ def _switch_log(scheduler):
     return log, config.flit_cycles
 
 
-def _network_log(scheduler):
+def _network_log(clock):
     config = NetworkConfig(radix=4, levels=2, num_vcs=2, packet_size=3, seed=3)
-    sim = NetworkSimulation(config, 0.6, faults=PLAN, scheduler=scheduler)
+    sim = clocked(NetworkSimulation(config, 0.6, faults=PLAN), clock)
     log = _ChannelLog()
     host_of = {}
     for host in range(sim.topology.num_hosts):
@@ -94,12 +94,12 @@ STACKS = {"switch": _switch_log, "network": _network_log}
 
 @pytest.fixture(
     scope="module",
-    params=[(stack, sched) for stack in STACKS for sched in ("cycle", "event")],
+    params=[(stack, clock) for stack in STACKS for clock in CLOCKS],
     ids=lambda p: f"{p[0]}-{p[1]}",
 )
 def observed(request):
-    stack, scheduler = request.param
-    log, flit_cycles = STACKS[stack](scheduler)
+    stack, clock = request.param
+    log, flit_cycles = STACKS[stack](clock)
     # Not vacuous: every channel sent, and the plan corrupted some
     # attempts of multi-flit packets.
     assert log.accepts and all(len(a) > 20 for a in log.accepts.values())

@@ -16,7 +16,7 @@ from repro.faults import FaultPlan, LinkFault
 from repro.network.netsim import NetworkConfig, NetworkSimulation
 from repro.network.router import NetworkRouter
 from repro.trace import TraceCollector, chrome_trace_json
-from tests.exhaustive import exhaustive
+from tests.exhaustive import clocked, exhaustive
 
 
 ROW = (
@@ -56,7 +56,7 @@ class TestParentPinnedDigest:
         )
 
 
-def _observe(radix, num_vcs, scheduler, load, oracle):
+def _observe(radix, num_vcs, clock, load, oracle):
     """One faulted, traced run: two dead links, credit loss,
     host-channel corruption, and two input VCs of the traced leaf
     wedged from cycle 0 until a pause at cycle 100."""
@@ -72,10 +72,9 @@ def _observe(radix, num_vcs, scheduler, load, oracle):
         ),
     )
     tracer = TraceCollector(capacity=100000)
-    sim = NetworkSimulation(
-        config, load=load, faults=plan, scheduler=scheduler,
-        tracer=tracer, trace_switch=leaf,
-    )
+    sim = clocked(NetworkSimulation(
+        config, load=load, faults=plan, tracer=tracer, trace_switch=leaf,
+    ), clock)
     if oracle:
         exhaustive(sim)
     wedged = sim.routers[leaf]
@@ -100,16 +99,15 @@ class TestIndexedEqualsExhaustive:
     cycle and never consults ``_occupied``: the oracle for the skip
     rule, under the faults that hold flits in place."""
 
-    # Event mode syncs a host's numpy stream mirror with its Python
-    # stream at every arrival (~0.2 ms), so the 1,024-host event run
-    # offers a third of the load to stay a two-second test.
-    @pytest.mark.parametrize("radix, num_vcs, scheduler, load", [
+    # "cycle" runs the indexed side under never_jump; the oracle
+    # never jumps either way.
+    @pytest.mark.parametrize("radix, num_vcs, clock, load", [
         (64, 4, "cycle", 0.3), (64, 4, "event", 0.1),
         (16, 2, "cycle", 0.3), (16, 2, "event", 0.3),
     ])
-    def test_faulted_traced_run(self, radix, num_vcs, scheduler, load):
-        indexed = _observe(radix, num_vcs, scheduler, load, oracle=False)
-        oracle = _observe(radix, num_vcs, scheduler, load, oracle=True)
+    def test_faulted_traced_run(self, radix, num_vcs, clock, load):
+        indexed = _observe(radix, num_vcs, clock, load, oracle=False)
+        oracle = _observe(radix, num_vcs, clock, load, oracle=True)
         result, extra, paused, faults, chrome, records = indexed
         assert paused == oracle[2] == 100
         assert result == oracle[0]

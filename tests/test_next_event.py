@@ -5,7 +5,7 @@ next cycle it must run: that cycle keeps it awake, a later one puts it
 to sleep until then (or until an earlier wake), and None parks it.
 Sleeping skips cycles on which a component still holds work, so an
 answer that comes late corrupts the run.  These tests compare every
-organization and the Clos, under both schedulers, against the
+organization and the Clos, jumping and never jumping, against the
 exhaustive oracle (``tests/exhaustive.py`` pins ``next_event`` to the
 cycle asked about), and check that the runs really reach the states
 the probe exists for: a router whose occupied inputs are all still
@@ -31,7 +31,7 @@ from repro.routers import (
     VoqRouter,
 )
 from repro.trace import TraceCollector, chrome_trace_json
-from tests.exhaustive import exhaustive
+from tests.exhaustive import CLOCKS, clocked, engine_free, exhaustive
 
 ROW = (
     "offered_load", "avg_latency", "p99_latency", "max_latency",
@@ -70,39 +70,39 @@ def _slept(log):
             if entry[1] is not None and entry[1] > entry[0]]
 
 
-def _switch(router_cls, scheduler, oracle):
+def _switch(router_cls, clock, oracle):
     """Radix 8 at a load that empties the router now and then, with a
     credit return slow enough to outlast the flits that sent it, and
     credit loss: a dropped credit's fault event and resync carry the
     cycle it was due on."""
     tracer = TraceCollector()
-    sim = SwitchSimulation(
+    sim = clocked(SwitchSimulation(
         router_cls(RouterConfig(radix=8, num_vcs=2, subswitch_size=4,
                                 local_group_size=4, credit_latency=12,
                                 seed=5)),
-        load=0.05, packet_size=2, scheduler=scheduler, tracer=tracer,
+        load=0.05, packet_size=2, tracer=tracer,
         faults=FaultPlan(credit_loss_rate=0.2),
-    )
+    ), clock)
     log = [] if oracle else _record_answers(sim)
     if oracle:
         exhaustive(sim)
     result = sim.run(SweepSettings(warmup=60, measure=200, drain=600))
-    extras = {k: v for k, v in result.extra.items()
-              if not k.startswith("stats.engine.")}
-    observed = ({name: getattr(result, name) for name in ROW}, extras,
+    observed = ({name: getattr(result, name) for name in ROW},
+                engine_free(result.extra),
                 list(tracer.fault_events), chrome_trace_json(tracer))
     return observed, log, sim._sched
 
 
 class TestSwitchSleepEqualsExhaustive:
-    """Every organization, both schedulers: the schedule that sleeps
-    and parks reproduces the step-everything oracle byte for byte."""
+    """Every organization, jumping and never jumping: the schedule that
+    sleeps and parks reproduces the step-everything oracle byte for
+    byte."""
 
-    @pytest.mark.parametrize("scheduler", ["cycle", "event"])
+    @pytest.mark.parametrize("clock", CLOCKS)
     @pytest.mark.parametrize("router_cls", ALL_ROUTERS)
-    def test_rows_extras_and_trace(self, router_cls, scheduler):
-        plain, log, sched = _switch(router_cls, scheduler, oracle=False)
-        oracle, _, reference = _switch(router_cls, scheduler, oracle=True)
+    def test_rows_extras_and_trace(self, router_cls, clock):
+        plain, log, sched = _switch(router_cls, clock, oracle=False)
+        oracle, _, reference = _switch(router_cls, clock, oracle=True)
         assert plain == oracle
         assert sched.component_steps < reference.component_steps
         assert log
@@ -130,7 +130,7 @@ def _router_state(router):
     )
 
 
-def _clos(scheduler, oracle):
+def _clos(clock, oracle):
     """Radix-8 Clos with a stuck input VC (wedged until cycle 150), a
     dead link, credit loss and a three-cycle credit return."""
     config = NetworkConfig(radix=8, levels=2, num_vcs=2, credit_latency=3,
@@ -140,9 +140,9 @@ def _clos(scheduler, oracle):
         links=(LinkFault(cycle=20, switch=(0, 1, 0), port=5, until=140),),
     )
     tracer = TraceCollector(capacity=100000)
-    sim = NetworkSimulation(config, load=0.35, faults=plan,
-                            scheduler=scheduler, tracer=tracer,
-                            trace_switch=(0, 0, 0))
+    sim = clocked(NetworkSimulation(config, load=0.35, faults=plan,
+                                    tracer=tracer, trace_switch=(0, 0, 0)),
+                  clock)
     log = [] if oracle else _record_answers(sim, _router_state)
     if oracle:
         exhaustive(sim)
@@ -161,17 +161,14 @@ def _clos(scheduler, oracle):
 
 
 class TestClosSleepEqualsExhaustive:
-    @pytest.mark.parametrize("scheduler", ["cycle", "event"])
-    def test_faulted_run(self, scheduler):
-        plain, log, sched = _clos(scheduler, oracle=False)
-        oracle, _, reference = _clos(scheduler, oracle=True)
+    @pytest.mark.parametrize("clock", CLOCKS)
+    def test_faulted_run(self, clock):
+        plain, log, sched = _clos(clock, oracle=False)
+        oracle, _, reference = _clos(clock, oracle=True)
         # The engine extras count fast-forward, which the oracle never
         # takes; everything else must match.
         assert plain[0] == oracle[0]
-        assert {k: v for k, v in plain[1].items()
-                if not k.startswith("stats.engine.")} == {
-            k: v for k, v in oracle[1].items()
-            if not k.startswith("stats.engine.")}
+        assert engine_free(plain[1]) == engine_free(oracle[1])
         assert plain[2:] == oracle[2:]
         assert plain[1]["stats.faults.credit_lost"] > 0
         assert plain[1]["stats.faults.link_down"] > 0

@@ -36,6 +36,7 @@ from repro.routers import (
 from repro.routers.base import Router
 from repro.trace import TraceCollector, chrome_trace_json
 from repro.workloads import all_reduce
+from tests.exhaustive import CLOCKS, clocked
 from tests.perturb import (
     EventRecord,
     over_poll,
@@ -83,16 +84,16 @@ def _observe(sim, tracer, run):
     return row, result.extra, chrome_trace_json(tracer), record.hexdigest()
 
 
-def _clos(name, scheduler, perturb=_unperturbed):
+def _clos(name, clock, perturb=_unperturbed):
     config, load = CLOS[name]
     tracer = TraceCollector(capacity=100000)
-    sim = NetworkSimulation(NetworkConfig(**config), load=load,
-                            scheduler=scheduler, tracer=tracer)
+    sim = clocked(NetworkSimulation(NetworkConfig(**config), load=load,
+                                    tracer=tracer), clock)
     return _observe(perturb(sim), tracer,
                     lambda s: s.run(**CLOS_WINDOW))
 
 
-def _faulted_clos(scheduler, perturb=_unperturbed):
+def _faulted_clos(clock, perturb=_unperturbed):
     """Radix 16 with host-channel corruption, credit loss and two dead
     links, traced at a leaf."""
     plan = FaultPlan(
@@ -104,39 +105,38 @@ def _faulted_clos(scheduler, perturb=_unperturbed):
         ),
     )
     tracer = TraceCollector(capacity=100000)
-    sim = NetworkSimulation(
+    sim = clocked(NetworkSimulation(
         NetworkConfig(radix=16, levels=2, num_vcs=2, seed=11), load=0.3,
-        faults=plan, scheduler=scheduler, tracer=tracer,
-        trace_switch=(0, 0, 0),
-    )
+        faults=plan, tracer=tracer, trace_switch=(0, 0, 0),
+    ), clock)
     return _observe(perturb(sim), tracer,
                     lambda s: s.run(warmup=40, measure=200, drain=600))
 
 
-def _switch(router_cls, scheduler, perturb=_unperturbed):
+def _switch(router_cls, clock, perturb=_unperturbed):
     tracer = TraceCollector()
-    sim = SwitchSimulation(router_cls(RouterConfig(radix=16, seed=5)),
-                           load=0.7, scheduler=scheduler, tracer=tracer)
+    sim = clocked(SwitchSimulation(router_cls(RouterConfig(radix=16, seed=5)),
+                                   load=0.7, tracer=tracer), clock)
     return _observe(perturb(sim), tracer, lambda s: s.run(
         SweepSettings(warmup=40, measure=120, drain=400)))
 
 
-def _switch_workload(scheduler, perturb=_unperturbed):
+def _switch_workload(clock, perturb=_unperturbed):
     tracer = TraceCollector()
-    sim = SwitchSimulation(
+    sim = clocked(SwitchSimulation(
         BaselineRouter(RouterConfig(radix=8, seed=7)),
-        workload=all_reduce(8, size=2), scheduler=scheduler, tracer=tracer,
-    )
+        workload=all_reduce(8, size=2), tracer=tracer,
+    ), clock)
     return _observe(perturb(sim), tracer,
                     lambda s: s.run_workload(max_cycles=50_000))
 
 
-def _clos_workload(scheduler, perturb=_unperturbed):
+def _clos_workload(clock, perturb=_unperturbed):
     tracer = TraceCollector()
-    sim = NetworkSimulation(
+    sim = clocked(NetworkSimulation(
         NetworkConfig(radix=8, levels=2, num_vcs=2, packet_size=2, seed=7),
-        workload=all_reduce(16, size=2), scheduler=scheduler, tracer=tracer,
-    )
+        workload=all_reduce(16, size=2), tracer=tracer,
+    ), clock)
     return _observe(perturb(sim), tracer,
                     lambda s: s.run_workload(max_cycles=100_000))
 
@@ -155,10 +155,10 @@ def _both(sim):
     return over_poll(shuffle_compute(sim, 1))
 
 
-SCHEDULERS = pytest.mark.parametrize("scheduler", ["cycle", "event"])
+ON_BOTH_CLOCKS = pytest.mark.parametrize("clock", CLOCKS)
 
 
-@SCHEDULERS
+@ON_BOTH_CLOCKS
 class TestComputeOrder:
     """``compute`` only stages intents, so running a cycle's computes in
     any order reproduces everything, interleaved hook stream included."""
@@ -168,45 +168,45 @@ class TestComputeOrder:
         ("r8-l2-0.9", 1), ("r8-l2-0.9", 2), ("r8-l2-0.9", 3),
         ("r8-l2-0.5", 1),
     ])
-    def test_clos(self, scheduler, name, seed):
-        assert _clos(name, scheduler, _shuffled(seed)) == _plain(
-            _clos, name, scheduler)
+    def test_clos(self, clock, name, seed):
+        assert _clos(name, clock, _shuffled(seed)) == _plain(
+            _clos, name, clock)
 
-    def test_faulted_traced_clos(self, scheduler):
-        assert _faulted_clos(scheduler, _shuffled(1)) == _plain(
-            _faulted_clos, scheduler)
+    def test_faulted_traced_clos(self, clock):
+        assert _faulted_clos(clock, _shuffled(1)) == _plain(
+            _faulted_clos, clock)
 
-    def test_clos_workload(self, scheduler):
-        assert _clos_workload(scheduler, _shuffled(1)) == _plain(
-            _clos_workload, scheduler)
+    def test_clos_workload(self, clock):
+        assert _clos_workload(clock, _shuffled(1)) == _plain(
+            _clos_workload, clock)
 
 
-@SCHEDULERS
+@ON_BOTH_CLOCKS
 class TestOverPolling:
     """Probes answer questions; asking again changes nothing."""
 
-    def test_clos(self, scheduler):
-        assert _clos("r16-l2-0.9", scheduler, over_poll) == _plain(
-            _clos, "r16-l2-0.9", scheduler)
+    def test_clos(self, clock):
+        assert _clos("r16-l2-0.9", clock, over_poll) == _plain(
+            _clos, "r16-l2-0.9", clock)
 
-    def test_faulted_traced_clos(self, scheduler):
-        assert _faulted_clos(scheduler, over_poll) == _plain(
-            _faulted_clos, scheduler)
+    def test_faulted_traced_clos(self, clock):
+        assert _faulted_clos(clock, over_poll) == _plain(
+            _faulted_clos, clock)
 
-    def test_clos_workload(self, scheduler):
-        assert _clos_workload(scheduler, over_poll) == _plain(
-            _clos_workload, scheduler)
+    def test_clos_workload(self, clock):
+        assert _clos_workload(clock, over_poll) == _plain(
+            _clos_workload, clock)
 
     @pytest.mark.parametrize("router_cls", ALL_ROUTERS)
-    def test_switch(self, scheduler, router_cls):
+    def test_switch(self, clock, router_cls):
         """The switch stack schedules one component, so its compute
         shuffle is trivial; it rides along with the over-poll."""
-        assert _switch(router_cls, scheduler, _both) == _switch(
-            router_cls, scheduler)
+        assert _switch(router_cls, clock, _both) == _switch(
+            router_cls, clock)
 
-    def test_switch_workload(self, scheduler):
-        assert _switch_workload(scheduler, _both) == _switch_workload(
-            scheduler)
+    def test_switch_workload(self, clock):
+        assert _switch_workload(clock, _both) == _switch_workload(
+            clock)
 
 
 _RACE = pytest.mark.xfail(

@@ -24,6 +24,7 @@ from repro.routers import (
     SharedBufferCrossbarRouter,
     VoqRouter,
 )
+from tests.exhaustive import CLOCKS, clocked
 
 ALL_ROUTERS = [
     BaselineRouter,
@@ -439,8 +440,8 @@ def test_stream_violation_is_located(provoke, check, port):
     assert f"[{check}]" in str(exc.value)
 
 
-@pytest.mark.parametrize("scheduler", ["cycle", "event"])
-def test_sanitizer_composes_with_tracing(scheduler):
+@pytest.mark.parametrize("clock", CLOCKS)
+def test_sanitizer_composes_with_tracing(clock):
     """The sanitizer and a trace collector share the router's hook bus
     without perturbing each other: a traced run is the same with and
     without the sanitizer, and the collector names the model."""
@@ -448,13 +449,12 @@ def test_sanitizer_composes_with_tracing(scheduler):
 
     def traced(sanitize):
         collector = TraceCollector()
-        sim = SwitchSimulation(
+        sim = clocked(SwitchSimulation(
             HierarchicalCrossbarRouter(
                 RouterConfig(radix=8, subswitch_size=4, local_group_size=4)
             ),
             load=0.5, seed=5, sanitize=sanitize, tracer=collector,
-            scheduler=scheduler,
-        )
+        ), clock)
         result = sim.run(SHORT)
         assert collector.label == "HierarchicalCrossbarRouter"
         assert collector.declared_stages == (
@@ -558,15 +558,14 @@ def _lose_arrival(arrivals, cycle, index):
         heapq.heapify(arrivals._cycles)
 
 
-@pytest.mark.parametrize("scheduler", ["cycle", "event"])
-def test_network_sanitizer_detects_arrival_queue_drift(scheduler):
+@pytest.mark.parametrize("clock", CLOCKS)
+def test_network_sanitizer_detects_arrival_queue_drift(clock):
     """Every host with a positive rate holds one queued arrival, none
     of them overdue: an entry lost from the queue is reported at the
     end of the cycle it went missing in, for the host it belonged to."""
-    sim = NetworkSimulation(
-        NetworkConfig(radix=4, levels=2, seed=3), load=1e-2,
-        scheduler=scheduler, sanitize=True,
-    )
+    sim = clocked(NetworkSimulation(
+        NetworkConfig(radix=4, levels=2, seed=3), load=1e-2, sanitize=True,
+    ), clock)
     sim.run_until(800)
     cycle, host = max(sim.arrivals.queued())
     _lose_arrival(sim.arrivals, cycle, host)

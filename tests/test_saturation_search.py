@@ -11,6 +11,7 @@ from repro.harness.experiment import (
 from repro.network import NetworkConfig, run_network_sweep
 from repro.routers.buffered import BufferedCrossbarRouter
 from repro.routers.distributed import DistributedRouter
+from tests.exhaustive import never_jump
 
 CFG = RouterConfig(radix=16, num_vcs=4, subswitch_size=4, local_group_size=4)
 SETTINGS = SweepSettings(warmup=300, measure=500, drain=4000)
@@ -52,9 +53,9 @@ class TestFindSaturationLoad:
 
 
 class TestSaturationHelperPlumbing:
-    """The saturation helpers used to silently drop ``scheduler`` (and
-    ``find_saturation_load`` also ``avg_burst``), so every inner run
-    fell back to the cycle scheduler and the default burst length."""
+    """The saturation helpers used to silently drop simulation options
+    (``find_saturation_load`` also ``avg_burst``), so every inner run
+    fell back to the defaults."""
 
     def _record_kwargs(self, monkeypatch):
         from repro.harness import experiment
@@ -70,43 +71,48 @@ class TestSaturationHelperPlumbing:
         monkeypatch.setattr(experiment, "SwitchSimulation", Recorder)
         return seen
 
-    def test_saturation_throughput_forwards_scheduler(self, monkeypatch):
+    def test_saturation_throughput_forwards_seed(self, monkeypatch):
         seen = self._record_kwargs(monkeypatch)
         saturation_throughput(
-            BufferedCrossbarRouter, CFG, settings=SETTINGS,
-            scheduler="event",
+            BufferedCrossbarRouter, CFG, settings=SETTINGS, seed=11,
         )
-        assert seen and all(k["scheduler"] == "event" for k in seen)
+        assert seen and all(k["seed"] == 11 for k in seen)
 
     def test_find_saturation_load_forwards_both(self, monkeypatch):
         seen = self._record_kwargs(monkeypatch)
         find_saturation_load(
             BufferedCrossbarRouter, CFG, settings=SETTINGS, tolerance=0.2,
-            injection="onoff", avg_burst=3.0, scheduler="event",
+            injection="onoff", avg_burst=3.0, seed=11,
         )
         assert seen
-        assert all(k["scheduler"] == "event" for k in seen)
+        assert all(k["seed"] == 11 for k in seen)
         assert all(k["avg_burst"] == 3.0 for k in seen)
 
-    def test_event_scheduler_matches_cycle(self):
-        """Event-driven fast-forward is semantics-preserving, so both
-        helpers must report identical numbers under either scheduler."""
-        thr = {
-            sched: saturation_throughput(
+    def test_event_scheduler_matches_cycle(self, monkeypatch):
+        """Fast-forward is semantics-preserving, so both helpers must
+        report identical numbers when every inner run steps every
+        cycle (``never_jump``)."""
+        from repro.harness import experiment
+
+        def measure():
+            thr = saturation_throughput(
                 BufferedCrossbarRouter, CFG, settings=SETTINGS, load=0.6,
-                scheduler=sched,
             )
-            for sched in ("cycle", "event")
-        }
-        assert thr["cycle"] == thr["event"]
-        knee = {
-            sched: find_saturation_load(
+            knee = find_saturation_load(
                 BufferedCrossbarRouter, CFG, settings=SETTINGS,
-                tolerance=0.1, scheduler=sched,
+                tolerance=0.1,
             )
-            for sched in ("cycle", "event")
-        }
-        assert knee["cycle"] == knee["event"]
+            return thr, knee
+
+        event = measure()
+
+        class NeverJump(experiment.SwitchSimulation):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                never_jump(self)
+
+        monkeypatch.setattr(experiment, "SwitchSimulation", NeverJump)
+        assert measure() == event
 
 
 class TestNetworkSweep:

@@ -5,7 +5,7 @@ folded-Clos simulation split across 1, 2, or 4 worker processes must
 produce exactly the results of the serial :class:`NetworkSimulation` —
 the :class:`RunResult` tuple, every ``stats.*`` extra (fault counters
 included), the canonically-ordered fault action log, and the Chrome
-trace export, under both scheduler modes, with a link-fault plan and a
+trace export, jumping idle spans or not, with a link-fault plan and a
 collective workload in play.  These tests pin that contract; any
 divergence is a sharding bug by definition, never an accepted delta.
 
@@ -29,6 +29,7 @@ from repro.network.topology import FoldedClos
 from repro.trace import TraceCollector
 from repro.trace.chrome import chrome_trace_json
 from repro.workloads import all_reduce
+from tests.exhaustive import CLOCKS, clocked
 
 CFG = dict(radix=8, levels=2, seed=5)
 
@@ -71,7 +72,7 @@ class InterleavedClos(FoldedClos):
         return [ids[w::shards] for w in range(shards)]
 
 
-def _run(shards, scheduler, workload=False, faults=True, topology=None,
+def _run(shards, clock, workload=False, faults=True, topology=None,
          **cfg):
     """One full observation: result, fault log, chrome bytes, tracer."""
     config = NetworkConfig(**{**CFG, **cfg})
@@ -79,7 +80,6 @@ def _run(shards, scheduler, workload=False, faults=True, topology=None,
     tracer = TraceCollector(capacity=100000)
     kw = dict(
         faults=_fault_plan(switches) if faults else None,
-        scheduler=scheduler,
         tracer=tracer,
         trace_switch=switches[2],
         workload=all_reduce(16, size=2) if workload else None,
@@ -87,10 +87,11 @@ def _run(shards, scheduler, workload=False, faults=True, topology=None,
     )
     load = 0.0 if workload else 0.3
     if shards == 0:
-        sim = NetworkSimulation(config, load=load, **kw)
+        sim = clocked(NetworkSimulation(config, load=load, **kw), clock)
         close = lambda: None  # noqa: E731
     else:
-        sim = ShardedNetworkSimulation(config, load=load, shards=shards, **kw)
+        sim = clocked(ShardedNetworkSimulation(
+            config, load=load, shards=shards, **kw), clock)
         close = sim.close
     try:
         if workload:
@@ -103,13 +104,13 @@ def _run(shards, scheduler, workload=False, faults=True, topology=None,
 
 
 class TestByteIdentity:
-    @pytest.mark.parametrize("scheduler", ["cycle", "event"])
+    @pytest.mark.parametrize("clock", CLOCKS)
     @pytest.mark.parametrize("workload", [False, True])
-    def test_shards_match_serial(self, scheduler, workload):
-        ref, ref_faults, ref_chrome, ref_tr = _run(0, scheduler, workload)
+    def test_shards_match_serial(self, clock, workload):
+        ref, ref_faults, ref_chrome, ref_tr = _run(0, clock, workload)
         for shards in (1, 2, 4):
             got, got_faults, got_chrome, got_tr = _run(
-                shards, scheduler, workload
+                shards, clock, workload
             )
             assert got == ref
             assert got.extra == ref.extra
@@ -127,14 +128,11 @@ class TestByteIdentity:
         for shards in (0, 2, 4):
             config = NetworkConfig(radix=8, levels=2, seed=11)
             if shards == 0:
-                sim = NetworkSimulation(
-                    config, load=0.5, faults=plan, scheduler="event"
-                )
+                sim = NetworkSimulation(config, load=0.5, faults=plan)
                 result = sim.run(warmup=100, measure=300, drain=800)
             else:
                 sim = ShardedNetworkSimulation(
                     config, load=0.5, shards=shards, faults=plan,
-                    scheduler="event",
                 )
                 try:
                     result = sim.run(warmup=100, measure=300, drain=800)
@@ -159,14 +157,14 @@ def _assert_same(got, ref):
 class TestAnyPartition:
     """Nothing in the protocol may depend on how switches are dealt."""
 
-    @pytest.mark.parametrize("scheduler", ["cycle", "event"])
-    def test_interleaved_blocks_match_serial(self, scheduler):
-        ref = _run(0, scheduler)
+    @pytest.mark.parametrize("clock", CLOCKS)
+    def test_interleaved_blocks_match_serial(self, clock):
+        ref = _run(0, clock)
         for shards in (2, 3):
             topology = InterleavedClos(CFG["radix"], CFG["levels"])
-            _assert_same(_run(shards, scheduler, topology=topology), ref)
+            _assert_same(_run(shards, clock, topology=topology), ref)
 
-    @pytest.mark.parametrize("scheduler", ["cycle", "event"])
+    @pytest.mark.parametrize("clock", CLOCKS)
     @pytest.mark.parametrize("cfg", [
         # Link latency 1: a flit sent in cycle T ejects in T+1, so the
         # parent may not deliver before it has collected.
@@ -174,8 +172,8 @@ class TestAnyPartition:
         # Head, body and tail flits all cross the wire.
         dict(packet_size=3),
     ], ids=["latency1", "packet3"])
-    def test_edge_configs_match_serial(self, scheduler, cfg):
-        _assert_same(_run(2, scheduler, **cfg), _run(0, scheduler, **cfg))
+    def test_edge_configs_match_serial(self, clock, cfg):
+        _assert_same(_run(2, clock, **cfg), _run(0, clock, **cfg))
 
     def test_blocks_must_cover_every_switch_once(self):
         class Lossy(FoldedClos):
@@ -311,17 +309,17 @@ class TestFailureModes:
         with pytest.raises(RuntimeError, match="already reaped"):
             sim.start_run(warmup=40, measure=60, drain=300)
 
-    @pytest.mark.parametrize("scheduler", ["cycle", "event"])
+    @pytest.mark.parametrize("clock", CLOCKS)
     @pytest.mark.parametrize("in_flight", [False, True])
-    def test_driving_after_close_is_a_typed_error(self, scheduler, in_flight):
+    def test_driving_after_close_is_a_typed_error(self, clock, in_flight):
         """``advance_run``, ``step`` and ``run_until`` on reaped workers
         raise the same ``RuntimeError`` ``start_run`` does, without
         running a cycle, instead of dying in ``conn.send``/``recv``
         with ``OSError: handle is closed`` — whether or not a cycle was
         dispatched and never collected."""
         config = NetworkConfig(**CFG)
-        sim = ShardedNetworkSimulation(
-            config, load=0.3, shards=2, scheduler=scheduler
+        sim = clocked(
+            ShardedNetworkSimulation(config, load=0.3, shards=2), clock
         )
         sim.start_run(warmup=80, measure=150, drain=400)
         if in_flight:

@@ -64,6 +64,7 @@ from repro.routers import (
 )
 from repro.trace import TraceCollector, TraceFilter, chrome_trace_json
 from repro.workloads import all_reduce
+from tests.exhaustive import CLOCKS, clocked
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -75,7 +76,6 @@ ALL_ROUTERS = [
     HierarchicalCrossbarRouter,
     VoqRouter,
 ]
-SCHEDULERS = ["cycle", "event"]
 
 FAULTS = FaultPlan(corrupt_rate=0.2, credit_loss_rate=0.05)
 SWITCH_WINDOW = SweepSettings(warmup=40, measure=80, drain=400)
@@ -86,18 +86,17 @@ SWITCH_WINDOW = SweepSettings(warmup=40, measure=80, drain=400)
 # ----------------------------------------------------------------------
 
 
-def _switch(router_cls, scheduler="cycle", faults=FAULTS, tracer=None,
+def _switch(router_cls, clock="event", faults=FAULTS, tracer=None,
             workload=None):
     cfg = RouterConfig(radix=8, num_vcs=2, subswitch_size=4,
                        local_group_size=4, seed=3)
-    return SwitchSimulation(
+    return clocked(SwitchSimulation(
         router_cls(cfg), load=0.0 if workload else 0.5, seed=3,
-        scheduler=scheduler, faults=faults, tracer=tracer,
-        workload=workload,
-    )
+        faults=faults, tracer=tracer, workload=workload,
+    ), clock)
 
 
-def _stuck_switch(scheduler="cycle"):
+def _stuck_switch(clock="event"):
     plan = FaultPlan(
         corrupt_rate=0.05,
         stuck=(
@@ -105,11 +104,11 @@ def _stuck_switch(scheduler="cycle"):
             StuckFault(cycle=30, where=(2,), kind="input", until=70),
         ),
     )
-    return _switch(BufferedCrossbarRouter, scheduler, faults=plan,
+    return _switch(BufferedCrossbarRouter, clock, faults=plan,
                    tracer=TraceCollector())
 
 
-def _faulted_clos(scheduler="cycle"):
+def _faulted_clos(clock="event"):
     """Radix 16 with corruption, credit loss and two dead links, traced
     at a leaf (the faulted Clos of ``test_order_independence.py``)."""
     plan = FaultPlan(
@@ -120,14 +119,14 @@ def _faulted_clos(scheduler="cycle"):
             LinkFault(cycle=50, switch=(1, 0, 2), port=0, until=90),
         ),
     )
-    return NetworkSimulation(
+    return clocked(NetworkSimulation(
         NetworkConfig(radix=16, levels=2, num_vcs=2, seed=11), load=0.3,
-        faults=plan, scheduler=scheduler,
+        faults=plan,
         tracer=TraceCollector(capacity=100000), trace_switch=(0, 0, 0),
-    )
+    ), clock)
 
 
-def _sampled_fault_clos(scheduler="cycle"):
+def _sampled_fault_clos(clock="event"):
     """Radix 8 with corruption, credit loss and links drawn by
     :func:`sample_link_faults` on the network's own seed."""
     cfg = NetworkConfig(radix=8, levels=2, num_vcs=2, seed=5)
@@ -136,23 +135,21 @@ def _sampled_fault_clos(scheduler="cycle"):
         links=sample_link_faults(FoldedClos(8, 2), seed=cfg.seed, count=2,
                                  cycle=20, until=80),
     )
-    return NetworkSimulation(cfg, load=0.4, faults=plan,
-                             scheduler=scheduler, tracer=TraceCollector(),
-                             trace_switch=(1, 0, 0))
+    return clocked(NetworkSimulation(cfg, load=0.4, faults=plan,
+                                     tracer=TraceCollector(),
+                                     trace_switch=(1, 0, 0)), clock)
 
 
-def _clos_workload(scheduler="cycle"):
-    return NetworkSimulation(
+def _clos_workload(clock="event"):
+    return clocked(NetworkSimulation(
         NetworkConfig(radix=8, levels=2, num_vcs=2, packet_size=2, seed=7),
-        workload=all_reduce(16, size=2), scheduler=scheduler,
-        faults=FAULTS,
-    )
+        workload=all_reduce(16, size=2), faults=FAULTS,
+    ), clock)
 
 
 def _idle_clos():
     sim = NetworkSimulation(
         NetworkConfig(radix=16, levels=2, num_vcs=2, seed=11), load=1e-3,
-        scheduler="event",
     )
     sim.start_run(warmup=500, measure=6000, drain=2000)
     return sim
@@ -268,19 +265,19 @@ FIDELITY_CASES = [
     pytest.param(
         lambda s, cls=cls: _switch(cls, s), s, id=f"{cls.__name__}-{s}"
     )
-    for cls in ALL_ROUTERS for s in SCHEDULERS
+    for cls in ALL_ROUTERS for s in CLOCKS
 ] + [
     pytest.param(_faulted_clos, s, id=f"faulted-traced-clos-{s}")
-    for s in SCHEDULERS
+    for s in CLOCKS
 ] + [
     pytest.param(_stuck_switch, "cycle", id="stuck-switch"),
     pytest.param(_clos_workload, "event", id="clos-workload"),
 ]
 
 
-@pytest.mark.parametrize("build, scheduler", FIDELITY_CASES)
-def test_restore_fidelity(tmp_path, build, scheduler):
-    sim = _start(build(scheduler))
+@pytest.mark.parametrize("build, clock", FIDELITY_CASES)
+def test_restore_fidelity(tmp_path, build, clock):
+    sim = _start(build(clock))
     path = tmp_path / "cut.ckpt"
     for cut in (30, 75, 160):
         if sim.advance_run(stop_at=cut):
@@ -337,7 +334,7 @@ STREAM_BUILDS = {
         BaselineRouter, "event", workload=all_reduce(8, size=2)),
     "clos": lambda: NetworkSimulation(
         NetworkConfig(radix=8, levels=2, seed=5), load=0.4),
-    "clos-faulted-cycle": _sampled_fault_clos,
+    "clos-faulted-cycle": lambda: _sampled_fault_clos("cycle"),
     "clos-faulted-event": lambda: _sampled_fault_clos("event"),
     "clos-workload": _clos_workload,
 }
@@ -470,7 +467,7 @@ def _traced_clos_run():
     tracer = TraceCollector(capacity=100000)
     sim = NetworkSimulation(
         NetworkConfig(radix=8, levels=2, num_vcs=2, seed=3), load=0.4,
-        scheduler="event", tracer=tracer, trace_switch=(0, 0, 0),
+        tracer=tracer, trace_switch=(0, 0, 0),
     )
     result = sim.run(warmup=40, measure=120, drain=400)
     return sim, _observe(sim, tracer, result)

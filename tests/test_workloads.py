@@ -2,9 +2,10 @@
 
 The workload layer replaces the open-loop injection process with a
 message DAG, and it must obey the same contract as everything else in
-the repo: byte-identical results under the cycle stepper and the
-event-driven fast-forward scheduler, for every family (request/reply,
-collectives, trace replay), with tracing and fault plans composed in.
+the repo: byte-identical results whether the scheduler jumps idle
+spans or steps every cycle (``tests/exhaustive.py``'s
+``never_jump``), for every family (request/reply, collectives, trace
+replay), with tracing and fault plans composed in.
 These tests pin the DAG semantics (eligibility, delivery-releases,
 think time), the collective shapes (send/receive counts, acyclicity —
 property-tested), the replay parsers (CSV and Chrome round-trip), and
@@ -36,6 +37,7 @@ from repro.workloads import (
     request_reply,
     transformer_decode,
 )
+from tests.exhaustive import clocked, engine_free
 
 RESULT_FIELDS = (
     "offered_load", "avg_latency", "p99_latency", "max_latency",
@@ -71,10 +73,7 @@ def _snap(result) -> dict:
     import math
 
     snap = {f: getattr(result, f) for f in RESULT_FIELDS}
-    snap.update({
-        k: v for k, v in result.extra.items()
-        if not k.startswith("stats.engine.")
-    })
+    snap.update(engine_free(result.extra))
     # NaN (empty-sample latency) never equals itself; normalize so
     # byte-identical runs compare equal.
     return {
@@ -83,20 +82,19 @@ def _snap(result) -> dict:
     }
 
 
-def _switch_snapshot(factory, scheduler: str, seed: int = 7) -> dict:
-    sim = SwitchSimulation(
+def _switch_snapshot(factory, clock: str, seed: int = 7) -> dict:
+    sim = clocked(SwitchSimulation(
         BaselineRouter(_config(seed)), workload=factory(),
-        scheduler=scheduler,
-    )
+    ), clock)
     return _snap(sim.run_workload(max_cycles=50_000))
 
 
-def _network_snapshot(factory, scheduler: str, radix: int = 4,
+def _network_snapshot(factory, clock: str, radix: int = 4,
                       seed: int = 7, faults=None) -> dict:
     cfg = NetworkConfig(radix=radix, levels=2, num_vcs=2, packet_size=2,
                         seed=seed)
-    sim = NetworkSimulation(cfg, workload=factory(), faults=faults,
-                                scheduler=scheduler)
+    sim = clocked(NetworkSimulation(cfg, workload=factory(), faults=faults),
+                  clock)
     return _snap(sim.run_workload(max_cycles=100_000))
 
 
@@ -564,21 +562,20 @@ class TestCrossSchedulerEquivalence:
         rows = ["0,0,5,1", "400,3,6,1", "800,1,4,1"]
         sim = SwitchSimulation(
             BaselineRouter(_config()), workload=from_csv(rows, num_ranks=8),
-            scheduler="event",
         )
         sim.run_workload(max_cycles=50_000)
         assert sim._sched.cycles_skipped > 0
 
 
 class TestTraceAndReplayRoundTrip:
-    def _traced_run(self, scheduler: str):
+    def _traced_run(self, clock: str = "event"):
         from repro.trace import TraceCollector, chrome_trace_json
 
         collector = TraceCollector()
-        sim = SwitchSimulation(
+        sim = clocked(SwitchSimulation(
             BaselineRouter(_config()), workload=all_reduce(8, size=2),
-            tracer=collector, scheduler=scheduler,
-        )
+            tracer=collector,
+        ), clock)
         result = sim.run_workload(max_cycles=50_000)
         return result, chrome_trace_json(collector)
 
@@ -588,7 +585,7 @@ class TestTraceAndReplayRoundTrip:
     def test_spans_carry_flow_annotations(self):
         import json
 
-        _, text = self._traced_run("cycle")
+        _, text = self._traced_run()
         spans = [e for e in json.loads(text)["traceEvents"]
                  if e.get("ph") == "X"]
         assert spans
@@ -598,14 +595,11 @@ class TestTraceAndReplayRoundTrip:
         assert any("flow" in s["args"] for s in spans)
 
     def test_chrome_export_replays_to_completion(self):
-        result, text = self._traced_run("cycle")
+        result, text = self._traced_run()
         replayed = from_chrome_trace([text])
         assert replayed.messages == 2 * 7 * 8  # ring all-reduce on 8
         assert replayed.flits_total == 2 * replayed.messages
-        sim = SwitchSimulation(
-            BaselineRouter(_config()), workload=replayed,
-            scheduler="event",
-        )
+        sim = SwitchSimulation(BaselineRouter(_config()), workload=replayed)
         rerun = sim.run_workload(max_cycles=50_000)
         assert rerun.extra["undelivered"] == 0.0
         assert rerun.extra["stats.workload.delivered"] == float(
@@ -616,9 +610,9 @@ class TestTraceAndReplayRoundTrip:
 class TestFaultComposition:
     """A scheduled dead link measurably stretches an all-reduce."""
 
-    def _snapshot(self, scheduler: str, faults=None) -> dict:
+    def _snapshot(self, clock: str, faults=None) -> dict:
         return _network_snapshot(
-            lambda: all_reduce(16, size=2), scheduler, radix=8,
+            lambda: all_reduce(16, size=2), clock, radix=8,
             faults=faults,
         )
 
@@ -628,8 +622,8 @@ class TestFaultComposition:
         ))
 
     def test_dead_link_stretches_completion(self):
-        clean = self._snapshot("cycle")
-        faulted = self._snapshot("cycle", faults=self._plan())
+        clean = self._snapshot("event")
+        faulted = self._snapshot("event", faults=self._plan())
         assert clean["stats.workload.makespan"] == 534.0
         assert faulted["stats.workload.makespan"] == 931.0
         assert (faulted["stats.workload.makespan"]
@@ -643,11 +637,11 @@ class TestFaultComposition:
 
 class TestSourceQueueObservability:
     def test_switch_workload_reports_peak_queue(self):
-        snap = _switch_snapshot(lambda: all_to_all(8, size=2), "cycle")
+        snap = _switch_snapshot(lambda: all_to_all(8, size=2), "event")
         assert snap["stats.traffic.max_source_queue"] >= 1.0
 
     def test_network_workload_reports_peak_queue(self):
-        snap = _network_snapshot(lambda: all_reduce(4, size=2), "cycle")
+        snap = _network_snapshot(lambda: all_reduce(4, size=2), "event")
         assert "stats.traffic.max_source_queue" in snap
 
     def test_synthetic_run_reports_peak_queue(self):
