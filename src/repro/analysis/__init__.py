@@ -14,7 +14,7 @@ Determinism (every stream from :func:`repro.core.rng.derive_rng`; no
 wall clock, process-salted ``hash`` or set order feeding a decision) is
 tested, not checked here: ``tests/test_state_contracts.py`` scans the
 sources and compares runs across processes.  See
-``docs/static_analysis.md``.
+``docs/determinism_and_sanitizer.md``.
 """
 
 from ..core.errors import InvariantViolation, SimulationError, invariant

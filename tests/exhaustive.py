@@ -21,7 +21,12 @@ constructed simulation, with no hook in ``src/``:
 :func:`never_jump` is the narrower oracle for the scheduler's one
 remaining skip, the fast-forward over spans in which everything is
 parked: it keeps every other skip and only makes the clock step
-through every cycle.
+through every cycle.  Every other differential runs on the one clock
+``src/`` has, the jumping one; the jump itself is compared against
+:func:`never_jump` in ``test_event_scheduler.py`` (and in a few
+explicit checks beside the features it crosses: the goldens, the
+workload families, the hierarchical crossbar's sanitized runs, the
+counted hot path).
 
 Apply either before the first cycle runs.  Oracle runs are neither
 sanitized (the sanitizer audits the very indices this replaces) nor
@@ -31,7 +36,15 @@ active-set speedup floors in ``benchmarks/test_perf_simulator.py`` all
 compare against this one module.
 """
 
+import math
+
 from repro.network.netsim import NetworkSimulation
+
+#: The result-row fields every differential compares.
+ROW = (
+    "offered_load", "avg_latency", "p99_latency", "max_latency",
+    "throughput", "packets_measured", "cycles", "saturated",
+)
 
 
 class AlwaysActive:
@@ -97,22 +110,19 @@ def never_jump(sim):
     return sim
 
 
-#: The clocks a differential test runs: ``"event"`` is the simulation
-#: as built, which jumps idle spans, and ``"cycle"`` is the same
-#: simulation under :func:`never_jump`.
-CLOCKS = ("cycle", "event")
-
-
-def clocked(sim, clock):
-    """``sim`` on ``clock``, one of :data:`CLOCKS`; returns ``sim``."""
-    if clock not in CLOCKS:
-        raise ValueError(f"unknown clock {clock!r}")
-    return never_jump(sim) if clock == "cycle" else sim
-
-
 def engine_free(extra):
     """``extra`` without the ``stats.engine.*`` counters, which count
     what the schedule skipped and so are the one legitimate difference
     between a run and either oracle."""
     return {k: v for k, v in extra.items()
             if not k.startswith("stats.engine.")}
+
+
+def row(result):
+    """``result``'s :data:`ROW` fields as a dict.  A window in which no
+    labeled packet arrives reports NaN latencies, and NaN never equals
+    itself: it reads as None, so two such rows compare equal when every
+    field matches."""
+    values = {name: getattr(result, name) for name in ROW}
+    return {name: None if isinstance(v, float) and math.isnan(v) else v
+            for name, v in values.items()}

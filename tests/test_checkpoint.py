@@ -6,9 +6,8 @@ and finishes the loaded simulation.  The resumed
 result must equal the straight-through result *exactly* — same
 :class:`~repro.harness.stats.RunResult` (tuple equality covers every
 metric) and same ``stats.*`` extras — for random seeds, loads, and
-split points, across every switch organization, the Clos network,
-jumping and never-jump clocks, and with fault injection and
-dependency-driven workloads in the mix.
+split points, across every switch organization and the Clos network,
+with fault injection and dependency-driven workloads in the mix.
 
 Hypothesis supplies the randomized coordinates; the deterministic
 parametrized tests pin every organization so a regression names the
@@ -42,7 +41,6 @@ from repro.routers import (
 )
 from repro.trace import TraceCollector, chrome_trace_json
 from repro.workloads import all_reduce
-from tests.exhaustive import CLOCKS, clocked
 
 ALL_ROUTERS = [
     BaselineRouter,
@@ -89,14 +87,14 @@ relaxed = settings(
 
 
 def _switch_sim(router_cls, seed, load, plan, workload=None,
-                traced=False, clock="event"):
+                traced=False):
     cfg = RouterConfig(radix=8, num_vcs=2, subswitch_size=4,
                        local_group_size=4, seed=seed)
-    return clocked(SwitchSimulation(
+    return SwitchSimulation(
         router_cls(cfg), load=load, seed=seed,
         faults=plan, workload=workload,
         tracer=TraceCollector() if traced else None,
-    ), clock)
+    )
 
 
 def _outcome(sim, result):
@@ -146,25 +144,21 @@ class TestSwitchRoundTrip:
         assert got == expect
 
     @pytest.mark.parametrize("router_cls, plan, traced", SWITCH_CASES)
-    @pytest.mark.parametrize("clock", CLOCKS)
-    def test_every_organization(self, tmp_path, router_cls, plan, traced,
-                                clock):
+    def test_every_organization(self, tmp_path, router_cls, plan, traced):
         path = tmp_path / "switch.ckpt"
         expect, got = _roundtrip(
-            lambda: _switch_sim(router_cls, 7, 0.4, plan, traced=traced,
-                                clock=clock),
+            lambda: _switch_sim(router_cls, 7, 0.4, plan, traced=traced),
             lambda sim: sim.start_run(FAST),
             111, path,
         )
         assert got == expect
 
-    @pytest.mark.parametrize("clock", CLOCKS)
-    def test_workload_run(self, tmp_path, clock):
+    def test_workload_run(self, tmp_path):
         path = tmp_path / "switch.ckpt"
         expect, got = _roundtrip(
             lambda: _switch_sim(
                 BaselineRouter, 3, 0.0, None,
-                workload=all_reduce(8, size=2), clock=clock,
+                workload=all_reduce(8, size=2),
             ),
             lambda sim: sim.start_workload_run(max_cycles=20000),
             60, path,
@@ -400,8 +394,7 @@ class TestNetworkRoundTrip:
         assert got == expect
 
     @pytest.mark.parametrize("case", ["workload", "traced-dead-links"])
-    @pytest.mark.parametrize("clock", CLOCKS)
-    def test_fixed_split(self, tmp_path, case, clock):
+    def test_fixed_split(self, tmp_path, case):
         """A workload run, and a traced run across two dead links (one
         dies before the cut and heals after it) with corruption and
         credit loss."""
@@ -409,9 +402,9 @@ class TestNetworkRoundTrip:
         path = tmp_path / "net.ckpt"
         if case == "workload":
             def build():
-                return clocked(NetworkSimulation(
+                return NetworkSimulation(
                     cfg, workload=all_reduce(16, size=2),
-                ), clock)
+                )
 
             def start(sim):
                 sim.start_workload_run(max_cycles=20000)
@@ -423,10 +416,10 @@ class TestNetworkRoundTrip:
             )
 
             def build():
-                return clocked(NetworkSimulation(
+                return NetworkSimulation(
                     cfg, load=0.3, faults=plan,
                     tracer=TraceCollector(), trace_switch=(0, 0, 0),
-                ), clock)
+                )
 
             def start(sim):
                 sim.start_run(warmup=60, measure=120, drain=500)

@@ -27,8 +27,9 @@ from repro.routers.distributed import DistributedRouter
 from repro.routers.hierarchical import HierarchicalCrossbarRouter
 from repro.routers.shared_buffer import SharedBufferCrossbarRouter
 from repro.routers.voq import VoqRouter
+from repro.trace import TraceCollector, chrome_trace_json
 
-from tests.exhaustive import clocked, engine_free
+from tests.exhaustive import engine_free, never_jump, row
 
 ROUTERS = {
     "baseline": BaselineRouter,
@@ -47,49 +48,28 @@ def _config(seed: int = 7) -> RouterConfig:
                         local_group_size=4, seed=seed)
 
 
-def _normalize(snap: dict) -> dict:
-    # A zero-packet measurement window reports NaN latencies; NaN
-    # never compares equal to itself, so map it to None to keep the
-    # snapshot equality meaningful for such runs.
-    import math
-
-    return {
-        k: None if isinstance(v, float) and math.isnan(v) else v
-        for k, v in snap.items()
-    }
+def _with_jump(sim, jump: bool):
+    """``sim`` as built (it jumps idle spans), or under ``never_jump``."""
+    return sim if jump else never_jump(sim)
 
 
-def _switch_snapshot(arch: str, clock: str, load: float = 0.2,
+def _switch_snapshot(arch: str, jump: bool = True, load: float = 0.2,
                      seed: int = 7, faults=None) -> dict:
-    sim = clocked(SwitchSimulation(
+    sim = _with_jump(SwitchSimulation(
         ROUTERS[arch](_config(seed)), load=load, packet_size=2,
         faults=faults,
-    ), clock)
+    ), jump)
     result = sim.run(SETTINGS)
-    snap = {
-        f: getattr(result, f)
-        for f in ("offered_load", "avg_latency", "p99_latency",
-                  "max_latency", "throughput", "packets_measured",
-                  "cycles", "saturated")
-    }
-    snap.update(engine_free(result.extra))
-    return _normalize(snap)
+    return {**row(result), **engine_free(result.extra)}
 
 
-def _network_snapshot(clock: str, load: float = 0.2,
+def _network_snapshot(jump: bool = True, load: float = 0.2,
                       seed: int = 7, faults=None) -> dict:
     cfg = NetworkConfig(radix=4, levels=2, num_vcs=2, packet_size=2,
                         seed=seed)
-    sim = clocked(NetworkSimulation(cfg, load, faults=faults), clock)
+    sim = _with_jump(NetworkSimulation(cfg, load, faults=faults), jump)
     result = sim.run(warmup=150, measure=250, drain=3000)
-    snap = {
-        f: getattr(result, f)
-        for f in ("offered_load", "avg_latency", "p99_latency",
-                  "max_latency", "throughput", "packets_measured",
-                  "cycles", "saturated")
-    }
-    snap.update(engine_free(result.extra))
-    return _normalize(snap)
+    return {**row(result), **engine_free(result.extra)}
 
 
 class TestSwitchEquivalence:
@@ -97,8 +77,7 @@ class TestSwitchEquivalence:
 
     @pytest.mark.parametrize("arch", sorted(ROUTERS))
     def test_results_identical(self, arch):
-        assert (_switch_snapshot(arch, "cycle")
-                == _switch_snapshot(arch, "event"))
+        assert _switch_snapshot(arch, jump=False) == _switch_snapshot(arch)
 
     def test_low_load_actually_fast_forwards(self):
         sim = SwitchSimulation(
@@ -108,12 +87,12 @@ class TestSwitchEquivalence:
         assert sim._sched.cycles_skipped > 0
         assert sim._sched.ff_jumps > 0
 
-    def test_cycle_mode_never_skips(self):
-        """The "cycle" clock (``never_jump``) does what it claims: it
-        steps every cycle."""
-        sim = clocked(SwitchSimulation(
+    def test_never_jump_never_skips(self):
+        """The oracle ``never_jump`` does what it claims: it steps
+        every cycle."""
+        sim = never_jump(SwitchSimulation(
             HierarchicalCrossbarRouter(_config()), load=0.02,
-        ), "cycle")
+        ))
         result = sim.run(SETTINGS)
         assert sim._sched.cycles_skipped == 0
         assert result.extra["stats.engine.cycles_skipped"] == 0.0
@@ -133,18 +112,18 @@ class TestSwitchEquivalence:
 
     def test_identical_under_fault_plan(self):
         plan = FaultPlan(corrupt_rate=0.02, credit_loss_rate=0.01)
-        assert (_switch_snapshot("buffered", "cycle", faults=plan)
-                == _switch_snapshot("buffered", "event", faults=plan))
+        assert (_switch_snapshot("buffered", jump=False, faults=plan)
+                == _switch_snapshot("buffered", faults=plan))
 
 
 class TestNetworkEquivalence:
     def test_results_identical(self):
-        assert _network_snapshot("cycle") == _network_snapshot("event")
+        assert _network_snapshot(jump=False) == _network_snapshot()
 
     def test_identical_under_fault_plan(self):
         plan = FaultPlan(corrupt_rate=0.02, credit_loss_rate=0.01)
-        assert (_network_snapshot("cycle", load=0.1, faults=plan)
-                == _network_snapshot("event", load=0.1, faults=plan))
+        assert (_network_snapshot(jump=False, load=0.1, faults=plan)
+                == _network_snapshot(load=0.1, faults=plan))
 
     def test_low_load_actually_fast_forwards(self):
         cfg = NetworkConfig(radix=4, levels=2, num_vcs=2)
@@ -154,27 +133,41 @@ class TestNetworkEquivalence:
 
 
 class TestTraceEquivalence:
-    """Fast-forward must be invisible in the exported Chrome trace."""
+    """Fast-forward must be invisible in the exported Chrome trace and
+    to every ``cycle_end`` subscriber: a jump replays the skipped
+    span's cycle hooks."""
 
-    def _chrome_bytes(self, clock, load=0.1, seed=9):
-        from repro.trace import TraceCollector, chrome_trace_json
-
+    def _traced(self, jump, load=0.1, seed=9, sanitize=False):
+        """Chrome bytes, the collector's ``cycle_end`` count and, when
+        sanitized, the sanitizer's checks (one per ``cycle_end``); and
+        the cycles the run jumped."""
         collector = TraceCollector()
-        sim = clocked(SwitchSimulation(
+        sim = _with_jump(SwitchSimulation(
             HierarchicalCrossbarRouter(_config(seed)), load=load,
-            tracer=collector,
-        ), clock)
+            tracer=collector, sanitize=sanitize,
+        ), jump)
         sim.run(SETTINGS)
-        return chrome_trace_json(collector)
+        checks = sim.sanitizer.checks_run if sanitize else None
+        observed = chrome_trace_json(collector), collector.cycles, checks
+        return observed, sim._sched.cycles_skipped
 
     def test_trace_byte_identical(self):
-        assert self._chrome_bytes("cycle") == self._chrome_bytes("event")
+        assert self._traced(False)[0] == self._traced(True)[0]
 
     def test_trace_byte_identical_at_low_load(self):
         # Low load maximizes skipped spans; the replayed cycle hooks
         # must keep the collector's cycle accounting identical.
-        assert (self._chrome_bytes("cycle", load=0.02)
-                == self._chrome_bytes("event", load=0.02))
+        assert (self._traced(False, load=0.02)[0]
+                == self._traced(True, load=0.02)[0])
+
+    def test_sanitized_run_at_low_load(self):
+        """The sanitizer audits at every ``cycle_end``, so a jump that
+        replayed no hook event would run fewer checks."""
+        expect, _ = self._traced(False, load=0.02, sanitize=True)
+        assert expect[2] == expect[1] > 0
+        observed, skipped = self._traced(True, load=0.02, sanitize=True)
+        assert skipped > 0
+        assert observed == expect
 
 
 class TestPropertyEquivalence:
@@ -187,8 +180,8 @@ class TestPropertyEquivalence:
         load=st.sampled_from([0.02, 0.1, 0.3, 0.6]),
     )
     def test_switch_stats_identical(self, arch, seed, load):
-        assert (_switch_snapshot(arch, "cycle", load=load, seed=seed)
-                == _switch_snapshot(arch, "event", load=load, seed=seed))
+        assert (_switch_snapshot(arch, jump=False, load=load, seed=seed)
+                == _switch_snapshot(arch, load=load, seed=seed))
 
     @settings(max_examples=6, deadline=None)
     @given(
@@ -196,8 +189,8 @@ class TestPropertyEquivalence:
         load=st.sampled_from([0.02, 0.15, 0.4]),
     )
     def test_network_stats_identical(self, seed, load):
-        assert (_network_snapshot("cycle", load=load, seed=seed)
-                == _network_snapshot("event", load=load, seed=seed))
+        assert (_network_snapshot(jump=False, load=load, seed=seed)
+                == _network_snapshot(load=load, seed=seed))
 
 
 class TestArrivalQueue:
@@ -209,11 +202,11 @@ class TestArrivalQueue:
     CFG = dict(radix=4, levels=2, num_vcs=2, seed=13)
     LOAD = 0.02
 
-    def _packets(self, clock, stages):
+    def _packets(self, jump, stages):
         """Every generated packet as (cycle, host, dest), driven
         through ``run_until`` in the given stages."""
-        sim = clocked(NetworkSimulation(NetworkConfig(**self.CFG), self.LOAD),
-                      clock)
+        sim = _with_jump(
+            NetworkSimulation(NetworkConfig(**self.CFG), self.LOAD), jump)
         packets = []
         generate = sim._generate_packet
 
@@ -229,14 +222,14 @@ class TestArrivalQueue:
     def test_stage_edges_on_arrival_cycles(self):
         """A stage that ends just before, on, or just after an arrival
         cycle neither loses nor repeats it, jumping or not."""
-        expect = self._packets("cycle", (2000,))
+        expect = self._packets(False, (2000,))
         hit = expect[0][4][0]
         assert 8 < hit < 1000 and len(expect[0]) > 20
         for stages in ((hit, 2000), (hit + 1, 2000), (hit - 1, hit, 2000),
                        (1, hit, hit + 1, 2 * hit, 2000)):
-            for clock in ("cycle", "event"):
-                assert self._packets(clock, stages) == expect, (
-                    clock, stages)
+            for jump in (False, True):
+                assert self._packets(jump, stages) == expect, (
+                    jump, stages)
 
     @pytest.mark.parametrize("rate", [1e-4, 3e-4], ids=["1e-4", "3e-4"])
     def test_idle_rate_is_identical_and_fast_forwarded(self, rate):
@@ -249,20 +242,20 @@ class TestArrivalQueue:
 
         load = rate * cfg.flit_cycles * cfg.packet_size
 
-        def run(clock):
-            sim = clocked(NetworkSimulation(cfg, load), clock)
+        def run(jump):
+            sim = _with_jump(NetworkSimulation(cfg, load), jump)
             result = sim.run(warmup=2000, measure=40000, drain=3000)
             assert result.packets_measured > 40
             return sim, result
 
-        cycle, expect = run("cycle")
-        event, result = run("event")
+        stepped, expect = run(False)
+        jumped, result = run(True)
         assert result.extra["stats.engine.cycles_skipped"] > 0.8 * result.cycles
         assert (replace(result, extra=engine_free(result.extra))
                 == replace(expect, extra=engine_free(expect.extra)))
-        assert ([s.getstate() for s in event.arrivals.streams]
-                == [s.getstate() for s in cycle.arrivals.streams])
-        assert event.arrivals.queued() == cycle.arrivals.queued()
+        assert ([s.getstate() for s in jumped.arrivals.streams]
+                == [s.getstate() for s in stepped.arrivals.streams])
+        assert jumped.arrivals.queued() == stepped.arrivals.queued()
 
     def test_draws_track_arrivals(self):
         """Two draws per arrival once built (its destination, then the
@@ -304,16 +297,16 @@ class TestArrivalQueue:
 
 
 class TestWorkloadRuns:
-    """The two sanitized workload runs CI once printed under both
-    clocks and diffed, at CI's sizes and the ``repro.cli workload``
+    """The two sanitized workload runs CI once printed jumping and
+    never jumping and diffed, at CI's sizes and the ``repro.cli workload``
     defaults (4 VCs, seed 1, gap 8): the decode DAG with credit loss on
     a radix-16 Clos, and an all-to-all over every host pair of a
     three-level radix-8 Clos (routes climb to all three levels)."""
 
     @staticmethod
-    def _outcome(clock, config, workload, faults=None):
-        sim = clocked(NetworkSimulation(config, workload=workload,
-                                        faults=faults), clock)
+    def _outcome(jump, config, workload, faults=None):
+        sim = _with_jump(NetworkSimulation(config, workload=workload,
+                                         faults=faults), jump)
         result = sim.run_workload(max_cycles=1_000_000)
         assert result.extra["undelivered"] == 0.0
         return repr(result.row()), result.cycles, engine_free(result.extra)
@@ -321,24 +314,24 @@ class TestWorkloadRuns:
     def test_decode_with_credit_loss(self):
         from repro.workloads import transformer_decode
 
-        def outcome(clock):
+        def outcome(jump):
             return self._outcome(
-                clock, NetworkConfig(radix=16, levels=2, num_vcs=4, seed=1),
+                jump, NetworkConfig(radix=16, levels=2, num_vcs=4, seed=1),
                 transformer_decode(32, layers=1, steps=1, size=4, gap=8),
                 FaultPlan(credit_loss_rate=0.01),
             )
 
-        expect = outcome("cycle")
+        expect = outcome(False)
         assert expect[2]["stats.faults.credit_lost"] > 0
-        assert outcome("event") == expect
+        assert outcome(True) == expect
 
     def test_three_level_alltoall(self):
         from repro.workloads import all_to_all
 
-        def outcome(clock):
+        def outcome(jump):
             return self._outcome(
-                clock, NetworkConfig(radix=8, levels=3, num_vcs=4, seed=1),
+                jump, NetworkConfig(radix=8, levels=3, num_vcs=4, seed=1),
                 all_to_all(64, size=2),
             )
 
-        assert outcome("event") == outcome("cycle")
+        assert outcome(True) == outcome(False)

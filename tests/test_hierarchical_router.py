@@ -12,7 +12,7 @@ from repro.core.flit import make_packet
 from repro.faults import FaultPlan, StuckFault
 from repro.harness.experiment import SwitchSimulation, SweepSettings
 from repro.routers.hierarchical import HierarchicalCrossbarRouter
-from tests.exhaustive import CLOCKS, clocked, engine_free
+from tests.exhaustive import engine_free, never_jump, row
 from repro.trace import TraceCollector, chrome_trace_json
 from repro.traffic.patterns import (
     Hotspot,
@@ -291,13 +291,14 @@ def _scenarios(draw):
     )
 
 
-def _build(scenario, clock, sanitize):
-    return clocked(SwitchSimulation(
+def _build(scenario, jump, sanitize):
+    sim = SwitchSimulation(
         HierarchicalCrossbarRouter(scenario["config"]),
         load=scenario["load"], packet_size=scenario["packet_size"],
         pattern=scenario["pattern"], faults=scenario["faults"],
         sanitize=sanitize,
-    ), clock)
+    )
+    return sim if jump else never_jump(sim)
 
 
 def _comparable(result):
@@ -310,19 +311,17 @@ def _comparable(result):
 class TestOccupancyIndexedHotPath:
     @settings(max_examples=10, deadline=None)
     @given(scenario=_scenarios())
-    def test_sanitized_run_survives_restore_under_both_schedulers(
-        self, scenario
-    ):
+    def test_sanitized_run_survives_restore_jumping_or_not(self, scenario):
         """A sanitized run (every index audited every cycle) and a twin
         that is pickled mid-run and loaded back agree exactly, jumping
         idle spans and stepping every cycle."""
         outcomes = []
-        for clock in CLOCKS:
-            checked = _build(scenario, clock, sanitize=True)
+        for jump in (False, True):
+            checked = _build(scenario, jump, sanitize=True)
             expect = checked.run(PROPERTY_RUN)
             assert checked.sanitizer.checks_run > 0
 
-            first = _build(scenario, clock, sanitize=False)
+            first = _build(scenario, jump, sanitize=False)
             first.start_run(PROPERTY_RUN)
             done = first.advance_run(stop_at=scenario["restore_at"])
             resumed = pickle.loads(pickle.dumps(first))
@@ -335,7 +334,7 @@ class TestOccupancyIndexedHotPath:
             if not done:
                 assert resumed.advance_run()
             got = resumed.finish_run()
-            assert got == expect
+            assert row(got) == row(expect)
             assert got.extra == expect.extra
             outcomes.append(_comparable(got))
         assert outcomes[0] == outcomes[1]

@@ -40,8 +40,8 @@ def _polled(queue, end):
 
 
 def _jumped(queue, before):
-    """Pop ``queue`` only on the cycles it reports due, as event mode
-    does, up to (not including) ``before``."""
+    """Pop ``queue`` only on the cycles it reports due, as a jumping
+    run does, up to (not including) ``before``."""
     generated = []
     while queue.next_due() is not None and queue.next_due() < before:
         now = queue.next_due()

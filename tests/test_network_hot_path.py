@@ -16,17 +16,7 @@ from repro.faults import FaultPlan, LinkFault
 from repro.network.netsim import NetworkConfig, NetworkSimulation
 from repro.network.router import NetworkRouter
 from repro.trace import TraceCollector, chrome_trace_json
-from tests.exhaustive import clocked, exhaustive
-
-
-ROW = (
-    "offered_load", "avg_latency", "p99_latency", "max_latency",
-    "throughput", "packets_measured", "cycles", "saturated",
-)
-
-
-def _row(result):
-    return {name: getattr(result, name) for name in ROW}
+from tests.exhaustive import exhaustive, row
 
 
 class TestParentPinnedDigest:
@@ -46,7 +36,7 @@ class TestParentPinnedDigest:
         assert result.cycles == 183
         assert tracer.grants > 700
         digest = hashlib.sha256()
-        digest.update(repr(sorted(_row(result).items())).encode())
+        digest.update(repr(sorted(row(result).items())).encode())
         digest.update(repr(sorted(result.extra.items())).encode())
         digest.update(chrome_trace_json(tracer).encode())
         digest.update(repr(tracer.records(completed_only=False)).encode())
@@ -56,7 +46,7 @@ class TestParentPinnedDigest:
         )
 
 
-def _observe(radix, num_vcs, clock, load, oracle):
+def _observe(radix, num_vcs, load, oracle):
     """One faulted, traced run: two dead links, credit loss,
     host-channel corruption, and two input VCs of the traced leaf
     wedged from cycle 0 until a pause at cycle 100."""
@@ -72,9 +62,9 @@ def _observe(radix, num_vcs, clock, load, oracle):
         ),
     )
     tracer = TraceCollector(capacity=100000)
-    sim = clocked(NetworkSimulation(
+    sim = NetworkSimulation(
         config, load=load, faults=plan, tracer=tracer, trace_switch=leaf,
-    ), clock)
+    )
     if oracle:
         exhaustive(sim)
     wedged = sim.routers[leaf]
@@ -99,15 +89,12 @@ class TestIndexedEqualsExhaustive:
     cycle and never consults ``_occupied``: the oracle for the skip
     rule, under the faults that hold flits in place."""
 
-    # "cycle" runs the indexed side under never_jump; the oracle
-    # never jumps either way.
-    @pytest.mark.parametrize("radix, num_vcs, clock, load", [
-        (64, 4, "cycle", 0.3), (64, 4, "event", 0.1),
-        (16, 2, "cycle", 0.3), (16, 2, "event", 0.3),
+    @pytest.mark.parametrize("radix, num_vcs, load", [
+        (64, 4, 0.3), (64, 4, 0.1), (16, 2, 0.3),
     ])
-    def test_faulted_traced_run(self, radix, num_vcs, clock, load):
-        indexed = _observe(radix, num_vcs, clock, load, oracle=False)
-        oracle = _observe(radix, num_vcs, clock, load, oracle=True)
+    def test_faulted_traced_run(self, radix, num_vcs, load):
+        indexed = _observe(radix, num_vcs, load, oracle=False)
+        oracle = _observe(radix, num_vcs, load, oracle=True)
         result, extra, paused, faults, chrome, records = indexed
         assert paused == oracle[2] == 100
         assert result == oracle[0]
@@ -121,7 +108,7 @@ class TestIndexedEqualsExhaustive:
         """Port 1 never enters ``_occupied``, so allocation skips it
         while it holds flits.  The oracle ignores the index and runs as
         before; the indexed run must differ from it."""
-        oracle = _observe(16, 2, "cycle", 0.3, oracle=True)
+        oracle = _observe(16, 2, 0.3, oracle=True)
         accept = NetworkRouter.accept
 
         def unindexed(self, port, flit):
@@ -130,5 +117,5 @@ class TestIndexedEqualsExhaustive:
                 self._occupied.discard(1)
 
         monkeypatch.setattr(NetworkRouter, "accept", unindexed)
-        assert _observe(16, 2, "cycle", 0.3, oracle=True) == oracle
-        assert _observe(16, 2, "cycle", 0.3, oracle=False) != oracle
+        assert _observe(16, 2, 0.3, oracle=True) == oracle
+        assert _observe(16, 2, 0.3, oracle=False) != oracle

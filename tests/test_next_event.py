@@ -5,9 +5,9 @@ next cycle it must run: that cycle keeps it awake, a later one puts it
 to sleep until then (or until an earlier wake), and None parks it.
 Sleeping skips cycles on which a component still holds work, so an
 answer that comes late corrupts the run.  These tests compare every
-organization and the Clos, jumping and never jumping, against the
-exhaustive oracle (``tests/exhaustive.py`` pins ``next_event`` to the
-cycle asked about), and check that the runs really reach the states
+organization and the Clos against the exhaustive oracle
+(``tests/exhaustive.py`` pins ``next_event`` to the cycle asked
+about), and check that the runs really reach the states
 the probe exists for: a router whose occupied inputs are all still
 serializing, and one whose flits have drained while credits or VC
 releases are still in flight.
@@ -31,12 +31,7 @@ from repro.routers import (
     VoqRouter,
 )
 from repro.trace import TraceCollector, chrome_trace_json
-from tests.exhaustive import CLOCKS, clocked, engine_free, exhaustive
-
-ROW = (
-    "offered_load", "avg_latency", "p99_latency", "max_latency",
-    "throughput", "packets_measured", "cycles", "saturated",
-)
+from tests.exhaustive import engine_free, exhaustive, row
 
 ALL_ROUTERS = [
     BaselineRouter,
@@ -70,39 +65,36 @@ def _slept(log):
             if entry[1] is not None and entry[1] > entry[0]]
 
 
-def _switch(router_cls, clock, oracle):
+def _switch(router_cls, oracle):
     """Radix 8 at a load that empties the router now and then, with a
     credit return slow enough to outlast the flits that sent it, and
     credit loss: a dropped credit's fault event and resync carry the
     cycle it was due on."""
     tracer = TraceCollector()
-    sim = clocked(SwitchSimulation(
+    sim = SwitchSimulation(
         router_cls(RouterConfig(radix=8, num_vcs=2, subswitch_size=4,
                                 local_group_size=4, credit_latency=12,
                                 seed=5)),
         load=0.05, packet_size=2, tracer=tracer,
         faults=FaultPlan(credit_loss_rate=0.2),
-    ), clock)
+    )
     log = [] if oracle else _record_answers(sim)
     if oracle:
         exhaustive(sim)
     result = sim.run(SweepSettings(warmup=60, measure=200, drain=600))
-    observed = ({name: getattr(result, name) for name in ROW},
-                engine_free(result.extra),
+    observed = (row(result), engine_free(result.extra),
                 list(tracer.fault_events), chrome_trace_json(tracer))
     return observed, log, sim._sched
 
 
 class TestSwitchSleepEqualsExhaustive:
-    """Every organization, jumping and never jumping: the schedule that
-    sleeps and parks reproduces the step-everything oracle byte for
-    byte."""
+    """Every organization: the schedule that sleeps, parks and jumps
+    reproduces the step-everything oracle byte for byte."""
 
-    @pytest.mark.parametrize("clock", CLOCKS)
     @pytest.mark.parametrize("router_cls", ALL_ROUTERS)
-    def test_rows_extras_and_trace(self, router_cls, clock):
-        plain, log, sched = _switch(router_cls, clock, oracle=False)
-        oracle, _, reference = _switch(router_cls, clock, oracle=True)
+    def test_rows_extras_and_trace(self, router_cls):
+        plain, log, sched = _switch(router_cls, oracle=False)
+        oracle, _, reference = _switch(router_cls, oracle=True)
         assert plain == oracle
         assert sched.component_steps < reference.component_steps
         assert log
@@ -115,7 +107,7 @@ class TestSwitchSleepEqualsExhaustive:
         """With no flit resident, credits still on their way back are
         the crossbar's only work: it sleeps until the first is due
         instead of stepping every cycle until they land."""
-        _, log, _ = _switch(router_cls, "cycle", oracle=False)
+        _, log, _ = _switch(router_cls, oracle=False)
         assert _slept(log)
 
 
@@ -130,7 +122,7 @@ def _router_state(router):
     )
 
 
-def _clos(clock, oracle):
+def _clos(oracle):
     """Radix-8 Clos with a stuck input VC (wedged until cycle 150), a
     dead link, credit loss and a three-cycle credit return."""
     config = NetworkConfig(radix=8, levels=2, num_vcs=2, credit_latency=3,
@@ -140,9 +132,8 @@ def _clos(clock, oracle):
         links=(LinkFault(cycle=20, switch=(0, 1, 0), port=5, until=140),),
     )
     tracer = TraceCollector(capacity=100000)
-    sim = clocked(NetworkSimulation(config, load=0.35, faults=plan,
-                                    tracer=tracer, trace_switch=(0, 0, 0)),
-                  clock)
+    sim = NetworkSimulation(config, load=0.35, faults=plan, tracer=tracer,
+                            trace_switch=(0, 0, 0))
     log = [] if oracle else _record_answers(sim, _router_state)
     if oracle:
         exhaustive(sim)
@@ -154,17 +145,16 @@ def _clos(clock, oracle):
     assert sim.advance_run()
     result = sim.finish_run()
     observed = (
-        {name: getattr(result, name) for name in ROW}, result.extra,
+        row(result), result.extra,
         chrome_trace_json(tracer), repr(tracer.records(completed_only=False)),
     )
     return observed, log, sim._sched
 
 
 class TestClosSleepEqualsExhaustive:
-    @pytest.mark.parametrize("clock", CLOCKS)
-    def test_faulted_run(self, clock):
-        plain, log, sched = _clos(clock, oracle=False)
-        oracle, _, reference = _clos(clock, oracle=True)
+    def test_faulted_run(self):
+        plain, log, sched = _clos(oracle=False)
+        oracle, _, reference = _clos(oracle=True)
         # The engine extras count fast-forward, which the oracle never
         # takes; everything else must match.
         assert plain[0] == oracle[0]
@@ -179,7 +169,7 @@ class TestClosSleepEqualsExhaustive:
         serializing) and with none (only credits or VC releases in
         flight); before ``next_event`` was the parking probe, no run
         asked it in either state."""
-        _, log, _ = _clos("cycle", oracle=False)
+        _, log, _ = _clos(oracle=False)
         serializing = drained = 0
         for now, answer, (resident, frees, pending) in _slept(log):
             if resident:

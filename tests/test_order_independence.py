@@ -16,7 +16,6 @@ xfails, so the fix for that race has to remove the marks.
 """
 
 import functools
-import math
 
 import pytest
 
@@ -36,17 +35,12 @@ from repro.routers import (
 from repro.routers.base import Router
 from repro.trace import TraceCollector, chrome_trace_json
 from repro.workloads import all_reduce
-from tests.exhaustive import CLOCKS, clocked
+from tests.exhaustive import row
 from tests.perturb import (
     EventRecord,
     over_poll,
     shuffle_commit,
     shuffle_compute,
-)
-
-ROW = (
-    "offered_load", "avg_latency", "p99_latency", "max_latency",
-    "throughput", "packets_measured", "cycles", "saturated",
 )
 
 CLOS = {
@@ -78,22 +72,20 @@ def _observe(sim, tracer, run):
     None), Chrome-trace bytes and the hook-event stream's digest."""
     record = EventRecord(sim)
     result = run(sim)
-    row = {name: getattr(result, name) for name in ROW}
-    row = {k: None if isinstance(v, float) and math.isnan(v) else v
-           for k, v in row.items()}
-    return row, result.extra, chrome_trace_json(tracer), record.hexdigest()
+    return (row(result), result.extra, chrome_trace_json(tracer),
+            record.hexdigest())
 
 
-def _clos(name, clock, perturb=_unperturbed):
+def _clos(name, perturb=_unperturbed):
     config, load = CLOS[name]
     tracer = TraceCollector(capacity=100000)
-    sim = clocked(NetworkSimulation(NetworkConfig(**config), load=load,
-                                    tracer=tracer), clock)
+    sim = NetworkSimulation(NetworkConfig(**config), load=load,
+                            tracer=tracer)
     return _observe(perturb(sim), tracer,
                     lambda s: s.run(**CLOS_WINDOW))
 
 
-def _faulted_clos(clock, perturb=_unperturbed):
+def _faulted_clos(perturb=_unperturbed):
     """Radix 16 with host-channel corruption, credit loss and two dead
     links, traced at a leaf."""
     plan = FaultPlan(
@@ -105,38 +97,38 @@ def _faulted_clos(clock, perturb=_unperturbed):
         ),
     )
     tracer = TraceCollector(capacity=100000)
-    sim = clocked(NetworkSimulation(
+    sim = NetworkSimulation(
         NetworkConfig(radix=16, levels=2, num_vcs=2, seed=11), load=0.3,
         faults=plan, tracer=tracer, trace_switch=(0, 0, 0),
-    ), clock)
+    )
     return _observe(perturb(sim), tracer,
                     lambda s: s.run(warmup=40, measure=200, drain=600))
 
 
-def _switch(router_cls, clock, perturb=_unperturbed):
+def _switch(router_cls, perturb=_unperturbed):
     tracer = TraceCollector()
-    sim = clocked(SwitchSimulation(router_cls(RouterConfig(radix=16, seed=5)),
-                                   load=0.7, tracer=tracer), clock)
+    sim = SwitchSimulation(router_cls(RouterConfig(radix=16, seed=5)),
+                           load=0.7, tracer=tracer)
     return _observe(perturb(sim), tracer, lambda s: s.run(
         SweepSettings(warmup=40, measure=120, drain=400)))
 
 
-def _switch_workload(clock, perturb=_unperturbed):
+def _switch_workload(perturb=_unperturbed):
     tracer = TraceCollector()
-    sim = clocked(SwitchSimulation(
+    sim = SwitchSimulation(
         BaselineRouter(RouterConfig(radix=8, seed=7)),
         workload=all_reduce(8, size=2), tracer=tracer,
-    ), clock)
+    )
     return _observe(perturb(sim), tracer,
                     lambda s: s.run_workload(max_cycles=50_000))
 
 
-def _clos_workload(clock, perturb=_unperturbed):
+def _clos_workload(perturb=_unperturbed):
     tracer = TraceCollector()
-    sim = clocked(NetworkSimulation(
+    sim = NetworkSimulation(
         NetworkConfig(radix=8, levels=2, num_vcs=2, packet_size=2, seed=7),
         workload=all_reduce(16, size=2), tracer=tracer,
-    ), clock)
+    )
     return _observe(perturb(sim), tracer,
                     lambda s: s.run_workload(max_cycles=100_000))
 
@@ -155,10 +147,6 @@ def _both(sim):
     return over_poll(shuffle_compute(sim, 1))
 
 
-ON_BOTH_CLOCKS = pytest.mark.parametrize("clock", CLOCKS)
-
-
-@ON_BOTH_CLOCKS
 class TestComputeOrder:
     """``compute`` only stages intents, so running a cycle's computes in
     any order reproduces everything, interleaved hook stream included."""
@@ -168,45 +156,36 @@ class TestComputeOrder:
         ("r8-l2-0.9", 1), ("r8-l2-0.9", 2), ("r8-l2-0.9", 3),
         ("r8-l2-0.5", 1),
     ])
-    def test_clos(self, clock, name, seed):
-        assert _clos(name, clock, _shuffled(seed)) == _plain(
-            _clos, name, clock)
+    def test_clos(self, name, seed):
+        assert _clos(name, _shuffled(seed)) == _plain(_clos, name)
 
-    def test_faulted_traced_clos(self, clock):
-        assert _faulted_clos(clock, _shuffled(1)) == _plain(
-            _faulted_clos, clock)
+    def test_faulted_traced_clos(self):
+        assert _faulted_clos(_shuffled(1)) == _plain(_faulted_clos)
 
-    def test_clos_workload(self, clock):
-        assert _clos_workload(clock, _shuffled(1)) == _plain(
-            _clos_workload, clock)
+    def test_clos_workload(self):
+        assert _clos_workload(_shuffled(1)) == _plain(_clos_workload)
 
 
-@ON_BOTH_CLOCKS
 class TestOverPolling:
     """Probes answer questions; asking again changes nothing."""
 
-    def test_clos(self, clock):
-        assert _clos("r16-l2-0.9", clock, over_poll) == _plain(
-            _clos, "r16-l2-0.9", clock)
+    def test_clos(self):
+        assert _clos("r16-l2-0.9", over_poll) == _plain(_clos, "r16-l2-0.9")
 
-    def test_faulted_traced_clos(self, clock):
-        assert _faulted_clos(clock, over_poll) == _plain(
-            _faulted_clos, clock)
+    def test_faulted_traced_clos(self):
+        assert _faulted_clos(over_poll) == _plain(_faulted_clos)
 
-    def test_clos_workload(self, clock):
-        assert _clos_workload(clock, over_poll) == _plain(
-            _clos_workload, clock)
+    def test_clos_workload(self):
+        assert _clos_workload(over_poll) == _plain(_clos_workload)
 
     @pytest.mark.parametrize("router_cls", ALL_ROUTERS)
-    def test_switch(self, clock, router_cls):
+    def test_switch(self, router_cls):
         """The switch stack schedules one component, so its compute
         shuffle is trivial; it rides along with the over-poll."""
-        assert _switch(router_cls, clock, _both) == _switch(
-            router_cls, clock)
+        assert _switch(router_cls, _both) == _switch(router_cls)
 
-    def test_switch_workload(self, clock):
-        assert _switch_workload(clock, _both) == _switch_workload(
-            clock)
+    def test_switch_workload(self):
+        assert _switch_workload(_both) == _switch_workload()
 
 
 _RACE = pytest.mark.xfail(
@@ -227,9 +206,9 @@ def test_commit_order(name):
     """The row, extras and trace bytes must not follow commit order.
     The hook-event stream does, by construction (see
     ``perturb.EventRecord``), so it is left out."""
-    plain = _plain(_clos, name, "cycle")
+    plain = _plain(_clos, name)
     for seed in (1, 2, 3):
-        shuffled = _clos(name, "cycle", lambda sim: shuffle_commit(sim, seed))
+        shuffled = _clos(name, lambda sim: shuffle_commit(sim, seed))
         assert shuffled[:3] == plain[:3], seed
 
 
@@ -250,8 +229,8 @@ class TestOracleSees:
                     self.hooks.emit_credit(-1, vc, cycle)
 
         monkeypatch.setattr(NetworkRouter, "compute", emitting)
-        plain = _clos("r8-l2-0.9", "cycle")
-        shuffled = _clos("r8-l2-0.9", "cycle", _shuffled(1))
+        plain = _clos("r8-l2-0.9")
+        shuffled = _clos("r8-l2-0.9", _shuffled(1))
         assert shuffled[:3] == plain[:3]
         assert shuffled[3] != plain[3]
 
@@ -265,7 +244,7 @@ class TestOracleSees:
             return next_event(self, now)
 
         monkeypatch.setattr(Router, "next_event", counting)
-        plain = _switch(BaselineRouter, "cycle")
-        polled = _switch(BaselineRouter, "cycle", over_poll)
+        plain = _switch(BaselineRouter)
+        polled = _switch(BaselineRouter, over_poll)
         assert polled[0] == plain[0]
         assert polled[1] != plain[1]

@@ -24,7 +24,6 @@ from repro.routers import (
     SharedBufferCrossbarRouter,
     VoqRouter,
 )
-from tests.exhaustive import CLOCKS, clocked
 
 ALL_ROUTERS = [
     BaselineRouter,
@@ -440,8 +439,7 @@ def test_stream_violation_is_located(provoke, check, port):
     assert f"[{check}]" in str(exc.value)
 
 
-@pytest.mark.parametrize("clock", CLOCKS)
-def test_sanitizer_composes_with_tracing(clock):
+def test_sanitizer_composes_with_tracing():
     """The sanitizer and a trace collector share the router's hook bus
     without perturbing each other: a traced run is the same with and
     without the sanitizer, and the collector names the model."""
@@ -449,12 +447,12 @@ def test_sanitizer_composes_with_tracing(clock):
 
     def traced(sanitize):
         collector = TraceCollector()
-        sim = clocked(SwitchSimulation(
+        sim = SwitchSimulation(
             HierarchicalCrossbarRouter(
                 RouterConfig(radix=8, subswitch_size=4, local_group_size=4)
             ),
             load=0.5, seed=5, sanitize=sanitize, tracer=collector,
-        ), clock)
+        )
         result = sim.run(SHORT)
         assert collector.label == "HierarchicalCrossbarRouter"
         assert collector.declared_stages == (
@@ -558,14 +556,13 @@ def _lose_arrival(arrivals, cycle, index):
         heapq.heapify(arrivals._cycles)
 
 
-@pytest.mark.parametrize("clock", CLOCKS)
-def test_network_sanitizer_detects_arrival_queue_drift(clock):
+def test_network_sanitizer_detects_arrival_queue_drift():
     """Every host with a positive rate holds one queued arrival, none
     of them overdue: an entry lost from the queue is reported at the
     end of the cycle it went missing in, for the host it belonged to."""
-    sim = clocked(NetworkSimulation(
+    sim = NetworkSimulation(
         NetworkConfig(radix=4, levels=2, seed=3), load=1e-2, sanitize=True,
-    ), clock)
+    )
     sim.run_until(800)
     cycle, host = max(sim.arrivals.queued())
     _lose_arrival(sim.arrivals, cycle, host)

@@ -88,7 +88,7 @@ class TestSaturationHelperPlumbing:
         assert all(k["seed"] == 11 for k in seen)
         assert all(k["avg_burst"] == 3.0 for k in seen)
 
-    def test_event_scheduler_matches_cycle(self, monkeypatch):
+    def test_jumping_matches_never_jump(self, monkeypatch):
         """Fast-forward is semantics-preserving, so both helpers must
         report identical numbers when every inner run steps every
         cycle (``never_jump``)."""
@@ -104,7 +104,7 @@ class TestSaturationHelperPlumbing:
             )
             return thr, knee
 
-        event = measure()
+        jumped = measure()
 
         class NeverJump(experiment.SwitchSimulation):
             def __init__(self, *args, **kwargs):
@@ -112,7 +112,7 @@ class TestSaturationHelperPlumbing:
                 never_jump(self)
 
         monkeypatch.setattr(experiment, "SwitchSimulation", NeverJump)
-        assert measure() == event
+        assert measure() == jumped
 
 
 class TestNetworkSweep:

@@ -5,8 +5,8 @@ folded-Clos simulation split across 1, 2, or 4 worker processes must
 produce exactly the results of the serial :class:`NetworkSimulation` —
 the :class:`RunResult` tuple, every ``stats.*`` extra (fault counters
 included), the canonically-ordered fault action log, and the Chrome
-trace export, jumping idle spans or not, with a link-fault plan and a
-collective workload in play.  These tests pin that contract; any
+trace export, with a link-fault plan and a collective workload in
+play.  These tests pin that contract; any
 divergence is a sharding bug by definition, never an accepted delta.
 
 The contract holds for *any* assignment of switches to workers, not
@@ -29,7 +29,6 @@ from repro.network.topology import FoldedClos
 from repro.trace import TraceCollector
 from repro.trace.chrome import chrome_trace_json
 from repro.workloads import all_reduce
-from tests.exhaustive import CLOCKS, clocked
 
 CFG = dict(radix=8, levels=2, seed=5)
 
@@ -72,8 +71,7 @@ class InterleavedClos(FoldedClos):
         return [ids[w::shards] for w in range(shards)]
 
 
-def _run(shards, clock, workload=False, faults=True, topology=None,
-         **cfg):
+def _run(shards, workload=False, faults=True, topology=None, **cfg):
     """One full observation: result, fault log, chrome bytes, tracer."""
     config = NetworkConfig(**{**CFG, **cfg})
     switches = _switches()
@@ -87,11 +85,11 @@ def _run(shards, clock, workload=False, faults=True, topology=None,
     )
     load = 0.0 if workload else 0.3
     if shards == 0:
-        sim = clocked(NetworkSimulation(config, load=load, **kw), clock)
+        sim = NetworkSimulation(config, load=load, **kw)
         close = lambda: None  # noqa: E731
     else:
-        sim = clocked(ShardedNetworkSimulation(
-            config, load=load, shards=shards, **kw), clock)
+        sim = ShardedNetworkSimulation(
+            config, load=load, shards=shards, **kw)
         close = sim.close
     try:
         if workload:
@@ -104,14 +102,11 @@ def _run(shards, clock, workload=False, faults=True, topology=None,
 
 
 class TestByteIdentity:
-    @pytest.mark.parametrize("clock", CLOCKS)
     @pytest.mark.parametrize("workload", [False, True])
-    def test_shards_match_serial(self, clock, workload):
-        ref, ref_faults, ref_chrome, ref_tr = _run(0, clock, workload)
+    def test_shards_match_serial(self, workload):
+        ref, ref_faults, ref_chrome, ref_tr = _run(0, workload)
         for shards in (1, 2, 4):
-            got, got_faults, got_chrome, got_tr = _run(
-                shards, clock, workload
-            )
+            got, got_faults, got_chrome, got_tr = _run(shards, workload)
             assert got == ref
             assert got.extra == ref.extra
             assert got_faults == ref_faults
@@ -157,14 +152,12 @@ def _assert_same(got, ref):
 class TestAnyPartition:
     """Nothing in the protocol may depend on how switches are dealt."""
 
-    @pytest.mark.parametrize("clock", CLOCKS)
-    def test_interleaved_blocks_match_serial(self, clock):
-        ref = _run(0, clock)
+    def test_interleaved_blocks_match_serial(self):
+        ref = _run(0)
         for shards in (2, 3):
             topology = InterleavedClos(CFG["radix"], CFG["levels"])
-            _assert_same(_run(shards, clock, topology=topology), ref)
+            _assert_same(_run(shards, topology=topology), ref)
 
-    @pytest.mark.parametrize("clock", CLOCKS)
     @pytest.mark.parametrize("cfg", [
         # Link latency 1: a flit sent in cycle T ejects in T+1, so the
         # parent may not deliver before it has collected.
@@ -172,8 +165,8 @@ class TestAnyPartition:
         # Head, body and tail flits all cross the wire.
         dict(packet_size=3),
     ], ids=["latency1", "packet3"])
-    def test_edge_configs_match_serial(self, clock, cfg):
-        _assert_same(_run(2, clock, **cfg), _run(0, clock, **cfg))
+    def test_edge_configs_match_serial(self, cfg):
+        _assert_same(_run(2, **cfg), _run(0, **cfg))
 
     def test_blocks_must_cover_every_switch_once(self):
         class Lossy(FoldedClos):
@@ -309,18 +302,15 @@ class TestFailureModes:
         with pytest.raises(RuntimeError, match="already reaped"):
             sim.start_run(warmup=40, measure=60, drain=300)
 
-    @pytest.mark.parametrize("clock", CLOCKS)
     @pytest.mark.parametrize("in_flight", [False, True])
-    def test_driving_after_close_is_a_typed_error(self, clock, in_flight):
+    def test_driving_after_close_is_a_typed_error(self, in_flight):
         """``advance_run``, ``step`` and ``run_until`` on reaped workers
         raise the same ``RuntimeError`` ``start_run`` does, without
         running a cycle, instead of dying in ``conn.send``/``recv``
         with ``OSError: handle is closed`` — whether or not a cycle was
         dispatched and never collected."""
         config = NetworkConfig(**CFG)
-        sim = clocked(
-            ShardedNetworkSimulation(config, load=0.3, shards=2), clock
-        )
+        sim = ShardedNetworkSimulation(config, load=0.3, shards=2)
         sim.start_run(warmup=80, measure=150, drain=400)
         if in_flight:
             assert not sim.advance_run(stop_at=60)

@@ -64,7 +64,6 @@ from repro.routers import (
 )
 from repro.trace import TraceCollector, TraceFilter, chrome_trace_json
 from repro.workloads import all_reduce
-from tests.exhaustive import CLOCKS, clocked
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -86,17 +85,16 @@ SWITCH_WINDOW = SweepSettings(warmup=40, measure=80, drain=400)
 # ----------------------------------------------------------------------
 
 
-def _switch(router_cls, clock="event", faults=FAULTS, tracer=None,
-            workload=None):
+def _switch(router_cls, faults=FAULTS, tracer=None, workload=None):
     cfg = RouterConfig(radix=8, num_vcs=2, subswitch_size=4,
                        local_group_size=4, seed=3)
-    return clocked(SwitchSimulation(
+    return SwitchSimulation(
         router_cls(cfg), load=0.0 if workload else 0.5, seed=3,
         faults=faults, tracer=tracer, workload=workload,
-    ), clock)
+    )
 
 
-def _stuck_switch(clock="event"):
+def _stuck_switch():
     plan = FaultPlan(
         corrupt_rate=0.05,
         stuck=(
@@ -104,11 +102,11 @@ def _stuck_switch(clock="event"):
             StuckFault(cycle=30, where=(2,), kind="input", until=70),
         ),
     )
-    return _switch(BufferedCrossbarRouter, clock, faults=plan,
+    return _switch(BufferedCrossbarRouter, faults=plan,
                    tracer=TraceCollector())
 
 
-def _faulted_clos(clock="event"):
+def _faulted_clos():
     """Radix 16 with corruption, credit loss and two dead links, traced
     at a leaf (the faulted Clos of ``test_order_independence.py``)."""
     plan = FaultPlan(
@@ -119,14 +117,14 @@ def _faulted_clos(clock="event"):
             LinkFault(cycle=50, switch=(1, 0, 2), port=0, until=90),
         ),
     )
-    return clocked(NetworkSimulation(
+    return NetworkSimulation(
         NetworkConfig(radix=16, levels=2, num_vcs=2, seed=11), load=0.3,
         faults=plan,
         tracer=TraceCollector(capacity=100000), trace_switch=(0, 0, 0),
-    ), clock)
+    )
 
 
-def _sampled_fault_clos(clock="event"):
+def _sampled_fault_clos():
     """Radix 8 with corruption, credit loss and links drawn by
     :func:`sample_link_faults` on the network's own seed."""
     cfg = NetworkConfig(radix=8, levels=2, num_vcs=2, seed=5)
@@ -135,16 +133,15 @@ def _sampled_fault_clos(clock="event"):
         links=sample_link_faults(FoldedClos(8, 2), seed=cfg.seed, count=2,
                                  cycle=20, until=80),
     )
-    return clocked(NetworkSimulation(cfg, load=0.4, faults=plan,
-                                     tracer=TraceCollector(),
-                                     trace_switch=(1, 0, 0)), clock)
+    return NetworkSimulation(cfg, load=0.4, faults=plan,
+                             tracer=TraceCollector(), trace_switch=(1, 0, 0))
 
 
-def _clos_workload(clock="event"):
-    return clocked(NetworkSimulation(
+def _clos_workload():
+    return NetworkSimulation(
         NetworkConfig(radix=8, levels=2, num_vcs=2, packet_size=2, seed=7),
         workload=all_reduce(16, size=2), faults=FAULTS,
-    ), clock)
+    )
 
 
 def _idle_clos():
@@ -262,22 +259,18 @@ def restore_differences(original, twin):
 
 
 FIDELITY_CASES = [
-    pytest.param(
-        lambda s, cls=cls: _switch(cls, s), s, id=f"{cls.__name__}-{s}"
-    )
-    for cls in ALL_ROUTERS for s in CLOCKS
+    pytest.param(lambda cls=cls: _switch(cls), id=cls.__name__)
+    for cls in ALL_ROUTERS
 ] + [
-    pytest.param(_faulted_clos, s, id=f"faulted-traced-clos-{s}")
-    for s in CLOCKS
-] + [
-    pytest.param(_stuck_switch, "cycle", id="stuck-switch"),
-    pytest.param(_clos_workload, "event", id="clos-workload"),
+    pytest.param(_faulted_clos, id="faulted-traced-clos"),
+    pytest.param(_stuck_switch, id="stuck-switch"),
+    pytest.param(_clos_workload, id="clos-workload"),
 ]
 
 
-@pytest.mark.parametrize("build, clock", FIDELITY_CASES)
-def test_restore_fidelity(tmp_path, build, clock):
-    sim = _start(build(clock))
+@pytest.mark.parametrize("build", FIDELITY_CASES)
+def test_restore_fidelity(tmp_path, build):
+    sim = _start(build())
     path = tmp_path / "cut.ckpt"
     for cut in (30, 75, 160):
         if sim.advance_run(stop_at=cut):
@@ -331,11 +324,10 @@ STREAM_BUILDS = {
        for cls in ALL_ROUTERS},
     "switch-stuck": _stuck_switch,
     "switch-workload": lambda: _switch(
-        BaselineRouter, "event", workload=all_reduce(8, size=2)),
+        BaselineRouter, workload=all_reduce(8, size=2)),
     "clos": lambda: NetworkSimulation(
         NetworkConfig(radix=8, levels=2, seed=5), load=0.4),
-    "clos-faulted-cycle": lambda: _sampled_fault_clos("cycle"),
-    "clos-faulted-event": lambda: _sampled_fault_clos("event"),
+    "clos-faulted": _sampled_fault_clos,
     "clos-workload": _clos_workload,
 }
 
@@ -372,9 +364,8 @@ def test_stream_keys_repeat_in_a_second_build():
 
 
 #: Traced, faulted builds whose row, extras and Chrome bytes must be the
-#: same in every process: a radix-8 event-mode Clos and a radix-8
-#: buffered switch.
-PROCESS_RUNS = ("clos-faulted-event", "switch-BufferedCrossbarRouter")
+#: same in every process: a radix-8 Clos and a radix-8 buffered switch.
+PROCESS_RUNS = ("clos-faulted", "switch-BufferedCrossbarRouter")
 
 
 def process_runs():

@@ -13,7 +13,6 @@ radix-64 digest of ``tests/test_hierarchical_router.py`` and the
 goldens pin the same thing at the parent's own bytes.
 """
 
-import math
 from collections import deque
 
 import pytest
@@ -34,7 +33,7 @@ from repro.routers import (
 )
 from repro.routers.base import Router
 from repro.trace import TraceCollector, chrome_trace_json
-from tests.exhaustive import clocked, engine_free, exhaustive
+from tests.exhaustive import engine_free, exhaustive, never_jump, row
 
 
 ALL_ROUTERS = [
@@ -46,23 +45,7 @@ ALL_ROUTERS = [
     VoqRouter,
 ]
 
-ROW = (
-    "offered_load", "avg_latency", "p99_latency", "max_latency",
-    "throughput", "packets_measured", "cycles", "saturated",
-)
-
 PROPERTY_RUN = SweepSettings(warmup=40, measure=80, drain=400)
-
-
-def _row(result):
-    # A measurement window in which no labeled packet arrives reports
-    # NaN latencies, and NaN never equals itself: map it to None so two
-    # such rows compare equal when every field matches.
-    row = {name: getattr(result, name) for name in ROW}
-    return {
-        name: None if isinstance(value, float) and math.isnan(value) else value
-        for name, value in row.items()
-    }
 
 
 def _walked(router):
@@ -138,13 +121,15 @@ def _scenarios(draw):
     )
 
 
-def _observe(router_cls, scenario, clock, oracle):
+def _observe(router_cls, scenario, oracle, jump=True):
     tracer = TraceCollector()
-    sim = clocked(SwitchSimulation(
+    sim = SwitchSimulation(
         router_cls(scenario["config"]), load=scenario["load"],
         packet_size=scenario["packet_size"], faults=scenario["faults"],
         injection=scenario["injection"], tracer=tracer,
-    ), clock)
+    )
+    if not jump:
+        never_jump(sim)
     router = sim.router
     if oracle:
         exhaustive(sim)
@@ -152,7 +137,7 @@ def _observe(router_cls, scenario, clock, oracle):
         _audit_counts_every_cycle(sim, router)
     result = sim.run(PROPERTY_RUN)
     return (
-        _row(result), engine_free(result.extra), list(tracer.fault_events),
+        row(result), engine_free(result.extra), list(tracer.fault_events),
         chrome_trace_json(tracer), _arbiter_pointers(router),
     )
 
@@ -182,10 +167,12 @@ class TestCountedEqualsExhaustive:
         ),
     ))
     def test_faulted_traced_run(self, router_cls, scenario):
-        # The oracle never parks, so it never jumps on either clock.
-        first = _observe(router_cls, scenario, "event", oracle=False)
-        for clock, oracle in (("cycle", False), ("event", True)):
-            assert _observe(router_cls, scenario, clock, oracle) == first
+        # The oracle never parks, so it never jumps; the counted run is
+        # also compared with itself under never_jump.
+        first = _observe(router_cls, scenario, oracle=False)
+        assert _observe(router_cls, scenario, oracle=False,
+                        jump=False) == first
+        assert _observe(router_cls, scenario, oracle=True) == first
 
 
 class TestOracleCatchesABrokenCount:
@@ -202,8 +189,8 @@ class TestOracleCatchesABrokenCount:
                                 local_group_size=4, num_vcs=2, seed=5),
             packet_size=2, load=0.6, injection="bernoulli", faults=None,
         )
-        oracle = _observe(router_cls, scenario, "cycle", oracle=True)
-        assert _observe(router_cls, scenario, "cycle", oracle=False) == oracle
+        oracle = _observe(router_cls, scenario, oracle=True)
+        assert _observe(router_cls, scenario, oracle=False) == oracle
         accept = Router.accept
 
         def uncounted(self, port, flit):
@@ -214,8 +201,8 @@ class TestOracleCatchesABrokenCount:
         monkeypatch.setattr(Router, "accept", uncounted)
         monkeypatch.setattr(f"{__name__}._audit_counts_every_cycle",
                             lambda sim, router: None)
-        assert _observe(router_cls, scenario, "cycle", oracle=True) == oracle
-        assert _observe(router_cls, scenario, "cycle", oracle=False) != oracle
+        assert _observe(router_cls, scenario, oracle=True) == oracle
+        assert _observe(router_cls, scenario, oracle=False) != oracle
 
 
 class TestBlockedPortSkip:

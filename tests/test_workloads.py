@@ -3,9 +3,11 @@
 The workload layer replaces the open-loop injection process with a
 message DAG, and it must obey the same contract as everything else in
 the repo: byte-identical results whether the scheduler jumps idle
-spans or steps every cycle (``tests/exhaustive.py``'s
-``never_jump``), for every family (request/reply, collectives, trace
-replay), with tracing and fault plans composed in.
+spans or steps every cycle, for every family (request/reply,
+collectives, trace replay), with tracing and fault plans composed in.
+The family snapshots below are the workload layer's own jump-vs-
+``never_jump`` differentials (``tests/exhaustive.py``); every other
+test runs the jumping clock only.
 These tests pin the DAG semantics (eligibility, delivery-releases,
 think time), the collective shapes (send/receive counts, acyclicity —
 property-tested), the replay parsers (CSV and Chrome round-trip), and
@@ -37,12 +39,7 @@ from repro.workloads import (
     request_reply,
     transformer_decode,
 )
-from tests.exhaustive import clocked, engine_free
-
-RESULT_FIELDS = (
-    "offered_load", "avg_latency", "p99_latency", "max_latency",
-    "throughput", "packets_measured", "cycles", "saturated",
-)
+from tests.exhaustive import engine_free, never_jump, row
 
 REPLAY_CSV = [
     "cycle,src,dest,size,flow",
@@ -70,31 +67,27 @@ def _config(seed: int = 7) -> RouterConfig:
 
 
 def _snap(result) -> dict:
-    import math
-
-    snap = {f: getattr(result, f) for f in RESULT_FIELDS}
-    snap.update(engine_free(result.extra))
-    # NaN (empty-sample latency) never equals itself; normalize so
-    # byte-identical runs compare equal.
-    return {
-        k: None if isinstance(v, float) and math.isnan(v) else v
-        for k, v in snap.items()
-    }
+    return {**row(result), **engine_free(result.extra)}
 
 
-def _switch_snapshot(factory, clock: str, seed: int = 7) -> dict:
-    sim = clocked(SwitchSimulation(
+def _with_jump(sim, jump: bool):
+    """``sim`` as built (it jumps idle spans), or under ``never_jump``."""
+    return sim if jump else never_jump(sim)
+
+
+def _switch_snapshot(factory, jump: bool = True, seed: int = 7) -> dict:
+    sim = _with_jump(SwitchSimulation(
         BaselineRouter(_config(seed)), workload=factory(),
-    ), clock)
+    ), jump)
     return _snap(sim.run_workload(max_cycles=50_000))
 
 
-def _network_snapshot(factory, clock: str, radix: int = 4,
+def _network_snapshot(factory, jump: bool = True, radix: int = 4,
                       seed: int = 7, faults=None) -> dict:
     cfg = NetworkConfig(radix=radix, levels=2, num_vcs=2, packet_size=2,
                         seed=seed)
-    sim = clocked(NetworkSimulation(cfg, workload=factory(), faults=faults),
-                  clock)
+    sim = _with_jump(
+        NetworkSimulation(cfg, workload=factory(), faults=faults), jump)
     return _snap(sim.run_workload(max_cycles=100_000))
 
 
@@ -519,7 +512,7 @@ class TestReplayParsing:
 
 
 class TestCrossSchedulerEquivalence:
-    """Every family: event mode == cycle mode, byte for byte."""
+    """Every family: jumping == never jumping, byte for byte."""
 
     FAMILIES = {
         "ring-allreduce": lambda: all_reduce(8, size=2),
@@ -536,12 +529,11 @@ class TestCrossSchedulerEquivalence:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_switch_results_identical(self, family):
         factory = self.FAMILIES[family]
-        cycle = _switch_snapshot(factory, "cycle")
-        event = _switch_snapshot(factory, "event")
-        assert cycle == event
-        assert cycle["saturated"] is False
-        assert cycle["undelivered"] == 0.0
-        assert cycle["stats.workload.makespan"] > 0
+        stepped = _switch_snapshot(factory, jump=False)
+        assert _switch_snapshot(factory) == stepped
+        assert stepped["saturated"] is False
+        assert stepped["undelivered"] == 0.0
+        assert stepped["stats.workload.makespan"] > 0
 
     @pytest.mark.parametrize("family", ["allreduce", "request-reply",
                                         "replay"])
@@ -552,10 +544,9 @@ class TestCrossSchedulerEquivalence:
                 4, requests=3, window=1, think=3),
             "replay": lambda: from_csv(REPLAY_CSV_SMALL),
         }[family]
-        cycle = _network_snapshot(factory, "cycle")
-        event = _network_snapshot(factory, "event")
-        assert cycle == event
-        assert cycle["undelivered"] == 0.0
+        stepped = _network_snapshot(factory, jump=False)
+        assert _network_snapshot(factory) == stepped
+        assert stepped["undelivered"] == 0.0
 
     def test_event_mode_actually_fast_forwards(self):
         # Sparse replay schedule: long idle gaps between releases.
@@ -568,19 +559,19 @@ class TestCrossSchedulerEquivalence:
 
 
 class TestTraceAndReplayRoundTrip:
-    def _traced_run(self, clock: str = "event"):
+    def _traced_run(self, jump: bool = True):
         from repro.trace import TraceCollector, chrome_trace_json
 
         collector = TraceCollector()
-        sim = clocked(SwitchSimulation(
+        sim = _with_jump(SwitchSimulation(
             BaselineRouter(_config()), workload=all_reduce(8, size=2),
             tracer=collector,
-        ), clock)
+        ), jump)
         result = sim.run_workload(max_cycles=50_000)
         return result, chrome_trace_json(collector)
 
     def test_chrome_bytes_identical_across_schedulers(self):
-        assert self._traced_run("cycle")[1] == self._traced_run("event")[1]
+        assert self._traced_run(jump=False)[1] == self._traced_run()[1]
 
     def test_spans_carry_flow_annotations(self):
         import json
@@ -610,9 +601,9 @@ class TestTraceAndReplayRoundTrip:
 class TestFaultComposition:
     """A scheduled dead link measurably stretches an all-reduce."""
 
-    def _snapshot(self, clock: str, faults=None) -> dict:
+    def _snapshot(self, jump: bool = True, faults=None) -> dict:
         return _network_snapshot(
-            lambda: all_reduce(16, size=2), clock, radix=8,
+            lambda: all_reduce(16, size=2), jump, radix=8,
             faults=faults,
         )
 
@@ -622,8 +613,8 @@ class TestFaultComposition:
         ))
 
     def test_dead_link_stretches_completion(self):
-        clean = self._snapshot("event")
-        faulted = self._snapshot("event", faults=self._plan())
+        clean = self._snapshot()
+        faulted = self._snapshot(faults=self._plan())
         assert clean["stats.workload.makespan"] == 534.0
         assert faulted["stats.workload.makespan"] == 931.0
         assert (faulted["stats.workload.makespan"]
@@ -631,17 +622,17 @@ class TestFaultComposition:
         assert faulted["undelivered"] == 0.0  # degraded, not broken
 
     def test_faulted_run_identical_across_schedulers(self):
-        assert (self._snapshot("cycle", faults=self._plan())
-                == self._snapshot("event", faults=self._plan()))
+        assert (self._snapshot(jump=False, faults=self._plan())
+                == self._snapshot(faults=self._plan()))
 
 
 class TestSourceQueueObservability:
     def test_switch_workload_reports_peak_queue(self):
-        snap = _switch_snapshot(lambda: all_to_all(8, size=2), "event")
+        snap = _switch_snapshot(lambda: all_to_all(8, size=2))
         assert snap["stats.traffic.max_source_queue"] >= 1.0
 
     def test_network_workload_reports_peak_queue(self):
-        snap = _network_snapshot(lambda: all_reduce(4, size=2), "event")
+        snap = _network_snapshot(lambda: all_reduce(4, size=2))
         assert "stats.traffic.max_source_queue" in snap
 
     def test_synthetic_run_reports_peak_queue(self):
