@@ -33,7 +33,7 @@ subswitch input buffers return to the input over a fixed-latency pipe.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.arbiter import RoundRobinArbiter
 from ..core.buffers import VcBufferBank, audit_bounds, bank_lengths, per_bank
@@ -66,8 +66,6 @@ class _Subswitch:
         # Writer lock per (local output lane, out VC): packet id that may
         # currently append flits — the *local* VC allocation.
         self.writer: Dict[Tuple[int, int], int] = {}
-        # Flits traversing the subswitch toward an output buffer.
-        self.crossing: DelayLine[Tuple[Flit, int]] = DelayLine(config.flit_cycles)
         # Occupancy indices, maintained by the router at every push and
         # pop (see HierarchicalCrossbarRouter): flits buffered per input
         # lane, per output lane, and over all input lanes together.
@@ -76,15 +74,15 @@ class _Subswitch:
         self.in_total = 0
 
     def occupancy(self) -> int:
-        """Flits inside the subswitch, counted by walking the queues.
+        """Flits buffered in the subswitch, counted by walking the queues.
 
         Deliberately ignores the occupancy indices: the tests use this
         walk as their independent oracle (the router's ``audit`` makes
-        its own, one walk of every subswitch at once).
+        its own, one walk of every subswitch at once).  Flits crossing
+        the subswitch are on the router's ``_crossing`` line.
         """
         buffered = sum(b.occupancy() for b in self.in_bufs)
-        buffered += sum(b.occupancy() for b in self.out_bufs)
-        return buffered + len(self.crossing)
+        return buffered + sum(b.occupancy() for b in self.out_bufs)
 
 
 class HierarchicalCrossbarRouter(Router):
@@ -97,15 +95,19 @@ class HierarchicalCrossbarRouter(Router):
     * ``sub.in_count[li]`` / ``sub.out_count[lo]`` — flits in one
       subswitch input / output lane (all VCs);
     * ``sub.in_total`` — flits in all input lanes of one subswitch;
-    * ``_port_flits[j]`` — flits waiting for output ``j`` in the output
-      lanes of its column;
-    * ``_crossing`` — row-major positions of the subswitches whose
-      ``crossing`` delay line is non-empty.
+    * ``_port_rows[j]`` — a bitmask of the subswitch rows whose output
+      lane ``j % p`` in output ``j``'s column holds flits.
 
-    Each is updated at the single push or pop that changes it
-    (:meth:`_land_flits`, :meth:`_sub_transmit`, :meth:`_port_transmit`)
-    and is checked against the walked queues by :meth:`audit`, which
+    Each is updated at the single push or pop that changes it (the
+    landings of :meth:`_land_flits`, the pops of
+    :meth:`_subswitch_stage` and :meth:`_output_stage`) and is checked
+    against the walked queues by :meth:`audit`, which
     :class:`~repro.analysis.sanitizer.SimSanitizer` runs every cycle.
+    The two wires are one router-level delay line each: ``_to_sub``
+    (the input row buses) and ``_crossing`` (every subswitch's
+    datapath).  Their latency is fixed, so each cycle lands, in push
+    order, what one earlier stage sent — row-major subswitch order for
+    ``_crossing``.
 
     Skip rule: a probe is skipped only when its index is zero — when
     the structure holds no flit, so probing it would have yielded no
@@ -113,10 +115,11 @@ class HierarchicalCrossbarRouter(Router):
     and emitted no hook event.  Every probe of a non-empty structure
     still runs, in row-major subswitch, then lane, then VC order, which
     keeps results, ``stats.*`` extras and trace bytes independent of
-    the indices.  Each probe reads the deque head directly and the
-    heads that pass go to ``RoundRobinArbiter.grant`` as a ``{line:
-    candidate}`` dict: a visit costs the requesters it finds, not the
-    arbiter's width (only the contested output-port pick stays dense).
+    the indices.  Each probe reads the deque head (and the busy times)
+    directly and the heads that pass go to ``RoundRobinArbiter.grant``
+    as a ``{line: candidate}`` dict: a visit costs the requesters it
+    finds, not the arbiter's width (only the contested output-port pick
+    stays dense).
     """
 
     # "ROW" fires when the flit launches across the input row bus
@@ -149,14 +152,16 @@ class HierarchicalCrossbarRouter(Router):
             for _ in range(k)
         ]
         self._credit_pipe = DelayedCreditPipe(config.credit_latency)
-        # Router-level occupancy indices (see the class docstring).
-        self._port_flits = [0] * k
-        self._crossing: Set[int] = set()
-        # Flits crossing the input row bus toward a subswitch input buffer.
+        # Router-level occupancy index (see the class docstring).
+        self._port_rows = [0] * k
+        # Flits crossing the input row bus toward a subswitch input
+        # buffer, and flits crossing a subswitch toward output lane lo.
         self._to_sub: DelayLine[Tuple[Flit, int, int]] = DelayLine(
             config.flit_cycles
         )
-        self._in_flight = 0
+        self._crossing: DelayLine[Tuple[Flit, _Subswitch, int]] = DelayLine(
+            config.flit_cycles
+        )
         self._head_delay = config.route_latency
 
     # ------------------------------------------------------------------
@@ -177,15 +182,17 @@ class HierarchicalCrossbarRouter(Router):
         config = self.config
         p, fc = config.subswitch_size, config.flit_cycles
         in_flits = self._in_flits
-        input_busy = self.input_busy
+        busy_until = self.input_busy._busy_until
         stuck = self._stuck_inputs
         head_delay = self._head_delay
+        inputs, in_credits = self.inputs, self._in_credits
+        input_arb, to_sub = self._input_arb, self._to_sub
         hooks = self.hooks
         for i in range(config.radix):
-            if not in_flits[i] or not input_busy.free(i, now):
+            if not in_flits[i] or busy_until[i] > now:
                 continue
-            queues = self.inputs[i].queues
-            credits = self._in_credits[i]
+            queues = inputs[i].queues
+            credits = in_credits[i]
             # Head flit of each VC that may launch now: not wedged by a
             # stuck-input fault, past its route-computation delay, and
             # holding a credit for its subswitch input buffer.
@@ -201,147 +208,145 @@ class HierarchicalCrossbarRouter(Router):
                     sendable[vc] = flit
             if not sendable:
                 continue
-            vc = self._input_arb[i].grant(sendable)
+            vc = input_arb[i].grant(sendable)
             flit = sendable[vc]
             col = flit.dest // p
-            if queues[vc].pop() is not flit:
+            if queues[vc]._q.popleft() is not flit:
                 raise InvariantViolation(
                     "input buffer head changed between arbitration and pop",
                     cycle=now, port=i, vc=vc, check="buffer-integrity",
                 )
             in_flits[i] -= 1
             credits[col][vc].consume()
-            input_busy.reserve(i, now, fc)
-            self._to_sub.push(now, (flit, i, col))
-            self._in_flight += 1
+            busy_until[i] = now + fc
+            to_sub.push(now, (flit, i, col))
             if hooks.stage_enter:
                 hooks.emit_stage_enter(flit, "ROW", i, now)
 
     def _land_flits(self) -> None:
+        # A full queue goes through push(), which raises the
+        # credit-protocol overflow.
         now = self.cycle
         p = self.config.subswitch_size
+        subs = self.sub
         for flit, i, col in self._to_sub.pop_ready(now):
-            sub = self.sub[i // p][col]
+            sub = subs[i // p][col]
             li = i % p
-            sub.in_bufs[li][flit.vc].push(flit)
+            queue = sub.in_bufs[li].queues[flit.vc]
+            if len(queue._q) < queue.maxlen:
+                queue._q.append(flit)
+            else:
+                queue.push(flit)
             sub.in_count[li] += 1
             sub.in_total += 1
-            self._in_flight -= 1
-        crossing = self._crossing
-        if not crossing:
-            return
-        s = self.num_sub
-        port_flits = self._port_flits
-        # Sorted: row-major, the order of the scan this set replaces.
-        for pos in sorted(crossing):
-            sub = self.sub[pos // s][pos % s]
-            first_port = sub.col * p
-            for flit, lo in sub.crossing.pop_ready(now):
-                sub.out_bufs[lo][flit.out_vc].push(flit)
-                sub.out_count[lo] += 1
-                port_flits[first_port + lo] += 1
-            if not sub.crossing:
-                crossing.discard(pos)
+        port_rows = self._port_rows
+        for flit, sub, lo in self._crossing.pop_ready(now):
+            queue = sub.out_bufs[lo].queues[flit.out_vc]
+            if len(queue._q) < queue.maxlen:
+                queue._q.append(flit)
+            else:
+                queue.push(flit)
+            sub.out_count[lo] += 1
+            port_rows[sub.col * p + lo] |= 1 << sub.row
 
     # ------------------------------------------------------------------
     # Stage 2: p×p subswitch traversal with local VC allocation
     # ------------------------------------------------------------------
 
     def _subswitch_stage(self) -> None:
+        now = self.cycle
+        config = self.config
+        p, fc = config.subswitch_size, config.flit_cycles
+        stats, hooks = self.stats, self.hooks
+        in_credits, credit_pipe = self._in_credits, self._credit_pipe
+        crossing = self._crossing
         for row in self.sub:
             for sub in row:
-                if sub.in_total:
-                    self._run_subswitch(sub)
-
-    def _run_subswitch(self, sub: _Subswitch) -> None:
-        now = self.cycle
-        p = self.config.subswitch_size
-        in_count = sub.in_count
-        in_busy = sub.in_busy
-        out_bufs = sub.out_bufs
-        writers = sub.writer
-        stats, hooks = self.stats, self.hooks
-        # Local input arbitration: one candidate per subswitch input
-        # lane, grouped by requested output lane in first-request order.
-        requests: Dict[int, Dict[int, Tuple[int, Flit]]] = {}
-        for li in range(p):
-            if not in_count[li] or not in_busy.free(li, now):
-                continue
-            # Head flit of each VC that can cross now.
-            cands: Dict[int, Flit] = {}
-            for vc, queue in enumerate(sub.in_bufs[li].queues):
-                q = queue._q
-                if not q:
+                if not sub.in_total:
                     continue
-                flit = q[0]
-                lo = flit.dest % p
-                out_vc = flit.vc  # identity VC mapping, as at the input stage
-                out_queue = out_bufs[lo].queues[out_vc]
-                if len(out_queue._q) >= out_queue.maxlen:
-                    continue
-                writer = writers.get((lo, out_vc))
-                if flit.is_head:
-                    # Local VC allocation: the output buffer must not be
-                    # held open by another packet.
-                    if writer is not None and writer != flit.packet_id:
-                        stats.spec_vc_failures += 1
-                        if hooks.spec_outcome:
-                            hooks.emit_spec_outcome(
-                                "subva", False, flit.dest, now
-                            )
+                in_count = sub.in_count
+                in_busy = sub.in_busy._busy_until
+                in_bufs, out_bufs = sub.in_bufs, sub.out_bufs
+                writers = sub.writer
+                # Local input arbitration: one candidate per subswitch
+                # input lane, grouped by requested output lane in
+                # first-request order.
+                requests: Dict[int, Dict[int, Tuple[int, Flit]]] = {}
+                for li in range(p):
+                    if not in_count[li] or in_busy[li] > now:
                         continue
-                elif writer != flit.packet_id:
-                    continue
-                cands[vc] = flit
-            if not cands:
-                continue
-            vc = sub.in_arb[li].grant(cands)
-            flit = cands[vc]
-            requests.setdefault(flit.dest % p, {})[li] = (vc, flit)
-        # Local output arbitration per subswitch output lane.
-        for lo, wanted in requests.items():
-            if not sub.out_lane_busy.free(lo, now):
-                stats.switch_denials += len(wanted)
-                continue
-            li = sub.out_arb[lo].grant(wanted)
-            vc, flit = wanted[li]
-            self._sub_transmit(sub, li, lo, vc, flit)
-            stats.switch_denials += len(wanted) - 1
-
-    def _sub_transmit(
-        self, sub: _Subswitch, li: int, lo: int, vc: int, flit: Flit
-    ) -> None:
-        now = self.cycle
-        hooks = self.hooks
-        popped = sub.in_bufs[li].queues[vc].pop()
-        sub.in_count[li] -= 1
-        sub.in_total -= 1
-        if popped is not flit:
-            raise InvariantViolation(
-                "subswitch input buffer head changed before pop",
-                cycle=now, vc=vc, check="buffer-integrity",
-            )
-        out_vc = flit.vc
-        flit.out_vc = out_vc
-        if flit.is_head:
-            sub.writer[(lo, out_vc)] = flit.packet_id
-            if hooks.spec_outcome:
-                hooks.emit_spec_outcome("subva", True, flit.dest, now)
-        if flit.is_tail:
-            sub.writer.pop((lo, out_vc), None)
-        fc = self.config.flit_cycles
-        sub.in_busy.reserve(li, now, fc)
-        sub.out_lane_busy.reserve(lo, now, fc)
-        sub.crossing.push(now, (flit, lo))
-        self._crossing.add(sub.row * self.num_sub + sub.col)
-        if hooks.stage_enter:
-            hooks.emit_stage_enter(flit, "SUB", flit.dest, now)
-        # The subswitch input buffer slot is free: return the credit.
-        i = sub.row * self.config.subswitch_size + li
-        counter = self._in_credits[i][sub.col][vc]
-        self._credit_pipe.send(now, counter.restore)
-        if hooks.credit:
-            hooks.emit_credit(i, vc, now)
+                    # Head flit of each VC that can cross now.
+                    cands: Dict[int, Flit] = {}
+                    for vc, queue in enumerate(in_bufs[li].queues):
+                        q = queue._q
+                        if not q:
+                            continue
+                        flit = q[0]
+                        lo = flit.dest % p
+                        out_vc = flit.vc  # identity VC mapping, as at the input stage
+                        out_queue = out_bufs[lo].queues[out_vc]
+                        if len(out_queue._q) >= out_queue.maxlen:
+                            continue
+                        writer = writers.get((lo, out_vc))
+                        if flit.is_head:
+                            # Local VC allocation: the output buffer must
+                            # not be held open by another packet.
+                            if writer is not None and writer != flit.packet_id:
+                                stats.spec_vc_failures += 1
+                                if hooks.spec_outcome:
+                                    hooks.emit_spec_outcome(
+                                        "subva", False, flit.dest, now
+                                    )
+                                continue
+                        elif writer != flit.packet_id:
+                            continue
+                        cands[vc] = flit
+                    if not cands:
+                        continue
+                    vc = sub.in_arb[li].grant(cands)
+                    flit = cands[vc]
+                    lo = flit.dest % p
+                    wanted = requests.get(lo)
+                    if wanted is None:
+                        requests[lo] = {li: (vc, flit)}
+                    else:
+                        wanted[li] = (vc, flit)
+                # Local output arbitration per subswitch output lane; the
+                # winner crosses toward its output buffer.
+                out_busy = sub.out_lane_busy._busy_until
+                for lo, wanted in requests.items():
+                    if out_busy[lo] > now:
+                        stats.switch_denials += len(wanted)
+                        continue
+                    li = sub.out_arb[lo].grant(wanted)
+                    vc, flit = wanted[li]
+                    stats.switch_denials += len(wanted) - 1
+                    if in_bufs[li].queues[vc]._q.popleft() is not flit:
+                        raise InvariantViolation(
+                            "subswitch input buffer head changed before pop",
+                            cycle=now, vc=vc, check="buffer-integrity",
+                        )
+                    in_count[li] -= 1
+                    sub.in_total -= 1
+                    out_vc = flit.vc
+                    flit.out_vc = out_vc
+                    if flit.is_head:
+                        writers[(lo, out_vc)] = flit.packet_id
+                        if hooks.spec_outcome:
+                            hooks.emit_spec_outcome("subva", True, flit.dest, now)
+                    if flit.is_tail:
+                        writers.pop((lo, out_vc), None)
+                    in_busy[li] = now + fc
+                    out_busy[lo] = now + fc
+                    crossing.push(now, (flit, sub, lo))
+                    if hooks.stage_enter:
+                        hooks.emit_stage_enter(flit, "SUB", flit.dest, now)
+                    # The subswitch input buffer slot is free: return the
+                    # credit.
+                    i = sub.row * p + li
+                    credit_pipe.send(now, in_credits[i][sub.col][vc].restore)
+                    if hooks.credit:
+                        hooks.emit_credit(i, vc, now)
 
     # ------------------------------------------------------------------
     # Stage 3: output port pulls from its column's output buffers
@@ -350,66 +355,65 @@ class HierarchicalCrossbarRouter(Router):
     def _output_stage(self) -> None:
         now = self.cycle
         p, s = self.config.subswitch_size, self.num_sub
-        port_flits = self._port_flits
-        output_busy = self.output_busy
+        port_rows = self._port_rows
+        busy_until = self.output_busy._busy_until
+        subs, output_vcs = self.sub, self.output_vcs
         for j in range(self.config.radix):
-            if not port_flits[j] or not output_busy.free(j, now):
+            rows = port_rows[j]
+            if not rows or busy_until[j] > now:
                 continue
             c, lo = divmod(j, p)
-            owners = self.output_vcs[j].owners
+            owners = output_vcs[j].owners
+            vc_arbs = self._port_vc_arb[j]
             # One candidate (vc, flit) per subswitch of the column whose
             # output lane holds a head that passes the global VC
             # allocation check at output j (among subswitches).
             cands: Dict[int, Tuple[int, Flit]] = {}
             requests = [False] * s
-            for r in range(s):
-                sub = self.sub[r][c]
-                if not sub.out_count[lo]:
-                    continue
-                ready: Dict[int, Flit] = {}
-                for vc, queue in enumerate(sub.out_bufs[lo].queues):
-                    q = queue._q
-                    if not q:
-                        continue
-                    flit = q[0]
-                    out_vc = flit.out_vc
-                    if out_vc is None:
-                        raise InvariantViolation(
-                            "flit reached global VC check without a "
-                            "local VC assignment",
-                            port=j, check="vc-ownership",
-                        )
-                    owner = owners[out_vc]
-                    if owner == flit.packet_id or (
-                        flit.is_head and owner is None
-                    ):
-                        ready[vc] = flit
-                if not ready:
-                    continue
-                vc = self._port_vc_arb[j][r].grant(ready)
-                cands[r] = (vc, ready[vc])
-                requests[r] = True
+            r = 0
+            while rows:
+                if rows & 1:
+                    ready: Dict[int, Flit] = {}
+                    for vc, queue in enumerate(subs[r][c].out_bufs[lo].queues):
+                        q = queue._q
+                        if not q:
+                            continue
+                        flit = q[0]
+                        out_vc = flit.out_vc
+                        if out_vc is None:
+                            raise InvariantViolation(
+                                "flit reached global VC check without a "
+                                "local VC assignment",
+                                port=j, check="vc-ownership",
+                            )
+                        owner = owners[out_vc]
+                        if owner == flit.packet_id or (
+                            flit.is_head and owner is None
+                        ):
+                            ready[vc] = flit
+                    if ready:
+                        vc = vc_arbs[r].grant(ready)
+                        cands[r] = (vc, ready[vc])
+                        requests[r] = True
+                rows >>= 1
+                r += 1
             if not cands:
                 continue
-            winner = self._port_arb[j].arbitrate(requests)  # dense: ~3 of s up
-            vc, flit = cands[winner]
-            self._port_transmit(j, winner, c, lo, vc, flit)
-
-    def _port_transmit(
-        self, j: int, r: int, c: int, lo: int, vc: int, flit: Flit
-    ) -> None:
-        sub = self.sub[r][c]
-        popped = sub.out_bufs[lo].queues[vc].pop()
-        sub.out_count[lo] -= 1
-        self._port_flits[j] -= 1
-        if popped is not flit:
-            raise InvariantViolation(
-                "subswitch output buffer head changed before pop",
-                cycle=self.cycle, port=j, vc=vc, check="buffer-integrity",
-            )
-        if flit.is_head:
-            self.output_vcs[j].allocate(flit.out_vc, flit.packet_id)
-        self._start_traversal(flit, j)
+            r = self._port_arb[j].arbitrate(requests)  # dense: ~3 of s up
+            vc, flit = cands[r]
+            sub = subs[r][c]
+            if sub.out_bufs[lo].queues[vc]._q.popleft() is not flit:
+                raise InvariantViolation(
+                    "subswitch output buffer head changed before pop",
+                    cycle=now, port=j, vc=vc, check="buffer-integrity",
+                )
+            out_count = sub.out_count
+            out_count[lo] -= 1
+            if not out_count[lo]:
+                port_rows[j] &= ~(1 << r)
+            if flit.is_head:
+                output_vcs[j].allocate(flit.out_vc, flit.packet_id)
+            self._start_traversal(flit, j)
 
     # ------------------------------------------------------------------
 
@@ -451,7 +455,7 @@ class HierarchicalCrossbarRouter(Router):
             f"{n // v % p}", n // v % p, n % v))
         in_lanes = per_bank(in_lengths, v)
         out_lanes = per_bank(out_lengths, v)
-        crossing = set()
+        port_rows = [0] * k
         for pos, sub in enumerate(subs):
             where = f"subswitch ({sub.row},{sub.col})"
             lanes = in_lanes[pos * p:(pos + 1) * p]
@@ -459,21 +463,13 @@ class HierarchicalCrossbarRouter(Router):
             if sub.in_total != sum(lanes):
                 raise drift(f"{where} in_total", sub.in_total, sum(lanes),
                             "the subswitches", cycle)
-            agree(f"{where} out_count", sub.out_count,
-                  out_lanes[pos * p:(pos + 1) * p])
-            if sub.crossing:
-                crossing.add(pos)
-                held += len(sub.crossing)
-        # Out lane (row r, column c, lane lo) feeds output c*p + lo, so
-        # row r of the lanes lines up with the outputs.
-        port_flits = list(map(sum, zip(*(
-            out_lanes[r * k:(r + 1) * k] for r in range(s)))))
-        if self._port_flits != port_flits:
-            raise drift("_port_flits", self._port_flits, port_flits,
-                        "the subswitches", cycle)
-        if self._crossing != crossing:
-            raise drift("_crossing", sorted(self._crossing), sorted(crossing),
-                        "the subswitches", cycle)
+            lanes = out_lanes[pos * p:(pos + 1) * p]
+            agree(f"{where} out_count", sub.out_count, lanes)
+            # Out lane (row r, column c, lane lo) feeds output c*p + lo.
+            for lo, held_here in enumerate(lanes):
+                if held_here:
+                    port_rows[sub.col * p + lo] |= 1 << sub.row
+        agree("_port_rows", self._port_rows, port_rows)
         for flit, i, col in self._to_sub.items():
             in_lengths[((i // p * s + col) * p + i % p) * v + flit.vc] += 1
         owed = self._injected_credits()
@@ -489,7 +485,7 @@ class HierarchicalCrossbarRouter(Router):
                 for sub in subs for li in range(p))),
             in_lengths, owed, cycle, book)
         super().audit(cycle, held + sum(in_lanes) + sum(out_lanes)
-                      + self._in_flight)
+                      + len(self._to_sub) + len(self._crossing))
 
     def _extra_occupancy(self) -> int:
         inside = sum(
@@ -497,4 +493,4 @@ class HierarchicalCrossbarRouter(Router):
             for r in range(self.num_sub)
             for c in range(self.num_sub)
         )
-        return inside + self._in_flight
+        return inside + len(self._to_sub) + len(self._crossing)

@@ -132,3 +132,66 @@ def test_export_writes_the_committed_tree(tmp_path):
     assert (tmp_path / "tree" / "benchmarks" / "e2e" / "run.py").is_file()
     assert (tmp_path / "tree" / "BENCHMARK.json").is_file()
     assert not (tmp_path / "tree" / ".git").exists()
+
+
+def test_a_per_layer_metric_shifts_either_way_or_stays_level():
+    assert compare.shift(BASE, [b * 0.5 for b in BASE],
+                         "lower")["shift"] == "better"
+    assert compare.shift(BASE, [b * 1.5 for b in BASE],
+                         "lower")["shift"] == "worse"
+    assert compare.shift(BASE, list(BASE), "lower")["shift"] == "level"
+
+
+def _traced_doc(values, crc=7):
+    """A traced ``run.py`` result of one workload, as ``compare`` reads it."""
+    return {"workloads": {"w": {
+        "crc32": crc, "ops_failed": 0,
+        "metrics": {name: {"value": value} for name, value in values.items()},
+    }}}
+
+
+LAYER_BENCH = {
+    "end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower",
+                    "bound": BOUND}],
+    "per_layer": [
+        {"name": "routers.commit_s", "unit": "s", "better": "lower"},
+        {"name": "core.rr_arb_calls", "unit": "count", "better": "lower"},
+        {"name": "host.reps", "unit": "count", "better": "higher"},
+        {"name": "shard.send_s", "unit": "s", "better": "lower"},
+    ],
+}
+
+
+def _sides(calls_b, reps_b=5, crc_b=7):
+    def doc(commit_s, calls, reps, crc):
+        return _traced_doc({"wall_s": 1.0, "routers.commit_s": commit_s,
+                            "core.rr_arb_calls": calls, "host.reps": reps,
+                            "shard.send_s": 0.0}, crc)
+    return {"a": [doc(1.0, 100, 5, 7) for _ in range(3)],
+            "b": [doc(0.8, calls_b, reps_b, crc_b) for _ in range(3)]}
+
+
+def test_per_layer_records_skip_bypassed_layers_and_flag_moved_counts():
+    """A layer reading 0 on both sides is left out; a count that moved
+    is named, while host diagnostics (``host.reps``) may differ."""
+    sides = _sides(calls_b=100, reps_b=9)
+    layers = compare.summarize_layers(LAYER_BENCH, ["w"], sides)
+    by_name = {r["metric"]: r for r in layers}
+    assert set(by_name) == {"routers.commit_s", "core.rr_arb_calls",
+                            "host.reps"}
+    assert by_name["routers.commit_s"]["ratio"] == pytest.approx(0.8)
+    assert by_name["core.rr_arb_calls"]["differs"] is False
+    assert "differs" not in by_name["host.reps"]
+    records = compare.summarize(LAYER_BENCH, ["w"], sides)
+    assert compare.moved(records, layers) == []
+    moved = _sides(calls_b=101)
+    assert compare.moved(
+        compare.summarize(LAYER_BENCH, ["w"], moved),
+        compare.summarize_layers(LAYER_BENCH, ["w"], moved),
+    ) == ["w/core.rr_arb_calls"]
+
+
+def test_a_moved_result_crc_is_named():
+    sides = _sides(calls_b=100, crc_b=8)
+    records = compare.summarize(LAYER_BENCH, ["w"], sides)
+    assert compare.moved(records, []) == ["w/crc32"]

@@ -205,9 +205,7 @@ def _assert_indices_sum_to_occupancy(router):
     audit lives in ``SimSanitizer``; tests run it via ``sanitize``.)"""
     for row in router.sub:
         for sub in row:
-            assert sub.occupancy() == (
-                sub.in_total + sum(sub.out_count) + len(sub.crossing)
-            )
+            assert sub.occupancy() == sub.in_total + sum(sub.out_count)
 
 
 class TestResidentCounter:
@@ -235,8 +233,8 @@ class TestResidentCounter:
                 router.accept(src, f)
         _drain(router, max_cycles=2000)
         sanitizer.assert_drained()
-        assert router._port_flits == [0] * 8
-        assert router._crossing == set()
+        assert router._port_rows == [0] * 8
+        assert not router._crossing
         for row in router.sub:
             for sub in row:
                 assert sub.in_total == 0

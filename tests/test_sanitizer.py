@@ -216,19 +216,14 @@ def _corrupt_in_total(router):
     router.sub[1][1].in_total += 1
 
 
-def _corrupt_port_flits(router):
-    router._port_flits[6] += 1
-
-
-def _corrupt_crossing(router):
-    # Toggle membership of subswitch (0, 0): wrong whether or not one
-    # of its flits happens to be crossing right now.
-    router._crossing ^= {0}
+def _corrupt_port_rows(router):
+    # Toggle row 1 of output 6: wrong whether or not its lane holds flits.
+    router._port_rows[6] ^= 0b10
 
 
 @pytest.mark.parametrize("corrupt", [
     _corrupt_in_count, _corrupt_out_count, _corrupt_in_total,
-    _corrupt_port_flits, _corrupt_crossing,
+    _corrupt_port_rows,
 ])
 def test_detects_occupancy_index_drift(corrupt):
     """Each counter the hierarchical hot path trusts instead of walking
@@ -247,6 +242,27 @@ def test_detects_occupancy_index_drift(corrupt):
         sim.sanitizer.check_now()
     assert exc.value.check == "occupancy-index"
     assert exc.value.cycle == router.cycle
+
+
+def test_detects_a_flit_lost_while_crossing_a_subswitch():
+    """The router-level crossing line is counted in flit conservation:
+    a flit dropped from it mid-crossing is missing from the books."""
+    sim = SwitchSimulation(
+        HierarchicalCrossbarRouter(
+            RouterConfig(radix=8, subswitch_size=4, local_group_size=4)
+        ),
+        load=0.6, sanitize=True, seed=3,
+    )
+    router = sim.router
+    for _ in range(200):
+        sim.step()
+        if router._crossing:
+            break
+    assert router._crossing, "no flit was ever crossing a subswitch"
+    router._crossing._queue.popleft()
+    with pytest.raises(InvariantViolation) as exc:
+        sim.sanitizer.check_now()
+    assert exc.value.check == "flit-conservation"
 
 
 def _corrupt_occupied(router):

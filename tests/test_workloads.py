@@ -511,7 +511,7 @@ class TestReplayParsing:
         assert chrome_wl.messages == 1
 
 
-class TestCrossSchedulerEquivalence:
+class TestJumpingEqualsNeverJumping:
     """Every family: jumping == never jumping, byte for byte."""
 
     FAMILIES = {
@@ -548,7 +548,7 @@ class TestCrossSchedulerEquivalence:
         assert _network_snapshot(factory) == stepped
         assert stepped["undelivered"] == 0.0
 
-    def test_event_mode_actually_fast_forwards(self):
+    def test_idle_spans_are_fast_forwarded(self):
         # Sparse replay schedule: long idle gaps between releases.
         rows = ["0,0,5,1", "400,3,6,1", "800,1,4,1"]
         sim = SwitchSimulation(
