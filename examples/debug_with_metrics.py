@@ -39,7 +39,7 @@ def main() -> None:
     sim.stop_sources()
     for _ in range(20000):
         sim.step()
-        if sim.router.idle() and all(not s.backlog() for s in sim.sources):
+        if sim.router.idle() and not sim.source_backlog():
             break
     sim.sanitizer.assert_drained()
 

@@ -276,8 +276,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         sim.stop_sources()
         budget = 200000
         while budget > 0 and (
-            any(s.backlog() for s in sim.sources)
-            or not sim.router.idle()
+            sim.source_backlog() or not sim.router.idle()
         ):
             sim.step()
             budget -= 1

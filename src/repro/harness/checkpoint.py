@@ -31,14 +31,16 @@ from typing import Optional
 
 #: On-disk format version, bumped whenever the payload layout changes
 #: or the simulation would continue a capture under different rules.
-#: Formats 5-7 pickle the simulation itself; format 6 draws
+#: Formats 5-8 pickle the simulation itself; format 6 draws
 #: arrivals as geometric gaps (an arrival queue), where format 5
-#: polled every source every cycle, and format 7 keeps a hierarchical
+#: polled every source every cycle, format 7 keeps a hierarchical
 #: crossbar's crossing flits on one router-level line, with a row mask
-#: per output (``_port_rows``) in place of its flit counts.  Formats
-#: 1-4 held a hand-written capture plus a constructor spec to rebuild
-#: from.  Every other format is refused.
-CHECKPOINT_FORMAT = 7
+#: per output (``_port_rows``) in place of its flit counts, and format
+#: 8 keeps both stacks' source queues on the simulation (``_source_q``
+#: and ``_backlog``), none on a source.  Formats 1-4 held a
+#: hand-written capture plus a constructor spec to rebuild from.  Every
+#: other format is refused.
+CHECKPOINT_FORMAT = 8
 
 
 def save_checkpoint(sim, path) -> None:

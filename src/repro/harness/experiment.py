@@ -14,20 +14,19 @@ from __future__ import annotations
 import functools
 import multiprocessing
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..core.config import RouterConfig
 from ..core.flit import Flit
+from ..core.rng import derive_rng
 from ..engine import Scheduler
 from ..routers.base import Router
-from ..traffic.arrivals import ArrivalQueue
 from ..traffic.injection import make_injection
 from ..traffic.patterns import TrafficPattern, UniformRandom
 from ..traffic.source import TrafficSource
 from ..workloads.base import Workload
-from ..workloads.source import WorkloadSource
 from .program import StagedRun
-from .stats import LatencySample, RunResult
+from .stats import RunResult
 
 RouterFactory = Callable[[RouterConfig], Router]
 PatternFactory = Callable[[RouterConfig], TrafficPattern]
@@ -83,11 +82,10 @@ class SwitchSimulation(StagedRun):
         ``stats.engine.cycles_skipped`` / ``stats.engine.ff_jumps``
         count what it skipped.
 
-        ``workload`` replaces the synthetic sources with one
-        :class:`~repro.workloads.WorkloadSource` per port, all sharing
-        the workload's dependency DAG: a message injects only once its
-        dependencies have been ejected.  Drive with
-        :meth:`run_workload` instead of :meth:`run`."""
+        ``workload`` replaces the synthetic sources with the
+        workload's dependency DAG, whose ranks are the ports: a message
+        injects only once its dependencies have been ejected.  Drive
+        with :meth:`run_workload` instead of :meth:`run`."""
         if not 0.0 <= load <= 1.0:
             raise ValueError(f"load must be in [0, 1], got {load}")
         self.router = router
@@ -126,31 +124,29 @@ class SwitchSimulation(StagedRun):
         packet_rate = load * self.config.capacity_flits_per_cycle / packet_size
         peak_rate = self.config.capacity_flits_per_cycle / packet_size
         self._workload = workload
-        self.sources: List[Union[TrafficSource, WorkloadSource]] = []
-        traffic: List[TrafficSource] = []
+        sources: List[TrafficSource] = []
         if workload is not None:
             if workload.num_ranks > self.config.radix:
                 raise ValueError(
                     f"workload has {workload.num_ranks} ranks but the "
                     f"router only has {self.config.radix} ports"
                 )
-            for i in range(self.config.radix):
-                self.sources.append(WorkloadSource(i, workload))
         else:
             for i in range(self.config.radix):
                 proc = make_injection(
                     injection, packet_rate, peak_rate, avg_burst
                 )
-                traffic.append(
-                    TrafficSource(i, pattern, proc, packet_size, seed)
-                )
-            self.sources.extend(traffic)
-        #: When each port's next packet arrives (empty for a workload).
-        self.arrivals = ArrivalQueue(
-            [src.stream for src in traffic], [src.injection for src in traffic]
-        )
+                sources.append(TrafficSource(
+                    i, pattern, proc, packet_size,
+                    derive_rng(seed, "traffic", i),
+                ))
+        self._init_host_side(self.config.radix, sources)
         if self.sanitizer is not None:
             self.sanitizer.arrivals = self.arrivals
+        #: A full input bank: every VC queue holds input_buffer_depth.
+        self._bank_capacity = (
+            self.config.num_vcs * self.config.input_buffer_depth
+        )
         if faults is not None and faults.enabled:
             # Imported lazily: the faults layer sits above the harness.
             from ..faults import SwitchFaultInjector
@@ -163,92 +159,17 @@ class SwitchSimulation(StagedRun):
             router.fault_injector = self._faults
         else:
             self._faults = None
-        k = self.config.radix
-        self._next_inject = [0] * k
-        self._packet_vc: List[Optional[int]] = [None] * k
-        self._vc_rr = [0] * k
-        self._next_packet_id = 0
-        self._measuring = False
-        self._generating = True
-        self._outstanding = 0
-        self._labeled_total = 0
-        self.sample = LatencySample()
-        self.measured_flits = 0
-        self._count_flits = False
-        #: In-progress measurement program (see :meth:`start_run`), or
-        #: None when no staged run is active.
-        self._program: Optional[Dict[str, Any]] = None
 
     # ------------------------------------------------------------------
-
-    def _pre_cycle(self, now: int) -> None:
-        """Harness work before the engine cycle: faults, traffic."""
-        if self._faults is not None:
-            # Apply scheduled stuck faults and deliver due credit
-            # resyncs before anything else observes this cycle.
-            self._faults.advance(now)
-        if self._generating:
-            measuring = self._measuring
-            new_id = self._new_packet_id
-            if self._workload is None:
-                sources = self.sources
-                for i in self.arrivals.due(now):
-                    sources[i].generate(now, measuring, new_id)
-                    if measuring:
-                        self._outstanding += 1
-                        self._labeled_total += 1
-            else:
-                for src in self.sources:
-                    if (src.generate(now, measuring, new_id) is not None
-                            and measuring):
-                        self._outstanding += 1
-                        self._labeled_total += 1
-        self._inject(now)
 
     def _collect_ejected(self, now: int) -> None:
         """Harness work after the engine cycle: delivery accounting."""
         for flit, eject_cycle in self.router.drain_ejected():
             self._delivered(flit, eject_cycle)
 
-    def _next_work(self, now: int) -> Optional[int]:
-        """Wake horizon: earliest cycle >= ``now`` with harness work.
-
-        Consulted before fast-forwarding past a span in which the
-        router is parked: the next queued packet arrival (or
-        a workload source's next eligible message),
-        the earliest cycle a backlogged source can retry injection
-        (channel bandwidth throttle, fault back-off), and the fault
-        injector's schedule.  Horizons may be conservative (early) but
-        never late — see the engine module docstring.
-        """
-        dues: List[Optional[int]] = [
-            self._retry_at(i, now) for i, src in enumerate(self.sources) if src.queue
-        ]
-        if self._generating:
-            if self._workload is None:
-                dues.append(self.arrivals.next_due())
-            else:
-                dues += [src.peek_arrival(now) for src in self.sources]
-        if self._faults is not None:
-            dues.append(self._faults.next_event(now))
-        return min((due for due in dues if due is not None), default=None)
-
-    def _inject(self, now: int) -> None:
-        """Offer one flit from every backlogged input whose channel is
-        past its ``flit_cycles`` throttle, in port order."""
-        next_inject = self._next_inject
-        packet_vc = self._packet_vc
-        # Blocked-port skip: a count equal to the bank's capacity means
-        # every VC queue is full, so _pick_vc would scan all v of them
-        # and return None — nothing moves, nothing raises.
-        in_flits = self.router._in_flits
-        bank_capacity = self.config.num_vcs * self.config.input_buffer_depth
-        for i, src in enumerate(self.sources):
-            if now < next_inject[i]:
-                continue
-            queue = src.queue
-            if queue and (packet_vc[i] is not None or in_flits[i] != bank_capacity):
-                self._try_inject(i, queue, now)
+    def _channel_full(self, channel: int) -> bool:
+        # The bank's flit count at its capacity: every VC queue is full.
+        return self.router._in_flits[channel] == self._bank_capacity
 
     def _input_space(self, channel: int, vc: int) -> int:
         # Direct buffer read (== router.input_space): probed for every
@@ -261,11 +182,6 @@ class SwitchSimulation(StagedRun):
         # injection timestamp uses the current cycle.
         self._sched.wake(self.router, now)
         self.router.accept(channel, flit)
-
-    def stop_sources(self) -> None:
-        """Stop generating new packets (used to drain the system)."""
-        self._generating = False
-        self.arrivals.stop()
 
     # ------------------------------------------------------------------
 
@@ -306,13 +222,11 @@ class SwitchSimulation(StagedRun):
 
     def _fold_extras(self, result: RunResult) -> None:
         """Fold shared observability extras into a run result."""
-        result.extra["source_backlog"] = float(
-            sum(s.backlog() for s in self.sources)
-        )
+        result.extra["source_backlog"] = float(self.source_backlog())
         # Peak injection-queue depth across ports: how far the worst
         # source queue got behind channel bandwidth.
         result.extra["stats.traffic.max_source_queue"] = float(
-            max((s.peak_backlog for s in self.sources), default=0)
+            self._peak_source_q
         )
         # Drive-loop observability: how much of the run fast-forward
         # skipped.  Deliberately excluded from never-jump equivalence
@@ -325,12 +239,13 @@ class SwitchSimulation(StagedRun):
             if self._workload is not None:
                 self._workload.annotate(self._tracer)
             self._tracer.fold_stats(self.router.stats)
-        if self._workload is not None:
-            self._workload.fold_stats(self.router.stats)
         # Ad-hoc RouterStats.bump() counters ride along under a
         # ``stats.`` prefix so they survive into reports and sweeps
-        # instead of being silently dropped with the router instance.
-        stats_extra = self.router.stats.extra
+        # instead of being silently dropped with the router instance,
+        # and so do a workload's ``workload.*`` counters.
+        stats_extra = dict(self.router.stats.extra)
+        if self._workload is not None:
+            stats_extra.update(self._workload.stats())
         for name in sorted(stats_extra):
             result.extra[f"stats.{name}"] = float(stats_extra[name])
 

@@ -105,8 +105,8 @@ class MetricsCollector:
         simulation runs.
 
         Works with any simulation exposing an
-        :class:`~repro.engine.EngineHooks` bus plus ``sources`` and
-        ``router`` attributes (``SwitchSimulation`` does).  Returns
+        :class:`~repro.engine.EngineHooks` bus, ``source_backlog()``
+        and a ``router`` attribute (``SwitchSimulation`` does).  Returns
         ``self`` for chaining.
         """
         sim.hooks.on_flit_move(self._on_flit_move)
@@ -131,9 +131,7 @@ class MetricsCollector:
         sim = self._sim
         self._cycles += 1
         if self._cycles % self.sample_every == 0:
-            self.backlog_samples.append(
-                sum(s.backlog() for s in sim.sources)
-            )
+            self.backlog_samples.append(sim.source_backlog())
             self.occupancy_samples.append(sim.router.occupancy())
 
     # ------------------------------------------------------------------

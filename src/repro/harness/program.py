@@ -28,7 +28,11 @@ The program itself is plain data (absolute bounds plus bookkeeping)
 held on the simulation, so a checkpoint taken between
 :meth:`advance_run` calls resumes mid-stage byte-identically.
 
-So does the host-channel protocol: a head flit takes an input VC
+So is the host side.  Every switch input or Clos host has an
+unbounded source queue; each cycle, before the engine runs, due faults
+apply, due deliveries land, new packets join the queues (synthetic ones
+from the arrival queue, or workload messages once eligible), and every
+backlogged host offers one flit.  A head flit takes an input VC
 round-robin among those with room and holds it to the tail, one flit
 crosses a channel per ``flit_cycles`` cycles (a corrupted attempt
 too), and a tail ejection closes the packet's latency sample.
@@ -36,11 +40,14 @@ too), and a tail ejection closes the packet's latency sample.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from ..core.errors import InvariantViolation
-from ..core.flit import Flit
+from ..core.flit import Flit, make_packet
 from ..engine import Scheduler
+from ..traffic.arrivals import ArrivalQueue
+from ..traffic.source import RouteFn, TrafficSource
 from ..workloads.base import Workload
 from . import checkpoint
 from .stats import LatencySample, RunResult, summarize
@@ -58,42 +65,74 @@ def _either(a: Predicate, b: Predicate) -> Predicate:
 
 
 class StagedRun:
-    """Base of the simulations: the staged run, the host channels and
-    the checkpoint entry point.
+    """Base of the simulations: the staged run, the host side and the
+    checkpoint entry point.
 
-    A stack plugs in by owning the attributes below — plain attributes
-    because its per-cycle generate/eject code reads and bumps them
-    directly — by supplying :meth:`_input_space` and
-    :meth:`_hand_over` for its channels, and by finishing
-    :meth:`_summarize_run`'s result with its own extras (the two
-    stacks' rows carry different keys, so that step is not shared).
+    A stack plugs in by calling :meth:`_init_host_side` with its
+    sources, by supplying :meth:`_input_space` and :meth:`_hand_over`
+    for its channels, optionally :attr:`_route`,
+    :meth:`_deliver_arrivals` and :attr:`_channel_full`, and by
+    finishing :meth:`_summarize_run`'s result with its own extras (the
+    two stacks' rows carry different keys, so that step is not shared).
     """
 
     config: Any
     load: float
     sanitizer: Any
-    sample: LatencySample
-    measured_flits: int
     _sched: Scheduler
-    _program: Optional[Dict[str, Any]]
     _workload: Optional[Workload]
-    #: Label packets generated now / count flits ejected now.
-    _measuring: bool
-    _count_flits: bool
-    #: Labeled packets not yet ejected / ever generated.
-    _outstanding: int
-    _labeled_total: int
     _faults: Any
     _tracer: Any
-    #: Per host channel: earliest cycle of its next send attempt, the
-    #: input VC its packet in flight holds, its round-robin VC pointer.
-    _next_inject: List[int]
-    _packet_vc: List[Optional[int]]
-    _vc_rr: List[int]
-    #: The id the next generated packet gets: each simulation numbers
-    #: its own packets from 0, so what samples ids (a tracer's
-    #: ``every_nth``) does not depend on what ran before it.
-    _next_packet_id: int
+
+    #: ``route(src, dest)``: the source route of a new packet, drawn
+    #: after its destination (None: packets carry no route).
+    _route: Optional[RouteFn] = None
+    #: ``_channel_full(channel)``: True when no input VC at the router
+    #: end of ``channel`` has room, so a head flit need not look for
+    #: one (None: always look).
+    _channel_full: Optional[Callable[[int], bool]] = None
+
+    def _init_host_side(
+        self, hosts: int, sources: List[TrafficSource]
+    ) -> None:
+        """Set up ``hosts`` source queues and channels, the arrival
+        queue over ``sources`` (source ``i`` feeds host ``i``), and the
+        run bookkeeping."""
+        #: The synthetic packet makers, one per host that has one.
+        self.sources = sources
+        #: When each source's next packet arrives.
+        self.arrivals = ArrivalQueue(
+            [src.stream for src in sources], [src.injection for src in sources]
+        )
+        #: Per host: the flits waiting to cross its channel.
+        self._source_q: List[Deque[Flit]] = [deque() for _ in range(hosts)]
+        #: Exactly the hosts with a non-empty source queue: injection
+        #: walks this set instead of scanning all hosts.
+        self._backlog: Set[int] = set()
+        #: Peak per-host source-queue depth (flits) ever observed.
+        self._peak_source_q = 0
+        #: False once :meth:`stop_sources` has run.
+        self._generating = True
+        #: Per host channel: earliest cycle of its next send attempt, the
+        #: input VC its packet in flight holds, its round-robin VC pointer.
+        self._next_inject = [0] * hosts
+        self._packet_vc: List[Optional[int]] = [None] * hosts
+        self._vc_rr = [0] * hosts
+        #: The id the next generated packet gets: each simulation numbers
+        #: its own packets from 0, so what samples ids (a tracer's
+        #: ``every_nth``) does not depend on what ran before it.
+        self._next_packet_id = 0
+        #: Label packets generated now / count flits ejected now.
+        self._measuring = False
+        self._count_flits = False
+        #: Labeled packets not yet ejected / ever generated.
+        self._outstanding = 0
+        self._labeled_total = 0
+        self.sample = LatencySample()
+        self.measured_flits = 0
+        #: The active staged run program (see :meth:`advance_run`), or
+        #: None.
+        self._program: Optional[Dict[str, Any]] = None
 
     @property
     def cycle(self) -> int:
@@ -113,6 +152,151 @@ class StagedRun:
         pid = self._next_packet_id
         self._next_packet_id = pid + 1
         return pid
+
+    # ------------------------------------------------------------------
+    # Host side
+    # ------------------------------------------------------------------
+
+    def _pre_cycle(self, now: int) -> None:
+        """Host work before the engine cycle: faults, due deliveries,
+        new packets, injection.
+
+        Same-cycle packets are made in ascending host order, which fixes
+        the order of packet ids and of any shared route stream.
+        """
+        if self._faults is not None:
+            # Apply scheduled faults and deliver due credit resyncs
+            # before anything else observes this cycle.
+            self._faults.advance(now)
+        self._deliver_arrivals(now)
+        if self._workload is None:
+            due = self.arrivals.next_due()
+            if due is not None and due <= now:
+                self._generate_packets(now)
+        elif self._generating:
+            self._generate_messages(now)
+        self._inject(now)
+
+    def _deliver_arrivals(self, now: int) -> None:
+        """Land what reaches a router or host at ``now`` (a stack whose
+        channels deliver on their own has nothing to do here)."""
+
+    def _generate_packets(self, now: int) -> None:
+        """Queue a synthetic packet at every host whose arrival is due."""
+        measuring = self._measuring
+        new_id = self._new_packet_id
+        route = self._route
+        sources = self.sources
+        source_q = self._source_q
+        backlog = self._backlog
+        peak = self._peak_source_q
+        made = 0
+        for i in self.arrivals.due(now):
+            queue = source_q[i]
+            queue.extend(sources[i].generate(now, measuring, new_id, route))
+            backlog.add(i)
+            made += 1
+            if len(queue) > peak:
+                peak = len(queue)
+        self._peak_source_q = peak
+        if measuring:
+            self._outstanding += made
+            self._labeled_total += made
+
+    def _generate_messages(self, now: int) -> None:
+        """Queue every workload message that became eligible by ``now``.
+
+        Workload packets are never measurement-labeled: the workload
+        keeps its own send and delivery records.
+        """
+        workload = self._workload
+        route = self._route
+        source_q = self._source_q
+        for host in workload.ready_ranks(now):
+            queue = source_q[host]
+            while True:
+                message = workload.next_message(host, now)
+                if message is None:
+                    break
+                dest = message.dest
+                flits = make_packet(
+                    dest=dest,
+                    size=message.size,
+                    src=host,
+                    created_at=now,
+                    packet_id=self._new_packet_id(),
+                    route=None if route is None else route(host, dest),
+                )
+                workload.sent(message.node, flits[0].packet_id, now)
+                queue.extend(flits)
+            self._backlog.add(host)
+            if len(queue) > self._peak_source_q:
+                self._peak_source_q = len(queue)
+
+    def _inject(self, now: int) -> None:
+        """Offer one flit from every backlogged host whose channel is
+        past its ``flit_cycles`` throttle, in ascending host order (a
+        host without backlog, or still serializing its last flit, has
+        nothing to offer, so the walk equals a scan of every host).
+
+        A head flit whose channel :attr:`_channel_full` reports full is
+        skipped: :meth:`_pick_vc` would find no VC, and nothing moves.
+        """
+        next_inject = self._next_inject
+        source_q = self._source_q
+        backlog = self._backlog
+        packet_vc = self._packet_vc
+        full = self._channel_full
+        for host in sorted(backlog):
+            if next_inject[host] <= now and (
+                full is None or packet_vc[host] is not None or not full(host)
+            ):
+                queue = source_q[host]
+                self._try_inject(host, queue, now)
+                if not queue:
+                    backlog.discard(host)
+
+    def _next_work(self, now: int) -> Optional[int]:
+        """Wake horizon: earliest cycle >= ``now`` with host work.
+
+        The minimum over the arrival queue (or, under a workload, the
+        next eligible message), the fault injector's schedule, and — per
+        backlogged host — the earliest send retry (channel throttle or
+        fault back-off).  Early is safe, late is not (see the engine
+        module docstring).
+        """
+        horizon = self.arrivals.next_due()
+        if self._workload is not None and self._generating:
+            due = self._workload.next_ready(now)
+            if due is not None and (horizon is None or due < horizon):
+                horizon = due
+        faults = self._faults
+        backlog = self._backlog
+        if faults is not None:
+            due = faults.next_event(now)
+            if due is not None and (horizon is None or due < horizon):
+                horizon = due
+            for host in backlog:
+                retry = self._retry_at(host, now)
+                if horizon is None or retry < horizon:
+                    horizon = retry
+        elif backlog:
+            # Without a fault back-off a host's retry is its throttle.
+            next_inject = self._next_inject
+            retry = max(min(next_inject[host] for host in backlog), now)
+            if horizon is None or retry < horizon:
+                horizon = retry
+        return horizon
+
+    def source_backlog(self) -> int:
+        """Flits waiting in the (unbounded) source queues of all hosts."""
+        source_q = self._source_q
+        return sum(len(source_q[host]) for host in self._backlog)
+
+    def stop_sources(self) -> None:
+        """Stop generating new packets (used to drain the system)."""
+        self._generating = False
+        self.arrivals.stop()
 
     # ------------------------------------------------------------------
     # Host channels

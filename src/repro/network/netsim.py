@@ -17,16 +17,17 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
-from ..core.errors import InvariantViolation, invariant
-from ..core.flit import Flit, make_packet
+from ..core.errors import InvariantViolation
+from ..core.flit import Flit
 from ..core.rng import derive_rng
 from ..engine import EngineHooks, Scheduler
 from ..harness.experiment import SweepResult, SweepSettings, map_points
 from ..harness.program import StagedRun
-from ..harness.stats import LatencySample, RunResult
-from ..traffic.arrivals import ArrivalQueue
+from ..harness.stats import RunResult
 from ..traffic.injection import Bernoulli
-from ..workloads.base import Message, Workload
+from ..traffic.patterns import UniformRandom
+from ..traffic.source import TrafficSource
+from ..workloads.base import Workload
 from .router import NetworkRouter, NetworkRouterConfig, OutputLink, pipeline_depth_for_radix
 from .topology import FoldedClos, SwitchId, Topology
 
@@ -207,7 +208,6 @@ class NetworkSimulation(StagedRun):
         self.config = config
         self.load = load
         self.topology = topology or FoldedClos(config.radix, config.levels)
-        self._host_pattern = host_pattern
         self._workload = workload
         if workload is not None:
             if workload.num_ranks > self.topology.num_hosts:
@@ -248,15 +248,17 @@ class NetworkSimulation(StagedRun):
             self._trace_switch = trace_switch
             tracer.attach_network(self, trace_switch)
         n = self.topology.num_hosts
-        cap = 1.0 / config.flit_cycles
-        #: When each host's next packet arrives.
-        rate = load * cap / config.packet_size
-        self.arrivals = ArrivalQueue(
-            [derive_rng(config.seed, "net", host) for host in range(n)],
-            [Bernoulli(rate)] * n,
+        pattern = host_pattern or UniformRandom(n)
+        # One Bernoulli process, shared: it holds no state.
+        process = Bernoulli(
+            load * (1.0 / config.flit_cycles) / config.packet_size
         )
+        self._init_host_side(n, [
+            TrafficSource(host, pattern, process, config.packet_size,
+                          derive_rng(config.seed, "net", host))
+            for host in range(n)
+        ])
         self._route_rng = derive_rng(config.seed, "route")
-        self._source_q: List[Deque[Flit]] = [deque() for _ in range(n)]
         #: Where each host injects: (edge router, input port), resolved
         #: once.  A sharded front-end owns no router, so its entries
         #: keep the switch id.
@@ -268,23 +270,6 @@ class NetworkSimulation(StagedRun):
             self._host_port.append(
                 (self.routers.get(attach.switch, attach.switch), attach.port)
             )
-        #: Exactly the hosts with a non-empty source queue: injection
-        #: walks this set instead of scanning all hosts.
-        self._backlog_hosts: set = set()
-        self._next_inject = [0] * n
-        self._packet_vc: List[Optional[int]] = [None] * n
-        self._vc_rr = [0] * n
-        self._next_packet_id = 0
-        self._measuring = False
-        self._count_flits = False
-        self._outstanding = 0
-        self._labeled_total = 0
-        #: Peak per-host injection-queue depth (flits) ever observed.
-        self._peak_source_q = 0
-        self.sample = LatencySample()
-        self.measured_flits = 0
-        #: Active staged run program (see :meth:`start_run`), or None.
-        self._program: Optional[Dict[str, Any]] = None
         # Global in-flight flit event queue, a FIFO in (arrival, seq)
         # order: (arrival, seq, flit, target); ``_seq`` is the next seq.
         self._inflight: Deque[Tuple[int, int, Flit, object]] = deque()
@@ -344,63 +329,13 @@ class NetworkSimulation(StagedRun):
     # Simulation loop
     # ------------------------------------------------------------------
 
-    def _pre_cycle(self, now: int) -> None:
-        """Harness work before the two-phase engine cycle.
-
-        The engine cycle itself (and the instrumentation on the
-        ``cycle_end`` hook, including the sanitizer's per-cycle check)
-        runs from the scheduler after this returns.
-        """
-        if self._faults is not None:
-            # Apply scheduled link faults and deliver due credit
-            # resyncs before anything else observes this cycle.
-            self._faults.advance(now)
-        self._deliver_arrivals(now)
-        if self._workload is not None:
-            # DAG eligibility replaces the injection process; ready
-            # messages pop in ascending host order, so the shared route
-            # RNG stream is consumed in a fixed order.
-            self._generate_workload(now)
-        else:
-            # Same-cycle arrivals come in ascending host order, which
-            # fixes the order of the shared route RNG stream and of
-            # packet-id allocation.
-            for host in self.arrivals.due(now):
-                self._generate_packet(host, now)
-        self._inject(now)
-
     def _next_work(self, now: int) -> Optional[int]:
-        """Wake horizon: earliest cycle >= ``now`` with harness work.
-
-        The minimum over the host arrival queue, the in-flight
-        flit/ejection heap, the fault injector's schedule, and — per
-        backlogged host — the earliest injection retry (channel
-        throttle or fault back-off).  Early is safe, late is not.
-        """
-        horizon = self.arrivals.next_due()
+        """The host-side horizon, or the head of the in-flight queue
+        (a flit's arrival or ejection) if that comes first."""
+        horizon = super()._next_work(now)
         if self._inflight:
             due = self._inflight[0][0]
             if horizon is None or due < horizon:
-                horizon = due
-        faults = self._faults
-        backlog = self._backlog_hosts
-        if faults is not None:
-            due = faults.next_event(now)
-            if due is not None and (horizon is None or due < horizon):
-                horizon = due
-            for host in backlog:
-                retry = self._retry_at(host, now)
-                if horizon is None or retry < horizon:
-                    horizon = retry
-        elif backlog:
-            # Without a fault back-off a host's retry is its throttle.
-            next_inject = self._next_inject
-            retry = max(min(next_inject[host] for host in backlog), now)
-            if horizon is None or retry < horizon:
-                horizon = retry
-        if self._workload is not None:
-            due = self._workload.next_ready(now)
-            if due is not None and (horizon is None or due < horizon):
                 horizon = due
         return horizon
 
@@ -422,85 +357,14 @@ class NetworkSimulation(StagedRun):
                     )
                 self._delivered(flit, now)
 
-    def _generate_workload(self, now: int) -> None:
-        """Queue every workload message that became eligible by ``now``.
-
-        Ready hosts are visited in ascending order, and every cycle
-        with an eligible message executes (the ``next_ready`` horizon
-        pins it), so the shared route RNG stream is consumed
-        identically whether or not idle spans are jumped.
-        """
-        workload = self._workload
-        invariant(workload is not None, "workload generation without a "
-                  "workload", cycle=now, check="workload")
-        for host in workload.ready_ranks(now):
-            while True:
-                message = workload.next_message(host, now)
-                if message is None:
-                    break
-                self._generate_packet(host, now, message)
-
-    def _generate_packet(
-        self, host: int, now: int, message: Optional[Message] = None
-    ) -> None:
-        """Create one packet at ``host`` and queue its flits.
-
-        With ``message`` set (workload mode) the destination and size
-        come from the DAG node and the packet is never
-        measurement-labeled — the workload keeps its own send/delivery
-        records; only the route draw touches shared RNG state.
-        """
-        if message is not None:
-            dest = message.dest
-            size = message.size
-        else:
-            rng = self.arrivals.streams[host]
-            if self._host_pattern is None:
-                dest = rng.randrange(self.topology.num_hosts)
-            else:
-                dest = self._host_pattern.dest(host, rng)
-            size = self.config.packet_size
+    def _route(self, src: int, dest: int) -> List[int]:
+        """Draw a packet's source route from the shared route stream
+        (around dead links when faults are on)."""
         if self._faults is not None:
-            route = self._faults.route(
-                self.topology, host, dest, self._route_rng
+            return self._faults.route(
+                self.topology, src, dest, self._route_rng
             )
-        else:
-            route = self.topology.route(host, dest, self._route_rng)
-        flits = make_packet(
-            dest=dest,
-            size=size,
-            src=host,
-            created_at=now,
-            measured=self._measuring if message is None else False,
-            packet_id=self._new_packet_id(),
-            route=route,
-        )
-        if message is not None:
-            invariant(self._workload is not None, "workload message "
-                      "without a workload", cycle=now, check="workload")
-            self._workload.sent(message.node, flits[0].packet_id, now)
-        self._source_q[host].extend(flits)
-        if len(self._source_q[host]) > self._peak_source_q:
-            self._peak_source_q = len(self._source_q[host])
-        self._backlog_hosts.add(host)
-        if self._measuring and message is None:
-            self._outstanding += 1
-            self._labeled_total += 1
-
-    def _inject(self, now: int) -> None:
-        """Offer one flit from every backlogged host whose channel is
-        past its ``flit_cycles`` throttle, in ascending host order (a
-        host without backlog, or still serializing its last flit, has
-        nothing to offer, so the walk equals a scan of every host)."""
-        next_inject = self._next_inject
-        source_q = self._source_q
-        backlog = self._backlog_hosts
-        for host in sorted(backlog):
-            if next_inject[host] <= now:
-                queue = source_q[host]
-                self._try_inject(host, queue, now)
-                if not queue:
-                    backlog.discard(host)
+        return self.topology.route(src, dest, self._route_rng)
 
     def _input_space(self, channel: int, vc: int) -> int:
         router, port = self._host_port[channel]
@@ -552,9 +416,7 @@ class NetworkSimulation(StagedRun):
             self.topology.num_hosts, 1.0 / self.config.flit_cycles
         )
         if workload_run:
-            result.extra["source_backlog"] = float(
-                sum(len(q) for q in self._source_q)
-            )
+            result.extra["source_backlog"] = float(self.source_backlog())
         self._fold_extras(result, workload_stats=workload_run)
         return result
 

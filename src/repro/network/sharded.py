@@ -360,7 +360,7 @@ class _ShardWorker:
         return self._report(now)
 
     def _pre_cycle(self, now: int) -> None:
-        """Shard-local mirror of ``NetworkSimulation._pre_cycle``:
+        """Shard-local mirror of the serial host side's ``_pre_cycle``:
         faults first, then due deliveries, then this cycle's host
         injections — the serial phase order."""
         if self._injector is not None:

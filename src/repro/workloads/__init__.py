@@ -7,9 +7,10 @@ Three families are provided — closed-loop request/reply, collective
 phase DAGs (ring / recursive-doubling all-reduce, all-to-all, ring
 broadcast, and transformer-decode sequences of them), and
 cycle-accurate trace replay (CSV or ``repro.cli trace --chrome``
-output).  :class:`WorkloadSource` adapts a workload to the
-:class:`~repro.traffic.source.TrafficSource` drain contract so the
-same harness and fast-forwarding scheduler drive it unchanged.
+output).  Both simulations drive a workload through their one host
+side (:class:`~repro.harness.program.StagedRun`): ready messages join
+the same source queues as synthetic packets, and the fast-forwarding
+scheduler wakes on the workload's eligibility horizon.
 """
 
 from .base import Message, Workload, WorkloadBuilder
@@ -31,13 +32,11 @@ from .replay import (
     parse_csv_rows,
 )
 from .request_reply import request_reply
-from .source import WorkloadSource
 
 __all__ = [
     "Message",
     "Workload",
     "WorkloadBuilder",
-    "WorkloadSource",
     "all_reduce",
     "all_to_all",
     "broadcast",

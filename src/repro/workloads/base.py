@@ -14,9 +14,10 @@ the drive loop works unchanged:
 * :meth:`Workload.eligible` is a **pure** probe (``tests/perturb.py``
   over-polls it):
   it reports the earliest cycle >= ``now`` at which a rank has a
-  message ready, and is consulted by the harness's ``_next_work`` wake
-  source, so :class:`~repro.engine.Scheduler` fast-forward never
-  jumps over a send cycle.
+  message ready; its all-rank form :meth:`Workload.next_ready` is
+  consulted by the harness's ``_next_work`` wake source, so
+  :class:`~repro.engine.Scheduler` fast-forward never jumps over a
+  send cycle.
 * :meth:`Workload.next_message` pops ready messages; the harness calls
   it only on executed cycles, which a jumping and a never-jump run
   execute identically.
@@ -159,9 +160,9 @@ class WorkloadBuilder:
 class Workload:
     """Runtime state of one dependency-driven workload.
 
-    Shared by every rank's :class:`~repro.workloads.source.
-    WorkloadSource` (or the network harness): per-rank ready heaps of
-    ``(ready_at, node_id)`` feed the probes, and delivery callbacks
+    Driven by a simulation's host side
+    (:class:`~repro.harness.program.StagedRun`): per-rank ready heaps
+    of ``(ready_at, node_id)`` feed the probes, and delivery callbacks
     release successors.  Construct via :class:`WorkloadBuilder` or the
     family factories in :mod:`repro.workloads`.
     """
@@ -195,8 +196,10 @@ class Workload:
     def eligible(self, rank: int, now: int) -> Optional[int]:
         """Earliest cycle >= ``now`` at which ``rank`` can send, or None.
 
-        Pure: reports the per-rank ready-heap head without popping it,
-        so the scheduler may probe it any number of times.
+        Pure: reports the per-rank ready-heap head without popping it.
+        Nothing in the simulator calls it any more (the host side wakes
+        on :meth:`next_ready` and pops :meth:`ready_ranks`); the method
+        stays in the class body only for tracing that looks it up there.
         """
         heap = self._ready[rank]
         if not heap:
@@ -205,7 +208,8 @@ class Workload:
         return ready if ready > now else now
 
     def next_ready(self, now: int) -> Optional[int]:
-        """Earliest send horizon over all ranks (network wake source)."""
+        """Earliest send horizon over all ranks (the host side's wake
+        source)."""
         horizon: Optional[int] = None
         for heap in self._ready:
             if heap:
@@ -389,11 +393,6 @@ class Workload:
             out["workload.skew_mean"] = round(sum(skews) / len(skews))
             out["workload.skew_max"] = skews[-1]
         return out
-
-    def fold_stats(self, stats) -> None:
-        """Fold :meth:`stats` into ``RouterStats.extra`` counters."""
-        for name, value in self.stats().items():
-            stats.bump(name, value)
 
     def annotate(self, collector) -> None:
         """Label the collector's packets with flow/phase annotations.

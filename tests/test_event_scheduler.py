@@ -208,13 +208,18 @@ class TestArrivalQueue:
         sim = _with_jump(
             NetworkSimulation(NetworkConfig(**self.CFG), self.LOAD), jump)
         packets = []
-        generate = sim._generate_packet
 
-        def logged(host, now, message=None):
-            generate(host, now, message)
-            packets.append((now, host, sim._source_q[host][-1].dest))
+        def logged(src):
+            generate = src.generate
 
-        sim._generate_packet = logged
+            def wrapper(now, *args):
+                flits = generate(now, *args)
+                packets.append((now, src.input_id, flits[0].dest))
+                return flits
+            return wrapper
+
+        for src in sim.sources:
+            src.generate = logged(src)
         for end in stages:
             sim.run_until(end)
         return packets, [s.getstate() for s in sim.arrivals.streams]
@@ -279,21 +284,17 @@ class TestArrivalQueue:
                 drawn[0] += 1
                 return self.stream.randrange(n)
 
-        arrivals = sim.arrivals
-        arrivals.streams = [Counted(s) for s in arrivals.streams]
-        generated = [0]
-        generate = sim._generate_packet
-
-        def counted(host, now, message=None):
-            generated[0] += 1
-            generate(host, now, message)
-
-        sim._generate_packet = counted
+        # The arrival queue draws the gaps and each host's source the
+        # destinations, from the one stream they share.
+        for src in sim.sources:
+            src.stream = Counted(src.stream)
+        sim.arrivals.streams = [src.stream for src in sim.sources]
         result = sim.run(warmup=1000, measure=62500, drain=5000)
+        generated = sum(src.packets_generated for src in sim.sources)
         assert result.packets_measured > 40
-        assert drawn[0] == 2 * generated[0]
+        assert drawn[0] == 2 * generated
         assert result.extra["stats.engine.cycles_skipped"] > 0.8 * result.cycles
-        assert generated[0] < 0.01 * hosts * result.cycles
+        assert generated < 0.01 * hosts * result.cycles
 
 
 class TestWorkloadRuns:

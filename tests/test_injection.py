@@ -147,7 +147,8 @@ class TestMarkovOnOff:
 
         proc = MarkovOnOff(rate=0.2, peak_rate=1.0, avg_burst=8.0)
         proc._on = True  # simulate mid-burst state left by a prior user
-        TrafficSource(0, UniformRandom(4), proc, packet_size=1, seed=1)
+        TrafficSource(0, UniformRandom(4), proc, packet_size=1,
+                      stream=random.Random(1))
         assert not proc._on
 
 

@@ -125,14 +125,14 @@ class TestLoadedInvariants:
         sim.stop_sources()
         for _ in range(3000):
             sim.step()
-            if router.idle() and all(not s.backlog() for s in sim.sources):
+            if router.idle() and not sim.source_backlog():
                 break
         return router, sim, delivered
 
     def test_flit_conservation(self, router_cls):
         router, sim, ejected = self._run(router_cls)
         generated = sum(s.flits_generated for s in sim.sources)
-        backlog = sum(s.backlog() for s in sim.sources)
+        backlog = sim.source_backlog()
         assert len(ejected) == generated - backlog
         assert router.idle()
 

@@ -64,14 +64,43 @@ def test_sanitized_radix16_run_completes_clean(router_cls):
     sim.run(SHORT)
     sim.stop_sources()
     budget = 20000
-    while budget > 0 and (
-        any(s.backlog() for s in sim.sources) or not sim.router.idle()
-    ):
+    while budget > 0 and (sim.source_backlog() or not sim.router.idle()):
         sim.step()
         budget -= 1
     sim.sanitizer.assert_drained()
     assert sim.sanitizer.checks_run > 0
     assert sim.sanitizer.violations_checked > 0
+
+
+def test_sanitized_clos_drains_to_empty():
+    """A sanitized Clos drains to empty the way ``repro run --sanitize``
+    drains a switch: stop the sources, then step until no source queue,
+    channel or router holds a flit.  Every credit comes home, and no
+    packet is generated after the stop."""
+    sim = NetworkSimulation(
+        NetworkConfig(radix=8, levels=2, num_vcs=2, seed=7), load=0.8,
+        sanitize=True,
+    )
+    sim.run(warmup=60, measure=120, drain=0)
+    assert sim.source_backlog() > 0
+    sim.stop_sources()
+    generated = sum(src.packets_generated for src in sim.sources)
+    budget = 20000
+    while budget > 0 and (
+        sim.source_backlog() or sim._inflight
+        or any(router.occupancy() for router in sim.routers.values())
+    ):
+        sim.step()
+        budget -= 1
+    assert budget > 0
+    assert sim.source_backlog() == 0 and not sim._backlog
+    assert sum(src.packets_generated for src in sim.sources) == generated
+    assert sim.arrivals.next_due() is None
+    for router in sim.routers.values():
+        for link in router.links:
+            if link is not None and link.credits is not None:
+                assert all(c.free == c.capacity for c in link.credits)
+    assert sim.sanitizer.checks_run > 0
 
 
 def test_switch_simulation_sanitize_flag_wraps_router():

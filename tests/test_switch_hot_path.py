@@ -208,25 +208,32 @@ class TestOracleCatchesABrokenCount:
 class TestBlockedPortSkip:
     def test_full_bank_is_skipped_and_nothing_else(self, monkeypatch):
         """At saturation with one-deep input buffers the skip fires
-        constantly; ``_pick_vc`` is then only ever called for a port
-        with room, i.e. it never again returns None."""
+        constantly: the shared injection walk asks the switch's
+        ``_channel_full`` before a head flit looks for a VC, so
+        ``_pick_vc`` is then only ever called for a port with room,
+        i.e. it never again returns None."""
         config = RouterConfig(radix=8, num_vcs=2, input_buffer_depth=1, seed=4)
         sim = SwitchSimulation(BaselineRouter(config), load=1.0)
         picked = []
         pick = sim._pick_vc
+        full = sim._channel_full
+        full_polls = []
 
         def recording_pick(i):
             picked.append(pick(i))
             return picked[-1]
 
+        def recording_full(i):
+            answer = full(i)
+            assert answer == (sim.router._in_flits[i] == 2)
+            full_polls.append(answer)
+            return answer
+
         monkeypatch.setattr(sim, "_pick_vc", recording_pick)
-        full_polls = 0
+        monkeypatch.setattr(sim, "_channel_full", recording_full)
         for _ in range(300):
-            full_polls += sum(
-                count == 2 for count in sim.router._in_flits
-            )
             sim.step()
-        assert full_polls > 100
+        assert sum(full_polls) > 100
         assert picked and None not in picked
 
 
