@@ -46,7 +46,7 @@ def test_fig18_nonuniform_traffic():
         results[("bursty", name)] = saturation_throughput(
             cls, cfg, settings=SAT_SETTINGS,
             pattern_factory=lambda c: UniformRandom(k),
-            injection="onoff", avg_burst=8.0)
+            injection="onoff")
 
     rows = []
     for pattern in ("diagonal", "hotspot", "bursty"):

@@ -180,8 +180,8 @@ def test_perf_faults_disabled_overhead(monkeypatch):
     assert evals > 0
 
     # Per-evaluation cost of the two disabled-guard shapes, measured
-    # inline exactly as the hot paths spell them (the routers inline
-    # the stuck test rather than calling ``_input_stuck``, so no
+    # inline exactly as the hot paths spell them (the routers test
+    # ``self._stuck_inputs`` inline, with no method call, so no
     # function-call overhead belongs in the bound); take the slower
     # shape.
     class _Host:

@@ -40,8 +40,6 @@ def main() -> None:
     sim = SwitchSimulation(router, load=1.0)
     result = sim.run(SweepSettings(warmup=500, measure=1000, drain=100))
     print(f"\nsaturation throughput: {result.throughput:.3f} of capacity")
-    print(f"switch grants: {router.stats.switch_grants}, "
-          f"subswitch arbitration denials: {router.stats.switch_denials}")
 
 
 if __name__ == "__main__":

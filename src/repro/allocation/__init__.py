@@ -1,14 +1,11 @@
 """Distributed allocator microarchitectures (Sections 4.1-4.4)."""
 
 from .islip import IslipAllocator
-from .speculation import SpeculationTracker
 from .switch_alloc import OutputArbiterBank
-from .vc_alloc import CvaPolicy, OvaPolicy
+from .vc_alloc import OvaPolicy
 
 __all__ = [
     "IslipAllocator",
     "OutputArbiterBank",
-    "CvaPolicy",
     "OvaPolicy",
-    "SpeculationTracker",
 ]

@@ -15,8 +15,8 @@ arbitration, and therefore in what a failed speculation costs:
   a failure wastes the output's grant — the deeper speculation that
   costs OVA ~5% of saturation throughput in Figure 9.
 
-These policy objects are consumed by
-:class:`~repro.routers.distributed.DistributedRouter`, which owns the
+:class:`~repro.routers.distributed.DistributedRouter` runs the CVA
+check inline and consumes :class:`OvaPolicy` for OVA; it owns the
 authoritative output-VC ownership ledgers.
 """
 
@@ -25,30 +25,14 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..core.arbiter import RoundRobinArbiter
-from ..routers.base import OutputVcState
-
-
-class CvaPolicy:
-    """Crosspoint VC allocation: filter before switch arbitration."""
-
-    name = "cva"
-    #: CVA checks the VC in parallel with switch allocation, adding no
-    #: pipeline depth beyond the switch allocator's.
-    extra_grant_latency = 0
-
-    def admissible(self, state: OutputVcState, out_vc: int, packet_id: int) -> bool:
-        """May a speculative request for ``out_vc`` enter arbitration?"""
-        return state.is_free(out_vc) or state.owner(out_vc) == packet_id
+from ..core.vcstate import OutputVcState
 
 
 class OvaPolicy:
     """Output VC allocation: check after the switch winner is known."""
 
-    name = "ova"
-
-    def __init__(self, num_outputs: int, num_vcs: int, extra_latency: int = 1) -> None:
+    def __init__(self, num_outputs: int, num_vcs: int) -> None:
         self.num_vcs = num_vcs
-        self.extra_grant_latency = extra_latency
         self._pick = [RoundRobinArbiter(num_vcs) for _ in range(num_outputs)]
 
     def allocate(self, output: int, state: OutputVcState) -> Optional[int]:

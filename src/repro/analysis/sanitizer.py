@@ -154,10 +154,6 @@ class SimSanitizer:
         if remaining:
             self._live_packets[pid] = remaining
 
-    def pending_flits(self) -> int:
-        """Accepted flits not yet ejected (should reach 0 at drain)."""
-        return len(self._accepted)
-
     def assert_drained(self) -> None:
         """Raise unless every accepted flit was delivered and every
         output VC closed; then run the structural checks once more."""

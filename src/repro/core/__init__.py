@@ -7,7 +7,6 @@ arbiters, fixed-latency delay lines, and deterministic RNG streams.
 
 from .arbiter import (
     HierarchicalArbiter,
-    MultiStageArbiter,
     PriorityArbiter,
     RoundRobinArbiter,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "DelayedCreditPipe",
     "RoundRobinArbiter",
     "HierarchicalArbiter",
-    "MultiStageArbiter",
     "PriorityArbiter",
     "DelayLine",
     "BusyTracker",

@@ -405,13 +405,24 @@ class BatchHierarchicalArbiterBank:
 
 
 class PriorityArbiter:
-    """Two-class arbiter prioritizing nonspeculative requests.
+    """Two-class arbiter prioritizing nonspeculative requests
+    (Section 4.4, Figure 10).
 
-    Figure 10(b): separate arbiters for speculative and nonspeculative
-    requests; a speculative request is granted only when there are no
-    nonspeculative requests.  "The priority pointer of the speculative
+    With speculative VC allocation, a head flit that keeps failing VC
+    allocation re-bids every time the input round-robin reaches it and
+    can waste up to 1/v of the input's bandwidth.  The fix is to
+    prioritize nonspeculative requests: Figure 10(b) replaces the single
+    switch arbiter with separate arbiters for speculative and
+    nonspeculative requests, granting a speculative request only when
+    there are no nonspeculative requests, "at the expense of doubling
+    switch allocation logic".  "The priority pointer of the speculative
     switch arbiter is only updated after the speculative request is
     granted (i.e. when there are no nonspeculative requests)."
+
+    The paper finds prioritization buys ~10% of saturation throughput
+    with one VC but almost nothing with four VCs (Figure 11), and
+    applies it only at the output arbiter, since prioritizing at the
+    input would keep VC requests from ever reaching the VC allocators.
     """
 
     __slots__ = ("size", "group_size", "_nonspec", "_spec")
@@ -445,38 +456,3 @@ class PriorityArbiter:
             return winner, False
         winner = self._spec.arbitrate(spec_requests)
         return winner, winner is not None
-
-
-class MultiStageArbiter(HierarchicalArbiter):
-    """Arbiter tree with an arbitrary number of local stages.
-
-    Section 4.1: "for very high-radix routers, the two-stage output
-    arbiter can be extended to a larger number of stages" so that each
-    stage's fan-in fits in a clock cycle.  ``group_sizes`` lists the
-    fan-in of each local stage from the leaves up; a final global
-    arbiter covers whatever remains.  ``MultiStageArbiter(64, [8])``
-    is exactly the two-stage :class:`HierarchicalArbiter` of Figure 6;
-    ``MultiStageArbiter(512, [8, 8])`` adds a third stage by making
-    the global arbiter itself a tree.
-
-    As in the two-stage arbiter, only the arbiters on the winning path
-    rotate their pointers.
-    """
-
-    def __init__(self, size: int, group_sizes: Sequence[int]) -> None:
-        if not group_sizes:
-            raise ValueError("group_sizes must be non-empty")
-        for g in group_sizes:
-            if g < 1:
-                raise ValueError(f"group sizes must be >= 1, got {g}")
-        super().__init__(size, group_sizes[0])
-        self.group_sizes = tuple(group_sizes)
-        if len(group_sizes) > 1 and self.num_groups > 1:
-            self._global = MultiStageArbiter(self.num_groups, group_sizes[1:])
-
-    @property
-    def num_stages(self) -> int:
-        """Arbitration stages including the final global one."""
-        if isinstance(self._global, MultiStageArbiter):
-            return 1 + self._global.num_stages
-        return 2

@@ -200,9 +200,6 @@ class ArrayBusyTracker(BusyTracker):
     def busy_until(self, idx: int) -> int:
         return int(self._busy_until[idx])
 
-    def any_busy(self, now: int) -> bool:
-        return bool((self._busy_until > now).any())
-
 
 # ----------------------------------------------------------------------
 # Construction-time substitution helpers

@@ -109,14 +109,6 @@ class VcBufferBank:
         """Total flits buffered across all VCs."""
         return len(self)
 
-    def heads(self) -> List[Optional[Flit]]:
-        """Head flit of each VC queue (None for empty queues)."""
-        return [q.head() for q in self.queues]
-
-    def nonempty_vcs(self) -> List[int]:
-        """Indices of VCs that currently hold at least one flit."""
-        return [vc for vc, q in enumerate(self.queues) if q]
-
 
 def bank_lengths(banks: Iterable[VcBufferBank]) -> List[int]:
     """The length of every queue of ``banks``, bank-major, then by VC:

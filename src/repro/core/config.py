@@ -15,6 +15,14 @@ from typing import Any
 
 VALID_VC_ALLOCATORS = ("cva", "ova")
 
+#: Route-computation pipeline depth (the RC stage), in cycles: a head
+#: flit may bid this long after it arrives.
+ROUTE_LATENCY = 1
+
+#: Cycles OVA spends checking the output VC after switch allocation
+#: completes (the serialized VA stage of Figure 7(c)).
+OVA_EXTRA_LATENCY = 1
+
 
 @dataclass(frozen=True)
 class RouterConfig:
@@ -50,9 +58,6 @@ class RouterConfig:
             request leaving the input arbiter and the grant decision
             (covers the wire stage plus local and global output
             arbitration, SA1..SA3 of Figure 7).
-        ova_extra_latency: Additional cycles OVA spends checking the
-            output VC after switch allocation completes.
-        route_latency: Route-computation pipeline depth (RC stage).
         credit_latency: Cycles for a credit to travel back to the
             input (used for crosspoint and subswitch buffer credits).
         ideal_credit_return: If True, crosspoint credits return
@@ -85,8 +90,6 @@ class RouterConfig:
     vc_allocator: str = "cva"
     prioritize_nonspeculative: bool = False
     sa_latency: int = 3
-    ova_extra_latency: int = 1
-    route_latency: int = 1
     credit_latency: int = 2
     ideal_credit_return: bool = False
     speculative: bool = True

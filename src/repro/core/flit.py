@@ -110,29 +110,6 @@ class Flit:
         self.hops = hops
         self.route = [] if route is None else route
 
-    @property
-    def is_body(self) -> bool:
-        """True if the flit is neither head nor tail (middle of a packet)."""
-        return not self.is_head and not self.is_tail
-
-    def clone_for_stats(self) -> "Flit":
-        """Shallow snapshot used by instrumentation hooks."""
-        return Flit(
-            packet_id=self.packet_id,
-            flit_index=self.flit_index,
-            is_head=self.is_head,
-            is_tail=self.is_tail,
-            src=self.src,
-            dest=self.dest,
-            vc=self.vc,
-            out_vc=self.out_vc,
-            created_at=self.created_at,
-            injected_at=self.injected_at,
-            measured=self.measured,
-            hops=self.hops,
-            route=list(self.route),
-        )
-
     def to_wire(self) -> tuple:
         """Every field, in declaration order, as one flat tuple.
 

@@ -67,10 +67,6 @@ class DelayLine(Generic[T]):
             ready.append(queue.popleft()[2])
         return ready
 
-    def peek_ready(self, now: int) -> List[T]:
-        """Return matured items without removing them, in pop order."""
-        return [item for _, item in self.pending(now)]
-
     def pending(self, now: int) -> List[Tuple[int, T]]:
         """``(due, item)`` pairs maturing by ``now``, in pop order.
 
@@ -142,9 +138,6 @@ class BusyTracker:
 
     def busy_until(self, idx: int) -> int:
         return self._busy_until[idx]
-
-    def any_busy(self, now: int) -> bool:
-        return any(b > now for b in self._busy_until)
 
     def __len__(self) -> int:
         return len(self._busy_until)

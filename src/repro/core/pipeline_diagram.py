@@ -7,7 +7,8 @@ concurrently with the distributed switch-allocation stages, and (c)
 OVA, where it is serialized after them.  This module regenerates those
 diagrams from a :class:`~repro.core.config.RouterConfig`, so the
 rendered pipeline always reflects the configured latencies
-(``sa_latency``, ``ova_extra_latency``, ``flit_cycles``).
+(``sa_latency``, ``flit_cycles``) and the fixed ones
+(``ROUTE_LATENCY``, ``OVA_EXTRA_LATENCY``).
 
 Speculative stages — those issued before VC allocation resolves — are
 marked with ``*``, mirroring the underlines in Figure 7.
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from .config import RouterConfig
+from .config import OVA_EXTRA_LATENCY, ROUTE_LATENCY, RouterConfig
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,7 @@ def baseline_pipeline(config: RouterConfig) -> List[Stage]:
     head-flit latency exactly.
     """
     return [
-        Stage("RC", config.route_latency),
+        Stage("RC", ROUTE_LATENCY),
         Stage("VA", 1),
         Stage("ST", config.flit_cycles),
     ]
@@ -80,7 +81,7 @@ def cva_pipeline(config: RouterConfig) -> List[Stage]:
     until the grant resolves.
     """
     return (
-        [Stage("RC", config.route_latency)]
+        [Stage("RC", ROUTE_LATENCY)]
         + _sa_stages(config, speculative=True)
         + [Stage("ST", config.flit_cycles)]
     )
@@ -89,9 +90,9 @@ def cva_pipeline(config: RouterConfig) -> List[Stage]:
 def ova_pipeline(config: RouterConfig) -> List[Stage]:
     """Figure 7(c): OVA — VC allocation serialized after SA3."""
     return (
-        [Stage("RC", config.route_latency)]
+        [Stage("RC", ROUTE_LATENCY)]
         + _sa_stages(config, speculative=True)
-        + [Stage("VA", max(1, config.ova_extra_latency), speculative=True)]
+        + [Stage("VA", OVA_EXTRA_LATENCY, speculative=True)]
         + [Stage("ST", config.flit_cycles)]
     )
 
@@ -125,17 +126,16 @@ def measured_pipeline(config: RouterConfig, architecture: str) -> List[Stage]:
     router's ``TRACE_STAGES`` — and how many cycles a contention-free
     head flit spends in each.  Internal work with no emission point of
     its own is folded into the preceding stage: the baseline's "RC"
-    span covers RC+VA (``route_latency + 1``), and the OVA "SA" span
+    span covers RC+VA (``ROUTE_LATENCY + 1``), and the OVA "SA" span
     covers SA plus the serialized VC check
-    (``sa_latency + ova_extra_latency``).
+    (``sa_latency + OVA_EXTRA_LATENCY``).
 
     The stage sum equals the simulated zero-load head-flit latency from
     :meth:`Router.accept` to ejection; for ``baseline``/``cva``/``ova``
-    it also equals ``head_flit_latency(pipeline_for(config, arch))``
-    (with the default ``ova_extra_latency=1``), which the differential
-    tests pin.
+    it also equals ``head_flit_latency(pipeline_for(config, arch))``,
+    which the differential tests pin.
     """
-    rl, fc = config.route_latency, config.flit_cycles
+    rl, fc = ROUTE_LATENCY, config.flit_cycles
     if architecture == "baseline":
         return [Stage("RC", rl + 1), Stage("ST", fc)]
     if architecture == "cva":
@@ -147,7 +147,7 @@ def measured_pipeline(config: RouterConfig, architecture: str) -> List[Stage]:
     if architecture == "ova":
         return [
             Stage("RC", rl),
-            Stage("SA", config.sa_latency + config.ova_extra_latency,
+            Stage("SA", config.sa_latency + OVA_EXTRA_LATENCY,
                   speculative=True),
             Stage("ST", fc),
         ]

@@ -41,9 +41,3 @@ class OutputVcState:
                 f"{self.owners[vc]}"
             )
         self.owners[vc] = None
-
-    def free_vcs(self) -> List[int]:
-        return [vc for vc, owner in enumerate(self.owners) if owner is None]
-
-    def any_free(self) -> bool:
-        return any(owner is None for owner in self.owners)

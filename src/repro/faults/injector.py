@@ -379,9 +379,8 @@ class NetworkFaultInjector(_FaultInjector):
     calling a staged credit sink) and re-delivers after the resync
     timeout.  Scheduled :class:`~repro.faults.plan.LinkFault` events
     take output links down/up; route computation then avoids dead
-    links (``route_avoiding`` when the topology provides it, bounded
-    re-rolls of the oblivious route otherwise), counting reroutes and
-    give-ups.  Counters land in the run result as ``stats.faults.*``.
+    links through the topology's ``route_avoiding``, counting reroutes
+    and give-ups.  Counters land in the run result as ``stats.faults.*``.
     """
 
     def __init__(self, plan: FaultPlan, sim, seed: int) -> None:
@@ -496,16 +495,9 @@ class NetworkFaultInjector(_FaultInjector):
         if not self.dead_links or self._route_clean(topo, src_host, ports):
             return ports
         self._bump("faults.reroutes")
-        avoid = getattr(topo, "route_avoiding", None)
-        if avoid is not None:
-            alt = avoid(src_host, dst_host, rng, self._link_ok)
-            if alt is not None:
-                return alt
-        else:
-            for _ in range(16):
-                alt = topo.route(src_host, dst_host, rng)
-                if self._route_clean(topo, src_host, alt):
-                    return alt
+        alt = topo.route_avoiding(src_host, dst_host, rng, self._link_ok)
+        if alt is not None:
+            return alt
         # No clean path found: ship the blind route — the packet waits
         # at the dead link until (if ever) it comes back up.
         self._bump("faults.route_giveups")

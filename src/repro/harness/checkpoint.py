@@ -31,16 +31,20 @@ from typing import Optional
 
 #: On-disk format version, bumped whenever the payload layout changes
 #: or the simulation would continue a capture under different rules.
-#: Formats 5-8 pickle the simulation itself; format 6 draws
+#: Formats 5-9 pickle the simulation itself; format 6 draws
 #: arrivals as geometric gaps (an arrival queue), where format 5
 #: polled every source every cycle, format 7 keeps a hierarchical
 #: crossbar's crossing flits on one router-level line, with a row mask
-#: per output (``_port_rows``) in place of its flit counts, and format
-#: 8 keeps both stacks' source queues on the simulation (``_source_q``
-#: and ``_backlog``), none on a source.  Formats 1-4 held a
-#: hand-written capture plus a constructor spec to rebuild from.  Every
-#: other format is refused.
-CHECKPOINT_FORMAT = 8
+#: per output (``_port_rows``) in place of its flit counts, format 8
+#: keeps both stacks' source queues on the simulation (``_source_q``
+#: and ``_backlog``), none on a source, and format 9 drops the
+#: write-only router counters (``RouterStats`` keeps ``flits_accepted``,
+#: ``flits_ejected`` and ``extra``), the distributed router's
+#: ``speculation`` tracker and CVA policy object, and ``RouterConfig``'s
+#: ``route_latency`` and ``ova_extra_latency`` fields.  Formats 1-4
+#: held a hand-written capture plus a constructor spec to rebuild from.
+#: Every other format is refused.
+CHECKPOINT_FORMAT = 9
 
 
 def save_checkpoint(sim, path) -> None:

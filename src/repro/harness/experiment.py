@@ -63,7 +63,6 @@ class SwitchSimulation(StagedRun):
         packet_size: int = 1,
         pattern: Optional[TrafficPattern] = None,
         injection: str = "bernoulli",
-        avg_burst: float = 8.0,
         seed: Optional[int] = None,
         sanitize: bool = False,
         tracer=None,
@@ -133,9 +132,7 @@ class SwitchSimulation(StagedRun):
                 )
         else:
             for i in range(self.config.radix):
-                proc = make_injection(
-                    injection, packet_rate, peak_rate, avg_burst
-                )
+                proc = make_injection(injection, packet_rate, peak_rate)
                 sources.append(TrafficSource(
                     i, pattern, proc, packet_size,
                     derive_rng(seed, "traffic", i),

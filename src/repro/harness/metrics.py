@@ -55,20 +55,6 @@ class Histogram:
             for b in sorted(self.counts)
         ]
 
-    def quantile_bucket(self, q: float) -> int:
-        """Bucket containing the q-quantile (q in [0, 1])."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"q must be in [0, 1], got {q}")
-        if self.total == 0:
-            raise ValueError("empty histogram")
-        target = q * self.total
-        running = 0
-        for b in sorted(self.counts):
-            running += self.counts[b]
-            if running >= target:
-                return b
-        return max(self.counts)
-
 
 class MetricsCollector:
     """Accumulates per-cycle and per-flit metrics from a simulation.

@@ -108,16 +108,3 @@ def format_saturation(
         for s in sweeps
     ]
     return format_table(["architecture", "saturation throughput"], rows, title)
-
-
-def format_stage_breakdown(*args, **kwargs) -> str:
-    """Measured per-stage pipeline breakdown (see :mod:`repro.trace`).
-
-    Convenience re-export so report consumers find every table
-    formatter in one module; the implementation lives in
-    :func:`repro.trace.breakdown.format_stage_breakdown` (imported
-    lazily — the trace layer sits above the harness).
-    """
-    from ..trace.breakdown import format_stage_breakdown as impl
-
-    return impl(*args, **kwargs)

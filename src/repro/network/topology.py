@@ -320,16 +320,16 @@ class Topology:
     * ``neighbor(switch, port)`` — the :class:`PortRef` a port leads to
       (a switch port, or a host when ``switch is None``);
     * ``host_attachment(host)`` — the switch port a host injects into;
-    * ``route(src_host, dst_host, rng)`` — output ports of a path.
+    * ``route(src_host, dst_host, rng)`` — output ports of a path;
+    * ``route_avoiding(src, dst, rng, link_ok)`` — a path using only
+      links the ``link_ok(switch, port)`` predicate approves, or None
+      when there is none; the fault injector (:mod:`repro.faults`)
+      reroutes around dead links with it.
 
-    Optionally, ``route_avoiding(src, dst, rng, link_ok)`` returns a
-    path using only links the ``link_ok(switch, port)`` predicate
-    approves (or None) — the fault injector
-    (:mod:`repro.faults`) uses it to reroute around dead links and
-    falls back to re-rolling ``route`` when it is absent.  Likewise
-    optional, ``shard_blocks(shards)`` returns the switches as one list
-    per worker of a sharded run (every switch exactly once); a topology
-    without it is split into contiguous blocks of ``switch_ids()``.
+    Optionally, ``shard_blocks(shards)`` returns the switches as one
+    list per worker of a sharded run (every switch exactly once); a
+    topology without it is split into contiguous blocks of
+    ``switch_ids()``.
 
     :class:`FoldedClos` and :class:`~repro.network.mesh.Mesh` both
     satisfy this protocol (duck-typed; this class exists for
@@ -351,4 +351,8 @@ class Topology:
         raise NotImplementedError
 
     def route(self, src_host, dst_host, rng):  # pragma: no cover
+        raise NotImplementedError
+
+    def route_avoiding(self, src_host, dst_host, rng,
+                       link_ok):  # pragma: no cover - protocol stub
         raise NotImplementedError

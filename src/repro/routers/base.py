@@ -47,17 +47,17 @@ from ..engine.hooks import EngineHooks
 
 @dataclass
 class RouterStats:
-    """Event counters accumulated over a simulation run."""
+    """Event counters accumulated over a simulation run.
+
+    ``flits_accepted`` / ``flits_ejected`` are what parking and the
+    conservation audit read; ``extra`` holds the named counters (faults,
+    trace) folded into a run's ``stats.*`` extras.  Allocation outcomes
+    are not counted here: they are ``grant`` and ``spec_outcome`` hook
+    events.
+    """
 
     flits_accepted: int = 0
     flits_ejected: int = 0
-    packets_ejected: int = 0
-    switch_grants: int = 0
-    switch_denials: int = 0
-    spec_vc_failures: int = 0
-    wasted_output_cycles: int = 0
-    credit_bus_conflicts: int = 0
-    nacks: int = 0
     extra: Dict[str, int] = field(default_factory=dict)
 
     def bump(self, name: str, amount: int = 1) -> None:
@@ -160,8 +160,6 @@ class Router(Component):
         for flit, out_port in self._staged_ejects:
             self.ejected.append((flit, cycle))
             self.stats.flits_ejected += 1
-            if flit.is_tail:
-                self.stats.packets_ejected += 1
             if hooks.flit_move:
                 hooks.emit_flit_move("eject", flit, out_port, cycle)
         for out, vc, pid in self._staged_releases:
@@ -281,13 +279,6 @@ class Router(Component):
         for v in vcs:
             self._stuck_inputs.discard((port, v))
 
-    def _input_stuck(self, port: int, vc: int) -> bool:
-        """Stuck-lane predicate.  Eligibility scans inline this test
-        (``self._stuck_inputs and (i, vc) in self._stuck_inputs``) to
-        keep the fault-free cost at one set-truthiness check; the
-        method form exists for injectors and tests."""
-        return bool(self._stuck_inputs) and (port, vc) in self._stuck_inputs
-
     # ------------------------------------------------------------------
     # Shared mechanics for subclasses
     # ------------------------------------------------------------------
@@ -307,7 +298,6 @@ class Router(Component):
         begin = self.cycle if start is None else start
         self.output_busy.extend(out_port, begin + fc)
         self._ejecting.push_at(begin + fc, (flit, out_port))
-        self.stats.switch_grants += 1
         if flit.is_tail and flit.out_vc is not None:
             self._vc_release.push_at(
                 begin + fc, (out_port, flit.out_vc, flit.packet_id)

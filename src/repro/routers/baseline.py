@@ -11,7 +11,7 @@ the centralized single-cycle allocation does not scale").
 
 Pipeline (Figure 5(b)): RC | VA | SA | ST for head flits, SA | ST for
 body flits.  RC+VA are modeled as an eligibility delay of
-``route_latency + 1`` cycles on head flits; SA happens in the cycle of
+``ROUTE_LATENCY + 1`` cycles on head flits; SA happens in the cycle of
 arbitration and switch traversal starts the same cycle, occupying the
 input and output for ``flit_cycles`` cycles.
 
@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from ..core.arbiter import RoundRobinArbiter
-from ..core.config import RouterConfig
+from ..core.config import ROUTE_LATENCY, RouterConfig
 from ..core.errors import InvariantViolation
 from ..core.flit import Flit
 from .base import Router
@@ -41,7 +41,7 @@ class BaselineRouter(Router):
 
     # The centralized allocator has no observable intermediate stage:
     # the "RC" span measured by repro.trace covers the RC+VA eligibility
-    # delay (route_latency + 1), and "ST" fires at the grant.
+    # delay (ROUTE_LATENCY + 1), and "ST" fires at the grant.
     TRACE_STAGES = ("RC", "ST")
 
     def __init__(self, config: RouterConfig) -> None:
@@ -53,7 +53,7 @@ class BaselineRouter(Router):
         # Output VC held by the in-progress packet of input VC (i, vc).
         self._alloc: Dict[Tuple[int, int], int] = {}
         # Head flits become eligible after the RC and VA pipe stages.
-        self._head_delay = config.route_latency + 1
+        self._head_delay = ROUTE_LATENCY + 1
 
     # ------------------------------------------------------------------
 
@@ -106,17 +106,14 @@ class BaselineRouter(Router):
     def _grant(self, requests: Dict[int, Dict[int, Tuple[int, Flit]]]) -> None:
         """Output arbitration and centralized VA for the winners."""
         now = self.cycle
-        stats = self.stats
         output_free = self.output_busy.free
         output_arb = self._output_arb
         for out, by_input in requests.items():
             if not output_free(out, now):
-                stats.switch_denials += len(by_input)
                 continue
             winner = output_arb[out].grant(by_input)
             vc, flit = by_input[winner]
             self._transmit(winner, vc, flit, out)
-            stats.switch_denials += len(by_input) - 1
 
     def _transmit(self, i: int, vc: int, flit: Flit, out: int) -> None:
         """Pop the granted flit and start its switch traversal."""

@@ -56,7 +56,7 @@ from ..core.batch import (
     mirror_vc_bank,
 )
 from ..core.buffers import VcBufferBank
-from ..core.config import RouterConfig
+from ..core.config import ROUTE_LATENCY, RouterConfig
 from ..core.errors import InvariantViolation, drift, invariant
 from ..core.credit import (
     CreditCounter,
@@ -129,7 +129,7 @@ class BufferedCrossbarRouter(Router):
         # the only buses a step or next_event() need to visit.
         # Added at the post, dropped when a step leaves the bus idle.
         self._bus_live: Set[int] = set()
-        self._head_delay = config.route_latency
+        self._head_delay = ROUTE_LATENCY
         self._batch = bool(config.batch_hot_path) and HAVE_NUMPY
         if self._batch:
             self._init_batch()
@@ -552,7 +552,3 @@ class BufferedCrossbarRouter(Router):
 
     def _extra_occupancy(self) -> int:
         return sum(map(len, self._xp_flat)) + self._in_flight_to_xp
-
-    def crosspoint_occupancy(self) -> int:
-        """Total flits held in crosspoint buffers (for tests/metrics)."""
-        return sum(map(len, self._xp_flat))

@@ -43,11 +43,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..allocation.speculation import SpeculationTracker
 from ..allocation.switch_alloc import OutputArbiterBank
-from ..allocation.vc_alloc import CvaPolicy, OvaPolicy
+from ..allocation.vc_alloc import OvaPolicy
 from ..core.arbiter import RoundRobinArbiter
-from ..core.config import RouterConfig
+from ..core.config import OVA_EXTRA_LATENCY, ROUTE_LATENCY, RouterConfig
 from ..core.errors import invariant
 from ..core.flit import Flit
 from ..core.pipeline import DelayLine
@@ -86,15 +85,13 @@ class DistributedRouter(Router):
         self._output_arb = OutputArbiterBank(
             k, k, m, prioritized=config.prioritize_nonspeculative
         )
-        self._cva = CvaPolicy()
-        self._ova = OvaPolicy(k, v, config.ova_extra_latency)
-        self.speculation = SpeculationTracker()
+        self._ova = OvaPolicy(k, v)
         self._alloc: Dict[Tuple[int, int], int] = {}
         self._pending: List[Optional[_Request]] = [None] * k
         # Requests parked at each output arbiter, keyed by input.
         self._resident: List[Dict[int, _Request]] = [dict() for _ in range(k)]
         self._pipe: DelayLine[_Request] = DelayLine(config.sa_latency)
-        self._head_delay = config.route_latency
+        self._head_delay = ROUTE_LATENCY
         # (i, vc) pairs whose head flit won a non-speculative VA and may
         # now bid for the switch (non-speculative mode only).
         self._va_done: Set[Tuple[int, int]] = set()
@@ -140,10 +137,8 @@ class DistributedRouter(Router):
             invariant(request is not None, "input arbiter granted a VC "
                       "with no candidate request", cycle=self.cycle,
                       port=i, vc=vc, check="arbitration")
-            if request.kind == KIND_SWITCH:
-                self.speculation.record_request(request.speculative)
-                if self.hooks.stage_enter:
-                    self.hooks.emit_stage_enter(request.flit, "SA", i, now)
+            if request.kind == KIND_SWITCH and self.hooks.stage_enter:
+                self.hooks.emit_stage_enter(request.flit, "SA", i, now)
             self._pending[i] = request
             self._pipe.push(now, request)
 
@@ -221,8 +216,6 @@ class DistributedRouter(Router):
             state.allocate(req.out_vc, req.flit.packet_id)
             self._alloc[(req.input, req.vc)] = req.out_vc
             self._va_done.add((req.input, req.vc))
-        else:
-            self.stats.spec_vc_failures += 1
         self._pending[req.input] = None
 
     def _resolve_cva(self, out: int, reqs: Dict[int, _Request]) -> None:
@@ -244,14 +237,11 @@ class DistributedRouter(Router):
             invariant(winner.out_vc is not None, "speculative CVA request "
                       "carries no output VC", cycle=self.cycle,
                       port=winner.input, check="vc-ownership")
-            if not self._cva.admissible(
-                self.output_vcs[out], winner.out_vc, winner.flit.packet_id
-            ):
+            state = self.output_vcs[out]
+            if not (state.is_free(winner.out_vc)
+                    or state.owner(winner.out_vc) == winner.flit.packet_id):
                 # Failed speculation: the switch slot goes unused this
                 # cycle and the request is killed back to its input.
-                self.stats.spec_vc_failures += 1
-                self.stats.wasted_output_cycles += 1
-                self.speculation.record_kill()
                 if self.hooks.spec_outcome:
                     self.hooks.emit_spec_outcome("cva", False, out, self.cycle)
                 self._kill(winner)
@@ -272,9 +262,6 @@ class DistributedRouter(Router):
         if out_vc is None:
             # The output's grant is wasted this cycle: nobody else can
             # use it, and the winner must re-bid from its input.
-            self.stats.spec_vc_failures += 1
-            self.stats.wasted_output_cycles += 1
-            self.speculation.record_kill()
             if self.hooks.spec_outcome:
                 self.hooks.emit_spec_outcome("ova", False, out, self.cycle)
             self._kill(winner)
@@ -282,7 +269,7 @@ class DistributedRouter(Router):
         winner.out_vc = out_vc
         if self.hooks.spec_outcome:
             self.hooks.emit_spec_outcome("ova", True, out, self.cycle)
-        self._grant(winner, extra_delay=self._ova.extra_grant_latency)
+        self._grant(winner, extra_delay=OVA_EXTRA_LATENCY)
 
     def _arbitrate_output(
         self, out: int, reqs: List[_Request]
@@ -293,9 +280,7 @@ class DistributedRouter(Router):
         )
         if winner_input is None:
             return None
-        winner = by_input[winner_input]
-        self.speculation.record_grant(winner.speculative)
-        return winner
+        return by_input[winner_input]
 
     # ------------------------------------------------------------------
     # Grant / deny plumbing
@@ -303,7 +288,6 @@ class DistributedRouter(Router):
 
     def _kill(self, req: _Request) -> None:
         """Remove a request from contention and let its input re-bid."""
-        self.stats.switch_denials += 1
         del self._resident[req.out][req.input]
         self._pending[req.input] = None
         if req.speculative and self.config.vc_allocator == "cva":

@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.arbiter import RoundRobinArbiter
 from ..core.buffers import VcBufferBank, audit_bounds, bank_lengths, per_bank
-from ..core.config import RouterConfig
+from ..core.config import ROUTE_LATENCY, RouterConfig
 from ..core.credit import (
     CreditCounter,
     DelayedCreditPipe,
@@ -111,11 +111,11 @@ class HierarchicalCrossbarRouter(Router):
 
     Skip rule: a probe is skipped only when its index is zero — when
     the structure holds no flit, so probing it would have yielded no
-    candidate, advanced no arbiter pointer, bumped no ``stats`` counter
-    and emitted no hook event.  Every probe of a non-empty structure
-    still runs, in row-major subswitch, then lane, then VC order, which
-    keeps results, ``stats.*`` extras and trace bytes independent of
-    the indices.  Each probe reads the deque head (and the busy times)
+    candidate, advanced no arbiter pointer and emitted no hook event.
+    Every probe of a non-empty structure still runs, in row-major
+    subswitch, then lane, then VC order, which keeps results,
+    ``stats.*`` extras and trace bytes independent of the indices.
+    Each probe reads the deque head (and the busy times)
     directly and the heads that pass go to ``RoundRobinArbiter.grant``
     as a ``{line: candidate}`` dict: a visit costs the requesters it
     finds, not the arbiter's width (only the contested output-port pick
@@ -162,7 +162,7 @@ class HierarchicalCrossbarRouter(Router):
         self._crossing: DelayLine[Tuple[Flit, _Subswitch, int]] = DelayLine(
             config.flit_cycles
         )
-        self._head_delay = config.route_latency
+        self._head_delay = ROUTE_LATENCY
 
     # ------------------------------------------------------------------
 
@@ -257,7 +257,7 @@ class HierarchicalCrossbarRouter(Router):
         now = self.cycle
         config = self.config
         p, fc = config.subswitch_size, config.flit_cycles
-        stats, hooks = self.stats, self.hooks
+        hooks = self.hooks
         in_credits, credit_pipe = self._in_credits, self._credit_pipe
         crossing = self._crossing
         for row in self.sub:
@@ -292,7 +292,6 @@ class HierarchicalCrossbarRouter(Router):
                             # Local VC allocation: the output buffer must
                             # not be held open by another packet.
                             if writer is not None and writer != flit.packet_id:
-                                stats.spec_vc_failures += 1
                                 if hooks.spec_outcome:
                                     hooks.emit_spec_outcome(
                                         "subva", False, flit.dest, now
@@ -316,11 +315,9 @@ class HierarchicalCrossbarRouter(Router):
                 out_busy = sub.out_lane_busy._busy_until
                 for lo, wanted in requests.items():
                     if out_busy[lo] > now:
-                        stats.switch_denials += len(wanted)
                         continue
                     li = sub.out_arb[lo].grant(wanted)
                     vc, flit = wanted[li]
-                    stats.switch_denials += len(wanted) - 1
                     if in_bufs[li].queues[vc]._q.popleft() is not flit:
                         raise InvariantViolation(
                             "subswitch input buffer head changed before pop",

@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Tuple
 from ..allocation.switch_alloc import OutputArbiterBank
 from ..core.arbiter import RoundRobinArbiter
 from ..core.buffers import FlitQueue
-from ..core.config import RouterConfig
+from ..core.config import ROUTE_LATENCY, RouterConfig
 from ..core.credit import CreditCounter, audit_credit_books
 from ..core.flit import Flit
 from ..core.pipeline import DelayLine
@@ -83,7 +83,7 @@ class SharedBufferCrossbarRouter(Router):
         # Per output: crosspoints currently holding flits, so the
         # output stage skips the O(k) head scan of empty columns.
         self._occupied: List[set] = [set() for _ in range(k)]
-        self._head_delay = config.route_latency
+        self._head_delay = ROUTE_LATENCY
 
     # ------------------------------------------------------------------
 
@@ -147,8 +147,6 @@ class SharedBufferCrossbarRouter(Router):
                 if not ok:
                     # NACK: the flit is dropped at the crosspoint and
                     # its credit restored; the input will retry.
-                    self.stats.nacks += 1
-                    self.stats.spec_vc_failures += 1
                     self._credits[i][j].restore()
                     self._responses.push(self.cycle, (i, flit.vc, _NACK))
                     if self.hooks.spec_outcome:

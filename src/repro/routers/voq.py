@@ -31,7 +31,7 @@ from ..allocation.islip import IslipAllocator
 from ..core.arbiter import RoundRobinArbiter
 from ..core.errors import invariant
 from ..core.buffers import VcBufferBank, bank_lengths
-from ..core.config import RouterConfig
+from ..core.config import ROUTE_LATENCY, RouterConfig
 from ..core.flit import Flit
 from .base import Router, audit_occupied
 
@@ -56,7 +56,7 @@ class VoqRouter(Router):
         self._islip = IslipAllocator(k, k, iterations=iterations)
         # Per input: destinations with at least one buffered flit.
         self._occupied: List[set] = [set() for _ in range(k)]
-        self._head_delay = config.route_latency
+        self._head_delay = ROUTE_LATENCY
 
     # ------------------------------------------------------------------
 

@@ -151,11 +151,11 @@ def make_injection(
     kind: str,
     rate: float,
     peak_rate: float = 1.0,
-    avg_burst: float = 8.0,
 ) -> InjectionProcess:
-    """Factory: ``kind`` is "bernoulli" or "onoff"."""
+    """Factory: ``kind`` is "bernoulli" or "onoff" (Table 1's bursts,
+    8 packets long on average)."""
     if kind == "bernoulli":
         return Bernoulli(rate)
     if kind == "onoff":
-        return MarkovOnOff(rate, peak_rate=peak_rate, avg_burst=avg_burst)
+        return MarkovOnOff(rate, peak_rate=peak_rate)
     raise ValueError(f"unknown injection kind {kind!r}")

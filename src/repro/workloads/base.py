@@ -415,18 +415,6 @@ class Workload:
     # Introspection (tests, tooling)
     # ------------------------------------------------------------------
 
-    def sends_per_rank(self) -> List[int]:
-        counts = [0] * self.num_ranks
-        for n in self._nodes:
-            counts[n.src] += 1
-        return counts
-
-    def receives_per_rank(self) -> List[int]:
-        counts = [0] * self.num_ranks
-        for n in self._nodes:
-            counts[n.dest] += 1
-        return counts
-
     def edges(self) -> Iterable[Tuple[int, int]]:
         """(dep, node) edges — every edge points backwards by id."""
         for n in self._nodes:

@@ -1,12 +1,7 @@
-"""Tests for the allocation package (OutputArbiterBank, CVA/OVA, tracker)."""
+"""Tests for the allocation package (OutputArbiterBank, OVA)."""
 
-import math
-
-import pytest
-
-from repro.allocation.speculation import SpeculationTracker
 from repro.allocation.switch_alloc import OutputArbiterBank
-from repro.allocation.vc_alloc import CvaPolicy, OvaPolicy
+from repro.allocation.vc_alloc import OvaPolicy
 from repro.core.vcstate import OutputVcState
 
 
@@ -41,25 +36,6 @@ class TestOutputArbiterBank:
         assert winner == 2
 
 
-class TestCvaPolicy:
-    def test_free_vc_admissible(self):
-        state = OutputVcState(2)
-        assert CvaPolicy().admissible(state, 0, packet_id=1)
-
-    def test_busy_vc_not_admissible(self):
-        state = OutputVcState(2)
-        state.allocate(0, packet_id=9)
-        assert not CvaPolicy().admissible(state, 0, packet_id=1)
-
-    def test_own_vc_admissible(self):
-        state = OutputVcState(2)
-        state.allocate(0, packet_id=1)
-        assert CvaPolicy().admissible(state, 0, packet_id=1)
-
-    def test_no_extra_latency(self):
-        assert CvaPolicy.extra_grant_latency == 0
-
-
 class TestOvaPolicy:
     def test_allocates_free_vc(self):
         policy = OvaPolicy(num_outputs=2, num_vcs=2)
@@ -80,40 +56,3 @@ class TestOvaPolicy:
         first = policy.allocate(0, state)
         second = policy.allocate(0, state)
         assert first != second
-
-    def test_extra_latency_configurable(self):
-        assert OvaPolicy(1, 2, extra_latency=2).extra_grant_latency == 2
-
-
-class TestSpeculationTracker:
-    def test_counts(self):
-        t = SpeculationTracker()
-        t.record_request(True)
-        t.record_request(True)
-        t.record_request(False)
-        t.record_grant(True)
-        t.record_grant(False)
-        t.record_kill()
-        assert t.spec_requests == 2
-        assert t.nonspec_requests == 1
-        assert t.spec_grants == 1
-        assert t.nonspec_grants == 1
-        assert t.spec_kills == 1
-
-    def test_success_rate(self):
-        t = SpeculationTracker()
-        t.record_request(True)
-        t.record_request(True)
-        t.record_grant(True)
-        assert t.spec_success_rate == 0.5
-
-    def test_success_rate_nan_without_requests(self):
-        assert math.isnan(SpeculationTracker().spec_success_rate)
-
-    def test_wasted_fraction(self):
-        t = SpeculationTracker()
-        assert t.wasted_bid_fraction == 0.0
-        t.record_request(True)
-        t.record_request(False)
-        t.record_kill()
-        assert t.wasted_bid_fraction == 0.5

@@ -1,9 +1,7 @@
-"""Tests for the multi-stage arbiter and the pipeline diagrams."""
+"""Tests for the pipeline diagrams."""
 
 import pytest
-from hypothesis import given, strategies as st
 
-from repro.core.arbiter import HierarchicalArbiter, MultiStageArbiter
 from repro.core.config import RouterConfig
 from repro.core.pipeline_diagram import (
     baseline_pipeline,
@@ -18,81 +16,6 @@ from repro.routers.baseline import BaselineRouter
 from repro.routers.distributed import DistributedRouter
 
 CFG = RouterConfig(radix=8, num_vcs=2, subswitch_size=4, local_group_size=4)
-
-
-class TestMultiStageArbiter:
-    def test_two_stage_matches_hierarchical(self):
-        """With one group size, the tree degenerates to Figure 6's
-        two-stage arbiter and makes identical decisions."""
-        multi = MultiStageArbiter(16, [4])
-        hier = HierarchicalArbiter(16, 4)
-        for step in range(50):
-            reqs = [(i + step) % 3 == 0 for i in range(16)]
-            assert multi.arbitrate(reqs) == hier.arbitrate(reqs)
-
-    def test_stage_count(self):
-        assert MultiStageArbiter(64, [8]).num_stages == 2
-        assert MultiStageArbiter(512, [8, 8]).num_stages == 3
-        assert MultiStageArbiter(4096, [8, 8, 8]).num_stages == 4
-
-    def test_single_request_wins_any_depth(self):
-        arb = MultiStageArbiter(512, [8, 8])
-        reqs = [False] * 512
-        reqs[300] = True
-        assert arb.arbitrate(reqs) == 300
-
-    def test_no_requests(self):
-        assert MultiStageArbiter(64, [8]).arbitrate([False] * 64) is None
-
-    def test_fairness_under_full_load(self):
-        arb = MultiStageArbiter(27, [3, 3])
-        wins = [0] * 27
-        for _ in range(27 * 20):
-            wins[arb.arbitrate([True] * 27)] += 1
-        assert max(wins) - min(wins) <= 21  # every line served repeatedly
-        assert min(wins) > 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MultiStageArbiter(0, [4])
-        with pytest.raises(ValueError):
-            MultiStageArbiter(8, [])
-        with pytest.raises(ValueError):
-            MultiStageArbiter(8, [0])
-        with pytest.raises(ValueError):
-            MultiStageArbiter(8, [4]).arbitrate([True] * 7)
-
-    @given(
-        st.integers(2, 100),
-        st.lists(st.integers(2, 8), min_size=1, max_size=3),
-        st.data(),
-    )
-    def test_grant_implies_request_property(self, size, groups, data):
-        arb = MultiStageArbiter(size, groups)
-        reqs = data.draw(st.lists(st.booleans(), min_size=size,
-                                  max_size=size))
-        winner = arb.arbitrate(reqs)
-        if any(reqs):
-            assert winner is not None and reqs[winner]
-        else:
-            assert winner is None
-
-    @given(st.integers(1, 70), st.integers(1, 12), st.data())
-    def test_one_group_size_is_the_two_stage_arbiter(self, size, group, data):
-        """Same grant and same pointers after every step of a random
-        request sequence."""
-        multi = MultiStageArbiter(size, [group])
-        hier = HierarchicalArbiter(size, group)
-
-        def pointers(arb):
-            return ([a.pointer for a in arb._locals], arb._global.pointer)
-
-        rows = data.draw(st.lists(
-            st.lists(st.booleans(), min_size=size, max_size=size),
-            min_size=1, max_size=12))
-        for reqs in rows:
-            assert multi.arbitrate(reqs) == hier.arbitrate(reqs)
-            assert pointers(multi) == pointers(hier)
 
 
 class TestPipelineDiagrams:

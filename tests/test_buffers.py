@@ -103,18 +103,6 @@ class TestVcBufferBank:
         assert bank.occupancy() == 3
         assert len(bank) == 3
 
-    def test_heads(self):
-        bank = VcBufferBank(2, 4)
-        f = _flit(9)
-        bank[1].push(f)
-        assert bank.heads() == [None, f]
-
-    def test_nonempty_vcs(self):
-        bank = VcBufferBank(4, 4)
-        bank[1].push(_flit())
-        bank[3].push(_flit())
-        assert bank.nonempty_vcs() == [1, 3]
-
     def test_invalid_num_vcs(self):
         with pytest.raises(ValueError):
             VcBufferBank(0, 4)

@@ -226,9 +226,9 @@ class TestFormatVersion:
         path = tmp_path / "switch.ckpt"
         sim.save_checkpoint(path)
         payload = pickle.loads(path.read_bytes())
-        assert payload["format"] == CHECKPOINT_FORMAT == 8
+        assert payload["format"] == CHECKPOINT_FORMAT == 9
         assert set(payload) == {"format", "sim"}
-        for fmt in (1, 2, 3, 4, 5, 6, 7):
+        for fmt in (1, 2, 3, 4, 5, 6, 7, 8):
             path.write_bytes(pickle.dumps({"format": fmt,
                                            "state": _GoneSlot()}))
             with pytest.raises(ValueError,
@@ -241,7 +241,7 @@ class TestFormatVersion:
         not by whatever its retired classes would raise."""
         with pytest.raises(ValueError, match=(
             "unsupported checkpoint format 4 "
-            r"\(this build reads format 8\)"
+            r"\(this build reads format 9\)"
         )):
             load_checkpoint(FORMAT4_FIXTURE)
 

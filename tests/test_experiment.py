@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.config import RouterConfig
+from repro.core.config import ROUTE_LATENCY, RouterConfig
 from repro.harness.experiment import (
     SweepSettings,
     SwitchSimulation,
@@ -53,7 +53,7 @@ class TestSwitchSimulation:
         pipeline delay even at low load."""
         sim = SwitchSimulation(DistributedRouter(CFG), load=0.05)
         r = sim.run(SweepSettings(warmup=100, measure=400, drain=3000))
-        min_pipeline = CFG.route_latency + CFG.sa_latency + CFG.flit_cycles
+        min_pipeline = ROUTE_LATENCY + CFG.sa_latency + CFG.flit_cycles
         assert r.avg_latency >= min_pipeline
 
     def test_vc_assignment_round_robins(self):

@@ -367,8 +367,7 @@ class TestStuckFaults:
         )
         for _ in range(3):
             sim.step()
-        assert sim.router._input_stuck(1, 0)
-        assert not sim.router._input_stuck(1, 1)
+        assert sim.router._stuck_inputs == {(1, 0)}
         for _ in range(10):
             sim.step()
         assert not sim.router._stuck_inputs
@@ -401,12 +400,11 @@ class TestStuckFaults:
     def test_stick_unstick_base_api(self):
         router = BufferedCrossbarRouter(CFG)
         router.stick_input(2)  # all VCs
-        assert all(router._input_stuck(2, vc) for vc in range(CFG.num_vcs))
+        assert router._stuck_inputs == {(2, vc) for vc in range(CFG.num_vcs)}
         router.unstick_input(2)
         assert not router._stuck_inputs
         router.stick_input(3, vc=1)
-        assert router._input_stuck(3, 1)
-        assert not router._input_stuck(3, 0)
+        assert router._stuck_inputs == {(3, 1)}
         router.unstick_input(3, vc=1)
         assert not router._stuck_inputs
 
@@ -512,62 +510,6 @@ class TestNetworkInjector:
         assert CREDIT_RESYNC in recovered
 
 
-class _ParallelPairTopo:
-    """Two switches, two parallel links, no route_avoiding: exercises
-    the injector's bounded re-roll fallback.  Host 0 sits on switch
-    "A"; host 1 hangs off port 2 of switch "B"; ports 0 and 1 of "A"
-    both reach "B"."""
-
-    def __init__(self):
-        from repro.network.topology import PortRef
-
-        self._ref = PortRef
-
-    def host_attachment(self, host):
-        return self._ref(switch="A" if host == 0 else "B", port=2, host=None)
-
-    def neighbor(self, switch, port):
-        if switch == "A" and port in (0, 1):
-            return self._ref(switch="B", port=port, host=None)
-        return self._ref(switch=None, port=0, host=1)
-
-    def route(self, src_host, dst_host, rng):
-        return [rng.randrange(2), 2]
-
-
-class TestRerollFallback:
-    def _injector(self):
-        sim = NetworkSimulation(NET, 0.2)
-        sid = next(iter(sim.routers))
-        plan = FaultPlan(links=(LinkFault(cycle=10 ** 9, switch=sid,
-                                          port=0),))
-        return NetworkFaultInjector(plan, sim, seed=1)
-
-    def test_rerolls_around_dead_link(self):
-        from repro.core.rng import derive_rng
-
-        inj = self._injector()
-        topo = _ParallelPairTopo()
-        inj.dead_links = {("A", 0)}
-        rng = derive_rng(1, "test")
-        for _ in range(30):
-            ports = inj.route(topo, 0, 1, rng)
-            assert ports[0] == 1  # never the dead port
-        assert inj.counters["faults.reroutes"] > 0
-        assert "faults.route_giveups" not in inj.counters
-
-    def test_gives_up_when_no_clean_path(self):
-        from repro.core.rng import derive_rng
-
-        inj = self._injector()
-        topo = _ParallelPairTopo()
-        inj.dead_links = {("A", 0), ("A", 1)}
-        rng = derive_rng(2, "test")
-        ports = inj.route(topo, 0, 1, rng)
-        assert ports[1] == 2  # blind route shipped anyway
-        assert inj.counters["faults.route_giveups"] == 1
-
-
 # ----------------------------------------------------------------------
 # Dead-link-aware routing primitives
 # ----------------------------------------------------------------------
@@ -606,6 +548,26 @@ class TestRouteAvoiding:
 
         assert topo.route_avoiding(
             0, topo.num_hosts - 1, rng, link_ok) is None
+
+    def test_injector_gives_up_on_cut_off_host(self):
+        """With every up link of a host's leaf dead, the injector finds
+        no detour: it counts a give-up and ships the blind route."""
+        from repro.core.rng import derive_rng
+
+        sim = NetworkSimulation(NET, 0.2)
+        topo = sim.topology
+        leaf = topo.host_attachment(0).switch
+        inj = NetworkFaultInjector(
+            FaultPlan(links=(LinkFault(cycle=10 ** 9, switch=leaf,
+                                       port=topo.m),)),
+            sim, seed=1,
+        )
+        inj.dead_links = {(leaf, topo.m + u) for u in range(topo.m)}
+        dst = topo.num_hosts - 1
+        blind = topo.route(0, dst, derive_rng(2, "test"))
+        assert inj.route(topo, 0, dst, derive_rng(2, "test")) == blind
+        assert inj.counters["faults.reroutes"] == 1
+        assert inj.counters["faults.route_giveups"] == 1
 
     def test_clos_route_avoiding_is_valid_path(self):
         from repro.core.rng import derive_rng

@@ -13,13 +13,11 @@ class TestMakePacket:
         (flit,) = make_packet(dest=3, size=1)
         assert flit.is_head
         assert flit.is_tail
-        assert not flit.is_body
 
     def test_multi_flit_packet_structure(self):
         flits = make_packet(dest=5, size=4)
         assert [f.is_head for f in flits] == [True, False, False, False]
         assert [f.is_tail for f in flits] == [False, False, False, True]
-        assert [f.is_body for f in flits] == [False, True, True, False]
         assert [f.flit_index for f in flits] == [0, 1, 2, 3]
 
     def test_flits_share_packet_id(self):
@@ -71,19 +69,6 @@ class TestFlit:
     def test_default_out_vc_unallocated(self):
         f = Flit(packet_id=1, flit_index=0, is_head=True, is_tail=True, src=0, dest=1)
         assert f.out_vc is None
-
-    def test_clone_for_stats_is_independent(self):
-        f = Flit(
-            packet_id=1, flit_index=0, is_head=True, is_tail=False,
-            src=2, dest=3, vc=1, route=[4, 5],
-        )
-        c = f.clone_for_stats()
-        assert c.packet_id == f.packet_id
-        assert c.route == [4, 5]
-        c.route.append(6)
-        c.vc = 3
-        assert f.route == [4, 5]
-        assert f.vc == 1
 
     def test_wire_form_carries_every_field(self):
         f = Flit(

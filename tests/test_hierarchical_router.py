@@ -116,11 +116,15 @@ class TestLocalVcAllocation:
     def test_local_vc_failures_counted(self):
         cfg = CFG.with_(num_vcs=1)
         router = HierarchicalCrossbarRouter(cfg)
+        outcomes = []
+        router.hooks.on_spec_outcome(
+            lambda kind, hit, port, cycle: outcomes.append((kind, hit))
+        )
         for src in (0, 1):
             for f in make_packet(dest=2, size=6, src=src):
                 router.accept(src, f)
         _drain(router, max_cycles=3000)
-        assert router.stats.spec_vc_failures > 0
+        assert ("subva", False) in outcomes
 
 
 class TestPerformance:

@@ -192,9 +192,9 @@ class TestFactory:
         assert isinstance(make_injection("bernoulli", 0.1), Bernoulli)
 
     def test_onoff(self):
-        proc = make_injection("onoff", 0.1, peak_rate=0.25, avg_burst=4.0)
+        proc = make_injection("onoff", 0.1, peak_rate=0.25)
         assert isinstance(proc, MarkovOnOff)
-        assert proc.avg_burst == 4.0
+        assert proc.avg_burst == 8.0  # Table 1's burst length
 
     def test_unknown(self):
         with pytest.raises(ValueError):

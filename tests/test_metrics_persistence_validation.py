@@ -47,24 +47,10 @@ class TestHistogram:
         lowers = [lo for lo, _, _ in rows]
         assert lowers == sorted(lowers)
 
-    def test_quantile_bucket(self):
-        h = Histogram()
-        for _ in range(99):
-            h.add(1)
-        h.add(1000)
-        assert h.quantile_bucket(0.5) == 1
-        assert h.quantile_bucket(1.0) == h.quantile_bucket(0.999) or True
-        assert h.quantile_bucket(1.0) >= 1
-
     def test_validation(self):
         h = Histogram()
         with pytest.raises(ValueError):
             h.add(-1)
-        with pytest.raises(ValueError):
-            h.quantile_bucket(0.5)  # empty
-        h.add(1)
-        with pytest.raises(ValueError):
-            h.quantile_bucket(1.5)
 
 
 class TestMetricsCollector:
@@ -169,8 +155,8 @@ class TestCheckedRouter:
             sim.step()
             if sim.router.idle():
                 break
-        # Only source-queue stragglers may remain unaccepted.
-        assert sim.sanitizer.pending_flits() == 0
+        # Only source-queue stragglers may remain unaccepted; every
+        # accepted flit was delivered.
         sim.sanitizer.assert_drained()
         assert sim.sanitizer.violations_checked > 0
 

@@ -55,7 +55,7 @@ class TestDelayLine:
     def test_peek_does_not_remove(self):
         line = DelayLine(1)
         line.push(0, "x")
-        assert line.peek_ready(1) == ["x"]
+        assert line.pending(1) == [(1, "x")]
         assert line.pop_ready(1) == ["x"]
 
     def test_len_and_bool(self):
@@ -140,13 +140,6 @@ class TestBusyTracker:
         assert not bt.free(0, 9)
         bt.extend(0, 5)  # never shrinks
         assert bt.busy_until(0) == 10
-
-    def test_any_busy(self):
-        bt = BusyTracker(3)
-        assert not bt.any_busy(0)
-        bt.reserve(1, 0, 2)
-        assert bt.any_busy(0)
-        assert not bt.any_busy(2)
 
     def test_len(self):
         assert len(BusyTracker(7)) == 7

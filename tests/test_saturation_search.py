@@ -54,7 +54,7 @@ class TestFindSaturationLoad:
 
 class TestSaturationHelperPlumbing:
     """The saturation helpers used to silently drop simulation options
-    (``find_saturation_load`` also ``avg_burst``), so every inner run
+    (``find_saturation_load`` also ``injection``), so every inner run
     fell back to the defaults."""
 
     def _record_kwargs(self, monkeypatch):
@@ -82,11 +82,11 @@ class TestSaturationHelperPlumbing:
         seen = self._record_kwargs(monkeypatch)
         find_saturation_load(
             BufferedCrossbarRouter, CFG, settings=SETTINGS, tolerance=0.2,
-            injection="onoff", avg_burst=3.0, seed=11,
+            injection="onoff", seed=11,
         )
         assert seen
         assert all(k["seed"] == 11 for k in seen)
-        assert all(k["avg_burst"] == 3.0 for k in seen)
+        assert all(k["injection"] == "onoff" for k in seen)
 
     def test_jumping_matches_never_jump(self, monkeypatch):
         """Fast-forward is semantics-preserving, so both helpers must

@@ -9,6 +9,15 @@ CFG = RouterConfig(radix=8, num_vcs=2, subswitch_size=4, local_group_size=4)
 FAST = SweepSettings(warmup=400, measure=800, drain=50)
 
 
+def _spec_outcomes(router):
+    """Record every ``spec_outcome(kind, hit)`` the router emits."""
+    seen = []
+    router.hooks.on_spec_outcome(
+        lambda kind, hit, port, cycle: seen.append((kind, hit))
+    )
+    return seen
+
+
 def _drain(router, max_cycles=1500):
     out = []
     for _ in range(max_cycles):
@@ -39,6 +48,7 @@ class TestAckNackProtocol:
         is dropped and NACKed."""
         cfg = CFG.with_(num_vcs=1)
         router = SharedBufferCrossbarRouter(cfg)
+        outcomes = _spec_outcomes(router)
         pa = make_packet(dest=2, size=6, src=0)
         pb = make_packet(dest=2, size=6, src=1)
         for f in pa:
@@ -47,7 +57,7 @@ class TestAckNackProtocol:
             router.accept(1, f)
         out = _drain(router, max_cycles=3000)
         assert len(out) == 12
-        assert router.stats.nacks > 0
+        assert ("xpva", False) in outcomes
 
     def test_nack_restores_credit(self):
         cfg = CFG.with_(num_vcs=1, crosspoint_buffer_depth=4)
@@ -66,11 +76,12 @@ class TestAckNackProtocol:
 
     def test_no_nacks_without_vc_contention(self):
         router = SharedBufferCrossbarRouter(CFG)
+        outcomes = _spec_outcomes(router)
         for src in range(4):
             (f,) = make_packet(dest=src + 4, size=1, src=src)
             router.accept(src, f)
         _drain(router)
-        assert router.stats.nacks == 0
+        assert outcomes == [("xpva", True)] * 4
 
 
 class TestPerformance:

@@ -8,8 +8,6 @@ from repro.core.vcstate import OutputVcState
 class TestOutputVcState:
     def test_starts_all_free(self):
         s = OutputVcState(4)
-        assert s.free_vcs() == [0, 1, 2, 3]
-        assert s.any_free()
         assert all(s.is_free(vc) for vc in range(4))
 
     def test_allocate_release_cycle(self):
@@ -17,7 +15,7 @@ class TestOutputVcState:
         s.allocate(0, packet_id=7)
         assert not s.is_free(0)
         assert s.owner(0) == 7
-        assert s.free_vcs() == [1]
+        assert s.is_free(1)
         s.release(0, packet_id=7)
         assert s.is_free(0)
 
@@ -47,8 +45,7 @@ class TestOutputVcState:
         s = OutputVcState(2)
         s.allocate(0, 1)
         s.allocate(1, 2)
-        assert not s.any_free()
-        assert s.free_vcs() == []
+        assert not any(s.is_free(vc) for vc in range(2))
 
     def test_invalid_num_vcs(self):
         with pytest.raises(ValueError):

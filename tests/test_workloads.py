@@ -70,6 +70,15 @@ def _snap(result) -> dict:
     return {**row(result), **engine_free(result.extra)}
 
 
+def _per_rank(wl, end: str) -> list:
+    """Messages per rank, counted at each message's ``end`` ("src" or
+    "dest")."""
+    counts = [0] * wl.num_ranks
+    for node in wl._nodes:
+        counts[getattr(node, end)] += 1
+    return counts
+
+
 def _with_jump(sim, jump: bool):
     """``sim`` as built (it jumps idle spans), or under ``never_jump``."""
     return sim if jump else never_jump(sim)
@@ -369,7 +378,7 @@ class TestRequestReply:
         wl = request_reply(6, requests=3, window=2)
         assert wl.messages == 6 * 2 * 3 * 2  # ranks*window*requests*2
         # Every rank is one client and exactly one server.
-        assert wl.sends_per_rank() == [2 * 3 * 2] * 6
+        assert _per_rank(wl, "src") == [2 * 3 * 2] * 6
 
     def test_rejects_self_partner(self):
         with pytest.raises(ValueError, match="cannot serve"):
@@ -381,8 +390,8 @@ class TestCollectiveShapes:
     @given(n=st.integers(min_value=2, max_value=16))
     def test_ring_allreduce_counts(self, n):
         wl = all_reduce(n, algorithm="ring")
-        assert wl.sends_per_rank() == [2 * (n - 1)] * n
-        assert wl.receives_per_rank() == [2 * (n - 1)] * n
+        assert _per_rank(wl, "src") == [2 * (n - 1)] * n
+        assert _per_rank(wl, "dest") == [2 * (n - 1)] * n
         assert all(dep < node for dep, node in wl.edges())
 
     @settings(max_examples=6, deadline=None)
@@ -390,16 +399,16 @@ class TestCollectiveShapes:
     def test_recursive_doubling_counts(self, n):
         wl = all_reduce(n, algorithm="recursive-doubling")
         rounds = n.bit_length() - 1
-        assert wl.sends_per_rank() == [rounds] * n
-        assert wl.receives_per_rank() == [rounds] * n
+        assert _per_rank(wl, "src") == [rounds] * n
+        assert _per_rank(wl, "dest") == [rounds] * n
         assert all(dep < node for dep, node in wl.edges())
 
     @settings(max_examples=10, deadline=None)
     @given(n=st.integers(min_value=2, max_value=12))
     def test_alltoall_counts(self, n):
         wl = all_to_all(n)
-        assert wl.sends_per_rank() == [n - 1] * n
-        assert wl.receives_per_rank() == [n - 1] * n
+        assert _per_rank(wl, "src") == [n - 1] * n
+        assert _per_rank(wl, "dest") == [n - 1] * n
         assert all(dep < node for dep, node in wl.edges())
 
     @settings(max_examples=10, deadline=None)
@@ -409,8 +418,8 @@ class TestCollectiveShapes:
         root %= n
         wl = broadcast(n, root=root)
         assert wl.messages == n - 1
-        assert wl.receives_per_rank()[root] == 0
-        assert sum(wl.receives_per_rank()) == n - 1
+        assert _per_rank(wl, "dest")[root] == 0
+        assert sum(_per_rank(wl, "dest")) == n - 1
         assert all(dep < node for dep, node in wl.edges())
 
     @settings(max_examples=6, deadline=None)
@@ -421,7 +430,7 @@ class TestCollectiveShapes:
         wl = transformer_decode(n, layers=layers, steps=steps)
         assert all(dep < node for dep, node in wl.edges())
         # Two all-reduces (attention + MLP) per layer per step.
-        assert wl.sends_per_rank() == [
+        assert _per_rank(wl, "src") == [
             steps * layers * 2 * 2 * (n - 1)
         ] * n
 
