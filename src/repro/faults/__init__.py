@@ -30,8 +30,6 @@ from .plan import (
     FaultPlan,
     LinkFault,
     StuckFault,
-    crc8,
-    flit_checksum,
     sample_link_faults,
 )
 
@@ -41,8 +39,6 @@ __all__ = [
     "LinkFault",
     "SwitchFaultInjector",
     "NetworkFaultInjector",
-    "crc8",
-    "flit_checksum",
     "sample_link_faults",
     "CORRUPT",
     "CREDIT_LOSS",

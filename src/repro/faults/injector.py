@@ -4,8 +4,8 @@ against a live simulation.
 Two injectors, one per simulation stack:
 
 * :class:`SwitchFaultInjector` drives a standalone switch simulation
-  (``harness.SwitchSimulation``): host-channel flit corruption with
-  CRC-style detection and sender retransmission, credit loss on the
+  (``harness.SwitchSimulation``): host-channel flit corruption, which
+  the receiver always detects, with sender retransmission, credit loss on the
   credit-return wires/buses with a resync timeout, and scheduled stuck
   crosspoint/subswitch/input buffers.
 * :class:`NetworkFaultInjector` drives a multi-router simulation
@@ -37,7 +37,6 @@ from .plan import (
     STUCK,
     UNSTUCK,
     FaultPlan,
-    flit_checksum,
 )
 
 
@@ -60,10 +59,11 @@ class _ChannelFaults:
 
     One RNG stream per channel, one draw per actual transmission
     attempt: a draw below ``corrupt_rate`` corrupts the flit on the
-    wire.  The receiver's CRC check detects the nonzero syndrome and
-    discards the flit; the sender keeps it queued and retries after a
-    growing back-off (``retry_delay``).  The first clean transmission
-    after one or more corruptions is the retransmission recovery.
+    wire.  The modeled link code detects every corruption, so the
+    receiver discards the flit; the sender keeps it queued and retries
+    after a growing back-off (``retry_delay``).  The first clean
+    transmission after one or more corruptions is the retransmission
+    recovery.
     """
 
     def __init__(self, plan: FaultPlan, seed: int, num_channels: int,
@@ -95,13 +95,10 @@ class _ChannelFaults:
         """One transmission attempt; True when the flit goes through."""
         rng = self._rngs[channel]
         if rng.random() < self.plan.corrupt_rate:
-            # The wire flips bits: a nonzero syndrome lands on the check
-            # symbol, so the receiver's CRC-8 recomputation can't match
-            # (single-error model) and the flit is discarded on arrival.
-            syndrome = 1 + rng.randrange(255)
-            expected = flit_checksum(flit)
-            detected = (expected ^ syndrome) != expected
-            assert detected  # nonzero syndrome: always caught
+            # The error syndrome decides nothing (every corruption is
+            # detected), but its draw keeps the corruption stream, and
+            # with it every faulted row, as it has always been drawn.
+            rng.randrange(255)
             self._attempts[channel] += 1
             self._retry_at[channel] = now + self.plan.retry_delay(
                 self._attempts[channel]
@@ -124,16 +121,29 @@ class _FaultInjector:
     cursor over the event schedule plus the lost-credit resync FIFO
     with their common horizon.
 
-    A subclass supplies ``_build_schedule`` (sorted ``(cycle, idx,
-    action, fault)`` events), ``_apply_event`` (what one of them does),
-    and ``_resync`` (how a ``_lost`` entry is re-delivered); whatever
-    those read must be set before ``super().__init__`` runs.
+    A subclass names the one scheduled-fault field of the plan it
+    applies (``SCHEDULED``) and supplies ``_build_schedule`` (sorted
+    ``(cycle, idx, action, fault)`` events), ``_apply_event`` (what one
+    of them does), and ``_resync`` (how a ``_lost`` entry is
+    re-delivered); whatever those read must be set before
+    ``super().__init__`` runs.
     """
+
+    #: The plan field whose faults this stack applies; a plan that
+    #: fills the other one is refused rather than run without them.
+    SCHEDULED = ""
 
     def __init__(self, plan: FaultPlan, hooks, seed: int, num_channels: int,
                  bump: Callable[[str], None]) -> None:
         if not plan.enabled:
             raise ValueError("refusing to attach a disabled FaultPlan")
+        for field in ("stuck", "links"):
+            if field != self.SCHEDULED and getattr(plan, field):
+                raise ValueError(
+                    f"FaultPlan.{field} names faults this stack does not "
+                    f"model; {type(self).__name__} applies only "
+                    f"FaultPlan.{self.SCHEDULED}"
+                )
         self.plan = plan
         self.hooks = hooks
         self._fault_seed = plan.seed if plan.seed is not None else seed
@@ -232,6 +242,8 @@ class SwitchFaultInjector(_FaultInjector):
     Fault counters land in ``router.stats.extra["faults.*"]`` and are
     folded into run results as ``stats.faults.*``.
     """
+
+    SCHEDULED = "stuck"
 
     def __init__(self, plan: FaultPlan, router, seed: int) -> None:
         self.router = router
@@ -382,6 +394,8 @@ class NetworkFaultInjector(_FaultInjector):
     links through the topology's ``route_avoiding``, counting reroutes
     and give-ups.  Counters land in the run result as ``stats.faults.*``.
     """
+
+    SCHEDULED = "links"
 
     def __init__(self, plan: FaultPlan, sim, seed: int) -> None:
         self.sim = sim

@@ -185,50 +185,6 @@ class FaultPlan:
         return min(self.retransmit_cap, delay)
 
 
-# ----------------------------------------------------------------------
-# CRC-8 (the modeled link-level detection code)
-# ----------------------------------------------------------------------
-
-_CRC8_POLY = 0x07  # x^8 + x^2 + x + 1 (CRC-8/SMBUS)
-
-
-def crc8(data: bytes) -> int:
-    """Bitwise CRC-8 (poly 0x07, init 0) over ``data``."""
-    crc = 0
-    for byte in data:
-        crc ^= byte
-        for _ in range(8):
-            if crc & 0x80:
-                crc = ((crc << 1) ^ _CRC8_POLY) & 0xFF
-            else:
-                crc = (crc << 1) & 0xFF
-    return crc
-
-
-def flit_checksum(flit) -> int:
-    """CRC-8 over a flit's identifying fields.
-
-    Models the per-flit check symbol a link-level retransmission
-    protocol would carry; a corrupted transmission XORs a nonzero error
-    syndrome onto this, which the receiver detects (CRC-8 catches all
-    single-byte errors, which is the only error model injected).
-    """
-    payload = (
-        flit.packet_id & 0xFFFFFFFF,
-        flit.flit_index & 0xFFFF,
-        flit.dest & 0xFFFF,
-        flit.vc & 0xFF,
-    )
-    data = bytearray()
-    for value in payload:
-        while True:
-            data.append(value & 0xFF)
-            value >>= 8
-            if not value:
-                break
-    return crc8(bytes(data))
-
-
 def sample_link_faults(
     topology,
     seed: int,

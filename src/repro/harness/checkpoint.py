@@ -31,7 +31,7 @@ from typing import Optional
 
 #: On-disk format version, bumped whenever the payload layout changes
 #: or the simulation would continue a capture under different rules.
-#: Formats 5-9 pickle the simulation itself; format 6 draws
+#: Formats 5-10 pickle the simulation itself; format 6 draws
 #: arrivals as geometric gaps (an arrival queue), where format 5
 #: polled every source every cycle, format 7 keeps a hierarchical
 #: crossbar's crossing flits on one router-level line, with a row mask
@@ -41,10 +41,14 @@ from typing import Optional
 #: write-only router counters (``RouterStats`` keeps ``flits_accepted``,
 #: ``flits_ejected`` and ``extra``), the distributed router's
 #: ``speculation`` tracker and CVA policy object, and ``RouterConfig``'s
-#: ``route_latency`` and ``ova_extra_latency`` fields.  Formats 1-4
+#: ``route_latency`` and ``ova_extra_latency`` fields.  Format 10
+#: builds each Clos router from the ``NetworkConfig`` itself (no
+#: ``NetworkRouterConfig`` copy) with a precomputed ``_link_latency``,
+#: and drops ``NetworkRouter._stuck_inputs`` and ``OutputLink``'s
+#: ``is_host``.  Formats 1-4
 #: held a hand-written capture plus a constructor spec to rebuild from.
 #: Every other format is refused.
-CHECKPOINT_FORMAT = 9
+CHECKPOINT_FORMAT = 10
 
 
 def save_checkpoint(sim, path) -> None:

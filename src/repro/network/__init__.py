@@ -9,7 +9,6 @@ from .netsim import (
 )
 from .router import (
     NetworkRouter,
-    NetworkRouterConfig,
     OutputLink,
     pipeline_depth_for_radix,
 )
@@ -22,7 +21,6 @@ __all__ = [
     "PortRef",
     "Topology",
     "NetworkRouter",
-    "NetworkRouterConfig",
     "OutputLink",
     "pipeline_depth_for_radix",
     "NetworkConfig",

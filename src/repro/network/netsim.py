@@ -28,7 +28,7 @@ from ..traffic.injection import Bernoulli
 from ..traffic.patterns import UniformRandom
 from ..traffic.source import TrafficSource
 from ..workloads.base import Workload
-from .router import NetworkRouter, NetworkRouterConfig, OutputLink, pipeline_depth_for_radix
+from .router import NetworkRouter, OutputLink, pipeline_depth_for_radix
 from .topology import FoldedClos, SwitchId, Topology
 
 
@@ -48,27 +48,30 @@ class NetworkConfig:
     seed: int = 1
 
     def __post_init__(self) -> None:
-        # The router fields are checked by NetworkRouterConfig.
-        if self.packet_size < 1:
-            raise ValueError(f"packet_size must be >= 1, got {self.packet_size}")
+        for name, least in (
+            ("radix", 2), ("levels", 1), ("num_vcs", 1), ("buffer_depth", 1),
+            ("flit_cycles", 1), ("channel_latency", 0), ("packet_size", 1),
+            # A credit pushed during a commit is popped by the next
+            # cycle's compute at the earliest, so 0 would silently run
+            # as 1.
+            ("credit_latency", 1),
+        ):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
         if self.pipeline_delay is not None and self.pipeline_delay < 0:
             raise ValueError(f"pipeline_delay must be >= 0, got {self.pipeline_delay}")
 
-    def router_config(self, num_ports: int) -> NetworkRouterConfig:
-        depth = (
-            self.pipeline_delay
-            if self.pipeline_delay is not None
-            else pipeline_depth_for_radix(self.radix)
-        )
-        return NetworkRouterConfig(
-            num_ports=num_ports,
-            num_vcs=self.num_vcs,
-            buffer_depth=self.buffer_depth,
-            flit_cycles=self.flit_cycles,
-            pipeline_delay=depth,
-            channel_latency=self.channel_latency,
-            credit_latency=self.credit_latency,
-        )
+    @property
+    def link_latency(self) -> int:
+        """Cycles from a router's transmit to the flit's arrival at the
+        far end of the link, the same on every link: serialization, the
+        router pipeline (``pipeline_delay``, or by default the depth
+        Section 2 gives a router of this radix) and the wire."""
+        depth = self.pipeline_delay
+        if depth is None:
+            depth = pipeline_depth_for_radix(self.radix)
+        return self.flit_cycles + depth + self.channel_latency
 
 
 def enqueue_in_order(queue: Deque[tuple], entry: tuple) -> None:
@@ -300,9 +303,7 @@ class NetworkSimulation(StagedRun):
         self.routers: Dict[SwitchId, NetworkRouter] = {}
         for sid in topo.switch_ids():
             ports = topo.ports_used(sid)
-            self.routers[sid] = NetworkRouter(
-                self.config.router_config(ports), name=str(sid)
-            )
+            self.routers[sid] = NetworkRouter(self.config, ports, name=str(sid))
         # Wire every connected port of every switch.
         for sid, router in self.routers.items():
             for port in topo.wired_ports(sid):

@@ -28,8 +28,7 @@ high- vs low-radix Clos networks).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..core.arbiter import RoundRobinArbiter
 from ..core.errors import InvariantViolation, drift, invariant
@@ -41,46 +40,8 @@ from ..core.vcstate import OutputVcState
 from ..engine.component import Component
 from ..engine.hooks import EngineHooks
 
-
-@dataclass(frozen=True)
-class NetworkRouterConfig:
-    """Parameters of one network router (and its output channels)."""
-
-    num_ports: int
-    num_vcs: int = 4
-    buffer_depth: int = 8
-    flit_cycles: int = 4
-    pipeline_delay: int = 3
-    channel_latency: int = 1
-    credit_latency: int = 1
-
-    def __post_init__(self) -> None:
-        if self.num_ports < 2:
-            raise ValueError(f"num_ports must be >= 2, got {self.num_ports}")
-        if self.num_vcs < 1:
-            raise ValueError(f"num_vcs must be >= 1, got {self.num_vcs}")
-        if self.buffer_depth < 1:
-            raise ValueError(
-                f"buffer_depth must be >= 1, got {self.buffer_depth}"
-            )
-        if self.flit_cycles < 1:
-            raise ValueError(
-                f"flit_cycles must be >= 1, got {self.flit_cycles}"
-            )
-        if self.pipeline_delay < 0:
-            raise ValueError(
-                f"pipeline_delay must be >= 0, got {self.pipeline_delay}"
-            )
-        if self.channel_latency < 0:
-            raise ValueError(
-                f"channel_latency must be >= 0, got {self.channel_latency}"
-            )
-        # A credit pushed during a commit is popped by the next cycle's
-        # compute at the earliest, so 0 would silently run as 1.
-        if self.credit_latency < 1:
-            raise ValueError(
-                f"credit_latency must be >= 1, got {self.credit_latency}"
-            )
+if TYPE_CHECKING:
+    from .netsim import NetworkConfig
 
 
 def pipeline_depth_for_radix(radix: int, base: int = 2) -> int:
@@ -96,8 +57,7 @@ class OutputLink:
     schedule brings it back up.
     """
 
-    __slots__ = ("deliver", "space", "vc_state", "credits", "is_host",
-                 "alive")
+    __slots__ = ("deliver", "vc_state", "credits", "alive")
 
     def __init__(
         self,
@@ -107,7 +67,6 @@ class OutputLink:
     ) -> None:
         self.deliver = deliver
         self.vc_state = OutputVcState(num_vcs)
-        self.is_host = downstream_depth is None
         self.alive = True
         if downstream_depth is None:
             self.credits: Optional[List[CreditCounter]] = None
@@ -129,12 +88,20 @@ class NetworkRouter(Component):
     # ("ST") are observable per hop.
     TRACE_STAGES = ("RC", "ST")
 
-    def __init__(self, config: NetworkRouterConfig, name: str = "") -> None:
+    def __init__(self, config: "NetworkConfig", num_ports: int,
+                 name: str = "") -> None:
+        """A router of the network ``config`` describes, with
+        ``num_ports`` ports (the topology decides how many each switch
+        uses)."""
+        if num_ports < 2:
+            raise ValueError(f"num_ports must be >= 2, got {num_ports}")
         self.config = config
         self.name = name
         self.cycle = 0
         self.hooks = EngineHooks()
-        n, v = config.num_ports, config.num_vcs
+        n, v = num_ports, config.num_vcs
+        #: Cycles from a transmit to the arrival at the link's far end.
+        self._link_latency = config.link_latency
         self.inputs = [VcBufferBank(v, config.buffer_depth) for _ in range(n)]
         self.links: List[Optional[OutputLink]] = [None] * n
         self._input_arb = [RoundRobinArbiter(v) for _ in range(n)]
@@ -163,10 +130,8 @@ class NetworkRouter(Component):
         self._resident = 0
         self._staged_credits: tuple = ()
         self._staged_releases: tuple = ()
-        # Fault machinery (repro.faults): wedged input read ports and
-        # the NetworkFaultInjector that may claim committed credit
-        # deliveries.  Inert (one None/empty-set test) without a plan.
-        self._stuck_inputs: set = set()
+        # The NetworkFaultInjector (repro.faults) that may claim
+        # committed credit deliveries; one None test without a plan.
         self.fault_injector = None
 
     # ------------------------------------------------------------------
@@ -308,7 +273,6 @@ class NetworkRouter(Component):
         now = self.cycle
         inputs = self.inputs
         links = self.links
-        stuck = self._stuck_inputs
         in_busy = self.input_busy._busy_until
         # output port -> {requesting input: (vc, flit)}
         requests: Dict[int, Dict[int, Tuple[int, Flit]]] = {}
@@ -318,7 +282,7 @@ class NetworkRouter(Component):
             cands: Dict[int, Flit] = {}
             for vc, queue in enumerate(inputs[i].queues):
                 q = queue._q
-                if not q or (stuck and (i, vc) in stuck):
+                if not q:
                     continue
                 flit = q[0]
                 route = flit.route
@@ -371,7 +335,7 @@ class NetworkRouter(Component):
         free (``_allocate`` just read their busy times), so each is held
         for ``flit_cycles`` by a plain write."""
         now = self.cycle
-        config, hooks = self.config, self.hooks
+        hooks = self.hooks
         link = self.links[out]
         if link is None:
             raise InvariantViolation(
@@ -388,7 +352,7 @@ class NetworkRouter(Component):
         if not self._in_flits[i]:
             self._occupied.discard(i)
         self._resident -= 1
-        fc = config.flit_cycles
+        fc = self.config.flit_cycles
         self.input_busy._busy_until[i] = now + fc
         self.output_busy._busy_until[out] = now + fc
         if flit.is_head:
@@ -397,9 +361,7 @@ class NetworkRouter(Component):
         flit.hops += 1
         if link.credits is not None:
             link.credits[flit.vc].consume()
-        link.deliver(
-            flit, now + fc + config.pipeline_delay + config.channel_latency
-        )
+        link.deliver(flit, now + self._link_latency)
         if hooks.grant:
             hooks.emit_grant(flit, out, now)
         if hooks.stage_enter:

@@ -217,9 +217,7 @@ class _ShardWorker:
         self.routers: Dict[SwitchId, NetworkRouter] = {}
         for sid in self._block:
             ports = self.topology.ports_used(sid)
-            self.routers[sid] = NetworkRouter(
-                self.config.router_config(ports), name=str(sid)
-            )
+            self.routers[sid] = NetworkRouter(self.config, ports, name=str(sid))
         self._wire(local)
         self._sched = Scheduler(self.routers.values(), hooks=self.hooks)
         self._sched.add_pre_cycle(self._pre_cycle)
@@ -538,14 +536,9 @@ class ShardedNetworkSimulation(NetworkSimulation):
         self._host_worker: List[int] = [
             self._owner[switch] for switch, _ in self._host_port
         ]
-        # Cycles from a router's transmit to the arrival downstream
-        # (what ``NetworkRouter._transmit`` adds; the same on every
-        # link).  Below 2, a flit sent in cycle T can eject in T+1.
-        router = config.router_config(num_ports=2)
-        self._link_latency = (
-            router.flit_cycles + router.pipeline_delay
-            + router.channel_latency
-        )
+        # Cycles from a router's transmit to the arrival downstream.
+        # Below 2, a flit sent in cycle T can eject in T+1.
+        self._link_latency = config.link_latency
         self._reset_stashes()
         #: Cycle the workers were last sent and have not been heard
         #: back from (None: every report is filed).

@@ -191,9 +191,7 @@ class TraceCollector:
         config = getattr(router, "config", None)
         if config is not None:
             self._flit_cycles = getattr(config, "flit_cycles", 1)
-            self._num_ports = getattr(
-                config, "radix", getattr(config, "num_ports", 0)
-            )
+            self._num_ports = len(router.inputs)
         self.declared_stages = tuple(getattr(router, "TRACE_STAGES", ()))
         self.label = type(router).__name__
         hooks = target.hooks

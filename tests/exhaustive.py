@@ -22,18 +22,18 @@ constructed simulation, with no hook in ``src/``:
 remaining skip, the fast-forward over spans in which everything is
 parked: it keeps every other skip and only makes the clock step
 through every cycle.  Every other differential runs on the one clock
-``src/`` has, the jumping one; the jump itself is compared against
-:func:`never_jump` in ``test_event_scheduler.py`` (and in a few
-explicit checks beside the features it crosses: the goldens, the
-workload families, the hierarchical crossbar's sanitized runs, the
-counted hot path).
+``src/`` has, the jumping one.
 
 Apply either before the first cycle runs.  Oracle runs are neither
 sanitized (the sanitizer audits the very indices this replaces) nor
-checkpointed.  The differentials in ``test_switch_hot_path.py`` and
-``test_network_hot_path.py``, the parking-equivalence tests and the
-active-set speedup floors in ``benchmarks/test_perf_simulator.py`` all
-compare against this one module.
+checkpointed.  Both are lanes of ``tests/differential.py``: the
+``never_jump`` and ``exhaustive`` lanes of ``test_differential.py``
+draw runs of every stack against them, and their pinned points live in
+``test_event_scheduler.py``, ``test_next_event.py`` and the two
+hot-path test files.  A few explicit checks beside the features the
+jump crosses (the goldens, the workload families, the hierarchical
+crossbar's sanitized runs) and the active-set speedup floors in
+``benchmarks/test_perf_simulator.py`` call them directly.
 """
 
 import math

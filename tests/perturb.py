@@ -22,6 +22,11 @@ hook-event stream against an unperturbed twin:
   and on each router's bus, in emission order.
 
 Apply them before the first cycle runs, like ``tests/exhaustive.py``.
+The compute shuffle and the over-poll are lanes of
+``tests/differential.py`` (drawn over every stack by
+``test_differential.py``, pinned in ``test_order_independence.py``);
+the commit shuffle is applied directly by the strict commit-order
+xfails of ``test_order_independence.py``.
 """
 
 import hashlib

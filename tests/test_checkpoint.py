@@ -1,59 +1,33 @@
-"""Checkpoint/restore round-trip properties.
+"""Checkpoint/restore: round trips, the file format, refusals.
 
-Every test runs a reference simulation to completion, then a twin that
-stops at a mid-run cycle ``K``, saves a checkpoint file, loads it back
-and finishes the loaded simulation.  The resumed
-result must equal the straight-through result *exactly* — same
-:class:`~repro.harness.stats.RunResult` (tuple equality covers every
-metric) and same ``stats.*`` extras — for random seeds, loads, and
-split points, across every switch organization and the Clos network,
-with fault injection and dependency-driven workloads in the mix.
-
-Hypothesis supplies the randomized coordinates; the deterministic
-parametrized tests pin every organization so a regression names the
-culprit directly.
+A round trip runs a reference simulation to completion, then a twin
+that stops at a mid-run cycle ``K``, saves a checkpoint file, loads it
+back (the loaded twin must equal the original field for field) and
+finishes it.  The resumed run must produce exactly what the
+straight-through run did.  The ``checkpoint`` lane of
+``tests/test_differential.py`` draws that over every stack; the round
+trips here are its pinned points (every organization, traced, stuck,
+faulted and workload runs, runs paused mid-gap and a 192-router Clos),
+beside the on-disk format, file-safety and refusal tests.
 """
 
 import pickle
 import sys
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.config import RouterConfig
 from repro.faults import FaultPlan, StuckFault, sample_link_faults
-from repro.harness import (
-    CHECKPOINT_FORMAT,
-    SwitchSimulation,
-    SweepSettings,
-    load_checkpoint,
-)
+from repro.harness import CHECKPOINT_FORMAT, SwitchSimulation, load_checkpoint
 from repro.network.netsim import NetworkConfig, NetworkSimulation
 from repro.network.topology import FoldedClos
-from repro.routers import (
-    BaselineRouter,
-    BufferedCrossbarRouter,
-    DistributedRouter,
-    HierarchicalCrossbarRouter,
-    SharedBufferCrossbarRouter,
-    VoqRouter,
-)
-from repro.trace import TraceCollector, chrome_trace_json
+from repro.routers import BaselineRouter
 from repro.workloads import all_reduce
 
-ALL_ROUTERS = [
-    BaselineRouter,
-    DistributedRouter,
-    BufferedCrossbarRouter,
-    SharedBufferCrossbarRouter,
-    HierarchicalCrossbarRouter,
-    VoqRouter,
-]
-
-#: Short measurement program — long enough to cross warmup/measure
-#: stage boundaries, short enough for property-test budgets.
-FAST = SweepSettings(warmup=60, measure=120, drain=800)
+from tests.differential import ROUTERS, Run, compare, finish, started
 
 FAULTS = FaultPlan(corrupt_rate=0.02, credit_loss_rate=0.01)
 
@@ -71,133 +45,64 @@ STUCK = FaultPlan(
 #: and a stuck-fault run.  The plain cases keep the organization's name
 #: as their id.
 SWITCH_CASES = [
-    pytest.param(cls, FAULTS, False, id=cls.__name__) for cls in ALL_ROUTERS
+    pytest.param(name, FAULTS, False, id=cls.__name__)
+    for name, cls in ROUTERS.items()
 ] + [
-    pytest.param(HierarchicalCrossbarRouter, FAULTS, True,
+    pytest.param("hierarchical", FAULTS, True,
                  id="HierarchicalCrossbarRouter-traced"),
-    pytest.param(BufferedCrossbarRouter, STUCK, True,
+    pytest.param("buffered", STUCK, True,
                  id="BufferedCrossbarRouter-stuck-traced"),
 ]
 
-relaxed = settings(
-    max_examples=12,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
+
+def _switch(stack, **fields):
+    """A radix-8 switch run, its program long enough to cross the
+    warm-up and measurement boundaries."""
+    return Run(stack, **{"packet_size": 1, "window": (60, 120, 800),
+                         **fields})
 
 
-def _switch_sim(router_cls, seed, load, plan, workload=None,
-                traced=False):
-    cfg = RouterConfig(radix=8, num_vcs=2, subswitch_size=4,
-                       local_group_size=4, seed=seed)
-    return SwitchSimulation(
-        router_cls(cfg), load=load, seed=seed,
-        faults=plan, workload=workload,
-        tracer=TraceCollector() if traced else None,
-    )
-
-
-def _outcome(sim, result):
-    """What a finished run produced: the row, its extras and, when
-    traced, the Chrome-trace bytes."""
-    tracer = sim._tracer
-    chrome = None if tracer is None else chrome_trace_json(tracer)
-    return result, result.extra, chrome
-
-
-def _roundtrip(build, start, k, path):
-    """Reference outcome vs. save-at-``K``-reload-finish outcome."""
-    ref = build()
-    start(ref)
-    assert ref.advance_run()
-    expect = _outcome(ref, ref.finish_run())
-
-    twin = build()
-    start(twin)
-    done = twin.advance_run(stop_at=k)
-    twin.save_checkpoint(path)
-    resumed = load_checkpoint(path)
-    if not done:
-        assert resumed.advance_run()
-    return expect, _outcome(resumed, resumed.finish_run())
+def _clos(**fields):
+    return Run("clos", **{"num_vcs": None, "packet_size": 1,
+                          "window": (60, 120, 500), **fields})
 
 
 class TestSwitchRoundTrip:
-    @relaxed
-    @given(
-        router_cls=st.sampled_from(ALL_ROUTERS),
-        seed=st.integers(0, 2**20),
-        load=st.sampled_from([0.15, 0.3, 0.5]),
-        faults=st.booleans(),
-        k=st.integers(1, 900),
-    )
-    def test_random_split_matches_reference(
-        self, tmp_path, router_cls, seed, load, faults, k
-    ):
-        path = tmp_path / "switch.ckpt"
-        expect, got = _roundtrip(
-            lambda: _switch_sim(router_cls, seed, load,
-                                FAULTS if faults else None),
-            lambda sim: sim.start_run(FAST),
-            k, path,
-        )
-        assert got == expect
+    def test_random_split_matches_reference(self, tmp_path):
+        """Seeds, loads and cuts away from the pinned points below; the
+        checkpoint lane draws many more."""
+        for stack, seed, load, k in (("voq", 90210, 0.15, 817),
+                                     ("shared-buffer", 3, 0.5, 7)):
+            compare("checkpoint", _switch(stack, seed=seed, load=load,
+                                          faults=FAULTS, cut=k),
+                    path=tmp_path / "switch.ckpt")
 
-    @pytest.mark.parametrize("router_cls, plan, traced", SWITCH_CASES)
-    def test_every_organization(self, tmp_path, router_cls, plan, traced):
-        path = tmp_path / "switch.ckpt"
-        expect, got = _roundtrip(
-            lambda: _switch_sim(router_cls, 7, 0.4, plan, traced=traced),
-            lambda sim: sim.start_run(FAST),
-            111, path,
-        )
-        assert got == expect
+    @pytest.mark.parametrize("stack, plan, traced", SWITCH_CASES)
+    def test_every_organization(self, tmp_path, stack, plan, traced):
+        compare("checkpoint", _switch(stack, load=0.4, faults=plan,
+                                      traced=traced, cut=111),
+                path=tmp_path / "switch.ckpt")
 
     def test_workload_run(self, tmp_path):
-        path = tmp_path / "switch.ckpt"
-        expect, got = _roundtrip(
-            lambda: _switch_sim(
-                BaselineRouter, 3, 0.0, None,
-                workload=all_reduce(8, size=2),
-            ),
-            lambda sim: sim.start_workload_run(max_cycles=20000),
-            60, path,
-        )
-        assert got == expect
-
+        compare("checkpoint", _switch(
+            "baseline", seed=3, load=0.0, max_cycles=20000, cut=60,
+            workload=partial(all_reduce, 8, size=2)),
+            path=tmp_path / "switch.ckpt")
 
     def test_fault_labels_survive_a_resume(self, tmp_path):
         """A faulted buffered crossbar names each lost and resynced
         credit by its ``(i, j, vc)`` crosspoint after a resume as it
         does uninterrupted: the label index is keyed by counter, which
         the pickle carries over, not by an ``id()`` it does not."""
-        plan = FaultPlan(credit_loss_rate=0.05)
-
-        def build():
-            sim = _switch_sim(BufferedCrossbarRouter, 7, 0.5, plan,
-                              traced=True)
-            sim.start_run(FAST)
-            return sim
-
-        ref = build()
-        assert ref.advance_run()
-        twin = build()
-        assert not twin.advance_run(stop_at=111)
-        path = tmp_path / "switch.ckpt"
-        twin.save_checkpoint(path)
-        resumed = load_checkpoint(path)
-        assert resumed.advance_run()
-
-        def credit_events(sim):
-            return [event for event in sim._tracer.fault_events
-                    if event[1] in ("credit_loss", "credit_resync")
-                    and event[3] > 111]
-
-        after = credit_events(resumed)
+        _, resumed, _ = compare("checkpoint", _switch(
+            "buffered", load=0.5, faults=FaultPlan(credit_loss_rate=0.05),
+            traced=True, cut=111), path=tmp_path / "switch.ckpt")
+        after = [event for event in resumed._tracer.fault_events
+                 if event[1] in ("credit_loss", "credit_resync")
+                 and event[3] > 111]
         assert {kind for _, kind, _, _ in after} == {
             "credit_loss", "credit_resync"}
         assert all(len(where) == 3 for _, _, where, _ in after)
-        assert after == credit_events(ref)
 
 
 class _GoneSlot:
@@ -220,15 +125,14 @@ class TestFormatVersion:
         formats 1-4 held a hand-written capture and a constructor spec,
         and pickle classes that have since changed shape, so the
         version must be read before ``pickle`` constructs anything."""
-        sim = _switch_sim(HierarchicalCrossbarRouter, 7, 0.4, None)
-        sim.start_run(FAST)
+        sim = started(_switch("hierarchical", load=0.4))
         assert not sim.advance_run(stop_at=100)
         path = tmp_path / "switch.ckpt"
         sim.save_checkpoint(path)
         payload = pickle.loads(path.read_bytes())
-        assert payload["format"] == CHECKPOINT_FORMAT == 9
+        assert payload["format"] == CHECKPOINT_FORMAT == 10
         assert set(payload) == {"format", "sim"}
-        for fmt in (1, 2, 3, 4, 5, 6, 7, 8):
+        for fmt in range(1, 10):
             path.write_bytes(pickle.dumps({"format": fmt,
                                            "state": _GoneSlot()}))
             with pytest.raises(ValueError,
@@ -241,7 +145,7 @@ class TestFormatVersion:
         not by whatever its retired classes would raise."""
         with pytest.raises(ValueError, match=(
             "unsupported checkpoint format 4 "
-            r"\(this build reads format 9\)"
+            r"\(this build reads format 10\)"
         )):
             load_checkpoint(FORMAT4_FIXTURE)
 
@@ -253,8 +157,7 @@ class TestFileSafety:
 
     @staticmethod
     def _paused(path):
-        sim = _switch_sim(BaselineRouter, 7, 0.4, None)
-        sim.start_run(FAST)
+        sim = started(_switch("baseline", load=0.4))
         assert not sim.advance_run(stop_at=100)
         sim.save_checkpoint(path)
         return sim
@@ -287,30 +190,13 @@ class TestFileSafety:
             load_checkpoint(path)
 
 
-def _start(sim):
-    if sim._workload is not None:
-        sim.start_workload_run(max_cycles=20000)
-    elif isinstance(sim, SwitchSimulation):
-        sim.start_run(SweepSettings(50, 50, 200))
-    else:
-        sim.start_run(50, 50, 200)
-    return sim
+def _build_switch():
+    return started(Run("hierarchical", packet_size=1, load=0.4,
+                       seed=1, window=(50, 50, 200)))
 
 
-def _build_switch(workload=False):
-    return SwitchSimulation(
-        HierarchicalCrossbarRouter(RouterConfig(
-            radix=8, num_vcs=2, subswitch_size=4, local_group_size=4)),
-        load=0.0 if workload else 0.4,
-        workload=all_reduce(8, size=2) if workload else None,
-    )
-
-
-def _build_network(workload=False):
-    return NetworkSimulation(
-        NetworkConfig(radix=8, levels=2), load=0.0 if workload else 0.3,
-        workload=all_reduce(16, size=2) if workload else None,
-    )
+def _build_network():
+    return started(_clos(seed=1, window=(50, 50, 200)))
 
 
 class TestRefusals:
@@ -322,7 +208,7 @@ class TestRefusals:
         self, tmp_path, monkeypatch
     ):
         path = tmp_path / "switch.ckpt"
-        _start(_build_switch()).save_checkpoint(path)
+        _build_switch().save_checkpoint(path)
         import repro.routers.hierarchical as hierarchical
 
         with monkeypatch.context() as patch:
@@ -358,7 +244,7 @@ class TestRefusals:
         """A lambda on a hook bus cannot be pickled: the save fails and
         the last complete checkpoint stays."""
         path = tmp_path / "sim.ckpt"
-        sim = _start(build())
+        sim = build()
         assert not sim.advance_run(stop_at=30)
         sim.save_checkpoint(path)
         good = path.read_bytes()
@@ -372,59 +258,27 @@ class TestRefusals:
 
 
 class TestNetworkRoundTrip:
-    @relaxed
-    @given(
-        seed=st.integers(0, 2**20),
-        load=st.sampled_from([0.15, 0.3, 0.45]),
-        faults=st.booleans(),
-        k=st.integers(1, 700),
-    )
-    def test_random_split_matches_reference(
-        self, tmp_path, seed, load, faults, k
-    ):
-        cfg = NetworkConfig(radix=8, levels=2, seed=seed)
-        path = tmp_path / "net.ckpt"
-        expect, got = _roundtrip(
-            lambda: NetworkSimulation(
-                cfg, load=load, faults=FAULTS if faults else None,
-            ),
-            lambda sim: sim.start_run(warmup=60, measure=120, drain=500),
-            k, path,
-        )
-        assert got == expect
+    def test_random_split_matches_reference(self, tmp_path):
+        """A seed, load and cut away from the pinned points below."""
+        compare("checkpoint", _clos(seed=6007, load=0.45, faults=FAULTS,
+                                    cut=433), path=tmp_path / "net.ckpt")
 
     @pytest.mark.parametrize("case", ["workload", "traced-dead-links"])
     def test_fixed_split(self, tmp_path, case):
         """A workload run, and a traced run across two dead links (one
         dies before the cut and heals after it) with corruption and
         credit loss."""
-        cfg = NetworkConfig(radix=8, levels=2, seed=5)
-        path = tmp_path / "net.ckpt"
         if case == "workload":
-            def build():
-                return NetworkSimulation(
-                    cfg, workload=all_reduce(16, size=2),
-                )
-
-            def start(sim):
-                sim.start_workload_run(max_cycles=20000)
+            run = _clos(seed=5, load=0.0, max_cycles=20000,
+                        workload=partial(all_reduce, 16, size=2))
         else:
             plan = FaultPlan(
                 corrupt_rate=0.02, credit_loss_rate=0.01,
                 links=sample_link_faults(FoldedClos(8, 2), seed=5, count=2,
                                          cycle=40, until=160),
             )
-
-            def build():
-                return NetworkSimulation(
-                    cfg, load=0.3, faults=plan,
-                    tracer=TraceCollector(), trace_switch=(0, 0, 0),
-                )
-
-            def start(sim):
-                sim.start_run(warmup=60, measure=120, drain=500)
-        expect, got = _roundtrip(build, start, 90, path)
-        assert got == expect
+            run = _clos(seed=5, faults=plan, traced=True)
+        compare("checkpoint", replace(run, cut=90), path=tmp_path / "net.ckpt")
 
     @pytest.mark.parametrize("faults, cut_twice", [
         (True, True), (False, False), (True, False), (False, True),
@@ -436,14 +290,10 @@ class TestNetworkRoundTrip:
         corruption and credit loss drawing on their own streams across
         the cut, and when the resumed run is itself paused mid-gap,
         saved and loaded again."""
-        cfg = NetworkConfig(radix=16, levels=2, num_vcs=2, seed=11)
+        run = _clos(radix=16, num_vcs=2, seed=11, load=1e-3,
+                    faults=FAULTS if faults else None,
+                    window=(500, 6000, 2000))
         path = tmp_path / "net.ckpt"
-
-        def build():
-            sim = NetworkSimulation(cfg, load=1e-3,
-                                    faults=FAULTS if faults else None)
-            sim.start_run(warmup=500, measure=6000, drain=2000)
-            return sim
 
         def cut(sim, stop_at):
             assert not sim.advance_run(stop_at=stop_at)
@@ -455,12 +305,10 @@ class TestNetworkRoundTrip:
             assert resumed.arrivals.queued() == sim.arrivals.queued()
             return resumed
 
-        ref = build()
-        assert ref.advance_run()
-        expect = ref.finish_run()
+        expect = finish(started(run))
         assert expect.packets_measured > 60
 
-        resumed = cut(build(), 3000)
+        resumed = cut(started(run), 3000)
         if cut_twice:
             resumed = cut(resumed, 5000)
         assert resumed.advance_run()
@@ -473,27 +321,16 @@ class TestNetworkRoundTrip:
         links are pickled after every router, so no router's pickle
         nests its neighbours'."""
         assert sys.getrecursionlimit() <= 1000
-        cfg = NetworkConfig(radix=16, levels=3, seed=4)
-
-        def build():
-            sim = NetworkSimulation(cfg, load=0.3)
-            assert len(sim.routers) == 192
-            return sim
-
-        expect, got = _roundtrip(
-            build,
-            lambda sim: sim.start_run(warmup=20, measure=40, drain=300),
-            30, tmp_path / "net.ckpt",
-        )
-        assert got == expect
+        sim, _, _ = compare("checkpoint", _clos(
+            radix=16, levels=3, seed=4, window=(20, 40, 300), cut=30),
+            path=tmp_path / "net.ckpt")
+        assert len(sim.routers) == 192
 
     def test_checkpoint_is_a_plain_file(self, tmp_path):
         """The capture is a self-contained on-disk artifact: reloading
         it twice yields two independent simulations with equal
         results."""
-        cfg = NetworkConfig(radix=8, levels=2, seed=2)
-        sim = NetworkSimulation(cfg, load=0.3)
-        sim.start_run(warmup=60, measure=120, drain=500)
+        sim = started(_clos(seed=2, load=0.3))
         assert not sim.advance_run(stop_at=100)
         path = tmp_path / "net.ckpt"
         sim.save_checkpoint(path)

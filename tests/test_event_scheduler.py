@@ -4,43 +4,36 @@ The scheduler's jump over spans in which every component is parked may
 only change *wall-clock* behavior, never simulation behavior: every
 statistic other than the ``stats.engine.*`` counters, every trace
 byte, and every fault-recovery action must be identical to a run that
-steps every cycle (``tests/exhaustive.py``'s ``never_jump``).  These
-tests pin that contract deterministically for every switch
-organization and the Clos network — including under tracing and fault
-plans — and property-test it across random seeds and loads.
+steps every cycle (``tests/exhaustive.py``'s ``never_jump``).  The
+``never_jump`` lane of ``tests/test_differential.py`` draws that
+contract over every stack; the runs here are its pinned points (every
+switch organization, faulted, traced and low-load runs, the Clos, and
+two sanitized workloads too large for a small draw), plus the counter
+checks that the jump really happens and that the arrival queue stays
+exact across it.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.core.config import RouterConfig
 from repro.faults import FaultPlan
 from repro.harness.experiment import SweepSettings, SwitchSimulation
 from repro.network.netsim import NetworkConfig, NetworkSimulation
-from repro.routers.baseline import BaselineRouter
-from repro.routers.buffered import BufferedCrossbarRouter
-from repro.routers.distributed import DistributedRouter
 from repro.routers.hierarchical import HierarchicalCrossbarRouter
-from repro.routers.shared_buffer import SharedBufferCrossbarRouter
-from repro.routers.voq import VoqRouter
 from repro.trace import TraceCollector, chrome_trace_json
+from repro.workloads import all_to_all, transformer_decode
 
-from tests.exhaustive import engine_free, never_jump, row
-
-ROUTERS = {
-    "baseline": BaselineRouter,
-    "distributed": DistributedRouter,
-    "buffered": BufferedCrossbarRouter,
-    "shared-buffer": SharedBufferCrossbarRouter,
-    "hierarchical": HierarchicalCrossbarRouter,
-    "voq": VoqRouter,
-}
+from tests.differential import ROUTERS, Run, compare
+from tests.exhaustive import engine_free, never_jump
 
 SETTINGS = SweepSettings(warmup=150, measure=250, drain=3000)
+WINDOW = (150, 250, 3000)
+FAULTS = FaultPlan(corrupt_rate=0.02, credit_loss_rate=0.01)
 
 
 def _config(seed: int = 7) -> RouterConfig:
@@ -53,23 +46,12 @@ def _with_jump(sim, jump: bool):
     return sim if jump else never_jump(sim)
 
 
-def _switch_snapshot(arch: str, jump: bool = True, load: float = 0.2,
-                     seed: int = 7, faults=None) -> dict:
-    sim = _with_jump(SwitchSimulation(
-        ROUTERS[arch](_config(seed)), load=load, packet_size=2,
-        faults=faults,
-    ), jump)
-    result = sim.run(SETTINGS)
-    return {**row(result), **engine_free(result.extra)}
+def _switch(arch, **fields):
+    return Run(arch, window=WINDOW, **{"load": 0.2, **fields})
 
 
-def _network_snapshot(jump: bool = True, load: float = 0.2,
-                      seed: int = 7, faults=None) -> dict:
-    cfg = NetworkConfig(radix=4, levels=2, num_vcs=2, packet_size=2,
-                        seed=seed)
-    sim = _with_jump(NetworkSimulation(cfg, load, faults=faults), jump)
-    result = sim.run(warmup=150, measure=250, drain=3000)
-    return {**row(result), **engine_free(result.extra)}
+def _clos(**fields):
+    return Run("clos", radix=4, window=WINDOW, **{"load": 0.2, **fields})
 
 
 class TestSwitchEquivalence:
@@ -77,7 +59,7 @@ class TestSwitchEquivalence:
 
     @pytest.mark.parametrize("arch", sorted(ROUTERS))
     def test_results_identical(self, arch):
-        assert _switch_snapshot(arch, jump=False) == _switch_snapshot(arch)
+        compare("never_jump", _switch(arch))
 
     def test_low_load_actually_fast_forwards(self):
         sim = SwitchSimulation(
@@ -111,19 +93,15 @@ class TestSwitchEquivalence:
         )
 
     def test_identical_under_fault_plan(self):
-        plan = FaultPlan(corrupt_rate=0.02, credit_loss_rate=0.01)
-        assert (_switch_snapshot("buffered", jump=False, faults=plan)
-                == _switch_snapshot("buffered", faults=plan))
+        compare("never_jump", _switch("buffered", faults=FAULTS))
 
 
 class TestNetworkEquivalence:
     def test_results_identical(self):
-        assert _network_snapshot(jump=False) == _network_snapshot()
+        compare("never_jump", _clos())
 
     def test_identical_under_fault_plan(self):
-        plan = FaultPlan(corrupt_rate=0.02, credit_loss_rate=0.01)
-        assert (_network_snapshot(jump=False, load=0.1, faults=plan)
-                == _network_snapshot(load=0.1, faults=plan))
+        compare("never_jump", _clos(load=0.1, faults=FAULTS))
 
     def test_low_load_actually_fast_forwards(self):
         cfg = NetworkConfig(radix=4, levels=2, num_vcs=2)
@@ -137,60 +115,49 @@ class TestTraceEquivalence:
     to every ``cycle_end`` subscriber: a jump replays the skipped
     span's cycle hooks."""
 
-    def _traced(self, jump, load=0.1, seed=9, sanitize=False):
-        """Chrome bytes, the collector's ``cycle_end`` count and, when
-        sanitized, the sanitizer's checks (one per ``cycle_end``); and
-        the cycles the run jumped."""
-        collector = TraceCollector()
-        sim = _with_jump(SwitchSimulation(
-            HierarchicalCrossbarRouter(_config(seed)), load=load,
-            tracer=collector, sanitize=sanitize,
-        ), jump)
-        sim.run(SETTINGS)
-        checks = sim.sanitizer.checks_run if sanitize else None
-        observed = chrome_trace_json(collector), collector.cycles, checks
-        return observed, sim._sched.cycles_skipped
-
     def test_trace_byte_identical(self):
-        assert self._traced(False)[0] == self._traced(True)[0]
+        compare("never_jump", _switch("hierarchical", load=0.1, seed=9,
+                                      traced=True))
 
     def test_trace_byte_identical_at_low_load(self):
         # Low load maximizes skipped spans; the replayed cycle hooks
         # must keep the collector's cycle accounting identical.
-        assert (self._traced(False, load=0.02)[0]
-                == self._traced(True, load=0.02)[0])
+        sim, _, _ = compare("never_jump", _switch(
+            "hierarchical", load=0.02, seed=9, traced=True))
+        assert sim._sched.cycles_skipped > 0
 
     def test_sanitized_run_at_low_load(self):
         """The sanitizer audits at every ``cycle_end``, so a jump that
         replayed no hook event would run fewer checks."""
-        expect, _ = self._traced(False, load=0.02, sanitize=True)
+        def traced(jump):
+            collector = TraceCollector()
+            sim = _with_jump(SwitchSimulation(
+                HierarchicalCrossbarRouter(_config(9)), load=0.02,
+                tracer=collector, sanitize=True,
+            ), jump)
+            sim.run(SETTINGS)
+            observed = (chrome_trace_json(collector), collector.cycles,
+                        sim.sanitizer.checks_run)
+            return observed, sim._sched.cycles_skipped
+
+        expect, _ = traced(False)
         assert expect[2] == expect[1] > 0
-        observed, skipped = self._traced(True, load=0.02, sanitize=True)
+        observed, skipped = traced(True)
         assert skipped > 0
         assert observed == expect
 
 
 class TestPropertyEquivalence:
-    """Randomized seeds/loads: the equivalence is not knife-edge."""
+    """Seeds and loads away from the pinned points above; the
+    ``never_jump`` lane draws many more."""
 
-    @settings(max_examples=12, deadline=None)
-    @given(
-        arch=st.sampled_from(sorted(ROUTERS)),
-        seed=st.integers(min_value=0, max_value=2**16),
-        load=st.sampled_from([0.02, 0.1, 0.3, 0.6]),
-    )
-    def test_switch_stats_identical(self, arch, seed, load):
-        assert (_switch_snapshot(arch, jump=False, load=load, seed=seed)
-                == _switch_snapshot(arch, load=load, seed=seed))
+    def test_switch_stats_identical(self):
+        for arch, seed, load in (("voq", 4021, 0.02), ("distributed", 77, 0.6)):
+            compare("never_jump", _switch(arch, seed=seed, load=load))
 
-    @settings(max_examples=6, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=2**16),
-        load=st.sampled_from([0.02, 0.15, 0.4]),
-    )
-    def test_network_stats_identical(self, seed, load):
-        assert (_network_snapshot(jump=False, load=load, seed=seed)
-                == _network_snapshot(load=load, seed=seed))
+    def test_network_stats_identical(self):
+        compare("never_jump", _clos(seed=913, load=0.02))
+        compare("never_jump", _clos(seed=52, load=0.4))
 
 
 class TestArrivalQueue:
@@ -305,34 +272,20 @@ class TestWorkloadRuns:
     three-level radix-8 Clos (routes climb to all three levels)."""
 
     @staticmethod
-    def _outcome(jump, config, workload, faults=None):
-        sim = _with_jump(NetworkSimulation(config, workload=workload,
-                                         faults=faults), jump)
-        result = sim.run_workload(max_cycles=1_000_000)
-        assert result.extra["undelivered"] == 0.0
-        return repr(result.row()), result.cycles, engine_free(result.extra)
+    def _compare(**fields):
+        _, _, seen = compare("never_jump", Run(
+            "clos", num_vcs=4, packet_size=1, seed=1, load=0.0,
+            max_cycles=1_000_000, **fields))
+        assert seen["extra"]["undelivered"] == 0.0
+        return seen
 
     def test_decode_with_credit_loss(self):
-        from repro.workloads import transformer_decode
-
-        def outcome(jump):
-            return self._outcome(
-                jump, NetworkConfig(radix=16, levels=2, num_vcs=4, seed=1),
-                transformer_decode(32, layers=1, steps=1, size=4, gap=8),
-                FaultPlan(credit_loss_rate=0.01),
-            )
-
-        expect = outcome(False)
-        assert expect[2]["stats.faults.credit_lost"] > 0
-        assert outcome(True) == expect
+        seen = self._compare(
+            radix=16, faults=FaultPlan(credit_loss_rate=0.01),
+            workload=partial(transformer_decode, 32, layers=1, steps=1,
+                             size=4, gap=8))
+        assert seen["extra"]["stats.faults.credit_lost"] > 0
 
     def test_three_level_alltoall(self):
-        from repro.workloads import all_to_all
-
-        def outcome(jump):
-            return self._outcome(
-                jump, NetworkConfig(radix=8, levels=3, num_vcs=4, seed=1),
-                all_to_all(64, size=2),
-            )
-
-        assert outcome(True) == outcome(False)
+        self._compare(radix=8, levels=3, workload=partial(all_to_all, 64,
+                                                          size=2))

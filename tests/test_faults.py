@@ -1,6 +1,6 @@
 """Tests for deterministic fault injection (repro.faults).
 
-Covers the FaultPlan model, the CRC detection code, both injectors
+Covers the FaultPlan model, both injectors
 (switch and network), graceful degradation around dead links, the
 sanitizer accounting for injected losses, hook/trace/metrics plumbing,
 and the determinism guarantees of docs/faults.md.
@@ -20,8 +20,6 @@ from repro.faults import (
     NetworkFaultInjector,
     StuckFault,
     SwitchFaultInjector,
-    crc8,
-    flit_checksum,
     sample_link_faults,
 )
 from repro.harness.experiment import SweepSettings, SwitchSimulation
@@ -106,29 +104,41 @@ class TestFaultPlan:
             LinkFault(cycle=5, switch=(0, 0, 0), port=0, until=4)
 
 
-class TestCrc:
-    def test_known_vector(self):
-        # CRC-8/SMBUS check value for "123456789".
-        assert crc8(b"123456789") == 0xF4
+class TestFaultKindsTheStackApplies:
+    """A switch applies a plan's ``stuck`` faults and a network its
+    ``links``; a plan that fills the other field is refused when the
+    simulation is built, naming the field, rather than run without
+    those faults."""
 
-    def test_empty(self):
-        assert crc8(b"") == 0
+    STUCK = FaultPlan(stuck=(StuckFault(cycle=5, where=(0,), kind="input"),))
+    LINKS = FaultPlan(links=(LinkFault(cycle=5, switch=(0, 0, 0), port=4),))
 
-    def test_flit_checksum_deterministic_and_bounded(self):
-        from repro.core.flit import make_packet
+    def test_a_network_refuses_stuck_faults(self):
+        with pytest.raises(ValueError, match=r"FaultPlan\.stuck"):
+            NetworkSimulation(NetworkConfig(radix=4, levels=2), 0.3,
+                              faults=self.STUCK)
 
-        (flit,) = make_packet(dest=3, size=1, src=1)
-        a, b = flit_checksum(flit), flit_checksum(flit)
-        assert a == b
-        assert 0 <= a <= 0xFF
+    def test_a_switch_refuses_link_faults(self):
+        with pytest.raises(ValueError, match=r"FaultPlan\.links"):
+            SwitchSimulation(BufferedCrossbarRouter(CFG), load=0.3,
+                             faults=self.LINKS)
 
-    def test_nonzero_syndrome_always_detected(self):
-        from repro.core.flit import make_packet
+    def test_a_sharded_network_refuses_stuck_faults(self):
+        """Refused by the parent's injector, before any worker starts."""
+        from repro.network.sharded import ShardedNetworkSimulation
 
-        (flit,) = make_packet(dest=3, size=1, src=1)
-        expected = flit_checksum(flit)
-        for syndrome in range(1, 256):
-            assert (expected ^ syndrome) != expected
+        with pytest.raises(ValueError, match=r"FaultPlan\.stuck"):
+            ShardedNetworkSimulation(NetworkConfig(radix=4, levels=2), 0.3,
+                                     shards=2, faults=self.STUCK)
+
+    def test_valid_plans_still_run(self):
+        plan = replace(self.LINKS, corrupt_rate=0.02)
+        result = NetworkSimulation(NET, 0.3, faults=plan).run(
+            warmup=20, measure=40, drain=300)
+        assert result.extra["stats.faults.link_down"] == 1.0
+        result = SwitchSimulation(BaselineRouter(CFG), load=0.3,
+                                  faults=self.STUCK).run(FAST)
+        assert result.extra["stats.faults.stuck"] == 1.0
 
 
 class TestSampleLinkFaults:
@@ -464,27 +474,6 @@ class TestNetworkInjector:
         sim = NetworkSimulation(NET, 0.2)
         with pytest.raises(ValueError):
             NetworkFaultInjector(FaultPlan(), sim, 1)
-
-    def test_stuck_network_input_blocks_candidates(self):
-        """NetworkRouter honors _stuck_inputs in candidate selection
-        (the switch-level stuck-fault hook, exposed for extensions)."""
-        sim = NetworkSimulation(NET, 0.4)
-        router = next(iter(sim.routers.values()))
-        for port in range(router.config.num_ports):
-            for vc in range(router.config.num_vcs):
-                router._stuck_inputs.add((port, vc))
-        accepts = []
-        router.hooks.on_flit_move(
-            lambda kind, flit, port, cycle: accepts.append(kind)
-        )
-        for _ in range(400):
-            sim.step()
-        # Flits entered the wedged router but never left it: every
-        # accepted flit is still resident.
-        assert accepts.count("accept") > 0
-        assert router._resident == accepts.count("accept")
-        assert all(kind == "accept" for kind in accepts)
-
 
     def test_network_hook_events_fire(self):
         """Credit-loss and link events reach the shared hook bus."""

@@ -7,7 +7,6 @@ from repro.core.flit import make_packet
 from repro.network.netsim import NetworkConfig, NetworkSimulation
 from repro.network.router import (
     NetworkRouter,
-    NetworkRouterConfig,
     OutputLink,
     pipeline_depth_for_radix,
 )
@@ -15,13 +14,17 @@ from repro.network.topology import FoldedClos, PortRef
 
 
 class TestNetworkRouterConfig:
+    """A router is built from the ``NetworkConfig`` itself, which checks
+    every field when it is constructed."""
+
     def test_validation(self):
-        with pytest.raises(ValueError):
-            NetworkRouterConfig(num_ports=1)
-        with pytest.raises(ValueError):
-            NetworkRouterConfig(num_ports=4, num_vcs=0)
-        with pytest.raises(ValueError):
-            NetworkRouterConfig(num_ports=4, buffer_depth=0)
+        with pytest.raises(ValueError, match="num_ports must be >= 2"):
+            NetworkRouter(NetworkConfig(), 1)
+        for field, least in (("radix", 2), ("levels", 1), ("num_vcs", 1),
+                             ("buffer_depth", 1), ("flit_cycles", 1)):
+            told = f"{field} must be >= {least}, got {least - 1}"
+            with pytest.raises(ValueError, match=told):
+                NetworkConfig(**{field: least - 1})
 
     @pytest.mark.parametrize("field, value, told", [
         ("packet_size", 0, "packet_size must be >= 1, got 0"),
@@ -41,8 +44,14 @@ class TestNetworkRouterConfig:
     @pytest.mark.parametrize("field", ["pipeline_delay", "channel_latency"])
     def test_router_delays_are_validated(self, field):
         with pytest.raises(ValueError, match=f"{field} must be >= 0"):
-            NetworkRouterConfig(num_ports=4, **{field: -1})
-        NetworkRouterConfig(num_ports=4, **{field: 0})
+            NetworkConfig(**{field: -1})
+        NetworkConfig(**{field: 0})
+
+    def test_link_latency_is_serialization_pipeline_and_wire(self):
+        assert NetworkConfig(pipeline_delay=0, channel_latency=0,
+                             flit_cycles=3).link_latency == 3
+        assert NetworkConfig(radix=64).link_latency == (
+            4 + pipeline_depth_for_radix(64) + 1)
 
     @pytest.mark.parametrize("value", [0, -1])
     def test_credit_latency_below_one_is_refused_by_name(self, value):
@@ -52,12 +61,8 @@ class TestNetworkRouterConfig:
         delay line's unnamed "latency must be >= 0"."""
         told = f"credit_latency must be >= 1, got {value}"
         with pytest.raises(ValueError, match=told):
-            NetworkRouterConfig(num_ports=4, credit_latency=value)
-        with pytest.raises(ValueError, match=told):
-            NetworkSimulation(
-                NetworkConfig(radix=4, levels=2, credit_latency=value), 0.3
-            )
-        NetworkRouterConfig(num_ports=4, credit_latency=1)
+            NetworkConfig(radix=4, levels=2, credit_latency=value)
+        NetworkConfig(radix=4, levels=2, credit_latency=1)
 
     def test_pipeline_depth_scales_with_radix(self):
         assert pipeline_depth_for_radix(64) > pipeline_depth_for_radix(8)
@@ -65,11 +70,10 @@ class TestNetworkRouterConfig:
 
 class TestNetworkRouterForwarding:
     def _router_pair(self):
-        cfg = NetworkRouterConfig(num_ports=4, num_vcs=2, buffer_depth=4,
-                                  flit_cycles=2, pipeline_delay=1,
-                                  channel_latency=1, credit_latency=1)
-        a = NetworkRouter(cfg, "a")
-        b = NetworkRouter(cfg, "b")
+        cfg = NetworkConfig(num_vcs=2, buffer_depth=4, flit_cycles=2,
+                            pipeline_delay=1, channel_latency=1)
+        a = NetworkRouter(cfg, 4, "a")
+        b = NetworkRouter(cfg, 4, "b")
         arrivals = []
 
         def to_b(flit, arrival):
@@ -109,10 +113,9 @@ class TestNetworkRouterForwarding:
 
     def test_credit_exhaustion_blocks(self):
         """With all downstream credits consumed, no further flit wins."""
-        cfg = NetworkRouterConfig(num_ports=4, num_vcs=1, buffer_depth=8,
-                                  flit_cycles=2, pipeline_delay=1,
-                                  channel_latency=1, credit_latency=1)
-        a = NetworkRouter(cfg, "a")
+        cfg = NetworkConfig(num_vcs=1, buffer_depth=8, flit_cycles=2,
+                            pipeline_delay=1, channel_latency=1)
+        a = NetworkRouter(cfg, 4, "a")
         arrivals = []
         a.attach(0, OutputLink(1, lambda f, t: arrivals.append(f),
                                downstream_depth=2))
@@ -136,8 +139,7 @@ class TestNetworkRouterForwarding:
                 a.step()
 
     def test_double_attach_rejected(self):
-        cfg = NetworkRouterConfig(num_ports=2)
-        r = NetworkRouter(cfg)
+        r = NetworkRouter(NetworkConfig(), 2)
         link = OutputLink(1, lambda f, t: None, None)
         r.attach(0, link)
         with pytest.raises(RuntimeError):

@@ -3,9 +3,11 @@
 ``NetworkRouter._allocate`` visits only inputs that hold a flit and
 resolves each requested output through the sparse
 :meth:`~repro.core.arbiter.RoundRobinArbiter.grant`; these tests pin
-that against the commit before the index existed (a digest) and against
-the exhaustive oracle (``tests/exhaustive.py``) that ignores the index
-(differentials under faults and tracing).
+that against the commit before the index existed (a digest).  The
+``exhaustive`` lane of ``tests/test_differential.py`` draws small Clos
+runs against the oracle that ignores the index (``tests/exhaustive.py``);
+here are its pinned points, radix-64 ones among them, under faults and
+tracing, and a check that the lane sees a broken index.
 """
 
 import hashlib
@@ -16,6 +18,8 @@ from repro.faults import FaultPlan, LinkFault
 from repro.network.netsim import NetworkConfig, NetworkSimulation
 from repro.network.router import NetworkRouter
 from repro.trace import TraceCollector, chrome_trace_json
+
+from tests.differential import Run, compare, kept, observed
 from tests.exhaustive import exhaustive, row
 
 
@@ -46,41 +50,20 @@ class TestParentPinnedDigest:
         )
 
 
-def _observe(radix, num_vcs, load, oracle):
-    """One faulted, traced run: two dead links, credit loss,
-    host-channel corruption, and two input VCs of the traced leaf
-    wedged from cycle 0 until a pause at cycle 100."""
-    config = NetworkConfig(radix=radix, levels=2, num_vcs=num_vcs, seed=11)
+def _faulted(radix, num_vcs, load):
+    """One faulted, traced run: two dead links, credit loss and
+    host-channel corruption, traced at the first leaf."""
     m = radix // 2
-    leaf, other = (0, 0, 0), (0, 1, 0)
-    plan = FaultPlan(
-        corrupt_rate=0.01,
-        credit_loss_rate=0.02,
-        links=(
-            LinkFault(cycle=30, switch=other, port=m + 1, until=120),
-            LinkFault(cycle=50, switch=(1, 0, 2), port=0, until=90),
+    return Run(
+        "clos", radix=radix, num_vcs=num_vcs, packet_size=1, load=load,
+        seed=11, traced=True, faults=FaultPlan(
+            corrupt_rate=0.01,
+            credit_loss_rate=0.02,
+            links=(
+                LinkFault(cycle=30, switch=(0, 1, 0), port=m + 1, until=120),
+                LinkFault(cycle=50, switch=(1, 0, 2), port=0, until=90),
+            ),
         ),
-    )
-    tracer = TraceCollector(capacity=100000)
-    sim = NetworkSimulation(
-        config, load=load, faults=plan, tracer=tracer, trace_switch=leaf,
-    )
-    if oracle:
-        exhaustive(sim)
-    wedged = sim.routers[leaf]
-    wedged._stuck_inputs.update({(0, 0), (m + 2, num_vcs - 1)})
-    sim.start_run(warmup=40, measure=80, drain=400)
-    assert not sim.advance_run(stop_at=100)
-    paused = sim.cycle
-    wedged._stuck_inputs.clear()
-    assert sim.advance_run()
-    result = sim.finish_run()
-    faults = sorted(
-        tracer.fault_events, key=lambda e: (e[3], e[0], e[1], str(e[2]))
-    )
-    return (
-        result, result.extra, paused, faults, chrome_trace_json(tracer),
-        repr(tracer.records(completed_only=False)),
     )
 
 
@@ -93,22 +76,16 @@ class TestIndexedEqualsExhaustive:
         (64, 4, 0.3), (64, 4, 0.1), (16, 2, 0.3),
     ])
     def test_faulted_traced_run(self, radix, num_vcs, load):
-        indexed = _observe(radix, num_vcs, load, oracle=False)
-        oracle = _observe(radix, num_vcs, load, oracle=True)
-        result, extra, paused, faults, chrome, records = indexed
-        assert paused == oracle[2] == 100
-        assert result == oracle[0]
-        assert extra == oracle[1]
-        assert faults == oracle[3] and len(faults) > 4
-        assert chrome == oracle[4]
-        assert records == oracle[5]
-        assert extra["stats.faults.credit_lost"] > 0
+        _, _, seen = compare("exhaustive", _faulted(radix, num_vcs, load))
+        assert len(seen["faults"]) > 4
+        assert seen["extra"]["stats.faults.credit_lost"] > 0
 
     def test_oracle_catches_an_unindexed_port(self, monkeypatch):
         """Port 1 never enters ``_occupied``, so allocation skips it
         while it holds flits.  The oracle ignores the index and runs as
         before; the indexed run must differ from it."""
-        oracle = _observe(16, 2, 0.3, oracle=True)
+        run = _faulted(16, 2, 0.3)
+        oracle = kept("exhaustive", observed(run, exhaustive)[1])
         accept = NetworkRouter.accept
 
         def unindexed(self, port, flit):
@@ -117,5 +94,5 @@ class TestIndexedEqualsExhaustive:
                 self._occupied.discard(1)
 
         monkeypatch.setattr(NetworkRouter, "accept", unindexed)
-        assert _observe(16, 2, 0.3, oracle=True) == oracle
-        assert _observe(16, 2, 0.3, oracle=False) != oracle
+        assert kept("exhaustive", observed(run, exhaustive)[1]) == oracle
+        assert kept("exhaustive", observed(run)[1]) != oracle

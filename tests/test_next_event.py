@@ -4,11 +4,11 @@ After every commit the scheduler asks each stepped component for the
 next cycle it must run: that cycle keeps it awake, a later one puts it
 to sleep until then (or until an earlier wake), and None parks it.
 Sleeping skips cycles on which a component still holds work, so an
-answer that comes late corrupts the run.  These tests compare every
-organization and the Clos against the exhaustive oracle
-(``tests/exhaustive.py`` pins ``next_event`` to the cycle asked
-about), and check that the runs really reach the states
-the probe exists for: a router whose occupied inputs are all still
+answer that comes late corrupts the run.  The ``exhaustive`` lane of
+``tests/test_differential.py`` compares every stack against the oracle
+that pins ``next_event`` to the cycle asked about; the runs here are
+its pinned points, and check that the runs really reach the states the
+probe exists for: a router whose occupied inputs are all still
 serializing, and one whose flits have drained while credits or VC
 releases are still in flight.
 """
@@ -19,28 +19,11 @@ from repro.core.config import RouterConfig
 from repro.core.flit import make_packet
 from repro.engine import Scheduler
 from repro.faults import FaultPlan, LinkFault
-from repro.harness.experiment import SwitchSimulation, SweepSettings
-from repro.network.netsim import NetworkConfig, NetworkSimulation
-from repro.network.router import NetworkRouter, NetworkRouterConfig, OutputLink
-from repro.routers import (
-    BaselineRouter,
-    BufferedCrossbarRouter,
-    DistributedRouter,
-    HierarchicalCrossbarRouter,
-    SharedBufferCrossbarRouter,
-    VoqRouter,
-)
-from repro.trace import TraceCollector, chrome_trace_json
-from tests.exhaustive import engine_free, exhaustive, row
+from repro.network.netsim import NetworkConfig
+from repro.network.router import NetworkRouter, OutputLink
+from repro.routers import BufferedCrossbarRouter
 
-ALL_ROUTERS = [
-    BaselineRouter,
-    DistributedRouter,
-    BufferedCrossbarRouter,
-    SharedBufferCrossbarRouter,
-    HierarchicalCrossbarRouter,
-    VoqRouter,
-]
+from tests.differential import ROUTERS, Run, build, compare, finish, start
 
 
 def _record_answers(sim, describe=lambda component: None):
@@ -65,50 +48,45 @@ def _slept(log):
             if entry[1] is not None and entry[1] > entry[0]]
 
 
-def _switch(router_cls, oracle):
+def _answers(run, describe=lambda component: None):
+    """The parking probe's answers over a plain run of ``run``."""
+    sim = build(run)
+    log = _record_answers(sim, describe)
+    finish(start(sim, run))
+    return log
+
+
+def _switch(stack):
     """Radix 8 at a load that empties the router now and then, with a
     credit return slow enough to outlast the flits that sent it, and
     credit loss: a dropped credit's fault event and resync carry the
     cycle it was due on."""
-    tracer = TraceCollector()
-    sim = SwitchSimulation(
-        router_cls(RouterConfig(radix=8, num_vcs=2, subswitch_size=4,
-                                local_group_size=4, credit_latency=12,
-                                seed=5)),
-        load=0.05, packet_size=2, tracer=tracer,
-        faults=FaultPlan(credit_loss_rate=0.2),
-    )
-    log = [] if oracle else _record_answers(sim)
-    if oracle:
-        exhaustive(sim)
-    result = sim.run(SweepSettings(warmup=60, measure=200, drain=600))
-    observed = (row(result), engine_free(result.extra),
-                list(tracer.fault_events), chrome_trace_json(tracer))
-    return observed, log, sim._sched
+    return Run(stack, credit_latency=12, seed=5, load=0.05, traced=True,
+               faults=FaultPlan(credit_loss_rate=0.2), window=(60, 200, 600))
+
+
+ORGANIZATIONS = [pytest.param(name, id=cls.__name__)
+                 for name, cls in ROUTERS.items()]
 
 
 class TestSwitchSleepEqualsExhaustive:
     """Every organization: the schedule that sleeps, parks and jumps
     reproduces the step-everything oracle byte for byte."""
 
-    @pytest.mark.parametrize("router_cls", ALL_ROUTERS)
-    def test_rows_extras_and_trace(self, router_cls):
-        plain, log, sched = _switch(router_cls, oracle=False)
-        oracle, _, reference = _switch(router_cls, oracle=True)
-        assert plain == oracle
-        assert sched.component_steps < reference.component_steps
-        assert log
+    @pytest.mark.parametrize("stack", ORGANIZATIONS)
+    def test_rows_extras_and_trace(self, stack):
+        sim, oracle, _ = compare("exhaustive", _switch(stack))
+        assert sim._sched.component_steps < oracle._sched.component_steps
 
-    @pytest.mark.parametrize("router_cls", [
-        BufferedCrossbarRouter, SharedBufferCrossbarRouter,
-        HierarchicalCrossbarRouter,
+    @pytest.mark.parametrize("stack", [
+        pytest.param(name, id=ROUTERS[name].__name__)
+        for name in ("buffered", "shared-buffer", "hierarchical")
     ])
-    def test_credit_returns_put_an_empty_crossbar_to_sleep(self, router_cls):
+    def test_credit_returns_put_an_empty_crossbar_to_sleep(self, stack):
         """With no flit resident, credits still on their way back are
         the crossbar's only work: it sleeps until the first is due
         instead of stepping every cycle until they land."""
-        _, log, _ = _switch(router_cls, oracle=False)
-        assert _slept(log)
+        assert _slept(_answers(_switch(stack)))
 
 
 def _router_state(router):
@@ -122,56 +100,31 @@ def _router_state(router):
     )
 
 
-def _clos(oracle):
-    """Radix-8 Clos with a stuck input VC (wedged until cycle 150), a
-    dead link, credit loss and a three-cycle credit return."""
-    config = NetworkConfig(radix=8, levels=2, num_vcs=2, credit_latency=3,
-                           packet_size=2, seed=13)
-    plan = FaultPlan(
-        credit_loss_rate=0.05,
-        links=(LinkFault(cycle=20, switch=(0, 1, 0), port=5, until=140),),
-    )
-    tracer = TraceCollector(capacity=100000)
-    sim = NetworkSimulation(config, load=0.35, faults=plan, tracer=tracer,
-                            trace_switch=(0, 0, 0))
-    log = [] if oracle else _record_answers(sim, _router_state)
-    if oracle:
-        exhaustive(sim)
-    wedged = sim.routers[(0, 0, 0)]
-    wedged._stuck_inputs.add((1, 0))
-    sim.start_run(warmup=40, measure=120, drain=2000)
-    assert not sim.advance_run(stop_at=150)
-    wedged._stuck_inputs.clear()
-    assert sim.advance_run()
-    result = sim.finish_run()
-    observed = (
-        row(result), result.extra,
-        chrome_trace_json(tracer), repr(tracer.records(completed_only=False)),
-    )
-    return observed, log, sim._sched
+#: Radix-8 Clos with a dead link, credit loss and a three-cycle credit
+#: return, traced at its first leaf.
+CLOS = Run(
+    "clos", credit_latency=3, seed=13, load=0.35, traced=True,
+    faults=FaultPlan(credit_loss_rate=0.05, links=(
+        LinkFault(cycle=20, switch=(0, 1, 0), port=5, until=140),)),
+    window=(40, 120, 2000),
+)
 
 
 class TestClosSleepEqualsExhaustive:
     def test_faulted_run(self):
-        plain, log, sched = _clos(oracle=False)
-        oracle, _, reference = _clos(oracle=True)
-        # The engine extras count fast-forward, which the oracle never
-        # takes; everything else must match.
-        assert plain[0] == oracle[0]
-        assert engine_free(plain[1]) == engine_free(oracle[1])
-        assert plain[2:] == oracle[2:]
-        assert plain[1]["stats.faults.credit_lost"] > 0
-        assert plain[1]["stats.faults.link_down"] > 0
-        assert sched.component_steps < reference.component_steps
+        sim, oracle, seen = compare("exhaustive", CLOS)
+        assert seen["extra"]["stats.faults.credit_lost"] > 0
+        assert seen["extra"]["stats.faults.link_down"] > 0
+        assert sim._sched.component_steps < oracle._sched.component_steps
 
     def test_the_run_reaches_both_sleep_states(self):
         """Sleeps with flits resident (every occupied input still
         serializing) and with none (only credits or VC releases in
         flight); before ``next_event`` was the parking probe, no run
         asked it in either state."""
-        _, log, _ = _clos(oracle=False)
         serializing = drained = 0
-        for now, answer, (resident, frees, pending) in _slept(log):
+        for now, answer, (resident, frees, pending) in _slept(
+                _answers(CLOS, _router_state)):
             if resident:
                 serializing += 1
                 assert answer <= frees
@@ -183,10 +136,10 @@ class TestClosSleepEqualsExhaustive:
 
 def _lone_router():
     """A two-port router whose output 1 ejects to a host (no credits)."""
-    router = NetworkRouter(NetworkRouterConfig(
-        num_ports=2, num_vcs=1, buffer_depth=4, flit_cycles=4,
-        pipeline_delay=0, channel_latency=1,
-    ))
+    router = NetworkRouter(NetworkConfig(
+        num_vcs=1, buffer_depth=4, flit_cycles=4, pipeline_delay=0,
+        channel_latency=1,
+    ), 2)
     delivered = []
     router.attach(1, OutputLink(
         1, lambda flit, arrival: delivered.append((flit, arrival)),

@@ -3,8 +3,10 @@
 The two-phase split lets the scheduler evaluate components in any
 order, and the engine, the harness and the wake horizons probe
 ``next_event``, the wake sources and the workload as often as they
-like.  Both claims are checked here from outside, through the
-oracle in ``tests/perturb.py``.  A perturbed run must reproduce the
+like.  Both claims are checked from outside, through the oracle in
+``tests/perturb.py``: the ``shuffle_compute`` and ``over_poll`` lanes
+of ``tests/test_differential.py`` draw them over every stack, and the
+runs here are their pinned points.  A perturbed run must reproduce the
 plain run's row, extras, Chrome-trace bytes and hook-event stream
 byte for byte.
 
@@ -15,136 +17,55 @@ follow commit order (ROADMAP item 8(b)).  Those rows are strict
 xfails, so the fix for that race has to remove the marks.
 """
 
-import functools
+from functools import partial
 
 import pytest
 
-from repro.core.config import RouterConfig
 from repro.faults import FaultPlan, LinkFault
-from repro.harness.experiment import SwitchSimulation, SweepSettings
-from repro.network.netsim import NetworkConfig, NetworkSimulation
 from repro.network.router import NetworkRouter
-from repro.routers import (
-    BaselineRouter,
-    BufferedCrossbarRouter,
-    DistributedRouter,
-    HierarchicalCrossbarRouter,
-    SharedBufferCrossbarRouter,
-    VoqRouter,
-)
 from repro.routers.base import Router
-from repro.trace import TraceCollector, chrome_trace_json
 from repro.workloads import all_reduce
-from tests.exhaustive import row
-from tests.perturb import (
-    EventRecord,
-    over_poll,
-    shuffle_commit,
-    shuffle_compute,
-)
 
-CLOS = {
-    "r16-l2-0.9": (dict(radix=16, levels=2), 0.9),
-    "r8-l3-0.9": (dict(radix=8, levels=3), 0.9),
-    "r8-tight-0.95": (dict(radix=8, levels=2, num_vcs=1, buffer_depth=2,
-                           flit_cycles=1, packet_size=4), 0.95),
-    "r8-l2-0.9": (dict(radix=8, levels=2), 0.9),
-    "r8-l2-0.5": (dict(radix=8, levels=2), 0.5),
-}
-CLOS_WINDOW = dict(warmup=100, measure=300, drain=1500)
-
-ALL_ROUTERS = [
-    BaselineRouter,
-    DistributedRouter,
-    BufferedCrossbarRouter,
-    SharedBufferCrossbarRouter,
-    HierarchicalCrossbarRouter,
-    VoqRouter,
-]
+from tests.differential import ROUTERS, Run, compare, observed, plain
+from tests.perturb import over_poll, shuffle_commit, shuffle_compute
 
 
-def _unperturbed(sim):
-    return sim
+def _clos(name):
+    fields = dict(radix=8, load=0.9, num_vcs=None, packet_size=1,
+                  window=(100, 300, 1500), traced=True)
+    fields.update({
+        "r16-l2-0.9": dict(radix=16),
+        "r8-l3-0.9": dict(levels=3),
+        "r8-tight-0.95": dict(num_vcs=1, depth=2, flit_cycles=1,
+                              packet_size=4, load=0.95),
+        "r8-l2-0.9": {},
+        "r8-l2-0.5": dict(load=0.5),
+    }[name])
+    return Run("clos", seed=1, **fields)
 
 
-def _observe(sim, tracer, run):
-    """Run ``sim`` and return what it produced: row, extras (NaN as
-    None), Chrome-trace bytes and the hook-event stream's digest."""
-    record = EventRecord(sim)
-    result = run(sim)
-    return (row(result), result.extra, chrome_trace_json(tracer),
-            record.hexdigest())
-
-
-def _clos(name, perturb=_unperturbed):
-    config, load = CLOS[name]
-    tracer = TraceCollector(capacity=100000)
-    sim = NetworkSimulation(NetworkConfig(**config), load=load,
-                            tracer=tracer)
-    return _observe(perturb(sim), tracer,
-                    lambda s: s.run(**CLOS_WINDOW))
-
-
-def _faulted_clos(perturb=_unperturbed):
-    """Radix 16 with host-channel corruption, credit loss and two dead
-    links, traced at a leaf."""
-    plan = FaultPlan(
+#: Radix 16 with host-channel corruption, credit loss and two dead
+#: links, traced at a leaf.
+FAULTED_CLOS = Run(
+    "clos", radix=16, seed=11, load=0.3, packet_size=1, traced=True,
+    window=(40, 200, 600), faults=FaultPlan(
         corrupt_rate=0.01,
         credit_loss_rate=0.02,
         links=(
             LinkFault(cycle=30, switch=(0, 1, 0), port=9, until=120),
             LinkFault(cycle=50, switch=(1, 0, 2), port=0, until=90),
         ),
-    )
-    tracer = TraceCollector(capacity=100000)
-    sim = NetworkSimulation(
-        NetworkConfig(radix=16, levels=2, num_vcs=2, seed=11), load=0.3,
-        faults=plan, tracer=tracer, trace_switch=(0, 0, 0),
-    )
-    return _observe(perturb(sim), tracer,
-                    lambda s: s.run(warmup=40, measure=200, drain=600))
+    ),
+)
+CLOS_WORKLOAD = Run("clos", seed=7, traced=True, max_cycles=100_000,
+                    workload=partial(all_reduce, 16, size=2))
+SWITCH_WORKLOAD = Run("baseline", packet_size=1, num_vcs=None, traced=True,
+                      workload=partial(all_reduce, 8, size=2))
 
 
-def _switch(router_cls, perturb=_unperturbed):
-    tracer = TraceCollector()
-    sim = SwitchSimulation(router_cls(RouterConfig(radix=16, seed=5)),
-                           load=0.7, tracer=tracer)
-    return _observe(perturb(sim), tracer, lambda s: s.run(
-        SweepSettings(warmup=40, measure=120, drain=400)))
-
-
-def _switch_workload(perturb=_unperturbed):
-    tracer = TraceCollector()
-    sim = SwitchSimulation(
-        BaselineRouter(RouterConfig(radix=8, seed=7)),
-        workload=all_reduce(8, size=2), tracer=tracer,
-    )
-    return _observe(perturb(sim), tracer,
-                    lambda s: s.run_workload(max_cycles=50_000))
-
-
-def _clos_workload(perturb=_unperturbed):
-    tracer = TraceCollector()
-    sim = NetworkSimulation(
-        NetworkConfig(radix=8, levels=2, num_vcs=2, packet_size=2, seed=7),
-        workload=all_reduce(16, size=2), tracer=tracer,
-    )
-    return _observe(perturb(sim), tracer,
-                    lambda s: s.run_workload(max_cycles=100_000))
-
-
-@functools.lru_cache(maxsize=None)
-def _plain(observe, *args):
-    """``observe(*args)`` unperturbed, run once per module."""
-    return observe(*args)
-
-
-def _shuffled(seed):
-    return lambda sim: shuffle_compute(sim, seed)
-
-
-def _both(sim):
-    return over_poll(shuffle_compute(sim, 1))
+def _switch(stack):
+    return Run(stack, radix=16, num_vcs=None, packet_size=1, seed=5,
+               load=0.7, traced=True, window=(40, 120, 400))
 
 
 class TestComputeOrder:
@@ -157,35 +78,35 @@ class TestComputeOrder:
         ("r8-l2-0.5", 1),
     ])
     def test_clos(self, name, seed):
-        assert _clos(name, _shuffled(seed)) == _plain(_clos, name)
+        compare("shuffle_compute", _clos(name), seed)
 
     def test_faulted_traced_clos(self):
-        assert _faulted_clos(_shuffled(1)) == _plain(_faulted_clos)
+        compare("shuffle_compute", FAULTED_CLOS)
 
     def test_clos_workload(self):
-        assert _clos_workload(_shuffled(1)) == _plain(_clos_workload)
+        compare("shuffle_compute", CLOS_WORKLOAD)
 
 
 class TestOverPolling:
     """Probes answer questions; asking again changes nothing."""
 
     def test_clos(self):
-        assert _clos("r16-l2-0.9", over_poll) == _plain(_clos, "r16-l2-0.9")
+        compare("over_poll", _clos("r16-l2-0.9"))
 
     def test_faulted_traced_clos(self):
-        assert _faulted_clos(over_poll) == _plain(_faulted_clos)
+        compare("over_poll", FAULTED_CLOS)
 
     def test_clos_workload(self):
-        assert _clos_workload(over_poll) == _plain(_clos_workload)
+        compare("over_poll", CLOS_WORKLOAD)
 
-    @pytest.mark.parametrize("router_cls", ALL_ROUTERS)
-    def test_switch(self, router_cls):
-        """The switch stack schedules one component, so its compute
-        shuffle is trivial; it rides along with the over-poll."""
-        assert _switch(router_cls, _both) == _switch(router_cls)
+    @pytest.mark.parametrize("stack", [
+        pytest.param(name, id=cls.__name__) for name, cls in ROUTERS.items()
+    ])
+    def test_switch(self, stack):
+        compare("over_poll", _switch(stack))
 
     def test_switch_workload(self):
-        assert _switch_workload(_both) == _switch_workload()
+        compare("over_poll", SWITCH_WORKLOAD)
 
 
 _RACE = pytest.mark.xfail(
@@ -204,12 +125,15 @@ _RACE = pytest.mark.xfail(
 ])
 def test_commit_order(name):
     """The row, extras and trace bytes must not follow commit order.
-    The hook-event stream does, by construction (see
-    ``perturb.EventRecord``), so it is left out."""
-    plain = _plain(_clos, name)
+    The hook-event stream and the order of the trace's lifecycle
+    records do, by construction (see ``perturb.EventRecord``), so they
+    are left out."""
+    kept = ("row", "extra", "chrome")
+    expect = [plain(_clos(name))[1][key] for key in kept]
     for seed in (1, 2, 3):
-        shuffled = _clos(name, lambda sim: shuffle_commit(sim, seed))
-        assert shuffled[:3] == plain[:3], seed
+        _, shuffled = observed(_clos(name),
+                               lambda sim: shuffle_commit(sim, seed))
+        assert [shuffled[key] for key in kept] == expect, seed
 
 
 class TestOracleSees:
@@ -229,10 +153,13 @@ class TestOracleSees:
                     self.hooks.emit_credit(-1, vc, cycle)
 
         monkeypatch.setattr(NetworkRouter, "compute", emitting)
-        plain = _clos("r8-l2-0.9")
-        shuffled = _clos("r8-l2-0.9", _shuffled(1))
-        assert shuffled[:3] == plain[:3]
-        assert shuffled[3] != plain[3]
+        run = _clos("r8-l2-0.9")
+        _, seen = observed(run, events=True)
+        _, shuffled = observed(run, lambda sim: shuffle_compute(sim, 1),
+                               events=True)
+        assert shuffled["events"] != seen.pop("events")
+        del shuffled["events"]
+        assert shuffled == seen
 
     def test_over_poll_sees_a_counting_probe(self, monkeypatch):
         """A ``next_event`` that counts its calls makes extras depend on
@@ -244,7 +171,8 @@ class TestOracleSees:
             return next_event(self, now)
 
         monkeypatch.setattr(Router, "next_event", counting)
-        plain = _switch(BaselineRouter)
-        polled = _switch(BaselineRouter, over_poll)
-        assert polled[0] == plain[0]
-        assert polled[1] != plain[1]
+        run = _switch("baseline")
+        _, seen = observed(run)
+        _, polled = observed(run, over_poll)
+        assert polled["row"] == seen["row"]
+        assert polled["extra"] != seen["extra"]

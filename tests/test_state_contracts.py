@@ -35,12 +35,11 @@ simulation numbers its own packets.
 import ast
 import importlib
 import json
-import math
 import os
 import pkgutil
 import subprocess
 import sys
-from collections import Counter, deque
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -64,6 +63,8 @@ from repro.routers import (
 )
 from repro.trace import TraceCollector, TraceFilter, chrome_trace_json
 from repro.workloads import all_reduce
+
+from tests.differential import restore_differences
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -165,97 +166,6 @@ def _start(sim):
 # ----------------------------------------------------------------------
 # Restore fidelity
 # ----------------------------------------------------------------------
-
-
-_LEAVES = (int, float, complex, str, bytes, bool, type(None))
-_BUILTIN_METHOD = type(len)
-_CALLABLES = (type, type(_start), type(repro))
-
-
-def _fields(obj):
-    """``obj``'s ``__dict__`` plus its set ``__slots__``, in order."""
-    fields = dict(getattr(obj, "__dict__", {}))
-    for klass in type(obj).__mro__:
-        for name in getattr(klass, "__slots__", ()):
-            if name not in fields and hasattr(obj, name):
-                fields[name] = getattr(obj, name)
-    return fields
-
-
-def _is_numpy(value):
-    return type(value).__module__.split(".")[0] == "numpy"
-
-
-def _same_leaf(a, b):
-    if isinstance(a, float) and math.isnan(a):
-        return isinstance(b, float) and math.isnan(b)
-    return a == b
-
-
-def restore_differences(original, twin):
-    """Paths at which ``twin``'s state differs from ``original``'s."""
-    found = []
-    seen = set()
-    stack = [("sim", original, twin)]
-    while stack:
-        path, a, b = stack.pop()
-        if a is b:
-            continue
-        if type(a) is not type(b):
-            found.append(f"{path}: {type(a).__name__} vs {type(b).__name__}")
-            continue
-        if isinstance(a, _LEAVES):
-            if not _same_leaf(a, b):
-                found.append(f"{path}: {a!r} vs {b!r}")
-            continue
-        pair = (id(a), id(b))
-        if pair in seen or _is_numpy(a):
-            continue
-        seen.add(pair)
-        children = []
-        if isinstance(a, Rng):
-            if a.getstate() != b.getstate():
-                found.append(f"{path}: Random state")
-        elif isinstance(a, (list, tuple, deque)):
-            if len(a) != len(b):
-                found.append(f"{path}: length {len(a)} vs {len(b)}")
-            else:
-                children = [(f"{path}[{i}]", x, y)
-                            for i, (x, y) in enumerate(zip(a, b))]
-        elif isinstance(a, dict):
-            if len(a) != len(b):
-                found.append(f"{path}: {len(a)} vs {len(b)} entries")
-            else:
-                for i, ((ka, va), (kb, vb)) in enumerate(
-                    zip(a.items(), b.items())
-                ):
-                    children.append((f"{path}.key[{i}]", ka, kb))
-                    children.append((f"{path}[{ka!r}]", va, vb))
-        elif isinstance(a, (set, frozenset)):
-            if a != b:
-                found.append(f"{path}: set {sorted(map(repr, a ^ b))}")
-        elif hasattr(a, "__func__") or isinstance(a, _BUILTIN_METHOD):
-            func = getattr(a, "__func__", a.__name__)
-            if func != getattr(b, "__func__", b.__name__):
-                found.append(f"{path}: {a!r} vs {b!r}")
-            else:
-                children = [(f"{path}.__self__", a.__self__, b.__self__)]
-        elif isinstance(a, _CALLABLES):
-            found.append(f"{path}: {a!r} vs {b!r}")
-        else:
-            if not hasattr(a, "__dict__") and not hasattr(a, "__slots__"):
-                if a != b:  # a builtin or extension value
-                    found.append(f"{path}: {a!r} vs {b!r}")
-                continue
-            fa, fb = _fields(a), _fields(b)
-            if set(fa) != set(fb):
-                found.append(f"{path}: fields {sorted(set(fa) ^ set(fb))}")
-                continue
-            children = [(f"{path}.{field}", value, fb[field])
-                        for field, value in fa.items()]
-        for child in reversed(children):
-            stack.append(child)
-    return found
 
 
 FIDELITY_CASES = [

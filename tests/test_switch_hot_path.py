@@ -7,139 +7,34 @@ hierarchical crossbar's stages hand ``{line: candidate}`` dicts of
 direct deque heads to ``RoundRobinArbiter.grant``; the harness skips a
 port whose bank is full and asks the injection process once per
 arrival.  None of it may move a result, an extra, a fault event, a
-trace byte or an arbiter pointer — pinned here against the exhaustive
-oracle (``tests/exhaustive.py``, which consults no count).  The
-radix-64 digest of ``tests/test_hierarchical_router.py`` and the
-goldens pin the same thing at the parent's own bytes.
+trace byte or an arbiter pointer.  The ``exhaustive`` lane of
+``tests/test_differential.py`` (against ``tests/exhaustive.py``, which
+consults no count) draws that over every organization; here are its
+pinned points, a check that the lane sees a broken count, and the
+counter checks.  The radix-64 digest of
+``tests/test_hierarchical_router.py`` and the goldens pin the same
+thing at the parent's own bytes.
 """
 
-from collections import deque
-
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
-from repro.core.arbiter import HAVE_NUMPY, RoundRobinArbiter
+from repro.core.arbiter import HAVE_NUMPY
 from repro.core.config import RouterConfig
-from repro.core.flit import Flit
 from repro.faults import FaultPlan, StuckFault
 from repro.harness.experiment import SwitchSimulation, SweepSettings
-from repro.routers import (
-    BaselineRouter,
-    BufferedCrossbarRouter,
-    DistributedRouter,
-    HierarchicalCrossbarRouter,
-    SharedBufferCrossbarRouter,
-    VoqRouter,
-)
+from repro.routers import BaselineRouter, BufferedCrossbarRouter, VoqRouter
 from repro.routers.base import Router
-from repro.trace import TraceCollector, chrome_trace_json
-from tests.exhaustive import engine_free, exhaustive, never_jump, row
 
+import tests.differential as differential
+from tests.differential import ROUTERS, Run, compare, kept, observed
+from tests.exhaustive import exhaustive
 
-ALL_ROUTERS = [
-    BaselineRouter,
-    DistributedRouter,
-    BufferedCrossbarRouter,
-    SharedBufferCrossbarRouter,
-    HierarchicalCrossbarRouter,
-    VoqRouter,
-]
-
-PROPERTY_RUN = SweepSettings(warmup=40, measure=80, drain=400)
+ORGANIZATIONS = [pytest.param(name, id=cls.__name__)
+                 for name, cls in ROUTERS.items()]
 
 
 def _walked(router):
     return [len(bank) for bank in router.inputs]
-
-
-def _audit_counts_every_cycle(sim, router):
-    def audit(cycle):
-        assert router._in_flits == _walked(router), cycle
-    sim.hooks.on_cycle_end(audit)
-
-
-def _arbiter_pointers(router):
-    """Pointer of every round-robin arbiter reachable from ``router``,
-    in attribute (= construction) order — whatever the organization
-    calls them and however it nests them."""
-    found, seen = [], set()
-
-    def walk(node):
-        if id(node) in seen or isinstance(
-            node, (int, float, str, Flit, set, frozenset, deque, type(None))
-        ):
-            return
-        seen.add(id(node))
-        if isinstance(node, RoundRobinArbiter):
-            found.append(node.pointer)
-        elif isinstance(node, dict):
-            for key in sorted(node, key=repr):
-                walk(node[key])
-        elif isinstance(node, (list, tuple)):
-            for child in node:
-                walk(child)
-        else:
-            names = list(getattr(node, "__dict__", ()))
-            for klass in type(node).__mro__:
-                names.extend(getattr(klass, "__slots__", ()))
-            for name in names:
-                if name not in ("hooks", "fault_injector", "config"):
-                    walk(getattr(node, name, None))
-
-    walk(router)
-    assert found
-    return found
-
-
-@st.composite
-def _scenarios(draw):
-    """Radix 8 under load with two wedged input read ports (flits stay
-    buffered and counted while nothing drains them) and credit loss."""
-    ports = draw(st.lists(st.integers(0, 7), min_size=2, max_size=2,
-                          unique=True))
-    stuck = []
-    for port in ports:
-        start = draw(st.integers(0, 150))
-        stuck.append(StuckFault(
-            cycle=start, where=(port,), kind="input",
-            until=start + draw(st.integers(1, 120)),
-        ))
-    return dict(
-        config=RouterConfig(
-            radix=8, subswitch_size=4, local_group_size=4,
-            num_vcs=draw(st.sampled_from([1, 2, 4])),
-            input_buffer_depth=draw(st.sampled_from([1, 2, 16])),
-            seed=draw(st.integers(0, 2**16)),
-        ),
-        packet_size=draw(st.integers(1, 3)),
-        load=draw(st.sampled_from([0.3, 0.9, 1.0])),
-        injection=draw(st.sampled_from(["bernoulli", "onoff"])),
-        faults=FaultPlan(
-            stuck=tuple(stuck),
-            credit_loss_rate=draw(st.sampled_from([0.02, 0.1])),
-        ),
-    )
-
-
-def _observe(router_cls, scenario, oracle, jump=True):
-    tracer = TraceCollector()
-    sim = SwitchSimulation(
-        router_cls(scenario["config"]), load=scenario["load"],
-        packet_size=scenario["packet_size"], faults=scenario["faults"],
-        injection=scenario["injection"], tracer=tracer,
-    )
-    if not jump:
-        never_jump(sim)
-    router = sim.router
-    if oracle:
-        exhaustive(sim)
-    else:
-        _audit_counts_every_cycle(sim, router)
-    result = sim.run(PROPERTY_RUN)
-    return (
-        row(result), engine_free(result.extra), list(tracer.fault_events),
-        chrome_trace_json(tracer), _arbiter_pointers(router),
-    )
 
 
 class TestCountedEqualsExhaustive:
@@ -147,50 +42,37 @@ class TestCountedEqualsExhaustive:
     parks nothing: every input of every stage is probed every cycle and
     the harness never skips a port — the oracle for both skip rules."""
 
-    @pytest.mark.parametrize("router_cls", ALL_ROUTERS)
-    @settings(max_examples=6, deadline=None)
-    @given(scenario=_scenarios())
-    # No labeled packet arrives (NaN latencies) on the shared-buffer
-    # crossbar; the rows must still compare equal.
-    @example(scenario=dict(
-        config=RouterConfig(
-            radix=8, subswitch_size=4, local_group_size=4, num_vcs=1,
-            input_buffer_depth=1, seed=378,
-        ),
-        packet_size=3, load=0.3, injection="onoff",
-        faults=FaultPlan(
-            stuck=tuple(
-                StuckFault(cycle=0, where=(port,), kind="input", until=1)
-                for port in (0, 1)
+    @pytest.mark.parametrize("stack", ORGANIZATIONS)
+    def test_faulted_traced_run(self, stack):
+        # No labeled packet arrives (NaN latencies) on the shared-buffer
+        # crossbar; the rows must still compare equal.  The oracle
+        # never parks, so it never jumps; the counted run is also
+        # compared with itself under never_jump.
+        run = Run(
+            stack, num_vcs=1, depth=1, seed=378, packet_size=3, load=0.3,
+            injection="onoff", traced=True, faults=FaultPlan(
+                stuck=tuple(
+                    StuckFault(cycle=0, where=(port,), kind="input", until=1)
+                    for port in (0, 1)
+                ),
+                credit_loss_rate=0.02,
             ),
-            credit_loss_rate=0.02,
-        ),
-    ))
-    def test_faulted_traced_run(self, router_cls, scenario):
-        # The oracle never parks, so it never jumps; the counted run is
-        # also compared with itself under never_jump.
-        first = _observe(router_cls, scenario, oracle=False)
-        assert _observe(router_cls, scenario, oracle=False,
-                        jump=False) == first
-        assert _observe(router_cls, scenario, oracle=True) == first
+        )
+        compare("never_jump", run)
+        compare("exhaustive", run)
 
 
 class TestOracleCatchesABrokenCount:
-    @pytest.mark.parametrize("router_cls", ALL_ROUTERS)
-    def test_uncounted_port_differs_from_the_oracle(
-        self, monkeypatch, router_cls
-    ):
+    @pytest.mark.parametrize("stack", ORGANIZATIONS)
+    def test_uncounted_port_differs_from_the_oracle(self, monkeypatch, stack):
         """Port 3's accepts go uncounted, so every input stage skips a
         port that holds flits.  The oracle consults no count and runs
-        as before; the differential above must tell the two apart once
-        the per-cycle audit, which would fail first, is switched off."""
-        scenario = dict(
-            config=RouterConfig(radix=8, subswitch_size=4,
-                                local_group_size=4, num_vcs=2, seed=5),
-            packet_size=2, load=0.6, injection="bernoulli", faults=None,
-        )
-        oracle = _observe(router_cls, scenario, oracle=True)
-        assert _observe(router_cls, scenario, oracle=False) == oracle
+        as before; the exhaustive lane must tell the two apart once
+        the per-cycle count audit, which would fail first, is switched
+        off."""
+        run = Run(stack, seed=5, load=0.6, traced=True)
+        _, _, seen = compare("exhaustive", run)
+        oracle = kept("exhaustive", seen)
         accept = Router.accept
 
         def uncounted(self, port, flit):
@@ -199,10 +81,9 @@ class TestOracleCatchesABrokenCount:
                 self._in_flits[3] -= 1
 
         monkeypatch.setattr(Router, "accept", uncounted)
-        monkeypatch.setattr(f"{__name__}._audit_counts_every_cycle",
-                            lambda sim, router: None)
-        assert _observe(router_cls, scenario, oracle=True) == oracle
-        assert _observe(router_cls, scenario, oracle=False) != oracle
+        monkeypatch.setattr(differential, "audit_counts", lambda sim: None)
+        assert kept("exhaustive", observed(run, exhaustive)[1]) == oracle
+        assert kept("exhaustive", observed(run)[1]) != oracle
 
 
 class TestBlockedPortSkip:
